@@ -158,20 +158,18 @@ impl GamStore {
     }
 
     fn wrap(db: Database) -> Self {
-        let max_int = |table: &str, col: usize| -> i64 {
+        // ids are handed out ascending, so the greatest primary key is the
+        // last one used — read off the index, no row (or page) is touched
+        let max_id = |table: &str| -> i64 {
             db.table(table)
-                .map(|t| {
-                    t.scan()
-                        .map(|(_, r)| r.get(col).as_int().unwrap_or(0))
-                        .max()
-                        .unwrap_or(0)
-                })
+                .and_then(|t| t.last_key("pk"))
+                .map(|key| key.and_then(|k| k[0].as_int()).unwrap_or(0))
                 .unwrap_or(0)
         };
-        let next_source = (max_int(tables::SOURCE, 0) + 1) as u32;
-        let next_object = (max_int(tables::OBJECT, 0) + 1) as u64;
-        let next_source_rel = (max_int(tables::SOURCE_REL, 0) + 1) as u32;
-        let next_object_rel = (max_int(tables::OBJECT_REL, 0) + 1) as u64;
+        let next_source = (max_id(tables::SOURCE) + 1) as u32;
+        let next_object = (max_id(tables::OBJECT) + 1) as u64;
+        let next_source_rel = (max_id(tables::SOURCE_REL) + 1) as u32;
+        let next_object_rel = (max_id(tables::OBJECT_REL) + 1) as u64;
         let import_seq = db
             .table(tables::SOURCE)
             .map(|t| {
@@ -343,8 +341,8 @@ impl GamStore {
         let mut p = 0usize;
         self.db
             .table(tables::SOURCE)?
-            .for_each_index_range("by_name", &lo, &hi, |key, row| {
-                let Some(name) = key[0].as_text() else { return };
+            .for_each_index_range("by_name", &lo, &hi, |row| {
+                let Some(name) = row.get(1).as_text() else { return };
                 while p < sorted.len() && sorted[p] < name {
                     p += 1;
                 }
@@ -587,8 +585,8 @@ impl GamStore {
             let lo = [src.clone(), Value::text(sorted[0])];
             let hi = [src.clone(), Value::text(sorted[sorted.len() - 1])];
             let mut p = 0usize;
-            table.for_each_index_range("by_accession", &lo, &hi, |key, row| {
-                let Some(acc) = key[1].as_text() else { return };
+            table.for_each_index_range("by_accession", &lo, &hi, |row| {
+                let Some(acc) = row.get(2).as_text() else { return };
                 while p < sorted.len() && sorted[p] < acc {
                     p += 1;
                 }
@@ -892,8 +890,8 @@ impl GamStore {
             let lo = [Value::Int(rel_i64), Value::Int(lo_from), Value::Int(lo_to)];
             let hi = [Value::Int(rel_i64), Value::Int(hi_from), Value::Int(hi_to)];
             let mut p = 0usize;
-            table.for_each_index_range("by_pair", &lo, &hi, |key, _row| {
-                let (Some(from), Some(to)) = (key[1].as_int(), key[2].as_int()) else {
+            table.for_each_index_range("by_pair", &lo, &hi, |row| {
+                let (Some(from), Some(to)) = (row.get(2).as_int(), row.get(3).as_int()) else {
                     return;
                 };
                 while p < pairs.len() && pairs[p] < (from, to) {

@@ -49,6 +49,21 @@ pub fn get_varint(buf: &mut Bytes) -> StoreResult<u64> {
     }
 }
 
+/// Read an element count that the decoder is about to loop over or reserve
+/// for. A count read from a file is not trusted: `min_bytes` is the least
+/// one element can occupy, and a count the remaining bytes could not hold
+/// is corruption — reported before anything is allocated for it.
+pub fn get_count(buf: &mut Bytes, min_bytes: usize, what: &str) -> StoreResult<usize> {
+    let count = get_varint(buf)?;
+    if count > (buf.remaining() / min_bytes.max(1)) as u64 {
+        return Err(StoreError::Corrupt(format!(
+            "{what} count {count} exceeds the {} bytes that remain",
+            buf.remaining()
+        )));
+    }
+    Ok(count as usize)
+}
+
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -130,10 +145,7 @@ pub fn put_row(buf: &mut BytesMut, values: &[Value]) {
 
 /// Decode a row.
 pub fn get_row(buf: &mut Bytes) -> StoreResult<Vec<Value>> {
-    let arity = get_varint(buf)? as usize;
-    if arity > 1 << 20 {
-        return Err(StoreError::Corrupt(format!("implausible row arity {arity}")));
-    }
+    let arity = get_count(buf, 1, "row value")?;
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(get_value(buf)?);

@@ -3,7 +3,8 @@
 //! * [`Database::in_memory`] gives a volatile database.
 //! * [`Database::open`] attaches a directory: state is the last
 //!   [checkpoint](Database::checkpoint) snapshot plus a replay of the
-//!   write-ahead log's committed transactions.
+//!   write-ahead log's committed transactions. Recovery places rows first
+//!   — snapshot, then replay — and builds each index once at the end.
 //!
 //! Transactions are single-writer (the `&mut self` receiver enforces it at
 //! compile time). A [`Transaction`] applies changes eagerly — reads through
@@ -194,8 +195,8 @@ impl Database {
     /// pages, so datasets far larger than the pool still serve indexed
     /// lookups with bounded resident memory. Recovery loads the page
     /// *directory* (not the pages), registers every page's heap location,
-    /// streams the pages once to rebuild indexes, then replays the WAL
-    /// exactly as [`open`](Self::open) does.
+    /// replays the WAL exactly as [`open`](Self::open) does, then streams
+    /// the pages once to build the indexes.
     pub fn open_paged(dir: &Path, config: PoolConfig) -> StoreResult<Self> {
         Self::open_paged_with_vfs(Arc::new(RealVfs), dir, config)
     }
@@ -260,15 +261,8 @@ impl Database {
                 pages,
                 meta.tail_base,
                 meta.tail,
+                meta.live,
             )?;
-            if table.len() as u64 != meta.live {
-                return Err(StoreError::Corrupt(format!(
-                    "table {}: page directory records {} live rows but pages hold {}",
-                    table.name(),
-                    meta.live,
-                    table.len()
-                )));
-            }
             tables.insert(table.name().to_owned(), table);
         }
         // A compaction that crashed between publishing the new directory
@@ -300,7 +294,10 @@ impl Database {
     /// Shared tail of both open paths: read the WAL, replay its committed
     /// transactions over the recovered tables when its epoch matches
     /// `epoch`, reset it when stale (completing an interrupted
-    /// checkpoint), and leave it open for appends.
+    /// checkpoint), and leave it open for appends. The tables arrive under
+    /// recovery — rows only — and replay only places rows; once the rows
+    /// are final every index is built, once, which is also where a unique
+    /// violation or a miscounted page directory surfaces.
     fn attach_wal(
         &mut self,
         vfs: Arc<dyn Vfs>,
@@ -331,6 +328,9 @@ impl Database {
                 self.apply_replayed(op)?;
             }
             self.next_txid = recovery.committed_txns + 1;
+        }
+        for table in self.tables.values_mut() {
+            table.build_indexes()?;
         }
         let mut wal = WalWriter::open(vfs.clone(), &wal_path)?;
         if stale {
@@ -402,7 +402,7 @@ impl Database {
                 // predates it (it cannot on the normal checkpoint path, but
                 // degraded recovery tolerates it); the snapshot wins.
                 if !self.tables.contains_key(schema.name()) {
-                    let table = self.make_table(schema);
+                    let table = self.make_table(schema).unindexed();
                     self.tables.insert(table.name().to_owned(), table);
                 }
                 Ok(())
@@ -667,7 +667,11 @@ impl Database {
         }
         self.checkpoint()?;
         if let Some(durability) = &self.durability {
-            durability.vfs.remove(&old_path)?;
+            // the heap is created on first write-back: a store that never
+            // sealed a page has no old generation to unlink
+            if durability.vfs.exists(&old_path) {
+                durability.vfs.remove(&old_path)?;
+            }
             durability.vfs.sync_dir(&durability.dir)?;
         }
         Ok(())
@@ -1294,6 +1298,40 @@ mod tests {
     }
 
     #[test]
+    fn bulk_loaded_default_pages_reopen() {
+        // ~10-byte rows reach the 4096-slot cap long before 32 KiB: a
+        // batch sealed as one 10 000-slot page would checkpoint fine and
+        // never decode again
+        use crate::vfs::FaultVfs;
+        let vfs = FaultVfs::new();
+        let dir = Path::new("/db");
+        let config = PoolConfig::default();
+        assert_eq!(config.page_bytes, 32 * 1024);
+        let before: Vec<_> = {
+            let mut db =
+                Database::open_paged_with_vfs(Arc::new(vfs.clone()), dir, config).unwrap();
+            db.create_table(schema("t")).unwrap();
+            db.with_txn(|txn| {
+                let rows = (0..10_000).map(|i| vec![Value::Int(i), Value::text("abcd")]);
+                txn.insert_batch("t", rows.collect())?;
+                Ok(())
+            })
+            .unwrap();
+            db.checkpoint().unwrap();
+            db.table("t").unwrap().scan().collect()
+        };
+        assert_eq!(before.len(), 10_000);
+        let db = Database::open_paged_with_vfs(Arc::new(vfs), dir, config).unwrap();
+        let t = db.table("t").unwrap();
+        assert_eq!(t.scan().collect::<Vec<_>>(), before);
+        assert_eq!(t.next_row_id(), RowId(10_000));
+        assert_eq!(
+            t.lookup_unique("pk", &[Value::Int(9_999)]).unwrap().unwrap().get(0),
+            &Value::Int(9_999)
+        );
+    }
+
+    #[test]
     fn paged_wal_only_roundtrip_creates_paged_tables() {
         use crate::vfs::FaultVfs;
         let vfs = FaultVfs::new();
@@ -1374,6 +1412,24 @@ mod tests {
         let t = db.table("t").unwrap();
         assert_eq!(t.len(), 80);
         assert_eq!(t.get(RowId(5)).unwrap().get(1), &Value::text("u3-5"));
+    }
+
+    #[test]
+    fn paged_compact_of_a_store_that_never_sealed_a_page() {
+        use crate::vfs::FaultVfs;
+        let vfs = FaultVfs::new();
+        let dir = Path::new("/db");
+        let mut db =
+            Database::open_paged_with_vfs(Arc::new(vfs.clone()), dir, paged_config()).unwrap();
+        db.create_table(schema("t")).unwrap();
+        db.with_txn(|txn| txn.insert("t", vec![Value::Int(1), Value::text("x")]))
+            .unwrap();
+        // the only row is in the open tail: no heap generation exists yet
+        assert!(!vfs.exists(&dir.join(heap_file_name(1))));
+        db.compact().unwrap();
+        drop(db);
+        let db = Database::open_paged_with_vfs(Arc::new(vfs), dir, paged_config()).unwrap();
+        assert_eq!(db.table("t").unwrap().len(), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! of its rows change, so images are only ever appended and the fault
 //! model for torn tails matches the WAL's.
 
-use crate::codec::{crc32, get_row, get_varint, put_row, put_varint};
+use crate::codec::{crc32, get_count, get_row, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
 use bytes::{Bytes, BytesMut};
@@ -99,7 +99,7 @@ pub fn decode_page(data: &[u8]) -> StoreResult<DecodedPage> {
     let table_id = get_varint(&mut buf)? as u32;
     let page_no = get_varint(&mut buf)? as u32;
     let base = get_varint(&mut buf)?;
-    let nslots = get_varint(&mut buf)? as usize;
+    let nslots = get_count(&mut buf, 1, "page slot")?;
     if nslots > MAX_PAGE_SLOTS {
         return Err(StoreError::Corrupt(format!("implausible slot count {nslots}")));
     }

@@ -20,7 +20,7 @@
 //! The pool capacity is a soft cap: pins always succeed. If every frame
 //! is pinned the pool temporarily overcommits rather than deadlocking.
 
-use crate::codec::{crc32, get_row, get_varint, put_row, put_varint};
+use crate::codec::{crc32, get_count, get_row, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::page::{decode_page, encode_page, PageId};
 use crate::row::Row;
@@ -631,19 +631,14 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
     let epoch = get_varint(&mut buf)?;
     let heap_gen = get_varint(&mut buf)?;
     let next_table_id = get_varint(&mut buf)? as u32;
-    let ntables = get_varint(&mut buf)? as usize;
-    if ntables > 1 << 16 {
-        return Err(StoreError::Corrupt(format!("implausible table count {ntables}")));
-    }
+    // a table is at least a name, one column, and six counts
+    let ntables = get_count(&mut buf, 11, "table")?;
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
         let schema = get_schema(&mut buf)?;
         let table_id = get_varint(&mut buf)? as u32;
         let live = get_varint(&mut buf)?;
-        let npages = get_varint(&mut buf)? as usize;
-        if npages > 1 << 32 {
-            return Err(StoreError::Corrupt(format!("implausible page count {npages}")));
-        }
+        let npages = get_count(&mut buf, 4, "page")?;
         let mut pages = Vec::with_capacity(npages);
         for _ in 0..npages {
             let base = get_varint(&mut buf)?;
@@ -657,7 +652,7 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
             });
         }
         let tail_base = get_varint(&mut buf)?;
-        let ntail = get_varint(&mut buf)? as usize;
+        let ntail = get_count(&mut buf, 1, "tail slot")?;
         if ntail > crate::page::MAX_PAGE_SLOTS {
             return Err(StoreError::Corrupt(format!("implausible tail length {ntail}")));
         }

@@ -11,7 +11,7 @@
 //! a log only when the epochs match. Version-1 snapshots (no epoch field)
 //! decode as epoch 0.
 
-use crate::codec::{crc32, get_row, get_str, get_varint, put_row, put_str, put_varint};
+use crate::codec::{crc32, get_count, get_row, get_str, get_varint, put_row, put_str, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::schema::{Column, Schema};
@@ -70,10 +70,7 @@ pub(crate) fn put_schema(buf: &mut BytesMut, schema: &Schema) {
 
 pub(crate) fn get_schema(buf: &mut Bytes) -> StoreResult<Schema> {
     let name = get_str(buf)?;
-    let ncols = get_varint(buf)? as usize;
-    if ncols > 1 << 16 {
-        return Err(StoreError::Corrupt(format!("implausible column count {ncols}")));
-    }
+    let ncols = get_count(buf, 3, "column")?;
     let mut builder = Schema::builder(&name);
     let mut col_names = Vec::with_capacity(ncols);
     for _ in 0..ncols {
@@ -94,7 +91,7 @@ pub(crate) fn get_schema(buf: &mut Bytes) -> StoreResult<Schema> {
         });
     }
     let resolve = |buf: &mut Bytes, col_names: &[String]| -> StoreResult<Vec<String>> {
-        let n = get_varint(buf)? as usize;
+        let n = get_count(buf, 1, "index column")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let o = get_varint(buf)? as usize;
@@ -110,7 +107,7 @@ pub(crate) fn get_schema(buf: &mut Bytes) -> StoreResult<Schema> {
         let refs: Vec<&str> = pk.iter().map(String::as_str).collect();
         builder = builder.primary_key(&refs);
     }
-    let nix = get_varint(buf)? as usize;
+    let nix = get_count(buf, 3, "index")?;
     for _ in 0..nix {
         let iname = get_str(buf)?;
         if !buf.has_remaining() {
@@ -160,6 +157,18 @@ pub fn encode_snapshot<'a>(
 /// Decode a snapshot byte buffer into fully-indexed tables plus the epoch
 /// it was written at (0 for version-1 files).
 pub fn decode_snapshot(data: &[u8]) -> StoreResult<(Vec<Table>, u64)> {
+    let (mut tables, epoch) = decode_snapshot_rows(data)?;
+    for table in &mut tables {
+        table.build_indexes()?;
+    }
+    Ok((tables, epoch))
+}
+
+/// Decode a snapshot's rows into tables still under recovery — rows placed
+/// by id, high-water marks restored, no index built: the caller replays
+/// the WAL over them first and builds each index once at the end
+/// ([`Table::build_indexes`]).
+pub(crate) fn decode_snapshot_rows(data: &[u8]) -> StoreResult<(Vec<Table>, u64)> {
     if data.len() < 12 {
         return Err(StoreError::Corrupt("snapshot too short".into()));
     }
@@ -179,56 +188,22 @@ pub fn decode_snapshot(data: &[u8]) -> StoreResult<(Vec<Table>, u64)> {
     }
     let mut buf = Bytes::copy_from_slice(body);
     let epoch = if version >= 2 { get_varint(&mut buf)? } else { 0 };
-    let ntables = get_varint(&mut buf)? as usize;
-    if ntables > 1 << 16 {
-        return Err(StoreError::Corrupt(format!("implausible table count {ntables}")));
-    }
+    // a table is at least a name, one column, and three counts
+    let ntables = get_count(&mut buf, 8, "table")?;
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
         let schema = get_schema(&mut buf)?;
         let high_water = get_varint(&mut buf)?;
-        let nrows = get_varint(&mut buf)? as usize;
-        let mut table = Table::new(schema);
+        // a row is at least its id and its arity
+        let nrows = get_count(&mut buf, 2, "row")?;
+        let mut table = Table::recovering(schema, nrows);
         for _ in 0..nrows {
             let row_id = RowId(get_varint(&mut buf)?);
             let values = get_row(&mut buf)?;
             table.insert_at(row_id, values)?;
         }
-        if table.next_row_id().0 > high_water {
-            return Err(StoreError::Corrupt(
-                "snapshot rows exceed recorded high-water mark".into(),
-            ));
-        }
-        // Re-align the high-water mark for tables whose last rows were
-        // deleted before the snapshot.
-        while table.next_row_id().0 < high_water {
-            let filler = RowId(table.next_row_id().0);
-            // insert_at with an id just past the end, then delete, to bump
-            // the mark without leaving data. Build a minimal valid row.
-            let row: Vec<_> = table
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| {
-                    if c.nullable {
-                        crate::value::Value::Null
-                    } else {
-                        match c.ty {
-                            ValueType::Int => crate::value::Value::Int(i64::MIN + filler.0 as i64),
-                            ValueType::Float => crate::value::Value::Float(f64::MIN),
-                            ValueType::Text => {
-                                crate::value::Value::Text(format!("\u{0}hw{}", filler.0))
-                            }
-                            ValueType::Bytes => {
-                                crate::value::Value::Bytes(filler.0.to_le_bytes().to_vec())
-                            }
-                        }
-                    }
-                })
-                .collect();
-            table.insert_at(filler, row)?;
-            table.delete(filler)?;
-        }
+        // the last rows may have been deleted before the snapshot
+        table.raise_high_water(high_water)?;
         tables.push(table);
     }
     Ok((tables, epoch))
@@ -257,11 +232,15 @@ pub fn write_snapshot_file<'a>(
     Ok(())
 }
 
-/// Read and decode a snapshot file. `None` if the file does not exist (a
-/// corrupt file is an error, so callers can fall back to an older copy).
-pub fn read_snapshot_file(vfs: &dyn Vfs, path: &Path) -> StoreResult<Option<(Vec<Table>, u64)>> {
+/// Read a snapshot file into tables under recovery (see
+/// [`decode_snapshot_rows`]). `None` if the file does not exist (a corrupt
+/// file is an error, so callers can fall back to an older copy).
+pub(crate) fn read_snapshot_file(
+    vfs: &dyn Vfs,
+    path: &Path,
+) -> StoreResult<Option<(Vec<Table>, u64)>> {
     match vfs.read(path)? {
-        Some(data) => decode_snapshot(&data).map(Some),
+        Some(data) => decode_snapshot_rows(&data).map(Some),
         None => Ok(None),
     }
 }

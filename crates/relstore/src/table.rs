@@ -7,7 +7,9 @@
 //! slot. Every declared index (including the primary key, named `"pk"`) is
 //! maintained on insert/update/delete and kept resident in both modes —
 //! only row bodies page out, so indexed point lookups pin exactly the
-//! pages they touch.
+//! pages they touch. Recovery places rows first and builds every index
+//! once afterwards ([`Table::build_indexes`]): a table under recovery has
+//! no index structures at all until then.
 //!
 //! Reads go through [`Table::select`], which performs simple access-path
 //! selection: if the predicate's top-level conjunction pins every column of
@@ -17,13 +19,15 @@
 use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
-use crate::index::{format_key, IndexKey, IndexStore};
+use crate::index::{format_key, IndexKey, IndexStore, KeySpec};
 use crate::page::{encoded_row_len, PageId, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager, PinnedPage};
-use crate::predicate::Predicate;
+use crate::predicate::{CmpOp, Predicate};
 use crate::row::{Row, RowId};
-use crate::schema::Schema;
+use crate::schema::{IndexDef, Schema};
 use crate::value::Value;
+use std::cmp::Ordering;
+use std::ops::Bound;
 
 /// One block of a batched columnar scan
 /// ([`Table::scan_prefix_columnar`]): the requested columns decoded into
@@ -134,11 +138,18 @@ impl PagedRows {
         Ok(())
     }
 
+    /// Seal the head of the open tail — all of it, up to the slot cap a
+    /// page image may carry — leaving any remainder as the new tail.
     fn seal_tail(&mut self) -> StoreResult<()> {
         if self.tail.is_empty() {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.tail);
+        let rest = if self.tail.len() > MAX_PAGE_SLOTS {
+            self.tail.split_off(MAX_PAGE_SLOTS)
+        } else {
+            Vec::new()
+        };
+        let rows = std::mem::replace(&mut self.tail, rest);
         let base = self.tail_base;
         let page_no = self.pages.len() as u32;
         self.pages.push(SealedPage {
@@ -146,7 +157,7 @@ impl PagedRows {
             slots: rows.len() as u32,
         });
         self.tail_base = base + rows.len() as u64;
-        self.tail_bytes = 0;
+        self.tail_bytes = tail_bytes(&self.tail);
         self.pager.install(
             PageId {
                 table_id: self.table_id,
@@ -156,6 +167,14 @@ impl PagedRows {
             rows,
         )
     }
+}
+
+/// Encoded bytes of the live rows of an open tail.
+fn tail_bytes(tail: &[Option<Row>]) -> usize {
+    tail.iter()
+        .flatten()
+        .map(|r| encoded_row_len(r.values()))
+        .sum()
 }
 
 /// Row storage behind a [`Table`]: fully resident, or paged through the
@@ -204,7 +223,15 @@ impl RowStore {
     fn fill_gap_to(&mut self, target: u64) -> StoreResult<()> {
         match self {
             RowStore::Resident(slots) => {
-                slots.resize(target as usize, None);
+                // `target` may come straight from a file: a row id no
+                // memory could hold is corruption, not an abort
+                let grow = usize::try_from(target)
+                    .unwrap_or(usize::MAX)
+                    .saturating_sub(slots.len());
+                slots.try_reserve(grow).map_err(|_| {
+                    StoreError::Corrupt(format!("row id {target} exceeds addressable slots"))
+                })?;
+                slots.resize(slots.len() + grow, None);
                 Ok(())
             }
             RowStore::Paged(p) => {
@@ -417,36 +444,68 @@ pub struct Table {
     /// for deleted rows.
     store: RowStore,
     live: usize,
+    /// One structure per `schema.indexes()` entry, in the same order — or
+    /// none at all while the table is being recovered: every mutator
+    /// maintains exactly the indexes that exist, so replay only places
+    /// rows, and [`Table::build_indexes`] ends the recovery.
     indexes: Vec<IndexStore>,
 }
 
+/// Build the indexes `defs` of `schema` over the live rows of `store` —
+/// the one place rows become an index. One pass over the rows (one pin per
+/// page) projects every key; each index is then bulk-built from its run,
+/// which arrives in row-id order and is sorted only if that is not already
+/// key order. Returns the structures and the number of live rows seen.
+fn index_rows(
+    schema: &Schema,
+    defs: &[&IndexDef],
+    store: &RowStore,
+) -> StoreResult<(Vec<IndexStore>, usize)> {
+    let specs: Vec<KeySpec> = defs.iter().map(|def| KeySpec::new(schema, def)).collect();
+    let mut runs: Vec<Vec<(IndexKey, RowId)>> = vec![Vec::new(); defs.len()];
+    let mut live = 0usize;
+    store.for_each(&mut |id, row| {
+        live += 1;
+        for (spec, run) in specs.iter().zip(runs.iter_mut()) {
+            run.push((spec.row_key(row.values())?, id));
+        }
+        Ok(())
+    })?;
+    let built = defs
+        .iter()
+        .zip(specs)
+        .zip(runs)
+        .map(|((def, spec), run)| IndexStore::build(schema.name(), def, spec, run))
+        .collect::<StoreResult<_>>()?;
+    Ok((built, live))
+}
+
 impl Table {
-    /// Create an empty resident table for `schema`.
-    pub fn new(schema: Schema) -> Self {
+    fn with_store(schema: Schema, store: RowStore) -> Self {
         let indexes = schema
             .indexes()
             .iter()
-            .map(|d| IndexStore::new(d.unique))
+            .map(|d| IndexStore::new(KeySpec::new(&schema, d), d.unique))
             .collect();
         Table {
             schema,
-            store: RowStore::Resident(Vec::new()),
+            store,
             live: 0,
             indexes,
         }
     }
 
+    /// Create an empty resident table for `schema`.
+    pub fn new(schema: Schema) -> Self {
+        Table::with_store(schema, RowStore::Resident(Vec::new()))
+    }
+
     /// Create an empty paged table whose row bodies live behind `pager`
     /// under `table_id`.
     pub(crate) fn new_paged(schema: Schema, pager: Arc<Pager>, table_id: u32) -> Self {
-        let indexes = schema
-            .indexes()
-            .iter()
-            .map(|d| IndexStore::new(d.unique))
-            .collect();
-        Table {
+        Table::with_store(
             schema,
-            store: RowStore::Paged(PagedRows {
+            RowStore::Paged(PagedRows {
                 pager,
                 table_id,
                 pages: Vec::new(),
@@ -454,15 +513,27 @@ impl Table {
                 tail_base: 0,
                 tail_bytes: 0,
             }),
-            live: 0,
-            indexes,
-        }
+        )
     }
 
-    /// Rebuild a paged table from recovered page-directory metadata. The
-    /// sealed pages must tile `[0, tail_base)` contiguously (anything else
-    /// is a corrupt directory); indexes and the live count are rebuilt by
-    /// streaming every page through the pool once.
+    /// Put the table under recovery: drop its index structures so replayed
+    /// writes only place rows, until [`build_indexes`](Self::build_indexes).
+    pub(crate) fn unindexed(mut self) -> Self {
+        self.indexes.clear();
+        self
+    }
+
+    /// An empty resident table under recovery with exactly `rows` slots
+    /// reserved (the caller bounds `rows` by what its input can hold).
+    pub(crate) fn recovering(schema: Schema, rows: usize) -> Self {
+        Table::with_store(schema, RowStore::Resident(Vec::with_capacity(rows))).unindexed()
+    }
+
+    /// Reattach a paged table to recovered page-directory metadata, under
+    /// recovery. The sealed pages must tile `[0, tail_base)` contiguously
+    /// (anything else is a corrupt directory). No page is read here: `live`
+    /// is the directory's count, verified against the pages when
+    /// [`build_indexes`](Self::build_indexes) streams them.
     pub(crate) fn new_paged_recovered(
         schema: Schema,
         pager: Arc<Pager>,
@@ -470,6 +541,7 @@ impl Table {
         pages: Vec<SealedPage>,
         tail_base: u64,
         tail: Vec<Option<Row>>,
+        live: u64,
     ) -> StoreResult<Table> {
         let mut expect = 0u64;
         for (i, p) in pages.iter().enumerate() {
@@ -488,47 +560,37 @@ impl Table {
                 schema.name()
             )));
         }
-        let tail_bytes = tail
-            .iter()
-            .flatten()
-            .map(|r| encoded_row_len(r.values()))
-            .sum();
-        let store = RowStore::Paged(PagedRows {
-            pager,
-            table_id,
-            pages,
-            tail,
-            tail_base,
-            tail_bytes,
-        });
-        let mut indexes: Vec<IndexStore> = schema
-            .indexes()
-            .iter()
-            .map(|d| IndexStore::new(d.unique))
-            .collect();
-        let mut live = 0usize;
-        store.for_each(&mut |id, row| {
-            live += 1;
-            for (def, ix) in schema.indexes().iter().zip(indexes.iter_mut()) {
-                ix.insert(row.project(&def.columns), id).map_err(|e| match e {
-                    StoreError::UniqueViolation { key, index, .. } => {
-                        StoreError::UniqueViolation {
-                            table: schema.name().to_owned(),
-                            index,
-                            key,
-                        }
-                    }
-                    e => e,
-                })?;
-            }
-            Ok(())
-        })?;
         Ok(Table {
             schema,
-            store,
-            live,
-            indexes,
+            live: live as usize,
+            indexes: Vec::new(),
+            store: RowStore::Paged(PagedRows {
+                pager,
+                table_id,
+                pages,
+                tail_bytes: tail_bytes(&tail),
+                tail,
+                tail_base,
+            }),
         })
+    }
+
+    /// End recovery: build every declared index from the rows as they now
+    /// stand. Fails — leaving the table unindexed — with `UniqueViolation`
+    /// if the rows break a unique index, or `Corrupt` if the pages do not
+    /// hold the live-row count recovery arrived at.
+    pub(crate) fn build_indexes(&mut self) -> StoreResult<()> {
+        let defs: Vec<&IndexDef> = self.schema.indexes().iter().collect();
+        let (indexes, live) = index_rows(&self.schema, &defs, &self.store)?;
+        if live != self.live {
+            return Err(StoreError::Corrupt(format!(
+                "table {}: recovery accounts for {} live rows but storage holds {live}",
+                self.schema.name(),
+                self.live
+            )));
+        }
+        self.indexes = indexes;
+        Ok(())
     }
 
     /// Page ids of all sealed pages (empty for resident tables).
@@ -597,29 +659,63 @@ impl Table {
         RowId(self.store.high_water())
     }
 
+    /// Declarations paired with the structures that exist for them (none
+    /// while the table is under recovery).
+    fn indexed(&self) -> impl Iterator<Item = (&IndexDef, &IndexStore)> {
+        self.schema.indexes().iter().zip(&self.indexes)
+    }
+
+    /// The key of `values` under every index, in index order.
+    fn keys_of(&self, values: &[Value]) -> StoreResult<Vec<IndexKey>> {
+        self.indexes
+            .iter()
+            .map(|ix| ix.spec().row_key(values))
+            .collect()
+    }
+
+    /// Fail if any of `keys` (the keys of the row `values`) is already
+    /// taken in a unique index.
+    fn check_unique(&self, keys: &[IndexKey], values: &[Value]) -> StoreResult<()> {
+        match self
+            .indexed()
+            .zip(keys)
+            .find(|((_, ix), key)| ix.would_conflict(key))
+        {
+            Some(((def, _), _)) => Err(self.violation(def, values)),
+            None => Ok(()),
+        }
+    }
+
+    /// Enter the row `values` at `row_id` under its `keys` (pre-checked
+    /// with [`check_unique`](Self::check_unique)) into every index.
+    fn enter(&mut self, keys: Vec<IndexKey>, values: &[Value], row_id: RowId) -> StoreResult<()> {
+        for (i, key) in keys.into_iter().enumerate() {
+            if !self.indexes[i].insert(key, row_id) {
+                return Err(self.violation(&self.schema.indexes()[i], values));
+            }
+        }
+        Ok(())
+    }
+
+    /// The error for the row `values` colliding in unique index `def`.
+    fn violation(&self, def: &IndexDef, values: &[Value]) -> StoreError {
+        let key: Vec<Value> = def.columns.iter().map(|&c| values[c].clone()).collect();
+        StoreError::UniqueViolation {
+            table: self.schema.name().to_owned(),
+            index: def.name.clone(),
+            key: format_key(&key),
+        }
+    }
+
     /// Insert a row, returning its new row id.
     pub fn insert(&mut self, values: Vec<Value>) -> StoreResult<RowId> {
         self.schema.check_row(&values)?;
-        let row = Row::new(values);
         // Check unique constraints before mutating anything.
-        for (def, ix) in self.schema.indexes().iter().zip(&self.indexes) {
-            if def.unique {
-                let key = row.project(&def.columns);
-                if ix.would_conflict(&key) {
-                    return Err(StoreError::UniqueViolation {
-                        table: self.name().to_owned(),
-                        index: def.name.clone(),
-                        key: format_key(&key),
-                    });
-                }
-            }
-        }
+        let keys = self.keys_of(&values)?;
+        self.check_unique(&keys, &values)?;
         let row_id = RowId(self.store.high_water());
-        for (def, ix) in self.schema.indexes().iter().zip(self.indexes.iter_mut()) {
-            let key = row.project(&def.columns);
-            ix.insert(key, row_id)?;
-        }
-        self.store.push_raw(Some(row));
+        self.enter(keys, &values, row_id)?;
+        self.store.push_raw(Some(Row::new(values)));
         self.live += 1;
         // The row is fully inserted and indexed at this point; a seal
         // (page-out) error leaves the table consistent and is retried on
@@ -633,9 +729,9 @@ impl Table {
     /// All-or-nothing: every row is schema-checked and every unique index is
     /// probed — against existing keys *and* for duplicates within the batch
     /// — before anything mutates, so an error leaves the table untouched.
-    /// Rows then land in contiguous slots and each index is extended bulk
-    /// from a key-sorted run of the batch (ascending-key B-tree inserts)
-    /// rather than maintained per row.
+    /// Rows then land in contiguous slots and each index is extended from
+    /// one key-sorted run of the batch (each key projected once, inserted
+    /// in ascending order) rather than maintained per row.
     pub fn insert_batch(&mut self, rows: Vec<Vec<Value>>) -> StoreResult<Vec<RowId>> {
         if rows.len() <= 1 {
             // trivial batch: the per-row path is already optimal
@@ -648,46 +744,35 @@ impl Table {
                 Ok(Row::new(values))
             })
             .collect::<StoreResult<_>>()?;
-        // Unique pre-checks for the whole batch before any mutation.
-        for (def, ix) in self.schema.indexes().iter().zip(&self.indexes) {
-            if !def.unique {
-                continue;
-            }
-            let mut keys: Vec<IndexKey> =
-                new_rows.iter().map(|row| row.project(&def.columns)).collect();
-            keys.sort_unstable();
-            for pair in keys.windows(2) {
-                if pair[0] == pair[1] {
-                    return Err(StoreError::UniqueViolation {
-                        table: self.name().to_owned(),
-                        index: def.name.clone(),
-                        key: format_key(&pair[0]),
-                    });
-                }
-            }
-            for key in &keys {
-                if ix.would_conflict(key) {
-                    return Err(StoreError::UniqueViolation {
-                        table: self.name().to_owned(),
-                        index: def.name.clone(),
-                        key: format_key(key),
-                    });
-                }
-            }
-        }
         let first = self.store.high_water();
-        let row_ids: Vec<RowId> = (0..new_rows.len() as u64).map(|i| RowId(first + i)).collect();
-        // Bulk index build: one key-sorted run per index, inserted in
-        // ascending key order.
-        for (def, ix) in self.schema.indexes().iter().zip(self.indexes.iter_mut()) {
-            let mut entries: Vec<(IndexKey, RowId)> = new_rows
+        let row_ids: Vec<RowId> = (0..new_rows.len() as u64)
+            .map(|i| RowId(first + i))
+            .collect();
+        let mut runs = Vec::with_capacity(self.indexes.len());
+        for (def, ix) in self.indexed() {
+            let mut run: Vec<(IndexKey, RowId)> = new_rows
                 .iter()
                 .zip(&row_ids)
-                .map(|(row, id)| (row.project(&def.columns), *id))
-                .collect();
-            entries.sort_unstable();
-            for (key, id) in entries {
-                ix.insert(key, id)?;
+                .map(|(row, id)| Ok((ix.spec().row_key(row.values())?, *id)))
+                .collect::<StoreResult<_>>()?;
+            run.sort_unstable();
+            if def.unique {
+                let clash = run
+                    .windows(2)
+                    .find(|pair| pair[0].0 == pair[1].0)
+                    .map(|pair| &pair[0])
+                    .or_else(|| run.iter().find(|(key, _)| ix.would_conflict(key)));
+                if let Some((_, id)) = clash {
+                    let row = &new_rows[(id.0 - first) as usize];
+                    return Err(self.violation(def, row.values()));
+                }
+            }
+            runs.push(run);
+        }
+        for (ix, run) in self.indexes.iter_mut().zip(runs) {
+            for (key, id) in run {
+                let entered = ix.insert(key, id);
+                debug_assert!(entered, "batch keys were pre-checked");
             }
         }
         for row in new_rows {
@@ -698,9 +783,10 @@ impl Table {
         Ok(row_ids)
     }
 
-    /// Re-insert a row at a specific id, used by snapshot/WAL recovery. The
-    /// id must be at or beyond the current high-water mark; the gap (if any)
-    /// is filled with tombstones so later replayed ids stay aligned.
+    /// Place a row at a specific id, used by snapshot/WAL recovery on a
+    /// table under recovery (no index is touched). The id must be at or
+    /// beyond the current high-water mark; the gap (if any) is filled with
+    /// tombstones so later replayed ids stay aligned.
     pub(crate) fn insert_at(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
         if row_id.0 < self.store.high_water() {
@@ -710,21 +796,21 @@ impl Table {
             )));
         }
         self.store.fill_gap_to(row_id.0)?;
-        let row = Row::new(values);
-        for (def, ix) in self.schema.indexes().iter().zip(self.indexes.iter_mut()) {
-            let key = row.project(&def.columns);
-            ix.insert(key, row_id).map_err(|e| match e {
-                StoreError::UniqueViolation { key, index, .. } => StoreError::UniqueViolation {
-                    table: self.schema.name().to_owned(),
-                    index,
-                    key,
-                },
-                e => e,
-            })?;
-        }
-        self.store.push_raw(Some(row));
+        self.store.push_raw(Some(Row::new(values)));
         self.live += 1;
         self.store.settle()
+    }
+
+    /// Raise the high-water mark to `high_water` with tombstones: a
+    /// snapshot records it separately because the last rows may have been
+    /// deleted before it was taken.
+    pub(crate) fn raise_high_water(&mut self, high_water: u64) -> StoreResult<()> {
+        if self.store.high_water() > high_water {
+            return Err(StoreError::Corrupt(
+                "snapshot rows exceed recorded high-water mark".into(),
+            ));
+        }
+        self.store.fill_gap_to(high_water)
     }
 
     /// Restore a previously-deleted row into its original (tombstoned)
@@ -739,26 +825,13 @@ impl Table {
                 "restore target {row_id} is not a tombstone"
             )));
         }
-        let row = Row::new(values);
-        for (def, ix) in self.schema.indexes().iter().zip(&self.indexes) {
-            if def.unique {
-                let key = row.project(&def.columns);
-                if ix.would_conflict(&key) {
-                    return Err(StoreError::UniqueViolation {
-                        table: self.schema.name().to_owned(),
-                        index: def.name.clone(),
-                        key: format_key(&key),
-                    });
-                }
-            }
-        }
+        let keys = self.keys_of(&values)?;
+        self.check_unique(&keys, &values)?;
         // Fallible page I/O first: if the slot write fails nothing has
         // changed; the index inserts after it cannot conflict (pre-checked).
-        self.store.replace(row_id.0, Some(row.clone()))?;
-        for (def, ix) in self.schema.indexes().iter().zip(self.indexes.iter_mut()) {
-            let key = row.project(&def.columns);
-            ix.insert(key, row_id)?;
-        }
+        self.store
+            .replace(row_id.0, Some(Row::new(values.clone())))?;
+        self.enter(keys, &values, row_id)?;
         self.live += 1;
         Ok(())
     }
@@ -784,11 +857,11 @@ impl Table {
             table: self.schema.name().to_owned(),
             row_id: row_id.0,
         })?;
-        for (def, ix) in self.schema.indexes().iter().zip(self.indexes.iter_mut()) {
-            let key = row.project(&def.columns);
+        self.live -= 1;
+        for ix in &mut self.indexes {
+            let key = ix.spec().row_key(row.values())?;
             ix.remove(&key, row_id);
         }
-        self.live -= 1;
         Ok(row)
     }
 
@@ -796,30 +869,28 @@ impl Table {
     pub fn update(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
         let old = self.get(row_id)?;
-        let new = Row::new(values);
+        let old_keys = self.keys_of(old.values())?;
+        let new_keys = self.keys_of(&values)?;
         // unique pre-check, ignoring this row's own entries
-        for (def, ix) in self.schema.indexes().iter().zip(&self.indexes) {
-            if def.unique {
-                let new_key = new.project(&def.columns);
-                let old_key = old.project(&def.columns);
-                if new_key != old_key && ix.would_conflict(&new_key) {
-                    return Err(StoreError::UniqueViolation {
-                        table: self.name().to_owned(),
-                        index: def.name.clone(),
-                        key: format_key(&new_key),
-                    });
-                }
-            }
+        let clash = self
+            .indexed()
+            .zip(old_keys.iter().zip(&new_keys))
+            .find(|((_, ix), (old_key, new_key))| new_key != old_key && ix.would_conflict(new_key));
+        if let Some(((def, _), _)) = clash {
+            return Err(self.violation(def, &values));
         }
         // Fallible page I/O first (an error means the slot was not
         // written), then the pre-checked index delta.
-        self.store.replace(row_id.0, Some(new.clone()))?;
-        for (def, ix) in self.schema.indexes().iter().zip(self.indexes.iter_mut()) {
-            let old_key = old.project(&def.columns);
-            let new_key = new.project(&def.columns);
+        self.store.replace(row_id.0, Some(Row::new(values)))?;
+        for (ix, (old_key, new_key)) in self
+            .indexes
+            .iter_mut()
+            .zip(old_keys.into_iter().zip(new_keys))
+        {
             if old_key != new_key {
                 ix.remove(&old_key, row_id);
-                ix.insert(new_key, row_id)?;
+                let entered = ix.insert(new_key, row_id);
+                debug_assert!(entered, "new key was pre-checked");
             }
         }
         Ok(())
@@ -849,34 +920,87 @@ impl Table {
         self.store.for_each(&mut f)
     }
 
+    /// The structure of a named index.
+    fn index(&self, name: &str) -> StoreResult<&IndexStore> {
+        self.indexed()
+            .find(|(def, _)| def.name == name)
+            .map(|(_, ix)| ix)
+            .ok_or_else(|| StoreError::NoSuchIndex {
+                table: self.name().to_owned(),
+                index: name.to_owned(),
+            })
+    }
+
+    /// Stream the rows behind index entries through one page cursor.
+    /// `entries` feeds runs of row ids to the sink it is given and stops
+    /// when the sink returns `false`; each id's row goes to `f`. An index
+    /// entry without a live row is corruption, never a panic.
+    fn walk(
+        &self,
+        entries: impl FnOnce(&mut dyn FnMut(&[RowId]) -> bool),
+        mut f: impl FnMut(RowId, &Row),
+    ) -> StoreResult<()> {
+        let mut cursor = RowCursor::new(&self.store);
+        let mut outcome = Ok(());
+        entries(&mut |ids| {
+            for &id in ids {
+                match cursor.with(id, |row| f(id, row)) {
+                    Ok(Some(())) => {}
+                    Ok(None) => outcome = Err(dead_index_ref(self.schema.name(), id)),
+                    Err(e) => outcome = Err(e),
+                }
+                if outcome.is_err() {
+                    return false;
+                }
+            }
+            true
+        });
+        outcome
+    }
+
+    /// Rows under an exact key of `ix` (none if `key` cannot match).
+    fn walk_key(
+        &self,
+        ix: &IndexStore,
+        key: &[Value],
+        f: impl FnMut(RowId, &Row),
+    ) -> StoreResult<()> {
+        match ix.spec().probe(key) {
+            Some(key) => self.walk(
+                |sink| {
+                    sink(ix.lookup(&key));
+                },
+                f,
+            ),
+            None => Ok(()),
+        }
+    }
+
+    /// Rows under every key of `ix` that starts with `prefix`, in key order.
+    fn walk_prefix(
+        &self,
+        ix: &IndexStore,
+        prefix: &[Value],
+        f: impl FnMut(RowId, &Row),
+    ) -> StoreResult<()> {
+        match ix.spec().probe(prefix) {
+            Some(prefix) => self.walk(|sink| ix.visit_prefix(&prefix, |_, ids| sink(ids)), f),
+            None => Ok(()),
+        }
+    }
+
     /// Exact-key lookup on a named index.
     pub fn lookup(&self, index: &str, key: &[Value]) -> StoreResult<Vec<Row>> {
-        let pos = self.index_position(index)?;
-        let ids = self.indexes[pos].lookup(&key.to_vec());
-        let mut cursor = RowCursor::new(&self.store);
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let row = cursor
-                .with(id, Row::clone)?
-                .ok_or_else(|| dead_index_ref(self.schema.name(), id))?;
-            out.push(row);
-        }
+        let mut out = Vec::new();
+        self.walk_key(self.index(index)?, key, |_, row| out.push(row.clone()))?;
         Ok(out)
     }
 
     /// Prefix lookup on a composite index (pins the first `prefix.len()`
     /// key columns).
     pub fn lookup_prefix(&self, index: &str, prefix: &[Value]) -> StoreResult<Vec<Row>> {
-        let pos = self.index_position(index)?;
-        let ids = self.indexes[pos].prefix_lookup(prefix);
-        let mut cursor = RowCursor::new(&self.store);
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let row = cursor
-                .with(id, Row::clone)?
-                .ok_or_else(|| dead_index_ref(self.schema.name(), id))?;
-            out.push(row);
-        }
+        let mut out = Vec::new();
+        self.walk_prefix(self.index(index)?, prefix, |_, row| out.push(row.clone()))?;
         Ok(out)
     }
 
@@ -898,66 +1022,75 @@ impl Table {
         key: &[Value],
         mut f: impl FnMut(&Row),
     ) -> StoreResult<()> {
-        let pos = self.index_position(index)?;
-        let mut cursor = RowCursor::new(&self.store);
-        let mut first_err = None;
-        self.indexes[pos].for_each(&key.to_vec(), |id| {
-            if first_err.is_some() {
-                return;
-            }
-            match cursor.with(id, &mut f) {
-                Ok(Some(())) => {}
-                Ok(None) => first_err = Some(dead_index_ref(self.schema.name(), id)),
-                Err(e) => first_err = Some(e),
-            }
-        });
-        first_err.map_or(Ok(()), Err)
+        self.walk_key(self.index(index)?, key, |_, row| f(row))
     }
 
-    /// Stream `(index key, row)` entries of a named index whose key lies in
-    /// `[lo, hi]` (inclusive), in key order. This is the substrate for
-    /// batched key resolution: the caller merges its sorted probe keys
-    /// against this single ordered pass instead of issuing one
-    /// [`lookup_unique`](Self::lookup_unique) per probe.
+    /// Stream the rows of a named index whose key lies in `[lo, hi]`
+    /// (inclusive), in key order; the key columns are read off the row.
+    /// This is the substrate for batched key resolution: the caller merges
+    /// its sorted probe keys against this single ordered pass instead of
+    /// issuing one [`lookup_unique`](Self::lookup_unique) per probe. A
+    /// bound may cover only the leading key columns; one whose values do
+    /// not conform to the key's column types is a schema violation.
     pub fn for_each_index_range(
         &self,
         index: &str,
         lo: &[Value],
         hi: &[Value],
-        mut f: impl FnMut(&[Value], &Row),
+        mut f: impl FnMut(&Row),
     ) -> StoreResult<()> {
-        let pos = self.index_position(index)?;
-        let mut cursor = RowCursor::new(&self.store);
-        let mut first_err = None;
-        self.indexes[pos].range_entries_for_each(&lo.to_vec(), &hi.to_vec(), |key, id| {
-            if first_err.is_some() {
-                return;
-            }
-            match cursor.with(id, |row| f(key, row)) {
-                Ok(Some(())) => {}
-                Ok(None) => first_err = Some(dead_index_ref(self.schema.name(), id)),
-                Err(e) => first_err = Some(e),
-            }
-        });
-        first_err.map_or(Ok(()), Err)
+        let ix = self.index(index)?;
+        let (Some(lo), Some(hi)) = (ix.spec().probe(lo), ix.spec().probe(hi)) else {
+            return Err(StoreError::SchemaViolation(format!(
+                "table {}: range bounds do not conform to the key of index {index}",
+                self.name()
+            )));
+        };
+        self.walk(
+            |sink| {
+                ix.visit(Bound::Included(&lo), Bound::Included(&hi), |_, ids| {
+                    sink(ids)
+                })
+            },
+            |_, row| f(row),
+        )
     }
 
     /// Row ids under an exact key of a named index, in key/row order.
     pub fn lookup_row_ids(&self, index: &str, key: &[Value]) -> StoreResult<Vec<RowId>> {
-        let pos = self.index_position(index)?;
-        Ok(self.indexes[pos].lookup(&key.to_vec()))
+        let ix = self.index(index)?;
+        Ok(ix
+            .spec()
+            .probe(key)
+            .map(|key| ix.lookup(&key).to_vec())
+            .unwrap_or_default())
     }
 
     /// Number of rows under an exact key (no row materialization at all).
     pub fn index_lookup_count(&self, index: &str, key: &[Value]) -> StoreResult<usize> {
-        let pos = self.index_position(index)?;
-        Ok(self.indexes[pos].lookup_count(&key.to_vec()))
+        let ix = self.index(index)?;
+        Ok(ix.spec().probe(key).map_or(0, |key| ix.lookup(&key).len()))
     }
 
     /// Number of rows under a key prefix of a composite index.
     pub fn index_prefix_count(&self, index: &str, prefix: &[Value]) -> StoreResult<usize> {
-        let pos = self.index_position(index)?;
-        Ok(self.indexes[pos].prefix_count(prefix))
+        let ix = self.index(index)?;
+        let mut n = 0;
+        if let Some(prefix) = ix.spec().probe(prefix) {
+            ix.visit_prefix(&prefix, |_, ids| {
+                n += ids.len();
+                true
+            });
+        }
+        Ok(n)
+    }
+
+    /// The greatest key of a named index, as its column values — `None` if
+    /// the table is empty. On an ascending id column this is the last id
+    /// handed out, without touching a row.
+    pub fn last_key(&self, index: &str) -> StoreResult<Option<Vec<Value>>> {
+        let ix = self.index(index)?;
+        ix.last_key().map(|key| ix.spec().decode(key)).transpose()
     }
 
     /// Batched columnar scan over an index prefix: rows are visited in index
@@ -982,7 +1115,7 @@ impl Table {
         block_rows: usize,
         mut sink: impl FnMut(&ColumnarBlock),
     ) -> StoreResult<usize> {
-        let pos = self.index_position(index)?;
+        let ix = self.index(index)?;
         let int_ords: Vec<usize> = int_cols
             .iter()
             .map(|c| self.schema.column_index(c))
@@ -997,39 +1130,23 @@ impl Table {
             ints: vec![Vec::with_capacity(block_rows); int_ords.len()],
             floats: vec![Vec::with_capacity(block_rows); float_ords.len()],
         };
-        let mut cursor = RowCursor::new(&self.store);
         let mut total = 0usize;
-        let mut first_err = None;
-        self.indexes[pos].prefix_for_each(prefix, |id| {
-            if first_err.is_some() {
-                return;
+        self.walk_prefix(ix, prefix, |_, row| {
+            for (buf, &ord) in block.ints.iter_mut().zip(&int_ords) {
+                buf.push(row.get(ord).as_int().unwrap_or(0));
             }
-            let visited = cursor.with(id, |row| {
-                for (buf, &ord) in block.ints.iter_mut().zip(&int_ords) {
-                    buf.push(row.get(ord).as_int().unwrap_or(0));
-                }
-                for (buf, &ord) in block.floats.iter_mut().zip(&float_ords) {
-                    buf.push(row.get(ord).as_float());
-                }
-            });
-            match visited {
-                Ok(Some(())) => {
-                    block.len += 1;
-                    total += 1;
-                    if block.len == block_rows {
-                        sink(&block);
-                        block.len = 0;
-                        block.ints.iter_mut().for_each(Vec::clear);
-                        block.floats.iter_mut().for_each(Vec::clear);
-                    }
-                }
-                Ok(None) => first_err = Some(dead_index_ref(self.schema.name(), id)),
-                Err(e) => first_err = Some(e),
+            for (buf, &ord) in block.floats.iter_mut().zip(&float_ords) {
+                buf.push(row.get(ord).as_float());
             }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+            block.len += 1;
+            total += 1;
+            if block.len == block_rows {
+                sink(&block);
+                block.len = 0;
+                block.ints.iter_mut().for_each(Vec::clear);
+                block.floats.iter_mut().for_each(Vec::clear);
+            }
+        })?;
         if block.len > 0 {
             sink(&block);
         }
@@ -1044,53 +1161,26 @@ impl Table {
     /// structures are built before anything is swapped, so a failure (e.g. a
     /// unique violation surfaced by existing data) leaves the table intact.
     pub(crate) fn reconcile_indexes(&mut self, schema: Schema) -> StoreResult<()> {
-        let mut built: Vec<Option<IndexStore>> = Vec::with_capacity(schema.indexes().len());
-        for def in schema.indexes() {
-            let reusable = self
-                .schema
-                .indexes()
-                .iter()
-                .any(|old| old.name == def.name && old == def);
-            if reusable {
-                built.push(None);
-                continue;
-            }
-            let mut ix = IndexStore::new(def.unique);
-            self.for_each_row(|id, row| {
-                ix.insert(row.project(&def.columns), id)
-                    .map_err(|e| match e {
-                        StoreError::UniqueViolation { key, .. } => StoreError::UniqueViolation {
-                            table: schema.name().to_owned(),
-                            index: def.name.clone(),
-                            key,
-                        },
-                        e => e,
-                    })
-            })?;
-            built.push(Some(ix));
-        }
-        let old_defs: Vec<String> =
-            self.schema.indexes().iter().map(|d| d.name.clone()).collect();
-        let mut new_indexes = Vec::with_capacity(built.len());
-        for (def, b) in schema.indexes().iter().zip(built) {
-            match b {
-                Some(ix) => new_indexes.push(ix),
-                None => {
-                    let pos = old_defs
-                        .iter()
-                        .position(|n| *n == def.name)
-                        .ok_or_else(|| {
-                            StoreError::Corrupt(format!(
-                                "index {} missing from old schema during reindex",
-                                def.name
-                            ))
-                        })?;
-                    new_indexes
-                        .push(std::mem::replace(&mut self.indexes[pos], IndexStore::new(false)));
-                }
-            }
-        }
-        self.indexes = new_indexes;
+        let kept = |def: &IndexDef| self.schema.indexes().iter().position(|old| old == def);
+        let fresh: Vec<&IndexDef> = schema
+            .indexes()
+            .iter()
+            .filter(|def| kept(def).is_none())
+            .collect();
+        let (built, _) = index_rows(&schema, &fresh, &self.store)?;
+        let mut built = built.into_iter();
+        let slots: Vec<Option<usize>> = schema.indexes().iter().map(kept).collect();
+        let mut old: Vec<Option<IndexStore>> = std::mem::take(&mut self.indexes)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.indexes = slots
+            .into_iter()
+            .filter_map(|slot| match slot {
+                Some(pos) => old[pos].take(),
+                None => built.next(),
+            })
+            .collect();
         self.schema = schema;
         Ok(())
     }
@@ -1099,30 +1189,30 @@ impl Table {
     /// predicate carries range constraints on its key column. Returns the
     /// candidate row ids or `None` if no index applies.
     fn pick_range(&self, predicate: &Predicate) -> Option<Vec<RowId>> {
-        use std::ops::Bound;
         let ranges = predicate.range_constraints();
-        if ranges.is_empty() {
-            return None;
-        }
-        for (pos, def) in self.schema.indexes().iter().enumerate() {
+        'index: for (def, ix) in self.indexed() {
             if def.columns.len() != 1 {
                 continue;
             }
             let key_col = &self.schema.columns()[def.columns[0]].name;
-            let mut lo: Bound<Vec<Value>> = Bound::Unbounded;
-            let mut hi: Bound<Vec<Value>> = Bound::Unbounded;
+            let mut lo: Bound<IndexKey> = Bound::Unbounded;
+            let mut hi: Bound<IndexKey> = Bound::Unbounded;
             let mut applies = false;
             for (col, op, value) in &ranges {
                 if col != key_col {
                     continue;
                 }
+                // a bound of another type has no place in this key order;
+                // the scan answers it
+                let Some(key) = ix.spec().probe(std::slice::from_ref(*value)) else {
+                    continue 'index;
+                };
                 applies = true;
-                let key = vec![(*value).clone()];
                 match op {
-                    crate::predicate::CmpOp::Gt => lo = tighten_lo(lo, Bound::Excluded(key)),
-                    crate::predicate::CmpOp::Ge => lo = tighten_lo(lo, Bound::Included(key)),
-                    crate::predicate::CmpOp::Lt => hi = tighten_hi(hi, Bound::Excluded(key)),
-                    crate::predicate::CmpOp::Le => hi = tighten_hi(hi, Bound::Included(key)),
+                    CmpOp::Gt => lo = tighter(lo, Bound::Excluded(key), Ordering::Greater),
+                    CmpOp::Ge => lo = tighter(lo, Bound::Included(key), Ordering::Greater),
+                    CmpOp::Lt => hi = tighter(hi, Bound::Excluded(key), Ordering::Less),
+                    CmpOp::Le => hi = tighter(hi, Bound::Included(key), Ordering::Less),
                     // a non-range op here cannot tighten the bound; the
                     // residual predicate still filters, so skipping it is
                     // conservative (a wider scan), never wrong
@@ -1130,17 +1220,12 @@ impl Table {
                 }
             }
             if applies {
-                let lo_ref = match &lo {
-                    Bound::Included(k) => Bound::Included(k),
-                    Bound::Excluded(k) => Bound::Excluded(k),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let hi_ref = match &hi {
-                    Bound::Included(k) => Bound::Included(k),
-                    Bound::Excluded(k) => Bound::Excluded(k),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                return Some(self.indexes[pos].range(lo_ref, hi_ref));
+                let mut ids = Vec::new();
+                ix.visit(lo.as_ref(), hi.as_ref(), |_, run| {
+                    ids.extend_from_slice(run);
+                    true
+                });
+                return Some(ids);
             }
         }
         None
@@ -1159,80 +1244,69 @@ impl Table {
     /// Like [`select`](Self::select) but also yields row ids.
     pub fn select_with_ids(&self, predicate: &Predicate) -> StoreResult<Vec<(RowId, Row)>> {
         let bound = predicate.bind(&self.schema)?;
-        // Access-path selection: find an index fully pinned by equality
-        // constraints of the top-level conjunction.
-        if let Some((pos, key)) = self.pick_index(predicate) {
-            let ids = self.indexes[pos].lookup(&key);
-            let mut cursor = RowCursor::new(&self.store);
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                match cursor.with(id, |r| bound.matches(r.values()).then(|| r.clone()))? {
-                    None => return Err(dead_index_ref(self.schema.name(), id)),
-                    Some(Some(row)) => out.push((id, row)),
-                    Some(None) => {}
-                }
-            }
-            return Ok(out);
-        }
-        if let Some(ids) = self.pick_range(predicate) {
-            let mut cursor = RowCursor::new(&self.store);
-            let mut out = Vec::with_capacity(ids.len());
-            for id in ids {
-                match cursor.with(id, |r| bound.matches(r.values()).then(|| r.clone()))? {
-                    None => return Err(dead_index_ref(self.schema.name(), id)),
-                    Some(Some(row)) => out.push((id, row)),
-                    Some(None) => {}
-                }
-            }
-            // index range order is key order; normalize to row-id order to
-            // match the full-scan result exactly
-            out.sort_by_key(|(id, _)| *id);
-            return Ok(out);
-        }
         let mut out = Vec::new();
-        self.for_each_row(|id, row| {
+        let mut keep = |id: RowId, row: &Row| {
             if bound.matches(row.values()) {
                 out.push((id, row.clone()));
             }
-            Ok(())
-        })?;
+        };
+        // Access-path selection: find an index fully pinned by equality
+        // constraints of the top-level conjunction.
+        if let Some(ids) = self.pick_index(predicate) {
+            self.walk(
+                |sink| {
+                    sink(ids);
+                },
+                keep,
+            )?;
+        } else if let Some(ids) = self.pick_range(predicate) {
+            self.walk(
+                |sink| {
+                    sink(&ids);
+                },
+                keep,
+            )?;
+            // index range order is key order; normalize to row-id order to
+            // match the full-scan result exactly
+            out.sort_by_key(|(id, _)| *id);
+        } else {
+            self.for_each_row(|id, row| {
+                keep(id, row);
+                Ok(())
+            })?;
+        }
         Ok(out)
     }
 
     /// Count rows matching a predicate (no materialization beyond the scan).
     pub fn count(&self, predicate: &Predicate) -> StoreResult<usize> {
         let bound = predicate.bind(&self.schema)?;
-        if let Some((pos, key)) = self.pick_index(predicate) {
-            let ids = self.indexes[pos].lookup(&key);
-            let mut cursor = RowCursor::new(&self.store);
-            let mut n = 0;
-            for id in ids {
-                match cursor.with(id, |r| bound.matches(r.values()))? {
-                    None => return Err(dead_index_ref(self.schema.name(), id)),
-                    Some(true) => n += 1,
-                    Some(false) => {}
-                }
-            }
-            return Ok(n);
-        }
         let mut n = 0;
-        self.for_each_row(|_, row| {
-            if bound.matches(row.values()) {
-                n += 1;
-            }
-            Ok(())
-        })?;
+        let mut tally = |row: &Row| n += usize::from(bound.matches(row.values()));
+        match self.pick_index(predicate) {
+            Some(ids) => self.walk(
+                |sink| {
+                    sink(ids);
+                },
+                |_, row| tally(row),
+            )?,
+            None => self.for_each_row(|_, row| {
+                tally(row);
+                Ok(())
+            })?,
+        }
         Ok(n)
     }
 
     /// Pick the first index whose every column is pinned by an equality
-    /// constraint; returns (index position, lookup key).
-    fn pick_index(&self, predicate: &Predicate) -> Option<(usize, Vec<Value>)> {
+    /// constraint with a value of the column's type; returns the row ids
+    /// under that key.
+    fn pick_index(&self, predicate: &Predicate) -> Option<&[RowId]> {
         let constraints = predicate.equality_constraints();
         if constraints.is_empty() {
             return None;
         }
-        'outer: for (pos, def) in self.schema.indexes().iter().enumerate() {
+        'outer: for (def, ix) in self.indexed() {
             let mut key = Vec::with_capacity(def.columns.len());
             for &col in &def.columns {
                 let name = &self.schema.columns()[col].name;
@@ -1241,26 +1315,26 @@ impl Table {
                     None => continue 'outer,
                 }
             }
-            return Some((pos, key));
+            if let Some(key) = ix.spec().probe(&key) {
+                return Some(ix.lookup(&key));
+            }
         }
         None
     }
 
-    /// Position of a named index.
-    fn index_position(&self, name: &str) -> StoreResult<usize> {
-        self.schema
-            .indexes()
-            .iter()
-            .position(|d| d.name == name)
-            .ok_or_else(|| StoreError::NoSuchIndex {
-                table: self.name().to_owned(),
-                index: name.to_owned(),
-            })
-    }
-
     /// Entry count of a named index (for stats).
     pub fn index_entries(&self, name: &str) -> StoreResult<usize> {
-        Ok(self.indexes[self.index_position(name)?].entry_count())
+        Ok(self.index(name)?.entry_count())
+    }
+
+    /// All entries of a named index as `(key column values, row id)`, in
+    /// key order then row-id order — the index's full observable content,
+    /// for equivalence checks.
+    pub fn index_entry_list(&self, name: &str) -> StoreResult<Vec<(Vec<Value>, RowId)>> {
+        let ix = self.index(name)?;
+        ix.iter_entries()
+            .map(|(key, id)| Ok((ix.spec().decode(key)?, id)))
+            .collect()
     }
 
     /// `SELECT column, COUNT(*) GROUP BY column`: live-row counts per
@@ -1286,54 +1360,27 @@ impl Table {
     }
 }
 
-/// Keep the tighter of two lower bounds.
-fn tighten_lo(
-    current: std::ops::Bound<Vec<Value>>,
-    candidate: std::ops::Bound<Vec<Value>>,
-) -> std::ops::Bound<Vec<Value>> {
-    use std::ops::Bound::*;
-    match (&current, &candidate) {
-        (Unbounded, _) => candidate,
-        (_, Unbounded) => current,
-        (Included(a) | Excluded(a), Included(b) | Excluded(b)) => {
-            if b > a {
-                candidate
-            } else if a > b {
-                current
-            } else {
-                // equal keys: Excluded is tighter
-                if matches!(current, Excluded(_)) {
-                    current
-                } else {
-                    candidate
-                }
-            }
-        }
-    }
-}
-
-/// Keep the tighter of two upper bounds.
-fn tighten_hi(
-    current: std::ops::Bound<Vec<Value>>,
-    candidate: std::ops::Bound<Vec<Value>>,
-) -> std::ops::Bound<Vec<Value>> {
-    use std::ops::Bound::*;
-    match (&current, &candidate) {
-        (Unbounded, _) => candidate,
-        (_, Unbounded) => current,
-        (Included(a) | Excluded(a), Included(b) | Excluded(b)) => {
-            if b < a {
-                candidate
-            } else if a < b {
-                current
-            } else {
-                if matches!(current, Excluded(_)) {
-                    current
-                } else {
-                    candidate
-                }
-            }
-        }
+/// Keep the tighter of two bounds on the same side of a range: `candidate`
+/// wins where it compares `tighter_is` to `current` (`Greater` for lower
+/// bounds, `Less` for upper), and on equal keys `Excluded` wins.
+fn tighter(
+    current: Bound<IndexKey>,
+    candidate: Bound<IndexKey>,
+    tighter_is: Ordering,
+) -> Bound<IndexKey> {
+    let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
+        (&current, &candidate)
+    else {
+        return if matches!(current, Bound::Unbounded) {
+            candidate
+        } else {
+            current
+        };
+    };
+    match b.cmp(a) {
+        Ordering::Equal if matches!(current, Bound::Included(_)) => candidate,
+        order if order == tighter_is => candidate,
+        _ => current,
     }
 }
 
@@ -1454,14 +1501,27 @@ mod tests {
         let lo = [Value::Int(1), Value::text("b")];
         let hi = [Value::Int(1), Value::text("e")];
         let mut seen = Vec::new();
-        t.for_each_index_range("by_acc", &lo, &hi, |key, row| {
+        t.for_each_index_range("by_acc", &lo, &hi, |row| {
             seen.push((
-                key[1].as_text().unwrap().to_owned(),
+                row.get(2).as_text().unwrap().to_owned(),
                 row.get(0).as_int().unwrap(),
             ));
         })
         .unwrap();
         assert_eq!(seen, vec![("b".to_owned(), 1), ("d".to_owned(), 2)]);
+        // a bound over the leading column alone spans that whole source
+        let mut n = 0;
+        t.for_each_index_range("by_acc", &lo[..1], &[Value::Int(2)], |_| n += 1)
+            .unwrap();
+        assert_eq!(n, 4, "source 1 entirely; (2) sorts before (2, c)");
+        // bounds of the wrong type are an error, not a silent empty pass
+        let bad = [Value::text("x")];
+        assert!(matches!(
+            t.for_each_index_range("by_acc", &bad, &hi, |_| {}),
+            Err(StoreError::SchemaViolation(_))
+        ));
+        assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(5)]));
+        assert_eq!(object_table().last_key("pk").unwrap(), None);
     }
 
     #[test]
@@ -1564,14 +1624,69 @@ mod tests {
 
     #[test]
     fn insert_at_replay_semantics() {
-        let mut t = object_table();
+        let mut t = object_table().unindexed();
         t.insert_at(RowId(3), obj(1, 10, "A")).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.next_row_id(), RowId(4));
         // below high-water mark is corrupt
         assert!(t.insert_at(RowId(2), obj(2, 10, "B")).is_err());
-        // normal insert continues above
+        // replayed updates and deletes place rows too, and miss loudly
+        t.update(RowId(3), obj(1, 11, "A2")).unwrap();
+        assert!(matches!(
+            t.update(RowId(1), obj(9, 9, "Z")),
+            Err(StoreError::NoSuchRow { .. })
+        ));
+        assert!(matches!(t.delete(RowId(9)), Err(StoreError::NoSuchRow { .. })));
+        // no index exists until recovery ends
+        assert!(matches!(
+            t.lookup("pk", &[Value::Int(1)]),
+            Err(StoreError::NoSuchIndex { .. })
+        ));
+        t.build_indexes().unwrap();
+        assert_eq!(
+            t.lookup("by_acc", &[Value::Int(11), Value::text("A2")]).unwrap().len(),
+            1
+        );
+        // normal insert continues above, index-maintained
         assert_eq!(t.insert(obj(2, 10, "B")).unwrap(), RowId(4));
+        assert!(t.insert(obj(2, 12, "C")).is_err(), "pk is enforced again");
+    }
+
+    #[test]
+    fn build_indexes_rejects_rows_that_break_a_unique_index() {
+        let mut t = object_table().unindexed();
+        t.insert_at(RowId(0), obj(1, 10, "A")).unwrap();
+        t.insert_at(RowId(1), obj(2, 10, "A")).unwrap(); // same (source, accession)
+        let err = t.build_indexes().unwrap_err();
+        assert!(matches!(
+            err,
+            StoreError::UniqueViolation { ref table, ref index, ref key }
+                if table == "object" && index == "by_acc" && key == "(10, A)"
+        ));
+    }
+
+    #[test]
+    fn bulk_built_indexes_equal_maintained_ones() {
+        let mut grown = object_table();
+        let mut placed = object_table().unindexed();
+        for i in (0..200i64).rev() {
+            let row = obj(i, i % 7, &format!("ACC{}", i % 50 * 7 + i / 50));
+            let id = grown.insert(row.clone()).unwrap();
+            placed.insert_at(id, row).unwrap();
+        }
+        for id in (0..200u64).step_by(9) {
+            grown.delete(RowId(id)).unwrap();
+            placed.delete(RowId(id)).unwrap();
+        }
+        placed.build_indexes().unwrap();
+        for def in grown.schema().indexes() {
+            assert_eq!(
+                grown.index_entry_list(&def.name).unwrap(),
+                placed.index_entry_list(&def.name).unwrap(),
+                "index {}",
+                def.name
+            );
+        }
     }
 
     #[test]
@@ -1864,11 +1979,12 @@ mod tests {
 
     #[test]
     fn paged_insert_at_and_restore_semantics() {
-        let mut t = paged_object_table(2, 128);
+        let mut t = paged_object_table(2, 128).unindexed();
         t.insert_at(RowId(3), obj(1, 10, "A")).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.next_row_id(), RowId(4));
         assert!(t.insert_at(RowId(2), obj(2, 10, "B")).is_err());
+        t.build_indexes().unwrap();
         assert_eq!(t.insert(obj(2, 10, "B")).unwrap(), RowId(4));
         // delete + restore round-trips through the paged slot
         let row = t.delete(RowId(3)).unwrap();
@@ -1915,15 +2031,22 @@ mod tests {
                 slots: e.slots,
             })
             .collect();
-        let t2 = Table::new_paged_recovered(
-            meta.schema,
-            pager2,
-            meta.table_id,
-            pages,
-            meta.tail_base,
-            meta.tail,
-        )
-        .unwrap();
+        let recovered = |live: u64| {
+            let mut t = Table::new_paged_recovered(
+                meta.schema.clone(),
+                pager2.clone(),
+                meta.table_id,
+                pages.clone(),
+                meta.tail_base,
+                meta.tail.clone(),
+                live,
+            )
+            .unwrap();
+            t.build_indexes().map(|()| t)
+        };
+        // a directory whose live count disagrees with its pages is corrupt
+        assert!(matches!(recovered(58), Err(StoreError::Corrupt(_))));
+        let t2 = recovered(meta.live).unwrap();
         assert_eq!(t2.len(), 59);
         let a: Vec<_> = t.scan().collect();
         let b: Vec<_> = t2.scan().collect();
@@ -1944,6 +2067,7 @@ mod tests {
             vec![SealedPage { base: 5, slots: 3 }],
             8,
             Vec::new(),
+            3,
         );
         assert!(matches!(err, Err(StoreError::Corrupt(_))));
     }

@@ -1,0 +1,543 @@
+//! Index build equivalence: the encoded keys order exactly as the values
+//! they encode, an index bulk-built at recovery equals the one maintained
+//! row by row, and `open` rebuilds — or refuses — from any mix of snapshot
+//! and WAL. A seeded deterministic sweep (std only, no proptest), so it
+//! runs wherever the crate compiles and a failure pins to a round number.
+
+use relstore::codec::crc32;
+use relstore::db::{SNAPSHOT_FILE, WAL_FILE};
+use relstore::index::KeySpec;
+use relstore::schema::{Column, Schema};
+use relstore::snapshot::{decode_snapshot, encode_snapshot};
+use relstore::vfs::{FaultVfs, Vfs};
+use relstore::wal::{LogRecord, WalWriter};
+use relstore::{Database, PoolConfig, Row, RowId, StoreError, Table, Value, ValueType};
+use std::path::Path;
+use std::sync::Arc;
+
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+fn below(st: &mut u64, n: usize) -> usize {
+    (xorshift(st) % n as u64) as usize
+}
+
+const TYPES: [ValueType; 4] = [
+    ValueType::Int,
+    ValueType::Float,
+    ValueType::Text,
+    ValueType::Bytes,
+];
+
+/// A value of `ty` from a pool that is mostly edge cases: sign and range
+/// limits, the float zoo, empty strings, shared prefixes, embedded zero
+/// bytes, and strings long enough to spill out of the inline key.
+fn value(st: &mut u64, ty: ValueType, nullable: bool) -> Value {
+    if nullable && below(st, 5) == 0 {
+        return Value::Null;
+    }
+    match ty {
+        ValueType::Int => Value::Int(match below(st, 10) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => -1,
+            3 => 0,
+            4 => i64::MIN + 1,
+            5 => -(below(st, 1000) as i64),
+            _ => below(st, 12) as i64,
+        }),
+        ValueType::Float => Value::Float(match below(st, 10) {
+            0 => f64::NEG_INFINITY,
+            1 => f64::INFINITY,
+            2 => f64::NAN,
+            3 => -0.0,
+            4 => 0.0,
+            5 => f64::MIN_POSITIVE,
+            6 => -f64::NAN,
+            7 => -(below(st, 100) as f64) / 8.0,
+            _ => below(st, 8) as f64 / 4.0,
+        }),
+        ValueType::Text => {
+            let pool = [
+                "",
+                "a",
+                "a\0",
+                "a\0b",
+                "a\u{1}",
+                "ab",
+                "abc",
+                "b",
+                "\0",
+                "é",
+                "GO:0009116",
+            ];
+            let mut s = pool[below(st, pool.len())].to_owned();
+            if below(st, 8) == 0 {
+                s.push_str(&"z".repeat(20 + below(st, 30)));
+                s.push_str(pool[below(st, pool.len())]);
+            }
+            Value::Text(s)
+        }
+        ValueType::Bytes => {
+            let pool: [&[u8]; 8] = [
+                &[],
+                &[0],
+                &[0, 0],
+                &[0, 1],
+                &[0, 255],
+                &[1],
+                &[255],
+                &[255, 0],
+            ];
+            let mut b = pool[below(st, pool.len())].to_vec();
+            if below(st, 8) == 0 {
+                b.extend_from_slice(&[below(st, 256) as u8; 30]);
+                b.extend_from_slice(pool[below(st, pool.len())]);
+            }
+            Value::Bytes(b)
+        }
+    }
+}
+
+/// A random schema: an int id first (the usual primary key), then one to
+/// four columns of any type and nullability, one to three secondary
+/// indexes over one to three of all the columns, any of them unique.
+fn schema(st: &mut u64, name: &str) -> Schema {
+    let extra = 1 + below(st, 4);
+    let mut names = vec!["c0".to_owned()];
+    let mut b = Schema::builder(name).column(Column::new("c0", ValueType::Int));
+    for i in 1..=extra {
+        let (n, ty) = (format!("c{i}"), TYPES[below(st, 4)]);
+        b = b.column(if below(st, 2) == 0 {
+            Column::nullable(&n, ty)
+        } else {
+            Column::new(&n, ty)
+        });
+        names.push(n);
+    }
+    b = match below(st, 4) {
+        0 => b, // no primary key at all
+        1 => b.primary_key(&["c0", "c1"]),
+        _ => b.primary_key(&["c0"]),
+    };
+    for i in 0..1 + below(st, 3) {
+        let cols: Vec<&str> = (0..1 + below(st, 3))
+            .map(|_| names[below(st, names.len())].as_str())
+            .collect();
+        let index = format!("ix{i}");
+        b = if below(st, 3) == 0 {
+            b.unique_index(&index, &cols)
+        } else {
+            b.index(&index, &cols)
+        };
+    }
+    b.build().unwrap()
+}
+
+fn row(st: &mut u64, schema: &Schema) -> Vec<Value> {
+    let mut values: Vec<Value> = schema
+        .columns()
+        .iter()
+        .map(|c| value(st, c.ty, c.nullable))
+        .collect();
+    // ids mostly fresh, sometimes colliding
+    values[0] = Value::Int(below(st, 400) as i64 - 100);
+    values
+}
+
+// ---- (i) key order and round trip -------------------------------------
+
+#[test]
+fn encoded_key_order_is_value_order_and_keys_round_trip() {
+    let mut st = 0x9E37_79B9_7F4A_7C15u64;
+    for round in 0..60 {
+        let schema = schema(&mut st, "t");
+        let rows: Vec<Vec<Value>> = (0..40).map(|_| row(&mut st, &schema)).collect();
+        for def in schema.indexes() {
+            let spec = KeySpec::new(&schema, def);
+            let tuples: Vec<Vec<Value>> = rows
+                .iter()
+                .map(|r| def.columns.iter().map(|&c| r[c].clone()).collect())
+                .collect();
+            let keys: Vec<_> = rows.iter().map(|r| spec.row_key(r).unwrap()).collect();
+            for (x, kx) in tuples.iter().zip(&keys) {
+                assert_eq!(&spec.decode(kx).unwrap(), x, "round {round}: round trip");
+                assert_eq!(
+                    &spec.probe(x).unwrap(),
+                    kx,
+                    "round {round}: probe is the row key"
+                );
+                for (y, ky) in tuples.iter().zip(&keys) {
+                    assert_eq!(kx.cmp(ky), x.cmp(y), "round {round}: {x:?} vs {y:?}");
+                }
+                // a probe over the leading columns is a prefix of exactly
+                // the keys that share them, and sorts like the short tuple
+                for n in 0..x.len() {
+                    let prefix = spec.probe(&x[..n]).unwrap();
+                    assert_eq!(spec.decode(&prefix).unwrap(), x[..n], "round {round}");
+                    for (y, ky) in tuples.iter().zip(&keys) {
+                        assert_eq!(ky.starts_with(&prefix), y[..n] == x[..n], "round {round}");
+                        assert_eq!(prefix.cmp(ky), x[..n].cmp(&y[..]), "round {round}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---- (ii) + (iii): bulk-built == maintained, across every reopen -------
+
+/// An index's entries: key column values and row id, in index order.
+type Entries = Vec<(Vec<Value>, RowId)>;
+
+/// Everything observable about a table: rows by id, counts, and every
+/// index's entries in order.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    len: usize,
+    next_row_id: RowId,
+    rows: Vec<(RowId, Row)>,
+    indexes: Vec<(String, Entries)>,
+}
+
+fn observe(table: &Table) -> Observed {
+    Observed {
+        len: table.len(),
+        next_row_id: table.next_row_id(),
+        rows: table.scan().collect(),
+        indexes: table
+            .schema()
+            .indexes()
+            .iter()
+            .map(|d| (d.name.clone(), table.index_entry_list(&d.name).unwrap()))
+            .collect(),
+    }
+}
+
+fn observe_db(db: &Database) -> Vec<(String, Observed)> {
+    db.table_names()
+        .into_iter()
+        .map(|n| (n.to_owned(), observe(db.table(n).unwrap())))
+        .collect()
+}
+
+/// An index's entries must be exactly its rows' keys: derive them from a
+/// scan with `Value` order alone and compare.
+fn assert_indexes_match_rows(table: &Table, context: &str) {
+    let rows: Vec<(RowId, Row)> = table.scan().collect();
+    assert_eq!(rows.len(), table.len(), "{context}: len");
+    for def in table.schema().indexes() {
+        let mut expect: Entries = rows
+            .iter()
+            .map(|(id, r)| (r.project(&def.columns), *id))
+            .collect();
+        expect.sort();
+        assert_eq!(
+            table.index_entry_list(&def.name).unwrap(),
+            expect,
+            "{context}: index {}",
+            def.name
+        );
+    }
+}
+
+fn open(vfs: &FaultVfs, pool: Option<usize>) -> Database {
+    let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
+    match pool {
+        None => Database::open_with_vfs(vfs, Path::new("/db")),
+        Some(pool_pages) => Database::open_paged_with_vfs(
+            vfs,
+            Path::new("/db"),
+            PoolConfig {
+                page_bytes: 128,
+                pool_pages,
+            },
+        ),
+    }
+    .unwrap()
+}
+
+/// A stretch of random writes; failed ones (unique violations) roll back
+/// and are part of the test. `may_checkpoint` gates snapshots so some
+/// stores stay WAL-only.
+fn churn(
+    st: &mut u64,
+    db: &mut Database,
+    schemas: &mut Vec<Schema>,
+    ops: usize,
+    may_checkpoint: bool,
+) {
+    for _ in 0..ops {
+        let s = schemas[below(st, schemas.len())].clone();
+        let live: Vec<RowId> = db
+            .table(s.name())
+            .unwrap()
+            .scan()
+            .map(|(id, _)| id)
+            .collect();
+        match below(st, 16) {
+            0..=5 => {
+                let r = row(st, &s);
+                let _ = db.with_txn(|txn| txn.insert(s.name(), r));
+            }
+            6 | 7 => {
+                let rows: Vec<_> = (0..2 + below(st, 12)).map(|_| row(st, &s)).collect();
+                let _ = db.with_txn(|txn| txn.insert_batch(s.name(), rows));
+            }
+            8..=10 if !live.is_empty() => {
+                let (id, r) = (live[below(st, live.len())], row(st, &s));
+                let _ = db.with_txn(|txn| txn.update(s.name(), id, r));
+            }
+            11 | 12 if !live.is_empty() => {
+                // several deletes, often the newest rows: high-water marks
+                // above the last live row
+                let n = 1 + below(st, 3).min(live.len() - 1);
+                let ids: Vec<RowId> = live[live.len() - n..].to_vec();
+                db.with_txn(|txn| ids.iter().try_for_each(|id| txn.delete(s.name(), *id)))
+                    .unwrap();
+            }
+            13 if may_checkpoint => db.checkpoint().unwrap(),
+            14 if schemas.len() < 3 => {
+                let fresh = schema(st, &format!("t{}", schemas.len()));
+                db.create_table(fresh.clone()).unwrap();
+                schemas.push(fresh);
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn reopened_store_equals_the_closed_one() {
+    let mut st = 0xD1B5_4A32_D192_ED03u64;
+    for round in 0..48 {
+        // resident, or paged under each pool size; reopened under another
+        let pools = [None, Some(1), Some(2), Some(8)];
+        let pool = pools[round % 4];
+        let reopen_pool = pool.map(|_| [1, 2, 8][below(&mut st, 3)]);
+        let wal_only = round % 6 == 5;
+        let vfs = FaultVfs::new();
+        let mut db = open(&vfs, pool);
+        let mut schemas = vec![schema(&mut st, "t0")];
+        db.create_table(schemas[0].clone()).unwrap();
+        for cycle in 0..3 {
+            let ops = 20 + below(&mut st, 60);
+            churn(&mut st, &mut db, &mut schemas, ops, !wal_only);
+            let context = format!("round {round} cycle {cycle} pool {pool:?}->{reopen_pool:?}");
+            let closed = observe_db(&db);
+            for name in db.table_names() {
+                assert_indexes_match_rows(db.table(name).unwrap(), &context);
+            }
+            // (ii) the snapshot codec's bulk build equals the maintained one
+            for name in db.table_names() {
+                let table = db.table(name).unwrap();
+                let image = encode_snapshot(std::iter::once(table), 0).unwrap();
+                let back = decode_snapshot(&image).unwrap().0.remove(0);
+                assert_eq!(
+                    observe(&back),
+                    observe(table),
+                    "{context}: snapshot of {name}"
+                );
+            }
+            // (iii) close -> open: snapshot/page directory + WAL tail
+            drop(db);
+            db = open(&vfs, reopen_pool);
+            assert_eq!(observe_db(&db), closed, "{context}: reopen");
+        }
+    }
+}
+
+// ---- (iv) recovery that must refuse ------------------------------------
+
+fn unique_schema() -> Schema {
+    Schema::builder("t")
+        .column(Column::new("id", ValueType::Int))
+        .column(Column::new("acc", ValueType::Text))
+        .primary_key(&["id"])
+        .unique_index("by_acc", &["acc"])
+        .build()
+        .unwrap()
+}
+
+/// A checkpointed store of three rows with one more committed in the WAL.
+fn seeded(pool: Option<usize>) -> FaultVfs {
+    let vfs = FaultVfs::new();
+    let mut db = open(&vfs, pool);
+    db.create_table(unique_schema()).unwrap();
+    db.with_txn(|txn| {
+        for (i, acc) in ["aa", "bb", "qq"].iter().enumerate() {
+            txn.insert("t", vec![Value::Int(i as i64), Value::text(*acc)])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.checkpoint().unwrap();
+    db.with_txn(|txn| txn.insert("t", vec![Value::Int(3), Value::text("dd")]))
+        .unwrap();
+    vfs
+}
+
+/// Commit `ops` as one more transaction at the end of the store's WAL.
+fn append_to_wal(vfs: &FaultVfs, ops: Vec<LogRecord>) {
+    let mut wal = WalWriter::open(Arc::new(vfs.clone()), &Path::new("/db").join(WAL_FILE)).unwrap();
+    wal.append_batch(&ops).unwrap();
+    wal.append(&LogRecord::Commit { txid: 99 }).unwrap();
+    wal.sync().unwrap();
+}
+
+fn try_open(vfs: &FaultVfs, pool: Option<usize>) -> Result<Database, StoreError> {
+    let vfs: Arc<dyn Vfs> = Arc::new(vfs.clone());
+    match pool {
+        None => Database::open_with_vfs(vfs, Path::new("/db")),
+        Some(pool_pages) => Database::open_paged_with_vfs(
+            vfs,
+            Path::new("/db"),
+            PoolConfig {
+                page_bytes: 128,
+                pool_pages,
+            },
+        ),
+    }
+}
+
+#[test]
+fn open_refuses_rows_that_contradict_an_index() {
+    let insert = |row_id: u64, id: i64, acc: &str| LogRecord::Insert {
+        table: "t".into(),
+        row_id: RowId(row_id),
+        values: vec![Value::Int(id), Value::text(acc)],
+    };
+    for pool in [None, Some(1), Some(8)] {
+        // the seeded store itself reopens, and a well-formed tail extends it
+        let vfs = seeded(pool);
+        append_to_wal(&vfs, vec![insert(4, 4, "ee")]);
+        let db = try_open(&vfs, pool).unwrap();
+        assert_eq!(db.table("t").unwrap().len(), 5);
+        assert_indexes_match_rows(db.table("t").unwrap(), "well-formed tail");
+        drop(db);
+
+        // a duplicate in a secondary unique index, then in the primary key
+        for (dup, index) in [(insert(4, 4, "bb"), "by_acc"), (insert(4, 1, "zz"), "pk")] {
+            let vfs = seeded(pool);
+            append_to_wal(&vfs, vec![dup]);
+            let err = try_open(&vfs, pool).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::UniqueViolation { table, index: ix, .. }
+                    if table == "t" && ix == index),
+                "pool {pool:?}: {err:?}"
+            );
+        }
+
+        // a duplicate that a later record of the same log resolves is fine:
+        // only the final rows have to satisfy the index
+        let vfs = seeded(pool);
+        append_to_wal(
+            &vfs,
+            vec![
+                insert(4, 4, "bb"),
+                LogRecord::Delete {
+                    table: "t".into(),
+                    row_id: RowId(1),
+                },
+            ],
+        );
+        let db = try_open(&vfs, pool).unwrap();
+        assert_indexes_match_rows(db.table("t").unwrap(), "resolved duplicate");
+        drop(db);
+
+        // update and delete of rows that do not exist
+        for op in [
+            LogRecord::Update {
+                table: "t".into(),
+                row_id: RowId(40),
+                values: vec![Value::Int(40), Value::text("zz")],
+            },
+            LogRecord::Delete {
+                table: "t".into(),
+                row_id: RowId(40),
+            },
+        ] {
+            let vfs = seeded(pool);
+            append_to_wal(&vfs, vec![op]);
+            let err = try_open(&vfs, pool).unwrap_err();
+            assert!(
+                matches!(err, StoreError::NoSuchRow { row_id: 40, .. }),
+                "pool {pool:?}: {err:?}"
+            );
+        }
+
+        // an insert below the high-water mark, and one that is not a row
+        let vfs = seeded(pool);
+        append_to_wal(&vfs, vec![insert(2, 9, "zz")]);
+        assert!(matches!(try_open(&vfs, pool), Err(StoreError::Corrupt(_))));
+        let vfs = seeded(pool);
+        append_to_wal(
+            &vfs,
+            vec![LogRecord::Insert {
+                table: "t".into(),
+                row_id: RowId(4),
+                values: vec![Value::text("not an id"), Value::text("zz")],
+            }],
+        );
+        assert!(matches!(
+            try_open(&vfs, pool),
+            Err(StoreError::SchemaViolation(_))
+        ));
+    }
+}
+
+#[test]
+fn open_refuses_a_snapshot_holding_a_duplicate_unique_key() {
+    let vfs = seeded(None);
+    let path = Path::new("/db").join(SNAPSHOT_FILE);
+    let mut image = vfs.peek(&path).unwrap();
+    // rewrite row 2's accession "qq" to "bb" and re-seal the checksum, as
+    // a buggy writer (not a torn write) would have left it
+    let at = image.windows(2).position(|w| w == b"qq").unwrap();
+    image[at..at + 2].copy_from_slice(b"bb");
+    let crc = crc32(&image[12..]);
+    image[8..12].copy_from_slice(&crc.to_le_bytes());
+    let mut file = vfs.create(&path).unwrap();
+    file.write_all(&image).unwrap();
+    file.sync().unwrap();
+    let err = try_open(&vfs, None).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::UniqueViolation { index, key, .. }
+            if index == "by_acc" && key == "(bb)"),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn counts_read_from_a_file_are_not_trusted() {
+    // a snapshot that claims 2^40 rows (and re-seals its checksum) must be
+    // rejected by arithmetic on the bytes that remain, not by allocating
+    let mut t = Table::new(unique_schema());
+    t.insert(vec![Value::Int(0), Value::text("zz")]).unwrap();
+    t.insert(vec![Value::Int(1), Value::text("aa")]).unwrap();
+    t.delete(RowId(0)).unwrap();
+    let image = encode_snapshot(std::iter::once(&t), 0).unwrap();
+    // the body ends: high-water mark (2), row count (1), then the row —
+    // id, arity, int, text: 1 + 1 + 2 + 4 bytes
+    let nrows_at = image.len() - 8 - 1;
+    assert_eq!(
+        image[nrows_at - 1..=nrows_at],
+        [2, 1],
+        "located the row count"
+    );
+    let mut forged = image[..nrows_at].to_vec();
+    forged.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]); // varint 2^40
+    forged.extend_from_slice(&image[nrows_at + 1..]);
+    let crc = crc32(&forged[12..]);
+    forged[8..12].copy_from_slice(&crc.to_le_bytes());
+    match decode_snapshot(&forged) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("row count"), "{msg}"),
+        other => panic!("forged row count must be corrupt, got {other:?}"),
+    }
+}

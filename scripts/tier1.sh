@@ -3,6 +3,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Offline-capable leg first: gmbench's package builds the real crates/
+# against std-only shims and a committed lock file, so these two steps are
+# the only ones that compile and run the product code on a host without a
+# registry — an index or recovery regression fails here, before the
+# crates.io-dependent legs below are reached. --self-test also proves the
+# benchmark's oracle counts a wrong answer.
+bash scripts/e2e/run.sh --self-test
+(cd scripts/e2e && cargo test --offline)
+
 cargo build --release
 cargo test -q
 # bulk-import equivalence proptests (bit-identical fast path), explicitly:
@@ -13,6 +22,10 @@ cargo test -q -p relstore --test crash_sweep
 cargo test -q -p relstore --test crash_prop
 cargo test -q -p relstore --test recovery
 cargo test -q -p import --test crash_import
+# index build equivalence (std-only seeded sweep): encoded key order ≡ value
+# order, bulk-built ≡ maintained indexes, reopen ≡ closed store across
+# snapshot + WAL mixes, and crafted logs/snapshots refused with typed errors
+cargo test -q -p relstore --test index_build_equiv
 # paged-storage equivalence (paged ≡ resident across random workloads,
 # pool sizes down to one page, reopen, and compaction), explicitly:
 cargo test -q -p relstore --test paged_prop
