@@ -17,7 +17,14 @@
 //!   the schema anticipated, but integrating a source the schema did not
 //!   anticipate requires schema evolution and a rebuild — the maintenance
 //!   cost the generic GAM avoids.
+//!
+//! It also holds the test oracle for GenMapper's own operators:
+//!
+//! * [`naive`] — the mapping algebra (`Map`, `Compose`, `GenerateView`)
+//!   written as nested loops over `gam`'s data types, with no dependency
+//!   on the `operators` crate whose executor is checked against it.
 
+pub mod naive;
 pub mod srs;
 pub mod star;
 

@@ -1,43 +1,27 @@
 //! Experiment T2 (Compose) — transitive mapping derivation (paper §4.2).
 //!
-//! Measures the pure join (two in-memory mappings) across sizes, and
-//! store-backed `compose_path` across path lengths on the integrated
+//! Measures the pure join (two in-memory mapping indexes) across sizes, and
+//! store-backed `compose_path_idx` across path lengths on the integrated
 //! ecosystem — the operation behind "the new mapping Unigene↔GO can be
 //! derived by combining Unigene↔LocusLink and LocusLink↔GO".
 
 use bench::{composable_mappings, demo_fixture};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use operators::ExecConfig;
+use gam::MappingIndex;
+use operators::{compose_idx, compose_path_idx, ExecConfig};
 
 fn bench_pure_compose(c: &mut Criterion) {
     let mut group = c.benchmark_group("compose/pure");
     for &n in &[1_000usize, 10_000, 100_000] {
         let (left, right) = composable_mappings(5, n);
         group.throughput(Throughput::Elements((left.len() + right.len()) as u64));
+        let (left, right) = (MappingIndex::build(left), MappingIndex::build(right));
+        let seq = ExecConfig::sequential();
         group.bench_with_input(
             BenchmarkId::from_parameter(n),
             &(left, right),
-            |b, (l, r)| b.iter(|| operators::compose(l, r).expect("composes")),
+            |b, (l, r)| b.iter(|| compose_idx(l, r, &seq).expect("composes")),
         );
-    }
-    group.finish();
-}
-
-fn bench_parallel_compose(c: &mut Criterion) {
-    // the partitioned parallel probe across worker counts, on a join large
-    // enough for the partitioning to pay off
-    let (left, right) = composable_mappings(5, 200_000);
-    let mut group = c.benchmark_group("compose/parallel");
-    group.throughput(Throughput::Elements((left.len() + right.len()) as u64));
-    for &jobs in &[1usize, 2, 4, 8] {
-        let cfg = ExecConfig {
-            jobs,
-            parallel_threshold: 0,
-            plan: true,
-        };
-        group.bench_with_input(BenchmarkId::new("jobs", jobs), &cfg, |b, cfg| {
-            b.iter(|| operators::compose_par(&left, &right, cfg).expect("composes"))
-        });
     }
     group.finish();
 }
@@ -58,7 +42,9 @@ fn bench_store_paths(c: &mut Criterion) {
             .map(|n| f.gm.source_id(n).expect("source exists"))
             .collect();
         group.bench_function(*label, |b| {
-            b.iter(|| operators::compose_path(f.gm.store(), &ids).expect("path composes"))
+            b.iter(|| {
+                compose_path_idx(f.gm.store(), &ids, &ExecConfig::sequential()).expect("path composes")
+            })
         });
     }
     // the same derivation served by the versioned mapping cache (first
@@ -89,6 +75,6 @@ criterion_group!{
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_pure_compose, bench_parallel_compose, bench_store_paths, bench_subsume
+    targets = bench_pure_compose, bench_store_paths, bench_subsume
 }
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 
 use bench::{demo_fixture, medium_fixture};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use genmapper::{ExecConfig, QuerySpec, TargetQuery};
+use genmapper::{QuerySpec, TargetQuery};
 
 const TARGETS: [&str; 6] = ["Hugo", "GO", "Location", "OMIM", "Enzyme", "Chr"];
 
@@ -100,11 +100,7 @@ fn bench_parallel_view(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure5/parallel");
     group.sample_size(20);
     for &jobs in &[1usize, 2, 4, 8] {
-        f.gm.set_exec_config(ExecConfig {
-            jobs,
-            parallel_threshold: 0,
-            plan: true,
-        });
+        f.gm.set_jobs(jobs);
         group.bench_with_input(BenchmarkId::new("jobs", jobs), &spec, |b, spec| {
             b.iter(|| {
                 let _ = f.gm.store_mut(); // invalidate the mapping cache

@@ -9,6 +9,7 @@
 
 use bench::demo_fixture;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use operators::{compose_path_idx, ExecConfig};
 
 fn bench_per_query_cost(c: &mut Criterion) {
     let mut f = demo_fixture(61);
@@ -20,7 +21,9 @@ fn bench_per_query_cost(c: &mut Criterion) {
     // store-level derivation, bypassing the system's mapping cache — the
     // ablation contrasts real per-query join work with materialized lookup
     group.bench_function("compose_on_the_fly", |b| {
-        b.iter(|| operators::compose_path(f.gm.store(), &path).expect("composes"))
+        b.iter(|| {
+            compose_path_idx(f.gm.store(), &path, &ExecConfig::sequential()).expect("composes")
+        })
     });
     f.gm.materialize_composed(&["Unigene", "LocusLink", "GO"])
         .expect("materializes");
@@ -46,7 +49,9 @@ fn bench_repeat_factor(c: &mut Criterion) {
             b.iter(|| {
                 let mut total = 0usize;
                 for _ in 0..k {
-                    total += operators::compose_path(f.gm.store(), &path).unwrap().len();
+                    total += compose_path_idx(f.gm.store(), &path, &ExecConfig::sequential())
+                        .unwrap()
+                        .len();
                 }
                 total
             })

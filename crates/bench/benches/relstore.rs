@@ -1,14 +1,13 @@
 //! Substrate ablation — the embedded storage engine's access paths.
 //!
-//! The GAM operators reduce to point lookups, range scans, and joins over
-//! the four tables; this bench isolates those physical operations so the
-//! operator-level numbers (T2/F5) can be attributed: index lookup vs full
-//! scan, index range vs scan, and hash vs merge join across sizes.
+//! The GAM operators reduce to point lookups and range scans over the four
+//! tables (the joins run over `gam::MappingIndex`, see `benches/compose.rs`);
+//! this bench isolates those physical operations so the operator-level
+//! numbers (T2/F5) can be attributed: index lookup vs full scan, and index
+//! range vs scan across sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use relstore::join::{hash_join, merge_join};
 use relstore::predicate::CmpOp;
-use relstore::row::Row;
 use relstore::schema::{Column, Schema};
 use relstore::table::Table;
 use relstore::value::{Value, ValueType};
@@ -65,28 +64,6 @@ fn bench_access_paths(c: &mut Criterion) {
     group.finish();
 }
 
-fn rows(n: usize, key_mod: i64) -> Vec<Row> {
-    (0..n as i64)
-        .map(|i| Row::new(vec![Value::Int(i % key_mod), Value::Int(i)]))
-        .collect()
-}
-
-fn bench_joins(c: &mut Criterion) {
-    let mut group = c.benchmark_group("relstore/join");
-    for &n in &[1_000usize, 10_000, 100_000] {
-        let left = rows(n, (n / 4) as i64);
-        let right = rows(n, (n / 4) as i64);
-        group.throughput(Throughput::Elements(2 * n as u64));
-        group.bench_with_input(BenchmarkId::new("hash", n), &n, |b, _| {
-            b.iter(|| hash_join(&left, &[0], &right, &[0]))
-        });
-        group.bench_with_input(BenchmarkId::new("merge", n), &n, |b, _| {
-            b.iter(|| merge_join(&left, &[0], &right, &[0]))
-        });
-    }
-    group.finish();
-}
-
 fn bench_durability(c: &mut Criterion) {
     let mut group = c.benchmark_group("relstore/durability");
     group.sample_size(10);
@@ -128,6 +105,6 @@ criterion_group! {
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_access_paths, bench_joins, bench_durability
+    targets = bench_access_paths, bench_durability
 }
 criterion_main!(benches);

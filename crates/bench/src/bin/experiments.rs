@@ -5,12 +5,12 @@
 //! Run with: `cargo run --release -p bench --bin experiments`
 //! Full §5 deployment scale: `GENMAPPER_FULL_SCALE=1 cargo run --release -p bench --bin experiments`
 
-use bench::{composable_mappings, medium_fixture, scaled_params};
+use bench::scaled_params;
 use eav::EavRecord;
 use gam::mapping::Association;
 use gam::model::RelType;
-use gam::{Mapping, MappingIndex, ObjectId, SourceId};
-use genmapper::{ExecConfig, GenMapper, QuerySpec, TargetQuery};
+use gam::{Mapping, ObjectId, SourceId};
+use genmapper::{GenMapper, QuerySpec, TargetQuery};
 use profiling::{ExpressionParams, ExpressionStudy, FunctionalProfile};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::time::Instant;
@@ -257,125 +257,10 @@ fn main() {
         );
     }
 
-    // ----------------------------------------------------------- parallel
+    // ------------------------------------------------------------ import
     heading(
-        "P-parallel",
-        "Partitioned parallel Compose / GenerateView + versioned mapping cache",
-    );
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    println!("worker threads available: {available}");
-
-    // pure Compose across worker counts (best of 5, after warm-up)
-    let (left, right) = composable_mappings(5, 200_000);
-    let join_pairs = left.len() + right.len();
-    let time_compose = |jobs: usize| -> f64 {
-        let cfg = ExecConfig {
-            jobs,
-            parallel_threshold: 0,
-            plan: true,
-        };
-        let _ = operators::compose_par(&left, &right, &cfg).expect("composes");
-        (0..5)
-            .map(|_| {
-                let t = Instant::now();
-                let _ = operators::compose_par(&left, &right, &cfg).expect("composes");
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let job_counts = [1usize, 2, 4, 8];
-    let compose_secs: Vec<f64> = job_counts.iter().map(|&j| time_compose(j)).collect();
-    println!("\nCompose, {join_pairs} input pairs:");
-    println!("{:<6} {:>12} {:>10}", "jobs", "seconds", "speedup");
-    for (&jobs, &secs) in job_counts.iter().zip(&compose_secs) {
-        println!("{jobs:<6} {secs:>12.6} {:>9.2}x", compose_secs[0] / secs);
-    }
-
-    // GenerateView across worker counts (cache dropped before every run)
-    let mut f = medium_fixture(36);
-    let spec = QuerySpec::source("LocusLink")
-        .target("Hugo")
-        .target("GO")
-        .target("Location")
-        .target("OMIM")
-        .or();
-    let mut time_view = |jobs: usize| -> f64 {
-        f.gm.set_exec_config(ExecConfig {
-            jobs,
-            parallel_threshold: 0,
-            plan: true,
-        });
-        let _ = f.gm.store_mut();
-        let _ = f.gm.query(&spec).expect("view");
-        (0..3)
-            .map(|_| {
-                let _ = f.gm.store_mut(); // invalidate the mapping cache
-                let t = Instant::now();
-                let _ = f.gm.query(&spec).expect("view");
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let view_secs: Vec<f64> = job_counts.iter().map(|&j| time_view(j)).collect();
-    println!("\nGenerateView, 4 target columns (uncached):");
-    println!("{:<6} {:>12} {:>10}", "jobs", "seconds", "speedup");
-    for (&jobs, &secs) in job_counts.iter().zip(&view_secs) {
-        println!("{jobs:<6} {secs:>12.6} {:>9.2}x", view_secs[0] / secs);
-    }
-
-    // versioned mapping cache: cold vs warm repeat of the same query
-    f.gm.set_exec_config(ExecConfig::sequential());
-    let miss = (0..3)
-        .map(|_| {
-            let _ = f.gm.store_mut();
-            let t = Instant::now();
-            let _ = f.gm.query(&spec).expect("view");
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-    let _ = f.gm.query(&spec).expect("warm-up");
-    let hit = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            let _ = f.gm.query(&spec).expect("view");
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-    println!("\nMapping cache (same query, cold vs warm):");
-    println!("miss: {miss:.6}s   hit: {hit:.6}s   speedup: {:.2}x", miss / hit);
-
-    // machine-readable record for EXPERIMENTS.md
-    let row = |jobs: usize, secs: f64, base: f64| {
-        format!(
-            "{{\"jobs\": {jobs}, \"seconds\": {secs:.6}, \"speedup\": {:.3}}}",
-            base / secs
-        )
-    };
-    let compose_json: Vec<String> = job_counts
-        .iter()
-        .zip(&compose_secs)
-        .map(|(&j, &s)| row(j, s, compose_secs[0]))
-        .collect();
-    let view_json: Vec<String> = job_counts
-        .iter()
-        .zip(&view_secs)
-        .map(|(&j, &s)| row(j, s, view_secs[0]))
-        .collect();
-    let json = format!(
-        "{{\n  \"workers_available\": {available},\n  \"compose\": {{\n    \"input_pairs\": {join_pairs},\n    \"runs\": [\n      {}\n    ]\n  }},\n  \"generate_view\": {{\n    \"targets\": 4,\n    \"runs\": [\n      {}\n    ]\n  }},\n  \"mapping_cache\": {{\"miss_seconds\": {miss:.6}, \"hit_seconds\": {hit:.6}, \"speedup\": {:.3}}}\n}}\n",
-        compose_json.join(",\n      "),
-        view_json.join(",\n      "),
-        miss / hit,
-    );
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("\nwrote BENCH_parallel.json");
-
-    // --------------------------------------------------------------- CSR
-    heading(
-        "P-csr",
-        "CSR MappingIndex: indexed OBJECT_REL load + merge-join Compose (scale factors 1/4/16)",
+        "P-import",
+        "Bulk-import fast path: parallel parse + batched resolution + WAL group commit (scale 1/4/16)",
     );
     let best_of = |runs: usize, f: &mut dyn FnMut()| -> f64 {
         f(); // warm-up
@@ -387,82 +272,6 @@ fn main() {
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let mut load_rows: Vec<String> = Vec::new();
-    let mut compose_rows: Vec<String> = Vec::new();
-    println!(
-        "{:<7} {:>9} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8}",
-        "factor", "pairs", "flat load", "idx load", "speedup", "hash join", "merge join", "speedup"
-    );
-    for &factor in &[1.0f64, 4.0, 16.0] {
-        // indexed load: the largest mapping of a generated ecosystem,
-        // flat-scan load_mapping vs the by_pair prefix-scan CSR load
-        let eco = Ecosystem::generate(scaled_params(29, factor));
-        let mut gm = GenMapper::in_memory().expect("store");
-        gm.import_dumps(&eco.dumps).expect("pipeline");
-        let store = gm.store();
-        let rel = store
-            .source_rels()
-            .expect("rels")
-            .into_iter()
-            .filter(|r| !r.rel_type.is_structural())
-            .max_by_key(|r| store.association_count(r.id).unwrap_or(0))
-            .expect("ecosystem has at least one mapping");
-        let pairs = store.association_count(rel.id).expect("count");
-        let flat = best_of(5, &mut || {
-            let _ = store.load_mapping(rel.id).expect("flat load");
-        });
-        let indexed = best_of(5, &mut || {
-            let _ = store.load_mapping_index(rel.id).expect("indexed load");
-        });
-
-        // pure Compose at the same scale: Vec-based hash join vs the CSR
-        // sorted merge join, both sequential (this measures the join
-        // strategy, not parallelism — BENCH_parallel.json covers that)
-        let n = (25_000.0 * factor) as usize;
-        let (left, right) = composable_mappings(31, n);
-        let li = MappingIndex::build(left.clone());
-        let ri = MappingIndex::build(right.clone());
-        let seq = ExecConfig::sequential();
-        let hash = best_of(5, &mut || {
-            let _ = operators::compose(&left, &right).expect("hash join");
-        });
-        let merge = best_of(5, &mut || {
-            let _ = operators::compose_idx(&li, &ri, &seq).expect("merge join");
-        });
-        println!(
-            "{:<7} {:>9} {:>11.6} {:>11.6} {:>7.2}x {:>11.6} {:>11.6} {:>7.2}x",
-            factor,
-            pairs,
-            flat,
-            indexed,
-            flat / indexed,
-            hash,
-            merge,
-            hash / merge
-        );
-        load_rows.push(format!(
-            "{{\"factor\": {factor}, \"pairs\": {pairs}, \"flat_seconds\": {flat:.6}, \"indexed_seconds\": {indexed:.6}, \"speedup\": {:.3}}}",
-            flat / indexed
-        ));
-        compose_rows.push(format!(
-            "{{\"factor\": {factor}, \"input_pairs\": {}, \"hash_seconds\": {hash:.6}, \"merge_seconds\": {merge:.6}, \"speedup\": {:.3}}}",
-            left.len() + right.len(),
-            hash / merge
-        ));
-    }
-    let csr_json = format!(
-        "{{\n  \"generator\": \"cargo run --release -p bench --bin experiments\",\n  \"load_mapping\": [\n    {}\n  ],\n  \"compose\": [\n    {}\n  ]\n}}\n",
-        load_rows.join(",\n    "),
-        compose_rows.join(",\n    ")
-    );
-    std::fs::write("BENCH_csr.json", &csr_json).expect("write BENCH_csr.json");
-    println!("\nwrote BENCH_csr.json");
-
-    // ------------------------------------------------------------ import
-    heading(
-        "P-import",
-        "Bulk-import fast path: parallel parse + batched resolution + WAL group commit (scale 1/4/16)",
-    );
     // Durable stores so the WAL fsync behaviour is part of the measurement:
     // the per-row baseline pays one fsync per logical commit, the bulk path
     // one per dump batch.

@@ -22,8 +22,8 @@
 //! `RestrictRange` are binary searches over them (iterating whichever side
 //! is smaller); `Compose` in `operators` merge-joins `inv_keys` against the
 //! other index's `fwd_keys`. Every operation is pinned bit-identical to the
-//! `Vec<Association>` reference implementations by the property tests in
-//! `crates/operators/tests/csr_prop.rs`.
+//! `Vec<Association>` definitions by the seeded sweep in
+//! `crates/operators/tests/algebra_equiv.rs`.
 
 use crate::ids::{ObjectId, SourceId};
 use crate::mapping::{Association, Mapping};

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// The read-only surface of a GAM store. `Sync` is a supertrait so one
 /// reader can serve the concurrent per-target resolution of
-/// `generate_view_par` and be shared across service handler threads.
+/// `generate_view_idx` and be shared across service handler threads.
 pub trait GamRead: Sync {
     /// All `SOURCE` rows, ordered by id.
     fn sources(&self) -> GamResult<Vec<Source>>;

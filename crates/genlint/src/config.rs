@@ -40,20 +40,6 @@ pub struct ReadEntrySet {
     pub methods: Vec<String>,
 }
 
-/// One declared planner entry-point set for the plan-coherence rule: the
-/// named functions in `file` are public execution entry points and must
-/// route through the cost-based planner seam (call one of the configured
-/// `seam_calls`). `prefixes` fails the list closed in the other
-/// direction: a new `pub fn` whose name starts with a prefix but is not
-/// listed means someone added an execution entry point that bypasses the
-/// planner — or forgot to declare it.
-#[derive(Debug, Clone, Default)]
-pub struct PlanEntrySet {
-    pub file: String,
-    pub prefixes: Vec<String>,
-    pub functions: Vec<String>,
-}
-
 /// One justified `Ordering::Relaxed` site set for the atomics-discipline
 /// rule: within `file`, the named atomics (receiver or field identifiers)
 /// may use `Relaxed` — telemetry counters whose values never steer a
@@ -87,11 +73,6 @@ pub struct Config {
     pub read_entries: Vec<ReadEntrySet>,
     /// Declared mutator sets for R3.
     pub mutators: Vec<MutatorSet>,
-    /// Identifiers that constitute the planner seam for R6 (calling any
-    /// of them counts as routing through the planner).
-    pub plan_seam_calls: Vec<String>,
-    /// Declared planner entry-point sets for R6.
-    pub plan_entries: Vec<PlanEntrySet>,
     /// Function names in relstore exempt from R5's sync-before-return
     /// check (sync deliberately deferred to the commit path).
     pub sync_exempt: Vec<String>,
@@ -188,13 +169,11 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         NoPanic,
         LockDiscipline,
         WalBracket,
-        PlanCoherence,
         SocketDiscipline,
         AtomicsDiscipline,
         ErrorSwallow,
         Mutator,
         ReadEntry,
-        PlanEntry,
         RelaxedOk,
         Allow,
     }
@@ -220,10 +199,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     cfg.read_entries.push(ReadEntrySet::default());
                     section = Section::ReadEntry;
                 }
-                "plan-coherence.entry-points" => {
-                    cfg.plan_entries.push(PlanEntrySet::default());
-                    section = Section::PlanEntry;
-                }
                 "atomics-discipline.relaxed-ok" => {
                     cfg.relaxed_ok.push(RelaxedOk::default());
                     section = Section::RelaxedOk;
@@ -237,7 +212,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 "no-panic" => Section::NoPanic,
                 "lock-discipline" => Section::LockDiscipline,
                 "wal-bracket" => Section::WalBracket,
-                "plan-coherence" => Section::PlanCoherence,
                 "socket-discipline" => Section::SocketDiscipline,
                 "atomics-discipline" => Section::AtomicsDiscipline,
                 "error-swallow" => Section::ErrorSwallow,
@@ -274,15 +248,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             Section::WalBracket => match key {
                 "sync_exempt" => cfg.sync_exempt = parse_string_array(lineno, value)?,
                 _ => return Err(err(lineno, format!("unknown key `{key}` in [wal-bracket]"))),
-            },
-            Section::PlanCoherence => match key {
-                "seam_calls" => cfg.plan_seam_calls = parse_string_array(lineno, value)?,
-                _ => {
-                    return Err(err(
-                        lineno,
-                        format!("unknown key `{key}` in [plan-coherence]"),
-                    ))
-                }
             },
             Section::SocketDiscipline => match key {
                 "scope" => cfg.socket_scope = parse_string(lineno, value)?,
@@ -368,25 +333,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     }
                 }
             }
-            Section::PlanEntry => {
-                let Some(p) = cfg.plan_entries.last_mut() else {
-                    return Err(err(
-                        lineno,
-                        "entry-point key before [[plan-coherence.entry-points]]",
-                    ));
-                };
-                match key {
-                    "file" => p.file = parse_string(lineno, value)?,
-                    "prefixes" => p.prefixes = parse_string_array(lineno, value)?,
-                    "functions" => p.functions = parse_string_array(lineno, value)?,
-                    _ => {
-                        return Err(err(
-                            lineno,
-                            format!("unknown key `{key}` in [[plan-coherence.entry-points]]"),
-                        ))
-                    }
-                }
-            }
             Section::Allow => {
                 let Some(a) = cfg.allow.last_mut() else {
                     return Err(err(lineno, "allow key before [[allow]]"));
@@ -428,14 +374,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             ));
         }
     }
-    for p in &cfg.plan_entries {
-        if p.file.is_empty() || p.functions.is_empty() {
-            return Err(err(
-                0,
-                "[[plan-coherence.entry-points]] entry must set file and functions".to_owned(),
-            ));
-        }
-    }
     // every Relaxed allowlist entry must be fully justified, and the
     // allowlist is meaningless without the rule being scoped to crates
     for r in &cfg.relaxed_ok {
@@ -472,14 +410,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 .to_owned(),
         ));
     }
-    if !cfg.plan_entries.is_empty() && cfg.plan_seam_calls.is_empty() {
-        return Err(err(
-            0,
-            "[plan-coherence] seam_calls must be set when entry points are declared \
-             (an empty seam would pass every entry point vacuously)"
-                .to_owned(),
-        ));
-    }
     Ok(cfg)
 }
 
@@ -507,14 +437,6 @@ methods = ["query", "find_path"]
 [wal-bracket]
 sync_exempt = ["flush"]
 
-[plan-coherence]
-seam_calls = ["plan_chain", "ViewContext"]
-
-[[plan-coherence.entry-points]]
-file = "crates/operators/src/compose.rs"
-prefixes = ["compose_path_idx"]
-functions = ["compose_path_idx"]
-
 [socket-discipline]
 scope = "crates/serve/src"
 wrapper = "crates/serve/src/conn.rs"
@@ -540,10 +462,6 @@ reason = "bench reports are non-durable"
         assert_eq!(cfg.read_entries[0].methods, vec!["query", "find_path"]);
         assert_eq!(cfg.mutators.len(), 1);
         assert_eq!(cfg.mutators[0].type_name, "GamStore");
-        assert_eq!(cfg.plan_seam_calls, vec!["plan_chain", "ViewContext"]);
-        assert_eq!(cfg.plan_entries.len(), 1);
-        assert_eq!(cfg.plan_entries[0].prefixes, vec!["compose_path_idx"]);
-        assert_eq!(cfg.plan_entries[0].functions, vec!["compose_path_idx"]);
         assert_eq!(cfg.allow.len(), 1);
         assert_eq!(cfg.allow[0].rule, "vfs-bypass");
         assert_eq!(cfg.socket_scope, "crates/serve/src");
@@ -573,17 +491,6 @@ reason = "bench reports are non-durable"
         assert!(parse("[nope]\n").is_err());
         assert!(parse("[no-panic]\nwat = \"x\"\n").is_err());
         assert!(parse("stray = \"x\"\n").is_err());
-    }
-
-    #[test]
-    fn rejects_incomplete_plan_coherence() {
-        // entry points with no declared seam fail closed
-        let text = "[[plan-coherence.entry-points]]\n\
-                    file = \"x.rs\"\nfunctions = [\"f\"]\n";
-        assert!(parse(text).is_err(), "missing seam_calls must fail");
-        let text = "[plan-coherence]\nseam_calls = [\"plan_chain\"]\n\
-                    [[plan-coherence.entry-points]]\nfile = \"x.rs\"\n";
-        assert!(parse(text).is_err(), "missing functions must fail");
     }
 
     #[test]

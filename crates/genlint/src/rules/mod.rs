@@ -14,7 +14,6 @@ pub mod cache_coherence;
 pub mod error_swallow;
 pub mod lock_discipline;
 pub mod no_panic;
-pub mod plan_coherence;
 pub mod socket_discipline;
 pub mod vfs_bypass;
 pub mod wal_bracket;
@@ -79,7 +78,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(cache_coherence::CacheCoherence),
         Box::new(lock_discipline::LockDiscipline),
         Box::new(wal_bracket::WalBracket),
-        Box::new(plan_coherence::PlanCoherence),
         Box::new(socket_discipline::SocketDiscipline),
         Box::new(atomics_discipline::AtomicsDiscipline),
         Box::new(error_swallow::ErrorSwallow),

@@ -38,14 +38,6 @@ impl = "FixtureStore"
 bump = "bump_mutations"
 exempt = ["checkpoint"]
 
-[plan-coherence]
-seam_calls = ["plan_chain", "ViewContext"]
-
-[[plan-coherence.entry-points]]
-file = "crates/operators/src/fixture_exec.rs"
-prefixes = ["compose_path_idx"]
-functions = ["compose_path_idx", "gone_entry"]
-
 [socket-discipline]
 scope = "crates/serve/src"
 wrapper = "crates/serve/src/fixture_conn.rs"
@@ -142,34 +134,6 @@ fn wal_bracket_fixture() {
     assert_eq!(rules_of(&bad), ["wal-bracket"], "{bad:?}");
     assert!(bad[0].message.contains("skip end_group_commit"), "{bad:?}");
     let clean = check("wal_bracket_clean.rs", "crates/import/src/fixture.rs");
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn plan_coherence_fixture() {
-    let bad = check("plan_coherence_bad.rs", "crates/operators/src/fixture_exec.rs");
-    assert_eq!(
-        rules_of(&bad),
-        ["plan-coherence", "plan-coherence", "plan-coherence"],
-        "{bad:?}"
-    );
-    assert!(
-        bad.iter()
-            .any(|f| f.message.contains("never touches the planner seam")),
-        "bypass violation: {bad:?}"
-    );
-    assert!(
-        bad.iter()
-            .any(|f| f.message.contains("`gone_entry`") && f.message.contains("out of date")),
-        "rotted config: {bad:?}"
-    );
-    assert!(
-        bad.iter()
-            .any(|f| f.message.contains("compose_path_idx_streaming")
-                && f.message.contains("not listed")),
-        "undeclared entry point: {bad:?}"
-    );
-    let clean = check("plan_coherence_clean.rs", "crates/operators/src/fixture_exec.rs");
     assert!(clean.is_empty(), "{clean:?}");
 }
 

@@ -472,12 +472,7 @@ impl CliSession {
                 if let Some(n) = jobs {
                     self.gm.set_jobs(n);
                 }
-                let cfg = self.gm.exec_config();
-                let _ = writeln!(
-                    out,
-                    "jobs = {} (parallel threshold {} associations)",
-                    cfg.jobs, cfg.parallel_threshold
-                );
+                let _ = writeln!(out, "jobs = {}", self.gm.exec_config().jobs);
             }
             Command::Budget { budget } => {
                 if let Some(n) = budget {

@@ -51,7 +51,7 @@ pub use query::{QuerySpec, TargetQuery};
 pub use resolved::{ObjectInfo, ResolvedRow, ResolvedView};
 pub use shared::{ImportStatus, SharedGenMapper, WritePermit};
 pub use snapshot::Snapshot;
-pub use system::{GenMapper, PathResolver};
+pub use system::GenMapper;
 
 pub use gam::{GamError, GamResult};
 pub use operators::{Combine, ExecConfig};

@@ -7,45 +7,13 @@ use gam::{
     GamError, GamRead, GamResult, GamStore, Mapping, MappingIndex, ObjectId, SourceId, SourceRelId,
 };
 use import::{Importer, PipelineOptions};
-use operators::{
-    generate_view_idx, ExecConfig, IndexResolver, MappingResolver, TargetSpec, ViewQuery,
-};
+use operators::{generate_view_idx, ExecConfig, IndexResolver, TargetSpec, ViewQuery};
 use parking_lot::RwLock;
 use pathfinder::{SavedPaths, SourceGraph};
 use sources::ecosystem::SourceDump;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
-
-/// Mapping resolver that first tries a direct `Map` and otherwise searches
-/// the source graph for a shortest mapping path and composes along it —
-/// exactly how the interactive interface determines mappings (paper §5.1).
-pub struct PathResolver<'g> {
-    graph: &'g SourceGraph,
-}
-
-impl<'g> PathResolver<'g> {
-    /// A resolver over a prebuilt source graph.
-    pub fn new(graph: &'g SourceGraph) -> Self {
-        PathResolver { graph }
-    }
-}
-
-impl MappingResolver for PathResolver<'_> {
-    fn resolve(&self, store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<Mapping> {
-        match operators::map(store, from, to) {
-            Ok(m) => Ok(m),
-            Err(GamError::NoMapping { .. }) => {
-                let path = self
-                    .graph
-                    .shortest_path(from, to)
-                    .ok_or(GamError::NoMapping { from, to })?;
-                operators::compose_path(store, &path)
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
 
 /// The mapping/object-set cache surface the shared query executor resolves
 /// through. Two implementors: [`GenMapper`] (versioned entries, discarded
@@ -69,11 +37,14 @@ pub(crate) trait IndexCache: Sync {
     ) -> GamResult<Arc<BTreeSet<ObjectId>>>;
 }
 
-/// [`PathResolver`] backed by an [`IndexCache`]: a resolved `(from, to)`
-/// mapping is indexed once and then served as a shared CSR
-/// [`MappingIndex`] behind an `Arc` — the view executor probes the cached
-/// index directly, cloning nothing. Safe to call from the parallel
-/// per-target workers of `generate_view_idx`.
+/// Mapping resolver that first tries a direct `Map` and otherwise searches
+/// the source graph for a shortest mapping path and composes along it —
+/// exactly how the interactive interface determines mappings (paper §5.1).
+/// Backed by an [`IndexCache`]: a resolved `(from, to)` mapping is indexed
+/// once and then served as a shared CSR [`MappingIndex`] behind an `Arc` —
+/// the view executor probes the cached index directly, cloning nothing.
+/// Safe to call from the parallel per-target workers of
+/// `generate_view_idx`; `query` and `explain` both resolve through it.
 struct CachingPathResolver<'a> {
     cache: &'a dyn IndexCache,
     graph: &'a SourceGraph,
@@ -185,7 +156,7 @@ impl CacheInner {
 pub struct GenMapper {
     store: GamStore,
     saved: SavedPaths,
-    /// Parallel execution tunables for Compose / GenerateView.
+    /// Worker-thread cap for Compose / GenerateView.
     exec: ExecConfig,
     /// Per-dump quarantine budget for lenient parsing during imports
     /// (`0` = strict, the default).
@@ -255,8 +226,7 @@ impl GenMapper {
         self.exec = exec;
     }
 
-    /// Set the worker-thread cap (`0`/`1` = sequential), keeping the
-    /// parallel threshold.
+    /// Set the worker-thread cap (`0`/`1` = sequential).
     pub fn set_jobs(&mut self, jobs: usize) {
         self.exec.jobs = jobs;
     }
@@ -510,9 +480,9 @@ impl GenMapper {
     }
 
     /// `Compose` along a path of source names, as a shared CSR cache
-    /// handle. Sequential joins run as sorted merge joins over the step
-    /// indexes; above the parallel threshold they fall back to the
-    /// partitioned hash probe — bit-identical either way.
+    /// handle. Joins run as sorted merge joins over the step indexes, or
+    /// as the partitioned hash probe when large and `jobs > 1` —
+    /// bit-identical either way.
     pub fn compose_shared(&self, path: &[&str]) -> GamResult<Arc<MappingIndex>> {
         let ids = self.path_ids(path)?;
         if ids.len() < 2 {
@@ -692,7 +662,7 @@ pub(crate) fn run_query(
     // when several targets resolve concurrently, keep their inner
     // compose joins sequential so the thread count stays ≤ exec.jobs
     let compose_exec = if exec.jobs > 1 && vq.targets.len() > 1 {
-        ExecConfig::sequential().with_plan(exec.plan)
+        ExecConfig::sequential()
     } else {
         exec
     };
@@ -775,8 +745,9 @@ pub(crate) fn run_explain(
     let (mut vq, _header) = build_view_query(reader, cache, spec)?;
     for ts in &mut vq.targets {
         if ts.path.is_none() {
-            // Mirror CachingPathResolver: direct map first (explain_view
-            // probes that before composing), shortest graph path otherwise.
+            // What CachingPathResolver would compose along, made explicit
+            // so the tree shows the chain (explain_view still probes the
+            // direct map first).
             if let Some(p) = graph.shortest_path(vq.source, ts.target) {
                 if p.len() >= 2 {
                     ts.path = Some(p);
@@ -784,8 +755,11 @@ pub(crate) fn run_explain(
             }
         }
     }
-    let path_resolver = PathResolver::new(graph);
-    let resolver = operators::BuildIndexResolver(&path_resolver);
+    let resolver = CachingPathResolver {
+        cache,
+        graph,
+        compose_exec: exec,
+    };
     let tree = operators::plan::explain_view(reader, &vq, &resolver, &exec)?;
     Ok(tree.render())
 }
@@ -1026,11 +1000,7 @@ mod tests {
         let mut seq_gm = system();
         seq_gm.set_exec_config(ExecConfig::sequential());
         let mut par_gm = system();
-        par_gm.set_exec_config(ExecConfig {
-            jobs: 4,
-            parallel_threshold: 0,
-            plan: true,
-        });
+        par_gm.set_exec_config(ExecConfig::with_jobs(4));
         let specs = [
             QuerySpec::source("LocusLink")
                 .target("Hugo")

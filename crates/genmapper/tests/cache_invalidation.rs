@@ -1,8 +1,9 @@
 //! Property test for the versioned mapping cache: no matter how cache
 //! warm-ups are interleaved with store mutations (direct writes, repeated
 //! imports, materializations), the cached `GenMapper::map` / `compose`
-//! results must always equal a fresh, cache-free computation with the
-//! low-level operators. A single stale read fails the property.
+//! results must always equal a fresh, cache-free computation (`Map` by
+//! the low-level operator, `Compose` by the `baselines::naive` oracle). A
+//! single stale read fails the property.
 
 use genmapper::GenMapper;
 use proptest::prelude::*;
@@ -69,7 +70,7 @@ proptest! {
                 Op::CheckCompose => {
                     let cached = gm.compose(&["Unigene", "LocusLink", "GO"]).unwrap();
                     let fresh =
-                        operators::compose_path(gm.store(), &[ug, ll, go]).unwrap();
+                        baselines::naive::compose_path(gm.store(), &[ug, ll, go], None).unwrap();
                     prop_assert_eq!(cached, fresh);
                 }
                 Op::AddAssociation(millis) => {

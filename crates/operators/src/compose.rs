@@ -12,219 +12,33 @@
 //! "the use of mappings containing associations of reduced evidence is a
 //! promising subject for future research". Two all-fact inputs therefore
 //! compose into fact associations.
+//!
+//! An evidence floor (`*_with_threshold`) drops composed associations whose
+//! combined evidence falls below it — multiplication for combination,
+//! thresholding for acceptance. It also bounds the paper's noted risk that
+//! "Compose may lead to wrong associations when the transitivity
+//! assumption does not hold": low-confidence chains are exactly where
+//! transitivity breaks.
+//!
+//! The join runs over CSR [`MappingIndex`]es with one of three physical
+//! strategies picked per join by [`cost::choose_strategy`]; all three emit
+//! the same association multiset into the same canonical dedup, so the
+//! choice never shows in the output.
 
 use crate::exec::{partitioned, ExecConfig};
 use crate::plan::cost::{self, JoinStrategy};
-use crate::simple::{map, map_index};
 use gam::mapping::Association;
 use gam::model::RelType;
 use gam::{GamError, GamRead, GamResult, Mapping, MappingIndex, ObjectId, SourceId};
-#[cfg(test)]
-use gam::GamStore;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Probe one contiguous chunk of the left mapping against the shared
-/// build-side index. `min_evidence` is applied **during** the probe, so
-/// pairs below the floor are never allocated; this is exactly equivalent to
-/// composing fully and filtering afterwards because duplicates are later
-/// deduped to their maximum evidence, and the maximum survives the floor
-/// iff any duplicate does.
-fn probe_chunk(
-    chunk: &[Association],
-    by_mid: &HashMap<ObjectId, Vec<&Association>>,
-    min_evidence: Option<f64>,
-) -> Vec<Association> {
-    let mut out = Vec::new();
-    for l in chunk {
-        if let Some(matches) = by_mid.get(&l.to) {
-            for r in matches {
-                let evidence = match (l.evidence, r.evidence) {
-                    (None, None) => None, // fact ∘ fact = fact
-                    _ => Some(l.effective_evidence() * r.effective_evidence()),
-                };
-                if let Some(floor) = min_evidence {
-                    if evidence.unwrap_or(1.0) < floor {
-                        continue;
-                    }
-                }
-                out.push(Association {
-                    from: l.from,
-                    to: r.to,
-                    evidence,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// The shared join core: build an index over the right mapping's middle
-/// objects, probe the left side (chunked across `cfg`'s worker pool when
-/// large enough), and merge the per-worker buffers in partition order.
-fn compose_inner(
-    left: &Mapping,
-    right: &Mapping,
-    min_evidence: Option<f64>,
-    cfg: &ExecConfig,
-) -> GamResult<Mapping> {
-    if left.to != right.from {
-        return Err(GamError::Invalid(format!(
-            "compose: mappings do not share a source ({} vs {})",
-            left.to, right.from
-        )));
-    }
-    // hash join on the shared middle objects; build side = right
-    let mut by_mid: HashMap<ObjectId, Vec<&Association>> =
-        HashMap::with_capacity(right.pairs.len());
-    for assoc in &right.pairs {
-        by_mid.entry(assoc.from).or_default().push(assoc);
-    }
-    let jobs = cfg.effective_jobs(left.pairs.len());
-    let parts = partitioned(&left.pairs, jobs, |chunk| {
-        probe_chunk(chunk, &by_mid, min_evidence)
-    });
-    Ok(Mapping::from_parts(
-        left.from,
-        right.to,
-        RelType::Composed,
-        parts,
-    ))
-}
-
-/// Compose two in-memory mappings sharing a middle source
-/// (`left.to == right.from`). Output pairs are deduplicated keeping the
-/// strongest evidence. Runs sequentially; see [`compose_par`] for the
-/// partitioned parallel variant (bit-identical output).
-pub fn compose(left: &Mapping, right: &Mapping) -> GamResult<Mapping> {
-    compose_inner(left, right, None, &ExecConfig::sequential())
-}
-
-/// [`compose`] with a partitioned parallel probe: the build-side index is
-/// shared, the left (probe) side is split into contiguous chunks across
-/// `cfg.jobs` scoped threads, and per-worker outputs are merged back in
-/// chunk order before the deterministic dedup — so the result is
-/// bit-identical to [`compose`]. Inputs below `cfg.parallel_threshold`
-/// fall back to the sequential path.
-pub fn compose_par(left: &Mapping, right: &Mapping, cfg: &ExecConfig) -> GamResult<Mapping> {
-    compose_inner(left, right, None, cfg)
-}
-
-/// Compose with an evidence floor: composed associations whose combined
-/// evidence falls below `min_evidence` are dropped. This implements the
-/// paper's future-work direction — "the use of mappings containing
-/// associations of reduced evidence is a promising subject for future
-/// research" — as the simplest sound policy: multiplication for
-/// combination, thresholding for acceptance. The threshold also bounds the
-/// paper's noted risk that "Compose may lead to wrong associations when
-/// the transitivity assumption does not hold": low-confidence chains are
-/// exactly where transitivity breaks.
-///
-/// The floor is applied inside the probe loop, so rejected pairs are never
-/// materialized.
-pub fn compose_with_threshold(
-    left: &Mapping,
-    right: &Mapping,
-    min_evidence: f64,
-) -> GamResult<Mapping> {
-    compose_with_threshold_par(left, right, min_evidence, &ExecConfig::sequential())
-}
-
-/// [`compose_with_threshold`] with the partitioned parallel probe.
-pub fn compose_with_threshold_par(
-    left: &Mapping,
-    right: &Mapping,
-    min_evidence: f64,
-    cfg: &ExecConfig,
-) -> GamResult<Mapping> {
+/// The one validity check for a caller-supplied evidence floor.
+pub(crate) fn check_floor(min_evidence: f64) -> GamResult<()> {
     if !(0.0..=1.0).contains(&min_evidence) || min_evidence.is_nan() {
         return Err(GamError::BadEvidence(min_evidence));
     }
-    compose_inner(left, right, Some(min_evidence), cfg)
-}
-
-/// Compose along a path with an evidence floor applied at every step, so
-/// implausible chains are pruned early instead of multiplying through.
-pub fn compose_path_with_threshold(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    min_evidence: f64,
-) -> GamResult<Mapping> {
-    compose_path_with_threshold_par(store, path, min_evidence, &ExecConfig::sequential())
-}
-
-/// [`compose_path_with_threshold`] with the partitioned parallel probe at
-/// every join step.
-pub fn compose_path_with_threshold_par(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    min_evidence: f64,
-    cfg: &ExecConfig,
-) -> GamResult<Mapping> {
-    if !(0.0..=1.0).contains(&min_evidence) || min_evidence.is_nan() {
-        return Err(GamError::BadEvidence(min_evidence));
-    }
-    if path.len() < 2 {
-        return Err(GamError::Invalid(
-            "compose path needs at least two sources".into(),
-        ));
-    }
-    let mut acc = map(store, path[0], path[1])?;
-    acc.pairs
-        .retain(|a| a.effective_evidence() >= min_evidence);
-    for window in path[1..].windows(2) {
-        let step = map(store, window[0], window[1])?;
-        acc = compose_with_threshold_par(&acc, &step, min_evidence, cfg)?;
-        if acc.is_empty() {
-            break;
-        }
-    }
-    acc.from = path[0];
-    // the len >= 2 guard above makes last() infallible; the fallback
-    // keeps the already-correct endpoint rather than panicking
-    acc.to = path.last().copied().unwrap_or(acc.to);
-    if path.len() > 2 {
-        acc.rel_type = RelType::Composed;
-    }
-    Ok(acc)
-}
-
-/// Compose along a mapping path of sources, loading each step with `Map`.
-/// The path must name at least two sources; a two-source path degenerates
-/// to `Map` itself.
-pub fn compose_path(store: &dyn GamRead, path: &[SourceId]) -> GamResult<Mapping> {
-    compose_path_par(store, path, &ExecConfig::sequential())
-}
-
-/// [`compose_path`] with the partitioned parallel probe at every join step.
-pub fn compose_path_par(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    cfg: &ExecConfig,
-) -> GamResult<Mapping> {
-    if path.len() < 2 {
-        return Err(GamError::Invalid(
-            "compose path needs at least two sources".into(),
-        ));
-    }
-    let mut acc = map(store, path[0], path[1])?;
-    for window in path[1..].windows(2) {
-        let step = map(store, window[0], window[1])?;
-        acc = compose_par(&acc, &step, cfg)?;
-        if acc.is_empty() {
-            // no surviving associations; keep going so the result has the
-            // right endpoints, but no further joins can add pairs
-            break;
-        }
-    }
-    acc.from = path[0];
-    // the len >= 2 guard above makes last() infallible; the fallback
-    // keeps the already-correct endpoint rather than panicking
-    acc.to = path.last().copied().unwrap_or(acc.to);
-    if path.len() > 2 {
-        acc.rel_type = RelType::Composed;
-    }
-    Ok(acc)
+    Ok(())
 }
 
 /// First index `>= start` whose key is `>= target`, found by exponential
@@ -241,38 +55,38 @@ fn gallop(keys: &[ObjectId], start: usize, target: ObjectId) -> usize {
     lo + keys[lo..hi].partition_point(|&k| k < target)
 }
 
-/// Emit one matched middle object: every left association arriving at the
-/// middle (via the inverse view) joins every right association leaving it.
-/// Evidence combines exactly as in [`probe_chunk`], floor included.
+/// Join one left association (forward position `lpos`, domain object
+/// `l_from`) with every right association of domain bucket `j`.
+/// `min_evidence` is applied **during** the join, so pairs below the floor
+/// are never allocated; this equals composing fully and filtering
+/// afterwards because duplicates are later deduped to their maximum
+/// evidence, and the maximum survives the floor iff any duplicate does.
 #[inline]
-fn emit_match(
+fn join_bucket(
     left: &MappingIndex,
+    lpos: usize,
+    l_from: ObjectId,
     right: &MappingIndex,
-    i: usize,
     j: usize,
     min_evidence: Option<f64>,
     out: &mut Vec<Association>,
 ) {
-    for p in left.inv_range(i) {
-        let lpos = left.inv_fwd_pos(p);
-        let l_from = left.inv_from_at(p);
-        let l_ev = left.evidence_at(lpos);
-        for q in right.fwd_range(j) {
-            let evidence = match (l_ev, right.evidence_at(q)) {
-                (None, None) => None, // fact ∘ fact = fact
-                _ => Some(left.effective_evidence_at(lpos) * right.effective_evidence_at(q)),
-            };
-            if let Some(floor) = min_evidence {
-                if evidence.unwrap_or(1.0) < floor {
-                    continue;
-                }
+    let l_ev = left.evidence_at(lpos);
+    for q in right.fwd_range(j) {
+        let evidence = match (l_ev, right.evidence_at(q)) {
+            (None, None) => None, // fact ∘ fact = fact
+            _ => Some(left.effective_evidence_at(lpos) * right.effective_evidence_at(q)),
+        };
+        if let Some(floor) = min_evidence {
+            if evidence.unwrap_or(1.0) < floor {
+                continue;
             }
-            out.push(Association {
-                from: l_from,
-                to: right.to_at(q),
-                evidence,
-            });
         }
+        out.push(Association {
+            from: l_from,
+            to: right.to_at(q),
+            evidence,
+        });
     }
 }
 
@@ -298,7 +112,12 @@ fn merge_join_idx(
         } else if rk[j] < lk[i] {
             j = if gallop_right { gallop(rk, j, lk[i]) } else { j + 1 };
         } else {
-            emit_match(left, right, i, j, min_evidence, &mut out);
+            // every left association arriving at the shared middle
+            // object (via the inverse view) joins every right one leaving it
+            for p in left.inv_range(i) {
+                let lpos = left.inv_fwd_pos(p);
+                join_bucket(left, lpos, left.inv_from_at(p), right, j, min_evidence, &mut out);
+            }
             i += 1;
             j += 1;
         }
@@ -330,25 +149,7 @@ fn hash_join_idx(
             let l_from = left.domain_keys()[i];
             for p in left.fwd_range(i) {
                 if let Some(&j) = by_mid.get(&left.to_at(p)) {
-                    let l_ev = left.evidence_at(p);
-                    for q in right.fwd_range(j) {
-                        let evidence = match (l_ev, right.evidence_at(q)) {
-                            (None, None) => None,
-                            _ => Some(
-                                left.effective_evidence_at(p) * right.effective_evidence_at(q),
-                            ),
-                        };
-                        if let Some(floor) = min_evidence {
-                            if evidence.unwrap_or(1.0) < floor {
-                                continue;
-                            }
-                        }
-                        out.push(Association {
-                            from: l_from,
-                            to: right.to_at(q),
-                            evidence,
-                        });
-                    }
+                    join_bucket(left, p, l_from, right, j, min_evidence, &mut out);
                 }
             }
         }
@@ -356,13 +157,10 @@ fn hash_join_idx(
     })
 }
 
-/// The CSR join core: pick a [`JoinStrategy`] — the stats-driven cost
-/// model when `cfg.plan`, the legacy fixed `effective_jobs` heuristic
-/// otherwise — then run the canonical dedup. All strategies emit the same
+/// The join core: pick a [`JoinStrategy`] from the operands' statistics,
+/// run it, then the canonical dedup. All strategies emit the same
 /// association multiset, and the dedup is a pure function of that
-/// multiset, so the resulting index is bit-identical whichever is chosen —
-/// and bit-identical to composing the equivalent `Vec`-based mappings with
-/// [`compose`].
+/// multiset, so the resulting index is bit-identical whichever is chosen.
 fn compose_idx_inner(
     left: &MappingIndex,
     right: &MappingIndex,
@@ -375,18 +173,7 @@ fn compose_idx_inner(
             left.to, right.from
         )));
     }
-    let strategy = if cfg.plan {
-        cost::choose_strategy(left.stats(), right.stats(), cfg)
-    } else {
-        let jobs = cfg.effective_jobs(left.len());
-        if jobs > 1 {
-            JoinStrategy::Hash { jobs }
-        } else {
-            let (gl, gr) = cost::gallop_flags(left.range_keys().len(), right.domain_keys().len());
-            JoinStrategy::Gallop { left: gl, right: gr }
-        }
-    };
-    let parts = match strategy {
+    let parts = match cost::choose_strategy(left.stats(), right.stats(), cfg) {
         JoinStrategy::Hash { jobs } => hash_join_idx(left, right, min_evidence, jobs),
         JoinStrategy::Merge => vec![merge_join_idx(left, right, min_evidence, false, false)],
         JoinStrategy::Gallop { left: gl, right: gr } => {
@@ -398,9 +185,8 @@ fn compose_idx_inner(
     Ok(MappingIndex::build(merged))
 }
 
-/// [`compose`] over CSR indexes: a sorted merge join when sequential, the
-/// partitioned hash probe above `cfg`'s parallel threshold. The result is
-/// bit-identical to `compose(left.to_mapping(), right.to_mapping())`.
+/// Compose two mappings sharing a middle source (`left.to == right.from`).
+/// Output pairs are deduplicated keeping the strongest evidence.
 pub fn compose_idx(
     left: &MappingIndex,
     right: &MappingIndex,
@@ -409,108 +195,49 @@ pub fn compose_idx(
     compose_idx_inner(left, right, None, cfg)
 }
 
-/// [`compose_with_threshold`] over CSR indexes; the floor is applied
-/// during the join, exactly as in the `Vec`-based probe.
+/// [`compose_idx`] with an evidence floor: composed associations whose
+/// combined evidence falls below `min_evidence` are dropped.
 pub fn compose_idx_with_threshold(
     left: &MappingIndex,
     right: &MappingIndex,
     min_evidence: f64,
     cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    if !(0.0..=1.0).contains(&min_evidence) || min_evidence.is_nan() {
-        return Err(GamError::BadEvidence(min_evidence));
-    }
+    check_floor(min_evidence)?;
     compose_idx_inner(left, right, Some(min_evidence), cfg)
 }
 
-/// The naive caller-order fold shared by the `plan: false` path and the
-/// planner's step-load-failure fallback. Steps load lazily and the fold
-/// breaks as soon as the accumulator empties, so a chain that empties
-/// before a missing step never observes the missing mapping — the planner
-/// falls back here precisely to reproduce that error-or-empty behaviour.
-pub(crate) fn fold_chain_idx(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    floor: Option<f64>,
-    cfg: &ExecConfig,
-) -> GamResult<MappingIndex> {
-    let mut acc = map_index(store, path[0], path[1])?;
-    if let Some(f) = floor {
-        acc = acc.filter_evidence(f);
-    }
-    for window in path[1..].windows(2) {
-        let step = map_index(store, window[0], window[1])?;
-        acc = match floor {
-            Some(f) => compose_idx_with_threshold(&acc, &step, f, cfg)?,
-            None => compose_idx(&acc, &step, cfg)?,
-        };
-        if acc.is_empty() {
-            break;
-        }
-    }
-    acc.from = path[0];
-    // the callers' len >= 2 guard makes last() infallible; the fallback
-    // keeps the already-correct endpoint rather than panicking
-    acc.to = path.last().copied().unwrap_or(acc.to);
-    if path.len() > 2 {
-        acc.rel_type = RelType::Composed;
-    }
-    Ok(acc)
-}
-
-/// [`compose_path`] over CSR indexes: each step is loaded with
-/// [`map_index`] (the batched `OBJECT_REL` scan when a single stored
-/// mapping backs the step) and joined with [`compose_idx`]. When
-/// `cfg.plan`, the chain routes through [`crate::plan::plan_chain`] —
-/// bit-identical output, stats-chosen join strategies and rewrites.
+/// Compose along a mapping path of sources, loading each step with
+/// [`map_index`](crate::simple::map_index). The path must name at least
+/// two sources; a two-source path degenerates to `Map` itself. The chain
+/// is planned and executed by [`crate::plan::plan_chain`].
 pub fn compose_path_idx(
     store: &dyn GamRead,
     path: &[SourceId],
     cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    if path.len() < 2 {
-        return Err(GamError::Invalid(
-            "compose path needs at least two sources".into(),
-        ));
-    }
-    if cfg.plan {
-        let idx = crate::plan::plan_chain(store, path, None, cfg, None)?;
-        return Ok(Arc::try_unwrap(idx).unwrap_or_else(|a| (*a).clone()));
-    }
-    fold_chain_idx(store, path, None, cfg)
+    crate::plan::plan_chain(store, path, None, cfg, None).map(Arc::unwrap_or_clone)
 }
 
-/// [`compose_path_with_threshold`] over CSR indexes; plans like
-/// [`compose_path_idx`], with the floor eligible for pushdown.
+/// [`compose_path_idx`] with an evidence floor applied at every step, so
+/// implausible chains are pruned early instead of multiplying through.
 pub fn compose_path_idx_with_threshold(
     store: &dyn GamRead,
     path: &[SourceId],
     min_evidence: f64,
     cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    if !(0.0..=1.0).contains(&min_evidence) || min_evidence.is_nan() {
-        return Err(GamError::BadEvidence(min_evidence));
-    }
-    if path.len() < 2 {
-        return Err(GamError::Invalid(
-            "compose path needs at least two sources".into(),
-        ));
-    }
-    if cfg.plan {
-        let idx = crate::plan::plan_chain(store, path, Some(min_evidence), cfg, None)?;
-        return Ok(Arc::try_unwrap(idx).unwrap_or_else(|a| (*a).clone()));
-    }
-    fold_chain_idx(store, path, Some(min_evidence), cfg)
+    crate::plan::plan_chain(store, path, Some(min_evidence), cfg, None).map(Arc::unwrap_or_clone)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gam::model::{SourceContent, SourceStructure};
-    use gam::ObjectId;
+    use gam::GamStore;
 
-    fn m(from: u32, to: u32, pairs: &[(u64, u64, Option<f64>)]) -> Mapping {
-        Mapping {
+    fn m(from: u32, to: u32, pairs: &[(u64, u64, Option<f64>)]) -> MappingIndex {
+        MappingIndex::build(Mapping {
             from: SourceId(from),
             to: SourceId(to),
             rel_type: RelType::Fact,
@@ -522,7 +249,16 @@ mod tests {
                     evidence: e,
                 })
                 .collect(),
-        }
+        })
+    }
+
+    fn compose(left: &MappingIndex, right: &MappingIndex) -> GamResult<Mapping> {
+        compose_idx(left, right, &ExecConfig::sequential()).map(|i| i.to_mapping())
+    }
+
+    fn compose_floor(left: &MappingIndex, right: &MappingIndex, f: f64) -> GamResult<Mapping> {
+        compose_idx_with_threshold(left, right, f, &ExecConfig::sequential())
+            .map(|i| i.to_mapping())
     }
 
     #[test]
@@ -572,10 +308,13 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_sources_rejected() {
+    fn bad_inputs_rejected() {
         let ab = m(1, 2, &[]);
         let cd = m(3, 4, &[]);
-        assert!(compose(&ab, &cd).is_err());
+        assert!(compose(&ab, &cd).is_err(), "no shared middle source");
+        let bc = m(2, 3, &[]);
+        assert!(compose_floor(&ab, &bc, 1.5).is_err());
+        assert!(compose_floor(&ab, &bc, f64::NAN).is_err());
     }
 
     #[test]
@@ -583,8 +322,9 @@ mod tests {
         let ab = m(1, 2, &[(1, 10, Some(0.5)), (2, 11, None)]);
         let bc = m(2, 3, &[(10, 20, Some(0.8)), (11, 21, None)]);
         let cd = m(3, 4, &[(20, 30, None), (21, 31, Some(0.5))]);
-        let left = compose(&compose(&ab, &bc).unwrap(), &cd).unwrap();
-        let right = compose(&ab, &compose(&bc, &cd).unwrap()).unwrap();
+        let cfg = ExecConfig::sequential();
+        let left = compose(&compose_idx(&ab, &bc, &cfg).unwrap(), &cd).unwrap();
+        let right = compose(&ab, &compose_idx(&bc, &cd, &cfg).unwrap()).unwrap();
         assert_eq!(left.pairs.len(), right.pairs.len());
         for (l, r) in left.pairs.iter().zip(&right.pairs) {
             assert_eq!((l.from, l.to), (r.from, r.to));
@@ -603,93 +343,98 @@ mod tests {
         let all = compose(&ab, &bc).unwrap();
         assert_eq!(all.len(), 2);
         // threshold 0.5 keeps only the strong chain
-        let strong = compose_with_threshold(&ab, &bc, 0.5).unwrap();
+        let strong = compose_floor(&ab, &bc, 0.5).unwrap();
         assert_eq!(strong.len(), 1);
         assert_eq!(strong.pairs[0].from, ObjectId(1));
         // threshold 0 is the identity policy
-        let same = compose_with_threshold(&ab, &bc, 0.0).unwrap();
-        assert_eq!(same.len(), all.len());
+        assert_eq!(compose_floor(&ab, &bc, 0.0).unwrap(), all);
         // facts (evidence 1.0) always survive
         let facts = m(1, 2, &[(1, 2, None)]);
         let more = m(2, 3, &[(2, 3, None)]);
-        assert_eq!(compose_with_threshold(&facts, &more, 0.99).unwrap().len(), 1);
-        // invalid thresholds rejected
-        assert!(compose_with_threshold(&ab, &bc, 1.5).is_err());
-        assert!(compose_with_threshold(&ab, &bc, f64::NAN).is_err());
+        assert_eq!(compose_floor(&facts, &more, 0.99).unwrap().len(), 1);
     }
 
     #[test]
-    fn parallel_compose_is_bit_identical() {
-        // deterministic pseudo-random mapping large enough to exercise
-        // several partitions, with duplicate pairs and mixed evidence
-        let mut state = 0x9e3779b97f4a7c15u64;
+    fn threshold_in_join_equals_filter_after() {
+        // the join-time floor must match compose-then-retain, including
+        // where two derivations of one pair straddle the floor
+        let left = m(1, 2, &[(1, 10, Some(0.9)), (1, 11, Some(0.3)), (2, 11, None), (3, 10, Some(0.4))]);
+        let right = m(2, 3, &[(10, 20, Some(0.7)), (11, 20, None), (11, 22, Some(0.2))]);
+        let mut reference = compose(&left, &right).unwrap();
+        reference.pairs.retain(|a| a.effective_evidence() >= 0.5);
+        assert_eq!(compose_floor(&left, &right, 0.5).unwrap(), reference);
+    }
+
+    fn bits(pairs: &[Association]) -> Vec<(ObjectId, ObjectId, Option<u64>)> {
+        pairs
+            .iter()
+            .map(|a| (a.from, a.to, a.evidence.map(f64::to_bits)))
+            .collect()
+    }
+
+    /// Deterministic pseudo-random mapping pair sharing a middle source.
+    fn random_pair(seed: u64, n: usize, left_dom: u64, mid: u64, right_dom: u64) -> (MappingIndex, MappingIndex) {
+        let mut state = seed;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
         };
-        let mut left = m(1, 2, &[]);
-        let mut right = m(2, 3, &[]);
-        for _ in 0..5_000 {
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for _ in 0..n {
             let e = match next() % 3 {
                 0 => None,
                 _ => Some((next() % 1000) as f64 / 1000.0),
             };
-            left.pairs.push(Association {
-                from: ObjectId(next() % 200),
-                to: ObjectId(next() % 150),
-                evidence: e,
-            });
-            right.pairs.push(Association {
-                from: ObjectId(next() % 150),
-                to: ObjectId(next() % 200),
-                evidence: e.map(|v| 1.0 - v),
-            });
+            left.push((next() % left_dom, next() % mid, e));
+            right.push((next() % mid, next() % right_dom, e.map(|v| 1.0 - v)));
         }
-        let seq = compose(&left, &right).unwrap();
-        for jobs in [2, 3, 4, 8] {
-            let cfg = ExecConfig {
-                jobs,
-                parallel_threshold: 0,
-                plan: true,
-            };
-            let par = compose_par(&left, &right, &cfg).unwrap();
-            assert_eq!(par, seq, "jobs={jobs}");
-            let seq_t = compose_with_threshold(&left, &right, 0.25).unwrap();
-            let par_t = compose_with_threshold_par(&left, &right, 0.25, &cfg).unwrap();
-            assert_eq!(par_t, seq_t, "threshold jobs={jobs}");
+        (m(1, 2, &left), m(2, 3, &right))
+    }
+
+    /// The three physical joins, called directly: stepping merge, every
+    /// galloping flag combination, and the hash probe at several partition
+    /// counts must dedup to the same bits, with and without a floor.
+    #[test]
+    fn merge_gallop_and_hash_emit_the_same_pairs() {
+        // balanced, left-heavy and right-heavy key counts, and empty sides
+        let shapes = [
+            random_pair(0x9e3779b97f4a7c15, 400, 40, 30, 40),
+            random_pair(7, 300, 500, 300, 4),
+            random_pair(11, 300, 4, 12, 500),
+            random_pair(13, 0, 10, 10, 10),
+        ];
+        for (k, (l, r)) in shapes.iter().enumerate() {
+            for floor in [None, Some(0.25)] {
+                let canon = |parts| {
+                    bits(&Mapping::from_parts(l.from, r.to, RelType::Composed, parts).pairs)
+                };
+                let merge = canon(vec![merge_join_idx(l, r, floor, false, false)]);
+                for (gl, gr) in [(true, false), (false, true), (true, true)] {
+                    let gallop = canon(vec![merge_join_idx(l, r, floor, gl, gr)]);
+                    assert_eq!(gallop, merge, "shape {k} floor {floor:?} gallop {gl}/{gr}");
+                }
+                for jobs in [1, 2, 3, 8] {
+                    let hash = canon(hash_join_idx(l, r, floor, jobs));
+                    assert_eq!(hash, merge, "shape {k} floor {floor:?} hash jobs={jobs}");
+                }
+            }
         }
     }
 
     #[test]
-    fn threshold_in_probe_equals_filter_after() {
-        // the probe-time floor must match the old compose-then-retain
-        // semantics, including on duplicate pairs with mixed evidence
-        let left = m(
-            1,
-            2,
-            &[(1, 10, Some(0.9)), (1, 10, Some(0.3)), (2, 11, None), (3, 10, Some(0.4))],
-        );
-        let right = m(2, 3, &[(10, 20, Some(0.7)), (10, 21, None), (11, 22, Some(0.2))]);
-        let mut reference = compose(&left, &right).unwrap();
-        reference.pairs.retain(|a| a.effective_evidence() >= 0.5);
-        let filtered = compose_with_threshold(&left, &right, 0.5).unwrap();
-        assert_eq!(filtered, reference);
-    }
-
-    #[test]
-    fn below_threshold_inputs_stay_sequential() {
-        // tiny input + huge threshold: effective_jobs must be 1, and the
-        // result identical either way
-        let left = m(1, 2, &[(1, 10, None)]);
-        let right = m(2, 3, &[(10, 20, None)]);
-        let cfg = ExecConfig::with_jobs(8);
-        assert_eq!(cfg.effective_jobs(left.pairs.len()), 1);
-        assert_eq!(
-            compose_par(&left, &right, &cfg).unwrap(),
-            compose(&left, &right).unwrap()
-        );
+    fn gallop_finds_lower_bound() {
+        let keys: Vec<ObjectId> = (0..100).map(|i| ObjectId(i * 2)).collect();
+        for start in [0, 3, 50, 99] {
+            for target in [0u64, 1, 7, 120, 198, 199, 500] {
+                let got = gallop(&keys, start, ObjectId(target));
+                let want = start
+                    + keys[start..].partition_point(|&k| k < ObjectId(target));
+                assert_eq!(got, want, "start={start} target={target}");
+            }
+        }
     }
 
     #[test]
@@ -707,184 +452,31 @@ mod tests {
         for (i, &src) in ids.iter().enumerate() {
             objs.push(s.create_object(src, &format!("o{i}"), None, None).unwrap());
         }
-        for w in ids.windows(2) {
+        for (i, w) in ids.windows(2).enumerate() {
             let rel = s
                 .create_source_rel(w[0], w[1], RelType::Fact, None)
                 .unwrap();
-            let i = ids.iter().position(|x| *x == w[0]).unwrap();
             s.add_association(rel, objs[i], objs[i + 1], None).unwrap();
         }
-        let m = compose_path(&s, &ids).unwrap();
-        assert_eq!(m.from, ids[0]);
-        assert_eq!(m.to, ids[3]);
-        assert_eq!(m.rel_type, RelType::Composed);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.pairs[0].from, objs[0]);
-        assert_eq!(m.pairs[0].to, objs[3]);
+        let cfg = ExecConfig::sequential();
+        let m = compose_path_idx(&s, &ids, &cfg).unwrap();
+        assert_eq!((m.from, m.to, m.rel_type), (ids[0], ids[3], RelType::Composed));
+        assert_eq!(m.to_mapping().pairs, vec![Association::fact(objs[0], objs[3])]);
 
         // two-source path is just Map
-        let m2 = compose_path(&s, &ids[..2]).unwrap();
+        let m2 = compose_path_idx(&s, &ids[..2], &cfg).unwrap();
         assert_eq!(m2.rel_type, RelType::Fact);
-        // degenerate path rejected
-        assert!(compose_path(&s, &ids[..1]).is_err());
-        // missing step mapping surfaces as NoMapping
-        assert!(matches!(
-            compose_path(&s, &[ids[0], ids[2]]),
-            Err(GamError::NoMapping { .. })
-        ));
-    }
-
-    fn bits(m: &Mapping) -> Vec<(ObjectId, ObjectId, Option<u64>)> {
-        m.pairs
-            .iter()
-            .map(|a| (a.from, a.to, a.evidence.map(f64::to_bits)))
-            .collect()
-    }
-
-    /// Deterministic pseudo-random mapping pair sharing a middle source.
-    fn random_pair(seed: u64, n: usize, left_dom: u64, mid: u64, right_dom: u64) -> (Mapping, Mapping) {
-        let mut state = seed;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut left = m(1, 2, &[]);
-        let mut right = m(2, 3, &[]);
-        for _ in 0..n {
-            let e = match next() % 3 {
-                0 => None,
-                _ => Some((next() % 1000) as f64 / 1000.0),
-            };
-            left.pairs.push(Association {
-                from: ObjectId(next() % left_dom),
-                to: ObjectId(next() % mid),
-                evidence: e,
-            });
-            right.pairs.push(Association {
-                from: ObjectId(next() % mid),
-                to: ObjectId(next() % right_dom),
-                evidence: e.map(|v| 1.0 - v),
-            });
-        }
-        (left, right)
-    }
-
-    #[test]
-    fn csr_compose_is_bit_identical_to_vec_compose() {
-        // several shapes: balanced, left-skewed and right-skewed key
-        // counts (exercising both gallop directions), empty sides
-        let shapes = [
-            random_pair(0x9e3779b97f4a7c15, 4_000, 200, 150, 200),
-            random_pair(7, 2_000, 3_000, 2_000, 8),
-            random_pair(11, 2_000, 8, 40, 3_000),
-            random_pair(13, 0, 10, 10, 10),
-        ];
-        for (k, (left, right)) in shapes.iter().enumerate() {
-            let reference = compose(left, right).unwrap();
-            let li = MappingIndex::build(left.clone());
-            let ri = MappingIndex::build(right.clone());
-            // compose() dedups its inputs implicitly through from_parts
-            // only on the *output*; the CSR build canonicalizes the
-            // inputs, so compare against composing the canonical inputs
-            let reference_canon = compose(&li.to_mapping(), &ri.to_mapping()).unwrap();
-            assert_eq!(bits(&reference_canon), bits(&reference), "shape {k}: input dedup changes nothing");
-            for jobs in [1, 2, 3, 8] {
-                // both the cost-model strategy choice and the legacy
-                // effective_jobs heuristic must hit the same bits
-                for plan in [true, false] {
-                    let cfg = ExecConfig {
-                        jobs,
-                        parallel_threshold: 0,
-                        plan,
-                    };
-                    let idx = compose_idx(&li, &ri, &cfg).unwrap();
-                    assert_eq!(
-                        bits(&idx.to_mapping()),
-                        bits(&reference),
-                        "shape {k} jobs={jobs} plan={plan}"
-                    );
-                    assert_eq!(idx.from, reference.from);
-                    assert_eq!(idx.to, reference.to);
-                    assert_eq!(idx.rel_type, RelType::Composed);
-                    let t = compose_with_threshold(left, right, 0.25).unwrap();
-                    let ti = compose_idx_with_threshold(&li, &ri, 0.25, &cfg).unwrap();
-                    assert_eq!(
-                        bits(&ti.to_mapping()),
-                        bits(&t),
-                        "threshold shape {k} jobs={jobs} plan={plan}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn csr_compose_rejects_bad_inputs() {
-        let ab = MappingIndex::build(m(1, 2, &[]));
-        let cd = MappingIndex::build(m(3, 4, &[]));
-        let cfg = ExecConfig::sequential();
-        assert!(compose_idx(&ab, &cd, &cfg).is_err());
-        let bc = MappingIndex::build(m(2, 3, &[]));
-        assert!(compose_idx_with_threshold(&ab, &bc, 1.5, &cfg).is_err());
-        assert!(compose_idx_with_threshold(&ab, &bc, f64::NAN, &cfg).is_err());
-    }
-
-    #[test]
-    fn gallop_finds_lower_bound() {
-        let keys: Vec<ObjectId> = (0..100).map(|i| ObjectId(i * 2)).collect();
-        for start in [0, 3, 50, 99] {
-            for target in [0u64, 1, 7, 120, 198, 199, 500] {
-                let got = gallop(&keys, start, ObjectId(target));
-                let want = start
-                    + keys[start..].partition_point(|&k| k < ObjectId(target));
-                assert_eq!(got, want, "start={start} target={target}");
-            }
-        }
-    }
-
-    #[test]
-    fn csr_compose_path_matches_vec_path() {
-        let mut s = GamStore::in_memory().unwrap();
-        let ids: Vec<SourceId> = ["A", "B", "C"]
-            .iter()
-            .map(|n| {
-                s.create_source(n, SourceContent::Gene, SourceStructure::Flat, None)
-                    .unwrap()
-                    .id
-            })
-            .collect();
-        let mut objs = [Vec::new(), Vec::new(), Vec::new()];
-        for (i, &src) in ids.iter().enumerate() {
-            for j in 0..6 {
-                objs[i].push(s.create_object(src, &format!("o{i}_{j}"), None, None).unwrap());
-            }
-        }
-        for w in 0..2 {
-            let rel = s
-                .create_source_rel(ids[w], ids[w + 1], RelType::Similarity, None)
-                .unwrap();
-            for j in 0..6 {
-                for k in 0..3 {
-                    s.add_association(rel, objs[w][j], objs[w + 1][(j + k) % 6], Some(0.5 + 0.08 * k as f64))
-                        .unwrap();
-                }
-            }
-        }
-        let cfg = ExecConfig::sequential();
-        let vec_path = compose_path(&s, &ids).unwrap();
-        let idx_path = compose_path_idx(&s, &ids, &cfg).unwrap();
-        assert_eq!(bits(&idx_path.to_mapping()), bits(&vec_path));
-        assert_eq!((idx_path.from, idx_path.to, idx_path.rel_type), (vec_path.from, vec_path.to, vec_path.rel_type));
-
-        let vec_t = compose_path_with_threshold(&s, &ids, 0.3).unwrap();
-        let idx_t = compose_path_idx_with_threshold(&s, &ids, 0.3, &cfg).unwrap();
-        assert_eq!(bits(&idx_t.to_mapping()), bits(&vec_t));
-
-        // degenerate paths rejected identically
+        // degenerate path and invalid floor rejected
         assert!(compose_path_idx(&s, &ids[..1], &cfg).is_err());
         assert!(compose_path_idx_with_threshold(&s, &ids[..1], 0.5, &cfg).is_err());
-        assert!(compose_path_idx_with_threshold(&s, &ids, 2.0, &cfg).is_err());
+        assert!(matches!(
+            compose_path_idx_with_threshold(&s, &ids, 2.0, &cfg),
+            Err(GamError::BadEvidence(_))
+        ));
+        // missing step mapping surfaces as NoMapping
+        assert!(matches!(
+            compose_path_idx(&s, &[ids[0], ids[2]], &cfg),
+            Err(GamError::NoMapping { .. })
+        ));
     }
 }

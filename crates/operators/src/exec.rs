@@ -1,47 +1,28 @@
 //! Execution configuration and the scoped-thread partitioning primitive
-//! shared by the parallel operators.
+//! shared by the operators.
 //!
 //! The mapping algebra parallelizes along two independent axes:
 //!
-//! * **within one join** — `Compose` chunks its probe side across a worker
-//!   pool over a shared build-side index ([`crate::compose::compose_par`]);
+//! * **within one join** — above [`PARALLEL_THRESHOLD`](crate::plan::cost::PARALLEL_THRESHOLD)
+//!   `Compose` partitions its probe side across a worker pool over a
+//!   shared build-side table (the `Hash` join strategy);
 //! * **across view columns** — `GenerateView` resolves each target's
 //!   Map/Compose + restrict pipeline concurrently and only folds the final
-//!   AND/OR join sequentially ([`crate::view::generate_view_par`]).
+//!   AND/OR join sequentially.
 //!
 //! Both axes preserve bit-identical output: partitions are contiguous
 //! in-order slices of the probe side, per-worker buffers are merged back in
 //! partition order, and the final `Mapping::dedup` / row sort are the same
 //! total orders the sequential path applies. Determinism therefore does not
 //! depend on thread scheduling.
-//!
-//! Workers are plain `std::thread::scope` threads; small inputs fall back
-//! to the sequential code below [`ExecConfig::parallel_threshold`], where
-//! thread spawn overhead would dominate the join itself.
 
-/// Tunables for parallel operator execution.
+/// The one execution tunable: how many worker threads an operation may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Maximum number of worker threads per operation. `0` and `1` both
     /// mean fully sequential execution.
     pub jobs: usize,
-    /// Probe-side size (in associations) below which a join runs
-    /// sequentially even when `jobs > 1`.
-    pub parallel_threshold: usize,
-    /// Route `compose_path_idx*` / `generate_view_idx` through the
-    /// cost-based planner (`crate::plan`): stats-driven join strategy,
-    /// floor/restrict pushdown, fact-chain reordering, and shared path
-    /// prefixes across a view's targets. Output is bit-identical either
-    /// way (pinned by `tests/plan_prop.rs`); `false` preserves literal
-    /// caller-order execution and is what the planner itself uses as the
-    /// equivalence baseline.
-    pub plan: bool,
 }
-
-/// Default probe-side size under which parallelism is not worth the spawn
-/// cost. Lives in the planner's constants table (`plan::cost`) next to the
-/// other cutovers; re-exported here for the config that carries it.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = crate::plan::cost::PARALLEL_THRESHOLD;
 
 impl Default for ExecConfig {
     fn default() -> Self {
@@ -49,45 +30,19 @@ impl Default for ExecConfig {
             jobs: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            plan: true,
         }
     }
 }
 
 impl ExecConfig {
-    /// Fully sequential execution. The planner stays on: strategy choice
-    /// and rewrites are orthogonal to the worker count.
+    /// Fully sequential execution.
     pub fn sequential() -> Self {
-        ExecConfig {
-            jobs: 1,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            plan: true,
-        }
+        ExecConfig { jobs: 1 }
     }
 
-    /// A config with an explicit worker count and the default threshold.
+    /// A config with an explicit worker count.
     pub fn with_jobs(jobs: usize) -> Self {
-        ExecConfig {
-            jobs,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            plan: true,
-        }
-    }
-
-    /// This config with the planner toggled.
-    pub fn with_plan(mut self, plan: bool) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Worker count actually used for a probe side of `work` items.
-    pub fn effective_jobs(&self, work: usize) -> usize {
-        if self.jobs <= 1 || work < self.parallel_threshold {
-            1
-        } else {
-            self.jobs.min(work)
-        }
+        ExecConfig { jobs }
     }
 }
 
@@ -121,28 +76,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effective_jobs_respects_threshold() {
-        let cfg = ExecConfig {
-            jobs: 8,
-            parallel_threshold: 100,
-            plan: true,
-        };
-        assert_eq!(cfg.effective_jobs(99), 1);
-        assert_eq!(cfg.effective_jobs(100), 8);
-        assert_eq!(cfg.effective_jobs(1_000_000), 8);
-        assert_eq!(ExecConfig::sequential().effective_jobs(1_000_000), 1);
-        // never more workers than items
-        let tiny = ExecConfig {
-            jobs: 8,
-            parallel_threshold: 0,
-            plan: true,
-        };
-        assert_eq!(tiny.effective_jobs(3), 3);
-        // jobs = 0 behaves like 1
-        assert_eq!(ExecConfig { jobs: 0, parallel_threshold: 0, plan: true }.effective_jobs(10), 1);
-    }
 
     #[test]
     fn partitioned_preserves_order() {

@@ -2,42 +2,30 @@
 //!
 //! | Paper operation      | Here |
 //! |----------------------|------|
-//! | `Map(S, T)`          | [`simple::map`] |
-//! | `Domain(map)`        | [`gam::Mapping::domain`] |
-//! | `Range(map)`         | [`gam::Mapping::range`] |
-//! | `RestrictDomain`     | [`gam::Mapping::restrict_domain`] |
-//! | `RestrictRange`      | [`gam::Mapping::restrict_range`] |
-//! | `Compose`            | [`compose::compose`] / [`compose::compose_path`] |
+//! | `Map(S, T)`          | [`simple::map`] / [`map_index`] (CSR form) |
+//! | `Domain(map)`        | [`gam::Mapping::domain`] / [`gam::MappingIndex::domain`] |
+//! | `Range(map)`         | [`gam::Mapping::range`] / [`gam::MappingIndex::range`] |
+//! | `RestrictDomain`     | [`gam::Mapping::restrict_domain`] / [`gam::MappingIndex::restrict_domain`] |
+//! | `RestrictRange`      | [`gam::Mapping::restrict_range`] / [`gam::MappingIndex::restrict_range`] |
+//! | `Compose`            | [`compose_idx`] / [`compose_path_idx`] (+ `_with_threshold`) |
 //! | Subsumed derivation  | [`subsume::subsume`] |
-//! | `GenerateView`       | [`view::generate_view`] (Figure 5, verbatim) |
+//! | `GenerateView`       | [`generate_view_idx`] (Figure 5) |
 //!
 //! Results of general interest — Composed mappings and Subsumed closures —
 //! can be [materialized](materialize) back into the central database, the
 //! paper's mechanism for supporting frequent queries.
 //!
-//! `Compose` and `GenerateView` additionally come in `_par` variants
-//! ([`compose_par`], [`generate_view_par`]) that execute the join probe and
-//! the per-target resolution pipelines on a scoped-thread worker pool
-//! configured by [`exec::ExecConfig`] — with output bit-identical to the
-//! sequential operators (see [`exec`] for the determinism argument).
-//!
-//! The `_idx` variants ([`compose_idx`], [`compose_path_idx`],
-//! [`map_index`], [`generate_view_idx`]) operate on the CSR
-//! [`gam::MappingIndex`] — the representation the GenMapper system caches.
-//! Sequential `compose_idx` is a sorted merge join over the two indexes'
-//! key arrays (galloping on heavy size skew); above the parallel threshold
-//! it falls back to the partitioned hash probe. Restrictions and
-//! `GenerateView` probes become binary searches over the offset arrays.
-//! Every `_idx` operator is pinned bit-identical to its `Vec`-based
-//! counterpart by `tests/csr_prop.rs`.
-//!
-//! The `_idx` entry points route through the cost-based planner
-//! ([`plan`]) by default (`ExecConfig::plan`): per-index build-time
-//! statistics drive join-strategy selection, evidence-floor pushdown,
-//! fact-chain reordering, and shared path prefixes across a view's
-//! targets — with output pinned bit-identical to naive caller-order
-//! execution by `tests/plan_prop.rs`, and [`plan::ExplainNode`] surfacing
-//! the chosen plan for the CLI/serve `explain` verbs.
+//! There is one executor. `Compose` and `GenerateView` operate on the CSR
+//! [`gam::MappingIndex`] — the representation the GenMapper system caches —
+//! and every chain runs through [`plan`]: per-index build-time statistics
+//! pick merge, galloping merge or partitioned hash per join, evidence
+//! floors are pushed down, fact chains reordered and path prefixes shared
+//! across a view's targets, each rewrite gated so the output is
+//! bit-identical to the definition. The definition itself — nested-loop
+//! `Compose`, Figure 5 verbatim — lives in `baselines::naive` as the test
+//! oracle (`tests/algebra_equiv.rs`). [`exec::ExecConfig`] carries the one
+//! tunable, the worker count; [`plan::ExplainNode`] surfaces the chosen
+//! plan for the CLI/serve `explain` verbs.
 
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
@@ -54,20 +42,13 @@ pub mod subsume;
 pub mod view;
 
 pub use compose::{
-    compose, compose_idx, compose_idx_with_threshold, compose_par, compose_path,
-    compose_path_idx, compose_path_idx_with_threshold, compose_path_par,
-    compose_path_with_threshold, compose_path_with_threshold_par, compose_with_threshold,
-    compose_with_threshold_par,
+    compose_idx, compose_idx_with_threshold, compose_path_idx, compose_path_idx_with_threshold,
 };
 pub use exec::ExecConfig;
 pub use plan::{explain_view, plan_chain, plan_chain_explain, ExplainNode, ViewContext};
 pub use setops::{difference, intersect, union};
-pub use simple::{
-    map, map_index, map_or_compose, map_or_compose_idx, map_or_compose_par, DirectResolver,
-    MappingResolver,
-};
+pub use simple::{map, map_index};
 pub use subsume::subsume;
 pub use view::{
-    generate_view, generate_view_idx, generate_view_par, AnnotationView, BuildIndexResolver,
-    Combine, IndexResolver, TargetSpec, ViewQuery,
+    generate_view_idx, AnnotationView, Combine, IndexResolver, TargetSpec, ViewQuery,
 };

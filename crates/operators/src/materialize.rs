@@ -7,23 +7,31 @@
 //! any imported mapping, which is how repeated queries are accelerated
 //! (ablation A3 in DESIGN.md).
 
+use crate::exec::ExecConfig;
 use gam::model::RelType;
-use gam::{GamResult, GamStore, Mapping, SourceRelId};
+use gam::{GamError, GamResult, GamStore, Mapping, SourceRelId};
 
 /// Store a derived mapping. `derivation` documents how it was produced
 /// (e.g. the mapping path `"Unigene-LocusLink-GO"`). If a mapping of the
 /// same derived type with the same derivation already exists between the
 /// two sources, it is dropped and rebuilt (re-materialization after new
 /// imports). Returns the mapping id and the number of associations stored.
+///
+/// Only derived (Composed / Subsumed) mappings are accepted: the
+/// drop-previous step deletes by `(type, derivation)`, so letting an
+/// imported type through could delete an imported mapping that happens to
+/// carry the same derivation string.
 pub fn materialize(
     store: &mut GamStore,
     mapping: &Mapping,
     derivation: &str,
 ) -> GamResult<(SourceRelId, usize)> {
-    debug_assert!(
-        mapping.rel_type.is_derived(),
-        "only derived mappings are materialized"
-    );
+    if !mapping.rel_type.is_derived() {
+        return Err(GamError::Invalid(format!(
+            "only derived mappings are materialized, not {:?}",
+            mapping.rel_type
+        )));
+    }
     // drop any previous materialization with the same derivation
     for rel in store.source_rels_between(mapping.from, mapping.to)? {
         if rel.rel_type == mapping.rel_type && rel.derivation.as_deref() == Some(derivation) {
@@ -52,8 +60,8 @@ pub fn materialize_composed(
     store: &mut GamStore,
     path: &[gam::SourceId],
 ) -> GamResult<(SourceRelId, usize)> {
-    let composed = crate::compose::compose_path(&*store, path)?;
-    let mut composed = composed;
+    let mut composed =
+        crate::compose::compose_path_idx(&*store, path, &ExecConfig::sequential())?.to_mapping();
     composed.rel_type = RelType::Composed;
     let names: GamResult<Vec<String>> = path
         .iter()
@@ -119,6 +127,32 @@ mod tests {
         assert_eq!(before.mappings, after.mappings);
         assert_eq!(before.associations, after.associations);
         assert!(s.get_source_rel(rel1).is_err());
+    }
+
+    #[test]
+    fn imported_mapping_types_are_refused_and_untouched() {
+        let (mut s, ids) = three_source_store();
+        // an imported Fact mapping that happens to carry a derivation string
+        let a1 = s.create_object(ids[0], "a1", None, None).unwrap();
+        let c0 = s.find_object(ids[2], "c0").unwrap().unwrap().id;
+        let imported = s
+            .create_source_rel(ids[0], ids[2], RelType::Fact, Some("A-B-C"))
+            .unwrap();
+        s.add_association(imported, a1, c0, None).unwrap();
+        let before = s.cardinalities().unwrap();
+
+        let mut fact = map(&s, ids[0], ids[2]).unwrap();
+        assert_eq!(fact.rel_type, RelType::Fact);
+        let err = materialize(&mut s, &fact, "A-B-C").unwrap_err();
+        assert!(matches!(err, GamError::Invalid(_)), "{err}");
+        assert_eq!(s.cardinalities().unwrap(), before, "store untouched");
+        assert_eq!(s.load_mapping(imported).unwrap().len(), 1);
+
+        // the same associations as a derived mapping are accepted and leave
+        // the imported one alone
+        fact.rel_type = RelType::Composed;
+        materialize(&mut s, &fact, "A-B-C").unwrap();
+        assert_eq!(s.load_mapping(imported).unwrap().len(), 1);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Cost-based planning for mapping-algebra pipelines (DESIGN.md §14).
+//! The executor for mapping-algebra pipelines (DESIGN.md §6): every
+//! Compose chain and every view target with an explicit path runs here.
 //!
-//! Caller-order execution treats a Compose chain or a view's per-target
-//! pipelines as a fixed program. This module treats them as a *query*: every
-//! [`MappingIndex`] carries [`IndexStats`] collected at build time, the
-//! [`cost`] model turns those stats into cardinality estimates and a join
-//! strategy per Compose, and a small set of rewrite rules reshape the chain
-//! before execution:
+//! A chain is treated as a *query*, not a fixed program: every
+//! [`MappingIndex`] carries [`IndexStats`](gam::IndexStats) collected at
+//! build time, the [`cost`] model turns those stats into cardinality
+//! estimates and a join strategy per Compose, and a small set of rewrite
+//! rules reshape the chain before execution:
 //!
 //! * **floor pushdown** — an evidence floor on the chain result is applied
 //!   to every step up front when all step evidences lie in `[0, 1]`
@@ -17,14 +17,15 @@
 //! * **shared prefixes** — path prefixes occurring in several of a view's
 //!   targets are composed once and memoized ([`ViewContext`]).
 //!
-//! Everything the planner does is **bit-identical** to naive caller-order
-//! execution (`ExecConfig::with_plan(false)`), pinned by
-//! `tests/plan_prop.rs`: rewrites outside the gates above are not taken,
-//! and every join strategy emits the same association multiset into the
-//! same canonical dedup. [`ExplainNode`] surfaces the chosen plan with
-//! estimated vs actual cardinalities for the CLI/serve `explain` verbs.
+//! Every rewrite is gated so the result is **bit-identical** to the
+//! definition — the lazy caller-order left fold written down as
+//! `baselines::naive` and compared by `tests/algebra_equiv.rs`: rewrites
+//! outside the gates above are not taken, and every join strategy emits
+//! the same association multiset into the same canonical dedup.
+//! [`ExplainNode`] surfaces the chosen plan with estimated vs actual
+//! cardinalities for the CLI/serve `explain` verbs.
 
-use crate::compose::{compose_idx, compose_idx_with_threshold, fold_chain_idx};
+use crate::compose::{check_floor, compose_idx, compose_idx_with_threshold};
 use crate::exec::ExecConfig;
 use crate::simple::map_index;
 use crate::view::{IndexResolver, ViewQuery};
@@ -41,13 +42,11 @@ pub mod cost {
     /// Key-count ratio above which the sorted merge join advances the
     /// cursor on the larger key array by exponential (galloping) search
     /// instead of stepping. One sided: each side is checked against the
-    /// other independently. Formerly hardcoded in `compose.rs`.
+    /// other independently.
     pub const GALLOP_RATIO: usize = 16;
 
     /// Probe-side size (in associations) below which a join is not worth
     /// parallelizing: thread spawn overhead dominates the join itself.
-    /// Formerly hardcoded in `exec.rs`; `ExecConfig::default()` carries it
-    /// as `parallel_threshold`.
     pub const PARALLEL_THRESHOLD: usize = 8_192;
 
     /// Per-side galloping decision for a merge join over `left_keys` vs
@@ -96,11 +95,10 @@ pub mod cost {
     /// Pick the strategy for `left ∘ right` from stats: hash when the
     /// probe side or the estimated output clears the parallel threshold
     /// and there are partitions to hand out; galloping merge on heavy key
-    /// skew; plain merge otherwise. Replaces the fixed
-    /// `effective_jobs(probe_len)` heuristic.
+    /// skew; plain merge otherwise.
     pub fn choose_strategy(left: &IndexStats, right: &IndexStats, cfg: &ExecConfig) -> JoinStrategy {
         let work = (left.len as f64).max(estimate_join(left, right));
-        if cfg.jobs > 1 && work >= cfg.parallel_threshold as f64 {
+        if cfg.jobs > 1 && work >= PARALLEL_THRESHOLD as f64 {
             let jobs = cfg.jobs.min(left.domain_keys.max(1)).min(left.len.max(1));
             if jobs > 1 {
                 return JoinStrategy::Hash { jobs };
@@ -229,9 +227,8 @@ impl ViewContext {
 }
 
 /// Plan and execute a Compose chain over `path`, with an optional evidence
-/// floor. This is the planner seam: `compose_path_idx*` and
-/// `generate_view_idx` route here when `cfg.plan`, and the result is
-/// bit-identical to their naive caller-order folds.
+/// floor. `compose_path_idx*` and `generate_view_idx` both run their
+/// chains here.
 pub fn plan_chain(
     store: &dyn GamRead,
     path: &[SourceId],
@@ -255,10 +252,10 @@ pub fn plan_chain_explain(
     Ok((idx, node))
 }
 
-/// Resolve `from → to`: direct mapping when one exists, otherwise a planned
-/// Compose chain over `path`. Mirrors `simple::map_or_compose_idx`'s
-/// direct-map-first semantics exactly.
-pub fn resolve_path_idx(
+/// Resolve `from → to` for a view target with an explicit path: the
+/// direct mapping when one exists ("Map or Compose", Figure 5), otherwise
+/// a planned Compose chain over `path`.
+pub(crate) fn resolve_path_idx(
     store: &dyn GamRead,
     from: SourceId,
     to: SourceId,
@@ -276,6 +273,34 @@ pub fn resolve_path_idx(
 fn empty_chain(path: &[SourceId]) -> MappingIndex {
     let last = path.last().copied().unwrap_or(path[0]);
     MappingIndex::empty(path[0], last, RelType::Composed)
+}
+
+/// The lazy caller-order fold, run only when a step fails to load. Steps
+/// load one at a time and the fold breaks as soon as the accumulator
+/// empties, so a chain that empties before a missing step never observes
+/// the missing mapping and one that reaches it reports that step's error —
+/// the behaviour eager loading cannot reproduce.
+fn fold_chain(
+    store: &dyn GamRead,
+    path: &[SourceId],
+    floor: Option<f64>,
+    cfg: &ExecConfig,
+) -> GamResult<MappingIndex> {
+    let mut acc = map_index(store, path[0], path[1])?;
+    if let Some(f) = floor {
+        acc = acc.filter_evidence(f);
+    }
+    for window in path[1..].windows(2) {
+        let step = map_index(store, window[0], window[1])?;
+        acc = compose_step(&acc, &step, floor, cfg)?;
+        if acc.is_empty() {
+            break;
+        }
+    }
+    acc.from = path[0];
+    acc.to = path.last().copied().unwrap_or(acc.to);
+    acc.rel_type = RelType::Composed;
+    Ok(acc)
 }
 
 fn compose_step(
@@ -316,12 +341,9 @@ fn plan_chain_inner(
     ctx: Option<&ViewContext>,
     traced: bool,
 ) -> GamResult<(Arc<MappingIndex>, Option<ExplainNode>)> {
-    // Validation order matches the naive entry points: floor first
-    // (compose_path_idx_with_threshold), then the length check.
+    // Validation order: floor first, then the length check.
     if let Some(f) = floor {
-        if !(0.0..=1.0).contains(&f) || f.is_nan() {
-            return Err(GamError::BadEvidence(f));
-        }
+        check_floor(f)?;
     }
     if path.len() < 2 {
         return Err(GamError::Invalid(
@@ -329,8 +351,7 @@ fn plan_chain_inner(
         ));
     }
     if path.len() == 2 {
-        // Single hop: no join to plan. Identical to the naive fold's
-        // degenerate case (load, optionally prefilter, no fixups needed).
+        // Single hop: no join to plan, just Map (optionally floored).
         let mut acc = map_index(store, path[0], path[1])?;
         if let Some(f) = floor {
             acc = acc.filter_evidence(f);
@@ -351,15 +372,14 @@ fn plan_chain_inner(
         .unwrap_or((1, None));
 
     // Load the remaining steps eagerly — the rewrites below need all the
-    // stats up front. If any step fails to load, fall back to the naive
-    // lazy fold: it reproduces the exact error-or-early-empty behaviour
-    // (a chain that empties before a missing step never observes it).
+    // stats up front. If any step fails to load, fall back to the lazy
+    // fold, which decides between that step's error and an early empty.
     let mut steps: Vec<MappingIndex> = Vec::with_capacity(path.len() - consumed);
     for w in path[consumed - 1..].windows(2) {
         match map_index(store, w[0], w[1]) {
             Ok(m) => steps.push(m),
             Err(_) => {
-                let idx = fold_chain_idx(store, path, floor, cfg)?;
+                let idx = fold_chain(store, path, floor, cfg)?;
                 let node = traced
                     .then(|| ExplainNode::leaf("naive fold (step load failed)".into(), idx.len()));
                 return Ok((Arc::new(idx), node));
@@ -370,7 +390,7 @@ fn plan_chain_inner(
     // Rewrite: push the evidence floor beneath every Compose. Sound when
     // all step evidences lie in [0, 1]: products only shrink, so a step
     // association below the floor cannot survive in any result. Otherwise
-    // keep the naive shape (prefilter the first step only).
+    // keep the definition's shape (prefilter the first step only).
     let mut pushed_down = false;
     if let Some(f) = floor {
         let safe = steps
@@ -386,8 +406,8 @@ fn plan_chain_inner(
         }
     }
 
-    // An empty step empties the whole chain — exactly the naive fold's
-    // early break, which also yields an empty Composed index path[0]→last.
+    // An empty step empties the whole chain: the result is the empty
+    // Composed index path[0]→last.
     if acc.as_deref().is_some_and(MappingIndex::is_empty)
         || steps.iter().any(MappingIndex::is_empty)
     {
@@ -437,8 +457,8 @@ fn plan_chain_inner(
             }
             items[best] = joined;
             if items[best].is_empty() {
-                // Relation emptiness is order-independent: the naive fold
-                // ends empty too, with the same canonical empty index.
+                // Relation emptiness is order-independent: the caller-order
+                // fold ends empty too, with the same canonical empty index.
                 let node = traced.then(|| ExplainNode::leaf("empty chain".into(), 0));
                 return Ok((Arc::new(empty_chain(path)), node));
             }
@@ -453,7 +473,7 @@ fn plan_chain_inner(
         return Ok((Arc::new(result), node));
     }
 
-    // Left fold — the naive association order — with shared-prefix
+    // Left fold — the caller's association order — with shared-prefix
     // memoization. A memo hit or miss yields bit-identical results, so the
     // Mutex's scheduling nondeterminism cannot leak into output.
     let mut steps = steps.into_iter();
@@ -503,8 +523,8 @@ fn plan_chain_inner(
         }
     }
 
-    // Endpoint fixups, mirroring the naive fold's. In-place when the Arc
-    // is unshared; a memoized full-path hit already carries them.
+    // Endpoint fixups. In-place when the Arc is unshared; a memoized
+    // full-path hit already carries them.
     let last = path.last().copied().unwrap_or(path[0]);
     if acc_arc.from != path[0] || acc_arc.to != last || acc_arc.rel_type != RelType::Composed {
         let mut owned = Arc::try_unwrap(acc_arc).unwrap_or_else(|a| (*a).clone());
@@ -635,11 +655,7 @@ mod tests {
     #[test]
     fn choose_strategy_covers_all_three_arms() {
         let seq = ExecConfig::sequential();
-        let par = ExecConfig {
-            jobs: 4,
-            parallel_threshold: 100,
-            plan: true,
-        };
+        let par = ExecConfig::with_jobs(4);
         // Balanced small inputs merge.
         let a = stats(50, 50, 50);
         assert_eq!(cost::choose_strategy(&a, &a, &seq), cost::JoinStrategy::Merge);
@@ -660,6 +676,11 @@ mod tests {
                 right: true
             }
         );
+        // Below the parallel threshold extra workers change nothing.
+        assert_eq!(cost::choose_strategy(&a, &a, &par), cost::JoinStrategy::Merge);
+        let n = cost::PARALLEL_THRESHOLD - 1;
+        let under = stats(n, n, n);
+        assert_eq!(cost::choose_strategy(&under, &under, &par), cost::JoinStrategy::Merge);
         // Big probe side with jobs available hashes.
         let big = stats(10_000, 5_000, 5_000);
         assert_eq!(

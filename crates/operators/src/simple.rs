@@ -1,4 +1,4 @@
-//! The `Map` operation and the mapping-resolution abstraction.
+//! The `Map` operation.
 
 use gam::{GamError, GamRead, GamResult, Mapping, MappingIndex, SourceId};
 #[cfg(test)]
@@ -71,70 +71,6 @@ pub fn map_index(store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult
         return store.load_mapping_index(forward[0].id);
     }
     Ok(MappingIndex::build(map(store, from, to)?))
-}
-
-/// [`map_or_compose`] in CSR form: try [`map_index`] first, fall back to
-/// the merge-join [`crate::compose::compose_path_idx`] along the path.
-pub fn map_or_compose_idx(
-    store: &dyn GamRead,
-    from: SourceId,
-    to: SourceId,
-    path: &[SourceId],
-    cfg: &crate::exec::ExecConfig,
-) -> GamResult<MappingIndex> {
-    match map_index(store, from, to) {
-        Ok(m) => Ok(m),
-        Err(GamError::NoMapping { .. }) => crate::compose::compose_path_idx(store, path, cfg),
-        Err(e) => Err(e),
-    }
-}
-
-/// How `GenerateView` obtains the mapping `Mi: S ↔ Ti` — "using either the
-/// Map or Compose operation" (Figure 5). Implementations may search the
-/// source graph for a mapping path; [`DirectResolver`] only uses `Map`.
-///
-/// `Sync` is required so one resolver can serve the concurrent per-target
-/// resolution of [`crate::view::generate_view_par`].
-pub trait MappingResolver: Sync {
-    /// Produce a mapping oriented `from → to`.
-    fn resolve(&self, store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<Mapping>;
-}
-
-/// Resolver that only retrieves directly stored mappings.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DirectResolver;
-
-impl MappingResolver for DirectResolver {
-    fn resolve(&self, store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<Mapping> {
-        map(store, from, to)
-    }
-}
-
-/// Try `Map` first; if no direct mapping exists, compose along the given
-/// path (which must start at `from` and end at `to`).
-pub fn map_or_compose(
-    store: &dyn GamRead,
-    from: SourceId,
-    to: SourceId,
-    path: &[SourceId],
-) -> GamResult<Mapping> {
-    map_or_compose_par(store, from, to, path, &crate::exec::ExecConfig::sequential())
-}
-
-/// [`map_or_compose`] with the partitioned parallel probe for the Compose
-/// fallback.
-pub fn map_or_compose_par(
-    store: &dyn GamRead,
-    from: SourceId,
-    to: SourceId,
-    path: &[SourceId],
-    cfg: &crate::exec::ExecConfig,
-) -> GamResult<Mapping> {
-    match map(store, from, to) {
-        Ok(m) => Ok(m),
-        Err(GamError::NoMapping { .. }) => crate::compose::compose_path_par(store, path, cfg),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -211,25 +147,6 @@ mod tests {
     fn missing_mapping_is_an_error() {
         let (s, a, b, _, _) = setup();
         assert!(matches!(map(&s, a, b), Err(GamError::NoMapping { .. })));
-        assert!(DirectResolver.resolve(&s, a, b).is_err());
-    }
-
-    #[test]
-    fn map_or_compose_falls_back_to_path() {
-        let (mut s, a, b, ao, bo) = setup();
-        let c = s
-            .create_source("C", SourceContent::Gene, SourceStructure::Flat, None)
-            .unwrap()
-            .id;
-        let co = s.create_object(c, "c0", None, None).unwrap();
-        let r1 = s.create_source_rel(a, c, RelType::Fact, None).unwrap();
-        let r2 = s.create_source_rel(c, b, RelType::Fact, None).unwrap();
-        s.add_association(r1, ao[0], co, None).unwrap();
-        s.add_association(r2, co, bo[0], None).unwrap();
-        let m = map_or_compose(&s, a, b, &[a, c, b]).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.pairs[0].from, ao[0]);
-        assert_eq!(m.pairs[0].to, bo[0]);
     }
 
     #[test]

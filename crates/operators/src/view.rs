@@ -1,4 +1,4 @@
-//! `GenerateView` — the paper's Figure 5 algorithm, verbatim.
+//! `GenerateView` — the paper's Figure 5 algorithm.
 //!
 //! ```text
 //! GenerateView(S, s, T1, t1, ..., Tm, tm, [AND|OR], {negated})
@@ -18,13 +18,17 @@
 //!
 //! The result is "a view of m+1 attributes, S, T1, ..., Tm, containing
 //! tuples of related objects from the corresponding sources".
+//!
+//! Each `Mi` is a shared CSR [`MappingIndex`]: restriction, negation and
+//! the evidence floor run as offset-array probes on the immutable index,
+//! so no per-call copy or hash map of `Mi` is built. The literal
+//! set-at-a-time transcription of the figure lives in `baselines::naive`
+//! as the test oracle.
 
 use crate::exec::ExecConfig;
-use crate::simple::MappingResolver;
+use crate::plan::ViewContext;
 use gam::{GamRead, GamResult, MappingIndex, ObjectId, SourceId};
-#[cfg(test)]
-use gam::GamStore;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// How per-target sub-mappings are combined into the view (paper §4.2:
@@ -187,68 +191,15 @@ impl AnnotationView {
     }
 }
 
-/// Resolve one target column: determine `Mi` (Map or Compose along the
-/// explicit path), apply the evidence floor, restrict to `s` and `ti`, and
-/// handle negation — everything in Figure 5 up to, but excluding, the
-/// AND/OR join fold. The result maps each surviving source object to its
-/// annotation values (empty = object present with NULL, e.g. negation).
-fn resolve_target(
-    store: &dyn GamRead,
-    query: &ViewQuery,
-    spec: &TargetSpec,
-    s: &BTreeSet<ObjectId>,
-    resolver: &dyn MappingResolver,
-    cfg: &ExecConfig,
-) -> GamResult<HashMap<ObjectId, Vec<ObjectId>>> {
-    // Determine Mi: S↔Ti, using Map or Compose.
-    let mut mi_full = match &spec.path {
-        Some(path) => {
-            crate::simple::map_or_compose_par(store, query.source, spec.target, path, cfg)?
-        }
-        None => resolver.resolve(store, query.source, spec.target)?,
-    };
-    if let Some(threshold) = spec.min_evidence {
-        if !(0.0..=1.0).contains(&threshold) || threshold.is_nan() {
-            return Err(gam::GamError::BadEvidence(threshold));
-        }
-        mi_full
-            .pairs
-            .retain(|a| a.effective_evidence() >= threshold);
-    }
-    // mi = RestrictRange(RestrictDomain(Mi, s), ti)
-    let mut mi = mi_full.restrict_domain(s);
-    if let Some(ti) = &spec.objects {
-        mi = mi.restrict_range(ti);
-    }
-    // Negation: preserve exactly the objects without the annotation.
-    if spec.negated {
-        let covered = mi.domain();
-        let s_hat: BTreeSet<ObjectId> = s.difference(&covered).copied().collect();
-        let m_hat = mi_full.restrict_domain(&s_hat);
-        // right outer join with sî on S: every object of sî appears,
-        // with its other associations or NULL
-        let mut out: HashMap<ObjectId, Vec<ObjectId>> = HashMap::with_capacity(s_hat.len());
-        for assoc in &m_hat.pairs {
-            out.entry(assoc.from).or_default().push(assoc.to);
-        }
-        for &obj in &s_hat {
-            out.entry(obj).or_default();
-        }
-        Ok(out)
-    } else {
-        let mut out: HashMap<ObjectId, Vec<ObjectId>> = HashMap::new();
-        for assoc in &mi.pairs {
-            out.entry(assoc.from).or_default().push(assoc.to);
-        }
-        Ok(out)
-    }
-}
-
-/// How [`generate_view_idx`] obtains the CSR index of `Mi: S ↔ Ti`.
-/// Implementations can hand out shared, pre-built indexes behind an
-/// [`Arc`] — the GenMapper system's versioned cache does exactly that, so
-/// repeated views probe one immutable index instead of rebuilding per-call
-/// hash maps.
+/// How [`generate_view_idx`] obtains the CSR index of `Mi: S ↔ Ti` —
+/// "using either the Map or Compose operation" (Figure 5) — for targets
+/// without an explicit path. Implementations may search the source graph
+/// for a mapping path, and can hand out shared, pre-built indexes behind
+/// an [`Arc`]: the GenMapper system's versioned cache does exactly that,
+/// so repeated views probe one immutable index.
+///
+/// `Sync` is required so one resolver can serve the concurrent per-target
+/// resolution of [`generate_view_idx`].
 pub trait IndexResolver: Sync {
     /// Produce the canonical index of the mapping oriented `from → to`.
     fn resolve_index(
@@ -257,23 +208,6 @@ pub trait IndexResolver: Sync {
         from: SourceId,
         to: SourceId,
     ) -> GamResult<Arc<MappingIndex>>;
-}
-
-/// Adapter building a fresh [`MappingIndex`] from whatever a plain
-/// [`MappingResolver`] returns. Deliberately a wrapper rather than a
-/// blanket impl, so resolvers holding pre-built indexes (e.g. a cache)
-/// implement [`IndexResolver`] directly and skip the rebuild.
-pub struct BuildIndexResolver<'a>(pub &'a dyn MappingResolver);
-
-impl IndexResolver for BuildIndexResolver<'_> {
-    fn resolve_index(
-        &self,
-        store: &dyn GamRead,
-        from: SourceId,
-        to: SourceId,
-    ) -> GamResult<Arc<MappingIndex>> {
-        Ok(Arc::new(MappingIndex::build(self.0.resolve(store, from, to)?)))
-    }
 }
 
 /// One resolved target column in mini-CSR form: `keys` are the surviving
@@ -294,13 +228,10 @@ impl TargetColumn {
     }
 }
 
-/// [`resolve_target`] over a shared CSR index: the same Figure 5 steps,
-/// but restriction and negation run as offset-array probes on the
-/// immutable index — no per-call `HashMap` is built over `Mi`, and the
-/// evidence floor is tested per position during the probe instead of
-/// materializing a filtered copy of the mapping. When `cfg.plan`, explicit
-/// paths resolve through the planner seam ([`crate::plan::resolve_path_idx`]),
-/// sharing composed prefixes across the view's targets via `ctx`.
+/// Resolve one target column: determine `Mi` (Map or Compose along the
+/// explicit path, sharing composed prefixes across the view's targets via
+/// `ctx`; the resolver otherwise), then project it — everything in
+/// Figure 5 up to, but excluding, the AND/OR join fold.
 fn resolve_target_idx(
     store: &dyn GamRead,
     query: &ViewQuery,
@@ -308,22 +239,11 @@ fn resolve_target_idx(
     s: &BTreeSet<ObjectId>,
     resolver: &dyn IndexResolver,
     cfg: &ExecConfig,
-    ctx: Option<&crate::plan::ViewContext>,
+    ctx: &ViewContext,
 ) -> GamResult<TargetColumn> {
-    // Determine Mi: S↔Ti, using Map or Compose.
     let mi: Arc<MappingIndex> = match &spec.path {
         Some(path) => {
-            if cfg.plan {
-                crate::plan::resolve_path_idx(store, query.source, spec.target, path, cfg, ctx)?
-            } else {
-                Arc::new(crate::simple::map_or_compose_idx(
-                    store,
-                    query.source,
-                    spec.target,
-                    path,
-                    cfg,
-                )?)
-            }
+            crate::plan::resolve_path_idx(store, query.source, spec.target, path, cfg, Some(ctx))?
         }
         None => resolver.resolve_index(store, query.source, spec.target)?,
     };
@@ -332,20 +252,18 @@ fn resolve_target_idx(
 
 /// The restriction/negation/floor half of [`resolve_target_idx`]: project
 /// an already-resolved `Mi` into its mini-CSR column over the source
-/// objects `s`. Split out so the planner's instrumented explain run can
-/// reuse it verbatim.
+/// objects `s` — a surviving source object maps to its annotation values
+/// (empty = object present with NULL, e.g. negation). Split out so the
+/// planner's instrumented explain run can reuse it verbatim.
 pub(crate) fn project_target_column(
     mi: &MappingIndex,
     spec: &TargetSpec,
     s: &BTreeSet<ObjectId>,
 ) -> GamResult<TargetColumn> {
     if let Some(threshold) = spec.min_evidence {
-        if !(0.0..=1.0).contains(&threshold) || threshold.is_nan() {
-            return Err(gam::GamError::BadEvidence(threshold));
-        }
+        crate::compose::check_floor(threshold)?;
     }
-    // keep iff effective evidence clears the floor — identical to the
-    // `retain` the Vec-based path performs up front
+    // keep iff effective evidence clears the floor
     let keep = |pos: usize| match spec.min_evidence {
         Some(floor) => mi.effective_evidence_at(pos) >= floor,
         None => true,
@@ -407,119 +325,15 @@ pub(crate) fn project_target_column(
 }
 
 /// Execute `GenerateView` against a store, resolving mappings with
-/// `resolver` (falling back to each target's explicit path when given).
-/// Runs sequentially; see [`generate_view_par`].
-pub fn generate_view(
-    store: &dyn GamRead,
-    query: &ViewQuery,
-    resolver: &dyn MappingResolver,
-) -> GamResult<AnnotationView> {
-    generate_view_par(store, query, resolver, &ExecConfig::sequential())
-}
-
-/// [`generate_view`] with parallel per-target resolution: each
-/// `TargetSpec`'s Map/Compose + restrict pipeline is independent of the
-/// others, so all target columns are resolved concurrently on scoped
-/// threads; only the final AND/OR join fold runs sequentially in target
-/// order, preserving row semantics. Each per-target pipeline is itself the
-/// sequential code, so the folded rows — and after the final sort, the
-/// whole view — are bit-identical to the sequential result. Errors
-/// surface in target order, matching the sequential path.
-pub fn generate_view_par(
-    store: &dyn GamRead,
-    query: &ViewQuery,
-    resolver: &dyn MappingResolver,
-    cfg: &ExecConfig,
-) -> GamResult<AnnotationView> {
-    // V = s — start with all given source objects.
-    let s: BTreeSet<ObjectId> = match &query.objects {
-        Some(set) => set.clone(),
-        None => store.object_ids_of(query.source)?.into_iter().collect(),
-    };
-
-    let target_jobs = if cfg.jobs > 1 { cfg.jobs.min(query.targets.len()) } else { 1 };
-    let resolved: Vec<GamResult<HashMap<ObjectId, Vec<ObjectId>>>> = if target_jobs > 1 {
-        // one worker per target (capped at cfg.jobs); the per-target
-        // pipelines run their inner joins sequentially to keep the total
-        // thread count bounded by cfg.jobs
-        let inner = ExecConfig::sequential();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = query
-                .targets
-                .iter()
-                .map(|spec| {
-                    let s = &s;
-                    let inner = &inner;
-                    scope.spawn(move || resolve_target(store, query, spec, s, resolver, inner))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
-        })
-    } else {
-        query
-            .targets
-            .iter()
-            .map(|spec| resolve_target(store, query, spec, &s, resolver, cfg))
-            .collect()
-    };
-
-    // Fold sequentially, in target order (AND/OR join semantics).
-    let mut rows: Vec<Vec<Option<ObjectId>>> = s.iter().map(|&o| vec![Some(o)]).collect();
-    for pairs in resolved {
-        let pairs = pairs?;
-        // V = V inner join / left outer join mi on S.
-        let mut next = Vec::with_capacity(rows.len());
-        for row in rows {
-            // the source column is Some by construction; a row without
-            // it carries no join key and can match nothing
-            let Some(&Some(key)) = row.first() else {
-                continue;
-            };
-            match pairs.get(&key) {
-                Some(values) if !values.is_empty() => {
-                    for &v in values {
-                        let mut extended = row.clone();
-                        extended.push(Some(v));
-                        next.push(extended);
-                    }
-                }
-                Some(_) => {
-                    // object present with no associations (negated targets)
-                    let mut extended = row;
-                    extended.push(None);
-                    next.push(extended);
-                }
-                None => match query.combine {
-                    Combine::And => {} // inner join drops the row
-                    Combine::Or => {
-                        let mut extended = row;
-                        extended.push(None);
-                        next.push(extended);
-                    }
-                },
-            }
-        }
-        rows = next;
-    }
-
-    let mut view = AnnotationView {
-        source: query.source,
-        targets: query.targets.iter().map(|t| t.target).collect(),
-        rows,
-    };
-    view.sort();
-    Ok(view)
-}
-
-/// `GenerateView` over CSR indexes: per-target resolution probes shared
-/// [`MappingIndex`]es (via `resolver`) instead of rebuilding a `HashMap`
-/// per call, with the same parallel per-target scaffolding as
-/// [`generate_view_par`]. Output is bit-identical to
-/// [`generate_view`]/[`generate_view_par`] with an equivalent resolver,
-/// and errors surface in target order exactly like the sequential path.
+/// `resolver` (or along each target's explicit path when given).
+///
+/// Each `TargetSpec`'s Map/Compose + restrict pipeline is independent of
+/// the others, so with `cfg.jobs > 1` all target columns are resolved
+/// concurrently on scoped threads; only the final AND/OR join fold runs
+/// sequentially in target order, preserving row semantics. Each per-target
+/// pipeline is itself the sequential code, so the folded rows — and after
+/// the final sort, the whole view — are bit-identical whatever `cfg.jobs`
+/// is, and errors surface in target order.
 pub fn generate_view_idx(
     store: &dyn GamRead,
     query: &ViewQuery,
@@ -532,15 +346,16 @@ pub fn generate_view_idx(
         None => store.object_ids_of(query.source)?.into_iter().collect(),
     };
 
-    // Planner context: shared path prefixes across this view's targets.
-    // A memo hit and a miss produce bit-identical indexes, so sharing is
-    // safe even across the concurrently-resolved targets below.
-    let ctx = cfg.plan.then(|| crate::plan::ViewContext::new(query));
-    let ctx = ctx.as_ref();
+    // Shared path prefixes across this view's targets. A memo hit and a
+    // miss produce bit-identical indexes, so sharing is safe even across
+    // the concurrently-resolved targets below.
+    let ctx = &ViewContext::new(query);
 
     let target_jobs = if cfg.jobs > 1 { cfg.jobs.min(query.targets.len()) } else { 1 };
     let resolved: Vec<GamResult<TargetColumn>> = if target_jobs > 1 {
-        let inner = ExecConfig::sequential().with_plan(cfg.plan);
+        // one worker per target; the per-target pipelines run their inner
+        // joins sequentially to keep the total thread count bounded
+        let inner = ExecConfig::sequential();
         std::thread::scope(|scope| {
             let handles: Vec<_> = query
                 .targets
@@ -626,8 +441,26 @@ pub(crate) fn fold_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simple::DirectResolver;
     use gam::model::{RelType, SourceContent, SourceStructure};
+    use gam::GamStore;
+
+    /// Resolver that only retrieves directly stored mappings.
+    struct Direct;
+
+    impl IndexResolver for Direct {
+        fn resolve_index(
+            &self,
+            store: &dyn GamRead,
+            from: SourceId,
+            to: SourceId,
+        ) -> GamResult<Arc<MappingIndex>> {
+            crate::simple::map_index(store, from, to).map(Arc::new)
+        }
+    }
+
+    fn generate_view(store: &GamStore, query: &ViewQuery) -> GamResult<AnnotationView> {
+        generate_view_idx(store, query, &Direct, &ExecConfig::sequential())
+    }
 
     /// Fixture: loci annotated with GO terms and OMIM diseases.
     /// locus l0: go g0, omim o0
@@ -688,12 +521,12 @@ mod tests {
     #[test]
     fn empty_target_list_returns_source_subset() {
         let f = fix();
-        let view = generate_view(&f.store, &ViewQuery::new(f.s), &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &ViewQuery::new(f.s)).unwrap();
         assert_eq!(view.len(), 4);
         assert_eq!(view.source_objects().len(), 4);
         // restricted
         let q = ViewQuery::new(f.s).objects([f.l[1], f.l[2]].into());
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.source_objects(), [f.l[1], f.l[2]].into());
     }
 
@@ -703,7 +536,7 @@ mod tests {
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::all(f.go))
             .combine(Combine::Or);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         // l0: 1 row, l1: 2 rows, l2: NULL row, l3: NULL row
         assert_eq!(view.len(), 5);
         assert!(view.rows.contains(&vec![Some(f.l[2]), None]));
@@ -719,7 +552,7 @@ mod tests {
             .target(TargetSpec::all(f.go))
             .target(TargetSpec::all(f.omim))
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         // only l0 has both GO and OMIM annotations
         assert_eq!(view.source_objects(), [f.l[0]].into());
         assert_eq!(view.rows, vec![vec![Some(f.l[0]), Some(f.g[0]), Some(f.o[0])]]);
@@ -732,8 +565,8 @@ mod tests {
             .target(TargetSpec::all(f.go))
             .target(TargetSpec::all(f.omim));
         let and_view =
-            generate_view(&f.store, &base.clone().combine(Combine::And), &DirectResolver).unwrap();
-        let or_view = generate_view(&f.store, &base.combine(Combine::Or), &DirectResolver).unwrap();
+            generate_view(&f.store, &base.clone().combine(Combine::And)).unwrap();
+        let or_view = generate_view(&f.store, &base.combine(Combine::Or)).unwrap();
         for row in &and_view.rows {
             assert!(or_view.rows.contains(row), "AND row {row:?} missing from OR");
         }
@@ -747,7 +580,7 @@ mod tests {
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::restricted(f.go, [f.g[1]].into()))
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.source_objects(), [f.l[1]].into());
     }
 
@@ -758,7 +591,7 @@ mod tests {
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::all(f.omim).negated())
             .combine(Combine::And);
-        let negated = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let negated = generate_view(&f.store, &q).unwrap();
         assert_eq!(negated.source_objects(), [f.l[1], f.l[3]].into());
         // all negated rows carry NULL in the OMIM column
         assert!(negated.rows.iter().all(|r| r[1].is_none()));
@@ -767,7 +600,7 @@ mod tests {
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::all(f.omim))
             .combine(Combine::And);
-        let positive = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let positive = generate_view(&f.store, &q).unwrap();
         assert_eq!(positive.source_objects(), [f.l[0], f.l[2]].into());
 
         // together they partition s
@@ -790,7 +623,7 @@ mod tests {
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::restricted(f.omim, [f.o[0]].into()).negated())
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.source_objects(), [f.l[1], f.l[2], f.l[3]].into());
         // l2 lacks o0 but has o1, which the right outer join preserves
         assert!(view.rows.contains(&vec![Some(f.l[2]), Some(f.o[1])]));
@@ -807,7 +640,7 @@ mod tests {
             .target(TargetSpec::all(f.go))
             .target(TargetSpec::all(f.omim))
             .combine(Combine::Or);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.targets, vec![f.go, f.omim]);
         // l0: (g0, o0); l1: (g0, NULL), (g1, NULL)
         assert_eq!(view.len(), 3);
@@ -825,7 +658,7 @@ mod tests {
             .unwrap()
             .id;
         let q = ViewQuery::new(f.s).target(TargetSpec::all(lonely));
-        assert!(generate_view(&f.store, &q, &DirectResolver).is_err());
+        assert!(generate_view(&f.store, &q).is_err());
     }
 
     #[test]
@@ -845,7 +678,7 @@ mod tests {
             .objects([f.l[3]].into())
             .target(TargetSpec::all(f.go))
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.len(), 2);
 
         // threshold 0.5 drops the weak link
@@ -853,7 +686,7 @@ mod tests {
             .objects([f.l[3]].into())
             .target(TargetSpec::all(f.go).min_evidence(0.5))
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.rows, vec![vec![Some(f.l[3]), Some(f.g[1])]]);
 
         // threshold above every link: the object no longer counts as
@@ -862,7 +695,7 @@ mod tests {
             .objects([f.l[3]].into())
             .target(TargetSpec::all(f.go).min_evidence(0.99).negated())
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.source_objects(), [f.l[3]].into());
 
         // facts (evidence-free) always pass thresholds
@@ -870,105 +703,16 @@ mod tests {
             .objects([f.l[0]].into())
             .target(TargetSpec::all(f.go).min_evidence(0.99))
             .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
+        let view = generate_view(&f.store, &q).unwrap();
         assert!(!view.is_empty());
 
         // invalid threshold is an error
         let q = ViewQuery::new(f.s).target(TargetSpec::all(f.go).min_evidence(1.5));
-        assert!(generate_view(&f.store, &q, &DirectResolver).is_err());
+        assert!(generate_view(&f.store, &q).is_err());
     }
 
     #[test]
-    fn parallel_view_is_bit_identical() {
-        let f = fix();
-        let queries = [
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go))
-                .target(TargetSpec::all(f.omim))
-                .combine(Combine::Or),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go))
-                .target(TargetSpec::all(f.omim))
-                .combine(Combine::And),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go))
-                .target(TargetSpec::all(f.omim).negated())
-                .combine(Combine::And),
-            ViewQuery::new(f.s)
-                .objects([f.l[0], f.l[1], f.l[2]].into())
-                .target(TargetSpec::restricted(f.go, [f.g[1]].into()))
-                .target(TargetSpec::all(f.omim))
-                .combine(Combine::Or),
-        ];
-        for (i, q) in queries.iter().enumerate() {
-            let seq = generate_view(&f.store, q, &DirectResolver).unwrap();
-            for jobs in [2, 4, 8] {
-                let cfg = ExecConfig {
-                    jobs,
-                    parallel_threshold: 0,
-                    plan: true,
-                };
-                let par = generate_view_par(&f.store, q, &DirectResolver, &cfg).unwrap();
-                assert_eq!(par, seq, "query {i} jobs={jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_view_propagates_first_error_in_target_order() {
-        let mut f = fix();
-        let lonely = f
-            .store
-            .create_source("Lonely", SourceContent::Other, SourceStructure::Flat, None)
-            .unwrap()
-            .id;
-        // two failing targets: the reported error must name the first one
-        // (an invalid threshold on GO), matching the sequential path
-        let q = ViewQuery::new(f.s)
-            .target(TargetSpec::all(f.go).min_evidence(7.0))
-            .target(TargetSpec::all(lonely));
-        let cfg = ExecConfig {
-            jobs: 4,
-            parallel_threshold: 0,
-            plan: true,
-        };
-        let seq_err = generate_view(&f.store, &q, &DirectResolver).unwrap_err();
-        let par_err = generate_view_par(&f.store, &q, &DirectResolver, &cfg).unwrap_err();
-        assert_eq!(par_err.to_string(), seq_err.to_string());
-        assert!(matches!(par_err, gam::GamError::BadEvidence(_)));
-    }
-
-    #[test]
-    fn explicit_path_compose_in_view() {
-        let mut f = fix();
-        // add a second hop: OMIM -> Disease registry; view LocusLink ->
-        // registry via the explicit path
-        let reg = f
-            .store
-            .create_source("Registry", SourceContent::Other, SourceStructure::Flat, None)
-            .unwrap()
-            .id;
-        let r0 = f.store.create_object(reg, "r0", None, None).unwrap();
-        let rel = f
-            .store
-            .create_source_rel(f.omim, reg, RelType::Fact, None)
-            .unwrap();
-        f.store.add_association(rel, f.o[0], r0, None).unwrap();
-        let q = ViewQuery::new(f.s)
-            .target(TargetSpec::all(reg).via(vec![f.s, f.omim, reg]))
-            .combine(Combine::And);
-        let view = generate_view(&f.store, &q, &DirectResolver).unwrap();
-        assert_eq!(view.rows, vec![vec![Some(f.l[0]), Some(r0)]]);
-
-        // the CSR path composes along the same explicit path
-        let idx_view =
-            generate_view_idx(&f.store, &q, &BuildIndexResolver(&DirectResolver), &ExecConfig::sequential())
-                .unwrap();
-        assert_eq!(idx_view, view);
-    }
-
-    #[test]
-    fn csr_view_is_bit_identical_to_reference() {
+    fn view_is_identical_at_every_worker_count() {
         let mut f = fix();
         // add a scored mapping so evidence floors have something to cut
         let sim = f
@@ -1006,45 +750,56 @@ mod tests {
                 .combine(Combine::And),
             ViewQuery::new(f.s).combine(Combine::And),
         ];
-        let resolver = BuildIndexResolver(&DirectResolver);
         for (i, q) in queries.iter().enumerate() {
-            let reference = generate_view(&f.store, q, &DirectResolver).unwrap();
-            let seq = generate_view_idx(&f.store, q, &resolver, &ExecConfig::sequential()).unwrap();
-            assert_eq!(seq, reference, "query {i} sequential");
+            let seq = generate_view(&f.store, q).unwrap();
             for jobs in [2, 4, 8] {
-                let cfg = ExecConfig {
-                    jobs,
-                    parallel_threshold: 0,
-                    plan: true,
-                };
-                let par = generate_view_idx(&f.store, q, &resolver, &cfg).unwrap();
-                assert_eq!(par, reference, "query {i} jobs={jobs}");
+                let par =
+                    generate_view_idx(&f.store, q, &Direct, &ExecConfig::with_jobs(jobs)).unwrap();
+                assert_eq!(par, seq, "query {i} jobs={jobs}");
             }
         }
     }
 
     #[test]
-    fn csr_view_propagates_errors_in_target_order() {
+    fn errors_surface_in_target_order() {
         let mut f = fix();
         let lonely = f
             .store
             .create_source("Lonely", SourceContent::Other, SourceStructure::Flat, None)
             .unwrap()
             .id;
+        // two failing targets: the reported error must name the first one
+        // (an invalid threshold on GO), whatever the worker count
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::all(f.go).min_evidence(7.0))
             .target(TargetSpec::all(lonely));
-        let resolver = BuildIndexResolver(&DirectResolver);
-        let reference = generate_view(&f.store, &q, &DirectResolver).unwrap_err();
         for jobs in [1, 4] {
-            let cfg = ExecConfig {
-                jobs,
-                parallel_threshold: 0,
-                plan: true,
-            };
-            let err = generate_view_idx(&f.store, &q, &resolver, &cfg).unwrap_err();
-            assert_eq!(err.to_string(), reference.to_string(), "jobs={jobs}");
-            assert!(matches!(err, gam::GamError::BadEvidence(_)));
+            let err = generate_view_idx(&f.store, &q, &Direct, &ExecConfig::with_jobs(jobs))
+                .unwrap_err();
+            assert!(matches!(err, gam::GamError::BadEvidence(_)), "jobs={jobs}: {err}");
         }
+    }
+
+    #[test]
+    fn explicit_path_compose_in_view() {
+        let mut f = fix();
+        // add a second hop: OMIM -> Disease registry; view LocusLink ->
+        // registry via the explicit path
+        let reg = f
+            .store
+            .create_source("Registry", SourceContent::Other, SourceStructure::Flat, None)
+            .unwrap()
+            .id;
+        let r0 = f.store.create_object(reg, "r0", None, None).unwrap();
+        let rel = f
+            .store
+            .create_source_rel(f.omim, reg, RelType::Fact, None)
+            .unwrap();
+        f.store.add_association(rel, f.o[0], r0, None).unwrap();
+        let q = ViewQuery::new(f.s)
+            .target(TargetSpec::all(reg).via(vec![f.s, f.omim, reg]))
+            .combine(Combine::And);
+        let view = generate_view(&f.store, &q).unwrap();
+        assert_eq!(view.rows, vec![vec![Some(f.l[0]), Some(r0)]]);
     }
 }

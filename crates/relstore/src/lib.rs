@@ -9,7 +9,6 @@
 //! * heap [`Table`]s with slotted storage and a free list,
 //! * unique and non-unique secondary [indexes](index "index module") (B-tree ordered),
 //! * [`predicate`] scans with index selection,
-//! * [hash and merge joins](join "join module"),
 //! * durability via a [`snapshot`] file plus a [write-ahead log](wal
 //!   "wal module"), with crash recovery that replays the WAL over the
 //!   snapshot,
@@ -58,13 +57,11 @@ pub mod codec;
 pub mod db;
 pub mod error;
 pub mod index;
-pub mod join;
 pub mod page;
 pub mod pager;
 pub mod predicate;
 pub mod row;
 pub mod schema;
-pub mod shared;
 pub mod snapshot;
 pub mod stats;
 pub mod table;
@@ -79,7 +76,6 @@ pub use pager::{Pager, PoolConfig};
 pub use predicate::Predicate;
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
-pub use shared::SharedDatabase;
 pub use stats::PoolStats;
 pub use table::{ColumnarBlock, Table};
 pub use value::{Value, ValueType};

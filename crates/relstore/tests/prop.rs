@@ -1,10 +1,9 @@
 //! Property-based tests for the storage engine: codec round-trips,
-//! index/scan equivalence, join-operator agreement, and durability.
+//! index/scan equivalence, and durability.
 
 use proptest::prelude::*;
 use relstore::codec;
 use relstore::db::Database;
-use relstore::join::{hash_join, left_outer_hash_join, merge_join};
 use relstore::predicate::Predicate;
 use relstore::row::Row;
 use relstore::schema::{Column, Schema};
@@ -208,55 +207,6 @@ proptest! {
         prop_assert_eq!(back.next_row_id(), table.next_row_id());
         for (rid, row) in table.scan() {
             prop_assert_eq!(back.get(rid).unwrap(), row);
-        }
-    }
-
-    /// hash_join and merge_join agree on arbitrary inputs (up to order).
-    #[test]
-    fn joins_agree(
-        left in proptest::collection::vec((0i64..20, any::<i64>()), 0..40),
-        right in proptest::collection::vec((0i64..20, any::<i64>()), 0..40),
-    ) {
-        let l: Vec<Row> = left
-            .iter()
-            .map(|(k, v)| Row::new(vec![Value::Int(*k), Value::Int(*v)]))
-            .collect();
-        let r: Vec<Row> = right
-            .iter()
-            .map(|(k, v)| Row::new(vec![Value::Int(*k), Value::Int(*v)]))
-            .collect();
-        let mut h = hash_join(&l, &[0], &r, &[0]);
-        let mut m = merge_join(&l, &[0], &r, &[0]);
-        h.sort_by_key(|row| row.values().to_vec());
-        m.sort_by_key(|row| row.values().to_vec());
-        prop_assert_eq!(h, m);
-    }
-
-    /// A left outer join contains the inner join plus NULL-padded leftovers,
-    /// and covers every left row at least once.
-    #[test]
-    fn outer_join_covers_left(
-        left in proptest::collection::vec((0i64..10, any::<i64>()), 0..30),
-        right in proptest::collection::vec((0i64..10, any::<i64>()), 0..30),
-    ) {
-        let l: Vec<Row> = left
-            .iter()
-            .map(|(k, v)| Row::new(vec![Value::Int(*k), Value::Int(*v)]))
-            .collect();
-        let r: Vec<Row> = right
-            .iter()
-            .map(|(k, v)| Row::new(vec![Value::Int(*k), Value::Int(*v)]))
-            .collect();
-        let inner = hash_join(&l, &[0], &r, &[0]);
-        let outer = left_outer_hash_join(&l, &[0], &r, &[0], 2);
-        prop_assert!(outer.len() >= l.len().max(inner.len()));
-        // every left row appears as a prefix of some output row
-        for lr in &l {
-            prop_assert!(outer.iter().any(|o| &o.values()[..2] == lr.values()));
-        }
-        // inner results all appear in outer
-        for ir in &inner {
-            prop_assert!(outer.contains(ir));
         }
     }
 }

@@ -34,18 +34,16 @@ cargo test -q -p relstore --test paged_prop
 # service layer end-to-end over real TCP, explicitly:
 cargo test -q -p genmapper --test snapshot_stress
 cargo test -q -p serve
-# cost-based planner equivalence: planned execution bit-identical to the
-# naive fold across chain shapes, floors, negation, worker counts
-cargo test -q -p operators --test plan_prop
+# mapping-algebra equivalence (std-only seeded sweep): the one executor
+# bit-identical to the baselines::naive oracle across chain shapes, floors,
+# negation, worker counts, join strategies and missing steps
+cargo test -q -p operators --test algebra_equiv
 # paged-storage measurement replica: checkpoint bytes vs dirty fraction,
 # lookup latency/residency at dataset/pool ratios 1x/10x/100x
 rustc -O scripts/page_harness.rs -o /tmp/page_harness && /tmp/page_harness
 # concurrent-service measurement replica: mixed read/write load p50/p99,
 # reader progress during a bulk import -> BENCH_serve.json
 rustc -O scripts/serve_harness.rs -o /tmp/serve_harness && /tmp/serve_harness
-# planner measurement replica: deep chains + wide views + strategy skew,
-# planned vs naive with chosen-strategy counts -> BENCH_plan.json
-rustc -O scripts/plan_harness.rs -o /tmp/plan_harness && /tmp/plan_harness
 # hardened-service chaos replica: 104-point deterministic network-fault
 # sweep (disconnect/torn/stall/delay) with bit-identical recovery probes,
 # plus read p50/p99 under overload with shedding on vs off

@@ -80,9 +80,16 @@ fn thresholded_composition_prunes_weak_probe_annotations() {
     let locuslink = gm.source_id("LocusLink").unwrap();
     let go = gm.source_id("GO").unwrap();
     let path = [netaffx, unigene, locuslink, go];
-    let unfiltered = operators::compose_path(gm.store(), &path).unwrap();
-    let strict = operators::compose_path_with_threshold(gm.store(), &path, 0.9).unwrap();
-    let lax = operators::compose_path_with_threshold(gm.store(), &path, 0.0).unwrap();
+    let cfg = operators::ExecConfig::sequential();
+    let compose = |floor| {
+        operators::compose_path_idx_with_threshold(gm.store(), &path, floor, &cfg).map(|i| i.to_mapping())
+    };
+    let unfiltered = operators::compose_path_idx(gm.store(), &path, &cfg).unwrap().to_mapping();
+    let strict = compose(0.9).unwrap();
+    let lax = compose(0.0).unwrap();
+    // the executor and the nested-loop oracle agree on the real ecosystem
+    assert_eq!(unfiltered, baselines::naive::compose_path(gm.store(), &path, None).unwrap());
+    assert_eq!(strict, baselines::naive::compose_path(gm.store(), &path, Some(0.9)).unwrap());
     assert_eq!(lax.len(), unfiltered.len());
     assert!(strict.len() < unfiltered.len());
     // every surviving association really satisfies the floor
