@@ -281,7 +281,6 @@ fn main() {
         "{:<7} {:>9} {:>11} {:>11} {:>8}   per-phase (bulk)",
         "factor", "records", "per-row", "bulk", "speedup"
     );
-    let mut import_json_rows: Vec<String> = Vec::new();
     for &factor in &[1.0f64, 4.0, 16.0] {
         let eco = Ecosystem::generate(scaled_params(41, factor));
         let records: usize = import::pipeline::parse_dumps(&eco.dumps, 1)
@@ -325,20 +324,6 @@ fn main() {
             phases.insert,
             phases.wal,
         );
-        import_json_rows.push(format!(
-            "{{\"factor\": {factor}, \"records\": {records}, \"per_row_seconds\": {per_row:.6}, \"bulk_seconds\": {bulk:.6}, \"speedup\": {:.3}, \"phases\": {{\"parse\": {:.6}, \"resolve\": {:.6}, \"insert\": {:.6}, \"wal\": {:.6}}}}}",
-            per_row / bulk,
-            phases.parse.as_secs_f64(),
-            phases.resolve.as_secs_f64(),
-            phases.insert.as_secs_f64(),
-            phases.wal.as_secs_f64(),
-        ));
     }
     let _ = std::fs::remove_dir_all(&bench_dir);
-    let import_json = format!(
-        "{{\n  \"generator\": \"cargo run --release -p bench --bin experiments\",\n  \"import\": [\n    {}\n  ]\n}}\n",
-        import_json_rows.join(",\n    ")
-    );
-    std::fs::write("BENCH_import.json", &import_json).expect("write BENCH_import.json");
-    println!("\nwrote BENCH_import.json");
 }

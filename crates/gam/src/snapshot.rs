@@ -6,17 +6,19 @@
 //!
 //! * [`GamStore`] — the live store; reads go through the relational
 //!   database (and, for paged stores, the buffer pool).
-//! * [`GamSnapshot`] — a fully materialized, immutable copy of the GAM
-//!   content, captured from a store at a quiescent point. Reads never
-//!   touch the database again, so any number of threads can query a
-//!   snapshot while a writer mutates the live store.
+//! * [`GamSnapshot`] — an immutable copy of the GAM content, captured from
+//!   a store at a quiescent point. Reads never touch the database again,
+//!   so any number of threads can query a snapshot while a writer mutates
+//!   the live store. Each association is held once, in its mapping's CSR
+//!   [`MappingIndex`]; nothing is kept per object.
 //!
 //! Every `GamSnapshot` accessor returns exactly what the corresponding
 //! `GamStore` accessor returned at capture time — including ordering and
-//! error values — pinned by the equivalence tests below. This is the
-//! foundation of the system's MVCC read path: the writer captures a
-//! snapshot after each batch of mutations and publishes it with one atomic
-//! `Arc` swap; readers execute entirely against the published snapshot.
+//! error values — pinned by the equivalence tests below and the seeded
+//! sweep in `tests/snapshot_equiv.rs`. This is the foundation of the
+//! system's MVCC read path: the writer captures a snapshot after a batch of
+//! mutations and publishes it with one atomic `Arc` swap; readers execute
+//! entirely against the published snapshot.
 
 use crate::error::{GamError, GamResult};
 use crate::ids::{ObjectId, SourceId, SourceRelId};
@@ -115,7 +117,8 @@ pub trait GamRead: Sync {
     fn association_count(&self, id: SourceRelId) -> GamResult<usize>;
 
     /// All associations touching an object, in either role, each oriented
-    /// so `from` is the queried object.
+    /// so `from` is the queried object, ordered by (mapping id, object as
+    /// domain before object as range, partner id).
     fn associations_of_object(
         &self,
         object: ObjectId,
@@ -229,29 +232,43 @@ impl GamRead for GamStore {
     }
 }
 
+/// Which end of a mapping a source sits at.
+#[derive(Debug, Clone, Copy)]
+enum Role {
+    Domain,
+    Range,
+}
+
 /// A fully materialized, immutable copy of a store's GAM content.
 ///
-/// Capture walks the store's own public read API, so every accessor
-/// reproduces the store's answers — ordering included — as of the capture
-/// point. Mapping indexes are built once and shared behind `Arc`s;
-/// profiling aggregates are precomputed.
+/// Capture walks the store's own public read API — per source and per
+/// mapping, never per object — so every accessor reproduces the store's
+/// answers, ordering included, as of the capture point. Every association
+/// is held exactly once, in the CSR index of its mapping; the per-object
+/// view ([`GamRead::associations_of_object`]) is answered from the forward
+/// and inverse arrays of the mappings that touch the object's source,
+/// which relies on the GAM invariant that an association's objects belong
+/// to its mapping's two sources.
 #[derive(Debug, Clone)]
 pub struct GamSnapshot {
     sources: Vec<Source>,
     source_by_name: HashMap<String, usize>,
     source_pos: HashMap<SourceId, usize>,
-    /// Per source, objects in the store's accession order.
-    objects: HashMap<SourceId, Vec<GamObject>>,
-    /// object id → (source, position in that source's object vector).
-    object_pos: HashMap<ObjectId, (SourceId, usize)>,
-    /// (source, accession) → position, for exact-accession lookups.
-    accession_pos: HashMap<SourceId, HashMap<String, usize>>,
+    /// Per source (positions as in `sources`), its objects in the store's
+    /// accession order.
+    objects: Vec<Vec<GamObject>>,
+    /// object id → (source position, position in that source's objects).
+    object_pos: HashMap<ObjectId, (u32, u32)>,
+    /// Per source, accession → position, for exact-accession lookups.
+    accession_pos: Vec<HashMap<String, u32>>,
     rels: Vec<SourceRel>,
     rel_pos: HashMap<SourceRelId, usize>,
     rels_by_pair: HashMap<(SourceId, SourceId), Vec<SourceRel>>,
     indexes: HashMap<SourceRelId, Arc<MappingIndex>>,
-    assoc_counts: HashMap<SourceRelId, usize>,
-    assocs_by_object: HashMap<ObjectId, Vec<(SourceRelId, Association)>>,
+    /// Per source, the mappings with that source at either end, in
+    /// (mapping id, domain before range) order; a self-mapping is listed
+    /// in both roles.
+    mappings_of: Vec<Vec<(SourceRelId, Arc<MappingIndex>, Role)>>,
     counts_per_source: Vec<(SourceId, usize)>,
     type_counts: Vec<(RelType, usize, usize)>,
     cards: GamCardinalities,
@@ -264,56 +281,44 @@ impl GamSnapshot {
         let sources = store.sources()?;
         let mut source_by_name = HashMap::with_capacity(sources.len());
         let mut source_pos = HashMap::with_capacity(sources.len());
-        for (i, s) in sources.iter().enumerate() {
-            source_by_name.insert(s.name.clone(), i);
-            source_pos.insert(s.id, i);
-        }
-
-        let mut objects = HashMap::with_capacity(sources.len());
+        let mut objects = Vec::with_capacity(sources.len());
         let mut object_pos = HashMap::new();
-        let mut accession_pos: HashMap<SourceId, HashMap<String, usize>> =
-            HashMap::with_capacity(sources.len());
-        for s in &sources {
+        let mut accession_pos = Vec::with_capacity(sources.len());
+        for (slab, s) in sources.iter().enumerate() {
+            source_by_name.insert(s.name.clone(), slab);
+            source_pos.insert(s.id, slab);
             let objs = store.objects_of(s.id)?;
             let mut by_acc = HashMap::with_capacity(objs.len());
             for (i, o) in objs.iter().enumerate() {
-                object_pos.insert(o.id, (s.id, i));
-                by_acc.insert(o.accession.clone(), i);
+                object_pos.insert(o.id, (slab as u32, i as u32));
+                by_acc.insert(o.accession.clone(), i as u32);
             }
-            accession_pos.insert(s.id, by_acc);
-            objects.insert(s.id, objs);
+            accession_pos.push(by_acc);
+            objects.push(objs);
         }
 
         let rels = store.source_rels()?;
         let mut rel_pos = HashMap::with_capacity(rels.len());
-        for (i, r) in rels.iter().enumerate() {
-            rel_pos.insert(r.id, i);
-        }
         // rebuild the by_pair buckets through the store's own lookup so
         // within-pair ordering is exactly what the store returns
         let mut rels_by_pair: HashMap<(SourceId, SourceId), Vec<SourceRel>> = HashMap::new();
-        for r in &rels {
+        let mut indexes = HashMap::with_capacity(rels.len());
+        let mut mappings_of = vec![Vec::new(); sources.len()];
+        // `rels` is ordered by id and Domain is pushed first, which is the
+        // documented (mapping id, role) order of every per-source list
+        for (i, r) in rels.iter().enumerate() {
+            rel_pos.insert(r.id, i);
             let key = (r.source1, r.source2);
             if let std::collections::hash_map::Entry::Vacant(slot) = rels_by_pair.entry(key) {
                 slot.insert(store.source_rels_between(key.0, key.1)?);
             }
-        }
-
-        let mut indexes = HashMap::with_capacity(rels.len());
-        let mut assoc_counts = HashMap::with_capacity(rels.len());
-        for r in &rels {
-            indexes.insert(r.id, Arc::new(store.load_mapping_index(r.id)?));
-            assoc_counts.insert(r.id, store.association_count(r.id)?);
-        }
-
-        let mut assocs_by_object = HashMap::new();
-        for objs in objects.values() {
-            for o in objs {
-                let assocs = store.associations_of_object(o.id)?;
-                if !assocs.is_empty() {
-                    assocs_by_object.insert(o.id, assocs);
+            let index = Arc::new(store.load_mapping_index(r.id)?);
+            for (source, role) in [(r.source1, Role::Domain), (r.source2, Role::Range)] {
+                if let Some(&slab) = source_pos.get(&source) {
+                    mappings_of[slab].push((r.id, index.clone(), role));
                 }
             }
+            indexes.insert(r.id, index);
         }
 
         Ok(GamSnapshot {
@@ -330,14 +335,23 @@ impl GamSnapshot {
             rel_pos,
             rels_by_pair,
             indexes,
-            assoc_counts,
-            assocs_by_object,
+            mappings_of,
         })
     }
 
     /// Total number of associations across all mappings (size indicator).
     pub fn association_total(&self) -> usize {
         self.cards.associations
+    }
+
+    fn objects_in(&self, source: SourceId) -> &[GamObject] {
+        self.source_pos
+            .get(&source)
+            .map_or(&[][..], |&slab| &self.objects[slab])
+    }
+
+    fn index(&self, id: SourceRelId) -> GamResult<&Arc<MappingIndex>> {
+        self.indexes.get(&id).ok_or(GamError::UnknownSourceRel(id))
     }
 }
 
@@ -358,33 +372,29 @@ impl GamRead for GamSnapshot {
     }
 
     fn objects_of(&self, source: SourceId) -> GamResult<Vec<GamObject>> {
-        Ok(self.objects.get(&source).cloned().unwrap_or_default())
+        Ok(self.objects_in(source).to_vec())
     }
 
     fn object_ids_of(&self, source: SourceId) -> GamResult<Vec<ObjectId>> {
-        Ok(self
-            .objects
-            .get(&source)
-            .map(|v| v.iter().map(|o| o.id).collect())
-            .unwrap_or_default())
+        Ok(self.objects_in(source).iter().map(|o| o.id).collect())
     }
 
     fn object_count(&self, source: SourceId) -> GamResult<usize> {
-        Ok(self.objects.get(&source).map(Vec::len).unwrap_or(0))
+        Ok(self.objects_in(source).len())
     }
 
     fn find_object(&self, source: SourceId, accession: &str) -> GamResult<Option<GamObject>> {
-        Ok(self.accession_pos.get(&source).and_then(|by_acc| {
-            by_acc
+        Ok(self.source_pos.get(&source).and_then(|&slab| {
+            self.accession_pos[slab]
                 .get(accession)
-                .map(|&i| self.objects[&source][i].clone())
+                .map(|&i| self.objects[slab][i as usize].clone())
         }))
     }
 
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
         self.object_pos
             .get(&id)
-            .map(|&(src, i)| self.objects[&src][i].clone())
+            .map(|&(slab, i)| self.objects[slab as usize][i as usize].clone())
             .ok_or(GamError::UnknownObject(id))
     }
 
@@ -393,14 +403,13 @@ impl GamRead for GamSnapshot {
         source: SourceId,
         accessions: &[&str],
     ) -> GamResult<Vec<Option<ObjectId>>> {
-        let by_acc = self.accession_pos.get(&source);
+        let Some(&slab) = self.source_pos.get(&source) else {
+            return Ok(vec![None; accessions.len()]);
+        };
+        let by_acc = &self.accession_pos[slab];
         Ok(accessions
             .iter()
-            .map(|acc| {
-                by_acc
-                    .and_then(|m| m.get(*acc))
-                    .map(|&i| self.objects[&source][i].id)
-            })
+            .map(|acc| by_acc.get(*acc).map(|&i| self.objects[slab][i as usize].id))
             .collect())
     }
 
@@ -431,38 +440,59 @@ impl GamRead for GamSnapshot {
         // the store's load_mapping returns canonical order, which is
         // exactly what the CSR round-trip produces (pinned by the gam
         // index tests and the equivalence tests below)
-        self.indexes
-            .get(&id)
-            .map(|idx| idx.to_mapping())
-            .ok_or(GamError::UnknownSourceRel(id))
+        Ok(self.index(id)?.to_mapping())
     }
 
     fn load_mapping_index(&self, id: SourceRelId) -> GamResult<MappingIndex> {
-        self.indexes
-            .get(&id)
-            .map(|idx| (**idx).clone())
-            .ok_or(GamError::UnknownSourceRel(id))
+        Ok((**self.index(id)?).clone())
     }
 
     fn load_mapping_index_shared(&self, id: SourceRelId) -> GamResult<Arc<MappingIndex>> {
-        self.indexes
-            .get(&id)
-            .map(Arc::clone)
-            .ok_or(GamError::UnknownSourceRel(id))
+        self.index(id).cloned()
     }
 
     fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
-        self.assoc_counts
-            .get(&id)
-            .copied()
-            .ok_or(GamError::UnknownSourceRel(id))
+        // like the store's index count, an unknown mapping has none
+        Ok(self.indexes.get(&id).map_or(0, |idx| idx.len()))
     }
 
     fn associations_of_object(
         &self,
         object: ObjectId,
     ) -> GamResult<Vec<(SourceRelId, Association)>> {
-        Ok(self.assocs_by_object.get(&object).cloned().unwrap_or_default())
+        let Some(&(slab, _)) = self.object_pos.get(&object) else {
+            return Ok(Vec::new());
+        };
+        let mut out = Vec::new();
+        for (rel, idx, role) in &self.mappings_of[slab as usize] {
+            // one association, given the partner and its forward position
+            let mut push = |to, pos| {
+                let association = Association {
+                    from: object,
+                    to,
+                    evidence: idx.evidence_at(pos),
+                };
+                out.push((*rel, association));
+            };
+            // both bucket kinds are sorted by partner id
+            match role {
+                Role::Domain => {
+                    if let Some(bucket) = idx.domain_bucket(object) {
+                        for pos in idx.fwd_range(bucket) {
+                            push(idx.to_at(pos), pos);
+                        }
+                    }
+                }
+                Role::Range => {
+                    if let Some(bucket) = idx.range_bucket(object) {
+                        for p in idx.inv_range(bucket) {
+                            push(idx.inv_from_at(p), idx.inv_fwd_pos(p));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(out)
     }
 
     fn object_counts_per_source(&self) -> GamResult<Vec<(SourceId, usize)>> {
@@ -484,8 +514,10 @@ mod tests {
     use crate::model::{SourceContent, SourceStructure};
 
     /// A store exercising every shape the snapshot must reproduce: several
-    /// sources, mixed evidence, both rel orientations, a structural rel, a
-    /// source with no objects, objects with no associations.
+    /// sources, mixed evidence, both rel orientations, two mappings over
+    /// one source pair sharing an object pair, a structural self-mapping
+    /// with an object (`GO:0001`) that is both child and parent, a deleted
+    /// mapping, a source with no objects, objects with no associations.
     fn fixture() -> GamStore {
         let mut s = GamStore::in_memory().unwrap();
         let a = s
@@ -523,7 +555,19 @@ mod tests {
         s.add_association(ag, ao[3], go_o[2], None).unwrap();
         s.add_association(isa, go_o[1], go_o[0], None).unwrap();
         s.add_association(isa, go_o[2], go_o[1], None).unwrap();
+        let gone = s.create_source_rel(b, go, RelType::Fact, None).unwrap();
+        s.add_association(gone, bo[0], go_o[0], None).unwrap();
+        let ab_sim = s.create_source_rel(a, b, RelType::Similarity, None).unwrap();
+        s.add_association(ab_sim, ao[0], bo[0], Some(0.9)).unwrap();
+        s.add_association(ab_sim, ao[4], bo[0], Some(0.25)).unwrap();
+        assert_eq!(s.delete_source_rel(gone).unwrap(), 1);
         s
+    }
+
+    /// Both results, rendered: `GamError` is not `PartialEq`, and `{:?}`
+    /// keeps `-0.0` and `0.0` apart.
+    fn same<T: std::fmt::Debug>(snap: GamResult<T>, store: GamResult<T>, what: &str) {
+        assert_eq!(format!("{snap:?}"), format!("{store:?}"), "{what}");
     }
 
     #[test]
@@ -614,31 +658,44 @@ mod tests {
     fn snapshot_error_values_match_store() {
         let store = fixture();
         let snap = GamSnapshot::capture(&store).unwrap();
-        let bad_src = SourceId(999);
-        let bad_obj = ObjectId(999);
-        let bad_rel = SourceRelId(999);
-        assert!(matches!(snap.get_source(bad_src), Err(GamError::UnknownSource(_))));
-        assert!(matches!(snap.get_object(bad_obj), Err(GamError::UnknownObject(_))));
-        assert!(matches!(
-            snap.get_source_rel(bad_rel),
-            Err(GamError::UnknownSourceRel(_))
-        ));
-        assert!(matches!(
-            snap.load_mapping(bad_rel),
-            Err(GamError::UnknownSourceRel(_))
-        ));
-        assert!(matches!(
-            snap.load_mapping_index(bad_rel),
-            Err(GamError::UnknownSourceRel(_))
-        ));
-        assert!(matches!(
-            snap.association_count(bad_rel),
-            Err(GamError::UnknownSourceRel(_))
-        ));
-        // lookups over unknown sources degrade to empty, like the store's
-        // index prefix scans
-        assert!(snap.objects_of(bad_src).unwrap().is_empty());
-        assert!(snap.associations_of_object(bad_obj).unwrap().is_empty());
+        let s: &dyn GamRead = &store;
+        let n: &dyn GamRead = &snap;
+        let known = store.find_source("Alpha").unwrap().unwrap().id;
+        // never issued, and issued then deleted (the fixture's `gone`)
+        let deleted = SourceRelId(5);
+        assert!(store.get_source_rel(deleted).is_err());
+        assert!(store.get_source_rel(SourceRelId(6)).is_ok());
+        for bad in [SourceId(0), SourceId(999)] {
+            same(n.get_source(bad), s.get_source(bad), "get_source");
+            same(n.objects_of(bad), s.objects_of(bad), "objects_of");
+            same(n.object_ids_of(bad), s.object_ids_of(bad), "object_ids_of");
+            same(n.object_count(bad), s.object_count(bad), "object_count");
+            same(n.find_object(bad, "a0"), s.find_object(bad, "a0"), "find_object");
+            same(
+                n.resolve_accessions(bad, &["a0", "zzz"]),
+                s.resolve_accessions(bad, &["a0", "zzz"]),
+                "resolve_accessions",
+            );
+            for (x, y) in [(bad, known), (known, bad), (bad, bad)] {
+                same(n.source_rels_between(x, y), s.source_rels_between(x, y), "rels_between");
+                same(n.find_source_rel(x, y, None), s.find_source_rel(x, y, None), "find_rel");
+            }
+        }
+        for bad in [ObjectId(0), ObjectId(999)] {
+            same(n.get_object(bad), s.get_object(bad), "get_object");
+            same(n.associations_of_object(bad), s.associations_of_object(bad), "assocs_of");
+        }
+        for bad in [SourceRelId(0), deleted, SourceRelId(999)] {
+            same(n.get_source_rel(bad), s.get_source_rel(bad), "get_source_rel");
+            same(n.load_mapping(bad), s.load_mapping(bad), "load_mapping");
+            same(n.load_mapping_index(bad), s.load_mapping_index(bad), "load_mapping_index");
+            same(
+                n.load_mapping_index_shared(bad),
+                s.load_mapping_index_shared(bad),
+                "load_mapping_index_shared",
+            );
+            same(n.association_count(bad), s.association_count(bad), "association_count");
+        }
     }
 
     #[test]

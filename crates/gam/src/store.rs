@@ -996,40 +996,39 @@ impl GamStore {
 
     /// All associations touching an object, in either role. Each entry is
     /// (mapping id, association oriented so that `from` is the queried
-    /// object).
+    /// object), ordered by (mapping id, object as domain before object as
+    /// range, partner id) — the order a [`crate::GamSnapshot`] derives from
+    /// its CSR indexes.
     pub fn associations_of_object(
         &self,
         object: ObjectId,
     ) -> GamResult<Vec<(SourceRelId, Association)>> {
         let table = self.db.table(tables::OBJECT_REL)?;
         let key = [Value::Int(object.as_i64())];
-        let mut out = Vec::with_capacity(
+        let mut found = Vec::with_capacity(
             table.index_lookup_count("by_object1", &key)?
                 + table.index_lookup_count("by_object2", &key)?,
         );
         // stream rows straight off the indexes: no intermediate `Vec<&Row>`
         // is materialized before the oriented pairs are built
-        table.for_each_lookup("by_object1", &key, |row| {
-            out.push((
-                SourceRelId::from_i64(row.get(1).as_int().unwrap_or_default()),
-                Association {
+        let roles = [("by_object1", false, 3), ("by_object2", true, 2)];
+        for (index, as_range, partner_column) in roles {
+            table.for_each_lookup(index, &key, |row| {
+                let id = |column| row.get(column).as_int().unwrap_or_default();
+                let association = Association {
                     from: object,
-                    to: ObjectId::from_i64(row.get(3).as_int().unwrap_or_default()),
+                    to: ObjectId::from_i64(id(partner_column)),
                     evidence: row.get(4).as_float(),
-                },
-            ));
-        })?;
-        table.for_each_lookup("by_object2", &key, |row| {
-            out.push((
-                SourceRelId::from_i64(row.get(1).as_int().unwrap_or_default()),
-                Association {
-                    from: object,
-                    to: ObjectId::from_i64(row.get(2).as_int().unwrap_or_default()),
-                    evidence: row.get(4).as_float(),
-                },
-            ));
-        })?;
-        Ok(out)
+                };
+                found.push((SourceRelId::from_i64(id(1)), as_range, association));
+            })?;
+        }
+        // (mapping, role, partner) is unique: `by_pair` is a unique index
+        found.sort_unstable_by_key(|&(rel, as_range, assoc)| (rel, as_range, assoc.to));
+        Ok(found
+            .into_iter()
+            .map(|(rel, _, assoc)| (rel, assoc))
+            .collect())
     }
 
     // ------------------------------------------------------------------

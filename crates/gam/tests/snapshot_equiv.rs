@@ -1,0 +1,244 @@
+//! Store ≡ snapshot on the association-level reads, as a seeded
+//! deterministic sweep (std only): 50 random stores with several mappings
+//! per source pair, IS_A self-mappings, shared object pairs and deleted
+//! mappings. For every object and every mapping id — issued, deleted or
+//! never issued — [`GamStore`] and [`GamSnapshot`] must answer
+//! `associations_of_object`, `association_count` and
+//! `load_mapping_index_shared` identically, the first in the documented
+//! order, rebuilt here from `load_mapping` alone. The last test pins what
+//! capture costs on a paged store, in buffer-pool misses rather than time.
+
+use gam::model::{SourceContent, SourceStructure};
+use gam::schema::tables;
+use gam::{
+    Association, GamRead, GamResult, GamSnapshot, GamStore, ObjectId, RelType, SourceId,
+    SourceRelId,
+};
+
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+fn below(st: &mut u64, n: usize) -> usize {
+    (xorshift(st) % n as u64) as usize
+}
+
+fn evidence(st: &mut u64) -> Option<f64> {
+    match below(st, 4) {
+        0 => None,
+        1 => Some(1.0),
+        _ => Some(below(st, 1001) as f64 / 1000.0),
+    }
+}
+
+/// Fill `store` with a random GAM; returns the sources' object ids.
+fn populate(store: &mut GamStore, st: &mut u64) -> Vec<(SourceId, Vec<ObjectId>)> {
+    let n_sources = 2 + below(st, 4);
+    let mut sources: Vec<(SourceId, Vec<ObjectId>)> = Vec::new();
+    for i in 0..n_sources {
+        let id = store
+            .create_source(
+                &format!("S{i}"),
+                SourceContent::Other,
+                SourceStructure::Network,
+                None,
+            )
+            .unwrap()
+            .id;
+        let objects = (0..below(st, 12))
+            .map(|k| {
+                store
+                    .create_object(id, &format!("s{i}-{k}"), None, None)
+                    .unwrap()
+            })
+            .collect();
+        sources.push((id, objects));
+    }
+    let mut rels = Vec::new();
+    for _ in 0..1 + below(st, 8) {
+        let (from, to) = (below(st, n_sources), below(st, n_sources));
+        let rel_type = match (from == to, below(st, 2)) {
+            (true, _) => RelType::IsA,
+            (false, 0) => RelType::Fact,
+            (false, _) => RelType::Similarity,
+        };
+        let rel = store
+            .create_source_rel(sources[from].0, sources[to].0, rel_type, None)
+            .unwrap();
+        rels.push((rel, from, to));
+    }
+    // interleave the mappings' inserts so row order is not mapping order
+    for _ in 0..below(st, 60) {
+        let (rel, from, to) = rels[below(st, rels.len())];
+        let (domain, range) = (&sources[from].1, &sources[to].1);
+        if domain.is_empty() || range.is_empty() {
+            continue;
+        }
+        let (o1, o2) = (
+            domain[below(st, domain.len())],
+            range[below(st, range.len())],
+        );
+        store.add_association(rel, o1, o2, evidence(st)).unwrap();
+    }
+    if below(st, 3) == 0 {
+        let (rel, _, _) = rels.swap_remove(below(st, rels.len()));
+        store.delete_source_rel(rel).unwrap();
+    }
+    sources
+}
+
+/// The documented order, from `load_mapping` alone: by mapping id, the
+/// object's associations as domain before those as range, each by partner.
+fn expected_associations(store: &GamStore, object: ObjectId) -> Vec<(SourceRelId, Association)> {
+    let mut out = Vec::new();
+    for rel in store.source_rels().unwrap() {
+        let pairs = store.load_mapping(rel.id).unwrap().pairs;
+        let mut as_domain: Vec<Association> =
+            pairs.iter().filter(|a| a.from == object).copied().collect();
+        as_domain.sort_by_key(|a| a.to);
+        let mut as_range: Vec<Association> = pairs
+            .iter()
+            .filter(|a| a.to == object)
+            .map(|a| Association {
+                from: object,
+                to: a.from,
+                evidence: a.evidence,
+            })
+            .collect();
+        as_range.sort_by_key(|a| a.to);
+        out.extend(as_domain.into_iter().chain(as_range).map(|a| (rel.id, a)));
+    }
+    out
+}
+
+fn same<T: std::fmt::Debug>(snap: GamResult<T>, store: GamResult<T>, what: &str) {
+    assert_eq!(format!("{snap:?}"), format!("{store:?}"), "{what}");
+}
+
+#[test]
+fn store_and_snapshot_agree_on_every_object_and_mapping() {
+    let mut with_associations = 0;
+    for round in 0..50u64 {
+        let mut st = 0x9E37_79B9_7F4A_7C15 ^ (round + 1);
+        let mut store = GamStore::in_memory().unwrap();
+        let sources = populate(&mut store, &mut st);
+        let snap = GamSnapshot::capture(&store).unwrap();
+        let (s, n): (&dyn GamRead, &dyn GamRead) = (&store, &snap);
+        for object in sources.iter().flat_map(|(_, objects)| objects) {
+            let live = s.associations_of_object(*object).unwrap();
+            assert_eq!(
+                live,
+                expected_associations(&store, *object),
+                "round {round} {object}"
+            );
+            assert_eq!(
+                n.associations_of_object(*object).unwrap(),
+                live,
+                "round {round} {object}"
+            );
+            with_associations += usize::from(!live.is_empty());
+        }
+        // every id ever issued (a deleted one among them) and two never issued
+        let issued = store.cardinalities().unwrap().mappings as u32 + 1;
+        for id in (0..issued + 3).map(SourceRelId) {
+            let what = format!("round {round} mapping {id}");
+            same(n.association_count(id), s.association_count(id), &what);
+            same(
+                n.load_mapping_index_shared(id),
+                s.load_mapping_index_shared(id),
+                &what,
+            );
+        }
+    }
+    assert!(
+        with_associations > 200,
+        "the sweep must not be vacuous: {with_associations}"
+    );
+}
+
+#[test]
+fn capture_walks_a_paged_store_about_once() {
+    let dir = std::env::temp_dir()
+        .join("gam-snapshot-equiv")
+        .join("paged-capture");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = relstore::PoolConfig {
+        page_bytes: 512,
+        pool_pages: 2,
+    };
+    let objects = {
+        let mut store = GamStore::open_paged(&dir, config).unwrap();
+        let mut st = 7u64;
+        store.begin_group_commit();
+        let a = store
+            .create_source("A", SourceContent::Gene, SourceStructure::Flat, None)
+            .unwrap()
+            .id;
+        let b = store
+            .create_source("B", SourceContent::Other, SourceStructure::Flat, None)
+            .unwrap()
+            .id;
+        // a page seals between transactions, so load in many small ones
+        let mut ids = [Vec::new(), Vec::new()];
+        for chunk in 0..40 {
+            for (side, (source, prefix)) in [(a, "a"), (b, "b")].into_iter().enumerate() {
+                let batch: Vec<(String, Option<String>, Option<f64>)> = (0..10)
+                    .map(|i| (format!("{prefix}{:04}", chunk * 10 + i), None, None))
+                    .collect();
+                ids[side].extend(store.add_objects_bulk(source, &batch).unwrap().0);
+            }
+        }
+        let [a_ids, b_ids] = ids;
+        let rel = store.create_source_rel(a, b, RelType::Fact, None).unwrap();
+        // in key order, as from a sorted dump: the mapping's index scan is
+        // then sequential in the heap, while a per-object probe of the
+        // range side still lands on a random page every time
+        let mut pairs: Vec<(ObjectId, ObjectId)> = (0..1200)
+            .map(|_| (a_ids[below(&mut st, 400)], b_ids[below(&mut st, 400)]))
+            .collect();
+        pairs.sort_unstable();
+        for chunk in pairs.chunks(20) {
+            let facts = chunk.iter().map(|&(from, to)| Association::fact(from, to));
+            store.add_associations_bulk(rel, facts, &mut 0).unwrap();
+        }
+        store.end_group_commit().unwrap();
+        store.checkpoint().unwrap();
+        a_ids.len() + b_ids.len()
+    };
+    let store = GamStore::open_paged(&dir, config).unwrap();
+    let misses = |s: &GamStore| s.database().stats().unwrap().pool.unwrap().misses;
+    // the heap's page count, as the misses of one scan of every table
+    let cold = misses(&store);
+    for table in [
+        tables::SOURCE,
+        tables::OBJECT,
+        tables::SOURCE_REL,
+        tables::OBJECT_REL,
+    ] {
+        store.database().table(table).unwrap().scan().count();
+    }
+    let heap_pages = misses(&store) - cold;
+    assert!(
+        heap_pages > 40,
+        "a heap of {heap_pages} pages must dwarf the pool of 2"
+    );
+    let before = misses(&store);
+    let snap = GamSnapshot::capture(&store).unwrap();
+    let capture = misses(&store) - before;
+    assert_eq!(
+        snap.association_total(),
+        store.cardinalities().unwrap().associations
+    );
+    // measured: 86 misses over 46 heap pages; a capture that probes the
+    // store once per object took 1 193 here, more than one per object
+    assert!(
+        capture <= 3 * heap_pages && capture < objects as u64,
+        "capture cost {capture} pool misses over {heap_pages} heap pages, {objects} objects"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

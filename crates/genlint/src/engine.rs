@@ -176,8 +176,11 @@ impl Cache {
                     return empty;
                 };
                 cur = Some((p.to_owned(), hash, 0));
-            } else if cur.is_some() {
-                // `<rule>\t<line>\t<col>\t<message>`
+            } else {
+                // `<rule>\t<line>\t<col>\t<message>`, inside a file block
+                let Some((path, _, _)) = &cur else {
+                    return empty;
+                };
                 let mut parts = line.splitn(4, '\t');
                 let (Some(r), Some(l), Some(c), Some(m)) =
                     (parts.next(), parts.next(), parts.next(), parts.next())
@@ -194,13 +197,11 @@ impl Cache {
                 };
                 findings.push(Finding {
                     rule,
-                    path: cur.as_ref().expect("in file block").0.clone(),
+                    path: path.clone(),
                     line: line_no,
                     col,
                     message: cache_unescape(m),
                 });
-            } else {
-                return empty;
             }
         }
         if let Some((p, hash, _)) = cur.take() {

@@ -120,7 +120,10 @@ impl SharedGenMapper {
     /// whole duration and switch to the new state atomically. The new
     /// snapshot is published even when `f` fails partway: a failed import
     /// may have durably changed the store, and readers must never be left
-    /// on a state the writer has moved past.
+    /// on a state the writer has moved past. An operation that left the
+    /// store's content alone (a skipped release, a request refused before
+    /// any write) publishes in constant time: the new snapshot carries
+    /// the new version and shares the previous one's GAM data.
     pub fn with_writer<R>(
         &self,
         f: impl FnOnce(&mut GenMapper) -> GamResult<R>,
@@ -194,14 +197,48 @@ mod tests {
         let sh = shared();
         let err = sh.with_writer(|gm| gm.materialize_subsumed("NoSuchSource").map(|_| ()));
         assert!(err.is_err());
-        // publication still advanced (same data, fresh capture) and
-        // readers still get working queries
+        // publication still advanced and readers still get working queries
         let snap = sh.snapshot();
         let view = snap
             .query(&QuerySpec::source("LocusLink").accessions(["353"]).target("Hugo"))
             .unwrap();
         assert!(!view.is_empty());
         assert_eq!(sh.import_status().completed, 1);
+    }
+
+    #[test]
+    fn only_a_content_change_recaptures_the_store() {
+        let eco = Ecosystem::generate(EcosystemParams::demo(7));
+        let mut gm = GenMapper::in_memory().unwrap();
+        gm.import_dumps(&eco.dumps[1..]).unwrap();
+        let sh = SharedGenMapper::new(gm).unwrap();
+        let first = sh.snapshot();
+
+        // a real import: new GAM data
+        let reports = sh.with_writer(|gm| gm.import_dumps(&eco.dumps)).unwrap();
+        assert!(!reports[0].skipped && reports[1..].iter().all(|r| r.skipped));
+        let imported = sh.snapshot();
+        assert!(!std::ptr::eq(imported.reader(), first.reader()));
+        assert_ne!(
+            imported.cardinalities().unwrap(),
+            first.cardinalities().unwrap()
+        );
+
+        // every release already in: the version moves, the data is shared
+        let reports = sh.with_writer(|gm| gm.import_dumps(&eco.dumps)).unwrap();
+        assert!(reports.iter().all(|r| r.skipped));
+        let skipped = sh.snapshot();
+        assert!(std::ptr::eq(skipped.reader(), imported.reader()));
+        assert_ne!(skipped.version(), imported.version());
+
+        // refused before any write (no NetAffx-Enzyme mapping): likewise
+        assert!(sh
+            .with_writer(|gm| gm.materialize_composed(&["NetAffx", "Enzyme"]))
+            .is_err());
+        let refused = sh.snapshot();
+        assert!(std::ptr::eq(refused.reader(), imported.reader()));
+        assert_ne!(refused.version(), skipped.version());
+        assert_eq!(sh.import_status().completed, 3);
     }
 
     #[test]

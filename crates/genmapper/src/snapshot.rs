@@ -1,12 +1,16 @@
 //! An immutable, published view of one GenMapper state.
 //!
 //! [`Snapshot`] is the MVCC read unit: everything a reader needs to answer
-//! queries — the captured GAM data ([`gam::GamSnapshot`]), the source
-//! graph, the saved paths, and a mapping cache — frozen at one writer
-//! version. Readers execute query / GenerateView / pathfinding against it
-//! with `&self` only, while the writer builds the *next* snapshot; the
-//! service layer swaps the published `Arc<Snapshot>` atomically (see
-//! [`crate::SharedGenMapper`]).
+//! queries — the captured GAM data ([`gam::GamSnapshot`]), the saved paths,
+//! and the cache of its version (resolved mappings, object sets, source
+//! graph) — frozen at one writer version. Readers execute query /
+//! GenerateView / pathfinding against it with `&self` only, while the
+//! writer builds the *next* snapshot; the service layer swaps the
+//! published `Arc<Snapshot>` atomically (see [`crate::SharedGenMapper`]).
+//!
+//! Both parts are shared, not copied: the cache is the very `Arc` the live
+//! [`crate::GenMapper`] used at that version, and the GAM data is the
+//! `Arc` of the previous snapshot whenever the store has not changed since.
 //!
 //! A snapshot's query path is [`crate::system::run_query`] — the same
 //! executor the live [`crate::GenMapper`] uses — so snapshot answers are
@@ -14,57 +18,25 @@
 
 use crate::query::QuerySpec;
 use crate::resolved::{ObjectInfo, ResolvedView};
-use crate::system::{
-    self, path_ids_of, resolve_accessions, run_query, source_id_of, IndexCache, MappingKey,
-};
+use crate::system::{self, path_ids_of, resolve_accessions, run_query, source_id_of, VersionCache};
 use gam::store::GamCardinalities;
-use gam::{GamError, GamRead, GamResult, GamSnapshot, MappingIndex, ObjectId, SourceId};
+use gam::{GamError, GamRead, GamResult, GamSnapshot, ObjectId, SourceId};
 use operators::ExecConfig;
-use parking_lot::RwLock;
 use pathfinder::{SavedPaths, SourceGraph};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// The cache of a snapshot: same shape as the live system's, but without
-/// version tags — a snapshot never changes, so entries never invalidate.
-#[derive(Default)]
-pub(crate) struct SnapshotCache {
-    pub(crate) mappings: HashMap<MappingKey, Arc<MappingIndex>>,
-    pub(crate) source_objects: HashMap<SourceId, Arc<BTreeSet<ObjectId>>>,
-}
 
 /// One immutable GenMapper state, safe to share across any number of
 /// reader threads. Produced by [`crate::GenMapper::capture_snapshot`].
 pub struct Snapshot {
-    reader: GamSnapshot,
-    graph: Arc<SourceGraph>,
-    saved: SavedPaths,
-    exec: ExecConfig,
-    version: (u64, u64),
-    cache: RwLock<SnapshotCache>,
+    pub(crate) reader: Arc<GamSnapshot>,
+    pub(crate) cache: Arc<VersionCache>,
+    pub(crate) saved: SavedPaths,
+    pub(crate) exec: ExecConfig,
+    pub(crate) version: (u64, u64),
 }
 
 impl Snapshot {
-    /// Assemble a snapshot from captured parts, optionally pre-warming the
-    /// mapping cache with entries built at the same version.
-    pub(crate) fn assemble(
-        reader: GamSnapshot,
-        graph: Arc<SourceGraph>,
-        saved: SavedPaths,
-        exec: ExecConfig,
-        version: (u64, u64),
-        warm: Option<SnapshotCache>,
-    ) -> Snapshot {
-        Snapshot {
-            reader,
-            graph,
-            saved,
-            exec,
-            version,
-            cache: RwLock::new(warm.unwrap_or_default()),
-        }
-    }
-
     /// The writer version this snapshot was captured at:
     /// `(GenMapper invalidation counter, GamStore mutation counter)`.
     pub fn version(&self) -> (u64, u64) {
@@ -79,7 +51,7 @@ impl Snapshot {
 
     /// Resolve a source name to its id.
     pub fn source_id(&self, name: &str) -> GamResult<SourceId> {
-        source_id_of(&self.reader, name)
+        source_id_of(&*self.reader, name)
     }
 
     /// All sources at capture time.
@@ -97,7 +69,7 @@ impl Snapshot {
         let from_id = self.source_id(from)?;
         let to_id = self.source_id(to)?;
         let path = self
-            .graph
+            .graph()?
             .shortest_path(from_id, to_id)
             .ok_or(GamError::NoMapping {
                 from: from_id,
@@ -110,7 +82,7 @@ impl Snapshot {
     pub fn find_paths(&self, from: &str, to: &str, k: usize) -> GamResult<Vec<Vec<String>>> {
         let from_id = self.source_id(from)?;
         let to_id = self.source_id(to)?;
-        let paths = self.graph.k_shortest_paths(from_id, to_id, k);
+        let paths = self.graph()?.k_shortest_paths(from_id, to_id, k);
         paths.iter().map(|p| self.path_names(p)).collect()
     }
 
@@ -122,73 +94,40 @@ impl Snapshot {
     /// Execute a [`QuerySpec`] against the captured state. Runs the same
     /// executor as [`crate::GenMapper::query`].
     pub fn query(&self, spec: &QuerySpec) -> GamResult<ResolvedView> {
-        run_query(&self.reader, self, &self.graph, self.exec, spec)
+        run_query(&*self.reader, &self.cache, self.exec, spec)
     }
 
     /// Explain a [`QuerySpec`] against the captured state: the same
     /// planner and executor as [`Self::query`], instrumented one-shot —
     /// live and snapshot reads plan identically by construction.
     pub fn explain(&self, spec: &QuerySpec) -> GamResult<String> {
-        system::run_explain(&self.reader, self, &self.graph, self.exec, spec)
+        system::run_explain(&*self.reader, &self.cache, self.exec, spec)
     }
 
     /// Full information about one object (Figure 6c) at capture time.
     pub fn object_info(&self, source: &str, accession: &str) -> GamResult<ObjectInfo> {
-        system::object_info_of(&self.reader, source, accession)
+        system::object_info_of(&*self.reader, source, accession)
     }
 
     /// Resolve a source-name path to ids (validation for `via` clauses).
     pub fn path_ids(&self, path: &[&str]) -> GamResult<Vec<SourceId>> {
-        path_ids_of(&self.reader, path)
+        path_ids_of(&*self.reader, path)
     }
 
     /// Resolve accessions of a named source to object ids.
     pub fn resolve(&self, source: &str, accessions: &[String]) -> GamResult<BTreeSet<ObjectId>> {
         let id = self.source_id(source)?;
-        resolve_accessions(&self.reader, id, accessions)
+        resolve_accessions(&*self.reader, id, accessions)
+    }
+
+    fn graph(&self) -> GamResult<Arc<SourceGraph>> {
+        self.cache.graph(&*self.reader)
     }
 
     fn path_names(&self, path: &[SourceId]) -> GamResult<Vec<String>> {
         path.iter()
             .map(|&id| Ok(self.reader.get_source(id)?.name))
             .collect()
-    }
-}
-
-impl IndexCache for Snapshot {
-    fn cached_mapping(
-        &self,
-        key: MappingKey,
-        build: &mut dyn FnMut() -> GamResult<MappingIndex>,
-    ) -> GamResult<Arc<MappingIndex>> {
-        {
-            let cache = self.cache.read();
-            if let Some(hit) = cache.mappings.get(&key) {
-                return Ok(hit.clone());
-            }
-        }
-        let built = Arc::new(build()?);
-        let mut cache = self.cache.write();
-        // another reader may have raced us to the build; first insert wins
-        // so every consumer shares one index
-        Ok(cache.mappings.entry(key).or_insert(built).clone())
-    }
-
-    fn cached_source_objects(
-        &self,
-        reader: &dyn GamRead,
-        source: SourceId,
-    ) -> GamResult<Arc<BTreeSet<ObjectId>>> {
-        {
-            let cache = self.cache.read();
-            if let Some(hit) = cache.source_objects.get(&source) {
-                return Ok(hit.clone());
-            }
-        }
-        let built: Arc<BTreeSet<ObjectId>> =
-            Arc::new(reader.object_ids_of(source)?.into_iter().collect());
-        let mut cache = self.cache.write();
-        Ok(cache.source_objects.entry(source).or_insert(built).clone())
     }
 }
 
@@ -225,6 +164,19 @@ mod tests {
             snap.cardinalities().unwrap(),
             gm.cardinalities().unwrap()
         );
+    }
+
+    #[test]
+    fn snapshot_and_live_system_share_one_cache_per_version() {
+        let mut gm = system();
+        let snap = gm.capture_snapshot().unwrap();
+        assert_eq!(gm.mapping_cache_len(), 0);
+        let frozen = snap.query(&figure3_spec()).unwrap();
+        assert!(gm.mapping_cache_len() > 0, "the writer finds a reader's work");
+        // a mutation gives the writer a fresh cache and leaves the snapshot's
+        gm.materialize_subsumed("GO").unwrap();
+        assert_eq!(gm.mapping_cache_len(), 0);
+        assert_eq!(snap.query(&figure3_spec()).unwrap(), frozen);
     }
 
     #[test]

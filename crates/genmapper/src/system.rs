@@ -4,49 +4,109 @@ use crate::query::QuerySpec;
 use crate::resolved::{ObjectInfo, ResolvedCell, ResolvedRow, ResolvedView};
 use gam::store::GamCardinalities;
 use gam::{
-    GamError, GamRead, GamResult, GamStore, Mapping, MappingIndex, ObjectId, SourceId, SourceRelId,
+    GamError, GamRead, GamResult, GamSnapshot, GamStore, Mapping, MappingIndex, ObjectId, SourceId,
+    SourceRelId,
 };
 use import::{Importer, PipelineOptions};
 use operators::{generate_view_idx, ExecConfig, IndexResolver, TargetSpec, ViewQuery};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use pathfinder::{SavedPaths, SourceGraph};
 use sources::ecosystem::SourceDump;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-/// The mapping/object-set cache surface the shared query executor resolves
-/// through. Two implementors: [`GenMapper`] (versioned entries, discarded
-/// on any store mutation) and [`crate::Snapshot`] (plain entries — a
-/// snapshot is immutable, so its cache never invalidates). `Sync` because
-/// the parallel per-target workers of `generate_view_idx` share it.
-pub(crate) trait IndexCache: Sync {
-    /// Look `key` up, building and inserting on a miss.
-    fn cached_mapping(
+/// Everything derived from the GAM content of one version: resolved
+/// mappings in CSR form, per-source object-id sets, and the source graph.
+///
+/// A cache belongs to a version, not to a reader. The live [`GenMapper`]
+/// and every [`crate::Snapshot`] captured at that version hold the *same*
+/// `Arc<VersionCache>`, so what one side resolves the other finds. Entries
+/// never invalidate: a mutating entry point makes the writer start a fresh
+/// cache and leaves this one to the snapshots still reading at its
+/// version. Shared by the parallel per-target workers of
+/// `generate_view_idx`, hence the lock.
+#[derive(Default)]
+pub(crate) struct VersionCache {
+    entries: RwLock<CacheEntries>,
+}
+
+#[derive(Default)]
+struct CacheEntries {
+    /// Cached mappings in CSR form — the unit the system caches and joins.
+    /// Consumers probe the shared index (restrictions, view folds, merge
+    /// joins) and only materialize a `Mapping` at the public facade.
+    mappings: HashMap<MappingKey, Arc<MappingIndex>>,
+    /// Per-source object-id sets for whole-source views, so repeated
+    /// queries over one source don't rescan the object table.
+    source_objects: HashMap<SourceId, Arc<BTreeSet<ObjectId>>>,
+    graph: Option<Arc<SourceGraph>>,
+}
+
+impl VersionCache {
+    /// Look `key` up, building and inserting on a miss. `build` must read
+    /// the state this cache's version names. Readers may race to a build;
+    /// the first insert wins so every consumer shares one index.
+    fn mapping(
         &self,
         key: MappingKey,
-        build: &mut dyn FnMut() -> GamResult<MappingIndex>,
-    ) -> GamResult<Arc<MappingIndex>>;
+        build: impl FnOnce() -> GamResult<MappingIndex>,
+    ) -> GamResult<Arc<MappingIndex>> {
+        let hit = { self.entries.read().mappings.get(&key).cloned() };
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        let built = Arc::new(build()?);
+        let mut entries = self.entries.write();
+        Ok(entries.mappings.entry(key).or_insert(built).clone())
+    }
 
-    /// The cached set of all object ids of `source`, built from `reader`
-    /// on a miss.
-    fn cached_source_objects(
+    /// The set of all object ids of `source`, built from `reader` on a miss.
+    fn source_objects(
         &self,
         reader: &dyn GamRead,
         source: SourceId,
-    ) -> GamResult<Arc<BTreeSet<ObjectId>>>;
+    ) -> GamResult<Arc<BTreeSet<ObjectId>>> {
+        let hit = { self.entries.read().source_objects.get(&source).cloned() };
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        let built = Arc::new(reader.object_ids_of(source)?.into_iter().collect());
+        let mut entries = self.entries.write();
+        Ok(entries
+            .source_objects
+            .entry(source)
+            .or_insert(built)
+            .clone())
+    }
+
+    /// The source graph, built from `reader` on first use.
+    pub(crate) fn graph(&self, reader: &dyn GamRead) -> GamResult<Arc<SourceGraph>> {
+        let hit = { self.entries.read().graph.clone() };
+        if let Some(hit) = hit {
+            return Ok(hit);
+        }
+        let built = Arc::new(SourceGraph::from_store(reader)?);
+        Ok(self.entries.write().graph.get_or_insert(built).clone())
+    }
+
+    /// Cached mappings plus cached source-object sets.
+    fn len(&self) -> usize {
+        let entries = self.entries.read();
+        entries.mappings.len() + entries.source_objects.len()
+    }
 }
 
 /// Mapping resolver that first tries a direct `Map` and otherwise searches
 /// the source graph for a shortest mapping path and composes along it —
 /// exactly how the interactive interface determines mappings (paper §5.1).
-/// Backed by an [`IndexCache`]: a resolved `(from, to)` mapping is indexed
-/// once and then served as a shared CSR [`MappingIndex`] behind an `Arc` —
-/// the view executor probes the cached index directly, cloning nothing.
-/// Safe to call from the parallel per-target workers of
+/// Backed by the [`VersionCache`]: a resolved `(from, to)` mapping is
+/// indexed once and then served as a shared CSR [`MappingIndex`] behind an
+/// `Arc` — the view executor probes the cached index directly, cloning
+/// nothing. Safe to call from the parallel per-target workers of
 /// `generate_view_idx`; `query` and `explain` both resolve through it.
 struct CachingPathResolver<'a> {
-    cache: &'a dyn IndexCache,
+    cache: &'a VersionCache,
     graph: &'a SourceGraph,
     /// Config for compose joins performed *inside* a resolution — kept
     /// sequential when the caller already parallelizes across targets.
@@ -60,20 +120,19 @@ impl IndexResolver for CachingPathResolver<'_> {
         from: SourceId,
         to: SourceId,
     ) -> GamResult<Arc<MappingIndex>> {
-        self.cache
-            .cached_mapping(MappingKey::direct(from, to), &mut || {
-                match operators::map_index(store, from, to) {
-                    Ok(m) => Ok(m),
-                    Err(GamError::NoMapping { .. }) => {
-                        let path = self
-                            .graph
-                            .shortest_path(from, to)
-                            .ok_or(GamError::NoMapping { from, to })?;
-                        operators::compose_path_idx(store, &path, &self.compose_exec)
-                    }
-                    Err(e) => Err(e),
+        self.cache.mapping(MappingKey::direct(from, to), || {
+            match operators::map_index(store, from, to) {
+                Ok(m) => Ok(m),
+                Err(GamError::NoMapping { .. }) => {
+                    let path = self
+                        .graph
+                        .shortest_path(from, to)
+                        .ok_or(GamError::NoMapping { from, to })?;
+                    operators::compose_path_idx(store, &path, &self.compose_exec)
                 }
-            })
+                Err(e) => Err(e),
+            }
+        })
     }
 }
 
@@ -81,7 +140,7 @@ impl IndexResolver for CachingPathResolver<'_> {
 /// path (if any), and the evidence floor (as its bit pattern — `f64` is
 /// neither `Eq` nor `Hash`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct MappingKey {
+struct MappingKey {
     from: SourceId,
     to: SourceId,
     path: Option<Vec<SourceId>>,
@@ -116,42 +175,6 @@ impl MappingKey {
     }
 }
 
-/// The versioned mapping cache. Entries are tagged with the store mutation
-/// counter they were built against; the first access after any mutation
-/// sees the version mismatch and discards everything. This generalizes the
-/// pattern of the `graph` cache (drop on mutation) to a keyed map that can
-/// be consulted from `&self` (hence the `RwLock`) and shared with the
-/// parallel view executor.
-#[derive(Default)]
-struct CacheInner {
-    /// `(GenMapper invalidation counter, GamStore mutation counter)` the
-    /// entries were built against. The second component is defense in
-    /// depth: even a mutation that reaches the store without going
-    /// through a GenMapper entry point moves it (the store bumps it
-    /// itself — enforced by genlint's cache-coherence rule).
-    version: (u64, u64),
-    /// Cached mappings in CSR form — the unit the system caches and joins.
-    /// Consumers probe the shared index (restrictions, view folds, merge
-    /// joins) and only materialize a `Mapping` at the public facade.
-    mappings: HashMap<MappingKey, Arc<MappingIndex>>,
-    /// Per-source object-id sets for whole-source views, so repeated
-    /// queries over one source don't rescan the object table.
-    source_objects: HashMap<SourceId, Arc<BTreeSet<ObjectId>>>,
-    /// The source graph, shared with readers; same invalidation protocol
-    /// as the mapping entries.
-    graph: Option<Arc<SourceGraph>>,
-}
-
-impl CacheInner {
-    /// Discard every entry and stamp the cache with `version`.
-    fn reset_to(&mut self, version: (u64, u64)) {
-        self.mappings.clear();
-        self.source_objects.clear();
-        self.graph = None;
-        self.version = version;
-    }
-}
-
 /// The assembled GenMapper system.
 pub struct GenMapper {
     store: GamStore,
@@ -161,35 +184,38 @@ pub struct GenMapper {
     /// Per-dump quarantine budget for lenient parsing during imports
     /// (`0` = strict, the default).
     error_budget: usize,
-    /// Store mutation counter; bumped by every mutating entry point.
+    /// Invalidation counter; bumped by every mutating entry point.
     version: u64,
-    /// Versioned mapping + source-object cache (see [`CacheInner`]).
-    cache: RwLock<CacheInner>,
+    /// The cache of the current version (see [`VersionCache`]); replaced,
+    /// never cleared, by every mutating entry point.
+    cache: Arc<VersionCache>,
+    /// The read copy of the store last handed to a snapshot, with the
+    /// `GamStore::mutation_count` it was captured at. A writer operation
+    /// that changed no GAM content publishes this `Arc` again.
+    captured: Mutex<Option<(u64, Arc<GamSnapshot>)>>,
 }
 
 impl GenMapper {
-    /// A volatile instance.
-    pub fn in_memory() -> GamResult<Self> {
-        Ok(GenMapper {
-            store: GamStore::in_memory()?,
+    fn wrap(store: GamStore) -> Self {
+        GenMapper {
+            store,
             saved: SavedPaths::new(),
             exec: ExecConfig::default(),
             error_budget: 0,
             version: 0,
-            cache: RwLock::new(CacheInner::default()),
-        })
+            cache: Arc::default(),
+            captured: Mutex::new(None),
+        }
+    }
+
+    /// A volatile instance.
+    pub fn in_memory() -> GamResult<Self> {
+        Ok(Self::wrap(GamStore::in_memory()?))
     }
 
     /// A durable instance rooted at `dir`.
     pub fn open(dir: &Path) -> GamResult<Self> {
-        Ok(GenMapper {
-            store: GamStore::open(dir)?,
-            saved: SavedPaths::new(),
-            exec: ExecConfig::default(),
-            error_budget: 0,
-            version: 0,
-            cache: RwLock::new(CacheInner::default()),
-        })
+        Ok(Self::wrap(GamStore::open(dir)?))
     }
 
     /// A durable instance rooted at `dir` with paged table storage: rows
@@ -197,14 +223,7 @@ impl GenMapper {
     /// `config.pool_pages`, so annotation sets larger than RAM stay
     /// queryable with bounded resident memory.
     pub fn open_paged(dir: &Path, config: relstore::PoolConfig) -> GamResult<Self> {
-        Ok(GenMapper {
-            store: GamStore::open_paged(dir, config)?,
-            saved: SavedPaths::new(),
-            exec: ExecConfig::default(),
-            error_budget: 0,
-            version: 0,
-            cache: RwLock::new(CacheInner::default()),
-        })
+        Ok(Self::wrap(GamStore::open_paged(dir, config)?))
     }
 
     /// Snapshot + WAL truncation for durable instances.
@@ -247,80 +266,27 @@ impl GenMapper {
     // Cache plumbing
     // ------------------------------------------------------------------
 
-    /// Invalidate every derived cache: the source graph and all versioned
-    /// mapping/object entries. Called by every mutating entry point.
+    /// Invalidate every derived cache by starting a fresh [`VersionCache`]
+    /// under a new version. Called by every mutating entry point (enforced
+    /// by genlint's cache-coherence rule); the store is a private field,
+    /// so nothing can change GAM content without passing through one.
     fn invalidate_caches(&mut self) {
         self.version += 1;
+        self.cache = Arc::default();
     }
 
-    /// The version tag cache entries must carry to be served: the local
-    /// invalidation counter plus the store's own mutation counter. Public
-    /// so concurrency tests and the service layer can correlate published
+    /// The version the current cache belongs to: the local invalidation
+    /// counter plus the store's own mutation counter. Public so
+    /// concurrency tests and the service layer can correlate published
     /// snapshots with the writer state they were captured from.
     pub fn version_stamp(&self) -> (u64, u64) {
         (self.version, self.store.mutation_count())
     }
 
-    fn cache_version(&self) -> (u64, u64) {
-        self.version_stamp()
-    }
-
-    /// Look `key` up in the mapping cache, building and inserting it on a
-    /// miss. Entries from before the current store version are discarded.
-    /// Correctness note: the builder reads the store at `self.version`, and
-    /// the version can only move under `&mut self`, so an entry can never
-    /// be inserted against a newer store state than it was built from.
-    fn cached_mapping(
-        &self,
-        key: MappingKey,
-        build: impl FnOnce() -> GamResult<MappingIndex>,
-    ) -> GamResult<Arc<MappingIndex>> {
-        {
-            let inner = self.cache.read();
-            if inner.version == self.cache_version() {
-                if let Some(hit) = inner.mappings.get(&key) {
-                    return Ok(hit.clone());
-                }
-            }
-        }
-        let built = Arc::new(build()?);
-        let mut inner = self.cache.write();
-        if inner.version != self.cache_version() {
-            inner.reset_to(self.cache_version());
-        }
-        inner.mappings.insert(key, built.clone());
-        Ok(built)
-    }
-
-    /// The cached set of all object ids of `source` (same invalidation
-    /// protocol as the mapping entries).
-    fn cached_source_objects(&self, source: SourceId) -> GamResult<Arc<BTreeSet<ObjectId>>> {
-        {
-            let inner = self.cache.read();
-            if inner.version == self.cache_version() {
-                if let Some(hit) = inner.source_objects.get(&source) {
-                    return Ok(hit.clone());
-                }
-            }
-        }
-        let built: Arc<BTreeSet<ObjectId>> =
-            Arc::new(self.store.object_ids_of(source)?.into_iter().collect());
-        let mut inner = self.cache.write();
-        if inner.version != self.cache_version() {
-            inner.reset_to(self.cache_version());
-        }
-        inner.source_objects.insert(source, built.clone());
-        Ok(built)
-    }
-
-    /// Number of live entries in the mapping cache (diagnostics, tests).
+    /// Number of entries in the current version's cache (diagnostics,
+    /// tests).
     pub fn mapping_cache_len(&self) -> usize {
-        let inner = self.cache.read();
-        if inner.version == self.cache_version() {
-            inner.mappings.len() + inner.source_objects.len()
-        } else {
-            0
-        }
+        self.cache.len()
     }
 
     /// Direct access to the underlying store (operators, statistics).
@@ -384,24 +350,10 @@ impl GenMapper {
     // Paths
     // ------------------------------------------------------------------
 
-    /// The (cached, shared) source graph. Read path: serves a shared
-    /// handle from the versioned cache, rebuilding only after a mutation.
+    /// The (cached, shared) source graph of the current version, built on
+    /// first use after a mutation.
     pub fn graph(&self) -> GamResult<Arc<SourceGraph>> {
-        {
-            let inner = self.cache.read();
-            if inner.version == self.cache_version() {
-                if let Some(g) = &inner.graph {
-                    return Ok(g.clone());
-                }
-            }
-        }
-        let built = Arc::new(SourceGraph::from_store(&self.store)?);
-        let mut inner = self.cache.write();
-        if inner.version != self.cache_version() {
-            inner.reset_to(self.cache_version());
-        }
-        inner.graph = Some(built.clone());
-        Ok(built)
+        self.cache.graph(&self.store)
     }
 
     /// Automatically determined shortest mapping path between two sources,
@@ -467,7 +419,7 @@ impl GenMapper {
     pub fn map_shared(&self, from: &str, to: &str) -> GamResult<Arc<MappingIndex>> {
         let from = self.source_id(from)?;
         let to = self.source_id(to)?;
-        self.cached_mapping(MappingKey::direct(from, to), || {
+        self.cache.mapping(MappingKey::direct(from, to), || {
             operators::map_index(&self.store, from, to)
         })
     }
@@ -490,7 +442,7 @@ impl GenMapper {
                 "compose path needs at least two sources".into(),
             ));
         }
-        self.cached_mapping(MappingKey::composed(&ids)?, || {
+        self.cache.mapping(MappingKey::composed(&ids)?, || {
             operators::compose_path_idx(&self.store, &ids, &self.exec)
         })
     }
@@ -508,7 +460,7 @@ impl GenMapper {
                 "compose path needs at least two sources".into(),
             ));
         }
-        self.cached_mapping(
+        self.cache.mapping(
             MappingKey::composed(&ids)?.with_min_evidence(min_evidence),
             || operators::compose_path_idx_with_threshold(&self.store, &ids, min_evidence, &self.exec),
         )
@@ -540,16 +492,14 @@ impl GenMapper {
     /// entire read path runs without exclusive access, so any number of
     /// readers can query while sharing one system.
     pub fn query(&self, spec: &QuerySpec) -> GamResult<ResolvedView> {
-        let graph = self.graph()?;
-        run_query(&self.store, self, &graph, self.exec, spec)
+        run_query(&self.store, &self.cache, self.exec, spec)
     }
 
     /// Explain a [`QuerySpec`]: the cost-based plan the executor would
     /// choose, rendered with estimated vs actual cardinalities from a
     /// one-shot instrumented (uncached) run. `&self`, like [`Self::query`].
     pub fn explain(&self, spec: &QuerySpec) -> GamResult<String> {
-        let graph = self.graph()?;
-        run_explain(&self.store, self, &graph, self.exec, spec)
+        run_explain(&self.store, &self.cache, self.exec, spec)
     }
 
     /// Full information about one object (Figure 6c).
@@ -558,53 +508,33 @@ impl GenMapper {
     }
 
     /// An immutable, self-contained snapshot of the whole read surface:
-    /// store data, source graph, saved paths, and (pre-warmed) mapping
-    /// cache. The snapshot answers queries bit-identically to this system
-    /// at the moment of capture and never changes afterwards — the unit
-    /// the service layer publishes to readers with one `Arc` swap.
+    /// store data, saved paths, and this version's cache (source graph
+    /// included). The snapshot answers queries bit-identically to this
+    /// system at the moment of capture and never changes afterwards — the
+    /// unit the service layer publishes to readers with one `Arc` swap.
+    ///
+    /// The store is walked only if its `mutation_count` moved since the
+    /// last capture; otherwise the snapshot shares the previous read copy.
     pub fn capture_snapshot(&self) -> GamResult<crate::Snapshot> {
-        let reader = gam::GamSnapshot::capture(&self.store)?;
-        let graph = self.graph()?;
-        // Pre-warm the snapshot cache from the live cache: every entry at
-        // the current version was built from exactly the state the
-        // snapshot captured, and indexes are immutable behind Arcs.
-        let warm = {
-            let inner = self.cache.read();
-            if inner.version == self.cache_version() {
-                Some(crate::snapshot::SnapshotCache {
-                    mappings: inner.mappings.clone(),
-                    source_objects: inner.source_objects.clone(),
-                })
-            } else {
-                None
+        let at = self.store.mutation_count();
+        let memo = { self.captured.lock().clone() };
+        let reader = match memo {
+            Some((count, reader)) if count == at => reader,
+            _ => {
+                let reader = Arc::new(GamSnapshot::capture(&self.store)?);
+                *self.captured.lock() = Some((at, reader.clone()));
+                reader
             }
         };
-        Ok(crate::Snapshot::assemble(
+        // a publish pays for the graph, not the first reader after it
+        self.cache.graph(&*reader)?;
+        Ok(crate::Snapshot {
             reader,
-            graph,
-            self.saved.clone(),
-            self.exec,
-            self.version_stamp(),
-            warm,
-        ))
-    }
-}
-
-impl IndexCache for GenMapper {
-    fn cached_mapping(
-        &self,
-        key: MappingKey,
-        build: &mut dyn FnMut() -> GamResult<MappingIndex>,
-    ) -> GamResult<Arc<MappingIndex>> {
-        GenMapper::cached_mapping(self, key, build)
-    }
-
-    fn cached_source_objects(
-        &self,
-        _reader: &dyn GamRead,
-        source: SourceId,
-    ) -> GamResult<Arc<BTreeSet<ObjectId>>> {
-        GenMapper::cached_source_objects(self, source)
+            cache: self.cache.clone(),
+            saved: self.saved.clone(),
+            exec: self.exec,
+            version: self.version_stamp(),
+        })
     }
 }
 
@@ -649,15 +579,16 @@ pub(crate) fn path_ids_of(reader: &dyn GamRead, path: &[&str]) -> GamResult<Vec<
 
 /// The one shared query executor: both the live system ([`GenMapper::query`])
 /// and the published [`crate::Snapshot`] run *this exact code* over their
-/// respective reader + cache, which is what makes concurrent snapshot reads
-/// structurally bit-identical to the single-threaded path.
+/// respective reader and their version's cache, which is what makes
+/// concurrent snapshot reads structurally bit-identical to the
+/// single-threaded path.
 pub(crate) fn run_query(
     reader: &dyn GamRead,
-    cache: &dyn IndexCache,
-    graph: &SourceGraph,
+    cache: &VersionCache,
     exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<ResolvedView> {
+    let graph = cache.graph(reader)?;
     let (vq, header) = build_view_query(reader, cache, spec)?;
     // when several targets resolve concurrently, keep their inner
     // compose joins sequential so the thread count stays ≤ exec.jobs
@@ -668,7 +599,7 @@ pub(crate) fn run_query(
     };
     let resolver = CachingPathResolver {
         cache,
-        graph,
+        graph: &graph,
         compose_exec,
     };
     let view = generate_view_idx(reader, &vq, &resolver, &exec)?;
@@ -698,7 +629,7 @@ pub(crate) fn run_query(
 /// query executor and the explain path so both describe the same plan.
 fn build_view_query(
     reader: &dyn GamRead,
-    cache: &dyn IndexCache,
+    cache: &VersionCache,
     spec: &QuerySpec,
 ) -> GamResult<(ViewQuery, Vec<String>)> {
     let source = source_id_of(reader, &spec.source)?;
@@ -706,7 +637,7 @@ fn build_view_query(
     if spec.accessions.is_empty() {
         // whole-source query: reuse the cached object-id set instead of
         // rescanning the object table inside generate_view
-        vq = vq.objects((*cache.cached_source_objects(reader, source)?).clone());
+        vq = vq.objects((*cache.source_objects(reader, source)?).clone());
     } else {
         vq = vq.objects(resolve_accessions(reader, source, &spec.accessions)?);
     }
@@ -737,11 +668,11 @@ fn build_view_query(
 /// with estimated vs actual cardinalities.
 pub(crate) fn run_explain(
     reader: &dyn GamRead,
-    cache: &dyn IndexCache,
-    graph: &SourceGraph,
+    cache: &VersionCache,
     exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<String> {
+    let graph = cache.graph(reader)?;
     let (mut vq, _header) = build_view_query(reader, cache, spec)?;
     for ts in &mut vq.targets {
         if ts.path.is_none() {
@@ -757,7 +688,7 @@ pub(crate) fn run_explain(
     }
     let resolver = CachingPathResolver {
         cache,
-        graph,
+        graph: &graph,
         compose_exec: exec,
     };
     let tree = operators::plan::explain_view(reader, &vq, &resolver, &exec)?;

@@ -3,8 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Wall-clock spent per import phase, accumulated across batches. The
-/// import benchmark harness serializes these into `BENCH_import.json`.
+/// Wall-clock spent per import phase, accumulated across batches.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ImportTimings {
     /// Parsing dumps into EAV batches (filled in by the pipeline; a bare

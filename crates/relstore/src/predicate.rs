@@ -1,79 +1,35 @@
 //! Row predicates for filtered scans.
 //!
-//! Predicates are small boolean expressions over named columns. They are
-//! resolved against a [`Schema`] once (binding column
-//! names to ordinals) and then evaluated per row. Table scans analyse
-//! predicates to pick an index: a conjunction that pins every column of an
-//! index with equality is served by an index lookup instead of a full scan.
+//! A predicate is a conjunction of `column = literal` and substring tests
+//! over named columns — the only shapes the layers above build. It is
+//! resolved against a [`Schema`] once (binding column names to ordinals)
+//! and then evaluated per row. Table scans analyse predicates to pick an
+//! index: a conjunction that pins every column of an index with equality is
+//! served by an index lookup instead of a full scan.
 
 use crate::error::StoreResult;
 use crate::schema::Schema;
 use crate::value::Value;
 
-/// Comparison operators on a single column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
 /// A boolean expression over row columns.
 #[derive(Debug, Clone)]
 pub enum Predicate {
-    /// Always true (full scan).
-    True,
-    /// `column <op> literal`. Comparisons against NULL are false except for
-    /// `IsNull`, mirroring SQL three-valued logic collapsed to two values.
-    Cmp {
-        column: String,
-        op: CmpOp,
-        value: Value,
-    },
-    /// `column IS NULL`.
-    IsNull(String),
-    /// `column IS NOT NULL`.
-    IsNotNull(String),
-    /// `column IN (set)`.
-    InSet { column: String, values: Vec<Value> },
+    /// `column = literal`. A NULL cell or literal never matches, mirroring
+    /// SQL three-valued logic collapsed to two values.
+    Eq { column: String, value: Value },
     /// Case-insensitive substring match on a text column (`column LIKE
     /// '%needle%'`). NULL and non-text cells never match.
     TextContains { column: String, needle: String },
     /// Conjunction.
     And(Vec<Predicate>),
-    /// Disjunction.
-    Or(Vec<Predicate>),
-    /// Negation.
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
     /// `column = value`.
     pub fn eq(column: impl Into<String>, value: Value) -> Self {
-        Predicate::Cmp {
+        Predicate::Eq {
             column: column.into(),
-            op: CmpOp::Eq,
             value,
-        }
-    }
-
-    /// `column < value` / `<=` / `>` / `>=` / `!=` constructors.
-    pub fn cmp(column: impl Into<String>, op: CmpOp, value: Value) -> Self {
-        Predicate::Cmp {
-            column: column.into(),
-            op,
-            value,
-        }
-    }
-
-    /// `column IN (values)`.
-    pub fn in_set(column: impl Into<String>, values: Vec<Value>) -> Self {
-        Predicate::InSet {
-            column: column.into(),
-            values,
         }
     }
 
@@ -99,25 +55,10 @@ impl Predicate {
     /// Resolve column names to ordinals for fast evaluation.
     pub fn bind(&self, schema: &Schema) -> StoreResult<BoundPredicate> {
         Ok(match self {
-            Predicate::True => BoundPredicate::True,
-            Predicate::Cmp { column, op, value } => BoundPredicate::Cmp {
+            Predicate::Eq { column, value } => BoundPredicate::Eq {
                 ordinal: schema.column_index(column)?,
-                op: *op,
                 value: value.clone(),
             },
-            Predicate::IsNull(column) => BoundPredicate::IsNull(schema.column_index(column)?),
-            Predicate::IsNotNull(column) => {
-                BoundPredicate::IsNotNull(schema.column_index(column)?)
-            }
-            Predicate::InSet { column, values } => {
-                let mut sorted = values.clone();
-                sorted.sort();
-                sorted.dedup();
-                BoundPredicate::InSet {
-                    ordinal: schema.column_index(column)?,
-                    values: sorted,
-                }
-            }
             Predicate::TextContains { column, needle } => BoundPredicate::TextContains {
                 ordinal: schema.column_index(column)?,
                 needle: needle.to_ascii_lowercase(),
@@ -125,16 +66,12 @@ impl Predicate {
             Predicate::And(ps) => BoundPredicate::And(
                 ps.iter().map(|p| p.bind(schema)).collect::<StoreResult<_>>()?,
             ),
-            Predicate::Or(ps) => BoundPredicate::Or(
-                ps.iter().map(|p| p.bind(schema)).collect::<StoreResult<_>>()?,
-            ),
-            Predicate::Not(p) => BoundPredicate::Not(Box::new(p.bind(schema)?)),
         })
     }
 
-    /// Collect `column = literal` constraints from the top-level conjunction
-    /// (a bare `Cmp` counts as a singleton conjunction). Used by the planner
-    /// to match indexes.
+    /// Collect the `column = literal` constraints of the conjunction (a
+    /// bare `Eq` counts as a singleton conjunction). Used by the planner to
+    /// match indexes.
     pub(crate) fn equality_constraints(&self) -> Vec<(&str, &Value)> {
         let mut out = Vec::new();
         self.collect_eq(&mut out);
@@ -143,42 +80,13 @@ impl Predicate {
 
     fn collect_eq<'a>(&'a self, out: &mut Vec<(&'a str, &'a Value)>) {
         match self {
-            Predicate::Cmp {
-                column,
-                op: CmpOp::Eq,
-                value,
-            } => out.push((column.as_str(), value)),
+            Predicate::Eq { column, value } => out.push((column.as_str(), value)),
             Predicate::And(ps) => {
                 for p in ps {
                     p.collect_eq(out);
                 }
             }
-            _ => {}
-        }
-    }
-
-    /// Collect range comparisons (`<`, `<=`, `>`, `>=`) from the top-level
-    /// conjunction. Used by the planner to serve range scans from an
-    /// ordered index.
-    pub(crate) fn range_constraints(&self) -> Vec<(&str, CmpOp, &Value)> {
-        let mut out = Vec::new();
-        self.collect_ranges(&mut out);
-        out
-    }
-
-    fn collect_ranges<'a>(&'a self, out: &mut Vec<(&'a str, CmpOp, &'a Value)>) {
-        match self {
-            Predicate::Cmp { column, op, value }
-                if matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge) =>
-            {
-                out.push((column.as_str(), *op, value));
-            }
-            Predicate::And(ps) => {
-                for p in ps {
-                    p.collect_ranges(out);
-                }
-            }
-            _ => {}
+            Predicate::TextContains { .. } => {}
         }
     }
 }
@@ -186,17 +94,9 @@ impl Predicate {
 /// A predicate with column names resolved to ordinals.
 #[derive(Debug, Clone)]
 pub enum BoundPredicate {
-    True,
-    Cmp {
+    Eq {
         ordinal: usize,
-        op: CmpOp,
         value: Value,
-    },
-    IsNull(usize),
-    IsNotNull(usize),
-    InSet {
-        ordinal: usize,
-        values: Vec<Value>,
     },
     TextContains {
         ordinal: usize,
@@ -204,43 +104,21 @@ pub enum BoundPredicate {
         needle: String,
     },
     And(Vec<BoundPredicate>),
-    Or(Vec<BoundPredicate>),
-    Not(Box<BoundPredicate>),
 }
 
 impl BoundPredicate {
     /// Evaluate against a row (as a value slice).
     pub fn matches(&self, row: &[Value]) -> bool {
         match self {
-            BoundPredicate::True => true,
-            BoundPredicate::Cmp { ordinal, op, value } => {
+            BoundPredicate::Eq { ordinal, value } => {
                 let cell = &row[*ordinal];
-                if cell.is_null() || value.is_null() {
-                    return false;
-                }
-                let ord = cell.cmp(value);
-                match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Ne => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                }
-            }
-            BoundPredicate::IsNull(ordinal) => row[*ordinal].is_null(),
-            BoundPredicate::IsNotNull(ordinal) => !row[*ordinal].is_null(),
-            BoundPredicate::InSet { ordinal, values } => {
-                let cell = &row[*ordinal];
-                !cell.is_null() && values.binary_search(cell).is_ok()
+                !cell.is_null() && !value.is_null() && cell.cmp(value).is_eq()
             }
             BoundPredicate::TextContains { ordinal, needle } => match row[*ordinal].as_text() {
                 Some(text) => text.to_ascii_lowercase().contains(needle.as_str()),
                 None => false,
             },
             BoundPredicate::And(ps) => ps.iter().all(|p| p.matches(row)),
-            BoundPredicate::Or(ps) => ps.iter().any(|p| p.matches(row)),
-            BoundPredicate::Not(p) => !p.matches(row),
         }
     }
 }
@@ -267,25 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn comparisons() {
-        let s = schema();
-        let p = Predicate::cmp("a", CmpOp::Ge, Value::Int(5)).bind(&s).unwrap();
-        assert!(p.matches(&row(5, None)));
-        assert!(p.matches(&row(9, None)));
-        assert!(!p.matches(&row(4, None)));
-    }
-
-    #[test]
     fn null_semantics() {
         let s = schema();
-        // comparisons against NULL cells are false, even Ne
-        let p = Predicate::cmp("b", CmpOp::Ne, Value::text("x")).bind(&s).unwrap();
-        assert!(!p.matches(&row(1, None)));
-        assert!(p.matches(&row(1, Some("y"))));
-        let p = Predicate::IsNull("b".into()).bind(&s).unwrap();
-        assert!(p.matches(&row(1, None)));
+        let p = Predicate::eq("b", Value::text("x")).bind(&s).unwrap();
+        assert!(p.matches(&row(1, Some("x"))));
         assert!(!p.matches(&row(1, Some("y"))));
-        let p = Predicate::IsNotNull("b".into()).bind(&s).unwrap();
+        assert!(!p.matches(&row(1, None)));
+        // not even NULL = NULL
+        let p = Predicate::eq("b", Value::Null).bind(&s).unwrap();
         assert!(!p.matches(&row(1, None)));
     }
 
@@ -299,46 +166,19 @@ mod tests {
         assert!(p.matches(&row(1, Some("x"))));
         assert!(!p.matches(&row(1, Some("y"))));
         assert!(!p.matches(&row(2, Some("x"))));
-
-        let p = Predicate::Or(vec![
-            Predicate::eq("a", Value::Int(1)),
-            Predicate::eq("a", Value::Int(2)),
-        ])
-        .bind(&s)
-        .unwrap();
-        assert!(p.matches(&row(2, None)));
-        assert!(!p.matches(&row(3, None)));
-
-        let p = Predicate::Not(Box::new(Predicate::eq("a", Value::Int(1))))
-            .bind(&s)
-            .unwrap();
-        assert!(!p.matches(&row(1, None)));
-        assert!(p.matches(&row(7, None)));
-    }
-
-    #[test]
-    fn in_set_dedups_and_matches() {
-        let s = schema();
-        let p = Predicate::in_set(
-            "a",
-            vec![Value::Int(3), Value::Int(1), Value::Int(3)],
-        )
-        .bind(&s)
-        .unwrap();
-        assert!(p.matches(&row(1, None)));
-        assert!(p.matches(&row(3, None)));
-        assert!(!p.matches(&row(2, None)));
     }
 
     #[test]
     fn equality_constraint_extraction() {
-        let p = Predicate::eq("a", Value::Int(1)).and(Predicate::eq("b", Value::text("x")));
+        let p = Predicate::eq("a", Value::Int(1))
+            .and(Predicate::text_contains("b", "x"))
+            .and(Predicate::eq("b", Value::text("x")));
         let cs = p.equality_constraints();
+        // substring tests are not extracted
         assert_eq!(cs.len(), 2);
-        assert_eq!(cs[0].0, "a");
-        // non-equality and Or members are not extracted
-        let p = Predicate::Or(vec![Predicate::eq("a", Value::Int(1))]);
-        assert!(p.equality_constraints().is_empty());
+        assert_eq!((cs[0].0, cs[1].0), ("a", "b"));
+        let substring = Predicate::text_contains("b", "x");
+        assert!(substring.equality_constraints().is_empty());
     }
 
     #[test]

@@ -22,11 +22,10 @@ use crate::error::{StoreError, StoreResult};
 use crate::index::{format_key, IndexKey, IndexStore, KeySpec};
 use crate::page::{encoded_row_len, PageId, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager, PinnedPage};
-use crate::predicate::{CmpOp, Predicate};
+use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, Schema};
 use crate::value::Value;
-use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// One block of a batched columnar scan
@@ -1185,52 +1184,6 @@ impl Table {
         Ok(())
     }
 
-    /// Serve a range scan from an ordered single-column index when the
-    /// predicate carries range constraints on its key column. Returns the
-    /// candidate row ids or `None` if no index applies.
-    fn pick_range(&self, predicate: &Predicate) -> Option<Vec<RowId>> {
-        let ranges = predicate.range_constraints();
-        'index: for (def, ix) in self.indexed() {
-            if def.columns.len() != 1 {
-                continue;
-            }
-            let key_col = &self.schema.columns()[def.columns[0]].name;
-            let mut lo: Bound<IndexKey> = Bound::Unbounded;
-            let mut hi: Bound<IndexKey> = Bound::Unbounded;
-            let mut applies = false;
-            for (col, op, value) in &ranges {
-                if col != key_col {
-                    continue;
-                }
-                // a bound of another type has no place in this key order;
-                // the scan answers it
-                let Some(key) = ix.spec().probe(std::slice::from_ref(*value)) else {
-                    continue 'index;
-                };
-                applies = true;
-                match op {
-                    CmpOp::Gt => lo = tighter(lo, Bound::Excluded(key), Ordering::Greater),
-                    CmpOp::Ge => lo = tighter(lo, Bound::Included(key), Ordering::Greater),
-                    CmpOp::Lt => hi = tighter(hi, Bound::Excluded(key), Ordering::Less),
-                    CmpOp::Le => hi = tighter(hi, Bound::Included(key), Ordering::Less),
-                    // a non-range op here cannot tighten the bound; the
-                    // residual predicate still filters, so skipping it is
-                    // conservative (a wider scan), never wrong
-                    _ => {}
-                }
-            }
-            if applies {
-                let mut ids = Vec::new();
-                ix.visit(lo.as_ref(), hi.as_ref(), |_, run| {
-                    ids.extend_from_slice(run);
-                    true
-                });
-                return Some(ids);
-            }
-        }
-        None
-    }
-
     /// Select rows matching `predicate`, using an index when the predicate's
     /// equality constraints cover one, otherwise a full scan.
     pub fn select(&self, predicate: &Predicate) -> StoreResult<Vec<Row>> {
@@ -1259,16 +1212,6 @@ impl Table {
                 },
                 keep,
             )?;
-        } else if let Some(ids) = self.pick_range(predicate) {
-            self.walk(
-                |sink| {
-                    sink(&ids);
-                },
-                keep,
-            )?;
-            // index range order is key order; normalize to row-id order to
-            // match the full-scan result exactly
-            out.sort_by_key(|(id, _)| *id);
         } else {
             self.for_each_row(|id, row| {
                 keep(id, row);
@@ -1276,26 +1219,6 @@ impl Table {
             })?;
         }
         Ok(out)
-    }
-
-    /// Count rows matching a predicate (no materialization beyond the scan).
-    pub fn count(&self, predicate: &Predicate) -> StoreResult<usize> {
-        let bound = predicate.bind(&self.schema)?;
-        let mut n = 0;
-        let mut tally = |row: &Row| n += usize::from(bound.matches(row.values()));
-        match self.pick_index(predicate) {
-            Some(ids) => self.walk(
-                |sink| {
-                    sink(ids);
-                },
-                |_, row| tally(row),
-            )?,
-            None => self.for_each_row(|_, row| {
-                tally(row);
-                Ok(())
-            })?,
-        }
-        Ok(n)
     }
 
     /// Pick the first index whose every column is pinned by an equality
@@ -1349,46 +1272,12 @@ impl Table {
         })?;
         Ok(counts.into_iter().collect())
     }
-
-    /// `SELECT DISTINCT column`: distinct live values of a column, sorted.
-    pub fn distinct_values(&self, column: &str) -> StoreResult<Vec<Value>> {
-        Ok(self
-            .group_count(column)?
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect())
-    }
-}
-
-/// Keep the tighter of two bounds on the same side of a range: `candidate`
-/// wins where it compares `tighter_is` to `current` (`Greater` for lower
-/// bounds, `Less` for upper), and on equal keys `Excluded` wins.
-fn tighter(
-    current: Bound<IndexKey>,
-    candidate: Bound<IndexKey>,
-    tighter_is: Ordering,
-) -> Bound<IndexKey> {
-    let (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) =
-        (&current, &candidate)
-    else {
-        return if matches!(current, Bound::Unbounded) {
-            candidate
-        } else {
-            current
-        };
-    };
-    match b.cmp(a) {
-        Ordering::Equal if matches!(current, Bound::Included(_)) => candidate,
-        order if order == tighter_is => candidate,
-        _ => current,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pager::PoolConfig;
-    use crate::predicate::CmpOp;
     use crate::schema::Column;
     use crate::value::ValueType;
     use crate::vfs::FaultVfs;
@@ -1582,17 +1471,16 @@ mod tests {
             .unwrap();
         assert_eq!(hits.len(), 20);
         assert!(hits.iter().all(|r| r.get(1) == &Value::Int(3)));
-        // index lookup + residual range filter
+        // index lookup + residual filter
         let p = Predicate::eq("source_id", Value::Int(3))
-            .and(Predicate::cmp("object_id", CmpOp::Lt, Value::Int(50)));
+            .and(Predicate::text_contains("accession", "c3"));
         let hits = t.select(&p).unwrap();
-        assert_eq!(hits.len(), 10);
-        assert_eq!(t.count(&p).unwrap(), 10);
-        // no usable index: full scan
+        assert_eq!(hits.len(), 3, "ACC3, ACC33, ACC38");
+        // no index pinned (by_accession also needs the source): full scan
         let hits = t
-            .select(&Predicate::cmp("object_id", CmpOp::Ge, Value::Int(90)))
+            .select(&Predicate::eq("accession", Value::text("ACC90")))
             .unwrap();
-        assert_eq!(hits.len(), 10);
+        assert_eq!(hits.len(), 1);
     }
 
     #[test]
@@ -1690,41 +1578,7 @@ mod tests {
     }
 
     #[test]
-    fn range_scan_served_by_index_matches_full_scan() {
-        let mut t = Table::new(
-            Schema::builder("pos")
-                .column(Column::new("id", ValueType::Int))
-                .column(Column::new("start", ValueType::Float))
-                .primary_key(&["id"])
-                .index("by_start", &["start"])
-                .build()
-                .unwrap(),
-        );
-        for i in 0..200i64 {
-            t.insert(vec![Value::Int(i), Value::Float((i * 7 % 199) as f64)])
-                .unwrap();
-        }
-        let p = Predicate::cmp("start", CmpOp::Ge, Value::Float(50.0))
-            .and(Predicate::cmp("start", CmpOp::Lt, Value::Float(100.0)));
-        // the planner must produce exactly what a full scan produces
-        let via_index = t.select_with_ids(&p).unwrap();
-        let bound = p.bind(t.schema()).unwrap();
-        let via_scan: Vec<(RowId, Row)> = t
-            .scan()
-            .filter(|(_, r)| bound.matches(r.values()))
-            .collect();
-        assert_eq!(via_index, via_scan);
-        assert_eq!(via_index.len(), 50);
-        // open-ended ranges too
-        let p = Predicate::cmp("start", CmpOp::Gt, Value::Float(190.0));
-        assert_eq!(t.select(&p).unwrap().len(), 8);
-        // residues 0..=3, with 0 occurring twice (i = 0 and i = 199)
-        let p = Predicate::cmp("start", CmpOp::Le, Value::Float(3.0));
-        assert_eq!(t.select(&p).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn group_count_and_distinct() {
+    fn group_count_skips_deleted_rows() {
         let mut t = object_table();
         for i in 0..10 {
             t.insert(obj(i, i % 3, &format!("A{i}"))).unwrap();
@@ -1738,10 +1592,6 @@ mod tests {
                 (Value::Int(1), 3),
                 (Value::Int(2), 3),
             ]
-        );
-        assert_eq!(
-            t.distinct_values("source_id").unwrap(),
-            vec![Value::Int(0), Value::Int(1), Value::Int(2)]
         );
         assert!(t.group_count("nope").is_err());
     }
@@ -1927,10 +1777,9 @@ mod tests {
                 b.lookup("by_source", &[Value::Int(src)]).unwrap()
             );
         }
-        assert_eq!(
-            a.select(&Predicate::cmp("object_id", CmpOp::Ge, Value::Int(0))).unwrap(),
-            b.select(&Predicate::cmp("object_id", CmpOp::Ge, Value::Int(0))).unwrap()
-        );
+        // a predicate no index serves: the filtered full scan
+        let everything = Predicate::text_contains("accession", "");
+        assert_eq!(a.select(&everything).unwrap(), b.select(&everything).unwrap());
     }
 
     #[test]

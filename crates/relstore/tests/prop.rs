@@ -146,39 +146,6 @@ proptest! {
         }
     }
 
-    /// Range predicates served by an ordered index agree with a full scan
-    /// for arbitrary data and arbitrary bounds.
-    #[test]
-    fn range_select_equals_scan(
-        rows in proptest::collection::vec((any::<i64>(), -50i64..50), 0..120),
-        lo in -60i64..60,
-        width in 0i64..80,
-    ) {
-        let schema = Schema::builder("r")
-            .column(Column::new("id", ValueType::Int))
-            .column(Column::new("v", ValueType::Int))
-            .primary_key(&["id"])
-            .index("by_v", &["v"])
-            .build()
-            .unwrap();
-        let mut table = Table::new(schema);
-        for (i, (_, v)) in rows.iter().enumerate() {
-            table.insert(vec![Value::Int(i as i64), Value::Int(*v)]).unwrap();
-        }
-        let hi = lo + width;
-        use relstore::predicate::CmpOp;
-        let p = Predicate::cmp("v", CmpOp::Ge, Value::Int(lo))
-            .and(Predicate::cmp("v", CmpOp::Lt, Value::Int(hi)));
-        let via_index = table.select(&p).unwrap();
-        let bound = p.bind(table.schema()).unwrap();
-        let via_scan: Vec<Row> = table
-            .scan()
-            .filter(|(_, r)| bound.matches(r.values()))
-            .map(|(_, r)| r.clone())
-            .collect();
-        prop_assert_eq!(via_index, via_scan);
-    }
-
     /// Snapshot encode/decode preserves live rows, ids, and index behaviour.
     #[test]
     fn snapshot_roundtrip(ops in proptest::collection::vec(arb_op(), 0..60)) {

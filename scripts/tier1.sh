@@ -38,6 +38,11 @@ cargo test -q -p serve
 # bit-identical to the baselines::naive oracle across chain shapes, floors,
 # negation, worker counts, join strategies and missing steps
 cargo test -q -p operators --test algebra_equiv
+# store ≡ snapshot (std-only seeded sweep): per-object associations in the
+# documented order, counts and shared indexes for every object and every
+# issued, deleted or unknown mapping id; capture cost on a paged store
+# pinned in pool misses
+cargo test -q -p gam --test snapshot_equiv
 # paged-storage measurement replica: checkpoint bytes vs dirty fraction,
 # lookup latency/residency at dataset/pool ratios 1x/10x/100x
 rustc -O scripts/page_harness.rs -o /tmp/page_harness && /tmp/page_harness
