@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release -p bench --bin experiments`
 //! Full §5 deployment scale: `GENMAPPER_FULL_SCALE=1 cargo run --release -p bench --bin experiments`
 
-use bench::scaled_params;
+use baselines::{SrsStore, StarWarehouse};
+use bench::{demo_fixture, fixture, scaled_params};
 use eav::EavRecord;
 use gam::mapping::Association;
 use gam::model::RelType;
@@ -13,12 +14,148 @@ use gam::{Mapping, ObjectId, SourceId};
 use genmapper::{GenMapper, QuerySpec, TargetQuery};
 use profiling::{ExpressionParams, ExpressionStudy, FunctionalProfile};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
+use sources::universe::UniverseParams;
+use std::collections::BTreeSet;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn heading(id: &str, title: &str) {
     println!("\n================================================================");
     println!("{id}: {title}");
     println!("================================================================");
+}
+
+/// Fastest of `runs` timed calls after one warm-up call, in seconds.
+fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
+    black_box(f());
+    (0..runs)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn us(secs: f64) -> f64 {
+    secs * 1e6
+}
+
+/// Ablation A1 — generic GAM vs an application-specific star schema (the
+/// paper's §1 argument against conventional warehouses: "construction and
+/// maintenance of the global schema ... are highly difficult and do not
+/// scale well to many sources"): latency on *anticipated* queries, where
+/// the star schema has exactly the right indexes, against integration of
+/// an *unanticipated* source, where it needs a migration and a reload.
+fn ablation_star() {
+    let f = demo_fixture(41);
+    let ll_batch = f.eco.dumps[0].parse().expect("LocusLink parses");
+    let satellite = f.eco.dumps[10].parse().expect("satellite parses");
+    let mut star = StarWarehouse::new().expect("star schema");
+    star.integrate(&ll_batch).expect("star load");
+    let location = f.eco.universe.locus_353().location.clone();
+    let by_location = QuerySpec::source("LocusLink")
+        .target_spec(TargetQuery::new("Location").accessions([location.as_str()]))
+        .and();
+    let by_go = QuerySpec::source("LocusLink")
+        .target_spec(TargetQuery::new("GO").accessions(["GO:0009116"]))
+        .and();
+    println!("{:<34} {:>12} {:>12}", "anticipated query (µs)", "star", "gam");
+    println!(
+        "{:<34} {:>12.1} {:>12.1}",
+        "loci at the location of locus 353",
+        us(best_of(50, || star.loci_at_location(&location).expect("query"))),
+        us(best_of(50, || f.gm.query(&by_location).expect("view"))),
+    );
+    println!(
+        "{:<34} {:>12.1} {:>12.1}",
+        "loci annotated with GO:0009116",
+        us(best_of(50, || star.loci_with_go("GO:0009116").expect("query"))),
+        us(best_of(50, || f.gm.query(&by_go).expect("view"))),
+    );
+    // a source the schema did not anticipate: GAM imports it directly; the
+    // star schema must evolve (add a bridge) and re-run the LocusLink load
+    // to capture the annotations the old schema dropped
+    let gam = best_of(5, || {
+        let mut gm = GenMapper::in_memory().expect("store");
+        gm.import_batch(&ll_batch).expect("import");
+        gm.import_batch(&satellite).expect("import");
+    });
+    let migrate = best_of(5, || {
+        let mut old = StarWarehouse::new().expect("star schema");
+        old.integrate(&ll_batch).expect("star load");
+        old.migrate_add_bridge("Enzyme").expect("migration");
+        let mut rebuilt = StarWarehouse::new().expect("star schema");
+        rebuilt.migrate_add_bridge("Enzyme").expect("migration");
+        rebuilt.integrate(&ll_batch).expect("star reload");
+    });
+    println!("new source: gam import {:.2} ms, star migrate + reload {:.2} ms", gam * 1e3, migrate * 1e3);
+}
+
+/// Ablation A2 — GAM join queries vs SRS-style link navigation (paper §1 on
+/// SRS/DBGET: "join queries over multiple sources are not possible"; the
+/// SRS user emulates a join by navigating every entry's links). Measures
+/// that fan-out against GenerateView across source sizes, then the
+/// single-entry lookups that are SRS's home turf.
+fn ablation_srs() {
+    let params = |n_loci: usize| EcosystemParams {
+        universe: UniverseParams {
+            seed: 51,
+            n_loci,
+            n_go_terms: (n_loci / 4).max(30),
+            n_enzymes: 25,
+            n_omim: 30,
+            n_interpro: 40,
+            probesets_per_locus: 1.3,
+            protein_fraction: 0.7,
+        },
+        n_satellites: 0,
+        satellite_objects: 0,
+        satellite_links: 0,
+        satellite_hubs: 1,
+        satellite_scored_fraction: 0.0,
+    };
+    let term = "GO:0009116";
+    let join = QuerySpec::source("Unigene")
+        .target_spec(TargetQuery::new("GO").accessions([term]))
+        .and();
+    println!("{:<8} {:>20} {:>18}", "loci", "gam GenerateView µs", "srs navigation µs");
+    for n in [100usize, 400, 1600] {
+        let f = fixture(params(n));
+        let mut srs = SrsStore::new();
+        for dump in &f.eco.dumps {
+            srs.load(&dump.parse().expect("dump parses"));
+        }
+        // both systems must answer identically before either is timed
+        let gam_answer: BTreeSet<String> = f
+            .gm
+            .query(&join)
+            .expect("view")
+            .rows
+            .iter()
+            .filter_map(|r| r.cell_text(0).map(str::to_owned))
+            .collect();
+        let srs_answer: BTreeSet<String> = srs
+            .navigate_join("Unigene", &["LocusLink", "GO"], term)
+            .into_iter()
+            .collect();
+        assert_eq!(gam_answer, srs_answer, "systems disagree at n={n}");
+        println!(
+            "{:<8} {:>20.1} {:>18.1}",
+            n,
+            us(best_of(10, || f.gm.query(&join).expect("view"))),
+            us(best_of(10, || srs.navigate_join("Unigene", &["LocusLink", "GO"], term))),
+        );
+        if n == 1600 {
+            let point = QuerySpec::source("LocusLink").accessions(["353"]).target("GO");
+            println!(
+                "point lookups at {n} loci (µs): srs get {:.2}, srs one-hop navigate {:.2}, gam point view {:.2}",
+                us(best_of(50, || srs.get("LocusLink", "353").expect("entry"))),
+                us(best_of(50, || srs.navigate("LocusLink", "353", "GO"))),
+                us(best_of(50, || f.gm.query(&point).expect("view"))),
+            );
+        }
+    }
 }
 
 fn main() {
@@ -221,11 +358,11 @@ fn main() {
     // ------------------------------------------------------ S5-profiling
     heading("S5-profiling", "Functional profiling pipeline (paper §5.2)");
     let eco = Ecosystem::generate(EcosystemParams {
-        universe: sources::universe::UniverseParams {
+        universe: UniverseParams {
             seed: 2004,
             n_loci: if full_scale { 40_000 } else { 4_000 },
             n_go_terms: if full_scale { 12_000 } else { 1_200 },
-            ..sources::universe::UniverseParams::default()
+            ..UniverseParams::default()
         },
         n_satellites: 0,
         satellite_objects: 0,
@@ -257,21 +394,19 @@ fn main() {
         );
     }
 
+    // ---------------------------------------------------------------- A1
+    heading("A1", "Ablation: generic GAM vs application-specific star schema (paper §1)");
+    ablation_star();
+
+    // ---------------------------------------------------------------- A2
+    heading("A2", "Ablation: GAM join queries vs SRS-style link navigation (paper §1)");
+    ablation_srs();
+
     // ------------------------------------------------------------ import
     heading(
         "P-import",
         "Bulk-import fast path: parallel parse + batched resolution + WAL group commit (scale 1/4/16)",
     );
-    let best_of = |runs: usize, f: &mut dyn FnMut()| -> f64 {
-        f(); // warm-up
-        (0..runs)
-            .map(|_| {
-                let t = Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
     // Durable stores so the WAL fsync behaviour is part of the measurement:
     // the per-row baseline pays one fsync per logical commit, the bulk path
     // one per dump batch.
@@ -289,7 +424,7 @@ fn main() {
             .map(|b| b.records.len())
             .sum();
         // baseline: serial parse, per-row probes, sync-on-commit WAL
-        let per_row = best_of(3, &mut || {
+        let per_row = best_of(3, || {
             let dir = bench_dir.join("per-row");
             let _ = std::fs::remove_dir_all(&dir);
             let mut store = gam::GamStore::open(&dir).expect("store");
@@ -304,7 +439,7 @@ fn main() {
         // fast path: parallel parse, batched resolution, one fsync per batch
         let mut phases = import::ImportTimings::default();
         let options = import::PipelineOptions::default();
-        let bulk = best_of(3, &mut || {
+        let bulk = best_of(3, || {
             let dir = bench_dir.join("bulk");
             let _ = std::fs::remove_dir_all(&dir);
             let mut store = gam::GamStore::open(&dir).expect("store");

@@ -1,15 +1,9 @@
-//! Shared fixtures for the benchmark harness.
-//!
-//! Every bench in `benches/` regenerates one experiment from DESIGN.md §4
-//! (one per paper table/figure). The fixtures here build deterministic
-//! systems at named scales so measurements are comparable across runs.
+//! Fixtures for the `experiments` binary, which regenerates the artifacts
+//! of DESIGN.md §4 (one per paper table/figure): deterministic systems at
+//! named scales so measurements are comparable across runs. Performance
+//! series live in gmbench (`scripts/e2e`), not here.
 
-use gam::mapping::{Association, Mapping};
-use gam::model::RelType;
-use gam::{ObjectId, SourceId};
 use genmapper::GenMapper;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use sources::universe::UniverseParams;
 
@@ -19,15 +13,9 @@ pub struct Fixture {
     pub eco: Ecosystem,
 }
 
-/// Build and integrate an ecosystem at demo scale (fast; for per-operator
-/// benches).
+/// Build and integrate an ecosystem at demo scale.
 pub fn demo_fixture(seed: u64) -> Fixture {
     fixture(EcosystemParams::demo(seed))
-}
-
-/// Build and integrate an ecosystem at medium scale.
-pub fn medium_fixture(seed: u64) -> Fixture {
-    fixture(EcosystemParams::medium(seed))
 }
 
 /// Build and integrate an arbitrary ecosystem.
@@ -39,8 +27,8 @@ pub fn fixture(params: EcosystemParams) -> Fixture {
 }
 
 /// Ecosystem parameters scaled by a factor relative to `medium`, with the
-/// satellite count fixed (scale benches vary object counts, not source
-/// counts, unless told otherwise).
+/// satellite count fixed (the scale series varies object counts, not source
+/// counts).
 pub fn scaled_params(seed: u64, factor: f64) -> EcosystemParams {
     let mut p = EcosystemParams::medium(seed);
     p.universe = UniverseParams {
@@ -52,43 +40,6 @@ pub fn scaled_params(seed: u64, factor: f64) -> EcosystemParams {
     p
 }
 
-/// A synthetic in-memory mapping with `n` pairs for pure operator benches
-/// (no store involved). Domain/range object ids are dense.
-pub fn synthetic_mapping(seed: u64, n: usize, fan_out: usize) -> Mapping {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let domain = (n / fan_out).max(1);
-    let mut m = Mapping::empty(SourceId(1), SourceId(2), RelType::Fact);
-    m.pairs.reserve(n);
-    for i in 0..n {
-        let from = ObjectId((i % domain) as u64);
-        let to = ObjectId(10_000_000 + rng.gen_range(0..n as u64));
-        m.pairs.push(Association::fact(from, to));
-    }
-    m.dedup();
-    m
-}
-
-/// A pair of composable mappings sharing a middle source.
-pub fn composable_mappings(seed: u64, n: usize) -> (Mapping, Mapping) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut left = Mapping::empty(SourceId(1), SourceId(2), RelType::Fact);
-    let mut right = Mapping::empty(SourceId(2), SourceId(3), RelType::Fact);
-    let mid = (n / 2).max(1) as u64;
-    for i in 0..n {
-        left.pairs.push(Association::fact(
-            ObjectId(i as u64),
-            ObjectId(1_000_000 + rng.gen_range(0..mid)),
-        ));
-        right.pairs.push(Association::fact(
-            ObjectId(1_000_000 + rng.gen_range(0..mid)),
-            ObjectId(2_000_000 + i as u64),
-        ));
-    }
-    left.dedup();
-    right.dedup();
-    (left, right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,10 +48,6 @@ mod tests {
     fn fixtures_build() {
         let f = demo_fixture(1);
         assert!(f.gm.cardinalities().unwrap().sources >= 14);
-        let m = synthetic_mapping(1, 1000, 4);
-        assert!(m.len() <= 1000 && m.len() > 500);
-        let (l, r) = composable_mappings(1, 500);
-        assert_eq!(l.to, r.from);
     }
 
     #[test]

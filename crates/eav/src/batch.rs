@@ -6,7 +6,7 @@ use gam::model::{SourceContent, SourceStructure};
 /// Metadata of the source a batch was parsed from. The `release` tag is
 /// the audit information used for duplicate elimination at the source level
 /// (paper §4.1).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceMeta {
     /// Source name, e.g. `LocusLink`.
     pub name: String,
@@ -50,7 +50,7 @@ impl SourceMeta {
 }
 
 /// Everything parsed from one source dump.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EavBatch {
     pub meta: SourceMeta,
     pub records: Vec<EavRecord>,

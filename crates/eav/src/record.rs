@@ -9,7 +9,7 @@ use std::fmt;
 /// phosphoribosyltransferase")`, `(353, Location, 16q24, -)`,
 /// `(353, Enzyme, 2.4.2.7, -)`, `(353, GO, GO:0009116, "nucleoside
 /// metabolism")`, and so on.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EavRecord {
     /// Declares an object of the parsed source itself.
     Object {

@@ -9,10 +9,7 @@ use std::fmt;
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            serde::Serialize, serde::Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub $inner);
 
         impl $name {

@@ -7,7 +7,7 @@ use crate::model::RelType;
 use std::collections::BTreeSet;
 
 /// One object-level association inside a mapping.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Association {
     /// Object on the domain side (belongs to [`Mapping::from`]).
     pub from: ObjectId,
@@ -45,7 +45,7 @@ impl Association {
 /// A materialized (in-memory) mapping between two sources: the unit that
 /// `Map` returns and that `Compose`, `RestrictDomain`, `RestrictRange` and
 /// `GenerateView` consume.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mapping {
     /// Domain source (the paper's `S`).
     pub from: SourceId,

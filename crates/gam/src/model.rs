@@ -5,7 +5,7 @@ use crate::ids::{ObjectId, ObjectRelId, SourceId, SourceRelId};
 use std::fmt;
 
 /// Content category of a source (paper Figure 4: "Gene, Protein, Other").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceContent {
     Gene,
     Protein,
@@ -51,7 +51,7 @@ impl fmt::Display for SourceContent {
 /// Structure of a source (paper Figure 4: "Flat, Network"). A *Network*
 /// source organizes its objects in a structure such as a taxonomy or a
 /// database schema; a *Flat* source is a plain object collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceStructure {
     Flat,
     Network,
@@ -102,7 +102,7 @@ impl fmt::Display for SourceStructure {
 /// * **Derived** relationships are computed by GenMapper itself:
 ///   [`Composed`](RelType::Composed) (transitive combination of mappings)
 ///   and [`Subsumed`](RelType::Subsumed) (closure of the IS_A structure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RelType {
     Fact,
     Similarity,
@@ -185,7 +185,7 @@ impl fmt::Display for RelType {
 }
 
 /// A row of the `SOURCE` table.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Source {
     pub id: SourceId,
     /// Source name, unique (e.g. "LocusLink", "GO.BiologicalProcess").
@@ -201,7 +201,7 @@ pub struct Source {
 }
 
 /// A row of the `OBJECT` table.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GamObject {
     pub id: ObjectId,
     pub source: SourceId,
@@ -225,7 +225,7 @@ impl GamObject {
 
 /// A row of the `SOURCE_REL` table: a mapping between two sources (or
 /// within one source, for structural relationships).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceRel {
     pub id: SourceRelId,
     pub source1: SourceId,
@@ -252,7 +252,7 @@ impl SourceRel {
 
 /// A row of the `OBJECT_REL` table: one association between two objects,
 /// belonging to a source-level mapping.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectRel {
     pub id: ObjectRelId,
     pub source_rel: SourceRelId,

@@ -854,6 +854,11 @@ impl GamStore {
     /// ordered merge pass, then fresh pairs (first occurrence wins within the
     /// batch) are inserted in input order with contiguous ids — the same
     /// decisions and id sequence a per-row probe loop produces.
+    ///
+    /// A `source_rel` that was never issued or has been deleted is
+    /// [`GamError::UnknownSourceRel`], checked once per call before anything
+    /// is written. (That each object belongs to the mapping's sources is the
+    /// caller's invariant: checking it would cost a lookup per row.)
     pub fn add_associations_bulk(
         &mut self,
         source_rel: SourceRelId,
@@ -861,6 +866,7 @@ impl GamStore {
         added: &mut usize,
     ) -> GamResult<()> {
         self.bump_mutations();
+        self.get_source_rel(source_rel)?;
         let rel_i64 = source_rel.as_i64();
         let assocs: Vec<Association> = associations.into_iter().collect();
         if assocs.is_empty() {
@@ -1078,7 +1084,7 @@ impl GamStore {
 }
 
 /// The four headline cardinalities GenMapper reports in §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GamCardinalities {
     pub sources: usize,
     pub objects: usize,
@@ -1332,6 +1338,27 @@ mod tests {
         assert_eq!(removed, 1);
         assert!(s.get_source_rel(rel).is_err());
         assert_eq!(s.cardinalities().unwrap().associations, 0);
+    }
+
+    #[test]
+    fn associations_under_an_unknown_mapping_are_refused_before_any_write() {
+        let mut s = store();
+        let a = gene_source(&mut s, "A");
+        let b = gene_source(&mut s, "B");
+        let (ao, _) = s.ensure_object(a.id, "a1", None, None).unwrap();
+        let (bo, _) = s.ensure_object(b.id, "b1", None, None).unwrap();
+        let deleted = s.create_source_rel(a.id, b.id, RelType::Fact, None).unwrap();
+        s.delete_source_rel(deleted).unwrap();
+        for id in [SourceRelId(99), deleted] {
+            let mut added = 0;
+            let bulk = s.add_associations_bulk(id, [Association::fact(ao, bo)], &mut added);
+            assert!(matches!(bulk, Err(GamError::UnknownSourceRel(got)) if got == id));
+            assert_eq!(added, 0);
+            let single = s.add_association(id, ao, bo, Some(0.5));
+            assert!(matches!(single, Err(GamError::UnknownSourceRel(got)) if got == id));
+        }
+        assert_eq!(s.cardinalities().unwrap().associations, 0);
+        assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
     }
 
     #[test]

@@ -1,25 +1,28 @@
-//! Property tests for the GAM store: duplicate elimination, id stability,
+//! Seeded sweeps over the GAM store: duplicate elimination, id stability,
 //! mapping round-trips, and cardinality accounting under random workloads.
 
 use gam::model::{RelType, SourceContent, SourceStructure};
 use gam::{Association, GamStore, ObjectId};
-use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use testkit::{cases, text, Prng, TempDir};
 
-fn arb_accession() -> impl Strategy<Value = String> {
-    "[A-Z]{1,2}[0-9]{1,4}"
+/// `[A-Z]{1,2}[0-9]{1,4}`, over three letters and three digits so that a
+/// few dozen draws repeat accessions.
+fn accession(rng: &mut Prng) -> String {
+    text(rng, b"ABC", 1..=2) + &text(rng, b"012", 1..=4)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+fn accessions(rng: &mut Prng, max: usize) -> Vec<String> {
+    (0..rng.gen_range(1..max)).map(|_| accession(rng)).collect()
+}
 
-    /// ensure_object is idempotent per (source, accession): the number of
-    /// stored objects equals the number of distinct accessions, and ids
-    /// are stable across repeats.
-    #[test]
-    fn object_dedup_matches_distinct_accessions(
-        accessions in proptest::collection::vec(arb_accession(), 1..60),
-    ) {
+/// ensure_object is idempotent per (source, accession): the number of
+/// stored objects equals the number of distinct accessions, and ids
+/// are stable across repeats.
+#[test]
+fn object_dedup_matches_distinct_accessions() {
+    cases(32, |rng| {
+        let accessions = accessions(rng, 60);
         let mut store = GamStore::in_memory().unwrap();
         let src = store
             .create_source("S", SourceContent::Gene, SourceStructure::Flat, None)
@@ -30,30 +33,29 @@ proptest! {
             let (id, created) = store.ensure_object(src, acc, None, None).unwrap();
             match first_id.get(acc.as_str()) {
                 Some(&prev) => {
-                    prop_assert!(!created);
-                    prop_assert_eq!(prev, id, "id stable for {}", acc);
+                    assert!(!created);
+                    assert_eq!(prev, id, "id stable for {}", acc);
                 }
                 None => {
-                    prop_assert!(created);
+                    assert!(created);
                     first_id.insert(acc, id);
                 }
             }
         }
         let distinct: BTreeSet<&String> = accessions.iter().collect();
-        prop_assert_eq!(store.object_count(src).unwrap(), distinct.len());
-        prop_assert_eq!(store.cardinalities().unwrap().objects, distinct.len());
-    }
+        assert_eq!(store.object_count(src).unwrap(), distinct.len());
+        assert_eq!(store.cardinalities().unwrap().objects, distinct.len());
+    });
+}
 
-    /// Bulk insert and per-row insert agree: same ids for same accessions,
-    /// same final count.
-    #[test]
-    fn bulk_and_single_inserts_agree(
-        accessions in proptest::collection::vec(arb_accession(), 1..50),
-    ) {
-        let rows: Vec<(String, Option<String>, Option<f64>)> = accessions
-            .iter()
-            .map(|a| (a.clone(), None, None))
-            .collect();
+/// Bulk insert and per-row insert agree: same ids for same accessions,
+/// same final count.
+#[test]
+fn bulk_and_single_inserts_agree() {
+    cases(32, |rng| {
+        let accessions = accessions(rng, 50);
+        let rows: Vec<(String, Option<String>, Option<f64>)> =
+            accessions.iter().map(|a| (a.clone(), None, None)).collect();
 
         let mut bulk_store = GamStore::in_memory().unwrap();
         let src_b = bulk_store
@@ -72,20 +74,26 @@ proptest! {
             let (id, _) = single_store.ensure_object(src_s, acc, None, None).unwrap();
             single_ids.push(id);
         }
-        prop_assert_eq!(bulk_ids, single_ids);
-        prop_assert_eq!(
+        assert_eq!(bulk_ids, single_ids);
+        assert_eq!(
             bulk_store.object_count(src_b).unwrap(),
             single_store.object_count(src_s).unwrap()
         );
-    }
+    });
+}
 
-    /// Associations round-trip through load_mapping with exact pair
-    /// dedup: stored count equals distinct (from, to) pairs, and the
-    /// inverse orientation mirrors them.
-    #[test]
-    fn association_storage_roundtrip(
-        pairs in proptest::collection::vec((0u64..20, 0u64..20, proptest::option::of(0.0f64..=1.0)), 0..80),
-    ) {
+/// Associations round-trip through load_mapping with exact pair
+/// dedup: stored count equals distinct (from, to) pairs, and the
+/// inverse orientation mirrors them.
+#[test]
+fn association_storage_roundtrip() {
+    cases(32, |rng| {
+        let pairs: Vec<(usize, usize, Option<f64>)> = (0..rng.below(80))
+            .map(|_| {
+                let evidence = rng.gen_bool(0.5).then(|| rng.gen_f64());
+                (rng.below(20), rng.below(20), evidence)
+            })
+            .collect();
         let mut store = GamStore::in_memory().unwrap();
         let a = store
             .create_source("A", SourceContent::Gene, SourceStructure::Flat, None)
@@ -105,8 +113,8 @@ proptest! {
         let assocs: Vec<Association> = pairs
             .iter()
             .map(|&(f, t, e)| Association {
-                from: a_ids[f as usize],
-                to: b_ids[t as usize],
+                from: a_ids[f],
+                to: b_ids[t],
                 evidence: e,
             })
             .collect();
@@ -116,41 +124,36 @@ proptest! {
             .unwrap();
         let distinct: BTreeSet<(ObjectId, ObjectId)> =
             assocs.iter().map(|x| (x.from, x.to)).collect();
-        prop_assert_eq!(added, distinct.len());
+        assert_eq!(added, distinct.len());
         let mapping = store.load_mapping(rel).unwrap();
-        prop_assert_eq!(mapping.len(), distinct.len());
+        assert_eq!(mapping.len(), distinct.len());
         let loaded: BTreeSet<(ObjectId, ObjectId)> =
             mapping.pairs.iter().map(|x| (x.from, x.to)).collect();
-        prop_assert_eq!(&loaded, &distinct);
+        assert_eq!(&loaded, &distinct);
         // inverse mirrors
         let inv = mapping.inverse();
         let inv_pairs: BTreeSet<(ObjectId, ObjectId)> =
             inv.pairs.iter().map(|x| (x.to, x.from)).collect();
-        prop_assert_eq!(&inv_pairs, &distinct);
+        assert_eq!(&inv_pairs, &distinct);
         // cardinality accounting
-        prop_assert_eq!(store.cardinalities().unwrap().associations, distinct.len());
-    }
+        assert_eq!(store.cardinalities().unwrap().associations, distinct.len());
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A durable store reopened from disk answers identically to the
-    /// in-memory original, for random small contents.
-    #[test]
-    fn durable_reopen_equivalence(
-        accessions in proptest::collection::vec(arb_accession(), 1..25),
-        links in proptest::collection::vec((0usize..25, 0usize..25), 0..40),
-        case_id in 0u64..u64::MAX,
-    ) {
-        let dir = std::env::temp_dir()
-            .join("gam-prop")
-            .join(format!("{case_id:x}"));
-        let _ = std::fs::remove_dir_all(&dir);
+/// A durable store reopened from disk answers identically to the
+/// in-memory original, for random small contents.
+#[test]
+fn durable_reopen_equivalence() {
+    cases(8, |rng| {
+        let accessions = accessions(rng, 25);
+        let links: Vec<(usize, usize)> = (0..rng.below(40))
+            .map(|_| (rng.below(25), rng.below(25)))
+            .collect();
+        let dir = TempDir::new("gam-prop");
         let cards;
         let rel;
         {
-            let mut store = GamStore::open(&dir).unwrap();
+            let mut store = GamStore::open(dir.path()).unwrap();
             let a = store
                 .create_source("A", SourceContent::Gene, SourceStructure::Flat, Some("r1"))
                 .unwrap()
@@ -184,15 +187,11 @@ proptest! {
             cards = store.cardinalities().unwrap();
         }
         {
-            let store = GamStore::open(&dir).unwrap();
-            prop_assert_eq!(store.cardinalities().unwrap(), cards);
-            prop_assert_eq!(
-                store.load_mapping(rel).unwrap().len(),
-                cards.associations
-            );
+            let store = GamStore::open(dir.path()).unwrap();
+            assert_eq!(store.cardinalities().unwrap(), cards);
+            assert_eq!(store.load_mapping(rel).unwrap().len(), cards.associations);
             let src = store.find_source("A").unwrap().unwrap();
-            prop_assert_eq!(src.release.as_deref(), Some("r1"));
+            assert_eq!(src.release.as_deref(), Some("r1"));
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

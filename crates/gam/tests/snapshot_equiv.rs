@@ -1,5 +1,5 @@
 //! Store ≡ snapshot on the association-level reads, as a seeded
-//! deterministic sweep (std only): 50 random stores with several mappings
+//! deterministic sweep: 50 random stores with several mappings
 //! per source pair, IS_A self-mappings, shared object pairs and deleted
 //! mappings. For every object and every mapping id — issued, deleted or
 //! never issued — [`GamStore`] and [`GamSnapshot`] must answer
@@ -14,31 +14,19 @@ use gam::{
     Association, GamRead, GamResult, GamSnapshot, GamStore, ObjectId, RelType, SourceId,
     SourceRelId,
 };
+use testkit::Prng;
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn below(st: &mut u64, n: usize) -> usize {
-    (xorshift(st) % n as u64) as usize
-}
-
-fn evidence(st: &mut u64) -> Option<f64> {
-    match below(st, 4) {
+fn evidence(st: &mut Prng) -> Option<f64> {
+    match st.below(4) {
         0 => None,
         1 => Some(1.0),
-        _ => Some(below(st, 1001) as f64 / 1000.0),
+        _ => Some(st.below(1001) as f64 / 1000.0),
     }
 }
 
 /// Fill `store` with a random GAM; returns the sources' object ids.
-fn populate(store: &mut GamStore, st: &mut u64) -> Vec<(SourceId, Vec<ObjectId>)> {
-    let n_sources = 2 + below(st, 4);
+fn populate(store: &mut GamStore, st: &mut Prng) -> Vec<(SourceId, Vec<ObjectId>)> {
+    let n_sources = 2 + st.below(4);
     let mut sources: Vec<(SourceId, Vec<ObjectId>)> = Vec::new();
     for i in 0..n_sources {
         let id = store
@@ -50,7 +38,7 @@ fn populate(store: &mut GamStore, st: &mut u64) -> Vec<(SourceId, Vec<ObjectId>)
             )
             .unwrap()
             .id;
-        let objects = (0..below(st, 12))
+        let objects = (0..st.below(12))
             .map(|k| {
                 store
                     .create_object(id, &format!("s{i}-{k}"), None, None)
@@ -60,9 +48,9 @@ fn populate(store: &mut GamStore, st: &mut u64) -> Vec<(SourceId, Vec<ObjectId>)
         sources.push((id, objects));
     }
     let mut rels = Vec::new();
-    for _ in 0..1 + below(st, 8) {
-        let (from, to) = (below(st, n_sources), below(st, n_sources));
-        let rel_type = match (from == to, below(st, 2)) {
+    for _ in 0..1 + st.below(8) {
+        let (from, to) = (st.below(n_sources), st.below(n_sources));
+        let rel_type = match (from == to, st.below(2)) {
             (true, _) => RelType::IsA,
             (false, 0) => RelType::Fact,
             (false, _) => RelType::Similarity,
@@ -73,20 +61,20 @@ fn populate(store: &mut GamStore, st: &mut u64) -> Vec<(SourceId, Vec<ObjectId>)
         rels.push((rel, from, to));
     }
     // interleave the mappings' inserts so row order is not mapping order
-    for _ in 0..below(st, 60) {
-        let (rel, from, to) = rels[below(st, rels.len())];
+    for _ in 0..st.below(60) {
+        let (rel, from, to) = rels[st.below(rels.len())];
         let (domain, range) = (&sources[from].1, &sources[to].1);
         if domain.is_empty() || range.is_empty() {
             continue;
         }
         let (o1, o2) = (
-            domain[below(st, domain.len())],
-            range[below(st, range.len())],
+            domain[st.below(domain.len())],
+            range[st.below(range.len())],
         );
         store.add_association(rel, o1, o2, evidence(st)).unwrap();
     }
-    if below(st, 3) == 0 {
-        let (rel, _, _) = rels.swap_remove(below(st, rels.len()));
+    if st.below(3) == 0 {
+        let (rel, _, _) = rels.swap_remove(st.below(rels.len()));
         store.delete_source_rel(rel).unwrap();
     }
     sources
@@ -124,7 +112,7 @@ fn same<T: std::fmt::Debug>(snap: GamResult<T>, store: GamResult<T>, what: &str)
 fn store_and_snapshot_agree_on_every_object_and_mapping() {
     let mut with_associations = 0;
     for round in 0..50u64 {
-        let mut st = 0x9E37_79B9_7F4A_7C15 ^ (round + 1);
+        let mut st = Prng::seed_from_u64(round);
         let mut store = GamStore::in_memory().unwrap();
         let sources = populate(&mut store, &mut st);
         let snap = GamSnapshot::capture(&store).unwrap();
@@ -173,7 +161,7 @@ fn capture_walks_a_paged_store_about_once() {
     };
     let objects = {
         let mut store = GamStore::open_paged(&dir, config).unwrap();
-        let mut st = 7u64;
+        let mut st = Prng::seed_from_u64(7);
         store.begin_group_commit();
         let a = store
             .create_source("A", SourceContent::Gene, SourceStructure::Flat, None)
@@ -199,7 +187,7 @@ fn capture_walks_a_paged_store_about_once() {
         // then sequential in the heap, while a per-object probe of the
         // range side still lands on a random page every time
         let mut pairs: Vec<(ObjectId, ObjectId)> = (0..1200)
-            .map(|_| (a_ids[below(&mut st, 400)], b_ids[below(&mut st, 400)]))
+            .map(|_| (a_ids[st.below(400)], b_ids[st.below(400)]))
             .collect();
         pairs.sort_unstable();
         for chunk in pairs.chunks(20) {

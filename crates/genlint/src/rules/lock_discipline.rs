@@ -1,17 +1,15 @@
 //! R4 `lock-discipline`: nested lock acquisitions follow one declared
 //! order, and no guard is held across a scoped-thread spawn.
 //!
-//! The parallel join paths (PRs 1–3) mix `parking_lot` and `std::sync`
-//! primitives; a deadlock needs only two functions that nest the same two
-//! locks in opposite orders, or one guard held while `scope.spawn`
-//! fans out workers that want it. Locks are *declared* in `genlint.toml`
+//! A deadlock needs only two functions that nest the same two locks in
+//! opposite orders, or one guard held while `scope.spawn` fans out workers
+//! that want it. Locks are *declared* in `genlint.toml`
 //! (`[lock-discipline] locks`, matched by receiver name) together with a
 //! single global acquisition order; the rule flags, within one function:
 //!
 //! * nested acquisition of two declared locks that contradicts the order
 //!   (or involves a lock missing from the order list — fail closed),
-//! * nested re-acquisition of the same lock (self-deadlock with
-//!   `std::sync` primitives, double-lock panic with `parking_lot`),
+//! * nested re-acquisition of the same lock (self-deadlock),
 //! * a `let`-bound guard of a declared lock still live at a `spawn(`
 //!   call (release it, or `drop(guard)` first).
 //!
@@ -137,7 +135,7 @@ impl Rule for LockDiscipline {
                             file.tokens[b.tok].off,
                             format!(
                                 "lock `{}` re-acquired in fn {} while its own guard is live \
-                                 (self-deadlock / double-lock panic)",
+                                 (self-deadlock)",
                                 a.name, f.name
                             ),
                         ));

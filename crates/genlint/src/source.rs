@@ -14,7 +14,7 @@
 //!    maps to a precise line:col.
 //! 3. A brace-depth pass marks test scope: `#[cfg(test)]` / `#[test]`
 //!    attributed items, `mod tests { ... }` blocks, and whole files under
-//!    `tests/`, `benches/`, or `examples/` directories.
+//!    `tests/`, `benches/`, `examples/` or the dev-only `testkit` crate.
 //! 4. [`crate::items`] extracts `impl` blocks, `fn` items, `use`
 //!    imports, and call sites for the rules and the cross-file call
 //!    graph.
@@ -63,7 +63,7 @@ pub struct SourceFile {
     pub calls: Vec<CallSite>,
     /// Sorted, disjoint byte ranges of test-only code.
     test_ranges: Vec<(usize, usize)>,
-    /// Whole file is test scope (integration tests, benches, examples).
+    /// Whole file is test scope (integration tests, benches, examples, testkit).
     whole_file_test: bool,
     /// Byte offsets of line starts, for offset -> line:col mapping.
     line_starts: Vec<usize>,
@@ -225,11 +225,12 @@ pub fn mask(raw: &str) -> String {
     lexer::masked(raw, &toks)
 }
 
-/// Whether a path is test-only by location.
+/// Whether a path is test-only by location. `testkit` is the dev-only
+/// crate the test sweeps share; nothing links it outside `cargo test`.
 fn path_is_test(rel_path: &str) -> bool {
     rel_path
         .split('/')
-        .any(|seg| seg == "tests" || seg == "benches" || seg == "examples")
+        .any(|seg| matches!(seg, "tests" | "benches" | "examples" | "testkit"))
 }
 
 // ---------------------------------------------------------------------------
@@ -427,6 +428,7 @@ mod tests {
         let f = SourceFile::parse("crates/x/tests/foo.rs", "fn t() { x.unwrap(); }");
         assert!(f.is_test_file());
         assert!(f.is_test(0));
+        assert!(SourceFile::parse("crates/testkit/src/lib.rs", "").is_test_file());
     }
 
     #[test]

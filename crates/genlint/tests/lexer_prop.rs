@@ -4,16 +4,15 @@
 //! so span-based reporting (line:col) and `masked()` can never drift
 //! from the raw source.
 //!
-//! Pinned three ways: a generator-driven sweep over adversarial
-//! fragment mixes (runs everywhere, fixed seed), a proptest property
-//! over arbitrary strings (runs where the proptest runner is
-//! available), and a corpus sweep over every `.rs` file in this
+//! Pinned three ways: a seeded sweep over adversarial fragment mixes,
+//! one over arbitrary strings weighted towards the characters the lexer
+//! branches on, and a corpus sweep over every `.rs` file in this
 //! workspace.
 
 use genlint::lexer::{self, TokKind};
 use genlint::source::{self, SourceFile};
-use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use testkit::{cases, Prng};
 
 /// Assert the partition invariant for one input and return the tokens.
 fn assert_partition(src: &str) -> Vec<lexer::Tok> {
@@ -36,15 +35,6 @@ fn assert_partition(src: &str) -> Vec<lexer::Tok> {
     let rebuilt: String = toks.iter().map(|t| &src[t.start..t.end]).collect();
     assert_eq!(rebuilt, src, "concatenated spans must reproduce the input");
     toks
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 /// Fragments chosen to sit on the lexer's edges: raw strings with
@@ -75,36 +65,56 @@ const FRAGMENTS: &[&str] = &[
     "b'q'",
 ];
 
-/// Deterministic analogue of the proptest property: random fragment
-/// concatenations plus random character soup, fixed seed, so the
-/// invariant is executed even where the proptest runner is a stub.
-#[test]
-fn deterministic_partition_sweep() {
-    let mut st = 0x1234_5678_9abc_def1u64;
-    let soup: Vec<char> = "ab_\"'\\/r#b*{}()0.e π\n\t".chars().collect();
-    for round in 0..300u32 {
-        let mut src = String::new();
-        if round % 2 == 0 {
-            for _ in 0..(xorshift(&mut st) % 8) {
-                let i = (xorshift(&mut st) as usize) % FRAGMENTS.len();
-                src.push_str(FRAGMENTS[i]);
-                src.push('\n');
-            }
-        } else {
-            for _ in 0..(xorshift(&mut st) % 64) {
-                let i = (xorshift(&mut st) as usize) % soup.len();
-                src.push(soup[i]);
-            }
-        }
-        let toks = assert_partition(&src);
-        let masked = lexer::masked(&src, &toks);
-        assert_eq!(masked.len(), src.len(), "mask must preserve byte offsets");
-        assert_eq!(
-            masked.matches('\n').count(),
-            src.matches('\n').count(),
-            "mask must preserve line structure"
-        );
+/// The partition invariant, plus: masking preserves byte offsets and line
+/// structure.
+fn assert_partition_and_mask(src: &str) {
+    let toks = assert_partition(src);
+    let masked = lexer::masked(src, &toks);
+    assert_eq!(masked.len(), src.len(), "mask must preserve byte offsets");
+    assert_eq!(
+        masked.matches('\n').count(),
+        src.matches('\n').count(),
+        "mask must preserve line structure"
+    );
+}
+
+/// Half the draws come from the characters that open, close or escape a
+/// token; the rest are any scalar value, multibyte ones included.
+fn any_char(rng: &mut Prng) -> char {
+    const SOUP: &[char] = &[
+        'a', 'b', '_', '"', '\'', '\\', '/', 'r', '#', 'b', '*', '{', '}', '(', ')', '0', '.', 'e',
+        ' ', 'π', '\n', '\t',
+    ];
+    if rng.gen_bool(0.5) {
+        return *rng.pick(SOUP);
     }
+    loop {
+        if let Some(c) = char::from_u32(rng.gen_range(0u32..0x11_0000)) {
+            return c;
+        }
+    }
+}
+
+/// Any string lexes into a byte-exact partition — no gaps, no overlap, no
+/// panics, spans on UTF-8 boundaries.
+#[test]
+fn arbitrary_source_partitions() {
+    cases(406, |rng| {
+        let src: String = (0..rng.below(201)).map(|_| any_char(rng)).collect();
+        assert_partition_and_mask(&src);
+    });
+}
+
+/// Fragment concatenations (the adversarial mix above) also hold, and
+/// masking preserves offsets and newlines.
+#[test]
+fn fragment_mix_partitions() {
+    cases(406, |rng| {
+        let src: String = (0..rng.below(8))
+            .map(|_| format!("{}\n", rng.pick(FRAGMENTS)))
+            .collect();
+        assert_partition_and_mask(&src);
+    });
 }
 
 /// Classification spot-checks the sweep can't assert generically.
@@ -185,27 +195,5 @@ fn workspace_corpus_partitions_byte_exactly() {
                 path.display()
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Any string lexes into a byte-exact partition — no gaps, no
-    /// overlap, no panics, spans on UTF-8 boundaries.
-    #[test]
-    fn arbitrary_source_partitions(src in ".{0,200}") {
-        assert_partition(&src);
-    }
-
-    /// Fragment concatenations (the adversarial mix above) also hold,
-    /// and masking preserves offsets and newlines.
-    #[test]
-    fn fragment_mix_partitions(idx in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..8)) {
-        let src: String = idx.iter().map(|&i| format!("{}\n", FRAGMENTS[i])).collect();
-        let toks = assert_partition(&src);
-        let masked = lexer::masked(&src, &toks);
-        assert_eq!(masked.len(), src.len());
-        assert_eq!(masked.matches('\n').count(), src.matches('\n').count());
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::{GenMapper, Snapshot};
 use gam::{GamError, GamResult};
-use parking_lot::{Mutex, RwLock};
+use relstore::sync::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 

@@ -9,8 +9,8 @@ use gam::{
 };
 use import::{Importer, PipelineOptions};
 use operators::{generate_view_idx, ExecConfig, IndexResolver, TargetSpec, ViewQuery};
-use parking_lot::{Mutex, RwLock};
 use pathfinder::{SavedPaths, SourceGraph};
+use relstore::sync::{Mutex, RwLock};
 use sources::ecosystem::SourceDump;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;

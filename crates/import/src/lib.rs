@@ -22,7 +22,7 @@
 //!   `Fact` mapping, scored records into a `Similarity` mapping.
 //!
 //! [`pipeline`] adds the driver that parses many dumps in parallel
-//! (crossbeam-scoped threads) and imports them serially, as GenMapper's
+//! (scoped threads) and imports them serially, as GenMapper's
 //! loader did against its central MySQL database.
 
 // Non-test code on the import/query path must propagate errors, never

@@ -1,7 +1,7 @@
 //! The load pipeline: parallel Parse, serial Import.
 //!
 //! Parsing is pure, CPU-bound, per-source work — it fans out across
-//! crossbeam-scoped worker threads. Import mutates the central database
+//! scoped worker threads. Import mutates the central database
 //! and runs serially in dump order (GenMapper loads into one MySQL
 //! instance the same way). Batches are handed over through a bounded
 //! channel so memory stays proportional to the number of workers, not the
@@ -133,9 +133,11 @@ pub fn parse_dumps_lenient(
     let cursor = AtomicUsize::new(0);
     let slots_ptr = std::sync::Mutex::new(&mut slots);
 
-    crossbeam::scope(|scope| {
+    // a worker panic is a bug in this crate, not a parse failure: the scope
+    // joins every worker, then panics on this thread instead of masking it
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     return;
@@ -148,10 +150,7 @@ pub fn parse_dumps_lenient(
                 guard[i] = Some(result);
             });
         }
-    })
-    // a worker panic is a bug in this crate, not a parse failure —
-    // re-raise it on the calling thread instead of masking it
-    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    });
 
     let mut out = Vec::with_capacity(n);
     for (i, slot) in slots.into_iter().enumerate() {

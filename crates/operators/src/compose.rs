@@ -374,22 +374,16 @@ mod tests {
 
     /// Deterministic pseudo-random mapping pair sharing a middle source.
     fn random_pair(seed: u64, n: usize, left_dom: u64, mid: u64, right_dom: u64) -> (MappingIndex, MappingIndex) {
-        let mut state = seed;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = testkit::Prng::seed_from_u64(seed);
         let mut left = Vec::new();
         let mut right = Vec::new();
         for _ in 0..n {
-            let e = match next() % 3 {
+            let e = match rng.below(3) {
                 0 => None,
-                _ => Some((next() % 1000) as f64 / 1000.0),
+                _ => Some(rng.below(1000) as f64 / 1000.0),
             };
-            left.push((next() % left_dom, next() % mid, e));
-            right.push((next() % mid, next() % right_dom, e.map(|v| 1.0 - v)));
+            left.push((rng.gen_range(0..left_dom), rng.gen_range(0..mid), e));
+            right.push((rng.gen_range(0..mid), rng.gen_range(0..right_dom), e.map(|v| 1.0 - v)));
         }
         (m(1, 2, &left), m(2, 3, &right))
     }

@@ -4,8 +4,7 @@
 //! Figure 5 line by line), bit for bit — evidence is compared through
 //! `f64::to_bits`, so a reassociated product, a sign-of-zero slip, or a
 //! fact (`None`) turning into `Some(1.0)` fails. A seeded deterministic
-//! sweep (std only, no proptest), so it runs wherever the crate compiles
-//! and a failure pins to a round number.
+//! sweep: a failure pins to a round number.
 //!
 //! What the executor is licensed to do differently from the oracle — pick
 //! merge / gallop / hash per join, push floors down, reorder fact chains,
@@ -25,49 +24,33 @@ use operators::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use testkit::Prng;
 
 const JOBS: [usize; 4] = [1, 2, 4, 8];
 const FLOORS: [Option<f64>; 4] = [None, Some(0.0), Some(0.5), Some(1.0)];
 const BAD_FLOORS: [f64; 3] = [f64::NAN, -0.1, 1.1];
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn below(st: &mut u64, n: usize) -> usize {
-    (xorshift(st) % n as u64) as usize
-}
-
-fn coin(st: &mut u64) -> bool {
-    below(st, 2) == 0
-}
-
 /// A valid floor: the fixed grid, or now and then a random one.
-fn floor(st: &mut u64) -> Option<f64> {
-    match below(st, 6) {
+fn floor(st: &mut Prng) -> Option<f64> {
+    match st.below(6) {
         k @ 0..=3 => FLOORS[k],
-        _ => Some(below(st, 1001) as f64 / 1000.0),
+        _ => Some(st.below(1001) as f64 / 1000.0),
     }
 }
 
 /// Evidence from a pool heavy on collisions: facts, an explicit 1.0 (ties
 /// with a fact's effective evidence), 0.0, and a coarse grid so duplicate
 /// derivations of one pair often tie or straddle a floor.
-fn evidence(st: &mut u64, facts_only: bool) -> Option<f64> {
+fn evidence(st: &mut Prng, facts_only: bool) -> Option<f64> {
     if facts_only {
         return None;
     }
-    match below(st, 8) {
+    match st.below(8) {
         0 | 1 => None,
         2 => Some(1.0),
         3 => Some(0.0),
         4 => Some(0.5),
-        _ => Some(below(st, 1001) as f64 / 1000.0),
+        _ => Some(st.below(1001) as f64 / 1000.0),
     }
 }
 
@@ -105,7 +88,7 @@ fn mapping_bits(r: GamResult<Mapping>) -> Result<MappingBits, String> {
 /// spaces; `wild` mixes in evidence above 1.0, which no store accepts but
 /// an in-memory index can carry.
 fn random_mapping(
-    st: &mut u64,
+    st: &mut Prng,
     from: u32,
     to: u32,
     n: usize,
@@ -113,12 +96,12 @@ fn random_mapping(
     rng: u64,
     wild: bool,
 ) -> Mapping {
-    let facts_only = below(st, 5) == 0;
+    let facts_only = st.below(5) == 0;
     let pairs = (0..n)
         .map(|_| Association {
-            from: ObjectId(xorshift(st) % dom),
-            to: ObjectId(xorshift(st) % rng),
-            evidence: match below(st, 6) {
+            from: ObjectId(st.gen_range(0..dom)),
+            to: ObjectId(st.gen_range(0..rng)),
+            evidence: match st.below(6) {
                 0 if wild => Some(1.5),
                 _ => evidence(st, facts_only),
             },
@@ -147,7 +130,7 @@ fn check_join(l: &MappingIndex, r: &MappingIndex, floor: Option<f64>, ctx: &str)
 
 #[test]
 fn joins_match_the_nested_loop() {
-    let mut st = 0x9E37_79B9_7F4A_7C15u64;
+    let mut st = Prng::seed_from_u64(0x9E37_79B9_7F4A_7C15);
     // (left pairs, right pairs, left domain, middle, right range): empty,
     // 1:1, balanced, dense, and a many-keyed side against a few-keyed one
     // in both directions (arming each gallop flag)
@@ -203,7 +186,7 @@ fn joins_match_the_nested_loop() {
 
 #[test]
 fn a_join_above_the_parallel_threshold_hashes_and_still_matches() {
-    let mut st = 0x5DEE_CE66_D1CE_CAFEu64;
+    let mut st = Prng::seed_from_u64(0x5DEE_CE66_D1CE_CAFE);
     let n = PARALLEL_THRESHOLD + 800;
     let l = MappingIndex::build(random_mapping(&mut st, 1, 2, n * 2, 4000, 3000, false));
     let r = MappingIndex::build(random_mapping(&mut st, 2, 3, 2500, 3000, 500, false));
@@ -226,10 +209,10 @@ fn a_join_above_the_parallel_threshold_hashes_and_still_matches() {
 /// definitions (paper Table 2) on the same canonical pairs.
 #[test]
 fn index_restrictions_match_the_flat_mapping() {
-    let mut st = 0x7AB1_E200_7AB1_E200u64;
+    let mut st = Prng::seed_from_u64(0x7AB1_E200_7AB1_E200);
     for round in 0..40 {
         let (dom, rng) = [(1, 1), (40, 40), (3, 120), (120, 3)][round % 4];
-        let n = below(&mut st, 300);
+        let n = st.below(300);
         let idx = MappingIndex::build(random_mapping(&mut st, 1, 2, n, dom, rng, false));
         let flat = idx.to_mapping();
         assert_eq!(
@@ -242,7 +225,7 @@ fn index_restrictions_match_the_flat_mapping() {
             (flat.domain(), flat.range(), flat.len())
         );
         let picks: BTreeSet<ObjectId> =
-            (0..40).map(|_| ObjectId(xorshift(&mut st) % 130)).collect();
+            (0..40).map(|_| ObjectId(st.gen_range(0..130))).collect();
         for subset in [&picks, &flat.domain(), &flat.range()] {
             assert_eq!(
                 bits(&idx.restrict_domain(subset)),
@@ -255,7 +238,7 @@ fn index_restrictions_match_the_flat_mapping() {
                 "round {round}"
             );
         }
-        let f = below(&mut st, 1001) as f64 / 1000.0;
+        let f = st.below(1001) as f64 / 1000.0;
         let mut kept = flat.clone();
         kept.pairs.retain(|a| a.effective_evidence() >= f);
         assert_eq!(
@@ -336,7 +319,7 @@ fn add_hop(
 }
 
 fn random_edges(
-    st: &mut u64,
+    st: &mut Prng,
     n: usize,
     width: usize,
     facts_only: bool,
@@ -344,7 +327,7 @@ fn random_edges(
     (0..n)
         .map(|_| {
             (
-                (below(st, width), below(st, width)),
+                (st.below(width), st.below(width)),
                 evidence(st, facts_only),
             )
         })
@@ -355,13 +338,13 @@ fn random_edges(
 /// the chain's direction (Map must invert them) and sometimes split over
 /// two stored mappings with overlapping pairs (Map must merge them);
 /// sparse hops make chains that empty half way reachable.
-fn random_chain(st: &mut u64, sources: usize, width: usize, facts_only: bool) -> Chain {
+fn random_chain(st: &mut Prng, sources: usize, width: usize, facts_only: bool) -> Chain {
     let mut c = chain_sources(sources, width);
     for h in 0..sources - 1 {
-        let n = match below(st, 6) {
+        let n = match st.below(6) {
             0 => 0,
             1 => 2,
-            _ => width + below(st, 3 * width),
+            _ => width + st.below(3 * width),
         };
         let edges = random_edges(st, n, width, facts_only);
         add_hop(
@@ -369,12 +352,12 @@ fn random_chain(st: &mut u64, sources: usize, width: usize, facts_only: bool) ->
             h,
             h + 1,
             &edges,
-            below(st, 4) == 0,
+            st.below(4) == 0,
             RelType::Similarity,
         );
-        if below(st, 4) == 0 {
+        if st.below(4) == 0 {
             let extra = random_edges(st, width, width, true);
-            add_hop(&mut c, h, h + 1, &extra, coin(st), RelType::Fact);
+            add_hop(&mut c, h, h + 1, &extra, st.gen_bool(0.5), RelType::Fact);
         }
     }
     c
@@ -394,16 +377,16 @@ fn check_chain(store: &dyn GamRead, path: &[SourceId], floor: Option<f64>, ctx: 
 
 #[test]
 fn chains_match_the_lazy_left_fold() {
-    let mut st = 0x0DDB_1A5E_5BAD_5EEDu64;
+    let mut st = Prng::seed_from_u64(0x0DDB_1A5E_5BAD_5EED);
     for round in 0..60 {
         // 1 hop (plain Map) now and then, otherwise 2–6 hops
         let sources = if round % 10 == 0 {
             2
         } else {
-            3 + below(&mut st, 5)
+            3 + st.below(5)
         };
         // all-fact chains of 3+ steps arm the reordering rewrite
-        let facts_only = below(&mut st, 3) == 0;
+        let facts_only = st.below(3) == 0;
         let c = random_chain(&mut st, sources, 6, facts_only);
         let ctx = format!("round {round} sources={sources} facts_only={facts_only}");
         for f in FLOORS.into_iter().chain([floor(&mut st)]) {
@@ -432,7 +415,7 @@ fn chains_match_the_lazy_left_fold() {
 }
 
 /// A three-source chain whose first hop is large enough to hash.
-fn big_chain(st: &mut u64) -> Chain {
+fn big_chain(st: &mut Prng) -> Chain {
     let width = 3000;
     let mut c = chain_sources(3, width);
     let first = random_edges(st, PARALLEL_THRESHOLD * 2, width, false);
@@ -445,7 +428,7 @@ fn big_chain(st: &mut u64) -> Chain {
 
 #[test]
 fn a_chain_above_the_parallel_threshold_hashes_and_still_matches() {
-    let mut st = 0x0B16_C4A1_4B16_C4A1u64;
+    let mut st = Prng::seed_from_u64(0x0B16_C4A1_4B16_C4A1);
     let c = big_chain(&mut st);
     let (a, b) = (
         map_index(&c.store, c.ids[0], c.ids[1]).unwrap(),
@@ -587,19 +570,19 @@ fn check_view(store: &dyn GamRead, q: &ViewQuery, ctx: &str) {
     }
 }
 
-fn random_subset(st: &mut u64, objs: &[ObjectId]) -> BTreeSet<ObjectId> {
-    objs.iter().copied().filter(|_| below(st, 3) > 0).collect()
+fn random_subset(st: &mut Prng, objs: &[ObjectId]) -> BTreeSet<ObjectId> {
+    objs.iter().copied().filter(|_| st.below(3) > 0).collect()
 }
 
 /// Decorate a target with random negation, floor and object restriction.
-fn decorate(st: &mut u64, mut spec: TargetSpec, objs: &[ObjectId]) -> TargetSpec {
-    if below(st, 3) == 0 {
+fn decorate(st: &mut Prng, mut spec: TargetSpec, objs: &[ObjectId]) -> TargetSpec {
+    if st.below(3) == 0 {
         spec = spec.negated();
     }
     if let Some(f) = floor(st) {
         spec = spec.min_evidence(f);
     }
-    if below(st, 3) == 0 {
+    if st.below(3) == 0 {
         spec.objects = Some(random_subset(st, objs));
     }
     spec
@@ -607,10 +590,10 @@ fn decorate(st: &mut u64, mut spec: TargetSpec, objs: &[ObjectId]) -> TargetSpec
 
 #[test]
 fn views_match_figure_5() {
-    let mut st = 0x0F16_0005_0F16_0005u64;
+    let mut st = Prng::seed_from_u64(0x0F16_0005_0F16_0005);
     for round in 0..60 {
-        let sources = 3 + below(&mut st, 4);
-        let facts_only = below(&mut st, 3) == 0;
+        let sources = 3 + st.below(4);
+        let facts_only = st.below(3) == 0;
         let c = random_chain(&mut st, sources, 6, facts_only);
         let n = sources;
         // deep walks the whole chain; mid and (with 4+ sources) short stop
@@ -621,17 +604,17 @@ fn views_match_figure_5() {
         q = q.target(decorate(&mut st, deep, &c.objs[n - 1]));
         let mid = TargetSpec::all(c.ids[n - 2]).via(c.ids[..n - 1].to_vec());
         q = q.target(decorate(&mut st, mid, &c.objs[n - 2]));
-        if n >= 4 && coin(&mut st) {
+        if n >= 4 && st.gen_bool(0.5) {
             let short = TargetSpec::all(c.ids[n - 3]).via(c.ids[..n - 2].to_vec());
             q = q.target(decorate(&mut st, short, &c.objs[n - 3]));
         }
-        if coin(&mut st) {
+        if st.gen_bool(0.5) {
             q = q.target(decorate(&mut st, TargetSpec::all(c.ids[1]), &c.objs[1]));
         }
-        if coin(&mut st) {
+        if st.gen_bool(0.5) {
             q = q.combine(Combine::And);
         }
-        if below(&mut st, 3) == 0 {
+        if st.below(3) == 0 {
             q = q.objects(random_subset(&mut st, &c.objs[0]));
         }
         let ctx = format!("round {round} sources={sources} facts_only={facts_only} {q:?}");
@@ -640,7 +623,7 @@ fn views_match_figure_5() {
         // a bad floor on one target is that target's error — unless an
         // earlier target already failed
         let mut bad = q.clone();
-        let k = below(&mut st, bad.targets.len());
+        let k = st.below(bad.targets.len());
         bad.targets[k].min_evidence = Some(BAD_FLOORS[round % 3]);
         check_view(&c.store, &bad, &format!("{ctx} bad floor on target {k}"));
         if k > 0 {
@@ -797,9 +780,9 @@ fn floors_follow_the_fold_when_evidence_exceeds_one() {
         compose_path_idx_with_threshold(&sinks, &path, 0.5, &ExecConfig::sequential()).unwrap();
     assert!(got.is_empty());
 
-    let mut st = 0x0E11_DE2C_E0FF_1CE5u64;
+    let mut st = Prng::seed_from_u64(0x0E11_DE2C_E0FF_1CE5);
     for round in 0..40 {
-        let hops = 2 + below(&mut st, 3);
+        let hops = 2 + st.below(3);
         let steps: Vec<Mapping> = (0..hops)
             .map(|h| random_mapping(&mut st, h as u32 + 1, h as u32 + 2, 14, 5, 5, true))
             .collect();

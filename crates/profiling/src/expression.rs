@@ -6,8 +6,7 @@
 //! genes on the chip, ~50% detected, ~2 500 significantly different — so
 //! the downstream GenMapper profiling runs on data with the same shape.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use sources::prng::Prng;
 use sources::universe::Universe;
 
 /// Study-shape parameters.
@@ -97,16 +96,16 @@ pub struct ExpressionStudy {
 }
 
 /// Standard-normal sample via Box–Muller.
-fn gaussian(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
+fn gaussian(rng: &mut Prng) -> f64 {
+    let u1 = f64::MIN_POSITIVE + (1.0 - f64::MIN_POSITIVE) * rng.gen_f64();
+    let u2 = rng.gen_f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 impl ExpressionStudy {
     /// Simulate the study over every probe set of the universe's chip.
     pub fn simulate(universe: &Universe, params: ExpressionParams) -> ExpressionStudy {
-        let mut rng = SmallRng::seed_from_u64(params.seed);
+        let mut rng = Prng::seed_from_u64(params.seed);
         // resolve the planted term (plus all IS_A descendants, since genes
         // are annotated at leaf terms) to the set of boosted probe sets
         let boosted: std::collections::HashSet<usize> = match &params.planted {

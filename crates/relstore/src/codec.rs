@@ -5,10 +5,14 @@
 //! encoding; lengths use plain varints. The same primitives serve the
 //! write-ahead log and the snapshot file, so corruption detection (bad tags,
 //! short buffers) is shared.
+//!
+//! Writers append to a `Vec<u8>`. Readers advance a `&mut &[u8]` cursor over
+//! the CRC-verified payload in place: every read goes through [`get_u8`] or
+//! [`take`], which check what remains first, so a short buffer is a
+//! [`StoreError::Corrupt`], never a panic.
 
 use crate::error::{StoreError, StoreResult};
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -16,28 +20,45 @@ const TAG_FLOAT: u8 = 2;
 const TAG_TEXT: u8 = 3;
 const TAG_BYTES: u8 = 4;
 
+/// Read one byte; `short` is the corruption reported when none remains.
+pub fn get_u8(buf: &mut &[u8], short: &str) -> StoreResult<u8> {
+    let Some((&byte, rest)) = buf.split_first() else {
+        return Err(StoreError::Corrupt(short.into()));
+    };
+    *buf = rest;
+    Ok(byte)
+}
+
+/// Read the next `len` bytes; `short` is the corruption reported when fewer
+/// remain.
+pub fn take<'a>(buf: &mut &'a [u8], len: usize, short: &str) -> StoreResult<&'a [u8]> {
+    if buf.len() < len {
+        return Err(StoreError::Corrupt(short.into()));
+    }
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(head)
+}
+
 /// Append a varint-encoded u64.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
 /// Read a varint-encoded u64.
-pub fn get_varint(buf: &mut Bytes) -> StoreResult<u64> {
+pub fn get_varint(buf: &mut &[u8]) -> StoreResult<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(StoreError::Corrupt("varint ran off end of buffer".into()));
-        }
-        let byte = buf.get_u8();
+        let byte = get_u8(buf, "varint ran off end of buffer")?;
         if shift >= 64 {
             return Err(StoreError::Corrupt("varint longer than 64 bits".into()));
         }
@@ -53,12 +74,12 @@ pub fn get_varint(buf: &mut Bytes) -> StoreResult<u64> {
 /// for. A count read from a file is not trusted: `min_bytes` is the least
 /// one element can occupy, and a count the remaining bytes could not hold
 /// is corruption — reported before anything is allocated for it.
-pub fn get_count(buf: &mut Bytes, min_bytes: usize, what: &str) -> StoreResult<usize> {
+pub fn get_count(buf: &mut &[u8], min_bytes: usize, what: &str) -> StoreResult<usize> {
     let count = get_varint(buf)?;
-    if count > (buf.remaining() / min_bytes.max(1)) as u64 {
+    if count > (buf.len() / min_bytes.max(1)) as u64 {
         return Err(StoreError::Corrupt(format!(
             "{what} count {count} exceeds the {} bytes that remain",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok(count as usize)
@@ -73,61 +94,51 @@ fn unzigzag(v: u64) -> i64 {
 }
 
 /// Encode one value.
-pub fn put_value(buf: &mut BytesMut, value: &Value) {
+pub fn put_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
-        Value::Null => buf.put_u8(TAG_NULL),
+        Value::Null => buf.push(TAG_NULL),
         Value::Int(v) => {
-            buf.put_u8(TAG_INT);
+            buf.push(TAG_INT);
             put_varint(buf, zigzag(*v));
         }
         Value::Float(v) => {
-            buf.put_u8(TAG_FLOAT);
-            buf.put_u64_le(v.to_bits());
+            buf.push(TAG_FLOAT);
+            buf.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         Value::Text(s) => {
-            buf.put_u8(TAG_TEXT);
-            put_varint(buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
+            buf.push(TAG_TEXT);
+            put_str(buf, s);
         }
         Value::Bytes(b) => {
-            buf.put_u8(TAG_BYTES);
+            buf.push(TAG_BYTES);
             put_varint(buf, b.len() as u64);
-            buf.put_slice(b);
+            buf.extend_from_slice(b);
         }
     }
 }
 
 /// Decode one value.
-pub fn get_value(buf: &mut Bytes) -> StoreResult<Value> {
-    if !buf.has_remaining() {
-        return Err(StoreError::Corrupt("value tag ran off end of buffer".into()));
-    }
-    let tag = buf.get_u8();
+pub fn get_value(buf: &mut &[u8]) -> StoreResult<Value> {
+    let tag = get_u8(buf, "value tag ran off end of buffer")?;
     Ok(match tag {
         TAG_NULL => Value::Null,
         TAG_INT => Value::Int(unzigzag(get_varint(buf)?)),
         TAG_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(StoreError::Corrupt("float payload truncated".into()));
-            }
-            Value::Float(f64::from_bits(buf.get_u64_le()))
+            let raw = take(buf, 8, "float payload truncated")?;
+            let mut bits = [0u8; 8];
+            bits.copy_from_slice(raw);
+            Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
         }
         TAG_TEXT => {
             let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(StoreError::Corrupt("text payload truncated".into()));
-            }
-            let raw = buf.copy_to_bytes(len);
-            let s = std::str::from_utf8(&raw)
+            let raw = take(buf, len, "text payload truncated")?;
+            let s = std::str::from_utf8(raw)
                 .map_err(|_| StoreError::Corrupt("text payload is not UTF-8".into()))?;
             Value::Text(s.to_owned())
         }
         TAG_BYTES => {
             let len = get_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(StoreError::Corrupt("bytes payload truncated".into()));
-            }
-            Value::Bytes(buf.copy_to_bytes(len).to_vec())
+            Value::Bytes(take(buf, len, "bytes payload truncated")?.to_vec())
         }
         other => {
             return Err(StoreError::Corrupt(format!("unknown value tag {other}")));
@@ -136,7 +147,7 @@ pub fn get_value(buf: &mut Bytes) -> StoreResult<Value> {
 }
 
 /// Encode a row (arity-prefixed value list).
-pub fn put_row(buf: &mut BytesMut, values: &[Value]) {
+pub fn put_row(buf: &mut Vec<u8>, values: &[Value]) {
     put_varint(buf, values.len() as u64);
     for v in values {
         put_value(buf, v);
@@ -144,7 +155,7 @@ pub fn put_row(buf: &mut BytesMut, values: &[Value]) {
 }
 
 /// Decode a row.
-pub fn get_row(buf: &mut Bytes) -> StoreResult<Vec<Value>> {
+pub fn get_row(buf: &mut &[u8]) -> StoreResult<Vec<Value>> {
     let arity = get_count(buf, 1, "row value")?;
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
@@ -154,32 +165,48 @@ pub fn get_row(buf: &mut Bytes) -> StoreResult<Vec<Value>> {
 }
 
 /// Encode a length-prefixed string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Decode a length-prefixed string.
-pub fn get_str(buf: &mut Bytes) -> StoreResult<String> {
+pub fn get_str(buf: &mut &[u8]) -> StoreResult<String> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(StoreError::Corrupt("string payload truncated".into()));
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
+    let raw = take(buf, len, "string payload truncated")?;
+    std::str::from_utf8(raw)
+        .map(str::to_owned)
+        .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice. Used to frame WAL
-/// records and to checksum snapshots; implemented locally to keep the
-/// dependency set minimal.
+/// `CRC_TABLE[b]` is the CRC-32 remainder of the single byte `b`: eight
+/// rounds of the reflected IEEE 802.3 polynomial, done once at compile time.
+const CRC_TABLE: [u32; 256] = crc_table();
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut round = 0;
+        while round < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            round += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over a byte slice, one table lookup per
+/// byte. Frames WAL records and checksums snapshots, page images and page
+/// directories.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xffff_ffff;
     for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
 }
@@ -189,11 +216,11 @@ mod tests {
     use super::*;
 
     fn roundtrip(v: Value) -> Value {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_value(&mut buf, &v);
-        let mut b = buf.freeze();
+        let mut b = &buf[..];
         let out = get_value(&mut b).unwrap();
-        assert!(!b.has_remaining(), "codec consumed whole buffer");
+        assert!(b.is_empty(), "codec consumed whole buffer");
         out
     }
 
@@ -229,44 +256,54 @@ mod tests {
             Value::Null,
             Value::Float(0.97),
         ];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_row(&mut buf, &row);
-        let mut b = buf.freeze();
-        assert_eq!(get_row(&mut b).unwrap(), row);
+        assert_eq!(get_row(&mut &buf[..]).unwrap(), row);
     }
 
     #[test]
     fn varint_boundaries() {
         for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut b = buf.freeze();
-            assert_eq!(get_varint(&mut b).unwrap(), v);
+            assert_eq!(get_varint(&mut &buf[..]).unwrap(), v);
         }
     }
 
     #[test]
     fn corrupt_input_is_detected_not_panicking() {
         // empty buffer
-        assert!(get_value(&mut Bytes::new()).is_err());
+        assert!(get_value(&mut &[][..]).is_err());
         // unknown tag
-        assert!(get_value(&mut Bytes::from_static(&[9])).is_err());
+        assert!(get_value(&mut &[9][..]).is_err());
         // truncated text
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_value(&mut buf, &Value::text("hello"));
-        let b = buf.freeze();
-        let mut short = b.slice(0..b.len() - 2);
-        assert!(get_value(&mut short).is_err());
+        assert!(get_value(&mut &buf[..buf.len() - 2]).is_err());
+        // truncated float
+        let mut buf = Vec::new();
+        put_value(&mut buf, &Value::Float(0.5));
+        assert!(get_value(&mut &buf[..buf.len() - 1]).is_err());
         // invalid utf-8
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_TEXT);
+        let mut buf = vec![TAG_TEXT];
         put_varint(&mut buf, 2);
-        buf.put_slice(&[0xff, 0xfe]);
-        assert!(get_value(&mut buf.freeze()).is_err());
+        buf.extend_from_slice(&[0xff, 0xfe]);
+        assert!(get_value(&mut &buf[..]).is_err());
         // overlong varint
-        let mut buf = BytesMut::new();
-        buf.put_slice(&[0x80u8; 11]);
-        assert!(get_varint(&mut buf.freeze()).is_err());
+        assert!(get_varint(&mut &[0x80u8; 11][..]).is_err());
+    }
+
+    /// The bit-at-a-time definition the table is derived from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xffff_ffff;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
     }
 
     #[test]
@@ -277,10 +314,17 @@ mod tests {
     }
 
     #[test]
+    fn crc32_table_matches_the_bitwise_definition() {
+        testkit::cases(256, |rng| {
+            let data: Vec<u8> = (0..rng.below(300)).map(|_| rng.below(256) as u8).collect();
+            assert_eq!(crc32(&data), crc32_bitwise(&data), "{data:?}");
+        });
+    }
+
+    #[test]
     fn string_codec() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_str(&mut buf, "locuslink");
-        let mut b = buf.freeze();
-        assert_eq!(get_str(&mut b).unwrap(), "locuslink");
+        assert_eq!(get_str(&mut &buf[..]).unwrap(), "locuslink");
     }
 }

@@ -64,6 +64,7 @@ pub mod row;
 pub mod schema;
 pub mod snapshot;
 pub mod stats;
+pub mod sync;
 pub mod table;
 pub mod value;
 pub mod vfs;

@@ -19,7 +19,6 @@
 use crate::codec::{crc32, get_count, get_row, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
-use bytes::{Bytes, BytesMut};
 
 /// Page image magic.
 pub const PAGE_MAGIC: &[u8; 4] = b"RSPG";
@@ -48,14 +47,14 @@ pub struct DecodedPage {
 
 /// Exact encoded size of one row cell (used for page-fill accounting).
 pub(crate) fn encoded_row_len(values: &[crate::value::Value]) -> usize {
-    let mut scratch = BytesMut::new();
+    let mut scratch = Vec::new();
     put_row(&mut scratch, values);
     scratch.len()
 }
 
 /// Encode a page image (header + CRC + slotted body).
 pub fn encode_page(table_id: u32, page_no: u32, base: u64, rows: &[Option<Row>]) -> Vec<u8> {
-    let mut cells = BytesMut::new();
+    let mut cells = Vec::new();
     let mut directory: Vec<u64> = Vec::with_capacity(rows.len());
     for slot in rows {
         match slot {
@@ -66,7 +65,7 @@ pub fn encode_page(table_id: u32, page_no: u32, base: u64, rows: &[Option<Row>])
             }
         }
     }
-    let mut body = BytesMut::new();
+    let mut body = Vec::new();
     put_varint(&mut body, table_id as u64);
     put_varint(&mut body, page_no as u64);
     put_varint(&mut body, base);
@@ -95,7 +94,7 @@ pub fn decode_page(data: &[u8]) -> StoreResult<DecodedPage> {
     if crc32(body) != crc {
         return Err(StoreError::Corrupt("page checksum mismatch".into()));
     }
-    let mut buf = Bytes::copy_from_slice(body);
+    let mut buf = body;
     let table_id = get_varint(&mut buf)? as u32;
     let page_no = get_varint(&mut buf)? as u32;
     let base = get_varint(&mut buf)?;
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     fn encoded_row_len_matches_codec() {
         let r = row(9);
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         crate::codec::put_row(&mut buf, r.values());
         assert_eq!(encoded_row_len(r.values()), buf.len());
     }

@@ -20,16 +20,15 @@
 //! The pool capacity is a soft cap: pins always succeed. If every frame
 //! is pinned the pool temporarily overcommits rather than deadlocking.
 
-use crate::codec::{crc32, get_count, get_row, get_varint, put_row, put_varint};
+use crate::codec::{crc32, get_count, get_row, get_u8, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::page::{decode_page, encode_page, PageId};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::snapshot::{get_schema, put_schema};
 use crate::stats::PoolStats;
+use crate::sync::Mutex;
 use crate::vfs::{Vfs, VfsFile};
-use bytes::{BufMut, Bytes, BytesMut};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -572,7 +571,7 @@ pub struct PagedCatalog {
 
 /// Encode a page directory: `[magic][version][crc32][body]`.
 pub fn encode_page_directory(catalog: &PagedCatalog) -> Vec<u8> {
-    let mut body = BytesMut::new();
+    let mut body = Vec::new();
     put_varint(&mut body, catalog.epoch);
     put_varint(&mut body, catalog.heap_gen);
     put_varint(&mut body, catalog.next_table_id as u64);
@@ -592,9 +591,9 @@ pub fn encode_page_directory(catalog: &PagedCatalog) -> Vec<u8> {
         put_varint(&mut body, t.tail.len() as u64);
         for slot in &t.tail {
             match slot {
-                None => body.put_u8(0),
+                None => body.push(0),
                 Some(row) => {
-                    body.put_u8(1);
+                    body.push(1);
                     put_row(&mut body, row.values());
                 }
             }
@@ -627,7 +626,7 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
     if crc32(body) != crc {
         return Err(StoreError::Corrupt("page directory checksum mismatch".into()));
     }
-    let mut buf = Bytes::copy_from_slice(body);
+    let mut buf = body;
     let epoch = get_varint(&mut buf)?;
     let heap_gen = get_varint(&mut buf)?;
     let next_table_id = get_varint(&mut buf)? as u32;
@@ -658,11 +657,7 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
         }
         let mut tail = Vec::with_capacity(ntail);
         for _ in 0..ntail {
-            use bytes::Buf;
-            if !buf.has_remaining() {
-                return Err(StoreError::Corrupt("page directory truncated".into()));
-            }
-            match buf.get_u8() {
+            match get_u8(&mut buf, "page directory truncated")? {
                 0 => tail.push(None),
                 1 => tail.push(Some(Row::new(get_row(&mut buf)?))),
                 other => {

@@ -6,9 +6,7 @@ use std::fmt;
 /// Identifier of a row slot within a table. Row ids are assigned
 /// monotonically per table and never reused, so they are stable handles for
 /// indexes and the write-ahead log.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
 impl fmt::Display for RowId {
@@ -18,7 +16,7 @@ impl fmt::Display for RowId {
 }
 
 /// An owned row: a boxed slice of cell values matching some table schema.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     values: Box<[Value]>,
 }

@@ -4,7 +4,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::value::{Value, ValueType};
 
 /// A column declaration.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name, unique within the table.
     pub name: String,
@@ -35,7 +35,7 @@ impl Column {
 }
 
 /// Declaration of a secondary index over one or more columns.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name, unique within the table.
     pub name: String,
@@ -46,7 +46,7 @@ pub struct IndexDef {
 }
 
 /// A complete table schema.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     name: String,
     columns: Vec<Column>,

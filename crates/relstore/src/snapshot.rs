@@ -11,14 +11,15 @@
 //! a log only when the epochs match. Version-1 snapshots (no epoch field)
 //! decode as epoch 0.
 
-use crate::codec::{crc32, get_count, get_row, get_str, get_varint, put_row, put_str, put_varint};
+use crate::codec::{
+    crc32, get_count, get_row, get_str, get_u8, get_varint, put_row, put_str, put_varint,
+};
 use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::schema::{Column, Schema};
 use crate::table::Table;
 use crate::value::ValueType;
 use crate::vfs::Vfs;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"RSSN";
@@ -43,13 +44,13 @@ fn type_from_tag(tag: u8) -> StoreResult<ValueType> {
     })
 }
 
-pub(crate) fn put_schema(buf: &mut BytesMut, schema: &Schema) {
+pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
     put_str(buf, schema.name());
     put_varint(buf, schema.columns().len() as u64);
     for c in schema.columns() {
         put_str(buf, &c.name);
-        buf.put_u8(type_tag(c.ty));
-        buf.put_u8(u8::from(c.nullable));
+        buf.push(type_tag(c.ty));
+        buf.push(u8::from(c.nullable));
     }
     put_varint(buf, schema.primary_key().len() as u64);
     for &o in schema.primary_key() {
@@ -60,7 +61,7 @@ pub(crate) fn put_schema(buf: &mut BytesMut, schema: &Schema) {
     put_varint(buf, secondary.len() as u64);
     for ix in secondary {
         put_str(buf, &ix.name);
-        buf.put_u8(u8::from(ix.unique));
+        buf.push(u8::from(ix.unique));
         put_varint(buf, ix.columns.len() as u64);
         for &o in &ix.columns {
             put_varint(buf, o as u64);
@@ -68,21 +69,15 @@ pub(crate) fn put_schema(buf: &mut BytesMut, schema: &Schema) {
     }
 }
 
-pub(crate) fn get_schema(buf: &mut Bytes) -> StoreResult<Schema> {
+pub(crate) fn get_schema(buf: &mut &[u8]) -> StoreResult<Schema> {
     let name = get_str(buf)?;
     let ncols = get_count(buf, 3, "column")?;
     let mut builder = Schema::builder(&name);
     let mut col_names = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let cname = get_str(buf)?;
-        if !buf.has_remaining() {
-            return Err(StoreError::Corrupt("schema truncated".into()));
-        }
-        let ty = type_from_tag(buf.get_u8())?;
-        if !buf.has_remaining() {
-            return Err(StoreError::Corrupt("schema truncated".into()));
-        }
-        let nullable = buf.get_u8() != 0;
+        let ty = type_from_tag(get_u8(buf, "schema truncated")?)?;
+        let nullable = get_u8(buf, "schema truncated")? != 0;
         col_names.push(cname.clone());
         builder = builder.column(if nullable {
             Column::nullable(cname, ty)
@@ -90,7 +85,7 @@ pub(crate) fn get_schema(buf: &mut Bytes) -> StoreResult<Schema> {
             Column::new(cname, ty)
         });
     }
-    let resolve = |buf: &mut Bytes, col_names: &[String]| -> StoreResult<Vec<String>> {
+    let resolve = |buf: &mut &[u8], col_names: &[String]| -> StoreResult<Vec<String>> {
         let n = get_count(buf, 1, "index column")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -110,10 +105,7 @@ pub(crate) fn get_schema(buf: &mut Bytes) -> StoreResult<Schema> {
     let nix = get_count(buf, 3, "index")?;
     for _ in 0..nix {
         let iname = get_str(buf)?;
-        if !buf.has_remaining() {
-            return Err(StoreError::Corrupt("schema truncated".into()));
-        }
-        let unique = buf.get_u8() != 0;
+        let unique = get_u8(buf, "schema truncated")? != 0;
         let cols = resolve(buf, &col_names)?;
         let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
         builder = if unique {
@@ -132,7 +124,7 @@ pub fn encode_snapshot<'a>(
     tables: impl Iterator<Item = &'a Table>,
     epoch: u64,
 ) -> StoreResult<Vec<u8>> {
-    let mut body = BytesMut::new();
+    let mut body = Vec::new();
     put_varint(&mut body, epoch);
     let tables: Vec<&Table> = tables.collect();
     put_varint(&mut body, tables.len() as u64);
@@ -186,7 +178,7 @@ pub(crate) fn decode_snapshot_rows(data: &[u8]) -> StoreResult<(Vec<Table>, u64)
     if crc32(body) != crc {
         return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
     }
-    let mut buf = Bytes::copy_from_slice(body);
+    let mut buf = body;
     let epoch = if version >= 2 { get_varint(&mut buf)? } else { 0 };
     // a table is at least a name, one column, and three counts
     let ntables = get_count(&mut buf, 8, "table")?;

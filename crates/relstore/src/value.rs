@@ -13,7 +13,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// The declared type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,
@@ -38,7 +38,7 @@ impl fmt::Display for ValueType {
 }
 
 /// A single cell value.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL-style NULL. Compares equal to itself here (unlike SQL) so that
     /// rows are hashable and indexable; predicate evaluation treats NULL

@@ -21,7 +21,7 @@
 //! then sweep a crash through every single point.
 
 use crate::error::{StoreError, StoreResult};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -228,7 +228,10 @@ pub struct FaultVfs {
     state: std::sync::Arc<Mutex<FaultState>>,
 }
 
-fn xorshift(mut x: u64) -> u64 {
+/// One xorshift round over a nonzero word: spreads `torn_seed ^ op` so the
+/// surviving prefix of a torn write is a pure function of the plan and the
+/// fault point. Not a generator — nothing carries state between calls.
+fn scramble(mut x: u64) -> u64 {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
@@ -275,7 +278,7 @@ impl FaultState {
             } else {
                 let seed =
                     (self.plan.torn_seed ^ self.ops ^ (idx as u64).wrapping_mul(0x9e37_79b9)) | 1;
-                (xorshift(seed) as usize) % (extra + 1)
+                (scramble(seed) as usize) % (extra + 1)
             };
             inode.current[..synced_len + keep].to_vec()
         } else {
@@ -374,7 +377,7 @@ impl VfsFile for FaultFile {
                     if !s.crashed && !data.is_empty() {
                         // Injected failure mid-write: a seeded prefix made it
                         // into the page cache (short write).
-                        let keep = (xorshift((s.plan.torn_seed ^ s.ops) | 1) as usize)
+                        let keep = (scramble((s.plan.torn_seed ^ s.ops) | 1) as usize)
                             % (data.len() + 1);
                         let prefix = data[..keep].to_vec();
                         s.inodes[inode].current.extend_from_slice(&prefix);

@@ -17,12 +17,11 @@
 //! All I/O goes through a [`Vfs`] backend so crash tests can substitute the
 //! fault-injecting simulator in [`crate::vfs`].
 
-use crate::codec::{crc32, get_row, get_str, get_varint, put_row, put_str, put_varint};
+use crate::codec::{crc32, get_row, get_str, get_u8, get_varint, put_row, put_str, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::value::Value;
 use crate::vfs::{Vfs, VfsFile};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -68,20 +67,20 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             LogRecord::Insert {
                 table,
                 row_id,
                 values,
             } => {
-                buf.put_u8(OP_INSERT);
+                buf.push(OP_INSERT);
                 put_str(buf, table);
                 put_varint(buf, row_id.0);
                 put_row(buf, values);
             }
             LogRecord::Delete { table, row_id } => {
-                buf.put_u8(OP_DELETE);
+                buf.push(OP_DELETE);
                 put_str(buf, table);
                 put_varint(buf, row_id.0);
             }
@@ -90,31 +89,28 @@ impl LogRecord {
                 row_id,
                 values,
             } => {
-                buf.put_u8(OP_UPDATE);
+                buf.push(OP_UPDATE);
                 put_str(buf, table);
                 put_varint(buf, row_id.0);
                 put_row(buf, values);
             }
             LogRecord::Commit { txid } => {
-                buf.put_u8(OP_COMMIT);
+                buf.push(OP_COMMIT);
                 put_varint(buf, *txid);
             }
             LogRecord::Epoch { epoch } => {
-                buf.put_u8(OP_EPOCH);
+                buf.push(OP_EPOCH);
                 put_varint(buf, *epoch);
             }
             LogRecord::CreateTable { schema } => {
-                buf.put_u8(OP_CREATE);
+                buf.push(OP_CREATE);
                 crate::snapshot::put_schema(buf, schema);
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> StoreResult<LogRecord> {
-        if !buf.has_remaining() {
-            return Err(StoreError::Corrupt("empty log record".into()));
-        }
-        let tag = buf.get_u8();
+    fn decode(buf: &mut &[u8]) -> StoreResult<LogRecord> {
+        let tag = get_u8(buf, "empty log record")?;
         Ok(match tag {
             OP_INSERT => LogRecord::Insert {
                 table: get_str(buf)?,
@@ -145,7 +141,7 @@ impl LogRecord {
 }
 
 fn encode_frames(records: &[LogRecord], frames: &mut Vec<u8>) {
-    let mut payload = BytesMut::with_capacity(64);
+    let mut payload = Vec::with_capacity(64);
     for record in records {
         payload.clear();
         record.encode(&mut payload);
@@ -316,8 +312,7 @@ pub fn scan_wal(data: &[u8]) -> WalRecovery {
             recovery.torn_at = Some(offset as u64);
             break;
         }
-        let mut buf = Bytes::copy_from_slice(payload);
-        let record = match LogRecord::decode(&mut buf) {
+        let record = match LogRecord::decode(&mut &*payload) {
             Ok(r) => r,
             Err(_) => {
                 recovery.torn_at = Some(offset as u64);

@@ -1,15 +1,14 @@
-//! Property-based crash testing: arbitrary workload shapes (batch sizes,
-//! checkpoint cadence, group commit) crossed with arbitrary power-cut
-//! points must always recover to a consistent committed prefix and
-//! converge on resume.
+//! Seeded crash sweeps: random workload shapes (batch sizes, checkpoint
+//! cadence, group commit) crossed with random power-cut points must always
+//! recover to a consistent committed prefix and converge on resume.
 
-use proptest::prelude::*;
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
 use relstore::vfs::{FaultPlan, FaultVfs, Vfs};
 use relstore::{Database, PoolConfig};
 use std::path::Path;
 use std::sync::Arc;
+use testkit::{cases, Prng};
 
 fn schema() -> Schema {
     Schema::builder("t")
@@ -149,8 +148,8 @@ fn sorted_ids(db: &Database) -> Vec<i64> {
     out
 }
 
-/// Deterministic spot-check of the same property over a fixed grid, so the
-/// invariant is exercised even where proptest shrinks its case count.
+/// The same property over a fixed grid of workloads, at every other crash
+/// point of each.
 #[test]
 fn fixed_grid_crash_points_recover_and_converge() {
     let configs: &[(&[usize], usize, bool)] = &[
@@ -238,94 +237,54 @@ fn fixed_grid_crash_points_recover_and_converge_paged() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A random workload shape: batch sizes, checkpoint cadence, group commit.
+fn workload(rng: &mut Prng) -> (Vec<usize>, usize, bool) {
+    let batches = (0..rng.gen_range(1..10)).map(|_| rng.gen_range(1..8)).collect();
+    (batches, rng.gen_range(1..5), rng.gen_bool(0.5))
+}
 
-    #[test]
-    fn random_crash_points_recover_and_converge(
-        batches in proptest::collection::vec(1usize..8, 1..10),
-        ckpt_every in 1usize..5,
-        group_commit in any::<bool>(),
-        crash_frac in 0.0f64..1.0,
-        torn_seed in any::<u64>(),
-    ) {
-        // Fault-free run to learn the op count and reference state.
+/// A power cut somewhere in the fault-free run's `total_ops` operations.
+fn crash_point(rng: &mut Prng, total_ops: u64) -> u64 {
+    1 + (rng.gen_f64() * (total_ops - 1) as f64) as u64
+}
+
+/// Whatever survives a random power cut is ids `0..n` where `n` is a batch
+/// boundary (with per-commit sync) or at most the full set (group commit
+/// may persist several batches per sync), and resuming converges on the
+/// fault-free state.
+#[test]
+fn random_crash_points_recover_and_converge() {
+    cases(48, |rng| {
+        let (batches, ckpt_every, group_commit) = workload(rng);
+        // Fault-free run to learn the op count.
         let reference = FaultVfs::new();
         {
             let mut db = open(&reference).unwrap();
             run(&mut db, &batches, ckpt_every, group_commit).unwrap();
         }
-        let total_ops = reference.op_count();
-        let expected: Vec<i64> =
-            (0..*prefix_sums(&batches).last().unwrap() as i64).collect();
+        let crash_at = crash_point(rng, reference.op_count());
+        let torn_seed = rng.next_u64();
+        check_crash_and_converge(&open, &batches, ckpt_every, group_commit, crash_at, torn_seed);
+    });
+}
 
-        // Map the fraction onto a concrete op index.
-        let crash_at = 1 + (crash_frac * (total_ops - 1) as f64) as u64;
-        let vfs = FaultVfs::new();
-        vfs.set_plan(FaultPlan {
-            crash_at: Some(crash_at),
-            fail_at: None,
-            torn_seed,
-        });
-        let outcome = open(&vfs).and_then(|mut db| run(&mut db, &batches, ckpt_every, group_commit));
-        prop_assert!(outcome.is_err());
-        vfs.reboot();
-
-        // Committed prefix: whatever survived is ids 0..n where n is a
-        // batch boundary (with per-commit sync) or at most the full set
-        // (group commit may persist several batches per sync).
-        let db = open(&vfs).unwrap();
-        let got = sorted_ids(&db);
-        prop_assert_eq!(&got, &(0..got.len() as i64).collect::<Vec<_>>());
-        let boundaries = prefix_sums(&batches);
-        if !group_commit {
-            prop_assert!(
-                boundaries.contains(&got.len()),
-                "{} rows is not a batch boundary of {:?}", got.len(), batches
-            );
-        } else {
-            prop_assert!(got.len() <= *boundaries.last().unwrap());
-        }
-        drop(db);
-
-        // Convergence: resume and compare against the fault-free state.
-        let mut db = open(&vfs).unwrap();
-        run(&mut db, &batches, ckpt_every, group_commit).unwrap();
-        drop(db);
-        let db = open(&vfs).unwrap();
-        prop_assert_eq!(sorted_ids(&db), expected);
-    }
-
-    /// The same property over paged storage with a random pool size,
-    /// including a single-page pool (maximal eviction pressure — every
-    /// page touch can force an unsynced writeback that the power cut then
-    /// tears).
-    #[test]
-    fn random_crash_points_recover_and_converge_paged(
-        batches in proptest::collection::vec(1usize..8, 1..10),
-        ckpt_every in 1usize..5,
-        group_commit in any::<bool>(),
-        crash_frac in 0.0f64..1.0,
-        torn_seed in any::<u64>(),
-        pool_pages in proptest::sample::select(vec![1usize, 2, 8]),
-    ) {
+/// The same property over paged storage with a random pool size,
+/// including a single-page pool (maximal eviction pressure — every
+/// page touch can force an unsynced writeback that the power cut then
+/// tears).
+#[test]
+fn random_crash_points_recover_and_converge_paged() {
+    cases(48, |rng| {
+        let (batches, ckpt_every, group_commit) = workload(rng);
+        let pool_pages = *rng.pick(&[1usize, 2, 8]);
+        let opener = |vfs: &FaultVfs| open_paged(vfs, pool_pages);
         let reference = FaultVfs::new();
         {
-            let mut db = open_paged(&reference, pool_pages).unwrap();
+            let mut db = opener(&reference).unwrap();
             run(&mut db, &batches, ckpt_every, group_commit).unwrap();
         }
-        let total_ops = reference.op_count();
-        let crash_at = 1 + (crash_frac * (total_ops - 1) as f64) as u64;
-        let opener = |vfs: &FaultVfs| -> relstore::error::StoreResult<Database> {
-            open_paged(vfs, pool_pages)
-        };
-        check_crash_and_converge(
-            &opener,
-            &batches,
-            ckpt_every,
-            group_commit,
-            crash_at,
-            torn_seed,
-        );
-    }
+        let crash_at = crash_point(rng, reference.op_count());
+        let torn_seed = rng.next_u64();
+        check_crash_and_converge(&opener, &batches, ckpt_every, group_commit, crash_at, torn_seed);
+    });
 }

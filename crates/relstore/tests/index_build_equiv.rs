@@ -1,8 +1,7 @@
 //! Index build equivalence: the encoded keys order exactly as the values
 //! they encode, an index bulk-built at recovery equals the one maintained
 //! row by row, and `open` rebuilds — or refuses — from any mix of snapshot
-//! and WAL. A seeded deterministic sweep (std only, no proptest), so it
-//! runs wherever the crate compiles and a failure pins to a round number.
+//! and WAL. A seeded deterministic sweep: a failure pins to a round number.
 
 use relstore::codec::crc32;
 use relstore::db::{SNAPSHOT_FILE, WAL_FILE};
@@ -14,19 +13,7 @@ use relstore::wal::{LogRecord, WalWriter};
 use relstore::{Database, PoolConfig, Row, RowId, StoreError, Table, Value, ValueType};
 use std::path::Path;
 use std::sync::Arc;
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-fn below(st: &mut u64, n: usize) -> usize {
-    (xorshift(st) % n as u64) as usize
-}
+use testkit::Prng;
 
 const TYPES: [ValueType; 4] = [
     ValueType::Int,
@@ -38,21 +25,21 @@ const TYPES: [ValueType; 4] = [
 /// A value of `ty` from a pool that is mostly edge cases: sign and range
 /// limits, the float zoo, empty strings, shared prefixes, embedded zero
 /// bytes, and strings long enough to spill out of the inline key.
-fn value(st: &mut u64, ty: ValueType, nullable: bool) -> Value {
-    if nullable && below(st, 5) == 0 {
+fn value(st: &mut Prng, ty: ValueType, nullable: bool) -> Value {
+    if nullable && st.below(5) == 0 {
         return Value::Null;
     }
     match ty {
-        ValueType::Int => Value::Int(match below(st, 10) {
+        ValueType::Int => Value::Int(match st.below(10) {
             0 => i64::MIN,
             1 => i64::MAX,
             2 => -1,
             3 => 0,
             4 => i64::MIN + 1,
-            5 => -(below(st, 1000) as i64),
-            _ => below(st, 12) as i64,
+            5 => -(st.below(1000) as i64),
+            _ => st.below(12) as i64,
         }),
-        ValueType::Float => Value::Float(match below(st, 10) {
+        ValueType::Float => Value::Float(match st.below(10) {
             0 => f64::NEG_INFINITY,
             1 => f64::INFINITY,
             2 => f64::NAN,
@@ -60,8 +47,8 @@ fn value(st: &mut u64, ty: ValueType, nullable: bool) -> Value {
             4 => 0.0,
             5 => f64::MIN_POSITIVE,
             6 => -f64::NAN,
-            7 => -(below(st, 100) as f64) / 8.0,
-            _ => below(st, 8) as f64 / 4.0,
+            7 => -(st.below(100) as f64) / 8.0,
+            _ => st.below(8) as f64 / 4.0,
         }),
         ValueType::Text => {
             let pool = [
@@ -77,10 +64,10 @@ fn value(st: &mut u64, ty: ValueType, nullable: bool) -> Value {
                 "é",
                 "GO:0009116",
             ];
-            let mut s = pool[below(st, pool.len())].to_owned();
-            if below(st, 8) == 0 {
-                s.push_str(&"z".repeat(20 + below(st, 30)));
-                s.push_str(pool[below(st, pool.len())]);
+            let mut s = pool[st.below(pool.len())].to_owned();
+            if st.below(8) == 0 {
+                s.push_str(&"z".repeat(20 + st.below(30)));
+                s.push_str(pool[st.below(pool.len())]);
             }
             Value::Text(s)
         }
@@ -95,10 +82,10 @@ fn value(st: &mut u64, ty: ValueType, nullable: bool) -> Value {
                 &[255],
                 &[255, 0],
             ];
-            let mut b = pool[below(st, pool.len())].to_vec();
-            if below(st, 8) == 0 {
-                b.extend_from_slice(&[below(st, 256) as u8; 30]);
-                b.extend_from_slice(pool[below(st, pool.len())]);
+            let mut b = pool[st.below(pool.len())].to_vec();
+            if st.below(8) == 0 {
+                b.extend_from_slice(&[st.below(256) as u8; 30]);
+                b.extend_from_slice(pool[st.below(pool.len())]);
             }
             Value::Bytes(b)
         }
@@ -108,30 +95,30 @@ fn value(st: &mut u64, ty: ValueType, nullable: bool) -> Value {
 /// A random schema: an int id first (the usual primary key), then one to
 /// four columns of any type and nullability, one to three secondary
 /// indexes over one to three of all the columns, any of them unique.
-fn schema(st: &mut u64, name: &str) -> Schema {
-    let extra = 1 + below(st, 4);
+fn schema(st: &mut Prng, name: &str) -> Schema {
+    let extra = 1 + st.below(4);
     let mut names = vec!["c0".to_owned()];
     let mut b = Schema::builder(name).column(Column::new("c0", ValueType::Int));
     for i in 1..=extra {
-        let (n, ty) = (format!("c{i}"), TYPES[below(st, 4)]);
-        b = b.column(if below(st, 2) == 0 {
+        let (n, ty) = (format!("c{i}"), TYPES[st.below(4)]);
+        b = b.column(if st.below(2) == 0 {
             Column::nullable(&n, ty)
         } else {
             Column::new(&n, ty)
         });
         names.push(n);
     }
-    b = match below(st, 4) {
+    b = match st.below(4) {
         0 => b, // no primary key at all
         1 => b.primary_key(&["c0", "c1"]),
         _ => b.primary_key(&["c0"]),
     };
-    for i in 0..1 + below(st, 3) {
-        let cols: Vec<&str> = (0..1 + below(st, 3))
-            .map(|_| names[below(st, names.len())].as_str())
+    for i in 0..1 + st.below(3) {
+        let cols: Vec<&str> = (0..1 + st.below(3))
+            .map(|_| names[st.below(names.len())].as_str())
             .collect();
         let index = format!("ix{i}");
-        b = if below(st, 3) == 0 {
+        b = if st.below(3) == 0 {
             b.unique_index(&index, &cols)
         } else {
             b.index(&index, &cols)
@@ -140,14 +127,14 @@ fn schema(st: &mut u64, name: &str) -> Schema {
     b.build().unwrap()
 }
 
-fn row(st: &mut u64, schema: &Schema) -> Vec<Value> {
+fn row(st: &mut Prng, schema: &Schema) -> Vec<Value> {
     let mut values: Vec<Value> = schema
         .columns()
         .iter()
         .map(|c| value(st, c.ty, c.nullable))
         .collect();
     // ids mostly fresh, sometimes colliding
-    values[0] = Value::Int(below(st, 400) as i64 - 100);
+    values[0] = Value::Int(st.below(400) as i64 - 100);
     values
 }
 
@@ -155,7 +142,7 @@ fn row(st: &mut u64, schema: &Schema) -> Vec<Value> {
 
 #[test]
 fn encoded_key_order_is_value_order_and_keys_round_trip() {
-    let mut st = 0x9E37_79B9_7F4A_7C15u64;
+    let mut st = Prng::seed_from_u64(0x9E37_79B9_7F4A_7C15);
     for round in 0..60 {
         let schema = schema(&mut st, "t");
         let rows: Vec<Vec<Value>> = (0..40).map(|_| row(&mut st, &schema)).collect();
@@ -267,37 +254,37 @@ fn open(vfs: &FaultVfs, pool: Option<usize>) -> Database {
 /// and are part of the test. `may_checkpoint` gates snapshots so some
 /// stores stay WAL-only.
 fn churn(
-    st: &mut u64,
+    st: &mut Prng,
     db: &mut Database,
     schemas: &mut Vec<Schema>,
     ops: usize,
     may_checkpoint: bool,
 ) {
     for _ in 0..ops {
-        let s = schemas[below(st, schemas.len())].clone();
+        let s = schemas[st.below(schemas.len())].clone();
         let live: Vec<RowId> = db
             .table(s.name())
             .unwrap()
             .scan()
             .map(|(id, _)| id)
             .collect();
-        match below(st, 16) {
+        match st.below(16) {
             0..=5 => {
                 let r = row(st, &s);
                 let _ = db.with_txn(|txn| txn.insert(s.name(), r));
             }
             6 | 7 => {
-                let rows: Vec<_> = (0..2 + below(st, 12)).map(|_| row(st, &s)).collect();
+                let rows: Vec<_> = (0..2 + st.below(12)).map(|_| row(st, &s)).collect();
                 let _ = db.with_txn(|txn| txn.insert_batch(s.name(), rows));
             }
             8..=10 if !live.is_empty() => {
-                let (id, r) = (live[below(st, live.len())], row(st, &s));
+                let (id, r) = (live[st.below(live.len())], row(st, &s));
                 let _ = db.with_txn(|txn| txn.update(s.name(), id, r));
             }
             11 | 12 if !live.is_empty() => {
                 // several deletes, often the newest rows: high-water marks
                 // above the last live row
-                let n = 1 + below(st, 3).min(live.len() - 1);
+                let n = 1 + st.below(3).min(live.len() - 1);
                 let ids: Vec<RowId> = live[live.len() - n..].to_vec();
                 db.with_txn(|txn| ids.iter().try_for_each(|id| txn.delete(s.name(), *id)))
                     .unwrap();
@@ -315,19 +302,19 @@ fn churn(
 
 #[test]
 fn reopened_store_equals_the_closed_one() {
-    let mut st = 0xD1B5_4A32_D192_ED03u64;
+    let mut st = Prng::seed_from_u64(0xD1B5_4A32_D192_ED03);
     for round in 0..48 {
         // resident, or paged under each pool size; reopened under another
         let pools = [None, Some(1), Some(2), Some(8)];
         let pool = pools[round % 4];
-        let reopen_pool = pool.map(|_| [1, 2, 8][below(&mut st, 3)]);
+        let reopen_pool = pool.map(|_| [1, 2, 8][st.below(3)]);
         let wal_only = round % 6 == 5;
         let vfs = FaultVfs::new();
         let mut db = open(&vfs, pool);
         let mut schemas = vec![schema(&mut st, "t0")];
         db.create_table(schemas[0].clone()).unwrap();
         for cycle in 0..3 {
-            let ops = 20 + below(&mut st, 60);
+            let ops = 20 + st.below(60);
             churn(&mut st, &mut db, &mut schemas, ops, !wal_only);
             let context = format!("round {round} cycle {cycle} pool {pool:?}->{reopen_pool:?}");
             let closed = observe_db(&db);

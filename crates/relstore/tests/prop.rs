@@ -1,7 +1,6 @@
-//! Property-based tests for the storage engine: codec round-trips,
-//! index/scan equivalence, and durability.
+//! Seeded sweeps over the storage engine: codec round-trips, index/scan
+//! equivalence, and durability.
 
-use proptest::prelude::*;
 use relstore::codec;
 use relstore::db::Database;
 use relstore::predicate::Predicate;
@@ -9,58 +8,106 @@ use relstore::row::Row;
 use relstore::schema::{Column, Schema};
 use relstore::table::Table;
 use relstore::value::{Value, ValueType};
+use testkit::{cases, text, Prng, TempDir};
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(Value::Float),
-        "[a-zA-Z0-9:_.-]{0,24}".prop_map(Value::Text),
-        proptest::collection::vec(any::<u8>(), 0..32).prop_map(Value::Bytes),
-    ]
+/// Any `i64`, with the edges and a small colliding range drawn often
+/// enough that duplicate keys and sign boundaries occur in most cases.
+fn int(rng: &mut Prng) -> i64 {
+    match rng.below(4) {
+        0 => *rng.pick(&[0, 1, -1, i64::MIN, i64::MAX]),
+        1 | 2 => rng.gen_range(-20..20),
+        _ => rng.next_u64() as i64,
+    }
 }
 
-fn arb_row() -> impl Strategy<Value = Vec<Value>> {
-    proptest::collection::vec(arb_value(), 0..8)
+fn float(rng: &mut Prng) -> f64 {
+    match rng.below(3) {
+        0 => *rng.pick(&[
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ]),
+        1 => rng.gen_f64() * 2.0 - 1.0,
+        // every bit pattern, NaN payloads and subnormals included
+        _ => f64::from_bits(rng.next_u64()),
+    }
 }
 
-proptest! {
-    #[test]
-    fn codec_value_roundtrip(v in arb_value()) {
-        let mut buf = bytes::BytesMut::new();
+fn value(rng: &mut Prng) -> Value {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789:_.-";
+    match rng.below(5) {
+        0 => Value::Null,
+        1 => Value::Int(int(rng)),
+        2 => Value::Float(float(rng)),
+        3 => Value::Text(text(rng, ALPHABET, 0..=24)),
+        _ => Value::Bytes((0..rng.below(32)).map(|_| rng.below(256) as u8).collect()),
+    }
+}
+
+fn row(rng: &mut Prng) -> Vec<Value> {
+    (0..rng.below(8)).map(|_| value(rng)).collect()
+}
+
+#[test]
+fn codec_value_roundtrip() {
+    cases(256, |rng| {
+        let v = value(rng);
+        let mut buf = Vec::new();
         codec::put_value(&mut buf, &v);
-        let mut b = buf.freeze();
-        let back = codec::get_value(&mut b).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(b.len(), 0);
-    }
+        let mut b = &buf[..];
+        assert_eq!(codec::get_value(&mut b).unwrap(), v);
+        assert!(b.is_empty());
+    });
+}
 
-    #[test]
-    fn codec_row_roundtrip(row in arb_row()) {
-        let mut buf = bytes::BytesMut::new();
+#[test]
+fn codec_row_roundtrip() {
+    cases(256, |rng| {
+        let row = row(rng);
+        let mut buf = Vec::new();
         codec::put_row(&mut buf, &row);
-        let mut b = buf.freeze();
-        let back = codec::get_row(&mut b).unwrap();
-        prop_assert_eq!(back, row);
-    }
+        assert_eq!(codec::get_row(&mut &buf[..]).unwrap(), row);
+    });
+}
 
-    #[test]
-    fn codec_rejects_random_garbage_without_panicking(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+#[test]
+fn codec_rejects_random_garbage_without_panicking() {
+    cases(256, |rng| {
+        // half the cases are pure noise, half an encoded row with a few
+        // bytes overwritten, so the decoder gets past the first tag
+        let mut data: Vec<u8> = Vec::new();
+        if rng.gen_bool(0.5) {
+            codec::put_row(&mut data, &row(rng));
+            for _ in 0..rng.below(4) {
+                if !data.is_empty() {
+                    let at = rng.below(data.len());
+                    data[at] = rng.below(256) as u8;
+                }
+            }
+            data.truncate(rng.below(data.len() + 1));
+        } else {
+            data.extend((0..rng.below(64)).map(|_| rng.below(256) as u8));
+        }
         // must never panic; errors are fine
-        let mut b = bytes::Bytes::from(data);
-        let _ = codec::get_row(&mut b);
-    }
+        let _ = codec::get_row(&mut &data[..]);
+    });
+}
 
-    #[test]
-    fn value_ordering_is_total_and_consistent(a in arb_value(), b in arb_value(), c in arb_value()) {
-        use std::cmp::Ordering;
+#[test]
+fn value_ordering_is_total_and_consistent() {
+    use std::cmp::Ordering;
+    cases(256, |rng| {
+        let (a, b, c) = (value(rng), value(rng), value(rng));
         // antisymmetry
-        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
         // transitivity (spot form): if a<=b and b<=c then a<=c
         if a.cmp(&b) != Ordering::Greater && b.cmp(&c) != Ordering::Greater {
-            prop_assert_ne!(a.cmp(&c), Ordering::Greater);
+            assert_ne!(a.cmp(&c), Ordering::Greater);
         }
-    }
+    });
 }
 
 fn test_schema() -> Schema {
@@ -82,26 +129,31 @@ enum Op {
     Update(usize, i64, Option<String>),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<i64>(), 0i64..10, proptest::option::of("[a-z]{0,6}"))
-            .prop_map(|(id, g, t)| Op::Insert(id, g, t)),
-        (0usize..64).prop_map(Op::Delete),
-        (0usize..64, 0i64..10, proptest::option::of("[a-z]{0,6}"))
-            .prop_map(|(i, g, t)| Op::Update(i, g, t)),
-    ]
+fn opt_text(rng: &mut Prng) -> Option<String> {
+    rng.gen_bool(0.5)
+        .then(|| text(rng, b"abcdefghijklmnopqrstuvwxyz", 0..=6))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn op(rng: &mut Prng) -> Op {
+    match rng.below(3) {
+        0 => Op::Insert(int(rng), rng.gen_range(0..10), opt_text(rng)),
+        1 => Op::Delete(rng.below(64)),
+        _ => Op::Update(rng.below(64), rng.gen_range(0..10), opt_text(rng)),
+    }
+}
 
-    /// After any op sequence, an index-served select returns exactly the
-    /// rows a full scan filter would.
-    #[test]
-    fn index_select_equals_scan(ops in proptest::collection::vec(arb_op(), 0..80)) {
+fn ops(rng: &mut Prng, max: usize) -> Vec<Op> {
+    (0..rng.below(max)).map(|_| op(rng)).collect()
+}
+
+/// After any op sequence, an index-served select returns exactly the
+/// rows a full scan filter would.
+#[test]
+fn index_select_equals_scan() {
+    cases(64, |rng| {
         let mut table = Table::new(test_schema());
         let mut live: Vec<relstore::row::RowId> = Vec::new();
-        for op in ops {
+        for op in ops(rng, 80) {
             match op {
                 Op::Insert(id, g, t) => {
                     let row = vec![
@@ -142,16 +194,18 @@ proptest! {
                 .filter(|(_, r)| bound.matches(r.values()))
                 .map(|(_, r)| r.clone())
                 .collect();
-            prop_assert_eq!(via_index, via_scan);
+            assert_eq!(via_index, via_scan);
         }
-    }
+    });
+}
 
-    /// Snapshot encode/decode preserves live rows, ids, and index behaviour.
-    #[test]
-    fn snapshot_roundtrip(ops in proptest::collection::vec(arb_op(), 0..60)) {
+/// Snapshot encode/decode preserves live rows, ids, and index behaviour.
+#[test]
+fn snapshot_roundtrip() {
+    cases(64, |rng| {
         let mut table = Table::new(test_schema());
         let mut live: Vec<relstore::row::RowId> = Vec::new();
-        for op in ops {
+        for op in ops(rng, 60) {
             if let Op::Insert(id, g, t) = op {
                 let row = vec![
                     Value::Int(id),
@@ -170,32 +224,31 @@ proptest! {
         }
         let data = relstore::snapshot::encode_snapshot(std::iter::once(&table), 0).unwrap();
         let back = relstore::snapshot::decode_snapshot(&data).unwrap().0.pop().unwrap();
-        prop_assert_eq!(back.len(), table.len());
-        prop_assert_eq!(back.next_row_id(), table.next_row_id());
+        assert_eq!(back.len(), table.len());
+        assert_eq!(back.next_row_id(), table.next_row_id());
         for (rid, row) in table.scan() {
-            prop_assert_eq!(back.get(rid).unwrap(), row);
+            assert_eq!(back.get(rid).unwrap(), row);
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Committed transactions survive reopen; the WAL replay reconstructs
-    /// exactly the committed state.
-    #[test]
-    fn durability_replay_equals_memory(batches in proptest::collection::vec(
-        proptest::collection::vec((any::<i64>(), 0i64..5), 1..10), 1..5))
-    {
-        let dir = std::env::temp_dir()
-            .join("relstore-prop")
-            .join(format!("case-{}", std::process::id()))
-            .join(format!("{:x}", rand_suffix(&batches)));
-        let _ = std::fs::remove_dir_all(&dir);
+/// Committed transactions survive reopen; the WAL replay reconstructs
+/// exactly the committed state.
+#[test]
+fn durability_replay_equals_memory() {
+    cases(16, |rng| {
+        let batches: Vec<Vec<(i64, i64)>> = (0..rng.gen_range(1..5))
+            .map(|_| {
+                (0..rng.gen_range(1..10))
+                    .map(|_| (int(rng), rng.gen_range(0..5)))
+                    .collect()
+            })
+            .collect();
+        let dir = TempDir::new("relstore-prop");
 
         let mut expected: Vec<(i64, i64)> = Vec::new();
         {
-            let mut db = Database::open(&dir).unwrap();
+            let mut db = Database::open(dir.path()).unwrap();
             db.create_table(test_schema()).unwrap();
             db.checkpoint().unwrap();
             for batch in &batches {
@@ -216,24 +269,12 @@ proptest! {
                 }
             }
         }
-        {
-            let db = Database::open(&dir).unwrap();
-            let t = db.table("t").unwrap();
-            prop_assert_eq!(t.len(), expected.len());
-            for (id, g) in &expected {
-                let hit = t.lookup_unique("pk", &[Value::Int(*id)]).unwrap().unwrap();
-                prop_assert_eq!(hit.get(1), &Value::Int(*g));
-            }
+        let db = Database::open(dir.path()).unwrap();
+        let t = db.table("t").unwrap();
+        assert_eq!(t.len(), expected.len());
+        for (id, g) in &expected {
+            let hit = t.lookup_unique("pk", &[Value::Int(*id)]).unwrap().unwrap();
+            assert_eq!(hit.get(1), &Value::Int(*g));
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Cheap deterministic hash so parallel proptest cases use distinct dirs.
-fn rand_suffix(batches: &[Vec<(i64, i64)>]) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    batches.hash(&mut h);
-    h.finish()
+    });
 }

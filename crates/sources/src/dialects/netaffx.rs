@@ -11,11 +11,10 @@
 //! Similarity (not Fact) annotations.
 
 use crate::dialects::names;
+use crate::prng::Prng;
 use crate::universe::Universe;
 use crate::ParseError;
 use eav::{EavBatch, EavRecord, SourceMeta};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 /// Release tag (NetAffx annotation build).
@@ -24,7 +23,7 @@ pub const RELEASE: &str = "na34";
 /// Render the NetAffx CSV. Confidence values are derived from a seeded RNG
 /// keyed by the universe's seed so dumps stay deterministic.
 pub fn generate(u: &Universe) -> String {
-    let mut rng = SmallRng::seed_from_u64(u.params.seed ^ 0xAFF1);
+    let mut rng = Prng::seed_from_u64(u.params.seed ^ 0xAFF1);
     let mut out = String::from("probeset,unigene,locuslink,confidence\n");
     for ps in &u.probesets {
         let unigene = &u.unigene[ps.unigene].acc;
@@ -32,7 +31,7 @@ pub fn generate(u: &Universe) -> String {
             .locus
             .map(|l| u.loci[l].id.to_string())
             .unwrap_or_else(|| "---".to_owned());
-        let confidence = 0.5 + rng.gen::<f64>() * 0.5;
+        let confidence = 0.5 + rng.gen_f64() * 0.5;
         let _ = writeln!(out, "{},{unigene},{locus},{confidence:.3}", ps.acc);
     }
     out

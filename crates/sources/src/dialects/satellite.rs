@@ -20,12 +20,11 @@
 //! PW03:0001,glycolysis variant 1,LocusLink=353;1021~0.91|GO=GO:0010001
 //! ```
 
+use crate::prng::Prng;
 use crate::universe::Universe;
 use crate::ParseError;
 use eav::{EavBatch, EavRecord, SourceMeta};
 use gam::model::{SourceContent, SourceStructure};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 /// The hubs a satellite's objects may link against.
@@ -102,7 +101,7 @@ fn hub_accessions(u: &Universe, hub: Hub) -> Vec<String> {
 /// Render a satellite dump.
 pub fn generate(u: &Universe, spec: &SatelliteSpec) -> String {
     assert!(!spec.hubs.is_empty(), "satellite needs at least one hub");
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
+    let mut rng = Prng::seed_from_u64(spec.seed);
     let pools: Vec<Vec<String>> = spec.hubs.iter().map(|&h| hub_accessions(u, h)).collect();
     let mut out = String::new();
     let _ = writeln!(out, "#satellite\t{}", spec.name);
@@ -127,7 +126,7 @@ pub fn generate(u: &Universe, spec: &SatelliteSpec) -> String {
             }
             let acc = &pool[rng.gen_range(0..pool.len())];
             let link = if rng.gen_bool(spec.scored_fraction) {
-                format!("{acc}~{:.3}", 0.5 + rng.gen::<f64>() * 0.5)
+                format!("{acc}~{:.3}", 0.5 + rng.gen_f64() * 0.5)
             } else {
                 acc.clone()
             };

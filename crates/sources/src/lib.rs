@@ -24,6 +24,7 @@
 
 pub mod dialects;
 pub mod ecosystem;
+pub mod prng;
 pub mod universe;
 
 pub use ecosystem::{Ecosystem, EcosystemParams, LenientParse};

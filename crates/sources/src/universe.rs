@@ -6,8 +6,7 @@
 //! curated web-links the paper exploits — links in different sources agree
 //! and compose transitively. Generation is fully deterministic in the seed.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::prng::Prng;
 
 /// Size and shape parameters of the universe.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,7 +216,7 @@ const SYLLABLES: [&str; 16] = [
     "gen", "lac", "mut", "oxi", "dehy", "cyt",
 ];
 
-fn fab_name(rng: &mut SmallRng, min_syl: usize, max_syl: usize) -> String {
+fn fab_name(rng: &mut Prng, min_syl: usize, max_syl: usize) -> String {
     let n = rng.gen_range(min_syl..=max_syl);
     let mut s = String::new();
     for _ in 0..n {
@@ -226,7 +225,7 @@ fn fab_name(rng: &mut SmallRng, min_syl: usize, max_syl: usize) -> String {
     s
 }
 
-fn fab_symbol(rng: &mut SmallRng, index: usize) -> String {
+fn fab_symbol(rng: &mut Prng, index: usize) -> String {
     let letters: Vec<char> = "ABCDEFGHKLMNPRSTUVWXYZ".chars().collect();
     let a = letters[rng.gen_range(0..letters.len())];
     let b = letters[rng.gen_range(0..letters.len())];
@@ -238,7 +237,7 @@ impl Universe {
     /// Generate a universe from parameters. Deterministic in
     /// `params.seed`.
     pub fn generate(params: UniverseParams) -> Universe {
-        let mut rng = SmallRng::seed_from_u64(params.seed);
+        let mut rng = Prng::seed_from_u64(params.seed);
         let go_terms = gen_go(&mut rng, params.n_go_terms);
         let enzymes = gen_enzymes(&mut rng, params.n_enzymes);
         let interpro = gen_interpro(&mut rng, params.n_interpro);
@@ -271,7 +270,7 @@ impl Universe {
     }
 }
 
-fn gen_go(rng: &mut SmallRng, n: usize) -> Vec<GoTerm> {
+fn gen_go(rng: &mut Prng, n: usize) -> Vec<GoTerm> {
     let n = n.max(6);
     let mut terms: Vec<GoTerm> = Vec::with_capacity(n);
     // Terms 0..3 are the namespace roots.
@@ -320,7 +319,7 @@ fn gen_go(rng: &mut SmallRng, n: usize) -> Vec<GoTerm> {
     terms
 }
 
-fn gen_enzymes(rng: &mut SmallRng, n_leaves: usize) -> Vec<Enzyme> {
+fn gen_enzymes(rng: &mut Prng, n_leaves: usize) -> Vec<Enzyme> {
     // EC hierarchy: class.subclass.subsubclass.serial. Materialize the
     // internal nodes on demand.
     let mut enzymes: Vec<Enzyme> = Vec::new();
@@ -400,7 +399,7 @@ fn gen_enzymes(rng: &mut SmallRng, n_leaves: usize) -> Vec<Enzyme> {
     enzymes
 }
 
-fn gen_interpro(rng: &mut SmallRng, n: usize) -> Vec<InterProDomain> {
+fn gen_interpro(rng: &mut Prng, n: usize) -> Vec<InterProDomain> {
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let parent = if i > 0 && rng.gen_bool(0.3) {
@@ -418,7 +417,7 @@ fn gen_interpro(rng: &mut SmallRng, n: usize) -> Vec<InterProDomain> {
 }
 
 fn gen_loci(
-    rng: &mut SmallRng,
+    rng: &mut Prng,
     params: &UniverseParams,
     go_terms: &[GoTerm],
     enzymes: &[Enzyme],
@@ -534,7 +533,7 @@ fn gen_loci(
 }
 
 fn gen_proteins(
-    rng: &mut SmallRng,
+    rng: &mut Prng,
     params: &UniverseParams,
     loci: &[Locus],
     interpro: &[InterProDomain],
@@ -570,7 +569,7 @@ fn gen_proteins(
     out
 }
 
-fn gen_probesets(rng: &mut SmallRng, params: &UniverseParams, loci: &[Locus]) -> Vec<ProbeSet> {
+fn gen_probesets(rng: &mut Prng, params: &UniverseParams, loci: &[Locus]) -> Vec<ProbeSet> {
     let mut out = Vec::new();
     let mut serial = 1000u32;
     for (i, locus) in loci.iter().enumerate() {

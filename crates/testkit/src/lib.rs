@@ -1,0 +1,111 @@
+//! `testkit` — what the workspace's seeded test sweeps share: the PRNG, a
+//! case loop whose failures name their seed, a text generator and a scratch directory.
+//!
+//! A sweep replaces a property-test runner with a plain loop: case `i`
+//! draws its inputs from `Prng::seed_from_u64(i)` and asserts with the
+//! ordinary macros. There is no shrinking; a failure prints the seed, and
+//! `testkit::case(seed, ..)` with the same body replays exactly that case.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+// The one PRNG lives in `sources` (the generators are its first user), and
+// `sources` sits above relstore and gam, whose tests sweep too: including
+// the file keeps this crate dependency-free instead of closing a cycle.
+#[path = "../../sources/src/prng.rs"]
+mod prng;
+pub use prng::Prng;
+
+/// Run `body` on the cases seeded `0..n`.
+pub fn cases(n: u64, mut body: impl FnMut(&mut Prng)) {
+    for seed in 0..n {
+        case(seed, &mut body);
+    }
+}
+
+/// Run `body` on the one case drawn from `seed`. If it panics, the seed is
+/// printed behind the assertion's own message.
+pub fn case(seed: u64, body: impl FnOnce(&mut Prng)) {
+    struct NameSeed(u64);
+    impl Drop for NameSeed {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "testkit: the failing case has seed {0}; replay it alone with testkit::case({0}, ..)",
+                    self.0
+                );
+            }
+        }
+    }
+    let _named = NameSeed(seed);
+    body(&mut Prng::seed_from_u64(seed));
+}
+
+/// A string of `len` characters (a range is drawn from) out of `alphabet`.
+pub fn text(rng: &mut Prng, alphabet: &[u8], len: std::ops::RangeInclusive<usize>) -> String {
+    (0..rng.gen_range(len))
+        .map(|_| *rng.pick(alphabet) as char)
+        .collect()
+}
+
+/// A fresh directory under the system temp dir, removed again on drop.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// `label` only makes a leftover recognisable; uniqueness comes from
+    /// the process id and a counter, so parallel tests never share one.
+    pub fn new(label: &str) -> TempDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("{label}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a scratch directory");
+        TempDir(dir)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_seed_names_one_stream_and_ranges_hold() {
+        cases(64, |rng| {
+            let mut twin = rng.clone();
+            for _ in 0..32 {
+                let v: i64 = rng.gen_range(-5..=5);
+                assert!((-5..=5).contains(&v));
+                assert_eq!(twin.gen_range::<i64, _>(-5..=5), v);
+                assert!(rng.below(3) < 3);
+                twin.below(3);
+            }
+        });
+    }
+
+    #[test]
+    fn a_failing_case_fails_the_sweep() {
+        let swept = std::panic::catch_unwind(|| cases(4, |rng| assert!(rng.below(2) > 1)));
+        assert!(swept.is_err());
+    }
+
+    #[test]
+    fn temp_dirs_are_distinct_and_removed() {
+        let (a, b) = (TempDir::new("testkit"), TempDir::new("testkit"));
+        assert_ne!(a.path(), b.path());
+        let kept = a.path().to_owned();
+        assert!(kept.is_dir());
+        drop(a);
+        assert!(!kept.exists());
+    }
+}
