@@ -46,5 +46,5 @@ pub mod rules;
 pub mod source;
 
 pub use engine::{
-    check_file, collect_rs_files, fnv1a, lock_graph, scan, scan_with, ScanOptions, ScanResult,
+    check_file, collect_rs_files, lock_graph, scan, scan_with, ScanOptions, ScanResult,
 };

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! genlint [--root DIR] [--config FILE] [--format human|json|sarif]
-//!         [--deny] [--jobs N] [--no-cache] [--cache FILE]
-//!         [--lock-graph] [--list-rules]
+//!         [--deny] [--jobs N] [--lock-graph] [--list-rules]
 //! ```
 //!
 //! * `--root` — workspace root to scan (default: current directory).
@@ -14,10 +13,6 @@
 //!   compatibility alias for `--format json`.
 //! * `--deny` — exit 1 when any finding survives the baseline (CI mode).
 //! * `--jobs N` — worker threads for the per-file phase (default: auto).
-//! * `--no-cache` / `--cache FILE` — the incremental cache is on by
-//!   default at `<root>/target/genlint-cache.txt` (inside a skipped
-//!   directory, so it never scans itself); `--no-cache` forces a full
-//!   run, `--cache` moves the file.
 //! * `--lock-graph` — print the observed whole-program lock acquisition
 //!   graph and exit (debugging surface for the `lock-order-graph` rule).
 //! * `--list-rules` — print the rule registry and exit.
@@ -41,8 +36,6 @@ struct Args {
     format: Format,
     deny: bool,
     jobs: usize,
-    no_cache: bool,
-    cache: Option<PathBuf>,
     lock_graph: bool,
     list_rules: bool,
 }
@@ -54,8 +47,6 @@ fn parse_args() -> Result<Args, String> {
         format: Format::Human,
         deny: false,
         jobs: 0,
-        no_cache: false,
-        cache: None,
         lock_graph: false,
         list_rules: false,
     };
@@ -90,16 +81,12 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--jobs needs a number")?;
             }
-            "--no-cache" => args.no_cache = true,
-            "--cache" => {
-                args.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a file")?));
-            }
             "--lock-graph" => args.lock_graph = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 return Err("usage: genlint [--root DIR] [--config FILE] \
-                            [--format human|json|sarif] [--deny] [--jobs N] [--no-cache] \
-                            [--cache FILE] [--lock-graph] [--list-rules]"
+                            [--format human|json|sarif] [--deny] [--jobs N] \
+                            [--lock-graph] [--list-rules]"
                     .to_owned())
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -137,19 +124,7 @@ fn run() -> Result<ExitCode, String> {
         print!("{text}");
         return Ok(ExitCode::SUCCESS);
     }
-    let cache_path = if args.no_cache {
-        None
-    } else {
-        Some(
-            args.cache
-                .clone()
-                .unwrap_or_else(|| args.root.join("target/genlint-cache.txt")),
-        )
-    };
-    let opts = genlint::ScanOptions {
-        jobs: args.jobs,
-        cache_path,
-    };
+    let opts = genlint::ScanOptions { jobs: args.jobs };
     let result = genlint::scan_with(&args.root, &cfg, &opts)
         .map_err(|e| format!("scan of {}: {e}", args.root.display()))?;
     match args.format {

@@ -2,13 +2,12 @@
 //!
 //! JSON and SARIF are emitted by a hand-rolled escaper (genlint is
 //! std-only by design — see DESIGN.md §11); the JSON schema is stable so
-//! CI and the benchmark harness can parse it:
+//! CI can parse it:
 //!
 //! ```json
 //! {
 //!   "files_scanned": 63,
 //!   "suppressed": 2,
-//!   "cache_hits": 0,
 //!   "rules": {"vfs-bypass": 0, ...},
 //!   "findings": [{"rule": "...", "path": "...", "line": 7, "col": 13,
 //!                 "message": "..."}]
@@ -79,11 +78,10 @@ pub fn human(result: &ScanResult) -> String {
         .join(", ");
     let _ = writeln!(
         out,
-        "genlint: {} finding(s) in {} file(s) ({summary}); {} baselined, {} cached",
+        "genlint: {} finding(s) in {} file(s) ({summary}); {} baselined",
         result.findings.len(),
         result.files_scanned,
-        result.suppressed,
-        result.cache_hits
+        result.suppressed
     );
     out
 }
@@ -94,7 +92,6 @@ pub fn json(result: &ScanResult) -> String {
     out.push_str("{\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", result.files_scanned);
     let _ = writeln!(out, "  \"suppressed\": {},", result.suppressed);
-    let _ = writeln!(out, "  \"cache_hits\": {},", result.cache_hits);
     let rules = per_rule_counts(&result.findings)
         .iter()
         .map(|(name, n)| format!("\"{}\": {n}", json_escape(name)))
@@ -197,7 +194,6 @@ mod tests {
             ],
             suppressed: 2,
             files_scanned: 10,
-            cache_hits: 4,
         }
     }
 
@@ -214,7 +210,7 @@ mod tests {
         // col 0 drops the column segment
         assert!(text.contains("crates/genmapper/src/model.rs:1: [cache-coherence]"));
         assert!(text.contains("2 finding(s) in 10 file(s)"));
-        assert!(text.contains("2 baselined, 4 cached"));
+        assert!(text.contains("2 baselined"));
     }
 
     #[test]
@@ -226,7 +222,6 @@ mod tests {
         assert!(text.contains("\"wal-bracket\": 0"));
         assert!(text.contains("\"lock-order-graph\": 0"));
         assert!(text.contains("\"files_scanned\": 10"));
-        assert!(text.contains("\"cache_hits\": 4"));
         assert!(text.contains("\"col\": 13"));
     }
 
@@ -252,14 +247,12 @@ mod tests {
             findings: vec![],
             suppressed: 0,
             files_scanned: 0,
-            cache_hits: 0,
         });
         assert!(text.contains("\"findings\": []"));
         let text = sarif(&ScanResult {
             findings: vec![],
             suppressed: 0,
             files_scanned: 0,
-            cache_hits: 0,
         });
         assert!(text.contains("\"results\": []"));
     }

@@ -27,7 +27,7 @@
 //! ```
 
 use crate::query::{QuerySpec, TargetQuery};
-use crate::resolved::ResolvedView;
+use crate::resolved::{ExportFormat, ResolvedView};
 use crate::system::GenMapper;
 use gam::GamResult;
 use sources::ecosystem::{Ecosystem, EcosystemParams};
@@ -55,15 +55,6 @@ pub enum Command {
     Export { format: ExportFormat },
     Jobs { jobs: Option<usize> },
     Budget { budget: Option<usize> },
-}
-
-/// Export formats for the last view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExportFormat {
-    Tsv,
-    Csv,
-    Json,
-    Markdown,
 }
 
 /// Errors from command parsing.
@@ -189,21 +180,15 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, CliParseError> {
             },
             _ => return Err(err("usage: budget [<n>]")),
         },
-        "export" => match rest.as_slice() {
-            ["tsv"] => Command::Export {
-                format: ExportFormat::Tsv,
-            },
-            ["csv"] => Command::Export {
-                format: ExportFormat::Csv,
-            },
-            ["json"] => Command::Export {
-                format: ExportFormat::Json,
-            },
-            ["md"] | ["markdown"] => Command::Export {
-                format: ExportFormat::Markdown,
-            },
-            _ => return Err(err("usage: export <tsv|csv|json|md>")),
-        },
+        "export" => {
+            let format = match rest.as_slice() {
+                [word] => ExportFormat::parse(word),
+                _ => None,
+            };
+            Command::Export {
+                format: format.ok_or_else(|| err("usage: export <tsv|csv|json|md>"))?,
+            }
+        }
         other => return Err(err(format!("unknown command {other:?}; try help"))),
     };
     Ok(Some(cmd))
@@ -404,21 +389,7 @@ impl CliSession {
             }
             Command::Info { source, accession } => {
                 let info = self.gm.object_info(&source, &accession)?;
-                let _ = writeln!(
-                    out,
-                    "{} ({}) name={:?} number={:?}",
-                    info.accession, info.source, info.text, info.number
-                );
-                for (partner_source, partner, evidence) in &info.associations {
-                    match evidence {
-                        Some(e) => {
-                            let _ = writeln!(out, "  -> {partner_source}: {partner} (~{e:.2})");
-                        }
-                        None => {
-                            let _ = writeln!(out, "  -> {partner_source}: {partner}");
-                        }
-                    }
-                }
+                let _ = write!(out, "{info}");
             }
             Command::Path { from, to } => {
                 let path = self.gm.find_path(&from, &to)?;
@@ -490,12 +461,7 @@ impl CliSession {
                     let _ = writeln!(out, "no view yet; run a query first");
                 }
                 Some(view) => {
-                    let text = match format {
-                        ExportFormat::Tsv => view.to_tsv(),
-                        ExportFormat::Csv => view.to_csv(),
-                        ExportFormat::Json => view.to_json()?,
-                        ExportFormat::Markdown => view.to_markdown(),
-                    };
+                    let text = view.render(format)?;
                     let _ = write!(out, "{text}");
                     if !text.ends_with('\n') {
                         let _ = writeln!(out);

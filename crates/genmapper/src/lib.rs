@@ -48,7 +48,7 @@ pub mod snapshot;
 pub mod system;
 
 pub use query::{QuerySpec, TargetQuery};
-pub use resolved::{ObjectInfo, ResolvedRow, ResolvedView};
+pub use resolved::{ExportFormat, ObjectInfo, ResolvedRow, ResolvedView};
 pub use shared::{ImportStatus, SharedGenMapper, WritePermit};
 pub use snapshot::Snapshot;
 pub use system::GenMapper;

@@ -32,6 +32,30 @@ impl ResolvedRow {
     }
 }
 
+/// Export formats of a view: the REPL's `export` and the service's `view`
+/// speak the same words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExportFormat {
+    Tsv,
+    Csv,
+    Json,
+    Markdown,
+}
+
+impl ExportFormat {
+    /// The format a command word names (`tsv`, `csv`, `json`, `md` or
+    /// `markdown`).
+    pub fn parse(word: &str) -> Option<ExportFormat> {
+        match word {
+            "tsv" => Some(ExportFormat::Tsv),
+            "csv" => Some(ExportFormat::Csv),
+            "json" => Some(ExportFormat::Json),
+            "md" | "markdown" => Some(ExportFormat::Markdown),
+            _ => None,
+        }
+    }
+}
+
 /// A fully resolved annotation view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedView {
@@ -62,6 +86,16 @@ impl ResolvedView {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// Export in the given format.
+    pub fn render(&self, format: ExportFormat) -> gam::GamResult<String> {
+        Ok(match format {
+            ExportFormat::Tsv => self.to_tsv(),
+            ExportFormat::Csv => self.to_csv(),
+            ExportFormat::Json => self.to_json()?,
+            ExportFormat::Markdown => self.to_markdown(),
+        })
     }
 
     /// Export as TSV (one header line; NULLs as empty cells).
@@ -197,6 +231,25 @@ pub struct ObjectInfo {
     /// (mapping partner source, partner accession, evidence) of every
     /// association touching the object.
     pub associations: Vec<(String, String, Option<f64>)>,
+}
+
+/// The `info` body of the REPL and the service: one header line, then one
+/// line per association.
+impl std::fmt::Display for ObjectInfo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "{} ({}) name={:?} number={:?}",
+            self.accession, self.source, self.text, self.number
+        )?;
+        for (partner_source, partner, evidence) in &self.associations {
+            match evidence {
+                Some(e) => writeln!(f, "  -> {partner_source}: {partner} (~{e:.2})")?,
+                None => writeln!(f, "  -> {partner_source}: {partner}")?,
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

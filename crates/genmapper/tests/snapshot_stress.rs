@@ -9,6 +9,7 @@
 //!    live path at the same version (ResolvedView equality covers every
 //!    cell string; ObjectInfo equality covers the f64 evidence values).
 //! 3. Readers make progress while the writer holds its lock.
+//! 4. The versions one reader observes never go backwards.
 
 use genmapper::{GenMapper, QuerySpec, ResolvedView, SharedGenMapper};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
@@ -112,9 +113,15 @@ fn concurrent_readers_see_only_published_versions_bit_identically() {
             let checked = checked.clone();
             scope.spawn(move || {
                 let specs = specs();
+                let mut last_version = (0, 0);
                 while !done.load(Ordering::SeqCst) {
                     let snap = sh.snapshot();
                     let version = snap.version();
+                    assert!(
+                        version >= last_version,
+                        "reader {reader}: version went backwards: {version:?} after {last_version:?}"
+                    );
+                    last_version = version;
                     let results: Vec<ResolvedView> =
                         specs.iter().map(|s| snap.query(s).unwrap()).collect();
                     let map = expected.lock().unwrap();

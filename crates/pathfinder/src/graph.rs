@@ -202,6 +202,9 @@ impl SourceGraph {
     /// hop-count order ("with a high degree of inter-connectivity between
     /// the sources, many paths may be possible").
     pub fn k_shortest_paths(&self, from: SourceId, to: SourceId, k: usize) -> Vec<Vec<SourceId>> {
+        if k == 0 {
+            return Vec::new();
+        }
         let Some(first) = self.shortest_path(from, to) else {
             return Vec::new();
         };
@@ -409,6 +412,8 @@ mod tests {
         assert!(g.k_shortest_paths(s(1), s(99), 3).is_empty());
         // k=1 returns just the shortest
         assert_eq!(g.k_shortest_paths(s(1), s(5), 1).len(), 1);
+        // k=0 asks for no path and gets none
+        assert!(g.k_shortest_paths(s(1), s(5), 0).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::error::ServeError;
 use crate::server::ServerStats;
 use genmapper::cli::parse_query;
-use genmapper::{SharedGenMapper, Snapshot};
+use genmapper::{ExportFormat, SharedGenMapper, Snapshot};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -49,6 +49,13 @@ impl Default for RequestContext<'static> {
         }
     }
 }
+
+/// Largest `k` the `paths` endpoint answers. Yen's algorithm is quadratic
+/// in `k` and reads are not admission-controlled, so an unbounded `k` lets
+/// one request line occupy a worker for minutes; no client of this service
+/// asks for more than a handful of alternatives. (The REPL serves one local
+/// user and is not capped.)
+const MAX_PATHS_K: usize = 100;
 
 /// Whether a request line names a read-class endpoint. Read-class
 /// requests answer from the published snapshot, are never
@@ -140,20 +147,11 @@ pub fn handle_request(
             };
             let spec =
                 parse_query(query_words).map_err(|e| ServeError::bad_request(e.to_string()))?;
+            let format = ExportFormat::parse(format).ok_or_else(|| {
+                ServeError::bad_request(format!("unknown view format {format:?}"))
+            })?;
             let snap = shared.snapshot();
-            let view = snap.query(&spec)?;
-            let body = match format {
-                "tsv" => view.to_tsv(),
-                "csv" => view.to_csv(),
-                "json" => view.to_json()?,
-                "md" | "markdown" => view.to_markdown(),
-                other => {
-                    return Err(ServeError::bad_request(format!(
-                        "unknown view format {other:?}"
-                    )))
-                }
-            };
-            Ok((body, RequestClass::Read))
+            Ok((snap.query(&spec)?.render(format)?, RequestClass::Read))
         }
         "path" => match rest {
             [from, to] => {
@@ -168,6 +166,11 @@ pub fn handle_request(
                 let k: usize = k
                     .parse()
                     .map_err(|_| ServeError::bad_request("paths takes a numeric k"))?;
+                if k > MAX_PATHS_K {
+                    return Err(ServeError::bad_request(format!(
+                        "paths answers at most {MAX_PATHS_K} paths, got k = {k}"
+                    )));
+                }
                 let snap = shared.snapshot();
                 let mut out = String::new();
                 for path in snap.find_paths(from, to, k)? {
@@ -181,23 +184,7 @@ pub fn handle_request(
             [source, accession] => {
                 let snap = shared.snapshot();
                 let info = snap.object_info(source, accession)?;
-                let mut out = String::new();
-                let _ = writeln!(
-                    out,
-                    "{} ({}) name={:?} number={:?}",
-                    info.accession, info.source, info.text, info.number
-                );
-                for (partner_source, partner, evidence) in &info.associations {
-                    match evidence {
-                        Some(e) => {
-                            let _ = writeln!(out, "  -> {partner_source}: {partner} (~{e:.2})");
-                        }
-                        None => {
-                            let _ = writeln!(out, "  -> {partner_source}: {partner}");
-                        }
-                    }
-                }
-                Ok((out, RequestClass::Read))
+                Ok((info.to_string(), RequestClass::Read))
             }
             _ => Err(ServeError::bad_request("usage: info <source> <accession>")),
         },
@@ -431,6 +418,14 @@ mod tests {
         assert_eq!(e.kind, ServeErrorKind::NotFound);
         let e = handle_request(&sh, "query LocusLink", &ctx).unwrap_err();
         assert_eq!(e.kind, ServeErrorKind::BadRequest);
+        // k is bounded on the wire: the largest allowed k answers, one more
+        // is refused before any path search, and k = 0 asks for no path
+        let (body, _) = handle_request(&sh, "paths NetAffx GO 100", &ctx).unwrap();
+        assert!(body.starts_with("NetAffx ->"), "{body}");
+        let e = handle_request(&sh, "paths NetAffx GO 101", &ctx).unwrap_err();
+        assert_eq!(e.kind, ServeErrorKind::BadRequest);
+        let (body, _) = handle_request(&sh, "paths NetAffx GO 0", &ctx).unwrap();
+        assert_eq!(body, "");
         let e = handle_request(&sh, "", &ctx).unwrap_err();
         assert_eq!(e.kind, ServeErrorKind::BadRequest);
         // an isolated snapshot keeps answering while a write fails

@@ -41,7 +41,7 @@
 //!   timeout / oversize counters fold into `stats`;
 //! * [`faultnet::FaultNet`] injects deterministic network faults
 //!   (delays, disconnects, torn frames, stalls) for the chaos sweeps in
-//!   `tests/chaos.rs` and `scripts/chaos_harness.rs`.
+//!   `tests/chaos.rs`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -126,10 +126,13 @@ fn writes_are_shed_while_the_budget_is_saturated_and_readers_progress() {
     };
     assert!(body.contains("shed_writes=1"), "stats fold: {body}");
 
-    // freeing the slot lets the same write through
+    // freeing the slot lets the same write through, and a write inside
+    // the budget is not counted as shed
     drop(slot);
     let (ok, body) = call(&addr, "materialize subsumed GO").unwrap();
     assert!(ok, "{body}");
+    let (shed, _, _) = server.stats().hardening_snapshot();
+    assert_eq!(shed, 1, "only the refused write was shed");
     server.shutdown().unwrap();
 }
 

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, test, lint. Run from the repo root of a clean
 # clone; needs no network, no registry and nothing outside the checkout
-# (every cargo leg is --offline --locked against a committed Cargo.lock,
-# every harness binary lands in target/).
+# (every cargo leg is --offline --locked against a committed Cargo.lock).
+# No leg writes into the repository outside the ignored build and run
+# directories (target/, scripts/e2e/target/, scripts/e2e/out/): the last
+# step checks that `git status --porcelain` is what it was at the start.
+# CONTRIBUTING.md ("Which suite proves what") names the suite behind each
+# evidence class and the one-liner that runs it alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+status_before="$(git status --porcelain)"
 
 # gmbench's own package (scripts/e2e, separate workspace and lock file):
 # --self-test builds it and proves the benchmark's oracle counts a wrong
@@ -12,50 +17,19 @@ cd "$(dirname "$0")/.."
 bash scripts/e2e/run.sh --self-test
 (cd scripts/e2e && cargo test --offline --locked)
 
+# Every seeded sweep prints the failing case's seed (DESIGN.md §9).
 cargo build --release --offline --locked
 cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
-
-# The suites below already ran with the workspace; naming them keeps each
-# evidence class one copy-pastable line when only that class is in doubt.
-# Every seeded sweep prints the failing case's seed (DESIGN.md §9).
-t() { cargo test -q --offline --locked "$@"; }
-# bulk-import equivalence sweeps (bit-identical fast path)
-t -p import --test bulk_prop
-# crash safety: exhaustive power-cut sweeps, seeded random crash points,
-# recovery, crash during import
-t -p relstore --test crash_sweep --test crash_prop --test recovery
-t -p import --test crash_import
-# on-disk format and generator identity (bytes pinned to constants)
-t -p relstore --test format_identity
-t -p sources --test dump_identity
-# index build equivalence: encoded key order ≡ value order, bulk-built ≡
-# maintained indexes, reopen ≡ closed store across snapshot + WAL mixes,
-# crafted logs/snapshots refused with typed errors
-t -p relstore --test index_build_equiv
-# paged ≡ resident across random workloads, pool sizes down to one page,
-# reopen and compaction
-t -p relstore --test paged_prop
-# MVCC snapshot reads under concurrent churn, and the service layer
-# end-to-end over real TCP
-t -p genmapper --test snapshot_stress
-t -p serve
-# the one executor bit-identical to the baselines::naive oracle across
-# chain shapes, floors, negation, worker counts, join strategies
-t -p operators --test algebra_equiv
-# store ≡ snapshot for every object and every issued, deleted or unknown
-# mapping id; capture cost on a paged store pinned in pool misses
-t -p gam --test snapshot_equiv
-
-# dependency-free measurement replicas (each rewrites its BENCH_*.json):
-# paged storage, concurrent service, network-fault chaos sweep, lint engine
-for harness in page serve chaos genlint; do
-    rustc -O "scripts/${harness}_harness.rs" -o "target/${harness}_harness"
-    "target/${harness}_harness"
-done
 
 # architectural invariant gate (DESIGN.md §11, §16): any unbaselined
 # finding fails the build; the same scan is exported as a SARIF artifact
 # for code-scanning UIs (target/genlint.sarif)
 cargo run -q --offline --locked -p genlint -- --deny
 cargo run -q --offline --locked -p genlint -- --format sarif > target/genlint.sarif
+
+if [ "$(git status --porcelain)" != "$status_before" ]; then
+    echo "tier1: the run changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
