@@ -92,16 +92,6 @@ impl IndexStats {
             self.max_fwd_fanout as f64 / avg
         }
     }
-
-    /// Skew ratio of the inverse side.
-    pub fn inv_skew(&self) -> f64 {
-        let avg = self.avg_inv_fanout();
-        if avg == 0.0 {
-            1.0
-        } else {
-            self.max_inv_fanout as f64 / avg
-        }
-    }
 }
 
 /// A canonical mapping in compressed-sparse-row form. Construction always

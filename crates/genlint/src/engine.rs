@@ -232,7 +232,12 @@ mod tests {
         // run the baseline logic via a temp-dir-free path: inline copy of
         // the filtering loop is not exposed, so exercise it through scan()
         // on a scratch directory.
-        let dir = std::env::temp_dir().join(format!("genlint-filter-{}", std::process::id()));
+        // one directory per call: the tests that share this helper run in
+        // parallel threads of one process
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("genlint-filter-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         // materialize one file per finding that triggers vfs-bypass

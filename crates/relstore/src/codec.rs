@@ -1,9 +1,9 @@
-//! Binary codec for values, rows, and log/snapshot records.
+//! Binary codec for values, rows, and log/checkpoint records.
 //!
 //! A compact self-describing format: each value is a 1-byte tag followed by
 //! a fixed- or length-prefixed payload. Integers use zig-zag varint
 //! encoding; lengths use plain varints. The same primitives serve the
-//! write-ahead log and the snapshot file, so corruption detection (bad tags,
+//! write-ahead log and the page directory, so corruption detection (bad tags,
 //! short buffers) is shared.
 //!
 //! Writers append to a `Vec<u8>`. Readers advance a `&mut &[u8]` cursor over
@@ -201,7 +201,7 @@ const fn crc_table() -> [u32; 256] {
 }
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte slice, one table lookup per
-/// byte. Frames WAL records and checksums snapshots, page images and page
+/// byte. Frames WAL records and checksums page images and page
 /// directories.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xffff_ffff;

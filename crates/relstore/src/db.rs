@@ -2,9 +2,11 @@
 //!
 //! * [`Database::in_memory`] gives a volatile database.
 //! * [`Database::open`] attaches a directory: state is the last
-//!   [checkpoint](Database::checkpoint) snapshot plus a replay of the
-//!   write-ahead log's committed transactions. Recovery places rows first
-//!   — snapshot, then replay — and builds each index once at the end.
+//!   [checkpoint](Database::checkpoint)'s page directory plus a replay of
+//!   the write-ahead log's committed transactions. Recovery places rows
+//!   first — directory, then replay — and builds each index once at the
+//!   end. [`Database::open_paged`] does the same with a buffer pool, so
+//!   row bodies page out to a heap file.
 //!
 //! Transactions are single-writer (the `&mut self` receiver enforces it at
 //! compile time). A [`Transaction`] applies changes eagerly — reads through
@@ -20,7 +22,7 @@ use crate::pager::{
 use crate::row::RowId;
 use crate::schema::Schema;
 use crate::stats::{DbStats, TableStats};
-use crate::table::{SealedPage, Table};
+use crate::table::Table;
 use crate::value::Value;
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{read_wal, LogRecord, WalWriter};
@@ -28,16 +30,15 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Primary snapshot file name inside a database directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Previous snapshot, kept as a fallback until the next checkpoint.
-pub const SNAPSHOT_PREV_FILE: &str = "snapshot.prev";
 /// Write-ahead log file name.
 pub const WAL_FILE: &str = "wal.log";
-/// Primary page-directory file name (paged databases).
+/// Primary page-directory file name: the checkpointed catalog.
 pub const PAGEDIR_FILE: &str = "pagedir.bin";
 /// Previous page directory, kept as a fallback until the next checkpoint.
 pub const PAGEDIR_PREV_FILE: &str = "pagedir.prev";
+/// The checkpoint files of builds before the page directory was the one
+/// catalog; a directory that holds only these is refused, not read.
+const LEGACY_SNAPSHOT_FILES: [&str; 2] = ["snapshot.bin", "snapshot.prev"];
 
 /// Heap file for a given generation. Compaction bumps the generation and
 /// rewrites live pages into the new file; the page directory names which
@@ -50,37 +51,29 @@ struct Durability {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
     wal: WalWriter,
-    /// Epoch of the snapshot the current WAL extends.
+    /// Epoch of the checkpoint the current WAL extends.
     epoch: u64,
 }
 
-/// Paged-storage state: the shared buffer pool plus the catalog numbers
-/// that go into the page directory at checkpoint.
-struct PagedState {
-    pager: Arc<Pager>,
-    heap_gen: u64,
-    next_table_id: u32,
-}
-
-/// Which snapshot file recovery loaded.
+/// Which checkpoint recovery loaded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotSource {
-    /// `snapshot.bin` was present and valid.
+    /// `pagedir.bin` was present and valid.
     Primary,
-    /// `snapshot.bin` was missing or corrupt; `snapshot.prev` was used.
+    /// `pagedir.bin` was missing or corrupt; `pagedir.prev` was used.
     Fallback,
-    /// No valid snapshot existed (fresh database, or both copies bad).
+    /// No valid checkpoint existed (fresh database, or both copies bad).
     None,
 }
 
 /// What [`Database::open`] found and did. Recovery *degrades* instead of
-/// failing: a corrupt primary snapshot falls back to the previous one, a
+/// failing: a corrupt primary checkpoint falls back to the previous one, a
 /// stale WAL (epoch mismatch after an interrupted checkpoint) is
 /// discarded, a torn WAL tail is truncated. This report makes those
 /// decisions observable so callers can log them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Which snapshot file was loaded.
+    /// Which checkpoint file was loaded.
     pub snapshot: SnapshotSource,
     /// Epoch of the recovered state.
     pub epoch: u64,
@@ -91,8 +84,8 @@ pub struct RecoveryReport {
     /// Byte offset of a torn WAL tail, if one was truncated away.
     pub wal_torn_at: Option<u64>,
     /// True if the whole WAL was discarded because its epoch did not match
-    /// the snapshot (a checkpoint was interrupted between the snapshot
-    /// rename and the log reset; the log's contents live in the snapshot).
+    /// the checkpoint (one was interrupted between the directory rename
+    /// and the log reset; the log's contents live in the checkpoint).
     pub wal_stale: bool,
 }
 
@@ -100,9 +93,13 @@ pub struct RecoveryReport {
 pub struct Database {
     tables: BTreeMap<String, Table>,
     durability: Option<Durability>,
-    /// `Some` when tables page their rows through a buffer pool
-    /// ([`Database::open_paged`]).
-    paged: Option<PagedState>,
+    /// The buffer pool tables page their rows through
+    /// ([`Database::open_paged`]); without one every table's tail never
+    /// seals and all rows stay in memory.
+    pager: Option<Arc<Pager>>,
+    /// Catalog numbers that go into the page directory at checkpoint.
+    heap_gen: u64,
+    next_table_id: u32,
     next_txid: u64,
     /// When `true` (the default) every commit fsyncs the WAL. Group commit
     /// ([`set_sync_on_commit`](Self::set_sync_on_commit)) turns this off so
@@ -128,75 +125,33 @@ impl Database {
         Database {
             tables: BTreeMap::new(),
             durability: None,
-            paged: None,
+            pager: None,
+            heap_gen: 1,
+            next_table_id: 1,
             next_txid: 1,
             sync_on_commit: true,
             recovery: None,
         }
     }
 
-    /// Open (or create) a durable database in `dir`: load the snapshot,
-    /// replay committed WAL records, and keep the WAL open for appends.
+    /// Open (or create) a durable database in `dir` whose rows all stay in
+    /// memory: load the last checkpoint, replay committed WAL records, and
+    /// keep the WAL open for appends.
     pub fn open(dir: &Path) -> StoreResult<Self> {
         Self::open_with_vfs(Arc::new(RealVfs), dir)
     }
 
     /// [`open`](Self::open) against an explicit I/O backend (crash tests
     /// substitute [`FaultVfs`](crate::vfs::FaultVfs)).
-    ///
-    /// Recovery degrades rather than errors on storage-level damage:
-    ///
-    /// 1. Load `snapshot.bin`; if missing or corrupt, fall back to
-    ///    `snapshot.prev`; if neither is valid, start from an empty
-    ///    catalog. (A crash can only corrupt the snapshot *being written*,
-    ///    which the checkpoint protocol keeps separate from the last good
-    ///    one, so the fallback is always at most one checkpoint old.)
-    /// 2. Read the WAL. Replay its committed transactions only if its
-    ///    epoch matches the snapshot's; a mismatch means the WAL is stale
-    ///    (interrupted checkpoint) and it is discarded — its effects are
-    ///    already inside the newer snapshot.
-    /// 3. Truncate any torn WAL tail and, if the WAL was stale, reset it
-    ///    to the snapshot's epoch, completing the interrupted checkpoint.
-    ///
-    /// What recovery did is available from
-    /// [`recovery_report`](Self::recovery_report).
     pub fn open_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path) -> StoreResult<Self> {
-        vfs.create_dir_all(dir)?;
-        let primary = dir.join(SNAPSHOT_FILE);
-        let fallback = dir.join(SNAPSHOT_PREV_FILE);
-        let (tables, epoch, source) =
-            match crate::snapshot::read_snapshot_file(vfs.as_ref(), &primary) {
-                Ok(Some((tables, epoch))) => (tables, epoch, SnapshotSource::Primary),
-                Ok(None) | Err(StoreError::Corrupt(_)) => {
-                    match crate::snapshot::read_snapshot_file(vfs.as_ref(), &fallback) {
-                        Ok(Some((tables, epoch))) => (tables, epoch, SnapshotSource::Fallback),
-                        Ok(None) | Err(StoreError::Corrupt(_)) => {
-                            (Vec::new(), 0, SnapshotSource::None)
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(e) => return Err(e),
-            };
-        let mut db = Database {
-            tables: tables.into_iter().map(|t| (t.name().to_owned(), t)).collect(),
-            durability: None,
-            paged: None,
-            next_txid: 1,
-            sync_on_commit: true,
-            recovery: None,
-        };
-        db.attach_wal(vfs, dir, epoch, source)?;
-        Ok(db)
+        Self::recover(vfs, dir, None)
     }
 
     /// Open (or create) a paged durable database in `dir`: row bodies live
     /// in slotted heap pages behind a buffer pool of `config.pool_pages`
     /// pages, so datasets far larger than the pool still serve indexed
-    /// lookups with bounded resident memory. Recovery loads the page
-    /// *directory* (not the pages), registers every page's heap location,
-    /// replays the WAL exactly as [`open`](Self::open) does, then streams
-    /// the pages once to build the indexes.
+    /// lookups with bounded resident memory. A directory written without a
+    /// pool opens too: its tables page out from their first write on.
     pub fn open_paged(dir: &Path, config: PoolConfig) -> StoreResult<Self> {
         Self::open_paged_with_vfs(Arc::new(RealVfs), dir, config)
     }
@@ -207,62 +162,71 @@ impl Database {
         dir: &Path,
         config: PoolConfig,
     ) -> StoreResult<Self> {
+        Self::recover(vfs, dir, Some(config))
+    }
+
+    /// The one open path. Recovery degrades rather than errors on
+    /// storage-level damage:
+    ///
+    /// 1. Load `pagedir.bin`; if missing or corrupt, fall back to
+    ///    `pagedir.prev`; if neither is valid, start from an empty
+    ///    catalog. (A crash can only corrupt the directory *being
+    ///    written*, which the checkpoint protocol keeps separate from the
+    ///    last good one, so the fallback is always at most one checkpoint
+    ///    old.) Only the *directory* is loaded — with a pool, every sealed
+    ///    page's heap location is registered and the pages are streamed
+    ///    once, at the end, to build the indexes.
+    /// 2. Read the WAL. Replay its committed transactions only if its
+    ///    epoch matches the checkpoint's; a mismatch means the WAL is stale
+    ///    (interrupted checkpoint) and it is discarded — its effects are
+    ///    already inside the newer checkpoint.
+    /// 3. Truncate any torn WAL tail and, if the WAL was stale, reset it
+    ///    to the checkpoint's epoch, completing the interrupted checkpoint.
+    ///
+    /// A directory this open cannot serve is refused instead, before the
+    /// WAL is looked at: sealed pages with no `pool` to fault them through,
+    /// or only the checkpoint files of a build that predates the page
+    /// directory. What recovery did is available from
+    /// [`recovery_report`](Self::recovery_report).
+    fn recover(vfs: Arc<dyn Vfs>, dir: &Path, pool: Option<PoolConfig>) -> StoreResult<Self> {
         vfs.create_dir_all(dir)?;
-        let read_dir_file = |path: &Path| -> StoreResult<Option<PagedCatalog>> {
-            match vfs.read(path)? {
-                Some(data) => decode_page_directory(&data).map(Some),
-                None => Ok(None),
+        let mut found = None;
+        for (file, source) in [
+            (PAGEDIR_FILE, SnapshotSource::Primary),
+            (PAGEDIR_PREV_FILE, SnapshotSource::Fallback),
+        ] {
+            match vfs.read(&dir.join(file))?.map(|data| decode_page_directory(&data)) {
+                Some(Ok(catalog)) => {
+                    found = Some((catalog, source));
+                    break;
+                }
+                None | Some(Err(StoreError::Corrupt(_))) => {}
+                Some(Err(e)) => return Err(e),
+            }
+        }
+        let (catalog, source) = match found {
+            Some(found) => found,
+            None => {
+                if let Some(legacy) = LEGACY_SNAPSHOT_FILES
+                    .iter()
+                    .find(|file| vfs.exists(&dir.join(file)))
+                {
+                    return Err(StoreError::Unsupported(format!(
+                        "{} holds {legacy} and no page directory: the store was written \
+                         by a pre-PR-20 build, whose checkpoint format is no longer read",
+                        dir.display()
+                    )));
+                }
+                (PagedCatalog::empty(), SnapshotSource::None)
             }
         };
-        let primary = dir.join(PAGEDIR_FILE);
-        let fallback = dir.join(PAGEDIR_PREV_FILE);
-        let (catalog, source) = match read_dir_file(&primary) {
-            Ok(Some(c)) => (c, SnapshotSource::Primary),
-            Ok(None) | Err(StoreError::Corrupt(_)) => match read_dir_file(&fallback) {
-                Ok(Some(c)) => (c, SnapshotSource::Fallback),
-                Ok(None) | Err(StoreError::Corrupt(_)) => (
-                    PagedCatalog {
-                        epoch: 0,
-                        heap_gen: 1,
-                        next_table_id: 1,
-                        tables: Vec::new(),
-                    },
-                    SnapshotSource::None,
-                ),
-                Err(e) => return Err(e),
-            },
-            Err(e) => return Err(e),
-        };
-        let heap_path = dir.join(heap_file_name(catalog.heap_gen));
-        let pager = Arc::new(Pager::new(vfs.clone(), heap_path, config));
+        let pager = pool.map(|config| {
+            let heap_path = dir.join(heap_file_name(catalog.heap_gen));
+            Arc::new(Pager::new(vfs.clone(), heap_path, config))
+        });
         let mut tables = BTreeMap::new();
         for meta in catalog.tables {
-            for (i, entry) in meta.pages.iter().enumerate() {
-                pager.register(
-                    PageId {
-                        table_id: meta.table_id,
-                        page_no: i as u32,
-                    },
-                    entry.loc,
-                );
-            }
-            let pages: Vec<SealedPage> = meta
-                .pages
-                .iter()
-                .map(|e| SealedPage {
-                    base: e.base,
-                    slots: e.slots,
-                })
-                .collect();
-            let table = Table::new_paged_recovered(
-                meta.schema,
-                pager.clone(),
-                meta.table_id,
-                pages,
-                meta.tail_base,
-                meta.tail,
-                meta.live,
-            )?;
+            let table = Table::recovered(meta, pager.clone())?;
             tables.insert(table.name().to_owned(), table);
         }
         // A compaction that crashed between publishing the new directory
@@ -278,11 +242,9 @@ impl Database {
         let mut db = Database {
             tables,
             durability: None,
-            paged: Some(PagedState {
-                pager,
-                heap_gen: catalog.heap_gen,
-                next_table_id: catalog.next_table_id,
-            }),
+            pager,
+            heap_gen: catalog.heap_gen,
+            next_table_id: catalog.next_table_id,
             next_txid: 1,
             sync_on_commit: true,
             recovery: None,
@@ -291,8 +253,8 @@ impl Database {
         Ok(db)
     }
 
-    /// Shared tail of both open paths: read the WAL, replay its committed
-    /// transactions over the recovered tables when its epoch matches
+    /// Second half of [`recover`](Self::recover): read the WAL, replay its
+    /// committed transactions over the recovered tables when its epoch matches
     /// `epoch`, reset it when stale (completing an interrupted
     /// checkpoint), and leave it open for appends. The tables arrive under
     /// recovery — rows only — and replay only places rows; once the rows
@@ -334,7 +296,7 @@ impl Database {
         }
         let mut wal = WalWriter::open(vfs.clone(), &wal_path)?;
         if stale {
-            // Complete the interrupted checkpoint: the snapshot already
+            // Complete the interrupted checkpoint: the directory already
             // holds this WAL's effects, so clear it and stamp the epoch.
             wal.reset(epoch)?;
         }
@@ -367,18 +329,12 @@ impl Database {
         }
     }
 
-    /// Construct a table appropriate for this database's storage mode:
-    /// paged databases allocate a table id and page rows through the
-    /// shared buffer pool, resident databases keep rows in memory.
+    /// Construct a table under the next table id, behind this database's
+    /// buffer pool if it has one.
     fn make_table(&mut self, schema: Schema) -> Table {
-        match &mut self.paged {
-            Some(p) => {
-                let id = p.next_table_id;
-                p.next_table_id += 1;
-                Table::new_paged(schema, p.pager.clone(), id)
-            }
-            None => Table::new(schema),
-        }
+        let id = self.next_table_id;
+        self.next_table_id += 1;
+        Table::create(schema, self.pager.clone(), id)
     }
 
     fn apply_replayed(&mut self, op: LogRecord) -> StoreResult<()> {
@@ -398,9 +354,9 @@ impl Database {
             } => self.table_mut_internal(&table)?.update(row_id, values),
             LogRecord::Commit { .. } | LogRecord::Epoch { .. } => Ok(()),
             LogRecord::CreateTable { schema } => {
-                // The snapshot may already contain the table if the WAL
+                // The checkpoint may already contain the table if the WAL
                 // predates it (it cannot on the normal checkpoint path, but
-                // degraded recovery tolerates it); the snapshot wins.
+                // degraded recovery tolerates it); the checkpoint wins.
                 if !self.tables.contains_key(schema.name()) {
                     let table = self.make_table(schema).unindexed();
                     self.tables.insert(table.name().to_owned(), table);
@@ -528,91 +484,44 @@ impl Database {
         Ok(())
     }
 
-    /// Write a snapshot of the current state and truncate the WAL.
-    /// No-op (Ok) for in-memory databases.
+    /// Publish the current state as a new page directory and truncate the
+    /// WAL. No-op (Ok) for in-memory databases.
     ///
-    /// The sequence is crash-safe at every step:
+    /// With a buffer pool, **only dirty pages** are written to the heap and
+    /// synced first; the directory then names every page's heap location
+    /// and carries each table's open tail inline. Without a pool there are
+    /// no pages and the tail is the whole table. The sequence is crash-safe
+    /// at every step:
     ///
-    /// 1. write + fsync the new snapshot (epoch N+1) to a temp file,
-    /// 2. rename the current snapshot to `snapshot.prev`,
-    /// 3. rename the temp file to `snapshot.bin`,
-    /// 4. fsync the directory (the renames are not durable before this),
-    /// 5. reset the WAL, stamping it with epoch N+1.
+    /// 1. flush + fsync the heap, so a durable directory only ever
+    ///    references fully-synced page images,
+    /// 2. write + fsync the new directory (epoch N+1) to a temp file,
+    /// 3. rename the current directory to `pagedir.prev`,
+    /// 4. rename the temp file to `pagedir.bin`,
+    /// 5. fsync the directory (the renames are not durable before this),
+    /// 6. reset the WAL, stamping it with epoch N+1.
     ///
-    /// A crash before step 4 recovers from the old snapshot + old WAL
-    /// (possibly via `snapshot.prev`); a crash after it recovers from the
-    /// new snapshot, discarding the now-stale WAL by its epoch mismatch.
+    /// A crash before step 5 recovers from the old directory + old WAL
+    /// (possibly via `pagedir.prev`); a crash after it recovers from the
+    /// new directory, discarding the now-stale WAL by its epoch mismatch.
     pub fn checkpoint(&mut self) -> StoreResult<()> {
-        if self.paged.is_some() {
-            return self.checkpoint_paged();
-        }
-        let data = {
-            let Some(durability) = &self.durability else {
-                return Ok(());
-            };
-            crate::snapshot::encode_snapshot(self.tables.values(), durability.epoch + 1)?
-        };
         let Some(durability) = &mut self.durability else {
             return Ok(());
         };
         let new_epoch = durability.epoch + 1;
-        let vfs = durability.vfs.as_ref();
-        let primary = durability.dir.join(SNAPSHOT_FILE);
-        let tmp = primary.with_extension("tmp");
-        {
-            let mut f = vfs.create(&tmp)?;
-            f.write_all(&data)?;
-            f.sync()?;
+        if let Some(pager) = &self.pager {
+            pager.flush_and_sync()?;
         }
-        if vfs.exists(&primary) {
-            vfs.rename(&primary, &durability.dir.join(SNAPSHOT_PREV_FILE))?;
-        }
-        vfs.rename(&tmp, &primary)?;
-        vfs.sync_dir(&durability.dir)?;
-        durability.wal.reset(new_epoch)?;
-        durability.epoch = new_epoch;
-        Ok(())
-    }
-
-    /// Paged checkpoint: write **only dirty pages** (plus unsealed tails)
-    /// to the heap, sync it, then publish a small page directory naming
-    /// every page's heap location. The directory swap follows the same
-    /// tmp → prev → primary → dir-sync → WAL-reset bracket as the
-    /// resident snapshot, so every crash window recovers to either the
-    /// old or the new checkpoint. Because the heap is synced *before* the
-    /// directory is written, a durable directory only ever references
-    /// fully-synced page images.
-    fn checkpoint_paged(&mut self) -> StoreResult<()> {
-        let Some(paged) = &self.paged else {
-            return Ok(());
-        };
-        let Some(durability) = &self.durability else {
-            return Ok(());
-        };
-        let new_epoch = durability.epoch + 1;
-        paged.pager.flush_and_sync()?;
-        let mut tables_meta = Vec::with_capacity(self.tables.len());
-        for t in self.tables.values() {
-            match t.to_paged_meta()? {
-                Some(m) => tables_meta.push(m),
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "resident table {} inside a paged database",
-                        t.name()
-                    )))
-                }
-            }
-        }
-        let catalog = PagedCatalog {
+        let data = encode_page_directory(&PagedCatalog {
             epoch: new_epoch,
-            heap_gen: paged.heap_gen,
-            next_table_id: paged.next_table_id,
-            tables: tables_meta,
-        };
-        let data = encode_page_directory(&catalog);
-        let Some(durability) = &mut self.durability else {
-            return Ok(());
-        };
+            heap_gen: self.heap_gen,
+            next_table_id: self.next_table_id,
+            tables: self
+                .tables
+                .values()
+                .map(Table::to_paged_meta)
+                .collect::<StoreResult<_>>()?,
+        });
         let vfs = durability.vfs.as_ref();
         let primary = durability.dir.join(PAGEDIR_FILE);
         let tmp = primary.with_extension("tmp");
@@ -637,34 +546,18 @@ impl Database {
     /// accumulates dead bytes that only compaction reclaims. The new
     /// generation's heap is fully written and synced before the directory
     /// that references it is published; the old generation is unlinked
-    /// last (a crash in between leaks it until the next
-    /// [`open_paged`](Self::open_paged) cleans up). On resident databases
-    /// this is just [`checkpoint`](Self::checkpoint), whose snapshot
-    /// rewrite is already a full compaction.
+    /// last (a crash in between leaks it until the next open cleans up).
+    /// Without a buffer pool there is no heap and this is just
+    /// [`checkpoint`](Self::checkpoint), which rewrites everything anyway.
     pub fn compact(&mut self) -> StoreResult<()> {
-        if self.paged.is_none() {
+        let (Some(pager), Some(durability)) = (&self.pager, &self.durability) else {
             return self.checkpoint();
-        }
-        let (old_path, new_path, pids) = {
-            let Some(durability) = &self.durability else {
-                return Ok(());
-            };
-            let Some(paged) = &self.paged else {
-                return Ok(());
-            };
-            let old = durability.dir.join(heap_file_name(paged.heap_gen));
-            let new = durability.dir.join(heap_file_name(paged.heap_gen + 1));
-            let pids: Vec<PageId> =
-                self.tables.values().flat_map(|t| t.page_ids()).collect();
-            (old, new, pids)
         };
-        {
-            let Some(paged) = &mut self.paged else {
-                return Ok(());
-            };
-            paged.pager.compact_into(&new_path, &pids)?;
-            paged.heap_gen += 1;
-        }
+        let old_path = durability.dir.join(heap_file_name(self.heap_gen));
+        let new_path = durability.dir.join(heap_file_name(self.heap_gen + 1));
+        let pids: Vec<PageId> = self.tables.values().flat_map(|t| t.page_ids()).collect();
+        pager.compact_into(&new_path, &pids)?;
+        self.heap_gen += 1;
         self.checkpoint()?;
         if let Some(durability) = &self.durability {
             // the heap is created on first write-back: a store that never
@@ -699,7 +592,7 @@ impl Database {
                 .as_ref()
                 .map(|d| d.wal.bytes_written())
                 .unwrap_or(0),
-            pool: self.paged.as_ref().map(|p| p.pager.stats()),
+            pool: self.pager.as_ref().map(|p| p.stats()),
         })
     }
 }
@@ -952,7 +845,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            db.checkpoint().unwrap(); // snapshot persists the v1 schema
+            db.checkpoint().unwrap(); // checkpoint persists the v1 schema
         }
         {
             // v2 adds by_name: reopen must backfill it from existing rows
@@ -1068,7 +961,7 @@ mod tests {
         } // drop without checkpoint: state only in WAL
         {
             // the WAL-logged CreateTable record lets replay rebuild the
-            // table even though no snapshot was ever written
+            // table even though no checkpoint was ever written
             let db = Database::open(&dir).unwrap();
             let t = db.table("t").unwrap();
             assert_eq!(t.len(), 2);
@@ -1090,7 +983,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            db.checkpoint().unwrap(); // snapshot captures schema + row 1
+            db.checkpoint().unwrap(); // checkpoint captures schema + row 1
             db.with_txn(|txn| {
                 txn.insert("t", vec![Value::Int(2), Value::text("y")])?;
                 txn.update("t", RowId(0), vec![Value::Int(1), Value::text("x2")])?;
@@ -1469,7 +1362,7 @@ mod tests {
     #[test]
     fn crash_between_snapshot_rename_and_wal_reset_discards_stale_wal() {
         // Simulate the checkpoint protocol interrupted after step 4: the
-        // new snapshot is in place but the WAL still holds the pre-
+        // new directory is in place but the WAL still holds the pre-
         // checkpoint transactions. Replaying them would double-apply.
         let dir = tmpdir("stale-wal");
         let wal_backup;
@@ -1492,7 +1385,7 @@ mod tests {
             let report = db.recovery_report().unwrap();
             assert!(report.wal_stale, "stale WAL must be detected");
             assert_eq!(report.epoch, 2);
-            // the row exists exactly once (from the snapshot, not replay)
+            // the row exists exactly once (from the checkpoint, not replay)
             assert_eq!(db.table("t").unwrap().len(), 1);
         }
         // the stale WAL was reset on open: reopening is clean

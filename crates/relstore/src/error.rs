@@ -38,6 +38,10 @@ pub enum StoreError {
     Io(io::Error),
     /// A transaction was used after commit/rollback.
     TransactionClosed,
+    /// The directory holds a store this open cannot serve — sealed pages
+    /// opened without a buffer pool, or files of a superseded format. Never
+    /// degraded around: nothing in the directory has been touched.
+    Unsupported(String),
 }
 
 impl fmt::Display for StoreError {
@@ -65,6 +69,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::TransactionClosed => write!(f, "transaction already closed"),
+            StoreError::Unsupported(msg) => write!(f, "unsupported store: {msg}"),
         }
     }
 }

@@ -9,9 +9,9 @@
 //! * heap [`Table`]s with slotted storage and a free list,
 //! * unique and non-unique secondary [indexes](index "index module") (B-tree ordered),
 //! * [`predicate`] scans with index selection,
-//! * durability via a [`snapshot`] file plus a [write-ahead log](wal
-//!   "wal module"), with crash recovery that replays the WAL over the
-//!   snapshot,
+//! * durability via a checkpointed page directory ([`pager`]) plus a
+//!   [write-ahead log](wal "wal module"), with crash recovery that replays
+//!   the WAL over the last checkpoint,
 //! * a [`Database`] catalog with single-writer transactions.
 //!
 //! The engine is deliberately general: nothing in this crate knows about
@@ -62,7 +62,6 @@ pub mod pager;
 pub mod predicate;
 pub mod row;
 pub mod schema;
-pub mod snapshot;
 pub mod stats;
 pub mod sync;
 pub mod table;

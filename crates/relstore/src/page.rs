@@ -6,7 +6,7 @@
 //! directory, and a cell area. Slot `i` holds row id `base + i`; its
 //! directory entry is `0` for a tombstone (deleted row) or `1 + offset`
 //! of the row cell inside the cell area. Cells are encoded with the row
-//! [`codec`](crate::codec), so pages share the WAL's and snapshot's value
+//! [`codec`](crate::codec), so pages share the WAL's and page directory's value
 //! encoding. The CRC covers the body: a torn or bit-flipped page image is
 //! detected at fault-in and surfaces as [`StoreError::Corrupt`], never as
 //! silently wrong rows.

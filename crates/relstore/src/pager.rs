@@ -24,11 +24,11 @@ use crate::codec::{crc32, get_count, get_row, get_u8, get_varint, put_row, put_v
 use crate::error::{StoreError, StoreResult};
 use crate::page::{decode_page, encode_page, PageId};
 use crate::row::Row;
-use crate::schema::Schema;
-use crate::snapshot::{get_schema, put_schema};
+use crate::schema::{get_schema, put_schema, Schema};
 use crate::stats::PoolStats;
 use crate::sync::Mutex;
 use crate::vfs::{Vfs, VfsFile};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -530,7 +530,7 @@ impl Pager {
 }
 
 // ---------------------------------------------------------------------------
-// Page directory: the paged analogue of the snapshot file
+// Page directory: the one durable catalog, for pooled and pool-less stores
 // ---------------------------------------------------------------------------
 
 const DIR_MAGIC: &[u8; 4] = b"RSPD";
@@ -545,70 +545,85 @@ pub struct PageDirEntry {
     pub loc: DiskLoc,
 }
 
-/// Per-table recovery metadata carried by the page directory.
+/// Per-table recovery metadata carried by the page directory. A checkpoint
+/// borrows the schema and the tail from the live table (the tail of a
+/// pool-less table is the whole table — it must not be copied to be
+/// written); recovery owns what it decoded and moves it into the table.
 #[derive(Debug, Clone)]
-pub struct PagedTableMeta {
-    pub schema: Schema,
+pub struct PagedTableMeta<'a> {
+    pub schema: Cow<'a, Schema>,
     pub table_id: u32,
     pub live: u64,
     pub pages: Vec<PageDirEntry>,
     /// Row id of the first open-tail slot.
     pub tail_base: u64,
-    /// The open tail page's rows, stored inline (bounded by the page
-    /// size, so the directory stays small).
-    pub tail: Vec<Option<Row>>,
+    /// The open tail's rows, stored inline: at most a page of them under a
+    /// buffer pool, every row of the table without one.
+    pub tail: Cow<'a, [Option<Row>]>,
 }
 
 /// Everything recovery needs besides the WAL: which heap generation is
 /// live and where every page of every table lives inside it.
 #[derive(Debug, Clone)]
-pub struct PagedCatalog {
+pub struct PagedCatalog<'a> {
     pub epoch: u64,
     pub heap_gen: u64,
     pub next_table_id: u32,
-    pub tables: Vec<PagedTableMeta>,
+    pub tables: Vec<PagedTableMeta<'a>>,
+}
+
+impl PagedCatalog<'_> {
+    /// The catalog of a directory nothing has been checkpointed into.
+    pub fn empty() -> Self {
+        PagedCatalog {
+            epoch: 0,
+            heap_gen: 1,
+            next_table_id: 1,
+            tables: Vec::new(),
+        }
+    }
 }
 
 /// Encode a page directory: `[magic][version][crc32][body]`.
-pub fn encode_page_directory(catalog: &PagedCatalog) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_varint(&mut body, catalog.epoch);
-    put_varint(&mut body, catalog.heap_gen);
-    put_varint(&mut body, catalog.next_table_id as u64);
-    put_varint(&mut body, catalog.tables.len() as u64);
+pub fn encode_page_directory(catalog: &PagedCatalog<'_>) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(DIR_MAGIC);
+    out.extend_from_slice(&DIR_VERSION.to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // the checksum, once the body is known
+    put_varint(&mut out, catalog.epoch);
+    put_varint(&mut out, catalog.heap_gen);
+    put_varint(&mut out, catalog.next_table_id as u64);
+    put_varint(&mut out, catalog.tables.len() as u64);
     for t in &catalog.tables {
-        put_schema(&mut body, &t.schema);
-        put_varint(&mut body, t.table_id as u64);
-        put_varint(&mut body, t.live);
-        put_varint(&mut body, t.pages.len() as u64);
+        put_schema(&mut out, &t.schema);
+        put_varint(&mut out, t.table_id as u64);
+        put_varint(&mut out, t.live);
+        put_varint(&mut out, t.pages.len() as u64);
         for p in &t.pages {
-            put_varint(&mut body, p.base);
-            put_varint(&mut body, p.slots as u64);
-            put_varint(&mut body, p.loc.offset);
-            put_varint(&mut body, p.loc.len as u64);
+            put_varint(&mut out, p.base);
+            put_varint(&mut out, p.slots as u64);
+            put_varint(&mut out, p.loc.offset);
+            put_varint(&mut out, p.loc.len as u64);
         }
-        put_varint(&mut body, t.tail_base);
-        put_varint(&mut body, t.tail.len() as u64);
-        for slot in &t.tail {
+        put_varint(&mut out, t.tail_base);
+        put_varint(&mut out, t.tail.len() as u64);
+        for slot in t.tail.iter() {
             match slot {
-                None => body.push(0),
+                None => out.push(0),
                 Some(row) => {
-                    body.push(1);
-                    put_row(&mut body, row.values());
+                    out.push(1);
+                    put_row(&mut out, row.values());
                 }
             }
         }
     }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(DIR_MAGIC);
-    out.extend_from_slice(&DIR_VERSION.to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let crc = crc32(&out[12..]);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
 /// Decode and CRC-verify a page directory.
-pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
+pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog<'static>> {
     if data.len() < 12 {
         return Err(StoreError::Corrupt("page directory too short".into()));
     }
@@ -651,10 +666,9 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
             });
         }
         let tail_base = get_varint(&mut buf)?;
+        // a tail may be a whole table: bounded by the bytes that remain (a
+        // slot is at least its marker), reserved exactly once
         let ntail = get_count(&mut buf, 1, "tail slot")?;
-        if ntail > crate::page::MAX_PAGE_SLOTS {
-            return Err(StoreError::Corrupt(format!("implausible tail length {ntail}")));
-        }
         let mut tail = Vec::with_capacity(ntail);
         for _ in 0..ntail {
             match get_u8(&mut buf, "page directory truncated")? {
@@ -668,12 +682,12 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog> {
             }
         }
         tables.push(PagedTableMeta {
-            schema,
+            schema: Cow::Owned(schema),
             table_id,
             live,
             pages,
             tail_base,
-            tail,
+            tail: Cow::Owned(tail),
         });
     }
     Ok(PagedCatalog {
@@ -840,46 +854,73 @@ mod tests {
             .primary_key(&["id"])
             .build()
             .unwrap();
+        let other = Schema::builder("u")
+            .column(Column::new("id", ValueType::Int))
+            .column(Column::new("name", ValueType::Text))
+            .index("by_name", &["name"])
+            .build()
+            .unwrap();
+        // the whole table as one tail, borrowed as a checkpoint borrows it;
+        // the trailing tombstones carry the high-water mark
+        let whole = vec![Some(row(0)), None, Some(row(2)), None, None];
         let catalog = PagedCatalog {
             epoch: 9,
             heap_gen: 3,
-            next_table_id: 2,
-            tables: vec![PagedTableMeta {
-                schema,
-                table_id: 1,
-                live: 5,
-                pages: vec![
-                    PageDirEntry {
-                        base: 0,
-                        slots: 4,
-                        loc: DiskLoc { offset: 0, len: 100 },
-                    },
-                    PageDirEntry {
-                        base: 4,
-                        slots: 2,
-                        loc: DiskLoc { offset: 100, len: 60 },
-                    },
-                ],
-                tail_base: 6,
-                tail: vec![Some(row(6)), None, Some(row(8))],
-            }],
+            next_table_id: 3,
+            tables: vec![
+                PagedTableMeta {
+                    schema: Cow::Owned(schema),
+                    table_id: 1,
+                    live: 5,
+                    pages: vec![
+                        PageDirEntry {
+                            base: 0,
+                            slots: 4,
+                            loc: DiskLoc { offset: 0, len: 100 },
+                        },
+                        PageDirEntry {
+                            base: 4,
+                            slots: 2,
+                            loc: DiskLoc { offset: 100, len: 60 },
+                        },
+                    ],
+                    tail_base: 6,
+                    tail: vec![Some(row(6)), None, Some(row(8))].into(),
+                },
+                PagedTableMeta {
+                    schema: Cow::Borrowed(&other),
+                    table_id: 2,
+                    live: 2,
+                    pages: Vec::new(),
+                    tail_base: 0,
+                    tail: Cow::Borrowed(&whole),
+                },
+            ],
         };
         let data = encode_page_directory(&catalog);
         let back = decode_page_directory(&data).unwrap();
         assert_eq!(back.epoch, 9);
         assert_eq!(back.heap_gen, 3);
-        assert_eq!(back.next_table_id, 2);
-        assert_eq!(back.tables.len(), 1);
-        let t = &back.tables[0];
-        assert_eq!(t.table_id, 1);
-        assert_eq!(t.live, 5);
-        assert_eq!(t.pages, catalog.tables[0].pages);
-        assert_eq!(t.tail_base, 6);
-        assert_eq!(t.tail, catalog.tables[0].tail);
+        assert_eq!(back.next_table_id, 3);
+        assert_eq!(back.tables.len(), 2);
+        for (t, want) in back.tables.iter().zip(&catalog.tables) {
+            assert_eq!(t.schema, want.schema);
+            assert_eq!(t.table_id, want.table_id);
+            assert_eq!(t.live, want.live);
+            assert_eq!(t.pages, want.pages);
+            assert_eq!(t.tail_base, want.tail_base);
+            assert_eq!(t.tail, want.tail);
+        }
+        assert_eq!(back.tables[1].tail.len(), 5, "trailing tombstones survive");
 
         let mut bad = data.clone();
         bad[0] = b'X';
         assert!(decode_page_directory(&bad).is_err());
+        for version in [0, 99] {
+            let mut bad = data.clone();
+            bad[4] = version;
+            assert!(decode_page_directory(&bad).is_err());
+        }
         let mut bad = data.clone();
         let n = bad.len();
         bad[n - 1] ^= 0x01;

@@ -1,5 +1,6 @@
 //! Table schemas: columns, primary keys, and index declarations.
 
+use crate::codec::{get_count, get_str, get_u8, get_varint, put_str, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::value::{Value, ValueType};
 
@@ -262,6 +263,101 @@ impl SchemaBuilder {
             indexes,
         })
     }
+}
+
+fn type_tag(ty: ValueType) -> u8 {
+    match ty {
+        ValueType::Int => 0,
+        ValueType::Float => 1,
+        ValueType::Text => 2,
+        ValueType::Bytes => 3,
+    }
+}
+
+fn type_from_tag(tag: u8) -> StoreResult<ValueType> {
+    Ok(match tag {
+        0 => ValueType::Int,
+        1 => ValueType::Float,
+        2 => ValueType::Text,
+        3 => ValueType::Bytes,
+        other => return Err(StoreError::Corrupt(format!("unknown type tag {other}"))),
+    })
+}
+
+/// Encode a schema — the one on-disk form, shared by the WAL's `CreateTable`
+/// record and the page directory.
+pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
+    put_str(buf, schema.name());
+    put_varint(buf, schema.columns().len() as u64);
+    for c in schema.columns() {
+        put_str(buf, &c.name);
+        buf.push(type_tag(c.ty));
+        buf.push(u8::from(c.nullable));
+    }
+    put_varint(buf, schema.primary_key().len() as u64);
+    for &o in schema.primary_key() {
+        put_varint(buf, o as u64);
+    }
+    // secondary indexes (skip the synthesized "pk" entry)
+    let secondary: Vec<_> = schema.indexes().iter().filter(|i| i.name != "pk").collect();
+    put_varint(buf, secondary.len() as u64);
+    for ix in secondary {
+        put_str(buf, &ix.name);
+        buf.push(u8::from(ix.unique));
+        put_varint(buf, ix.columns.len() as u64);
+        for &o in &ix.columns {
+            put_varint(buf, o as u64);
+        }
+    }
+}
+
+/// Decode (and re-validate, through the builder) a schema.
+pub(crate) fn get_schema(buf: &mut &[u8]) -> StoreResult<Schema> {
+    let name = get_str(buf)?;
+    let ncols = get_count(buf, 3, "column")?;
+    let mut builder = Schema::builder(&name);
+    let mut col_names = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let cname = get_str(buf)?;
+        let ty = type_from_tag(get_u8(buf, "schema truncated")?)?;
+        let nullable = get_u8(buf, "schema truncated")? != 0;
+        col_names.push(cname.clone());
+        builder = builder.column(if nullable {
+            Column::nullable(cname, ty)
+        } else {
+            Column::new(cname, ty)
+        });
+    }
+    let resolve = |buf: &mut &[u8], col_names: &[String]| -> StoreResult<Vec<String>> {
+        let n = get_count(buf, 1, "index column")?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let o = get_varint(buf)? as usize;
+            let name = col_names
+                .get(o)
+                .ok_or_else(|| StoreError::Corrupt(format!("ordinal {o} out of range")))?;
+            out.push(name.clone());
+        }
+        Ok(out)
+    };
+    let pk = resolve(buf, &col_names)?;
+    if !pk.is_empty() {
+        let refs: Vec<&str> = pk.iter().map(String::as_str).collect();
+        builder = builder.primary_key(&refs);
+    }
+    let nix = get_count(buf, 3, "index")?;
+    for _ in 0..nix {
+        let iname = get_str(buf)?;
+        let unique = get_u8(buf, "schema truncated")? != 0;
+        let cols = resolve(buf, &col_names)?;
+        let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+        builder = if unique {
+            builder.unique_index(&iname, &refs)
+        } else {
+            builder.index(&iname, &refs)
+        };
+    }
+    builder.build()
 }
 
 #[cfg(test)]

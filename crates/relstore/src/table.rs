@@ -1,13 +1,13 @@
 //! Heap tables with slotted storage and index maintenance.
 //!
-//! A [`Table`] owns its rows either *resident* (a slot vector addressed by
-//! [`RowId`]) or *paged*: sealed slotted pages behind the buffer pool
-//! ([`crate::pager`]) plus an open in-memory tail page. Row ids are
-//! monotonically assigned and never reused; deleting a row tombstones its
-//! slot. Every declared index (including the primary key, named `"pk"`) is
-//! maintained on insert/update/delete and kept resident in both modes —
-//! only row bodies page out, so indexed point lookups pin exactly the
-//! pages they touch. Recovery places rows first and builds every index
+//! A [`Table`] owns its rows as sealed slotted pages behind the buffer pool
+//! ([`crate::pager`]) plus an open in-memory tail, a slot vector addressed
+//! by [`RowId`]. A table with no pool is a table whose tail never seals:
+//! every row stays in that vector. Row ids are monotonically assigned and
+//! never reused; deleting a row tombstones its slot. Every declared index
+//! (including the primary key, named `"pk"`) is maintained on
+//! insert/update/delete and kept resident either way — only row bodies
+//! page out, so indexed point lookups pin exactly the pages they touch. Recovery places rows first and builds every index
 //! once afterwards ([`Table::build_indexes`]): a table under recovery has
 //! no index structures at all until then.
 //!
@@ -16,6 +16,7 @@
 //! some index with equality, the index serves the lookup and the residual
 //! predicate filters the candidates; otherwise a full scan runs.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
@@ -53,7 +54,7 @@ impl ColumnarBlock {
     }
 }
 
-/// A sealed page of a paged table: `slots` consecutive row ids starting at
+/// A sealed page of a table: `slots` consecutive row ids starting at
 /// `base`, owned by the buffer pool under
 /// `PageId { table_id, page_no: <position in the page list> }`.
 #[derive(Debug, Clone, Copy)]
@@ -62,22 +63,26 @@ pub(crate) struct SealedPage {
     pub(crate) slots: u32,
 }
 
-/// Paged row storage: a contiguous list of sealed pages covering row ids
-/// `[0, tail_base)` plus the open tail page covering `[tail_base, ..)`.
+/// Row storage: a contiguous list of sealed pages covering row ids
+/// `[0, tail_base)` plus the open tail covering `[tail_base, ..)`. Without
+/// a buffer pool the tail never seals: `pages` stays empty and the tail is
+/// the whole table, one slot vector addressed by row id.
 #[derive(Debug)]
 struct PagedRows {
-    pager: Arc<Pager>,
+    /// The pool sealed pages live behind; `None` keeps every row in the tail.
+    pager: Option<Arc<Pager>>,
     table_id: u32,
     pages: Vec<SealedPage>,
     tail: Vec<Option<Row>>,
     tail_base: u64,
-    /// Encoded bytes of the live tail rows — the page-fill trigger.
+    /// Encoded bytes of the live tail rows — the page-fill trigger. Not
+    /// kept (zero) without a pool: nothing would read it.
     tail_bytes: usize,
 }
 
-/// Where a row id lives in a paged store.
+/// Where a row id lives.
 enum Loc {
-    /// Open tail page, at this offset.
+    /// Open tail, at this offset.
     Tail(usize),
     /// Sealed page `pages[i]`, slot `j`.
     Page(usize, usize),
@@ -86,13 +91,34 @@ enum Loc {
 }
 
 impl PagedRows {
-    fn page_id(&self, idx: usize) -> PageId {
-        PageId {
-            table_id: self.table_id,
-            page_no: idx as u32,
+    fn new(pager: Option<Arc<Pager>>, table_id: u32) -> Self {
+        PagedRows {
+            pager,
+            table_id,
+            pages: Vec::new(),
+            tail: Vec::new(),
+            tail_base: 0,
+            tail_bytes: 0,
         }
     }
 
+    /// The pool behind sealed page `idx` and the page's id there. Only a
+    /// pooled store ever seals ([`Table::recovered`] refuses sealed pages
+    /// without a pool), so a missing pool is corruption of this structure.
+    fn sealed(&self, idx: usize) -> StoreResult<(&Arc<Pager>, PageId)> {
+        let pager = self.pager.as_ref().ok_or_else(|| {
+            StoreError::Corrupt(format!("sealed page {idx} in a table without a buffer pool"))
+        })?;
+        Ok((
+            pager,
+            PageId {
+                table_id: self.table_id,
+                page_no: idx as u32,
+            },
+        ))
+    }
+
+    /// One past the highest assigned row id.
     fn high_water(&self) -> u64 {
         self.tail_base + self.tail.len() as u64
     }
@@ -122,15 +148,39 @@ impl PagedRows {
         }
     }
 
-    /// Seal the open tail into the buffer pool when it is full (by bytes
-    /// against the configured page size, or by the slot cap). The tail is
-    /// recorded in `pages` *before* the pool install, so an eviction error
-    /// inside `install` (which still leaves the new frame resident and
-    /// dirty) keeps table and pool consistent.
-    fn maybe_seal(&mut self) -> StoreResult<()> {
+    /// What `slot` adds to `tail_bytes`: its encoded length under a pool,
+    /// nothing for a tombstone or a tail that never seals.
+    fn cell_bytes(&self, slot: &Option<Row>) -> usize {
+        match (&self.pager, slot) {
+            (Some(_), Some(row)) => encoded_row_len(row.values()),
+            _ => 0,
+        }
+    }
+
+    /// `tail_bytes` recounted from the tail as it stands.
+    fn tail_cell_bytes(&self) -> usize {
+        self.tail.iter().map(|slot| self.cell_bytes(slot)).sum()
+    }
+
+    /// Append a slot without running the seal check (infallible, so callers
+    /// can order it after index maintenance and stay consistent).
+    fn push_raw(&mut self, row: Option<Row>) {
+        self.tail_bytes += self.cell_bytes(&row);
+        self.tail.push(row);
+    }
+
+    /// Run the deferred seal check after one or more `push_raw` calls: seal
+    /// the open tail into the buffer pool while it is full (by bytes
+    /// against the configured page size, or by the slot cap). An error
+    /// leaves every pushed row stored (in the tail or in a resident pool
+    /// frame) — only the page-out I/O failed. Without a pool there is
+    /// nothing to seal into.
+    fn settle(&mut self) -> StoreResult<()> {
+        let Some(page_bytes) = self.pager.as_ref().map(|p| p.config().page_bytes) else {
+            return Ok(());
+        };
         while !self.tail.is_empty()
-            && (self.tail.len() >= MAX_PAGE_SLOTS
-                || self.tail_bytes >= self.pager.config().page_bytes)
+            && (self.tail.len() >= MAX_PAGE_SLOTS || self.tail_bytes >= page_bytes)
         {
             self.seal_tail()?;
         }
@@ -138,11 +188,11 @@ impl PagedRows {
     }
 
     /// Seal the head of the open tail — all of it, up to the slot cap a
-    /// page image may carry — leaving any remainder as the new tail.
+    /// page image may carry — leaving any remainder as the new tail. The
+    /// page is recorded in `pages` *before* the pool install, so an
+    /// eviction error inside `install` (which still leaves the new frame
+    /// resident and dirty) keeps table and pool consistent.
     fn seal_tail(&mut self) -> StoreResult<()> {
-        if self.tail.is_empty() {
-            return Ok(());
-        }
         let rest = if self.tail.len() > MAX_PAGE_SLOTS {
             self.tail.split_off(MAX_PAGE_SLOTS)
         } else {
@@ -150,211 +200,118 @@ impl PagedRows {
         };
         let rows = std::mem::replace(&mut self.tail, rest);
         let base = self.tail_base;
-        let page_no = self.pages.len() as u32;
+        let idx = self.pages.len();
         self.pages.push(SealedPage {
             base,
             slots: rows.len() as u32,
         });
         self.tail_base = base + rows.len() as u64;
-        self.tail_bytes = tail_bytes(&self.tail);
-        self.pager.install(
-            PageId {
-                table_id: self.table_id,
-                page_no,
-            },
-            base,
-            rows,
-        )
-    }
-}
-
-/// Encoded bytes of the live rows of an open tail.
-fn tail_bytes(tail: &[Option<Row>]) -> usize {
-    tail.iter()
-        .flatten()
-        .map(|r| encoded_row_len(r.values()))
-        .sum()
-}
-
-/// Row storage behind a [`Table`]: fully resident, or paged through the
-/// buffer pool.
-#[derive(Debug)]
-enum RowStore {
-    Resident(Vec<Option<Row>>),
-    Paged(PagedRows),
-}
-
-impl RowStore {
-    /// One past the highest assigned row id.
-    fn high_water(&self) -> u64 {
-        match self {
-            RowStore::Resident(slots) => slots.len() as u64,
-            RowStore::Paged(p) => p.high_water(),
-        }
-    }
-
-    /// Append a slot without running the seal check (infallible, so callers
-    /// can order it after index maintenance and stay consistent).
-    fn push_raw(&mut self, row: Option<Row>) {
-        match self {
-            RowStore::Resident(slots) => slots.push(row),
-            RowStore::Paged(p) => {
-                if let Some(r) = &row {
-                    p.tail_bytes += encoded_row_len(r.values());
-                }
-                p.tail.push(row);
-            }
-        }
-    }
-
-    /// Run the deferred seal check after one or more `push_raw` calls. An
-    /// error leaves every pushed row stored (in the tail or in a resident
-    /// pool frame) — only the page-out I/O failed.
-    fn settle(&mut self) -> StoreResult<()> {
-        match self {
-            RowStore::Resident(_) => Ok(()),
-            RowStore::Paged(p) => p.maybe_seal(),
-        }
+        self.tail_bytes = self.tail_cell_bytes();
+        let (pager, pid) = self.sealed(idx)?;
+        pager.install(pid, base, rows)
     }
 
     /// Extend with tombstones until the high-water mark reaches `target`
     /// (gap fill for replayed sparse row ids).
     fn fill_gap_to(&mut self, target: u64) -> StoreResult<()> {
-        match self {
-            RowStore::Resident(slots) => {
-                // `target` may come straight from a file: a row id no
-                // memory could hold is corruption, not an abort
-                let grow = usize::try_from(target)
-                    .unwrap_or(usize::MAX)
-                    .saturating_sub(slots.len());
-                slots.try_reserve(grow).map_err(|_| {
-                    StoreError::Corrupt(format!("row id {target} exceeds addressable slots"))
-                })?;
-                slots.resize(slots.len() + grow, None);
-                Ok(())
-            }
-            RowStore::Paged(p) => {
-                while p.high_water() < target {
-                    p.tail.push(None);
-                    // Tombstones are zero encoded bytes; only the slot cap
-                    // can trigger a seal here, and it must, or a huge gap
-                    // would grow one page without bound.
-                    if p.tail.len() >= MAX_PAGE_SLOTS {
-                        p.maybe_seal()?;
-                    }
-                }
-                Ok(())
+        while self.high_water() < target {
+            let gap = usize::try_from(target - self.high_water()).unwrap_or(usize::MAX);
+            // Tombstones are zero encoded bytes; under a pool only the slot
+            // cap can trigger a seal here, and it must, or a huge gap would
+            // grow one page without bound.
+            let room = match self.pager {
+                Some(_) => MAX_PAGE_SLOTS.saturating_sub(self.tail.len()),
+                None => usize::MAX,
+            };
+            let grow = gap.min(room);
+            // `target` may come straight from a file: a row id no memory
+            // could hold is corruption, not an abort
+            self.tail.try_reserve(grow).map_err(|_| {
+                StoreError::Corrupt(format!("row id {target} exceeds addressable slots"))
+            })?;
+            self.tail.resize(self.tail.len() + grow, None);
+            if self.tail.len() >= MAX_PAGE_SLOTS {
+                self.settle()?;
             }
         }
-    }
-
-    /// Clone out the row at `id`; `Ok(None)` for tombstones and ids beyond
-    /// the high-water mark.
-    fn get_owned(&self, id: u64) -> StoreResult<Option<Row>> {
-        self.with_row(id, Row::clone)
+        Ok(())
     }
 
     /// Apply `f` to the row at `id` without cloning it; `Ok(None)` for
-    /// tombstones and out-of-range ids. Paged stores pin the page for the
+    /// tombstones and out-of-range ids. A sealed page is pinned for the
     /// duration of the call.
     fn with_row<T>(&self, id: u64, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
-        match self {
-            RowStore::Resident(slots) => Ok(slots.get(id as usize).and_then(|s| s.as_ref()).map(f)),
-            RowStore::Paged(p) => match p.locate(id) {
-                Loc::Beyond => Ok(None),
-                Loc::Tail(off) => Ok(p.tail[off].as_ref().map(f)),
-                Loc::Page(idx, slot) => {
-                    let pin = p.pager.pin(p.page_id(idx))?;
-                    Ok(pin.rows().get(slot).and_then(|s| s.as_ref()).map(f))
-                }
-            },
+        match self.locate(id) {
+            Loc::Beyond => Ok(None),
+            Loc::Tail(off) => Ok(self.tail[off].as_ref().map(f)),
+            Loc::Page(idx, slot) => {
+                let (pager, pid) = self.sealed(idx)?;
+                let pin = pager.pin(pid)?;
+                Ok(pin.rows().get(slot).and_then(|s| s.as_ref()).map(f))
+            }
         }
     }
 
     /// Swap the slot at `id` (which must be below the high-water mark) for
-    /// `row`, returning the previous contents. For paged stores the page
-    /// mutation is copy-on-write through the pool and marks the page dirty;
-    /// an I/O error means the mutation was *not* applied.
+    /// `row`, returning the previous contents. A sealed page's mutation is
+    /// copy-on-write through the pool and marks the page dirty; an I/O
+    /// error means the mutation was *not* applied.
     fn replace(&mut self, id: u64, row: Option<Row>) -> StoreResult<Option<Row>> {
-        match self {
-            RowStore::Resident(slots) => match slots.get_mut(id as usize) {
-                Some(slot) => Ok(std::mem::replace(slot, row)),
-                None => Err(StoreError::Corrupt(format!(
-                    "slot write at {id} beyond high-water mark {}",
-                    slots.len()
-                ))),
-            },
-            RowStore::Paged(p) => match p.locate(id) {
-                Loc::Beyond => Err(StoreError::Corrupt(format!(
-                    "slot write at {id} beyond high-water mark {}",
-                    p.high_water()
-                ))),
-                Loc::Tail(off) => {
-                    if let Some(r) = &row {
-                        p.tail_bytes += encoded_row_len(r.values());
-                    }
-                    let old = std::mem::replace(&mut p.tail[off], row);
-                    if let Some(r) = &old {
-                        p.tail_bytes = p.tail_bytes.saturating_sub(encoded_row_len(r.values()));
-                    }
-                    Ok(old)
-                }
-                Loc::Page(idx, slot) => {
-                    let pid = p.page_id(idx);
-                    p.pager.mutate(pid, move |rows| match rows.get_mut(slot) {
-                        Some(s) => Ok(std::mem::replace(s, row)),
-                        None => Err(StoreError::Corrupt(format!(
-                            "page {pid:?} shorter than its directory entry"
-                        ))),
-                    })?
-                }
-            },
+        match self.locate(id) {
+            Loc::Beyond => Err(StoreError::Corrupt(format!(
+                "slot write at {id} beyond high-water mark {}",
+                self.high_water()
+            ))),
+            Loc::Tail(off) => {
+                self.tail_bytes += self.cell_bytes(&row);
+                let old = std::mem::replace(&mut self.tail[off], row);
+                self.tail_bytes = self.tail_bytes.saturating_sub(self.cell_bytes(&old));
+                Ok(old)
+            }
+            Loc::Page(idx, slot) => {
+                let (pager, pid) = self.sealed(idx)?;
+                pager.mutate(pid, move |rows| match rows.get_mut(slot) {
+                    Some(s) => Ok(std::mem::replace(s, row)),
+                    None => Err(StoreError::Corrupt(format!(
+                        "page {pid:?} shorter than its directory entry"
+                    ))),
+                })?
+            }
         }
     }
 
     /// Visit every live row in row-id order, propagating sink errors and
-    /// page-fault I/O errors. Paged stores pin each sealed page exactly
-    /// once for the duration of its slice.
+    /// page-fault I/O errors. Each sealed page is pinned exactly once for
+    /// the duration of its slice.
     fn for_each(&self, f: &mut dyn FnMut(RowId, &Row) -> StoreResult<()>) -> StoreResult<()> {
-        match self {
-            RowStore::Resident(slots) => {
-                for (i, slot) in slots.iter().enumerate() {
-                    if let Some(row) = slot {
-                        f(RowId(i as u64), row)?;
-                    }
+        for (idx, sp) in self.pages.iter().enumerate() {
+            let (pager, pid) = self.sealed(idx)?;
+            let pin = pager.pin(pid)?;
+            for (i, slot) in pin.rows().iter().enumerate() {
+                if let Some(row) = slot {
+                    f(RowId(sp.base + i as u64), row)?;
                 }
-                Ok(())
-            }
-            RowStore::Paged(p) => {
-                for (idx, sp) in p.pages.iter().enumerate() {
-                    let pin = p.pager.pin(p.page_id(idx))?;
-                    for (i, slot) in pin.rows().iter().enumerate() {
-                        if let Some(row) = slot {
-                            f(RowId(sp.base + i as u64), row)?;
-                        }
-                    }
-                }
-                for (i, slot) in p.tail.iter().enumerate() {
-                    if let Some(row) = slot {
-                        f(RowId(p.tail_base + i as u64), row)?;
-                    }
-                }
-                Ok(())
             }
         }
+        for (i, slot) in self.tail.iter().enumerate() {
+            if let Some(row) = slot {
+                f(RowId(self.tail_base + i as u64), row)?;
+            }
+        }
+        Ok(())
     }
 }
 
-/// A read cursor over a [`RowStore`] that caches the last pinned page, so
+/// A read cursor over a table's rows that caches the last pinned page, so
 /// index-driven loops that touch several rows of the same page fault it in
 /// once instead of per row.
 struct RowCursor<'a> {
-    store: &'a RowStore,
+    store: &'a PagedRows,
     cached: Option<(u32, PinnedPage)>,
 }
 
 impl<'a> RowCursor<'a> {
-    fn new(store: &'a RowStore) -> Self {
+    fn new(store: &'a PagedRows) -> Self {
         RowCursor {
             store,
             cached: None,
@@ -364,20 +321,15 @@ impl<'a> RowCursor<'a> {
     /// Apply `f` to the live row at `id`; `Ok(None)` for tombstones and
     /// out-of-range ids.
     fn with<T>(&mut self, id: RowId, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
-        let p = match self.store {
-            RowStore::Resident(slots) => {
-                return Ok(slots.get(id.0 as usize).and_then(|s| s.as_ref()).map(f));
-            }
-            RowStore::Paged(p) => p,
-        };
+        let p = self.store;
         match p.locate(id.0) {
             Loc::Beyond => Ok(None),
             Loc::Tail(off) => Ok(p.tail[off].as_ref().map(f)),
             Loc::Page(idx, slot) => {
                 let page_no = idx as u32;
                 if !matches!(&self.cached, Some((no, _)) if *no == page_no) {
-                    let pin = p.pager.pin(p.page_id(idx))?;
-                    self.cached = Some((page_no, pin));
+                    let (pager, pid) = p.sealed(idx)?;
+                    self.cached = Some((page_no, pager.pin(pid)?));
                 }
                 let rows = match &self.cached {
                     Some((_, pin)) => pin.rows(),
@@ -439,9 +391,9 @@ impl Iterator for Scan<'_> {
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
-    /// Row slots; resident vector or pool-backed pages. A slot is `None`
-    /// for deleted rows.
-    store: RowStore,
+    /// Row slots: pool-backed sealed pages plus the open tail. A slot is
+    /// `None` for deleted rows.
+    store: PagedRows,
     live: usize,
     /// One structure per `schema.indexes()` entry, in the same order — or
     /// none at all while the table is being recovered: every mutator
@@ -458,7 +410,7 @@ pub struct Table {
 fn index_rows(
     schema: &Schema,
     defs: &[&IndexDef],
-    store: &RowStore,
+    store: &PagedRows,
 ) -> StoreResult<(Vec<IndexStore>, usize)> {
     let specs: Vec<KeySpec> = defs.iter().map(|def| KeySpec::new(schema, def)).collect();
     let mut runs: Vec<Vec<(IndexKey, RowId)>> = vec![Vec::new(); defs.len()];
@@ -480,7 +432,15 @@ fn index_rows(
 }
 
 impl Table {
-    fn with_store(schema: Schema, store: RowStore) -> Self {
+    /// Create an empty table for `schema` whose rows all stay in memory.
+    pub fn new(schema: Schema) -> Self {
+        Table::create(schema, None, 0)
+    }
+
+    /// Create an empty table known to its database as `table_id`: with a
+    /// `pager` its row bodies page out behind that pool, without one its
+    /// tail never seals.
+    pub(crate) fn create(schema: Schema, pager: Option<Arc<Pager>>, table_id: u32) -> Self {
         let indexes = schema
             .indexes()
             .iter()
@@ -488,31 +448,10 @@ impl Table {
             .collect();
         Table {
             schema,
-            store,
+            store: PagedRows::new(pager, table_id),
             live: 0,
             indexes,
         }
-    }
-
-    /// Create an empty resident table for `schema`.
-    pub fn new(schema: Schema) -> Self {
-        Table::with_store(schema, RowStore::Resident(Vec::new()))
-    }
-
-    /// Create an empty paged table whose row bodies live behind `pager`
-    /// under `table_id`.
-    pub(crate) fn new_paged(schema: Schema, pager: Arc<Pager>, table_id: u32) -> Self {
-        Table::with_store(
-            schema,
-            RowStore::Paged(PagedRows {
-                pager,
-                table_id,
-                pages: Vec::new(),
-                tail: Vec::new(),
-                tail_base: 0,
-                tail_bytes: 0,
-            }),
-        )
     }
 
     /// Put the table under recovery: drop its index structures so replayed
@@ -522,28 +461,29 @@ impl Table {
         self
     }
 
-    /// An empty resident table under recovery with exactly `rows` slots
-    /// reserved (the caller bounds `rows` by what its input can hold).
-    pub(crate) fn recovering(schema: Schema, rows: usize) -> Self {
-        Table::with_store(schema, RowStore::Resident(Vec::with_capacity(rows))).unindexed()
-    }
-
-    /// Reattach a paged table to recovered page-directory metadata, under
-    /// recovery. The sealed pages must tile `[0, tail_base)` contiguously
-    /// (anything else is a corrupt directory). No page is read here: `live`
-    /// is the directory's count, verified against the pages when
+    /// Reattach a table to its recovered page-directory entry, under
+    /// recovery; the decoded tail is moved in as it stands. The sealed
+    /// pages must tile `[0, tail_base)` contiguously (anything else is a
+    /// corrupt directory), and sealed pages need the pool they were sealed
+    /// into: without one the open is refused, untouched, naming the one
+    /// that serves it. No page is read here: `live` is the directory's
+    /// count, verified against the pages when
     /// [`build_indexes`](Self::build_indexes) streams them.
-    pub(crate) fn new_paged_recovered(
-        schema: Schema,
-        pager: Arc<Pager>,
-        table_id: u32,
-        pages: Vec<SealedPage>,
-        tail_base: u64,
-        tail: Vec<Option<Row>>,
-        live: u64,
+    pub(crate) fn recovered(
+        meta: PagedTableMeta<'static>,
+        pager: Option<Arc<Pager>>,
     ) -> StoreResult<Table> {
+        let schema = meta.schema.into_owned();
+        if pager.is_none() && !meta.pages.is_empty() {
+            return Err(StoreError::Unsupported(format!(
+                "table {} has {} sealed heap pages, which need a buffer pool: \
+                 open this directory with open_paged",
+                schema.name(),
+                meta.pages.len()
+            )));
+        }
         let mut expect = 0u64;
-        for (i, p) in pages.iter().enumerate() {
+        for (i, p) in meta.pages.iter().enumerate() {
             if p.base != expect {
                 return Err(StoreError::Corrupt(format!(
                     "page directory of table {}: page {i} starts at {} but previous pages end at {expect}",
@@ -553,24 +493,34 @@ impl Table {
             }
             expect += p.slots as u64;
         }
-        if expect != tail_base {
+        if expect != meta.tail_base {
             return Err(StoreError::Corrupt(format!(
-                "page directory of table {}: sealed pages end at {expect} but tail starts at {tail_base}",
-                schema.name()
+                "page directory of table {}: sealed pages end at {expect} but tail starts at {}",
+                schema.name(),
+                meta.tail_base
             )));
         }
+        let mut store = PagedRows::new(pager, meta.table_id);
+        for (i, entry) in meta.pages.iter().enumerate() {
+            let (pager, pid) = store.sealed(i)?;
+            pager.register(pid, entry.loc);
+        }
+        store.pages = meta
+            .pages
+            .iter()
+            .map(|e| SealedPage {
+                base: e.base,
+                slots: e.slots,
+            })
+            .collect();
+        store.tail_base = meta.tail_base;
+        store.tail = meta.tail.into_owned();
+        store.tail_bytes = store.tail_cell_bytes();
         Ok(Table {
             schema,
-            live: live as usize,
+            live: meta.live as usize,
             indexes: Vec::new(),
-            store: RowStore::Paged(PagedRows {
-                pager,
-                table_id,
-                pages,
-                tail_bytes: tail_bytes(&tail),
-                tail,
-                tail_base,
-            }),
+            store,
         })
     }
 
@@ -592,26 +542,25 @@ impl Table {
         Ok(())
     }
 
-    /// Page ids of all sealed pages (empty for resident tables).
+    /// Page ids of all sealed pages.
     pub(crate) fn page_ids(&self) -> Vec<PageId> {
-        match &self.store {
-            RowStore::Resident(_) => Vec::new(),
-            RowStore::Paged(p) => (0..p.pages.len()).map(|i| p.page_id(i)).collect(),
-        }
+        (0..self.store.pages.len() as u32)
+            .map(|page_no| PageId {
+                table_id: self.store.table_id,
+                page_no,
+            })
+            .collect()
     }
 
-    /// Checkpoint metadata for a paged table: every sealed page's heap
-    /// location (valid only after the pool has flushed — a page without a
-    /// location is corruption) plus the inline tail. `None` for resident
-    /// tables.
-    pub(crate) fn to_paged_meta(&self) -> StoreResult<Option<PagedTableMeta>> {
-        let p = match &self.store {
-            RowStore::Resident(_) => return Ok(None),
-            RowStore::Paged(p) => p,
-        };
+    /// This table's page-directory entry at a checkpoint: every sealed
+    /// page's heap location (valid only after the pool has flushed — a page
+    /// without a location is corruption) plus the tail, borrowed.
+    pub(crate) fn to_paged_meta(&self) -> StoreResult<PagedTableMeta<'_>> {
+        let p = &self.store;
         let mut pages = Vec::with_capacity(p.pages.len());
         for (i, sp) in p.pages.iter().enumerate() {
-            let loc = p.pager.directory_loc(p.page_id(i)).ok_or_else(|| {
+            let (pager, pid) = p.sealed(i)?;
+            let loc = pager.directory_loc(pid).ok_or_else(|| {
                 StoreError::Corrupt(format!(
                     "page {i} of table {} has no heap location at checkpoint",
                     self.schema.name()
@@ -623,14 +572,14 @@ impl Table {
                 loc,
             });
         }
-        Ok(Some(PagedTableMeta {
-            schema: self.schema.clone(),
+        Ok(PagedTableMeta {
+            schema: Cow::Borrowed(&self.schema),
             table_id: p.table_id,
             live: self.live as u64,
             pages,
             tail_base: p.tail_base,
-            tail: p.tail.clone(),
-        }))
+            tail: Cow::Borrowed(&p.tail),
+        })
     }
 
     /// The table's schema.
@@ -782,7 +731,7 @@ impl Table {
         Ok(row_ids)
     }
 
-    /// Place a row at a specific id, used by snapshot/WAL recovery on a
+    /// Place a row at a specific id, used by WAL replay on a
     /// table under recovery (no index is touched). The id must be at or
     /// beyond the current high-water mark; the gap (if any) is filled with
     /// tombstones so later replayed ids stay aligned.
@@ -798,18 +747,6 @@ impl Table {
         self.store.push_raw(Some(Row::new(values)));
         self.live += 1;
         self.store.settle()
-    }
-
-    /// Raise the high-water mark to `high_water` with tombstones: a
-    /// snapshot records it separately because the last rows may have been
-    /// deleted before it was taken.
-    pub(crate) fn raise_high_water(&mut self, high_water: u64) -> StoreResult<()> {
-        if self.store.high_water() > high_water {
-            return Err(StoreError::Corrupt(
-                "snapshot rows exceed recorded high-water mark".into(),
-            ));
-        }
-        self.store.fill_gap_to(high_water)
     }
 
     /// Restore a previously-deleted row into its original (tombstoned)
@@ -838,7 +775,7 @@ impl Table {
     /// Fetch a live row by id.
     pub fn get(&self, row_id: RowId) -> StoreResult<Row> {
         self.store
-            .get_owned(row_id.0)?
+            .with_row(row_id.0, Row::clone)?
             .ok_or_else(|| StoreError::NoSuchRow {
                 table: self.name().to_owned(),
                 row_id: row_id.0,
@@ -911,7 +848,7 @@ impl Table {
 
     /// Visit every live row in row-id order without cloning, propagating
     /// sink errors and page-fault I/O errors. This is the streaming
-    /// substrate for snapshots, reindexing, and aggregate scans.
+    /// substrate for reindexing and aggregate scans.
     pub fn for_each_row(
         &self,
         mut f: impl FnMut(RowId, &Row) -> StoreResult<()>,
@@ -1312,7 +1249,7 @@ mod tests {
                 pool_pages,
             },
         ));
-        Table::new_paged(object_schema(), pager, 1)
+        Table::create(object_schema(), Some(pager), 1)
     }
 
     fn obj(id: i64, src: i64, acc: &str) -> Vec<Value> {
@@ -1852,50 +1789,33 @@ mod tests {
             pool_pages: 2,
         };
         let pager = Arc::new(Pager::new(Arc::new(vfs.clone()), heap.clone(), config));
-        let mut t = Table::new_paged(object_schema(), pager.clone(), 1);
+        let mut t = Table::create(object_schema(), Some(pager.clone()), 1);
         for i in 0..60i64 {
             t.insert(obj(i, i % 4, &format!("ACC{i}"))).unwrap();
         }
         t.delete(RowId(5)).unwrap();
         // checkpoint: flush dirty pages so every sealed page has a location
         pager.flush_and_sync().unwrap();
-        let meta = t.to_paged_meta().unwrap().expect("paged table");
+        let meta = t.to_paged_meta().unwrap();
         assert_eq!(meta.live, 59);
+        assert!(meta.pages.len() >= 2, "tiny pages must have sealed");
+        // what recovery decodes owns its schema and tail
+        let owned = |live: u64| PagedTableMeta {
+            schema: Cow::Owned(object_schema()),
+            tail: Cow::Owned(meta.tail.to_vec()),
+            pages: meta.pages.clone(),
+            live,
+            ..meta
+        };
         // rebuild on a fresh pager over the same heap file, as recovery does
         let pager2 = Arc::new(Pager::new(Arc::new(vfs), heap, config));
-        for (i, entry) in meta.pages.iter().enumerate() {
-            pager2.register(
-                PageId {
-                    table_id: meta.table_id,
-                    page_no: i as u32,
-                },
-                entry.loc,
-            );
-        }
-        let pages: Vec<SealedPage> = meta
-            .pages
-            .iter()
-            .map(|e| SealedPage {
-                base: e.base,
-                slots: e.slots,
-            })
-            .collect();
-        let recovered = |live: u64| {
-            let mut t = Table::new_paged_recovered(
-                meta.schema.clone(),
-                pager2.clone(),
-                meta.table_id,
-                pages.clone(),
-                meta.tail_base,
-                meta.tail.clone(),
-                live,
-            )
-            .unwrap();
+        let recovered = |meta: PagedTableMeta<'static>| {
+            let mut t = Table::recovered(meta, Some(pager2.clone()))?;
             t.build_indexes().map(|()| t)
         };
         // a directory whose live count disagrees with its pages is corrupt
-        assert!(matches!(recovered(58), Err(StoreError::Corrupt(_))));
-        let t2 = recovered(meta.live).unwrap();
+        assert!(matches!(recovered(owned(58)), Err(StoreError::Corrupt(_))));
+        let t2 = recovered(owned(59)).unwrap();
         assert_eq!(t2.len(), 59);
         let a: Vec<_> = t.scan().collect();
         let b: Vec<_> = t2.scan().collect();
@@ -1905,19 +1825,13 @@ mod tests {
             t.lookup("by_source", &[Value::Int(2)]).unwrap()
         );
         // contiguity violations are rejected
-        let err = Table::new_paged_recovered(
-            object_schema(),
-            Arc::new(Pager::new(
-                Arc::new(FaultVfs::new()),
-                PathBuf::from("/db/h.bin"),
-                config,
-            )),
-            1,
-            vec![SealedPage { base: 5, slots: 3 }],
-            8,
-            Vec::new(),
-            3,
-        );
-        assert!(matches!(err, Err(StoreError::Corrupt(_))));
+        let mut gapped = owned(59);
+        gapped.pages[1].base += 1;
+        assert!(matches!(recovered(gapped), Err(StoreError::Corrupt(_))));
+        // sealed pages without a pool are refused, naming the open that works
+        match Table::recovered(owned(59), None) {
+            Err(StoreError::Unsupported(msg)) => assert!(msg.contains("open_paged"), "{msg}"),
+            other => panic!("sealed pages opened without a pool: {other:?}"),
+        }
     }
 }

@@ -8,10 +8,10 @@
 //! time) are likewise discarded, giving atomic, durable transactions.
 //!
 //! After a checkpoint the log is reset and stamped with an *epoch* record
-//! matching the snapshot it now extends. Recovery replays a log only onto
-//! the snapshot of the same epoch; a mismatch means a crash interrupted the
-//! snapshot-rename/log-reset sequence, and the stale log is discarded (its
-//! contents are already folded into the newer snapshot). Logs from before
+//! matching the checkpoint it now extends. Recovery replays a log only onto
+//! the checkpoint of the same epoch; a mismatch means a crash interrupted the
+//! directory-rename/log-reset sequence, and the stale log is discarded (its
+//! contents are already folded into the newer checkpoint). Logs from before
 //! epochs were introduced carry no epoch record and replay as epoch 0.
 //!
 //! All I/O goes through a [`Vfs`] backend so crash tests can substitute the
@@ -58,7 +58,7 @@ pub enum LogRecord {
     /// that transaction durable.
     Commit { txid: u64 },
     /// Written as the first record after a reset: this log extends the
-    /// snapshot of the given epoch and must not be replayed onto any other.
+    /// checkpoint of the given epoch and must not be replayed onto any other.
     Epoch { epoch: u64 },
     /// A table created since the last checkpoint. Logged outside any
     /// transaction and immediately durable — without it, committed row
@@ -104,7 +104,7 @@ impl LogRecord {
             }
             LogRecord::CreateTable { schema } => {
                 buf.push(OP_CREATE);
-                crate::snapshot::put_schema(buf, schema);
+                crate::schema::put_schema(buf, schema);
             }
         }
     }
@@ -133,7 +133,7 @@ impl LogRecord {
                 epoch: get_varint(buf)?,
             },
             OP_CREATE => LogRecord::CreateTable {
-                schema: crate::snapshot::get_schema(buf)?,
+                schema: crate::schema::get_schema(buf)?,
             },
             other => return Err(StoreError::Corrupt(format!("unknown log tag {other}"))),
         })
@@ -229,8 +229,8 @@ impl WalWriter {
         self.file.sync()
     }
 
-    /// Truncate the log to zero length (after a snapshot makes it obsolete)
-    /// and stamp it with the epoch of that snapshot. The new epoch record
+    /// Truncate the log to zero length (after a checkpoint makes it obsolete)
+    /// and stamp it with the epoch of that checkpoint. The new epoch record
     /// is synced, and so is the parent directory, before returning.
     pub fn reset(&mut self, epoch: u64) -> StoreResult<()> {
         self.buf.clear();

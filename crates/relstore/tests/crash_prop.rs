@@ -18,32 +18,30 @@ fn schema() -> Schema {
         .unwrap()
 }
 
-fn open(vfs: &FaultVfs) -> relstore::error::StoreResult<Database> {
+/// Open pool-less, or paged behind `pool` pages: 128-byte pages so even
+/// tiny workloads span page boundaries, and a pool down to 1 page forces an
+/// eviction writeback on nearly every touch.
+fn open(vfs: &FaultVfs, pool: Option<usize>) -> relstore::error::StoreResult<Database> {
     let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let mut db = Database::open_with_vfs(arc, Path::new("/db"))?;
-    db.ensure_table(schema())?;
-    Ok(db)
-}
-
-/// Paged open with 128-byte pages so even tiny workloads span page
-/// boundaries; `pool_pages` down to 1 forces an eviction writeback on
-/// nearly every touch.
-fn open_paged(vfs: &FaultVfs, pool_pages: usize) -> relstore::error::StoreResult<Database> {
-    let arc: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let config = PoolConfig {
-        page_bytes: 128,
-        pool_pages,
+    let mut db = match pool {
+        None => Database::open_with_vfs(arc, Path::new("/db"))?,
+        Some(pool_pages) => {
+            let config = PoolConfig {
+                page_bytes: 128,
+                pool_pages,
+            };
+            Database::open_paged_with_vfs(arc, Path::new("/db"), config)?
+        }
     };
-    let mut db = Database::open_paged_with_vfs(arc, Path::new("/db"), config)?;
     db.ensure_table(schema())?;
     Ok(db)
 }
 
 /// One crash-and-converge check: run the workload with a power cut at
 /// `crash_at`, reboot, and verify the committed-prefix and convergence
-/// invariants. `open` decides resident vs paged (and the pool size).
+/// invariants, pool-less or behind a pool of `pool` pages.
 fn check_crash_and_converge(
-    open: &dyn Fn(&FaultVfs) -> relstore::error::StoreResult<Database>,
+    pool: Option<usize>,
     batches: &[usize],
     ckpt_every: usize,
     group_commit: bool,
@@ -56,6 +54,7 @@ fn check_crash_and_converge(
         fail_at: None,
         torn_seed,
     });
+    let open = |vfs: &FaultVfs| open(vfs, pool);
     let outcome = open(&vfs).and_then(|mut db| run(&mut db, batches, ckpt_every, group_commit));
     assert!(outcome.is_err(), "crash_at {crash_at} did not fire");
     vfs.reboot();
@@ -148,64 +147,27 @@ fn sorted_ids(db: &Database) -> Vec<i64> {
     out
 }
 
-/// The same property over a fixed grid of workloads, at every other crash
-/// point of each.
-#[test]
-fn fixed_grid_crash_points_recover_and_converge() {
-    let configs: &[(&[usize], usize, bool)] = &[
-        (&[3, 1, 5, 2], 2, false),
-        (&[1, 1, 1, 1, 1, 1], 3, true),
-        (&[7, 2], 1, true),
-        (&[4], 4, false),
-    ];
-    for &(batches, ckpt_every, group_commit) in configs {
-        let reference = FaultVfs::new();
-        {
-            let mut db = open(&reference).unwrap();
-            run(&mut db, batches, ckpt_every, group_commit).unwrap();
-        }
-        let total_ops = reference.op_count();
-        let expected: Vec<i64> =
-            (0..*prefix_sums(batches).last().unwrap() as i64).collect();
-        for crash_at in (1..=total_ops).step_by(2) {
-            let vfs = FaultVfs::new();
-            vfs.set_plan(FaultPlan {
-                crash_at: Some(crash_at),
-                fail_at: None,
-                torn_seed: crash_at ^ 0xdead_beef,
-            });
-            let outcome =
-                open(&vfs).and_then(|mut db| run(&mut db, batches, ckpt_every, group_commit));
-            assert!(outcome.is_err(), "crash_at {crash_at} did not fire");
-            vfs.reboot();
-
-            let db = open(&vfs).unwrap();
-            let got = sorted_ids(&db);
-            assert_eq!(got, (0..got.len() as i64).collect::<Vec<_>>());
-            if !group_commit {
-                assert!(
-                    prefix_sums(batches).contains(&got.len()),
-                    "crash_at {crash_at}: {} rows is not a batch boundary of {batches:?}",
-                    got.len()
-                );
-            }
-            drop(db);
-
-            let mut db = open(&vfs).unwrap();
-            run(&mut db, batches, ckpt_every, group_commit).unwrap();
-            drop(db);
-            let db = open(&vfs).unwrap();
-            assert_eq!(sorted_ids(&db), expected, "crash_at {crash_at}");
-        }
-    }
+/// Ops of the fault-free run of a workload: the range crash points come from.
+fn fault_free_ops(
+    pool: Option<usize>,
+    batches: &[usize],
+    ckpt_every: usize,
+    group_commit: bool,
+) -> u64 {
+    let reference = FaultVfs::new();
+    let mut db = open(&reference, pool).unwrap();
+    run(&mut db, batches, ckpt_every, group_commit).unwrap();
+    reference.op_count()
 }
 
-/// The fixed grid against paged storage: every crash point now lands
-/// among heap appends, eviction writebacks, and page-directory swaps, and
-/// the single-page pool configurations force writeback on nearly every
-/// page touch.
+/// The same property over a fixed grid of workloads: pool-less at every
+/// other crash point of each; paged — where every crash point lands among
+/// heap appends, eviction writebacks and page-directory swaps, and the
+/// single-page pools force a writeback on nearly every page touch — at
+/// about 48 evenly sampled points, because paged I/O multiplies the op
+/// count.
 #[test]
-fn fixed_grid_crash_points_recover_and_converge_paged() {
+fn fixed_grid_crash_points_recover_and_converge() {
     let configs: &[(&[usize], usize, bool, usize)] = &[
         (&[3, 1, 5, 2], 2, false, 1),
         (&[1, 1, 1, 1, 1, 1], 3, true, 2),
@@ -213,26 +175,22 @@ fn fixed_grid_crash_points_recover_and_converge_paged() {
         (&[4], 4, false, 1),
     ];
     for &(batches, ckpt_every, group_commit, pool_pages) in configs {
-        let reference = FaultVfs::new();
-        {
-            let mut db = open_paged(&reference, pool_pages).unwrap();
-            run(&mut db, batches, ckpt_every, group_commit).unwrap();
-        }
-        let total_ops = reference.op_count();
-        let opener =
-            |vfs: &FaultVfs| -> relstore::error::StoreResult<Database> { open_paged(vfs, pool_pages) };
-        // Paged I/O multiplies the op count; sample evenly instead of
-        // sweeping every point so the grid stays fast.
-        let step = (total_ops / 48).max(1) as usize;
-        for crash_at in (1..=total_ops).step_by(step) {
-            check_crash_and_converge(
-                &opener,
-                batches,
-                ckpt_every,
-                group_commit,
-                crash_at,
-                crash_at ^ 0xdead_beef,
-            );
+        for pool in [None, Some(pool_pages)] {
+            let total_ops = fault_free_ops(pool, batches, ckpt_every, group_commit);
+            let step = match pool {
+                None => 2,
+                Some(_) => (total_ops / 48).max(1) as usize,
+            };
+            for crash_at in (1..=total_ops).step_by(step) {
+                check_crash_and_converge(
+                    pool,
+                    batches,
+                    ckpt_every,
+                    group_commit,
+                    crash_at,
+                    crash_at ^ 0xdead_beef,
+                );
+            }
         }
     }
 }
@@ -243,48 +201,22 @@ fn workload(rng: &mut Prng) -> (Vec<usize>, usize, bool) {
     (batches, rng.gen_range(1..5), rng.gen_bool(0.5))
 }
 
-/// A power cut somewhere in the fault-free run's `total_ops` operations.
-fn crash_point(rng: &mut Prng, total_ops: u64) -> u64 {
-    1 + (rng.gen_f64() * (total_ops - 1) as f64) as u64
-}
-
 /// Whatever survives a random power cut is ids `0..n` where `n` is a batch
 /// boundary (with per-commit sync) or at most the full set (group commit
 /// may persist several batches per sync), and resuming converges on the
-/// fault-free state.
+/// fault-free state — pool-less, and paged with a random pool size,
+/// including a single-page pool (maximal eviction pressure: every page
+/// touch can force an unsynced writeback that the power cut then tears).
 #[test]
 fn random_crash_points_recover_and_converge() {
     cases(48, |rng| {
         let (batches, ckpt_every, group_commit) = workload(rng);
-        // Fault-free run to learn the op count.
-        let reference = FaultVfs::new();
-        {
-            let mut db = open(&reference).unwrap();
-            run(&mut db, &batches, ckpt_every, group_commit).unwrap();
+        for pool in [None, Some(*rng.pick(&[1usize, 2, 8]))] {
+            let total_ops = fault_free_ops(pool, &batches, ckpt_every, group_commit);
+            // a power cut somewhere in the fault-free run
+            let crash_at = 1 + (rng.gen_f64() * (total_ops - 1) as f64) as u64;
+            let torn_seed = rng.next_u64();
+            check_crash_and_converge(pool, &batches, ckpt_every, group_commit, crash_at, torn_seed);
         }
-        let crash_at = crash_point(rng, reference.op_count());
-        let torn_seed = rng.next_u64();
-        check_crash_and_converge(&open, &batches, ckpt_every, group_commit, crash_at, torn_seed);
-    });
-}
-
-/// The same property over paged storage with a random pool size,
-/// including a single-page pool (maximal eviction pressure — every
-/// page touch can force an unsynced writeback that the power cut then
-/// tears).
-#[test]
-fn random_crash_points_recover_and_converge_paged() {
-    cases(48, |rng| {
-        let (batches, ckpt_every, group_commit) = workload(rng);
-        let pool_pages = *rng.pick(&[1usize, 2, 8]);
-        let opener = |vfs: &FaultVfs| open_paged(vfs, pool_pages);
-        let reference = FaultVfs::new();
-        {
-            let mut db = opener(&reference).unwrap();
-            run(&mut db, &batches, ckpt_every, group_commit).unwrap();
-        }
-        let crash_at = crash_point(rng, reference.op_count());
-        let torn_seed = rng.next_u64();
-        check_crash_and_converge(&opener, &batches, ckpt_every, group_commit, crash_at, torn_seed);
     });
 }

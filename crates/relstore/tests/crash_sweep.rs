@@ -98,138 +98,87 @@ fn sorted_ids(db: &Database) -> Vec<i64> {
     out
 }
 
+type Open = fn(&FaultVfs) -> relstore::error::StoreResult<Database>;
+
+/// The sweep runs pool-less, at every operation, and paged — where heap
+/// appends, eviction writebacks and page-directory swaps all become
+/// distinct crash points, and a cut mid-page must never surface a torn page
+/// (the per-page CRC plus the sync-heap-before-directory ordering make
+/// partially-written images unreachable). Page writebacks multiply the op
+/// count well past the pool-less run's, so the paged sweep samples about
+/// 160 crash points evenly: the quadratic sweep stays bounded while still
+/// hitting every phase of the workload.
 #[test]
 fn every_crash_point_recovers_and_converges() {
-    // Fault-free reference run: learn the op count and final state.
-    let reference = FaultVfs::new();
-    {
-        let mut db = open(&reference).unwrap();
-        run_to_completion(&mut db).unwrap();
-    }
-    let total_ops = reference.op_count();
-    let expected: Vec<i64> = (0..BATCHES * BATCH_ROWS).collect();
-    {
-        let db = open(&reference).unwrap();
-        assert_eq!(sorted_ids(&db), expected, "reference state");
-    }
-    assert!(
-        total_ops >= 100,
-        "sweep needs >=100 distinct crash points, workload only has {total_ops}"
-    );
+    let modes: [(&str, Open, Option<u64>); 2] =
+        [("open", open, None), ("open_paged", open_paged, Some(160))];
+    for (mode, open, sample) in modes {
+        // Fault-free reference run: learn the op count and final state.
+        let reference = FaultVfs::new();
+        {
+            let mut db = open(&reference).unwrap();
+            run_to_completion(&mut db).unwrap();
+        }
+        let total_ops = reference.op_count();
+        let expected: Vec<i64> = (0..BATCHES * BATCH_ROWS).collect();
+        {
+            let db = open(&reference).unwrap();
+            assert_eq!(sorted_ids(&db), expected, "{mode}: reference state");
+        }
 
-    let mut crash_points = 0u64;
-    for crash_at in 1..=total_ops {
-        let vfs = FaultVfs::new();
-        vfs.set_plan(FaultPlan {
-            crash_at: Some(crash_at),
-            fail_at: None,
-            torn_seed: crash_at.wrapping_mul(0x2545_f491_4f6c_dd1d),
-        });
-        let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db));
+        let step = sample.map_or(1, |points| (total_ops / points).max(1)) as usize;
+        let mut crash_points = 0u64;
+        for crash_at in (1..=total_ops).step_by(step) {
+            let vfs = FaultVfs::new();
+            vfs.set_plan(FaultPlan {
+                crash_at: Some(crash_at),
+                fail_at: None,
+                torn_seed: crash_at.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            });
+            let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db));
+            assert!(
+                outcome.is_err() && vfs.crashed(),
+                "{mode} op {crash_at}: power cut did not fire (of {total_ops})"
+            );
+            crash_points += 1;
+
+            // Power is restored: unsynced state is gone, plan cleared.
+            vfs.reboot();
+
+            // Invariants 1+2: reopen succeeds on the durable image alone and
+            // yields a whole-batch prefix of the workload.
+            let db = open(&vfs)
+                .unwrap_or_else(|e| panic!("{mode} op {crash_at}: reopen failed: {e}"));
+            let ids = sorted_ids(&db);
+            assert_eq!(
+                ids.len() as i64 % BATCH_ROWS,
+                0,
+                "{mode} op {crash_at}: torn batch survived: {} rows",
+                ids.len()
+            );
+            assert_eq!(
+                ids,
+                (0..ids.len() as i64).collect::<Vec<_>>(),
+                "{mode} op {crash_at}: recovered rows are not a contiguous prefix"
+            );
+            drop(db);
+
+            // Invariant 3: resuming the workload converges to the reference.
+            let mut db = open(&vfs).unwrap();
+            run_to_completion(&mut db).unwrap();
+            drop(db);
+            let db = open(&vfs).unwrap();
+            assert_eq!(
+                sorted_ids(&db),
+                expected,
+                "{mode} op {crash_at}: did not converge"
+            );
+        }
         assert!(
-            outcome.is_err() && vfs.crashed(),
-            "op {crash_at}: power cut did not fire (of {total_ops})"
+            crash_points >= 100,
+            "{mode}: only {crash_points} crash points exercised"
         );
-        crash_points += 1;
-
-        // Power is restored: unsynced state is gone, plan cleared.
-        vfs.reboot();
-
-        // Invariants 1+2: reopen succeeds on the durable image alone and
-        // yields a whole-batch prefix of the workload.
-        let db = open(&vfs).unwrap_or_else(|e| panic!("op {crash_at}: reopen failed: {e}"));
-        let ids = sorted_ids(&db);
-        assert_eq!(
-            ids.len() as i64 % BATCH_ROWS,
-            0,
-            "op {crash_at}: torn batch survived: {} rows",
-            ids.len()
-        );
-        assert_eq!(
-            ids,
-            (0..ids.len() as i64).collect::<Vec<_>>(),
-            "op {crash_at}: recovered rows are not a contiguous prefix"
-        );
-        drop(db);
-
-        // Invariant 3: resuming the workload converges to the reference.
-        let mut db = open(&vfs).unwrap();
-        run_to_completion(&mut db).unwrap();
-        drop(db);
-        let db = open(&vfs).unwrap();
-        assert_eq!(sorted_ids(&db), expected, "op {crash_at}: did not converge");
     }
-    assert!(
-        crash_points >= 100,
-        "only {crash_points} crash points exercised"
-    );
-}
-
-/// The crash-point sweep against paged storage: heap appends, eviction
-/// writebacks, page-directory swaps, and compaction-free checkpoints all
-/// become distinct crash points, and a cut mid-page must never surface a
-/// torn page (the per-page CRC plus the sync-heap-before-directory
-/// ordering make partially-written images unreachable).
-#[test]
-fn every_crash_point_recovers_and_converges_paged_tiny_pool() {
-    let reference = FaultVfs::new();
-    {
-        let mut db = open_paged(&reference).unwrap();
-        run_to_completion(&mut db).unwrap();
-    }
-    let total_ops = reference.op_count();
-    let expected: Vec<i64> = (0..BATCHES * BATCH_ROWS).collect();
-    {
-        let db = open_paged(&reference).unwrap();
-        assert_eq!(sorted_ids(&db), expected, "paged reference state");
-    }
-
-    // Page writebacks multiply the op count well past the resident run's;
-    // sample crash points evenly to keep the quadratic sweep bounded while
-    // still hitting every phase of the workload.
-    let step = (total_ops / 160).max(1) as usize;
-    let mut crash_points = 0u64;
-    for crash_at in (1..=total_ops).step_by(step) {
-        let vfs = FaultVfs::new();
-        vfs.set_plan(FaultPlan {
-            crash_at: Some(crash_at),
-            fail_at: None,
-            torn_seed: crash_at.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        });
-        let outcome = open_paged(&vfs).and_then(|mut db| run_to_completion(&mut db));
-        assert!(
-            outcome.is_err() && vfs.crashed(),
-            "op {crash_at}: power cut did not fire (of {total_ops})"
-        );
-        crash_points += 1;
-        vfs.reboot();
-
-        let db =
-            open_paged(&vfs).unwrap_or_else(|e| panic!("op {crash_at}: paged reopen failed: {e}"));
-        let ids = sorted_ids(&db);
-        assert_eq!(
-            ids.len() as i64 % BATCH_ROWS,
-            0,
-            "op {crash_at}: torn batch survived: {} rows",
-            ids.len()
-        );
-        assert_eq!(
-            ids,
-            (0..ids.len() as i64).collect::<Vec<_>>(),
-            "op {crash_at}: recovered rows are not a contiguous prefix"
-        );
-        drop(db);
-
-        let mut db = open_paged(&vfs).unwrap();
-        run_to_completion(&mut db).unwrap();
-        drop(db);
-        let db = open_paged(&vfs).unwrap();
-        assert_eq!(sorted_ids(&db), expected, "op {crash_at}: did not converge");
-    }
-    assert!(
-        crash_points >= 100,
-        "only {crash_points} paged crash points exercised"
-    );
 }
 
 /// The same sweep with injected I/O *errors* instead of power cuts: the

@@ -1,9 +1,11 @@
 //! Format identity: the bytes one fixed store leaves on disk — WAL frames,
-//! `snapshot.bin`, a sealed page image and `pagedir.bin` — are pinned to
-//! the images captured before the codec moved from `bytes::{Bytes,
-//! BytesMut}` to slices. Any change to an on-disk encoding moves them.
+//! a sealed page image and `pagedir.bin`, with a pool and without — are
+//! pinned. The WAL and paged images were captured before the codec moved
+//! from `bytes::{Bytes, BytesMut}` to slices; the pool-less directory when
+//! it became the one checkpoint format. Any change to an on-disk encoding
+//! moves them.
 
-use relstore::db::{heap_file_name, PAGEDIR_FILE, SNAPSHOT_FILE, WAL_FILE};
+use relstore::db::{heap_file_name, PAGEDIR_FILE, WAL_FILE};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
 use relstore::vfs::FaultVfs;
@@ -74,7 +76,7 @@ fn resident_store_images_are_byte_identical() {
     let vfs = FaultVfs::new();
     let mut db = Database::open_with_vfs(Arc::new(vfs.clone()), Path::new("/db")).unwrap();
     fill(&mut db);
-    assert_eq!(image(&vfs, "/db", SNAPSHOT_FILE), SNAPSHOT);
+    assert_eq!(image(&vfs, "/db", PAGEDIR_FILE), RESIDENT_PAGEDIR);
     assert_eq!(image(&vfs, "/db", WAL_FILE), WAL);
 }
 
@@ -96,12 +98,13 @@ fn paged_store_images_are_byte_identical() {
     assert_eq!(image(&vfs, "/pg", &heap_file_name(1)), HEAP);
 }
 
-const SNAPSHOT: &str = concat!(
-    "5253534e020000008b8d894101010467656e650402696400000673796d626f6c",
-    "02000573636f726501010372617703010100010962795f73796d626f6c000101",
-    "040400040105030553594d2d33000403fd00ff01040100030453594d30020000",
-    "00000000000004030000ff020401c205030653594d3335330000030401808080",
-    "808040031053594d3130393935313136323737373602000000000000404200",
+const RESIDENT_PAGEDIR: &str = concat!(
+    "5253504401000000d6eeaf8c010102010467656e650402696400000673796d62",
+    "6f6c02000573636f726501010372617703010100010962795f73796d626f6c00",
+    "0101010400000401040105030553594d2d33000403fd00ff0104010003045359",
+    "4d3002000000000000000004030000ff010401c205030653594d333533000001",
+    "0401808080808040031053594d31303939353131363237373736020000000000",
+    "00404200",
 );
 const WAL: &str = concat!(
     "020000002cd6a94b05011e000000b850e628010467656e650404010c03045359",

@@ -1,13 +1,13 @@
 //! Index build equivalence: the encoded keys order exactly as the values
 //! they encode, an index bulk-built at recovery equals the one maintained
-//! row by row, and `open` rebuilds — or refuses — from any mix of snapshot
-//! and WAL. A seeded deterministic sweep: a failure pins to a round number.
+//! row by row, and `open` rebuilds — or refuses — from any mix of page
+//! directory and WAL. A seeded deterministic sweep: a failure pins to a round number.
 
 use relstore::codec::crc32;
-use relstore::db::{SNAPSHOT_FILE, WAL_FILE};
+use relstore::db::{PAGEDIR_FILE, WAL_FILE};
 use relstore::index::KeySpec;
 use relstore::schema::{Column, Schema};
-use relstore::snapshot::{decode_snapshot, encode_snapshot};
+use relstore::pager::decode_page_directory;
 use relstore::vfs::{FaultVfs, Vfs};
 use relstore::wal::{LogRecord, WalWriter};
 use relstore::{Database, PoolConfig, Row, RowId, StoreError, Table, Value, ValueType};
@@ -321,18 +321,7 @@ fn reopened_store_equals_the_closed_one() {
             for name in db.table_names() {
                 assert_indexes_match_rows(db.table(name).unwrap(), &context);
             }
-            // (ii) the snapshot codec's bulk build equals the maintained one
-            for name in db.table_names() {
-                let table = db.table(name).unwrap();
-                let image = encode_snapshot(std::iter::once(table), 0).unwrap();
-                let back = decode_snapshot(&image).unwrap().0.remove(0);
-                assert_eq!(
-                    observe(&back),
-                    observe(table),
-                    "{context}: snapshot of {name}"
-                );
-            }
-            // (iii) close -> open: snapshot/page directory + WAL tail
+            // (ii) close -> open: page directory + WAL tail
             drop(db);
             db = open(&vfs, reopen_pool);
             assert_eq!(observe_db(&db), closed, "{context}: reopen");
@@ -479,52 +468,79 @@ fn open_refuses_rows_that_contradict_an_index() {
     }
 }
 
-#[test]
-fn open_refuses_a_snapshot_holding_a_duplicate_unique_key() {
-    let vfs = seeded(None);
-    let path = Path::new("/db").join(SNAPSHOT_FILE);
-    let mut image = vfs.peek(&path).unwrap();
-    // rewrite row 2's accession "qq" to "bb" and re-seal the checksum, as
-    // a buggy writer (not a torn write) would have left it
-    let at = image.windows(2).position(|w| w == b"qq").unwrap();
-    image[at..at + 2].copy_from_slice(b"bb");
+/// `image` with its checksum re-sealed — what a buggy writer (not a torn
+/// write) would have left.
+fn resealed(mut image: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&image[12..]);
     image[8..12].copy_from_slice(&crc.to_le_bytes());
-    let mut file = vfs.create(&path).unwrap();
-    file.write_all(&image).unwrap();
-    file.sync().unwrap();
-    let err = try_open(&vfs, None).unwrap_err();
-    assert!(
-        matches!(&err, StoreError::UniqueViolation { index, key, .. }
-            if index == "by_acc" && key == "(bb)"),
-        "{err:?}"
-    );
+    image
+}
+
+#[test]
+fn open_refuses_a_snapshot_holding_a_duplicate_unique_key() {
+    // three short rows never fill a page: with or without a pool they sit
+    // in the directory's inline tail
+    for pool in [None, Some(2)] {
+        let vfs = seeded(pool);
+        let path = Path::new("/db").join(PAGEDIR_FILE);
+        let mut image = vfs.peek(&path).unwrap();
+        // rewrite row 2's accession "qq" to "bb"
+        let at = image.windows(2).position(|w| w == b"qq").unwrap();
+        image[at..at + 2].copy_from_slice(b"bb");
+        let mut file = vfs.create(&path).unwrap();
+        file.write_all(&resealed(image)).unwrap();
+        file.sync().unwrap();
+        let err = try_open(&vfs, pool).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::UniqueViolation { index, key, .. }
+                if index == "by_acc" && key == "(bb)"),
+            "pool {pool:?}: {err:?}"
+        );
+    }
 }
 
 #[test]
 fn counts_read_from_a_file_are_not_trusted() {
-    // a snapshot that claims 2^40 rows (and re-seals its checksum) must be
-    // rejected by arithmetic on the bytes that remain, not by allocating
-    let mut t = Table::new(unique_schema());
-    t.insert(vec![Value::Int(0), Value::text("zz")]).unwrap();
-    t.insert(vec![Value::Int(1), Value::text("aa")]).unwrap();
-    t.delete(RowId(0)).unwrap();
-    let image = encode_snapshot(std::iter::once(&t), 0).unwrap();
-    // the body ends: high-water mark (2), row count (1), then the row —
-    // id, arity, int, text: 1 + 1 + 2 + 4 bytes
-    let nrows_at = image.len() - 8 - 1;
+    let vfs = FaultVfs::new();
+    let mut db = open(&vfs, None);
+    db.create_table(unique_schema()).unwrap();
+    db.with_txn(|txn| {
+        txn.insert("t", vec![Value::Int(0), Value::text("zz")])?;
+        txn.insert("t", vec![Value::Int(1), Value::text("aa")])?;
+        txn.delete("t", RowId(0))
+    })
+    .unwrap();
+    db.checkpoint().unwrap();
+    let image = vfs.peek(&Path::new("/db").join(PAGEDIR_FILE)).unwrap();
+    assert_eq!(decode_page_directory(&image).unwrap().tables[0].tail.len(), 2);
+    // the body ends: tail base (0), tail slot count (2), a tombstone
+    // marker, then a live marker and its row — arity, int, text: 1 + 2 + 4
+    let ntail_at = image.len() - 7 - 1 - 1 - 1;
     assert_eq!(
-        image[nrows_at - 1..=nrows_at],
-        [2, 1],
-        "located the row count"
+        image[ntail_at - 1..ntail_at + 3],
+        [0, 2, 0, 1],
+        "located the tail slot count"
     );
-    let mut forged = image[..nrows_at].to_vec();
+    let corrupt = |image: Vec<u8>, what: &str| match decode_page_directory(&image) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+        other => panic!("{what}: must be corrupt, got {other:?}"),
+    };
+    // a directory that claims 2^40 tail slots (and re-seals its checksum)
+    // must be rejected by arithmetic on the bytes that remain, not by
+    // allocating
+    let mut forged = image[..ntail_at].to_vec();
     forged.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20]); // varint 2^40
-    forged.extend_from_slice(&image[nrows_at + 1..]);
-    let crc = crc32(&forged[12..]);
-    forged[8..12].copy_from_slice(&crc.to_le_bytes());
-    match decode_snapshot(&forged) {
-        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("row count"), "{msg}"),
-        other => panic!("forged row count must be corrupt, got {other:?}"),
-    }
+    forged.extend_from_slice(&image[ntail_at + 1..]);
+    corrupt(resealed(forged), "tail slot count");
+    // a slot is a tombstone (0) or a row (1), nothing else
+    let mut forged = image.clone();
+    forged[ntail_at + 1] = 7;
+    corrupt(resealed(forged), "bad tail slot marker 7");
+    // and neither survives without the re-sealed checksum, or the magic
+    let mut forged = image.clone();
+    forged[ntail_at + 1] = 7;
+    corrupt(forged, "checksum mismatch");
+    let mut forged = image;
+    forged[0] = b'X';
+    corrupt(forged, "bad page directory magic");
 }

@@ -10,7 +10,7 @@ use relstore::row::RowId;
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
 use relstore::vfs::{FaultVfs, Vfs};
-use relstore::{Database, PoolConfig};
+use relstore::{Database, PoolConfig, StoreError};
 use std::path::Path;
 use std::sync::Arc;
 use testkit::{cases, text, Prng};
@@ -159,8 +159,8 @@ fn assert_same(resident: &Database, paged: &Database, context: &str) {
 
 /// Run one equivalence case end-to-end: apply the workload to both
 /// stores, compare, then checkpoint + reopen the paged side (possibly
-/// with a different pool size) and compare again, then compact both and
-/// compare a third time.
+/// with a different pool size) and compare again, then compact and
+/// compare a third time, then reopen each directory in the other mode.
 fn check_equivalence(ops: &[Op], pool_pages: usize, reopen_pool_pages: usize) {
     let r_vfs = FaultVfs::new();
     let p_vfs = FaultVfs::new();
@@ -183,6 +183,22 @@ fn check_equivalence(ops: &[Op], pool_pages: usize, reopen_pool_pages: usize) {
     // Compaction rewrites the heap; contents must be untouched.
     paged.compact().unwrap();
     assert_same(&resident, &paged, "after compact");
+
+    // Each directory opened in the other mode. A pool-less directory gains
+    // a pool: same contents, and it pages out from here on. A paged one
+    // opens pool-less only while it has never sealed a page; otherwise it
+    // is refused untouched, and still opens paged.
+    drop(resident);
+    let upgraded = open_paged(&r_vfs, reopen_pool_pages);
+    assert_same(&upgraded, &paged, "pool-less directory opened paged");
+    drop(paged);
+    match Database::open_with_vfs(dyn_vfs(&p_vfs), Path::new("/db")) {
+        Ok(plain) => assert_same(&plain, &upgraded, "never-sealed directory opened pool-less"),
+        Err(StoreError::Unsupported(_)) => {
+            assert_same(&upgraded, &open_paged(&p_vfs, pool_pages), "refused, then reopened paged")
+        }
+        Err(e) => panic!("paged directory opened pool-less: {e}"),
+    }
 }
 
 /// One long fixed workload across the pool-size grid.

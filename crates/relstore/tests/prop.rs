@@ -8,6 +8,9 @@ use relstore::row::Row;
 use relstore::schema::{Column, Schema};
 use relstore::table::Table;
 use relstore::value::{Value, ValueType};
+use relstore::vfs::FaultVfs;
+use std::path::Path;
+use std::sync::Arc;
 use testkit::{cases, text, Prng, TempDir};
 
 /// Any `i64`, with the edges and a small colliding range drawn often
@@ -199,11 +202,15 @@ fn index_select_equals_scan() {
     });
 }
 
-/// Snapshot encode/decode preserves live rows, ids, and index behaviour.
+/// Checkpoint and reopen preserves live rows, ids — the high-water mark
+/// included, whatever was deleted at the end — and index behaviour.
 #[test]
 fn snapshot_roundtrip() {
     cases(64, |rng| {
-        let mut table = Table::new(test_schema());
+        let vfs = FaultVfs::new();
+        let open = || Database::open_with_vfs(Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+        let mut db = open();
+        db.create_table(test_schema()).unwrap();
         let mut live: Vec<relstore::row::RowId> = Vec::new();
         for op in ops(rng, 60) {
             if let Op::Insert(id, g, t) = op {
@@ -212,22 +219,26 @@ fn snapshot_roundtrip() {
                     Value::Int(g),
                     t.map(Value::text).unwrap_or(Value::Null),
                 ];
-                if let Ok(rid) = table.insert(row) {
+                if let Ok(rid) = db.with_txn(|txn| txn.insert("t", row)) {
                     live.push(rid);
                 }
             } else if let Op::Delete(i) = op {
                 if !live.is_empty() {
                     let rid = live.remove(i % live.len());
-                    table.delete(rid).unwrap();
+                    db.with_txn(|txn| txn.delete("t", rid)).unwrap();
                 }
             }
         }
-        let data = relstore::snapshot::encode_snapshot(std::iter::once(&table), 0).unwrap();
-        let back = relstore::snapshot::decode_snapshot(&data).unwrap().0.pop().unwrap();
+        db.checkpoint().unwrap();
+        let reopened = open();
+        assert_eq!(reopened.recovery_report().unwrap().wal_txns, 0);
+        let (table, back) = (db.table("t").unwrap(), reopened.table("t").unwrap());
         assert_eq!(back.len(), table.len());
         assert_eq!(back.next_row_id(), table.next_row_id());
         for (rid, row) in table.scan() {
             assert_eq!(back.get(rid).unwrap(), row);
+            let hit = back.lookup_unique("pk", &[row.get(0).clone()]).unwrap();
+            assert_eq!(hit.as_ref(), Some(&row));
         }
     });
 }

@@ -37,8 +37,7 @@ const READ_CHUNK: usize = 4096;
 /// unbounded either.
 const MAX_HEADER_BYTES: u64 = 4096;
 
-/// Default client-side cap on response bodies (16 MiB) — matches
-/// `ServerConfig::default().max_response_bytes`.
+/// Default client-side cap on response bodies (16 MiB).
 pub const DEFAULT_MAX_RESPONSE_BYTES: usize = 16 << 20;
 
 /// One request-line read outcome on a guarded connection.

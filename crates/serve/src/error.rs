@@ -65,13 +65,6 @@ impl ServeError {
         }
     }
 
-    pub fn not_found(message: impl Into<String>) -> Self {
-        ServeError {
-            kind: ServeErrorKind::NotFound,
-            message: message.into(),
-        }
-    }
-
     pub fn too_large(message: impl Into<String>) -> Self {
         ServeError {
             kind: ServeErrorKind::TooLarge,

@@ -39,10 +39,6 @@ pub struct ServerConfig {
     /// Cap on one request line; an over-budget line gets `err too-large`
     /// and the connection is closed.
     pub max_request_bytes: usize,
-    /// Advisory cap for clients reading responses from this server
-    /// (mirrored into harness/client configs; the server itself never
-    /// frames a body it did not produce).
-    pub max_response_bytes: usize,
     /// Write-admission budget: writes admitted (queued or executing)
     /// beyond this are shed with retryable `err busy`. Reads are never
     /// admission-controlled.
@@ -60,7 +56,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             max_request_bytes: 64 * 1024,
-            max_response_bytes: 16 << 20,
             max_in_flight_writes: 2,
             drain_timeout: Duration::from_secs(5),
         }

@@ -131,3 +131,51 @@ fn call_mode_round_trips_against_a_server() {
     assert!(err.contains("unknown source"), "stderr: {err}");
     server.shutdown().unwrap();
 }
+
+#[test]
+fn paged_store_without_the_paged_flag_is_refused_not_emptied() {
+    use genmapper::system::GenMapper;
+    use sources::ecosystem::{Ecosystem, EcosystemParams};
+
+    // a checkpointed paged store whose pages are small enough to have sealed
+    let dir = std::env::temp_dir().join(format!("genmapper-cli-paged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = relstore::PoolConfig {
+        page_bytes: 4096,
+        pool_pages: 8,
+    };
+    let sources = {
+        let mut gm = GenMapper::open_paged(&dir, config).expect("paged store opens");
+        let eco = Ecosystem::generate(EcosystemParams::demo(7));
+        gm.import_dumps(&eco.dumps).expect("demo imports");
+        gm.checkpoint().expect("checkpoint");
+        gm.cardinalities().expect("cardinalities").sources
+    };
+    let wal = std::fs::read(dir.join("wal.log")).expect("wal exists");
+
+    let cli = |extra: &[&str]| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_genmapper-cli"))
+            .arg("--db")
+            .arg(&dir)
+            .args(extra)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary starts");
+        // the refused run exits before it reads this
+        let _ = child.stdin.as_mut().expect("stdin piped").write_all(b"stats\nquit\n");
+        child.wait_with_output().expect("binary exits")
+    };
+    let refused = cli(&[]);
+    assert!(!refused.status.success(), "no shell over a store it cannot serve");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("failed to open store") && stderr.contains("open_paged"), "{stderr}");
+    assert_eq!(std::fs::read(dir.join("wal.log")).expect("wal exists"), wal, "WAL untouched");
+
+    let served = cli(&["--paged=8"]);
+    assert!(served.status.success(), "{}", String::from_utf8_lossy(&served.stderr));
+    let stdout = String::from_utf8_lossy(&served.stdout);
+    assert!(stdout.contains(&format!("{sources} sources")), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -263,11 +263,6 @@ impl Universe {
     pub fn locus_353(&self) -> &Locus {
         &self.loci[0]
     }
-
-    /// Indices of the GO namespace roots.
-    pub fn go_roots(&self) -> [usize; 3] {
-        [0, 1, 2]
-    }
 }
 
 fn gen_go(rng: &mut Prng, n: usize) -> Vec<GoTerm> {

@@ -124,15 +124,15 @@ fn corrupt_snapshot_degrades_and_is_reported() {
         gm.import_dumps(&eco.dumps[..1]).unwrap();
         gm.checkpoint().unwrap();
     }
-    let snapshot = dir.join("snapshot.bin");
-    let mut data = fs::read(&snapshot).unwrap();
+    let checkpoint = dir.join("pagedir.bin");
+    let mut data = fs::read(&checkpoint).unwrap();
     let mid = data.len() / 2;
     data[mid] ^= 0xff;
-    fs::write(&snapshot, &data).unwrap();
+    fs::write(&checkpoint, &data).unwrap();
     // Corruption is detected (CRC) and the store degrades to the newest
-    // valid state instead of refusing to open. Only one snapshot
+    // valid state instead of refusing to open. Only one checkpoint
     // generation exists here, so that state is empty — and the WAL, which
-    // predates the corrupt snapshot's epoch, is discarded as stale. The
+    // predates the corrupt checkpoint's epoch, is discarded as stale. The
     // recovery report says exactly what happened.
     let gm = GenMapper::open(&dir).unwrap();
     let report = gm.store().recovery_report().unwrap();
