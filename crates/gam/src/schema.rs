@@ -1,4 +1,7 @@
 //! Relational schemas of the four GAM tables (paper Figure 4).
+//!
+//! A table declares an index only where a read probes it; each schema's
+//! doc names the read behind each of its indexes (DESIGN.md §1).
 
 use crate::error::GamResult;
 use relstore::schema::{Column, Schema};
@@ -42,6 +45,9 @@ pub fn object_schema() -> GamResult<Schema> {
 }
 
 /// `SOURCE_REL(source_rel_id, source1_id, source2_id, type, derivation)`.
+///
+/// `pk` serves `get_source_rel`, `by_pair` serves `source_rels_between`
+/// (both orientations are probed as (source1, source2) pairs).
 pub fn source_rel_schema() -> GamResult<Schema> {
     let schema = Schema::builder(tables::SOURCE_REL)
         .column(Column::new("source_rel_id", ValueType::Int))
@@ -51,13 +57,21 @@ pub fn source_rel_schema() -> GamResult<Schema> {
         .column(Column::nullable("derivation", ValueType::Text))
         .primary_key(&["source_rel_id"])
         .index("by_pair", &["source1_id", "source2_id"])
-        .index("by_source2", &["source2_id"])
         .build()?;
     Ok(schema)
 }
 
 /// `OBJECT_REL(object_rel_id, source_rel_id, object1_id, object2_id,
 /// evidence)`.
+///
+/// The paper reaches this table by mapping (`Map`/`Compose`/`GenerateView`,
+/// §4.2) and by object (object information, §5.1), never by association
+/// id. So: unique `by_pair` serves every per-mapping read — load, count,
+/// duplicate elimination, cascade delete — as a `source_rel_id` prefix, and
+/// `by_object1`/`by_object2` serve `associations_of_object`. There is no
+/// key index on `object_rel_id`: the id is the row id + 1
+/// (`GamStore::add_associations_bulk`), unique by derivation, and
+/// `GamStore::verify_integrity` checks that ids ascend in row order.
 pub fn object_rel_schema() -> GamResult<Schema> {
     let schema = Schema::builder(tables::OBJECT_REL)
         .column(Column::new("object_rel_id", ValueType::Int))
@@ -65,9 +79,7 @@ pub fn object_rel_schema() -> GamResult<Schema> {
         .column(Column::new("object1_id", ValueType::Int))
         .column(Column::new("object2_id", ValueType::Int))
         .column(Column::nullable("evidence", ValueType::Float))
-        .primary_key(&["object_rel_id"])
         .unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"])
-        .index("by_source_rel", &["source_rel_id"])
         .index("by_object1", &["object1_id"])
         .index("by_object2", &["object2_id"])
         .build()?;
@@ -104,12 +116,19 @@ mod tests {
         let sr = source_rel_schema().unwrap();
         assert_eq!(sr.column_index("type").unwrap(), 3);
 
+        let names = |s: &Schema| -> Vec<String> {
+            s.indexes().iter().map(|i| i.name.clone()).collect()
+        };
+        assert_eq!(names(&sr), ["pk", "by_pair"]);
+
         let or = object_rel_schema().unwrap();
-        assert!(or.index("by_pair").unwrap().unique);
-        // the per-mapping access path used by load/count/delete
-        let by_rel = or.index("by_source_rel").unwrap();
-        assert!(!by_rel.unique);
-        assert_eq!(by_rel.columns, vec![1]);
+        assert_eq!(names(&or), ["by_pair", "by_object1", "by_object2"]);
+        assert!(or.primary_key().is_empty());
+        // the per-mapping access path used by load/count/delete: a unique
+        // index led by the mapping id
+        let by_pair = or.index("by_pair").unwrap();
+        assert!(by_pair.unique);
+        assert_eq!(by_pair.columns, vec![1, 2, 3]);
         assert_eq!(all_schemas().unwrap().len(), 4);
     }
 

@@ -3,7 +3,8 @@
 //!
 //! The store hands out application-level ids (`SourceId`, `ObjectId`, ...)
 //! allocated from in-memory counters that are re-seeded from the table
-//! contents on open, so ids remain stable across restarts.
+//! contents on open, so ids remain stable across restarts; an association's
+//! id needs no counter, it is its row id + 1.
 //!
 //! Write batching: single-row helpers (`create_object`, `add_association`)
 //! run one transaction each, which is fine in memory; bulk loaders
@@ -27,7 +28,6 @@ pub struct GamStore {
     next_source: u32,
     next_object: u64,
     next_source_rel: u32,
-    next_object_rel: u64,
     import_seq: u64,
     /// Bumped by every mutating entry point; mapping caches key on it
     /// (enforced by genlint's cache-coherence rule).
@@ -97,8 +97,10 @@ impl GamStore {
     /// Check referential integrity across the four GAM tables: every
     /// OBJECT belongs to an existing SOURCE, every SOURCE_REL connects two
     /// existing SOURCEs, and every OBJECT_REL references an existing
-    /// SOURCE_REL and two existing OBJECTs. Returns the list of violations
-    /// (empty when the store is consistent).
+    /// SOURCE_REL and two existing OBJECTs, and OBJECT_REL ids strictly
+    /// ascend in row order — the uniqueness no key index enforces, since an
+    /// id is derived from its row id. Returns the list of violations (empty
+    /// when the store is consistent).
     ///
     /// Crash recovery must never break these invariants: transactions are
     /// atomic, and the importer orders its writes so every committed
@@ -137,8 +139,15 @@ impl GamStore {
                 }
             }
         }
+        let mut last_id = 0;
         for (_, row) in self.db.table(tables::OBJECT_REL)?.scan() {
             let id = row.get(0).as_int().unwrap_or(-1);
+            if id <= last_id {
+                violations.push(format!(
+                    "OBJECT_REL {id} does not ascend past {last_id} in row order"
+                ));
+            }
+            last_id = last_id.max(id);
             let srel = row.get(1).as_int().unwrap_or(-1);
             if !source_rel_ids.contains(&srel) {
                 violations.push(format!(
@@ -169,7 +178,6 @@ impl GamStore {
         let next_source = (max_id(tables::SOURCE) + 1) as u32;
         let next_object = (max_id(tables::OBJECT) + 1) as u64;
         let next_source_rel = (max_id(tables::SOURCE_REL) + 1) as u32;
-        let next_object_rel = (max_id(tables::OBJECT_REL) + 1) as u64;
         let import_seq = db
             .table(tables::SOURCE)
             .map(|t| {
@@ -184,7 +192,6 @@ impl GamStore {
             next_source,
             next_object,
             next_source_rel,
-            next_object_rel,
             import_seq,
             mutations: 0,
         }
@@ -797,11 +804,13 @@ impl GamStore {
         // ensure it exists first
         self.get_source_rel(id)?;
         // both sides come straight from indexes: the association row ids
-        // from OBJECT_REL(by_source_rel), the rel row from its primary key
+        // from OBJECT_REL(by_pair) under the mapping's prefix (in row order,
+        // so the cascade logs and touches pages ascending), the rel row
+        // from its primary key
         let assoc_ids: Vec<relstore::RowId> = self
             .db
             .table(tables::OBJECT_REL)?
-            .lookup_row_ids("by_source_rel", &[Value::Int(id.as_i64())])?;
+            .lookup_row_ids("by_pair", &[Value::Int(id.as_i64())])?;
         let rel_row: Vec<relstore::RowId> = self
             .db
             .table(tables::SOURCE_REL)?
@@ -872,9 +881,12 @@ impl GamStore {
         if assocs.is_empty() {
             return Ok(());
         }
+        // An association's id is its row id + 1: row ids are never reused,
+        // so neither are these, and no counter has to be seeded at open.
+        let mut next = self.db.table(tables::OBJECT_REL)?.next_row_id().0 + 1;
         for assoc in &assocs {
             let rec = crate::model::ObjectRel {
-                id: ObjectRelId(self.next_object_rel),
+                id: ObjectRelId(next),
                 source_rel,
                 object1: assoc.from,
                 object2: assoc.to,
@@ -908,7 +920,6 @@ impl GamStore {
                 }
             })?;
         }
-        let mut next = self.next_object_rel;
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut seen = vec![false; pairs.len()];
         for assoc in &assocs {
@@ -936,7 +947,6 @@ impl GamStore {
                 Ok(())
             })?;
         }
-        self.next_object_rel = next;
         Ok(())
     }
 
@@ -991,13 +1001,13 @@ impl GamStore {
         Ok(b.finish())
     }
 
-    /// Number of associations in a mapping, answered from the
-    /// `by_source_rel` index without materializing any rows.
+    /// Number of associations in a mapping, answered from the mapping's
+    /// prefix of the `by_pair` index without materializing any rows.
     pub fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
         Ok(self
             .db
             .table(tables::OBJECT_REL)?
-            .index_lookup_count("by_source_rel", &[Value::Int(id.as_i64())])?)
+            .index_prefix_count("by_pair", &[Value::Int(id.as_i64())])?)
     }
 
     /// All associations touching an object, in either role. Each entry is
@@ -1011,10 +1021,7 @@ impl GamStore {
     ) -> GamResult<Vec<(SourceRelId, Association)>> {
         let table = self.db.table(tables::OBJECT_REL)?;
         let key = [Value::Int(object.as_i64())];
-        let mut found = Vec::with_capacity(
-            table.index_lookup_count("by_object1", &key)?
-                + table.index_lookup_count("by_object2", &key)?,
-        );
+        let mut found = Vec::new();
         // stream rows straight off the indexes: no intermediate `Vec<&Row>`
         // is materialized before the oriented pairs are built
         let roles = [("by_object1", false, 3), ("by_object2", true, 2)];
@@ -1340,6 +1347,33 @@ mod tests {
         assert_eq!(s.cardinalities().unwrap().associations, 0);
     }
 
+    /// The `object_rel_id` of every stored association, in row order.
+    fn object_rel_ids(s: &GamStore) -> Vec<i64> {
+        let table = s.db.table(tables::OBJECT_REL).unwrap();
+        table.scan().filter_map(|(_, row)| row.get(0).as_int()).collect()
+    }
+
+    #[test]
+    fn verify_integrity_reports_an_id_that_does_not_ascend() {
+        let mut s = store();
+        let a = gene_source(&mut s, "A");
+        let b = gene_source(&mut s, "B");
+        let (ao, _) = s.ensure_object(a.id, "a1", None, None).unwrap();
+        let (bo, _) = s.ensure_object(b.id, "b1", None, None).unwrap();
+        let rel = s.create_source_rel(a.id, b.id, RelType::Fact, None).unwrap();
+        s.add_association(rel, ao, bo, None).unwrap();
+        assert_eq!(object_rel_ids(&s), vec![1]);
+        assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
+        // forge a second row that repeats id 1: no key index refuses it
+        let forged = [1, rel.as_i64(), bo.as_i64(), ao.as_i64()].map(Value::Int);
+        let forged = forged.into_iter().chain([Value::Null]).collect();
+        s.db.with_txn(|txn| txn.insert(tables::OBJECT_REL, forged)).unwrap();
+        assert_eq!(
+            s.verify_integrity().unwrap(),
+            vec!["OBJECT_REL 1 does not ascend past 1 in row order".to_owned()]
+        );
+    }
+
     #[test]
     fn associations_under_an_unknown_mapping_are_refused_before_any_write() {
         let mut s = store();
@@ -1537,7 +1571,7 @@ mod tests {
     fn durable_store_preserves_ids_across_reopen() {
         let dir = std::env::temp_dir().join("gam-store-tests").join("reopen");
         let _ = std::fs::remove_dir_all(&dir);
-        let (src_id, obj_id, rel_id);
+        let (src_id, obj_id, rel_id, g, deleted_id);
         {
             let mut s = GamStore::open(&dir).unwrap();
             let src = gene_source(&mut s, "LocusLink");
@@ -1546,9 +1580,14 @@ mod tests {
             let go = s
                 .create_source("GO", SourceContent::Other, SourceStructure::Network, None)
                 .unwrap();
-            let g = s.create_object(go.id, "GO:1", None, None).unwrap();
+            g = s.create_object(go.id, "GO:1", None, None).unwrap();
             rel_id = s.create_source_rel(src.id, go.id, RelType::Fact, None).unwrap();
             s.add_association(rel_id, obj_id, g, None).unwrap();
+            // the newest mapping goes again, and its association ids with it
+            let newest = s.create_source_rel(src.id, go.id, RelType::Composed, None).unwrap();
+            s.add_association(newest, obj_id, g, Some(0.5)).unwrap();
+            deleted_id = object_rel_ids(&s)[1];
+            s.delete_source_rel(newest).unwrap();
             s.checkpoint().unwrap();
         }
         {
@@ -1563,6 +1602,11 @@ mod tests {
             assert!(next.id.raw() > 2);
             let new_obj = s.create_object(next.id, "x", None, None).unwrap();
             assert!(new_obj.raw() > obj_id.raw());
+            // an association id is never issued twice
+            let other = s.create_object(src_id, "354", None, None).unwrap();
+            s.add_association(rel_id, other, g, None).unwrap();
+            assert!(!object_rel_ids(&s).contains(&deleted_id), "{deleted_id} reissued");
+            assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

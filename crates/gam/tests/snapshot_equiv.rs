@@ -5,15 +5,23 @@
 //! never issued — [`GamStore`] and [`GamSnapshot`] must answer
 //! `associations_of_object`, `association_count` and
 //! `load_mapping_index_shared` identically, the first in the documented
-//! order, rebuilt here from `load_mapping` alone. The last test pins what
+//! order, rebuilt here from `load_mapping` alone. The next test pins what
 //! capture costs on a paged store, in buffer-pool misses rather than time.
+//! The last is store ≡ store across a reopen that changes the indexes: a
+//! directory checkpointed under the previous release's schemas (literals
+//! here, a frozen image of that format) is reconciled in place, answers
+//! every [`GamRead`] call as before, and persists the declared schema.
 
 use gam::model::{SourceContent, SourceStructure};
-use gam::schema::tables;
+use gam::schema::{self, tables};
 use gam::{
     Association, GamRead, GamResult, GamSnapshot, GamStore, ObjectId, RelType, SourceId,
     SourceRelId,
 };
+use relstore::vfs::{FaultVfs, Vfs};
+use relstore::{Column, Database, PoolConfig, Schema, ValueType};
+use std::path::Path;
+use std::sync::Arc;
 use testkit::Prng;
 
 fn evidence(st: &mut Prng) -> Option<f64> {
@@ -229,4 +237,153 @@ fn capture_walks_a_paged_store_about_once() {
         "capture cost {capture} pool misses over {heap_pages} heap pages, {objects} objects"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn old_source_rel_schema() -> Schema {
+    Schema::builder(tables::SOURCE_REL)
+        .column(Column::new("source_rel_id", ValueType::Int))
+        .column(Column::new("source1_id", ValueType::Int))
+        .column(Column::new("source2_id", ValueType::Int))
+        .column(Column::new("type", ValueType::Int))
+        .column(Column::nullable("derivation", ValueType::Text))
+        .primary_key(&["source_rel_id"])
+        .index("by_pair", &["source1_id", "source2_id"])
+        .index("by_source2", &["source2_id"])
+        .build()
+        .unwrap()
+}
+
+fn old_object_rel_schema() -> Schema {
+    Schema::builder(tables::OBJECT_REL)
+        .column(Column::new("object_rel_id", ValueType::Int))
+        .column(Column::new("source_rel_id", ValueType::Int))
+        .column(Column::new("object1_id", ValueType::Int))
+        .column(Column::new("object2_id", ValueType::Int))
+        .column(Column::nullable("evidence", ValueType::Float))
+        .primary_key(&["object_rel_id"])
+        .unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"])
+        .index("by_source_rel", &["source_rel_id"])
+        .index("by_object1", &["object1_id"])
+        .index("by_object2", &["object2_id"])
+        .build()
+        .unwrap()
+}
+
+/// Every [`GamRead`] answer over every source, object and mapping id the
+/// store knows — and some it does not — rendered for comparison.
+fn answers(read: &dyn GamRead) -> Vec<String> {
+    let mut out = Vec::new();
+    macro_rules! say {
+        ($answer:expr) => {
+            out.push(format!("{:?}", $answer))
+        };
+    }
+    let sources = read.sources().unwrap();
+    say!(sources);
+    let ids: Vec<SourceId> = sources.iter().map(|s| s.id).chain([SourceId(99)]).collect();
+    for name in sources.iter().map(|s| s.name.as_str()).chain(["missing"]) {
+        say!(read.find_source(name));
+    }
+    for &s in &ids {
+        say!(read.get_source(s));
+        say!(read.object_ids_of(s));
+        say!(read.object_count(s));
+        let objects = read.objects_of(s);
+        say!(objects);
+        let objects = objects.unwrap_or_default();
+        let mut accessions: Vec<&str> = objects.iter().map(|o| o.accession.as_str()).collect();
+        accessions.push("nope");
+        say!(read.resolve_accessions(s, &accessions));
+        say!(read.find_object(s, "nope"));
+        for object in &objects {
+            say!(read.find_object(s, &object.accession));
+            say!(read.get_object(object.id));
+            say!(read.associations_of_object(object.id));
+        }
+        for &t in &ids {
+            say!(read.source_rels_between(s, t));
+            say!(read.find_source_rel(s, t, None));
+        }
+    }
+    say!(read.get_object(ObjectId(9_999)));
+    say!(read.source_rels());
+    // issued, deleted and never issued
+    for rel in (0..12).map(SourceRelId) {
+        say!(read.get_source_rel(rel));
+        say!(read.load_mapping(rel));
+        say!(read.load_mapping_index(rel));
+        say!(read.association_count(rel));
+    }
+    say!(read.object_counts_per_source());
+    say!(read.mapping_type_counts());
+    say!(read.cardinalities());
+    out
+}
+
+#[test]
+fn a_directory_checkpointed_under_the_old_schemas_is_upgraded_in_place() {
+    let dir = Path::new("/db");
+    let pools = [
+        None,
+        Some(PoolConfig {
+            page_bytes: 64,
+            pool_pages: 2,
+        }),
+    ];
+    for (round, pool) in (0..8u64).zip(pools.into_iter().cycle()) {
+        let disk = FaultVfs::new();
+        let vfs = || -> Arc<dyn Vfs> { Arc::new(disk.clone()) };
+        let open_store = || match pool {
+            Some(config) => GamStore::open_paged_with_vfs(vfs(), dir, config).unwrap(),
+            None => GamStore::open_with_vfs(vfs(), dir).unwrap(),
+        };
+        let open_raw = || match pool {
+            Some(config) => Database::open_paged_with_vfs(vfs(), dir, config).unwrap(),
+            None => Database::open_with_vfs(vfs(), dir).unwrap(),
+        };
+        let index_names = |store: &GamStore, table: &str| -> Vec<String> {
+            let stats = store.database().stats().unwrap();
+            let table = stats.tables.iter().find(|t| t.name == table).unwrap();
+            table.indexes.iter().map(|(name, _)| name.clone()).collect()
+        };
+
+        let mut store = open_store();
+        populate(&mut store, &mut Prng::seed_from_u64(round));
+        let before = answers(&store);
+        store.checkpoint().unwrap();
+        drop(store);
+        // the same rows under the previous release's index declarations
+        let mut raw = open_raw();
+        raw.ensure_table(old_source_rel_schema()).unwrap();
+        raw.ensure_table(old_object_rel_schema()).unwrap();
+        raw.checkpoint().unwrap();
+        drop(raw);
+        let raw = open_raw();
+        for old in [old_source_rel_schema(), old_object_rel_schema()] {
+            assert_eq!(raw.table(old.name()).unwrap().schema(), &old);
+        }
+        drop(raw);
+
+        let misses = |s: &GamStore| s.database().stats().unwrap().pool.map(|p| p.misses);
+        let mut store = open_store();
+        let upgrade_misses = misses(&store);
+        let what = format!("round {round}, pool {pool:?}");
+        assert_eq!(
+            index_names(&store, tables::OBJECT_REL),
+            ["by_pair", "by_object1", "by_object2"]
+        );
+        assert_eq!(index_names(&store, tables::SOURCE_REL), ["pk", "by_pair"]);
+        assert_eq!(answers(&store), before, "{what}");
+        assert!(store.verify_integrity().unwrap().is_empty(), "{what}");
+        store.checkpoint().unwrap();
+        drop(store);
+        let raw = open_raw();
+        for new in [schema::source_rel_schema(), schema::object_rel_schema()] {
+            let new = new.unwrap();
+            assert_eq!(raw.table(new.name()).unwrap().schema(), &new, "{what}");
+        }
+        drop(raw);
+        // dropping indexes and placing the id counters faulted no page
+        assert_eq!(upgrade_misses, misses(&open_store()), "{what}");
+    }
 }

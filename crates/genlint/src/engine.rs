@@ -1,13 +1,11 @@
-//! The scan driver: workspace walking, the parallel per-file phase,
-//! baseline filtering, and the cross-file graph pass — everything
-//! between "a directory of .rs files" and a [`ScanResult`].
+//! The scan driver: workspace walking, the per-file phase, baseline
+//! filtering, and the cross-file graph pass — everything between "a
+//! directory of .rs files" and a [`ScanResult`].
 
 use crate::config::Config;
 use crate::rules::Finding;
 use crate::source::SourceFile;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Outcome of scanning a workspace.
 #[derive(Debug)]
@@ -18,13 +16,6 @@ pub struct ScanResult {
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-}
-
-/// Knobs for [`scan_with`]. [`scan`] uses the default: auto thread count.
-#[derive(Debug, Default, Clone)]
-pub struct ScanOptions {
-    /// Worker threads for the per-file phase; 0 = available parallelism.
-    pub jobs: usize,
 }
 
 /// Directories the walker never descends into: build output, VCS
@@ -81,77 +72,23 @@ pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
     out
 }
 
-/// One file's worth of work, done on a worker thread.
-struct FileOutcome {
-    idx: usize,
-    file: SourceFile,
-    findings: Vec<Finding>,
+/// Lex and parse every `.rs` file under `root`, in path order.
+fn parse_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    let mut files = Vec::new();
+    for path in collect_rs_files(root)? {
+        let raw = std::fs::read_to_string(&path)?;
+        files.push(SourceFile::parse(&rel_path(root, &path), &raw));
+    }
+    Ok(files)
 }
 
-/// Scan the workspace under `root` with `cfg`, applying the baseline,
-/// on the default thread count. See [`scan_with`].
+/// Scan the workspace under `root` with `cfg`, applying the baseline:
+/// the per-file rules on every file, then the cross-file [`graph`] pass
+/// over all of them — lock-order-graph and the workspace half of
+/// error-swallow.
 pub fn scan(root: &Path, cfg: &Config) -> std::io::Result<ScanResult> {
-    scan_with(root, cfg, &ScanOptions::default())
-}
-
-/// Scan with explicit options.
-///
-/// Phase 1 (parallel): lex, parse, and run the per-file rules on every
-/// `.rs` file. Workers pull file indexes off a shared atomic cursor —
-/// no work-splitting heuristics, and the output order is restored by
-/// index so results are deterministic regardless of thread count.
-///
-/// Phase 2 (serial): the cross-file [`graph`] pass over all parsed
-/// files — lock-order-graph and the workspace half of error-swallow.
-pub fn scan_with(root: &Path, cfg: &Config, opts: &ScanOptions) -> std::io::Result<ScanResult> {
-    let paths = collect_rs_files(root)?;
-    let mut inputs = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let raw = std::fs::read_to_string(path)?;
-        inputs.push((rel_path(root, path), raw));
-    }
-    let jobs = if opts.jobs > 0 {
-        opts.jobs
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-    .min(inputs.len().max(1));
-
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<FileOutcome>> = Mutex::new(Vec::with_capacity(inputs.len()));
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some((rel, raw)) = inputs.get(idx) else {
-                        break;
-                    };
-                    let file = SourceFile::parse(rel, raw);
-                    let findings = check_file(&file, cfg);
-                    local.push(FileOutcome {
-                        idx,
-                        file,
-                        findings,
-                    });
-                }
-                results.lock().expect("scan worker poisoned").extend(local);
-            });
-        }
-    });
-    let mut outcomes = results.into_inner().expect("scan workers done");
-    outcomes.sort_by_key(|o| o.idx);
-
-    let files_scanned = outcomes.len();
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut files: Vec<SourceFile> = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        findings.extend(o.findings);
-        files.push(o.file);
-    }
+    let files = parse_workspace(root)?;
+    let mut findings: Vec<Finding> = files.iter().flat_map(|f| check_file(f, cfg)).collect();
     findings.extend(crate::graph::check_workspace(&files, cfg));
     findings.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
@@ -196,20 +133,14 @@ pub fn scan_with(root: &Path, cfg: &Config, opts: &ScanOptions) -> std::io::Resu
     Ok(ScanResult {
         findings: kept,
         suppressed,
-        files_scanned,
+        files_scanned: files.len(),
     })
 }
 
 /// Parse the workspace and render the observed lock acquisition graph
 /// (the `--lock-graph` CLI surface).
 pub fn lock_graph(root: &Path, cfg: &Config) -> std::io::Result<String> {
-    let paths = collect_rs_files(root)?;
-    let mut files = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let raw = std::fs::read_to_string(path)?;
-        files.push(SourceFile::parse(&rel_path(root, path), &raw));
-    }
-    let analysis = crate::graph::analyze(&files, cfg);
+    let analysis = crate::graph::analyze(&parse_workspace(root)?, cfg);
     Ok(crate::graph::render_graph(&analysis))
 }
 
@@ -317,31 +248,5 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(files.len(), 1, "{files:?}");
         assert!(files[0].ends_with("src/a.rs"));
-    }
-
-    #[test]
-    fn parallel_and_serial_scans_agree() {
-        let dir = std::env::temp_dir().join(format!("genlint-par-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("crates/x/src")).expect("mkdir");
-        for i in 0..8 {
-            std::fs::write(
-                dir.join(format!("crates/x/src/f{i}.rs")),
-                "fn f() { std::fs::write(p, d); }\n",
-            )
-            .expect("write");
-        }
-        let cfg = Config::default();
-        let serial = scan_with(&dir, &cfg, &ScanOptions { jobs: 1 }).expect("serial");
-        let parallel = scan_with(&dir, &cfg, &ScanOptions { jobs: 4 }).expect("parallel");
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = |r: &ScanResult| {
-            r.findings
-                .iter()
-                .map(|f| (f.path.clone(), f.line, f.col, f.rule, f.message.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&serial), key(&parallel));
-        assert_eq!(serial.files_scanned, 8);
     }
 }

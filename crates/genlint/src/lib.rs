@@ -45,6 +45,4 @@ pub mod report;
 pub mod rules;
 pub mod source;
 
-pub use engine::{
-    check_file, collect_rs_files, lock_graph, scan, scan_with, ScanOptions, ScanResult,
-};
+pub use engine::{check_file, collect_rs_files, lock_graph, scan, ScanResult};

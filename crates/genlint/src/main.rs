@@ -1,18 +1,14 @@
 //! CLI driver for genlint.
 //!
 //! ```text
-//! genlint [--root DIR] [--config FILE] [--format human|json|sarif]
-//!         [--deny] [--jobs N] [--lock-graph] [--list-rules]
+//! genlint [--root DIR] [--config FILE] [--deny] [--lock-graph] [--list-rules]
 //! ```
 //!
 //! * `--root` — workspace root to scan (default: current directory).
 //! * `--config` — config path (default: `<root>/genlint.toml`; scanning
 //!   without one uses built-in defaults, which declare no mutator sets or
 //!   locks — fine for fixtures, wrong for CI).
-//! * `--format` — `human` (default), `json`, or `sarif`; `--json` is a
-//!   compatibility alias for `--format json`.
 //! * `--deny` — exit 1 when any finding survives the baseline (CI mode).
-//! * `--jobs N` — worker threads for the per-file phase (default: auto).
 //! * `--lock-graph` — print the observed whole-program lock acquisition
 //!   graph and exit (debugging surface for the `lock-order-graph` rule).
 //! * `--list-rules` — print the rule registry and exit.
@@ -23,19 +19,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(PartialEq)]
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
 struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
-    format: Format,
     deny: bool,
-    jobs: usize,
     lock_graph: bool,
     list_rules: bool,
 }
@@ -44,9 +31,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         config: None,
-        format: Format::Human,
         deny: false,
-        jobs: 0,
         lock_graph: false,
         list_rules: false,
     };
@@ -59,33 +44,11 @@ fn parse_args() -> Result<Args, String> {
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a file")?));
             }
-            "--format" => {
-                args.format = match it.next().as_deref() {
-                    Some("human") => Format::Human,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
-                    other => {
-                        return Err(format!(
-                            "--format needs human|json|sarif, got {}",
-                            other.unwrap_or("nothing")
-                        ))
-                    }
-                };
-            }
-            "--json" => args.format = Format::Json,
             "--deny" => args.deny = true,
-            "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a thread count")?
-                    .parse()
-                    .map_err(|_| "--jobs needs a number")?;
-            }
             "--lock-graph" => args.lock_graph = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
-                return Err("usage: genlint [--root DIR] [--config FILE] \
-                            [--format human|json|sarif] [--deny] [--jobs N] \
+                return Err("usage: genlint [--root DIR] [--config FILE] [--deny] \
                             [--lock-graph] [--list-rules]"
                     .to_owned())
             }
@@ -124,14 +87,9 @@ fn run() -> Result<ExitCode, String> {
         print!("{text}");
         return Ok(ExitCode::SUCCESS);
     }
-    let opts = genlint::ScanOptions { jobs: args.jobs };
-    let result = genlint::scan_with(&args.root, &cfg, &opts)
+    let result = genlint::scan(&args.root, &cfg)
         .map_err(|e| format!("scan of {}: {e}", args.root.display()))?;
-    match args.format {
-        Format::Human => print!("{}", genlint::report::human(&result)),
-        Format::Json => print!("{}", genlint::report::json(&result)),
-        Format::Sarif => print!("{}", genlint::report::sarif(&result)),
-    }
+    print!("{}", genlint::report::human(&result));
     if args.deny && !result.findings.is_empty() {
         Ok(ExitCode::FAILURE)
     } else {

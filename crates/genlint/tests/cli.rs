@@ -2,11 +2,18 @@
 
 use std::process::Command;
 
-/// The incremental cache is gone, and its flags with it: both are
-/// rejected like any other unknown argument (exit code 2), not ignored.
+/// The incremental cache, the worker pool and the JSON/SARIF reporters
+/// are gone, and their flags with them: each is rejected like any other
+/// unknown argument (exit code 2), not ignored.
 #[test]
 fn removed_cache_flags_are_unknown_arguments() {
-    for args in [&["--cache", "x"][..], &["--no-cache"]] {
+    for args in [
+        &["--cache", "x"][..],
+        &["--no-cache"],
+        &["--jobs", "2"],
+        &["--format", "json"],
+        &["--json"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_genlint"))
             .args(args)
             .output()

@@ -45,7 +45,7 @@ pub use compose::{
     compose_idx, compose_idx_with_threshold, compose_path_idx, compose_path_idx_with_threshold,
 };
 pub use exec::ExecConfig;
-pub use plan::{explain_view, plan_chain, plan_chain_explain, ExplainNode, ViewContext};
+pub use plan::{explain_view, plan_chain, ExplainNode, ViewContext};
 pub use setops::{difference, intersect, union};
 pub use simple::{map, map_index};
 pub use subsume::subsume;

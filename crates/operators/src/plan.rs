@@ -239,19 +239,6 @@ pub fn plan_chain(
     plan_chain_inner(store, path, floor, cfg, ctx, false).map(|(idx, _)| idx)
 }
 
-/// [`plan_chain`] with the explain tree of the plan it actually ran.
-pub fn plan_chain_explain(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    floor: Option<f64>,
-    cfg: &ExecConfig,
-    ctx: Option<&ViewContext>,
-) -> GamResult<(Arc<MappingIndex>, ExplainNode)> {
-    let (idx, node) = plan_chain_inner(store, path, floor, cfg, ctx, true)?;
-    let node = node.unwrap_or_else(|| ExplainNode::leaf("chain".into(), idx.len()));
-    Ok((idx, node))
-}
-
 /// Resolve `from → to` for a view target with an explicit path: the
 /// direct mapping when one exists ("Map or Compose", Figure 5), otherwise
 /// a planned Compose chain over `path`.

@@ -386,18 +386,17 @@ impl Database {
     }
 
     /// Create a table if it does not already exist. An existing table must
-    /// have identical columns and primary key; a difference confined to the
-    /// secondary-index list is reconciled in place (missing indexes are
-    /// built from the live rows, extra ones dropped), so adding an index to
-    /// a schema does not invalidate previously-persisted databases.
+    /// have identical columns; a difference confined to the index list —
+    /// the primary key is the index `"pk"` — is reconciled in place (missing
+    /// indexes are built from the live rows, extra ones dropped), so
+    /// changing a schema's indexes does not invalidate previously-persisted
+    /// databases.
     pub fn ensure_table(&mut self, schema: Schema) -> StoreResult<()> {
         if let Some(existing) = self.tables.get_mut(schema.name()) {
             if existing.schema() == &schema {
                 return Ok(());
             }
-            let same_core = existing.schema().columns() == schema.columns()
-                && existing.schema().primary_key() == schema.primary_key();
-            if same_core {
+            if existing.schema().columns() == schema.columns() {
                 return existing.reconcile_indexes(schema);
             }
             return Err(StoreError::InvalidSchema(format!(
@@ -874,6 +873,50 @@ mod tests {
         assert!(matches!(
             db.ensure_table(other),
             Err(StoreError::InvalidSchema(_))
+        ));
+    }
+
+    #[test]
+    fn ensure_table_reconciles_the_primary_key_like_any_index() {
+        let keyless = || {
+            Schema::builder("t")
+                .column(Column::new("id", ValueType::Int))
+                .column(Column::new("name", ValueType::Text))
+                .index("by_name", &["name"])
+                .build()
+                .unwrap()
+        };
+        let insert = |db: &mut Database, id: i64, name: &str| {
+            db.with_txn(|txn| txn.insert("t", vec![Value::Int(id), Value::text(name)]))
+        };
+        let mut db = Database::in_memory();
+        db.create_table(schema("t")).unwrap();
+        insert(&mut db, 1, "x").unwrap();
+        insert(&mut db, 2, "x").unwrap();
+        // a key no longer declared is dropped, and no longer enforced
+        db.ensure_table(keyless()).unwrap();
+        assert!(db.table("t").unwrap().schema().primary_key().is_empty());
+        assert!(matches!(
+            db.table("t").unwrap().lookup("pk", &[Value::Int(1)]),
+            Err(StoreError::NoSuchIndex { .. })
+        ));
+        let twin = insert(&mut db, 1, "y").unwrap();
+        // a newly declared key the rows violate is refused, table as it was
+        assert!(matches!(
+            db.ensure_table(schema("t")),
+            Err(StoreError::UniqueViolation { index, .. }) if index == "pk"
+        ));
+        let t = db.table("t").unwrap();
+        assert_eq!(t.schema(), &keyless());
+        assert_eq!(t.lookup("by_name", &[Value::text("x")]).unwrap().len(), 2);
+        // once the rows allow it the key is built from them, and enforced
+        db.with_txn(|txn| txn.delete("t", twin).map(|_| ())).unwrap();
+        db.ensure_table(schema("t")).unwrap();
+        let hit = db.table("t").unwrap().lookup_unique("pk", &[Value::Int(2)]).unwrap();
+        assert_eq!(hit.unwrap().get(1), &Value::text("x"));
+        assert!(matches!(
+            insert(&mut db, 2, "z"),
+            Err(StoreError::UniqueViolation { .. })
         ));
     }
 

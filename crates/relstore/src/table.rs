@@ -992,20 +992,20 @@ impl Table {
         )
     }
 
-    /// Row ids under an exact key of a named index, in key/row order.
-    pub fn lookup_row_ids(&self, index: &str, key: &[Value]) -> StoreResult<Vec<RowId>> {
+    /// Row ids under every key of a named index that starts with `prefix`
+    /// (its leading key columns), in row order. An exact key is the full
+    /// prefix: the key encoding is prefix-free, so nothing longer matches.
+    pub fn lookup_row_ids(&self, index: &str, prefix: &[Value]) -> StoreResult<Vec<RowId>> {
         let ix = self.index(index)?;
-        Ok(ix
-            .spec()
-            .probe(key)
-            .map(|key| ix.lookup(&key).to_vec())
-            .unwrap_or_default())
-    }
-
-    /// Number of rows under an exact key (no row materialization at all).
-    pub fn index_lookup_count(&self, index: &str, key: &[Value]) -> StoreResult<usize> {
-        let ix = self.index(index)?;
-        Ok(ix.spec().probe(key).map_or(0, |key| ix.lookup(&key).len()))
+        let mut ids = Vec::new();
+        if let Some(prefix) = ix.spec().probe(prefix) {
+            ix.visit_prefix(&prefix, |_, run| {
+                ids.extend_from_slice(run);
+                true
+            });
+        }
+        ids.sort_unstable();
+        Ok(ids)
     }
 
     /// Number of rows under a key prefix of a composite index.
@@ -1089,13 +1089,14 @@ impl Table {
         Ok(total)
     }
 
-    /// Adopt `schema`'s index list, keeping the table's columns and primary
-    /// key as they are. The caller (`Database::ensure_table`) has already
-    /// verified that name, columns and primary key match; this method builds
-    /// any indexes present only in the new schema from the live rows, drops
-    /// indexes no longer declared, and reuses unchanged ones. All new
-    /// structures are built before anything is swapped, so a failure (e.g. a
-    /// unique violation surfaced by existing data) leaves the table intact.
+    /// Adopt `schema`'s index list — the primary key included, as the
+    /// index `"pk"` — keeping the table's columns as they are. The caller
+    /// (`Database::ensure_table`) has already verified that name and
+    /// columns match; this method builds any indexes present only in the
+    /// new schema from the live rows, drops indexes no longer declared, and
+    /// reuses unchanged ones. All new structures are built before anything
+    /// is swapped, so a failure (e.g. a unique violation surfaced by
+    /// existing data) leaves the table intact.
     pub(crate) fn reconcile_indexes(&mut self, schema: Schema) -> StoreResult<()> {
         let kept = |def: &IndexDef| self.schema.indexes().iter().position(|old| old == def);
         let fresh: Vec<&IndexDef> = schema
@@ -1103,7 +1104,12 @@ impl Table {
             .iter()
             .filter(|def| kept(def).is_none())
             .collect();
-        let (built, _) = index_rows(&schema, &fresh, &self.store)?;
+        // dropping indexes reads no row (and faults no page)
+        let built = if fresh.is_empty() {
+            Vec::new()
+        } else {
+            index_rows(&schema, &fresh, &self.store)?.0
+        };
         let mut built = built.into_iter();
         let slots: Vec<Option<usize>> = schema.indexes().iter().map(kept).collect();
         let mut old: Vec<Option<IndexStore>> = std::mem::take(&mut self.indexes)
@@ -1612,12 +1618,18 @@ mod tests {
         t.for_each_lookup("by_source", &key, |r| streamed.push(r.clone()))
             .unwrap();
         assert_eq!(streamed, reference);
-        assert_eq!(t.index_lookup_count("by_source", &key).unwrap(), reference.len());
+        let ids = t.lookup_row_ids("by_source", &key).unwrap();
+        assert_eq!(ids.len(), reference.len());
+        assert!(t.lookup_row_ids("by_source", &[Value::Int(99)]).unwrap().is_empty());
+        // a leading-column prefix of a composite key finds the same rows, in
+        // row order although "A11" sorts before "A2" in the key
+        assert_eq!(t.lookup_row_ids("by_acc", &key).unwrap(), ids);
+        assert_eq!(t.index_prefix_count("by_acc", &key).unwrap(), ids.len());
+        // the full key is the full prefix: "A20" does not start with it
         assert_eq!(
-            t.lookup_row_ids("by_source", &key).unwrap().len(),
-            reference.len()
+            t.lookup_row_ids("by_acc", &[Value::Int(2), Value::text("A2")]).unwrap(),
+            vec![RowId(2)]
         );
-        assert_eq!(t.index_lookup_count("by_source", &[Value::Int(99)]).unwrap(), 0);
     }
 
     #[test]

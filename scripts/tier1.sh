@@ -23,10 +23,8 @@ cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 # architectural invariant gate (DESIGN.md §11, §16): any unbaselined
-# finding fails the build; the same scan is exported as a SARIF artifact
-# for code-scanning UIs (target/genlint.sarif)
+# finding fails the build
 cargo run -q --offline --locked -p genlint -- --deny
-cargo run -q --offline --locked -p genlint -- --format sarif > target/genlint.sarif
 
 if [ "$(git status --porcelain)" != "$status_before" ]; then
     echo "tier1: the run changed the working tree:" >&2
