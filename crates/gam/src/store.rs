@@ -50,7 +50,7 @@ impl GamStore {
         for schema in all_schemas()? {
             db.create_table(schema)?;
         }
-        Ok(Self::wrap(db))
+        Self::wrap(db)
     }
 
     /// Open (or create) a durable store in `dir`.
@@ -65,7 +65,7 @@ impl GamStore {
         for schema in all_schemas()? {
             db.ensure_table(schema)?;
         }
-        Ok(Self::wrap(db))
+        Self::wrap(db)
     }
 
     /// Open (or create) a durable store whose tables live in slotted heap
@@ -85,7 +85,7 @@ impl GamStore {
         for schema in all_schemas()? {
             db.ensure_table(schema)?;
         }
-        Ok(Self::wrap(db))
+        Self::wrap(db)
     }
 
     /// What recovery found when this store was opened (`None` for
@@ -107,94 +107,94 @@ impl GamStore {
     /// prefix is closed under the references above.
     pub fn verify_integrity(&self) -> GamResult<Vec<String>> {
         use std::collections::HashSet;
+        let int = |row: &Row, column: usize| row.get(column).as_int().unwrap_or(-1);
+        // every pass is a `for_each_row`: a page that cannot be read is this
+        // call's error, never a shorter table
         let ids_of = |table: &str| -> GamResult<HashSet<i64>> {
-            Ok(self
-                .db
-                .table(table)?
-                .scan()
-                .filter_map(|(_, r)| r.get(0).as_int())
-                .collect())
+            let mut ids = HashSet::new();
+            self.db.table(table)?.for_each_row(|_, row| {
+                ids.extend(row.get(0).as_int());
+                Ok(())
+            })?;
+            Ok(ids)
         };
         let source_ids = ids_of(tables::SOURCE)?;
         let object_ids = ids_of(tables::OBJECT)?;
         let source_rel_ids = ids_of(tables::SOURCE_REL)?;
         let mut violations = Vec::new();
-        for (_, row) in self.db.table(tables::OBJECT)?.scan() {
-            let sid = row.get(1).as_int().unwrap_or(-1);
+        self.db.table(tables::OBJECT)?.for_each_row(|_, row| {
+            let sid = int(row, 1);
             if !source_ids.contains(&sid) {
                 violations.push(format!(
                     "OBJECT {} references missing SOURCE {sid}",
-                    row.get(0).as_int().unwrap_or(-1)
+                    int(row, 0)
                 ));
             }
-        }
-        for (_, row) in self.db.table(tables::SOURCE_REL)?.scan() {
-            let id = row.get(0).as_int().unwrap_or(-1);
+            Ok(())
+        })?;
+        self.db.table(tables::SOURCE_REL)?.for_each_row(|_, row| {
+            let id = int(row, 0);
             for col in [1, 2] {
-                let sid = row.get(col).as_int().unwrap_or(-1);
+                let sid = int(row, col);
                 if !source_ids.contains(&sid) {
                     violations.push(format!(
                         "SOURCE_REL {id} references missing SOURCE {sid}"
                     ));
                 }
             }
-        }
+            Ok(())
+        })?;
         let mut last_id = 0;
-        for (_, row) in self.db.table(tables::OBJECT_REL)?.scan() {
-            let id = row.get(0).as_int().unwrap_or(-1);
+        self.db.table(tables::OBJECT_REL)?.for_each_row(|_, row| {
+            let id = int(row, 0);
             if id <= last_id {
                 violations.push(format!(
                     "OBJECT_REL {id} does not ascend past {last_id} in row order"
                 ));
             }
             last_id = last_id.max(id);
-            let srel = row.get(1).as_int().unwrap_or(-1);
+            let srel = int(row, 1);
             if !source_rel_ids.contains(&srel) {
                 violations.push(format!(
                     "OBJECT_REL {id} references missing SOURCE_REL {srel}"
                 ));
             }
             for col in [2, 3] {
-                let oid = row.get(col).as_int().unwrap_or(-1);
+                let oid = int(row, col);
                 if !object_ids.contains(&oid) {
                     violations.push(format!(
                         "OBJECT_REL {id} references missing OBJECT {oid}"
                     ));
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(violations)
     }
 
-    fn wrap(db: Database) -> Self {
+    fn wrap(db: Database) -> GamResult<Self> {
         // ids are handed out ascending, so the greatest primary key is the
         // last one used — read off the index, no row (or page) is touched
-        let max_id = |table: &str| -> i64 {
-            db.table(table)
-                .and_then(|t| t.last_key("pk"))
-                .map(|key| key.and_then(|k| k[0].as_int()).unwrap_or(0))
-                .unwrap_or(0)
+        let max_id = |table: &str| -> GamResult<i64> {
+            let key = db.table(table)?.last_key("pk")?;
+            Ok(key.and_then(|k| k[0].as_int()).unwrap_or(0))
         };
-        let next_source = (max_id(tables::SOURCE) + 1) as u32;
-        let next_object = (max_id(tables::OBJECT) + 1) as u64;
-        let next_source_rel = (max_id(tables::SOURCE_REL) + 1) as u32;
-        let import_seq = db
-            .table(tables::SOURCE)
-            .map(|t| {
-                t.scan()
-                    .map(|(_, r)| r.get(5).as_int().unwrap_or(0) as u64)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0);
-        GamStore {
+        let next_source = (max_id(tables::SOURCE)? + 1) as u32;
+        let next_object = (max_id(tables::OBJECT)? + 1) as u64;
+        let next_source_rel = (max_id(tables::SOURCE_REL)? + 1) as u32;
+        let mut import_seq = 0;
+        db.table(tables::SOURCE)?.for_each_row(|_, row| {
+            import_seq = import_seq.max(row.get(5).as_int().unwrap_or(0) as u64);
+            Ok(())
+        })?;
+        Ok(GamStore {
             db,
             next_source,
             next_object,
             next_source_rel,
             import_seq,
             mutations: 0,
-        }
+        })
     }
 
     /// How many mutating calls this store has served. Any cache derived
@@ -279,6 +279,24 @@ impl GamStore {
             rel_type: RelType::from_code(row.get(3).as_int().unwrap_or(-1))?,
             derivation: row.get(4).as_text().map(str::to_owned),
         })
+    }
+
+    /// Every live row of `table`, decoded, in row order. A page that cannot
+    /// be read is the caller's error, not a shorter list.
+    fn decode_rows<T>(
+        table: &relstore::Table,
+        decode: impl Fn(&Row) -> GamResult<T>,
+    ) -> GamResult<Vec<T>> {
+        let mut out = Vec::with_capacity(table.len());
+        let mut failed = None;
+        table.for_each_row(|_, row| {
+            match decode(row) {
+                Ok(item) => out.push(item),
+                Err(e) => failed = failed.take().or(Some(e)),
+            }
+            Ok(())
+        })?;
+        failed.map_or(Ok(out), Err)
     }
 
     // ------------------------------------------------------------------
@@ -428,10 +446,7 @@ impl GamStore {
     /// All sources, ordered by id.
     pub fn sources(&self) -> GamResult<Vec<Source>> {
         let table = self.db.table(tables::SOURCE)?;
-        let mut out = Vec::with_capacity(table.len());
-        for (_, row) in table.scan() {
-            out.push(Self::source_from_row(&row)?);
-        }
+        let mut out = Self::decode_rows(table, Self::source_from_row)?;
         out.sort_by_key(|s| s.id);
         Ok(out)
     }
@@ -643,23 +658,22 @@ impl GamStore {
 
     /// Ids of all objects of a source.
     pub fn object_ids_of(&self, source: SourceId) -> GamResult<Vec<ObjectId>> {
-        let rows = self
-            .db
-            .table(tables::OBJECT)?
-            .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?;
-        Ok(rows
-            .into_iter()
-            .map(|r| ObjectId::from_i64(r.get(0).as_int().unwrap_or_default()))
-            .collect())
+        let mut ids = Vec::new();
+        self.db.table(tables::OBJECT)?.for_each_prefix(
+            "by_accession",
+            &[Value::Int(source.as_i64())],
+            |row| ids.push(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
+        )?;
+        Ok(ids)
     }
 
-    /// Number of objects of a source.
+    /// Number of objects of a source, counted off the `by_accession` index:
+    /// no row is read (and on a paged store no page faulted).
     pub fn object_count(&self, source: SourceId) -> GamResult<usize> {
         Ok(self
             .db
             .table(tables::OBJECT)?
-            .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?
-            .len())
+            .index_prefix_count("by_accession", &[Value::Int(source.as_i64())])?)
     }
 
     /// Case-insensitive substring search over object names within a
@@ -789,10 +803,7 @@ impl GamStore {
     /// All `SOURCE_REL` rows, ordered by id.
     pub fn source_rels(&self) -> GamResult<Vec<SourceRel>> {
         let table = self.db.table(tables::SOURCE_REL)?;
-        let mut out = Vec::with_capacity(table.len());
-        for (_, row) in table.scan() {
-            out.push(Self::source_rel_from_row(&row)?);
-        }
+        let mut out = Self::decode_rows(table, Self::source_rel_from_row)?;
         out.sort_by_key(|r| r.id);
         Ok(out)
     }
@@ -1372,6 +1383,56 @@ mod tests {
             s.verify_integrity().unwrap(),
             vec!["OBJECT_REL 1 does not ascend past 1 in row order".to_owned()]
         );
+    }
+
+    #[test]
+    fn verify_integrity_fails_on_a_page_it_cannot_read() {
+        use relstore::vfs::{FaultVfs, Vfs};
+        let vfs = FaultVfs::new();
+        let dir = Path::new("/db");
+        let open = || {
+            let pool = relstore::PoolConfig { page_bytes: 256, pool_pages: 2 };
+            GamStore::open_paged_with_vfs(std::sync::Arc::new(vfs.clone()), dir, pool).unwrap()
+        };
+        let mut s = open();
+        let a = gene_source(&mut s, "A");
+        let b = gene_source(&mut s, "B");
+        let accessions: Vec<String> = (0..200).map(|i| format!("x{i}")).collect();
+        let keys: Vec<_> = accessions.iter().map(|acc| (acc.as_str(), None, None)).collect();
+        let (from, _) = s.add_objects_bulk_ref(a.id, &keys).unwrap();
+        let (to, _) = s.add_objects_bulk_ref(b.id, &keys).unwrap();
+        let rel = s.create_source_rel(a.id, b.id, RelType::Fact, None).unwrap();
+        let pairs: Vec<_> = from.iter().zip(&to).map(|(f, t)| Association::fact(*f, *t)).collect();
+        for batch in pairs.chunks(25) {
+            // a batch seals as one page: several make several
+            s.add_associations_bulk(rel, batch.iter().copied(), &mut 0).unwrap();
+        }
+        s.checkpoint().unwrap();
+        drop(s);
+        // reopened, the two-page pool holds a sliver of the heap: the first
+        // sealed OBJECT_REL page is on disk only
+        let s = open();
+        assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
+        let pagedir = vfs.read(&dir.join("pagedir.bin")).unwrap().unwrap();
+        let catalog = relstore::pager::decode_page_directory(&pagedir).unwrap();
+        let object_rel = catalog.tables.iter().find(|t| t.schema.name() == tables::OBJECT_REL);
+        let pages = &object_rel.unwrap().pages;
+        assert!(pages.len() > 4, "OBJECT_REL must outgrow the pool");
+        let heap = dir.join(format!("heap.{}.bin", catalog.heap_gen));
+        let mut bytes = vfs.read(&heap).unwrap().unwrap();
+        bytes[(pages[0].loc.offset + pages[0].loc.len as u64 - 1) as usize] ^= 0x01;
+        let mut file = vfs.create(&heap).unwrap();
+        file.write_all(&bytes).unwrap();
+        // a store it could not finish reading is an error, not a clean bill
+        match s.verify_integrity() {
+            Err(GamError::Store(relstore::StoreError::Corrupt(msg))) => {
+                assert!(msg.contains("checksum"), "{msg}")
+            }
+            other => panic!("an unreadable OBJECT_REL page passed as {other:?}"),
+        }
+        // the catalog passes over the same pool still answer
+        assert_eq!(s.sources().unwrap().len(), 2);
+        assert_eq!(s.source_rels().unwrap().len(), 1);
     }
 
     #[test]

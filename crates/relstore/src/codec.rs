@@ -117,33 +117,49 @@ pub fn put_value(buf: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Decode one value.
-pub fn get_value(buf: &mut &[u8]) -> StoreResult<Value> {
+/// Decode one value over `slot` — the one value decoder. A text or byte
+/// payload lands in the buffer `slot` already holds, if it holds one, so a
+/// reader that keeps its slots decodes row after row without allocating.
+pub fn get_value_into(buf: &mut &[u8], slot: &mut Value) -> StoreResult<()> {
     let tag = get_u8(buf, "value tag ran off end of buffer")?;
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_INT => Value::Int(unzigzag(get_varint(buf)?)),
+    match tag {
+        TAG_NULL => *slot = Value::Null,
+        TAG_INT => *slot = Value::Int(unzigzag(get_varint(buf)?)),
         TAG_FLOAT => {
             let raw = take(buf, 8, "float payload truncated")?;
             let mut bits = [0u8; 8];
             bits.copy_from_slice(raw);
-            Value::Float(f64::from_bits(u64::from_le_bytes(bits)))
+            *slot = Value::Float(f64::from_bits(u64::from_le_bytes(bits)));
         }
         TAG_TEXT => {
             let len = get_varint(buf)? as usize;
             let raw = take(buf, len, "text payload truncated")?;
             let s = std::str::from_utf8(raw)
                 .map_err(|_| StoreError::Corrupt("text payload is not UTF-8".into()))?;
-            Value::Text(s.to_owned())
+            match slot {
+                Value::Text(held) => s.clone_into(held),
+                _ => *slot = Value::Text(s.to_owned()),
+            }
         }
         TAG_BYTES => {
             let len = get_varint(buf)? as usize;
-            Value::Bytes(take(buf, len, "bytes payload truncated")?.to_vec())
+            let raw = take(buf, len, "bytes payload truncated")?;
+            match slot {
+                Value::Bytes(held) => raw.clone_into(held),
+                _ => *slot = Value::Bytes(raw.to_vec()),
+            }
         }
         other => {
             return Err(StoreError::Corrupt(format!("unknown value tag {other}")));
         }
-    })
+    }
+    Ok(())
+}
+
+/// Decode one value.
+pub fn get_value(buf: &mut &[u8]) -> StoreResult<Value> {
+    let mut value = Value::Null;
+    get_value_into(buf, &mut value).map(|()| value)
 }
 
 /// Encode a row (arity-prefixed value list).
@@ -152,6 +168,24 @@ pub fn put_row(buf: &mut Vec<u8>, values: &[Value]) {
     for v in values {
         put_value(buf, v);
     }
+}
+
+/// Bytes a varint takes.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Exactly what [`put_row`] would append for `values`, without encoding.
+pub fn row_len(values: &[Value]) -> usize {
+    let payload = |len: usize| varint_len(len as u64) + len;
+    let cells = values.iter().map(|v| match v {
+        Value::Null => 1,
+        Value::Int(v) => 1 + varint_len(zigzag(*v)),
+        Value::Float(_) => 9,
+        Value::Text(s) => 1 + payload(s.len()),
+        Value::Bytes(b) => 1 + payload(b.len()),
+    });
+    varint_len(values.len() as u64) + cells.sum::<usize>()
 }
 
 /// Decode a row.
@@ -179,34 +213,54 @@ pub fn get_str(buf: &mut &[u8]) -> StoreResult<String> {
         .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
 }
 
-/// `CRC_TABLE[b]` is the CRC-32 remainder of the single byte `b`: eight
-/// rounds of the reflected IEEE 802.3 polynomial, done once at compile time.
-const CRC_TABLE: [u32; 256] = crc_table();
+/// `CRC_TABLES[0][b]` is the CRC-32 remainder of the single byte `b` (eight
+/// rounds of the reflected IEEE 802.3 polynomial); `CRC_TABLES[k][b]` is the
+/// remainder of `b` followed by `k` zero bytes — table `k - 1`'s entry taken
+/// through eight more rounds. Done once at compile time.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut byte = 0;
-    while byte < 256 {
-        let mut crc = byte as u32;
-        let mut round = 0;
-        while round < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            round += 1;
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let mut crc = if k == 0 { byte as u32 } else { tables[k - 1][byte] };
+            let mut round = 0;
+            while round < 8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+                round += 1;
+            }
+            tables[k][byte] = crc;
+            byte += 1;
         }
-        table[byte] = crc;
-        byte += 1;
+        k += 1;
     }
-    table
+    tables
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice, one table lookup per
-/// byte. Frames WAL records and checksums page images and page
-/// directories.
+/// CRC-32 (IEEE 802.3, reflected) over a byte slice, slicing-by-8: eight
+/// bytes a step through eight tables, a byte-wise tail. Frames WAL records
+/// and checksums page images and page directories.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xffff_ffff;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
 }
@@ -319,6 +373,38 @@ mod tests {
             let data: Vec<u8> = (0..rng.below(300)).map(|_| rng.below(256) as u8).collect();
             assert_eq!(crc32(&data), crc32_bitwise(&data), "{data:?}");
         });
+        // every length around the eight-byte step, at every alignment of
+        // one shared buffer
+        let shared: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &shared[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_len_is_what_put_row_appends() {
+        testkit::cases(128, |rng| {
+            let values: Vec<Value> = (0..rng.below(8))
+                .map(|_| match rng.below(5) {
+                    0 => Value::Null,
+                    1 => Value::Int((rng.next_u64() as i64) >> rng.below(64)),
+                    2 => Value::Float(rng.below(1000) as f64 / 7.0),
+                    3 => Value::text("x".repeat(rng.below(300))),
+                    _ => Value::bytes(vec![7u8; rng.below(200)]),
+                })
+                .collect();
+            let mut buf = Vec::new();
+            put_row(&mut buf, &values);
+            assert_eq!(row_len(&values), buf.len(), "{values:?}");
+        });
+        for v in [0, 1, 127, 128, 16383, 16384, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+        }
     }
 
     #[test]

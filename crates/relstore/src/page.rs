@@ -11,14 +11,18 @@
 //! detected at fault-in and surfaces as [`StoreError::Corrupt`], never as
 //! silently wrong rows.
 //!
-//! Pages are *immutable images*: the buffer pool ([`crate::pager`])
-//! rewrites a whole page (copy-on-write append to the heap file) when any
-//! of its rows change, so images are only ever appended and the fault
-//! model for torn tails matches the WAL's.
+//! [`PageImage`] is that byte string in memory — the header, the slot
+//! directory as a table of cell extents, and the cell area as it is on disk
+//! — and what a buffer-pool frame ([`crate::pager`]) holds. A row is decoded
+//! from its cell when a read asks for it; a damaged cell is a typed error at
+//! that read. On disk images are immutable: the pool appends a fresh image
+//! (copy-on-write) when any row of a page changed, so the fault model for
+//! torn tails matches the WAL's.
 
 use crate::codec::{crc32, get_count, get_row, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
+use crate::value::Value;
 
 /// Page image magic.
 pub const PAGE_MAGIC: &[u8; 4] = b"RSPG";
@@ -34,157 +38,423 @@ pub struct PageId {
     pub page_no: u32,
 }
 
-/// A decoded page: its identity, base row id, and slot contents.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedPage {
+/// Where a slot's cell lies in the cell area; `len == 0` is a tombstone (a
+/// cell is at least its arity byte).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    off: u32,
+    len: u32,
+}
+
+/// A page as it is on disk: identity, base row id, slot table, cell area.
+#[derive(Debug, Clone)]
+pub struct PageImage {
     pub table_id: u32,
     pub page_no: u32,
     /// Row id of slot 0; slot `i` is row `base + i`.
     pub base: u64,
-    /// Slot contents; `None` is a tombstone.
-    pub rows: Vec<Option<Row>>,
+    slots: Vec<Slot>,
+    cells: Vec<u8>,
+    /// Bytes of `cells` no slot points at any more; never written out.
+    dead: usize,
 }
 
-/// Exact encoded size of one row cell (used for page-fill accounting).
-pub(crate) fn encoded_row_len(values: &[crate::value::Value]) -> usize {
-    let mut scratch = Vec::new();
-    put_row(&mut scratch, values);
-    scratch.len()
-}
+impl PageImage {
+    /// The image of `rows` (`None` = tombstone), each cell encoded once.
+    pub fn from_rows(table_id: u32, page_no: u32, base: u64, rows: &[Option<Row>]) -> Self {
+        let (slots, cells) = (Vec::with_capacity(rows.len()), Vec::new());
+        let mut image = PageImage { table_id, page_no, base, slots, cells, dead: 0 };
+        for row in rows {
+            let slot = image.append(row.as_ref().map(Row::values));
+            image.slots.push(slot);
+        }
+        image
+    }
 
-/// Encode a page image (header + CRC + slotted body).
-pub fn encode_page(table_id: u32, page_no: u32, base: u64, rows: &[Option<Row>]) -> Vec<u8> {
-    let mut cells = Vec::new();
-    let mut directory: Vec<u64> = Vec::with_capacity(rows.len());
-    for slot in rows {
-        match slot {
-            None => directory.push(0),
-            Some(row) => {
-                directory.push(1 + cells.len() as u64);
-                put_row(&mut cells, row.values());
+    /// Encode `values` at the end of the cell area; `None` is a tombstone.
+    fn append(&mut self, values: Option<&[Value]>) -> Slot {
+        let off = self.cells.len();
+        if let Some(values) = values {
+            put_row(&mut self.cells, values);
+        }
+        Slot {
+            off: off as u32,
+            len: (self.cells.len() - off) as u32,
+        }
+    }
+
+    /// The one page parser: magic, CRC over the body, header, and a slot
+    /// directory whose live offsets must start at 0, ascend, and fall inside
+    /// the cell area — all checked here, before any cell is touched. A
+    /// cell's extent runs to the next live offset; that it decodes to
+    /// exactly that extent is checked when it is read.
+    pub fn parse(data: &[u8]) -> StoreResult<PageImage> {
+        if !(8..=u32::MAX as usize).contains(&data.len()) {
+            return Err(StoreError::Corrupt(format!("page image of {} bytes", data.len())));
+        }
+        if &data[0..4] != PAGE_MAGIC {
+            return Err(StoreError::Corrupt("bad page magic".into()));
+        }
+        let crc = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
+        let mut buf = &data[8..];
+        if crc32(buf) != crc {
+            return Err(StoreError::Corrupt("page checksum mismatch".into()));
+        }
+        let table_id = get_varint(&mut buf)? as u32;
+        let page_no = get_varint(&mut buf)? as u32;
+        let base = get_varint(&mut buf)?;
+        let nslots = get_count(&mut buf, 1, "page slot")?;
+        if nslots > MAX_PAGE_SLOTS {
+            return Err(StoreError::Corrupt(format!("implausible slot count {nslots}")));
+        }
+        let mut slots = Vec::with_capacity(nslots);
+        for _ in 0..nslots {
+            let entry = get_varint(&mut buf)?;
+            slots.push(Slot {
+                off: entry.saturating_sub(1).min(u32::MAX as u64) as u32,
+                len: (entry != 0) as u32,
+            });
+        }
+        // `buf` is the cell area: backwards, a live cell ends where the next starts
+        let mut end = buf.len() as u32;
+        for slot in slots.iter_mut().rev().filter(|s| s.len != 0) {
+            if slot.off >= end {
+                return Err(StoreError::Corrupt(format!(
+                    "page slot offset {} does not precede {end} in the cell area",
+                    slot.off
+                )));
             }
+            slot.len = end - slot.off;
+            end = slot.off;
         }
-    }
-    let mut body = Vec::new();
-    put_varint(&mut body, table_id as u64);
-    put_varint(&mut body, page_no as u64);
-    put_varint(&mut body, base);
-    put_varint(&mut body, rows.len() as u64);
-    for entry in directory {
-        put_varint(&mut body, entry);
-    }
-    body.extend_from_slice(&cells);
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(PAGE_MAGIC);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Decode and CRC-verify a page image.
-pub fn decode_page(data: &[u8]) -> StoreResult<DecodedPage> {
-    if data.len() < 8 {
-        return Err(StoreError::Corrupt("page image too short".into()));
-    }
-    if &data[0..4] != PAGE_MAGIC {
-        return Err(StoreError::Corrupt("bad page magic".into()));
-    }
-    let crc = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-    let body = &data[8..];
-    if crc32(body) != crc {
-        return Err(StoreError::Corrupt("page checksum mismatch".into()));
-    }
-    let mut buf = body;
-    let table_id = get_varint(&mut buf)? as u32;
-    let page_no = get_varint(&mut buf)? as u32;
-    let base = get_varint(&mut buf)?;
-    let nslots = get_count(&mut buf, 1, "page slot")?;
-    if nslots > MAX_PAGE_SLOTS {
-        return Err(StoreError::Corrupt(format!("implausible slot count {nslots}")));
-    }
-    let mut directory = Vec::with_capacity(nslots);
-    for _ in 0..nslots {
-        directory.push(get_varint(&mut buf)?);
-    }
-    // `buf` now holds the cell area. Cells were appended in slot order, so
-    // decoding sequentially must land exactly on each directory offset.
-    let cell_area_len = buf.len();
-    let mut rows = Vec::with_capacity(nslots);
-    for entry in directory {
-        if entry == 0 {
-            rows.push(None);
-            continue;
-        }
-        let offset = (entry - 1) as usize;
-        let consumed = cell_area_len - buf.len();
-        if offset != consumed {
+        if end != 0 {
             return Err(StoreError::Corrupt(format!(
-                "page slot offset {offset} disagrees with cell area position {consumed}"
+                "{end} bytes of the cell area belong to no slot"
             )));
         }
-        rows.push(Some(Row::new(get_row(&mut buf)?)));
+        Ok(PageImage {
+            table_id,
+            page_no,
+            base,
+            slots,
+            cells: buf.to_vec(),
+            dead: 0,
+        })
     }
-    Ok(DecodedPage {
-        table_id,
-        page_no,
-        base,
-        rows,
-    })
+
+    /// The image as bytes (header + CRC + slotted body): a byte copy of the
+    /// live cells in slot order, whatever order memory holds them in — the
+    /// bytes of [`from_rows`](Self::from_rows) over the same rows.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.cells.len() + 2 * self.slots.len() + 40);
+        out.extend_from_slice(PAGE_MAGIC);
+        out.extend_from_slice(&[0; 4]); // the checksum, once the body is known
+        put_varint(&mut out, self.table_id as u64);
+        put_varint(&mut out, self.page_no as u64);
+        put_varint(&mut out, self.base);
+        put_varint(&mut out, self.slots.len() as u64);
+        let mut at = 0u64;
+        for slot in &self.slots {
+            put_varint(&mut out, if slot.len == 0 { 0 } else { 1 + at });
+            at += slot.len as u64;
+        }
+        for slot in self.slots.iter().filter(|s| s.len != 0) {
+            out.extend_from_slice(self.cell(slot));
+        }
+        let crc = crc32(&out[8..]);
+        out[4..8].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn cell(&self, slot: &Slot) -> &[u8] {
+        &self.cells[slot.off as usize..][..slot.len as usize]
+    }
+
+    /// Number of slots (live or not).
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Encoded bytes of the live cells.
+    pub(crate) fn live_bytes(&self) -> usize {
+        self.cells.len() - self.dead
+    }
+
+    /// Run `read` over the cell of `slot`; `Ok(None)` for a tombstone or a
+    /// slot the page does not have. A cell `read` does not consume exactly
+    /// is corrupt.
+    pub(crate) fn read_cell<T>(
+        &self,
+        slot: usize,
+        read: impl FnOnce(&mut &[u8]) -> StoreResult<T>,
+    ) -> StoreResult<Option<T>> {
+        let Some(s) = self.slots.get(slot).filter(|s| s.len != 0) else {
+            return Ok(None);
+        };
+        let mut cell = self.cell(s);
+        let out = read(&mut cell)?;
+        if !cell.is_empty() {
+            let row = self.base + slot as u64;
+            return Err(StoreError::Corrupt(format!(
+                "row {row} leaves {} bytes of its cell unread",
+                cell.len()
+            )));
+        }
+        Ok(Some(out))
+    }
+
+    /// The row in `slot`, decoded straight into the row that is returned.
+    pub fn row(&self, slot: usize) -> StoreResult<Option<Row>> {
+        self.read_cell(slot, |cell| get_row(cell).map(Row::new))
+    }
+
+    /// Decode the row in `slot` over `scratch`; `false` for a tombstone.
+    pub(crate) fn row_into(&self, slot: usize, scratch: &mut Row) -> StoreResult<bool> {
+        Ok(self.read_cell(slot, |cell| scratch.decode_from(cell))?.is_some())
+    }
+
+    /// Point `slot` at `values` (`None` tombstones it) without touching any
+    /// other row: the old cell is abandoned where it lies, a new one is
+    /// appended, and abandoned bytes are squeezed out once they are half the
+    /// cell area — O(row) amortised.
+    pub(crate) fn set(&mut self, slot: usize, values: Option<&[Value]>) -> StoreResult<()> {
+        let old = self.slots.get_mut(slot).ok_or_else(|| {
+            StoreError::Corrupt(format!("page {} has no slot {slot}", self.page_no))
+        })?;
+        self.dead += old.len as usize;
+        old.len = 0;
+        if values.is_some() && self.dead > self.cells.len() / 2 {
+            let mut cells = Vec::with_capacity(self.cells.len() - self.dead);
+            for s in self.slots.iter_mut().filter(|s| s.len != 0) {
+                let cell = &self.cells[s.off as usize..][..s.len as usize];
+                s.off = cells.len() as u32;
+                cells.extend_from_slice(cell);
+            }
+            self.cells = cells;
+            self.dead = 0;
+        }
+        self.slots[slot] = self.append(values);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn row(i: i64) -> Row {
         Row::new(vec![Value::Int(i), Value::text(format!("r{i}")), Value::Null])
     }
 
+    /// Every slot of `page`, decoded.
+    fn rows_of(page: &PageImage) -> Vec<Option<Row>> {
+        (0..page.slot_count()).map(|slot| page.row(slot).unwrap()).collect()
+    }
+
     #[test]
     fn roundtrip_with_tombstones() {
         let rows = vec![Some(row(1)), None, Some(row(3)), None, None, Some(row(6))];
-        let image = encode_page(7, 42, 1000, &rows);
-        let page = decode_page(&image).unwrap();
+        let image = PageImage::from_rows(7, 42, 1000, &rows).encode();
+        let page = PageImage::parse(&image).unwrap();
         assert_eq!(page.table_id, 7);
         assert_eq!(page.page_no, 42);
         assert_eq!(page.base, 1000);
-        assert_eq!(page.rows, rows);
+        assert_eq!(rows_of(&page), rows);
+        assert_eq!(page.row(6).unwrap(), None, "a slot the page does not have");
+        assert_eq!(page.encode(), image, "an untouched image writes back as it was read");
     }
 
     #[test]
     fn empty_and_all_tombstone_pages() {
-        let image = encode_page(0, 0, 0, &[]);
-        assert_eq!(decode_page(&image).unwrap().rows, Vec::<Option<Row>>::new());
+        let image = PageImage::from_rows(0, 0, 0, &[]).encode();
+        assert_eq!(PageImage::parse(&image).unwrap().slot_count(), 0);
         let tombs = vec![None, None, None];
-        let image = encode_page(1, 2, 3, &tombs);
-        assert_eq!(decode_page(&image).unwrap().rows, tombs);
+        let image = PageImage::from_rows(1, 2, 3, &tombs).encode();
+        assert_eq!(rows_of(&PageImage::parse(&image).unwrap()), tombs);
     }
 
     #[test]
     fn corruption_detected() {
         let rows = vec![Some(row(1)), Some(row(2))];
-        let image = encode_page(1, 0, 0, &rows);
+        let image = PageImage::from_rows(1, 0, 0, &rows).encode();
         // bad magic
         let mut bad = image.clone();
         bad[0] = b'X';
-        assert!(decode_page(&bad).is_err());
+        assert!(PageImage::parse(&bad).is_err());
         // flipped body byte
         let mut bad = image.clone();
         let n = bad.len();
         bad[n - 1] ^= 0xff;
-        assert!(decode_page(&bad).is_err());
+        assert!(PageImage::parse(&bad).is_err());
         // truncation (torn page)
         for cut in [0, 4, 8, image.len() - 1] {
-            assert!(decode_page(&image[..cut]).is_err(), "cut at {cut}");
+            assert!(PageImage::parse(&image[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// A page image with a *valid* checksum over whatever `directory`
+    /// entries and cell bytes it is given.
+    fn forged(nslots: u64, directory: &[u64], cells: &[u8]) -> Vec<u8> {
+        let mut out = PAGE_MAGIC.to_vec();
+        out.extend_from_slice(&[0; 4]);
+        for v in [1, 0, 100, nslots] {
+            put_varint(&mut out, v);
+        }
+        for &entry in directory {
+            put_varint(&mut out, entry);
+        }
+        out.extend_from_slice(cells);
+        let crc = crc32(&out[8..]);
+        out[4..8].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn cell(values: &[Value]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_row(&mut out, values);
+        out
+    }
+
+    fn corrupt<T: std::fmt::Debug>(result: StoreResult<T>) -> String {
+        match result {
+            Err(StoreError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
     #[test]
-    fn encoded_row_len_matches_codec() {
-        let r = row(9);
-        let mut buf = Vec::new();
-        crate::codec::put_row(&mut buf, r.values());
-        assert_eq!(encoded_row_len(r.values()), buf.len());
+    fn a_bad_slot_directory_behind_a_valid_checksum_is_refused_at_parse() {
+        let good = cell(row(1).values());
+        let two = [good.clone(), good.clone()].concat();
+        let second = 1 + good.len() as u64;
+        // the well-formed image parses
+        assert_eq!(
+            rows_of(&PageImage::parse(&forged(2, &[1, second], &two)).unwrap()),
+            vec![Some(row(1)), Some(row(1))]
+        );
+        // an offset past the cell area
+        corrupt(PageImage::parse(&forged(2, &[1, 1 + two.len() as u64], &two)));
+        corrupt(PageImage::parse(&forged(2, &[1, u64::MAX], &two)));
+        // descending and repeated offsets
+        corrupt(PageImage::parse(&forged(2, &[second, 1], &two)));
+        corrupt(PageImage::parse(&forged(2, &[1, 1], &two)));
+        // cell bytes in front of the first cell, or under no live slot
+        corrupt(PageImage::parse(&forged(2, &[0, second], &two)));
+        corrupt(PageImage::parse(&forged(1, &[0], &good)));
+        // one slot too many: refused by the count, before the entries are read
+        let entries = vec![0u64; MAX_PAGE_SLOTS + 1];
+        let msg = corrupt(PageImage::parse(&forged(entries.len() as u64, &entries, &[])));
+        assert!(msg.contains("implausible slot count 4097"), "{msg}");
+        // a count the bytes that remain could not hold allocates nothing
+        let msg = corrupt(PageImage::parse(&forged(3000, &[1], &good)));
+        assert!(msg.contains("page slot count 3000"), "{msg}");
+    }
+
+    #[test]
+    fn a_bad_cell_behind_a_valid_checksum_is_an_error_at_its_read_only() {
+        let good = cell(row(7).values());
+        let mut unknown_tag = vec![1u8];
+        unknown_tag.push(9);
+        let mut not_utf8 = vec![1u8, 3, 2];
+        not_utf8.extend_from_slice(&[0xff, 0xfe]);
+        let mut short_arity = good.clone();
+        short_arity[0] = 2; // leaves its third value unread
+        let mut long_arity = good.clone();
+        long_arity[0] = 4; // runs off the end of its cell
+        let mut huge_arity = Vec::new();
+        put_varint(&mut huge_arity, u64::MAX); // sized by nothing
+        for bad in [unknown_tag, not_utf8, short_arity, long_arity, huge_arity] {
+            let cells = [good.clone(), bad.clone(), good.clone()].concat();
+            let offsets = [1, 1 + good.len() as u64, 1 + (good.len() + bad.len()) as u64];
+            let page = PageImage::parse(&forged(3, &offsets, &cells)).unwrap();
+            corrupt(page.row(1));
+            let mut scratch = Row::new(Vec::new());
+            corrupt(page.row_into(1, &mut scratch));
+            // the neighbours of the damaged row still read, in both shapes
+            for slot in [0, 2] {
+                assert_eq!(page.row(slot).unwrap(), Some(row(7)), "{bad:?}");
+                assert!(page.row_into(slot, &mut scratch).unwrap());
+                assert_eq!(scratch, row(7));
+            }
+        }
+    }
+
+    /// A row drawn to change shape from its predecessor: arity, NULL /
+    /// `Text` / `Int` / `Float` / `Bytes` in the same column, empty and
+    /// 100-byte text.
+    fn shifty_row(rng: &mut testkit::Prng) -> Row {
+        let arity = *rng.pick(&[0usize, 1, 3, 3, 3, 5]);
+        Row::new(
+            (0..arity)
+                .map(|_| match rng.below(7) {
+                    0 => Value::Null,
+                    1 => Value::Int(rng.next_u64() as i64 >> rng.below(64)),
+                    2 => Value::Float(rng.gen_f64()),
+                    3 => Value::text(""),
+                    4 => Value::text("t".repeat(100)),
+                    5 => Value::text(testkit::text(rng, b"abc", 1..=9)),
+                    _ => Value::bytes(vec![rng.below(256) as u8; rng.below(5)]),
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn in_place_decode_equals_a_fresh_decode() {
+        testkit::cases(64, |rng| {
+            let rows: Vec<Option<Row>> = (0..40)
+                .map(|_| rng.gen_bool(0.9).then(|| shifty_row(rng)))
+                .collect();
+            let page = PageImage::from_rows(1, 0, 0, &rows);
+            // one scratch row across consecutive rows, as a cursor uses it
+            let mut scratch = Row::new(Vec::new());
+            for (slot, want) in rows.iter().enumerate() {
+                let live = page.row_into(slot, &mut scratch).unwrap();
+                assert_eq!(live, want.is_some());
+                if let Some(want) = want {
+                    assert_eq!(&scratch, want, "slot {slot}");
+                    assert_eq!(page.row(slot).unwrap().as_ref(), Some(want));
+                    // `Value`'s equality is numeric across Int/Float: pin the variant too
+                    let variants = |r: &Row| r.values().iter().map(Value::value_type).collect::<Vec<_>>();
+                    assert_eq!(variants(&scratch), variants(want));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn mutated_image_encodes_as_the_image_built_from_the_same_rows() {
+        testkit::cases(64, |rng| {
+            let mut rows: Vec<Option<Row>> = (0..rng.gen_range(1..60usize))
+                .map(|_| rng.gen_bool(0.8).then(|| shifty_row(rng)))
+                .collect();
+            let faulted_from = PageImage::from_rows(3, 9, 500, &rows).encode();
+            let mut page = PageImage::parse(&faulted_from).unwrap();
+            assert_eq!(page.encode(), faulted_from);
+            // tombstone / replace / restore random slots, many times over so
+            // the abandoned cells are squeezed out along the way
+            for _ in 0..rng.below(200) {
+                let slot = rng.below(rows.len());
+                let new = rng.gen_bool(0.6).then(|| shifty_row(rng));
+                page.set(slot, new.as_ref().map(Row::values)).unwrap();
+                rows[slot] = new;
+                assert!(page.dead <= page.cells.len());
+            }
+            assert_eq!(rows_of(&page), rows);
+            assert_eq!(page.encode(), PageImage::from_rows(3, 9, 500, &rows).encode());
+            assert_eq!(page.live_bytes(), PageImage::from_rows(3, 9, 500, &rows).cells.len());
+            corrupt(page.set(rows.len(), None));
+        });
+    }
+
+    #[test]
+    fn abandoned_cells_stay_bounded_under_repeated_replacement() {
+        let rows: Vec<Option<Row>> = (0..10).map(|i| Some(row(i))).collect();
+        let mut page = PageImage::from_rows(1, 0, 0, &rows);
+        let live = page.cells.len();
+        for i in 0..10_000 {
+            page.set(3, Some(row(i % 10).values())).unwrap();
+            assert!(page.cells.len() <= 2 * live + 16, "{} bytes at step {i}", page.cells.len());
+        }
     }
 }

@@ -1,14 +1,17 @@
-//! The buffer pool: pinning, evicting, write-back, and the page directory.
+//! The buffer pool: faulting, evicting, write-back, and the page directory.
 //!
 //! A [`Pager`] owns one *heap file* of appended page images (see
-//! [`crate::page`]) and a bounded pool of decoded page frames. Tables
-//! request pages with [`Pager::pin`]; a pinned page cannot be evicted
-//! until its [`PinnedPage`] guard drops. When the pool exceeds its
-//! configured capacity a clock sweep picks an unpinned, unreferenced
-//! victim; dirty victims are written back as a *copy-on-write append* to
-//! the heap file (never in place), so the durable bytes of the last
-//! checkpoint are immutable and a power cut can only tear the unsynced
-//! tail — exactly the fault model [`crate::vfs::FaultVfs`] simulates.
+//! [`crate::page`]) and a bounded pool of frames, each holding one page as
+//! it is on disk — a [`PageImage`] behind an `Arc`. Tables request pages
+//! with [`Pager::pin`], which hands out a clone of that `Arc`: the holder
+//! reads rows out of the image for as long as it likes, and the frame stays
+//! evictable — eviction drops the pool's reference, not the holder's. When
+//! the pool is full a clock sweep picks an unreferenced victim *before* the
+//! newcomer is inserted; dirty victims are written back as a
+//! *copy-on-write append* to the heap file (never in place), so the durable
+//! bytes of the last checkpoint are immutable and a power cut can only tear
+//! the unsynced tail — exactly the fault model [`crate::vfs::FaultVfs`]
+//! simulates.
 //!
 //! Durability is cooperative with the database's checkpoint bracket:
 //! evicted-page appends are *not* synced; [`Pager::flush_and_sync`] makes
@@ -16,13 +19,10 @@
 //! directory* (`encode_page_directory`) naming, per table, which heap
 //! offset holds each page. Recovery trusts only the directory: torn or
 //! superseded images beyond it are never referenced.
-//!
-//! The pool capacity is a soft cap: pins always succeed. If every frame
-//! is pinned the pool temporarily overcommits rather than deadlocking.
 
 use crate::codec::{crc32, get_count, get_row, get_u8, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
-use crate::page::{decode_page, encode_page, PageId};
+use crate::page::{PageId, PageImage};
 use crate::row::Row;
 use crate::schema::{get_schema, put_schema, Schema};
 use crate::stats::PoolStats;
@@ -42,7 +42,8 @@ pub struct PoolConfig {
     /// still fits (images are length-framed), so this is a target, not a
     /// hard bound.
     pub page_bytes: usize,
-    /// Pool capacity in pages (soft cap; pinned pages can overcommit it).
+    /// Pool capacity in pages: the pool never holds more frames than this
+    /// (images a reader still holds live on outside it until released).
     pub pool_pages: usize,
 }
 
@@ -64,13 +65,11 @@ pub struct DiskLoc {
 
 /// One resident page.
 struct Frame {
-    /// Slot contents. Shared with outstanding pins via `Arc`; mutation
-    /// goes through `Arc::make_mut` (pins hold the pre-mutation image,
+    /// The page image, shared with whoever holds a pin. Mutation goes
+    /// through `Arc::make_mut` (a holder keeps the pre-mutation image,
     /// which is fine: a pin is a read lease taken before the write).
-    rows: Arc<Vec<Option<Row>>>,
-    base: u64,
+    image: Arc<PageImage>,
     dirty: bool,
-    pins: u32,
     /// Clock reference bit (second-chance).
     referenced: bool,
 }
@@ -106,7 +105,7 @@ struct PoolInner {
     heap_len_known: bool,
 }
 
-/// A pinning/evicting buffer pool over one heap file.
+/// A faulting/evicting buffer pool over one heap file.
 pub struct Pager {
     vfs: Arc<dyn Vfs>,
     config: PoolConfig,
@@ -124,33 +123,6 @@ impl std::fmt::Debug for Pager {
             .field("resident", &inner.frames.len())
             .field("config", &self.config)
             .finish()
-    }
-}
-
-/// A pinned page: keeps its frame resident until dropped.
-pub struct PinnedPage {
-    pager: Arc<Pager>,
-    pid: PageId,
-    rows: Arc<Vec<Option<Row>>>,
-}
-
-impl PinnedPage {
-    /// The page's slot contents (`None` = tombstone).
-    pub fn rows(&self) -> &[Option<Row>] {
-        &self.rows
-    }
-}
-
-impl Drop for PinnedPage {
-    fn drop(&mut self) {
-        let mut inner = self.pager.pool.lock();
-        unpin_inner(&mut inner, self.pid);
-    }
-}
-
-fn unpin_inner(inner: &mut PoolInner, pid: PageId) {
-    if let Some(frame) = inner.frames.get_mut(&pid) {
-        frame.pins = frame.pins.saturating_sub(1);
     }
 }
 
@@ -194,162 +166,117 @@ impl Pager {
     }
 
     /// Install a freshly sealed page as a dirty frame (it has no disk
-    /// image yet). Evicts as needed to respect the pool cap; an eviction
-    /// error still leaves the new frame installed and consistent.
-    pub(crate) fn install(&self, pid: PageId, base: u64, rows: Vec<Option<Row>>) -> StoreResult<()> {
+    /// image yet). Room is made first; an eviction error still leaves the
+    /// new frame installed and consistent.
+    pub(crate) fn install(&self, pid: PageId, image: PageImage) -> StoreResult<()> {
         let mut inner = self.pool.lock();
         if inner.frames.contains_key(&pid) {
-            return Err(StoreError::Corrupt(format!(
-                "page {pid:?} sealed twice"
-            )));
+            return Err(StoreError::Corrupt(format!("page {pid:?} sealed twice")));
         }
-        inner.frames.insert(
-            pid,
-            Frame {
-                rows: Arc::new(rows),
-                base,
-                dirty: true,
-                pins: 1, // protect from the shrink below
-                referenced: true,
-            },
-        );
-        inner.clock.push(pid);
-        let shrunk = self.shrink_to_cap(&mut inner);
-        unpin_inner(&mut inner, pid);
-        shrunk
+        let room = self.make_room(&mut inner);
+        Self::insert(&mut inner, pid, Arc::new(image), true);
+        room
     }
 
-    /// Pin a page, faulting it in from the heap file if necessary.
-    pub fn pin(self: &Arc<Self>, pid: PageId) -> StoreResult<PinnedPage> {
+    /// The image of a page, faulted in from the heap file if necessary:
+    /// lock, look up, set the reference bit, clone the `Arc`.
+    pub fn pin(&self, pid: PageId) -> StoreResult<Arc<PageImage>> {
         let mut inner = self.pool.lock();
-        let rows = self.acquire(&mut inner, pid)?;
-        if let Err(e) = self.shrink_to_cap(&mut inner) {
-            unpin_inner(&mut inner, pid);
-            return Err(e);
+        if let Some(frame) = inner.frames.get_mut(&pid) {
+            frame.referenced = true;
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(frame.image.clone());
         }
-        Ok(PinnedPage {
-            pager: self.clone(),
-            pid,
-            rows,
-        })
+        self.fault(&mut inner, pid)
     }
 
-    /// Run `f` over a mutable view of the page's slots, marking the page
-    /// dirty. The closure runs under the pool lock and must not reenter
-    /// the pager. Any eviction I/O happens *before* `f` runs, so an error
-    /// means the mutation was not applied.
+    /// Run `f` over the page's image, marking the page dirty. The closure
+    /// runs under the pool lock and must not reenter the pager. Any
+    /// eviction I/O happens *before* `f` runs, so an error means the
+    /// mutation was not applied.
     pub(crate) fn mutate<T>(
         &self,
         pid: PageId,
-        f: impl FnOnce(&mut Vec<Option<Row>>) -> T,
+        f: impl FnOnce(&mut PageImage) -> T,
     ) -> StoreResult<T> {
         let mut inner = self.pool.lock();
-        self.acquire(&mut inner, pid)?;
-        if let Err(e) = self.shrink_to_cap(&mut inner) {
-            unpin_inner(&mut inner, pid);
-            return Err(e);
+        if inner.frames.contains_key(&pid) {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.fault(&mut inner, pid)?;
         }
-        let out = match inner.frames.get_mut(&pid) {
-            Some(frame) => {
-                frame.dirty = true;
-                Ok(f(Arc::make_mut(&mut frame.rows)))
-            }
-            None => Err(StoreError::Corrupt(format!(
-                "page {pid:?} vanished during mutate"
-            ))),
-        };
-        unpin_inner(&mut inner, pid);
-        out
+        let frame = inner.frames.get_mut(&pid).ok_or_else(|| {
+            StoreError::Corrupt(format!("page {pid:?} vanished during mutate"))
+        })?;
+        frame.referenced = true;
+        frame.dirty = true;
+        Ok(f(Arc::make_mut(&mut frame.image)))
     }
 
-    /// Fetch (or fault in) a frame's rows, taking a pin that shields it
-    /// from eviction until the caller releases it. Returns the shared row
-    /// vector. Does NOT enforce the pool cap — callers shrink afterwards
-    /// so the new frame cannot be the eviction victim.
-    fn acquire(&self, inner: &mut PoolInner, pid: PageId) -> StoreResult<Arc<Vec<Option<Row>>>> {
-        if let Some(frame) = inner.frames.get_mut(&pid) {
-            frame.referenced = true;
-            frame.pins += 1;
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(frame.rows.clone());
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+    /// A page's bytes as the live directory places them in the heap file.
+    fn read_image(&self, inner: &PoolInner, pid: PageId) -> StoreResult<Vec<u8>> {
         let loc = *inner.directory.get(&pid).ok_or_else(|| {
             StoreError::Corrupt(format!("page {pid:?} missing from heap directory"))
         })?;
         let image = self
             .vfs
             .read_at(&inner.heap_path, loc.offset, loc.len as usize)?
-            .ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "heap file {} missing",
-                    inner.heap_path.display()
-                ))
-            })?;
+            .ok_or_else(|| StoreError::Corrupt("heap file missing".into()))?;
         if image.len() != loc.len as usize {
-            return Err(StoreError::Corrupt(format!(
-                "page {pid:?} truncated: {} of {} bytes",
-                image.len(),
-                loc.len
-            )));
+            let (got, want) = (image.len(), loc.len);
+            return Err(StoreError::Corrupt(format!("page {pid:?} truncated: {got} of {want} bytes")));
         }
-        let page = decode_page(&image)?;
-        if page.table_id != pid.table_id || page.page_no != pid.page_no {
-            return Err(StoreError::Corrupt(format!(
-                "page identity mismatch: wanted {pid:?}, found table {} page {}",
-                page.table_id, page.page_no
-            )));
-        }
-        let rows = Arc::new(page.rows);
-        inner.frames.insert(
-            pid,
-            Frame {
-                rows: rows.clone(),
-                base: page.base,
-                dirty: false,
-                pins: 1,
-                referenced: true,
-            },
-        );
-        inner.clock.push(pid);
-        Ok(rows)
+        Ok(image)
     }
 
-    /// Evict until the pool is within capacity (skipping pinned frames;
-    /// gives up into overcommit if everything is pinned).
-    fn shrink_to_cap(&self, inner: &mut PoolInner) -> StoreResult<()> {
-        while inner.frames.len() > self.config.pool_pages {
-            if !self.evict_one(inner)? {
-                break;
-            }
+    /// A miss: read and parse the page, make room, then insert it as a
+    /// clean frame. A failed read or parse leaves the pool as it was.
+    fn fault(&self, inner: &mut PoolInner, pid: PageId) -> StoreResult<Arc<PageImage>> {
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let image = PageImage::parse(&self.read_image(inner, pid)?)?;
+        if image.table_id != pid.table_id || image.page_no != pid.page_no {
+            return Err(StoreError::Corrupt(format!(
+                "page identity mismatch: wanted {pid:?}, found table {} page {}",
+                image.table_id, image.page_no
+            )));
+        }
+        self.make_room(inner)?;
+        let image = Arc::new(image);
+        Self::insert(inner, pid, image.clone(), false);
+        Ok(image)
+    }
+
+    fn insert(inner: &mut PoolInner, pid: PageId, image: Arc<PageImage>, dirty: bool) {
+        inner.frames.insert(pid, Frame { image, dirty, referenced: true });
+        inner.clock.push(pid);
+    }
+
+    /// Evict until one more frame fits under the cap. Called before the
+    /// newcomer is inserted, so it is never its own victim.
+    fn make_room(&self, inner: &mut PoolInner) -> StoreResult<()> {
+        while inner.frames.len() >= self.config.pool_pages {
+            self.evict_one(inner)?;
         }
         Ok(())
     }
 
-    /// One clock sweep: clear reference bits, then evict the first
-    /// unpinned, unreferenced frame. `Ok(false)` if every frame is pinned.
-    fn evict_one(&self, inner: &mut PoolInner) -> StoreResult<bool> {
-        let mut steps = 0;
-        let max_steps = inner.clock.len() * 2;
-        while steps < max_steps && !inner.clock.is_empty() {
+    /// One clock sweep: clear reference bits until the hand meets an
+    /// unreferenced frame, and evict that one (the second lap at the
+    /// latest). The pool must not be empty.
+    fn evict_one(&self, inner: &mut PoolInner) -> StoreResult<()> {
+        loop {
             if inner.hand >= inner.clock.len() {
                 inner.hand = 0;
             }
-            let pid = inner.clock[inner.hand];
-            let Some(frame) = inner.frames.get_mut(&pid) else {
-                // stale clock entry (should not happen; self-heal)
-                inner.clock.swap_remove(inner.hand);
-                continue;
-            };
-            if frame.pins > 0 {
-                inner.hand += 1;
-                steps += 1;
-                continue;
-            }
+            let pid = *inner.clock.get(inner.hand).ok_or_else(|| {
+                StoreError::Corrupt("eviction from an empty buffer pool".into())
+            })?;
+            let frame = inner.frames.get_mut(&pid).ok_or_else(|| {
+                StoreError::Corrupt(format!("clock names non-resident page {pid:?}"))
+            })?;
             if frame.referenced {
                 frame.referenced = false;
                 inner.hand += 1;
-                steps += 1;
                 continue;
             }
             if frame.dirty {
@@ -360,24 +287,22 @@ impl Pager {
             inner.frames.remove(&pid);
             inner.clock.swap_remove(inner.hand);
             self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-            return Ok(true);
+            return Ok(());
         }
-        Ok(false)
     }
 
     /// Append a frame's current image to the heap file (copy-on-write)
     /// and point the live directory at it. Not synced — durability comes
     /// from the checkpoint bracket.
     fn write_back(&self, inner: &mut PoolInner, pid: PageId) -> StoreResult<u64> {
-        let (rows, base) = match inner.frames.get(&pid) {
-            Some(f) => (f.rows.clone(), f.base),
+        let image = match inner.frames.get(&pid) {
+            Some(f) => f.image.encode(),
             None => {
                 return Err(StoreError::Corrupt(format!(
                     "write-back of non-resident page {pid:?}"
                 )))
             }
         };
-        let image = encode_page(pid.table_id, pid.page_no, base, &rows);
         self.append_image(inner, pid, &image)?;
         if let Some(f) = inner.frames.get_mut(&pid) {
             f.dirty = false;
@@ -460,18 +385,17 @@ impl Pager {
         let mut offset = 0u64;
         for &pid in pids {
             let image = match inner.frames.get(&pid) {
-                Some(f) => encode_page(pid.table_id, pid.page_no, f.base, &f.rows),
+                Some(f) => f.image.encode(),
                 None => {
-                    let loc = *inner.directory.get(&pid).ok_or_else(|| {
-                        StoreError::Corrupt(format!("compaction: page {pid:?} unknown"))
-                    })?;
-                    let image = self
-                        .vfs
-                        .read_at(&inner.heap_path, loc.offset, loc.len as usize)?
-                        .ok_or_else(|| StoreError::Corrupt("heap file missing".into()))?;
-                    // validate before re-writing: compaction must not
-                    // launder a corrupt image into a fresh heap
-                    decode_page(&image)?;
+                    let image = self.read_image(&inner, pid)?;
+                    // validate before re-writing, every cell included:
+                    // compaction must not launder a corrupt image into a
+                    // fresh heap
+                    let page = PageImage::parse(&image)?;
+                    let mut scratch = Row::new(Vec::new());
+                    for slot in 0..page.slot_count() {
+                        page.row_into(slot, &mut scratch)?;
+                    }
                     image
                 }
             };
@@ -506,7 +430,11 @@ impl Pager {
             let inner = self.pool.lock();
             (
                 inner.frames.len(),
-                inner.frames.values().filter(|f| f.pins > 0).count(),
+                inner
+                    .frames
+                    .values()
+                    .filter(|f| Arc::strong_count(&f.image) > 1)
+                    .count(),
                 inner.frames.values().filter(|f| f.dirty).count(),
                 inner.heap_len,
             )
@@ -734,12 +662,19 @@ mod tests {
         (pager, vfs)
     }
 
+    /// Install `rows` as page `no` with base row id `base`.
+    fn install(pager: &Pager, no: u32, base: u64, rows: &[Option<Row>]) {
+        let image = PageImage::from_rows(1, no, base, rows);
+        pager.install(pid(no), image).unwrap();
+    }
+
     #[test]
     fn install_pin_evict_and_refault() {
         let (pager, _vfs) = pager(2);
         for no in 0..4u32 {
-            let rows = (0..3).map(|i| Some(row((no * 3 + i) as i64))).collect();
-            pager.install(pid(no), no as u64 * 3, rows).unwrap();
+            let rows: Vec<_> = (0..3).map(|i| Some(row((no * 3 + i) as i64))).collect();
+            install(&pager, no, no as u64 * 3, &rows);
+            assert!(pager.stats().resident <= 2, "room is made before the insert");
         }
         let stats = pager.stats();
         assert_eq!(stats.resident, 2, "pool capped at 2 pages");
@@ -748,46 +683,47 @@ mod tests {
         // evicted pages fault back in with identical contents
         for no in 0..4u32 {
             let page = pager.pin(pid(no)).unwrap();
-            let rows = page.rows();
-            assert_eq!(rows.len(), 3);
-            assert_eq!(rows[1].as_ref().unwrap(), &row((no * 3 + 1) as i64));
+            assert_eq!(page.slot_count(), 3);
+            assert_eq!(page.row(1).unwrap().unwrap(), row((no * 3 + 1) as i64));
+            assert!(pager.stats().resident <= 2);
         }
     }
 
     #[test]
-    fn pins_block_eviction_and_overcommit_is_allowed() {
+    fn a_held_page_survives_its_frames_eviction() {
         let (pager, _vfs) = pager(1);
-        pager.install(pid(0), 0, vec![Some(row(0))]).unwrap();
-        let guard = pager.pin(pid(0)).unwrap();
+        install(&pager, 0, 0, &[Some(row(0))]);
+        let held = pager.pin(pid(0)).unwrap();
         assert_eq!(pager.stats().pinned, 1);
-        // pool of 1 with page 0 pinned: installing page 1 overcommits
-        pager.install(pid(1), 1, vec![Some(row(1))]).unwrap();
-        assert!(pager.stats().resident >= 1);
-        let rows = guard.rows();
-        assert_eq!(rows[0].as_ref().unwrap(), &row(0));
-        drop(guard);
+        // pool of 1: installing and reading page 1 evicts page 0's frame,
+        // held or not — the pool never overcommits
+        install(&pager, 1, 1, &[Some(row(1))]);
+        assert_eq!(pager.stats().resident, 1);
+        assert_eq!(pager.pin(pid(1)).unwrap().row(0).unwrap().unwrap(), row(1));
+        assert_eq!(pager.stats().resident, 1);
+        assert_eq!(pager.stats().pinned, 0, "page 0 is no longer a frame");
+        // the holder's image is its own reference: still whole
+        assert_eq!(held.row(0).unwrap().unwrap(), row(0));
+        drop(held);
+        // and the evicted page faults back from its write-back
+        let again = pager.pin(pid(0)).unwrap();
+        assert_eq!(again.row(0).unwrap().unwrap(), row(0));
+        assert_eq!(pager.stats().resident, 1);
+        assert_eq!(pager.stats().pinned, 1);
+        drop(again);
         assert_eq!(pager.stats().pinned, 0);
-        // now page 0 is evictable; forcing more installs shrinks the pool
-        pager.install(pid(2), 2, vec![Some(row(2))]).unwrap();
-        assert!(pager.stats().resident <= 2);
     }
 
     #[test]
     fn mutate_marks_dirty_and_checkpoint_flush_clears() {
         let (pager, vfs) = pager(4);
-        pager
-            .install(pid(0), 0, vec![Some(row(0)), Some(row(1))])
-            .unwrap();
+        install(&pager, 0, 0, &[Some(row(0)), Some(row(1))]);
         let (p1, _) = pager.flush_and_sync().unwrap();
         assert_eq!(p1, 1);
         assert_eq!(pager.stats().dirty, 0);
         // mutation re-dirties; flush appends a new image (copy-on-write)
         let before = pager.stats().heap_bytes;
-        pager
-            .mutate(pid(0), |rows| {
-                rows[1] = None;
-            })
-            .unwrap();
+        pager.mutate(pid(0), |page| page.set(1, None)).unwrap().unwrap();
         assert_eq!(pager.stats().dirty, 1);
         let (p2, b2) = pager.flush_and_sync().unwrap();
         assert_eq!(p2, 1);
@@ -801,16 +737,33 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_eviction_leaves_the_mutation_unapplied() {
+        let (pager, vfs) = pager(1);
+        install(&pager, 0, 0, &[Some(row(0))]);
+        install(&pager, 1, 1, &[Some(row(1))]); // page 0 written back and evicted
+        // page 1 is dirty; mutating page 0 must evict it first — and cannot
+        vfs.set_plan(crate::vfs::FaultPlan {
+            fail_at: Some(vfs.op_count() + 1),
+            ..Default::default()
+        });
+        assert!(pager.mutate(pid(0), |page| page.set(0, None)).is_err());
+        assert_eq!(pager.stats().resident, 1);
+        // page 0 was not touched, and page 1 is still whole in its frame
+        assert_eq!(pager.pin(pid(1)).unwrap().row(0).unwrap().unwrap(), row(1));
+        assert_eq!(pager.pin(pid(0)).unwrap().row(0).unwrap().unwrap(), row(0));
+    }
+
+    #[test]
     fn torn_heap_tail_is_detected_by_page_crc() {
         let (pager, vfs) = pager(4);
         let rows: Vec<Option<Row>> = (0..4).map(|i| Some(row(i))).collect();
-        pager.install(pid(0), 0, rows).unwrap();
+        install(&pager, 0, 0, &rows);
         pager.flush_and_sync().unwrap();
         let loc = pager.directory_loc(pid(0)).unwrap();
         // a torn image (cut short) must fail CRC, not decode garbage
         let full = vfs.read_at(&heap(), loc.offset, loc.len as usize).unwrap().unwrap();
         for cut in [1usize, 8, full.len() - 1] {
-            assert!(decode_page(&full[..cut]).is_err());
+            assert!(PageImage::parse(&full[..cut]).is_err());
         }
     }
 
@@ -818,17 +771,13 @@ mod tests {
     fn compaction_rewrites_live_pages_into_new_generation() {
         let (pager, vfs) = pager(2);
         for no in 0..4u32 {
-            let rows = (0..4).map(|i| Some(row((no * 4 + i) as i64))).collect();
-            pager.install(pid(no), no as u64 * 4, rows).unwrap();
+            let rows: Vec<_> = (0..4).map(|i| Some(row((no * 4 + i) as i64))).collect();
+            install(&pager, no, no as u64 * 4, &rows);
         }
         pager.flush_and_sync().unwrap();
         // churn: every page rewritten once → heap holds superseded images
         for no in 0..4u32 {
-            pager
-                .mutate(pid(no), |rows| {
-                    rows[0] = None;
-                })
-                .unwrap();
+            pager.mutate(pid(no), |page| page.set(0, None)).unwrap().unwrap();
         }
         pager.flush_and_sync().unwrap();
         let old_bytes = pager.stats().heap_bytes;
@@ -841,8 +790,8 @@ mod tests {
         // contents survive, served from the new heap
         for no in 0..4u32 {
             let page = pager.pin(pid(no)).unwrap();
-            assert!(page.rows()[0].is_none());
-            assert_eq!(page.rows()[1].as_ref().unwrap(), &row((no * 4 + 1) as i64));
+            assert!(page.row(0).unwrap().is_none());
+            assert_eq!(page.row(1).unwrap().unwrap(), row((no * 4 + 1) as i64));
         }
     }
 

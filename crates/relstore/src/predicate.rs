@@ -4,7 +4,7 @@
 //! over named columns — the only shapes the layers above build. It is
 //! resolved against a [`Schema`] once (binding column names to ordinals)
 //! and then evaluated per row. Table scans analyse predicates to pick an
-//! index: a conjunction that pins every column of an index with equality is
+//! index: a conjunction that fixes every column of an index with equality is
 //! served by an index lookup instead of a full scan.
 
 use crate::error::StoreResult;

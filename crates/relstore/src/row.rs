@@ -1,5 +1,7 @@
 //! Rows and row identifiers.
 
+use crate::codec::{get_count, get_value_into};
+use crate::error::StoreResult;
 use crate::value::Value;
 use std::fmt;
 
@@ -49,6 +51,19 @@ impl Row {
     /// keys and join keys).
     pub fn project(&self, ordinals: &[usize]) -> Vec<Value> {
         ordinals.iter().map(|&i| self.values[i].clone()).collect()
+    }
+
+    /// Overwrite this row with the one encoded at `buf`. While the arity
+    /// stays what it was the cells keep their text buffers, so a cursor's
+    /// one scratch row decodes a table's rows without allocating.
+    pub(crate) fn decode_from(&mut self, buf: &mut &[u8]) -> StoreResult<()> {
+        let arity = get_count(buf, 1, "row value")?;
+        if arity != self.values.len() {
+            self.values = vec![Value::Null; arity].into_boxed_slice();
+        }
+        self.values
+            .iter_mut()
+            .try_for_each(|slot| get_value_into(buf, slot))
     }
 
     /// Consume the row, yielding its values.

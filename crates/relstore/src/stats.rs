@@ -22,7 +22,7 @@ pub struct PoolStats {
     pub pool_pages: usize,
     /// Pages currently resident in the pool.
     pub resident: usize,
-    /// Resident pages with a nonzero pin count.
+    /// Resident pages whose image a reader holds right now.
     pub pinned: usize,
     /// Resident pages whose in-pool contents differ from disk.
     pub dirty: usize,

@@ -7,12 +7,14 @@
 //! never reused; deleting a row tombstones its slot. Every declared index
 //! (including the primary key, named `"pk"`) is maintained on
 //! insert/update/delete and kept resident either way — only row bodies
-//! page out, so indexed point lookups pin exactly the pages they touch. Recovery places rows first and builds every index
-//! once afterwards ([`Table::build_indexes`]): a table under recovery has
-//! no index structures at all until then.
+//! page out, so an indexed point lookup faults exactly the pages it touches,
+//! and a sealed row is decoded from its cell when a read asks for it.
+//! Recovery places rows first and builds every index once afterwards
+//! ([`Table::build_indexes`]): a table under recovery has no index
+//! structures at all until then.
 //!
 //! Reads go through [`Table::select`], which performs simple access-path
-//! selection: if the predicate's top-level conjunction pins every column of
+//! selection: if the predicate's top-level conjunction fixes every column of
 //! some index with equality, the index serves the lookup and the residual
 //! predicate filters the candidates; otherwise a full scan runs.
 
@@ -21,8 +23,9 @@ use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
 use crate::index::{format_key, IndexKey, IndexStore, KeySpec};
-use crate::page::{encoded_row_len, PageId, MAX_PAGE_SLOTS};
-use crate::pager::{PageDirEntry, PagedTableMeta, Pager, PinnedPage};
+use crate::codec::{get_count, get_value_into, row_len};
+use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
+use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
 use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, Schema};
@@ -152,14 +155,9 @@ impl PagedRows {
     /// nothing for a tombstone or a tail that never seals.
     fn cell_bytes(&self, slot: &Option<Row>) -> usize {
         match (&self.pager, slot) {
-            (Some(_), Some(row)) => encoded_row_len(row.values()),
+            (Some(_), Some(row)) => row_len(row.values()),
             _ => 0,
         }
-    }
-
-    /// `tail_bytes` recounted from the tail as it stands.
-    fn tail_cell_bytes(&self) -> usize {
-        self.tail.iter().map(|slot| self.cell_bytes(slot)).sum()
     }
 
     /// Append a slot without running the seal check (infallible, so callers
@@ -188,10 +186,11 @@ impl PagedRows {
     }
 
     /// Seal the head of the open tail — all of it, up to the slot cap a
-    /// page image may carry — leaving any remainder as the new tail. The
-    /// page is recorded in `pages` *before* the pool install, so an
-    /// eviction error inside `install` (which still leaves the new frame
-    /// resident and dirty) keeps table and pool consistent.
+    /// page image may carry — leaving any remainder as the new tail, which
+    /// weighs what the cells encoded here (once) do not. The page is
+    /// recorded in `pages` *before* the pool install, so an eviction error
+    /// inside `install` (which still leaves the new frame resident and
+    /// dirty) keeps table and pool consistent.
     fn seal_tail(&mut self) -> StoreResult<()> {
         let rest = if self.tail.len() > MAX_PAGE_SLOTS {
             self.tail.split_off(MAX_PAGE_SLOTS)
@@ -206,9 +205,10 @@ impl PagedRows {
             slots: rows.len() as u32,
         });
         self.tail_base = base + rows.len() as u64;
-        self.tail_bytes = self.tail_cell_bytes();
+        let image = PageImage::from_rows(self.table_id, idx as u32, base, &rows);
+        self.tail_bytes = self.tail_bytes.saturating_sub(image.live_bytes());
         let (pager, pid) = self.sealed(idx)?;
-        pager.install(pid, base, rows)
+        pager.install(pid, image)
     }
 
     /// Extend with tombstones until the high-water mark reaches `target`
@@ -237,25 +237,11 @@ impl PagedRows {
         Ok(())
     }
 
-    /// Apply `f` to the row at `id` without cloning it; `Ok(None)` for
-    /// tombstones and out-of-range ids. A sealed page is pinned for the
-    /// duration of the call.
-    fn with_row<T>(&self, id: u64, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
-        match self.locate(id) {
-            Loc::Beyond => Ok(None),
-            Loc::Tail(off) => Ok(self.tail[off].as_ref().map(f)),
-            Loc::Page(idx, slot) => {
-                let (pager, pid) = self.sealed(idx)?;
-                let pin = pager.pin(pid)?;
-                Ok(pin.rows().get(slot).and_then(|s| s.as_ref()).map(f))
-            }
-        }
-    }
-
     /// Swap the slot at `id` (which must be below the high-water mark) for
-    /// `row`, returning the previous contents. A sealed page's mutation is
-    /// copy-on-write through the pool and marks the page dirty; an I/O
-    /// error means the mutation was *not* applied.
+    /// `row`, returning the previous contents. A sealed slot is rewritten
+    /// inside its page image — no other row of the page is decoded — which
+    /// marks the page dirty; an I/O error means the mutation was *not*
+    /// applied.
     fn replace(&mut self, id: u64, row: Option<Row>) -> StoreResult<Option<Row>> {
         match self.locate(id) {
             Loc::Beyond => Err(StoreError::Corrupt(format!(
@@ -270,26 +256,26 @@ impl PagedRows {
             }
             Loc::Page(idx, slot) => {
                 let (pager, pid) = self.sealed(idx)?;
-                pager.mutate(pid, move |rows| match rows.get_mut(slot) {
-                    Some(s) => Ok(std::mem::replace(s, row)),
-                    None => Err(StoreError::Corrupt(format!(
-                        "page {pid:?} shorter than its directory entry"
-                    ))),
+                pager.mutate(pid, move |image| {
+                    let old = image.row(slot)?;
+                    image.set(slot, row.as_ref().map(Row::values))?;
+                    Ok(old)
                 })?
             }
         }
     }
 
     /// Visit every live row in row-id order, propagating sink errors and
-    /// page-fault I/O errors. Each sealed page is pinned exactly once for
-    /// the duration of its slice.
+    /// page-fault I/O errors. Each sealed page is faulted exactly once and
+    /// its rows pass through one scratch row.
     fn for_each(&self, f: &mut dyn FnMut(RowId, &Row) -> StoreResult<()>) -> StoreResult<()> {
+        let mut scratch = Row::new(Vec::new());
         for (idx, sp) in self.pages.iter().enumerate() {
             let (pager, pid) = self.sealed(idx)?;
-            let pin = pager.pin(pid)?;
-            for (i, slot) in pin.rows().iter().enumerate() {
-                if let Some(row) = slot {
-                    f(RowId(sp.base + i as u64), row)?;
+            let image = pager.pin(pid)?;
+            for slot in 0..image.slot_count() {
+                if image.row_into(slot, &mut scratch)? {
+                    f(RowId(sp.base + slot as u64), &scratch)?;
                 }
             }
         }
@@ -302,12 +288,15 @@ impl PagedRows {
     }
 }
 
-/// A read cursor over a table's rows that caches the last pinned page, so
-/// index-driven loops that touch several rows of the same page fault it in
-/// once instead of per row.
+/// A read cursor over a table's rows that keeps the last page image it was
+/// handed, so index-driven loops that touch several rows of the same page
+/// ask the pool for it once instead of per row. A sealed row comes out
+/// *owned* — decoded straight into the row that is returned — or *borrowed*
+/// — decoded over the cursor's one scratch row, text buffers reused.
 struct RowCursor<'a> {
     store: &'a PagedRows,
-    cached: Option<(u32, PinnedPage)>,
+    cached: Option<(usize, Arc<PageImage>)>,
+    scratch: Row,
 }
 
 impl<'a> RowCursor<'a> {
@@ -315,32 +304,68 @@ impl<'a> RowCursor<'a> {
         RowCursor {
             store,
             cached: None,
+            scratch: Row::new(Vec::new()),
         }
     }
 
-    /// Apply `f` to the live row at `id`; `Ok(None)` for tombstones and
+    /// The image of sealed page `idx`, from `cached` if it is the last one
+    /// asked for (a function of the fields, so the scratch row stays free).
+    fn image<'c>(
+        store: &PagedRows,
+        cached: &'c mut Option<(usize, Arc<PageImage>)>,
+        idx: usize,
+    ) -> StoreResult<&'c PageImage> {
+        let entry = match cached.take() {
+            Some(entry) if entry.0 == idx => entry,
+            _ => {
+                let (pager, pid) = store.sealed(idx)?;
+                (idx, pager.pin(pid)?)
+            }
+        };
+        Ok(&cached.insert(entry).1)
+    }
+
+    /// The live row at `id`, owned; `Ok(None)` for tombstones and
     /// out-of-range ids.
+    fn owned(&mut self, id: RowId) -> StoreResult<Option<Row>> {
+        match self.store.locate(id.0) {
+            Loc::Beyond => Ok(None),
+            Loc::Tail(off) => Ok(self.store.tail[off].clone()),
+            Loc::Page(idx, slot) => Self::image(self.store, &mut self.cached, idx)?.row(slot),
+        }
+    }
+
+    /// Apply `f` to the live row at `id`, borrowed; `Ok(None)` for
+    /// tombstones and out-of-range ids.
     fn with<T>(&mut self, id: RowId, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
         let p = self.store;
         match p.locate(id.0) {
             Loc::Beyond => Ok(None),
             Loc::Tail(off) => Ok(p.tail[off].as_ref().map(f)),
             Loc::Page(idx, slot) => {
-                let page_no = idx as u32;
-                if !matches!(&self.cached, Some((no, _)) if *no == page_no) {
-                    let (pager, pid) = p.sealed(idx)?;
-                    self.cached = Some((page_no, pager.pin(pid)?));
-                }
-                let rows = match &self.cached {
-                    Some((_, pin)) => pin.rows(),
-                    // unreachable: the cache was just filled above
-                    None => {
-                        return Err(StoreError::Corrupt(
-                            "row cursor lost its pinned page".into(),
-                        ))
-                    }
-                };
-                Ok(rows.get(slot).and_then(|s| s.as_ref()).map(f))
+                let image = Self::image(p, &mut self.cached, idx)?;
+                let live = image.row_into(slot, &mut self.scratch)?;
+                Ok(live.then(|| f(&self.scratch)))
+            }
+        }
+    }
+
+    /// Feed `f` the values of the live row at `id` by ordinal, a sealed
+    /// row's one at a time straight from its cell: no row is built.
+    fn columns(&mut self, id: RowId, mut f: impl FnMut(usize, &Value)) -> StoreResult<Option<()>> {
+        let p = self.store;
+        match p.locate(id.0) {
+            Loc::Beyond => Ok(None),
+            Loc::Tail(off) => Ok(p.tail[off]
+                .as_ref()
+                .map(|row| row.values().iter().enumerate().for_each(|(ord, v)| f(ord, v)))),
+            Loc::Page(idx, slot) => {
+                Self::image(p, &mut self.cached, idx)?.read_cell(slot, |cell| {
+                    let mut value = Value::Null;
+                    (0..get_count(cell, 1, "row value")?).try_for_each(|ord| {
+                        get_value_into(cell, &mut value).map(|()| f(ord, &value))
+                    })
+                })
             }
         }
     }
@@ -359,28 +384,35 @@ fn dead_index_ref(table: &str, id: RowId) -> StoreError {
 /// [`Table::scan`]).
 ///
 /// Paged stores fault pages in through the buffer pool as the iterator
-/// advances; a page-fault I/O error ends the iteration early (an
-/// `Iterator` cannot yield a `Result` without changing every call site).
-/// Paths that must distinguish "end of data" from "I/O error" use
-/// [`Table::for_each_row`] instead.
+/// advances; a page-fault I/O error or a damaged cell ends the iteration
+/// early (an `Iterator` cannot yield a `Result` without changing every call
+/// site). Paths that must distinguish "end of data" from an error call
+/// [`finish`](Self::finish), or use [`Table::for_each_row`] instead.
 pub struct Scan<'a> {
     cursor: RowCursor<'a>,
     next_id: u64,
     high: u64,
-    failed: bool,
+    error: Option<StoreError>,
+}
+
+impl Scan<'_> {
+    /// How the iteration ended: the error that cut it short, if one did.
+    pub fn finish(self) -> StoreResult<()> {
+        self.error.map_or(Ok(()), Err)
+    }
 }
 
 impl Iterator for Scan<'_> {
     type Item = (RowId, Row);
 
     fn next(&mut self) -> Option<(RowId, Row)> {
-        while !self.failed && self.next_id < self.high {
+        while self.error.is_none() && self.next_id < self.high {
             let id = RowId(self.next_id);
             self.next_id += 1;
-            match self.cursor.with(id, Row::clone) {
+            match self.cursor.owned(id) {
                 Ok(Some(row)) => return Some((id, row)),
                 Ok(None) => continue,
-                Err(_) => self.failed = true,
+                Err(e) => self.error = Some(e),
             }
         }
         None
@@ -403,7 +435,7 @@ pub struct Table {
 }
 
 /// Build the indexes `defs` of `schema` over the live rows of `store` —
-/// the one place rows become an index. One pass over the rows (one pin per
+/// the one place rows become an index. One pass over the rows (one fault per
 /// page) projects every key; each index is then bulk-built from its run,
 /// which arrives in row-id order and is sorted only if that is not already
 /// key order. Returns the structures and the number of live rows seen.
@@ -515,7 +547,7 @@ impl Table {
             .collect();
         store.tail_base = meta.tail_base;
         store.tail = meta.tail.into_owned();
-        store.tail_bytes = store.tail_cell_bytes();
+        store.tail_bytes = store.tail.iter().map(|slot| store.cell_bytes(slot)).sum();
         Ok(Table {
             schema,
             live: meta.live as usize,
@@ -755,7 +787,7 @@ impl Table {
     pub(crate) fn restore(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
         let in_range = row_id.0 < self.store.high_water();
-        let occupied = in_range && self.store.with_row(row_id.0, |_| ())?.is_some();
+        let occupied = in_range && RowCursor::new(&self.store).owned(row_id)?.is_some();
         if !in_range || occupied {
             return Err(StoreError::Corrupt(format!(
                 "restore target {row_id} is not a tombstone"
@@ -774,8 +806,8 @@ impl Table {
 
     /// Fetch a live row by id.
     pub fn get(&self, row_id: RowId) -> StoreResult<Row> {
-        self.store
-            .with_row(row_id.0, Row::clone)?
+        RowCursor::new(&self.store)
+            .owned(row_id)?
             .ok_or_else(|| StoreError::NoSuchRow {
                 table: self.name().to_owned(),
                 row_id: row_id.0,
@@ -835,14 +867,13 @@ impl Table {
     /// Iterate live rows in row-id order, yielding owned rows.
     ///
     /// On a paged table this faults pages in through the buffer pool; an
-    /// I/O error ends the iteration early. Internal paths that must
-    /// propagate errors use [`for_each_row`](Self::for_each_row).
+    /// error ends the iteration early and [`Scan::finish`] reports it.
     pub fn scan(&self) -> Scan<'_> {
         Scan {
             cursor: RowCursor::new(&self.store),
             next_id: 0,
             high: self.store.high_water(),
-            failed: false,
+            error: None,
         }
     }
 
@@ -869,18 +900,19 @@ impl Table {
 
     /// Stream the rows behind index entries through one page cursor.
     /// `entries` feeds runs of row ids to the sink it is given and stops
-    /// when the sink returns `false`; each id's row goes to `f`. An index
-    /// entry without a live row is corruption, never a panic.
+    /// when the sink returns `false`; `visit` reads each id's row off the
+    /// cursor in the shape its caller wants and says whether it was live.
+    /// An index entry without a live row is corruption, never a panic.
     fn walk(
         &self,
         entries: impl FnOnce(&mut dyn FnMut(&[RowId]) -> bool),
-        mut f: impl FnMut(RowId, &Row),
+        mut visit: impl FnMut(&mut RowCursor<'_>, RowId) -> StoreResult<Option<()>>,
     ) -> StoreResult<()> {
         let mut cursor = RowCursor::new(&self.store);
         let mut outcome = Ok(());
         entries(&mut |ids| {
             for &id in ids {
-                match cursor.with(id, |row| f(id, row)) {
+                match visit(&mut cursor, id) {
                     Ok(Some(())) => {}
                     Ok(None) => outcome = Err(dead_index_ref(self.schema.name(), id)),
                     Err(e) => outcome = Err(e),
@@ -899,14 +931,14 @@ impl Table {
         &self,
         ix: &IndexStore,
         key: &[Value],
-        f: impl FnMut(RowId, &Row),
+        visit: impl FnMut(&mut RowCursor<'_>, RowId) -> StoreResult<Option<()>>,
     ) -> StoreResult<()> {
         match ix.spec().probe(key) {
             Some(key) => self.walk(
                 |sink| {
                     sink(ix.lookup(&key));
                 },
-                f,
+                visit,
             ),
             None => Ok(()),
         }
@@ -917,10 +949,10 @@ impl Table {
         &self,
         ix: &IndexStore,
         prefix: &[Value],
-        f: impl FnMut(RowId, &Row),
+        visit: impl FnMut(&mut RowCursor<'_>, RowId) -> StoreResult<Option<()>>,
     ) -> StoreResult<()> {
         match ix.spec().probe(prefix) {
-            Some(prefix) => self.walk(|sink| ix.visit_prefix(&prefix, |_, ids| sink(ids)), f),
+            Some(prefix) => self.walk(|sink| ix.visit_prefix(&prefix, |_, ids| sink(ids)), visit),
             None => Ok(()),
         }
     }
@@ -928,26 +960,25 @@ impl Table {
     /// Exact-key lookup on a named index.
     pub fn lookup(&self, index: &str, key: &[Value]) -> StoreResult<Vec<Row>> {
         let mut out = Vec::new();
-        self.walk_key(self.index(index)?, key, |_, row| out.push(row.clone()))?;
+        self.walk_key(self.index(index)?, key, |cursor, id| {
+            Ok(cursor.owned(id)?.map(|row| out.push(row)))
+        })?;
         Ok(out)
     }
 
-    /// Prefix lookup on a composite index (pins the first `prefix.len()`
+    /// Prefix lookup on a composite index (fixes the first `prefix.len()`
     /// key columns).
     pub fn lookup_prefix(&self, index: &str, prefix: &[Value]) -> StoreResult<Vec<Row>> {
         let mut out = Vec::new();
-        self.walk_prefix(self.index(index)?, prefix, |_, row| out.push(row.clone()))?;
+        self.walk_prefix(self.index(index)?, prefix, |cursor, id| {
+            Ok(cursor.owned(id)?.map(|row| out.push(row)))
+        })?;
         Ok(out)
     }
 
     /// Unique-index point lookup returning at most one row.
     pub fn lookup_unique(&self, index: &str, key: &[Value]) -> StoreResult<Option<Row>> {
-        let mut rows = self.lookup(index, key)?;
-        Ok(if rows.is_empty() {
-            None
-        } else {
-            Some(rows.swap_remove(0))
-        })
+        Ok(self.lookup(index, key)?.into_iter().next())
     }
 
     /// Exact-key lookup streamed row by row, without materializing a
@@ -958,7 +989,18 @@ impl Table {
         key: &[Value],
         mut f: impl FnMut(&Row),
     ) -> StoreResult<()> {
-        self.walk_key(self.index(index)?, key, |_, row| f(row))
+        self.walk_key(self.index(index)?, key, |cursor, id| cursor.with(id, &mut f))
+    }
+
+    /// Prefix lookup streamed row by row, in key order: the borrowed twin
+    /// of [`lookup_prefix`](Self::lookup_prefix).
+    pub fn for_each_prefix(
+        &self,
+        index: &str,
+        prefix: &[Value],
+        mut f: impl FnMut(&Row),
+    ) -> StoreResult<()> {
+        self.walk_prefix(self.index(index)?, prefix, |cursor, id| cursor.with(id, &mut f))
     }
 
     /// Stream the rows of a named index whose key lies in `[lo, hi]`
@@ -988,7 +1030,7 @@ impl Table {
                     sink(ids)
                 })
             },
-            |_, row| f(row),
+            |cursor, id| cursor.with(id, &mut f),
         )
     }
 
@@ -1035,9 +1077,9 @@ impl Table {
     /// [`lookup_prefix`](Self::lookup_prefix) this never materializes the
     /// candidate row-id/row vectors and touches only the requested
     /// columns, which is what bulk loaders (e.g. mapping-index construction
-    /// over `OBJECT_REL`) want. On a paged table each page is pinned only
-    /// while its rows are being decoded. Returns the total number of rows
-    /// visited.
+    /// over `OBJECT_REL`) want. On a paged table the columns are read
+    /// straight from each row's cell; no row is built. Returns the total
+    /// number of rows visited.
     ///
     /// `int_cols` decode with [`Value::as_int`] semantics (non-int values
     /// become 0); `float_cols` decode with [`Value::as_float`] semantics
@@ -1067,13 +1109,18 @@ impl Table {
             floats: vec![Vec::with_capacity(block_rows); float_ords.len()],
         };
         let mut total = 0usize;
-        self.walk_prefix(ix, prefix, |_, row| {
-            for (buf, &ord) in block.ints.iter_mut().zip(&int_ords) {
-                buf.push(row.get(ord).as_int().unwrap_or(0));
-            }
-            for (buf, &ord) in block.floats.iter_mut().zip(&float_ords) {
-                buf.push(row.get(ord).as_float());
-            }
+        self.walk_prefix(ix, prefix, |cursor, id| {
+            // every buffer grows by its default; the row's cells overwrite it
+            block.ints.iter_mut().for_each(|buf| buf.push(0));
+            block.floats.iter_mut().for_each(|buf| buf.push(None));
+            let found = cursor.columns(id, |ord, value| {
+                for (buf, _) in block.ints.iter_mut().zip(&int_ords).filter(|(_, &o)| o == ord) {
+                    buf[block.len] = value.as_int().unwrap_or(0);
+                }
+                for (buf, _) in block.floats.iter_mut().zip(&float_ords).filter(|(_, &o)| o == ord) {
+                    buf[block.len] = value.as_float();
+                }
+            })?;
             block.len += 1;
             total += 1;
             if block.len == block_rows {
@@ -1082,6 +1129,7 @@ impl Table {
                 block.ints.iter_mut().for_each(Vec::clear);
                 block.floats.iter_mut().for_each(Vec::clear);
             }
+            Ok(found)
         })?;
         if block.len > 0 {
             sink(&block);
@@ -1153,7 +1201,7 @@ impl Table {
                 |sink| {
                     sink(ids);
                 },
-                keep,
+                |cursor, id| cursor.with(id, |row| keep(id, row)),
             )?;
         } else {
             self.for_each_row(|id, row| {
@@ -1721,10 +1769,23 @@ mod tests {
         .unwrap();
         assert_eq!(sa, via_stream);
         for src in 0..5i64 {
-            assert_eq!(
-                a.lookup("by_source", &[Value::Int(src)]).unwrap(),
-                b.lookup("by_source", &[Value::Int(src)]).unwrap()
-            );
+            let key = [Value::Int(src)];
+            let owned = a.lookup("by_source", &key).unwrap();
+            assert_eq!(owned, b.lookup("by_source", &key).unwrap());
+            // the borrowed and the columnar shape read what the owned one does
+            let by_acc = b.lookup_prefix("by_acc", &key).unwrap();
+            let mut borrowed = Vec::new();
+            b.for_each_prefix("by_acc", &key, |row| borrowed.push(row.clone())).unwrap();
+            assert_eq!(borrowed, by_acc);
+            let mut ids = Vec::new();
+            b.scan_prefix_columnar("by_acc", &key, &["object_id", "accession"], &["text"], 7, |block| {
+                assert!(block.ints[1].iter().all(|&v| v == 0), "text reads as 0");
+                assert!(block.floats[0].iter().all(Option::is_none));
+                ids.extend_from_slice(&block.ints[0]);
+            })
+            .unwrap();
+            let want: Vec<i64> = by_acc.iter().filter_map(|r| r.get(0).as_int()).collect();
+            assert_eq!(ids, want);
         }
         // a predicate no index serves: the filtered full scan
         let everything = Predicate::text_contains("accession", "");
@@ -1773,6 +1834,40 @@ mod tests {
             assert_eq!(t.get(RowId(i)).unwrap().get(0), &Value::Int(i as i64));
         }
         assert!(t.page_ids().len() >= 2, "expected several sealed pages");
+    }
+
+    #[test]
+    fn scan_hands_its_error_to_finish_and_a_damaged_cell_fails_at_its_read() {
+        use crate::vfs::Vfs;
+        let vfs = FaultVfs::new();
+        let heap = PathBuf::from("/db/heap.1.bin");
+        let config = PoolConfig {
+            page_bytes: 128,
+            pool_pages: 1,
+        };
+        let pager = Arc::new(Pager::new(Arc::new(vfs.clone()), heap.clone(), config));
+        let mut t = Table::create(object_schema(), Some(pager.clone()), 1);
+        for i in 0..60i64 {
+            t.insert(obj(i, i % 4, &format!("ACC{i}"))).unwrap();
+        }
+        pager.flush_and_sync().unwrap();
+        let mut scan = t.scan();
+        assert_eq!(scan.by_ref().count(), 60);
+        scan.finish().unwrap();
+        // flip a byte of page 1 where it lies in the heap: its checksum fails
+        let loc = pager.directory_loc(t.page_ids()[1]).unwrap();
+        let mut bytes = vfs.read(&heap).unwrap().unwrap();
+        bytes[loc.offset as usize + 20] ^= 0x40;
+        vfs.create(&heap).unwrap().write_all(&bytes).unwrap();
+        let first_page = t.store.pages[0].slots as usize;
+        let mut scan = t.scan();
+        assert_eq!(scan.by_ref().count(), first_page, "page 0 still reads");
+        assert!(matches!(scan.finish(), Err(StoreError::Corrupt(_))));
+        assert!(matches!(t.for_each_row(|_, _| Ok(())), Err(StoreError::Corrupt(_))));
+        // rows of the pages around it are unaffected, whatever the shape
+        assert_eq!(t.get(RowId(0)).unwrap().get(0), &Value::Int(0));
+        assert_eq!(t.lookup("pk", &[Value::Int(59)]).unwrap().len(), 1);
+        assert!(matches!(t.get(RowId(first_page as u64)), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

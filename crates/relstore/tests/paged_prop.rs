@@ -157,10 +157,46 @@ fn assert_same(resident: &Database, paged: &Database, context: &str) {
     }
 }
 
+/// A `delete_source_rel`-shaped cascade on both stores: every row under one
+/// `by_grp` key, in row order, one `txn.delete` at a time inside one
+/// transaction. Tombstoning a sealed slot is O(row): the pool faults each
+/// page the doomed rows live on at most once, however small it is.
+fn cascade_delete(resident: &mut Database, paged: &mut Database, p_vfs: &FaultVfs, grp: i64) {
+    let doomed = paged
+        .table("t")
+        .unwrap()
+        .lookup_row_ids("by_grp", &[Value::Int(grp)])
+        .unwrap();
+    // a checkpoint's page directory says which sealed page holds which row
+    paged.checkpoint().unwrap();
+    let pagedir = p_vfs.read(Path::new("/db/pagedir.bin")).unwrap().unwrap();
+    let catalog = relstore::pager::decode_page_directory(&pagedir).unwrap();
+    let pages = &catalog.tables[0].pages;
+    let mut touched: Vec<usize> = doomed
+        .iter()
+        .filter_map(|rid| pages.iter().position(|p| (p.base..p.base + p.slots as u64).contains(&rid.0)))
+        .collect();
+    touched.dedup();
+    let misses = |db: &Database| db.stats().unwrap().pool.unwrap().misses;
+    let before = misses(paged);
+    for db in [&mut *resident, &mut *paged] {
+        db.with_txn(|txn| doomed.iter().try_for_each(|rid| txn.delete("t", *rid)))
+            .unwrap();
+    }
+    let faulted = misses(paged) - before;
+    assert!(
+        faulted <= touched.len() as u64 + 1,
+        "{} rows on {} pages cost {faulted} page faults",
+        doomed.len(),
+        touched.len()
+    );
+}
+
 /// Run one equivalence case end-to-end: apply the workload to both
-/// stores, compare, then checkpoint + reopen the paged side (possibly
-/// with a different pool size) and compare again, then compact and
-/// compare a third time, then reopen each directory in the other mode.
+/// stores, compare, tombstone every row of one key range and compare, then
+/// checkpoint + reopen the paged side (possibly with a different pool size)
+/// and compare again, then compact and compare once more, then reopen each
+/// directory in the other mode.
 fn check_equivalence(ops: &[Op], pool_pages: usize, reopen_pool_pages: usize) {
     let r_vfs = FaultVfs::new();
     let p_vfs = FaultVfs::new();
@@ -168,6 +204,8 @@ fn check_equivalence(ops: &[Op], pool_pages: usize, reopen_pool_pages: usize) {
     let mut paged = open_paged(&p_vfs, pool_pages);
     apply_ops(&mut resident, &mut paged, ops);
     assert_same(&resident, &paged, "after workload");
+    cascade_delete(&mut resident, &mut paged, &p_vfs, 3);
+    assert_same(&resident, &paged, "after cascade delete");
 
     // Durability round-trip: both sides checkpoint, reopen, and still
     // agree — the paged side possibly under a different pool size, which
