@@ -250,34 +250,46 @@ impl GamStore {
     // Row conversions
     // ------------------------------------------------------------------
 
-    fn source_from_row(row: &Row) -> GamResult<Source> {
-        Ok(Source {
-            id: SourceId::from_i64(row.get(0).as_int().unwrap_or_default()),
-            name: row.get(1).as_text().unwrap_or_default().to_owned(),
-            content: SourceContent::from_code(row.get(2).as_int().unwrap_or(-1))?,
-            structure: SourceStructure::from_code(row.get(3).as_int().unwrap_or(-1))?,
-            release: row.get(4).as_text().map(str::to_owned),
-            imported_seq: row.get(5).as_int().unwrap_or(0) as u64,
-        })
-    }
+    // An owned row gives its strings to the record built from it.
 
-    fn object_from_row(row: &Row) -> GamObject {
-        GamObject {
-            id: ObjectId::from_i64(row.get(0).as_int().unwrap_or_default()),
-            source: SourceId::from_i64(row.get(1).as_int().unwrap_or_default()),
-            accession: row.get(2).as_text().unwrap_or_default().to_owned(),
-            text: row.get(3).as_text().map(str::to_owned),
-            number: row.get(4).as_float(),
+    fn take_text(cell: &mut Value) -> Option<String> {
+        match std::mem::replace(cell, Value::Null) {
+            Value::Text(text) => Some(text),
+            _ => None,
         }
     }
 
-    fn source_rel_from_row(row: &Row) -> GamResult<SourceRel> {
+    fn source_from_row(row: Row) -> GamResult<Source> {
+        let mut cells = row.into_values();
+        Ok(Source {
+            id: SourceId::from_i64(cells[0].as_int().unwrap_or_default()),
+            name: Self::take_text(&mut cells[1]).unwrap_or_default(),
+            content: SourceContent::from_code(cells[2].as_int().unwrap_or(-1))?,
+            structure: SourceStructure::from_code(cells[3].as_int().unwrap_or(-1))?,
+            release: Self::take_text(&mut cells[4]),
+            imported_seq: cells[5].as_int().unwrap_or(0) as u64,
+        })
+    }
+
+    fn object_from_row(row: Row) -> GamObject {
+        let mut cells = row.into_values();
+        GamObject {
+            id: ObjectId::from_i64(cells[0].as_int().unwrap_or_default()),
+            source: SourceId::from_i64(cells[1].as_int().unwrap_or_default()),
+            accession: Self::take_text(&mut cells[2]).unwrap_or_default(),
+            text: Self::take_text(&mut cells[3]),
+            number: cells[4].as_float(),
+        }
+    }
+
+    fn source_rel_from_row(row: Row) -> GamResult<SourceRel> {
+        let mut cells = row.into_values();
         Ok(SourceRel {
-            id: SourceRelId::from_i64(row.get(0).as_int().unwrap_or_default()),
-            source1: SourceId::from_i64(row.get(1).as_int().unwrap_or_default()),
-            source2: SourceId::from_i64(row.get(2).as_int().unwrap_or_default()),
-            rel_type: RelType::from_code(row.get(3).as_int().unwrap_or(-1))?,
-            derivation: row.get(4).as_text().map(str::to_owned),
+            id: SourceRelId::from_i64(cells[0].as_int().unwrap_or_default()),
+            source1: SourceId::from_i64(cells[1].as_int().unwrap_or_default()),
+            source2: SourceId::from_i64(cells[2].as_int().unwrap_or_default()),
+            rel_type: RelType::from_code(cells[3].as_int().unwrap_or(-1))?,
+            derivation: Self::take_text(&mut cells[4]),
         })
     }
 
@@ -285,18 +297,12 @@ impl GamStore {
     /// be read is the caller's error, not a shorter list.
     fn decode_rows<T>(
         table: &relstore::Table,
-        decode: impl Fn(&Row) -> GamResult<T>,
+        decode: impl Fn(Row) -> GamResult<T>,
     ) -> GamResult<Vec<T>> {
-        let mut out = Vec::with_capacity(table.len());
-        let mut failed = None;
-        table.for_each_row(|_, row| {
-            match decode(row) {
-                Ok(item) => out.push(item),
-                Err(e) => failed = failed.take().or(Some(e)),
-            }
-            Ok(())
-        })?;
-        failed.map_or(Ok(out), Err)
+        let mut rows = table.scan();
+        let out: Vec<T> = rows.by_ref().map(|(_, row)| decode(row)).collect::<GamResult<_>>()?;
+        rows.finish()?;
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -344,52 +350,25 @@ impl GamStore {
             .db
             .table(tables::SOURCE)?
             .lookup_unique("by_name", &[Value::text(name)])?;
-        hit.as_ref().map(Self::source_from_row).transpose()
+        hit.map(Self::source_from_row).transpose()
     }
 
-    /// Look up many sources by name in one pass: the probe names are
-    /// sort-deduped once and merged against a single ordered scan of the
-    /// `by_name` index, instead of one point lookup per name. Results align
-    /// with the input. The importer uses this to resolve every annotation
-    /// target and partition of a batch up front.
+    /// Look up many sources by name in one ordered pass over the `by_name`
+    /// index instead of one point lookup per name. Results align with the
+    /// input. The importer uses this to resolve every annotation target and
+    /// partition of a batch up front.
     pub fn find_sources(&self, names: &[&str]) -> GamResult<Vec<Option<Source>>> {
-        if names.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut sorted: Vec<&str> = names.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut hits: Vec<Option<Source>> = vec![None; sorted.len()];
-        let lo = [Value::text(sorted[0])];
-        let hi = [Value::text(sorted[sorted.len() - 1])];
+        let mut hits: Vec<Option<Source>> = vec![None; names.len()];
         let mut decode_err = None;
-        let mut p = 0usize;
-        self.db
-            .table(tables::SOURCE)?
-            .for_each_index_range("by_name", &lo, &hi, |row| {
-                let Some(name) = row.get(1).as_text() else { return };
-                while p < sorted.len() && sorted[p] < name {
-                    p += 1;
-                }
-                if p < sorted.len() && sorted[p] == name {
-                    match Self::source_from_row(row) {
-                        Ok(s) => hits[p] = Some(s),
-                        Err(e) => decode_err = Some(e),
-                    }
-                }
-            })?;
-        if let Some(e) = decode_err {
-            return Err(e);
-        }
-        names
-            .iter()
-            .map(|n| {
-                let slot = sorted
-                    .binary_search(n)
-                    .map_err(|_| GamError::Invalid(format!("probe key `{n}` lost from batch")))?;
-                Ok(hits[slot].clone())
-            })
-            .collect()
+        self.db.table(tables::SOURCE)?.for_each_match(
+            "by_name",
+            names.iter().map(|name| [Value::text(*name)]),
+            |n, row| match Self::source_from_row(row.clone()) {
+                Ok(source) => hits[n] = Some(source),
+                Err(e) => decode_err = Some(e),
+            },
+        )?;
+        decode_err.map_or(Ok(hits), Err)
     }
 
     /// Fetch a source by id.
@@ -398,7 +377,7 @@ impl GamStore {
             .db
             .table(tables::SOURCE)?
             .lookup_unique("pk", &[Value::Int(id.as_i64())])?;
-        hit.as_ref().map(Self::source_from_row)
+        hit.map(Self::source_from_row)
             .transpose()?
             .ok_or(GamError::UnknownSource(id))
     }
@@ -573,59 +552,23 @@ impl GamStore {
     }
 
     /// Batched accession resolution (the importer's replacement for per-row
-    /// [`find_object`](Self::find_object) calls): sort-dedup the probe
-    /// accessions once, then resolve them in a single ordered merge pass
-    /// against the `by_accession` index. Results align with the input;
-    /// unknown accessions yield `None`.
-    ///
-    /// When the probe set is sparse relative to the source's key span
-    /// (fewer than 1/16 of its keys), point lookups are cheaper than
-    /// walking the span and the resolver switches to them — the answer is
-    /// identical either way.
+    /// [`find_object`](Self::find_object) calls): one ordered pass over the
+    /// `by_accession` index that reads a row only where an accession
+    /// matches. Results align with the input; unknown accessions yield
+    /// `None`.
     pub fn resolve_accessions(
         &self,
         source: SourceId,
         accessions: &[&str],
     ) -> GamResult<Vec<Option<ObjectId>>> {
-        if accessions.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut sorted: Vec<&str> = accessions.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let table = self.db.table(tables::OBJECT)?;
         let src = Value::Int(source.as_i64());
-        let mut hits: Vec<Option<ObjectId>> = vec![None; sorted.len()];
-        let span = table.index_prefix_count("by_accession", std::slice::from_ref(&src))?;
-        if sorted.len() * 16 < span {
-            for (i, acc) in sorted.iter().enumerate() {
-                hits[i] = table
-                    .lookup_unique("by_accession", &[src.clone(), Value::text(*acc)])?
-                    .map(|r| ObjectId::from_i64(r.get(0).as_int().unwrap_or_default()));
-            }
-        } else {
-            let lo = [src.clone(), Value::text(sorted[0])];
-            let hi = [src.clone(), Value::text(sorted[sorted.len() - 1])];
-            let mut p = 0usize;
-            table.for_each_index_range("by_accession", &lo, &hi, |row| {
-                let Some(acc) = row.get(2).as_text() else { return };
-                while p < sorted.len() && sorted[p] < acc {
-                    p += 1;
-                }
-                if p < sorted.len() && sorted[p] == acc {
-                    hits[p] = Some(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default()));
-                }
-            })?;
-        }
-        accessions
-            .iter()
-            .map(|acc| {
-                let slot = sorted
-                    .binary_search(acc)
-                    .map_err(|_| GamError::Invalid(format!("probe key `{acc}` lost from batch")))?;
-                Ok(hits[slot])
-            })
-            .collect()
+        let mut hits: Vec<Option<ObjectId>> = vec![None; accessions.len()];
+        self.db.table(tables::OBJECT)?.for_each_match(
+            "by_accession",
+            accessions.iter().map(|acc| [src.clone(), Value::text(*acc)]),
+            |n, row| hits[n] = Some(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
+        )?;
+        Ok(hits)
     }
 
     /// Find an object by (source, accession).
@@ -634,7 +577,7 @@ impl GamStore {
             "by_accession",
             &[Value::Int(source.as_i64()), Value::text(accession)],
         )?;
-        Ok(hit.as_ref().map(Self::object_from_row))
+        Ok(hit.map(Self::object_from_row))
     }
 
     /// Fetch an object by id.
@@ -643,7 +586,7 @@ impl GamStore {
             .db
             .table(tables::OBJECT)?
             .lookup_unique("pk", &[Value::Int(id.as_i64())])?;
-        hit.as_ref().map(Self::object_from_row)
+        hit.map(Self::object_from_row)
             .ok_or(GamError::UnknownObject(id))
     }
 
@@ -653,7 +596,7 @@ impl GamStore {
             .db
             .table(tables::OBJECT)?
             .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?;
-        Ok(rows.iter().map(Self::object_from_row).collect())
+        Ok(rows.into_iter().map(Self::object_from_row).collect())
     }
 
     /// Ids of all objects of a source.
@@ -688,7 +631,7 @@ impl GamStore {
         let predicate = Predicate::eq("source_id", Value::Int(source.as_i64()))
             .and(Predicate::text_contains("text", needle));
         let rows = self.db.table(tables::OBJECT)?.select(&predicate)?;
-        let mut out: Vec<GamObject> = rows.iter().map(Self::object_from_row).collect();
+        let mut out: Vec<GamObject> = rows.into_iter().map(Self::object_from_row).collect();
         out.sort_by(|a, b| a.accession.cmp(&b.accession));
         out.truncate(limit);
         Ok(out)
@@ -707,7 +650,7 @@ impl GamStore {
             .table(tables::OBJECT)?
             .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?;
         Ok(rows
-            .iter()
+            .into_iter()
             .map(Self::object_from_row)
             .filter(|o| o.accession.starts_with(prefix))
             .take(limit)
@@ -760,7 +703,7 @@ impl GamStore {
             .db
             .table(tables::SOURCE_REL)?
             .lookup_unique("pk", &[Value::Int(id.as_i64())])?;
-        hit.as_ref().map(Self::source_rel_from_row)
+        hit.map(Self::source_rel_from_row)
             .transpose()?
             .ok_or(GamError::UnknownSourceRel(id))
     }
@@ -775,7 +718,7 @@ impl GamStore {
             "by_pair",
             &[Value::Int(source1.as_i64()), Value::Int(source2.as_i64())],
         )?;
-        rows.iter().map(Self::source_rel_from_row).collect()
+        rows.into_iter().map(Self::source_rel_from_row).collect()
     }
 
     /// Find one mapping of the given type between two sources, trying both
@@ -912,25 +855,11 @@ impl GamStore {
         pairs.sort_unstable();
         pairs.dedup();
         let mut exists = vec![false; pairs.len()];
-        {
-            let table = self.db.table(tables::OBJECT_REL)?;
-            let (lo_from, lo_to) = pairs[0];
-            let (hi_from, hi_to) = pairs[pairs.len() - 1];
-            let lo = [Value::Int(rel_i64), Value::Int(lo_from), Value::Int(lo_to)];
-            let hi = [Value::Int(rel_i64), Value::Int(hi_from), Value::Int(hi_to)];
-            let mut p = 0usize;
-            table.for_each_index_range("by_pair", &lo, &hi, |row| {
-                let (Some(from), Some(to)) = (row.get(2).as_int(), row.get(3).as_int()) else {
-                    return;
-                };
-                while p < pairs.len() && pairs[p] < (from, to) {
-                    p += 1;
-                }
-                if p < pairs.len() && pairs[p] == (from, to) {
-                    exists[p] = true;
-                }
-            })?;
-        }
+        self.db.table(tables::OBJECT_REL)?.for_each_match(
+            "by_pair",
+            pairs.iter().map(|&(from, to)| [rel_i64, from, to].map(Value::Int)),
+            |n, _| exists[n] = true,
+        )?;
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut seen = vec![false; pairs.len()];
         for assoc in &assocs {
@@ -1522,20 +1451,20 @@ mod tests {
     }
 
     #[test]
-    fn resolve_accessions_merge_and_point_paths_agree() {
+    fn resolve_accessions_agrees_with_find_object_dense_and_sparse() {
         let mut s = store();
         let ll = gene_source(&mut s, "LocusLink");
         for i in 0..200 {
             s.create_object(ll.id, &format!("acc{i:03}"), None, None).unwrap();
         }
-        // dense probe set -> merge pass
+        // a probe set that covers most of the source
         let dense: Vec<String> = (0..150).map(|i| format!("acc{i:03}")).collect();
         let mut dense_refs: Vec<&str> = dense.iter().map(String::as_str).collect();
         dense_refs.push("nope");
         let hits = s.resolve_accessions(ll.id, &dense_refs).unwrap();
         assert!(hits[..150].iter().all(Option::is_some));
         assert!(hits[150].is_none());
-        // sparse probe set -> point lookups; answers must match find_object
+        // a handful of probes across the whole source; answers must match find_object
         let sparse = ["acc000", "acc199", "zzz", "acc007"];
         let hits = s.resolve_accessions(ll.id, &sparse).unwrap();
         for (acc, hit) in sparse.iter().zip(&hits) {

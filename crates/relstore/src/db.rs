@@ -17,7 +17,7 @@
 use crate::error::{StoreError, StoreResult};
 use crate::page::PageId;
 use crate::pager::{
-    decode_page_directory, encode_page_directory, PagedCatalog, Pager, PoolConfig,
+    decode_catalog, encode_page_directory, page_directory_body, PagedCatalog, Pager, PoolConfig,
 };
 use crate::row::RowId;
 use crate::schema::Schema;
@@ -195,13 +195,19 @@ impl Database {
             (PAGEDIR_FILE, SnapshotSource::Primary),
             (PAGEDIR_PREV_FILE, SnapshotSource::Fallback),
         ] {
-            match vfs.read(&dir.join(file))?.map(|data| decode_page_directory(&data)) {
-                Some(Ok(catalog)) => {
-                    found = Some((catalog, source));
+            let Some(data) = vfs.read(&dir.join(file))? else {
+                continue;
+            };
+            match page_directory_body(&data) {
+                // torn or rotted: the older generation is the better one
+                Err(StoreError::Corrupt(_)) => {}
+                Err(e) => return Err(e),
+                // whole, as its writer left it: what is wrong inside it is
+                // refused, not degraded around
+                Ok(body) => {
+                    found = Some((decode_catalog(body)?, source));
                     break;
                 }
-                None | Some(Err(StoreError::Corrupt(_))) => {}
-                Some(Err(e)) => return Err(e),
             }
         }
         let (catalog, source) = match found {
@@ -351,7 +357,7 @@ impl Database {
                 table,
                 row_id,
                 values,
-            } => self.table_mut_internal(&table)?.update(row_id, values),
+            } => self.table_mut_internal(&table)?.update(row_id, values).map(|_| ()),
             LogRecord::Commit { .. } | LogRecord::Epoch { .. } => Ok(()),
             LogRecord::CreateTable { schema } => {
                 // The checkpoint may already contain the table if the WAL
@@ -663,11 +669,10 @@ impl<'db> Transaction<'db> {
     ) -> StoreResult<Vec<RowId>> {
         self.check_open()?;
         let t = self.db.table_mut_internal(table)?;
-        let redo_rows = rows.clone();
-        let row_ids = t.insert_batch(rows)?;
+        let row_ids = t.insert_batch(&rows)?;
         self.redo.reserve(row_ids.len());
         self.undo.reserve(row_ids.len());
-        for (row_id, values) in row_ids.iter().zip(redo_rows) {
+        for (row_id, values) in row_ids.iter().zip(rows) {
             self.redo.push(LogRecord::Insert {
                 table: table.to_owned(),
                 row_id: *row_id,
@@ -702,8 +707,7 @@ impl<'db> Transaction<'db> {
     pub fn update(&mut self, table: &str, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.check_open()?;
         let t = self.db.table_mut_internal(table)?;
-        let old = t.get(row_id)?;
-        t.update(row_id, values.clone())?;
+        let old = t.update(row_id, values.clone())?;
         self.redo.push(LogRecord::Update {
             table: table.to_owned(),
             row_id,

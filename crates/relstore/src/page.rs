@@ -13,7 +13,9 @@
 //!
 //! [`PageImage`] is that byte string in memory — the header, the slot
 //! directory as a table of cell extents, and the cell area as it is on disk
-//! — and what a buffer-pool frame ([`crate::pager`]) holds. A row is decoded
+//! — and the one form a row has in memory: a buffer-pool frame
+//! ([`crate::pager`]) holds one, a table's open tail ([`crate::table`]) is
+//! a run of them, and a seal hands one over as it stands. A row is decoded
 //! from its cell when a read asks for it; a damaged cell is a typed error at
 //! that read. On disk images are immutable: the pool appends a fresh image
 //! (copy-on-write) when any row of a page changed, so the fault model for
@@ -54,21 +56,46 @@ pub struct PageImage {
     /// Row id of slot 0; slot `i` is row `base + i`.
     pub base: u64,
     slots: Vec<Slot>,
+    /// The cells, each where its slot says. A faulted image keeps the buffer
+    /// it was read into; the header and directory in front count as `dead`.
     cells: Vec<u8>,
-    /// Bytes of `cells` no slot points at any more; never written out.
+    /// Bytes of `cells` no slot points at; never written out.
     dead: usize,
 }
 
 impl PageImage {
-    /// The image of `rows` (`None` = tombstone), each cell encoded once.
-    pub fn from_rows(table_id: u32, page_no: u32, base: u64, rows: &[Option<Row>]) -> Self {
-        let (slots, cells) = (Vec::with_capacity(rows.len()), Vec::new());
-        let mut image = PageImage { table_id, page_no, base, slots, cells, dead: 0 };
-        for row in rows {
-            let slot = image.append(row.as_ref().map(Row::values));
-            image.slots.push(slot);
+    /// The image of an open `tail` that the next slot — row `next` of
+    /// `table_id`, behind `sealed` pages — goes into: the last while it has
+    /// room, else a fresh one under the identity it will be sealed with,
+    /// behind a last one that has given back its growth slack. Every image
+    /// of a tail but the last therefore holds [`MAX_PAGE_SLOTS`] slots.
+    pub(crate) fn open(tail: &mut Vec<PageImage>, table_id: u32, sealed: usize, next: u64) -> &mut PageImage {
+        if tail.last().is_none_or(|image| image.slots.len() >= MAX_PAGE_SLOTS) {
+            tail.last_mut().map(PageImage::shrink_to_fit);
+            let (page_no, slots, cells) = ((sealed + tail.len()) as u32, Vec::new(), Vec::new());
+            tail.push(PageImage { table_id, page_no, base: next, slots, cells, dead: 0 });
         }
-        image
+        let last = tail.len() - 1;
+        &mut tail[last]
+    }
+
+    /// Add a slot holding `values` (`None` = tombstone) after the last one.
+    pub(crate) fn push(&mut self, values: Option<&[Value]>) {
+        let slot = self.append(values);
+        self.slots.push(slot);
+    }
+
+    /// Add a slot holding `cell`, a row as [`put_row`] encoded it.
+    pub(crate) fn push_cell(&mut self, cell: &[u8]) {
+        let off = self.cells.len() as u32;
+        self.cells.extend_from_slice(cell);
+        self.slots.push(Slot { off, len: cell.len() as u32 });
+    }
+
+    /// Give back the growth slack of an image that will grow no more.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+        self.cells.shrink_to_fit();
     }
 
     /// Encode `values` at the end of the cell area; `None` is a tombstone.
@@ -87,8 +114,9 @@ impl PageImage {
     /// directory whose live offsets must start at 0, ascend, and fall inside
     /// the cell area — all checked here, before any cell is touched. A
     /// cell's extent runs to the next live offset; that it decodes to
-    /// exactly that extent is checked when it is read.
-    pub fn parse(data: &[u8]) -> StoreResult<PageImage> {
+    /// exactly that extent is checked when it is read. The image keeps
+    /// `data` as its cell buffer: a fault allocates the one buffer it read.
+    pub fn parse(data: Vec<u8>) -> StoreResult<PageImage> {
         if !(8..=u32::MAX as usize).contains(&data.len()) {
             return Err(StoreError::Corrupt(format!("page image of {} bytes", data.len())));
         }
@@ -116,6 +144,7 @@ impl PageImage {
             });
         }
         // `buf` is the cell area: backwards, a live cell ends where the next starts
+        let origin = (data.len() - buf.len()) as u32;
         let mut end = buf.len() as u32;
         for slot in slots.iter_mut().rev().filter(|s| s.len != 0) {
             if slot.off >= end {
@@ -126,6 +155,8 @@ impl PageImage {
             }
             slot.len = end - slot.off;
             end = slot.off;
+            // the whole image is at most `u32::MAX` bytes
+            slot.off += origin;
         }
         if end != 0 {
             return Err(StoreError::Corrupt(format!(
@@ -137,14 +168,14 @@ impl PageImage {
             page_no,
             base,
             slots,
-            cells: buf.to_vec(),
-            dead: 0,
+            cells: data,
+            dead: origin as usize,
         })
     }
 
     /// The image as bytes (header + CRC + slotted body): a byte copy of the
     /// live cells in slot order, whatever order memory holds them in — the
-    /// bytes of [`from_rows`](Self::from_rows) over the same rows.
+    /// bytes of an image the same rows were only ever pushed to.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.cells.len() + 2 * self.slots.len() + 40);
         out.extend_from_slice(PAGE_MAGIC);
@@ -175,6 +206,12 @@ impl PageImage {
         self.slots.len()
     }
 
+    /// The encoded cell of `slot` as it lies in memory; `None` for a
+    /// tombstone or a slot the page does not have.
+    pub(crate) fn raw_cell(&self, slot: usize) -> Option<&[u8]> {
+        self.slots.get(slot).filter(|s| s.len != 0).map(|s| self.cell(s))
+    }
+
     /// Encoded bytes of the live cells.
     pub(crate) fn live_bytes(&self) -> usize {
         self.cells.len() - self.dead
@@ -188,10 +225,9 @@ impl PageImage {
         slot: usize,
         read: impl FnOnce(&mut &[u8]) -> StoreResult<T>,
     ) -> StoreResult<Option<T>> {
-        let Some(s) = self.slots.get(slot).filter(|s| s.len != 0) else {
+        let Some(mut cell) = self.raw_cell(slot) else {
             return Ok(None);
         };
-        let mut cell = self.cell(s);
         let out = read(&mut cell)?;
         if !cell.is_empty() {
             let row = self.base + slot as u64;
@@ -242,6 +278,20 @@ impl PageImage {
 mod tests {
     use super::*;
 
+    impl PageImage {
+        /// The image of `rows` (`None` = tombstone), each cell encoded
+        /// once, in slot order: what every other way to the same rows is
+        /// held against.
+        pub(crate) fn from_rows(table_id: u32, page_no: u32, base: u64, rows: &[Option<Row>]) -> Self {
+            let (slots, cells) = (Vec::new(), Vec::new());
+            let mut image = PageImage { table_id, page_no, base, slots, cells, dead: 0 };
+            for row in rows {
+                image.push(row.as_ref().map(Row::values));
+            }
+            image
+        }
+    }
+
     fn row(i: i64) -> Row {
         Row::new(vec![Value::Int(i), Value::text(format!("r{i}")), Value::Null])
     }
@@ -255,7 +305,7 @@ mod tests {
     fn roundtrip_with_tombstones() {
         let rows = vec![Some(row(1)), None, Some(row(3)), None, None, Some(row(6))];
         let image = PageImage::from_rows(7, 42, 1000, &rows).encode();
-        let page = PageImage::parse(&image).unwrap();
+        let page = PageImage::parse(image.clone()).unwrap();
         assert_eq!(page.table_id, 7);
         assert_eq!(page.page_no, 42);
         assert_eq!(page.base, 1000);
@@ -267,10 +317,10 @@ mod tests {
     #[test]
     fn empty_and_all_tombstone_pages() {
         let image = PageImage::from_rows(0, 0, 0, &[]).encode();
-        assert_eq!(PageImage::parse(&image).unwrap().slot_count(), 0);
+        assert_eq!(PageImage::parse(image.clone()).unwrap().slot_count(), 0);
         let tombs = vec![None, None, None];
         let image = PageImage::from_rows(1, 2, 3, &tombs).encode();
-        assert_eq!(rows_of(&PageImage::parse(&image).unwrap()), tombs);
+        assert_eq!(rows_of(&PageImage::parse(image.clone()).unwrap()), tombs);
     }
 
     #[test]
@@ -280,15 +330,15 @@ mod tests {
         // bad magic
         let mut bad = image.clone();
         bad[0] = b'X';
-        assert!(PageImage::parse(&bad).is_err());
+        assert!(PageImage::parse(bad).is_err());
         // flipped body byte
         let mut bad = image.clone();
         let n = bad.len();
         bad[n - 1] ^= 0xff;
-        assert!(PageImage::parse(&bad).is_err());
+        assert!(PageImage::parse(bad).is_err());
         // truncation (torn page)
         for cut in [0, 4, 8, image.len() - 1] {
-            assert!(PageImage::parse(&image[..cut]).is_err(), "cut at {cut}");
+            assert!(PageImage::parse(image[..cut].to_vec()).is_err(), "cut at {cut}");
         }
     }
 
@@ -329,24 +379,24 @@ mod tests {
         let second = 1 + good.len() as u64;
         // the well-formed image parses
         assert_eq!(
-            rows_of(&PageImage::parse(&forged(2, &[1, second], &two)).unwrap()),
+            rows_of(&PageImage::parse(forged(2, &[1, second], &two)).unwrap()),
             vec![Some(row(1)), Some(row(1))]
         );
         // an offset past the cell area
-        corrupt(PageImage::parse(&forged(2, &[1, 1 + two.len() as u64], &two)));
-        corrupt(PageImage::parse(&forged(2, &[1, u64::MAX], &two)));
+        corrupt(PageImage::parse(forged(2, &[1, 1 + two.len() as u64], &two)));
+        corrupt(PageImage::parse(forged(2, &[1, u64::MAX], &two)));
         // descending and repeated offsets
-        corrupt(PageImage::parse(&forged(2, &[second, 1], &two)));
-        corrupt(PageImage::parse(&forged(2, &[1, 1], &two)));
+        corrupt(PageImage::parse(forged(2, &[second, 1], &two)));
+        corrupt(PageImage::parse(forged(2, &[1, 1], &two)));
         // cell bytes in front of the first cell, or under no live slot
-        corrupt(PageImage::parse(&forged(2, &[0, second], &two)));
-        corrupt(PageImage::parse(&forged(1, &[0], &good)));
+        corrupt(PageImage::parse(forged(2, &[0, second], &two)));
+        corrupt(PageImage::parse(forged(1, &[0], &good)));
         // one slot too many: refused by the count, before the entries are read
         let entries = vec![0u64; MAX_PAGE_SLOTS + 1];
-        let msg = corrupt(PageImage::parse(&forged(entries.len() as u64, &entries, &[])));
+        let msg = corrupt(PageImage::parse(forged(entries.len() as u64, &entries, &[])));
         assert!(msg.contains("implausible slot count 4097"), "{msg}");
         // a count the bytes that remain could not hold allocates nothing
-        let msg = corrupt(PageImage::parse(&forged(3000, &[1], &good)));
+        let msg = corrupt(PageImage::parse(forged(3000, &[1], &good)));
         assert!(msg.contains("page slot count 3000"), "{msg}");
     }
 
@@ -366,7 +416,7 @@ mod tests {
         for bad in [unknown_tag, not_utf8, short_arity, long_arity, huge_arity] {
             let cells = [good.clone(), bad.clone(), good.clone()].concat();
             let offsets = [1, 1 + good.len() as u64, 1 + (good.len() + bad.len()) as u64];
-            let page = PageImage::parse(&forged(3, &offsets, &cells)).unwrap();
+            let page = PageImage::parse(forged(3, &offsets, &cells)).unwrap();
             corrupt(page.row(1));
             let mut scratch = Row::new(Vec::new());
             corrupt(page.row_into(1, &mut scratch));
@@ -429,7 +479,7 @@ mod tests {
                 .map(|_| rng.gen_bool(0.8).then(|| shifty_row(rng)))
                 .collect();
             let faulted_from = PageImage::from_rows(3, 9, 500, &rows).encode();
-            let mut page = PageImage::parse(&faulted_from).unwrap();
+            let mut page = PageImage::parse(faulted_from.clone()).unwrap();
             assert_eq!(page.encode(), faulted_from);
             // tombstone / replace / restore random slots, many times over so
             // the abandoned cells are squeezed out along the way

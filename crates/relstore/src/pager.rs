@@ -20,9 +20,9 @@
 //! offset holds each page. Recovery trusts only the directory: torn or
 //! superseded images beyond it are never referenced.
 
-use crate::codec::{crc32, get_count, get_row, get_u8, get_varint, put_row, put_varint};
+use crate::codec::{crc32, get_count, get_u8, get_varint, put_varint, skip_row};
 use crate::error::{StoreError, StoreResult};
-use crate::page::{PageId, PageImage};
+use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::row::Row;
 use crate::schema::{get_schema, put_schema, Schema};
 use crate::stats::PoolStats;
@@ -233,7 +233,7 @@ impl Pager {
     /// clean frame. A failed read or parse leaves the pool as it was.
     fn fault(&self, inner: &mut PoolInner, pid: PageId) -> StoreResult<Arc<PageImage>> {
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let image = PageImage::parse(&self.read_image(inner, pid)?)?;
+        let image = PageImage::parse(self.read_image(inner, pid)?)?;
         if image.table_id != pid.table_id || image.page_no != pid.page_no {
             return Err(StoreError::Corrupt(format!(
                 "page identity mismatch: wanted {pid:?}, found table {} page {}",
@@ -391,7 +391,7 @@ impl Pager {
                     // validate before re-writing, every cell included:
                     // compaction must not launder a corrupt image into a
                     // fresh heap
-                    let page = PageImage::parse(&image)?;
+                    let page = PageImage::parse(image.clone())?;
                     let mut scratch = Row::new(Vec::new());
                     for slot in 0..page.slot_count() {
                         page.row_into(slot, &mut scratch)?;
@@ -485,9 +485,10 @@ pub struct PagedTableMeta<'a> {
     pub pages: Vec<PageDirEntry>,
     /// Row id of the first open-tail slot.
     pub tail_base: u64,
-    /// The open tail's rows, stored inline: at most a page of them under a
-    /// buffer pool, every row of the table without one.
-    pub tail: Cow<'a, [Option<Row>]>,
+    /// The open tail's rows, stored inline, as the table holds them: images
+    /// of [`MAX_PAGE_SLOTS`] slots each but the last — at most a page of
+    /// rows under a buffer pool, every row of the table without one.
+    pub tail: Cow<'a, [PageImage]>,
 }
 
 /// Everything recovery needs besides the WAL: which heap generation is
@@ -534,13 +535,15 @@ pub fn encode_page_directory(catalog: &PagedCatalog<'_>) -> Vec<u8> {
             put_varint(&mut out, p.loc.len as u64);
         }
         put_varint(&mut out, t.tail_base);
-        put_varint(&mut out, t.tail.len() as u64);
-        for slot in t.tail.iter() {
-            match slot {
-                None => out.push(0),
-                Some(row) => {
-                    out.push(1);
-                    put_row(&mut out, row.values());
+        put_varint(&mut out, t.tail.iter().map(PageImage::slot_count).sum::<usize>() as u64);
+        for image in t.tail.iter() {
+            for slot in 0..image.slot_count() {
+                match image.raw_cell(slot) {
+                    None => out.push(0),
+                    Some(cell) => {
+                        out.push(1);
+                        out.extend_from_slice(cell);
+                    }
                 }
             }
         }
@@ -550,8 +553,10 @@ pub fn encode_page_directory(catalog: &PagedCatalog<'_>) -> Vec<u8> {
     out
 }
 
-/// Decode and CRC-verify a page directory.
-pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog<'static>> {
+/// Check a page directory's frame — magic, version, CRC — and return the
+/// body inside it. A file that fails here was torn or has rotted; a body
+/// that passes is what its writer wrote, whatever [`decode_catalog`] finds.
+pub fn page_directory_body(data: &[u8]) -> StoreResult<&[u8]> {
     if data.len() < 12 {
         return Err(StoreError::Corrupt("page directory too short".into()));
     }
@@ -569,6 +574,16 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog<'static>> 
     if crc32(body) != crc {
         return Err(StoreError::Corrupt("page directory checksum mismatch".into()));
     }
+    Ok(body)
+}
+
+/// Decode and CRC-verify a page directory.
+pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog<'static>> {
+    decode_catalog(page_directory_body(data)?)
+}
+
+/// Decode the body of a page directory.
+pub fn decode_catalog(body: &[u8]) -> StoreResult<PagedCatalog<'static>> {
     let mut buf = body;
     let epoch = get_varint(&mut buf)?;
     let heap_gen = get_varint(&mut buf)?;
@@ -595,20 +610,25 @@ pub fn decode_page_directory(data: &[u8]) -> StoreResult<PagedCatalog<'static>> 
         }
         let tail_base = get_varint(&mut buf)?;
         // a tail may be a whole table: bounded by the bytes that remain (a
-        // slot is at least its marker), reserved exactly once
+        // slot is at least its marker). A cell is copied as written once its
+        // tags and lengths are known to stay inside the file; the index
+        // build decodes it.
         let ntail = get_count(&mut buf, 1, "tail slot")?;
-        let mut tail = Vec::with_capacity(ntail);
-        for _ in 0..ntail {
+        let mut tail = Vec::with_capacity(ntail.div_ceil(MAX_PAGE_SLOTS));
+        for slot in 0..ntail as u64 {
+            // a base that wraps tiles with no run of pages: `recovered` refuses it
+            let image = PageImage::open(&mut tail, table_id, npages, tail_base.wrapping_add(slot));
             match get_u8(&mut buf, "page directory truncated")? {
-                0 => tail.push(None),
-                1 => tail.push(Some(Row::new(get_row(&mut buf)?))),
-                other => {
-                    return Err(StoreError::Corrupt(format!(
-                        "bad tail slot marker {other}"
-                    )))
+                0 => image.push(None),
+                1 => {
+                    let at = buf;
+                    skip_row(&mut buf)?;
+                    image.push_cell(&at[..at.len() - buf.len()]);
                 }
+                other => return Err(StoreError::Corrupt(format!("bad tail slot marker {other}"))),
             }
         }
+        tail.last_mut().map(PageImage::shrink_to_fit);
         tables.push(PagedTableMeta {
             schema: Cow::Owned(schema),
             table_id,
@@ -763,7 +783,7 @@ mod tests {
         // a torn image (cut short) must fail CRC, not decode garbage
         let full = vfs.read_at(&heap(), loc.offset, loc.len as usize).unwrap().unwrap();
         for cut in [1usize, 8, full.len() - 1] {
-            assert!(PageImage::parse(&full[..cut]).is_err());
+            assert!(PageImage::parse(full[..cut].to_vec()).is_err());
         }
     }
 
@@ -811,7 +831,11 @@ mod tests {
             .unwrap();
         // the whole table as one tail, borrowed as a checkpoint borrows it;
         // the trailing tombstones carry the high-water mark
-        let whole = vec![Some(row(0)), None, Some(row(2)), None, None];
+        let whole = [PageImage::from_rows(2, 0, 0, &[Some(row(0)), None, Some(row(2)), None, None])];
+        fn rows_of(tail: &[PageImage]) -> Vec<Option<Row>> {
+            let slots = |image| (0..PageImage::slot_count(image)).map(move |slot| image.row(slot).unwrap());
+            tail.iter().flat_map(slots).collect()
+        }
         let catalog = PagedCatalog {
             epoch: 9,
             heap_gen: 3,
@@ -834,7 +858,7 @@ mod tests {
                         },
                     ],
                     tail_base: 6,
-                    tail: vec![Some(row(6)), None, Some(row(8))].into(),
+                    tail: vec![PageImage::from_rows(1, 2, 6, &[Some(row(6)), None, Some(row(8))])].into(),
                 },
                 PagedTableMeta {
                     schema: Cow::Borrowed(&other),
@@ -858,9 +882,15 @@ mod tests {
             assert_eq!(t.live, want.live);
             assert_eq!(t.pages, want.pages);
             assert_eq!(t.tail_base, want.tail_base);
-            assert_eq!(t.tail, want.tail);
+            assert_eq!(rows_of(&t.tail), rows_of(&want.tail));
+            // a decoded image knows the page it would be sealed as
+            let identity = |image: &PageImage| (image.table_id, image.page_no, image.base);
+            assert_eq!(
+                t.tail.iter().map(identity).collect::<Vec<_>>(),
+                want.tail.iter().map(identity).collect::<Vec<_>>()
+            );
         }
-        assert_eq!(back.tables[1].tail.len(), 5, "trailing tombstones survive");
+        assert_eq!(back.tables[1].tail[0].slot_count(), 5, "trailing tombstones survive");
 
         let mut bad = data.clone();
         bad[0] = b'X';

@@ -1,14 +1,14 @@
 //! Heap tables with slotted storage and index maintenance.
 //!
-//! A [`Table`] owns its rows as sealed slotted pages behind the buffer pool
-//! ([`crate::pager`]) plus an open in-memory tail, a slot vector addressed
-//! by [`RowId`]. A table with no pool is a table whose tail never seals:
-//! every row stays in that vector. Row ids are monotonically assigned and
-//! never reused; deleting a row tombstones its slot. Every declared index
-//! (including the primary key, named `"pk"`) is maintained on
-//! insert/update/delete and kept resident either way — only row bodies
-//! page out, so an indexed point lookup faults exactly the pages it touches,
-//! and a sealed row is decoded from its cell when a read asks for it.
+//! A [`Table`] owns its rows as page images ([`crate::page`]): sealed ones
+//! behind the buffer pool ([`crate::pager`]) plus an open tail of images it
+//! appends to, whose head a seal hands to the pool as it stands. A table
+//! with no pool is a table whose tail never seals. Either way a row in
+//! memory is its encoded cell, decoded when a read asks for it. Row ids are
+//! monotonically assigned and never reused; deleting a row tombstones its
+//! slot. Every declared index (including the primary key, named `"pk"`) is
+//! maintained on insert/update/delete and kept resident — only row bodies
+//! page out, so an indexed point lookup faults exactly the pages it touches.
 //! Recovery places rows first and builds every index once afterwards
 //! ([`Table::build_indexes`]): a table under recovery has no index
 //! structures at all until then.
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
 use crate::index::{format_key, IndexKey, IndexStore, KeySpec};
-use crate::codec::{get_count, get_value_into, row_len};
+use crate::codec::{get_count, get_value_into};
 use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
 use crate::predicate::Predicate;
@@ -69,24 +69,24 @@ pub(crate) struct SealedPage {
 /// Row storage: a contiguous list of sealed pages covering row ids
 /// `[0, tail_base)` plus the open tail covering `[tail_base, ..)`. Without
 /// a buffer pool the tail never seals: `pages` stays empty and the tail is
-/// the whole table, one slot vector addressed by row id.
+/// the whole table.
 #[derive(Debug)]
 struct PagedRows {
     /// The pool sealed pages live behind; `None` keeps every row in the tail.
     pager: Option<Arc<Pager>>,
     table_id: u32,
     pages: Vec<SealedPage>,
-    tail: Vec<Option<Row>>,
+    /// The open tail, as the page images it will be sealed in: all but the
+    /// last hold exactly [`MAX_PAGE_SLOTS`] slots, so a row id's image is a
+    /// division away. Under a pool, more than one is a batch yet to settle.
+    tail: Vec<PageImage>,
     tail_base: u64,
-    /// Encoded bytes of the live tail rows — the page-fill trigger. Not
-    /// kept (zero) without a pool: nothing would read it.
-    tail_bytes: usize,
 }
 
 /// Where a row id lives.
 enum Loc {
-    /// Open tail, at this offset.
-    Tail(usize),
+    /// Open tail: image `tail[i]`, slot `j`.
+    Tail(usize, usize),
     /// Sealed page `pages[i]`, slot `j`.
     Page(usize, usize),
     /// At or beyond the high-water mark.
@@ -101,7 +101,6 @@ impl PagedRows {
             pages: Vec::new(),
             tail: Vec::new(),
             tail_base: 0,
-            tail_bytes: 0,
         }
     }
 
@@ -123,16 +122,17 @@ impl PagedRows {
 
     /// One past the highest assigned row id.
     fn high_water(&self) -> u64 {
-        self.tail_base + self.tail.len() as u64
+        let end = |last: &PageImage| last.base + last.slot_count() as u64;
+        self.tail.last().map_or(self.tail_base, end)
     }
 
     fn locate(&self, id: u64) -> Loc {
         if id >= self.tail_base {
             let off = (id - self.tail_base) as usize;
-            if off < self.tail.len() {
-                Loc::Tail(off)
-            } else {
-                Loc::Beyond
+            let (i, slot) = (off / MAX_PAGE_SLOTS, off % MAX_PAGE_SLOTS);
+            match self.tail.get(i) {
+                Some(image) if slot < image.slot_count() => Loc::Tail(i, slot),
+                _ => Loc::Beyond,
             }
         } else {
             // Sealed pages tile [0, tail_base) contiguously; find the page
@@ -151,62 +151,48 @@ impl PagedRows {
         }
     }
 
-    /// What `slot` adds to `tail_bytes`: its encoded length under a pool,
-    /// nothing for a tombstone or a tail that never seals.
-    fn cell_bytes(&self, slot: &Option<Row>) -> usize {
-        match (&self.pager, slot) {
-            (Some(_), Some(row)) => row_len(row.values()),
-            _ => 0,
-        }
+    /// The tail image the next slot goes into. Pushing to it cannot fail, so
+    /// callers order it after index maintenance and stay consistent.
+    fn open_image(&mut self) -> &mut PageImage {
+        let next = self.high_water();
+        PageImage::open(&mut self.tail, self.table_id, self.pages.len(), next)
     }
 
-    /// Append a slot without running the seal check (infallible, so callers
-    /// can order it after index maintenance and stay consistent).
-    fn push_raw(&mut self, row: Option<Row>) {
-        self.tail_bytes += self.cell_bytes(&row);
-        self.tail.push(row);
-    }
-
-    /// Run the deferred seal check after one or more `push_raw` calls: seal
-    /// the open tail into the buffer pool while it is full (by bytes
-    /// against the configured page size, or by the slot cap). An error
-    /// leaves every pushed row stored (in the tail or in a resident pool
-    /// frame) — only the page-out I/O failed. Without a pool there is
-    /// nothing to seal into.
+    /// Run the seal check deferred by one or more pushes: seal
+    /// the head of the open tail into the buffer pool while it is full (by
+    /// bytes against the configured page size, or by the slot cap — an
+    /// image behind it means it met the cap). An error leaves every pushed
+    /// row stored (in the tail or in a resident pool frame) — only the
+    /// page-out I/O failed. Without a pool there is nothing to seal into.
     fn settle(&mut self) -> StoreResult<()> {
         let Some(page_bytes) = self.pager.as_ref().map(|p| p.config().page_bytes) else {
             return Ok(());
         };
-        while !self.tail.is_empty()
-            && (self.tail.len() >= MAX_PAGE_SLOTS || self.tail_bytes >= page_bytes)
-        {
+        while self.tail.first().is_some_and(|head| {
+            self.tail.len() > 1
+                || head.slot_count() >= MAX_PAGE_SLOTS
+                || head.live_bytes() >= page_bytes
+        }) {
             self.seal_tail()?;
         }
         Ok(())
     }
 
-    /// Seal the head of the open tail — all of it, up to the slot cap a
-    /// page image may carry — leaving any remainder as the new tail, which
-    /// weighs what the cells encoded here (once) do not. The page is
-    /// recorded in `pages` *before* the pool install, so an eviction error
-    /// inside `install` (which still leaves the new frame resident and
-    /// dirty) keeps table and pool consistent.
+    /// Seal the head of the open tail: its image goes to the pool as it
+    /// stands, and what is behind it is the new tail. The page is recorded
+    /// in `pages` *before* the pool install, so an eviction error inside
+    /// `install` (which still leaves the new frame resident and dirty)
+    /// keeps table and pool consistent.
     fn seal_tail(&mut self) -> StoreResult<()> {
-        let rest = if self.tail.len() > MAX_PAGE_SLOTS {
-            self.tail.split_off(MAX_PAGE_SLOTS)
-        } else {
-            Vec::new()
-        };
-        let rows = std::mem::replace(&mut self.tail, rest);
-        let base = self.tail_base;
+        let mut image = self.tail.remove(0);
+        image.shrink_to_fit();
         let idx = self.pages.len();
+        debug_assert_eq!((image.page_no, image.base), (idx as u32, self.tail_base));
         self.pages.push(SealedPage {
-            base,
-            slots: rows.len() as u32,
+            base: image.base,
+            slots: image.slot_count() as u32,
         });
-        self.tail_base = base + rows.len() as u64;
-        let image = PageImage::from_rows(self.table_id, idx as u32, base, &rows);
-        self.tail_bytes = self.tail_bytes.saturating_sub(image.live_bytes());
+        self.tail_base += image.slot_count() as u64;
         let (pager, pid) = self.sealed(idx)?;
         pager.install(pid, image)
     }
@@ -214,85 +200,75 @@ impl PagedRows {
     /// Extend with tombstones until the high-water mark reaches `target`
     /// (gap fill for replayed sparse row ids).
     fn fill_gap_to(&mut self, target: u64) -> StoreResult<()> {
+        // `target` may come straight from a file: a row id no memory could
+        // hold is corruption, not an abort (under a pool the gap seals as it
+        // grows, a page of tombstones at a time)
+        let images = usize::try_from(target.saturating_sub(self.high_water()) / MAX_PAGE_SLOTS as u64);
+        if self.pager.is_none() && self.tail.try_reserve(images.unwrap_or(usize::MAX)).is_err() {
+            return Err(StoreError::Corrupt(format!("row id {target} exceeds addressable slots")));
+        }
         while self.high_water() < target {
-            let gap = usize::try_from(target - self.high_water()).unwrap_or(usize::MAX);
-            // Tombstones are zero encoded bytes; under a pool only the slot
-            // cap can trigger a seal here, and it must, or a huge gap would
-            // grow one page without bound.
-            let room = match self.pager {
-                Some(_) => MAX_PAGE_SLOTS.saturating_sub(self.tail.len()),
-                None => usize::MAX,
-            };
-            let grow = gap.min(room);
-            // `target` may come straight from a file: a row id no memory
-            // could hold is corruption, not an abort
-            self.tail.try_reserve(grow).map_err(|_| {
-                StoreError::Corrupt(format!("row id {target} exceeds addressable slots"))
-            })?;
-            self.tail.resize(self.tail.len() + grow, None);
-            if self.tail.len() >= MAX_PAGE_SLOTS {
-                self.settle()?;
-            }
+            self.open_image().push(None);
+            self.settle()?;
         }
         Ok(())
     }
 
-    /// Swap the slot at `id` (which must be below the high-water mark) for
-    /// `row`, returning the previous contents. A sealed slot is rewritten
-    /// inside its page image — no other row of the page is decoded — which
-    /// marks the page dirty; an I/O error means the mutation was *not*
-    /// applied.
-    fn replace(&mut self, id: u64, row: Option<Row>) -> StoreResult<Option<Row>> {
+    /// Point the slot at `id` (below the high-water mark) at `values` —
+    /// `None` tombstones it — after `old` has read what it wants out of the
+    /// slot's image, or refused. No other row of the image is touched; a
+    /// sealed page is marked dirty; an error means nothing was written.
+    fn replace<T>(
+        &mut self,
+        id: u64,
+        values: Option<&[Value]>,
+        old: impl FnOnce(&PageImage, usize) -> StoreResult<T>,
+    ) -> StoreResult<T> {
+        let rewrite = move |image: &mut PageImage, slot: usize| -> StoreResult<T> {
+            let old = old(image, slot)?;
+            image.set(slot, values)?;
+            Ok(old)
+        };
         match self.locate(id) {
             Loc::Beyond => Err(StoreError::Corrupt(format!(
                 "slot write at {id} beyond high-water mark {}",
                 self.high_water()
             ))),
-            Loc::Tail(off) => {
-                self.tail_bytes += self.cell_bytes(&row);
-                let old = std::mem::replace(&mut self.tail[off], row);
-                self.tail_bytes = self.tail_bytes.saturating_sub(self.cell_bytes(&old));
-                Ok(old)
-            }
+            Loc::Tail(i, slot) => rewrite(&mut self.tail[i], slot),
             Loc::Page(idx, slot) => {
                 let (pager, pid) = self.sealed(idx)?;
-                pager.mutate(pid, move |image| {
-                    let old = image.row(slot)?;
-                    image.set(slot, row.as_ref().map(Row::values))?;
-                    Ok(old)
-                })?
+                pager.mutate(pid, move |image| rewrite(image, slot))?
             }
         }
     }
 
     /// Visit every live row in row-id order, propagating sink errors and
     /// page-fault I/O errors. Each sealed page is faulted exactly once and
-    /// its rows pass through one scratch row.
+    /// every row passes through one scratch row.
     fn for_each(&self, f: &mut dyn FnMut(RowId, &Row) -> StoreResult<()>) -> StoreResult<()> {
         let mut scratch = Row::new(Vec::new());
-        for (idx, sp) in self.pages.iter().enumerate() {
-            let (pager, pid) = self.sealed(idx)?;
-            let image = pager.pin(pid)?;
+        let mut rows_of = |image: &PageImage| -> StoreResult<()> {
             for slot in 0..image.slot_count() {
                 if image.row_into(slot, &mut scratch)? {
-                    f(RowId(sp.base + slot as u64), &scratch)?;
+                    f(RowId(image.base + slot as u64), &scratch)?;
                 }
             }
+            Ok(())
+        };
+        for idx in 0..self.pages.len() {
+            let (pager, pid) = self.sealed(idx)?;
+            rows_of(pager.pin(pid)?.as_ref())?;
         }
-        for (i, slot) in self.tail.iter().enumerate() {
-            if let Some(row) = slot {
-                f(RowId(self.tail_base + i as u64), row)?;
-            }
-        }
-        Ok(())
+        self.tail.iter().try_for_each(rows_of)
     }
 }
 
 /// A read cursor over a table's rows that keeps the last page image it was
 /// handed, so index-driven loops that touch several rows of the same page
-/// ask the pool for it once instead of per row. A sealed row comes out
-/// *owned* — decoded straight into the row that is returned — or *borrowed*
-/// — decoded over the cursor's one scratch row, text buffers reused.
+/// ask the pool for it once instead of per row. A row comes out of its cell
+/// *owned* — decoded straight into the row that is returned — *borrowed* —
+/// decoded over the cursor's one scratch row, text buffers reused — or by
+/// *columns*, value by value with no row built.
 struct RowCursor<'a> {
     store: &'a PagedRows,
     cached: Option<(usize, Arc<PageImage>)>,
@@ -308,13 +284,20 @@ impl<'a> RowCursor<'a> {
         }
     }
 
-    /// The image of sealed page `idx`, from `cached` if it is the last one
-    /// asked for (a function of the fields, so the scratch row stays free).
+    /// The image holding row `id` and the row's slot in it — a tail image,
+    /// or a sealed page from `cached` if it is the last one asked for (a
+    /// function of the fields, so the scratch row stays free). `None` at or
+    /// beyond the high-water mark.
     fn image<'c>(
-        store: &PagedRows,
+        store: &'c PagedRows,
         cached: &'c mut Option<(usize, Arc<PageImage>)>,
-        idx: usize,
-    ) -> StoreResult<&'c PageImage> {
+        id: RowId,
+    ) -> StoreResult<Option<(&'c PageImage, usize)>> {
+        let (idx, slot) = match store.locate(id.0) {
+            Loc::Beyond => return Ok(None),
+            Loc::Tail(i, slot) => return Ok(Some((&store.tail[i], slot))),
+            Loc::Page(idx, slot) => (idx, slot),
+        };
         let entry = match cached.take() {
             Some(entry) if entry.0 == idx => entry,
             _ => {
@@ -322,52 +305,39 @@ impl<'a> RowCursor<'a> {
                 (idx, pager.pin(pid)?)
             }
         };
-        Ok(&cached.insert(entry).1)
+        Ok(Some((&cached.insert(entry).1, slot)))
     }
 
     /// The live row at `id`, owned; `Ok(None)` for tombstones and
     /// out-of-range ids.
     fn owned(&mut self, id: RowId) -> StoreResult<Option<Row>> {
-        match self.store.locate(id.0) {
-            Loc::Beyond => Ok(None),
-            Loc::Tail(off) => Ok(self.store.tail[off].clone()),
-            Loc::Page(idx, slot) => Self::image(self.store, &mut self.cached, idx)?.row(slot),
+        match Self::image(self.store, &mut self.cached, id)? {
+            Some((image, slot)) => image.row(slot),
+            None => Ok(None),
         }
     }
 
     /// Apply `f` to the live row at `id`, borrowed; `Ok(None)` for
     /// tombstones and out-of-range ids.
     fn with<T>(&mut self, id: RowId, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
-        let p = self.store;
-        match p.locate(id.0) {
-            Loc::Beyond => Ok(None),
-            Loc::Tail(off) => Ok(p.tail[off].as_ref().map(f)),
-            Loc::Page(idx, slot) => {
-                let image = Self::image(p, &mut self.cached, idx)?;
-                let live = image.row_into(slot, &mut self.scratch)?;
-                Ok(live.then(|| f(&self.scratch)))
-            }
-        }
+        let Some((image, slot)) = Self::image(self.store, &mut self.cached, id)? else {
+            return Ok(None);
+        };
+        let live = image.row_into(slot, &mut self.scratch)?;
+        Ok(live.then(|| f(&self.scratch)))
     }
 
-    /// Feed `f` the values of the live row at `id` by ordinal, a sealed
-    /// row's one at a time straight from its cell: no row is built.
+    /// Feed `f` the values of the live row at `id` by ordinal, one at a
+    /// time straight from its cell: no row is built.
     fn columns(&mut self, id: RowId, mut f: impl FnMut(usize, &Value)) -> StoreResult<Option<()>> {
-        let p = self.store;
-        match p.locate(id.0) {
-            Loc::Beyond => Ok(None),
-            Loc::Tail(off) => Ok(p.tail[off]
-                .as_ref()
-                .map(|row| row.values().iter().enumerate().for_each(|(ord, v)| f(ord, v)))),
-            Loc::Page(idx, slot) => {
-                Self::image(p, &mut self.cached, idx)?.read_cell(slot, |cell| {
-                    let mut value = Value::Null;
-                    (0..get_count(cell, 1, "row value")?).try_for_each(|ord| {
-                        get_value_into(cell, &mut value).map(|()| f(ord, &value))
-                    })
-                })
-            }
-        }
+        let Some((image, slot)) = Self::image(self.store, &mut self.cached, id)? else {
+            return Ok(None);
+        };
+        image.read_cell(slot, |cell| {
+            let mut value = Value::Null;
+            (0..get_count(cell, 1, "row value")?)
+                .try_for_each(|ord| get_value_into(cell, &mut value).map(|()| f(ord, &value)))
+        })
     }
 }
 
@@ -438,14 +408,22 @@ pub struct Table {
 /// the one place rows become an index. One pass over the rows (one fault per
 /// page) projects every key; each index is then bulk-built from its run,
 /// which arrives in row-id order and is sorted only if that is not already
-/// key order. Returns the structures and the number of live rows seen.
+/// key order. Returns the structures and the number of live rows seen; the
+/// runs are sized once for the `expect` rows the caller counts on.
 fn index_rows(
     schema: &Schema,
     defs: &[&IndexDef],
     store: &PagedRows,
+    expect: usize,
 ) -> StoreResult<(Vec<IndexStore>, usize)> {
     let specs: Vec<KeySpec> = defs.iter().map(|def| KeySpec::new(schema, def)).collect();
     let mut runs: Vec<Vec<(IndexKey, RowId)>> = vec![Vec::new(); defs.len()];
+    for run in &mut runs {
+        // the count may come from a file: one no memory could hold is corruption
+        run.try_reserve_exact(expect).map_err(|_| {
+            StoreError::Corrupt(format!("table {}: {expect} live rows", schema.name()))
+        })?;
+    }
     let mut live = 0usize;
     store.for_each(&mut |id, row| {
         live += 1;
@@ -494,7 +472,7 @@ impl Table {
     }
 
     /// Reattach a table to its recovered page-directory entry, under
-    /// recovery; the decoded tail is moved in as it stands. The sealed
+    /// recovery; the tail's images are moved in as they stand. The sealed
     /// pages must tile `[0, tail_base)` contiguously (anything else is a
     /// corrupt directory), and sealed pages need the pool they were sealed
     /// into: without one the open is refused, untouched, naming the one
@@ -547,7 +525,6 @@ impl Table {
             .collect();
         store.tail_base = meta.tail_base;
         store.tail = meta.tail.into_owned();
-        store.tail_bytes = store.tail.iter().map(|slot| store.cell_bytes(slot)).sum();
         Ok(Table {
             schema,
             live: meta.live as usize,
@@ -562,7 +539,7 @@ impl Table {
     /// hold the live-row count recovery arrived at.
     pub(crate) fn build_indexes(&mut self) -> StoreResult<()> {
         let defs: Vec<&IndexDef> = self.schema.indexes().iter().collect();
-        let (indexes, live) = index_rows(&self.schema, &defs, &self.store)?;
+        let (indexes, live) = index_rows(&self.schema, &defs, &self.store, self.live)?;
         if live != self.live {
             return Err(StoreError::Corrupt(format!(
                 "table {}: recovery accounts for {} live rows but storage holds {live}",
@@ -695,7 +672,7 @@ impl Table {
         self.check_unique(&keys, &values)?;
         let row_id = RowId(self.store.high_water());
         self.enter(keys, &values, row_id)?;
-        self.store.push_raw(Some(Row::new(values)));
+        self.store.open_image().push(Some(&values));
         self.live += 1;
         // The row is fully inserted and indexed at this point; a seal
         // (page-out) error leaves the table consistent and is retried on
@@ -712,28 +689,18 @@ impl Table {
     /// Rows then land in contiguous slots and each index is extended from
     /// one key-sorted run of the batch (each key projected once, inserted
     /// in ascending order) rather than maintained per row.
-    pub fn insert_batch(&mut self, rows: Vec<Vec<Value>>) -> StoreResult<Vec<RowId>> {
-        if rows.len() <= 1 {
-            // trivial batch: the per-row path is already optimal
-            return rows.into_iter().map(|r| self.insert(r)).collect();
-        }
-        let new_rows: Vec<Row> = rows
-            .into_iter()
-            .map(|values| {
-                self.schema.check_row(&values)?;
-                Ok(Row::new(values))
-            })
-            .collect::<StoreResult<_>>()?;
+    pub fn insert_batch(&mut self, rows: &[Vec<Value>]) -> StoreResult<Vec<RowId>> {
+        rows.iter().try_for_each(|values| self.schema.check_row(values))?;
         let first = self.store.high_water();
-        let row_ids: Vec<RowId> = (0..new_rows.len() as u64)
+        let row_ids: Vec<RowId> = (0..rows.len() as u64)
             .map(|i| RowId(first + i))
             .collect();
         let mut runs = Vec::with_capacity(self.indexes.len());
         for (def, ix) in self.indexed() {
-            let mut run: Vec<(IndexKey, RowId)> = new_rows
+            let mut run: Vec<(IndexKey, RowId)> = rows
                 .iter()
                 .zip(&row_ids)
-                .map(|(row, id)| Ok((ix.spec().row_key(row.values())?, *id)))
+                .map(|(row, id)| Ok((ix.spec().row_key(row)?, *id)))
                 .collect::<StoreResult<_>>()?;
             run.sort_unstable();
             if def.unique {
@@ -743,8 +710,7 @@ impl Table {
                     .map(|pair| &pair[0])
                     .or_else(|| run.iter().find(|(key, _)| ix.would_conflict(key)));
                 if let Some((_, id)) = clash {
-                    let row = &new_rows[(id.0 - first) as usize];
-                    return Err(self.violation(def, row.values()));
+                    return Err(self.violation(def, &rows[(id.0 - first) as usize]));
                 }
             }
             runs.push(run);
@@ -755,8 +721,8 @@ impl Table {
                 debug_assert!(entered, "batch keys were pre-checked");
             }
         }
-        for row in new_rows {
-            self.store.push_raw(Some(row));
+        for row in rows {
+            self.store.open_image().push(Some(row));
         }
         self.live += row_ids.len();
         self.store.settle()?;
@@ -776,7 +742,7 @@ impl Table {
             )));
         }
         self.store.fill_gap_to(row_id.0)?;
-        self.store.push_raw(Some(Row::new(values)));
+        self.store.open_image().push(Some(&values));
         self.live += 1;
         self.store.settle()
     }
@@ -786,19 +752,16 @@ impl Table {
     /// to undo deletes.
     pub(crate) fn restore(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
-        let in_range = row_id.0 < self.store.high_water();
-        let occupied = in_range && RowCursor::new(&self.store).owned(row_id)?.is_some();
-        if !in_range || occupied {
-            return Err(StoreError::Corrupt(format!(
-                "restore target {row_id} is not a tombstone"
-            )));
-        }
         let keys = self.keys_of(&values)?;
         self.check_unique(&keys, &values)?;
         // Fallible page I/O first: if the slot write fails nothing has
         // changed; the index inserts after it cannot conflict (pre-checked).
-        self.store
-            .replace(row_id.0, Some(Row::new(values.clone())))?;
+        self.store.replace(row_id.0, Some(&values), |image, slot| match image.raw_cell(slot) {
+            None => Ok(()),
+            Some(_) => Err(StoreError::Corrupt(format!(
+                "restore target {row_id} is not a tombstone"
+            ))),
+        })?;
         self.enter(keys, &values, row_id)?;
         self.live += 1;
         Ok(())
@@ -817,7 +780,7 @@ impl Table {
     /// Delete a row by id, returning the removed row.
     pub fn delete(&mut self, row_id: RowId) -> StoreResult<Row> {
         let old = if row_id.0 < self.store.high_water() {
-            self.store.replace(row_id.0, None)?
+            self.store.replace(row_id.0, None, PageImage::row)?
         } else {
             None
         };
@@ -833,8 +796,9 @@ impl Table {
         Ok(row)
     }
 
-    /// Replace the row at `row_id` with new values (index-maintained).
-    pub fn update(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
+    /// Replace the row at `row_id` with new values (index-maintained),
+    /// returning the row they replaced.
+    pub fn update(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<Row> {
         self.schema.check_row(&values)?;
         let old = self.get(row_id)?;
         let old_keys = self.keys_of(old.values())?;
@@ -849,7 +813,7 @@ impl Table {
         }
         // Fallible page I/O first (an error means the slot was not
         // written), then the pre-checked index delta.
-        self.store.replace(row_id.0, Some(Row::new(values)))?;
+        self.store.replace(row_id.0, Some(&values), |_, _| Ok(()))?;
         for (ix, (old_key, new_key)) in self
             .indexes
             .iter_mut()
@@ -861,7 +825,7 @@ impl Table {
                 debug_assert!(entered, "new key was pre-checked");
             }
         }
-        Ok(())
+        Ok(old)
     }
 
     /// Iterate live rows in row-id order, yielding owned rows.
@@ -976,9 +940,15 @@ impl Table {
         Ok(out)
     }
 
-    /// Unique-index point lookup returning at most one row.
+    /// Unique-index point lookup returning at most one row: one index
+    /// probe, one row decoded straight into what is returned.
     pub fn lookup_unique(&self, index: &str, key: &[Value]) -> StoreResult<Option<Row>> {
-        Ok(self.lookup(index, key)?.into_iter().next())
+        let ix = self.index(index)?;
+        let Some(&id) = ix.spec().probe(key).and_then(|key| ix.lookup(&key).first()) else {
+            return Ok(None);
+        };
+        let row = RowCursor::new(&self.store).owned(id)?;
+        row.map(Some).ok_or_else(|| dead_index_ref(self.schema.name(), id))
     }
 
     /// Exact-key lookup streamed row by row, without materializing a
@@ -1003,34 +973,44 @@ impl Table {
         self.walk_prefix(self.index(index)?, prefix, |cursor, id| cursor.with(id, &mut f))
     }
 
-    /// Stream the rows of a named index whose key lies in `[lo, hi]`
-    /// (inclusive), in key order; the key columns are read off the row.
-    /// This is the substrate for batched key resolution: the caller merges
-    /// its sorted probe keys against this single ordered pass instead of
-    /// issuing one [`lookup_unique`](Self::lookup_unique) per probe. A
-    /// bound may cover only the leading key columns; one whose values do
-    /// not conform to the key's column types is a schema violation.
-    pub fn for_each_index_range(
+    /// Batched exact-key resolution: `f(n, row)` for every row whose key in
+    /// the named index equals the full key `probes[n]`, in key order — what
+    /// one [`lookup`](Self::lookup) per probe finds, from one ordered pass
+    /// over the index between the least and the greatest probe. Probes and
+    /// entries are compared as encoded keys and a row is read only where
+    /// they are equal: a probe that matches nothing faults no page.
+    pub fn for_each_match<P: AsRef<[Value]>>(
         &self,
         index: &str,
-        lo: &[Value],
-        hi: &[Value],
-        mut f: impl FnMut(&Row),
+        probes: impl IntoIterator<Item = P>,
+        mut f: impl FnMut(usize, &Row),
     ) -> StoreResult<()> {
         let ix = self.index(index)?;
-        let (Some(lo), Some(hi)) = (ix.spec().probe(lo), ix.spec().probe(hi)) else {
-            return Err(StoreError::SchemaViolation(format!(
-                "table {}: range bounds do not conform to the key of index {index}",
-                self.name()
-            )));
+        let mut keys: Vec<(IndexKey, usize)> = probes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(n, probe)| Some((ix.spec().probe(probe.as_ref())?, n)))
+            .collect();
+        if !keys.is_sorted() {
+            keys.sort_unstable();
+        }
+        let (Some((lo, _)), Some((hi, _))) = (keys.first(), keys.last()) else {
+            return Ok(());
         };
+        // `asked` is the run of probes equal to the entry being walked
+        let asked = std::cell::Cell::new(&keys[..0]);
+        let mut rest = &keys[..];
         self.walk(
             |sink| {
-                ix.visit(Bound::Included(&lo), Bound::Included(&hi), |_, ids| {
-                    sink(ids)
+                ix.visit(Bound::Included(lo), Bound::Included(hi), |key, ids| {
+                    let below = rest.iter().take_while(|(probe, _)| probe < key).count();
+                    let equal = rest[below..].iter().take_while(|(probe, _)| probe == key).count();
+                    asked.set(&rest[below..below + equal]);
+                    rest = &rest[below + equal..];
+                    (equal == 0 || sink(ids)) && !rest.is_empty()
                 })
             },
-            |cursor, id| cursor.with(id, &mut f),
+            |cursor, id| cursor.with(id, |row| asked.get().iter().for_each(|&(_, n)| f(n, row))),
         )
     }
 
@@ -1077,9 +1057,8 @@ impl Table {
     /// [`lookup_prefix`](Self::lookup_prefix) this never materializes the
     /// candidate row-id/row vectors and touches only the requested
     /// columns, which is what bulk loaders (e.g. mapping-index construction
-    /// over `OBJECT_REL`) want. On a paged table the columns are read
-    /// straight from each row's cell; no row is built. Returns the total
-    /// number of rows visited.
+    /// over `OBJECT_REL`) want. The columns are read straight from each
+    /// row's cell; no row is built. Returns the total number of rows visited.
     ///
     /// `int_cols` decode with [`Value::as_int`] semantics (non-int values
     /// become 0); `float_cols` decode with [`Value::as_float`] semantics
@@ -1156,7 +1135,7 @@ impl Table {
         let built = if fresh.is_empty() {
             Vec::new()
         } else {
-            index_rows(&schema, &fresh, &self.store)?.0
+            index_rows(&schema, &fresh, &self.store, self.live)?.0
         };
         let mut built = built.into_iter();
         let slots: Vec<Option<usize>> = schema.indexes().iter().map(kept).collect();
@@ -1268,7 +1247,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::PoolConfig;
+    use crate::pager::{decode_page_directory, encode_page_directory, PagedCatalog, PoolConfig};
     use crate::schema::Column;
     use crate::value::ValueType;
     use crate::vfs::FaultVfs;
@@ -1338,7 +1317,7 @@ mod tests {
             obj(2, 2, "aa"),
             obj(4, 1, "mm"),
         ];
-        let batch_ids = a.insert_batch(rows.clone()).unwrap();
+        let batch_ids = a.insert_batch(&rows).unwrap();
         let row_ids: Vec<RowId> = rows.into_iter().map(|r| b.insert(r).unwrap()).collect();
         assert_eq!(batch_ids, row_ids);
         assert_eq!(a.len(), b.len());
@@ -1359,46 +1338,46 @@ mod tests {
         let mut t = object_table();
         t.insert(obj(1, 1, "aa")).unwrap();
         // conflict against existing rows
-        let err = t.insert_batch(vec![obj(2, 1, "bb"), obj(3, 1, "aa")]);
+        let err = t.insert_batch(&[obj(2, 1, "bb"), obj(3, 1, "aa")]);
         assert!(matches!(err, Err(StoreError::UniqueViolation { .. })));
         assert_eq!(t.len(), 1, "nothing inserted on conflict");
         // duplicate within the batch itself
-        let err = t.insert_batch(vec![obj(2, 1, "bb"), obj(3, 1, "bb")]);
+        let err = t.insert_batch(&[obj(2, 1, "bb"), obj(3, 1, "bb")]);
         assert!(matches!(err, Err(StoreError::UniqueViolation { .. })));
         assert_eq!(t.len(), 1);
         // a clean batch still works afterwards
-        let ids = t.insert_batch(vec![obj(2, 1, "bb"), obj(3, 1, "cc")]).unwrap();
+        let ids = t.insert_batch(&[obj(2, 1, "bb"), obj(3, 1, "cc")]).unwrap();
         assert_eq!(ids, vec![RowId(1), RowId(2)]);
     }
 
     #[test]
-    fn index_range_streams_entries_in_key_order() {
+    fn batched_match_reads_rows_only_under_matching_keys() {
         let mut t = object_table();
         for (id, acc) in [(1, "b"), (2, "d"), (3, "a"), (4, "f")] {
             t.insert(obj(id, 1, acc)).unwrap();
         }
         t.insert(obj(5, 2, "c")).unwrap();
-        let lo = [Value::Int(1), Value::text("b")];
-        let hi = [Value::Int(1), Value::text("e")];
+        let probe = |src: i64, acc: &str| vec![Value::Int(src), Value::text(acc)];
+        // unsorted, with a repeat, a miss inside the range and one beyond it
+        let probes = [probe(1, "d"), probe(2, "c"), probe(1, "c"), probe(1, "b"), probe(1, "d"), probe(9, "z")];
         let mut seen = Vec::new();
-        t.for_each_index_range("by_acc", &lo, &hi, |row| {
-            seen.push((
-                row.get(2).as_text().unwrap().to_owned(),
-                row.get(0).as_int().unwrap(),
-            ));
+        t.for_each_match("by_acc", &probes, |n, row| seen.push((n, row.get(0).as_int().unwrap())))
+            .unwrap();
+        assert_eq!(seen, vec![(3, 1), (0, 2), (4, 2), (1, 5)], "key order, repeats in probe order");
+        // a non-unique index hands every row under the key to its probe
+        let mut seen = Vec::new();
+        t.for_each_match("by_source", [[Value::Int(2)], [Value::Int(1)]], |n, row| {
+            seen.push((n, row.get(0).as_int().unwrap()))
         })
         .unwrap();
-        assert_eq!(seen, vec![("b".to_owned(), 1), ("d".to_owned(), 2)]);
-        // a bound over the leading column alone spans that whole source
-        let mut n = 0;
-        t.for_each_index_range("by_acc", &lo[..1], &[Value::Int(2)], |_| n += 1)
-            .unwrap();
-        assert_eq!(n, 4, "source 1 entirely; (2) sorts before (2, c)");
-        // bounds of the wrong type are an error, not a silent empty pass
-        let bad = [Value::text("x")];
+        assert_eq!(seen, vec![(1, 1), (1, 2), (1, 3), (1, 4), (0, 5)]);
+        // probes no key can equal: a prefix, a wrong type, one value too many
+        let never = [vec![Value::Int(1)], probe(1, "b")[1..].to_vec(), [probe(1, "b"), probe(1, "b")].concat()];
+        t.for_each_match("by_acc", &never, |n, _| panic!("probe {n} matched")).unwrap();
+        t.for_each_match("by_acc", Vec::<Vec<Value>>::new(), |_, _| panic!()).unwrap();
         assert!(matches!(
-            t.for_each_index_range("by_acc", &bad, &hi, |_| {}),
-            Err(StoreError::SchemaViolation(_))
+            t.for_each_match("nope", &probes, |_, _| {}),
+            Err(StoreError::NoSuchIndex { .. })
         ));
         assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(5)]));
         assert_eq!(object_table().last_key("pk").unwrap(), None);
@@ -1821,6 +1800,161 @@ mod tests {
             );
         }
     }
+
+    /// `t` as a checkpoint writes it and a reopen reads it back, behind the
+    /// pool it had; the directory's bytes come along.
+    fn reopened(t: &Table) -> (Table, Vec<u8>) {
+        if let Some(pager) = &t.store.pager {
+            pager.flush_and_sync().unwrap();
+        }
+        let directory = encode_page_directory(&PagedCatalog {
+            tables: vec![t.to_paged_meta().unwrap()],
+            ..PagedCatalog::empty()
+        });
+        let meta = decode_page_directory(&directory).unwrap().tables.remove(0);
+        let mut back = Table::recovered(meta, t.store.pager.clone()).unwrap();
+        back.build_indexes().unwrap();
+        (back, directory)
+    }
+
+    #[test]
+    fn a_pool_less_table_crosses_image_edges_as_a_paged_one_does() {
+        let edge = MAX_PAGE_SLOTS as u64;
+        let trio = || [object_table(), paged_object_table(4, 64), paged_object_table(4, 32 * 1024)];
+        for rows in [edge - 1, edge, edge + 1, 2 * edge + 1] {
+            let mut tables = trio();
+            for t in &mut tables {
+                let bulk: Vec<_> = (0..rows as i64 - 1).map(|i| obj(i, i % 5, &format!("A{i}"))).collect();
+                t.insert_batch(&bulk).unwrap();
+                t.insert(obj(rows as i64 - 1, (rows as i64 - 1) % 5, "last")).unwrap();
+                // the first and the last slot of every image, and of the table
+                let edges = (0..rows).filter(|id| [0, edge - 1].contains(&(id % edge)) || id + 1 == rows);
+                for id in edges {
+                    let i = id as i64;
+                    assert_eq!(t.get(RowId(id)).unwrap().get(0), &Value::Int(i));
+                    let old = t.update(RowId(id), obj(i, (i + 1) % 5, &format!("U{i}"))).unwrap();
+                    assert_eq!(old.get(1), &Value::Int(i % 5));
+                    let gone = t.delete(RowId(id)).unwrap();
+                    assert_eq!(gone.get(2), &Value::text(format!("U{i}")));
+                    assert!(matches!(t.get(RowId(id)), Err(StoreError::NoSuchRow { .. })));
+                    if id % 2 == 0 {
+                        t.restore(RowId(id), gone.into_values()).unwrap();
+                    }
+                }
+            }
+            let [resident, small, large] = &tables;
+            assert!(resident.page_ids().is_empty());
+            assert_eq!(resident.store.tail.len() as u64, rows.div_ceil(edge));
+            assert!(small.page_ids().len() as u64 >= rows / edge, "a batch seals at the slot cap");
+            for paged in [small, large] {
+                assert_tables_equal(resident, paged);
+                assert_tables_equal(resident, &reopened(paged).0);
+            }
+            let (back, directory) = reopened(resident);
+            assert_tables_equal(resident, &back);
+            assert_eq!(directory, reopened(&back).1, "a reopened tail checkpoints to the same bytes");
+        }
+        // a replayed gap of 2^20 row ids, and the rows around it
+        let mut tables = trio().map(Table::unindexed);
+        for t in &mut tables {
+            t.insert_at(RowId(5), obj(0, 1, "before")).unwrap();
+            t.insert_at(RowId((1 << 20) + 5), obj(1, 1, "after")).unwrap();
+            t.build_indexes().unwrap();
+            assert_eq!(t.insert(obj(2, 2, "next")).unwrap(), RowId((1 << 20) + 6));
+            assert_eq!(t.len(), 3);
+            assert!(matches!(t.get(RowId(1 << 20)), Err(StoreError::NoSuchRow { .. })));
+        }
+        let [resident, small, large] = &tables;
+        assert_eq!(resident.store.tail.len(), (1 << 20) / MAX_PAGE_SLOTS + 1);
+        for paged in [small, large] {
+            assert_eq!(paged.page_ids().len(), (1 << 20) / MAX_PAGE_SLOTS);
+            assert_tables_equal(resident, paged);
+            assert_tables_equal(resident, &reopened(paged).0);
+        }
+        assert_tables_equal(resident, &reopened(resident).0);
+        // a row id no memory could hold is refused, not attempted
+        assert!(matches!(
+            object_table().unindexed().insert_at(RowId(u64::MAX - 1), obj(0, 0, "x")),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    /// The tail slots the parent build wrote into a page directory: a
+    /// marker, and behind a `1` the row as `put_row` encodes it.
+    fn tail_as_rows_encode(rows: &[Option<Row>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for slot in rows {
+            out.push(slot.is_some() as u8);
+            if let Some(row) = slot {
+                crate::codec::put_row(&mut out, row.values());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_churned_tail_seals_and_checkpoints_to_the_bytes_of_its_rows() {
+        testkit::cases(48, |rng| {
+            // one store that never seals, one whose page is too large to
+            // fill: both hold every row below in their open tail
+            let mut tables = [object_table(), paged_object_table(2, 1 << 20)];
+            let mut model: Vec<Option<Row>> = Vec::new();
+            for step in 0..rng.gen_range(1..400i64) {
+                let id = rng.below(model.len() + 1) as u64;
+                let name = "n".repeat(rng.below(40));
+                let values = obj(step, step % 5, &format!("{name}{step}"));
+                let delete = rng.gen_bool(0.5);
+                for t in &mut tables {
+                    match model.get(id as usize) {
+                        None => drop(t.insert(values.clone()).unwrap()),
+                        Some(None) => t.restore(RowId(id), values.clone()).unwrap(),
+                        Some(Some(_)) if delete => drop(t.delete(RowId(id)).unwrap()),
+                        Some(Some(_)) => drop(t.update(RowId(id), values.clone()).unwrap()),
+                    }
+                }
+                let [resident, _] = &tables;
+                let now = resident.get(RowId(id)).ok();
+                match model.get_mut(id as usize) {
+                    Some(slot) => *slot = now,
+                    None => model.push(now),
+                }
+            }
+            let [resident, paged] = &mut tables;
+            // the directory: slot count, then the slots
+            let directory = reopened(resident).1;
+            let mut want = Vec::new();
+            crate::codec::put_varint(&mut want, model.len() as u64);
+            want.extend_from_slice(&tail_as_rows_encode(&model));
+            assert_eq!(directory[directory.len() - want.len()..], want);
+            assert_eq!(reopened(paged).1[directory.len() - want.len()..], want);
+            // the seal: the image goes to the pool as it stands, and to disk
+            // as `from_rows` would have built it
+            paged.store.seal_tail().unwrap();
+            let (pager, pid) = paged.store.sealed(0).unwrap();
+            assert_eq!(
+                pager.pin(pid).unwrap().encode(),
+                PageImage::from_rows(1, 0, 0, &model).encode()
+            );
+            assert_tables_equal(resident, paged);
+        });
+        // one instance, as the parent build wrote it
+        let mut t = object_table();
+        for (i, acc) in ["b", "d", "a"].iter().enumerate() {
+            t.insert(obj(i as i64, 1, acc)).unwrap();
+        }
+        t.update(RowId(0), obj(0, 2, "bb")).unwrap();
+        t.delete(RowId(1)).unwrap();
+        let hex: String = reopened(&t).1.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, CHURNED_DIRECTORY);
+    }
+
+    /// Captured from the build before the tail held cells (PR 23).
+    const CHURNED_DIRECTORY: &str = concat!(
+        "5253504401000000c2141e8000010101066f626a65637404096f626a6563745f",
+        "6964000009736f757263655f6964000009616363657373696f6e020004746578",
+        "7402010100020662795f616363010201020962795f736f757263650001010002",
+        "00000301040100010403026262000001040104010203016100",
+    );
 
     #[test]
     fn paged_get_faults_pages_through_tiny_pool() {

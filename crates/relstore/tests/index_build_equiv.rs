@@ -512,7 +512,7 @@ fn counts_read_from_a_file_are_not_trusted() {
     .unwrap();
     db.checkpoint().unwrap();
     let image = vfs.peek(&Path::new("/db").join(PAGEDIR_FILE)).unwrap();
-    assert_eq!(decode_page_directory(&image).unwrap().tables[0].tail.len(), 2);
+    assert_eq!(decode_page_directory(&image).unwrap().tables[0].tail[0].slot_count(), 2);
     // the body ends: tail base (0), tail slot count (2), a tombstone
     // marker, then a live marker and its row — arity, int, text: 1 + 2 + 4
     let ntail_at = image.len() - 7 - 1 - 1 - 1;
@@ -543,4 +543,54 @@ fn counts_read_from_a_file_are_not_trusted() {
     let mut forged = image;
     forged[0] = b'X';
     corrupt(forged, "bad page directory magic");
+}
+
+/// A tail cell that is not a row, in a directory whose checksum is right: a
+/// writer's defect, not a torn write. No older generation explains it, so
+/// `open` refuses — with or without a pool, at the directory's own walk of
+/// the cell where that cannot find the cell's end, at the index build's
+/// decode where it can — and nothing is allocated on the forged numbers.
+#[test]
+fn open_refuses_a_damaged_tail_cell_behind_a_valid_checksum() {
+    for pool in [None, Some(2)] {
+        let path = Path::new("/db").join(PAGEDIR_FILE);
+        let image = seeded(pool).peek(&path).unwrap();
+        // row 2 ends the file: marker, arity 2, Int(2), Text "qq" (tag, len, bytes)
+        let cell = [1, 2, 1, 4, 3, 2, b'q', b'q'];
+        let at = image.len() - cell.len();
+        assert_eq!(image[at..], cell, "located the last tail cell");
+        let forge = |patch: &dyn Fn(&mut Vec<u8>)| {
+            let vfs = seeded(pool);
+            let mut forged = image.clone();
+            patch(&mut forged);
+            let mut file = vfs.create(&path).unwrap();
+            file.write_all(&resealed(forged)).unwrap();
+            file.sync().unwrap();
+            match try_open(&vfs, pool) {
+                Err(StoreError::Corrupt(msg)) => msg,
+                other => panic!("pool {pool:?}: must be corrupt, got {other:?}"),
+            }
+        };
+        // an arity that runs off the end of the file, small or absurd
+        let msg = forge(&|image| image[at + 1] = 9);
+        assert!(msg.contains("row value count 9"), "{msg}");
+        let msg = forge(&|image| {
+            image.truncate(at + 1);
+            image.extend_from_slice(&[0xff; 9]);
+            image.push(0x01); // varint 2^64 - 1
+        });
+        assert!(msg.contains("row value count"), "{msg}");
+        // a tag no value has
+        let msg = forge(&|image| image[at + 4] = 9);
+        assert!(msg.contains("unknown value tag 9"), "{msg}");
+        // a text length past the end of the file: 2^40 bytes are never reserved
+        let msg = forge(&|image| {
+            image.truncate(at + 5);
+            image.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20, b'q', b'q']);
+        });
+        assert!(msg.contains("payload truncated"), "{msg}");
+        // text that is not UTF-8: the walk passes it, the index build reads it
+        let msg = forge(&|image| image[at + 6..].copy_from_slice(&[0xff, 0xfe]));
+        assert!(msg.contains("not UTF-8"), "{msg}");
+    }
 }
