@@ -17,9 +17,18 @@
 
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
-// genlint's no-panic rule enforces the same invariant where clippy is
-// not run.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Tier-1 runs clippy with `-D warnings`, so these lints are the gate.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 pub mod error;
 pub mod ids;
 pub mod index;

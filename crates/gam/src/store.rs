@@ -1094,6 +1094,49 @@ mod tests {
         ));
     }
 
+    /// Every `pub fn (&mut self)` that can change GAM content advances
+    /// `mutation_count()`, the key every derived cache is built on (one
+    /// level up, `genmapper`'s `cache_invalidated_by_every_mutating_entry_point`
+    /// checks the same of `GenMapper`). The durability controls —
+    /// `checkpoint`, `begin_group_commit`, `end_group_commit` — change no
+    /// content and are left out.
+    #[test]
+    fn every_mutating_entry_point_advances_mutation_count() {
+        fn advances<T>(
+            s: &mut GamStore,
+            what: &str,
+            f: impl FnOnce(&mut GamStore) -> GamResult<T>,
+        ) -> T {
+            let before = s.mutation_count();
+            let out = f(s).unwrap();
+            assert!(s.mutation_count() > before, "{what} left mutation_count() at {before}");
+            out
+        }
+        let mut s = store();
+        let (gene, flat) = (SourceContent::Gene, SourceStructure::Flat);
+        let ll = advances(&mut s, "create_source", |s| s.create_source("LL", gene, flat, None));
+        let go = advances(&mut s, "create_source", |s| s.create_source("GO", gene, flat, None));
+        advances(&mut s, "update_source_meta", |s| s.update_source_meta(ll.id, gene, flat));
+        advances(&mut s, "set_source_release", |s| s.set_source_release(ll.id, "r2"));
+        let a = advances(&mut s, "create_object", |s| s.create_object(ll.id, "1", None, None));
+        let (b, _) = advances(&mut s, "ensure_object", |s| s.ensure_object(go.id, "2", None, None));
+        let (c, _) = advances(&mut s, "add_objects_bulk", |s| {
+            s.add_objects_bulk(ll.id, &[("3".into(), None, None)])
+        });
+        let (d, _) = advances(&mut s, "add_objects_bulk_ref", |s| {
+            s.add_objects_bulk_ref(go.id, &[("4", None, None)])
+        });
+        let rel = advances(&mut s, "create_source_rel", |s| {
+            s.create_source_rel(ll.id, go.id, RelType::Fact, None)
+        });
+        advances(&mut s, "add_association", |s| s.add_association(rel, a, b, None));
+        advances(&mut s, "add_associations_bulk", |s| {
+            let assoc = Association { from: c[0], to: d[0], evidence: None };
+            s.add_associations_bulk(rel, [assoc], &mut 0)
+        });
+        advances(&mut s, "delete_source_rel", |s| s.delete_source_rel(rel));
+    }
+
     #[test]
     fn object_dedup_by_accession() {
         let mut s = store();

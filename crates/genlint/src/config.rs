@@ -30,16 +30,6 @@ pub struct MutatorSet {
     pub exempt: Vec<String>,
 }
 
-/// One declared read-entry set for the lock-discipline rule's snapshot
-/// coherence check: the named methods in `file` are MVCC read-path entry
-/// points and must take `&self`, never `&mut self` — a `&mut` read entry
-/// would force readers through the writer's exclusive path.
-#[derive(Debug, Clone, Default)]
-pub struct ReadEntrySet {
-    pub file: String,
-    pub methods: Vec<String>,
-}
-
 /// One justified `Ordering::Relaxed` site set for the atomics-discipline
 /// rule: within `file`, the named atomics (receiver or field identifiers)
 /// may use `Relaxed` — telemetry counters whose values never steer a
@@ -55,10 +45,6 @@ pub struct RelaxedOk {
 /// Parsed configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Crates whose non-test code must be panic-free (R2).
-    pub no_panic_crates: Vec<String>,
-    /// Identifiers whose integer-literal indexing R2 flags (`fields[3]`).
-    pub index_idents: Vec<String>,
     /// Receiver names (last path segment) treated as locks by R4.
     pub lock_names: Vec<String>,
     /// Declared global acquisition order for R4 (outermost first).
@@ -68,23 +54,8 @@ pub struct Config {
     /// shared query executor run against a cloned `Arc` snapshot, not
     /// under a lock.
     pub guard_free_calls: Vec<String>,
-    /// Declared read-path entry sets for R4 (methods that must take
-    /// `&self`).
-    pub read_entries: Vec<ReadEntrySet>,
     /// Declared mutator sets for R3.
     pub mutators: Vec<MutatorSet>,
-    /// Function names in relstore exempt from R5's sync-before-return
-    /// check (sync deliberately deferred to the commit path).
-    pub sync_exempt: Vec<String>,
-    /// Directory prefix whose non-test code must route sockets through
-    /// the declared wrapper (R7). Empty = rule unconfigured.
-    pub socket_scope: String,
-    /// The one file allowed to touch sockets directly (it *is* the seam).
-    pub socket_wrapper: String,
-    /// Type the wrapper must define; its absence means the config rotted.
-    pub socket_wrapper_type: String,
-    /// Identifiers banned outside the wrapper (raw buffered readers).
-    pub socket_banned: Vec<String>,
     /// Crates whose non-test `Ordering::Relaxed` uses the atomics rule
     /// flags (R8). Empty = rule unconfigured.
     pub atomics_crates: Vec<String>,
@@ -166,14 +137,10 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
     #[derive(PartialEq)]
     enum Section {
         None,
-        NoPanic,
         LockDiscipline,
-        WalBracket,
-        SocketDiscipline,
         AtomicsDiscipline,
         ErrorSwallow,
         Mutator,
-        ReadEntry,
         RelaxedOk,
         Allow,
     }
@@ -195,10 +162,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     cfg.mutators.push(MutatorSet::default());
                     section = Section::Mutator;
                 }
-                "lock-discipline.read-entries" => {
-                    cfg.read_entries.push(ReadEntrySet::default());
-                    section = Section::ReadEntry;
-                }
                 "atomics-discipline.relaxed-ok" => {
                     cfg.relaxed_ok.push(RelaxedOk::default());
                     section = Section::RelaxedOk;
@@ -209,10 +172,7 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
         }
         if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
             section = match header.trim() {
-                "no-panic" => Section::NoPanic,
                 "lock-discipline" => Section::LockDiscipline,
-                "wal-bracket" => Section::WalBracket,
-                "socket-discipline" => Section::SocketDiscipline,
                 "atomics-discipline" => Section::AtomicsDiscipline,
                 "error-swallow" => Section::ErrorSwallow,
                 other => return Err(err(lineno, format!("unknown section `{other}`"))),
@@ -227,11 +187,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             Section::None => {
                 return Err(err(lineno, format!("key `{key}` outside any section")))
             }
-            Section::NoPanic => match key {
-                "crates" => cfg.no_panic_crates = parse_string_array(lineno, value)?,
-                "index_idents" => cfg.index_idents = parse_string_array(lineno, value)?,
-                _ => return Err(err(lineno, format!("unknown key `{key}` in [no-panic]"))),
-            },
             Section::LockDiscipline => match key {
                 "locks" => cfg.lock_names = parse_string_array(lineno, value)?,
                 "order" => cfg.lock_order = parse_string_array(lineno, value)?,
@@ -242,22 +197,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     return Err(err(
                         lineno,
                         format!("unknown key `{key}` in [lock-discipline]"),
-                    ))
-                }
-            },
-            Section::WalBracket => match key {
-                "sync_exempt" => cfg.sync_exempt = parse_string_array(lineno, value)?,
-                _ => return Err(err(lineno, format!("unknown key `{key}` in [wal-bracket]"))),
-            },
-            Section::SocketDiscipline => match key {
-                "scope" => cfg.socket_scope = parse_string(lineno, value)?,
-                "wrapper" => cfg.socket_wrapper = parse_string(lineno, value)?,
-                "wrapper_type" => cfg.socket_wrapper_type = parse_string(lineno, value)?,
-                "banned" => cfg.socket_banned = parse_string_array(lineno, value)?,
-                _ => {
-                    return Err(err(
-                        lineno,
-                        format!("unknown key `{key}` in [socket-discipline]"),
                     ))
                 }
             },
@@ -315,24 +254,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     }
                 }
             }
-            Section::ReadEntry => {
-                let Some(r) = cfg.read_entries.last_mut() else {
-                    return Err(err(
-                        lineno,
-                        "read-entry key before [[lock-discipline.read-entries]]",
-                    ));
-                };
-                match key {
-                    "file" => r.file = parse_string(lineno, value)?,
-                    "methods" => r.methods = parse_string_array(lineno, value)?,
-                    _ => {
-                        return Err(err(
-                            lineno,
-                            format!("unknown key `{key}` in [[lock-discipline.read-entries]]"),
-                        ))
-                    }
-                }
-            }
             Section::Allow => {
                 let Some(a) = cfg.allow.last_mut() else {
                     return Err(err(lineno, "allow key before [[allow]]"));
@@ -366,14 +287,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
             ));
         }
     }
-    for r in &cfg.read_entries {
-        if r.file.is_empty() || r.methods.is_empty() {
-            return Err(err(
-                0,
-                "[[lock-discipline.read-entries]] entry must set file and methods".to_owned(),
-            ));
-        }
-    }
     // every Relaxed allowlist entry must be fully justified, and the
     // allowlist is meaningless without the rule being scoped to crates
     for r in &cfg.relaxed_ok {
@@ -394,22 +307,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 .to_owned(),
         ));
     }
-    // socket discipline is all-or-nothing: a partially filled section
-    // (e.g. a scope with no banned tokens) would pass vacuously
-    let socket_keys = [
-        !cfg.socket_scope.is_empty(),
-        !cfg.socket_wrapper.is_empty(),
-        !cfg.socket_wrapper_type.is_empty(),
-        !cfg.socket_banned.is_empty(),
-    ];
-    if socket_keys.iter().any(|&set| set) && !socket_keys.iter().all(|&set| set) {
-        return Err(err(
-            0,
-            "[socket-discipline] must set scope, wrapper, wrapper_type, and banned \
-             together (a partial config would silently check nothing)"
-                .to_owned(),
-        ));
-    }
     Ok(cfg)
 }
 
@@ -421,27 +318,10 @@ mod tests {
     fn parses_full_config() {
         let text = r#"
 # comment
-[no-panic]
-crates = ["gam", "import"]  # trailing comment
-index_idents = ["fields"]
-
 [lock-discipline]
-locks = ["cache", "state"]
+locks = ["cache", "state"]  # trailing comment
 order = ["state", "cache"]
 guard_free_calls = ["run_query"]
-
-[[lock-discipline.read-entries]]
-file = "crates/gam/src/store.rs"
-methods = ["query", "find_path"]
-
-[wal-bracket]
-sync_exempt = ["flush"]
-
-[socket-discipline]
-scope = "crates/serve/src"
-wrapper = "crates/serve/src/conn.rs"
-wrapper_type = "ConnGuard"
-banned = ["BufReader", "lines"]
 
 [[cache-coherence.mutators]]
 file = "crates/gam/src/store.rs"
@@ -455,41 +335,23 @@ path = "crates/bench"
 reason = "bench reports are non-durable"
 "#;
         let cfg = parse(text).expect("parses");
-        assert_eq!(cfg.no_panic_crates, vec!["gam", "import"]);
+        assert_eq!(cfg.lock_names, vec!["cache", "state"]);
         assert_eq!(cfg.lock_order, vec!["state", "cache"]);
         assert_eq!(cfg.guard_free_calls, vec!["run_query"]);
-        assert_eq!(cfg.read_entries.len(), 1);
-        assert_eq!(cfg.read_entries[0].methods, vec!["query", "find_path"]);
         assert_eq!(cfg.mutators.len(), 1);
         assert_eq!(cfg.mutators[0].type_name, "GamStore");
         assert_eq!(cfg.allow.len(), 1);
         assert_eq!(cfg.allow[0].rule, "vfs-bypass");
-        assert_eq!(cfg.socket_scope, "crates/serve/src");
-        assert_eq!(cfg.socket_wrapper_type, "ConnGuard");
-        assert_eq!(cfg.socket_banned, vec!["BufReader", "lines"]);
-    }
-
-    #[test]
-    fn rejects_partial_socket_discipline() {
-        // a scope with no banned tokens would check nothing, silently
-        let text = "[socket-discipline]\nscope = \"crates/serve/src\"\n";
-        assert!(parse(text).is_err(), "partial section must fail");
-        let text = "[socket-discipline]\nscope = \"crates/serve/src\"\n\
-                    wrapper = \"crates/serve/src/conn.rs\"\n\
-                    wrapper_type = \"ConnGuard\"\nbanned = [\"BufReader\"]\n";
-        assert!(parse(text).is_ok(), "complete section parses");
-    }
-
-    #[test]
-    fn rejects_incomplete_read_entries() {
-        let text = "[[lock-discipline.read-entries]]\nfile = \"x.rs\"\n";
-        assert!(parse(text).is_err(), "missing methods must fail");
     }
 
     #[test]
     fn rejects_unknown_sections_and_keys() {
         assert!(parse("[nope]\n").is_err());
-        assert!(parse("[no-panic]\nwat = \"x\"\n").is_err());
+        assert!(parse("[lock-discipline]\nwat = \"x\"\n").is_err());
+        // sections of deleted rules are unknown now, not silently ignored
+        assert!(parse("[no-panic]\ncrates = [\"gam\"]\n").is_err());
+        assert!(parse("[wal-bracket]\nsync_exempt = [\"flush\"]\n").is_err());
+        assert!(parse("[[lock-discipline.read-entries]]\nfile = \"x.rs\"\n").is_err());
         assert!(parse("stray = \"x\"\n").is_err());
     }
 

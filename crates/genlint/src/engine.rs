@@ -63,7 +63,8 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 /// Check one already-loaded file against every per-file rule. Used by
 /// the scan driver and directly by fixture tests. The cross-file
-/// `lock-order-graph` pass is separate — see [`graph::check_workspace`].
+/// `lock-order-graph` pass is separate — see
+/// [`crate::graph::check_workspace`].
 pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     for rule in crate::rules::registry() {
@@ -73,7 +74,7 @@ pub fn check_file(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
 }
 
 /// Lex and parse every `.rs` file under `root`, in path order.
-fn parse_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+pub fn parse_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     for path in collect_rs_files(root)? {
         let raw = std::fs::read_to_string(&path)?;
@@ -82,14 +83,19 @@ fn parse_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-/// Scan the workspace under `root` with `cfg`, applying the baseline:
-/// the per-file rules on every file, then the cross-file [`graph`] pass
-/// over all of them — lock-order-graph and the workspace half of
-/// error-swallow.
+/// Scan the workspace under `root` with `cfg`: [`parse_workspace`],
+/// then [`scan_files`].
 pub fn scan(root: &Path, cfg: &Config) -> std::io::Result<ScanResult> {
-    let files = parse_workspace(root)?;
+    Ok(scan_files(&parse_workspace(root)?, cfg))
+}
+
+/// Scan already-parsed files, applying the baseline: the per-file rules
+/// on every file, then the cross-file [`crate::graph`] pass over all of
+/// them. The mutant table (`tests/mutants.rs`) drives this directly,
+/// re-parsing only the file a mutant touches.
+pub fn scan_files(files: &[SourceFile], cfg: &Config) -> ScanResult {
     let mut findings: Vec<Finding> = files.iter().flat_map(|f| check_file(f, cfg)).collect();
-    findings.extend(crate::graph::check_workspace(&files, cfg));
+    findings.extend(crate::graph::check_workspace(files, cfg));
     findings.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
 
     // baseline filtering: an [[allow]] entry suppresses findings of its
@@ -130,11 +136,11 @@ pub fn scan(root: &Path, cfg: &Config) -> std::io::Result<ScanResult> {
             });
         }
     }
-    Ok(ScanResult {
+    ScanResult {
         findings: kept,
         suppressed,
         files_scanned: files.len(),
-    })
+    }
 }
 
 /// Parse the workspace and render the observed lock acquisition graph
@@ -149,47 +155,25 @@ mod tests {
     use super::*;
     use crate::config::AllowEntry;
 
-    fn finding(rule: &'static str, path: &str) -> Finding {
-        Finding {
-            rule,
-            path: path.into(),
-            line: 1,
-            col: 1,
-            message: "m".into(),
-        }
-    }
-
-    fn filter(findings: Vec<Finding>, allow: Vec<AllowEntry>) -> (Vec<Finding>, usize) {
-        // run the baseline logic via a temp-dir-free path: inline copy of
-        // the filtering loop is not exposed, so exercise it through scan()
-        // on a scratch directory.
-        // one directory per call: the tests that share this helper run in
-        // parallel threads of one process
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("genlint-filter-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        // materialize one file per finding that triggers vfs-bypass
-        for f in &findings {
-            let p = dir.join(&f.path);
-            std::fs::create_dir_all(p.parent().expect("parent")).expect("mkdir");
-            std::fs::write(&p, "fn f() { std::fs::write(p, d); }\n").expect("write");
-        }
+    /// Scan one file per path, each with one vfs-bypass finding, against
+    /// the baseline `allow`.
+    fn filter(paths: &[&str], allow: Vec<AllowEntry>) -> (Vec<Finding>, usize) {
+        let files: Vec<SourceFile> = paths
+            .iter()
+            .map(|p| SourceFile::parse(p, "fn f() { std::fs::write(p, d); }\n"))
+            .collect();
         let cfg = Config {
             allow,
             ..Config::default()
         };
-        let result = scan(&dir, &cfg).expect("scan");
-        let _ = std::fs::remove_dir_all(&dir);
+        let result = scan_files(&files, &cfg);
         (result.findings, result.suppressed)
     }
 
     #[test]
     fn allow_entries_suppress_by_prefix_and_stale_entries_err() {
         let (kept, suppressed) = filter(
-            vec![finding("vfs-bypass", "crates/a/src/x.rs")],
+            &["crates/a/src/x.rs"],
             vec![AllowEntry {
                 rule: "vfs-bypass".into(),
                 path: "crates/a".into(),
@@ -200,7 +184,7 @@ mod tests {
         assert!(kept.is_empty(), "{kept:?}");
 
         let (kept, suppressed) = filter(
-            vec![finding("vfs-bypass", "crates/a/src/x.rs")],
+            &["crates/a/src/x.rs"],
             vec![AllowEntry {
                 rule: "vfs-bypass".into(),
                 path: "crates/b".into(),
@@ -216,7 +200,7 @@ mod tests {
     fn prefix_match_requires_component_boundary() {
         // "crates/a" must not cover "crates/ab/..."
         let (kept, suppressed) = filter(
-            vec![finding("vfs-bypass", "crates/ab/src/x.rs")],
+            &["crates/ab/src/x.rs"],
             vec![AllowEntry {
                 rule: "vfs-bypass".into(),
                 path: "crates/a".into(),

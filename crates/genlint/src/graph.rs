@@ -1,15 +1,16 @@
-//! The cross-file call graph: per-function lock summaries, the
-//! whole-program lock acquisition graph (`lock-order-graph`), and the
-//! workspace half of `error-swallow`.
+//! The cross-file call graph: per-function lock summaries and the
+//! whole-program lock acquisition graph (`lock-order-graph`) — the one
+//! place lock nesting is checked, inside a function or across calls.
 //!
-//! Per-file lock-discipline (R4) can only see one function at a time; a
-//! deadlock needs two functions. This pass builds, over every prepared
-//! file at once:
+//! A deadlock needs two acquisitions of declared locks in an order some
+//! other path reverses, or one lock taken again while its guard is live;
+//! either may sit in one function or span several. This pass builds,
+//! over every prepared file at once:
 //!
 //! 1. a per-function summary — which declared locks the function
-//!    acquires directly (reusing R4's acquisition/extent extraction, so
-//!    the per-file and whole-program views agree byte-for-byte on what
-//!    counts), and which calls it makes with which locks held,
+//!    acquires directly (with `lock-discipline`'s acquisition/extent
+//!    extraction, so both rules agree on what counts), and which calls it
+//!    makes with which locks held,
 //! 2. a name-resolved call graph — types are unknown at token level, so
 //!    resolution is scoped instead of bare-name: `self.m()` links within
 //!    the caller's impl type, `Qual::f()` links to `Qual`'s impls, free
@@ -19,26 +20,29 @@
 //!    the call graph),
 //! 4. the acquisition *edge set*: lock A → lock B whenever B is acquired
 //!    (directly, or transitively through a call) while A's guard is
-//!    live.
+//!    live — A → A included.
 //!
-//! Findings, all fail-closed:
+//! Findings, all fail-closed, one per edge:
 //!
+//! * A → A: a lock re-acquired while its own guard is live, directly or
+//!   through a call chain (self-deadlock),
 //! * an edge touching a lock missing from the declared `order` —
 //!   undeclared nesting is a config hole, not a pass,
 //! * an edge against the declared order (inversion) — the classic
 //!   cross-file deadlock half; the other half may be three PRs away,
-//! * a cycle among observed edges (includes A → A through a call chain:
-//!   self-deadlock),
 //! * a declared lock never observed in any non-test acquisition — the
 //!   config names a lock that no longer exists, so the order it declares
 //!   may be fiction.
+//!
+//! Cycles need no finding of their own: a cycle among declared, distinct
+//! locks cannot follow a total order, so one of its edges is already
+//! reported as an inversion (or as undeclared).
 //!
 //! Known limits: calls through closures and function values
 //! (`with_writer(|w| ...)`) are invisible to name resolution; the lock
 //! uses *inside* the closure body still attribute to the enclosing
 //! function, so intra-function nesting survives, but a lock acquired by
-//! the closure's *caller* around the callback is not seen as held. The
-//! per-file R4 checks cover that shape where it occurs. Trait-object
+//! the closure's *caller* around the callback is not seen as held. Trait-object
 //! dispatch on a field (`self.vfs.write(..)`) resolves only when the
 //! method name is unique in the workspace — keeping cross-file edges
 //! from graph-theoretic names like `get`/`write`/`new` is what makes
@@ -47,8 +51,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::Config;
+use crate::items::innermost_fns;
 use crate::rules::lock_discipline::{find_acquisitions, token_depths};
-use crate::rules::{error_swallow, Finding, LOCK_ORDER_GRAPH};
+use crate::rules::{Finding, LOCK_ORDER_GRAPH};
 use crate::source::SourceFile;
 
 const RULE: &str = LOCK_ORDER_GRAPH.0;
@@ -128,6 +133,8 @@ fn summarize_file(file_idx: usize, file: &SourceFile, cfg: &Config, out: &mut Ve
     if file.is_test_file() {
         return;
     }
+    let owner_of_call = innermost_fns(&file.functions, file.calls.iter().map(|c| c.off));
+    let owner_of_fn = innermost_fns(&file.functions, file.functions.iter().map(|f| f.off));
     for (fi, f) in file.functions.iter().enumerate() {
         let Some((body_start, body_end)) = f.body else {
             continue;
@@ -138,23 +145,24 @@ fn summarize_file(file_idx: usize, file: &SourceFile, cfg: &Config, out: &mut Ve
         let (lo, hi) = file.tokens_in(body_start, body_end);
         let depths = token_depths(file, lo, hi);
         let acqs = find_acquisitions(file, cfg, lo, hi, &depths);
+        let owner_of_acq = innermost_fns(&file.functions, acqs.iter().map(|a| file.tokens[a.tok].off));
         let locks: Vec<LockSite> = acqs
             .iter()
-            .filter(|a| {
-                crate::items::innermost_fn(&file.functions, file.tokens[a.tok].off) == Some(fi)
-            })
-            .map(|a| LockSite {
+            .zip(owner_of_acq)
+            .filter(|(_, owner)| *owner == Some(fi))
+            .map(|(a, _)| LockSite {
                 name: a.name.clone(),
                 tok: a.tok,
                 extent_end: a.extent_end,
                 off: file.tokens[a.tok].off,
             })
             .collect();
-        let calls: Vec<CallRef> = file
-            .calls
+        let in_body = file.calls.partition_point(|c| c.tok < lo)..file.calls.partition_point(|c| c.tok < hi);
+        let calls: Vec<CallRef> = file.calls[in_body.clone()]
             .iter()
-            .filter(|c| c.tok >= lo && c.tok < hi)
-            .filter(|c| crate::items::innermost_fn(&file.functions, c.off) == Some(fi))
+            .zip(&owner_of_call[in_body])
+            .filter(|(_, owner)| **owner == Some(fi))
+            .map(|(c, _)| c)
             .filter(|c| {
                 // an acquisition is not a call
                 !(c.args_empty
@@ -181,7 +189,7 @@ fn summarize_file(file_idx: usize, file: &SourceFile, cfg: &Config, out: &mut Ve
             file: file_idx,
             fn_name: f.name.clone(),
             impl_type: f.impl_type.clone(),
-            local: crate::items::innermost_fn(&file.functions, f.off).is_some(),
+            local: owner_of_fn[fi].is_some(),
             locks,
             calls,
         });
@@ -267,6 +275,11 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
                 .collect(),
         )
     };
+    // each call's targets, resolved once: per summary, per call
+    let targets: Vec<Vec<Vec<usize>>> = summaries
+        .iter()
+        .map(|s| s.calls.iter().map(|c| resolve(s.impl_type.as_deref(), c)).collect())
+        .collect();
     // transitive lock-acquire sets, fixpoint
     let mut trans: Vec<BTreeSet<String>> = summaries
         .iter()
@@ -276,12 +289,10 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
         let mut changed = false;
         for i in 0..summaries.len() {
             let mut add: BTreeSet<String> = BTreeSet::new();
-            for c in &summaries[i].calls {
-                for t in resolve(summaries[i].impl_type.as_deref(), c) {
-                    for l in &trans[t] {
-                        if !trans[i].contains(l) {
-                            add.insert(l.clone());
-                        }
+            for callee in targets[i].iter().flatten() {
+                for l in &trans[*callee] {
+                    if !trans[i].contains(l) {
+                        add.insert(l.clone());
                     }
                 }
             }
@@ -321,25 +332,21 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Analysis {
     }
     for (i, s) in summaries.iter().enumerate() {
         let file = &files[s.file];
-        // direct nesting inside one function
+        // direct nesting inside one function, re-acquisition included
         for (ai, a) in s.locks.iter().enumerate() {
             for b in &s.locks[ai + 1..] {
-                if b.tok < a.extent_end && b.name != a.name {
+                if b.tok < a.extent_end {
                     push_edge(&mut edges, &a.name, &b.name, file, b.off, &s.fn_name, None);
                 }
             }
         }
         // held across a call into a transitively-acquiring function
-        for c in &s.calls {
+        for (c, callees) in s.calls.iter().zip(&targets[i]) {
             if c.held.is_empty() {
                 continue;
             }
-            let mut acquired: BTreeSet<&str> = BTreeSet::new();
-            for t in resolve(summaries[i].impl_type.as_deref(), c) {
-                for l in &trans[t] {
-                    acquired.insert(l.as_str());
-                }
-            }
+            let acquired: BTreeSet<&str> =
+                callees.iter().flat_map(|&t| trans[t].iter().map(String::as_str)).collect();
             for h in &c.held {
                 for l in &acquired {
                     push_edge(&mut edges, h, l, file, c.off, &s.fn_name, Some(&c.callee));
@@ -377,7 +384,7 @@ pub fn lock_order_findings(a: &Analysis, cfg: &Config) -> Vec<Finding> {
         if e.from == e.to {
             out.push(mk(format!(
                 "lock `{}` re-acquired{via} while its own guard is live in fn {} \
-                 (self-deadlock across the call graph)",
+                 (self-deadlock)",
                 e.from, e.in_fn
             )));
             continue;
@@ -395,25 +402,6 @@ pub fn lock_order_findings(a: &Analysis, cfg: &Config) -> Vec<Finding> {
                 e.from, e.to, e.in_fn
             ))),
         }
-    }
-    // cycles among observed edges (beyond the self-edges reported above)
-    for cycle in find_cycles(&a.edges) {
-        let witness = a
-            .edges
-            .iter()
-            .find(|e| e.from == cycle[0] && e.to == cycle[1])
-            .expect("cycle edges come from the edge set");
-        out.push(Finding {
-            rule: RULE,
-            path: witness.path.clone(),
-            line: witness.line,
-            col: witness.col,
-            message: format!(
-                "acquisition cycle {} — two code paths nest these locks in opposite \
-                 orders; whichever runs second deadlocks",
-                cycle.join(" -> "),
-            ),
-        });
     }
     // fail closed: a declared lock that is never observed means the
     // config (and therefore the declared order) has rotted
@@ -434,205 +422,9 @@ pub fn lock_order_findings(a: &Analysis, cfg: &Config) -> Vec<Finding> {
     out
 }
 
-/// All distinct cycles in the edge set (self-edges excluded; those are
-/// reported separately). Each cycle is returned as `[a, b, ..., a]`,
-/// starting from its lexicographically smallest node so duplicates
-/// rotate onto each other.
-fn find_cycles(edges: &[Edge]) -> Vec<Vec<String>> {
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for e in edges {
-        if e.from != e.to {
-            adj.entry(e.from.as_str()).or_default().insert(e.to.as_str());
-        }
-    }
-    let mut cycles: BTreeSet<Vec<String>> = BTreeSet::new();
-    let nodes: Vec<&str> = adj.keys().copied().collect();
-    for &start in &nodes {
-        // DFS from each node, recording paths that return to the start
-        let mut stack: Vec<(Vec<&str>, &str)> = vec![(vec![start], start)];
-        while let Some((path, node)) = stack.pop() {
-            let Some(nexts) = adj.get(node) else { continue };
-            for &n in nexts {
-                if n == start {
-                    // canonicalize: rotate so the smallest node leads
-                    let min = path.iter().min().expect("non-empty");
-                    if *min == start {
-                        let mut c: Vec<String> =
-                            path.iter().map(|s| (*s).to_owned()).collect();
-                        c.push(start.to_owned());
-                        cycles.insert(c);
-                    }
-                } else if !path.contains(&n) {
-                    let mut p = path.clone();
-                    p.push(n);
-                    stack.push((p, n));
-                }
-            }
-        }
-    }
-    cycles.into_iter().collect()
-}
-
-/// The workspace half of `error-swallow`: `unwrap_or`-family defaulting
-/// on a call into a workspace function that returns a `Result`. Needs
-/// the cross-file function table, so it lives here rather than in the
-/// per-file rule.
-pub fn error_swallow_findings(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if cfg.error_swallow_crates.is_empty() {
-        return out;
-    }
-    // Workspace function table with the same scoped resolution as the
-    // lock graph: `opt.map(..)` must not resolve to a workspace `fn map`
-    // just because the name matches — the receiver's type is unknown.
-    // A call is "fallible" when it resolves to at least one candidate
-    // and every candidate returns a `Result` (a name mixing Result and
-    // Option returns stays silent rather than guessing).
-    struct FnEntry<'a> {
-        impl_type: Option<&'a str>,
-        returns_result: bool,
-    }
-    let mut table: Vec<FnEntry> = Vec::new();
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for f in files {
-        if f.is_test_file() {
-            continue;
-        }
-        for fi in &f.functions {
-            if f.is_test(fi.off) || crate::items::innermost_fn(&f.functions, fi.off).is_some() {
-                continue;
-            }
-            by_name.entry(fi.name.as_str()).or_default().push(table.len());
-            table.push(FnEntry {
-                impl_type: fi.impl_type.as_deref(),
-                returns_result: fi.returns_result,
-            });
-        }
-    }
-    let resolve = |caller_impl: Option<&str>, c: &crate::items::CallSite| -> Vec<usize> {
-        let Some(cands) = by_name.get(c.callee.as_str()) else {
-            return Vec::new();
-        };
-        let with_impl = |t: &str| -> Vec<usize> {
-            cands
-                .iter()
-                .copied()
-                .filter(|&i| table[i].impl_type == Some(t))
-                .collect()
-        };
-        let unique = |pool: Vec<usize>| -> Vec<usize> {
-            if pool.len() == 1 {
-                pool
-            } else {
-                Vec::new()
-            }
-        };
-        if let Some(q) = c.qual.as_deref() {
-            if q.chars().next().map(char::is_uppercase).unwrap_or(false) {
-                return with_impl(q);
-            }
-            return unique(
-                cands
-                    .iter()
-                    .copied()
-                    .filter(|&i| table[i].impl_type.is_none())
-                    .collect(),
-            );
-        }
-        if c.recv.as_deref() == Some("self") {
-            if let Some(t) = caller_impl {
-                return with_impl(t);
-            }
-            return unique(cands.clone());
-        }
-        if c.is_method {
-            return Vec::new();
-        }
-        unique(
-            cands
-                .iter()
-                .copied()
-                .filter(|&i| table[i].impl_type.is_none())
-                .collect(),
-        )
-    };
-    const DEFAULTERS: [&str; 3] = ["unwrap_or", "unwrap_or_default", "unwrap_or_else"];
-    for file in files {
-        if !error_swallow::in_scope(file, cfg) {
-            continue;
-        }
-        for c in &file.calls {
-            if file.is_test(c.off) {
-                continue;
-            }
-            let caller_impl = crate::items::innermost_fn(&file.functions, c.off)
-                .and_then(|i| file.functions[i].impl_type.as_deref());
-            let targets = resolve(caller_impl, c);
-            let fallible = !targets.is_empty() && targets.iter().all(|&t| table[t].returns_result);
-            if !fallible {
-                continue;
-            }
-            // find the call's closing paren, then look for `.unwrap_or*(`
-            let mut depth = 0i32;
-            let mut j = c.tok + 1;
-            let close = loop {
-                if j >= file.tokens.len() {
-                    break None;
-                }
-                match file.tokens[j].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break Some(j);
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            };
-            let Some(close) = close else { continue };
-            // `?` between the call and the defaulting method means the
-            // error already propagated; the default applies to something
-            // else (an Option layer) — not a swallow
-            let mut k = close + 1;
-            if file.tokens.get(k).map(|t| t.text == "?").unwrap_or(false) {
-                continue;
-            }
-            if file.tokens.get(k).map(|t| t.text != ".").unwrap_or(true) {
-                continue;
-            }
-            k += 1;
-            let Some(m) = file.tokens.get(k) else { continue };
-            if !DEFAULTERS.contains(&m.text.as_str()) {
-                continue;
-            }
-            if file.tokens.get(k + 1).map(|t| t.text != "(").unwrap_or(true) {
-                continue;
-            }
-            out.push(Finding::at(
-                "error-swallow",
-                file,
-                m.off,
-                format!(
-                    ".{}() defaults away the Result of {}(), which is fallible everywhere \
-                     in this workspace; an I/O error becomes plausible-but-wrong data \
-                     (the PR 4 stats bug) — propagate with `?` or handle the error",
-                    m.text, c.callee
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// Run the full workspace pass: lock-order-graph plus the cross-file
-/// half of error-swallow.
+/// Run the workspace pass: the lock-order-graph findings.
 pub fn check_workspace(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
-    let a = analyze(files, cfg);
-    let mut out = lock_order_findings(&a, cfg);
-    out.extend(error_swallow_findings(files, cfg));
-    out
+    lock_order_findings(&analyze(files, cfg), cfg)
 }
 
 /// Human-readable dump of the observed acquisition graph (the
@@ -729,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn opposite_nesting_in_two_functions_is_a_cycle() {
+    fn opposite_nesting_in_two_functions_is_reported_once() {
         let files = parse_all(&[
             (
                 "crates/a/src/one.rs",
@@ -742,15 +534,32 @@ mod tests {
         ]);
         let a = analyze(&files, &cfg());
         let findings = lock_order_findings(&a, &cfg());
-        // the ba() nesting is an inversion AND the pair forms a cycle
-        assert!(
-            findings.iter().any(|f| f.message.contains("cycle")),
-            "{findings:?}"
-        );
-        assert!(
-            findings.iter().any(|f| f.message.contains("inverted")),
-            "{findings:?}"
-        );
+        // the pair is a cycle; its inverted edge (ba) is the one finding
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("inverted"), "{findings:?}");
+        assert_eq!(findings[0].path, "crates/b/src/two.rs");
+    }
+
+    #[test]
+    fn direct_reacquire_is_an_edge_and_a_finding() {
+        let files = parse_all(&[(
+            "crates/a/src/x.rs",
+            "pub fn f(&self) { let g = self.pool.lock(); let h = self.pool.lock(); go(g, h); }\n\
+             pub fn released(&self) { let g = self.pool.lock(); drop(g); self.pool.lock().bump(); }\n\
+             pub fn scoped(&self) { { let r = self.pool.read(); r.peek(); } let w = self.pool.write(); }",
+        )]);
+        let cfg = Config {
+            lock_names: vec!["pool".into()],
+            lock_order: vec!["pool".into()],
+            ..Config::default()
+        };
+        let a = analyze(&files, &cfg);
+        assert_eq!(a.edges.len(), 1, "{:?}", a.edges);
+        assert_eq!((a.edges[0].from.as_str(), a.edges[0].to.as_str()), ("pool", "pool"));
+        assert_eq!(a.edges[0].in_fn, "f");
+        let findings = lock_order_findings(&a, &cfg);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("re-acquired"), "{findings:?}");
     }
 
     #[test]
@@ -817,50 +626,5 @@ mod tests {
         let a = analyze(&files, &cfg());
         // pool is held only after helper's body; no pool -> state edge
         assert!(a.edges.is_empty(), "{:?}", a.edges);
-    }
-
-    #[test]
-    fn workspace_unwrap_or_on_fallible_fn_is_reported() {
-        let files = parse_all(&[
-            (
-                "crates/relstore/src/stats.rs",
-                "pub fn row_count(&self) -> StoreResult<u64> { self.read_meta() }",
-            ),
-            (
-                "crates/relstore/src/report.rs",
-                "pub fn summary(&self) -> u64 { self.row_count().unwrap_or(0) }",
-            ),
-        ]);
-        let cfg2 = Config {
-            error_swallow_crates: vec!["relstore".into()],
-            ..Config::default()
-        };
-        let out = error_swallow_findings(&files, &cfg2);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("row_count"), "{out:?}");
-    }
-
-    #[test]
-    fn option_returns_question_marks_and_mixed_names_stay_silent() {
-        let files = parse_all(&[
-            (
-                "crates/relstore/src/a.rs",
-                "pub fn rows(&self) -> Option<u64> { self.cached }",
-            ),
-            (
-                "crates/relstore/src/b.rs",
-                // Option-returning callee: defaulting is fine
-                "pub fn n(&self) -> u64 { self.rows().unwrap_or(0) }\n\
-                 // `?` before the default: error already propagated
-                 pub fn m(&self) -> StoreResult<u64> { Ok(self.fetch()?.unwrap_or(0)) }\n\
-                 pub fn fetch(&self) -> StoreResult<Option<u64>> { Ok(None) }",
-            ),
-        ]);
-        let cfg2 = Config {
-            error_swallow_crates: vec!["relstore".into()],
-            ..Config::default()
-        };
-        let out = error_swallow_findings(&files, &cfg2);
-        assert!(out.is_empty(), "{out:?}");
     }
 }

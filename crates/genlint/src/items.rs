@@ -1,22 +1,21 @@
-//! The item parser: functions, impl blocks, `use` imports, and call
+//! The item parser: functions (with their enclosing impl type) and call
 //! sites, extracted from the significant-token stream.
 //!
 //! This is deliberately not an AST — each extraction is a bracketed scan
 //! over the classified token stream from [`crate::lexer`], which is
 //! exactly the precision the rules and the cross-file call graph need:
 //! function extents for scoping, receivers and callee names for lock
-//! and error propagation, imports for module-alias reasoning.
+//! propagation.
 
 use crate::source::Token;
 
 /// An `impl` block found in a file.
-#[derive(Debug, Clone)]
-pub struct ImplInfo {
+struct ImplInfo {
     /// Last path segment of the implemented type (`GamStore` for
     /// `impl GamStore` and for `impl Trait for GamStore`).
-    pub type_name: String,
+    type_name: String,
     /// Byte range of the block body (inside the braces).
-    pub body: (usize, usize),
+    body: (usize, usize),
 }
 
 /// A `fn` item found in a file.
@@ -25,27 +24,12 @@ pub struct FnInfo {
     pub name: String,
     /// Whether the item carries a `pub` (or `pub(...)`) visibility.
     pub is_pub: bool,
-    /// Signature text between `fn` and the body brace.
-    pub sig: String,
     /// Byte range of the body (inside the braces). `None` for bodyless
     /// declarations (trait methods).
     pub body: Option<(usize, usize)>,
     /// Type name of the innermost enclosing `impl` block, if any.
     pub impl_type: Option<String>,
     /// Byte offset of the `fn` keyword.
-    pub off: usize,
-    /// Whether the declared return type mentions a `Result` (including
-    /// `*Result` aliases like `StoreResult`); used by the error-swallow
-    /// rule to know which workspace calls are fallible.
-    pub returns_result: bool,
-}
-
-/// One `use` import leaf (`use std::fs;` yields `["std", "fs"]`;
-/// grouped trees are flattened into one leaf per branch).
-#[derive(Debug, Clone)]
-pub struct UseImport {
-    pub path: Vec<String>,
-    /// Byte offset of the `use` keyword.
     pub off: usize,
 }
 
@@ -155,28 +139,9 @@ fn is_pub_fn(tokens: &[Token], i: usize) -> bool {
     false
 }
 
-/// Whether the signature's return type mentions a Result (token after
-/// `->` chains: any ident equal to or ending with `Result`).
-fn sig_returns_result(tokens: &[Token], sig_start: usize, sig_end_tok: usize) -> bool {
-    let mut seen_arrow = false;
-    let mut k = sig_start;
-    while k < sig_end_tok {
-        let t = &tokens[k];
-        if t.text == "-" && tokens.get(k + 1).map(|n| n.text == ">").unwrap_or(false) {
-            seen_arrow = true;
-            k += 2;
-            continue;
-        }
-        if seen_arrow && t.is_ident && t.text.ends_with("Result") {
-            return true;
-        }
-        k += 1;
-    }
-    false
-}
-
-/// Find `impl` blocks and `fn` items over the significant tokens.
-pub fn find_items(clean: &str, tokens: &[Token]) -> (Vec<ImplInfo>, Vec<FnInfo>) {
+/// Find `fn` items over the significant tokens, each with the type of
+/// its innermost enclosing `impl` block.
+pub fn find_items(tokens: &[Token]) -> Vec<FnInfo> {
     let mut impls = Vec::new();
     let mut functions = Vec::new();
     let mut i = 0usize;
@@ -208,8 +173,6 @@ pub fn find_items(clean: &str, tokens: &[Token]) -> (Vec<ImplInfo>, Vec<FnInfo>)
             let mut bracket = 0i32;
             let mut k = i + 2;
             let mut body = None;
-            let mut sig_end = clean.len();
-            let mut sig_end_tok = tokens.len();
             while k < tokens.len() {
                 match tokens[k].text.as_str() {
                     "(" => paren += 1,
@@ -217,23 +180,16 @@ pub fn find_items(clean: &str, tokens: &[Token]) -> (Vec<ImplInfo>, Vec<FnInfo>)
                     "[" => bracket += 1,
                     "]" => bracket -= 1,
                     "{" if paren == 0 && bracket == 0 => {
-                        sig_end = tokens[k].off;
-                        sig_end_tok = k;
                         if let Some(close) = matching_brace(tokens, k) {
                             body = Some((tokens[k].off + 1, tokens[close].off));
                         }
                         break;
                     }
-                    ";" if paren == 0 && bracket == 0 => {
-                        sig_end = tokens[k].off;
-                        sig_end_tok = k;
-                        break;
-                    }
+                    ";" if paren == 0 && bracket == 0 => break,
                     _ => {}
                 }
                 k += 1;
             }
-            let sig = clean[t.off..sig_end.max(t.off)].to_owned();
             let impl_type = impls
                 .iter()
                 .rev()
@@ -242,100 +198,14 @@ pub fn find_items(clean: &str, tokens: &[Token]) -> (Vec<ImplInfo>, Vec<FnInfo>)
             functions.push(FnInfo {
                 name,
                 is_pub: is_pub_fn(tokens, i),
-                sig,
                 body,
                 impl_type,
                 off: t.off,
-                returns_result: sig_returns_result(tokens, i, sig_end_tok),
             });
         }
         i += 1;
     }
-    (impls, functions)
-}
-
-/// Extract `use` import leaves. Grouped trees (`use a::{b, c::d};`)
-/// flatten into one leaf per branch; `as` renames keep the alias as the
-/// final segment.
-pub fn find_uses(tokens: &[Token]) -> Vec<UseImport> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !(tokens[i].text == "use" && tokens[i].is_ident) {
-            i += 1;
-            continue;
-        }
-        let off = tokens[i].off;
-        // parse the tree up to `;`
-        let mut prefix: Vec<String> = Vec::new();
-        let mut stack: Vec<Vec<String>> = Vec::new();
-        // after `}` the restored prefix was already flattened into its
-        // leaves — a following `,`/`}`/`;` must not emit it as a bare
-        // import (`use a::{b, c}` is not also `use a`)
-        let mut consumed = false;
-        let mut j = i + 1;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            match t.text.as_str() {
-                ";" => break,
-                "{" => {
-                    stack.push(prefix.clone());
-                }
-                "}" => {
-                    if !consumed
-                        && !prefix.is_empty()
-                        && prefix.len() > stack.last().map(|s| s.len()).unwrap_or(0)
-                    {
-                        out.push(UseImport {
-                            path: prefix.clone(),
-                            off,
-                        });
-                    }
-                    prefix = stack.pop().unwrap_or_default();
-                    consumed = true;
-                }
-                "," => {
-                    if !consumed
-                        && !prefix.is_empty()
-                        && prefix.len() > stack.last().map(|s| s.len()).unwrap_or(0)
-                    {
-                        out.push(UseImport {
-                            path: prefix.clone(),
-                            off,
-                        });
-                    }
-                    prefix = stack.last().cloned().unwrap_or_default();
-                    consumed = false;
-                }
-                "as" => {
-                    // the alias identifier replaces the final segment
-                    if let Some(alias) = tokens.get(j + 1) {
-                        if alias.is_ident {
-                            prefix.pop();
-                            prefix.push(alias.text.clone());
-                            j += 1;
-                        }
-                    }
-                }
-                "*" => {
-                    prefix.push("*".to_owned());
-                    consumed = false;
-                }
-                _ if t.is_ident => {
-                    prefix.push(t.text.clone());
-                    consumed = false;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if !consumed && !prefix.is_empty() && prefix.len() > stack.last().map(|s| s.len()).unwrap_or(0)
-        {
-            out.push(UseImport { path: prefix, off });
-        }
-        i = j + 1;
-    }
-    out
+    functions
 }
 
 /// Extract call sites: `callee(...)` and `recv.callee(...)`. Macro
@@ -394,21 +264,32 @@ pub fn find_calls(tokens: &[Token]) -> Vec<CallSite> {
     out
 }
 
-/// Index into `functions` of the innermost function whose body contains
-/// byte offset `off`, if any.
-pub fn innermost_fn(functions: &[FnInfo], off: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None; // (span, idx)
-    for (i, f) in functions.iter().enumerate() {
-        if let Some((s, e)) = f.body {
-            if off >= s && off < e {
-                let span = e - s;
-                if best.map(|(bs, _)| span < bs).unwrap_or(true) {
-                    best = Some((span, i));
+/// For each byte offset of `offs` (ascending), the index into
+/// `functions` of the innermost function whose body contains it, if any.
+/// One sweep: `functions` are in source order and bodies nest, so the
+/// bodies open at an offset form a stack.
+pub fn innermost_fns(functions: &[FnInfo], offs: impl IntoIterator<Item = usize>) -> Vec<Option<usize>> {
+    let mut bodies = functions
+        .iter()
+        .enumerate()
+        .filter_map(|(i, f)| f.body.map(|(start, end)| (start, end, i)))
+        .peekable();
+    let mut open: Vec<(usize, usize)> = Vec::new(); // (end, fn index)
+    offs.into_iter()
+        .map(|off| {
+            while let Some(&(start, end, i)) = bodies.peek() {
+                if start > off {
+                    break;
                 }
+                open.push((end, i));
+                bodies.next();
             }
-        }
-    }
-    best.map(|(_, i)| i)
+            while open.last().is_some_and(|&(end, _)| end <= off) {
+                open.pop();
+            }
+            open.last().map(|&(_, i)| i)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -418,13 +299,6 @@ mod tests {
 
     fn parse(src: &str) -> SourceFile {
         SourceFile::parse("crates/x/src/lib.rs", src)
-    }
-
-    #[test]
-    fn uses_flatten_groups_and_aliases() {
-        let f = parse("use std::fs;\nuse a::{b, c::d};\nuse x::y as z;\n");
-        let paths: Vec<String> = f.uses.iter().map(|u| u.path.join("::")).collect();
-        assert_eq!(paths, ["std::fs", "a::b", "a::c::d", "x::z"]);
     }
 
     #[test]
@@ -447,28 +321,17 @@ mod tests {
     }
 
     #[test]
-    fn returns_result_detects_aliases() {
-        let f = parse(
-            "fn a() -> StoreResult<()> { x() }\n\
-             fn b() -> Option<u32> { None }\n\
-             fn c() -> std::io::Result<()> { y() }\n\
-             fn d(r: Result<u8, E>) {}\n",
-        );
-        let by_name = |n: &str| f.functions.iter().find(|fi| fi.name == n).expect("fn");
-        assert!(by_name("a").returns_result);
-        assert!(!by_name("b").returns_result);
-        assert!(by_name("c").returns_result);
-        assert!(!by_name("d").returns_result, "param Result is not a return");
-    }
-
-    #[test]
-    fn innermost_fn_prefers_the_nested_body() {
-        let f = parse("fn outer() { fn inner() { leaf(); } other(); }");
-        let leaf = f.calls.iter().find(|c| c.callee == "leaf").expect("leaf");
-        let idx = innermost_fn(&f.functions, leaf.off).expect("in a fn");
-        assert_eq!(f.functions[idx].name, "inner");
-        let other = f.calls.iter().find(|c| c.callee == "other").expect("other");
-        let idx = innermost_fn(&f.functions, other.off).expect("in a fn");
-        assert_eq!(f.functions[idx].name, "outer");
+    fn innermost_fns_prefer_the_nested_body() {
+        let f = parse("fn outer() { fn inner() { leaf(); } other(); }\nfn next() { last(); }");
+        let owners = innermost_fns(&f.functions, f.calls.iter().map(|c| c.off));
+        let names: Vec<(&str, &str)> = f
+            .calls
+            .iter()
+            .zip(owners)
+            .map(|(c, o)| (c.callee.as_str(), f.functions[o.expect("in a fn")].name.as_str()))
+            .collect();
+        assert_eq!(names, [("leaf", "inner"), ("other", "outer"), ("last", "next")]);
+        let fns = innermost_fns(&f.functions, f.functions.iter().map(|fi| fi.off));
+        assert_eq!(fns, [None, Some(0), None], "only inner is a local helper");
     }
 }

@@ -1,19 +1,17 @@
 //! R9 `error-swallow`: durable-path crates must not discard `Result`s.
 //!
-//! PR 4's `stats() unwrap_or(0)` bug is the template: a fallible call
-//! whose error is silently defaulted away turns an I/O failure into
-//! wrong-but-plausible data. In the configured crates (the durable path:
-//! relstore, import), non-test code may not:
+//! A fallible call whose error is silently dropped turns an I/O failure
+//! into wrong-but-plausible data — a sync that never happened reads as
+//! one that did. In the configured crates (the durable path: relstore,
+//! import), non-test code may not:
 //!
 //! * bind a call's result to `_` (`let _ = f.sync_all();`) — the one
 //!   shape that compiles away a `#[must_use]` `Result` without a trace,
 //! * discard via a bare `.ok();` statement — same effect, dressed up.
 //!
-//! The third shape — `unwrap_or`-style defaulting on a call into a
-//! workspace function that returns a `Result` — needs the cross-file
-//! function table and is checked by the [`crate::graph`] pass under the
-//! same rule name, so one `[[allow]]` entry covers a file for all three
-//! shapes.
+//! `unwrap_or`-style defaulting of a `Result` is not checked: a token
+//! scan cannot tell a `Result` from an `Option`, and the cross-file call
+//! resolver that tried caught one such mutant in three (ISSUE 25's table).
 //!
 //! Deliberate discards stay possible: match on the `Result`, log the
 //! error, or add a justified `[[allow]]` entry (the baseline mechanism
@@ -31,7 +29,7 @@ fn crate_of(rel_path: &str) -> Option<&str> {
 }
 
 /// Whether `file` is scoped for the error-swallow rule.
-pub(crate) fn in_scope(file: &SourceFile, cfg: &Config) -> bool {
+fn in_scope(file: &SourceFile, cfg: &Config) -> bool {
     crate_of(&file.rel_path)
         .map(|k| cfg.error_swallow_crates.iter().any(|c| c == k))
         .unwrap_or(false)
@@ -44,7 +42,7 @@ impl Rule for ErrorSwallow {
     }
 
     fn description(&self) -> &'static str {
-        "durable-path crates must not discard Results via `let _ =`, bare `.ok()`, or defaulting"
+        "durable-path crates must not discard Results via `let _ =` or a bare `.ok()`"
     }
 
     fn check(&self, file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {

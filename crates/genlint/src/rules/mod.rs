@@ -4,7 +4,7 @@
 //! [`Config`]; rules never do I/O. A rule reports [`Finding`]s with the
 //! workspace-relative path, a 1-based line:col, and a message that says
 //! what invariant broke and how to restore it. Baseline filtering happens
-//! in the driver ([`crate::run`]), not here — rules always report the
+//! in the driver ([`crate::engine::scan_files`]), not here — rules always report the
 //! truth. The cross-file `lock-order-graph` pass lives in
 //! [`crate::graph`] because it needs every file's summary at once; it
 //! still reports through the same [`Finding`] type.
@@ -13,8 +13,6 @@ pub mod atomics_discipline;
 pub mod cache_coherence;
 pub mod error_swallow;
 pub mod lock_discipline;
-pub mod no_panic;
-pub mod socket_discipline;
 pub mod vfs_bypass;
 pub mod wal_bracket;
 
@@ -24,7 +22,7 @@ use crate::source::SourceFile;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`vfs-bypass`, `no-panic`, ...).
+    /// Rule identifier (`vfs-bypass`, `error-swallow`, ...).
     pub rule: &'static str,
     /// Workspace-relative path (forward slashes).
     pub path: String,
@@ -74,11 +72,9 @@ pub trait Rule {
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(vfs_bypass::VfsBypass),
-        Box::new(no_panic::NoPanic),
         Box::new(cache_coherence::CacheCoherence),
         Box::new(lock_discipline::LockDiscipline),
         Box::new(wal_bracket::WalBracket),
-        Box::new(socket_discipline::SocketDiscipline),
         Box::new(atomics_discipline::AtomicsDiscipline),
         Box::new(error_swallow::ErrorSwallow),
     ]
@@ -88,7 +84,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
 /// per-file rules but driven from [`crate::graph`]).
 pub const LOCK_ORDER_GRAPH: (&str, &str) = (
     "lock-order-graph",
-    "whole-program lock acquisition graph stays acyclic and follows the declared order",
+    "no held lock re-taken, nesting follows the declared order — in a fn or across calls",
 );
 
 /// Rule names in report order (per-file rules plus the graph pass).

@@ -33,27 +33,24 @@ impl Rule for VfsBypass {
         }
         // does the file import std::fs (making bare `fs::` a filesystem
         // call)? Detected on tokens so masked strings can't fake it.
-        let mut imports_std_fs = false;
-        for i in 0..file.tokens.len() {
-            if file.seq_matches(i, &["use", "std", ":", ":", "fs"]) {
-                imports_std_fs = true;
-                break;
-            }
-        }
+        let imports_std_fs = || {
+            (0..file.tokens.len()).any(|i| file.seq_matches(i, &["use", "std", ":", ":", "fs"]))
+        };
         let mut lines_seen = Vec::new();
         for i in 0..file.tokens.len() {
             let t = &file.tokens[i];
-            if !t.is_ident || file.is_test(t.off) {
+            // every shape below starts with one of these
+            if !t.is_ident || !matches!(t.text.as_str(), "std" | "fs" | "use") || file.is_test(t.off) {
                 continue;
             }
             let direct = file.seq_matches(i, &["std", ":", ":", "fs", ":", ":"]);
-            let bare = imports_std_fs
-                && file.seq_matches(i, &["fs", ":", ":"])
+            let bare = file.seq_matches(i, &["fs", ":", ":"])
                 // not the `fs` inside `std::fs::...` (already reported)
                 && !(i >= 3
                     && file.tokens[i - 1].text == ":"
                     && file.tokens[i - 2].text == ":"
-                    && file.tokens[i - 3].text == "std");
+                    && file.tokens[i - 3].text == "std")
+                && imports_std_fs();
             let import = file.seq_matches(i, &["use", "std", ":", ":", "fs"]);
             if !(direct || bare || import) {
                 continue;

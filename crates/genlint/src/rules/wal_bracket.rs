@@ -1,5 +1,4 @@
-//! R5 `wal-bracket`: group-commit windows close on every path, and
-//! relstore write paths sync before returning.
+//! R5 `wal-bracket`: group-commit windows close on every path.
 //!
 //! `begin_group_commit()` flips the store into deferred-sync mode; if an
 //! early return (`?` or `return`) escapes the window before
@@ -11,17 +10,14 @@
 //! appear between the first `begin` and the last `end`, and the `end`
 //! must exist at all.
 //!
-//! Second check, relstore-only: a non-test function under
-//! `crates/relstore/src` that calls `.write_all(` must also call
-//! `.sync(` (or be listed in `[wal-bracket] sync_exempt` with a reason —
-//! e.g. `flush`, whose sync is deferred to the commit path by design).
-//! The vfs shim itself is excluded: its `write_all` *is* the primitive.
+//! Whether a write path syncs at all, and in which order relative to a
+//! rename, is the crash sweeps' to judge (`relstore/tests/crash_sweep.rs`
+//! asserts that every acknowledged commit survives every power cut); a
+//! token scan cannot see that ordering.
 
 use super::{Finding, Rule};
 use crate::config::Config;
 use crate::source::SourceFile;
-
-const VFS_SHIM: &str = "crates/relstore/src/vfs.rs";
 
 pub struct WalBracket;
 
@@ -31,10 +27,10 @@ impl Rule for WalBracket {
     }
 
     fn description(&self) -> &'static str {
-        "begin/end_group_commit pair with no early exit between; relstore writes sync"
+        "begin/end_group_commit pair with no early exit between"
     }
 
-    fn check(&self, file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
+    fn check(&self, file: &SourceFile, _cfg: &Config, out: &mut Vec<Finding>) {
         if file.is_test_file() {
             return;
         }
@@ -48,9 +44,6 @@ impl Rule for WalBracket {
             // the definitions of the bracket itself are not call sites
             if f.name != "begin_group_commit" && f.name != "end_group_commit" {
                 self.check_bracket(file, f.name.as_str(), body_start, body_end, out);
-            }
-            if file.rel_path.starts_with("crates/relstore/src/") && file.rel_path != VFS_SHIM {
-                self.check_sync(file, cfg, f.name.as_str(), body_start, body_end, out);
             }
         }
     }
@@ -106,61 +99,16 @@ impl WalBracket {
             }
         }
     }
-
-    fn check_sync(
-        &self,
-        file: &SourceFile,
-        cfg: &Config,
-        fn_name: &str,
-        body_start: usize,
-        body_end: usize,
-        out: &mut Vec<Finding>,
-    ) {
-        if cfg.sync_exempt.iter().any(|e| e == fn_name) {
-            return;
-        }
-        let (lo, hi) = file.tokens_in(body_start, body_end);
-        let method_call = |name: &str| {
-            (lo..hi).any(|i| {
-                file.tokens[i].text == "."
-                    && file.tokens.get(i + 1).map(|t| t.text == name).unwrap_or(false)
-                    && file.tokens.get(i + 2).map(|t| t.text == "(").unwrap_or(false)
-            })
-        };
-        if method_call("write_all") && !method_call("sync") && !method_call("sync_dir") {
-            let off = (lo..hi)
-                .find(|&i| {
-                    file.tokens[i].text == "write_all"
-                        && file.tokens.get(i + 1).map(|t| t.text == "(").unwrap_or(false)
-                })
-                .map(|i| file.tokens[i].off)
-                .unwrap_or(body_start);
-            out.push(Finding::at(
-                self.name(),
-                file,
-                off,
-                format!(
-                    "fn {fn_name} writes without syncing; a power cut here loses the data the \
-                     caller believes is durable (sync, or add to [wal-bracket] sync_exempt with \
-                     a reason)"
-                ),
-            ));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn findings(path: &str, src: &str, sync_exempt: &[&str]) -> Vec<Finding> {
+    fn findings(path: &str, src: &str) -> Vec<Finding> {
         let file = SourceFile::parse(path, src);
-        let cfg = Config {
-            sync_exempt: sync_exempt.iter().map(|s| s.to_string()).collect(),
-            ..Config::default()
-        };
         let mut out = Vec::new();
-        WalBracket.check(&file, &cfg, &mut out);
+        WalBracket.check(&file, &Config::default(), &mut out);
         out
     }
 
@@ -175,7 +123,7 @@ mod tests {
 
     #[test]
     fn deferred_propagation_shape_is_clean() {
-        assert!(findings("crates/import/src/importer.rs", SAFE, &[]).is_empty());
+        assert!(findings("crates/import/src/importer.rs", SAFE).is_empty());
     }
 
     #[test]
@@ -186,7 +134,7 @@ mod tests {
             self.store.end_group_commit()?;\n\
             Ok(())\n\
         }\n";
-        let out = findings("crates/import/src/importer.rs", src, &[]);
+        let out = findings("crates/import/src/importer.rs", src);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("skip end_group_commit"));
     }
@@ -194,34 +142,15 @@ mod tests {
     #[test]
     fn flags_begin_without_end() {
         let src = "fn oops(&mut self) { self.store.begin_group_commit(); self.work(); }";
-        let out = findings("crates/import/src/importer.rs", src, &[]);
+        let out = findings("crates/import/src/importer.rs", src);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("never end_group_commit"));
-    }
-
-    #[test]
-    fn relstore_write_without_sync_flagged_unless_exempt() {
-        let src = "fn reset(&mut self) -> R<()> { let f = self.vfs.create(p); \
-                   f.write_all(b); f.sync(); Ok(()) }\n\
-                   fn flush(&mut self) -> R<()> { self.file.write_all(buf); Ok(()) }\n";
-        let out = findings("crates/relstore/src/wal.rs", src, &[]);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("flush writes without syncing"));
-        assert!(findings("crates/relstore/src/wal.rs", src, &["flush"]).is_empty());
-        // outside relstore, and in the shim, write_all is not checked
-        assert!(findings("crates/import/src/x.rs", "fn f() { w.write_all(b); }", &[]).is_empty());
-        assert!(findings(
-            "crates/relstore/src/vfs.rs",
-            "fn write_all(&mut self) { self.0.write_all(b); }",
-            &[]
-        )
-        .is_empty());
     }
 
     #[test]
     fn bracket_definitions_are_not_call_sites() {
         let src = "pub fn begin_group_commit(&mut self) { self.deferred = true; }\n\
                    pub fn end_group_commit(&mut self) -> R<()> { self.deferred = false; self.sync() }\n";
-        assert!(findings("crates/gam/src/store.rs", src, &[]).is_empty());
+        assert!(findings("crates/gam/src/store.rs", src).is_empty());
     }
 }

@@ -15,13 +15,12 @@
 //! 3. A brace-depth pass marks test scope: `#[cfg(test)]` / `#[test]`
 //!    attributed items, `mod tests { ... }` blocks, and whole files under
 //!    `tests/`, `benches/`, `examples/` or the dev-only `testkit` crate.
-//! 4. [`crate::items`] extracts `impl` blocks, `fn` items, `use`
-//!    imports, and call sites for the rules and the cross-file call
-//!    graph.
+//! 4. [`crate::items`] extracts `fn` items (with their impl type) and
+//!    call sites for the rules and the cross-file call graph.
 
 use crate::lexer::{self, Tok, TokKind};
 
-pub use crate::items::{CallSite, FnInfo, ImplInfo, UseImport};
+pub use crate::items::{CallSite, FnInfo};
 
 /// One significant (code) token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,17 +47,9 @@ impl Token {
 pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
     pub rel_path: String,
-    /// Masked text (comment and literal contents blanked per byte), kept
-    /// for the rules that slice signature text out of the source.
-    pub clean: String,
-    /// The full classified lex partition of the raw source.
-    pub lexed: Vec<Tok>,
     /// Significant (code) tokens only — what rules scan.
     pub tokens: Vec<Token>,
-    pub impls: Vec<ImplInfo>,
     pub functions: Vec<FnInfo>,
-    /// Flattened `use` import leaves.
-    pub uses: Vec<UseImport>,
     /// Call sites (`callee(...)`, `recv.callee(...)`) in token order.
     pub calls: Vec<CallSite>,
     /// Sorted, disjoint byte ranges of test-only code.
@@ -72,13 +63,10 @@ pub struct SourceFile {
 impl SourceFile {
     /// Prepare a file from its raw text.
     pub fn parse(rel_path: &str, raw: &str) -> SourceFile {
-        let lexed = lexer::lex(raw);
-        let clean = lexer::masked(raw, &lexed);
-        let tokens = significant(raw, &lexed);
+        let tokens = significant(raw, &lexer::lex(raw));
         let whole_file_test = path_is_test(rel_path);
         let test_ranges = find_test_ranges(&tokens, raw.len());
-        let (impls, functions) = crate::items::find_items(&clean, &tokens);
-        let uses = crate::items::find_uses(&tokens);
+        let functions = crate::items::find_items(&tokens);
         let calls = crate::items::find_calls(&tokens);
         let mut line_starts = vec![0usize];
         for (i, b) in raw.bytes().enumerate() {
@@ -88,12 +76,8 @@ impl SourceFile {
         }
         SourceFile {
             rel_path: rel_path.to_owned(),
-            clean,
-            lexed,
             tokens,
-            impls,
             functions,
-            uses,
             calls,
             test_ranges,
             whole_file_test,
@@ -400,11 +384,11 @@ mod tests {
     fn test_scope_covers_cfg_test_mod() {
         let src = "fn prod() { body(); }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}\nfn after() {}\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        let unwrap_off = f.clean.find("unwrap").expect("token present");
+        let unwrap_off = src.find("unwrap").expect("token present");
         assert!(f.is_test(unwrap_off));
-        let body_off = f.clean.find("body").expect("token present");
+        let body_off = src.find("body").expect("token present");
         assert!(!f.is_test(body_off));
-        let after_off = f.clean.find("after").expect("token present");
+        let after_off = src.find("after").expect("token present");
         assert!(!f.is_test(after_off));
     }
 
@@ -412,15 +396,15 @@ mod tests {
     fn test_scope_covers_test_fn_attribute_only() {
         let src = "#[test]\nfn t() { x.unwrap(); }\nfn prod() { y(); }\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.is_test(f.clean.find("unwrap").expect("present")));
-        assert!(!f.is_test(f.clean.find("y()").expect("present")));
+        assert!(f.is_test(src.find("unwrap").expect("present")));
+        assert!(!f.is_test(src.find("y()").expect("present")));
     }
 
     #[test]
     fn inner_cfg_attr_is_not_test_scope() {
         let src = "#![cfg_attr(not(test), deny(clippy::unwrap_used))]\nfn prod() { a(); }\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(!f.is_test(f.clean.find("a()").expect("present")));
+        assert!(!f.is_test(src.find("a()").expect("present")));
     }
 
     #[test]
@@ -435,16 +419,13 @@ mod tests {
     fn functions_and_impls_are_extracted() {
         let src = "impl GamStore {\n    pub fn create_source(&mut self, n: &str) -> u32 { self.bump(); 1 }\n    fn helper(&self) {}\n}\npub fn free() {}\nimpl Vfs for FaultVfs { fn read(&self) {} }\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert_eq!(f.impls.len(), 2);
-        assert_eq!(f.impls[0].type_name, "GamStore");
-        assert_eq!(f.impls[1].type_name, "FaultVfs");
         let create = f
             .functions
             .iter()
             .find(|fi| fi.name == "create_source")
             .expect("found");
         assert!(create.is_pub);
-        assert!(create.sig.contains("&mut self"));
+        assert!(f.fn_takes_mut_self(create.off));
         assert_eq!(create.impl_type.as_deref(), Some("GamStore"));
         let helper = f.functions.iter().find(|fi| fi.name == "helper").expect("found");
         assert!(!helper.is_pub);
@@ -468,7 +449,7 @@ mod tests {
     fn line_numbers_map_through_masking() {
         let src = "line1();\n// comment\nline3();\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert_eq!(f.line_of(f.clean.find("line3").expect("present")), 3);
-        assert_eq!(f.col_of(f.clean.find("line3").expect("present")), 1);
+        assert_eq!(f.line_of(src.find("line3").expect("present")), 3);
+        assert_eq!(f.col_of(src.find("line3").expect("present")), 1);
     }
 }

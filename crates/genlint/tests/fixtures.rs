@@ -16,33 +16,16 @@ use std::path::Path;
 fn fixture_config() -> Config {
     config::parse(
         r#"
-[no-panic]
-crates = ["gam", "import"]
-index_idents = ["fields"]
-
 [lock-discipline]
 locks = ["inner", "cache"]
 order = ["inner", "cache"]
 guard_free_calls = ["run_query"]
-
-[[lock-discipline.read-entries]]
-file = "crates/genmapper/src/fixture.rs"
-methods = ["query"]
-
-[wal-bracket]
-sync_exempt = ["flush"]
 
 [[cache-coherence.mutators]]
 file = "crates/gam/src/fixture_store.rs"
 impl = "FixtureStore"
 bump = "bump_mutations"
 exempt = ["checkpoint"]
-
-[socket-discipline]
-scope = "crates/serve/src"
-wrapper = "crates/serve/src/fixture_conn.rs"
-wrapper_type = "ConnGuard"
-banned = ["BufReader", "lines"]
 
 [atomics-discipline]
 crates = ["relstore", "import"]
@@ -84,18 +67,6 @@ fn vfs_bypass_fixture() {
 }
 
 #[test]
-fn no_panic_fixture() {
-    let bad = check("no_panic_bad.rs", "crates/gam/src/fixture.rs");
-    assert_eq!(
-        rules_of(&bad),
-        ["no-panic", "no-panic", "no-panic", "no-panic"],
-        "fields[0], unwrap, fields[1], expect: {bad:?}"
-    );
-    let clean = check("no_panic_clean.rs", "crates/gam/src/fixture.rs");
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
 fn cache_coherence_fixture() {
     let bad = check("cache_coherence_bad.rs", "crates/gam/src/fixture_store.rs");
     assert_eq!(rules_of(&bad), ["cache-coherence"], "{bad:?}");
@@ -107,23 +78,8 @@ fn cache_coherence_fixture() {
 #[test]
 fn lock_discipline_fixture() {
     let bad = check("lock_discipline_bad.rs", "crates/genmapper/src/fixture.rs");
-    assert_eq!(
-        rules_of(&bad),
-        ["lock-discipline", "lock-discipline", "lock-discipline"],
-        "{bad:?}"
-    );
-    assert!(
-        bad.iter().any(|f| f.message.contains("&mut self")),
-        "read-entry regression: {bad:?}"
-    );
-    assert!(
-        bad.iter().any(|f| f.message.contains("guard-free")),
-        "guard-free violation: {bad:?}"
-    );
-    assert!(
-        bad.iter().any(|f| f.message.contains("declared order")),
-        "order violation: {bad:?}"
-    );
+    assert_eq!(rules_of(&bad), ["lock-discipline"], "{bad:?}");
+    assert!(bad[0].message.contains("guard-free"), "{bad:?}");
     let clean = check("lock_discipline_clean.rs", "crates/genmapper/src/fixture.rs");
     assert!(clean.is_empty(), "{clean:?}");
 }
@@ -135,28 +91,6 @@ fn wal_bracket_fixture() {
     assert!(bad[0].message.contains("skip end_group_commit"), "{bad:?}");
     let clean = check("wal_bracket_clean.rs", "crates/import/src/fixture.rs");
     assert!(clean.is_empty(), "{clean:?}");
-}
-
-#[test]
-fn socket_discipline_fixture() {
-    // in scope: the use, the construction, and the .lines() loop each flag
-    let bad = check("socket_discipline_bad.rs", "crates/serve/src/fixture_server.rs");
-    assert_eq!(
-        rules_of(&bad),
-        ["socket-discipline", "socket-discipline", "socket-discipline"],
-        "{bad:?}"
-    );
-    assert!(bad.iter().all(|f| f.message.contains("ConnGuard")), "{bad:?}");
-    // at the wrapper path the same file shows the config has rotted:
-    // nothing in it defines the declared seam type
-    let rotted = check("socket_discipline_bad.rs", "crates/serve/src/fixture_conn.rs");
-    assert_eq!(rules_of(&rotted), ["socket-discipline"], "{rotted:?}");
-    assert!(rotted[0].message.contains("out of date"), "{rotted:?}");
-
-    let clean = check("socket_discipline_clean.rs", "crates/serve/src/fixture_server.rs");
-    assert!(clean.is_empty(), "{clean:?}");
-    let wrapper = check("socket_discipline_clean.rs", "crates/serve/src/fixture_conn.rs");
-    assert!(wrapper.is_empty(), "{wrapper:?}");
 }
 
 #[test]
@@ -183,7 +117,8 @@ fn error_swallow_fixture() {
 
 /// Cross-file deadlock detection: each fixture file is locally clean
 /// (the per-file lock rule sees nothing), but the whole-program graph
-/// finds the inverted pool/state acquisition and the resulting cycle.
+/// finds the inverted pool/state acquisition — once: the cycle it closes
+/// is that inversion, not a second finding.
 #[test]
 fn lock_order_graph_fixture() {
     let cfg = config::parse(
@@ -211,16 +146,9 @@ fn lock_order_graph_fixture() {
         assert!(per_file.is_empty(), "{}: {per_file:?}", f.rel_path);
     }
     let bad = genlint::graph::check_workspace(&files, &cfg);
-    assert!(
-        bad.iter()
-            .any(|f| f.rule == "lock-order-graph" && f.message.contains("inverted")),
-        "cross-file inversion: {bad:?}"
-    );
-    assert!(
-        bad.iter()
-            .any(|f| f.rule == "lock-order-graph" && f.message.contains("cycle pool -> state -> pool")),
-        "acquisition cycle: {bad:?}"
-    );
+    assert_eq!(rules_of(&bad), ["lock-order-graph"], "{bad:?}");
+    assert!(bad[0].message.contains("inverted"), "cross-file inversion: {bad:?}");
+    assert_eq!(bad[0].path, "crates/relstore/src/fixture_graph_0.rs", "{bad:?}");
 
     let files = load(["lock_order_graph_clean_a.rs", "lock_order_graph_clean_b.rs"]);
     let clean = genlint::graph::check_workspace(&files, &cfg);
@@ -233,10 +161,8 @@ fn lock_order_graph_fixture() {
 #[test]
 fn masked_patterns_do_not_fire() {
     for rel in [
-        "crates/gam/src/fixture_masked.rs",      // no-panic scope
         "crates/import/src/fixture_masked.rs",   // vfs/wal/error-swallow scope
         "crates/relstore/src/fixture_masked.rs", // atomics scope
-        "crates/serve/src/fixture_masked.rs",    // socket scope
     ] {
         let findings = check("masking_fp_clean.rs", rel);
         assert!(findings.is_empty(), "{rel}: {findings:?}");
@@ -253,11 +179,9 @@ fn workspace_self_scan_is_clean() {
         .expect("workspace root");
     let toml = std::fs::read_to_string(root.join("genlint.toml")).expect("genlint.toml");
     let cfg = config::parse(&toml).expect("shipped config parses");
-    assert!(
-        cfg.allow.len() <= 5,
-        "the justified baseline must stay small, got {} entries",
-        cfg.allow.len()
-    );
+    // the baseline is pinned at its real size: growing it is a reviewed
+    // edit of this line, not a silent addition to genlint.toml
+    assert_eq!(cfg.allow.len(), 2, "[[allow]] entries in genlint.toml");
     let result = genlint::scan(&root, &cfg).expect("scan");
     assert!(
         result.findings.is_empty(),

@@ -1,25 +1,11 @@
-//! Seeded R4 violations: two declared locks nested against the
-//! configured order (`inner` before `cache`) — the half of a
-//! lock-inversion deadlock — plus the two snapshot-coherence failures:
-//! a guard live at a declared guard-free call, and a read-path entry
-//! point that takes `&mut self`.
+//! Seeded R4 violation: a declared-lock guard still live at a declared
+//! guard-free call — the snapshot read path serialized behind a lock.
 
 pub struct Fixture;
 
 impl Fixture {
-    pub fn rebuild(&self) {
-        let cache_guard = self.cache.lock();
-        let inner_guard = self.inner.lock();
-        drop(inner_guard);
-        drop(cache_guard);
-    }
-
     pub fn answer(&self) -> u32 {
         let guard = self.cache.lock();
         run_query(&guard)
-    }
-
-    pub fn query(&mut self) -> u32 {
-        1
     }
 }

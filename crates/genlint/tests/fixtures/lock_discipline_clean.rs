@@ -1,23 +1,11 @@
-//! Clean R4 counterpart: the same two locks taken in the declared
-//! order and released innermost-first, the snapshot cloned out of the
-//! guard before the executor runs, and a `&self` read-path entry point.
+//! Clean R4 counterpart: the snapshot is cloned out of the guard before
+//! the executor runs.
 
 pub struct Fixture;
 
 impl Fixture {
-    pub fn rebuild(&self) {
-        let inner_guard = self.inner.lock();
-        let cache_guard = self.cache.lock();
-        drop(cache_guard);
-        drop(inner_guard);
-    }
-
     pub fn answer(&self) -> u32 {
         let snap = { self.cache.lock().clone() };
         run_query(&snap)
-    }
-
-    pub fn query(&self) -> u32 {
-        1
     }
 }

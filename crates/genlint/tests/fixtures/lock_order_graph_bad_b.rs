@@ -1,6 +1,7 @@
 //! The other half: `write_back` acquires `pool`, and `grow` nests
 //! pool -> state in the declared order. Combined with the sibling
-//! file's state -> pool edge, the acquisition graph has a cycle.
+//! file's state -> pool edge, the acquisition graph has a cycle — and
+//! that inverted edge is what the graph reports.
 
 impl FixturePager {
     pub fn write_back(&self, d: &[u8]) {

@@ -4,21 +4,19 @@
 //! path the file is checked under.
 //!
 //! Doc-comment bait: call `std::fs::write(path, data)` directly, then
-//! `fields[0].unwrap()` and store with `Ordering::Relaxed`; finish with
-//! `let _ = f.sync_all();` and a bare `.ok();`.
+//! store with `Ordering::Relaxed`; finish with `let _ = f.sync_all();`
+//! and a bare `.ok();`.
 
 /* block-comment bait:
-   self.inner.lock(); self.cache.lock(); // inverted order
-   BufReader::new(sock).lines()
+   let g = self.cache.lock(); run_query(&g); // guard live at the executor
 */
 
 pub fn render_help() -> String {
     // string-literal bait, including raw strings and escapes
-    let a = "std::fs::write(\"/tmp/x\", b\"data\").unwrap()";
+    let a = "std::fs::write(\"/tmp/x\", b\"data\")";
     let b = r#"let _ = f.sync_all(); self.tx.send(x).ok();"#;
     let c = "version.store(1, Ordering::Relaxed)";
-    let d = "panic!(\"fields[0] missing\")";
-    format!("{a}\n{b}\n{c}\n{d}")
+    format!("{a}\n{b}\n{c}")
 }
 
 pub fn char_bait() -> (char, char) {

@@ -159,6 +159,8 @@ mod tests {
         let snap = gm.capture_snapshot().unwrap();
         let frozen = snap.query(&figure3_spec()).unwrap();
         assert_eq!(live, frozen);
+        // through a shared `gm`: explain is a read entry like query
+        assert_eq!(snap.explain(&figure3_spec()).unwrap(), gm.explain(&figure3_spec()).unwrap());
         assert_eq!(snap.version(), gm.version_stamp());
         assert_eq!(
             snap.cardinalities().unwrap(),

@@ -49,9 +49,19 @@
 
 // Non-test code must handle errors, not unwrap them: a storage engine that
 // panics on I/O trouble cannot honor its recovery contract. Tests are
-// exempt (the attribute is compiled out under cfg(test)). genlint's
-// no-panic rule enforces the same invariant where clippy is not run.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// exempt (the attribute is compiled out under cfg(test)); tier-1 runs
+// clippy with `-D warnings`, so these lints are the gate.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod codec;
 pub mod db;

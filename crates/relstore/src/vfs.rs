@@ -160,21 +160,25 @@ impl Vfs for RealVfs {
 
     fn sync_dir(&self, dir: &Path) -> StoreResult<()> {
         // Opening a directory read-only and fsyncing it is the POSIX idiom
-        // for making entry renames durable. Some filesystems refuse the
-        // sync on a directory handle; treat that as a no-op rather than an
-        // error, matching what production databases do.
-        match fs::File::open(dir) {
-            Ok(f) => {
-                let _ = f.sync_all();
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
+        // for making entry renames durable.
+        dir_sync_outcome(fs::File::open(dir)?.sync_all())
     }
 
     fn create_dir_all(&self, dir: &Path) -> StoreResult<()> {
         fs::create_dir_all(dir)?;
         Ok(())
+    }
+}
+
+/// A directory fsync's result as [`RealVfs::sync_dir`] reports it. Some
+/// filesystems do not support fsync on a directory handle and say so with
+/// `EINVAL` (`ErrorKind::InvalidInput`); that alone stays best-effort, as
+/// in production databases. Any other error — `EIO` above all — means the
+/// renames may not be durable and propagates.
+fn dir_sync_outcome(result: std::io::Result<()>) -> StoreResult<()> {
+    match result {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => Ok(()),
+        other => Ok(other?),
     }
 }
 
@@ -582,6 +586,20 @@ mod tests {
         assert!(vfs.exists(&renamed));
         vfs.sync_dir(&dir).unwrap();
         assert!(vfs.read(&dir.join("never")).unwrap().is_none());
+    }
+
+    #[test]
+    fn directory_fsync_is_best_effort_only_where_unsupported() {
+        use std::io::{Error, ErrorKind};
+        assert!(dir_sync_outcome(Ok(())).is_ok());
+        assert!(dir_sync_outcome(Err(Error::from(ErrorKind::InvalidInput))).is_ok());
+        assert!(dir_sync_outcome(Err(Error::other("EIO"))).is_err());
+        #[cfg(target_os = "linux")]
+        {
+            // EINVAL: no directory fsync on this filesystem; EIO: a failed one
+            assert!(dir_sync_outcome(Err(Error::from_raw_os_error(22))).is_ok());
+            assert!(dir_sync_outcome(Err(Error::from_raw_os_error(5))).is_err());
+        }
     }
 
     #[test]

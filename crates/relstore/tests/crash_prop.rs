@@ -1,6 +1,7 @@
 //! Seeded crash sweeps: random workload shapes (batch sizes, checkpoint
 //! cadence, group commit) crossed with random power-cut points must always
-//! recover to a consistent committed prefix and converge on resume.
+//! recover to a consistent committed prefix that holds every row
+//! acknowledged durable before the cut, and converge on resume.
 
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
@@ -55,7 +56,9 @@ fn check_crash_and_converge(
         torn_seed,
     });
     let open = |vfs: &FaultVfs| open(vfs, pool);
-    let outcome = open(&vfs).and_then(|mut db| run(&mut db, batches, ckpt_every, group_commit));
+    let mut acked = 0;
+    let outcome =
+        open(&vfs).and_then(|mut db| run(&mut db, batches, ckpt_every, group_commit, &mut acked));
     assert!(outcome.is_err(), "crash_at {crash_at} did not fire");
     vfs.reboot();
 
@@ -66,6 +69,11 @@ fn check_crash_and_converge(
         got,
         (0..got.len() as i64).collect::<Vec<_>>(),
         "crash_at {crash_at}: not a contiguous prefix"
+    );
+    assert!(
+        got.len() >= acked,
+        "crash_at {crash_at}: {acked} rows acknowledged durable, {} recovered",
+        got.len()
     );
     let boundaries = prefix_sums(batches);
     if !group_commit {
@@ -81,7 +89,7 @@ fn check_crash_and_converge(
 
     let expected: Vec<i64> = (0..*boundaries.last().unwrap() as i64).collect();
     let mut db = open(&vfs).unwrap();
-    run(&mut db, batches, ckpt_every, group_commit).unwrap();
+    run(&mut db, batches, ckpt_every, group_commit, &mut 0).unwrap();
     drop(db);
     let db = open(&vfs).unwrap();
     assert_eq!(sorted_ids(&db), expected, "crash_at {crash_at}: did not converge");
@@ -89,12 +97,15 @@ fn check_crash_and_converge(
 
 /// Run the workload described by `batches` (sizes of consecutive committed
 /// transactions over ids 0..sum) from wherever the store currently is,
-/// checkpointing after every `ckpt_every`-th batch.
+/// checkpointing after every `ckpt_every`-th batch. `acked` ends at the
+/// rows acknowledged durable: a commit's `Ok` with per-commit sync, a
+/// `sync_wal`'s `Ok` under group commit.
 fn run(
     db: &mut Database,
     batches: &[usize],
     ckpt_every: usize,
     group_commit: bool,
+    acked: &mut usize,
 ) -> relstore::error::StoreResult<()> {
     db.set_sync_on_commit(!group_commit);
     let mut next = db.table("t")?.len() as i64;
@@ -114,6 +125,7 @@ fn run(
         if group_commit {
             db.sync_wal()?;
         }
+        *acked = end as usize;
         if (i + 1) % ckpt_every == 0 {
             db.checkpoint()?;
         }
@@ -156,7 +168,7 @@ fn fault_free_ops(
 ) -> u64 {
     let reference = FaultVfs::new();
     let mut db = open(&reference, pool).unwrap();
-    run(&mut db, batches, ckpt_every, group_commit).unwrap();
+    run(&mut db, batches, ckpt_every, group_commit, &mut 0).unwrap();
     reference.op_count()
 }
 

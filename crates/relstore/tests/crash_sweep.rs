@@ -9,7 +9,9 @@
 //!
 //! 1. **Committed prefix** — the surviving rows are exactly the first `n`
 //!    whole batches for some `n`: no torn transaction, no hole, no
-//!    reordering.
+//!    reordering — and `n` covers every batch whose commit returned `Ok`
+//!    before the cut (commits sync by default, so an acknowledged batch
+//!    is durable).
 //! 2. **Reopen never fails** — recovery degrades (fallback snapshot,
 //!    truncated WAL tail, discarded stale WAL) instead of erroring.
 //! 3. **Convergence** — resuming the workload after recovery reaches a
@@ -70,12 +72,14 @@ fn insert_batch(db: &mut Database, batch: i64) -> relstore::error::StoreResult<(
 }
 
 /// Run (or resume) the workload to completion, checkpointing periodically.
-/// `db` may already hold a recovered prefix of whole batches.
-fn run_to_completion(db: &mut Database) -> relstore::error::StoreResult<()> {
+/// `db` may already hold a recovered prefix of whole batches; `acked`
+/// counts the batches whose commit returned `Ok`.
+fn run_to_completion(db: &mut Database, acked: &mut i64) -> relstore::error::StoreResult<()> {
     let have = db.table("t")?.len() as i64;
     assert_eq!(have % BATCH_ROWS, 0, "recovered a torn batch");
     for batch in have / BATCH_ROWS..BATCHES {
         insert_batch(db, batch)?;
+        *acked = batch + 1;
         if (batch + 1) % CHECKPOINT_EVERY == 0 {
             db.checkpoint()?;
         }
@@ -117,7 +121,7 @@ fn every_crash_point_recovers_and_converges() {
         let reference = FaultVfs::new();
         {
             let mut db = open(&reference).unwrap();
-            run_to_completion(&mut db).unwrap();
+            run_to_completion(&mut db, &mut 0).unwrap();
         }
         let total_ops = reference.op_count();
         let expected: Vec<i64> = (0..BATCHES * BATCH_ROWS).collect();
@@ -135,7 +139,8 @@ fn every_crash_point_recovers_and_converges() {
                 fail_at: None,
                 torn_seed: crash_at.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             });
-            let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db));
+            let mut acked = 0;
+            let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db, &mut acked));
             assert!(
                 outcome.is_err() && vfs.crashed(),
                 "{mode} op {crash_at}: power cut did not fire (of {total_ops})"
@@ -161,11 +166,16 @@ fn every_crash_point_recovers_and_converges() {
                 (0..ids.len() as i64).collect::<Vec<_>>(),
                 "{mode} op {crash_at}: recovered rows are not a contiguous prefix"
             );
+            assert!(
+                ids.len() as i64 >= acked * BATCH_ROWS,
+                "{mode} op {crash_at}: {acked} batches acknowledged, {} rows recovered",
+                ids.len()
+            );
             drop(db);
 
             // Invariant 3: resuming the workload converges to the reference.
             let mut db = open(&vfs).unwrap();
-            run_to_completion(&mut db).unwrap();
+            run_to_completion(&mut db, &mut 0).unwrap();
             drop(db);
             let db = open(&vfs).unwrap();
             assert_eq!(
@@ -190,21 +200,21 @@ fn every_failed_io_op_leaves_a_recoverable_store() {
     let reference = FaultVfs::new();
     {
         let mut db = open(&reference).unwrap();
-        run_to_completion(&mut db).unwrap();
+        run_to_completion(&mut db, &mut 0).unwrap();
     }
     let total_ops = reference.op_count();
     let expected: Vec<i64> = (0..BATCHES * BATCH_ROWS).collect();
 
-    // Sample every third op to keep the quadratic sweep fast; power-cut
-    // coverage above is exhaustive.
-    for fail_at in (1..=total_ops).step_by(3) {
+    // Every op: an error swallowed at any one of them would let the
+    // workload finish, and the assert below catches exactly that.
+    for fail_at in 1..=total_ops {
         let vfs = FaultVfs::new();
         vfs.set_plan(FaultPlan {
             crash_at: None,
             fail_at: Some(fail_at),
             torn_seed: fail_at,
         });
-        let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db));
+        let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db, &mut 0));
         assert!(outcome.is_err(), "op {fail_at}: injected error vanished");
         // clear the plan but keep the filesystem (no power cut happened)
         vfs.set_plan(FaultPlan::default());
@@ -213,7 +223,7 @@ fn every_failed_io_op_leaves_a_recoverable_store() {
             .unwrap_or_else(|e| panic!("op {fail_at}: reopen after I/O error failed: {e}"));
         let ids = sorted_ids(&db);
         assert_eq!(ids.len() as i64 % BATCH_ROWS, 0, "op {fail_at}: torn batch");
-        run_to_completion(&mut db).unwrap();
+        run_to_completion(&mut db, &mut 0).unwrap();
         drop(db);
         let db = open(&vfs).unwrap();
         assert_eq!(sorted_ids(&db), expected, "op {fail_at}: did not converge");

@@ -19,9 +19,11 @@
 //! byzantine) server could OOM its clients. Response bodies above the
 //! configured cap are rejected with `InvalidData` *before* allocation.
 //!
-//! genlint's `socket-discipline` rule pins this seam: raw `BufReader` /
-//! `lines()` tokens anywhere else under `crates/serve/src` fail the
-//! build.
+//! `tests/hardening.rs` pins this seam over real TCP: a slow-loris peer
+//! is evicted at the read deadline and an oversized request is refused.
+//! A raw reader put in front of it makes the server wait for input no
+//! client sends first, so the `serve` suites hang — no lint rule is
+//! needed to catch it.
 
 use crate::error::ServeError;
 use crate::server::ServerConfig;

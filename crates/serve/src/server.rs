@@ -3,8 +3,8 @@
 //! writes, and drain-bounded graceful shutdown.
 //!
 //! Every accepted socket is wrapped in a [`ConnGuard`](crate::conn::ConnGuard)
-//! before a byte is read — the deadline / size-cap seam genlint's
-//! `socket-discipline` rule pins. The client helpers (`call`,
+//! before a byte is read — the deadline / size-cap seam `tests/hardening.rs`
+//! drives over real TCP. The client helpers (`call`,
 //! `read_response`) live in [`crate::conn`] and are re-exported here for
 //! compatibility.
 
