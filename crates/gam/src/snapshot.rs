@@ -57,6 +57,11 @@ pub trait GamRead: Sync {
     /// Fetch an object by id.
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject>;
 
+    /// Fetch many objects by id, in input order.
+    fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
+        ids.iter().map(|&id| self.get_object(id)).collect()
+    }
+
     /// Resolve many accessions of one source to object ids, in input
     /// order; unknown accessions come back as `None`.
     fn resolve_accessions(
@@ -165,6 +170,10 @@ impl GamRead for GamStore {
 
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
         GamStore::get_object(self, id)
+    }
+
+    fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
+        GamStore::get_objects(self, ids)
     }
 
     fn resolve_accessions(

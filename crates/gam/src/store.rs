@@ -590,6 +590,27 @@ impl GamStore {
             .ok_or(GamError::UnknownObject(id))
     }
 
+    /// Fetch many objects by id, in input order: each distinct id is read
+    /// once, all of them in one batched probe of `pk` in id order; a
+    /// repeated id is a copy.
+    pub fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut found = vec![None; distinct.len()];
+        self.db.table(tables::OBJECT)?.for_each_match(
+            "pk",
+            distinct.iter().map(|id| [Value::Int(id.as_i64())]),
+            |n, row| found[n] = Some(Self::object_from_row(row.clone())),
+        )?;
+        ids.iter()
+            .map(|id| {
+                let hit = distinct.binary_search(id).ok().and_then(|n| found[n].clone());
+                hit.ok_or(GamError::UnknownObject(*id))
+            })
+            .collect()
+    }
+
     /// All objects of a source (accession order).
     pub fn objects_of(&self, source: SourceId) -> GamResult<Vec<GamObject>> {
         let rows = self

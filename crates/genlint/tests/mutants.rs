@@ -46,6 +46,7 @@ const CRASH_SWEEP: &str = "crash_sweep::every_crash_point_recovers_and_converges
 const FAILED_IO_SWEEP: &str = "crash_sweep::every_failed_io_op_leaves_a_recoverable_store, \
                                crash_import::import_io_errors_are_recoverable";
 const READ_ENTRY: &str = "rustc E0596: a &GenMapper or Arc<Snapshot> caller";
+const RUN_SWEEP: &str = "index_build_equiv::run_and_delta_reads_equal_a_scan_through_every_merge";
 
 const MUTANTS: &[Mutant] = &[
     // --- checkpoint and WAL durability: the crash sweeps' to judge ---
@@ -167,10 +168,10 @@ const MUTANTS: &[Mutant] = &[
     // `unwrap_or` defaulting: the deleted cross-file half caught the third
     // of these only
     Mutant {
-        what: "Database::stats reports 0 entries for an index it failed to read",
+        what: "Database::stats reports an empty index for one it failed to read",
         path: "crates/relstore/src/db.rs",
-        needle: "t.index_entries(&d.name)?",
-        replacement: "t.index_entries(&d.name).unwrap_or(0)",
+        needle: "t.index_stats(&d.name)?",
+        replacement: "t.index_stats(&d.name).unwrap_or_default()",
         fires: &[],
         killer: "none: unreachable, stats() asks only for indexes the schema declares",
     },
@@ -189,6 +190,40 @@ const MUTANTS: &[Mutant] = &[
         replacement: "self.check_open().unwrap_or(());\n        let t = self.db.table_mut_internal(table)?;\n        let row_id = t.insert(values.clone())?;",
         fires: &[],
         killer: "none: commit and rollback consume the Transaction, so no caller inserts into a closed one",
+    },
+    // --- the index run and its delta: index_build_equiv's to judge ---
+    Mutant {
+        what: "a merge keeps the run's dead entries",
+        path: "crates/relstore/src/index.rs",
+        needle: "let mut live = range.filter(|&i| !src.is_dead(i));",
+        replacement: "let mut live = range.filter(|_| true);",
+        fires: &[],
+        killer: RUN_SWEEP,
+    },
+    Mutant {
+        what: "an exact-key probe skips the delta, so a unique key held there is free",
+        path: "crates/relstore/src/index.rs",
+        needle: "let delta = std::iter::from_fn(|| cursor.delta.next_if(|(d, _)| d == key));",
+        replacement: "let delta = std::iter::empty();",
+        fires: &[],
+        killer: "index_build_equiv::a_unique_key_taken_in_the_delta_is_rejected",
+    },
+    Mutant {
+        what: "a read ignores the run's dead marks",
+        path: "crates/relstore/src/index.rs",
+        needle: "range.filter(|&i| !self.run.is_dead(i)).all(",
+        replacement: "range.filter(|_| true).all(",
+        fires: &[],
+        killer: RUN_SWEEP,
+    },
+    Mutant {
+        what: "last_key takes the run's greatest entry, dead or not",
+        path: "crates/relstore/src/index.rs",
+        needle: "let run = (0..self.run.len()).rev().find(|&i| !self.run.is_dead(i));",
+        replacement: "let run = self.run.len().checked_sub(1);",
+        fires: &[],
+        killer: "index_build_equiv::{last_key_skips_a_dead_greatest_run_entry, \
+                 run_and_delta_reads_equal_a_scan_through_every_merge}",
     },
     // --- wal-bracket: the group-commit window ---
     Mutant {

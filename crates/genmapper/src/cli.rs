@@ -355,11 +355,9 @@ impl CliSession {
                         "  {rel_type:<12} {mappings:>5} mappings, {associations:>8} associations"
                     );
                 }
-                // Paged stores additionally report buffer-pool health so an
-                // operator can see residency/hit-rate at a glance.
-                if let Some(pool) = self.gm.store().database().stats()?.pool {
-                    let _ = writeln!(out, "  {pool}");
-                }
+                // where the heap goes, per table and index, and on paged
+                // stores the buffer pool's residency and hit rate
+                let _ = write!(out, "{}", self.gm.store().database().stats()?);
             }
             Command::Search { source, keyword } => {
                 let id = self.gm.source_id(&source)?;
@@ -641,6 +639,7 @@ mod tests {
         let (out, _) = session.execute_line("stats");
         assert!(out.contains("Fact"), "type breakdown shown: {out}");
         assert!(out.contains("IS_A"));
+        assert!(out.contains("by_accession") && out.contains("entries"), "index lines: {out}");
 
         let (out, _) = session.execute_line("sources");
         assert!(out.contains("LocusLink"));

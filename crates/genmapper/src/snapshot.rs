@@ -23,6 +23,7 @@ use gam::store::GamCardinalities;
 use gam::{GamError, GamRead, GamResult, GamSnapshot, ObjectId, SourceId};
 use operators::ExecConfig;
 use pathfinder::{SavedPaths, SourceGraph};
+use relstore::stats::DbStats;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -34,6 +35,7 @@ pub struct Snapshot {
     pub(crate) saved: SavedPaths,
     pub(crate) exec: ExecConfig,
     pub(crate) version: (u64, u64),
+    pub(crate) store_stats: DbStats,
 }
 
 impl Snapshot {
@@ -41,6 +43,12 @@ impl Snapshot {
     /// `(GenMapper invalidation counter, GamStore mutation counter)`.
     pub fn version(&self) -> (u64, u64) {
         self.version
+    }
+
+    /// The store's tables and indexes — rows, index entries and the heap
+    /// they hold — at capture time.
+    pub fn store_stats(&self) -> &DbStats {
+        &self.store_stats
     }
 
     /// The captured GAM read surface (for ad-hoc reads beyond the

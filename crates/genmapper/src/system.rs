@@ -534,6 +534,7 @@ impl GenMapper {
             saved: self.saved.clone(),
             exec: self.exec,
             version: self.version_stamp(),
+            store_stats: self.store.database().stats()?,
         })
     }
 }
@@ -545,23 +546,21 @@ pub(crate) fn resolve_accessions(
     source: SourceId,
     accessions: &[String],
 ) -> GamResult<BTreeSet<ObjectId>> {
-    let mut out = BTreeSet::new();
-    let mut missing = Vec::new();
-    for acc in accessions {
-        match reader.find_object(source, acc)? {
-            Some(obj) => {
-                out.insert(obj.id);
-            }
-            None => missing.push(acc.as_str()),
-        }
-    }
+    let refs: Vec<&str> = accessions.iter().map(String::as_str).collect();
+    let ids = reader.resolve_accessions(source, &refs)?;
+    let missing: Vec<&str> = refs
+        .iter()
+        .zip(&ids)
+        .filter(|(_, id)| id.is_none())
+        .map(|(acc, _)| *acc)
+        .collect();
     if !missing.is_empty() {
         return Err(GamError::Invalid(format!(
             "unknown accessions in source {source}: {}",
             missing.join(", ")
         )));
     }
-    Ok(out)
+    Ok(ids.into_iter().flatten().collect())
 }
 
 /// Resolve a source name to its id against any reader.
@@ -604,23 +603,23 @@ pub(crate) fn run_query(
     };
     let view = generate_view_idx(reader, &vq, &resolver, &exec)?;
 
-    let mut rows = Vec::with_capacity(view.rows.len());
-    for row in &view.rows {
-        let mut cells = Vec::with_capacity(row.len());
-        for cell in row {
-            cells.push(match cell {
-                Some(id) => {
-                    let obj = reader.get_object(*id)?;
-                    Some(ResolvedCell {
-                        accession: obj.accession,
-                        text: obj.text,
-                    })
-                }
-                None => None,
-            });
-        }
-        rows.push(ResolvedRow { cells });
-    }
+    // every cell's object in one batch, handed back in cell order
+    let ids: Vec<ObjectId> = view.rows.iter().flatten().flatten().copied().collect();
+    let mut objects = reader.get_objects(&ids)?.into_iter();
+    let mut resolved = |cell: &Option<ObjectId>| {
+        let obj = cell.and_then(|_| objects.next())?;
+        Some(ResolvedCell {
+            accession: obj.accession,
+            text: obj.text,
+        })
+    };
+    let rows = view
+        .rows
+        .iter()
+        .map(|row| ResolvedRow {
+            cells: row.iter().map(&mut resolved).collect(),
+        })
+        .collect();
     Ok(ResolvedView { header, rows })
 }
 
@@ -705,9 +704,11 @@ pub(crate) fn object_info_of(
     let obj = reader.find_object(source_id, accession)?.ok_or_else(|| {
         GamError::Invalid(format!("unknown accession {accession} in {source}"))
     })?;
-    let mut associations = Vec::new();
-    for (_, assoc) in reader.associations_of_object(obj.id)? {
-        let partner = reader.get_object(assoc.to)?;
+    let found = reader.associations_of_object(obj.id)?;
+    let partner_ids: Vec<ObjectId> = found.iter().map(|(_, assoc)| assoc.to).collect();
+    let partners = reader.get_objects(&partner_ids)?;
+    let mut associations = Vec::with_capacity(found.len());
+    for ((_, assoc), partner) in found.iter().zip(partners) {
         let partner_source = reader.get_source(partner.source)?;
         associations.push((partner_source.name, partner.accession, assoc.evidence));
     }

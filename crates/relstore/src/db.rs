@@ -582,7 +582,7 @@ impl Database {
         for t in self.tables.values() {
             let mut indexes = Vec::new();
             for d in t.schema().indexes() {
-                indexes.push((d.name.clone(), t.index_entries(&d.name)?));
+                indexes.push((d.name.clone(), t.index_stats(&d.name)?));
             }
             tables.push(TableStats {
                 name: t.name().to_owned(),

@@ -6,8 +6,10 @@
 //! embedded library:
 //!
 //! * typed rows over a declared [`Schema`],
-//! * heap [`Table`]s with slotted storage and a free list,
-//! * unique and non-unique secondary [indexes](index "index module") (B-tree ordered),
+//! * heap [`Table`]s of slotted pages, row ids assigned once and never
+//!   reused,
+//! * unique and non-unique secondary [indexes](index "index module"): a
+//!   key-sorted run plus a small delta,
 //! * [`predicate`] scans with index selection,
 //! * durability via a checkpointed page directory ([`pager`]) plus a
 //!   [write-ahead log](wal "wal module"), with crash recovery that replays

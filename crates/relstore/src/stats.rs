@@ -9,8 +9,24 @@ use std::fmt;
 pub struct TableStats {
     pub name: String,
     pub rows: usize,
-    /// (index name, entry count) pairs.
-    pub indexes: Vec<(String, usize)>,
+    /// (index name, its statistics) pairs.
+    pub indexes: Vec<(String, IndexStats)>,
+}
+
+/// What one index holds (see [`crate::index`]): its live entries, how
+/// many of them sit in the delta and how many run entries are dead, and
+/// the heap it keeps resident.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexStats {
+    /// Live (key, row) entries.
+    pub entries: usize,
+    /// Entries inserted since the run was built.
+    pub delta: usize,
+    /// Run entries removed since the run was built.
+    pub dead: usize,
+    /// Resident bytes: the run and its dead marks by capacity, the delta's
+    /// entries by size.
+    pub bytes: usize,
 }
 
 /// Buffer-pool metrics for paged databases (see [`crate::pager`]).
@@ -107,6 +123,13 @@ impl fmt::Display for DbStats {
         writeln!(f, "database: {} tables, {} rows", self.tables.len(), self.total_rows())?;
         for t in &self.tables {
             writeln!(f, "  {:<16} {:>10} rows, {} indexes", t.name, t.rows, t.indexes.len())?;
+            for (name, ix) in &t.indexes {
+                writeln!(
+                    f,
+                    "    {name:<14} {:>10} entries, {:>10} bytes ({} in delta, {} dead)",
+                    ix.entries, ix.bytes, ix.delta, ix.dead
+                )?;
+            }
         }
         if let Some(pool) = &self.pool {
             writeln!(f, "  {pool}")?;
@@ -126,7 +149,7 @@ mod tests {
                 TableStats {
                     name: "object".into(),
                     rows: 100,
-                    indexes: vec![("pk".into(), 100)],
+                    indexes: vec![("pk".into(), IndexStats { entries: 100, ..IndexStats::default() })],
                 },
                 TableStats {
                     name: "source".into(),
@@ -143,7 +166,43 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("2 tables"));
         assert!(text.contains("object"));
+        assert!(text.contains("pk                    100 entries"), "{text}");
         assert!(!text.contains("pool:"));
+    }
+
+    #[test]
+    fn every_index_reports_its_entries_and_resident_bytes() {
+        use crate::schema::{Column, Schema};
+        use crate::{Database, RowId, Value, ValueType};
+        let mut db = Database::in_memory();
+        let schema = Schema::builder("t")
+            .column(Column::new("id", ValueType::Int))
+            .column(Column::new("acc", ValueType::Text))
+            .primary_key(&["id"])
+            .index("by_acc", &["acc"])
+            .build()
+            .unwrap();
+        db.create_table(schema).unwrap();
+        let rows = (0..1000).map(|i| vec![Value::Int(i), Value::text(format!("A{}", i % 7))]).collect();
+        db.with_txn(|txn| txn.insert_batch("t", rows).map(drop)).unwrap();
+        let index = |db: &Database, name: &str| {
+            let stats = db.stats().unwrap();
+            stats.tables[0].indexes.iter().find(|(n, _)| n == name).unwrap().1
+        };
+        let pk = index(&db, "pk");
+        assert_eq!(pk.entries, 1000);
+        // an int key is one word beside its row id: 16 B an entry in the
+        // run, 48 in the delta, which holds at most an eighth of the run
+        assert!((16 * 1000..=16 * 1000 + 48 * 125).contains(&pk.bytes), "{pk:?}");
+        assert!(index(&db, "by_acc").bytes > pk.bytes, "a text key takes its words and a byte end");
+        // a removal drops a delta entry or marks a run entry dead
+        db.with_txn(|txn| txn.delete("t", RowId(999)).map(drop)).unwrap();
+        let after = index(&db, "pk");
+        assert_eq!(after.entries, 999);
+        let pending = |ix: IndexStats| ix.dead as i64 - ix.delta as i64;
+        assert_eq!(pending(after), pending(pk) + 1, "{pk:?} -> {after:?}");
+        let text = db.stats().unwrap().to_string();
+        assert!(text.contains("by_acc") && text.contains("999 entries"), "{text}");
     }
 
     #[test]

@@ -29,8 +29,8 @@ use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
 use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, Schema};
+use crate::stats::IndexStats;
 use crate::value::Value;
-use std::ops::Bound;
 
 /// One block of a batched columnar scan
 /// ([`Table::scan_prefix_columnar`]): the requested columns decoded into
@@ -643,15 +643,12 @@ impl Table {
         }
     }
 
-    /// Enter the row `values` at `row_id` under its `keys` (pre-checked
-    /// with [`check_unique`](Self::check_unique)) into every index.
-    fn enter(&mut self, keys: Vec<IndexKey>, values: &[Value], row_id: RowId) -> StoreResult<()> {
-        for (i, key) in keys.into_iter().enumerate() {
-            if !self.indexes[i].insert(key, row_id) {
-                return Err(self.violation(&self.schema.indexes()[i], values));
-            }
+    /// Enter the row at `row_id` under its `keys` (pre-checked with
+    /// [`check_unique`](Self::check_unique)) into every index.
+    fn enter(&mut self, keys: Vec<IndexKey>, row_id: RowId) {
+        for (ix, key) in self.indexes.iter_mut().zip(keys) {
+            ix.insert(key, row_id);
         }
-        Ok(())
     }
 
     /// The error for the row `values` colliding in unique index `def`.
@@ -671,7 +668,7 @@ impl Table {
         let keys = self.keys_of(&values)?;
         self.check_unique(&keys, &values)?;
         let row_id = RowId(self.store.high_water());
-        self.enter(keys, &values, row_id)?;
+        self.enter(keys, row_id);
         self.store.open_image().push(Some(&values));
         self.live += 1;
         // The row is fully inserted and indexed at this point; a seal
@@ -704,11 +701,15 @@ impl Table {
                 .collect::<StoreResult<_>>()?;
             run.sort_unstable();
             if def.unique {
+                // the sorted keys seek the index through one cursor
+                let mut cursor = ix.cursor();
                 let clash = run
                     .windows(2)
                     .find(|pair| pair[0].0 == pair[1].0)
                     .map(|pair| &pair[0])
-                    .or_else(|| run.iter().find(|(key, _)| ix.would_conflict(key)));
+                    .or_else(|| {
+                        run.iter().find(|(key, _)| !ix.seek(key, &mut cursor, |_, _| false))
+                    });
                 if let Some((_, id)) = clash {
                     return Err(self.violation(def, &rows[(id.0 - first) as usize]));
                 }
@@ -716,10 +717,7 @@ impl Table {
             runs.push(run);
         }
         for (ix, run) in self.indexes.iter_mut().zip(runs) {
-            for (key, id) in run {
-                let entered = ix.insert(key, id);
-                debug_assert!(entered, "batch keys were pre-checked");
-            }
+            ix.insert_sorted(run);
         }
         for row in rows {
             self.store.open_image().push(Some(row));
@@ -762,7 +760,7 @@ impl Table {
                 "restore target {row_id} is not a tombstone"
             ))),
         })?;
-        self.enter(keys, &values, row_id)?;
+        self.enter(keys, row_id);
         self.live += 1;
         Ok(())
     }
@@ -821,8 +819,7 @@ impl Table {
         {
             if old_key != new_key {
                 ix.remove(&old_key, row_id);
-                let entered = ix.insert(new_key, row_id);
-                debug_assert!(entered, "new key was pre-checked");
+                ix.insert(new_key, row_id);
             }
         }
         Ok(old)
@@ -863,29 +860,24 @@ impl Table {
     }
 
     /// Stream the rows behind index entries through one page cursor.
-    /// `entries` feeds runs of row ids to the sink it is given and stops
-    /// when the sink returns `false`; `visit` reads each id's row off the
-    /// cursor in the shape its caller wants and says whether it was live.
-    /// An index entry without a live row is corruption, never a panic.
+    /// `entries` feeds row ids to the sink it is given and stops when the
+    /// sink returns `false`; `visit` reads each id's row off the cursor in
+    /// the shape its caller wants and says whether it was live. An index
+    /// entry without a live row is corruption, never a panic.
     fn walk(
         &self,
-        entries: impl FnOnce(&mut dyn FnMut(&[RowId]) -> bool),
+        entries: impl FnOnce(&mut dyn FnMut(RowId) -> bool),
         mut visit: impl FnMut(&mut RowCursor<'_>, RowId) -> StoreResult<Option<()>>,
     ) -> StoreResult<()> {
         let mut cursor = RowCursor::new(&self.store);
         let mut outcome = Ok(());
-        entries(&mut |ids| {
-            for &id in ids {
-                match visit(&mut cursor, id) {
-                    Ok(Some(())) => {}
-                    Ok(None) => outcome = Err(dead_index_ref(self.schema.name(), id)),
-                    Err(e) => outcome = Err(e),
-                }
-                if outcome.is_err() {
-                    return false;
-                }
-            }
-            true
+        entries(&mut |id| {
+            outcome = match visit(&mut cursor, id) {
+                Ok(Some(())) => Ok(()),
+                Ok(None) => Err(dead_index_ref(self.schema.name(), id)),
+                Err(e) => Err(e),
+            };
+            outcome.is_ok()
         });
         outcome
     }
@@ -900,7 +892,7 @@ impl Table {
         match ix.spec().probe(key) {
             Some(key) => self.walk(
                 |sink| {
-                    sink(ix.lookup(&key));
+                    ix.lookup(&key, |_, id| sink(id));
                 },
                 visit,
             ),
@@ -916,7 +908,12 @@ impl Table {
         visit: impl FnMut(&mut RowCursor<'_>, RowId) -> StoreResult<Option<()>>,
     ) -> StoreResult<()> {
         match ix.spec().probe(prefix) {
-            Some(prefix) => self.walk(|sink| ix.visit_prefix(&prefix, |_, ids| sink(ids)), visit),
+            Some(prefix) => self.walk(
+                |sink| {
+                    ix.visit_prefix(&prefix, |_, id| sink(id));
+                },
+                visit,
+            ),
             None => Ok(()),
         }
     }
@@ -944,7 +941,14 @@ impl Table {
     /// probe, one row decoded straight into what is returned.
     pub fn lookup_unique(&self, index: &str, key: &[Value]) -> StoreResult<Option<Row>> {
         let ix = self.index(index)?;
-        let Some(&id) = ix.spec().probe(key).and_then(|key| ix.lookup(&key).first()) else {
+        let mut hit = None;
+        if let Some(key) = ix.spec().probe(key) {
+            ix.lookup(&key, |_, id| {
+                hit = Some(id);
+                false
+            });
+        }
+        let Some(id) = hit else {
             return Ok(None);
         };
         let row = RowCursor::new(&self.store).owned(id)?;
@@ -975,10 +979,12 @@ impl Table {
 
     /// Batched exact-key resolution: `f(n, row)` for every row whose key in
     /// the named index equals the full key `probes[n]`, in key order — what
-    /// one [`lookup`](Self::lookup) per probe finds, from one ordered pass
-    /// over the index between the least and the greatest probe. Probes and
-    /// entries are compared as encoded keys and a row is read only where
-    /// they are equal: a probe that matches nothing faults no page.
+    /// one [`lookup`](Self::lookup) per probe finds. The probes are sorted
+    /// and each distinct one is sought from where the one before it ended,
+    /// through one [`crate::index::Cursor`], so a batch costs
+    /// O(probes · log gap), not a pass over the span between the least and
+    /// the greatest probe. A row is read only where a key matches: a probe
+    /// that matches nothing faults no page.
     pub fn for_each_match<P: AsRef<[Value]>>(
         &self,
         index: &str,
@@ -994,21 +1000,17 @@ impl Table {
         if !keys.is_sorted() {
             keys.sort_unstable();
         }
-        let (Some((lo, _)), Some((hi, _))) = (keys.first(), keys.last()) else {
-            return Ok(());
-        };
-        // `asked` is the run of probes equal to the entry being walked
+        // `asked` is the run of probes equal to the key being read
         let asked = std::cell::Cell::new(&keys[..0]);
-        let mut rest = &keys[..];
         self.walk(
             |sink| {
-                ix.visit(Bound::Included(lo), Bound::Included(hi), |key, ids| {
-                    let below = rest.iter().take_while(|(probe, _)| probe < key).count();
-                    let equal = rest[below..].iter().take_while(|(probe, _)| probe == key).count();
-                    asked.set(&rest[below..below + equal]);
-                    rest = &rest[below + equal..];
-                    (equal == 0 || sink(ids)) && !rest.is_empty()
-                })
+                let mut cursor = ix.cursor();
+                for probes in keys.chunk_by(|a, b| a.0 == b.0) {
+                    asked.set(probes);
+                    if !ix.seek(&probes[0].0, &mut cursor, |_, id| sink(id)) {
+                        return;
+                    }
+                }
             },
             |cursor, id| cursor.with(id, |row| asked.get().iter().for_each(|&(_, n)| f(n, row))),
         )
@@ -1021,8 +1023,8 @@ impl Table {
         let ix = self.index(index)?;
         let mut ids = Vec::new();
         if let Some(prefix) = ix.spec().probe(prefix) {
-            ix.visit_prefix(&prefix, |_, run| {
-                ids.extend_from_slice(run);
+            ix.visit_prefix(&prefix, |_, id| {
+                ids.push(id);
                 true
             });
         }
@@ -1035,8 +1037,8 @@ impl Table {
         let ix = self.index(index)?;
         let mut n = 0;
         if let Some(prefix) = ix.spec().probe(prefix) {
-            ix.visit_prefix(&prefix, |_, ids| {
-                n += ids.len();
+            ix.visit_prefix(&prefix, |_, _| {
+                n += 1;
                 true
             });
         }
@@ -1175,10 +1177,10 @@ impl Table {
         };
         // Access-path selection: find an index fully pinned by equality
         // constraints of the top-level conjunction.
-        if let Some(ids) = self.pick_index(predicate) {
+        if let Some((ix, key)) = self.pick_index(predicate) {
             self.walk(
                 |sink| {
-                    sink(ids);
+                    ix.lookup(&key, |_, id| sink(id));
                 },
                 |cursor, id| cursor.with(id, |row| keep(id, row)),
             )?;
@@ -1192,9 +1194,9 @@ impl Table {
     }
 
     /// Pick the first index whose every column is pinned by an equality
-    /// constraint with a value of the column's type; returns the row ids
-    /// under that key.
-    fn pick_index(&self, predicate: &Predicate) -> Option<&[RowId]> {
+    /// constraint with a value of the column's type; returns it with the
+    /// key the constraints pin.
+    fn pick_index(&self, predicate: &Predicate) -> Option<(&IndexStore, IndexKey)> {
         let constraints = predicate.equality_constraints();
         if constraints.is_empty() {
             return None;
@@ -1209,7 +1211,7 @@ impl Table {
                 }
             }
             if let Some(key) = ix.spec().probe(&key) {
-                return Some(ix.lookup(&key));
+                return Some((ix, key));
             }
         }
         None
@@ -1220,14 +1222,22 @@ impl Table {
         Ok(self.index(name)?.entry_count())
     }
 
+    /// Entries and resident bytes of a named index (for stats).
+    pub fn index_stats(&self, name: &str) -> StoreResult<IndexStats> {
+        Ok(self.index(name)?.stats())
+    }
+
     /// All entries of a named index as `(key column values, row id)`, in
     /// key order then row-id order — the index's full observable content,
     /// for equivalence checks.
     pub fn index_entry_list(&self, name: &str) -> StoreResult<Vec<(Vec<Value>, RowId)>> {
         let ix = self.index(name)?;
-        ix.iter_entries()
-            .map(|(key, id)| Ok((ix.spec().decode(key)?, id)))
-            .collect()
+        let mut entries = Vec::with_capacity(ix.entry_count());
+        ix.visit_all(|key, id| {
+            entries.push((key, id));
+            true
+        });
+        entries.into_iter().map(|(key, id)| Ok((ix.spec().decode(key)?, id))).collect()
     }
 
     /// `SELECT column, COUNT(*) GROUP BY column`: live-row counts per

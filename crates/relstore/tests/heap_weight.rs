@@ -89,21 +89,29 @@ fn object_row(i: i64) -> Vec<Value> {
     ]
 }
 
-/// Heap bytes per row of a pool-less database reopened over `rows` rows
-/// under `schema`.
-fn reopened_weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>) -> f64 {
+/// Heap bytes per row of a pool-less database holding `rows` rows under
+/// `schema`, inserted in 1 000-row batches: reopened from its checkpoint,
+/// every index one run — or, `grown`, as the batches left it, which is what
+/// an importing store holds (no durability, so no WAL image is counted).
+fn weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>, grown: bool) -> f64 {
     let vfs = Arc::new(FaultVfs::new());
     let name = schema.name().to_owned();
-    let mut db = Database::open_with_vfs(vfs.clone(), Path::new("/db")).unwrap();
+    let mut before = LIVE.load(Ordering::Relaxed);
+    let mut db = match grown {
+        true => Database::in_memory(),
+        false => Database::open_with_vfs(vfs.clone(), Path::new("/db")).unwrap(),
+    };
     db.create_table(schema).unwrap();
     for batch in 0..rows / 1_000 {
         let rows = (batch * 1_000..(batch + 1) * 1_000).map(row).collect();
         db.with_txn(|txn| txn.insert_batch(&name, rows).map(|_| ())).unwrap();
     }
-    db.checkpoint().unwrap();
-    drop(db);
-    let before = LIVE.load(Ordering::Relaxed);
-    let db = Database::open_with_vfs(vfs, Path::new("/db")).unwrap();
+    if !grown {
+        db.checkpoint().unwrap();
+        drop(db);
+        before = LIVE.load(Ordering::Relaxed);
+        db = Database::open_with_vfs(vfs, Path::new("/db")).unwrap();
+    }
     let held = LIVE.load(Ordering::Relaxed) - before;
     assert_eq!(db.table(&name).unwrap().len() as i64, rows);
     held as f64 / rows as f64
@@ -112,20 +120,28 @@ fn reopened_weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>) -> f64
 /// Declares one index on a table's columns.
 type Declare = fn(SchemaBuilder) -> SchemaBuilder;
 
-/// Print what the rows weigh alone, then what each index adds by itself;
-/// returns the rows' bytes per row.
+/// Print what the rows weigh alone, then what each index adds by itself,
+/// gated at its limit in B/row, then all of them reopened and grown; returns
+/// the rows' bytes per row.
 fn attribution(
     columns: fn() -> SchemaBuilder,
-    indexes: &[(&str, Declare)],
+    indexes: &[(&str, Declare, f64)],
     rows: i64,
     row: fn(i64) -> Vec<Value>,
 ) -> f64 {
-    let bare = reopened_weight(columns().build().unwrap(), rows, row);
-    println!("{:>12}  rows                 {bare:7.1} B/row", columns().build().unwrap().name());
-    for (label, declare) in indexes {
-        let with = reopened_weight(declare(columns()).build().unwrap(), rows, row);
-        println!("{:>12}  index {label:<14} {:7.1} B/row", "", with - bare);
+    let bare = weight(columns().build().unwrap(), rows, row, false);
+    let name = columns().build().unwrap().name().to_owned();
+    println!("{name:>12}  rows                 {bare:7.1} B/row");
+    for (label, declare, limit) in indexes {
+        let index = weight(declare(columns()).build().unwrap(), rows, row, false) - bare;
+        println!("{:>12}  index {label:<14} {index:7.1} B/row", "");
+        assert!(index <= *limit, "{name}.{label} holds {index:.1} B/row");
     }
+    let all = || indexes.iter().fold(columns(), |b, (_, declare, _)| declare(b)).build().unwrap();
+    let (reopened, grown) = (weight(all(), rows, row, false), weight(all(), rows, row, true));
+    println!("{:>12}  all, reopened        {reopened:7.1} B/row, grown {grown:.1} (x{:.2})", "", grown / reopened);
+    // the delta holds at most an eighth of the run, at B-tree weight
+    assert!(grown <= 1.3 * reopened, "{name} grown holds {grown:.1} B/row, reopened {reopened:.1}");
     bare
 }
 
@@ -134,9 +150,9 @@ fn a_row_in_memory_weighs_its_cell_and_its_slot() {
     let rel = attribution(
         object_rel_columns,
         &[
-            ("by_pair", |b| b.unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"])),
-            ("by_object1", |b| b.index("by_object1", &["object1_id"])),
-            ("by_object2", |b| b.index("by_object2", &["object2_id"])),
+            ("by_pair", |b| b.unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"]), 33.0),
+            ("by_object1", |b| b.index("by_object1", &["object1_id"]), 17.0),
+            ("by_object2", |b| b.index("by_object2", &["object2_id"]), 17.0),
         ],
         OBJECT_RELS,
         object_rel_row,
@@ -144,8 +160,8 @@ fn a_row_in_memory_weighs_its_cell_and_its_slot() {
     let object = attribution(
         object_columns,
         &[
-            ("pk", |b| b.primary_key(&["object_id"])),
-            ("by_accession", |b| b.unique_index("by_accession", &["source_id", "accession"])),
+            ("pk", |b| b.primary_key(&["object_id"]), 17.0),
+            ("by_accession", |b| b.unique_index("by_accession", &["source_id", "accession"]), 42.0),
         ],
         OBJECTS,
         object_row,

@@ -5,9 +5,10 @@
 
 use relstore::codec::crc32;
 use relstore::db::{PAGEDIR_FILE, WAL_FILE};
-use relstore::index::KeySpec;
+use relstore::index::{IndexStore, KeySpec};
 use relstore::schema::{Column, Schema};
 use relstore::pager::decode_page_directory;
+use relstore::stats::IndexStats;
 use relstore::vfs::{FaultVfs, Vfs};
 use relstore::wal::{LogRecord, WalWriter};
 use relstore::{Database, PoolConfig, Row, RowId, StoreError, Table, Value, ValueType};
@@ -592,5 +593,332 @@ fn open_refuses_a_damaged_tail_cell_behind_a_valid_checksum() {
         // text that is not UTF-8: the walk passes it, the index build reads it
         let msg = forge(&|image| image[at + 6..].copy_from_slice(&[0xff, 0xfe]));
         assert!(msg.contains("not UTF-8"), "{msg}");
+    }
+}
+
+// ---- (v) the run and its delta -----------------------------------------
+
+/// One table with every index shape: a fixed-width unique key (`pk`), a
+/// fixed-width multi key (`by_grp`), a variable-width unique key
+/// (`by_acc`) and a variable-width multi key led by a nullable column
+/// (`by_score`).
+fn shapes() -> Schema {
+    Schema::builder("t")
+        .column(Column::new("id", ValueType::Int))
+        .column(Column::new("grp", ValueType::Int))
+        .column(Column::new("acc", ValueType::Text))
+        .column(Column::nullable("score", ValueType::Float))
+        .primary_key(&["id"])
+        .index("by_grp", &["grp"])
+        .unique_index("by_acc", &["acc"])
+        .index("by_score", &["score", "acc"])
+        .build()
+        .unwrap()
+}
+
+fn shape_row(id: i64, acc: i64, grp: i64, score: Option<usize>) -> Vec<Value> {
+    let score = score.map_or(Value::Null, |s| Value::Float(s as f64 / 4.0));
+    vec![Value::Int(id), Value::Int(grp), Value::text(format!("A{acc}")), score]
+}
+
+/// A row whose keys are mostly fresh; one in ten reuses an older id or
+/// accession, which may be taken.
+fn churn_row(st: &mut Prng, fresh: &mut i64) -> Vec<Value> {
+    *fresh += 1;
+    let mut key = || match st.below(10) {
+        0 => st.below(*fresh as usize) as i64,
+        _ => *fresh,
+    };
+    let (id, acc) = (key(), key());
+    let score = st.below(5);
+    shape_row(id, acc, st.below(8) as i64, score.checked_sub(1))
+}
+
+fn index_stats(db: &Database, index: &str) -> IndexStats {
+    let stats = db.stats().unwrap();
+    let table = stats.tables.iter().find(|t| t.name == "t").unwrap();
+    table.indexes.iter().find(|(name, _)| name == index).unwrap().1
+}
+
+/// Entries in the run: the live ones outside the delta, plus the dead. It
+/// changes only when a merge (or a reopen) builds a new run.
+fn run_len(ix: IndexStats) -> usize {
+    ix.entries - ix.delta + ix.dead
+}
+
+/// Every index read of `table` against what a scan derives: the entry
+/// list and the greatest key, and for a few keys it holds and one it does
+/// not, `lookup`, `lookup_prefix` and `index_prefix_count` on the leading
+/// column, and one `for_each_match` over all of them with a repeat.
+fn assert_reads_match_scan(table: &Table, st: &mut Prng, context: &str) {
+    let rows: Vec<(RowId, Row)> = table.scan().collect();
+    let row = |id: &RowId| rows.iter().find(|(r, _)| r == id).unwrap().1.clone();
+    for def in table.schema().indexes() {
+        let (name, context) = (&def.name, format!("{context}: {}", def.name));
+        let mut expect: Entries = rows.iter().map(|(id, r)| (r.project(&def.columns), *id)).collect();
+        expect.sort();
+        assert_eq!(table.index_entry_list(name).unwrap(), expect, "{context}: entries");
+        assert_eq!(table.last_key(name).unwrap(), expect.last().map(|e| e.0.clone()), "{context}");
+        let absent = [Value::Int(-1), Value::Int(-1), Value::text("none"), Value::Float(-1.0)];
+        let mut probes: Vec<Vec<Value>> = vec![def.columns.iter().map(|&c| absent[c].clone()).collect()];
+        for _ in 0..3.min(expect.len()) {
+            probes.push(expect[st.below(expect.len())].0.clone());
+        }
+        probes.push(probes[st.below(probes.len())].clone());
+        for key in &probes {
+            let under: Vec<Row> = expect.iter().filter(|(k, _)| k == key).map(|(_, id)| row(id)).collect();
+            assert_eq!(table.lookup(name, key).unwrap(), under, "{context}: lookup {key:?}");
+            let lead: Vec<Row> = expect.iter().filter(|(k, _)| k[0] == key[0]).map(|(_, id)| row(id)).collect();
+            assert_eq!(table.lookup_prefix(name, &key[..1]).unwrap(), lead, "{context}: prefix {key:?}");
+            assert_eq!(table.index_prefix_count(name, &key[..1]).unwrap(), lead.len(), "{context}");
+        }
+        // key order, then row order, then probe order
+        let mut asked: Vec<(&Vec<Value>, usize)> = probes.iter().zip(0..).collect();
+        asked.sort();
+        let mut want = Vec::new();
+        for same in asked.chunk_by(|a, b| a.0 == b.0) {
+            for (_, id) in expect.iter().filter(|(k, _)| k == same[0].0) {
+                want.extend(same.iter().map(|&(_, n)| (n, row(id))));
+            }
+        }
+        let mut got = Vec::new();
+        table.for_each_match(name, &probes, |n, row| got.push((n, row.clone()))).unwrap();
+        assert_eq!(got, want, "{context}: for_each_match {probes:?}");
+    }
+}
+
+/// What the sweep saw happen to one index.
+#[derive(Debug, Default)]
+struct Seen {
+    merges: usize,
+    run_deletes: usize,
+    delta_deletes: usize,
+}
+
+#[test]
+fn run_and_delta_reads_equal_a_scan_through_every_merge() {
+    const INDEXES: [&str; 4] = ["pk", "by_grp", "by_acc", "by_score"];
+    let mut st = Prng::seed_from_u64(0x0000_DE17_A50F_2026);
+    for pool in [None, Some(1), Some(2), Some(8)] {
+        let vfs = FaultVfs::new();
+        let mut db = open(&vfs, pool);
+        db.create_table(shapes()).unwrap();
+        let mut fresh = 0;
+        let mut seen: [Seen; 4] = Default::default();
+        for step in 0..300 {
+            let context = format!("pool {pool:?} step {step}");
+            let before = INDEXES.map(|ix| index_stats(&db, ix));
+            let live: Vec<RowId> = db.table("t").unwrap().scan().map(|(id, _)| id).collect();
+            let mut deleted = false;
+            match st.below(20) {
+                0..=5 => {
+                    let row = churn_row(&mut st, &mut fresh);
+                    let _ = db.with_txn(|txn| txn.insert("t", row));
+                }
+                6..=8 => {
+                    let rows = (0..2 + st.below(14)).map(|_| churn_row(&mut st, &mut fresh)).collect();
+                    let _ = db.with_txn(|txn| txn.insert_batch("t", rows));
+                }
+                9..=11 if !live.is_empty() => {
+                    // the newest rows (their entries likely in the delta) or any
+                    let n = (1 + st.below(4)).min(live.len());
+                    let ids: Vec<RowId> = match st.gen_bool(0.5) {
+                        true => live[live.len() - n..].to_vec(),
+                        false => (0..n).map(|_| live[st.below(live.len())]).collect(),
+                    };
+                    let mut ids = ids;
+                    ids.sort();
+                    ids.dedup();
+                    db.with_txn(|txn| ids.iter().try_for_each(|&id| txn.delete("t", id))).unwrap();
+                    deleted = true;
+                }
+                12 | 13 if !live.is_empty() => {
+                    let (id, row) = (live[st.below(live.len())], churn_row(&mut st, &mut fresh));
+                    let _ = db.with_txn(|txn| txn.update("t", id, row));
+                }
+                14 | 15 if !live.is_empty() => {
+                    // a delete, an update and an insert, rolled back
+                    let (gone, moved) = (live[st.below(live.len())], live[st.below(live.len())]);
+                    let (row, new) = (churn_row(&mut st, &mut fresh), churn_row(&mut st, &mut fresh));
+                    let mut txn = db.begin();
+                    let _ = txn.delete("t", gone);
+                    let _ = txn.update("t", moved, row);
+                    let _ = txn.insert("t", new);
+                    txn.rollback().unwrap();
+                }
+                16 => db.checkpoint().unwrap(),
+                17 if st.below(8) == 0 => {
+                    drop(db);
+                    db = open(&vfs, pool);
+                    assert_reads_match_scan(db.table("t").unwrap(), &mut st, &context);
+                    continue;
+                }
+                _ => {}
+            }
+            let after = INDEXES.map(|ix| index_stats(&db, ix));
+            for ((seen, b), a) in seen.iter_mut().zip(before).zip(after) {
+                if run_len(a) != run_len(b) {
+                    seen.merges += 1;
+                } else if deleted {
+                    seen.run_deletes += usize::from(a.dead > b.dead);
+                    seen.delta_deletes += usize::from(a.delta < b.delta);
+                }
+            }
+            assert_reads_match_scan(db.table("t").unwrap(), &mut st, &context);
+        }
+        for (ix, seen) in INDEXES.iter().zip(&seen) {
+            assert!(
+                seen.merges >= 3 && seen.run_deletes > 0 && seen.delta_deletes > 0,
+                "pool {pool:?} index {ix}: {seen:?}"
+            );
+        }
+    }
+}
+
+/// `shapes` holding rows 0..64, checkpointed and reopened under `pool`:
+/// every index is one run, with no delta and no dead marks.
+fn frozen(pool: Option<usize>) -> (FaultVfs, Database) {
+    let vfs = FaultVfs::new();
+    let mut db = open(&vfs, pool);
+    db.create_table(shapes()).unwrap();
+    let rows = (0..64).map(|i| shape_row(i, i, i % 4, Some(i as usize % 5))).collect();
+    db.with_txn(|txn| txn.insert_batch("t", rows).map(drop)).unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = open(&vfs, pool);
+    for ix in ["pk", "by_grp", "by_acc", "by_score"] {
+        assert_eq!(index_stats(&db, ix), IndexStats { entries: 64, bytes: index_stats(&db, ix).bytes, ..IndexStats::default() });
+    }
+    (vfs, db)
+}
+
+/// `by_acc` of `shapes` bulk-built over accessions `A0..A64` at rows 0..64.
+fn frozen_by_acc() -> (KeySpec, IndexStore) {
+    let schema = shapes();
+    let def = schema.index("by_acc").unwrap();
+    let spec = KeySpec::new(&schema, def);
+    let run = (0..64).map(|i| (spec.probe(&[Value::text(format!("A{i}"))]).unwrap(), RowId(i))).collect();
+    (spec.clone(), IndexStore::build("t", def, spec, run).unwrap())
+}
+
+fn insert(db: &mut Database, row: Vec<Value>) -> Result<RowId, StoreError> {
+    db.with_txn(|txn| txn.insert("t", row))
+}
+
+fn violation_on(result: Result<impl std::fmt::Debug, StoreError>, index: &str) {
+    assert!(
+        matches!(&result, Err(StoreError::UniqueViolation { index: ix, .. }) if ix == index),
+        "{index}: {result:?}"
+    );
+}
+
+#[test]
+fn a_unique_key_taken_in_the_run_is_rejected() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        violation_on(insert(&mut db, shape_row(5, 100, 0, None)), "pk");
+        violation_on(insert(&mut db, shape_row(100, 7, 0, None)), "by_acc");
+        violation_on(db.with_txn(|txn| txn.update("t", RowId(1), shape_row(1, 7, 0, None))), "by_acc");
+        assert_eq!(index_stats(&db, "by_acc").delta, 0, "nothing was entered");
+        assert_indexes_match_rows(db.table("t").unwrap(), "refused");
+    }
+    let (spec, ix) = frozen_by_acc();
+    assert!(ix.would_conflict(&spec.probe(&[Value::text("A7")]).unwrap()));
+}
+
+#[test]
+fn a_unique_key_taken_in_the_delta_is_rejected() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        insert(&mut db, shape_row(100, 100, 0, None)).unwrap();
+        assert_eq!((index_stats(&db, "pk").delta, index_stats(&db, "by_acc").delta), (1, 1));
+        violation_on(insert(&mut db, shape_row(100, 101, 0, None)), "pk");
+        violation_on(insert(&mut db, shape_row(101, 100, 0, None)), "by_acc");
+        let batch = vec![shape_row(102, 102, 0, None), shape_row(103, 100, 0, None)];
+        violation_on(db.with_txn(|txn| txn.insert_batch("t", batch)), "by_acc");
+        violation_on(db.with_txn(|txn| txn.update("t", RowId(1), shape_row(1, 100, 0, None))), "by_acc");
+        assert_indexes_match_rows(db.table("t").unwrap(), "refused");
+    }
+    let (spec, mut ix) = frozen_by_acc();
+    let key = spec.probe(&[Value::text("fresh")]).unwrap();
+    ix.insert(key.clone(), RowId(70));
+    assert!(ix.would_conflict(&key), "the delta holds the key");
+}
+
+#[test]
+fn a_dead_run_entrys_key_is_taken_again() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        db.with_txn(|txn| txn.delete("t", RowId(5))).unwrap();
+        assert_eq!(index_stats(&db, "pk").dead, 1);
+        let again = insert(&mut db, shape_row(5, 5, 1, None)).unwrap();
+        assert_eq!(again, RowId(64));
+        let table = db.table("t").unwrap();
+        assert_eq!(table.lookup_row_ids("pk", &[Value::Int(5)]).unwrap(), [again]);
+        assert_eq!(table.lookup_row_ids("by_acc", &[Value::text("A5")]).unwrap(), [again]);
+        assert_indexes_match_rows(table, "re-taken");
+    }
+    let (spec, mut ix) = frozen_by_acc();
+    let key = spec.probe(&[Value::text("A5")]).unwrap();
+    ix.remove(&key, RowId(5));
+    assert!(!ix.would_conflict(&key));
+    ix.insert(key, RowId(99));
+    assert_eq!(ix.entry_count(), 64);
+}
+
+#[test]
+fn a_multi_index_reinsert_of_a_held_entry_is_a_no_op() {
+    let schema = shapes();
+    let def = schema.index("by_grp").unwrap();
+    let spec = KeySpec::new(&schema, def);
+    let grp = |g: i64| spec.probe(&[Value::Int(g)]).unwrap();
+    let run = (0..64).map(|i| (grp(i % 4), RowId(i as u64))).collect();
+    let mut ix = IndexStore::build("t", def, spec.clone(), run).unwrap();
+    ix.insert(grp(1), RowId(5));
+    assert_eq!((ix.entry_count(), ix.stats().delta), (64, 0), "held in the run");
+    ix.insert(grp(1), RowId(99));
+    ix.insert(grp(1), RowId(99));
+    assert_eq!((ix.entry_count(), ix.stats().delta), (65, 1), "held in the delta");
+    let mut under = Vec::new();
+    ix.lookup(&grp(1), |_, id| {
+        under.push(id);
+        true
+    });
+    let want: Vec<RowId> = (1..64).step_by(4).chain([99]).map(RowId).collect();
+    assert_eq!(under, want);
+}
+
+#[test]
+fn last_key_skips_a_dead_greatest_run_entry() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        let last = |db: &Database| db.table("t").unwrap().last_key("pk").unwrap();
+        db.with_txn(|txn| txn.delete("t", RowId(63))).unwrap();
+        assert_eq!(index_stats(&db, "pk").dead, 1);
+        assert_eq!(last(&db), Some(vec![Value::Int(62)]));
+        // a greater key in the delta, then gone again
+        let id = insert(&mut db, shape_row(1000, 1000, 0, None)).unwrap();
+        assert_eq!(last(&db), Some(vec![Value::Int(1000)]));
+        db.with_txn(|txn| txn.delete("t", id)).unwrap();
+        assert_eq!(last(&db), Some(vec![Value::Int(62)]));
+    }
+}
+
+#[test]
+fn a_rollback_restores_a_deleted_run_entry() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        let mut txn = db.begin();
+        txn.delete("t", RowId(10)).unwrap();
+        txn.update("t", RowId(11), shape_row(11, 500, 3, None)).unwrap();
+        txn.rollback().unwrap();
+        for ix in ["pk", "by_grp", "by_acc", "by_score"] {
+            let stats = index_stats(&db, ix);
+            assert_eq!((stats.entries, stats.dead), (64, 0), "{ix}: the run entries live again");
+        }
+        let table = db.table("t").unwrap();
+        assert_eq!(table.lookup_row_ids("by_acc", &[Value::text("A10")]).unwrap(), [RowId(10)]);
+        assert!(table.lookup_row_ids("by_acc", &[Value::text("A500")]).unwrap().is_empty());
+        assert_indexes_match_rows(table, "rolled back");
     }
 }

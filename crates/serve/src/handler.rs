@@ -269,7 +269,7 @@ fn admit_write<'a>(
 fn render_stats(snap: &Arc<Snapshot>, ctx: &RequestContext<'_>) -> Result<String, ServeError> {
     let cards = snap.cardinalities()?;
     let (v0, v1) = snap.version();
-    let mut out = format!("{cards}\nsnapshot version {v0}.{v1}\n");
+    let mut out = format!("{cards}\nsnapshot version {v0}.{v1}\n{}", snap.store_stats());
     if let Some(stats) = ctx.stats {
         let (connections, requests, reads, writes, errors) = stats.snapshot();
         let (shed_writes, timeouts, oversized) = stats.hardening_snapshot();
@@ -311,6 +311,7 @@ mod tests {
         let (body, _) = handle_request(&sh, "stats", &ctx).unwrap();
         assert!(body.contains("19 sources"), "stats: {body}");
         assert!(body.contains("snapshot version"));
+        assert!(body.contains("object_rel") && body.contains("by_pair"), "index lines: {body}");
         assert!(
             !body.contains("service:"),
             "no service counters in bare context: {body}"
