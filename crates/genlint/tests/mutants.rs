@@ -225,6 +225,46 @@ const MUTANTS: &[Mutant] = &[
         killer: "index_build_equiv::{last_key_skips_a_dead_greatest_run_entry, \
                  run_and_delta_reads_equal_a_scan_through_every_merge}",
     },
+    // --- the run's lanes: index_build_equiv's and index.rs's sweeps to judge ---
+    Mutant {
+        what: "a run's lanes ignore their columns' bases: every lane is an offset from 0",
+        path: "crates/relstore/src/index.rs",
+        needle: "base: if key_width == 1 { span.lo } else { [0; INLINE_WORDS] },",
+        replacement: "base: [0; INLINE_WORDS],",
+        fires: &[],
+        killer: "34 workspace tests: index::tests::run_delta_and_dead_marks_read_as_the_entries_they_hold, \
+                 index_build_equiv's named run/delta cases, heap_weight, gam's reopen tests among them",
+    },
+    Mutant {
+        what: "a probe outside the run's lanes skips the delta, so a key held there is free",
+        path: "crates/relstore/src/index.rs",
+        needle: "            None => 0..0,\n        };\n        let delta = self.delta.range((key.clone(), RowId(0))..);",
+        replacement: "            None => return true,\n        };\n        let delta = self.delta.range((key.clone(), RowId(0))..);",
+        fires: &[],
+        killer: "index_build_equiv::{a_probe_outside_the_runs_lanes_is_answered_by_the_delta, \
+                 run_and_delta_reads_equal_a_scan_through_every_merge}, \
+                 index::tests::run_delta_and_dead_marks_read_as_the_entries_they_hold, \
+                 and three gam/import tests",
+    },
+    Mutant {
+        what: "a merge keeps the old run's bounds, dead entries' included, so a run never narrows again",
+        path: "crates/relstore/src/index.rs",
+        needle: "        if old.dead_count > 0 {\n            // the old bounds",
+        replacement: "        if false {\n            // the old bounds",
+        fires: &[],
+        killer: "index_build_equiv::a_run_goes_wide_for_an_outlier_and_narrow_again_without_it, \
+                 index::tests::run_delta_and_dead_marks_read_as_the_entries_they_hold",
+    },
+    Mutant {
+        what: "a merge block-copies key lanes across a changed base",
+        path: "crates/relstore/src/index.rs",
+        needle: "let cells = |run: &Run| (run.key_width, run.row_width, run.base);",
+        replacement: "let cells = |run: &Run| (run.key_width, run.row_width);",
+        fires: &[],
+        killer: "index_build_equiv::{run_and_delta_reads_equal_a_scan_through_every_merge, \
+                 reopened_store_equals_the_closed_one}, index.rs's two run tests, \
+                 relstore prop and paged_prop, 17 genmapper tests; snapshot_stress hangs",
+    },
     // --- wal-bracket: the group-commit window ---
     Mutant {
         what: "Importer::import opens a group-commit window and never closes it",

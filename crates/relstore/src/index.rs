@@ -1,23 +1,30 @@
 //! In-memory ordered indexes mapping composite keys to row ids.
 //!
 //! An index is a frozen, key-sorted **run** plus a small B-tree **delta**.
-//! The run packs every entry's key words into one vector beside a parallel
-//! vector of row ids: when every key column is fixed-width (a non-nullable
-//! `Int` or `Float`) entries have a fixed stride and no per-entry length,
-//! otherwise an array of byte ends locates each key. Entries under one key
-//! are ordered by row id, so a multi index is a run with repeated keys, and
-//! "unique" is a check at insert and at build. [`IndexStore::build`] packs
-//! a sorted run of entries directly; entries inserted since live in the
-//! delta, a `BTreeSet` of `(key, row id)`, and run entries removed since are
-//! dead marks, a bitset allocated on the first removal. Once the delta and
-//! the dead marks together exceed `1 / MERGE_SHARE` of the run, they are
-//! merged into a fresh, exactly sized run. Every read sees the live run
-//! entries merged with the delta, in key-then-row order.
+//! Entries under one key are ordered by row id, so a multi index is a run
+//! with repeated keys, and "unique" is a check at insert and at build.
+//! [`IndexBuilder`] collects an index's entries at open and packs its run;
+//! entries inserted since live in the delta, a `BTreeSet` of `(key, row
+//! id)`, and run entries removed since are dead marks, a bitset allocated on
+//! the first removal. Once the delta and the dead marks together exceed
+//! `1 / MERGE_SHARE` of the run, they are merged into a fresh, exactly sized
+//! run. Every read sees the live run entries merged with the delta, in
+//! key-then-row order.
+//!
+//! A run packs its entries into `u32` **cells**, each value as narrow as
+//! the run's values allow. Where every key column is fixed-width (a
+//! non-nullable `Int` or `Float`), a key column is a **lane**: one cell
+//! holding the offset from that column's least word over the run, its
+//! *base*, where every column spans less than 2³², and two cells holding
+//! the whole word otherwise. A row id is one cell while every one fits.
+//! Other keys keep whole words, located by byte ends. Width belongs to one
+//! run: each build and each merge picks it again from the entries it packs.
+//! A probe is narrowed to the run's lanes once; one whose column lies
+//! outside them matches no run entry, and only the delta answers it.
 //!
 //! Keys are not `Vec<Value>`: a [`KeySpec`] encodes the schema-typed key
 //! columns into an [`IndexKey`], a short run of `u64` words held inline,
-//! whose word order is exactly the [`Value`] order of the column tuple. A
-//! run holds the same words ([`KeyRef`] borrows them from either), so a
+//! whose word order is exactly the [`Value`] order of the column tuple, so a
 //! comparison is a few word compares with no pointer chase.
 
 use crate::error::{StoreError, StoreResult};
@@ -26,7 +33,7 @@ use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
 use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
-use std::collections::{btree_set, BTreeSet};
+use std::collections::{btree_set, BTreeSet, TryReserveError};
 use std::iter::Peekable;
 use std::ops::Range;
 
@@ -108,7 +115,7 @@ impl PartialOrd for IndexKey {
 /// its length in bytes. Orders as [`IndexKey`] does — by words, then by
 /// length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyRef<'a> {
+struct KeyRef<'a> {
     words: &'a [u64],
     len: usize,
 }
@@ -122,6 +129,18 @@ impl<'a> From<&'a IndexKey> for KeyRef<'a> {
     }
 }
 
+impl From<KeyRef<'_>> for IndexKey {
+    fn from(key: KeyRef<'_>) -> Self {
+        // inline iff the key fits, as `KeyWriter::finish` decides
+        if key.len > 8 * INLINE_WORDS {
+            return IndexKey(Repr::Heap { len: key.len, words: key.words.into() });
+        }
+        let mut words = [0; INLINE_WORDS];
+        words.iter_mut().zip(key.words).for_each(|(w, k)| *w = *k);
+        IndexKey(Repr::Inline { len: key.len as u8, words })
+    }
+}
+
 impl KeyRef<'_> {
     fn byte(&self, i: usize) -> Option<u8> {
         if i >= self.len {
@@ -132,7 +151,7 @@ impl KeyRef<'_> {
     }
 
     /// True if this key's encoding begins with `prefix`'s.
-    pub fn starts_with(&self, prefix: KeyRef<'_>) -> bool {
+    fn starts_with(&self, prefix: KeyRef<'_>) -> bool {
         let n = prefix.len;
         if n > self.len {
             return false;
@@ -274,10 +293,11 @@ impl KeySpec {
     }
 
     /// Words every key takes when every key column is fixed-width (a
-    /// non-nullable `Int` or `Float`); 0 when key lengths vary.
+    /// non-nullable `Int` or `Float`) and the key fits inline; 0 when key
+    /// lengths vary.
     fn stride(&self) -> usize {
         let fixed = |c: &KeyColumn| !c.nullable && matches!(c.ty, ValueType::Int | ValueType::Float);
-        if self.columns.iter().all(fixed) {
+        if self.columns.len() <= INLINE_WORDS && self.columns.iter().all(fixed) {
             self.columns.len()
         } else {
             0
@@ -345,8 +365,8 @@ impl KeySpec {
 
     /// Decode a key (or a probe over the leading columns) back into its
     /// column values.
-    pub fn decode<'k>(&self, key: impl Into<KeyRef<'k>>) -> StoreResult<Vec<Value>> {
-        let key = key.into();
+    pub fn decode(&self, key: &IndexKey) -> StoreResult<Vec<Value>> {
+        let key = KeyRef::from(key);
         let mut bytes = (0..key.len).map_while(|i| key.byte(i)).peekable();
         let mut values = Vec::with_capacity(self.columns.len());
         for column in self.columns.iter() {
@@ -427,85 +447,233 @@ fn gallop(mut lo: usize, hi: usize, below: impl Fn(usize) -> bool) -> usize {
     partition(lo, hi.min(lo + step), below)
 }
 
-/// The frozen part of an index: entries in key-then-row order, their keys
-/// packed end to end beside a parallel vector of row ids.
-#[derive(Debug, Clone, Default)]
+/// What some entries need of a run's cells: each fixed-width key column's
+/// least and greatest word, and one past the greatest row id.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    columns: usize,
+    lo: [u64; INLINE_WORDS],
+    hi: [u64; INLINE_WORDS],
+    top: u64,
+}
+
+impl Span {
+    fn new(columns: usize) -> Span {
+        Span { columns, lo: [u64::MAX; INLINE_WORDS], hi: [0; INLINE_WORDS], top: 0 }
+    }
+
+    fn add(&mut self, key: &[u64], row: RowId) {
+        for (c, &word) in key.iter().enumerate().take(self.columns) {
+            self.lo[c] = self.lo[c].min(word);
+            self.hi[c] = self.hi[c].max(word);
+        }
+        self.top = self.top.max(row.0.saturating_add(1));
+    }
+
+    /// Cells a key column and a row id take: one `u32` where every key
+    /// column's words span less than 2³² (an offset from the column's least
+    /// word) and where every row id fits; two, a whole word, otherwise.
+    fn widths(&self) -> (usize, usize) {
+        let fits = |c: usize| self.hi[c].wrapping_sub(self.lo[c]) <= u32::MAX.into();
+        let narrow_rows = self.top <= u32::MAX.into();
+        (if (0..self.columns).all(fits) { 1 } else { 2 }, if narrow_rows { 1 } else { 2 })
+    }
+}
+
+/// The frozen part of an index: entries in key-then-row order, packed into
+/// `u32` cells.
+#[derive(Debug, Clone)]
 struct Run {
-    /// Words each key takes when all take the same; 0 when lengths vary.
+    /// Columns of a fixed-width key; 0 when key lengths vary.
     stride: usize,
-    words: Vec<u64>,
-    /// Variable-width keys only: entry `i`'s key ends at byte `ends[i]` of
-    /// `words`, having begun at the first word boundary at or after
+    /// The bounds of the entries the run was packed with: exact while none
+    /// is dead. Its `top` is one past the greatest row id held, so entering
+    /// a new row searches nothing.
+    span: Span,
+    /// Cells a key column's lane and a row id take, as [`Span::widths`].
+    key_width: usize,
+    row_width: usize,
+    /// Column `c` of a fixed-width key is `base[c]` plus its lane: the
+    /// column's least word where lanes are one cell, 0 where they are two.
+    base: [u64; INLINE_WORDS],
+    /// Entry `i` from cell `i * self.entry()` on: its key lanes where keys
+    /// are fixed-width, then its row id, each high cell first.
+    cells: Vec<u32>,
+    /// Variable-width keys: their words, entry `i`'s key ending at byte
+    /// `ends[i]`, having begun at the first word boundary at or after
     /// `ends[i - 1]`.
+    words: Vec<u64>,
     ends: Vec<u32>,
-    rows: Vec<RowId>,
     /// Entries removed since the run was built, a bit each; empty until the
     /// first removal.
     dead: Vec<u64>,
     dead_count: usize,
-    /// One past the greatest row id held, so entering a new row searches
-    /// nothing.
-    top: u64,
+}
+
+/// A key in the form a run holds it: a fixed-width key's lanes in the
+/// run's cells (the first `n`), or a variable-width key's words.
+enum Probe<'k> {
+    Cells { cells: [u32; 2 * INLINE_WORDS], n: usize },
+    Words(KeyRef<'k>),
+}
+
+/// `value` as `width` cells, high cell first, so that cells compare as the
+/// values do.
+fn split(value: u64, width: usize) -> impl Iterator<Item = u32> {
+    (0..width).rev().map(move |j| (value >> (32 * j)) as u32)
 }
 
 impl Run {
-    /// A run of `entries` entries whose keys take at most `words` words,
-    /// filled in order by `fill`. `None` once the keys outgrow the `u32`
-    /// byte ends (4 GiB).
-    fn pack(
-        stride: usize,
-        entries: usize,
-        words: usize,
-        fill: impl FnOnce(&mut Run) -> Option<()>,
-    ) -> Option<Run> {
-        let mut run = Run {
+    /// An empty run, in the narrowest cells the entries `span` bounds fit,
+    /// with room for `entries` of them whose keys take `words` words where
+    /// their lengths vary.
+    fn new(stride: usize, span: Span, entries: usize, words: usize) -> Run {
+        let (key_width, row_width) = span.widths();
+        let variable = usize::from(stride == 0);
+        Run {
             stride,
-            words: Vec::with_capacity(words),
-            ends: Vec::with_capacity(if stride == 0 { entries } else { 0 }),
-            rows: Vec::with_capacity(entries),
-            ..Run::default()
-        };
-        fill(&mut run)?;
-        run.words.shrink_to_fit(); // a merge's estimate counts dead entries' words too
-        Some(run)
+            span,
+            key_width,
+            row_width,
+            base: if key_width == 1 { span.lo } else { [0; INLINE_WORDS] },
+            cells: Vec::with_capacity(entries * (stride * key_width + row_width)),
+            words: Vec::with_capacity(words * variable),
+            ends: Vec::with_capacity(entries * variable),
+            dead: Vec::new(),
+            dead_count: 0,
+        }
+    }
+
+    /// Cells an entry takes.
+    fn entry(&self) -> usize {
+        self.stride * self.key_width + self.row_width
+    }
+
+    fn len(&self) -> usize {
+        self.cells.len() / self.entry()
+    }
+
+    /// The value the `width` cells from `at` hold.
+    fn cell(&self, at: usize, width: usize) -> u64 {
+        match width {
+            1 => self.cells[at].into(),
+            _ => u64::from(self.cells[at]) << 32 | u64::from(self.cells[at + 1]),
+        }
+    }
+
+    /// Append `value` in `width` cells; `None` if it does not fit.
+    fn put(&mut self, value: u64, width: usize) -> Option<()> {
+        (width == 2 || value <= u32::MAX.into()).then(|| self.cells.extend(split(value, width)))
+    }
+
+    /// Entry `i`'s lane for key column `c`.
+    fn key_lane(&self, i: usize, c: usize) -> u64 {
+        self.cell(i * self.entry() + c * self.key_width, self.key_width)
+    }
+
+    fn row(&self, i: usize) -> RowId {
+        RowId(self.cell(i * self.entry() + self.stride * self.key_width, self.row_width))
+    }
+
+    /// `word` as key column `c`'s lane, if its offset from the column's
+    /// base fits.
+    fn lane(&self, c: usize, word: u64) -> Option<u64> {
+        let offset = word.wrapping_sub(self.base[c]);
+        (self.key_width == 2 || offset <= u32::MAX.into()).then_some(offset)
     }
 
     /// Append an entry that sorts after every one held.
     fn push(&mut self, key: KeyRef<'_>, row: RowId) -> Option<()> {
         if self.stride == 0 {
             self.ends.push(u32::try_from(8 * self.words.len() + key.len).ok()?);
+            self.words.extend_from_slice(key.words);
         }
-        self.words.extend_from_slice(key.words);
-        self.rows.push(row);
-        self.top = self.top.max(row.0.saturating_add(1));
-        Some(())
+        for (c, &word) in key.words.iter().enumerate().take(self.stride) {
+            let lane = self.lane(c, word)?;
+            self.put(lane, self.key_width)?;
+        }
+        self.put(row.0, self.row_width)
     }
 
     /// Append the live entries at `range` of `src`, which sort after every
-    /// one held: one block copy where none is dead and keys are fixed-width.
+    /// one held: one block copy where none is dead and keys are fixed-width
+    /// in the same cells.
     fn copy_live(&mut self, src: &Run, range: Range<usize>) -> Option<()> {
-        if src.dead_count > 0 || src.stride == 0 {
+        let cells = |run: &Run| (run.key_width, run.row_width, run.base);
+        if src.dead_count > 0 || src.stride == 0 || cells(src) != cells(self) {
             let mut live = range.filter(|&i| !src.is_dead(i));
-            return live.try_for_each(|i| self.push(src.key(i), src.rows[i]));
+            return live.try_for_each(|i| src.with_key(i, |key| self.push(key, src.row(i))));
         }
-        self.words.extend_from_slice(&src.words[range.start * src.stride..range.end * src.stride]);
-        self.rows.extend_from_slice(&src.rows[range]);
-        self.top = self.top.max(src.top);
+        let n = src.entry();
+        self.cells.extend_from_slice(&src.cells[range.start * n..range.end * n]);
         Some(())
     }
 
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-
+    /// Entry `i`'s key, in a run of variable-width keys.
     fn key(&self, i: usize) -> KeyRef<'_> {
-        if self.stride > 0 {
-            let words = &self.words[i * self.stride..(i + 1) * self.stride];
-            return KeyRef { words, len: 8 * self.stride };
-        }
         let start = i.checked_sub(1).map_or(0, |prev| (self.ends[prev] as usize).div_ceil(8));
         let end = self.ends[i] as usize;
         KeyRef { words: &self.words[start..end.div_ceil(8)], len: end - 8 * start }
+    }
+
+    /// Hand `f` entry `i`'s key at full width.
+    fn with_key<R>(&self, i: usize, f: impl FnOnce(KeyRef<'_>) -> R) -> R {
+        if self.stride == 0 {
+            return f(self.key(i));
+        }
+        let mut words = self.base;
+        for (c, word) in words[..self.stride].iter_mut().enumerate() {
+            *word = word.wrapping_add(self.key_lane(i, c));
+        }
+        f(KeyRef { words: &words[..self.stride], len: 8 * self.stride })
+    }
+
+    /// `key` (a whole key, or a probe over the leading columns) in this
+    /// run's form; `None` if no entry can equal or extend it, because a
+    /// column lies outside the run's lanes.
+    fn probe<'k>(&self, key: KeyRef<'k>) -> Option<Probe<'k>> {
+        if self.stride == 0 {
+            return Some(Probe::Words(key));
+        }
+        let mut cells = [0; 2 * INLINE_WORDS];
+        for (c, &word) in key.words.iter().enumerate() {
+            let at = &mut cells[c * self.key_width..];
+            at.iter_mut().zip(split(self.lane(c, word)?, self.key_width)).for_each(|(a, b)| *a = b);
+        }
+        Some(Probe::Cells { cells, n: key.words.len() * self.key_width })
+    }
+
+    /// Entry `i`'s key lanes, `n` cells of them from the first.
+    fn lanes(&self, i: usize, n: usize) -> &[u32] {
+        &self.cells[i * self.entry()..][..n]
+    }
+
+    /// Entry `i`'s key against `probe`, in [`KeyRef`] order: a probe over
+    /// fewer columns sorts before every key it begins.
+    fn cmp_at(&self, i: usize, probe: &Probe<'_>) -> Ordering {
+        match probe {
+            Probe::Cells { cells, n } => self.lanes(i, self.stride * self.key_width).cmp(&cells[..*n]),
+            Probe::Words(key) => self.key(i).cmp(key),
+        }
+    }
+
+    /// True if entry `i`'s key begins with `probe`.
+    fn starts_at(&self, i: usize, probe: &Probe<'_>) -> bool {
+        match probe {
+            Probe::Cells { cells, n } => self.lanes(i, *n) == &cells[..*n],
+            Probe::Words(key) => self.key(i).starts_with(*key),
+        }
+    }
+
+    /// Entry `i` against the entry (`key`, `row`), compared at full width.
+    fn cmp_entry(&self, i: usize, key: KeyRef<'_>, row: RowId) -> Ordering {
+        self.with_key(i, |held| held.cmp(&key)).then_with(|| self.row(i).cmp(&row))
+    }
+
+    /// The first entry whose key the next one repeats.
+    fn repeated(&self) -> Option<usize> {
+        let next_equal = |i: usize| self.with_key(i, |a| self.with_key(i + 1, |b| a == b));
+        (0..self.len().saturating_sub(1)).find(|&i| next_equal(i))
     }
 
     fn is_dead(&self, i: usize) -> bool {
@@ -527,26 +695,127 @@ impl Run {
         }
     }
 
-    /// The first position whose key is not below `key`.
-    fn lower(&self, key: KeyRef<'_>) -> usize {
-        partition(0, self.len(), |i| self.key(i) < key)
+    /// The first position whose key is not below `probe`.
+    fn lower(&self, probe: &Probe<'_>) -> usize {
+        partition(0, self.len(), |i| self.cmp_at(i, probe).is_lt())
     }
 
-    /// The positions under exactly `key`, searched for by galloping from
+    /// The positions under exactly `probe`, searched for by galloping from
     /// `from`.
-    fn span(&self, key: KeyRef<'_>, from: usize) -> Range<usize> {
-        let lo = gallop(from, self.len(), |i| self.key(i) < key);
-        let hi = (lo..self.len()).find(|&i| self.key(i) != key).unwrap_or(self.len());
+    fn span(&self, probe: &Probe<'_>, from: usize) -> Range<usize> {
+        let lo = gallop(from, self.len(), |i| self.cmp_at(i, probe).is_lt());
+        let hi = (lo..self.len()).find(|&i| self.cmp_at(i, probe).is_ne()).unwrap_or(self.len());
         lo..hi
     }
 
     /// The position of the entry (`key`, `row`), dead or alive.
     fn find(&self, key: KeyRef<'_>, row: RowId) -> Option<usize> {
-        if row.0 >= self.top {
+        if row.0 >= self.span.top {
             return None;
         }
-        let at = gallop(self.lower(key), self.len(), |i| (self.key(i), self.rows[i]) < (key, row));
-        (at < self.len() && self.key(at) == key && self.rows[at] == row).then_some(at)
+        let probe = self.probe(key)?;
+        let entry = |i: usize| self.cmp_at(i, &probe).then_with(|| self.row(i).cmp(&row));
+        let at = gallop(self.lower(&probe), self.len(), |i| entry(i).is_lt());
+        (at < self.len() && entry(at).is_eq()).then_some(at)
+    }
+}
+
+/// Sort fixed-width keys of `N - 1` columns beside their rows, all of which
+/// fit one cell (`span` says so), as one `[u32; N]` an entry: the cells
+/// the run holds them in.
+fn narrow_run<const N: usize>(words: Vec<u64>, rows: Vec<RowId>, span: Span) -> Run {
+    let tuple = |(key, row): (&[u64], &RowId)| {
+        let mut cells = [row.0 as u32; N];
+        for ((cell, &word), &base) in cells.iter_mut().zip(key).zip(&span.lo) {
+            *cell = word.wrapping_sub(base) as u32;
+        }
+        cells
+    };
+    let mut tuples: Vec<[u32; N]> = words.chunks_exact(N - 1).zip(&rows).map(tuple).collect();
+    drop((words, rows));
+    if !tuples.is_sorted() {
+        tuples.sort_unstable();
+    }
+    Run { cells: tuples.into_flattened(), ..Run::new(N - 1, span, 0, 0) }
+}
+
+/// Collects an index's entries, one row at a time, for a bulk build:
+/// fixed-width keys as bare words beside their row ids, bounded as they
+/// come, so [`finish`](Self::finish) can narrow them before it sorts.
+pub struct IndexBuilder {
+    spec: KeySpec,
+    span: Span,
+    words: Vec<u64>,
+    rows: Vec<RowId>,
+    /// Variable-width keys, with their row ids.
+    keys: Vec<(IndexKey, RowId)>,
+}
+
+impl IndexBuilder {
+    /// An empty builder for the index `spec` encodes, with room for
+    /// `entries` entries exactly.
+    pub fn new(spec: KeySpec, entries: usize) -> Result<Self, TryReserveError> {
+        let span = Span::new(spec.stride());
+        let mut builder = IndexBuilder { spec, span, words: Vec::new(), rows: Vec::new(), keys: Vec::new() };
+        if span.columns == 0 {
+            builder.keys.try_reserve_exact(entries)?;
+        } else {
+            builder.words.try_reserve_exact(entries.saturating_mul(span.columns))?;
+            builder.rows.try_reserve_exact(entries)?;
+        }
+        Ok(builder)
+    }
+
+    /// The key codec of the index being built.
+    pub fn spec(&self) -> &KeySpec {
+        &self.spec
+    }
+
+    /// Add the entry (`key`, `row`).
+    pub fn push(&mut self, key: IndexKey, row: RowId) {
+        self.span.add(key.words(), row);
+        if self.span.columns == 0 {
+            self.keys.push((key, row));
+        } else {
+            self.words.extend_from_slice(key.words());
+            self.rows.push(row);
+        }
+    }
+
+    /// Sort the entries, check uniqueness by comparing neighbours, and pack
+    /// the run in the narrowest cells its entries fit. A duplicate key in a
+    /// unique index is a `UniqueViolation` naming `table` and the index.
+    pub fn finish(self, table: &str, def: &IndexDef) -> StoreResult<IndexStore> {
+        let IndexBuilder { spec, span, words, rows, mut keys } = self;
+        let run = match (span.widths(), span.columns) {
+            ((1, 1), 1) => Some(narrow_run::<2>(words, rows, span)),
+            ((1, 1), 2) => Some(narrow_run::<3>(words, rows, span)),
+            ((1, 1), 3) => Some(narrow_run::<4>(words, rows, span)),
+            ((1, 1), 4) => Some(narrow_run::<5>(words, rows, span)),
+            (_, stride) => {
+                let len = 8 * stride;
+                let fixed = words.chunks_exact(stride.max(1)).zip(rows);
+                keys.extend(fixed.map(|(words, row)| (KeyRef { words, len }.into(), row)));
+                if !keys.is_sorted() {
+                    keys.sort_unstable();
+                }
+                let words = keys.iter().map(|(key, _)| key.words().len()).sum();
+                let mut run = Run::new(stride, span, keys.len(), words);
+                keys.iter().try_for_each(|(key, row)| run.push(key.into(), *row)).map(|()| run)
+            }
+        };
+        let index = &def.name;
+        let run = run.ok_or_else(|| {
+            StoreError::Unsupported(format!("index {index} of table {table} holds over 4 GiB of keys"))
+        })?;
+        if let Some(i) = def.unique.then(|| run.repeated()).flatten() {
+            return Err(StoreError::UniqueViolation {
+                table: table.to_owned(),
+                index: index.clone(),
+                key: format_key(&spec.decode(&run.with_key(i, |key| key.into()))?),
+            });
+        }
+        Ok(IndexStore { spec, unique: def.unique, run, delta: BTreeSet::new() })
     }
 }
 
@@ -571,42 +840,8 @@ pub struct IndexStore {
 impl IndexStore {
     /// Fresh empty index.
     pub fn new(spec: KeySpec, unique: bool) -> Self {
-        let run = Run { stride: spec.stride(), ..Run::default() };
+        let run = Run::new(spec.stride(), Span::new(spec.stride()), 0, 0);
         IndexStore { spec, unique, run, delta: BTreeSet::new() }
-    }
-
-    /// Bulk-build an index from all its entries at once: sort them (only
-    /// if they are not already in key order), check uniqueness by
-    /// comparing neighbours, and pack the sorted run. A duplicate key in a
-    /// unique index is a `UniqueViolation` naming `table` and the index.
-    pub fn build(
-        table: &str,
-        def: &IndexDef,
-        spec: KeySpec,
-        mut entries: Vec<(IndexKey, RowId)>,
-    ) -> StoreResult<Self> {
-        if !entries.is_sorted() {
-            entries.sort_unstable();
-        }
-        if def.unique {
-            if let Some(pair) = entries.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-                return Err(StoreError::UniqueViolation {
-                    table: table.to_owned(),
-                    index: def.name.clone(),
-                    key: format_key(&spec.decode(&pair[0].0)?),
-                });
-            }
-        }
-        let mut ix = IndexStore::new(spec, def.unique);
-        let words = entries.iter().map(|(key, _)| key.words().len()).sum();
-        let fill = |run: &mut Run| {
-            entries.iter().try_for_each(|(key, row)| run.push(key.into(), *row))
-        };
-        ix.run = Run::pack(ix.run.stride, entries.len(), words, fill).ok_or_else(|| {
-            let index = &def.name;
-            StoreError::Unsupported(format!("index {index} of table {table} holds over 4 GiB of keys"))
-        })?;
-        Ok(ix)
     }
 
     /// The key codec of this index.
@@ -628,15 +863,14 @@ impl IndexStore {
             delta: self.delta.len(),
             dead: run.dead_count,
             bytes: size_of::<u64>() * (run.words.capacity() + run.dead.capacity())
-                + size_of::<u32>() * run.ends.capacity()
-                + size_of::<RowId>() * run.rows.capacity()
+                + size_of::<u32>() * (run.ends.capacity() + run.cells.capacity())
                 + size_of::<(IndexKey, RowId)>() * self.delta.len(),
         }
     }
 
     /// True if inserting `key` would violate uniqueness.
     pub fn would_conflict(&self, key: &IndexKey) -> bool {
-        self.unique && !self.lookup(key, |_, _| false)
+        self.unique && !self.lookup(key, |_| false)
     }
 
     /// Enter (`key`, `row_id`), which must not break uniqueness: a table
@@ -687,47 +921,57 @@ impl IndexStore {
     }
 
     /// Merge `entries` (sorted, none held) and the live run entries into a
-    /// fresh, exactly sized run. Keys past 4 GiB go to the delta instead,
-    /// merged on every read.
+    /// fresh, exactly sized run, in the cells they need. Keys past 4 GiB go
+    /// to the delta instead, merged on every read.
     fn merge(&mut self, entries: Vec<(IndexKey, RowId)>) {
         let old = &self.run;
-        let added: usize = entries.iter().map(|(key, _)| key.words().len()).sum();
-        let words = old.words.len() + added;
-        let fill = |run: &mut Run| {
-            let mut at = 0;
-            for (key, row) in &entries {
-                let entry = (KeyRef::from(key), *row);
-                let upto = gallop(at, old.len(), |i| (old.key(i), old.rows[i]) < entry);
-                run.copy_live(old, at..upto)?;
-                run.push(entry.0, *row)?;
-                at = upto;
+        let mut span = old.span;
+        if old.dead_count > 0 {
+            // the old bounds may hold only dead entries: a fresh run of the
+            // live ones is as narrow as they are
+            span = Span::new(old.stride);
+            for i in (0..old.len()).filter(|&i| !old.is_dead(i)) {
+                old.with_key(i, |key| span.add(key.words, old.row(i)));
             }
-            run.copy_live(old, at..old.len())
-        };
-        match Run::pack(old.stride, old.len() - old.dead_count + entries.len(), words, fill) {
-            Some(run) => self.run = run,
+        }
+        entries.iter().for_each(|(key, row)| span.add(key.words(), *row));
+        let added: usize = entries.iter().map(|(key, _)| key.words().len()).sum();
+        let live = old.len() - old.dead_count + entries.len();
+        let mut run = Run::new(old.stride, span, live, old.words.len() + added);
+        let mut at = 0;
+        let filled = entries.iter().try_for_each(|(key, row)| {
+            let upto = gallop(at, old.len(), |i| old.cmp_entry(i, key.into(), *row).is_lt());
+            run.copy_live(old, at..upto)?;
+            at = upto;
+            run.push(key.into(), *row)
+        });
+        match filled.and_then(|()| run.copy_live(old, at..old.len())) {
+            Some(()) => {
+                run.words.shrink_to_fit(); // the estimate counts dead entries' words too
+                self.run = run;
+            }
             None => self.delta.extend(entries),
         }
     }
 
-    /// Feed `f` the live run entries at `run` and the delta entries
-    /// `delta` (ascending, within the same key bounds) one by one, in
-    /// key-then-row order, until it returns `false`; returns whether it ran
-    /// to the end.
+    /// Feed `f` the live run entries at `run` (`Ok` of a position) and the
+    /// delta entries `delta` (`Err`; ascending, within the same key bounds)
+    /// one by one, in key-then-row order, until it returns `false`; returns
+    /// whether it ran to the end.
     fn merged<'a>(
         &'a self,
         run: Range<usize>,
         delta: impl Iterator<Item = &'a (IndexKey, RowId)>,
-        mut f: impl FnMut(KeyRef<'a>, RowId) -> bool,
+        mut f: impl FnMut(Result<usize, &'a (IndexKey, RowId)>) -> bool,
     ) -> bool {
-        let live = |range: Range<usize>, f: &mut dyn FnMut(KeyRef<'a>, RowId) -> bool| {
-            range.filter(|&i| !self.run.is_dead(i)).all(|i| f(self.run.key(i), self.run.rows[i]))
+        let live = |range: Range<usize>, f: &mut dyn FnMut(Result<usize, _>) -> bool| {
+            range.filter(|&i| !self.run.is_dead(i)).all(|i| f(Ok(i)))
         };
         let mut at = run.start;
-        for (key, row) in delta {
-            let entry = (KeyRef::from(key), *row);
-            let upto = gallop(at, run.end, |i| (self.run.key(i), self.run.rows[i]) < entry);
-            if !live(at..upto, &mut f) || !f(entry.0, entry.1) {
+        for entry in delta {
+            let (key, row) = (KeyRef::from(&entry.0), entry.1);
+            let upto = gallop(at, run.end, |i| self.run.cmp_entry(i, key, row).is_lt());
+            if !live(at..upto, &mut f) || !f(Err(entry)) {
                 return false;
             }
             at = upto;
@@ -735,16 +979,25 @@ impl IndexStore {
         live(at..run.end, &mut f)
     }
 
-    /// Feed `f` the live entries under exactly `key`, in row order, until it
-    /// returns `false`; returns whether it ran to the end.
-    pub fn lookup<'a>(
+    /// [`merged`](Self::merged), feeding `f` each entry's row id.
+    fn rows<'a>(
         &'a self,
-        key: &IndexKey,
-        f: impl FnMut(KeyRef<'a>, RowId) -> bool,
+        run: Range<usize>,
+        delta: impl Iterator<Item = &'a (IndexKey, RowId)>,
+        mut f: impl FnMut(RowId) -> bool,
     ) -> bool {
-        let mut cursor = self.cursor();
-        cursor.at = self.run.lower(key.into());
-        self.seek(key, &mut cursor, f)
+        self.merged(run, delta, |entry| f(entry.map_or_else(|&(_, row)| row, |i| self.run.row(i))))
+    }
+
+    /// Feed `f` the row ids of the live entries under exactly `key`, in row
+    /// order, until it returns `false`; returns whether it ran to the end.
+    pub fn lookup(&self, key: &IndexKey, f: impl FnMut(RowId) -> bool) -> bool {
+        let run = match self.run.probe(key.into()) {
+            Some(probe) => self.run.span(&probe, self.run.lower(&probe)),
+            None => 0..0,
+        };
+        let delta = self.delta.range((key.clone(), RowId(0))..);
+        self.rows(run, delta.take_while(|(d, _)| d == key), f)
     }
 
     /// A cursor for [`seek`](Self::seek), before every entry.
@@ -761,43 +1014,48 @@ impl IndexStore {
         &'a self,
         key: &IndexKey,
         cursor: &mut Cursor<'a>,
-        f: impl FnMut(KeyRef<'a>, RowId) -> bool,
+        f: impl FnMut(RowId) -> bool,
     ) -> bool {
-        let span = self.run.span(key.into(), cursor.at);
+        let at = cursor.at;
+        let span = self.run.probe(key.into()).map_or(at..at, |probe| self.run.span(&probe, at));
         cursor.at = span.end;
         if cursor.delta.peek().is_some_and(|(d, _)| d < key) {
             cursor.delta = self.delta.range((key.clone(), RowId(0))..).peekable();
         }
         let delta = std::iter::from_fn(|| cursor.delta.next_if(|(d, _)| d == key));
-        self.merged(span, delta, f)
+        self.rows(span, delta, f)
     }
 
-    /// Feed `f` the live entries of every key that starts with `prefix` (a
-    /// probe over the leading key columns), in key-then-row order, until it
-    /// returns `false`. Such keys sort at or after the prefix, contiguously.
-    pub fn visit_prefix<'a>(
-        &'a self,
-        prefix: &IndexKey,
-        f: impl FnMut(KeyRef<'a>, RowId) -> bool,
-    ) -> bool {
-        let p = KeyRef::from(prefix);
-        let lo = self.run.lower(p);
-        let hi = gallop(lo, self.run.len(), |i| self.run.key(i).starts_with(p));
+    /// Feed `f` the row ids of the live entries of every key that starts
+    /// with `prefix` (a probe over the leading key columns), in key-then-row
+    /// order, until it returns `false`. Such keys sort at or after the
+    /// prefix, contiguously.
+    pub fn visit_prefix(&self, prefix: &IndexKey, f: impl FnMut(RowId) -> bool) -> bool {
+        let run = match self.run.probe(prefix.into()) {
+            Some(probe) => {
+                let lo = self.run.lower(&probe);
+                lo..gallop(lo, self.run.len(), |i| self.run.starts_at(i, &probe))
+            }
+            None => 0..0,
+        };
         let delta = self.delta.range((prefix.clone(), RowId(0))..);
-        self.merged(lo..hi, delta.take_while(|(k, _)| k.starts_with(prefix)), f)
+        self.rows(run, delta.take_while(|(k, _)| k.starts_with(prefix)), f)
     }
 
-    /// Feed `f` every live entry, in key-then-row order, until it returns
-    /// `false`.
-    pub fn visit_all<'a>(&'a self, f: impl FnMut(KeyRef<'a>, RowId) -> bool) -> bool {
-        self.merged(0..self.run.len(), self.delta.iter(), f)
+    /// Feed `f` every live entry, its key widened back to whole words, in
+    /// key-then-row order, until it returns `false`.
+    pub fn visit_all(&self, mut f: impl FnMut(IndexKey, RowId) -> bool) -> bool {
+        self.merged(0..self.run.len(), self.delta.iter(), |entry| match entry {
+            Ok(i) => f(self.run.with_key(i, |key| key.into()), self.run.row(i)),
+            Err((key, row)) => f(key.clone(), *row),
+        })
     }
 
     /// The greatest live key, if the index is not empty.
-    pub fn last_key(&self) -> Option<KeyRef<'_>> {
+    pub fn last_key(&self) -> Option<IndexKey> {
         let run = (0..self.run.len()).rev().find(|&i| !self.run.is_dead(i));
-        let delta = self.delta.last().map(|(key, _)| KeyRef::from(key));
-        run.map(|i| self.run.key(i)).max(delta)
+        let delta = self.delta.last().map(|(key, _)| key.clone());
+        run.map(|i| self.run.with_key(i, |key| key.into())).max(delta)
     }
 }
 
@@ -817,9 +1075,11 @@ mod tests {
             .column(Column::new("a", ValueType::Int))
             .column(Column::new("b", ValueType::Text))
             .column(Column::nullable("c", ValueType::Float))
+            .column(Column::new("d", ValueType::Float))
             .index("by_a", &["a"])
             .index("by_ab", &["a", "b"])
             .index("by_cb", &["c", "b"])
+            .index("by_da", &["d", "a"])
             .build()
             .unwrap()
     }
@@ -928,10 +1188,17 @@ mod tests {
         assert!(!ab(1, "a\0b").starts_with(&ab(1, "a")));
     }
 
+    /// Bulk-build an index from `entries`, as a table's open does.
+    fn build(def: &IndexDef, spec: KeySpec, entries: Vec<(IndexKey, RowId)>) -> StoreResult<IndexStore> {
+        let mut builder = IndexBuilder::new(spec, entries.len()).unwrap();
+        entries.into_iter().for_each(|(key, row)| builder.push(key, row));
+        builder.finish("t", def)
+    }
+
     /// Row ids under `key`, as reads see them.
     fn ids(ix: &IndexStore, key: &IndexKey) -> Vec<RowId> {
         let mut out = Vec::new();
-        ix.lookup(key, |_, id| {
+        ix.lookup(key, |id| {
             out.push(id);
             true
         });
@@ -942,7 +1209,7 @@ mod tests {
     fn live_entries(ix: &IndexStore) -> Vec<(Vec<Value>, RowId)> {
         let mut out = Vec::new();
         ix.visit_all(|key, id| {
-            out.push((ix.spec().decode(key).unwrap(), id));
+            out.push((ix.spec().decode(&key).unwrap(), id));
             true
         });
         out
@@ -980,36 +1247,101 @@ mod tests {
         assert_eq!(ix.last_key(), None, "an emptied key is gone");
     }
 
-    /// A random key of `by_a` (fixed width) or `by_ab` (variable width).
-    fn random_key(rng: &mut testkit::Prng, name: &str) -> Vec<Value> {
-        let a = Value::Int(rng.below(12) as i64);
-        match name {
-            "by_a" => vec![a],
-            _ => vec![a, Value::text("x".repeat(9 * rng.below(3)))],
+    /// What a case draws its values from. Ints and floats are a few
+    /// neighbours and one outlier, whose distance from the least is just
+    /// below or exactly 2³² (i64::MIN and i64::MAX among them); row ids run
+    /// from 0, or straddle `u32::MAX`. A fixed-width run's key lanes are
+    /// narrow exactly while it holds no outlier at 2³², its row lanes
+    /// while it holds no row id past `u32::MAX - 1`.
+    struct Pools {
+        ints: Vec<i64>,
+        floats: Vec<f64>,
+        rows: std::ops::Range<u64>,
+        /// One draw in `outlier` takes the outlier.
+        outlier: usize,
+    }
+
+    impl Pools {
+        fn new(rng: &mut testkit::Prng) -> Pools {
+            let far = (1u64 << 32) - 1 + rng.below(2) as u64;
+            let int = [0, -6, i64::MIN, i64::MAX - far as i64][rng.below(4)];
+            let float = [1.0f64, -1.0][rng.below(2)].to_bits();
+            let row = [0, u64::from(u32::MAX) - 30][rng.below(2)];
+            Pools {
+                ints: (0..6).map(|k| int + k).chain([int + far as i64]).collect(),
+                floats: [0, 1, 2, far].map(|k| f64::from_bits(float + k)).to_vec(),
+                rows: row..row + 60,
+                outlier: [4, 16, 64][rng.below(3)],
+            }
         }
+
+        fn pick<T: Copy>(&self, rng: &mut testkit::Prng, pool: &[T]) -> T {
+            match rng.below(self.outlier) {
+                0 => pool[pool.len() - 1],
+                _ => pool[rng.below(pool.len() - 1)],
+            }
+        }
+
+        fn row(&self, rng: &mut testkit::Prng) -> RowId {
+            RowId(self.rows.start + rng.below(60) as u64)
+        }
+
+        /// A random key of `by_a` or `by_da` (fixed width), or `by_ab`
+        /// (variable width).
+        fn key(&self, rng: &mut testkit::Prng, name: &str) -> Vec<Value> {
+            let a = Value::Int(self.pick(rng, &self.ints));
+            match name {
+                "by_a" => vec![a],
+                "by_da" => vec![Value::Float(self.pick(rng, &self.floats)), a],
+                _ => vec![a, Value::text("x".repeat(9 * rng.below(3)))],
+            }
+        }
+
+        /// Every key a case can draw, ascending.
+        fn keys(&self, name: &str) -> Vec<Vec<Value>> {
+            let ints = self.ints.iter().map(|&a| Value::Int(a));
+            let mut keys: Vec<Vec<Value>> = match name {
+                "by_a" => ints.map(|a| vec![a]).collect(),
+                "by_da" => ints
+                    .flat_map(|a| self.floats.iter().map(move |&d| vec![Value::Float(d), a.clone()]))
+                    .collect(),
+                _ => ints.flat_map(|a| ["", "xxxxxxxxx"].map(|t| vec![a.clone(), Value::text(t)])).collect(),
+            };
+            keys.sort();
+            keys
+        }
+    }
+
+    /// Whether a run's key lanes and row lanes are narrow.
+    fn widths(ix: &IndexStore) -> (bool, bool) {
+        (ix.run.key_width == 1, ix.run.row_width == 1)
     }
 
     #[test]
     fn run_delta_and_dead_marks_read_as_the_entries_they_hold() {
         let mut merges = 0;
-        testkit::cases(24, |rng| {
-            let (name, unique) = (["by_a", "by_ab"][rng.below(2)], rng.gen_bool(0.5));
+        // how often a merge took key lanes and row lanes narrow -> wide and back
+        let (mut keys_went, mut rows_went) = ([0; 2], [0; 2]);
+        testkit::cases(32, |rng| {
+            let (name, unique) = (["by_a", "by_ab", "by_da"][rng.below(3)], rng.gen_bool(0.5));
+            let pools = Pools::new(rng);
             let spec = spec(name);
             let def = IndexDef { unique, ..schema().index(name).unwrap().clone() };
             let mut model = std::collections::BTreeSet::new();
-            for row in 0..rng.below(40) as u64 {
-                let key = random_key(rng, name);
+            for _ in 0..rng.below(40) {
+                let (key, row) = (pools.key(rng, name), pools.row(rng));
                 if !unique || !model.iter().any(|(k, _)| *k == key) {
-                    model.insert((key, RowId(row)));
+                    model.insert((key, row));
                 }
             }
             let run = model.iter().map(|(k, r)| (spec.probe(k).unwrap(), *r)).collect();
-            let mut ix = IndexStore::build("t", &def, spec.clone(), run).unwrap();
+            let mut ix = build(&def, spec.clone(), run).unwrap();
             for _ in 0..200 {
-                let (key, row) = (random_key(rng, name), RowId(rng.below(60) as u64));
-                let probe = spec.probe(&key).unwrap();
+                let (mut key, mut row) = (pools.key(rng, name), pools.row(rng));
                 let pending = ix.stats().delta + ix.stats().dead;
+                let before = widths(&ix);
                 if rng.gen_bool(0.6) {
+                    let probe = spec.probe(&key).unwrap();
                     // as a table does: a unique index is probed first
                     let taken = model.iter().any(|(k, _)| *k == key);
                     assert_eq!(ix.would_conflict(&probe), unique && taken, "probe {key:?}");
@@ -1018,27 +1350,34 @@ mod tests {
                         model.insert((key, row));
                     }
                 } else {
-                    ix.remove(&probe, row);
+                    // half the removals take an entry that is held
+                    if let Some(held) = model.iter().nth(rng.below(2 * model.len().max(1))) {
+                        (key, row) = held.clone();
+                    }
+                    ix.remove(&spec.probe(&key).unwrap(), row);
                     model.remove(&(key, row));
                 }
-                merges += usize::from(pending > 0 && ix.stats().delta + ix.stats().dead == 0);
+                let merged = pending > 0 && ix.stats().delta + ix.stats().dead == 0;
+                merges += usize::from(merged);
+                let after = widths(&ix);
+                if before.0 != after.0 {
+                    keys_went[usize::from(after.0)] += 1;
+                }
+                if before.1 != after.1 {
+                    rows_went[usize::from(after.1)] += 1;
+                }
                 assert_eq!(live_entries(&ix), model.iter().cloned().collect::<Vec<_>>());
                 assert_eq!(ix.entry_count(), model.len());
-                let last = ix.last_key().map(|key| ix.spec().decode(key).unwrap());
+                let last = ix.last_key().map(|key| ix.spec().decode(&key).unwrap());
                 assert_eq!(last.as_ref(), model.last().map(|(k, _)| k));
                 // every key, point-probed and sought in order through one cursor
                 let mut cursor = ix.cursor();
-                let mut keys: Vec<Vec<Value>> = (0..12)
-                    .flat_map(|a| ["", "xxxxxxxxx"].map(|t| [Value::Int(a), Value::text(t)]))
-                    .map(|key| key[..spec.columns.len()].to_vec())
-                    .collect();
-                keys.dedup();
-                for key in keys {
+                for key in pools.keys(name) {
                     let want: Vec<RowId> = model.iter().filter(|(k, _)| *k == key).map(|e| e.1).collect();
                     let probe = spec.probe(&key).unwrap();
                     assert_eq!(ids(&ix, &probe), want);
                     let mut sought = Vec::new();
-                    ix.seek(&probe, &mut cursor, |_, id| {
+                    ix.seek(&probe, &mut cursor, |id| {
                         sought.push(id);
                         true
                     });
@@ -1046,16 +1385,18 @@ mod tests {
                     assert_eq!(ix.would_conflict(&probe), unique && !want.is_empty());
                     let prefix = spec.probe(&key[..1]).unwrap();
                     let mut under = Vec::new();
-                    ix.visit_prefix(&prefix, |key, id| {
-                        under.push((ix.spec().decode(key).unwrap(), id));
+                    ix.visit_prefix(&prefix, |id| {
+                        under.push(id);
                         true
                     });
-                    let want: Vec<_> = model.iter().filter(|(k, _)| k[0] == key[0]).cloned().collect();
+                    let want: Vec<_> = model.iter().filter(|(k, _)| k[0] == key[0]).map(|e| e.1).collect();
                     assert_eq!(under, want);
                 }
             }
         });
-        assert!(merges > 24 * 3, "the sweep merged {merges} times");
+        assert!(merges > 32 * 3, "the sweep merged {merges} times");
+        assert!(keys_went.iter().all(|&n| n > 0), "key lanes went wide, narrow: {keys_went:?}");
+        assert!(rows_went.iter().all(|&n| n > 0), "row lanes went wide, narrow: {rows_went:?}");
     }
 
     #[test]
@@ -1067,7 +1408,7 @@ mod tests {
         let hits = |a: i64| {
             let mut out = Vec::new();
             let prefix = ix.spec().probe(&[Value::Int(a)]).unwrap();
-            ix.visit_prefix(&prefix, |_, id| {
+            ix.visit_prefix(&prefix, |id| {
                 out.push(id);
                 true
             });
@@ -1087,21 +1428,21 @@ mod tests {
             .collect();
         let s = schema();
         let by_a = s.index("by_a").unwrap();
-        let built = IndexStore::build("t", by_a, spec("by_a"), entries.clone()).unwrap();
+        let built = build(by_a, spec("by_a"), entries.clone()).unwrap();
         let mut grown = IndexStore::new(spec("by_a"), false);
         for (key, id) in entries.clone() {
             grown.insert(key, id);
         }
         assert_eq!(live_entries(&built), live_entries(&grown));
         assert_eq!(ids(&built, &k(&[5])), [RowId(0), RowId(2)]);
-        // a bulk-built run weighs its key words and row ids, nothing more
-        assert_eq!(built.stats().bytes, 6 * 16);
+        // a bulk-built run weighs a u32 key lane and a u32 row id an entry
+        assert_eq!(built.stats().bytes, 6 * 8);
         // the unique build names the duplicated key
         let unique = IndexDef {
             unique: true,
             ..by_a.clone()
         };
-        let dup = IndexStore::build("t", &unique, spec("by_a"), entries).unwrap_err();
+        let dup = build(&unique, spec("by_a"), entries).unwrap_err();
         assert!(matches!(
             dup,
             StoreError::UniqueViolation { ref table, ref index, ref key }

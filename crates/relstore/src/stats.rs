@@ -24,8 +24,9 @@ pub struct IndexStats {
     pub delta: usize,
     /// Run entries removed since the run was built.
     pub dead: usize,
-    /// Resident bytes: the run and its dead marks by capacity, the delta's
-    /// entries by size.
+    /// Resident bytes: the run's key lanes or words, row ids and dead marks
+    /// by capacity, at the widths the run picked; the delta's entries by
+    /// size.
     pub bytes: usize,
 }
 
@@ -191,9 +192,10 @@ mod tests {
         };
         let pk = index(&db, "pk");
         assert_eq!(pk.entries, 1000);
-        // an int key is one word beside its row id: 16 B an entry in the
-        // run, 48 in the delta, which holds at most an eighth of the run
-        assert!((16 * 1000..=16 * 1000 + 48 * 125).contains(&pk.bytes), "{pk:?}");
+        // ids 0..1000 are one u32 key lane beside a u32 row id: 8 B an
+        // entry in the run, 48 in the delta, which holds at most an eighth
+        // of the run
+        assert!((8 * 1000..=8 * 1000 + 48 * 125).contains(&pk.bytes), "{pk:?}");
         assert!(index(&db, "by_acc").bytes > pk.bytes, "a text key takes its words and a byte end");
         // a removal drops a delta entry or marks a run entry dead
         db.with_txn(|txn| txn.delete("t", RowId(999)).map(drop)).unwrap();

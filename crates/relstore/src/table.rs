@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
-use crate::index::{format_key, IndexKey, IndexStore, KeySpec};
+use crate::index::{format_key, IndexBuilder, IndexKey, IndexStore, KeySpec};
 use crate::codec::{get_count, get_value_into};
 use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
@@ -406,37 +406,32 @@ pub struct Table {
 
 /// Build the indexes `defs` of `schema` over the live rows of `store` —
 /// the one place rows become an index. One pass over the rows (one fault per
-/// page) projects every key; each index is then bulk-built from its run,
-/// which arrives in row-id order and is sorted only if that is not already
+/// page) projects every key into its index's [`IndexBuilder`], which
+/// receives them in row-id order and sorts them only if that is not already
 /// key order. Returns the structures and the number of live rows seen; the
-/// runs are sized once for the `expect` rows the caller counts on.
+/// builders are sized once for the `expect` rows the caller counts on.
 fn index_rows(
     schema: &Schema,
     defs: &[&IndexDef],
     store: &PagedRows,
     expect: usize,
 ) -> StoreResult<(Vec<IndexStore>, usize)> {
-    let specs: Vec<KeySpec> = defs.iter().map(|def| KeySpec::new(schema, def)).collect();
-    let mut runs: Vec<Vec<(IndexKey, RowId)>> = vec![Vec::new(); defs.len()];
-    for run in &mut runs {
-        // the count may come from a file: one no memory could hold is corruption
-        run.try_reserve_exact(expect).map_err(|_| {
-            StoreError::Corrupt(format!("table {}: {expect} live rows", schema.name()))
-        })?;
-    }
+    // the count may come from a file: one no memory could hold is corruption
+    let corrupt = |_| StoreError::Corrupt(format!("table {}: {expect} live rows", schema.name()));
+    let builders = defs.iter().map(|def| IndexBuilder::new(KeySpec::new(schema, def), expect).map_err(corrupt));
+    let mut builders = builders.collect::<StoreResult<Vec<_>>>()?;
     let mut live = 0usize;
     store.for_each(&mut |id, row| {
         live += 1;
-        for (spec, run) in specs.iter().zip(runs.iter_mut()) {
-            run.push((spec.row_key(row.values())?, id));
+        for builder in &mut builders {
+            builder.push(builder.spec().row_key(row.values())?, id);
         }
         Ok(())
     })?;
     let built = defs
         .iter()
-        .zip(specs)
-        .zip(runs)
-        .map(|((def, spec), run)| IndexStore::build(schema.name(), def, spec, run))
+        .zip(builders)
+        .map(|(def, builder)| builder.finish(schema.name(), def))
         .collect::<StoreResult<_>>()?;
     Ok((built, live))
 }
@@ -708,7 +703,7 @@ impl Table {
                     .find(|pair| pair[0].0 == pair[1].0)
                     .map(|pair| &pair[0])
                     .or_else(|| {
-                        run.iter().find(|(key, _)| !ix.seek(key, &mut cursor, |_, _| false))
+                        run.iter().find(|(key, _)| !ix.seek(key, &mut cursor, |_| false))
                     });
                 if let Some((_, id)) = clash {
                     return Err(self.violation(def, &rows[(id.0 - first) as usize]));
@@ -892,7 +887,7 @@ impl Table {
         match ix.spec().probe(key) {
             Some(key) => self.walk(
                 |sink| {
-                    ix.lookup(&key, |_, id| sink(id));
+                    ix.lookup(&key, sink);
                 },
                 visit,
             ),
@@ -910,7 +905,7 @@ impl Table {
         match ix.spec().probe(prefix) {
             Some(prefix) => self.walk(
                 |sink| {
-                    ix.visit_prefix(&prefix, |_, id| sink(id));
+                    ix.visit_prefix(&prefix, sink);
                 },
                 visit,
             ),
@@ -943,7 +938,7 @@ impl Table {
         let ix = self.index(index)?;
         let mut hit = None;
         if let Some(key) = ix.spec().probe(key) {
-            ix.lookup(&key, |_, id| {
+            ix.lookup(&key, |id| {
                 hit = Some(id);
                 false
             });
@@ -1007,7 +1002,7 @@ impl Table {
                 let mut cursor = ix.cursor();
                 for probes in keys.chunk_by(|a, b| a.0 == b.0) {
                     asked.set(probes);
-                    if !ix.seek(&probes[0].0, &mut cursor, |_, id| sink(id)) {
+                    if !ix.seek(&probes[0].0, &mut cursor, &mut *sink) {
                         return;
                     }
                 }
@@ -1023,7 +1018,7 @@ impl Table {
         let ix = self.index(index)?;
         let mut ids = Vec::new();
         if let Some(prefix) = ix.spec().probe(prefix) {
-            ix.visit_prefix(&prefix, |_, id| {
+            ix.visit_prefix(&prefix, |id| {
                 ids.push(id);
                 true
             });
@@ -1037,7 +1032,7 @@ impl Table {
         let ix = self.index(index)?;
         let mut n = 0;
         if let Some(prefix) = ix.spec().probe(prefix) {
-            ix.visit_prefix(&prefix, |_, _| {
+            ix.visit_prefix(&prefix, |_| {
                 n += 1;
                 true
             });
@@ -1050,7 +1045,7 @@ impl Table {
     /// handed out, without touching a row.
     pub fn last_key(&self, index: &str) -> StoreResult<Option<Vec<Value>>> {
         let ix = self.index(index)?;
-        ix.last_key().map(|key| ix.spec().decode(key)).transpose()
+        ix.last_key().map(|key| ix.spec().decode(&key)).transpose()
     }
 
     /// Batched columnar scan over an index prefix: rows are visited in index
@@ -1180,7 +1175,7 @@ impl Table {
         if let Some((ix, key)) = self.pick_index(predicate) {
             self.walk(
                 |sink| {
-                    ix.lookup(&key, |_, id| sink(id));
+                    ix.lookup(&key, sink);
                 },
                 |cursor, id| cursor.with(id, |row| keep(id, row)),
             )?;
@@ -1237,7 +1232,7 @@ impl Table {
             entries.push((key, id));
             true
         });
-        entries.into_iter().map(|(key, id)| Ok((ix.spec().decode(key)?, id))).collect()
+        entries.into_iter().map(|(key, id)| Ok((ix.spec().decode(&key)?, id))).collect()
     }
 
     /// `SELECT column, COUNT(*) GROUP BY column`: live-row counts per

@@ -3,13 +3,17 @@
 //! from its checkpoint (rows in the open tail, every index bulk-built) once
 //! per index set, and the heap the open database holds is read off a
 //! counting allocator. Rows are gated — an encoded cell and its slot, not a
-//! boxed `Vec<Value>` — and the index lines are printed for whoever works
-//! on them next (`cargo test -p relstore --test heap_weight -- --nocapture`).
+//! boxed `Vec<Value>` — and so is each index line, at the narrow lanes its
+//! ids fit. A wide leg moves the `OBJECT_REL` object ids 2⁴⁰ up and 2²⁰
+//! apart, past what a `u32` offset spans: its runs keep whole key words
+//! beside `u32` row ids, and read back the narrow leg's entries. Every
+//! line is printed for whoever works on them next (`cargo test -p relstore
+//! --test heap_weight -- --nocapture`).
 
 use relstore::schema::{Column, Schema, SchemaBuilder};
 use relstore::value::{Value, ValueType};
 use relstore::vfs::FaultVfs;
-use relstore::Database;
+use relstore::{Database, RowId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,6 +73,19 @@ fn object_rel_row(i: i64) -> Vec<Value> {
     ]
 }
 
+/// An object id of the wide leg: 2⁴⁰ up and 2²⁰ apart.
+fn widen(id: i64) -> i64 {
+    (1 << 40) + (id << 20)
+}
+
+fn wide_object_rel_row(i: i64) -> Vec<Value> {
+    let mut row = object_rel_row(i);
+    for id in &mut row[2..4] {
+        *id = Value::Int(widen(id.as_int().unwrap()));
+    }
+    row
+}
+
 fn object_columns() -> SchemaBuilder {
     Schema::builder("object")
         .column(Column::new("object_id", ValueType::Int))
@@ -93,7 +110,8 @@ fn object_row(i: i64) -> Vec<Value> {
 /// `schema`, inserted in 1 000-row batches: reopened from its checkpoint,
 /// every index one run — or, `grown`, as the batches left it, which is what
 /// an importing store holds (no durability, so no WAL image is counted).
-fn weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>, grown: bool) -> f64 {
+/// The database is handed back, weighed.
+fn weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>, grown: bool) -> (f64, Database) {
     let vfs = Arc::new(FaultVfs::new());
     let name = schema.name().to_owned();
     let mut before = LIVE.load(Ordering::Relaxed);
@@ -114,7 +132,7 @@ fn weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>, grown: bool) ->
     }
     let held = LIVE.load(Ordering::Relaxed) - before;
     assert_eq!(db.table(&name).unwrap().len() as i64, rows);
-    held as f64 / rows as f64
+    (held as f64 / rows as f64, db)
 }
 
 /// Declares one index on a table's columns.
@@ -129,39 +147,68 @@ fn attribution(
     rows: i64,
     row: fn(i64) -> Vec<Value>,
 ) -> f64 {
-    let bare = weight(columns().build().unwrap(), rows, row, false);
+    let bare = weight(columns().build().unwrap(), rows, row, false).0;
     let name = columns().build().unwrap().name().to_owned();
     println!("{name:>12}  rows                 {bare:7.1} B/row");
     for (label, declare, limit) in indexes {
-        let index = weight(declare(columns()).build().unwrap(), rows, row, false) - bare;
+        let index = weight(declare(columns()).build().unwrap(), rows, row, false).0 - bare;
         println!("{:>12}  index {label:<14} {index:7.1} B/row", "");
         assert!(index <= *limit, "{name}.{label} holds {index:.1} B/row");
     }
     let all = || indexes.iter().fold(columns(), |b, (_, declare, _)| declare(b)).build().unwrap();
-    let (reopened, grown) = (weight(all(), rows, row, false), weight(all(), rows, row, true));
+    let (reopened, grown) = (weight(all(), rows, row, false).0, weight(all(), rows, row, true).0);
     println!("{:>12}  all, reopened        {reopened:7.1} B/row, grown {grown:.1} (x{:.2})", "", grown / reopened);
     // the delta holds at most an eighth of the run, at B-tree weight
     assert!(grown <= 1.3 * reopened, "{name} grown holds {grown:.1} B/row, reopened {reopened:.1}");
     bare
 }
 
+/// The `OBJECT_REL` indexes, gated at their narrow weight.
+const OBJECT_REL_INDEXES: [(&str, Declare, f64); 3] = [
+    ("by_pair", |b| b.unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"]), 17.0),
+    ("by_object1", |b| b.index("by_object1", &["object1_id"]), 9.0),
+    ("by_object2", |b| b.index("by_object2", &["object2_id"]), 9.0),
+];
+
+/// Every index's entries, in index order.
+fn entries(db: &Database) -> Vec<Vec<(Vec<Value>, RowId)>> {
+    let table = db.table("object_rel").unwrap();
+    let names = table.schema().indexes().iter().map(|d| d.name.clone()).collect::<Vec<_>>();
+    names.iter().map(|name| table.index_entry_list(name).unwrap()).collect()
+}
+
+/// The wide leg: each `OBJECT_REL` index over the wide rows weighs more
+/// than its narrow gate (whole words, as every run held before lanes),
+/// and all of them read back the narrow leg's entries.
+fn wide_leg() {
+    let bare = weight(object_rel_columns().build().unwrap(), OBJECT_RELS, wide_object_rel_row, false).0;
+    for (label, declare, narrow) in OBJECT_REL_INDEXES {
+        let schema = declare(object_rel_columns()).build().unwrap();
+        let index = weight(schema, OBJECT_RELS, wide_object_rel_row, false).0 - bare;
+        println!("{:>12}  index {label:<14} {index:7.1} B/row, wide", "");
+        assert!(index > narrow, "object_rel.{label} holds {index:.1} B/row over ids 2^32 apart");
+    }
+    let all = || OBJECT_REL_INDEXES.iter().fold(object_rel_columns(), |b, (_, declare, _)| declare(b));
+    let narrow = entries(&weight(all().build().unwrap(), OBJECT_RELS, object_rel_row, false).1);
+    let mut wide = entries(&weight(all().build().unwrap(), OBJECT_RELS, wide_object_rel_row, false).1);
+    for (key, _) in wide.iter_mut().flatten() {
+        // the source_rel_id column is small: only object ids were moved
+        for id in key.iter_mut().filter(|v| v.as_int().unwrap() >= 1 << 40) {
+            *id = Value::Int((id.as_int().unwrap() - (1 << 40)) >> 20);
+        }
+    }
+    assert!(narrow == wide, "the wide leg reads back the narrow leg's entries");
+}
+
 #[test]
 fn a_row_in_memory_weighs_its_cell_and_its_slot() {
-    let rel = attribution(
-        object_rel_columns,
-        &[
-            ("by_pair", |b| b.unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"]), 33.0),
-            ("by_object1", |b| b.index("by_object1", &["object1_id"]), 17.0),
-            ("by_object2", |b| b.index("by_object2", &["object2_id"]), 17.0),
-        ],
-        OBJECT_RELS,
-        object_rel_row,
-    );
+    let rel = attribution(object_rel_columns, &OBJECT_REL_INDEXES, OBJECT_RELS, object_rel_row);
+    wide_leg();
     let object = attribution(
         object_columns,
         &[
-            ("pk", |b| b.primary_key(&["object_id"]), 17.0),
-            ("by_accession", |b| b.unique_index("by_accession", &["source_id", "accession"]), 42.0),
+            ("pk", |b| b.primary_key(&["object_id"]), 9.0),
+            ("by_accession", |b| b.unique_index("by_accession", &["source_id", "accession"]), 38.0),
         ],
         OBJECTS,
         object_row,

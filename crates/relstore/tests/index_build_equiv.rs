@@ -5,8 +5,8 @@
 
 use relstore::codec::crc32;
 use relstore::db::{PAGEDIR_FILE, WAL_FILE};
-use relstore::index::{IndexStore, KeySpec};
-use relstore::schema::{Column, Schema};
+use relstore::index::{IndexBuilder, IndexKey, IndexStore, KeySpec};
+use relstore::schema::{Column, IndexDef, Schema};
 use relstore::pager::decode_page_directory;
 use relstore::stats::IndexStats;
 use relstore::vfs::{FaultVfs, Vfs};
@@ -600,25 +600,44 @@ fn open_refuses_a_damaged_tail_cell_behind_a_valid_checksum() {
 
 /// One table with every index shape: a fixed-width unique key (`pk`), a
 /// fixed-width multi key (`by_grp`), a variable-width unique key
-/// (`by_acc`) and a variable-width multi key led by a nullable column
-/// (`by_score`).
+/// (`by_acc`), a variable-width multi key led by a nullable column
+/// (`by_score`) and a fixed-width multi key led by a float (`by_w`).
 fn shapes() -> Schema {
     Schema::builder("t")
         .column(Column::new("id", ValueType::Int))
         .column(Column::new("grp", ValueType::Int))
         .column(Column::new("acc", ValueType::Text))
         .column(Column::nullable("score", ValueType::Float))
+        .column(Column::new("w", ValueType::Float))
         .primary_key(&["id"])
         .index("by_grp", &["grp"])
         .unique_index("by_acc", &["acc"])
         .index("by_score", &["score", "acc"])
+        .index("by_w", &["w", "id"])
         .build()
         .unwrap()
 }
 
+/// A row; its `w` is the float `grp` ulps above 1.0 — near it for a small
+/// group, anywhere (NaN and negatives included) for an extreme one — so a
+/// float key column's span follows the group's.
 fn shape_row(id: i64, acc: i64, grp: i64, score: Option<usize>) -> Vec<Value> {
     let score = score.map_or(Value::Null, |s| Value::Float(s as f64 / 4.0));
-    vec![Value::Int(id), Value::Int(grp), Value::text(format!("A{acc}")), score]
+    let w = f64::from_bits(1f64.to_bits().wrapping_add(grp as u64));
+    vec![Value::Int(id), Value::Int(grp), Value::text(format!("A{acc}")), score, Value::Float(w)]
+}
+
+/// A group: mostly one of eight neighbours, sometimes a negative one,
+/// `i64::MIN`, `i64::MAX`, or one `2³² − 1` or `2³²` above the neighbours,
+/// either side of what a `u32` lane spans.
+fn group(st: &mut Prng) -> i64 {
+    match st.below(64) {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        2 => (1 << 32) - 1 + st.below(2) as i64,
+        3..=6 => -1 - st.below(8) as i64,
+        _ => st.below(8) as i64,
+    }
 }
 
 /// A row whose keys are mostly fresh; one in ten reuses an older id or
@@ -631,7 +650,7 @@ fn churn_row(st: &mut Prng, fresh: &mut i64) -> Vec<Value> {
     };
     let (id, acc) = (key(), key());
     let score = st.below(5);
-    shape_row(id, acc, st.below(8) as i64, score.checked_sub(1))
+    shape_row(id, acc, group(st), score.checked_sub(1))
 }
 
 fn index_stats(db: &Database, index: &str) -> IndexStats {
@@ -659,7 +678,7 @@ fn assert_reads_match_scan(table: &Table, st: &mut Prng, context: &str) {
         expect.sort();
         assert_eq!(table.index_entry_list(name).unwrap(), expect, "{context}: entries");
         assert_eq!(table.last_key(name).unwrap(), expect.last().map(|e| e.0.clone()), "{context}");
-        let absent = [Value::Int(-1), Value::Int(-1), Value::text("none"), Value::Float(-1.0)];
+        let absent = [Value::Int(-1), Value::Int(-1), Value::text("none"), Value::Float(-1.0), Value::Float(2.5)];
         let mut probes: Vec<Vec<Value>> = vec![def.columns.iter().map(|&c| absent[c].clone()).collect()];
         for _ in 0..3.min(expect.len()) {
             probes.push(expect[st.below(expect.len())].0.clone());
@@ -697,14 +716,14 @@ struct Seen {
 
 #[test]
 fn run_and_delta_reads_equal_a_scan_through_every_merge() {
-    const INDEXES: [&str; 4] = ["pk", "by_grp", "by_acc", "by_score"];
+    const INDEXES: [&str; 5] = ["pk", "by_grp", "by_acc", "by_score", "by_w"];
     let mut st = Prng::seed_from_u64(0x0000_DE17_A50F_2026);
     for pool in [None, Some(1), Some(2), Some(8)] {
         let vfs = FaultVfs::new();
         let mut db = open(&vfs, pool);
         db.create_table(shapes()).unwrap();
         let mut fresh = 0;
-        let mut seen: [Seen; 4] = Default::default();
+        let mut seen: [Seen; 5] = Default::default();
         for step in 0..300 {
             let context = format!("pool {pool:?} step {step}");
             let before = INDEXES.map(|ix| index_stats(&db, ix));
@@ -786,10 +805,17 @@ fn frozen(pool: Option<usize>) -> (FaultVfs, Database) {
     db.checkpoint().unwrap();
     drop(db);
     let db = open(&vfs, pool);
-    for ix in ["pk", "by_grp", "by_acc", "by_score"] {
+    for ix in ["pk", "by_grp", "by_acc", "by_score", "by_w"] {
         assert_eq!(index_stats(&db, ix), IndexStats { entries: 64, bytes: index_stats(&db, ix).bytes, ..IndexStats::default() });
     }
     (vfs, db)
+}
+
+/// Bulk-build index `def` from `entries`, as a table's open does.
+fn build(def: &IndexDef, spec: KeySpec, entries: Vec<(IndexKey, RowId)>) -> IndexStore {
+    let mut builder = IndexBuilder::new(spec, entries.len()).unwrap();
+    entries.into_iter().for_each(|(key, row)| builder.push(key, row));
+    builder.finish("t", def).unwrap()
 }
 
 /// `by_acc` of `shapes` bulk-built over accessions `A0..A64` at rows 0..64.
@@ -798,7 +824,7 @@ fn frozen_by_acc() -> (KeySpec, IndexStore) {
     let def = schema.index("by_acc").unwrap();
     let spec = KeySpec::new(&schema, def);
     let run = (0..64).map(|i| (spec.probe(&[Value::text(format!("A{i}"))]).unwrap(), RowId(i))).collect();
-    (spec.clone(), IndexStore::build("t", def, spec, run).unwrap())
+    (spec.clone(), build(def, spec, run))
 }
 
 fn insert(db: &mut Database, row: Vec<Value>) -> Result<RowId, StoreError> {
@@ -873,14 +899,14 @@ fn a_multi_index_reinsert_of_a_held_entry_is_a_no_op() {
     let spec = KeySpec::new(&schema, def);
     let grp = |g: i64| spec.probe(&[Value::Int(g)]).unwrap();
     let run = (0..64).map(|i| (grp(i % 4), RowId(i as u64))).collect();
-    let mut ix = IndexStore::build("t", def, spec.clone(), run).unwrap();
+    let mut ix = build(def, spec.clone(), run);
     ix.insert(grp(1), RowId(5));
     assert_eq!((ix.entry_count(), ix.stats().delta), (64, 0), "held in the run");
     ix.insert(grp(1), RowId(99));
     ix.insert(grp(1), RowId(99));
     assert_eq!((ix.entry_count(), ix.stats().delta), (65, 1), "held in the delta");
     let mut under = Vec::new();
-    ix.lookup(&grp(1), |_, id| {
+    ix.lookup(&grp(1), |id| {
         under.push(id);
         true
     });
@@ -912,7 +938,7 @@ fn a_rollback_restores_a_deleted_run_entry() {
         txn.delete("t", RowId(10)).unwrap();
         txn.update("t", RowId(11), shape_row(11, 500, 3, None)).unwrap();
         txn.rollback().unwrap();
-        for ix in ["pk", "by_grp", "by_acc", "by_score"] {
+        for ix in ["pk", "by_grp", "by_acc", "by_score", "by_w"] {
             let stats = index_stats(&db, ix);
             assert_eq!((stats.entries, stats.dead), (64, 0), "{ix}: the run entries live again");
         }
@@ -920,5 +946,72 @@ fn a_rollback_restores_a_deleted_run_entry() {
         assert_eq!(table.lookup_row_ids("by_acc", &[Value::text("A10")]).unwrap(), [RowId(10)]);
         assert!(table.lookup_row_ids("by_acc", &[Value::text("A500")]).unwrap().is_empty());
         assert_indexes_match_rows(table, "rolled back");
+    }
+}
+
+/// Whether an index's run holds its keys in `u32` lanes: a `pk`, `by_grp`
+/// or `by_w` entry then weighs 8 or 12 B in the run (key lanes and a `u32`
+/// row id), not 12 or 20.
+fn narrow(db: &Database, index: &str) -> bool {
+    let ix = index_stats(db, index);
+    let per_entry = if index == "by_w" { 12 } else { 8 };
+    ix.bytes - 48 * ix.delta < (per_entry + 2) * run_len(ix)
+}
+
+#[test]
+fn a_probe_outside_the_runs_lanes_is_answered_by_the_delta() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        // ids 0..64 and groups 0..4 sit in narrow runs; one row lies below
+        // every lane, one past the top
+        let below = insert(&mut db, shape_row(-7, 100, -(1 << 40), None)).unwrap();
+        let above = insert(&mut db, shape_row(1 << 40, 101, 1 << 40, None)).unwrap();
+        for ix in ["pk", "by_grp", "by_w"] {
+            assert_eq!(index_stats(&db, ix).delta, 2, "{ix}");
+            assert!(narrow(&db, ix), "{ix}: the delta holds the far keys");
+        }
+        for (id, grp, row) in [(-7, -(1 << 40), below), (1 << 40, 1 << 40, above)] {
+            let table = db.table("t").unwrap();
+            assert_eq!(table.lookup_row_ids("pk", &[Value::Int(id)]).unwrap(), [row]);
+            assert_eq!(table.lookup_row_ids("by_grp", &[Value::Int(grp)]).unwrap(), [row]);
+            let probes = [[Value::Int(id)], [Value::Int(5)]];
+            let mut matched = Vec::new();
+            table.for_each_match("pk", &probes, |n, _| matched.push(n)).unwrap();
+            assert_eq!(matched, if id < 5 { [0, 1] } else { [1, 0] }, "in key order");
+            assert_eq!(table.lookup("pk", &[Value::Int(id)]).unwrap().len(), 1);
+            violation_on(insert(&mut db, shape_row(id, 200, 0, None)), "pk");
+        }
+        assert_reads_match_scan(db.table("t").unwrap(), &mut Prng::seed_from_u64(7), "outside the lanes");
+    }
+}
+
+#[test]
+fn a_run_goes_wide_for_an_outlier_and_narrow_again_without_it() {
+    for pool in [None, Some(2)] {
+        let (_vfs, mut db) = frozen(pool);
+        let mut st = Prng::seed_from_u64(11);
+        // nine rows are more than an eighth of the run: the batch merges at
+        // once, and its last row's id, group and w lie 2^33 past the rest
+        let mut rows: Vec<_> = (64..72).map(|i| shape_row(i, i, i % 4, None)).collect();
+        rows.push(shape_row(1 << 33, 72, 1 << 33, None));
+        let ids = db.with_txn(|txn| txn.insert_batch("t", rows)).unwrap();
+        for ix in ["pk", "by_grp", "by_w"] {
+            assert_eq!((index_stats(&db, ix).delta, run_len(index_stats(&db, ix))), (0, 73), "{ix}");
+            assert!(!narrow(&db, ix), "{ix}: the outlier takes the run wide");
+        }
+        assert_reads_match_scan(db.table("t").unwrap(), &mut st, "wide");
+        // the outlier deleted, then a batch that merges its dead mark away
+        db.with_txn(|txn| txn.delete("t", ids[8]).map(drop)).unwrap();
+        let rows = (73..83).map(|i| shape_row(i, i, i % 4, None)).collect();
+        db.with_txn(|txn| txn.insert_batch("t", rows).map(drop)).unwrap();
+        for ix in ["pk", "by_grp", "by_w"] {
+            let stats = index_stats(&db, ix);
+            assert_eq!((stats.delta, stats.dead, run_len(stats)), (0, 0, 82), "{ix}");
+            assert!(narrow(&db, ix), "{ix}: narrow again");
+        }
+        assert_reads_match_scan(db.table("t").unwrap(), &mut st, "narrow again");
+        // a unique key held only by a narrow run entry is taken
+        violation_on(insert(&mut db, shape_row(70, 500, 0, None)), "pk");
+        assert_eq!(index_stats(&db, "pk").delta, 0, "nothing was entered");
     }
 }
