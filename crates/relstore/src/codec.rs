@@ -70,6 +70,13 @@ pub fn get_varint(buf: &mut &[u8]) -> StoreResult<u64> {
     }
 }
 
+/// Read a varint that must fit in 32 bits: a larger value is corruption,
+/// never cut down to its low bits.
+pub fn get_u32(buf: &mut &[u8], what: &str) -> StoreResult<u32> {
+    let v = get_varint(buf)?;
+    u32::try_from(v).map_err(|_| StoreError::Corrupt(format!("{what} {v} exceeds 32 bits")))
+}
+
 /// Read an element count that the decoder is about to loop over or reserve
 /// for. A count read from a file is not trusted: `min_bytes` is the least
 /// one element can occupy, and a count the remaining bytes could not hold

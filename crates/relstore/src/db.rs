@@ -226,10 +226,17 @@ impl Database {
                 (PagedCatalog::empty(), SnapshotSource::None)
             }
         };
-        let pager = pool.map(|config| {
-            let heap_path = dir.join(heap_file_name(catalog.heap_gen));
-            Arc::new(Pager::new(vfs.clone(), heap_path, config))
-        });
+        let pager = match pool {
+            None => None,
+            Some(config) => {
+                // the pool reports the heap file's extent from the open on
+                let heap_path = dir.join(heap_file_name(catalog.heap_gen));
+                let heap_len = vfs.file_len(&heap_path)?.unwrap_or(0);
+                let pager = Pager::new(vfs.clone(), heap_path, config);
+                pager.set_heap_len(heap_len);
+                Some(Arc::new(pager))
+            }
+        };
         let mut tables = BTreeMap::new();
         for meta in catalog.tables {
             let table = Table::recovered(meta, pager.clone())?;

@@ -21,7 +21,7 @@
 //! (copy-on-write) when any row of a page changed, so the fault model for
 //! torn tails matches the WAL's.
 
-use crate::codec::{crc32, get_count, get_row, get_varint, put_row, put_varint};
+use crate::codec::{crc32, get_count, get_row, get_u32, get_varint, put_row, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
 use crate::value::Value;
@@ -128,8 +128,8 @@ impl PageImage {
         if crc32(buf) != crc {
             return Err(StoreError::Corrupt("page checksum mismatch".into()));
         }
-        let table_id = get_varint(&mut buf)? as u32;
-        let page_no = get_varint(&mut buf)? as u32;
+        let table_id = get_u32(&mut buf, "page table id")?;
+        let page_no = get_u32(&mut buf, "page number")?;
         let base = get_varint(&mut buf)?;
         let nslots = get_count(&mut buf, 1, "page slot")?;
         if nslots > MAX_PAGE_SLOTS {

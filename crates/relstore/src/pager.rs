@@ -20,7 +20,7 @@
 //! offset holds each page. Recovery trusts only the directory: torn or
 //! superseded images beyond it are never referenced.
 
-use crate::codec::{crc32, get_count, get_u8, get_varint, put_varint, skip_row};
+use crate::codec::{crc32, get_count, get_u32, get_u8, get_varint, put_varint, skip_row};
 use crate::error::{StoreError, StoreResult};
 use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::row::Row;
@@ -158,6 +158,13 @@ impl Pager {
     pub(crate) fn register(&self, pid: PageId, loc: DiskLoc) {
         let mut inner = self.pool.lock();
         inner.directory.insert(pid, loc);
+    }
+
+    /// Recovery: the heap file already holds `len` bytes.
+    pub(crate) fn set_heap_len(&self, len: u64) {
+        let mut inner = self.pool.lock();
+        inner.heap_len = len;
+        inner.heap_len_known = true;
     }
 
     /// Current heap location of a page, if it has ever been written.
@@ -587,21 +594,21 @@ pub fn decode_catalog(body: &[u8]) -> StoreResult<PagedCatalog<'static>> {
     let mut buf = body;
     let epoch = get_varint(&mut buf)?;
     let heap_gen = get_varint(&mut buf)?;
-    let next_table_id = get_varint(&mut buf)? as u32;
+    let next_table_id = get_u32(&mut buf, "next table id")?;
     // a table is at least a name, one column, and six counts
     let ntables = get_count(&mut buf, 11, "table")?;
     let mut tables = Vec::with_capacity(ntables);
     for _ in 0..ntables {
         let schema = get_schema(&mut buf)?;
-        let table_id = get_varint(&mut buf)? as u32;
+        let table_id = get_u32(&mut buf, "table id")?;
         let live = get_varint(&mut buf)?;
         let npages = get_count(&mut buf, 4, "page")?;
         let mut pages = Vec::with_capacity(npages);
         for _ in 0..npages {
             let base = get_varint(&mut buf)?;
-            let slots = get_varint(&mut buf)? as u32;
+            let slots = get_u32(&mut buf, "page slot count")?;
             let offset = get_varint(&mut buf)?;
-            let len = get_varint(&mut buf)? as u32;
+            let len = get_u32(&mut buf, "page length")?;
             pages.push(PageDirEntry {
                 base,
                 slots,

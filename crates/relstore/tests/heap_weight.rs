@@ -1,8 +1,11 @@
 //! What a row weighs in memory, next to what each index on it weighs: a
 //! pool-less store of `OBJECT_REL`- and `OBJECT`-shaped rows is reopened
 //! from its checkpoint (rows in the open tail, every index bulk-built) once
-//! per index set, and the heap the open database holds is read off a
-//! counting allocator. Rows are gated — an encoded cell and its slot, not a
+//! bare and once under all its indexes, and the heap the open database
+//! holds is read off a counting allocator. Each index is attributed by its
+//! own byte count (`Table::index_stats(..).bytes`), which the allocator
+//! checks: the reopened total less the bare rows is the indexes' sum.
+//! Rows are gated — an encoded cell and its slot, not a
 //! boxed `Vec<Value>` — and so is each index line, at the narrow lanes its
 //! ids fit. A wide leg moves the `OBJECT_REL` object ids 2⁴⁰ up and 2²⁰
 //! apart, past what a `u32` offset spans: its runs keep whole key words
@@ -138,29 +141,60 @@ fn weight(schema: Schema, rows: i64, row: fn(i64) -> Vec<Value>, grown: bool) ->
 /// Declares one index on a table's columns.
 type Declare = fn(SchemaBuilder) -> SchemaBuilder;
 
-/// Print what the rows weigh alone, then what each index adds by itself,
-/// gated at its limit in B/row, then all of them reopened and grown; returns
-/// the rows' bytes per row.
+/// A table's columns under every index of `indexes`.
+fn indexed(columns: fn() -> SchemaBuilder, indexes: &[(&str, Declare, f64)]) -> Schema {
+    indexes.iter().fold(columns(), |b, (_, declare, _)| declare(b)).build().unwrap()
+}
+
+/// One leg: the bare rows, then the rows reopened under every index at
+/// once, each index attributed by its own byte count — which the counting
+/// allocator checks: the reopened total less the bare rows is the indexes'
+/// sum within 0.5 B/row. Returns the bare and reopened B/row, each index's
+/// B/row and the reopened store.
+fn leg(
+    columns: fn() -> SchemaBuilder,
+    indexes: &[(&str, Declare, f64)],
+    rows: i64,
+    row: fn(i64) -> Vec<Value>,
+) -> (f64, f64, Vec<f64>, Database) {
+    let bare = weight(columns().build().unwrap(), rows, row, false).0;
+    let schema = indexed(columns, indexes);
+    let name = schema.name().to_owned();
+    let (reopened, db) = weight(schema, rows, row, false);
+    let per_index: Vec<f64> = {
+        let table = db.table(&name).unwrap();
+        let bytes = |label: &str| table.index_stats(label).unwrap().bytes as f64;
+        indexes.iter().map(|(label, _, _)| bytes(label) / rows as f64).collect()
+    };
+    let attributed: f64 = per_index.iter().sum();
+    assert!(
+        (reopened - bare - attributed).abs() <= 0.5,
+        "{name}: {reopened:.1} B/row reopened less {bare:.1} of rows is not the indexes' {attributed:.1}"
+    );
+    (bare, reopened, per_index, db)
+}
+
+/// Print what the rows weigh alone and what each index adds, gated at its
+/// limit in B/row, then all of them reopened and grown; returns the rows'
+/// bytes per row and the reopened store.
 fn attribution(
     columns: fn() -> SchemaBuilder,
     indexes: &[(&str, Declare, f64)],
     rows: i64,
     row: fn(i64) -> Vec<Value>,
-) -> f64 {
-    let bare = weight(columns().build().unwrap(), rows, row, false).0;
+) -> (f64, Database) {
     let name = columns().build().unwrap().name().to_owned();
+    let (bare, reopened, per_index, db) = leg(columns, indexes, rows, row);
     println!("{name:>12}  rows                 {bare:7.1} B/row");
-    for (label, declare, limit) in indexes {
-        let index = weight(declare(columns()).build().unwrap(), rows, row, false).0 - bare;
+    for ((label, _, limit), index) in indexes.iter().zip(&per_index) {
         println!("{:>12}  index {label:<14} {index:7.1} B/row", "");
-        assert!(index <= *limit, "{name}.{label} holds {index:.1} B/row");
+        assert!(index <= limit, "{name}.{label} holds {index:.1} B/row");
     }
-    let all = || indexes.iter().fold(columns(), |b, (_, declare, _)| declare(b)).build().unwrap();
-    let (reopened, grown) = (weight(all(), rows, row, false).0, weight(all(), rows, row, true).0);
+    let grown = weight(indexed(columns, indexes), rows, row, true).0;
     println!("{:>12}  all, reopened        {reopened:7.1} B/row, grown {grown:.1} (x{:.2})", "", grown / reopened);
     // the delta holds at most an eighth of the run, at B-tree weight
     assert!(grown <= 1.3 * reopened, "{name} grown holds {grown:.1} B/row, reopened {reopened:.1}");
-    bare
+    (bare, db)
 }
 
 /// The `OBJECT_REL` indexes, gated at their narrow weight.
@@ -180,17 +214,14 @@ fn entries(db: &Database) -> Vec<Vec<(Vec<Value>, RowId)>> {
 /// The wide leg: each `OBJECT_REL` index over the wide rows weighs more
 /// than its narrow gate (whole words, as every run held before lanes),
 /// and all of them read back the narrow leg's entries.
-fn wide_leg() {
-    let bare = weight(object_rel_columns().build().unwrap(), OBJECT_RELS, wide_object_rel_row, false).0;
-    for (label, declare, narrow) in OBJECT_REL_INDEXES {
-        let schema = declare(object_rel_columns()).build().unwrap();
-        let index = weight(schema, OBJECT_RELS, wide_object_rel_row, false).0 - bare;
+fn wide_leg(narrow: &Database) {
+    let (_, _, per_index, db) = leg(object_rel_columns, &OBJECT_REL_INDEXES, OBJECT_RELS, wide_object_rel_row);
+    for ((label, _, gate), index) in OBJECT_REL_INDEXES.iter().zip(&per_index) {
         println!("{:>12}  index {label:<14} {index:7.1} B/row, wide", "");
-        assert!(index > narrow, "object_rel.{label} holds {index:.1} B/row over ids 2^32 apart");
+        assert!(index > gate, "object_rel.{label} holds {index:.1} B/row over ids 2^32 apart");
     }
-    let all = || OBJECT_REL_INDEXES.iter().fold(object_rel_columns(), |b, (_, declare, _)| declare(b));
-    let narrow = entries(&weight(all().build().unwrap(), OBJECT_RELS, object_rel_row, false).1);
-    let mut wide = entries(&weight(all().build().unwrap(), OBJECT_RELS, wide_object_rel_row, false).1);
+    let narrow = entries(narrow);
+    let mut wide = entries(&db);
     for (key, _) in wide.iter_mut().flatten() {
         // the source_rel_id column is small: only object ids were moved
         for id in key.iter_mut().filter(|v| v.as_int().unwrap() >= 1 << 40) {
@@ -202,9 +233,10 @@ fn wide_leg() {
 
 #[test]
 fn a_row_in_memory_weighs_its_cell_and_its_slot() {
-    let rel = attribution(object_rel_columns, &OBJECT_REL_INDEXES, OBJECT_RELS, object_rel_row);
-    wide_leg();
-    let object = attribution(
+    let (rel, narrow) = attribution(object_rel_columns, &OBJECT_REL_INDEXES, OBJECT_RELS, object_rel_row);
+    wide_leg(&narrow);
+    drop(narrow);
+    let (object, _) = attribution(
         object_columns,
         &[
             ("pk", |b| b.primary_key(&["object_id"]), 9.0),

@@ -3,11 +3,11 @@
 //! row by row, and `open` rebuilds — or refuses — from any mix of page
 //! directory and WAL. A seeded deterministic sweep: a failure pins to a round number.
 
-use relstore::codec::crc32;
+use relstore::codec::{crc32, put_varint};
 use relstore::db::{PAGEDIR_FILE, WAL_FILE};
 use relstore::index::{IndexBuilder, IndexKey, IndexStore, KeySpec};
 use relstore::schema::{Column, IndexDef, Schema};
-use relstore::pager::decode_page_directory;
+use relstore::pager::{decode_page_directory, encode_page_directory};
 use relstore::stats::IndexStats;
 use relstore::vfs::{FaultVfs, Vfs};
 use relstore::wal::{LogRecord, WalWriter};
@@ -544,6 +544,40 @@ fn counts_read_from_a_file_are_not_trusted() {
     let mut forged = image;
     forged[0] = b'X';
     corrupt(forged, "bad page directory magic");
+
+    // a sealed page's length of 2^32 + n behind a valid checksum is refused
+    // by either open, not read as n
+    let vfs = FaultVfs::new();
+    let mut db = open(&vfs, Some(2));
+    db.create_table(unique_schema()).unwrap();
+    db.with_txn(|txn| {
+        (0..20).try_for_each(|i| {
+            txn.insert("t", vec![Value::Int(i), Value::text(format!("acc{i}"))]).map(drop)
+        })
+    })
+    .unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    let path = Path::new("/db").join(PAGEDIR_FILE);
+    let mut catalog = decode_page_directory(&vfs.peek(&path).unwrap()).unwrap();
+    let loc = &mut catalog.tables[0].pages[0].loc;
+    let len = u64::from(loc.len);
+    loc.len = 0x0fed_cba9; // a marker no other field of this directory spells
+    let (mut marker, mut wide) = (Vec::new(), Vec::new());
+    put_varint(&mut marker, 0x0fed_cba9);
+    put_varint(&mut wide, (1 << 32) + len);
+    let image = encode_page_directory(&catalog);
+    let at = image.windows(marker.len()).position(|w| w == marker).unwrap();
+    let forged = [&image[..at], &wide[..], &image[at + marker.len()..]].concat();
+    let mut file = vfs.create(&path).unwrap();
+    file.write_all(&resealed(forged)).unwrap();
+    file.sync().unwrap();
+    for pool in [None, Some(2)] {
+        match try_open(&vfs, pool) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("page length"), "{msg}"),
+            other => panic!("pool {pool:?}: a page length of 2^32 + {len} must be corrupt: {other:?}"),
+        }
+    }
 }
 
 /// A tail cell that is not a row, in a directory whose checksum is right: a

@@ -6,7 +6,7 @@
 //! pool-less and pooled. What an open cannot serve — sealed pages without
 //! a pool, the files of a superseded format — it refuses without touching.
 
-use relstore::db::{PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE};
+use relstore::db::{heap_file_name, PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
 use relstore::{Database, PoolConfig, SnapshotSource, StoreError, StoreResult};
@@ -308,6 +308,10 @@ fn pool_less_directory_opens_paged() {
 
         let db = Database::open_paged(&dir, config).unwrap();
         assert_eq!(rows(&db), expected, "page_bytes {page_bytes}: paged reopen");
+        // the reopened pool knows the heap file's extent before it writes
+        let heap = fs::metadata(dir.join(heap_file_name(1))).map_or(0, |m| m.len());
+        let heap_bytes = db.stats().unwrap().pool.unwrap().heap_bytes;
+        assert_eq!(heap_bytes, heap, "page_bytes {page_bytes}: heap_bytes after reopen");
         drop(db);
         match Database::open(&dir) {
             Ok(db) if !sealed => assert_eq!(rows(&db), expected, "never sealed: pool-less reopen"),
