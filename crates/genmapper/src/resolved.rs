@@ -308,8 +308,10 @@ mod tests {
     fn csv_export_quotes_when_needed() {
         let mut v = view();
         v.rows[0].cells[0].as_mut().unwrap().accession = "a,b".into();
+        v.rows[1].cells[0].as_mut().unwrap().accession = "say \"hi\"".into();
         let csv = v.to_csv();
         assert!(csv.contains("\"a,b\""));
+        assert!(csv.contains("\"say \"\"hi\"\"\""), "a quote is doubled inside quotes");
         assert!(csv.starts_with("LocusLink,GO\n"));
     }
 

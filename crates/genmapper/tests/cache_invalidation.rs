@@ -16,7 +16,8 @@ enum Op {
     /// Warm / read the cache for Map(LocusLink, GO) and check it against
     /// the uncached operator result.
     CheckMap,
-    /// Same for Compose(Unigene, LocusLink, GO).
+    /// Same for Compose(Unigene, LocusLink, GO) and, cached beside it,
+    /// Compose(Unigene, NetAffx, LocusLink, GO).
     CheckCompose,
     /// Mutate through `store_mut`: add one scored association to the
     /// LocusLink<->GO mapping (millis scales the evidence).
@@ -68,10 +69,16 @@ fn cached_results_never_go_stale() {
                     assert_eq!(cached, fresh);
                 }
                 Op::CheckCompose => {
-                    let cached = gm.compose(&["Unigene", "LocusLink", "GO"]).unwrap();
-                    let fresh =
-                        baselines::naive::compose_path(gm.store(), &[ug, ll, go], None).unwrap();
-                    assert_eq!(cached, fresh);
+                    // two paths between the same ends are two cache entries
+                    let via_probes = gm.source_id("NetAffx").unwrap();
+                    for (names, ids) in [
+                        (&["Unigene", "LocusLink", "GO"][..], &[ug, ll, go][..]),
+                        (&["Unigene", "NetAffx", "LocusLink", "GO"], &[ug, via_probes, ll, go]),
+                    ] {
+                        let cached = gm.compose(names).unwrap();
+                        let fresh = baselines::naive::compose_path(gm.store(), ids, None).unwrap();
+                        assert_eq!(cached, fresh, "{names:?}");
+                    }
                 }
                 Op::AddAssociation(millis) => {
                     let o_ll = ll_objs[next_pair % ll_objs.len()];

@@ -262,7 +262,7 @@ impl<'a> Importer<'a> {
                         .store
                         .create_source(
                             target_name,
-                            stub_content(target_name, batch.meta.content),
+                            stub_content(target_name),
                             SourceStructure::Flat,
                             None,
                         )?
@@ -523,7 +523,7 @@ impl<'a> Importer<'a> {
                     self.store
                         .create_source(
                             target_name,
-                            stub_content(target_name, batch.meta.content),
+                            stub_content(target_name),
                             SourceStructure::Flat,
                             None,
                         )?
@@ -635,7 +635,7 @@ impl<'a> Importer<'a> {
 
 /// Heuristic content class for stub targets: gene-ish hubs are Gene,
 /// everything else inherits a neutral `Other`.
-fn stub_content(name: &str, _importing: SourceContent) -> SourceContent {
+fn stub_content(name: &str) -> SourceContent {
     match name {
         "LocusLink" | "Unigene" | "Hugo" => SourceContent::Gene,
         "SwissProt" | "InterPro" => SourceContent::Protein,

@@ -293,20 +293,24 @@ mod tests {
             run_pipeline(&mut strict, &eco.dumps, &PipelineOptions::default()).unwrap_err();
         assert!(err.to_string().contains("parse failed"));
 
-        let options = PipelineOptions {
-            error_budget: 3,
-            ..PipelineOptions::default()
-        };
-        let mut store = GamStore::in_memory().unwrap();
-        let reports = run_pipeline(&mut store, &eco.dumps, &options).unwrap();
-        let q: Vec<_> = reports.iter().flat_map(|r| &r.quarantined).collect();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q[0].line, bad + 1);
-        assert!(reports[0].to_string().contains("1 quarantined"));
-        // exactly one annotation record was lost relative to the clean run
-        let cards = store.cardinalities().unwrap();
-        assert_eq!(cards.sources, clean_cards.sources);
-        assert_eq!(cards.objects, clean_cards.objects);
-        assert_eq!(cards.associations, clean_cards.associations - 1);
+        // the budget holds on the parallel parse and on the serial one
+        for parse_threads in [PipelineOptions::default().parse_threads, 1] {
+            let options = PipelineOptions {
+                error_budget: 3,
+                parse_threads,
+                ..PipelineOptions::default()
+            };
+            let mut store = GamStore::in_memory().unwrap();
+            let reports = run_pipeline(&mut store, &eco.dumps, &options).unwrap();
+            let q: Vec<_> = reports.iter().flat_map(|r| &r.quarantined).collect();
+            assert_eq!(q.len(), 1);
+            assert_eq!(q[0].line, bad + 1);
+            assert!(reports[0].to_string().contains("1 quarantined"));
+            // exactly one annotation record was lost relative to the clean run
+            let cards = store.cardinalities().unwrap();
+            assert_eq!(cards.sources, clean_cards.sources);
+            assert_eq!(cards.objects, clean_cards.objects);
+            assert_eq!(cards.associations, clean_cards.associations - 1);
+        }
     }
 }

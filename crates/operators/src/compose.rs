@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 /// The one validity check for a caller-supplied evidence floor.
 pub(crate) fn check_floor(min_evidence: f64) -> GamResult<()> {
-    if !(0.0..=1.0).contains(&min_evidence) || min_evidence.is_nan() {
+    if !(0.0..=1.0).contains(&min_evidence) {
         return Err(GamError::BadEvidence(min_evidence));
     }
     Ok(())

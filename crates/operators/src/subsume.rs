@@ -53,10 +53,10 @@ pub fn subsume_isa(isa: &Mapping) -> GamResult<Mapping> {
                 color.insert(node, 2);
                 continue;
             }
-            match color.get(&node).copied().unwrap_or(0) {
-                1 => return Err(GamError::Invalid("IS_A structure contains a cycle".into())),
-                2 => continue,
-                _ => {}
+            // a node pushed twice while white pops the second time black:
+            // its first expansion's `(node, true)` lay above this entry
+            if color.get(&node) == Some(&2) {
+                continue;
             }
             color.insert(node, 1);
             stack.push((node, true));

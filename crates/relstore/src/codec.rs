@@ -272,8 +272,44 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use testkit::{cases, text, Prng};
+
+    /// Any `i64`, with the edges and a small colliding range drawn often
+    /// enough that duplicate keys and sign boundaries occur in most cases.
+    fn int(rng: &mut Prng) -> i64 {
+        match rng.below(4) {
+            0 => *rng.pick(&[0, 1, -1, i64::MIN, i64::MAX]),
+            1 | 2 => rng.gen_range(-20..20),
+            _ => rng.next_u64() as i64,
+        }
+    }
+
+    fn float(rng: &mut Prng) -> f64 {
+        match rng.below(3) {
+            0 => *rng.pick(&[0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE]),
+            1 => rng.gen_f64() * 2.0 - 1.0,
+            // every bit pattern, NaN payloads and subnormals included
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    /// A value of any type, drawn for the seeded codec and ordering sweeps.
+    pub(crate) fn value(rng: &mut Prng) -> Value {
+        const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789:_.-";
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::Int(int(rng)),
+            2 => Value::Float(float(rng)),
+            3 => Value::Text(text(rng, ALPHABET, 0..=24)),
+            _ => Value::Bytes((0..rng.below(32)).map(|_| rng.below(256) as u8).collect()),
+        }
+    }
+
+    fn row(rng: &mut Prng) -> Vec<Value> {
+        (0..rng.below(8)).map(|_| value(rng)).collect()
+    }
 
     fn roundtrip(v: Value) -> Value {
         let mut buf = Vec::new();
@@ -306,6 +342,10 @@ mod tests {
             // Value's Eq uses total ordering so NaN == NaN here.
             assert_eq!(back, v);
         }
+        cases(256, |rng| {
+            let v = value(rng);
+            assert_eq!(roundtrip(v.clone()), v);
+        });
     }
 
     #[test]
@@ -319,6 +359,12 @@ mod tests {
         let mut buf = Vec::new();
         put_row(&mut buf, &row);
         assert_eq!(get_row(&mut &buf[..]).unwrap(), row);
+        cases(256, |rng| {
+            let row = self::row(rng);
+            let mut buf = Vec::new();
+            put_row(&mut buf, &row);
+            assert_eq!(get_row(&mut &buf[..]).unwrap(), row);
+        });
     }
 
     #[test]
@@ -351,6 +397,25 @@ mod tests {
         assert!(get_value(&mut &buf[..]).is_err());
         // overlong varint
         assert!(get_varint(&mut &[0x80u8; 11][..]).is_err());
+        cases(256, |rng| {
+            // half the cases are pure noise, half an encoded row with a few
+            // bytes overwritten, so the decoder gets past the first tag
+            let mut data: Vec<u8> = Vec::new();
+            if rng.gen_bool(0.5) {
+                put_row(&mut data, &row(rng));
+                for _ in 0..rng.below(4) {
+                    if !data.is_empty() {
+                        let at = rng.below(data.len());
+                        data[at] = rng.below(256) as u8;
+                    }
+                }
+                data.truncate(rng.below(data.len() + 1));
+            } else {
+                data.extend((0..rng.below(64)).map(|_| rng.below(256) as u8));
+            }
+            // must never panic; errors are fine
+            let _ = get_row(&mut &data[..]);
+        });
     }
 
     /// The bit-at-a-time definition the table is derived from.

@@ -1859,6 +1859,11 @@ mod tests {
             assert_tables_equal(resident, &back);
             assert_eq!(directory, reopened(&back).1, "a reopened tail checkpoints to the same bytes");
         }
+    }
+
+    #[test]
+    fn a_replayed_row_id_gap_reads_the_same_pool_less_and_paged() {
+        let trio = || [object_table(), paged_object_table(4, 64), paged_object_table(4, 32 * 1024)];
         // a replayed gap of 2^20 row ids, and the rows around it
         let mut tables = trio().map(Table::unindexed);
         for t in &mut tables {

@@ -268,6 +268,16 @@ mod tests {
         assert_eq!(vals[3], Value::Int(2));
         assert_eq!(vals[4], Value::text("a"));
         assert_eq!(vals[6], Value::bytes(vec![0u8]));
+        testkit::cases(256, |rng| {
+            let draw = crate::codec::tests::value;
+            let (a, b, c) = (draw(rng), draw(rng), draw(rng));
+            // antisymmetry
+            assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+            // transitivity (spot form): if a<=b and b<=c then a<=c
+            if a.cmp(&b) != Ordering::Greater && b.cmp(&c) != Ordering::Greater {
+                assert_ne!(a.cmp(&c), Ordering::Greater);
+            }
+        });
     }
 
     #[test]

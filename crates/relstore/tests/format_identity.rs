@@ -1,6 +1,6 @@
-//! Format identity: the bytes one fixed store leaves on disk — WAL frames,
-//! a sealed page image and `pagedir.bin`, with a pool and without — are
-//! pinned. The WAL and paged images were captured before the codec moved
+//! Format identity: the bytes one fixed store leaves on disk — WAL frames
+//! (the table's creation among them), a sealed page image and
+//! `pagedir.bin`, with a pool and without — are pinned. The WAL and paged images were captured before the codec moved
 //! from `bytes::{Bytes, BytesMut}` to slices; the pool-less directory when
 //! it became the one checkpoint format. Any change to an on-disk encoding
 //! moves them.
@@ -42,10 +42,9 @@ fn row(id: i64) -> Vec<Value> {
     ]
 }
 
-/// Four rows checkpointed, then one insert, one update and one delete left
-/// in the log.
+/// Four rows checkpointed into the table `schema()` created, then one
+/// insert, one update and one delete left in the log.
 fn fill(db: &mut Database) {
-    db.create_table(schema()).unwrap();
     db.with_txn(|txn| {
         for id in [-3, 0, 353, 1 << 40] {
             txn.insert("gene", row(id))?;
@@ -75,6 +74,9 @@ fn image(vfs: &FaultVfs, dir: &str, file: &str) -> String {
 fn resident_store_images_are_byte_identical() {
     let vfs = FaultVfs::new();
     let mut db = Database::open_with_vfs(Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+    db.create_table(schema()).unwrap();
+    // until the first checkpoint, the log is what creates the table
+    assert_eq!(image(&vfs, "/db", WAL_FILE), CREATE_WAL);
     fill(&mut db);
     assert_eq!(image(&vfs, "/db", PAGEDIR_FILE), RESIDENT_PAGEDIR);
     assert_eq!(image(&vfs, "/db", WAL_FILE), WAL);
@@ -89,6 +91,7 @@ fn paged_store_images_are_byte_identical() {
     };
     let mut db =
         Database::open_paged_with_vfs(Arc::new(vfs.clone()), Path::new("/pg"), config).unwrap();
+    db.create_table(schema()).unwrap();
     fill(&mut db);
     assert_eq!(image(&vfs, "/pg", WAL_FILE), WAL);
     // a second checkpoint rewrites the touched page behind the first image
@@ -105,6 +108,10 @@ const RESIDENT_PAGEDIR: &str = concat!(
     "4d3002000000000000000004030000ff010401c205030653594d333533000001",
     "0401808080808040031053594d31303939353131363237373736020000000000",
     "00404200",
+);
+const CREATE_WAL: &str = concat!(
+    "33000000d604a65d060467656e650402696400000673796d626f6c0200057363",
+    "6f726501010372617703010100010962795f73796d626f6c000101",
 );
 const WAL: &str = concat!(
     "020000002cd6a94b05011e000000b850e628010467656e650404010c03045359",

@@ -8,7 +8,7 @@
 //!   at construction, so a slow-loris peer is evicted instead of pinning
 //!   a worker thread forever;
 //! * **bounded request framing** — the line reader buffers at most
-//!   `max_request_bytes`; an unterminated request reports
+//!   `max_request_bytes`; a longer line, terminated or not, reports
 //!   [`RequestRead::TooLarge`] instead of growing memory without bound;
 //! * **single-write responses** — each response frame is assembled and
 //!   written with one `write_all`, keeping the write deadline meaningful.
@@ -50,7 +50,7 @@ pub enum RequestRead {
     Line(String),
     /// The peer closed the connection.
     Eof,
-    /// More than `max_request_bytes` buffered without a newline — the
+    /// A line (terminated or not) longer than `max_request_bytes` — the
     /// caller should answer `err too-large` and close.
     TooLarge,
     /// The read deadline expired mid-request — the caller should answer
@@ -88,18 +88,16 @@ impl ConnGuard {
     /// touching the socket.
     pub fn read_request(&mut self) -> io::Result<RequestRead> {
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
+            let newline = self.pending.iter().position(|&b| b == b'\n');
+            if newline.unwrap_or(self.pending.len()) > self.max_request_bytes {
+                return Ok(RequestRead::TooLarge);
+            }
+            if let Some(pos) = newline {
                 let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
                 line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
                 return Ok(RequestRead::Line(
                     String::from_utf8_lossy(&line).into_owned(),
                 ));
-            }
-            if self.pending.len() > self.max_request_bytes {
-                return Ok(RequestRead::TooLarge);
             }
             let mut chunk = [0u8; READ_CHUNK];
             match self.stream.read(&mut chunk) {

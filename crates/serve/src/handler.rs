@@ -399,9 +399,11 @@ mod tests {
             max_in_flight_writes: 1,
             ..bare()
         };
-        let e = handle_request(&sh, "materialize subsumed GO", &ctx).unwrap_err();
-        assert_eq!(e.kind, ServeErrorKind::Busy);
-        assert!(e.kind.is_retryable());
+        for write in ["materialize subsumed GO", "import demo 7"] {
+            let e = handle_request(&sh, write, &ctx).unwrap_err();
+            assert_eq!(e.kind, ServeErrorKind::Busy, "{write}");
+            assert!(e.kind.is_retryable());
+        }
         // reads are never admission-controlled
         assert!(handle_request(&sh, "query LocusLink:353 or Hugo", &ctx).is_ok());
         drop(slot);

@@ -83,8 +83,10 @@ fn assert_serving(addr: &str, reference_sum: u64, last_version: &mut (u64, u64),
     *last_version = version;
 }
 
-#[test]
-fn hundred_point_fault_sweep_leaves_the_server_serving() {
+/// The proxy fault sweep over the fault indices of one parity: the two
+/// halves are disjoint, together make the 100 points, and run side by side
+/// (a stall point waits out its deadline, so they overlap well).
+fn fault_sweep(parity: u64) {
     let server = Server::start(demo_shared(), &chaos_config()).unwrap();
     let addr = server.local_addr();
     let addr_str = addr.to_string();
@@ -104,7 +106,7 @@ fn hundred_point_fault_sweep_leaves_the_server_serving() {
     let mut points = 0u64;
     let mut injected = 0u64;
     for kind in ["disconnect", "torn", "stall", "delay"] {
-        for idx in 1..=25u64 {
+        for idx in (1..=25u64).filter(|idx| idx % 2 == parity) {
             let mut plan = NetFaultPlan {
                 seed: 0xc4a0_5000 + idx,
                 ..NetFaultPlan::default()
@@ -138,9 +140,20 @@ fn hundred_point_fault_sweep_leaves_the_server_serving() {
             assert_serving(&addr_str, reference_sum, &mut last_version, &point);
         }
     }
-    assert_eq!(points, 100, "sweep covers 100 proxy fault points");
-    assert!(injected >= 100, "injected {injected} faults across the sweep");
+    let indices = (1..=25u64).filter(|idx| idx % 2 == parity).count() as u64;
+    assert_eq!(points, 4 * indices, "this half covers its share of the 100 proxy fault points");
+    assert!(injected >= points, "injected {injected} faults across {points} points");
     server.shutdown().unwrap();
+}
+
+#[test]
+fn hundred_point_fault_sweep_leaves_the_server_serving() {
+    fault_sweep(1);
+}
+
+#[test]
+fn hundred_point_fault_sweep_second_half_leaves_the_server_serving() {
+    fault_sweep(0);
 }
 
 #[test]

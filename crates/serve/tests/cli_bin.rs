@@ -79,13 +79,18 @@ fn serve_mode_answers_calls_and_stops_on_quit() {
     assert!(ok, "query failed: {body}");
     assert!(body.contains("APRT"));
 
-    child
-        .stdin
-        .as_mut()
-        .expect("stdin piped")
-        .write_all(b"quit\n")
-        .expect("quit written");
-    let status = child.wait().expect("binary exits");
+    // the quit line alone stops it: stdin stays open until it has exited
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin.write_all(b"quit\n").expect("quit written");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the binary") {
+            break status;
+        }
+        assert!(std::time::Instant::now() < deadline, "serve ignored quit");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    drop(stdin);
     assert!(status.success(), "serve exited with {status:?}");
     let mut rest = String::new();
     std::io::Read::read_to_string(&mut stdout, &mut rest).expect("summary read");

@@ -88,6 +88,19 @@ fn oversized_request_is_rejected_and_the_connection_closed() {
     let (_, _, oversized) = server.stats().hardening_snapshot();
     assert_eq!(oversized, 1);
 
+    // a terminated line over the cap, arriving in one write with its
+    // newline, is refused the same way on a fresh connection
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut line = b"search ".to_vec();
+    line.extend_from_slice(&[b'q'; 1000]);
+    line.push(b'\n');
+    conn.write_all(&line).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let mut resp = String::new();
+    let _ = conn.read_to_string(&mut resp);
+    assert!(resp.starts_with("err too-large"), "frame: {resp:?}");
+    assert_eq!(server.stats().hardening_snapshot().2, 2);
+
     // a well-behaved request under the cap still works
     let (ok, _) = call(&addr.to_string(), "stats").unwrap();
     assert!(ok);

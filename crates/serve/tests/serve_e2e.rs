@@ -74,12 +74,17 @@ fn endpoints_over_the_wire() {
 fn persistent_connections_carry_many_requests() {
     let server = start_server(true, 2);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    // a response that never comes fails the test instead of hanging it
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    for _ in 0..10 {
-        writeln!(stream, "stats").unwrap();
-        let (ok, body) = serve::server::read_response(&mut reader).unwrap();
-        assert!(ok);
-        assert!(body.contains("snapshot version"));
+    // one request at a time, then pipelined pairs sent in one write
+    for pipelined in [1, 1, 1, 1, 2, 2, 2] {
+        stream.write_all("stats\n".repeat(pipelined).as_bytes()).unwrap();
+        for _ in 0..pipelined {
+            let (ok, body) = serve::server::read_response(&mut reader).unwrap();
+            assert!(ok);
+            assert!(body.contains("snapshot version"));
+        }
     }
     writeln!(stream, "quit").unwrap();
     let (connections, requests, ..) = server.stats().snapshot();

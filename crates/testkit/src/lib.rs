@@ -1,5 +1,6 @@
 //! `testkit` — what the workspace's seeded test sweeps share: the PRNG, a
-//! case loop whose failures name their seed, a text generator and a scratch directory.
+//! case loop whose failures name their seed, a text generator and a scratch directory;
+//! and the row type of the two mutant tables.
 //!
 //! A sweep replaces a property-test runner with a plain loop: case `i`
 //! draws its inputs from `Prng::seed_from_u64(i)` and asserts with the
@@ -75,6 +76,49 @@ impl Drop for TempDir {
     }
 }
 
+/// One textual mutant of the workspace sources: a regression someone could
+/// plausibly commit. The product's table (`tests/mutants.rs`) and genlint's
+/// (`crates/genlint/tests/mutants.rs`) are lists of these;
+/// `scripts/mutants.py` applies each row in a scratch clone and records
+/// what kills it. Tier-1 only checks that every needle still matches.
+#[derive(Debug)]
+pub struct Mutant {
+    /// The regression, in words.
+    pub what: &'static str,
+    /// Workspace-relative file the mutant edits.
+    pub path: &'static str,
+    /// Text that occurs exactly once in `path`.
+    pub needle: &'static str,
+    pub replacement: &'static str,
+    /// What kills the mutant: the failing tests as `suite::test`, a rustc
+    /// error, a clippy lint, or `none: <why it survives>`. Empty in
+    /// genlint's table: only the rules its row names kill it.
+    pub killer: &'static str,
+}
+
+impl Mutant {
+    /// The text of `path` under the workspace `root` with the needle
+    /// replaced, or why the row no longer applies.
+    pub fn apply(&self, root: &Path) -> Result<String, String> {
+        let raw = std::fs::read_to_string(root.join(self.path))
+            .map_err(|e| format!("{}: {}: {e}", self.what, self.path))?;
+        match raw.matches(self.needle).count() {
+            1 => Ok(raw.replacen(self.needle, self.replacement, 1)),
+            n => Err(format!("{}: needle occurs {n} times in {}", self.what, self.path)),
+        }
+    }
+}
+
+/// The workspace root: the nearest ancestor of `manifest_dir` (a crate's
+/// `CARGO_MANIFEST_DIR`) that holds `Cargo.lock`.
+pub fn workspace_root(manifest_dir: &str) -> PathBuf {
+    Path::new(manifest_dir)
+        .ancestors()
+        .find(|dir| dir.join("Cargo.lock").is_file())
+        .expect("a workspace root above the crate")
+        .to_owned()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +141,22 @@ mod tests {
     fn a_failing_case_fails_the_sweep() {
         let swept = std::panic::catch_unwind(|| cases(4, |rng| assert!(rng.below(2) > 1)));
         assert!(swept.is_err());
+    }
+
+    #[test]
+    fn a_mutant_applies_only_where_its_needle_occurs_once() {
+        let dir = TempDir::new("testkit-mutant");
+        std::fs::write(dir.path().join("f.rs"), "a + b; c - d; c - d;").unwrap();
+        let row = |needle| Mutant {
+            what: "w",
+            path: "f.rs",
+            needle,
+            replacement: "a - b",
+            killer: "",
+        };
+        assert_eq!(row("a + b").apply(dir.path()).unwrap(), "a - b; c - d; c - d;");
+        assert!(row("c - d").apply(dir.path()).unwrap_err().contains("2 times"));
+        assert!(row("e * f").apply(dir.path()).unwrap_err().contains("0 times"));
     }
 
     #[test]

@@ -160,8 +160,17 @@ fn checkpoint_truncates_wal_and_resumes() {
         assert!(fs::metadata(dir.join("wal.log")).unwrap().len() > stamp);
     }
     {
-        let gm = GenMapper::open(&dir).unwrap();
+        let mut gm = GenMapper::open(&dir).unwrap();
         assert!(gm.source_id("Unigene").is_ok());
+        gm.checkpoint().unwrap();
     }
+    // a store reopened on an epoch-only WAL keeps the stamp, so what it
+    // commits before closing again is replayed at the next open
+    let cards = {
+        let mut gm = GenMapper::open(&dir).unwrap();
+        gm.import_dumps(&eco.dumps[3..4]).unwrap();
+        gm.cardinalities().unwrap()
+    };
+    assert_eq!(GenMapper::open(&dir).unwrap().cardinalities().unwrap(), cards);
     let _ = fs::remove_dir_all(&dir);
 }
