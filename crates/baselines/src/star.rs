@@ -12,7 +12,7 @@
 use eav::{EavBatch, EavRecord};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
-use relstore::{Database, Predicate, StoreError};
+use relstore::{Database, StoreError};
 use std::collections::BTreeMap;
 
 /// Errors of the star warehouse.
@@ -203,7 +203,7 @@ impl StarWarehouse {
         let rows = self
             .db
             .table("gene")?
-            .select(&Predicate::eq("location", Value::text(location)))?;
+            .lookup("by_location", &[Value::text(location)])?;
         Ok(rows
             .into_iter()
             .map(|r| r.get(1).as_text().unwrap_or_default().to_owned())
@@ -215,7 +215,7 @@ impl StarWarehouse {
         let bridge = self
             .db
             .table("gene_go")?
-            .select(&Predicate::eq("value", Value::text(term)))?;
+            .lookup("by_value", &[Value::text(term)])?;
         let gene = self.db.table("gene")?;
         let mut out = Vec::with_capacity(bridge.len());
         for row in bridge {

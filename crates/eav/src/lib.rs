@@ -12,13 +12,11 @@
 //!   intra-source `IS_A` edge for taxonomy sources,
 //! * [`EavBatch`] — everything parsed from one source dump, with the
 //!   source's metadata (name, release for audit, content/structure
-//!   classification, partitions),
-//! * a line-oriented [staging file format](staging) so parse output can be
-//!   persisted and inspected, mirroring GenMapper's staging tables.
+//!   classification, partitions) — the staging area, held in memory
+//!   between Parse and Import.
 
 pub mod batch;
 pub mod record;
-pub mod staging;
 
 pub use batch::{EavBatch, SourceMeta};
 pub use record::EavRecord;

@@ -19,7 +19,7 @@ use crate::model::{GamObject, RelType, Source, SourceContent, SourceRel, SourceS
 use crate::schema::{all_schemas, tables};
 use relstore::row::Row;
 use relstore::value::Value;
-use relstore::{Database, Predicate};
+use relstore::{Database, RowId};
 use std::path::Path;
 
 /// Typed store over the GAM tables.
@@ -382,6 +382,17 @@ impl GamStore {
             .ok_or(GamError::UnknownSource(id))
     }
 
+    /// A source's row id and values, read through `pk`.
+    fn source_row(&self, id: SourceId) -> GamResult<(RowId, Vec<Value>)> {
+        let table = self.db.table(tables::SOURCE)?;
+        let key = [Value::Int(id.as_i64())];
+        let row_id = *table
+            .lookup_row_ids("pk", &key)?
+            .first()
+            .ok_or(GamError::UnknownSource(id))?;
+        Ok((row_id, table.get(row_id)?.into_values()))
+    }
+
     /// Update a source's content/structure classification. Used when a
     /// stub source (created to hold annotation targets) is later filled by
     /// its own authoritative dump.
@@ -392,12 +403,7 @@ impl GamStore {
         structure: SourceStructure,
     ) -> GamResult<()> {
         self.bump_mutations();
-        let (row_id, mut values) = {
-            let table = self.db.table(tables::SOURCE)?;
-            let hits = table.select_with_ids(&Predicate::eq("source_id", Value::Int(id.as_i64())))?;
-            let (row_id, row) = hits.into_iter().next().ok_or(GamError::UnknownSource(id))?;
-            (row_id, row.into_values())
-        };
+        let (row_id, mut values) = self.source_row(id)?;
         values[2] = Value::Int(content.code());
         values[3] = Value::Int(structure.code());
         self.db
@@ -408,12 +414,7 @@ impl GamStore {
     /// Update a source's release tag (re-import bookkeeping).
     pub fn set_source_release(&mut self, id: SourceId, release: &str) -> GamResult<()> {
         self.bump_mutations();
-        let (row_id, mut values) = {
-            let table = self.db.table(tables::SOURCE)?;
-            let hits = table.select_with_ids(&Predicate::eq("source_id", Value::Int(id.as_i64())))?;
-            let (row_id, row) = hits.into_iter().next().ok_or(GamError::UnknownSource(id))?;
-            (row_id, row.into_values())
-        };
+        let (row_id, mut values) = self.source_row(id)?;
         values[4] = Value::text(release);
         self.import_seq += 1;
         values[5] = Value::Int(self.import_seq as i64);
@@ -497,10 +498,10 @@ impl GamStore {
     /// owned `String`s are built on the hot path. Dedup decisions, id
     /// assignment order and store contents are identical to a per-row
     /// `ensure_object` loop: the whole batch is resolved against the
-    /// `by_accession` index first ([`resolve_accessions`]
-    /// (Self::resolve_accessions)), then the fresh rows — first occurrence
-    /// wins within the batch — are inserted in input order via one batch
-    /// insert with bulk index maintenance.
+    /// `by_accession` index first
+    /// ([`resolve_accessions`](Self::resolve_accessions)), then the fresh
+    /// rows — first occurrence wins within the batch — are inserted in
+    /// input order via one batch insert with bulk index maintenance.
     pub fn add_objects_bulk_ref(
         &mut self,
         source: SourceId,
@@ -641,21 +642,20 @@ impl GamStore {
     }
 
     /// Case-insensitive substring search over object names within a
-    /// source (the interactive interface's keyword search). Results are
-    /// capped at `limit` and ordered by accession.
+    /// source (the interactive interface's keyword search): the source's
+    /// `by_accession` entries, in accession order, capped at `limit`.
     pub fn search_objects(
         &self,
         source: SourceId,
         needle: &str,
         limit: usize,
     ) -> GamResult<Vec<GamObject>> {
-        let predicate = Predicate::eq("source_id", Value::Int(source.as_i64()))
-            .and(Predicate::text_contains("text", needle));
-        let rows = self.db.table(tables::OBJECT)?.select(&predicate)?;
-        let mut out: Vec<GamObject> = rows.into_iter().map(Self::object_from_row).collect();
-        out.sort_by(|a, b| a.accession.cmp(&b.accession));
-        out.truncate(limit);
-        Ok(out)
+        let needle = needle.to_ascii_lowercase();
+        self.objects_where(source, limit, |row| {
+            row.get(3)
+                .as_text()
+                .is_some_and(|text| text.to_ascii_lowercase().contains(&needle))
+        })
     }
 
     /// Objects of a source whose accession starts with `prefix` (e.g. all
@@ -666,16 +666,30 @@ impl GamStore {
         prefix: &str,
         limit: usize,
     ) -> GamResult<Vec<GamObject>> {
-        let rows = self
-            .db
-            .table(tables::OBJECT)?
-            .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?;
-        Ok(rows
-            .into_iter()
-            .map(Self::object_from_row)
-            .filter(|o| o.accession.starts_with(prefix))
-            .take(limit)
-            .collect())
+        self.objects_where(source, limit, |row| {
+            row.get(2).as_text().is_some_and(|acc| acc.starts_with(prefix))
+        })
+    }
+
+    /// The first `limit` objects of a source, in accession order, whose
+    /// row passes `keep`.
+    fn objects_where(
+        &self,
+        source: SourceId,
+        limit: usize,
+        keep: impl Fn(&Row) -> bool,
+    ) -> GamResult<Vec<GamObject>> {
+        let mut out = Vec::new();
+        self.db.table(tables::OBJECT)?.for_each_prefix(
+            "by_accession",
+            &[Value::Int(source.as_i64())],
+            |row| {
+                if out.len() < limit && keep(row) {
+                    out.push(Self::object_from_row(row.clone()));
+                }
+            },
+        )?;
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -1230,6 +1244,62 @@ mod tests {
         assert_eq!(hits[0].accession, "353");
         let hits = s.objects_with_accession_prefix(ll.id, "9", 10).unwrap();
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn searches_on_a_paged_store_filter_objects_of_their_source() {
+        use relstore::vfs::FaultVfs;
+        let vfs = FaultVfs::new();
+        let pool = relstore::PoolConfig { page_bytes: 256, pool_pages: 2 };
+        let mut s =
+            GamStore::open_paged_with_vfs(std::sync::Arc::new(vfs), Path::new("/db"), pool)
+                .unwrap();
+        let names = ["Adenine kinase", "ALCOHOL dehydrogenase", "kinase-like", "unnamed"];
+        let sources: Vec<Source> =
+            ["A", "B", "C"].iter().map(|n| gene_source(&mut s, n)).collect();
+        for (k, src) in sources.iter().enumerate() {
+            // inserted out of accession order, some without a name
+            let rows: Vec<(String, Option<String>, Option<f64>)> = (0..60)
+                .map(|i| (i * 37 + k) % 60)
+                .map(|i| {
+                    let text = (i % 5 != 4).then(|| format!("{} {i}", names[i % 4]));
+                    (format!("{}{i}", ["p", "q"][i % 2]), text, None)
+                })
+                .collect();
+            s.add_objects_bulk(src.id, &rows).unwrap();
+        }
+        s.checkpoint().unwrap();
+        for src in &sources {
+            let all = s.objects_of(src.id).unwrap();
+            for needle in ["", "KINASE", "dehydro", "1", "zzz"] {
+                let want = needle.to_ascii_lowercase();
+                for limit in [0, 3, 100] {
+                    let expected: Vec<GamObject> = all
+                        .iter()
+                        .filter(|o| {
+                            o.text.as_deref().is_some_and(|t| t.to_ascii_lowercase().contains(&want))
+                        })
+                        .take(limit)
+                        .cloned()
+                        .collect();
+                    assert_eq!(s.search_objects(src.id, needle, limit).unwrap(), expected);
+                }
+            }
+            for prefix in ["", "p", "q1", "p58", "r"] {
+                for limit in [0, 3, 100] {
+                    let expected: Vec<GamObject> = all
+                        .iter()
+                        .filter(|o| o.accession.starts_with(prefix))
+                        .take(limit)
+                        .cloned()
+                        .collect();
+                    assert_eq!(
+                        s.objects_with_accession_prefix(src.id, prefix, limit).unwrap(),
+                        expected
+                    );
+                }
+            }
+        }
     }
 
     #[test]

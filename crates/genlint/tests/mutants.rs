@@ -134,11 +134,11 @@ const MUTANTS: &[(Mutant, Fires)] = &[
         killer: "vfs::tests::directory_fsync_is_best_effort_only_where_unsupported",
     }, &[]),
     (Mutant {
-        what: "the import pipeline drops a periodic checkpoint's error",
-        path: "crates/import/src/pipeline.rs",
-        needle: "store.checkpoint()?;",
-        replacement: "store.checkpoint().ok();",
-        killer: "crash_import::import_io_errors_are_recoverable",
+        what: "checkpoint drops the error of unlinking the heap no directory names",
+        path: "crates/relstore/src/db.rs",
+        needle: "            vfs.remove(&stale)?;",
+        replacement: "            vfs.remove(&stale).ok();",
+        killer: "",
     }, &["error-swallow"]),
     // `unwrap_or` defaulting: the deleted cross-file half caught the third
     // of these only
@@ -299,8 +299,8 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     (Mutant {
         what: "GamStore::update_source_meta skips bump_mutations",
         path: "crates/gam/src/store.rs",
-        needle: "    ) -> GamResult<()> {\n        self.bump_mutations();\n        let (row_id, mut values) = {",
-        replacement: "    ) -> GamResult<()> {\n        let (row_id, mut values) = {",
+        needle: "    ) -> GamResult<()> {\n        self.bump_mutations();\n        let (row_id, mut values) = self.source_row(id)?;",
+        replacement: "    ) -> GamResult<()> {\n        let (row_id, mut values) = self.source_row(id)?;",
         killer: "store::tests::every_mutating_entry_point_advances_mutation_count",
     }, &["cache-coherence"]),
     (Mutant {
@@ -319,18 +319,18 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     }, &["cache-coherence"]),
     // --- vfs-bypass ---
     (Mutant {
-        what: "import staging creates its directory through std::fs",
-        path: "crates/import/src/pipeline.rs",
-        needle: "vfs.create_dir_all(dir)",
-        replacement: "std::fs::create_dir_all(dir)",
-        killer: "",
+        what: "open sizes the heap file through std::fs",
+        path: "crates/relstore/src/db.rs",
+        needle: "let heap_len = vfs.file_len(&heap_path)?.unwrap_or(0);",
+        replacement: "let heap_len = std::fs::metadata(&heap_path).map_or(0, |m| m.len());",
+        killer: "crash_sweep::every_crash_point_recovers_and_converges, index_build_equiv::reopened_store_equals_the_closed_one (+2)",
     }, &["vfs-bypass"]),
     (Mutant {
-        what: "import staging fsyncs its directory through std::fs",
-        path: "crates/import/src/pipeline.rs",
-        needle: "vfs.sync_dir(dir)\n",
-        replacement: "std::fs::File::open(dir).and_then(|d| d.sync_all())\n",
-        killer: "",
+        what: "checkpoint looks for the heap no directory names through std::fs",
+        path: "crates/relstore/src/db.rs",
+        needle: "if displaced > 1 && vfs.exists(&stale) {",
+        replacement: "if displaced > 1 && std::fs::metadata(&stale).is_ok() {",
+        killer: "db::tests::paged_compact_reclaims_dead_heap_bytes",
     }, &["vfs-bypass"]),
     (Mutant {
         what: "WalWriter::open reads the log through std::fs",
@@ -487,7 +487,7 @@ const MUTANTS: &[(Mutant, Fires)] = &[
         killer: "clippy::unwrap_used",
     }, &[]),
     (Mutant {
-        what: "GenMapper::map_shared expects a known source",
+        what: "GenMapper::map expects a known source",
         path: "crates/genmapper/src/system.rs",
         needle: "let from = self.source_id(from)?;",
         replacement: "let from = self.source_id(from).expect(\"source registered\");",

@@ -404,14 +404,14 @@ impl CliSession {
                     out,
                     "{} associations, {} domain objects, {} range objects ({})",
                     m.len(),
-                    m.domain().len(),
-                    m.range().len(),
+                    m.domain_keys().len(),
+                    m.range_keys().len(),
                     m.rel_type
                 );
             }
             Command::Compose { path } => {
                 let refs: Vec<&str> = path.iter().map(String::as_str).collect();
-                let m = self.gm.compose(&refs)?;
+                let m = self.gm.compose(&refs, None)?;
                 let _ = writeln!(
                     out,
                     "composed {}: {} associations",

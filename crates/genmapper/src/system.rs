@@ -4,7 +4,7 @@ use crate::query::QuerySpec;
 use crate::resolved::{ObjectInfo, ResolvedCell, ResolvedRow, ResolvedView};
 use gam::store::GamCardinalities;
 use gam::{
-    GamError, GamRead, GamResult, GamSnapshot, GamStore, Mapping, MappingIndex, ObjectId, SourceId,
+    GamError, GamRead, GamResult, GamSnapshot, GamStore, MappingIndex, ObjectId, SourceId,
     SourceRelId,
 };
 use import::{Importer, PipelineOptions};
@@ -35,7 +35,7 @@ pub(crate) struct VersionCache {
 struct CacheEntries {
     /// Cached mappings in CSR form — the unit the system caches and joins.
     /// Consumers probe the shared index (restrictions, view folds, merge
-    /// joins) and only materialize a `Mapping` at the public facade.
+    /// joins); `map` and `compose` hand it out as it is.
     mappings: HashMap<MappingKey, Arc<MappingIndex>>,
     /// Per-source object-id sets for whole-source views, so repeated
     /// queries over one source don't rescan the object table.
@@ -157,7 +157,7 @@ impl MappingKey {
         }
     }
 
-    fn composed(path: &[SourceId]) -> GamResult<Self> {
+    fn composed(path: &[SourceId], min_evidence: Option<f64>) -> GamResult<Self> {
         let (Some(&from), Some(&to)) = (path.first(), path.last()) else {
             return Err(GamError::Invalid("compose path is empty".into()));
         };
@@ -165,13 +165,8 @@ impl MappingKey {
             from,
             to,
             path: Some(path.to_vec()),
-            min_evidence_bits: None,
+            min_evidence_bits: min_evidence.map(f64::to_bits),
         })
-    }
-
-    fn with_min_evidence(mut self, threshold: f64) -> Self {
-        self.min_evidence_bits = Some(threshold.to_bits());
-        self
     }
 }
 
@@ -238,11 +233,6 @@ impl GenMapper {
     /// The current parallel execution configuration.
     pub fn exec_config(&self) -> &ExecConfig {
         &self.exec
-    }
-
-    /// Replace the parallel execution configuration.
-    pub fn set_exec_config(&mut self, exec: ExecConfig) {
-        self.exec = exec;
     }
 
     /// Set the worker-thread cap (`0`/`1` = sequential).
@@ -313,7 +303,6 @@ impl GenMapper {
         let options = PipelineOptions {
             parse_threads: self.exec.jobs.max(1),
             error_budget: self.error_budget,
-            ..PipelineOptions::default()
         };
         import::run_pipeline(&mut self.store, dumps, &options)
     }
@@ -406,17 +395,10 @@ impl GenMapper {
     // Operators, by name
     // ------------------------------------------------------------------
 
-    /// `Map(S, T)` by source names. Served from the versioned mapping
-    /// cache when warm; see [`GenMapper::map_shared`] for the clone-free
-    /// CSR handle.
-    pub fn map(&self, from: &str, to: &str) -> GamResult<Mapping> {
-        Ok(self.map_shared(from, to)?.to_mapping())
-    }
-
     /// `Map(S, T)` by source names, as a shared CSR index handle into the
-    /// versioned mapping cache (no clone of the association data; the
-    /// index loads through the batched `OBJECT_REL` scan on a cold miss).
-    pub fn map_shared(&self, from: &str, to: &str) -> GamResult<Arc<MappingIndex>> {
+    /// versioned mapping cache: a warm hit clones no association data, and
+    /// a cold miss loads the index through the batched `OBJECT_REL` scan.
+    pub fn map(&self, from: &str, to: &str) -> GamResult<Arc<MappingIndex>> {
         let from = self.source_id(from)?;
         let to = self.source_id(to)?;
         self.cache.mapping(MappingKey::direct(from, to), || {
@@ -424,35 +406,16 @@ impl GenMapper {
         })
     }
 
-    /// `Compose` along a path of source names. Served from the versioned
-    /// mapping cache when warm; joins run under the system's
-    /// [`ExecConfig`].
-    pub fn compose(&self, path: &[&str]) -> GamResult<Mapping> {
-        Ok(self.compose_shared(path)?.to_mapping())
-    }
-
-    /// `Compose` along a path of source names, as a shared CSR cache
-    /// handle. Joins run as sorted merge joins over the step indexes, or
-    /// as the partitioned hash probe when large and `jobs > 1` —
+    /// `Compose` along a path of source names, optionally with an evidence
+    /// floor applied at every join step, as a shared CSR cache handle
+    /// (cached under the `(path, min_evidence)` key). Joins run under the
+    /// system's [`ExecConfig`] — sorted merge joins over the step indexes,
+    /// or the partitioned hash probe when large and `jobs > 1`,
     /// bit-identical either way.
-    pub fn compose_shared(&self, path: &[&str]) -> GamResult<Arc<MappingIndex>> {
-        let ids = self.path_ids(path)?;
-        if ids.len() < 2 {
-            return Err(GamError::Invalid(
-                "compose path needs at least two sources".into(),
-            ));
-        }
-        self.cache.mapping(MappingKey::composed(&ids)?, || {
-            operators::compose_path_idx(&self.store, &ids, &self.exec)
-        })
-    }
-
-    /// `Compose` along a path with an evidence floor applied at every join
-    /// step (cached under the `(path, min_evidence)` key).
-    pub fn compose_with_threshold(
+    pub fn compose(
         &self,
         path: &[&str],
-        min_evidence: f64,
+        min_evidence: Option<f64>,
     ) -> GamResult<Arc<MappingIndex>> {
         let ids = self.path_ids(path)?;
         if ids.len() < 2 {
@@ -460,10 +423,17 @@ impl GenMapper {
                 "compose path needs at least two sources".into(),
             ));
         }
-        self.cache.mapping(
-            MappingKey::composed(&ids)?.with_min_evidence(min_evidence),
-            || operators::compose_path_idx_with_threshold(&self.store, &ids, min_evidence, &self.exec),
-        )
+        self.cache.mapping(MappingKey::composed(&ids, min_evidence)?, || {
+            match min_evidence {
+                None => operators::compose_path_idx(&self.store, &ids, &self.exec),
+                Some(floor) => operators::compose_path_idx_with_threshold(
+                    &self.store,
+                    &ids,
+                    floor,
+                    &self.exec,
+                ),
+            }
+        })
     }
 
     /// Materialize the composition along a path of source names.
@@ -824,7 +794,7 @@ mod tests {
     #[test]
     fn materialization_speeds_up_and_survives_reuse() {
         let mut gm = system();
-        let composed = gm.compose(&["Unigene", "LocusLink", "GO"]).unwrap();
+        let composed = gm.compose(&["Unigene", "LocusLink", "GO"], None).unwrap();
         assert!(!composed.is_empty());
         let (rel, n) = gm
             .materialize_composed(&["Unigene", "LocusLink", "GO"])
@@ -860,10 +830,8 @@ mod tests {
         let first = gm.map("LocusLink", "GO").unwrap();
         assert!(gm.mapping_cache_len() > 0, "miss populated the cache");
         // repeat hit: same Arc, no rebuild
-        let a1 = gm.map_shared("LocusLink", "GO").unwrap();
-        let a2 = gm.map_shared("LocusLink", "GO").unwrap();
-        assert!(Arc::ptr_eq(&a1, &a2), "repeat query hits the same entry");
-        assert_eq!(a1.to_mapping(), first);
+        let again = gm.map("LocusLink", "GO").unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "repeat query hits the same entry");
 
         // a whole-source query also caches the source object set
         let before = gm.mapping_cache_len();
@@ -889,7 +857,7 @@ mod tests {
         // and the rebuilt mapping matches a direct, cache-free computation
         let rebuilt = gm.map("LocusLink", "GO").unwrap();
         let direct = operators::map(gm.store(), ll, go).unwrap();
-        assert_eq!(rebuilt, direct);
+        assert_eq!(rebuilt.to_mapping(), direct);
     }
 
     #[test]
@@ -930,9 +898,9 @@ mod tests {
     #[test]
     fn parallel_query_matches_sequential() {
         let mut seq_gm = system();
-        seq_gm.set_exec_config(ExecConfig::sequential());
+        seq_gm.set_jobs(1);
         let mut par_gm = system();
-        par_gm.set_exec_config(ExecConfig::with_jobs(4));
+        par_gm.set_jobs(4);
         let specs = [
             QuerySpec::source("LocusLink")
                 .target("Hugo")
@@ -961,25 +929,18 @@ mod tests {
     }
 
     #[test]
-    fn compose_with_threshold_cached_per_floor() {
+    fn compose_is_cached_per_floor() {
         let gm = system();
-        let lax = gm
-            .compose_with_threshold(&["Unigene", "LocusLink", "GO"], 0.0)
-            .unwrap();
-        let strict = gm
-            .compose_with_threshold(&["Unigene", "LocusLink", "GO"], 0.9)
-            .unwrap();
+        let path = ["Unigene", "LocusLink", "GO"];
+        let lax = gm.compose(&path, Some(0.0)).unwrap();
+        let strict = gm.compose(&path, Some(0.9)).unwrap();
         assert!(strict.len() <= lax.len());
         // distinct floors are distinct cache entries
-        let lax2 = gm
-            .compose_with_threshold(&["Unigene", "LocusLink", "GO"], 0.0)
-            .unwrap();
-        assert!(Arc::ptr_eq(&lax, &lax2));
+        assert!(Arc::ptr_eq(&lax, &gm.compose(&path, Some(0.0)).unwrap()));
         assert!(!Arc::ptr_eq(&lax, &strict));
+        assert!(!Arc::ptr_eq(&lax, &gm.compose(&path, None).unwrap()));
         // invalid floor still rejected
-        assert!(gm
-            .compose_with_threshold(&["Unigene", "LocusLink", "GO"], f64::NAN)
-            .is_err());
+        assert!(gm.compose(&path, Some(f64::NAN)).is_err());
     }
 
     #[test]

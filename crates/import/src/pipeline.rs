@@ -19,14 +19,6 @@ use std::time::Instant;
 pub struct PipelineOptions {
     /// Parser worker threads. `1` parses inline without spawning.
     pub parse_threads: usize,
-    /// Checkpoint the store after this many imported batches (durable
-    /// stores only). `None` disables intermediate checkpoints.
-    pub checkpoint_every: Option<usize>,
-    /// Persist every parse result as an EAV staging file in this
-    /// directory (named `<source>.eav`), mirroring GenMapper's staging
-    /// tables between Parse and Import. `None` keeps batches in memory
-    /// only.
-    pub staging_dir: Option<std::path::PathBuf>,
     /// Per-dump error budget for lenient parsing: up to this many
     /// malformed lines are quarantined (reported, not imported) before a
     /// dump fails the run. `0` keeps the historical strict behaviour.
@@ -39,8 +31,6 @@ impl Default for PipelineOptions {
             parse_threads: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
-            checkpoint_every: None,
-            staging_dir: None,
             error_budget: 0,
         }
     }
@@ -69,37 +59,13 @@ pub fn run_pipeline_timed(
     let parsed = parse_dumps_lenient(dumps, options.parse_threads, options.error_budget)
         .map_err(|e| GamError::Invalid(format!("parse failed: {e}")))?;
     timings.parse += parse_start.elapsed();
-    if let Some(dir) = &options.staging_dir {
-        // staging files ride the store's VFS so crash sweeps can
-        // fault-inject them like any other durable state
-        let vfs = store.vfs();
-        vfs.create_dir_all(dir)
-            .map_err(|e| GamError::Invalid(format!("staging dir: {e}")))?;
-        for lp in &parsed {
-            let path = dir.join(format!("{}.eav", lp.batch.meta.name));
-            let mut file = vfs
-                .create(&path)
-                .map_err(|e| GamError::Invalid(format!("staging create: {e}")))?;
-            file.write_all(eav::staging::write_staging(&lp.batch).as_bytes())
-                .map_err(|e| GamError::Invalid(format!("staging write: {e}")))?;
-            file.sync()
-                .map_err(|e| GamError::Invalid(format!("staging sync: {e}")))?;
-        }
-        vfs.sync_dir(dir)
-            .map_err(|e| GamError::Invalid(format!("staging dir sync: {e}")))?;
-    }
     let mut reports = Vec::with_capacity(parsed.len());
-    for (i, lp) in parsed.into_iter().enumerate() {
+    for lp in parsed {
         let mut importer = Importer::new(store);
         let mut report = importer.import_owned(lp.batch)?;
         report.quarantined = lp.quarantined;
         timings.absorb(&importer.timings());
         reports.push(report);
-        if let Some(every) = options.checkpoint_every {
-            if every > 0 && (i + 1) % every == 0 {
-                store.checkpoint()?;
-            }
-        }
     }
     Ok((reports, timings))
 }
@@ -227,43 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn staging_files_roundtrip_through_disk() {
-        let eco = Ecosystem::generate(EcosystemParams::demo(35));
-        let dir = std::env::temp_dir().join("genmapper-staging-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = GamStore::in_memory().unwrap();
-        let options = PipelineOptions {
-            staging_dir: Some(dir.clone()),
-            ..PipelineOptions::default()
-        };
-        run_pipeline(&mut store, &eco.dumps, &options).unwrap();
-        // every source left a staging file, and re-reading one yields the
-        // exact batch the parser produced
-        for dump in &eco.dumps {
-            let path = dir.join(format!("{}.eav", dump.name));
-            assert!(path.exists(), "staging file for {}", dump.name);
-            let text = std::fs::read_to_string(&path).unwrap();
-            let reread = eav::staging::read_staging(text.as_bytes()).unwrap();
-            let mut original = dump.parse().unwrap();
-            original.sanitize();
-            assert_eq!(reread, original, "staging roundtrip for {}", dump.name);
-        }
-        // importing the re-read staging files into a fresh store matches
-        let mut store2 = GamStore::in_memory().unwrap();
-        for dump in &eco.dumps {
-            let text =
-                std::fs::read_to_string(dir.join(format!("{}.eav", dump.name))).unwrap();
-            let batch = eav::staging::read_staging(text.as_bytes()).unwrap();
-            crate::Importer::new(&mut store2).import(&batch).unwrap();
-        }
-        assert_eq!(
-            store.cardinalities().unwrap(),
-            store2.cardinalities().unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn parse_failure_is_reported_with_source() {
         let mut eco = Ecosystem::generate(EcosystemParams::demo(34));
         eco.dumps[2].text = "garbage that is not unigene".into();
@@ -298,7 +227,6 @@ mod tests {
             let options = PipelineOptions {
                 error_budget: 3,
                 parse_threads,
-                ..PipelineOptions::default()
             };
             let mut store = GamStore::in_memory().unwrap();
             let reports = run_pipeline(&mut store, &eco.dumps, &options).unwrap();

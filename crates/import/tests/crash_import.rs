@@ -22,17 +22,20 @@ fn open(vfs: &FaultVfs) -> gam::GamResult<GamStore> {
     GamStore::open_with_vfs(arc, Path::new("/db"))
 }
 
-fn options() -> PipelineOptions {
-    PipelineOptions {
-        parse_threads: 1,
-        checkpoint_every: Some(2),
-        ..PipelineOptions::default()
-    }
-}
-
+/// Imports the dumps two at a time, checkpointing after each full pair,
+/// then checkpoints once more.
 fn import_all(vfs: &FaultVfs, eco: &Ecosystem) -> gam::GamResult<()> {
     let mut store = open(vfs)?;
-    run_pipeline(&mut store, &eco.dumps, &options())?;
+    let options = PipelineOptions {
+        parse_threads: 1,
+        ..PipelineOptions::default()
+    };
+    for pair in eco.dumps.chunks(2) {
+        run_pipeline(&mut store, pair, &options)?;
+        if pair.len() == 2 {
+            store.checkpoint()?;
+        }
+    }
     store.checkpoint()
 }
 

@@ -45,7 +45,6 @@ pub mod compose;
 pub mod exec;
 pub mod materialize;
 pub mod plan;
-pub mod setops;
 pub mod simple;
 pub mod subsume;
 pub mod view;
@@ -55,7 +54,6 @@ pub use compose::{
 };
 pub use exec::ExecConfig;
 pub use plan::{explain_view, plan_chain, ExplainNode, ViewContext};
-pub use setops::{difference, intersect, union};
 pub use simple::{map, map_index};
 pub use subsume::subsume;
 pub use view::{

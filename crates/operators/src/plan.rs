@@ -34,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// The cost model: the constants table and the formulas that pick a join
-/// strategy per Compose from the two operands' [`IndexStats`].
+/// strategy per Compose from the two operands' [`gam::index::IndexStats`].
 pub mod cost {
     use crate::exec::ExecConfig;
     use gam::IndexStats;

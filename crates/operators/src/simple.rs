@@ -52,7 +52,7 @@ pub fn map(store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<Mappi
 
 /// [`map`] in CSR form. When a single stored, non-structural mapping backs
 /// the pair — by far the common case — the index streams straight out of
-/// the store's batched `OBJECT_REL` scan ([`GamStore::load_mapping_index`])
+/// the store's batched `OBJECT_REL` scan ([`gam::GamStore::load_mapping_index`])
 /// with no per-row allocation, no sort and no dedup; otherwise it
 /// canonicalizes the merged [`map`] result. Either way the index holds
 /// exactly `map(store, from, to)` in canonical form.

@@ -100,27 +100,7 @@ impl SourceGraph {
     /// discovery. Returns the node sequence from `from` to `to` inclusive,
     /// or `None` if unreachable.
     pub fn shortest_path(&self, from: SourceId, to: SourceId) -> Option<Vec<SourceId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        if !self.adjacency.contains_key(&from) || !self.adjacency.contains_key(&to) {
-            return None;
-        }
-        let mut prev: HashMap<SourceId, SourceId> = HashMap::new();
-        let mut queue = VecDeque::from([from]);
-        let mut seen: BTreeSet<SourceId> = [from].into();
-        while let Some(node) = queue.pop_front() {
-            for edge in self.neighbours(node) {
-                if seen.insert(edge.to) {
-                    prev.insert(edge.to, node);
-                    if edge.to == to {
-                        return Some(rebuild(&prev, from, to));
-                    }
-                    queue.push_back(edge.to);
-                }
-            }
-        }
-        None
+        self.shortest_path_filtered(from, to, &BTreeSet::new(), &BTreeSet::new())
     }
 
     /// Weighted shortest path (Dijkstra) under a weight scheme. Returns
@@ -258,6 +238,8 @@ impl SourceGraph {
         self.shortest_path_filtered(from, to, avoid, &BTreeSet::new())
     }
 
+    /// The one BFS: `shortest_path` bans nothing, the avoiding search bans
+    /// nodes and Yen's spur searches ban nodes and edges.
     fn shortest_path_filtered(
         &self,
         from: SourceId,

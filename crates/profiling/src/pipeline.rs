@@ -10,7 +10,7 @@
 
 use crate::expression::ExpressionStudy;
 use crate::stats::{benjamini_hochberg, hypergeometric_sf};
-use gam::{GamResult, Mapping, ObjectId};
+use gam::{GamResult, MappingIndex, ObjectId};
 use genmapper::GenMapper;
 use std::collections::{BTreeSet, HashMap};
 
@@ -68,18 +68,14 @@ impl ProfilingReport {
 pub struct FunctionalProfile;
 
 /// Forward image of a set under a mapping.
-fn image(mapping: &Mapping, inputs: &BTreeSet<ObjectId>) -> BTreeSet<ObjectId> {
-    let mut by_from: HashMap<ObjectId, Vec<ObjectId>> = HashMap::with_capacity(mapping.len());
-    for a in &mapping.pairs {
-        by_from.entry(a.from).or_default().push(a.to);
-    }
-    let mut out = BTreeSet::new();
-    for i in inputs {
-        if let Some(ts) = by_from.get(i) {
-            out.extend(ts.iter().copied());
-        }
-    }
-    out
+fn image(mapping: &MappingIndex, inputs: &BTreeSet<ObjectId>) -> BTreeSet<ObjectId> {
+    inputs.iter().flat_map(|&i| targets(mapping, i)).collect()
+}
+
+/// The objects `from` maps to, probed off the index.
+fn targets(mapping: &MappingIndex, from: ObjectId) -> impl Iterator<Item = ObjectId> + '_ {
+    let positions = mapping.domain_bucket(from).map_or(0..0, |b| mapping.fwd_range(b));
+    positions.map(|pos| mapping.to_at(pos))
 }
 
 impl FunctionalProfile {
@@ -135,19 +131,13 @@ impl FunctionalProfile {
         }
         let annotate = |loci: &BTreeSet<ObjectId>| -> HashMap<ObjectId, BTreeSet<ObjectId>> {
             // term -> genes (with subsumed aggregation)
-            let mut by_locus: HashMap<ObjectId, Vec<ObjectId>> = HashMap::new();
-            for a in &locus_to_go.pairs {
-                by_locus.entry(a.from).or_default().push(a.to);
-            }
             let mut term_genes: HashMap<ObjectId, BTreeSet<ObjectId>> = HashMap::new();
             for &locus in loci {
-                if let Some(terms) = by_locus.get(&locus) {
-                    for &t in terms {
-                        term_genes.entry(t).or_default().insert(locus);
-                        if let Some(ups) = ancestors_of.get(&t) {
-                            for &up in ups {
-                                term_genes.entry(up).or_default().insert(locus);
-                            }
+                for t in targets(&locus_to_go, locus) {
+                    term_genes.entry(t).or_default().insert(locus);
+                    if let Some(ups) = ancestors_of.get(&t) {
+                        for &up in ups {
+                            term_genes.entry(up).or_default().insert(locus);
                         }
                     }
                 }

@@ -242,16 +242,6 @@ impl Database {
             let table = Table::recovered(meta, pager.clone())?;
             tables.insert(table.name().to_owned(), table);
         }
-        // A compaction that crashed between publishing the new directory
-        // and unlinking the old heap leaks the previous generation; finish
-        // the job here.
-        if catalog.heap_gen > 1 {
-            let prev_heap = dir.join(heap_file_name(catalog.heap_gen - 1));
-            if vfs.exists(&prev_heap) {
-                vfs.remove(&prev_heap)?;
-                vfs.sync_dir(dir)?;
-            }
-        }
         let mut db = Database {
             tables,
             durability: None,
@@ -511,12 +501,23 @@ impl Database {
     /// 3. rename the current directory to `pagedir.prev`,
     /// 4. rename the temp file to `pagedir.bin`,
     /// 5. fsync the directory (the renames are not durable before this),
-    /// 6. reset the WAL, stamping it with epoch N+1.
+    /// 6. reset the WAL, stamping it with epoch N+1,
+    /// 7. unlink the heap generation just below the older of the two the
+    ///    directories now name: neither names it any more.
     ///
     /// A crash before step 5 recovers from the old directory + old WAL
     /// (possibly via `pagedir.prev`); a crash after it recovers from the
     /// new directory, discarding the now-stale WAL by its epoch mismatch.
+    /// A crash before step 7 leaks that generation; the next checkpoint
+    /// unlinks it unless a compaction came first.
     pub fn checkpoint(&mut self) -> StoreResult<()> {
+        self.publish(self.heap_gen)
+    }
+
+    /// [`checkpoint`](Self::checkpoint), where `displaced` is the heap
+    /// generation the directory about to become `pagedir.prev` names:
+    /// `heap_gen`, except inside a compaction.
+    fn publish(&mut self, displaced: u64) -> StoreResult<()> {
         let Some(durability) = &mut self.durability else {
             return Ok(());
         };
@@ -549,6 +550,13 @@ impl Database {
         vfs.sync_dir(&durability.dir)?;
         durability.wal.reset(new_epoch)?;
         durability.epoch = new_epoch;
+        // the directories name `displaced` and `heap_gen`; the generation
+        // before the older of them is named by neither
+        let stale = durability.dir.join(heap_file_name(displaced.saturating_sub(1)));
+        if displaced > 1 && vfs.exists(&stale) {
+            vfs.remove(&stale)?;
+            vfs.sync_dir(&durability.dir)?;
+        }
         Ok(())
     }
 
@@ -557,29 +565,20 @@ impl Database {
     /// offset, orphaning its old image — so a long-lived database
     /// accumulates dead bytes that only compaction reclaims. The new
     /// generation's heap is fully written and synced before the directory
-    /// that references it is published; the old generation is unlinked
-    /// last (a crash in between leaks it until the next open cleans up).
-    /// Without a buffer pool there is no heap and this is just
-    /// [`checkpoint`](Self::checkpoint), which rewrites everything anyway.
+    /// that references it is published. The old generation stays: the
+    /// fallback directory `pagedir.prev` still names it, so the next
+    /// checkpoint unlinks it. Without a buffer pool there is no heap and
+    /// this is just [`checkpoint`](Self::checkpoint), which rewrites
+    /// everything anyway.
     pub fn compact(&mut self) -> StoreResult<()> {
         let (Some(pager), Some(durability)) = (&self.pager, &self.durability) else {
             return self.checkpoint();
         };
-        let old_path = durability.dir.join(heap_file_name(self.heap_gen));
         let new_path = durability.dir.join(heap_file_name(self.heap_gen + 1));
         let pids: Vec<PageId> = self.tables.values().flat_map(|t| t.page_ids()).collect();
         pager.compact_into(&new_path, &pids)?;
         self.heap_gen += 1;
-        self.checkpoint()?;
-        if let Some(durability) = &self.durability {
-            // the heap is created on first write-back: a store that never
-            // sealed a page has no old generation to unlink
-            if durability.vfs.exists(&old_path) {
-                durability.vfs.remove(&old_path)?;
-            }
-            durability.vfs.sync_dir(&durability.dir)?;
-        }
-        Ok(())
+        self.publish(self.heap_gen - 1)
     }
 
     /// Gather statistics. Fails if an index lookup fails — silently
@@ -792,7 +791,6 @@ impl Drop for Transaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::Predicate;
     use crate::schema::Column;
     use crate::value::ValueType;
 
@@ -1135,10 +1133,7 @@ mod tests {
             let db = Database::open(&dir).unwrap();
             let t = db.table("t").unwrap();
             assert_eq!(t.len(), 1);
-            let rows = t
-                .select(&Predicate::eq("name", Value::text("keep")))
-                .unwrap();
-            assert_eq!(rows.len(), 1);
+            assert_eq!(t.get(RowId(0)).unwrap().get(1), &Value::text("keep"));
         }
     }
 
@@ -1342,7 +1337,8 @@ mod tests {
             .expect("gen-1 heap exists")
             .len();
         db.compact().unwrap();
-        assert!(!vfs.exists(&dir.join(heap_file_name(1))), "old heap unlinked");
+        // `pagedir.prev` still names gen 1: it goes at the next checkpoint
+        assert!(vfs.exists(&dir.join(heap_file_name(1))), "fallback heap kept");
         let compacted = vfs
             .peek(&dir.join(heap_file_name(2)))
             .expect("gen-2 heap exists")
@@ -1353,12 +1349,49 @@ mod tests {
         );
         // data intact, and the compacted generation reopens cleanly
         assert_eq!(db.table("t").unwrap().get(RowId(5)).unwrap().get(1), &Value::text("u3-5"));
+        db.checkpoint().unwrap();
+        assert!(!vfs.exists(&dir.join(heap_file_name(1))), "old heap unlinked");
         drop(db);
         let db =
             Database::open_paged_with_vfs(Arc::new(vfs.clone()), dir, paged_config()).unwrap();
         let t = db.table("t").unwrap();
         assert_eq!(t.len(), 80);
         assert_eq!(t.get(RowId(5)).unwrap().get(1), &Value::text("u3-5"));
+    }
+
+    #[test]
+    fn compaction_keeps_the_heap_the_fallback_directory_names() {
+        use crate::vfs::FaultVfs;
+        let vfs = FaultVfs::new();
+        let dir = Path::new("/db");
+        let open = || {
+            Database::open_paged_with_vfs(Arc::new(vfs.clone()), dir, paged_config()).unwrap()
+        };
+        let mut db = open();
+        db.create_table(schema("t")).unwrap();
+        db.with_txn(|txn| {
+            for i in 0..80 {
+                txn.insert("t", vec![Value::Int(i), Value::text(format!("v{i}"))])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        db.checkpoint().unwrap();
+        let before: Vec<_> = db.table("t").unwrap().scan().collect();
+        db.compact().unwrap();
+        drop(db);
+        // rot the primary directory: open must fall back to `pagedir.prev`,
+        // whose pages live in the pre-compaction heap
+        let primary = dir.join(PAGEDIR_FILE);
+        let mut rotten = vfs.peek(&primary).unwrap();
+        let mid = rotten.len() / 2;
+        rotten[mid] ^= 0xff;
+        let mut f = vfs.create(&primary).unwrap();
+        f.write_all(&rotten).unwrap();
+        f.sync().unwrap();
+        let db = open();
+        assert_eq!(db.recovery_report().unwrap().snapshot, SnapshotSource::Fallback);
+        assert_eq!(db.table("t").unwrap().scan().collect::<Vec<_>>(), before);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!   reused,
 //! * unique and non-unique secondary [indexes](index "index module"): a
 //!   key-sorted run plus a small delta,
-//! * [`predicate`] scans with index selection,
 //! * durability via a checkpointed page directory ([`pager`]) plus a
 //!   [write-ahead log](wal "wal module"), with crash recovery that replays
 //!   the WAL over the last checkpoint,
@@ -26,7 +25,6 @@
 //! use relstore::db::Database;
 //! use relstore::schema::{Column, Schema};
 //! use relstore::value::{Value, ValueType};
-//! use relstore::predicate::Predicate;
 //!
 //! let mut db = Database::in_memory();
 //! let schema = Schema::builder("gene")
@@ -42,11 +40,12 @@
 //! txn.insert("gene", vec![Value::Int(353), Value::text("APRT")]).unwrap();
 //! txn.commit().unwrap();
 //!
-//! let hits = db.table("gene").unwrap()
-//!     .select(&Predicate::eq("symbol", Value::text("APRT")))
-//!     .unwrap();
-//! assert_eq!(hits.len(), 1);
-//! assert_eq!(hits[0].get(0), &Value::Int(353));
+//! // every read names the index it probes
+//! let hit = db.table("gene").unwrap()
+//!     .lookup_unique("by_symbol", &[Value::text("APRT")])
+//!     .unwrap()
+//!     .expect("APRT is stored");
+//! assert_eq!(hit.get(0), &Value::Int(353));
 //! ```
 
 // Non-test code must handle errors, not unwrap them: a storage engine that
@@ -71,7 +70,6 @@ pub mod error;
 pub mod index;
 pub mod page;
 pub mod pager;
-pub mod predicate;
 pub mod row;
 pub mod schema;
 pub mod stats;
@@ -85,7 +83,6 @@ pub use db::{Database, RecoveryReport, SnapshotSource};
 pub use error::{StoreError, StoreResult};
 pub use page::PageId;
 pub use pager::{Pager, PoolConfig};
-pub use predicate::Predicate;
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
 pub use stats::PoolStats;

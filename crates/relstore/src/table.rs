@@ -13,10 +13,9 @@
 //! ([`Table::build_indexes`]): a table under recovery has no index
 //! structures at all until then.
 //!
-//! Reads go through [`Table::select`], which performs simple access-path
-//! selection: if the predicate's top-level conjunction fixes every column of
-//! some index with equality, the index serves the lookup and the residual
-//! predicate filters the candidates; otherwise a full scan runs.
+//! Reads name their index: [`Table::lookup`], [`Table::for_each_prefix`]
+//! and their kin probe one declared index, and [`Table::for_each_row`] is
+//! the full scan. There is no planner choosing between them.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -26,7 +25,6 @@ use crate::index::{format_key, IndexBuilder, IndexKey, IndexStore, KeySpec};
 use crate::codec::{get_count, get_value_into};
 use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
-use crate::predicate::Predicate;
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
@@ -1151,67 +1149,6 @@ impl Table {
         Ok(())
     }
 
-    /// Select rows matching `predicate`, using an index when the predicate's
-    /// equality constraints cover one, otherwise a full scan.
-    pub fn select(&self, predicate: &Predicate) -> StoreResult<Vec<Row>> {
-        Ok(self
-            .select_with_ids(predicate)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect())
-    }
-
-    /// Like [`select`](Self::select) but also yields row ids.
-    pub fn select_with_ids(&self, predicate: &Predicate) -> StoreResult<Vec<(RowId, Row)>> {
-        let bound = predicate.bind(&self.schema)?;
-        let mut out = Vec::new();
-        let mut keep = |id: RowId, row: &Row| {
-            if bound.matches(row.values()) {
-                out.push((id, row.clone()));
-            }
-        };
-        // Access-path selection: find an index fully pinned by equality
-        // constraints of the top-level conjunction.
-        if let Some((ix, key)) = self.pick_index(predicate) {
-            self.walk(
-                |sink| {
-                    ix.lookup(&key, sink);
-                },
-                |cursor, id| cursor.with(id, |row| keep(id, row)),
-            )?;
-        } else {
-            self.for_each_row(|id, row| {
-                keep(id, row);
-                Ok(())
-            })?;
-        }
-        Ok(out)
-    }
-
-    /// Pick the first index whose every column is pinned by an equality
-    /// constraint with a value of the column's type; returns it with the
-    /// key the constraints pin.
-    fn pick_index(&self, predicate: &Predicate) -> Option<(&IndexStore, IndexKey)> {
-        let constraints = predicate.equality_constraints();
-        if constraints.is_empty() {
-            return None;
-        }
-        'outer: for (def, ix) in self.indexed() {
-            let mut key = Vec::with_capacity(def.columns.len());
-            for &col in &def.columns {
-                let name = &self.schema.columns()[col].name;
-                match constraints.iter().find(|(c, _)| c == name) {
-                    Some((_, v)) => key.push((*v).clone()),
-                    None => continue 'outer,
-                }
-            }
-            if let Some(key) = ix.spec().probe(&key) {
-                return Some((ix, key));
-            }
-        }
-        None
-    }
-
     /// Entry count of a named index (for stats).
     pub fn index_entries(&self, name: &str) -> StoreResult<usize> {
         Ok(self.index(name)?.entry_count())
@@ -1432,47 +1369,6 @@ mod tests {
         let err = t.update(r, obj(1, 10, "B")).unwrap_err();
         assert!(matches!(err, StoreError::UniqueViolation { .. }));
         assert_eq!(t.get(r).unwrap().get(2), &Value::text("C"));
-    }
-
-    #[test]
-    fn select_uses_index_and_residual_filter() {
-        let mut t = object_table();
-        for i in 0..100 {
-            t.insert(obj(i, i % 5, &format!("ACC{i}"))).unwrap();
-        }
-        // fully pinned secondary index
-        let hits = t
-            .select(&Predicate::eq("source_id", Value::Int(3)))
-            .unwrap();
-        assert_eq!(hits.len(), 20);
-        assert!(hits.iter().all(|r| r.get(1) == &Value::Int(3)));
-        // index lookup + residual filter
-        let p = Predicate::eq("source_id", Value::Int(3))
-            .and(Predicate::text_contains("accession", "c3"));
-        let hits = t.select(&p).unwrap();
-        assert_eq!(hits.len(), 3, "ACC3, ACC33, ACC38");
-        // no index pinned (by_accession also needs the source): full scan
-        let hits = t
-            .select(&Predicate::eq("accession", Value::text("ACC90")))
-            .unwrap();
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn select_equals_scan_semantics() {
-        let mut t = object_table();
-        for i in 0..50 {
-            t.insert(obj(i, i % 7, &format!("A{i}"))).unwrap();
-        }
-        let p = Predicate::eq("source_id", Value::Int(2));
-        let via_index = t.select(&p).unwrap();
-        let bound = p.bind(t.schema()).unwrap();
-        let via_scan: Vec<Row> = t
-            .scan()
-            .filter(|(_, r)| bound.matches(r.values()))
-            .map(|(_, r)| r)
-            .collect();
-        assert_eq!(via_index, via_scan);
     }
 
     #[test]
@@ -1771,9 +1667,8 @@ mod tests {
             let want: Vec<i64> = by_acc.iter().filter_map(|r| r.get(0).as_int()).collect();
             assert_eq!(ids, want);
         }
-        // a predicate no index serves: the filtered full scan
-        let everything = Predicate::text_contains("accession", "");
-        assert_eq!(a.select(&everything).unwrap(), b.select(&everything).unwrap());
+        // the full scan
+        assert_eq!(a.scan().collect::<Vec<_>>(), b.scan().collect::<Vec<_>>());
     }
 
     #[test]

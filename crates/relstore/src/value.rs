@@ -41,8 +41,7 @@ impl fmt::Display for ValueType {
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL-style NULL. Compares equal to itself here (unlike SQL) so that
-    /// rows are hashable and indexable; predicate evaluation treats NULL
-    /// comparisons explicitly.
+    /// rows are hashable and indexable.
     Null,
     Int(i64),
     Float(f64),

@@ -5,7 +5,6 @@
 //! run over an in-memory [`FaultVfs`] with no faults planned, so the
 //! comparison is deterministic and touches no real disk.
 
-use relstore::predicate::Predicate;
 use relstore::row::RowId;
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
@@ -148,11 +147,11 @@ fn assert_same(resident: &Database, paged: &Database, context: &str) {
         );
     }
     for g in 0..10 {
-        let p = Predicate::eq("grp", Value::Int(g));
+        let key = [Value::Int(g)];
         assert_eq!(
-            rt.select(&p).unwrap(),
-            pt.select(&p).unwrap(),
-            "{context}: index select grp={g}"
+            rt.lookup("by_grp", &key).unwrap(),
+            pt.lookup("by_grp", &key).unwrap(),
+            "{context}: index lookup grp={g}"
         );
     }
 }

@@ -237,12 +237,7 @@ fn run_call(args: &CliArgs) -> Result<bool, String> {
     let request = args.words.join(" ");
     // read-class requests retry transient failures (connect errors,
     // `err busy`) with capped jittered backoff; writes go out once
-    let report = serve::call_retry(
-        &addr,
-        &request,
-        &serve::ClientConfig::default(),
-        &serve::RetryPolicy::default(),
-    )
+    let report = serve::call_retry(&addr, &request, &serve::ClientConfig::default())
     .map_err(|e| format!("call to {addr} failed: {e}"))?;
     if report.attempts > 1 {
         eprintln!("({} attempts)", report.attempts);

@@ -251,30 +251,12 @@ fn parse_response_header(header: &str) -> Option<(bool, Option<String>, usize)> 
 
 // ----------------------------------------------------------------- retry
 
-/// Capped, jittered exponential backoff for the client call path.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = no retries).
-    pub attempts: u32,
-    /// Backoff before the second attempt; doubles each retry.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub max_backoff: Duration,
-    /// Seed for deterministic jitter (each backoff is scaled into
-    /// [50%, 100%] of its nominal value).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-            seed: 0x5eed,
-        }
-    }
-}
+/// Attempts [`call_retry`] makes, the first included.
+const RETRY_ATTEMPTS: u32 = 4;
+/// Backoff before the second attempt; it doubles each retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+/// Ceiling on any single backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_millis(200);
 
 /// The outcome of a retried call, with the attempt count surfaced so
 /// harnesses can report how much retrying actually happened.
@@ -289,21 +271,16 @@ pub struct CallReport {
 
 /// [`call_with`] plus capped jittered retry for *read-class* requests:
 /// connection-level failures and retryable server errors (`err busy`)
-/// are retried up to `retry.attempts` times. Write requests are never
-/// retried — a write whose response was lost may have executed, and the
-/// protocol does not promise idempotence.
-pub fn call_retry(
-    addr: &str,
-    request: &str,
-    config: &ClientConfig,
-    retry: &RetryPolicy,
-) -> io::Result<CallReport> {
+/// are retried, up to four attempts in all. Write requests
+/// are never retried — a write whose response was lost may have executed,
+/// and the protocol does not promise idempotence.
+pub fn call_retry(addr: &str, request: &str, config: &ClientConfig) -> io::Result<CallReport> {
     let retryable_request = crate::handler::is_read_request(request);
-    let attempts_cap = retry.attempts.max(1);
+    let seed = jitter_seed();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let more = retryable_request && attempt < attempts_cap;
+        let more = retryable_request && attempt < RETRY_ATTEMPTS;
         match call_with(addr, request, config) {
             Ok(resp) => {
                 let transient = resp
@@ -333,19 +310,27 @@ pub fn call_retry(
                 }
             }
         }
-        std::thread::sleep(backoff_for(retry, attempt));
+        std::thread::sleep(backoff_for(seed, attempt));
     }
 }
 
+/// A jitter seed that differs between clients and between calls: a clock
+/// read hashed under std's randomly keyed hasher. Clients shed together
+/// therefore sleep apart instead of retrying in lockstep.
+fn jitter_seed() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    hasher.write_u128(now.map_or(0, |d| d.as_nanos()));
+    hasher.finish()
+}
+
 /// The sleep before attempt `attempt + 1`: base doubled per retry, capped,
-/// then deterministically jittered into [50%, 100%].
-fn backoff_for(retry: &RetryPolicy, attempt: u32) -> Duration {
+/// then jittered into [50%, 100%] by `seed`.
+fn backoff_for(seed: u64, attempt: u32) -> Duration {
     let exp = attempt.saturating_sub(1).min(16);
-    let nominal = retry
-        .base_backoff
-        .saturating_mul(1u32 << exp)
-        .min(retry.max_backoff);
-    let r = splitmix(retry.seed ^ u64::from(attempt));
+    let nominal = BASE_BACKOFF.saturating_mul(1u32 << exp).min(MAX_BACKOFF);
+    let r = splitmix(seed ^ u64::from(attempt));
     let scale_milli = 500 + (r % 501); // 500..=1000 per-mille
     nominal.saturating_mul(scale_milli as u32) / 1000
 }
@@ -411,16 +396,23 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_caps_and_jitters_deterministically() {
-        let retry = RetryPolicy::default();
-        let b1 = backoff_for(&retry, 1);
-        let b2 = backoff_for(&retry, 2);
-        let b9 = backoff_for(&retry, 9);
-        // jitter keeps every sleep within [50%, 100%] of nominal
-        assert!(b1 >= Duration::from_millis(5) && b1 <= Duration::from_millis(10));
-        assert!(b2 >= Duration::from_millis(10) && b2 <= Duration::from_millis(20));
-        assert!(b9 <= retry.max_backoff, "{b9:?} capped");
-        // deterministic: same policy, same attempt, same sleep
-        assert_eq!(backoff_for(&retry, 3), backoff_for(&retry, 3));
+    fn backoff_doubles_caps_and_jitters_per_seed() {
+        let seeds: Vec<u64> = (0..64).map(|_| jitter_seed()).collect();
+        for &seed in &seeds {
+            for attempt in 1..=9 {
+                // jitter keeps every sleep within [50%, 100%] of nominal
+                let nominal = (BASE_BACKOFF * (1 << (attempt - 1))).min(MAX_BACKOFF);
+                let sleep = backoff_for(seed, attempt);
+                assert!(sleep >= nominal / 2 && sleep <= nominal, "{sleep:?} vs {nominal:?}");
+                // same seed, same attempt, same sleep
+                assert_eq!(backoff_for(seed, attempt), sleep);
+            }
+        }
+        // clients seeded apart sleep apart
+        assert!(seeds.windows(2).all(|w| w[0] != w[1]));
+        assert_ne!(backoff_for(1, 1), backoff_for(2, 1));
+        let firsts: std::collections::BTreeSet<Duration> =
+            seeds.iter().map(|&seed| backoff_for(seed, 1)).collect();
+        assert!(firsts.len() > 1, "64 clients drew one first sleep");
     }
 }

@@ -1,4 +1,5 @@
-//! A concurrent annotation service over one [`SharedGenMapper`].
+//! A concurrent annotation service over one
+//! [`SharedGenMapper`](genmapper::SharedGenMapper).
 //!
 //! The paper deploys GenMapper behind a web interface queried by many
 //! users while imports run in the back office (§5). This crate reproduces
@@ -53,7 +54,7 @@ pub mod server;
 
 pub use conn::{
     call, call_retry, call_with, read_response, read_response_with, CallReport, ClientConfig,
-    Response, RetryPolicy,
+    Response,
 };
 pub use error::{ServeError, ServeErrorKind};
 pub use faultnet::{FaultNet, NetFaultPlan};

@@ -2,7 +2,7 @@
 //! listening socket, deadline-guarded connections, admission-controlled
 //! writes, and drain-bounded graceful shutdown.
 //!
-//! Every accepted socket is wrapped in a [`ConnGuard`](crate::conn::ConnGuard)
+//! Every accepted socket is wrapped in a [`ConnGuard`]
 //! before a byte is read — the deadline / size-cap seam `tests/hardening.rs`
 //! drives over real TCP. The client helpers (`call`,
 //! `read_response`) live in [`crate::conn`] and are re-exported here for

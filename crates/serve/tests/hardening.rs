@@ -3,7 +3,7 @@
 //! and drain-bounded graceful shutdown — all over real TCP.
 
 use genmapper::{GenMapper, SharedGenMapper};
-use serve::{call, call_retry, ClientConfig, RetryPolicy, Server, ServerConfig};
+use serve::{call, call_retry, ClientConfig, Server, ServerConfig};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -159,19 +159,13 @@ fn shed_writes_succeed_on_retry_once_the_budget_frees() {
     let slot = server.shared().try_admit_write(1).unwrap();
 
     // writes are never auto-retried — one attempt, shed
-    let report = call_retry(
-        &addr,
-        "materialize subsumed GO",
-        &ClientConfig::default(),
-        &RetryPolicy::default(),
-    )
-    .unwrap();
+    let report = call_retry(&addr, "materialize subsumed GO", &ClientConfig::default()).unwrap();
     assert!(!report.ok);
     assert_eq!(report.attempts, 1, "writes go out exactly once");
 
     // a reader retried while the server restarts-or-sheds is fine; here
     // just pin the attempts surface on the happy path
-    let report = call_retry(&addr, "ping", &ClientConfig::default(), &RetryPolicy::default()).unwrap();
+    let report = call_retry(&addr, "ping", &ClientConfig::default()).unwrap();
     assert!(report.ok);
     assert_eq!(report.attempts, 1);
 

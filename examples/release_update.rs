@@ -7,13 +7,20 @@
 //! the new LocusLink objects with the existing GO terms". This example
 //! simulates a LocusLink release upgrade: some loci gain GO annotations,
 //! some are newly curated — then shows what the importer deduplicated and
-//! what the mapping-level diff (set operations) reports as new.
+//! what a diff of the mapping's (locus, term) pairs reports as new.
 //!
 //! Run with: `cargo run --example release_update`
 
 use eav::EavRecord;
+use gam::{MappingIndex, ObjectId};
 use genmapper::{GenMapper, QuerySpec};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
+use std::collections::BTreeSet;
+
+/// A mapping's (from, to) pairs, for diffing two releases of it.
+fn pairs(mapping: &MappingIndex) -> BTreeSet<(ObjectId, ObjectId)> {
+    mapping.iter().map(|a| (a.from, a.to)).collect()
+}
 
 fn main() {
     let eco = Ecosystem::generate(EcosystemParams::demo(99));
@@ -54,16 +61,17 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Release diff at the mapping level, via the set operations.
+    // Release diff at the mapping level, over the two releases' pairs.
     // ------------------------------------------------------------------
     let new_locus_go = gm.map("LocusLink", "GO").expect("mapping exists");
-    let added = operators::difference(&new_locus_go, &old_locus_go).expect("diff");
-    let removed = operators::difference(&old_locus_go, &new_locus_go).expect("diff");
+    let (old_pairs, new_pairs) = (pairs(&old_locus_go), pairs(&new_locus_go));
+    let added: Vec<_> = new_pairs.difference(&old_pairs).collect();
+    let removed = old_pairs.difference(&new_pairs).count();
     println!("\nmapping diff LocusLink->GO (2004-01 vs 2003-10):");
-    println!("  +{} associations, -{} associations", added.len(), removed.len());
-    for assoc in &added.pairs {
-        let locus = gm.store().get_object(assoc.from).expect("object");
-        let term = gm.store().get_object(assoc.to).expect("object");
+    println!("  +{} associations, -{} associations", added.len(), removed);
+    for &&(from, to) in &added {
+        let locus = gm.store().get_object(from).expect("object");
+        let term = gm.store().get_object(to).expect("object");
         println!("  + {} -> {}", locus.accession, term.accession);
     }
 

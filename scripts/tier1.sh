@@ -22,6 +22,9 @@ cargo build --release --offline --locked
 cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
+# a deleted item must not leave a doc link dangling
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --locked --workspace
+
 # architectural invariant gate (DESIGN.md §11, §16): any unbaselined
 # finding fails the build
 cargo run -q --offline --locked -p genlint -- --deny

@@ -85,7 +85,7 @@ fn multi_hop_composition_equals_ground_truth() {
     let (gm, eco) = system(103);
     let u = &eco.universe;
     // Unigene -> GO via LocusLink: expected = union of member loci's terms
-    let composed = gm.compose(&["Unigene", "LocusLink", "GO"]).unwrap();
+    let composed = gm.compose(&["Unigene", "LocusLink", "GO"], None).unwrap();
     assert!(!composed.is_empty());
     // pick the cluster of locus 353
     let cluster = &u.unigene[u.locus_353().unigene];
@@ -93,7 +93,6 @@ fn multi_hop_composition_equals_ground_truth() {
     let go = gm.source_id("GO").unwrap();
     let cluster_obj = gm.store().find_object(ug, &cluster.acc).unwrap().unwrap();
     let got: BTreeSet<String> = composed
-        .pairs
         .iter()
         .filter(|p| p.from == cluster_obj.id)
         .map(|p| gm.store().get_object(p.to).unwrap().accession)

@@ -366,13 +366,6 @@ const MUTANTS: &[Mutant] = &[
         killer: "tests/end_to_end::every_core_source_is_registered_with_metadata, import/lib::importer::tests::bulk_and_per_row_paths_agree_on_the_demo_sequence, import/bulk_prop::bulk_import_equals_per_row",
     },
     Mutant {
-        what: "the import pipeline checkpoints one dump late",
-        path: "crates/import/src/pipeline.rs",
-        needle: "            if every > 0 && (i + 1) % every == 0 {",
-        replacement: "            if every > 0 && i % every == 0 && i > 0 {",
-        killer: "none: when a periodic checkpoint falls changes neither contents nor durability, only how much WAL a reopen replays",
-    },
-    Mutant {
         what: "serial lenient parsing ignores the error budget",
         path: "crates/import/src/pipeline.rs",
         needle: "        return dumps.iter().map(|d| d.parse_lenient(budget)).collect();",
@@ -531,9 +524,9 @@ const MUTANTS: &[Mutant] = &[
     Mutant {
         what: "the mapping cache keys every evidence floor alike",
         path: "crates/genmapper/src/system.rs",
-        needle: "        self.min_evidence_bits = Some(threshold.to_bits());",
-        replacement: "        self.min_evidence_bits = Some(threshold.floor().to_bits());",
-        killer: "genmapper/lib::system::tests::compose_with_threshold_cached_per_floor",
+        needle: "            min_evidence_bits: min_evidence.map(f64::to_bits),",
+        replacement: "            min_evidence_bits: min_evidence.map(|floor| floor.floor().to_bits()),",
+        killer: "genmapper/lib::system::tests::compose_is_cached_per_floor",
     },
     Mutant {
         what: "the mapping cache keys a composed path by its ends only",
@@ -622,9 +615,9 @@ const MUTANTS: &[Mutant] = &[
     Mutant {
         what: "thresholded Compose ignores its evidence floor",
         path: "crates/genmapper/src/system.rs",
-        needle: "            || operators::compose_path_idx_with_threshold(&self.store, &ids, min_evidence, &self.exec),",
-        replacement: "            || operators::compose_path_idx_with_threshold(&self.store, &ids, 0.0, &self.exec),",
-        killer: "genmapper/lib::system::tests::compose_with_threshold_cached_per_floor",
+        needle: "                    floor,\n",
+        replacement: "                    floor.min(0.0),\n",
+        killer: "genmapper/lib::system::tests::compose_is_cached_per_floor",
     },
     Mutant {
         what: "the writing flag is raised only after the write ran",
@@ -764,9 +757,9 @@ const MUTANTS: &[Mutant] = &[
     Mutant {
         what: "path search explores depth first",
         path: "crates/pathfinder/src/graph.rs",
-        needle: "                    queue.push_back(edge.to);\n                }\n            }\n        }\n        None\n    }\n\n    /// Weighted shortest path",
-        replacement: "                    queue.push_front(edge.to);\n                }\n            }\n        }\n        None\n    }\n\n    /// Weighted shortest path",
-        killer: "tests/baseline_equivalence::join_query_gam_vs_srs_navigation, pathfinder/lib::graph::tests::avoiding_constrained_path",
+        needle: "                    queue.push_back(edge.to);",
+        replacement: "                    queue.push_front(edge.to);",
+        killer: "tests/baseline_equivalence::join_query_gam_vs_srs_navigation",
     },
     Mutant {
         what: "SRS join navigation follows back-links of the wrong source",

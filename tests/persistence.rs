@@ -30,7 +30,7 @@ fn full_ecosystem_survives_reopen() {
             .query(&QuerySpec::source("LocusLink").accessions(["353"]).target("GO"))
             .unwrap();
         assert!(!view.is_empty());
-        let composed = gm.compose(&["Unigene", "LocusLink", "GO"]).unwrap();
+        let composed = gm.compose(&["Unigene", "LocusLink", "GO"], None).unwrap();
         assert!(!composed.is_empty());
         // re-import after reopen is still deduplicated
         let reports = gm.import_dumps(&eco.dumps).unwrap();

@@ -49,8 +49,8 @@ fn pipeline_invariants() {
         let fwd = gm.map("LocusLink", "GO").unwrap();
         let back = gm.map("GO", "LocusLink").unwrap();
         assert_eq!(fwd.len(), back.len());
-        let fwd_pairs: BTreeSet<_> = fwd.pairs.iter().map(|p| (p.from, p.to)).collect();
-        let back_pairs: BTreeSet<_> = back.pairs.iter().map(|p| (p.to, p.from)).collect();
+        let fwd_pairs: BTreeSet<_> = fwd.iter().map(|p| (p.from, p.to)).collect();
+        let back_pairs: BTreeSet<_> = back.iter().map(|p| (p.to, p.from)).collect();
         assert_eq!(fwd_pairs, back_pairs);
 
         // AND ⊆ OR on a two-target view
@@ -81,7 +81,7 @@ fn compose_matches_ground_truth() {
         let eco = Ecosystem::generate(params(rng));
         let mut gm = GenMapper::in_memory().unwrap();
         gm.import_dumps(&eco.dumps).unwrap();
-        let composed = gm.compose(&["Unigene", "LocusLink", "GO"]).unwrap();
+        let composed = gm.compose(&["Unigene", "LocusLink", "GO"], None).unwrap();
         let ug = gm.source_id("Unigene").unwrap();
         // build expected pairs from the universe
         let mut expected: BTreeSet<(String, String)> = BTreeSet::new();
@@ -93,7 +93,7 @@ fn compose_matches_ground_truth() {
             }
         }
         let mut got: BTreeSet<(String, String)> = BTreeSet::new();
-        for p in &composed.pairs {
+        for p in composed.iter() {
             let from = gm.store().get_object(p.from).unwrap();
             let to = gm.store().get_object(p.to).unwrap();
             assert_eq!(from.source, ug);
