@@ -131,8 +131,7 @@ fn ablation_srs() {
             .gm
             .query(&join)
             .expect("view")
-            .rows
-            .iter()
+            .rows()
             .filter_map(|r| r.cell_text(0).map(str::to_owned))
             .collect();
         let srs_answer: BTreeSet<String> = srs
@@ -262,8 +261,7 @@ fn main() {
         )
         .expect("not view");
     let distinct = |v: &genmapper::ResolvedView| {
-        v.rows
-            .iter()
+        v.rows()
             .filter_map(|r| r.cell_text(0).map(str::to_owned))
             .collect::<std::collections::BTreeSet<_>>()
             .len()

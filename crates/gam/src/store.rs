@@ -282,6 +282,17 @@ impl GamStore {
         }
     }
 
+    // A borrowed row (a batched probe's or a scan's) copies only the strings.
+    fn object_from_ref(row: &Row) -> GamObject {
+        GamObject {
+            id: ObjectId::from_i64(row.get(0).as_int().unwrap_or_default()),
+            source: SourceId::from_i64(row.get(1).as_int().unwrap_or_default()),
+            accession: row.get(2).as_text().unwrap_or_default().to_owned(),
+            text: row.get(3).as_text().map(str::to_owned),
+            number: row.get(4).as_float(),
+        }
+    }
+
     fn source_rel_from_row(row: Row) -> GamResult<SourceRel> {
         let mut cells = row.into_values();
         Ok(SourceRel {
@@ -592,8 +603,8 @@ impl GamStore {
     }
 
     /// Fetch many objects by id, in input order: each distinct id is read
-    /// once, all of them in one batched probe of `pk` in id order; a
-    /// repeated id is a copy.
+    /// once, all of them in one batched probe of `pk` in id order. Without
+    /// a repeated id every object is moved out; a repeated id is a copy.
     pub fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
         let mut distinct = ids.to_vec();
         distinct.sort_unstable();
@@ -602,11 +613,13 @@ impl GamStore {
         self.db.table(tables::OBJECT)?.for_each_match(
             "pk",
             distinct.iter().map(|id| [Value::Int(id.as_i64())]),
-            |n, row| found[n] = Some(Self::object_from_row(row.clone())),
+            |n, row| found[n] = Some(Self::object_from_ref(row)),
         )?;
+        let repeats = distinct.len() < ids.len();
         ids.iter()
             .map(|id| {
-                let hit = distinct.binary_search(id).ok().and_then(|n| found[n].clone());
+                let slot = distinct.binary_search(id).ok().map(|n| &mut found[n]);
+                let hit = slot.and_then(|s| if repeats { s.clone() } else { s.take() });
                 hit.ok_or(GamError::UnknownObject(*id))
             })
             .collect()
@@ -685,7 +698,7 @@ impl GamStore {
             &[Value::Int(source.as_i64())],
             |row| {
                 if out.len() < limit && keep(row) {
-                    out.push(Self::object_from_row(row.clone()));
+                    out.push(Self::object_from_ref(row));
                 }
             },
         )?;
@@ -1609,6 +1622,27 @@ mod tests {
         let hits = s.resolve_accessions(ll.id, &["acc005", "acc005"]).unwrap();
         assert_eq!(hits[0], hits[1]);
         assert!(hits[0].is_some());
+    }
+
+    #[test]
+    fn get_objects_answers_in_input_order_repeats_included() {
+        let mut s = store();
+        let ll = gene_source(&mut s, "LocusLink");
+        let ids: Vec<ObjectId> = (0..5)
+            .map(|i| s.create_object(ll.id, &format!("acc{i}"), Some("name"), None).unwrap())
+            .collect();
+        let each = |ids: &[ObjectId]| -> Vec<GamObject> {
+            ids.iter().map(|&id| s.get_object(id).unwrap()).collect()
+        };
+        // distinct ids out of order, then the same ids with repeats
+        let distinct = [ids[3], ids[0], ids[4]];
+        assert_eq!(s.get_objects(&distinct).unwrap(), each(&distinct));
+        let repeated = [ids[2], ids[2], ids[1], ids[2]];
+        assert_eq!(s.get_objects(&repeated).unwrap(), each(&repeated));
+        assert!(matches!(
+            s.get_objects(&[ids[0], ObjectId(999)]),
+            Err(GamError::UnknownObject(ObjectId(999)))
+        ));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!     .target("Location")
 //!     .target("OMIM");
 //! let view = gm.query(&spec).unwrap();
-//! assert!(view.rows.iter().any(|r| r.cell_text(1) == Some("APRT")));
+//! assert!(view.rows().any(|r| r.cell_text(1) == Some("APRT")));
 //! ```
 
 // Non-test code on the import/query path must propagate errors, never

@@ -6,29 +6,38 @@
 use gam::ObjectId;
 use std::fmt::Write as _;
 
-/// One resolved cell: the object's accession and optional name.
+/// One resolved object: its accession and optional name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedCell {
     pub accession: String,
     pub text: Option<String>,
 }
 
-/// One view row; cells align with [`ResolvedView::header`]. `None` is a
-/// NULL (missing annotation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedRow {
-    pub cells: Vec<Option<ResolvedCell>>,
+/// The cell index of a NULL (missing annotation) in a [`ResolvedView`].
+pub(crate) const NULL: u32 = u32::MAX;
+
+/// One view row, borrowed from its [`ResolvedView`]; cells align with
+/// [`ResolvedView::header`].
+#[derive(Debug, Clone, Copy)]
+pub struct ResolvedRow<'a> {
+    objects: &'a [ResolvedCell],
+    cells: &'a [u32],
 }
 
-impl ResolvedRow {
+impl<'a> ResolvedRow<'a> {
+    /// The object in each column; `None` is a NULL.
+    fn cells(self) -> impl Iterator<Item = Option<&'a ResolvedCell>> {
+        self.cells.iter().map(move |&k| self.objects.get(k as usize))
+    }
+
     /// Accession in column `i`, if present.
-    pub fn cell_text(&self, i: usize) -> Option<&str> {
-        self.cells.get(i)?.as_ref().map(|c| c.accession.as_str())
+    pub fn cell_text(&self, i: usize) -> Option<&'a str> {
+        self.cells().nth(i)?.map(|c| c.accession.as_str())
     }
 
     /// Object name in column `i`, if present.
-    pub fn cell_name(&self, i: usize) -> Option<&str> {
-        self.cells.get(i)?.as_ref()?.text.as_deref()
+    pub fn cell_name(&self, i: usize) -> Option<&'a str> {
+        self.cells().nth(i)??.text.as_deref()
     }
 }
 
@@ -56,33 +65,49 @@ impl ExportFormat {
     }
 }
 
-/// A fully resolved annotation view.
+/// A fully resolved annotation view: each distinct object of the view
+/// resolved once, and a row-major grid of cells indexing into them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedView {
     /// Column names: the source, then each target (paper Figure 3 uses
     /// the source names as column headers).
-    pub header: Vec<String>,
-    pub rows: Vec<ResolvedRow>,
+    header: Vec<String>,
+    /// The view's distinct objects, in ascending object id.
+    objects: Vec<ResolvedCell>,
+    /// `header.len()` cells a row, each an index into `objects` or [`NULL`].
+    cells: Vec<u32>,
 }
 
 impl ResolvedView {
+    pub(crate) fn new(header: Vec<String>, objects: Vec<ResolvedCell>, cells: Vec<u32>) -> Self {
+        ResolvedView { header, objects, cells }
+    }
+
+    /// Column names: the source, then each target.
+    pub fn header(&self) -> &[String] {
+        &self.header
+    }
+
+    /// The rows, in view order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = ResolvedRow<'_>> {
+        let objects = &self.objects[..];
+        let rows = self.cells.chunks_exact(self.header.len().max(1));
+        rows.map(move |cells| ResolvedRow { objects, cells })
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows().len()
     }
 
     /// True if the view has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cells.is_empty()
     }
 
     /// Distinct accessions of a column.
     pub fn column_accessions(&self, column: usize) -> Vec<&str> {
-        let mut out: Vec<&str> = self
-            .rows
-            .iter()
-            .filter_map(|r| r.cell_text(column))
-            .collect();
+        let mut out: Vec<&str> = self.rows().filter_map(|r| r.cell_text(column)).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -98,67 +123,58 @@ impl ResolvedView {
         })
     }
 
+    /// The header line, `rule`, then one line per row (NULLs as empty
+    /// fields): each `open`, its fields through `field` joined by `sep`, and
+    /// `close`.
+    fn delimited(&self, delims: [&str; 3], rule: &str, field: fn(&mut String, &str)) -> String {
+        let [open, sep, close] = delims;
+        let line = |out: &mut String, fields: &mut dyn Iterator<Item = &str>| {
+            out.push_str(open);
+            for (i, f) in fields.enumerate() {
+                if i > 0 {
+                    out.push_str(sep);
+                }
+                field(out, f);
+            }
+            out.push_str(close);
+            out.push('\n');
+        };
+        let mut out = String::new();
+        line(&mut out, &mut self.header.iter().map(String::as_str));
+        out.push_str(rule);
+        for row in self.rows() {
+            line(&mut out, &mut row.cells().map(|c| c.map_or("", |c| c.accession.as_str())));
+        }
+        out
+    }
+
     /// Export as TSV (one header line; NULLs as empty cells).
     pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join("\t"));
-        for row in &self.rows {
-            let cells: Vec<&str> = row
-                .cells
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.accession.as_str()).unwrap_or(""))
-                .collect();
-            let _ = writeln!(out, "{}", cells.join("\t"));
-        }
-        out
+        self.delimited(["", "\t", ""], "", String::push_str)
     }
 
-    /// Export as CSV with minimal quoting (fields containing commas or
-    /// quotes are quoted).
+    /// Export as CSV with minimal quoting (RFC 4180: fields containing a
+    /// comma, a quote or a line break are quoted).
     pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
+        fn field(out: &mut String, s: &str) {
+            if s.contains([',', '"', '\n', '\r']) {
+                let _ = write!(out, "\"{}\"", s.replace('"', "\"\""));
             } else {
-                s.to_owned()
+                out.push_str(s);
             }
         }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.header.iter().map(|h| field(h)).collect::<Vec<_>>().join(",")
-        );
-        for row in &self.rows {
-            let cells: Vec<String> = row
-                .cells
-                .iter()
-                .map(|c| field(c.as_ref().map(|c| c.accession.as_str()).unwrap_or("")))
-                .collect();
-            let _ = writeln!(out, "{}", cells.join(","));
-        }
-        out
+        self.delimited(["", ",", ""], "", field)
     }
 
-    /// Export as a GitHub-flavored Markdown table (NULLs as empty cells) —
-    /// handy for pasting views into lab notebooks and issue trackers.
+    /// Export as a GitHub-flavored Markdown table (NULLs as empty cells,
+    /// `|` escaped as `\|`) — handy for pasting views into lab notebooks
+    /// and issue trackers.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        );
-        for row in &self.rows {
-            let cells: Vec<&str> = row
-                .cells
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.accession.as_str()).unwrap_or(""))
-                .collect();
-            let _ = writeln!(out, "| {} |", cells.join(" | "));
+        fn field(out: &mut String, s: &str) {
+            out.push_str(&s.replace('|', "\\|"));
         }
-        out
+        let rule = format!("|{}\n", "---|".repeat(self.header.len()));
+        self.delimited(["| ", " | ", " |"], &rule, field)
     }
 
     /// Export as JSON (array of objects keyed by header; NULL cells as
@@ -167,12 +183,12 @@ impl ResolvedView {
     /// Output is plain RFC 8259 JSON.
     pub fn to_json(&self) -> gam::GamResult<String> {
         let mut out = String::from("[");
-        for (ri, row) in self.rows.iter().enumerate() {
+        for (ri, row) in self.rows().enumerate() {
             if ri > 0 {
                 out.push(',');
             }
             out.push_str("\n  {");
-            for (ci, (h, cell)) in self.header.iter().zip(&row.cells).enumerate() {
+            for (ci, (h, cell)) in self.header.iter().zip(row.cells()).enumerate() {
                 if ci > 0 {
                     out.push(',');
                 }
@@ -256,42 +272,36 @@ impl std::fmt::Display for ObjectInfo {
 mod tests {
     use super::*;
 
-    fn view() -> ResolvedView {
-        ResolvedView {
-            header: vec!["LocusLink".into(), "GO".into()],
-            rows: vec![
-                ResolvedRow {
-                    cells: vec![
-                        Some(ResolvedCell {
-                            accession: "353".into(),
-                            text: Some("adenine phosphoribosyltransferase".into()),
-                        }),
-                        Some(ResolvedCell {
-                            accession: "GO:0009116".into(),
-                            text: Some("nucleoside metabolism".into()),
-                        }),
-                    ],
-                },
-                ResolvedRow {
-                    cells: vec![
-                        Some(ResolvedCell {
-                            accession: "1234".into(),
-                            text: None,
-                        }),
-                        None,
-                    ],
-                },
-            ],
+    fn cell(accession: &str, text: Option<&str>) -> ResolvedCell {
+        ResolvedCell {
+            accession: accession.into(),
+            text: text.map(Into::into),
         }
+    }
+
+    fn view() -> ResolvedView {
+        ResolvedView::new(
+            vec!["LocusLink".into(), "GO".into()],
+            vec![
+                cell("353", Some("adenine phosphoribosyltransferase")),
+                cell("1234", None),
+                cell("GO:0009116", Some("nucleoside metabolism")),
+            ],
+            vec![0, 2, 1, NULL],
+        )
     }
 
     #[test]
     fn accessors() {
         let v = view();
         assert_eq!(v.len(), 2);
-        assert_eq!(v.rows[0].cell_text(1), Some("GO:0009116"));
-        assert_eq!(v.rows[0].cell_name(1), Some("nucleoside metabolism"));
-        assert_eq!(v.rows[1].cell_text(1), None);
+        let rows: Vec<ResolvedRow> = v.rows().collect();
+        assert_eq!(rows[0].cell_text(1), Some("GO:0009116"));
+        assert_eq!(rows[0].cell_name(1), Some("nucleoside metabolism"));
+        assert_eq!(rows[1].cell_text(0), Some("1234"));
+        assert_eq!(rows[1].cell_name(0), None);
+        assert_eq!(rows[1].cell_text(1), None);
+        assert_eq!(rows[1].cell_text(2), None, "past the last column");
         assert_eq!(v.column_accessions(0), vec!["1234", "353"]);
     }
 
@@ -307,11 +317,13 @@ mod tests {
     #[test]
     fn csv_export_quotes_when_needed() {
         let mut v = view();
-        v.rows[0].cells[0].as_mut().unwrap().accession = "a,b".into();
-        v.rows[1].cells[0].as_mut().unwrap().accession = "say \"hi\"".into();
+        v.objects[0].accession = "a,b".into();
+        v.objects[1].accession = "say \"hi\"".into();
+        v.objects[2].accession = "GO:1\r".into();
         let csv = v.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""), "a quote is doubled inside quotes");
+        assert!(csv.contains("\"GO:1\r\""), "a carriage return is quoted");
         assert!(csv.starts_with("LocusLink,GO\n"));
     }
 
@@ -323,6 +335,17 @@ mod tests {
         assert_eq!(lines[1], "|---|---|");
         assert_eq!(lines[2], "| 353 | GO:0009116 |");
         assert_eq!(lines[3], "| 1234 |  |");
+    }
+
+    #[test]
+    fn markdown_export_escapes_pipes() {
+        let mut v = view();
+        v.header[1] = "Swiss|Prot".into();
+        v.objects[2].accession = "sp|P12345|APRT_HUMAN".into();
+        let md = v.to_markdown();
+        let lines: Vec<&str> = md.lines().collect();
+        assert_eq!(lines[0], "| LocusLink | Swiss\\|Prot |");
+        assert_eq!(lines[2], "| 353 | sp\\|P12345\\|APRT_HUMAN |");
     }
 
     #[test]
@@ -347,7 +370,7 @@ mod tests {
     #[test]
     fn json_export_escapes_special_characters() {
         let mut v = view();
-        let cell = v.rows[0].cells[0].as_mut().unwrap();
+        let cell = &mut v.objects[0];
         cell.accession = "a\"b\\c".into();
         cell.text = Some("line1\nline2\tend\u{1}".into());
         let json = v.to_json().unwrap();

@@ -1,7 +1,7 @@
 //! The [`GenMapper`] system handle.
 
 use crate::query::QuerySpec;
-use crate::resolved::{ObjectInfo, ResolvedCell, ResolvedRow, ResolvedView};
+use crate::resolved::{ObjectInfo, ResolvedCell, ResolvedView, NULL};
 use gam::store::GamCardinalities;
 use gam::{
     GamError, GamRead, GamResult, GamSnapshot, GamStore, MappingIndex, ObjectId, SourceId,
@@ -12,7 +12,7 @@ use operators::{generate_view_idx, ExecConfig, IndexResolver, TargetSpec, ViewQu
 use pathfinder::{SavedPaths, SourceGraph};
 use relstore::sync::{Mutex, RwLock};
 use sources::ecosystem::SourceDump;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -573,24 +573,17 @@ pub(crate) fn run_query(
     };
     let view = generate_view_idx(reader, &vq, &resolver, &exec)?;
 
-    // every cell's object in one batch, handed back in cell order
-    let ids: Vec<ObjectId> = view.rows.iter().flatten().flatten().copied().collect();
-    let mut objects = reader.get_objects(&ids)?.into_iter();
-    let mut resolved = |cell: &Option<ObjectId>| {
-        let obj = cell.and_then(|_| objects.next())?;
-        Some(ResolvedCell {
-            accession: obj.accession,
-            text: obj.text,
-        })
-    };
-    let rows = view
-        .rows
-        .iter()
-        .map(|row| ResolvedRow {
-            cells: row.iter().map(&mut resolved).collect(),
-        })
-        .collect();
-    Ok(ResolvedView { header, rows })
+    // each distinct object read once, in one batch in ascending id order;
+    // a cell is the index of its object in that batch
+    let mut ids: Vec<ObjectId> = view.rows.iter().flatten().flatten().copied().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let objects = reader.get_objects(&ids)?.into_iter();
+    let objects = objects.map(|o| ResolvedCell { accession: o.accession, text: o.text });
+    let cells = view.rows.iter().flatten().map(|cell| {
+        cell.and_then(|id| ids.binary_search(&id).ok()).map_or(NULL, |k| k as u32)
+    });
+    Ok(ResolvedView::new(header, objects.collect(), cells.collect()))
 }
 
 /// Translate a [`QuerySpec`] (source/target names, accessions, via paths)
@@ -677,10 +670,17 @@ pub(crate) fn object_info_of(
     let found = reader.associations_of_object(obj.id)?;
     let partner_ids: Vec<ObjectId> = found.iter().map(|(_, assoc)| assoc.to).collect();
     let partners = reader.get_objects(&partner_ids)?;
+    // each distinct partner source named once
+    let mut names = BTreeMap::new();
+    for partner in &partners {
+        if let btree_map::Entry::Vacant(slot) = names.entry(partner.source) {
+            slot.insert(reader.get_source(partner.source)?.name);
+        }
+    }
     let mut associations = Vec::with_capacity(found.len());
     for ((_, assoc), partner) in found.iter().zip(partners) {
-        let partner_source = reader.get_source(partner.source)?;
-        associations.push((partner_source.name, partner.accession, assoc.evidence));
+        let name = names.get(&partner.source).cloned().unwrap_or_default();
+        associations.push((name, partner.accession, assoc.evidence));
     }
     associations.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
     Ok(ObjectInfo {
@@ -717,22 +717,20 @@ mod tests {
             .target("Location")
             .target("OMIM");
         let view = gm.query(&spec).unwrap();
-        assert_eq!(view.header, vec!["LocusLink", "Hugo", "GO", "Location", "OMIM"]);
+        assert_eq!(view.header(), vec!["LocusLink", "Hugo", "GO", "Location", "OMIM"]);
         assert!(!view.is_empty());
         // every row anchors at locus 353
-        assert!(view.rows.iter().all(|r| r.cell_text(0) == Some("353")));
+        assert!(view.rows().all(|r| r.cell_text(0) == Some("353")));
         // APRT symbol, 16q24 location, GO:0009116, OMIM 102600 all present
-        assert!(view.rows.iter().any(|r| r.cell_text(1) == Some("APRT")));
-        assert!(view.rows.iter().any(|r| r.cell_text(3) == Some("16q24")));
+        assert!(view.rows().any(|r| r.cell_text(1) == Some("APRT")));
+        assert!(view.rows().any(|r| r.cell_text(3) == Some("16q24")));
         assert!(view
-            .rows
-            .iter()
+            .rows()
             .any(|r| r.cell_text(2) == Some("GO:0009116")));
-        assert!(view.rows.iter().any(|r| r.cell_text(4) == Some("102600")));
+        assert!(view.rows().any(|r| r.cell_text(4) == Some("102600")));
         // and the GO term resolves its name
         assert!(view
-            .rows
-            .iter()
+            .rows()
             .any(|r| r.cell_name(2) == Some("nucleoside metabolism")));
     }
 
@@ -768,9 +766,9 @@ mod tests {
             )
             .unwrap();
         let all = gm.store().object_count(gm.source_id("LocusLink").unwrap()).unwrap();
-        let with_set: BTreeSet<&str> = with.rows.iter().filter_map(|r| r.cell_text(0)).collect();
+        let with_set: BTreeSet<&str> = with.rows().filter_map(|r| r.cell_text(0)).collect();
         let without_set: BTreeSet<&str> =
-            without.rows.iter().filter_map(|r| r.cell_text(0)).collect();
+            without.rows().filter_map(|r| r.cell_text(0)).collect();
         assert_eq!(with_set.len() + without_set.len(), all);
         assert!(with_set.is_disjoint(&without_set));
     }
@@ -960,6 +958,190 @@ mod tests {
         assert!(gm.object_info("LocusLink", "does-not-exist").is_err());
     }
 
+    /// A reader that forwards to `inner`, recording each `get_objects`
+    /// batch and counting `get_source` calls.
+    struct Counting<'a> {
+        inner: &'a dyn GamRead,
+        batches: Mutex<Vec<Vec<ObjectId>>>,
+        source_reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn GamRead) -> Self {
+            Counting { inner, batches: Mutex::new(Vec::new()), source_reads: Default::default() }
+        }
+
+        fn take_batches(&self) -> Vec<Vec<ObjectId>> {
+            std::mem::take(&mut *self.batches.lock())
+        }
+
+        fn take_source_reads(&self) -> usize {
+            self.source_reads.swap(0, std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl GamRead for Counting<'_> {
+        fn sources(&self) -> GamResult<Vec<gam::Source>> {
+            self.inner.sources()
+        }
+        fn find_source(&self, name: &str) -> GamResult<Option<gam::Source>> {
+            self.inner.find_source(name)
+        }
+        fn get_source(&self, id: SourceId) -> GamResult<gam::Source> {
+            self.source_reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.get_source(id)
+        }
+        fn objects_of(&self, source: SourceId) -> GamResult<Vec<gam::GamObject>> {
+            self.inner.objects_of(source)
+        }
+        fn object_ids_of(&self, source: SourceId) -> GamResult<Vec<ObjectId>> {
+            self.inner.object_ids_of(source)
+        }
+        fn object_count(&self, source: SourceId) -> GamResult<usize> {
+            self.inner.object_count(source)
+        }
+        fn find_object(&self, source: SourceId, acc: &str) -> GamResult<Option<gam::GamObject>> {
+            self.inner.find_object(source, acc)
+        }
+        fn get_object(&self, id: ObjectId) -> GamResult<gam::GamObject> {
+            self.inner.get_object(id)
+        }
+        fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<gam::GamObject>> {
+            self.batches.lock().push(ids.to_vec());
+            self.inner.get_objects(ids)
+        }
+        fn resolve_accessions(
+            &self,
+            source: SourceId,
+            accessions: &[&str],
+        ) -> GamResult<Vec<Option<ObjectId>>> {
+            self.inner.resolve_accessions(source, accessions)
+        }
+        fn source_rels(&self) -> GamResult<Vec<gam::SourceRel>> {
+            self.inner.source_rels()
+        }
+        fn get_source_rel(&self, id: SourceRelId) -> GamResult<gam::SourceRel> {
+            self.inner.get_source_rel(id)
+        }
+        fn source_rels_between(&self, a: SourceId, b: SourceId) -> GamResult<Vec<gam::SourceRel>> {
+            self.inner.source_rels_between(a, b)
+        }
+        fn load_mapping(&self, id: SourceRelId) -> GamResult<gam::Mapping> {
+            self.inner.load_mapping(id)
+        }
+        fn load_mapping_index(&self, id: SourceRelId) -> GamResult<MappingIndex> {
+            self.inner.load_mapping_index(id)
+        }
+        fn load_mapping_index_shared(&self, id: SourceRelId) -> GamResult<Arc<MappingIndex>> {
+            self.inner.load_mapping_index_shared(id)
+        }
+        fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
+            self.inner.association_count(id)
+        }
+        fn associations_of_object(
+            &self,
+            object: ObjectId,
+        ) -> GamResult<Vec<(SourceRelId, gam::Association)>> {
+            self.inner.associations_of_object(object)
+        }
+        fn object_counts_per_source(&self) -> GamResult<Vec<(SourceId, usize)>> {
+            self.inner.object_counts_per_source()
+        }
+        fn mapping_type_counts(&self) -> GamResult<Vec<(gam::RelType, usize, usize)>> {
+            self.inner.mapping_type_counts()
+        }
+        fn cardinalities(&self) -> GamResult<GamCardinalities> {
+            self.inner.cardinalities()
+        }
+    }
+
+    /// The view of `spec` before resolution, joined as [`run_query`] joins
+    /// it, and the same view resolved the way it was before objects were
+    /// shared: one `get_object` and one table entry per cell.
+    fn per_cell_view(reader: &dyn GamRead, cache: &VersionCache, spec: &QuerySpec) -> ResolvedView {
+        let graph = cache.graph(reader).unwrap();
+        let (vq, header) = build_view_query(reader, cache, spec).unwrap();
+        let compose_exec = ExecConfig::sequential();
+        let resolver = CachingPathResolver { cache, graph: &graph, compose_exec };
+        let view = generate_view_idx(reader, &vq, &resolver, &compose_exec).unwrap();
+        let (mut objects, mut cells) = (Vec::new(), Vec::new());
+        for cell in view.rows.iter().flatten() {
+            cells.push(cell.map_or(NULL, |id| {
+                let obj = reader.get_object(id).unwrap();
+                objects.push(ResolvedCell { accession: obj.accession, text: obj.text });
+                objects.len() as u32 - 1
+            }));
+        }
+        ResolvedView::new(header, objects, cells)
+    }
+
+    fn exports(view: &ResolvedView) -> [String; 4] {
+        [view.to_tsv(), view.to_csv(), view.to_json().unwrap(), view.to_markdown()]
+    }
+
+    /// Random views over the demo ecosystem, on the live store and on a
+    /// snapshot: a view that resolves each distinct object once answers
+    /// and exports exactly as per-cell resolution does, reading all its
+    /// objects in one ascending batch; `info` names each partner source
+    /// once and lists what per-association resolution lists.
+    #[test]
+    fn views_resolve_each_distinct_object_once_and_match_per_cell_resolution() {
+        let gm = system();
+        let snap = gm.capture_snapshot().unwrap();
+        let names = ["LocusLink", "Hugo", "GO", "Location", "OMIM", "Unigene", "NetAffx", "Enzyme"];
+        testkit::cases(24, |rng| {
+            let source = *rng.pick(&names);
+            let mut spec = QuerySpec::source(source);
+            if rng.gen_bool(0.7) {
+                let objects = gm.store().objects_of(gm.source_id(source).unwrap()).unwrap();
+                let picked = (0..rng.gen_range(1..=6)).map(|_| rng.pick(&objects).accession.clone());
+                spec = spec.accessions(picked.collect::<Vec<_>>());
+            }
+            let targets: Vec<&str> = names.into_iter().filter(|&n| n != source).collect();
+            for _ in 0..rng.gen_range(1..=3) {
+                let t = TargetQuery::new(*rng.pick(&targets));
+                spec = spec.target_spec(if rng.gen_bool(0.2) { t.negated() } else { t });
+            }
+            spec = if rng.gen_bool(0.5) { spec.and() } else { spec.or() };
+            let live: (&dyn GamRead, &VersionCache) = (&gm.store, &gm.cache);
+            let snapshot: (&dyn GamRead, &VersionCache) = (&*snap.reader, &snap.cache);
+            for (reader, cache) in [live, snapshot] {
+                let counting = Counting::new(reader);
+                let view = run_query(&counting, cache, gm.exec, &spec).unwrap();
+                let batches = counting.take_batches();
+                assert_eq!(batches.len(), 1, "one get_objects per query");
+                assert!(batches[0].windows(2).all(|w| w[0] < w[1]), "ascending distinct ids");
+
+                let reference = per_cell_view(reader, cache, &spec);
+                assert_eq!(view.len(), reference.len());
+                assert_eq!(view.header(), reference.header());
+                for (row, want) in view.rows().zip(reference.rows()) {
+                    for c in 0..view.header().len() {
+                        assert_eq!(row.cell_text(c), want.cell_text(c));
+                        assert_eq!(row.cell_name(c), want.cell_name(c));
+                    }
+                }
+                assert_eq!(exports(&view), exports(&reference));
+
+                let Some(acc) = view.rows().last().and_then(|r| r.cell_text(0)) else {
+                    continue;
+                };
+                let info = object_info_of(&counting, source, acc).unwrap();
+                let mut want = Vec::new();
+                let mut partner_sources = BTreeSet::new();
+                for (_, assoc) in reader.associations_of_object(info.id).unwrap() {
+                    let partner = reader.get_object(assoc.to).unwrap();
+                    let name = reader.get_source(partner.source).unwrap().name;
+                    partner_sources.insert(partner.source);
+                    want.push((name, partner.accession, assoc.evidence));
+                }
+                want.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+                assert_eq!(info.associations, want);
+                assert_eq!(counting.take_source_reads(), partner_sources.len(), "one get_source per partner source");
+            }
+        });
+    }
+
     #[test]
     fn unknown_names_are_reported() {
         let gm = system();
@@ -989,7 +1171,7 @@ mod tests {
             let view = gm
                 .query(&QuerySpec::source("LocusLink").accessions(["353"]).target("Hugo"))
                 .unwrap();
-            assert!(view.rows.iter().any(|r| r.cell_text(1) == Some("APRT")));
+            assert!(view.rows().any(|r| r.cell_text(1) == Some("APRT")));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -81,7 +81,7 @@ fn main() {
     // the accession can seed a follow-up query ("the interesting
     // accessions among the retrieved ones can be selected to start a new
     // query").
-    if let Some(acc) = view.rows.first().and_then(|r| r.cell_text(0)) {
+    if let Some(acc) = view.rows().next().and_then(|r| r.cell_text(0)) {
         println!("\n=== Step 6: object information for {acc} (Figure 6c) ===");
         let info = gm.object_info("Unigene", acc).expect("info resolves");
         println!(

@@ -38,8 +38,7 @@ fn single_source_lookup_agrees_everywhere() {
         .gm
         .query(&QuerySpec::source("LocusLink").accessions(["353"]).target("GO"))
         .unwrap()
-        .rows
-        .iter()
+        .rows()
         .filter_map(|r| r.cell_text(1).map(str::to_owned))
         .collect();
     let srs_terms: BTreeSet<String> = s
@@ -71,8 +70,7 @@ fn location_query_gam_vs_star() {
                 .and(),
         )
         .unwrap()
-        .rows
-        .iter()
+        .rows()
         .filter_map(|r| r.cell_text(0).map(str::to_owned))
         .collect();
     let star_loci: BTreeSet<String> = s.star.loci_at_location(&location).unwrap().into_iter().collect();
@@ -94,8 +92,7 @@ fn join_query_gam_vs_srs_navigation() {
                 .and(),
         )
         .unwrap()
-        .rows
-        .iter()
+        .rows()
         .filter_map(|r| r.cell_text(0).map(str::to_owned))
         .collect();
     let srs_clusters: BTreeSet<String> = s
@@ -148,5 +145,5 @@ fn star_loses_unmodeled_annotations_gam_keeps_them() {
         .gm
         .query(&QuerySpec::source("LocusLink").accessions(["353"]).target("Enzyme"))
         .unwrap();
-    assert!(gm_enzyme.rows.iter().any(|r| r.cell_text(1) == Some("2.4.2.7")));
+    assert!(gm_enzyme.rows().any(|r| r.cell_text(1) == Some("2.4.2.7")));
 }

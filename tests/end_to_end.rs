@@ -56,7 +56,7 @@ fn view_matches_universe_ground_truth() {
             .accessions([locus.id.to_string()])
             .target("GO");
         let view = gm.query(&spec).unwrap();
-        let got: BTreeSet<&str> = view.rows.iter().filter_map(|r| r.cell_text(1)).collect();
+        let got: BTreeSet<&str> = view.rows().filter_map(|r| r.cell_text(1)).collect();
         let expected: BTreeSet<&str> = locus
             .go_terms
             .iter()
@@ -73,10 +73,10 @@ fn hugo_symbols_resolve_for_all_loci() {
     let view = gm.query(&spec).unwrap();
     // exactly one Hugo symbol per locus, never NULL
     assert_eq!(view.len(), eco.universe.loci.len());
-    for row in &view.rows {
+    for row in view.rows() {
         assert!(row.cell_text(1).is_some(), "every locus has a symbol");
     }
-    let symbols: BTreeSet<&str> = view.rows.iter().filter_map(|r| r.cell_text(1)).collect();
+    let symbols: BTreeSet<&str> = view.rows().filter_map(|r| r.cell_text(1)).collect();
     assert_eq!(symbols.len(), eco.universe.loci.len(), "symbols are unique");
 }
 
@@ -119,10 +119,9 @@ fn negation_complements_exactly() {
                 .and(),
         )
         .unwrap();
-    let with_set: BTreeSet<&str> = with_omim.rows.iter().filter_map(|r| r.cell_text(0)).collect();
+    let with_set: BTreeSet<&str> = with_omim.rows().filter_map(|r| r.cell_text(0)).collect();
     let without_set: BTreeSet<&str> = without_omim
-        .rows
-        .iter()
+        .rows()
         .filter_map(|r| r.cell_text(0))
         .collect();
     // ground truth from the universe
@@ -169,7 +168,7 @@ fn reimport_is_idempotent_and_new_release_is_incremental() {
     let view = gm
         .query(&QuerySpec::source("LocusLink").accessions(["424242"]).target("GO"))
         .unwrap();
-    assert_eq!(view.rows[0].cell_text(1), Some("GO:0009116"));
+    assert_eq!(view.rows().next().unwrap().cell_text(1), Some("GO:0009116"));
 }
 
 #[test]

@@ -52,8 +52,7 @@ fn threshold_affects_negation_consistently() {
                     .and(),
             )
             .unwrap()
-            .rows
-            .iter()
+            .rows()
             .filter_map(|r| r.cell_text(0).map(str::to_owned))
             .collect();
         let without: BTreeSet<String> = gm
@@ -63,8 +62,7 @@ fn threshold_affects_negation_consistently() {
                     .and(),
             )
             .unwrap()
-            .rows
-            .iter()
+            .rows()
             .filter_map(|r| r.cell_text(0).map(str::to_owned))
             .collect();
         assert!(with.is_disjoint(&without), "threshold {threshold}");

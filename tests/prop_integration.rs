@@ -57,8 +57,8 @@ fn pipeline_invariants() {
         let base = QuerySpec::source("LocusLink").target("GO").target("OMIM");
         let and_view = gm.query(&base.clone().and()).unwrap();
         let or_view = gm.query(&base.or()).unwrap();
-        let and_objs: BTreeSet<String> = and_view.rows.iter().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
-        let or_objs: BTreeSet<String> = or_view.rows.iter().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
+        let and_objs: BTreeSet<String> = and_view.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
+        let or_objs: BTreeSet<String> = or_view.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
         assert!(and_objs.is_subset(&or_objs));
         assert_eq!(or_objs.len(), eco.universe.loci.len(), "OR covers the whole source");
 
@@ -66,8 +66,8 @@ fn pipeline_invariants() {
         let with = gm.query(&QuerySpec::source("LocusLink").target("OMIM").and()).unwrap();
         let without = gm.query(&QuerySpec::source("LocusLink")
             .target_spec(TargetQuery::new("OMIM").negated()).and()).unwrap();
-        let with_set: BTreeSet<String> = with.rows.iter().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
-        let without_set: BTreeSet<String> = without.rows.iter().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
+        let with_set: BTreeSet<String> = with.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
+        let without_set: BTreeSet<String> = without.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
         assert!(with_set.is_disjoint(&without_set));
         assert_eq!(with_set.len() + without_set.len(), eco.universe.loci.len());
     });
