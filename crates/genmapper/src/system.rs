@@ -107,10 +107,35 @@ impl VersionCache {
 /// `generate_view_idx`; `query` and `explain` both resolve through it.
 struct CachingPathResolver<'a> {
     cache: &'a VersionCache,
-    graph: &'a SourceGraph,
+    graph: Arc<SourceGraph>,
     /// Config for compose joins performed *inside* a resolution — kept
     /// sequential when the caller already parallelizes across targets.
     compose_exec: ExecConfig,
+}
+
+impl<'a> CachingPathResolver<'a> {
+    /// The resolver for one view query — the only way `run_query` and
+    /// `run_explain` get one. It composes under the config the view's
+    /// targets run under, so `explain` plans the joins `query` runs.
+    fn for_view(
+        reader: &dyn GamRead,
+        cache: &'a VersionCache,
+        exec: ExecConfig,
+        vq: &ViewQuery,
+    ) -> GamResult<Self> {
+        let (_, compose_exec) = operators::view::target_exec(vq, &exec);
+        Ok(CachingPathResolver {
+            cache,
+            graph: cache.graph(reader)?,
+            compose_exec,
+        })
+    }
+
+    /// The path composed for `from → to` when no direct mapping exists;
+    /// `None` when the graph has no path of at least two sources.
+    fn compose_path(&self, from: SourceId, to: SourceId) -> Option<Vec<SourceId>> {
+        self.graph.shortest_path(from, to).filter(|p| p.len() >= 2)
+    }
 }
 
 impl IndexResolver for CachingPathResolver<'_> {
@@ -125,8 +150,7 @@ impl IndexResolver for CachingPathResolver<'_> {
                 Ok(m) => Ok(m),
                 Err(GamError::NoMapping { .. }) => {
                     let path = self
-                        .graph
-                        .shortest_path(from, to)
+                        .compose_path(from, to)
                         .ok_or(GamError::NoMapping { from, to })?;
                     operators::compose_path_idx(store, &path, &self.compose_exec)
                 }
@@ -557,20 +581,8 @@ pub(crate) fn run_query(
     exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<ResolvedView> {
-    let graph = cache.graph(reader)?;
     let (vq, header) = build_view_query(reader, cache, spec)?;
-    // when several targets resolve concurrently, keep their inner
-    // compose joins sequential so the thread count stays ≤ exec.jobs
-    let compose_exec = if exec.jobs > 1 && vq.targets.len() > 1 {
-        ExecConfig::sequential()
-    } else {
-        exec
-    };
-    let resolver = CachingPathResolver {
-        cache,
-        graph: &graph,
-        compose_exec,
-    };
+    let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq)?;
     let view = generate_view_idx(reader, &vq, &resolver, &exec)?;
 
     // each distinct object read once, in one batch in ascending id order;
@@ -623,37 +635,26 @@ fn build_view_query(
 }
 
 /// One-shot instrumented explain of a [`QuerySpec`]: build the same
-/// [`ViewQuery`] as [`run_query`], pre-resolve each target's mapping path
-/// from the source graph (so the plan tree shows the full Compose chain
-/// the executor would run), then plan and execute it uncached through
-/// [`operators::plan::explain_view`], returning the rendered plan tree
-/// with estimated vs actual cardinalities.
+/// [`ViewQuery`] and resolver as [`run_query`], make each path-less
+/// target's compose path explicit (the one the resolver would compose
+/// along, so the plan tree shows the chain), then run it through
+/// [`operators::explain_view`] — the per-target resolution
+/// `generate_view_idx` runs, under the same config — and return the
+/// rendered plan tree with estimated vs actual cardinalities.
 pub(crate) fn run_explain(
     reader: &dyn GamRead,
     cache: &VersionCache,
     exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<String> {
-    let graph = cache.graph(reader)?;
     let (mut vq, _header) = build_view_query(reader, cache, spec)?;
+    let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq)?;
     for ts in &mut vq.targets {
         if ts.path.is_none() {
-            // What CachingPathResolver would compose along, made explicit
-            // so the tree shows the chain (explain_view still probes the
-            // direct map first).
-            if let Some(p) = graph.shortest_path(vq.source, ts.target) {
-                if p.len() >= 2 {
-                    ts.path = Some(p);
-                }
-            }
+            ts.path = resolver.compose_path(vq.source, ts.target);
         }
     }
-    let resolver = CachingPathResolver {
-        cache,
-        graph: &graph,
-        compose_exec: exec,
-    };
-    let tree = operators::plan::explain_view(reader, &vq, &resolver, &exec)?;
+    let tree = operators::explain_view(reader, &vq, &resolver, &exec)?;
     Ok(tree.render())
 }
 
@@ -941,6 +942,61 @@ mod tests {
         assert!(gm.compose(&path, Some(f64::NAN)).is_err());
     }
 
+    /// A target naming the view's own source has no mapping: the source
+    /// graph's path from GO to GO is the one source `[GO]`, which has
+    /// nothing to compose. `query` and `explain` answer as `map` does.
+    #[test]
+    fn a_target_that_is_the_source_has_no_mapping() {
+        let gm = system();
+        let spec = QuerySpec::source("GO").or().target("GO");
+        let errors = [
+            gm.map("GO", "GO").unwrap_err(),
+            gm.query(&spec).unwrap_err(),
+            gm.explain(&spec).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(matches!(err, GamError::NoMapping { .. }), "{err}");
+        }
+    }
+
+    /// `explain` shows the joins `query` runs. With two workers and two
+    /// targets, `query` resolves the targets on their own threads and
+    /// composes inside each one sequentially, so a join above the parallel
+    /// threshold is a merge there, and `explain` must say merge, not hash.
+    #[test]
+    fn explain_shows_the_join_strategy_query_runs() {
+        use gam::model::{SourceContent, SourceStructure};
+        use gam::{Association, RelType};
+        let n = operators::plan::cost::PARALLEL_THRESHOLD;
+        let mut gm = GenMapper::in_memory().unwrap();
+        let store = gm.store_mut();
+        let mut objects = Vec::new();
+        for name in ["A", "B", "C"] {
+            let source = store
+                .create_source(name, SourceContent::Other, SourceStructure::Flat, None)
+                .unwrap()
+                .id;
+            let rows: Vec<_> = (0..n).map(|i| (format!("{name}{i}"), None, None)).collect();
+            objects.push((source, store.add_objects_bulk(source, &rows).unwrap().0));
+        }
+        for hop in objects.windows(2) {
+            let (from, to) = (&hop[0], &hop[1]);
+            let rel = store.create_source_rel(from.0, to.0, RelType::Fact, None).unwrap();
+            let pairs = from.1.iter().zip(&to.1).map(|(&a, &b)| Association::fact(a, b));
+            store.add_associations_bulk(rel, pairs, &mut 0).unwrap();
+        }
+        gm.set_jobs(2);
+        // C has no direct mapping from A: it composes along A-B-C
+        let spec = QuerySpec::source("A").target("C").target("B");
+        let plan = gm.explain(&spec).unwrap();
+        let joins: Vec<&str> = plan.lines().filter(|l| l.contains("compose ")).collect();
+        assert_eq!(joins.len(), 1, "{plan}");
+        assert!(joins[0].contains(" [merge] "), "{plan}");
+        let rows = gm.query(&spec).unwrap().len();
+        let first = plan.lines().next().unwrap_or_default();
+        assert!(first.ends_with(&format!(" actual={rows}")), "{plan}");
+    }
+
     #[test]
     fn object_info_lists_partner_accessions() {
         let gm = system();
@@ -1059,11 +1115,10 @@ mod tests {
     /// it, and the same view resolved the way it was before objects were
     /// shared: one `get_object` and one table entry per cell.
     fn per_cell_view(reader: &dyn GamRead, cache: &VersionCache, spec: &QuerySpec) -> ResolvedView {
-        let graph = cache.graph(reader).unwrap();
         let (vq, header) = build_view_query(reader, cache, spec).unwrap();
-        let compose_exec = ExecConfig::sequential();
-        let resolver = CachingPathResolver { cache, graph: &graph, compose_exec };
-        let view = generate_view_idx(reader, &vq, &resolver, &compose_exec).unwrap();
+        let exec = ExecConfig::sequential();
+        let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq).unwrap();
+        let view = generate_view_idx(reader, &vq, &resolver, &exec).unwrap();
         let (mut objects, mut cells) = (Vec::new(), Vec::new());
         for cell in view.rows.iter().flatten() {
             cells.push(cell.map_or(NULL, |id| {

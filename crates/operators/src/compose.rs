@@ -13,7 +13,8 @@
 //! promising subject for future research". Two all-fact inputs therefore
 //! compose into fact associations.
 //!
-//! An evidence floor (`*_with_threshold`) drops composed associations whose
+//! An evidence floor (`compose_idx`'s `min_evidence`,
+//! `compose_path_idx_with_threshold`) drops composed associations whose
 //! combined evidence falls below it — multiplication for combination,
 //! thresholding for acceptance. It also bounds the paper's noted risk that
 //! "Compose may lead to wrong associations when the transitivity
@@ -31,7 +32,6 @@ use gam::mapping::Association;
 use gam::model::RelType;
 use gam::{GamError, GamRead, GamResult, Mapping, MappingIndex, ObjectId, SourceId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The one validity check for a caller-supplied evidence floor.
 pub(crate) fn check_floor(min_evidence: f64) -> GamResult<()> {
@@ -157,16 +157,24 @@ fn hash_join_idx(
     })
 }
 
-/// The join core: pick a [`JoinStrategy`] from the operands' statistics,
-/// run it, then the canonical dedup. All strategies emit the same
-/// association multiset, and the dedup is a pure function of that
-/// multiset, so the resulting index is bit-identical whichever is chosen.
-fn compose_idx_inner(
+/// Compose two mappings sharing a middle source (`left.to == right.from`),
+/// optionally with an evidence floor: composed associations whose combined
+/// evidence falls below it are dropped. Output pairs are deduplicated
+/// keeping the strongest evidence.
+///
+/// The physical join is picked from the operands' statistics by
+/// [`cost::choose_strategy`]. All strategies emit the same association
+/// multiset, and the dedup is a pure function of that multiset, so the
+/// resulting index is bit-identical whichever is chosen.
+pub fn compose_idx(
     left: &MappingIndex,
     right: &MappingIndex,
     min_evidence: Option<f64>,
     cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
+    if let Some(floor) = min_evidence {
+        check_floor(floor)?;
+    }
     if left.to != right.from {
         return Err(GamError::Invalid(format!(
             "compose: mappings do not share a source ({} vs {})",
@@ -185,38 +193,16 @@ fn compose_idx_inner(
     Ok(MappingIndex::build(merged))
 }
 
-/// Compose two mappings sharing a middle source (`left.to == right.from`).
-/// Output pairs are deduplicated keeping the strongest evidence.
-pub fn compose_idx(
-    left: &MappingIndex,
-    right: &MappingIndex,
-    cfg: &ExecConfig,
-) -> GamResult<MappingIndex> {
-    compose_idx_inner(left, right, None, cfg)
-}
-
-/// [`compose_idx`] with an evidence floor: composed associations whose
-/// combined evidence falls below `min_evidence` are dropped.
-pub fn compose_idx_with_threshold(
-    left: &MappingIndex,
-    right: &MappingIndex,
-    min_evidence: f64,
-    cfg: &ExecConfig,
-) -> GamResult<MappingIndex> {
-    check_floor(min_evidence)?;
-    compose_idx_inner(left, right, Some(min_evidence), cfg)
-}
-
 /// Compose along a mapping path of sources, loading each step with
 /// [`map_index`](crate::simple::map_index). The path must name at least
 /// two sources; a two-source path degenerates to `Map` itself. The chain
-/// is planned and executed by [`crate::plan::plan_chain`].
+/// is planned and executed by the planner (`plan::plan_chain`).
 pub fn compose_path_idx(
     store: &dyn GamRead,
     path: &[SourceId],
     cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    crate::plan::plan_chain(store, path, None, cfg, None).map(Arc::unwrap_or_clone)
+    crate::plan::plan_chain(store, path, None, cfg, false).map(|(idx, _)| idx)
 }
 
 /// [`compose_path_idx`] with an evidence floor applied at every step, so
@@ -227,7 +213,7 @@ pub fn compose_path_idx_with_threshold(
     min_evidence: f64,
     cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    crate::plan::plan_chain(store, path, Some(min_evidence), cfg, None).map(Arc::unwrap_or_clone)
+    crate::plan::plan_chain(store, path, Some(min_evidence), cfg, false).map(|(idx, _)| idx)
 }
 
 #[cfg(test)]
@@ -253,12 +239,11 @@ mod tests {
     }
 
     fn compose(left: &MappingIndex, right: &MappingIndex) -> GamResult<Mapping> {
-        compose_idx(left, right, &ExecConfig::sequential()).map(|i| i.to_mapping())
+        compose_idx(left, right, None, &ExecConfig::sequential()).map(|i| i.to_mapping())
     }
 
     fn compose_floor(left: &MappingIndex, right: &MappingIndex, f: f64) -> GamResult<Mapping> {
-        compose_idx_with_threshold(left, right, f, &ExecConfig::sequential())
-            .map(|i| i.to_mapping())
+        compose_idx(left, right, Some(f), &ExecConfig::sequential()).map(|i| i.to_mapping())
     }
 
     #[test]
@@ -323,8 +308,8 @@ mod tests {
         let bc = m(2, 3, &[(10, 20, Some(0.8)), (11, 21, None)]);
         let cd = m(3, 4, &[(20, 30, None), (21, 31, Some(0.5))]);
         let cfg = ExecConfig::sequential();
-        let left = compose(&compose_idx(&ab, &bc, &cfg).unwrap(), &cd).unwrap();
-        let right = compose(&ab, &compose_idx(&bc, &cd, &cfg).unwrap()).unwrap();
+        let left = compose(&compose_idx(&ab, &bc, None, &cfg).unwrap(), &cd).unwrap();
+        let right = compose(&ab, &compose_idx(&bc, &cd, None, &cfg).unwrap()).unwrap();
         assert_eq!(left.pairs.len(), right.pairs.len());
         for (l, r) in left.pairs.iter().zip(&right.pairs) {
             assert_eq!((l.from, l.to), (r.from, r.to));

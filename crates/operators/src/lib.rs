@@ -7,7 +7,7 @@
 //! | `Range(map)`         | [`gam::Mapping::range`] / [`gam::MappingIndex::range`] |
 //! | `RestrictDomain`     | [`gam::Mapping::restrict_domain`] / [`gam::MappingIndex::restrict_domain`] |
 //! | `RestrictRange`      | [`gam::Mapping::restrict_range`] / [`gam::MappingIndex::restrict_range`] |
-//! | `Compose`            | [`compose_idx`] / [`compose_path_idx`] (+ `_with_threshold`) |
+//! | `Compose`            | [`compose_idx`] / [`compose_path_idx`] / [`compose_path_idx_with_threshold`] |
 //! | Subsumed derivation  | [`subsume::subsume`] |
 //! | `GenerateView`       | [`generate_view_idx`] (Figure 5) |
 //!
@@ -19,13 +19,14 @@
 //! [`gam::MappingIndex`] — the representation the GenMapper system caches —
 //! and every chain runs through [`plan`]: per-index build-time statistics
 //! pick merge, galloping merge or partitioned hash per join, evidence
-//! floors are pushed down, fact chains reordered and path prefixes shared
-//! across a view's targets, each rewrite gated so the output is
-//! bit-identical to the definition. The definition itself — nested-loop
-//! `Compose`, Figure 5 verbatim — lives in `baselines::naive` as the test
-//! oracle (`tests/algebra_equiv.rs`). [`exec::ExecConfig`] carries the one
-//! tunable, the worker count; [`plan::ExplainNode`] surfaces the chosen
-//! plan for the CLI/serve `explain` verbs.
+//! floors are pushed down and fact chains reordered, each rewrite gated so
+//! the output is bit-identical to the definition. The definition itself —
+//! nested-loop `Compose`, Figure 5 verbatim — lives in `baselines::naive`
+//! as the test oracle (`tests/algebra_equiv.rs`). [`exec::ExecConfig`]
+//! carries the one tunable, the worker count; [`explain_view`] runs a view
+//! through the same per-target resolution as [`generate_view_idx`] and
+//! surfaces the chosen plan as a [`plan::ExplainNode`] tree for the
+//! CLI/serve `explain` verbs.
 
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
@@ -49,13 +50,11 @@ pub mod simple;
 pub mod subsume;
 pub mod view;
 
-pub use compose::{
-    compose_idx, compose_idx_with_threshold, compose_path_idx, compose_path_idx_with_threshold,
-};
+pub use compose::{compose_idx, compose_path_idx, compose_path_idx_with_threshold};
 pub use exec::ExecConfig;
-pub use plan::{explain_view, plan_chain, ExplainNode, ViewContext};
+pub use plan::ExplainNode;
 pub use simple::{map, map_index};
 pub use subsume::subsume;
 pub use view::{
-    generate_view_idx, AnnotationView, Combine, IndexResolver, TargetSpec, ViewQuery,
+    explain_view, generate_view_idx, AnnotationView, Combine, IndexResolver, TargetSpec, ViewQuery,
 };

@@ -13,9 +13,7 @@
 //!   floor can never contribute a surviving result);
 //! * **fact-chain reordering** — chains of 3+ all-fact steps are joined
 //!   greedily by smallest estimated intermediate cardinality (fact ∘ fact
-//!   carries no float product, so association is exact);
-//! * **shared prefixes** — path prefixes occurring in several of a view's
-//!   targets are composed once and memoized ([`ViewContext`]).
+//!   carries no float product, so association is exact).
 //!
 //! Every rewrite is gated so the result is **bit-identical** to the
 //! definition — the lazy caller-order left fold written down as
@@ -25,13 +23,10 @@
 //! [`ExplainNode`] surfaces the chosen plan with estimated vs actual
 //! cardinalities for the CLI/serve `explain` verbs.
 
-use crate::compose::{check_floor, compose_idx, compose_idx_with_threshold};
+use crate::compose::{check_floor, compose_idx};
 use crate::exec::ExecConfig;
 use crate::simple::map_index;
-use crate::view::{IndexResolver, ViewQuery};
-use gam::{GamError, GamRead, GamResult, MappingIndex, ObjectId, RelType, SourceId};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use gam::{GamError, GamRead, GamResult, MappingIndex, RelType, SourceId};
 
 /// The cost model: the constants table and the formulas that pick a join
 /// strategy per Compose from the two operands' [`gam::index::IndexStats`].
@@ -130,7 +125,7 @@ pub struct ExplainNode {
 }
 
 impl ExplainNode {
-    fn leaf(label: String, actual: usize) -> ExplainNode {
+    pub(crate) fn leaf(label: String, actual: usize) -> ExplainNode {
         ExplainNode {
             label,
             strategy: None,
@@ -170,164 +165,16 @@ impl ExplainNode {
     }
 }
 
-/// Planning context shared across one view's targets: which path prefixes
-/// occur in more than one target (and are therefore worth computing once),
-/// plus the memo of already-composed prefixes. Memoized entries are
-/// un-floored, so the memo is only consulted for floor-free chains.
-pub struct ViewContext {
-    /// Prefixes (length ≥ 2 sources) appearing in ≥ 2 target paths.
-    shared: BTreeSet<Vec<SourceId>>,
-    memo: Mutex<HashMap<Vec<SourceId>, Arc<MappingIndex>>>,
-}
-
-impl ViewContext {
-    /// Scan a view query's explicit target paths for shared prefixes.
-    pub fn new(query: &ViewQuery) -> ViewContext {
-        let mut counts: HashMap<Vec<SourceId>, usize> = HashMap::new();
-        for spec in &query.targets {
-            if let Some(p) = &spec.path {
-                for k in 2..=p.len() {
-                    *counts.entry(p[..k].to_vec()).or_insert(0) += 1;
-                }
-            }
-        }
-        ViewContext {
-            shared: counts
-                .into_iter()
-                .filter(|(_, n)| *n >= 2)
-                .map(|(p, _)| p)
-                .collect(),
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Whether any prefix of `path` (including the full path) is shared
-    /// with another target. Shared chains stay in caller order so every
-    /// target folding through the prefix sees the identical parenthesization.
-    fn is_shared_chain(&self, path: &[SourceId]) -> bool {
-        (2..=path.len()).any(|k| self.shared.contains(&path[..k]))
-    }
-
-    /// Longest memoized prefix of `path`, as (sources covered, index).
-    fn lookup_longest(&self, path: &[SourceId]) -> Option<(usize, Arc<MappingIndex>)> {
-        let memo = self.memo.lock().unwrap_or_else(|p| p.into_inner());
-        (2..=path.len())
-            .rev()
-            .find_map(|k| memo.get(&path[..k]).map(|idx| (k, Arc::clone(idx))))
-    }
-
-    /// Memoize `idx` for `prefix` if that prefix is shared. First insert
-    /// wins; all inserts for a prefix are bit-identical anyway.
-    fn store(&self, prefix: &[SourceId], idx: &Arc<MappingIndex>) {
-        if self.shared.contains(prefix) {
-            let mut memo = self.memo.lock().unwrap_or_else(|p| p.into_inner());
-            memo.entry(prefix.to_vec()).or_insert_with(|| Arc::clone(idx));
-        }
-    }
-}
-
 /// Plan and execute a Compose chain over `path`, with an optional evidence
-/// floor. `compose_path_idx*` and `generate_view_idx` both run their
-/// chains here.
-pub fn plan_chain(
+/// floor; with `traced`, also build the plan tree. `compose_path_idx*` and
+/// every view target with an explicit path run their chains here.
+pub(crate) fn plan_chain(
     store: &dyn GamRead,
     path: &[SourceId],
     floor: Option<f64>,
     cfg: &ExecConfig,
-    ctx: Option<&ViewContext>,
-) -> GamResult<Arc<MappingIndex>> {
-    plan_chain_inner(store, path, floor, cfg, ctx, false).map(|(idx, _)| idx)
-}
-
-/// Resolve `from → to` for a view target with an explicit path: the
-/// direct mapping when one exists ("Map or Compose", Figure 5), otherwise
-/// a planned Compose chain over `path`.
-pub(crate) fn resolve_path_idx(
-    store: &dyn GamRead,
-    from: SourceId,
-    to: SourceId,
-    path: &[SourceId],
-    cfg: &ExecConfig,
-    ctx: Option<&ViewContext>,
-) -> GamResult<Arc<MappingIndex>> {
-    match map_index(store, from, to) {
-        Ok(m) => Ok(Arc::new(m)),
-        Err(GamError::NoMapping { .. }) => plan_chain(store, path, None, cfg, ctx),
-        Err(e) => Err(e),
-    }
-}
-
-fn empty_chain(path: &[SourceId]) -> MappingIndex {
-    let last = path.last().copied().unwrap_or(path[0]);
-    MappingIndex::empty(path[0], last, RelType::Composed)
-}
-
-/// The lazy caller-order fold, run only when a step fails to load. Steps
-/// load one at a time and the fold breaks as soon as the accumulator
-/// empties, so a chain that empties before a missing step never observes
-/// the missing mapping and one that reaches it reports that step's error —
-/// the behaviour eager loading cannot reproduce.
-fn fold_chain(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    floor: Option<f64>,
-    cfg: &ExecConfig,
-) -> GamResult<MappingIndex> {
-    let mut acc = map_index(store, path[0], path[1])?;
-    if let Some(f) = floor {
-        acc = acc.filter_evidence(f);
-    }
-    for window in path[1..].windows(2) {
-        let step = map_index(store, window[0], window[1])?;
-        acc = compose_step(&acc, &step, floor, cfg)?;
-        if acc.is_empty() {
-            break;
-        }
-    }
-    acc.from = path[0];
-    acc.to = path.last().copied().unwrap_or(acc.to);
-    acc.rel_type = RelType::Composed;
-    Ok(acc)
-}
-
-fn compose_step(
-    left: &MappingIndex,
-    right: &MappingIndex,
-    floor: Option<f64>,
-    cfg: &ExecConfig,
-) -> GamResult<MappingIndex> {
-    match floor {
-        Some(f) => compose_idx_with_threshold(left, right, f, cfg),
-        None => compose_idx(left, right, cfg),
-    }
-}
-
-fn join_node(
-    left: ExplainNode,
-    right: ExplainNode,
-    l: &MappingIndex,
-    r: &MappingIndex,
-    out: &MappingIndex,
-    cfg: &ExecConfig,
-) -> ExplainNode {
-    let est = cost::estimate_join(l.stats(), r.stats());
-    ExplainNode {
-        label: format!("compose S{}→S{}", l.from.raw(), r.to.raw()),
-        strategy: Some(cost::choose_strategy(l.stats(), r.stats(), cfg).label()),
-        estimated: Some(est.round() as u64),
-        actual: Some(out.len() as u64),
-        children: vec![left, right],
-    }
-}
-
-fn plan_chain_inner(
-    store: &dyn GamRead,
-    path: &[SourceId],
-    floor: Option<f64>,
-    cfg: &ExecConfig,
-    ctx: Option<&ViewContext>,
     traced: bool,
-) -> GamResult<(Arc<MappingIndex>, Option<ExplainNode>)> {
+) -> GamResult<(MappingIndex, Option<ExplainNode>)> {
     // Validation order: floor first, then the length check.
     if let Some(f) = floor {
         check_floor(f)?;
@@ -346,30 +193,21 @@ fn plan_chain_inner(
         let node = traced.then(|| {
             ExplainNode::leaf(format!("map S{}→S{}", path[0].raw(), path[1].raw()), acc.len())
         });
-        return Ok((Arc::new(acc), node));
+        return Ok((acc, node));
     }
 
-    // The memo holds un-floored prefixes only; a floored chain must not
-    // consume them (and in practice never has a ctx — views apply floors
-    // at projection, not inside the chain).
-    let memo_ctx = if floor.is_none() { ctx } else { None };
-    let (mut consumed, acc): (usize, Option<Arc<MappingIndex>>) = memo_ctx
-        .and_then(|c| c.lookup_longest(path))
-        .map(|(k, idx)| (k, Some(idx)))
-        .unwrap_or((1, None));
-
-    // Load the remaining steps eagerly — the rewrites below need all the
-    // stats up front. If any step fails to load, fall back to the lazy
-    // fold, which decides between that step's error and an early empty.
-    let mut steps: Vec<MappingIndex> = Vec::with_capacity(path.len() - consumed);
-    for w in path[consumed - 1..].windows(2) {
+    // Load every step eagerly — the rewrites below need all the stats up
+    // front. If any step fails to load, fall back to the lazy fold, which
+    // decides between that step's error and an early empty.
+    let mut steps: Vec<MappingIndex> = Vec::with_capacity(path.len() - 1);
+    for w in path.windows(2) {
         match map_index(store, w[0], w[1]) {
             Ok(m) => steps.push(m),
             Err(_) => {
                 let idx = fold_chain(store, path, floor, cfg)?;
                 let node = traced
                     .then(|| ExplainNode::leaf("naive fold (step load failed)".into(), idx.len()));
-                return Ok((Arc::new(idx), node));
+                return Ok((idx, node));
             }
         }
     }
@@ -395,12 +233,9 @@ fn plan_chain_inner(
 
     // An empty step empties the whole chain: the result is the empty
     // Composed index path[0]→last.
-    if acc.as_deref().is_some_and(MappingIndex::is_empty)
-        || steps.iter().any(MappingIndex::is_empty)
-    {
-        let empty = empty_chain(path);
+    if steps.iter().any(MappingIndex::is_empty) {
         let node = traced.then(|| ExplainNode::leaf("empty chain".into(), 0));
-        return Ok((Arc::new(empty), node));
+        return Ok((empty_chain(path), node));
     }
 
     let step_label = |s: &MappingIndex| {
@@ -410,23 +245,18 @@ fn plan_chain_inner(
         };
         ExplainNode::leaf(format!("map S{}→S{}{}", s.from.raw(), s.to.raw(), floor_tag), s.len())
     };
+    let mut nodes: Option<Vec<ExplainNode>> =
+        traced.then(|| steps.iter().map(step_label).collect());
 
-    // Rewrite: greedy reordering by estimated intermediate cardinality.
-    // Gated to all-fact chains (fact ∘ fact carries no float product, so
-    // association order is exact) that no other target shares a prefix
-    // with (shared chains must keep the caller-order parenthesization the
-    // memo entries were built with).
-    let reorder = acc.is_none()
-        && steps.len() >= 3
-        && steps.iter().all(|s| s.stats().scored == 0)
-        && memo_ctx.is_none_or(|c| !c.is_shared_chain(path));
-
-    if reorder {
-        let mut nodes: Option<Vec<ExplainNode>> =
-            traced.then(|| steps.iter().map(step_label).collect());
-        let mut items = steps;
-        while items.len() > 1 {
-            let mut best = 0;
+    // Rewrite: greedy reordering by estimated intermediate cardinality,
+    // gated to all-fact chains (fact ∘ fact carries no float product, so
+    // association order is exact). Everything else joins the first two
+    // items each round: the caller-order left fold.
+    let reorder = steps.len() >= 3 && steps.iter().all(|s| s.stats().scored == 0);
+    let mut items = steps;
+    while items.len() > 1 {
+        let mut best = 0;
+        if reorder {
             let mut best_est = f64::INFINITY;
             for i in 0..items.len() - 1 {
                 let est = cost::estimate_join(items[i].stats(), items[i + 1].stats());
@@ -435,178 +265,77 @@ fn plan_chain_inner(
                     best = i;
                 }
             }
-            let right = items.remove(best + 1);
-            let joined = compose_step(&items[best], &right, floor, cfg)?;
-            if let Some(ns) = &mut nodes {
-                let rn = ns.remove(best + 1);
-                let ln = std::mem::replace(&mut ns[best], ExplainNode::leaf(String::new(), 0));
-                ns[best] = join_node(ln, rn, &items[best], &right, &joined, cfg);
-            }
-            items[best] = joined;
-            if items[best].is_empty() {
-                // Relation emptiness is order-independent: the caller-order
-                // fold ends empty too, with the same canonical empty index.
-                let node = traced.then(|| ExplainNode::leaf("empty chain".into(), 0));
-                return Ok((Arc::new(empty_chain(path)), node));
-            }
         }
-        let mut result = items.swap_remove(0);
-        result.from = path[0];
-        if let Some(&last) = path.last() {
-            result.to = last;
-        }
-        result.rel_type = RelType::Composed;
-        let node = nodes.and_then(|mut ns| (!ns.is_empty()).then(|| ns.swap_remove(0)));
-        return Ok((Arc::new(result), node));
-    }
-
-    // Left fold — the caller's association order — with shared-prefix
-    // memoization. A memo hit or miss yields bit-identical results, so the
-    // Mutex's scheduling nondeterminism cannot leak into output.
-    let mut steps = steps.into_iter();
-    let (mut acc_arc, mut node) = match acc {
-        Some(idx) => {
-            let n = traced.then(|| {
-                ExplainNode::leaf(
-                    format!("shared prefix S{}→S{} (memo)", path[0].raw(), idx.to.raw()),
-                    idx.len(),
-                )
-            });
-            (idx, n)
-        }
-        None => match steps.next() {
-            Some(first) => {
-                // the accumulator now covers two sources; `consumed`
-                // must track coverage or the memo keys shift by one hop
-                consumed = 2;
-                let n = traced.then(|| step_label(&first));
-                let arc = Arc::new(first);
-                if let Some(c) = memo_ctx {
-                    c.store(&path[..2], &arc);
-                }
-                (arc, n)
-            }
-            None => {
-                // Unreachable: len ≥ 3 with consumed = 1 loads ≥ 2 steps.
-                return Ok((Arc::new(empty_chain(path)), None));
-            }
-        },
-    };
-    for step in steps {
-        let joined = compose_step(&acc_arc, &step, floor, cfg)?;
-        consumed += 1;
-        if traced {
-            let sn = step_label(&step);
-            let ln = node.take().unwrap_or_else(|| ExplainNode::leaf(String::new(), 0));
-            node = Some(join_node(ln, sn, &acc_arc, &step, &joined, cfg));
+        let right = items.remove(best + 1);
+        let joined = compose_idx(&items[best], &right, floor, cfg)?;
+        if let Some(ns) = &mut nodes {
+            let rn = ns.remove(best + 1);
+            let ln = std::mem::replace(&mut ns[best], ExplainNode::leaf(String::new(), 0));
+            ns[best] = join_node(ln, rn, &items[best], &right, &joined, cfg);
         }
         if joined.is_empty() {
-            let n = traced.then(|| ExplainNode::leaf("empty chain".into(), 0));
-            return Ok((Arc::new(empty_chain(path)), n));
+            // Relation emptiness is order-independent: the caller-order
+            // fold ends empty too, with the same canonical empty index.
+            let node = traced.then(|| ExplainNode::leaf("empty chain".into(), 0));
+            return Ok((empty_chain(path), node));
         }
-        acc_arc = Arc::new(joined);
-        if let Some(c) = memo_ctx {
-            c.store(&path[..consumed], &acc_arc);
-        }
+        items[best] = joined;
     }
-
-    // Endpoint fixups. In-place when the Arc is unshared; a memoized
-    // full-path hit already carries them.
-    let last = path.last().copied().unwrap_or(path[0]);
-    if acc_arc.from != path[0] || acc_arc.to != last || acc_arc.rel_type != RelType::Composed {
-        let mut owned = Arc::try_unwrap(acc_arc).unwrap_or_else(|a| (*a).clone());
-        owned.from = path[0];
-        owned.to = last;
-        owned.rel_type = RelType::Composed;
-        acc_arc = Arc::new(owned);
-    }
-    Ok((acc_arc, node))
+    // ≥ 2 steps were joined, so the survivor is Composed path[0]→last
+    let result = items.swap_remove(0);
+    let node = nodes.and_then(|mut ns| ns.pop());
+    Ok((result, node))
 }
 
-/// Explain a whole view query: plan and execute every target's pipeline
-/// (one-shot, uncached, instrumented) and fold the columns, returning the
-/// plan tree with estimated vs actual cardinalities. The execution mirrors
-/// `generate_view_idx` exactly — same planner, same projection, same fold.
-pub fn explain_view(
+fn empty_chain(path: &[SourceId]) -> MappingIndex {
+    let last = path.last().copied().unwrap_or(path[0]);
+    MappingIndex::empty(path[0], last, RelType::Composed)
+}
+
+/// The lazy caller-order fold, run only when a step fails to load. Steps
+/// load one at a time and the fold breaks as soon as the accumulator
+/// empties, so a chain that empties before a missing step never observes
+/// the missing mapping and one that reaches it reports that step's error —
+/// the behaviour eager loading cannot reproduce.
+fn fold_chain(
     store: &dyn GamRead,
-    query: &ViewQuery,
-    resolver: &dyn IndexResolver,
+    path: &[SourceId],
+    floor: Option<f64>,
     cfg: &ExecConfig,
-) -> GamResult<ExplainNode> {
-    let s: BTreeSet<ObjectId> = match &query.objects {
-        Some(set) => set.clone(),
-        None => store.object_ids_of(query.source)?.into_iter().collect(),
-    };
-    let ctx = ViewContext::new(query);
-    let mut children = Vec::with_capacity(query.targets.len());
-    let mut columns = Vec::with_capacity(query.targets.len());
-    for spec in &query.targets {
-        let (mi, chain) = match &spec.path {
-            Some(path) => match map_index(store, query.source, spec.target) {
-                Ok(m) => {
-                    let node =
-                        ExplainNode::leaf(format!("map S{}→S{}", query.source.raw(), spec.target.raw()), m.len());
-                    (Arc::new(m), node)
-                }
-                Err(GamError::NoMapping { .. }) => {
-                    let (mi, node) = plan_chain_inner(store, path, None, cfg, Some(&ctx), true)?;
-                    let node = node
-                        .unwrap_or_else(|| ExplainNode::leaf("chain".into(), mi.len()));
-                    (mi, node)
-                }
-                Err(e) => return Err(e),
-            },
-            None => {
-                let mi = resolver.resolve_index(store, query.source, spec.target)?;
-                let node = ExplainNode::leaf(
-                    format!("map S{}→S{} (resolver)", query.source.raw(), spec.target.raw()),
-                    mi.len(),
-                );
-                (mi, node)
-            }
-        };
-        // Column estimate: covered source objects × average fanout.
-        let st = mi.stats();
-        let est = (s.len().min(st.domain_keys) as f64 * st.avg_fwd_fanout()).round() as u64;
-        let column = crate::view::project_target_column(&mi, spec, &s)?;
-        let mut tags = Vec::new();
-        if spec.negated {
-            tags.push("NOT".to_string());
-        }
-        if let Some(f) = spec.min_evidence {
-            tags.push(format!("floor≥{f}"));
-        }
-        let tag = if tags.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", tags.join(", "))
-        };
-        children.push(ExplainNode {
-            label: format!("target S{}{}", spec.target.raw(), tag),
-            strategy: None,
-            estimated: Some(est),
-            actual: Some(column.values.len() as u64),
-            children: vec![chain],
-        });
-        columns.push(Ok(column));
+) -> GamResult<MappingIndex> {
+    let mut acc = map_index(store, path[0], path[1])?;
+    if let Some(f) = floor {
+        acc = acc.filter_evidence(f);
     }
-    let view = crate::view::fold_columns(&s, columns, query)?;
-    let combine = match query.combine {
-        crate::view::Combine::And => "AND",
-        crate::view::Combine::Or => "OR",
-    };
-    Ok(ExplainNode {
-        label: format!(
-            "generate-view {} S{} over {} objects",
-            combine,
-            query.source.raw(),
-            s.len()
-        ),
-        strategy: None,
-        estimated: None,
-        actual: Some(view.rows.len() as u64),
-        children,
-    })
+    for window in path[1..].windows(2) {
+        let step = map_index(store, window[0], window[1])?;
+        acc = compose_idx(&acc, &step, floor, cfg)?;
+        if acc.is_empty() {
+            break;
+        }
+    }
+    acc.from = path[0];
+    acc.to = path.last().copied().unwrap_or(acc.to);
+    acc.rel_type = RelType::Composed;
+    Ok(acc)
+}
+
+fn join_node(
+    left: ExplainNode,
+    right: ExplainNode,
+    l: &MappingIndex,
+    r: &MappingIndex,
+    out: &MappingIndex,
+    cfg: &ExecConfig,
+) -> ExplainNode {
+    let est = cost::estimate_join(l.stats(), r.stats());
+    ExplainNode {
+        label: format!("compose S{}→S{}", l.from.raw(), r.to.raw()),
+        strategy: Some(cost::choose_strategy(l.stats(), r.stats(), cfg).label()),
+        estimated: Some(est.round() as u64),
+        actual: Some(out.len() as u64),
+        children: vec![left, right],
+    }
 }
 
 #[cfg(test)]
@@ -712,102 +441,5 @@ mod tests {
             text,
             "compose 1→3 [merge] est≈12 actual=9\n  map 1→2 actual=4\n  map 2→3 actual=6\n"
         );
-    }
-
-    #[test]
-    fn view_context_finds_shared_prefixes() {
-        use crate::view::{TargetSpec, ViewQuery};
-        use gam::SourceId;
-        let s = |n: u32| SourceId(n);
-        let q = ViewQuery::new(s(1))
-            .target(TargetSpec::all(s(4)).via(vec![s(1), s(2), s(3), s(4)]))
-            .target(TargetSpec::all(s(5)).via(vec![s(1), s(2), s(3), s(5)]))
-            .target(TargetSpec::all(s(9)).via(vec![s(1), s(8), s(9)]));
-        let ctx = ViewContext::new(&q);
-        assert!(ctx.shared.contains(&vec![s(1), s(2)]));
-        assert!(ctx.shared.contains(&vec![s(1), s(2), s(3)]));
-        assert!(!ctx.shared.contains(&vec![s(1), s(8)]));
-        assert!(ctx.is_shared_chain(&[s(1), s(2), s(3), s(4)]));
-        assert!(!ctx.is_shared_chain(&[s(1), s(8), s(9)]));
-        // Memo: store only accepts shared prefixes; lookup returns longest.
-        let idx = Arc::new(MappingIndex::empty(s(1), s(2), gam::RelType::Fact));
-        ctx.store(&[s(1), s(8)], &idx);
-        assert!(ctx.lookup_longest(&[s(1), s(8), s(9)]).is_none());
-        ctx.store(&[s(1), s(2)], &idx);
-        let (k, _) = ctx
-            .lookup_longest(&[s(1), s(2), s(3), s(4)])
-            .expect("shared prefix memoized");
-        assert_eq!(k, 2);
-    }
-
-    /// Regression: the fold used to store the (k+1)-source composite
-    /// under the k-source memo key, so a second target sharing the
-    /// prefix read a chain one hop too long — its column showed objects
-    /// of the *next* source on the path.
-    #[test]
-    fn memo_keys_track_source_coverage() {
-        use crate::view::{TargetSpec, ViewQuery};
-        use gam::model::{SourceContent, SourceStructure};
-        use gam::GamStore;
-
-        let mut store = GamStore::in_memory().expect("store");
-        let mut ids = Vec::new();
-        let mut objs = Vec::new();
-        for i in 0..4 {
-            let s = store
-                .create_source(
-                    &format!("S{i}"),
-                    SourceContent::Other,
-                    SourceStructure::Flat,
-                    None,
-                )
-                .expect("source")
-                .id;
-            ids.push(s);
-            objs.push(
-                (0..3)
-                    .map(|j| {
-                        store
-                            .create_object(s, &format!("s{i}o{j}"), None, None)
-                            .expect("object")
-                    })
-                    .collect::<Vec<_>>(),
-            );
-        }
-        for h in 0..3 {
-            let rel = store
-                .create_source_rel(ids[h], ids[h + 1], RelType::Similarity, None)
-                .expect("rel");
-            let diag: Vec<_> = objs[h].iter().copied().zip(objs[h + 1].iter().copied()).collect();
-            for (a, b) in diag {
-                store.add_association(rel, a, b, None).expect("assoc");
-            }
-        }
-
-        let q = ViewQuery::new(ids[0])
-            .target(TargetSpec::all(ids[3]).via(ids.clone()))
-            .target(TargetSpec::all(ids[2]).via(ids[..3].to_vec()));
-        let ctx = ViewContext::new(&q);
-        let cfg = ExecConfig::sequential();
-        // the deep chain populates the memo; the mid chain then consumes it
-        let deep = plan_chain(&store, &ids, None, &cfg, Some(&ctx)).expect("deep");
-        assert_eq!((deep.from, deep.to), (ids[0], ids[3]));
-        let mid_memo = plan_chain(&store, &ids[..3], None, &cfg, Some(&ctx)).expect("mid");
-        let mid_fresh = plan_chain(&store, &ids[..3], None, &cfg, None).expect("fresh");
-        assert_eq!((mid_memo.from, mid_memo.to), (ids[0], ids[2]));
-        let pairs = |m: &MappingIndex| {
-            m.to_mapping()
-                .pairs
-                .iter()
-                .map(|a| (a.from, a.to, a.evidence.map(f64::to_bits)))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(pairs(&mid_memo), pairs(&mid_fresh));
-        // the memoized column must contain S2 objects, not S3's
-        assert!(mid_memo
-            .to_mapping()
-            .pairs
-            .iter()
-            .all(|a| objs[2].contains(&a.to)));
     }
 }

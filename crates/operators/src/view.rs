@@ -26,8 +26,9 @@
 //! as the test oracle.
 
 use crate::exec::ExecConfig;
-use crate::plan::ViewContext;
-use gam::{GamRead, GamResult, MappingIndex, ObjectId, SourceId};
+use crate::plan::{plan_chain, ExplainNode};
+use crate::simple::map_index;
+use gam::{GamError, GamRead, GamResult, MappingIndex, ObjectId, SourceId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -215,10 +216,10 @@ pub trait IndexResolver: Sync {
 /// `i`'s annotation values. A key with an empty bucket is an object
 /// present with NULL (negation semantics) — distinct from an absent key,
 /// which the AND fold drops.
-pub(crate) struct TargetColumn {
-    pub(crate) keys: Vec<ObjectId>,
-    pub(crate) offsets: Vec<u32>,
-    pub(crate) values: Vec<ObjectId>,
+struct TargetColumn {
+    keys: Vec<ObjectId>,
+    offsets: Vec<u32>,
+    values: Vec<ObjectId>,
 }
 
 impl TargetColumn {
@@ -228,34 +229,49 @@ impl TargetColumn {
     }
 }
 
-/// Resolve one target column: determine `Mi` (Map or Compose along the
-/// explicit path, sharing composed prefixes across the view's targets via
-/// `ctx`; the resolver otherwise), then project it — everything in
-/// Figure 5 up to, but excluding, the AND/OR join fold.
+/// Determine one target's `Mi: S → Ti` — "using either the Map or Compose
+/// operation" (Figure 5). A target with an explicit path takes the direct
+/// mapping when one exists and otherwise a planned Compose chain along the
+/// path; any other target asks `resolver`. [`generate_view_idx`] and
+/// [`explain_view`] both resolve targets here; `traced` also returns the
+/// plan tree of what ran.
 fn resolve_target_idx(
     store: &dyn GamRead,
-    query: &ViewQuery,
+    source: SourceId,
     spec: &TargetSpec,
-    s: &BTreeSet<ObjectId>,
     resolver: &dyn IndexResolver,
     cfg: &ExecConfig,
-    ctx: &ViewContext,
-) -> GamResult<TargetColumn> {
-    let mi: Arc<MappingIndex> = match &spec.path {
-        Some(path) => {
-            crate::plan::resolve_path_idx(store, query.source, spec.target, path, cfg, Some(ctx))?
-        }
-        None => resolver.resolve_index(store, query.source, spec.target)?,
+    traced: bool,
+) -> GamResult<(Arc<MappingIndex>, Option<ExplainNode>)> {
+    let leaf = |mi: &MappingIndex, how: &str| {
+        traced.then(|| {
+            let label = format!("map S{}→S{}{how}", source.raw(), spec.target.raw());
+            ExplainNode::leaf(label, mi.len())
+        })
     };
-    project_target_column(&mi, spec, s)
+    let Some(path) = &spec.path else {
+        let mi = resolver.resolve_index(store, source, spec.target)?;
+        let node = leaf(&mi, " (resolver)");
+        return Ok((mi, node));
+    };
+    match map_index(store, source, spec.target) {
+        Ok(mi) => {
+            let node = leaf(&mi, "");
+            Ok((Arc::new(mi), node))
+        }
+        Err(GamError::NoMapping { .. }) => {
+            let (mi, node) = plan_chain(store, path, None, cfg, traced)?;
+            Ok((Arc::new(mi), node))
+        }
+        Err(e) => Err(e),
+    }
 }
 
-/// The restriction/negation/floor half of [`resolve_target_idx`]: project
-/// an already-resolved `Mi` into its mini-CSR column over the source
-/// objects `s` — a surviving source object maps to its annotation values
-/// (empty = object present with NULL, e.g. negation). Split out so the
-/// planner's instrumented explain run can reuse it verbatim.
-pub(crate) fn project_target_column(
+/// Project a resolved `Mi` into its mini-CSR column over the source
+/// objects `s` — everything in Figure 5 after "Determine mapping" and
+/// before the AND/OR join fold. A surviving source object maps to its
+/// annotation values (empty = object present with NULL, e.g. negation).
+fn project_target_column(
     mi: &MappingIndex,
     spec: &TargetSpec,
     s: &BTreeSet<ObjectId>,
@@ -324,6 +340,29 @@ pub(crate) fn project_target_column(
     })
 }
 
+/// `V = s`: the query's source objects, all of `S` when none are given.
+fn view_sources(store: &dyn GamRead, query: &ViewQuery) -> GamResult<BTreeSet<ObjectId>> {
+    match &query.objects {
+        Some(set) => Ok(set.clone()),
+        None => Ok(store.object_ids_of(query.source)?.into_iter().collect()),
+    }
+}
+
+/// Whether [`generate_view_idx`] resolves a view's targets concurrently,
+/// and the config each target's own joins run under: sequential when the
+/// targets already fan out across threads, so the thread count stays
+/// bounded by `cfg.jobs`. An [`IndexResolver`] that composes uses that
+/// config too.
+pub fn target_exec(query: &ViewQuery, cfg: &ExecConfig) -> (bool, ExecConfig) {
+    let concurrent = cfg.jobs > 1 && query.targets.len() > 1;
+    let inner = if concurrent {
+        ExecConfig::sequential()
+    } else {
+        *cfg
+    };
+    (concurrent, inner)
+}
+
 /// Execute `GenerateView` against a store, resolving mappings with
 /// `resolver` (or along each target's explicit path when given).
 ///
@@ -340,33 +379,18 @@ pub fn generate_view_idx(
     resolver: &dyn IndexResolver,
     cfg: &ExecConfig,
 ) -> GamResult<AnnotationView> {
-    // V = s — start with all given source objects.
-    let s: BTreeSet<ObjectId> = match &query.objects {
-        Some(set) => set.clone(),
-        None => store.object_ids_of(query.source)?.into_iter().collect(),
+    let s = view_sources(store, query)?;
+    let (concurrent, inner) = target_exec(query, cfg);
+    let column = |spec: &TargetSpec| {
+        let (mi, _) = resolve_target_idx(store, query.source, spec, resolver, &inner, false)?;
+        project_target_column(&mi, spec, &s)
     };
-
-    // Shared path prefixes across this view's targets. A memo hit and a
-    // miss produce bit-identical indexes, so sharing is safe even across
-    // the concurrently-resolved targets below.
-    let ctx = &ViewContext::new(query);
-
-    let target_jobs = if cfg.jobs > 1 { cfg.jobs.min(query.targets.len()) } else { 1 };
-    let resolved: Vec<GamResult<TargetColumn>> = if target_jobs > 1 {
-        // one worker per target; the per-target pipelines run their inner
-        // joins sequentially to keep the total thread count bounded
-        let inner = ExecConfig::sequential();
+    let resolved: Vec<GamResult<TargetColumn>> = if concurrent {
         std::thread::scope(|scope| {
             let handles: Vec<_> = query
                 .targets
                 .iter()
-                .map(|spec| {
-                    let s = &s;
-                    let inner = &inner;
-                    scope.spawn(move || {
-                        resolve_target_idx(store, query, spec, s, resolver, inner, ctx)
-                    })
-                })
+                .map(|spec| scope.spawn(|| column(spec)))
                 .collect();
             handles
                 .into_iter()
@@ -374,20 +398,76 @@ pub fn generate_view_idx(
                 .collect()
         })
     } else {
-        query
-            .targets
-            .iter()
-            .map(|spec| resolve_target_idx(store, query, spec, &s, resolver, cfg, ctx))
-            .collect()
+        query.targets.iter().map(column).collect()
     };
 
     fold_columns(&s, resolved, query)
 }
 
+/// Explain a view query: run it as [`generate_view_idx`] does — the same
+/// per-target resolution under the same config, the same projection and
+/// fold, one target after another and uncached where the resolution is a
+/// planned chain — and return the plan tree with estimated vs actual
+/// cardinalities.
+pub fn explain_view(
+    store: &dyn GamRead,
+    query: &ViewQuery,
+    resolver: &dyn IndexResolver,
+    cfg: &ExecConfig,
+) -> GamResult<ExplainNode> {
+    let s = view_sources(store, query)?;
+    let (_, inner) = target_exec(query, cfg);
+    let mut children = Vec::with_capacity(query.targets.len());
+    let mut columns = Vec::with_capacity(query.targets.len());
+    for spec in &query.targets {
+        let (mi, chain) = resolve_target_idx(store, query.source, spec, resolver, &inner, true)?;
+        // Column estimate: covered source objects × average fanout.
+        let st = mi.stats();
+        let est = (s.len().min(st.domain_keys) as f64 * st.avg_fwd_fanout()).round() as u64;
+        let column = project_target_column(&mi, spec, &s)?;
+        let mut tags = Vec::new();
+        if spec.negated {
+            tags.push("NOT".to_string());
+        }
+        if let Some(f) = spec.min_evidence {
+            tags.push(format!("floor≥{f}"));
+        }
+        let tag = if tags.is_empty() {
+            String::new()
+        } else {
+            format!(" [{}]", tags.join(", "))
+        };
+        children.push(ExplainNode {
+            label: format!("target S{}{}", spec.target.raw(), tag),
+            strategy: None,
+            estimated: Some(est),
+            actual: Some(column.values.len() as u64),
+            children: chain.into_iter().collect(),
+        });
+        columns.push(Ok(column));
+    }
+    let view = fold_columns(&s, columns, query)?;
+    let combine = match query.combine {
+        Combine::And => "AND",
+        Combine::Or => "OR",
+    };
+    Ok(ExplainNode {
+        label: format!(
+            "generate-view {} S{} over {} objects",
+            combine,
+            query.source.raw(),
+            s.len()
+        ),
+        strategy: None,
+        estimated: None,
+        actual: Some(view.rows.len() as u64),
+        children,
+    })
+}
+
 /// The sequential AND/OR join fold over resolved target columns, in target
-/// order. Shared by [`generate_view_idx`] and the planner's instrumented
-/// explain run.
-pub(crate) fn fold_columns(
+/// order.
+fn fold_columns(
     s: &BTreeSet<ObjectId>,
     resolved: Vec<GamResult<TargetColumn>>,
     query: &ViewQuery,
@@ -801,5 +881,47 @@ mod tests {
             .combine(Combine::And);
         let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.rows, vec![vec![Some(f.l[0]), Some(r0)]]);
+    }
+
+    /// `explain_view` resolves each target as `generate_view_idx` does, on
+    /// its own: two targets whose explicit paths share the prefix S0→S1→S2
+    /// each get exactly the tree a traced `plan_chain` along that path
+    /// alone gives — nothing composed for one target is reused by another.
+    #[test]
+    fn explain_plans_each_target_path_alone() {
+        let mut store = GamStore::in_memory().unwrap();
+        let mut ids = Vec::new();
+        let mut objs = Vec::new();
+        for i in 0..4 {
+            let s = store
+                .create_source(&format!("S{i}"), SourceContent::Other, SourceStructure::Flat, None)
+                .unwrap()
+                .id;
+            ids.push(s);
+            let o: Vec<ObjectId> = (0..3)
+                .map(|j| store.create_object(s, &format!("s{i}o{j}"), None, None).unwrap())
+                .collect();
+            objs.push(o);
+        }
+        for h in 0..3 {
+            let rel = store
+                .create_source_rel(ids[h], ids[h + 1], RelType::Similarity, None)
+                .unwrap();
+            for (&a, &b) in objs[h].iter().zip(&objs[h + 1]) {
+                store.add_association(rel, a, b, Some(0.5)).unwrap();
+            }
+        }
+        let paths = [ids.clone(), ids[..3].to_vec()];
+        let q = ViewQuery::new(ids[0])
+            .target(TargetSpec::all(ids[3]).via(paths[0].clone()))
+            .target(TargetSpec::all(ids[2]).via(paths[1].clone()));
+        let cfg = ExecConfig::sequential();
+        let tree = explain_view(&store, &q, &Direct, &cfg).unwrap();
+        assert!(!tree.render().contains("(memo)"), "{}", tree.render());
+        for (target, path) in tree.children.iter().zip(&paths) {
+            let (_, alone) = plan_chain(&store, path, None, &cfg, true).unwrap();
+            assert_eq!(target.children, vec![alone.unwrap()], "{}", tree.render());
+        }
+        assert_eq!(tree.actual, Some(generate_view(&store, &q).unwrap().len() as u64));
     }
 }

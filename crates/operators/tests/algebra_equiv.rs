@@ -19,7 +19,7 @@ use gam::{
 };
 use operators::plan::cost::{choose_strategy, JoinStrategy, PARALLEL_THRESHOLD};
 use operators::{
-    compose_idx, compose_idx_with_threshold, compose_path_idx, compose_path_idx_with_threshold,
+    compose_idx, compose_path_idx, compose_path_idx_with_threshold,
     generate_view_idx, map_index, Combine, ExecConfig, IndexResolver, TargetSpec, ViewQuery,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -120,10 +120,7 @@ fn check_join(l: &MappingIndex, r: &MappingIndex, floor: Option<f64>, ctx: &str)
     let want = mapping_bits(naive::compose(&lm, &rm, floor));
     for jobs in JOBS {
         let cfg = ExecConfig::with_jobs(jobs);
-        let got = match floor {
-            None => compose_idx(l, r, &cfg),
-            Some(f) => compose_idx_with_threshold(l, r, f, &cfg),
-        };
+        let got = compose_idx(l, r, floor, &cfg);
         assert_eq!(index_bits(got), want, "{ctx} floor={floor:?} jobs={jobs}");
     }
 }
@@ -157,7 +154,7 @@ fn joins_match_the_nested_loop() {
         check_join(&l, &r, f, &format!("round {round}"));
         for bad in BAD_FLOORS {
             check_join(&l, &r, Some(bad), &format!("round {round}"));
-            let got = compose_idx_with_threshold(&l, &r, bad, &ExecConfig::sequential());
+            let got = compose_idx(&l, &r, Some(bad), &ExecConfig::sequential());
             assert!(
                 matches!(got, Err(GamError::BadEvidence(_))),
                 "round {round} floor {bad}"
