@@ -201,10 +201,7 @@ pub fn parse_query(rest: &[&str]) -> Result<QuerySpec, CliParseError> {
     let mut it = rest.iter();
     let head = it.next().ok_or_else(|| err("query needs a source"))?;
     let (source, accessions) = match head.split_once(':') {
-        Some((s, accs)) => (
-            s.to_owned(),
-            accs.split(',').filter(|a| !a.is_empty()).map(str::to_owned).collect(),
-        ),
+        Some((s, accs)) => (s.to_owned(), accession_list(s, accs)?),
         None => ((*head).to_owned(), Vec::new()),
     };
     let combine = match it.next() {
@@ -234,10 +231,7 @@ pub fn parse_query(rest: &[&str]) -> Result<QuerySpec, CliParseError> {
             None => (body, None),
         };
         let (name, accs) = match body.split_once('=') {
-            Some((n, accs)) => (
-                n,
-                accs.split(',').filter(|a| !a.is_empty()).map(str::to_owned).collect(),
-            ),
+            Some((n, accs)) => (n, accession_list(n, accs)?),
             None => (body, Vec::new()),
         };
         if name.is_empty() {
@@ -253,6 +247,16 @@ pub fn parse_query(rest: &[&str]) -> Result<QuerySpec, CliParseError> {
         return Err(err("query needs at least one target spec"));
     }
     Ok(spec)
+}
+
+/// The accessions after a `:` or `=`, comma-separated; a trailing comma is
+/// allowed. No accession at all is an error, not "the whole source".
+fn accession_list(name: &str, accs: &str) -> Result<Vec<String>, CliParseError> {
+    let list: Vec<String> = accs.split(',').filter(|a| !a.is_empty()).map(str::to_owned).collect();
+    if list.is_empty() {
+        return Err(err(format!("{name}: no accession after ':' or '='")));
+    }
+    Ok(list)
 }
 
 /// The REPL session: a system handle plus the last generated view.
@@ -627,6 +631,21 @@ mod tests {
         assert!(parse_command("query LocusLink and").is_err(), "missing targets");
         assert!(parse_command("query LocusLink maybe GO").is_err());
         assert!(parse_command("query LocusLink and !=x").is_err(), "empty target");
+
+        // an empty accession list is an error, not the whole source
+        for q in [
+            "query LocusLink: or Hugo",
+            "query LocusLink:,, or Hugo",
+            "query LocusLink:1003 or Hugo=",
+            "query LocusLink:1003 or !Hugo=,@0.5",
+        ] {
+            assert!(parse_command(q).is_err(), "{q}");
+        }
+        // a trailing comma after at least one accession still parses
+        let cmd = parse_command("query LocusLink:353, or Hugo=APRT,").unwrap().unwrap();
+        let Command::Query(spec) = cmd else { panic!("not a query") };
+        assert_eq!(spec.accessions, vec!["353"]);
+        assert_eq!(spec.targets[0].accessions, vec!["APRT"]);
     }
 
     #[test]

@@ -587,12 +587,13 @@ pub(crate) fn run_query(
 
     // each distinct object read once, in one batch in ascending id order;
     // a cell is the index of its object in that batch
-    let mut ids: Vec<ObjectId> = view.rows.iter().flatten().flatten().copied().collect();
+    let flat = view.rows.cells();
+    let mut ids: Vec<ObjectId> = flat.iter().flatten().copied().collect();
     ids.sort_unstable();
     ids.dedup();
     let objects = reader.get_objects(&ids)?.into_iter();
     let objects = objects.map(|o| ResolvedCell { accession: o.accession, text: o.text });
-    let cells = view.rows.iter().flatten().map(|cell| {
+    let cells = flat.iter().map(|cell| {
         cell.and_then(|id| ids.binary_search(&id).ok()).map_or(NULL, |k| k as u32)
     });
     Ok(ResolvedView::new(header, objects.collect(), cells.collect()))
@@ -1120,7 +1121,7 @@ mod tests {
         let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq).unwrap();
         let view = generate_view_idx(reader, &vq, &resolver, &exec).unwrap();
         let (mut objects, mut cells) = (Vec::new(), Vec::new());
-        for cell in view.rows.iter().flatten() {
+        for cell in view.rows.cells() {
             cells.push(cell.map_or(NULL, |id| {
                 let obj = reader.get_object(id).unwrap();
                 objects.push(ResolvedCell { accession: obj.accession, text: obj.text });

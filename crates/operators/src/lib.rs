@@ -57,4 +57,5 @@ pub use simple::{map, map_index};
 pub use subsume::subsume;
 pub use view::{
     explain_view, generate_view_idx, AnnotationView, Combine, IndexResolver, TargetSpec, ViewQuery,
+    ViewRows,
 };

@@ -153,9 +153,9 @@ impl ViewQuery {
 pub struct AnnotationView {
     pub source: SourceId,
     pub targets: Vec<SourceId>,
-    /// Rows of arity `1 + targets.len()`. Column 0 (the source object) is
-    /// always `Some`.
-    pub rows: Vec<Vec<Option<ObjectId>>>,
+    /// Rows of arity `1 + targets.len()`, in ascending order. Column 0 (the
+    /// source object) is always `Some`.
+    pub rows: ViewRows,
 }
 
 impl AnnotationView {
@@ -185,10 +185,34 @@ impl AnnotationView {
             .filter_map(|r| r[column + 1])
             .collect()
     }
+}
 
-    /// Sort rows for deterministic output.
-    pub fn sort(&mut self) {
-        self.rows.sort();
+/// A view's rows as one row-major grid of cells, `arity` cells a row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ViewRows {
+    arity: usize,
+    cells: Vec<Option<ObjectId>>,
+}
+
+impl ViewRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.cells.len() / self.arity
+    }
+
+    /// True if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The rows, in ascending order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, Option<ObjectId>> {
+        self.cells.chunks_exact(self.arity)
+    }
+
+    /// Every cell, row after row.
+    pub fn cells(&self) -> &[Option<ObjectId>] {
+        &self.cells
     }
 }
 
@@ -368,11 +392,10 @@ pub fn target_exec(query: &ViewQuery, cfg: &ExecConfig) -> (bool, ExecConfig) {
 ///
 /// Each `TargetSpec`'s Map/Compose + restrict pipeline is independent of
 /// the others, so with `cfg.jobs > 1` all target columns are resolved
-/// concurrently on scoped threads; only the final AND/OR join fold runs
-/// sequentially in target order, preserving row semantics. Each per-target
-/// pipeline is itself the sequential code, so the folded rows — and after
-/// the final sort, the whole view — are bit-identical whatever `cfg.jobs`
-/// is, and errors surface in target order.
+/// concurrently on scoped threads; the AND/OR join then makes one pass over
+/// the source objects. Each per-target pipeline is itself the sequential
+/// code, so the view is bit-identical whatever `cfg.jobs` is, and errors
+/// surface in target order.
 pub fn generate_view_idx(
     store: &dyn GamRead,
     query: &ViewQuery,
@@ -460,62 +483,60 @@ pub fn explain_view(
         ),
         strategy: None,
         estimated: None,
-        actual: Some(view.rows.len() as u64),
+        actual: Some(view.len() as u64),
         children,
     })
 }
 
-/// The sequential AND/OR join fold over resolved target columns, in target
-/// order.
+/// Figure 5's `V = V ⋈ mi` for every target at once: one pass over the
+/// source objects `s`, ascending. Each object looks up its slice in every
+/// column; AND drops it when a column lacks it, OR gives it an empty slice.
+/// The cartesian product of the slices goes straight into the row-major
+/// grid, the last column turning fastest, and an empty slice is one NULL
+/// cell. Every slice is ascending and distinct and NULL only ever stands
+/// alone in its column, so the rows come out sorted. The first failing
+/// column, in target order, is the view's error.
 fn fold_columns(
     s: &BTreeSet<ObjectId>,
     resolved: Vec<GamResult<TargetColumn>>,
     query: &ViewQuery,
 ) -> GamResult<AnnotationView> {
-    let mut rows: Vec<Vec<Option<ObjectId>>> = s.iter().map(|&o| vec![Some(o)]).collect();
-    for column in resolved {
-        let column = column?;
-        let mut next = Vec::with_capacity(rows.len());
-        for row in rows {
-            // the source column is Some by construction; a row without
-            // it carries no join key and can match nothing
-            let Some(&Some(key)) = row.first() else {
-                continue;
-            };
-            match column.get(key) {
-                Some(values) if !values.is_empty() => {
-                    for &v in values {
-                        let mut extended = row.clone();
-                        extended.push(Some(v));
-                        next.push(extended);
-                    }
-                }
-                Some(_) => {
-                    // object present with no associations (negated targets)
-                    let mut extended = row;
-                    extended.push(None);
-                    next.push(extended);
-                }
-                None => match query.combine {
-                    Combine::And => {} // inner join drops the row
-                    Combine::Or => {
-                        let mut extended = row;
-                        extended.push(None);
-                        next.push(extended);
-                    }
-                },
+    let columns = resolved.into_iter().collect::<GamResult<Vec<_>>>()?;
+    let arity = 1 + columns.len();
+    let mut cells = Vec::with_capacity(s.len() * arity);
+    let mut slices: Vec<&[ObjectId]> = Vec::with_capacity(columns.len());
+    // odometer over the slice positions; it rolls back to all zeros after
+    // each object's last row
+    let mut digits = vec![0usize; columns.len()];
+    'objects: for &obj in s {
+        slices.clear();
+        for column in &columns {
+            match column.get(obj) {
+                Some(values) => slices.push(values),
+                None if query.combine == Combine::And => continue 'objects,
+                None => slices.push(&[]),
             }
         }
-        rows = next;
+        let count: usize = slices.iter().map(|v| v.len().max(1)).product();
+        for _ in 0..count {
+            cells.push(Some(obj));
+            cells.extend(slices.iter().zip(&digits).map(|(v, &d)| v.get(d).copied()));
+            for (d, v) in digits.iter_mut().zip(&slices).rev() {
+                *d += 1;
+                if *d < v.len() {
+                    break;
+                }
+                *d = 0;
+            }
+        }
     }
-
-    let mut view = AnnotationView {
+    let rows = ViewRows { arity, cells };
+    debug_assert!(rows.iter().zip(rows.iter().skip(1)).all(|(a, b)| a < b));
+    Ok(AnnotationView {
         source: query.source,
         targets: query.targets.iter().map(|t| t.target).collect(),
         rows,
-    };
-    view.sort();
-    Ok(view)
+    })
 }
 
 #[cfg(test)]
@@ -540,6 +561,11 @@ mod tests {
 
     fn generate_view(store: &GamStore, query: &ViewQuery) -> GamResult<AnnotationView> {
         generate_view_idx(store, query, &Direct, &ExecConfig::sequential())
+    }
+
+    /// A view's rows as owned tuples.
+    fn rows(view: &AnnotationView) -> Vec<Vec<Option<ObjectId>>> {
+        view.rows.iter().map(<[_]>::to_vec).collect()
     }
 
     /// Fixture: loci annotated with GO terms and OMIM diseases.
@@ -619,9 +645,9 @@ mod tests {
         let view = generate_view(&f.store, &q).unwrap();
         // l0: 1 row, l1: 2 rows, l2: NULL row, l3: NULL row
         assert_eq!(view.len(), 5);
-        assert!(view.rows.contains(&vec![Some(f.l[2]), None]));
-        assert!(view.rows.contains(&vec![Some(f.l[3]), None]));
-        assert!(view.rows.contains(&vec![Some(f.l[1]), Some(f.g[1])]));
+        assert!(rows(&view).contains(&vec![Some(f.l[2]), None]));
+        assert!(rows(&view).contains(&vec![Some(f.l[3]), None]));
+        assert!(rows(&view).contains(&vec![Some(f.l[1]), Some(f.g[1])]));
         assert_eq!(view.source_objects().len(), 4, "OR preserves all objects");
     }
 
@@ -635,7 +661,7 @@ mod tests {
         let view = generate_view(&f.store, &q).unwrap();
         // only l0 has both GO and OMIM annotations
         assert_eq!(view.source_objects(), [f.l[0]].into());
-        assert_eq!(view.rows, vec![vec![Some(f.l[0]), Some(f.g[0]), Some(f.o[0])]]);
+        assert_eq!(rows(&view), vec![vec![Some(f.l[0]), Some(f.g[0]), Some(f.o[0])]]);
     }
 
     #[test]
@@ -647,8 +673,8 @@ mod tests {
         let and_view =
             generate_view(&f.store, &base.clone().combine(Combine::And)).unwrap();
         let or_view = generate_view(&f.store, &base.combine(Combine::Or)).unwrap();
-        for row in &and_view.rows {
-            assert!(or_view.rows.contains(row), "AND row {row:?} missing from OR");
+        for row in and_view.rows.iter() {
+            assert!(or_view.rows.iter().any(|r| r == row), "AND row {row:?} missing from OR");
         }
         assert!(or_view.source_objects().is_superset(&and_view.source_objects()));
     }
@@ -706,8 +732,8 @@ mod tests {
         let view = generate_view(&f.store, &q).unwrap();
         assert_eq!(view.source_objects(), [f.l[1], f.l[2], f.l[3]].into());
         // l2 lacks o0 but has o1, which the right outer join preserves
-        assert!(view.rows.contains(&vec![Some(f.l[2]), Some(f.o[1])]));
-        assert!(view.rows.contains(&vec![Some(f.l[1]), None]));
+        assert!(rows(&view).contains(&vec![Some(f.l[2]), Some(f.o[1])]));
+        assert!(rows(&view).contains(&vec![Some(f.l[1]), None]));
     }
 
     #[test]
@@ -767,7 +793,7 @@ mod tests {
             .target(TargetSpec::all(f.go).min_evidence(0.5))
             .combine(Combine::And);
         let view = generate_view(&f.store, &q).unwrap();
-        assert_eq!(view.rows, vec![vec![Some(f.l[3]), Some(f.g[1])]]);
+        assert_eq!(rows(&view), vec![vec![Some(f.l[3]), Some(f.g[1])]]);
 
         // threshold above every link: the object no longer counts as
         // annotated, so the negated query now includes it
@@ -880,7 +906,118 @@ mod tests {
             .target(TargetSpec::all(reg).via(vec![f.s, f.omim, reg]))
             .combine(Combine::And);
         let view = generate_view(&f.store, &q).unwrap();
-        assert_eq!(view.rows, vec![vec![Some(f.l[0]), Some(r0)]]);
+        assert_eq!(rows(&view), vec![vec![Some(f.l[0]), Some(r0)]]);
+    }
+
+    /// Sources S, A, B, C: s0 relates to a0..a2, b0 and c0, c1 (fanouts
+    /// 3 × 1 × 2); s1 only to a1. Associations go in out of order.
+    fn fanout_fix() -> (GamStore, Vec<SourceId>, Vec<Vec<ObjectId>>) {
+        let mut store = GamStore::in_memory().unwrap();
+        let (mut ids, mut objs) = (Vec::new(), Vec::new());
+        for (name, n) in [("S", 2), ("A", 3), ("B", 1), ("C", 2)] {
+            let src = store
+                .create_source(name, SourceContent::Other, SourceStructure::Flat, None)
+                .unwrap()
+                .id;
+            let o: Vec<ObjectId> = (0..n)
+                .map(|i| store.create_object(src, &format!("{name}{i}"), None, None).unwrap())
+                .collect();
+            ids.push(src);
+            objs.push(o);
+        }
+        let pairs: [(usize, &[(usize, usize)]); 3] = [
+            (1, &[(0, 2), (0, 0), (1, 1), (0, 1)]),
+            (2, &[(0, 0)]),
+            (3, &[(0, 1), (0, 0)]),
+        ];
+        for (t, links) in pairs {
+            let rel = store.create_source_rel(ids[0], ids[t], RelType::Fact, None).unwrap();
+            for &(from, to) in links {
+                store.add_association(rel, objs[0][from], objs[t][to], None).unwrap();
+            }
+        }
+        (store, ids, objs)
+    }
+
+    #[test]
+    fn one_pass_fold_writes_the_cartesian_product_in_row_order() {
+        let (store, ids, o) = fanout_fix();
+        let q = ViewQuery::new(ids[0])
+            .objects([o[0][0]].into())
+            .target(TargetSpec::all(ids[1]))
+            .target(TargetSpec::all(ids[2]))
+            .target(TargetSpec::all(ids[3]))
+            .combine(Combine::And);
+        let view = generate_view(&store, &q).unwrap();
+        let mut want = Vec::new();
+        for &a in &o[1] {
+            for &c in &o[3] {
+                want.push(vec![Some(o[0][0]), Some(a), Some(o[2][0]), Some(c)]);
+            }
+        }
+        // ascending as the fold wrote it: nothing sorts the grid afterwards
+        assert!(want.is_sorted());
+        assert_eq!(rows(&view), want);
+        assert_eq!(view.len(), 6);
+        assert_eq!(view.rows.cells().len(), 6 * 4);
+    }
+
+    #[test]
+    fn and_drops_an_object_a_column_lacks_and_or_keeps_it_with_null() {
+        let (store, ids, o) = fanout_fix();
+        let base = ViewQuery::new(ids[0])
+            .target(TargetSpec::all(ids[1]))
+            .target(TargetSpec::all(ids[2]));
+        let and = generate_view(&store, &base.clone().combine(Combine::And)).unwrap();
+        assert_eq!(and.source_objects(), [o[0][0]].into());
+        assert_eq!(and.len(), 3);
+        let or = generate_view(&store, &base.combine(Combine::Or)).unwrap();
+        let last = vec![Some(o[0][1]), Some(o[1][1]), None];
+        assert_eq!(rows(&or).last(), Some(&last));
+        assert_eq!(or.len(), 4);
+    }
+
+    #[test]
+    fn negated_empty_bucket_is_a_null_cell_not_a_dropped_row() {
+        let f = fix();
+        // l1 has GO terms and no OMIM: its negated OMIM bucket is present
+        // and empty, so AND keeps both of its GO rows with a NULL beside them
+        let q = ViewQuery::new(f.s)
+            .target(TargetSpec::all(f.go))
+            .target(TargetSpec::all(f.omim).negated())
+            .combine(Combine::And);
+        let view = generate_view(&f.store, &q).unwrap();
+        assert_eq!(
+            rows(&view),
+            vec![vec![Some(f.l[1]), Some(f.g[0]), None], vec![Some(f.l[1]), Some(f.g[1]), None]]
+        );
+    }
+
+    #[test]
+    fn zero_targets_give_the_source_subset_one_cell_a_row() {
+        let f = fix();
+        let q = ViewQuery::new(f.s).objects([f.l[2], f.l[1]].into()).combine(Combine::And);
+        let view = generate_view(&f.store, &q).unwrap();
+        assert_eq!(rows(&view), vec![vec![Some(f.l[1])], vec![Some(f.l[2])]]);
+    }
+
+    #[test]
+    fn explain_counts_the_rows_the_view_has() {
+        let f = fix();
+        let queries = [
+            ViewQuery::new(f.s).target(TargetSpec::all(f.go)).target(TargetSpec::all(f.omim)),
+            ViewQuery::new(f.s)
+                .target(TargetSpec::all(f.go))
+                .target(TargetSpec::all(f.omim).negated())
+                .combine(Combine::And),
+            ViewQuery::new(f.s).combine(Combine::And),
+        ];
+        let cfg = ExecConfig::sequential();
+        for q in &queries {
+            let tree = explain_view(&f.store, q, &Direct, &cfg).unwrap();
+            let view = generate_view_idx(&f.store, q, &Direct, &cfg).unwrap();
+            assert_eq!(tree.actual, Some(view.rows.len() as u64), "{}", tree.render());
+        }
     }
 
     /// `explain_view` resolves each target as `generate_view_idx` does, on

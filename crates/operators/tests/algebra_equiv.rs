@@ -8,8 +8,9 @@
 //!
 //! What the executor is licensed to do differently from the oracle — pick
 //! merge / gallop / hash per join, push floors down, reorder fact chains,
-//! share path prefixes across a view's targets, resolve targets on
-//! threads, load steps eagerly — is exactly what each sweep arms.
+//! resolve targets on threads, join all of a view's targets in one pass
+//! over its source objects, load steps eagerly — is exactly what each
+//! sweep arms.
 
 use baselines::naive::{self, ViewTarget};
 use gam::model::{SourceContent, SourceStructure};
@@ -560,7 +561,7 @@ fn check_view(store: &dyn GamRead, q: &ViewQuery, ctx: &str) {
                     v.targets,
                     q.targets.iter().map(|t| t.target).collect::<Vec<_>>()
                 );
-                v.rows
+                v.rows.iter().map(<[_]>::to_vec).collect::<Vec<_>>()
             })
             .map_err(|e| e.to_string());
         assert_eq!(got, want, "{ctx} jobs={jobs}");
@@ -594,8 +595,8 @@ fn views_match_figure_5() {
         let c = random_chain(&mut st, sources, 6, facts_only);
         let n = sources;
         // deep walks the whole chain; mid and (with 4+ sources) short stop
-        // earlier on the same path, so their prefixes are shared and
-        // memoized; direct has no path and goes through the resolver
+        // earlier on the same path, each target composing its own prefix;
+        // direct has no path and goes through the resolver
         let mut q = ViewQuery::new(c.ids[0]);
         let deep = TargetSpec::all(c.ids[n - 1]).via(c.ids.clone());
         q = q.target(decorate(&mut st, deep, &c.objs[n - 1]));

@@ -421,6 +421,9 @@ mod tests {
         assert_eq!(e.kind, ServeErrorKind::NotFound);
         let e = handle_request(&sh, "query LocusLink", &ctx).unwrap_err();
         assert_eq!(e.kind, ServeErrorKind::BadRequest);
+        // an empty accession list is refused, not widened to the whole source
+        let e = handle_request(&sh, "query LocusLink: or Hugo", &ctx).unwrap_err();
+        assert_eq!(e.kind, ServeErrorKind::BadRequest);
         // k is bounded on the wire: the largest allowed k answers, one more
         // is refused before any path search, and k = 0 asks for no path
         let (body, _) = handle_request(&sh, "paths NetAffx GO 100", &ctx).unwrap();

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Alternate gmbench runs of two checkouts and compare their end-to-end metrics.
+
+    python3 scripts/ab.py <parent-tree> <change-tree> --workload W [--seed S] [--pairs N]
+
+Each tree runs its own `bash scripts/e2e/run.sh --workload W --seed S`, from
+its own root and into its own build directory (`CARGO_TARGET_DIR` is unset
+for the runs). The parent runs first in odd pairs and the change first in
+even ones, so neither side always gets the warmer host. Every run's final
+JSON line is printed as it lands, tagged with its pair and side.
+
+Then, for every end-to-end metric of `BENCHMARK.json`, one markdown row:
+each side's median and quartiles, the pairs the change won (strictly
+better in the metric's direction), the median ratio change/parent, whether
+the median gap exceeds the parent's interquartile range, and the verdict
+against the metric's bound: `worse` when the change's median is worse than
+the parent's by more than the bound, `better` when it is better by more,
+else `within`. Any run with `correct: false` or `failed > 0` is flagged
+and makes the exit status 1.
+
+The script reads `BENCHMARK.json` and runs `scripts/e2e/run.sh` of each
+tree; it writes nothing into either tree beyond what run.sh itself writes.
+Expect ~40 s a run; run nothing else meanwhile.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(tree, workload, seed, env):
+    proc = subprocess.run(
+        ["bash", "scripts/e2e/run.sh", "--workload", workload, "--seed", str(seed)],
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr[-4000:])
+        sys.exit(f"ab: run.sh failed in {tree} (exit {proc.returncode})")
+    return lines[-1], json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args()
+
+    trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        sys.exit(f"ab: {args.workload} is not a workload of BENCHMARK.json")
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+
+    runs = {"parent": [], "change": []}
+    flagged = []
+    for pair in range(1, args.pairs + 1):
+        order = ["parent", "change"] if pair % 2 == 1 else ["change", "parent"]
+        for side in order:
+            line, result = run_once(trees[side], args.workload, args.seed, env)
+            print(f"pair {pair} {side}: {line}", flush=True)
+            runs[side].append(result)
+            if not result.get("correct") or result.get("failed", 0) > 0:
+                flagged.append(f"pair {pair} {side}: correct={result.get('correct')} "
+                               f"failed={result.get('failed')}")
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs "
+          "(median [q1, q3]; wins = pairs where the change is strictly better)\n")
+    print("| metric | parent | change | wins | ratio | gap > parent IQR | bound | verdict |")
+    print("|---|---|---|---|---|---|---|---|")
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        p = [r["metrics"][name]["value"] for r in runs["parent"]]
+        c = [r["metrics"][name]["value"] for r in runs["change"]]
+        pq1, pm, pq3 = quartiles(p)
+        cq1, cm, cq3 = quartiles(c)
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
+        ratio = cm / pm if pm else float("nan")
+        moved = (pm - cm) if lower else (cm - pm)
+        gap = "yes" if moved > pq3 - pq1 else "no"
+        bound = metric["bound"]
+        if moved < -bound * abs(pm):
+            verdict = "worse"
+        elif moved > bound * abs(pm):
+            verdict = "better"
+        else:
+            verdict = "within"
+        print(f"| `{name}` | {pm:.4g} [{pq1:.4g}, {pq3:.4g}] | {cm:.4g} [{cq1:.4g}, {cq3:.4g}] "
+              f"| {wins}/{len(p)} | ×{ratio:.3f} | {gap} | {bound:g} | {verdict} |")
+    if flagged:
+        print("\nflagged runs:\n" + "\n".join(flagged))
+        sys.exit(1)
+    print("\nevery run: correct, 0 failed")
+
+
+if __name__ == "__main__":
+    main()
