@@ -10,7 +10,11 @@
 //!   a store at a quiescent point. Reads never touch the database again,
 //!   so any number of threads can query a snapshot while a writer mutates
 //!   the live store. Each association is held once, in its mapping's CSR
-//!   [`MappingIndex`]; nothing is kept per object.
+//!   [`MappingIndex`]; each object once, in one slab grouped by source,
+//!   found by id through a table indexed by `id − 1` (object ids are
+//!   handed out densely from 1). [`GamSnapshot::object`] lends an object
+//!   out of that slab without a copy, which is how a served view is
+//!   rendered straight from the snapshot.
 //!
 //! Every `GamSnapshot` accessor returns exactly what the corresponding
 //! `GamStore` accessor returned at capture time — including ordering and
@@ -263,12 +267,17 @@ pub struct GamSnapshot {
     sources: Vec<Source>,
     source_by_name: HashMap<String, usize>,
     source_pos: HashMap<SourceId, usize>,
-    /// Per source (positions as in `sources`), its objects in the store's
-    /// accession order.
-    objects: Vec<Vec<GamObject>>,
-    /// object id → (source position, position in that source's objects).
-    object_pos: HashMap<ObjectId, (u32, u32)>,
-    /// Per source, accession → position, for exact-accession lookups.
+    /// Every object, grouped by source (in the order of `sources`), each
+    /// source's run in the store's accession order.
+    objects: Vec<GamObject>,
+    /// Per source, where its run of `objects` starts; one more entry
+    /// closes the last run.
+    run_starts: Vec<u32>,
+    /// Indexed by `id − 1`: one more than the object's position in
+    /// `objects`, or 0 for an id no object holds.
+    by_id: Vec<u32>,
+    /// Per source, accession → position in `objects`, for exact-accession
+    /// lookups.
     accession_pos: Vec<HashMap<String, u32>>,
     rels: Vec<SourceRel>,
     rel_pos: HashMap<SourceRelId, usize>,
@@ -290,20 +299,31 @@ impl GamSnapshot {
         let sources = store.sources()?;
         let mut source_by_name = HashMap::with_capacity(sources.len());
         let mut source_pos = HashMap::with_capacity(sources.len());
-        let mut objects = Vec::with_capacity(sources.len());
-        let mut object_pos = HashMap::new();
+        let cards = store.cardinalities()?;
+        let mut objects: Vec<GamObject> = Vec::with_capacity(cards.objects);
+        let mut run_starts = Vec::with_capacity(sources.len() + 1);
         let mut accession_pos = Vec::with_capacity(sources.len());
         for (slab, s) in sources.iter().enumerate() {
             source_by_name.insert(s.name.clone(), slab);
             source_pos.insert(s.id, slab);
+            run_starts.push(position(objects.len())?);
             let objs = store.objects_of(s.id)?;
             let mut by_acc = HashMap::with_capacity(objs.len());
             for (i, o) in objs.iter().enumerate() {
-                object_pos.insert(o.id, (slab as u32, i as u32));
-                by_acc.insert(o.accession.clone(), i as u32);
+                by_acc.insert(o.accession.clone(), position(objects.len() + i)?);
             }
             accession_pos.push(by_acc);
-            objects.push(objs);
+            objects.extend(objs);
+        }
+        run_starts.push(position(objects.len())?);
+        objects.shrink_to_fit();
+        // ids are dense from 1, so the table is about as long as the slab
+        let max_id = objects.iter().map(|o| o.id.0).max().unwrap_or(0);
+        let mut by_id = vec![0; usize::try_from(max_id).map_err(|_| unindexable(max_id))?];
+        for (pos, o) in objects.iter().enumerate() {
+            if let Some(slot) = o.id.0.checked_sub(1) {
+                by_id[slot as usize] = position(pos + 1)?;
+            }
         }
 
         let rels = store.source_rels()?;
@@ -333,12 +353,13 @@ impl GamSnapshot {
         Ok(GamSnapshot {
             counts_per_source: store.object_counts_per_source()?,
             type_counts: store.mapping_type_counts()?,
-            cards: store.cardinalities()?,
+            cards,
             sources,
             source_by_name,
             source_pos,
             objects,
-            object_pos,
+            run_starts,
+            by_id,
             accession_pos,
             rels,
             rel_pos,
@@ -353,15 +374,33 @@ impl GamSnapshot {
         self.cards.associations
     }
 
+    /// The object with this id, borrowed from the snapshot; `None` for an
+    /// id no object holds.
+    pub fn object(&self, id: ObjectId) -> Option<&GamObject> {
+        let slot = usize::try_from(id.0.checked_sub(1)?).ok()?;
+        let pos = self.by_id.get(slot)?.checked_sub(1)?;
+        self.objects.get(pos as usize)
+    }
+
+    /// A source's objects, in accession order.
     fn objects_in(&self, source: SourceId) -> &[GamObject] {
-        self.source_pos
-            .get(&source)
-            .map_or(&[][..], |&slab| &self.objects[slab])
+        self.source_pos.get(&source).map_or(&[][..], |&slab| {
+            &self.objects[self.run_starts[slab] as usize..self.run_starts[slab + 1] as usize]
+        })
     }
 
     fn index(&self, id: SourceRelId) -> GamResult<&Arc<MappingIndex>> {
         self.indexes.get(&id).ok_or(GamError::UnknownSourceRel(id))
     }
+}
+
+/// A position in the object slab, as the snapshot's tables hold it.
+fn position(pos: usize) -> GamResult<u32> {
+    u32::try_from(pos).map_err(|_| unindexable(pos as u64))
+}
+
+fn unindexable(n: u64) -> GamError {
+    GamError::Invalid(format!("a snapshot indexes fewer than 2^32 objects; {n} is past that"))
 }
 
 impl GamRead for GamSnapshot {
@@ -396,15 +435,12 @@ impl GamRead for GamSnapshot {
         Ok(self.source_pos.get(&source).and_then(|&slab| {
             self.accession_pos[slab]
                 .get(accession)
-                .map(|&i| self.objects[slab][i as usize].clone())
+                .map(|&pos| self.objects[pos as usize].clone())
         }))
     }
 
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
-        self.object_pos
-            .get(&id)
-            .map(|&(slab, i)| self.objects[slab as usize][i as usize].clone())
-            .ok_or(GamError::UnknownObject(id))
+        self.object(id).cloned().ok_or(GamError::UnknownObject(id))
     }
 
     fn resolve_accessions(
@@ -418,7 +454,7 @@ impl GamRead for GamSnapshot {
         let by_acc = &self.accession_pos[slab];
         Ok(accessions
             .iter()
-            .map(|acc| by_acc.get(*acc).map(|&i| self.objects[slab][i as usize].id))
+            .map(|acc| by_acc.get(*acc).map(|&pos| self.objects[pos as usize].id))
             .collect())
     }
 
@@ -469,11 +505,11 @@ impl GamRead for GamSnapshot {
         &self,
         object: ObjectId,
     ) -> GamResult<Vec<(SourceRelId, Association)>> {
-        let Some(&(slab, _)) = self.object_pos.get(&object) else {
+        let Some(&slab) = self.object(object).and_then(|o| self.source_pos.get(&o.source)) else {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for (rel, idx, role) in &self.mappings_of[slab as usize] {
+        for (rel, idx, role) in &self.mappings_of[slab] {
             // one association, given the partner and its forward position
             let mut push = |to, pos| {
                 let association = Association {

@@ -1,12 +1,16 @@
-//! Store ≡ snapshot on the association-level reads, as a seeded
-//! deterministic sweep: 50 random stores with several mappings
+//! Store ≡ snapshot on the object- and association-level reads, as a
+//! seeded deterministic sweep: 50 random stores with several mappings
 //! per source pair, IS_A self-mappings, shared object pairs and deleted
 //! mappings. For every object and every mapping id — issued, deleted or
 //! never issued — [`GamStore`] and [`GamSnapshot`] must answer
 //! `associations_of_object`, `association_count` and
 //! `load_mapping_index_shared` identically, the first in the documented
-//! order, rebuilt here from `load_mapping` alone. The next test pins what
-//! capture costs on a paged store, in buffer-pool misses rather than time.
+//! order, rebuilt here from `load_mapping` alone; and they must answer the
+//! object lookups identically at the edges of the snapshot's id-indexed
+//! table (id 0, just past the last id, `u64::MAX`), errors included. The
+//! next test does the same for an id no object holds inside the table.
+//! The one after pins what capture costs on a paged store, in buffer-pool
+//! misses rather than time.
 //! The last is store ≡ store across a reopen that changes the indexes: a
 //! directory checkpointed under the previous release's schemas (literals
 //! here, a frozen image of that format) is reconciled in place, answers
@@ -139,6 +143,7 @@ fn store_and_snapshot_agree_on_every_object_and_mapping() {
             );
             with_associations += usize::from(!live.is_empty());
         }
+        object_lookups_agree(s, n, &sources, &mut st, round);
         // every id ever issued (a deleted one among them) and two never issued
         let issued = store.cardinalities().unwrap().mappings as u32 + 1;
         for id in (0..issued + 3).map(SourceRelId) {
@@ -154,6 +159,145 @@ fn store_and_snapshot_agree_on_every_object_and_mapping() {
     assert!(
         with_associations > 200,
         "the sweep must not be vacuous: {with_associations}"
+    );
+}
+
+/// `get_object` for every issued id and the ids around them, `get_objects`
+/// over ascending, shuffled and repeated ids and with an unknown id in the
+/// middle, `find_object` and `resolve_accessions`: the store's answers,
+/// errors included.
+fn object_lookups_agree(
+    s: &dyn GamRead,
+    n: &dyn GamRead,
+    sources: &[(SourceId, Vec<ObjectId>)],
+    st: &mut Prng,
+    round: u64,
+) {
+    let ids: Vec<ObjectId> = sources
+        .iter()
+        .flat_map(|(_, objects)| objects.clone())
+        .collect();
+    let max = ids.iter().map(|id| id.0).max().unwrap_or(0);
+    let edges = [0, max + 1, max + 2, max + 3, u64::MAX].map(ObjectId);
+    for &id in ids.iter().chain(&edges) {
+        same(
+            n.get_object(id),
+            s.get_object(id),
+            &format!("round {round} get_object {id}"),
+        );
+    }
+    let mut ascending = ids.clone();
+    ascending.sort_unstable();
+    let mut shuffled = ids.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, st.below(i + 1));
+    }
+    let repeated: Vec<ObjectId> = ids
+        .iter()
+        .flat_map(|&id| [id, id])
+        .chain(ids.first().copied())
+        .collect();
+    let mut unknown_inside = shuffled.clone();
+    unknown_inside.insert(shuffled.len() / 2, ObjectId(max + 1));
+    for (what, batch) in [
+        ("ascending", ascending),
+        ("shuffled", shuffled),
+        ("repeated", repeated),
+        ("unknown inside", unknown_inside),
+        ("edges", edges.to_vec()),
+    ] {
+        let what = format!("round {round} get_objects {what}");
+        same(n.get_objects(&batch), s.get_objects(&batch), &what);
+    }
+    let unknown = SourceId(sources.len() as u32 + 1);
+    for &(source, _) in sources.iter().chain([&(unknown, Vec::new())]) {
+        let mut accessions: Vec<String> = (0..3)
+            .map(|_| format!("s{}-{}", st.below(6), st.below(14)))
+            .collect();
+        accessions.push(String::new());
+        for acc in &accessions {
+            let what = format!("round {round} find_object {source} {acc:?}");
+            same(
+                n.find_object(source, acc),
+                s.find_object(source, acc),
+                &what,
+            );
+        }
+        let refs: Vec<&str> = accessions.iter().map(String::as_str).collect();
+        let what = format!("round {round} resolve_accessions {source}");
+        same(
+            n.resolve_accessions(source, &refs),
+            s.resolve_accessions(source, &refs),
+            &what,
+        );
+    }
+}
+
+/// A store whose object ids have a gap, as one written by hand or by
+/// another tool may have: the snapshot's table holds an empty entry for
+/// the missing id, which both sides answer as unknown, and the object
+/// past the gap is found by id.
+#[test]
+fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
+    let dir = Path::new("/db");
+    let disk = FaultVfs::new();
+    let vfs = || -> Arc<dyn Vfs> { Arc::new(disk.clone()) };
+    let (source, gap) = {
+        let mut store = GamStore::open_with_vfs(vfs(), dir).unwrap();
+        let source = store
+            .create_source("S", SourceContent::Other, SourceStructure::Flat, None)
+            .unwrap()
+            .id;
+        let last = (0..3)
+            .map(|k| {
+                store
+                    .create_object(source, &format!("o{k}"), None, None)
+                    .unwrap()
+            })
+            .last()
+            .unwrap();
+        store.checkpoint().unwrap();
+        (source, ObjectId(last.0 + 1))
+    };
+    {
+        let mut raw = Database::open_with_vfs(vfs(), dir).unwrap();
+        let row = vec![
+            relstore::Value::Int(gap.as_i64() + 1),
+            relstore::Value::Int(source.as_i64()),
+            relstore::Value::text("past-the-gap"),
+            relstore::Value::Null,
+            relstore::Value::Null,
+        ];
+        let mut txn = raw.begin();
+        txn.insert(tables::OBJECT, row).unwrap();
+        txn.commit().unwrap();
+        raw.checkpoint().unwrap();
+    }
+    let store = GamStore::open_with_vfs(vfs(), dir).unwrap();
+    let snap = GamSnapshot::capture(&store).unwrap();
+    let (s, n): (&dyn GamRead, &dyn GamRead) = (&store, &snap);
+    assert!(s.get_object(gap).is_err());
+    let past = ObjectId(gap.0 + 1);
+    assert_eq!(s.get_object(past).unwrap().accession, "past-the-gap");
+    for id in (0..gap.0 + 3).map(ObjectId) {
+        same(
+            n.get_object(id),
+            s.get_object(id),
+            &format!("get_object {id}"),
+        );
+        assert_eq!(
+            snap.object(id),
+            s.get_object(id).ok().as_ref(),
+            "object {id}"
+        );
+    }
+    for batch in [vec![past, gap], vec![ObjectId(1), past]] {
+        same(n.get_objects(&batch), s.get_objects(&batch), "get_objects");
+    }
+    same(
+        n.associations_of_object(gap),
+        s.associations_of_object(gap),
+        "associations_of_object",
     );
 }
 

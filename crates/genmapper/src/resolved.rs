@@ -113,106 +113,121 @@ impl ResolvedView {
         out
     }
 
-    /// Export in the given format.
+    /// Export in the given format: TSV or CSV (RFC 4180 quoting) with one
+    /// header line, a GitHub-flavored Markdown table, or a JSON array of
+    /// objects keyed by header; a NULL cell is an empty field (`null` in
+    /// JSON).
     pub fn render(&self, format: ExportFormat) -> gam::GamResult<String> {
-        Ok(match format {
-            ExportFormat::Tsv => self.to_tsv(),
-            ExportFormat::Csv => self.to_csv(),
-            ExportFormat::Json => self.to_json()?,
-            ExportFormat::Markdown => self.to_markdown(),
-        })
-    }
-
-    /// The header line, `rule`, then one line per row (NULLs as empty
-    /// fields): each `open`, its fields through `field` joined by `sep`, and
-    /// `close`.
-    fn delimited(&self, delims: [&str; 3], rule: &str, field: fn(&mut String, &str)) -> String {
-        let [open, sep, close] = delims;
-        let line = |out: &mut String, fields: &mut dyn Iterator<Item = &str>| {
-            out.push_str(open);
-            for (i, f) in fields.enumerate() {
-                if i > 0 {
-                    out.push_str(sep);
-                }
-                field(out, f);
-            }
-            out.push_str(close);
-            out.push('\n');
-        };
-        let mut out = String::new();
-        line(&mut out, &mut self.header.iter().map(String::as_str));
-        out.push_str(rule);
-        for row in self.rows() {
-            line(&mut out, &mut row.cells().map(|c| c.map_or("", |c| c.accession.as_str())));
-        }
-        out
+        Ok(export(format, &self.header, self.export_cells()))
     }
 
     /// Export as TSV (one header line; NULLs as empty cells).
     pub fn to_tsv(&self) -> String {
-        self.delimited(["", "\t", ""], "", String::push_str)
+        export(ExportFormat::Tsv, &self.header, self.export_cells())
     }
 
-    /// Export as CSV with minimal quoting (RFC 4180: fields containing a
-    /// comma, a quote or a line break are quoted).
-    pub fn to_csv(&self) -> String {
-        fn field(out: &mut String, s: &str) {
-            if s.contains([',', '"', '\n', '\r']) {
-                let _ = write!(out, "\"{}\"", s.replace('"', "\"\""));
-            } else {
-                out.push_str(s);
-            }
+    /// Every cell, row after row, as the exports read it.
+    fn export_cells(&self) -> impl Iterator<Item = Cell<'_>> {
+        self.cells.iter().map(|&k| {
+            let object = self.objects.get(k as usize)?;
+            Some((object.accession.as_str(), object.text.as_deref()))
+        })
+    }
+}
+
+/// One view cell as an export reads it: the object's accession and name,
+/// or `None` for a NULL.
+pub(crate) type Cell<'a> = Option<(&'a str, Option<&'a str>)>;
+
+/// The one writer of every export format: `header`, then `cells` row after
+/// row, `header.len()` cells a row.
+///
+/// * TSV and CSV: one header line, then one line per row, NULLs as empty
+///   fields. CSV quotes minimally (RFC 4180: a field holding a comma, a
+///   quote or a line break is quoted).
+/// * Markdown: a GitHub-flavored table (NULLs as empty cells, `|` escaped
+///   as `\|`) — handy for pasting views into lab notebooks and issue
+///   trackers.
+/// * JSON: plain RFC 8259 JSON, an array of objects keyed by header; NULL
+///   cells are `null`, and a cell without a name omits `"text"`.
+pub(crate) fn export<'a>(
+    format: ExportFormat,
+    header: &[String],
+    cells: impl IntoIterator<Item = Cell<'a>>,
+) -> String {
+    let ([open, sep, close], field): ([&str; 3], fn(&mut String, &str)) = match format {
+        ExportFormat::Tsv => (["", "\t", ""], String::push_str),
+        ExportFormat::Csv => (["", ",", ""], csv_field),
+        ExportFormat::Markdown => (["| ", " | ", " |"], markdown_field),
+        ExportFormat::Json => return export_json(header, cells),
+    };
+    let arity = header.len().max(1);
+    let put = |out: &mut String, column: usize, text: &str| {
+        out.push_str(if column == 0 { open } else { sep });
+        field(out, text);
+        if column + 1 == arity {
+            out.push_str(close);
+            out.push('\n');
         }
-        self.delimited(["", ",", ""], "", field)
+    };
+    let mut out = String::new();
+    for (column, name) in header.iter().enumerate() {
+        put(&mut out, column, name);
     }
+    if format == ExportFormat::Markdown {
+        out.push('|');
+        out.push_str(&"---|".repeat(header.len()));
+        out.push('\n');
+    }
+    for (i, cell) in cells.into_iter().enumerate() {
+        put(&mut out, i % arity, cell.map_or("", |(accession, _)| accession));
+    }
+    out
+}
 
-    /// Export as a GitHub-flavored Markdown table (NULLs as empty cells,
-    /// `|` escaped as `\|`) — handy for pasting views into lab notebooks
-    /// and issue trackers.
-    pub fn to_markdown(&self) -> String {
-        fn field(out: &mut String, s: &str) {
-            out.push_str(&s.replace('|', "\\|"));
+fn export_json<'a>(header: &[String], cells: impl IntoIterator<Item = Cell<'a>>) -> String {
+    let arity = header.len().max(1);
+    let mut out = String::from("[");
+    for (i, cell) in cells.into_iter().enumerate() {
+        let column = i % arity;
+        if column == 0 {
+            out.push_str(if i == 0 { "\n  {" } else { ",\n  {" });
+        } else {
+            out.push(',');
         }
-        let rule = format!("|{}\n", "---|".repeat(self.header.len()));
-        self.delimited(["| ", " | ", " |"], &rule, field)
-    }
-
-    /// Export as JSON (array of objects keyed by header; NULL cells as
-    /// `null`, cells without a name omit `"text"`).
-    ///
-    /// Output is plain RFC 8259 JSON.
-    pub fn to_json(&self) -> gam::GamResult<String> {
-        let mut out = String::from("[");
-        for (ri, row) in self.rows().enumerate() {
-            if ri > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {");
-            for (ci, (h, cell)) in self.header.iter().zip(row.cells()).enumerate() {
-                if ci > 0 {
-                    out.push(',');
+        out.push_str("\n    ");
+        write_json_string(&mut out, header.get(column).map_or("", String::as_str));
+        out.push_str(": ");
+        match cell {
+            Some((accession, text)) => {
+                out.push_str("{\"accession\": ");
+                write_json_string(&mut out, accession);
+                if let Some(text) = text {
+                    out.push_str(", \"text\": ");
+                    write_json_string(&mut out, text);
                 }
-                out.push_str("\n    ");
-                write_json_string(&mut out, h);
-                out.push_str(": ");
-                match cell {
-                    Some(c) => {
-                        out.push_str("{\"accession\": ");
-                        write_json_string(&mut out, &c.accession);
-                        if let Some(text) = &c.text {
-                            out.push_str(", \"text\": ");
-                            write_json_string(&mut out, text);
-                        }
-                        out.push('}');
-                    }
-                    None => out.push_str("null"),
-                }
+                out.push('}');
             }
+            None => out.push_str("null"),
+        }
+        if column + 1 == arity {
             out.push_str("\n  }");
         }
-        out.push_str("\n]");
-        Ok(out)
     }
+    out.push_str("\n]");
+    out
+}
+
+fn csv_field(out: &mut String, s: &str) {
+    if s.contains([',', '"', '\n', '\r']) {
+        let _ = write!(out, "\"{}\"", s.replace('"', "\"\""));
+    } else {
+        out.push_str(s);
+    }
+}
+
+fn markdown_field(out: &mut String, s: &str) {
+    out.push_str(&s.replace('|', "\\|"));
 }
 
 /// Append `s` to `out` as a JSON string literal with RFC 8259 escaping.
@@ -320,7 +335,7 @@ mod tests {
         v.objects[0].accession = "a,b".into();
         v.objects[1].accession = "say \"hi\"".into();
         v.objects[2].accession = "GO:1\r".into();
-        let csv = v.to_csv();
+        let csv = v.render(ExportFormat::Csv).unwrap();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""), "a quote is doubled inside quotes");
         assert!(csv.contains("\"GO:1\r\""), "a carriage return is quoted");
@@ -329,7 +344,7 @@ mod tests {
 
     #[test]
     fn markdown_export() {
-        let md = view().to_markdown();
+        let md = view().render(ExportFormat::Markdown).unwrap();
         let lines: Vec<&str> = md.lines().collect();
         assert_eq!(lines[0], "| LocusLink | GO |");
         assert_eq!(lines[1], "|---|---|");
@@ -342,7 +357,7 @@ mod tests {
         let mut v = view();
         v.header[1] = "Swiss|Prot".into();
         v.objects[2].accession = "sp|P12345|APRT_HUMAN".into();
-        let md = v.to_markdown();
+        let md = v.render(ExportFormat::Markdown).unwrap();
         let lines: Vec<&str> = md.lines().collect();
         assert_eq!(lines[0], "| LocusLink | Swiss\\|Prot |");
         assert_eq!(lines[2], "| 353 | sp\\|P12345\\|APRT_HUMAN |");
@@ -353,7 +368,7 @@ mod tests {
         // the whole document: NULL cells are `null`, and a cell without a
         // name omits "text" instead of writing null
         assert_eq!(
-            view().to_json().unwrap(),
+            view().render(ExportFormat::Json).unwrap(),
             r#"[
   {
     "LocusLink": {"accession": "353", "text": "adenine phosphoribosyltransferase"},
@@ -373,7 +388,7 @@ mod tests {
         let cell = &mut v.objects[0];
         cell.accession = "a\"b\\c".into();
         cell.text = Some("line1\nline2\tend\u{1}".into());
-        let json = v.to_json().unwrap();
+        let json = v.render(ExportFormat::Json).unwrap();
         assert!(json.contains("\"accession\": \"a\\\"b\\\\c\""));
         assert!(json.contains("\"text\": \"line1\\nline2\\tend\\u0001\""));
     }

@@ -12,12 +12,16 @@
 //! [`crate::GenMapper`] used at that version, and the GAM data is the
 //! `Arc` of the previous snapshot whenever the store has not changed since.
 //!
-//! A snapshot's query path is [`crate::system::run_query`] — the same
-//! executor the live [`crate::GenMapper`] uses — so snapshot answers are
-//! bit-identical to the single-threaded path at the capture version.
+//! A snapshot's query path starts with `system::generate` — the
+//! same planner and executor the live [`crate::GenMapper`] uses — so
+//! snapshot answers are bit-identical to the single-threaded path at the
+//! capture version. [`Snapshot::query`] resolves the view into an owned
+//! [`ResolvedView`] as the live system does; [`Snapshot::render_query`],
+//! what the service answers with, writes the export straight from the
+//! captured objects, with no intermediate copy.
 
 use crate::query::QuerySpec;
-use crate::resolved::{ObjectInfo, ResolvedView};
+use crate::resolved::{export, ExportFormat, ObjectInfo, ResolvedView};
 use crate::system::{self, path_ids_of, resolve_accessions, run_query, source_id_of, VersionCache};
 use gam::store::GamCardinalities;
 use gam::{GamError, GamRead, GamResult, GamSnapshot, ObjectId, SourceId};
@@ -105,6 +109,30 @@ impl Snapshot {
         run_query(&*self.reader, &self.cache, self.exec, spec)
     }
 
+    /// Execute a [`QuerySpec`] against the captured state and export the
+    /// view in `format`: byte-equal to `self.query(spec)?.render(format)`,
+    /// but each cell is written straight from the object the snapshot
+    /// holds — no object copy, no [`ResolvedView`].
+    pub fn render_query(&self, spec: &QuerySpec, format: ExportFormat) -> GamResult<String> {
+        let (header, view) = system::generate(&*self.reader, &self.cache, self.exec, spec)?;
+        // an id the snapshot does not hold fails the query as `query`'s
+        // one `get_objects` over the ascending ids fails it: with the least
+        let mut unknown: Option<ObjectId> = None;
+        let cells = view.rows.cells().iter().map(|cell| {
+            let id = (*cell)?;
+            let Some(object) = self.reader.object(id) else {
+                unknown = Some(unknown.map_or(id, |u| u.min(id)));
+                return None;
+            };
+            Some((object.accession.as_str(), object.text.as_deref()))
+        });
+        let body = export(format, &header, cells);
+        match unknown {
+            Some(id) => Err(GamError::UnknownObject(id)),
+            None => Ok(body),
+        }
+    }
+
     /// Explain a [`QuerySpec`] against the captured state: the same
     /// planner and executor as [`Self::query`], instrumented one-shot —
     /// live and snapshot reads plan identically by construction.
@@ -125,7 +153,7 @@ impl Snapshot {
     /// Resolve accessions of a named source to object ids.
     pub fn resolve(&self, source: &str, accessions: &[String]) -> GamResult<BTreeSet<ObjectId>> {
         let id = self.source_id(source)?;
-        resolve_accessions(&*self.reader, id, accessions)
+        resolve_accessions(&*self.reader, id, source, accessions)
     }
 
     fn graph(&self) -> GamResult<Arc<SourceGraph>> {

@@ -8,7 +8,9 @@ use gam::{
     SourceRelId,
 };
 use import::{Importer, PipelineOptions};
-use operators::{generate_view_idx, ExecConfig, IndexResolver, TargetSpec, ViewQuery};
+use operators::{
+    generate_view_idx, AnnotationView, ExecConfig, IndexResolver, TargetSpec, ViewQuery,
+};
 use pathfinder::{SavedPaths, SourceGraph};
 use relstore::sync::{Mutex, RwLock};
 use sources::ecosystem::SourceDump;
@@ -533,11 +535,13 @@ impl GenMapper {
     }
 }
 
-/// Resolve accessions to object ids against any reader; unknown
-/// accessions are an error listing what is missing.
+/// Resolve accessions of `source` (named `name`) to object ids against any
+/// reader; unknown accessions are an error naming the source and listing
+/// what is missing.
 pub(crate) fn resolve_accessions(
     reader: &dyn GamRead,
     source: SourceId,
+    name: &str,
     accessions: &[String],
 ) -> GamResult<BTreeSet<ObjectId>> {
     let refs: Vec<&str> = accessions.iter().map(String::as_str).collect();
@@ -550,7 +554,7 @@ pub(crate) fn resolve_accessions(
         .collect();
     if !missing.is_empty() {
         return Err(GamError::Invalid(format!(
-            "unknown accessions in source {source}: {}",
+            "unknown accessions in source {name}: {}",
             missing.join(", ")
         )));
     }
@@ -570,20 +574,32 @@ pub(crate) fn path_ids_of(reader: &dyn GamRead, path: &[&str]) -> GamResult<Vec<
     path.iter().map(|n| source_id_of(reader, n)).collect()
 }
 
-/// The one shared query executor: both the live system ([`GenMapper::query`])
-/// and the published [`crate::Snapshot`] run *this exact code* over their
-/// respective reader and their version's cache, which is what makes
-/// concurrent snapshot reads structurally bit-identical to the
-/// single-threaded path.
+/// The front half of every query: translate the spec, pick each target's
+/// mapping and run GenerateView. The live system ([`GenMapper::query`]),
+/// the published [`crate::Snapshot`]'s `query` and its direct export
+/// `render_query` all run *this exact code* over their respective reader
+/// and their version's cache, which is what makes concurrent snapshot
+/// reads structurally bit-identical to the single-threaded path. Returns
+/// the display header and the view of object ids.
+pub(crate) fn generate(
+    reader: &dyn GamRead,
+    cache: &VersionCache,
+    exec: ExecConfig,
+    spec: &QuerySpec,
+) -> GamResult<(Vec<String>, AnnotationView)> {
+    let (vq, header) = build_view_query(reader, cache, spec)?;
+    let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq)?;
+    Ok((header, generate_view_idx(reader, &vq, &resolver, &exec)?))
+}
+
+/// A query resolved into an owned [`ResolvedView`], on any reader.
 pub(crate) fn run_query(
     reader: &dyn GamRead,
     cache: &VersionCache,
     exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<ResolvedView> {
-    let (vq, header) = build_view_query(reader, cache, spec)?;
-    let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq)?;
-    let view = generate_view_idx(reader, &vq, &resolver, &exec)?;
+    let (header, view) = generate(reader, cache, exec, spec)?;
 
     // each distinct object read once, in one batch in ascending id order;
     // a cell is the index of its object in that batch
@@ -614,14 +630,14 @@ fn build_view_query(
         // rescanning the object table inside generate_view
         vq = vq.objects((*cache.source_objects(reader, source)?).clone());
     } else {
-        vq = vq.objects(resolve_accessions(reader, source, &spec.accessions)?);
+        vq = vq.objects(resolve_accessions(reader, source, &spec.source, &spec.accessions)?);
     }
     let mut header = vec![spec.source.clone()];
     for t in &spec.targets {
         let target = source_id_of(reader, &t.source)?;
         let mut ts = TargetSpec::all(target);
         if !t.accessions.is_empty() {
-            ts.objects = Some(resolve_accessions(reader, target, &t.accessions)?);
+            ts.objects = Some(resolve_accessions(reader, target, &t.source, &t.accessions)?);
         }
         ts.negated = t.negated;
         ts.min_evidence = t.min_evidence;
@@ -699,6 +715,7 @@ pub(crate) fn object_info_of(
 mod tests {
     use super::*;
     use crate::query::TargetQuery;
+    use crate::ExportFormat;
     use sources::ecosystem::{Ecosystem, EcosystemParams};
 
     fn system() -> GenMapper {
@@ -1116,10 +1133,7 @@ mod tests {
     /// it, and the same view resolved the way it was before objects were
     /// shared: one `get_object` and one table entry per cell.
     fn per_cell_view(reader: &dyn GamRead, cache: &VersionCache, spec: &QuerySpec) -> ResolvedView {
-        let (vq, header) = build_view_query(reader, cache, spec).unwrap();
-        let exec = ExecConfig::sequential();
-        let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq).unwrap();
-        let view = generate_view_idx(reader, &vq, &resolver, &exec).unwrap();
+        let (header, view) = generate(reader, cache, ExecConfig::sequential(), spec).unwrap();
         let (mut objects, mut cells) = (Vec::new(), Vec::new());
         for cell in view.rows.cells() {
             cells.push(cell.map_or(NULL, |id| {
@@ -1131,15 +1145,22 @@ mod tests {
         ResolvedView::new(header, objects, cells)
     }
 
-    fn exports(view: &ResolvedView) -> [String; 4] {
-        [view.to_tsv(), view.to_csv(), view.to_json().unwrap(), view.to_markdown()]
+    const FORMATS: [ExportFormat; 4] =
+        [ExportFormat::Tsv, ExportFormat::Csv, ExportFormat::Json, ExportFormat::Markdown];
+
+    fn exports(view: &ResolvedView) -> Vec<String> {
+        FORMATS.iter().map(|&f| view.render(f).unwrap()).collect()
     }
 
     /// Random views over the demo ecosystem, on the live store and on a
     /// snapshot: a view that resolves each distinct object once answers
     /// and exports exactly as per-cell resolution does, reading all its
     /// objects in one ascending batch; `info` names each partner source
-    /// once and lists what per-association resolution lists.
+    /// once and lists what per-association resolution lists. One body
+    /// comes out of every path: in each format, the snapshot's direct
+    /// `render_query` is byte-equal to the render of the snapshot's and of
+    /// the live system's resolved view, and fails as they fail when the
+    /// spec names an accession that does not exist.
     #[test]
     fn views_resolve_each_distinct_object_once_and_match_per_cell_resolution() {
         let gm = system();
@@ -1159,6 +1180,18 @@ mod tests {
                 spec = spec.target_spec(if rng.gen_bool(0.2) { t.negated() } else { t });
             }
             spec = if rng.gen_bool(0.5) { spec.and() } else { spec.or() };
+            let mut unknown = spec.clone();
+            unknown.accessions.push("no-such-accession".into());
+            for spec in [&spec, &unknown] {
+                for format in FORMATS {
+                    let direct = format!("{:?}", snap.render_query(spec, format));
+                    let frozen = snap.query(spec).and_then(|view| view.render(format));
+                    let live = gm.query(spec).and_then(|view| view.render(format));
+                    assert_eq!(direct, format!("{frozen:?}"), "{format:?}: snapshot");
+                    assert_eq!(direct, format!("{live:?}"), "{format:?}: live");
+                }
+            }
+            assert!(snap.render_query(&unknown, ExportFormat::Tsv).is_err());
             let live: (&dyn GamRead, &VersionCache) = (&gm.store, &gm.cache);
             let snapshot: (&dyn GamRead, &VersionCache) = (&*snap.reader, &snap.cache);
             for (reader, cache) in [live, snapshot] {

@@ -128,8 +128,7 @@ pub fn handle_request(
         "query" => {
             let spec = parse_query(rest).map_err(|e| ServeError::bad_request(e.to_string()))?;
             let snap = shared.snapshot();
-            let view = snap.query(&spec)?;
-            Ok((view.to_tsv(), RequestClass::Read))
+            Ok((snap.render_query(&spec, ExportFormat::Tsv)?, RequestClass::Read))
         }
         "explain" => {
             // the cost-based plan for a query, answered from the published
@@ -151,7 +150,7 @@ pub fn handle_request(
                 ServeError::bad_request(format!("unknown view format {format:?}"))
             })?;
             let snap = shared.snapshot();
-            Ok((snap.query(&spec)?.render(format)?, RequestClass::Read))
+            Ok((snap.render_query(&spec, format)?, RequestClass::Read))
         }
         "path" => match rest {
             [from, to] => {
@@ -320,11 +319,23 @@ mod tests {
         let (body, _) = handle_request(&sh, "sources", &ctx).unwrap();
         assert!(body.contains("LocusLink"));
 
+        // every view body is the library's render of the same query, NULL
+        // cells (the whole-source view's OMIM column) included
+        for words in ["LocusLink:353 or Hugo GO", "Hugo or Location !OMIM"] {
+            let spec = parse_query(&words.split_whitespace().collect::<Vec<_>>()).unwrap();
+            let library = |format| sh.snapshot().query(&spec).unwrap().render(format).unwrap();
+            let (body, _) = handle_request(&sh, &format!("query {words}"), &ctx).unwrap();
+            assert_eq!(body, library(ExportFormat::Tsv), "query {words}");
+            for format in ["tsv", "csv", "json", "md"] {
+                let line = format!("view {format} {words}");
+                let (body, _) = handle_request(&sh, &line, &ctx).unwrap();
+                assert_eq!(body, library(ExportFormat::parse(format).unwrap()), "{line}");
+            }
+        }
         let (body, _) = handle_request(&sh, "query LocusLink:353 or Hugo GO", &ctx).unwrap();
-        assert!(body.contains("APRT"), "query: {body}");
-
-        let (body, _) = handle_request(&sh, "view json LocusLink:353 or Hugo", &ctx).unwrap();
-        assert!(body.contains("\"APRT\""), "view json: {body}");
+        assert!(body.contains("\tAPRT\t"), "query: {body}");
+        let (body, _) = handle_request(&sh, "view json Hugo or Location !OMIM", &ctx).unwrap();
+        assert!(body.contains("\"OMIM\": null"), "a NULL cell: {body}");
 
         let (body, _) = handle_request(&sh, "path NetAffx GO", &ctx).unwrap();
         assert!(body.starts_with("NetAffx ->"));
@@ -421,6 +432,10 @@ mod tests {
         assert_eq!(e.kind, ServeErrorKind::NotFound);
         let e = handle_request(&sh, "query LocusLink", &ctx).unwrap_err();
         assert_eq!(e.kind, ServeErrorKind::BadRequest);
+        // an unknown accession names the source as the client typed it
+        let e = handle_request(&sh, "query LocusLink:nosuch or Hugo", &ctx).unwrap_err();
+        assert_eq!(e.kind, ServeErrorKind::BadRequest);
+        assert!(e.message.contains("LocusLink") && e.message.contains("nosuch"), "{}", e.message);
         // an empty accession list is refused, not widened to the whole source
         let e = handle_request(&sh, "query LocusLink: or Hugo", &ctx).unwrap_err();
         assert_eq!(e.kind, ServeErrorKind::BadRequest);

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --example annotation_view`
 
-use genmapper::{GenMapper, QuerySpec, TargetQuery};
+use genmapper::{ExportFormat, GenMapper, QuerySpec, TargetQuery};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 
 fn main() {
@@ -84,6 +84,7 @@ fn main() {
     let view = gm.query(&spec).expect("export view");
     println!("\n--- the same view in three export formats ---");
     println!("TSV:\n{}", view.to_tsv());
-    println!("CSV:\n{}", view.to_csv());
-    println!("JSON:\n{}", view.to_json().expect("view serializes"));
+    for (name, format) in [("CSV", ExportFormat::Csv), ("JSON", ExportFormat::Json)] {
+        println!("{name}:\n{}", view.render(format).expect("view exports"));
+    }
 }

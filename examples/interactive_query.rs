@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --example interactive_query`
 
-use genmapper::{GenMapper, QuerySpec, TargetQuery};
+use genmapper::{ExportFormat, GenMapper, QuerySpec, TargetQuery};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 
 fn main() {
@@ -102,5 +102,5 @@ fn main() {
     }
 
     println!("\n=== export: download the view for external tools ===");
-    println!("{}", view.to_csv());
+    println!("{}", view.render(ExportFormat::Csv).expect("view exports"));
 }

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Alternate gmbench runs of two checkouts and compare their end-to-end metrics.
 
-    python3 scripts/ab.py <parent-tree> <change-tree> --workload W [--seed S] [--pairs N]
+    python3 scripts/ab.py <parent-tree> <change-tree> --workload W[,W...] [--seed S] [--pairs N]
 
 Each tree runs its own `bash scripts/e2e/run.sh --workload W --seed S`, from
 its own root and into its own build directory (`CARGO_TARGET_DIR` is unset
 for the runs). The parent runs first in odd pairs and the change first in
-even ones, so neither side always gets the warmer host. Every run's final
-JSON line is printed as it lands, tagged with its pair and side.
+even ones, so neither side always gets the warmer host. With several
+workloads (comma-separated), each pair runs every workload in turn, so the
+workloads alternate too and share the host's drift. Every run's final JSON
+line is printed as it lands, tagged with its workload, pair and side.
 
-Then, for every end-to-end metric of `BENCHMARK.json`, one markdown row:
+Then, per workload, a markdown table with, for every end-to-end metric of
+`BENCHMARK.json`, one row:
 each side's median and quartiles, the pairs the change won (strictly
 better in the metric's direction), the median ratio change/parent, whether
 the median gap exceeds the parent's interquartile range, and the verdict
@@ -20,7 +23,8 @@ and makes the exit status 1.
 
 The script reads `BENCHMARK.json` and runs `scripts/e2e/run.sh` of each
 tree; it writes nothing into either tree beyond what run.sh itself writes.
-Expect ~40 s a run; run nothing else meanwhile.
+Expect ~40 s a run (two runs a pair and workload); run nothing else
+meanwhile.
 """
 
 import argparse
@@ -50,34 +54,10 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent")
-    ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--pairs", type=int, default=10)
-    args = ap.parse_args()
-
-    trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        sys.exit(f"ab: {args.workload} is not a workload of BENCHMARK.json")
-    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
-
-    runs = {"parent": [], "change": []}
-    flagged = []
-    for pair in range(1, args.pairs + 1):
-        order = ["parent", "change"] if pair % 2 == 1 else ["change", "parent"]
-        for side in order:
-            line, result = run_once(trees[side], args.workload, args.seed, env)
-            print(f"pair {pair} {side}: {line}", flush=True)
-            runs[side].append(result)
-            if not result.get("correct") or result.get("failed", 0) > 0:
-                flagged.append(f"pair {pair} {side}: correct={result.get('correct')} "
-                               f"failed={result.get('failed')}")
-
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs "
+def table(workload, seed, runs, spec):
+    """Print the per-metric markdown table of one workload's runs."""
+    pairs = len(runs["parent"])
+    print(f"\n{workload}, seed {seed}, {pairs} pairs "
           "(median [q1, q3]; wins = pairs where the change is strictly better)\n")
     print("| metric | parent | change | wins | ratio | gap > parent IQR | bound | verdict |")
     print("|---|---|---|---|---|---|---|---|")
@@ -100,6 +80,41 @@ def main():
             verdict = "within"
         print(f"| `{name}` | {pm:.4g} [{pq1:.4g}, {pq3:.4g}] | {cm:.4g} [{cq1:.4g}, {cq3:.4g}] "
               f"| {wins}/{len(p)} | ×{ratio:.3f} | {gap} | {bound:g} | {verdict} |")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args()
+
+    trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    workloads = [w for w in args.workload.split(",") if w]
+    known = {w["name"] for w in spec["workloads"]}
+    for workload in workloads:
+        if workload not in known:
+            sys.exit(f"ab: {workload} is not a workload of BENCHMARK.json")
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    flagged = []
+    for pair in range(1, args.pairs + 1):
+        order = ["parent", "change"] if pair % 2 == 1 else ["change", "parent"]
+        for workload in workloads:
+            for side in order:
+                line, result = run_once(trees[side], workload, args.seed, env)
+                print(f"{workload} pair {pair} {side}: {line}", flush=True)
+                runs[workload][side].append(result)
+                if not result.get("correct") or result.get("failed", 0) > 0:
+                    flagged.append(f"{workload} pair {pair} {side}: "
+                                   f"correct={result.get('correct')} failed={result.get('failed')}")
+
+    for workload in workloads:
+        table(workload, args.seed, runs[workload], spec)
     if flagged:
         print("\nflagged runs:\n" + "\n".join(flagged))
         sys.exit(1)
