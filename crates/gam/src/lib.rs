@@ -42,6 +42,8 @@ pub use error::{GamError, GamResult};
 pub use ids::{ObjectId, ObjectRelId, SourceId, SourceRelId};
 pub use index::{IndexStats, MappingIndex, MappingIndexBuilder};
 pub use mapping::{Association, Mapping};
-pub use model::{GamObject, RelType, Source, SourceContent, SourceRel, SourceStructure};
+pub use model::{
+    GamObject, ObjectRef, RelType, Source, SourceContent, SourceRel, SourceStructure,
+};
 pub use snapshot::{GamRead, GamSnapshot};
 pub use store::{GamCardinalities, GamStore};

@@ -223,6 +223,41 @@ impl GamObject {
     }
 }
 
+/// An `OBJECT` row lent by a reader ([`crate::GamRead::with_objects`]): the
+/// strings borrowed where the reader holds them, nothing copied.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObjectRef<'a> {
+    pub id: ObjectId,
+    pub source: SourceId,
+    pub accession: &'a str,
+    pub text: Option<&'a str>,
+    pub number: Option<f64>,
+}
+
+impl<'a> From<&'a GamObject> for ObjectRef<'a> {
+    fn from(object: &'a GamObject) -> Self {
+        ObjectRef {
+            id: object.id,
+            source: object.source,
+            accession: &object.accession,
+            text: object.text.as_deref(),
+            number: object.number,
+        }
+    }
+}
+
+impl From<ObjectRef<'_>> for GamObject {
+    fn from(object: ObjectRef<'_>) -> Self {
+        GamObject {
+            id: object.id,
+            source: object.source,
+            accession: object.accession.to_owned(),
+            text: object.text.map(str::to_owned),
+            number: object.number,
+        }
+    }
+}
+
 /// A row of the `SOURCE_REL` table: a mapping between two sources (or
 /// within one source, for structural relationships).
 #[derive(Debug, Clone, PartialEq)]

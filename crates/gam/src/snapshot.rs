@@ -16,6 +16,12 @@
 //!   out of that slab without a copy, which is how a served view is
 //!   rendered straight from the snapshot.
 //!
+//! Both lend objects through [`GamRead::with_objects`] rather than copy
+//! them: the snapshot from its slab, the store from the `OBJECT` row at
+//! `id − 1`, read through one row cursor and accepted only if its id
+//! cell holds `id` (the `pk` index finds the row of an id that does not
+//! tile the rows).
+//!
 //! Every `GamSnapshot` accessor returns exactly what the corresponding
 //! `GamStore` accessor returned at capture time — including ordering and
 //! error values — pinned by the equivalence tests below and the seeded
@@ -28,7 +34,7 @@ use crate::error::{GamError, GamResult};
 use crate::ids::{ObjectId, SourceId, SourceRelId};
 use crate::index::MappingIndex;
 use crate::mapping::{Association, Mapping};
-use crate::model::{GamObject, RelType, Source, SourceRel};
+use crate::model::{GamObject, ObjectRef, RelType, Source, SourceRel};
 use crate::store::{GamCardinalities, GamStore};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,9 +67,33 @@ pub trait GamRead: Sync {
     /// Fetch an object by id.
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject>;
 
-    /// Fetch many objects by id, in input order.
+    /// Lend the objects of `ids`, in input order: `f(n, object)` for the
+    /// object of `ids[n]`, borrowed where the reader holds it, nothing
+    /// copied. An id no object holds is passed over, and once every other
+    /// id has been lent the call fails with [`GamError::UnknownObject`] of
+    /// the least such id. The default reads each id through
+    /// [`get_object`](Self::get_object).
+    fn with_objects(
+        &self,
+        ids: &[ObjectId],
+        f: &mut dyn FnMut(usize, ObjectRef<'_>),
+    ) -> GamResult<()> {
+        lend_each(ids, |n, id| match self.get_object(id) {
+            Ok(object) => {
+                f(n, ObjectRef::from(&object));
+                Ok(true)
+            }
+            Err(GamError::UnknownObject(_)) => Ok(false),
+            Err(e) => Err(e),
+        })
+    }
+
+    /// Fetch many objects by id, in input order, repeats included: each
+    /// object [`with_objects`](Self::with_objects) lends, copied out.
     fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
-        ids.iter().map(|&id| self.get_object(id)).collect()
+        let mut out = Vec::with_capacity(ids.len());
+        self.with_objects(ids, &mut |_, object| out.push(object.into()))?;
+        Ok(out)
     }
 
     /// Resolve many accessions of one source to object ids, in input
@@ -143,6 +173,21 @@ pub trait GamRead: Sync {
     fn cardinalities(&self) -> GamResult<GamCardinalities>;
 }
 
+/// Visit `ids` in order, `find(n, id)` saying whether an object holds
+/// `id`; the least id none holds is the error, once every id was visited.
+pub(crate) fn lend_each(
+    ids: &[ObjectId],
+    mut find: impl FnMut(usize, ObjectId) -> GamResult<bool>,
+) -> GamResult<()> {
+    let mut unknown: Option<ObjectId> = None;
+    for (n, &id) in ids.iter().enumerate() {
+        if !find(n, id)? {
+            unknown = Some(unknown.map_or(id, |least| least.min(id)));
+        }
+    }
+    unknown.map_or(Ok(()), |id| Err(GamError::UnknownObject(id)))
+}
+
 impl GamRead for GamStore {
     fn sources(&self) -> GamResult<Vec<Source>> {
         GamStore::sources(self)
@@ -176,8 +221,12 @@ impl GamRead for GamStore {
         GamStore::get_object(self, id)
     }
 
-    fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
-        GamStore::get_objects(self, ids)
+    fn with_objects(
+        &self,
+        ids: &[ObjectId],
+        f: &mut dyn FnMut(usize, ObjectRef<'_>),
+    ) -> GamResult<()> {
+        GamStore::with_objects(self, ids, f)
     }
 
     fn resolve_accessions(
@@ -441,6 +490,14 @@ impl GamRead for GamSnapshot {
 
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
         self.object(id).cloned().ok_or(GamError::UnknownObject(id))
+    }
+
+    fn with_objects(
+        &self,
+        ids: &[ObjectId],
+        f: &mut dyn FnMut(usize, ObjectRef<'_>),
+    ) -> GamResult<()> {
+        lend_each(ids, |n, id| Ok(self.object(id).map(|object| f(n, object.into())).is_some()))
     }
 
     fn resolve_accessions(

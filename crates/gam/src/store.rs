@@ -15,7 +15,9 @@ use crate::error::{GamError, GamResult};
 use crate::ids::{ObjectId, ObjectRelId, SourceId, SourceRelId};
 use crate::index::{MappingIndex, MappingIndexBuilder};
 use crate::mapping::{Association, Mapping};
-use crate::model::{GamObject, RelType, Source, SourceContent, SourceRel, SourceStructure};
+use crate::model::{
+    GamObject, ObjectRef, RelType, Source, SourceContent, SourceRel, SourceStructure,
+};
 use crate::schema::{all_schemas, tables};
 use relstore::row::Row;
 use relstore::value::Value;
@@ -259,15 +261,16 @@ impl GamStore {
         }
     }
 
-    fn source_from_row(row: Row) -> GamResult<Source> {
-        let mut cells = row.into_values();
+    // A borrowed row (a batched probe's, a scan's or a cursor's) copies
+    // only the strings.
+    fn source_from_ref(row: &Row) -> GamResult<Source> {
         Ok(Source {
-            id: SourceId::from_i64(cells[0].as_int().unwrap_or_default()),
-            name: Self::take_text(&mut cells[1]).unwrap_or_default(),
-            content: SourceContent::from_code(cells[2].as_int().unwrap_or(-1))?,
-            structure: SourceStructure::from_code(cells[3].as_int().unwrap_or(-1))?,
-            release: Self::take_text(&mut cells[4]),
-            imported_seq: cells[5].as_int().unwrap_or(0) as u64,
+            id: SourceId::from_i64(row.get(0).as_int().unwrap_or_default()),
+            name: row.get(1).as_text().unwrap_or_default().to_owned(),
+            content: SourceContent::from_code(row.get(2).as_int().unwrap_or(-1))?,
+            structure: SourceStructure::from_code(row.get(3).as_int().unwrap_or(-1))?,
+            release: row.get(4).as_text().map(str::to_owned),
+            imported_seq: row.get(5).as_int().unwrap_or(0) as u64,
         })
     }
 
@@ -282,15 +285,37 @@ impl GamStore {
         }
     }
 
-    // A borrowed row (a batched probe's or a scan's) copies only the strings.
-    fn object_from_ref(row: &Row) -> GamObject {
-        GamObject {
+    /// A borrowed `OBJECT` row, lent on as it stands.
+    fn object_ref(row: &Row) -> ObjectRef<'_> {
+        ObjectRef {
             id: ObjectId::from_i64(row.get(0).as_int().unwrap_or_default()),
             source: SourceId::from_i64(row.get(1).as_int().unwrap_or_default()),
-            accession: row.get(2).as_text().unwrap_or_default().to_owned(),
-            text: row.get(3).as_text().map(str::to_owned),
+            accession: row.get(2).as_text().unwrap_or_default(),
+            text: row.get(3).as_text(),
             number: row.get(4).as_float(),
         }
+    }
+
+    /// Apply `f` to the row of `table` whose id cell (column 0, the `pk`
+    /// column of `SOURCE` and `OBJECT`) holds `id`; `None` if no row does.
+    /// Ids are handed out densely from 1 and rows are appended in id
+    /// order, so the row at `id − 1` is read first, through `rows`, and
+    /// taken only if its id cell says `id`; a store whose ids do not tile
+    /// its rows (a row id burnt by a rolled-back insert, rows written by
+    /// another tool) is answered through `pk`.
+    fn with_row_by_id<T>(
+        table: &relstore::Table,
+        rows: &mut relstore::RowCursor<'_>,
+        id: i64,
+        mut f: impl FnMut(&Row) -> T,
+    ) -> GamResult<Option<T>> {
+        if let Some(slot) = id.checked_sub(1).and_then(|slot| u64::try_from(slot).ok()) {
+            let tiled = rows.with(RowId(slot), |row| (row.get(0).as_int() == Some(id)).then(|| f(row)))?;
+            if let Some(Some(hit)) = tiled {
+                return Ok(Some(hit));
+            }
+        }
+        Ok(table.lookup_unique("pk", &[Value::Int(id)])?.map(|row| f(&row)))
     }
 
     fn source_rel_from_row(row: Row) -> GamResult<SourceRel> {
@@ -361,7 +386,7 @@ impl GamStore {
             .db
             .table(tables::SOURCE)?
             .lookup_unique("by_name", &[Value::text(name)])?;
-        hit.map(Self::source_from_row).transpose()
+        hit.as_ref().map(Self::source_from_ref).transpose()
     }
 
     /// Look up many sources by name in one ordered pass over the `by_name`
@@ -374,7 +399,7 @@ impl GamStore {
         self.db.table(tables::SOURCE)?.for_each_match(
             "by_name",
             names.iter().map(|name| [Value::text(*name)]),
-            |n, row| match Self::source_from_row(row.clone()) {
+            |n, row| match Self::source_from_ref(row) {
                 Ok(source) => hits[n] = Some(source),
                 Err(e) => decode_err = Some(e),
             },
@@ -382,13 +407,10 @@ impl GamStore {
         decode_err.map_or(Ok(hits), Err)
     }
 
-    /// Fetch a source by id.
+    /// Fetch a source by id, read off its row by id.
     pub fn get_source(&self, id: SourceId) -> GamResult<Source> {
-        let hit = self
-            .db
-            .table(tables::SOURCE)?
-            .lookup_unique("pk", &[Value::Int(id.as_i64())])?;
-        hit.map(Self::source_from_row)
+        let table = self.db.table(tables::SOURCE)?;
+        Self::with_row_by_id(table, &mut table.cursor(), id.as_i64(), Self::source_from_ref)?
             .transpose()?
             .ok_or(GamError::UnknownSource(id))
     }
@@ -437,7 +459,7 @@ impl GamStore {
     /// All sources, ordered by id.
     pub fn sources(&self) -> GamResult<Vec<Source>> {
         let table = self.db.table(tables::SOURCE)?;
-        let mut out = Self::decode_rows(table, Self::source_from_row)?;
+        let mut out = Self::decode_rows(table, |row| Self::source_from_ref(&row))?;
         out.sort_by_key(|s| s.id);
         Ok(out)
     }
@@ -592,37 +614,32 @@ impl GamStore {
         Ok(hit.map(Self::object_from_row))
     }
 
-    /// Fetch an object by id.
+    /// Fetch an object by id, read off its row by id.
     pub fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
-        let hit = self
-            .db
-            .table(tables::OBJECT)?
-            .lookup_unique("pk", &[Value::Int(id.as_i64())])?;
-        hit.map(Self::object_from_row)
-            .ok_or(GamError::UnknownObject(id))
+        let table = self.db.table(tables::OBJECT)?;
+        Self::with_row_by_id(table, &mut table.cursor(), id.as_i64(), |row| {
+            GamObject::from(Self::object_ref(row))
+        })?
+        .ok_or(GamError::UnknownObject(id))
     }
 
-    /// Fetch many objects by id, in input order: each distinct id is read
-    /// once, all of them in one batched probe of `pk` in id order. Without
-    /// a repeated id every object is moved out; a repeated id is a copy.
-    pub fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<GamObject>> {
-        let mut distinct = ids.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut found = vec![None; distinct.len()];
-        self.db.table(tables::OBJECT)?.for_each_match(
-            "pk",
-            distinct.iter().map(|id| [Value::Int(id.as_i64())]),
-            |n, row| found[n] = Some(Self::object_from_ref(row)),
-        )?;
-        let repeats = distinct.len() < ids.len();
-        ids.iter()
-            .map(|id| {
-                let slot = distinct.binary_search(id).ok().map(|n| &mut found[n]);
-                let hit = slot.and_then(|s| if repeats { s.clone() } else { s.take() });
-                hit.ok_or(GamError::UnknownObject(*id))
-            })
-            .collect()
+    /// Lend the objects of `ids` in input order, each borrowed from its
+    /// row ([`GamRead::with_objects`](crate::GamRead::with_objects)): every
+    /// row is read by id through one cursor, so ascending ids pin each page
+    /// once, and no object is built.
+    pub fn with_objects(
+        &self,
+        ids: &[ObjectId],
+        f: &mut dyn FnMut(usize, ObjectRef<'_>),
+    ) -> GamResult<()> {
+        let table = self.db.table(tables::OBJECT)?;
+        let mut rows = table.cursor();
+        crate::snapshot::lend_each(ids, |n, id| {
+            let lent = Self::with_row_by_id(table, &mut rows, id.as_i64(), |row| {
+                f(n, Self::object_ref(row))
+            })?;
+            Ok(lent.is_some())
+        })
     }
 
     /// All objects of a source (accession order).
@@ -698,7 +715,7 @@ impl GamStore {
             &[Value::Int(source.as_i64())],
             |row| {
                 if out.len() < limit && keep(row) {
-                    out.push(Self::object_from_ref(row));
+                    out.push(Self::object_ref(row).into());
                 }
             },
         )?;
@@ -1110,6 +1127,7 @@ fn object_row(obj: &GamObject) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GamRead;
 
     fn store() -> GamStore {
         GamStore::in_memory().unwrap()
@@ -1643,6 +1661,34 @@ mod tests {
             s.get_objects(&[ids[0], ObjectId(999)]),
             Err(GamError::UnknownObject(ObjectId(999)))
         ));
+    }
+
+    /// A `create_object` whose WAL write fails leaves no object behind,
+    /// in memory or in the log: the retry is stored under the same id, read
+    /// back by id past the row id the failure burnt, and it and the commit
+    /// after it survive a power cut.
+    #[test]
+    fn a_create_object_the_wal_refused_is_not_stored_and_the_next_one_is() {
+        use relstore::vfs::{FaultPlan, FaultVfs};
+        let vfs = FaultVfs::new();
+        let open = || GamStore::open_with_vfs(std::sync::Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+        let mut s = open();
+        let ll = gene_source(&mut s, "LocusLink");
+        let fail_at = Some(vfs.op_count() + 1);
+        vfs.set_plan(FaultPlan { crash_at: None, fail_at, torn_seed: 7 });
+        assert!(s.create_object(ll.id, "353", Some("APRT"), None).is_err());
+        assert!(s.find_object(ll.id, "353").unwrap().is_none());
+        let id = s.create_object(ll.id, "353", Some("APRT"), None).unwrap();
+        assert_eq!(s.get_object(id).unwrap().accession, "353");
+        let go = gene_source(&mut s, "GO");
+        drop(s);
+        vfs.crash_now();
+        vfs.reboot();
+        let s = open();
+        assert_eq!(s.find_object(ll.id, "353").unwrap().map(|o| o.id), Some(id));
+        assert_eq!(s.get_object(id).unwrap().text.as_deref(), Some("APRT"));
+        assert_eq!(s.get_source(go.id).unwrap(), go);
+        assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! `load_mapping_index_shared` identically, the first in the documented
 //! order, rebuilt here from `load_mapping` alone; and they must answer the
 //! object lookups identically at the edges of the snapshot's id-indexed
-//! table (id 0, just past the last id, `u64::MAX`), errors included. The
-//! next test does the same for an id no object holds inside the table.
+//! table (id 0, just past the last id, `u64::MAX`), errors included —
+//! `with_objects` lending, in input order, what `get_object` finds one id
+//! at a time and failing with the least unknown id. The next test does the
+//! same for an id no object holds inside the table, where the store's
+//! row-id read falls back to `pk`.
 //! The one after pins what capture costs on a paged store, in buffer-pool
 //! misses rather than time.
 //! The last is store ≡ store across a reopen that changes the indexes: a
@@ -19,8 +22,8 @@
 use gam::model::{SourceContent, SourceStructure};
 use gam::schema::{self, tables};
 use gam::{
-    Association, GamRead, GamResult, GamSnapshot, GamStore, ObjectId, RelType, SourceId,
-    SourceRelId,
+    Association, GamError, GamObject, GamRead, GamResult, GamSnapshot, GamStore, ObjectId, RelType,
+    SourceId, SourceRelId,
 };
 use relstore::vfs::{FaultVfs, Vfs};
 use relstore::{Column, Database, PoolConfig, Schema, ValueType};
@@ -120,6 +123,49 @@ fn same<T: std::fmt::Debug>(snap: GamResult<T>, store: GamResult<T>, what: &str)
     assert_eq!(format!("{snap:?}"), format!("{store:?}"), "{what}");
 }
 
+/// What a reader lent for `batch` — each object with its input position —
+/// and the id it then failed with, if it failed with `UnknownObject`.
+type Lent = (Vec<(usize, GamObject)>, Option<ObjectId>);
+
+fn lent(read: &dyn GamRead, batch: &[ObjectId]) -> Lent {
+    let mut objects = Vec::new();
+    let outcome = read.with_objects(batch, &mut |n, object| objects.push((n, object.into())));
+    match outcome {
+        Ok(()) => (objects, None),
+        Err(GamError::UnknownObject(id)) => (objects, Some(id)),
+        Err(e) => panic!("with_objects failed with {e}"),
+    }
+}
+
+/// What `with_objects` must lend for `batch`, from `get_object` one id at
+/// a time: every object found, in input order, and the least id none is.
+fn lent_per_id(read: &dyn GamRead, batch: &[ObjectId]) -> Lent {
+    let mut objects = Vec::new();
+    let mut unknown: Option<ObjectId> = None;
+    for (n, &id) in batch.iter().enumerate() {
+        match read.get_object(id) {
+            Ok(object) => objects.push((n, object)),
+            Err(GamError::UnknownObject(_)) => unknown = Some(unknown.map_or(id, |u| u.min(id))),
+            Err(e) => panic!("get_object({id}) failed with {e}"),
+        }
+    }
+    (objects, unknown)
+}
+
+/// `with_objects` on the store and on the snapshot lends what per-id
+/// `get_object` on the store finds, and `get_objects` answers it in input
+/// order when every id is known.
+fn lending_agrees(s: &dyn GamRead, n: &dyn GamRead, batch: &[ObjectId], what: &str) {
+    let want = lent_per_id(s, batch);
+    assert_eq!(lent(s, batch), want, "store {what}");
+    assert_eq!(lent(n, batch), want, "snapshot {what}");
+    if want.1.is_none() {
+        let objects: Vec<GamObject> = want.0.into_iter().map(|(_, object)| object).collect();
+        assert_eq!(s.get_objects(batch).unwrap(), objects, "store get_objects {what}");
+        assert_eq!(n.get_objects(batch).unwrap(), objects, "snapshot get_objects {what}");
+    }
+}
+
 #[test]
 fn store_and_snapshot_agree_on_every_object_and_mapping() {
     let mut with_associations = 0;
@@ -199,15 +245,21 @@ fn object_lookups_agree(
         .collect();
     let mut unknown_inside = shuffled.clone();
     unknown_inside.insert(shuffled.len() / 2, ObjectId(max + 1));
+    // the least unknown id is neither the first nor the last of these
+    let mut edges_around = vec![ObjectId(u64::MAX), ObjectId(max + 2)];
+    edges_around.extend(repeated.iter().rev());
+    edges_around.extend([ObjectId(max + 1), ObjectId(max + 3)]);
     for (what, batch) in [
         ("ascending", ascending),
         ("shuffled", shuffled),
         ("repeated", repeated),
         ("unknown inside", unknown_inside),
         ("edges", edges.to_vec()),
+        ("edges around", edges_around),
     ] {
         let what = format!("round {round} get_objects {what}");
         same(n.get_objects(&batch), s.get_objects(&batch), &what);
+        lending_agrees(s, n, &batch, &what);
     }
     let unknown = SourceId(sources.len() as u32 + 1);
     for &(source, _) in sources.iter().chain([&(unknown, Vec::new())]) {
@@ -294,6 +346,11 @@ fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
     for batch in [vec![past, gap], vec![ObjectId(1), past]] {
         same(n.get_objects(&batch), s.get_objects(&batch), "get_objects");
     }
+    // the row past the gap is not at `id − 1`: `pk` finds it
+    let around: Vec<ObjectId> = (0..gap.0 + 3).rev().map(ObjectId).collect();
+    assert_eq!(lent(s, &[past]).0, [(0, s.get_object(past).unwrap())]);
+    lending_agrees(s, n, &around, "around the gap");
+    lending_agrees(s, n, &[past, ObjectId(1), past], "past the gap");
     same(
         n.associations_of_object(gap),
         s.associations_of_object(gap),

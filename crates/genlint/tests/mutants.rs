@@ -77,9 +77,9 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     (Mutant {
         what: "commit acknowledges without syncing the WAL",
         path: "crates/relstore/src/db.rs",
-        needle: "if self.db.sync_on_commit {\n                durability.wal.sync()?;\n            }",
-        replacement: "",
-        killer: "12 relstore tests, db::tests::durable_roundtrip_via_wal_only and crash_sweep among them",
+        needle: "durability.wal.log(&self.redo, self.db.sync_on_commit)",
+        replacement: "durability.wal.log(&self.redo, false)",
+        killer: "19 relstore and gam tests, db::tests::durable_roundtrip_via_wal_only and crash_sweep among them",
     }, &[]),
     (Mutant {
         what: "WalWriter::sync flushes but never fsyncs",
@@ -101,8 +101,7 @@ const MUTANTS: &[(Mutant, Fires)] = &[
         path: "crates/relstore/src/wal.rs",
         needle: "            if recovery.committed_bytes < data.len() as u64 {\n                vfs.truncate(path, recovery.committed_bytes)?;\n            }\n",
         replacement: "",
-        killer: "rustc unused_variables under clippy -D warnings; \
-                 wal::tests::reopen_truncates_torn_tail_so_new_records_are_recoverable",
+        killer: "wal::tests::reopen_truncates_torn_tail_so_new_records_are_recoverable",
     }, &[]),
     // --- error-swallow ---
     (Mutant {

@@ -6,38 +6,73 @@
 use gam::ObjectId;
 use std::fmt::Write as _;
 
-/// One resolved object: its accession and optional name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedCell {
-    pub accession: String,
-    pub text: Option<String>,
-}
-
 /// The cell index of a NULL (missing annotation) in a [`ResolvedView`].
 pub(crate) const NULL: u32 = u32::MAX;
+
+/// Where one resolved object lies in its view's text: the accession is
+/// `text[start..mid]`, the name, if the object has one, `text[mid..end]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: usize,
+    mid: usize,
+    end: usize,
+    named: bool,
+}
+
+/// The distinct objects of a view: every accession and name back to back
+/// in one string, and one [`Span`] an object.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ResolvedObjects {
+    text: String,
+    spans: Vec<Span>,
+}
+
+impl ResolvedObjects {
+    /// Room for `objects` objects.
+    pub(crate) fn with_capacity(objects: usize) -> Self {
+        ResolvedObjects { text: String::new(), spans: Vec::with_capacity(objects) }
+    }
+
+    /// Append the next object; its index is the number pushed before it.
+    pub(crate) fn push(&mut self, accession: &str, name: Option<&str>) {
+        let start = self.text.len();
+        self.text.push_str(accession);
+        let mid = self.text.len();
+        self.text.push_str(name.unwrap_or_default());
+        let (end, named) = (self.text.len(), name.is_some());
+        self.spans.push(Span { start, mid, end, named });
+    }
+
+    /// Object `k`'s accession and name; `None` for [`NULL`].
+    fn get(&self, k: u32) -> Cell<'_> {
+        let span = self.spans.get(k as usize)?;
+        let name = span.named.then(|| &self.text[span.mid..span.end]);
+        Some((&self.text[span.start..span.mid], name))
+    }
+}
 
 /// One view row, borrowed from its [`ResolvedView`]; cells align with
 /// [`ResolvedView::header`].
 #[derive(Debug, Clone, Copy)]
 pub struct ResolvedRow<'a> {
-    objects: &'a [ResolvedCell],
+    objects: &'a ResolvedObjects,
     cells: &'a [u32],
 }
 
 impl<'a> ResolvedRow<'a> {
     /// The object in each column; `None` is a NULL.
-    fn cells(self) -> impl Iterator<Item = Option<&'a ResolvedCell>> {
-        self.cells.iter().map(move |&k| self.objects.get(k as usize))
+    fn cells(self) -> impl Iterator<Item = Cell<'a>> {
+        self.cells.iter().map(move |&k| self.objects.get(k))
     }
 
     /// Accession in column `i`, if present.
     pub fn cell_text(&self, i: usize) -> Option<&'a str> {
-        self.cells().nth(i)?.map(|c| c.accession.as_str())
+        self.cells().nth(i)?.map(|(accession, _)| accession)
     }
 
     /// Object name in column `i`, if present.
     pub fn cell_name(&self, i: usize) -> Option<&'a str> {
-        self.cells().nth(i)??.text.as_deref()
+        self.cells().nth(i)??.1
     }
 }
 
@@ -66,20 +101,21 @@ impl ExportFormat {
 }
 
 /// A fully resolved annotation view: each distinct object of the view
-/// resolved once, and a row-major grid of cells indexing into them.
+/// resolved once, into one string, and a row-major grid of cells indexing
+/// into them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedView {
     /// Column names: the source, then each target (paper Figure 3 uses
     /// the source names as column headers).
     header: Vec<String>,
     /// The view's distinct objects, in ascending object id.
-    objects: Vec<ResolvedCell>,
+    objects: ResolvedObjects,
     /// `header.len()` cells a row, each an index into `objects` or [`NULL`].
     cells: Vec<u32>,
 }
 
 impl ResolvedView {
-    pub(crate) fn new(header: Vec<String>, objects: Vec<ResolvedCell>, cells: Vec<u32>) -> Self {
+    pub(crate) fn new(header: Vec<String>, objects: ResolvedObjects, cells: Vec<u32>) -> Self {
         ResolvedView { header, objects, cells }
     }
 
@@ -90,7 +126,7 @@ impl ResolvedView {
 
     /// The rows, in view order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = ResolvedRow<'_>> {
-        let objects = &self.objects[..];
+        let objects = &self.objects;
         let rows = self.cells.chunks_exact(self.header.len().max(1));
         rows.map(move |cells| ResolvedRow { objects, cells })
     }
@@ -128,10 +164,7 @@ impl ResolvedView {
 
     /// Every cell, row after row, as the exports read it.
     fn export_cells(&self) -> impl Iterator<Item = Cell<'_>> {
-        self.cells.iter().map(|&k| {
-            let object = self.objects.get(k as usize)?;
-            Some((object.accession.as_str(), object.text.as_deref()))
-        })
+        self.cells.iter().map(|&k| self.objects.get(k))
     }
 }
 
@@ -287,22 +320,23 @@ impl std::fmt::Display for ObjectInfo {
 mod tests {
     use super::*;
 
-    fn cell(accession: &str, text: Option<&str>) -> ResolvedCell {
-        ResolvedCell {
-            accession: accession.into(),
-            text: text.map(Into::into),
+    /// The two-row view the tests read, its objects replaced by `objects`.
+    fn view_of(header: [&str; 2], objects: [(&str, Option<&str>); 3]) -> ResolvedView {
+        let mut resolved = ResolvedObjects::default();
+        for (accession, name) in objects {
+            resolved.push(accession, name);
         }
+        ResolvedView::new(header.map(String::from).to_vec(), resolved, vec![0, 2, 1, NULL])
     }
 
     fn view() -> ResolvedView {
-        ResolvedView::new(
-            vec!["LocusLink".into(), "GO".into()],
-            vec![
-                cell("353", Some("adenine phosphoribosyltransferase")),
-                cell("1234", None),
-                cell("GO:0009116", Some("nucleoside metabolism")),
+        view_of(
+            ["LocusLink", "GO"],
+            [
+                ("353", Some("adenine phosphoribosyltransferase")),
+                ("1234", None),
+                ("GO:0009116", Some("nucleoside metabolism")),
             ],
-            vec![0, 2, 1, NULL],
         )
     }
 
@@ -330,11 +364,17 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_name_is_a_name_and_an_empty_accession_stays_in_its_cell() {
+        let v = view_of(["A", "B"], [("", Some("")), ("x", None), ("y", Some("why"))]);
+        let rows: Vec<ResolvedRow> = v.rows().collect();
+        assert_eq!((rows[0].cell_text(0), rows[0].cell_name(0)), (Some(""), Some("")));
+        assert_eq!((rows[0].cell_text(1), rows[0].cell_name(1)), (Some("y"), Some("why")));
+        assert_eq!((rows[1].cell_text(0), rows[1].cell_name(0)), (Some("x"), None));
+    }
+
+    #[test]
     fn csv_export_quotes_when_needed() {
-        let mut v = view();
-        v.objects[0].accession = "a,b".into();
-        v.objects[1].accession = "say \"hi\"".into();
-        v.objects[2].accession = "GO:1\r".into();
+        let v = view_of(["LocusLink", "GO"], [("a,b", None), ("say \"hi\"", None), ("GO:1\r", None)]);
         let csv = v.render(ExportFormat::Csv).unwrap();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""), "a quote is doubled inside quotes");
@@ -354,9 +394,10 @@ mod tests {
 
     #[test]
     fn markdown_export_escapes_pipes() {
-        let mut v = view();
-        v.header[1] = "Swiss|Prot".into();
-        v.objects[2].accession = "sp|P12345|APRT_HUMAN".into();
+        let v = view_of(
+            ["LocusLink", "Swiss|Prot"],
+            [("353", None), ("1234", None), ("sp|P12345|APRT_HUMAN", None)],
+        );
         let md = v.render(ExportFormat::Markdown).unwrap();
         let lines: Vec<&str> = md.lines().collect();
         assert_eq!(lines[0], "| LocusLink | Swiss\\|Prot |");
@@ -384,10 +425,10 @@ mod tests {
 
     #[test]
     fn json_export_escapes_special_characters() {
-        let mut v = view();
-        let cell = &mut v.objects[0];
-        cell.accession = "a\"b\\c".into();
-        cell.text = Some("line1\nline2\tend\u{1}".into());
+        let v = view_of(
+            ["LocusLink", "GO"],
+            [("a\"b\\c", Some("line1\nline2\tend\u{1}")), ("1234", None), ("GO:1", None)],
+        );
         let json = v.render(ExportFormat::Json).unwrap();
         assert!(json.contains("\"accession\": \"a\\\"b\\\\c\""));
         assert!(json.contains("\"text\": \"line1\\nline2\\tend\\u0001\""));

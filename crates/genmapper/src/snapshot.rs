@@ -116,7 +116,7 @@ impl Snapshot {
     pub fn render_query(&self, spec: &QuerySpec, format: ExportFormat) -> GamResult<String> {
         let (header, view) = system::generate(&*self.reader, &self.cache, self.exec, spec)?;
         // an id the snapshot does not hold fails the query as `query`'s
-        // one `get_objects` over the ascending ids fails it: with the least
+        // one `with_objects` over the ascending ids fails it: with the least
         let mut unknown: Option<ObjectId> = None;
         let cells = view.rows.cells().iter().map(|cell| {
             let id = (*cell)?;

@@ -1,7 +1,7 @@
 //! The [`GenMapper`] system handle.
 
 use crate::query::QuerySpec;
-use crate::resolved::{ObjectInfo, ResolvedCell, ResolvedView, NULL};
+use crate::resolved::{ObjectInfo, ResolvedObjects, ResolvedView, NULL};
 use gam::store::GamCardinalities;
 use gam::{
     GamError, GamRead, GamResult, GamSnapshot, GamStore, MappingIndex, ObjectId, SourceId,
@@ -601,18 +601,19 @@ pub(crate) fn run_query(
 ) -> GamResult<ResolvedView> {
     let (header, view) = generate(reader, cache, exec, spec)?;
 
-    // each distinct object read once, in one batch in ascending id order;
-    // a cell is the index of its object in that batch
+    // each distinct object lent once, in one batch in ascending id order,
+    // and its accession and name copied into the view's one string; a cell
+    // is the index of its object in that batch
     let flat = view.rows.cells();
     let mut ids: Vec<ObjectId> = flat.iter().flatten().copied().collect();
     ids.sort_unstable();
     ids.dedup();
-    let objects = reader.get_objects(&ids)?.into_iter();
-    let objects = objects.map(|o| ResolvedCell { accession: o.accession, text: o.text });
+    let mut objects = ResolvedObjects::with_capacity(ids.len());
+    reader.with_objects(&ids, &mut |_, object| objects.push(object.accession, object.text))?;
     let cells = flat.iter().map(|cell| {
         cell.and_then(|id| ids.binary_search(&id).ok()).map_or(NULL, |k| k as u32)
     });
-    Ok(ResolvedView::new(header, objects.collect(), cells.collect()))
+    Ok(ResolvedView::new(header, objects, cells.collect()))
 }
 
 /// Translate a [`QuerySpec`] (source/target names, accessions, via paths)
@@ -687,18 +688,22 @@ pub(crate) fn object_info_of(
     })?;
     let found = reader.associations_of_object(obj.id)?;
     let partner_ids: Vec<ObjectId> = found.iter().map(|(_, assoc)| assoc.to).collect();
-    let partners = reader.get_objects(&partner_ids)?;
+    // each partner lent in association order; only its accession is copied
+    let mut partners = Vec::with_capacity(found.len());
+    reader.with_objects(&partner_ids, &mut |_, partner| {
+        partners.push((partner.source, partner.accession.to_owned()))
+    })?;
     // each distinct partner source named once
     let mut names = BTreeMap::new();
-    for partner in &partners {
-        if let btree_map::Entry::Vacant(slot) = names.entry(partner.source) {
-            slot.insert(reader.get_source(partner.source)?.name);
+    for &(source, _) in &partners {
+        if let btree_map::Entry::Vacant(slot) = names.entry(source) {
+            slot.insert(reader.get_source(source)?.name);
         }
     }
     let mut associations = Vec::with_capacity(found.len());
-    for ((_, assoc), partner) in found.iter().zip(partners) {
-        let name = names.get(&partner.source).cloned().unwrap_or_default();
-        associations.push((name, partner.accession, assoc.evidence));
+    for ((_, assoc), (source, accession)) in found.iter().zip(partners) {
+        let name = names.get(&source).cloned().unwrap_or_default();
+        associations.push((name, accession, assoc.evidence));
     }
     associations.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
     Ok(ObjectInfo {
@@ -1032,7 +1037,35 @@ mod tests {
         assert!(gm.object_info("LocusLink", "does-not-exist").is_err());
     }
 
-    /// A reader that forwards to `inner`, recording each `get_objects`
+    /// `info` pairs each partner's accession with its own association,
+    /// on the live store and on a snapshot, where association order (by
+    /// mapping) is not partner id order: `A`'s first mapping reaches `C`,
+    /// whose objects came last.
+    #[test]
+    fn object_info_pairs_each_partner_with_its_own_association() {
+        use gam::model::{SourceContent, SourceStructure};
+        use gam::{Association, RelType};
+        let mut gm = GenMapper::in_memory().unwrap();
+        let store = gm.store_mut();
+        let mut objects = Vec::new();
+        for name in ["A", "B", "C"] {
+            let source = store
+                .create_source(name, SourceContent::Other, SourceStructure::Flat, None)
+                .unwrap()
+                .id;
+            objects.push((source, store.create_object(source, &format!("{name}1"), None, None).unwrap()));
+        }
+        let [(a, a1), (b, b1), (c, c1)] = objects[..] else { unreachable!() };
+        for (to, partner, evidence) in [(c, c1, None), (b, b1, Some(0.5))] {
+            let rel = store.create_source_rel(a, to, RelType::Similarity, None).unwrap();
+            store.add_associations_bulk(rel, [Association { from: a1, to: partner, evidence }], &mut 0).unwrap();
+        }
+        let want = vec![("B".to_owned(), "B1".to_owned(), Some(0.5)), ("C".to_owned(), "C1".to_owned(), None)];
+        assert_eq!(gm.object_info("A", "A1").unwrap().associations, want);
+        assert_eq!(gm.capture_snapshot().unwrap().object_info("A", "A1").unwrap().associations, want);
+    }
+
+    /// A reader that forwards to `inner`, recording each `with_objects`
     /// batch and counting `get_source` calls.
     struct Counting<'a> {
         inner: &'a dyn GamRead,
@@ -1080,9 +1113,13 @@ mod tests {
         fn get_object(&self, id: ObjectId) -> GamResult<gam::GamObject> {
             self.inner.get_object(id)
         }
-        fn get_objects(&self, ids: &[ObjectId]) -> GamResult<Vec<gam::GamObject>> {
+        fn with_objects(
+            &self,
+            ids: &[ObjectId],
+            f: &mut dyn FnMut(usize, gam::ObjectRef<'_>),
+        ) -> GamResult<()> {
             self.batches.lock().push(ids.to_vec());
-            self.inner.get_objects(ids)
+            self.inner.with_objects(ids, f)
         }
         fn resolve_accessions(
             &self,
@@ -1134,12 +1171,13 @@ mod tests {
     /// shared: one `get_object` and one table entry per cell.
     fn per_cell_view(reader: &dyn GamRead, cache: &VersionCache, spec: &QuerySpec) -> ResolvedView {
         let (header, view) = generate(reader, cache, ExecConfig::sequential(), spec).unwrap();
-        let (mut objects, mut cells) = (Vec::new(), Vec::new());
+        let (mut objects, mut cells, mut pushed) = (ResolvedObjects::default(), Vec::new(), 0);
         for cell in view.rows.cells() {
             cells.push(cell.map_or(NULL, |id| {
                 let obj = reader.get_object(id).unwrap();
-                objects.push(ResolvedCell { accession: obj.accession, text: obj.text });
-                objects.len() as u32 - 1
+                objects.push(&obj.accession, obj.text.as_deref());
+                pushed += 1;
+                pushed - 1
             }));
         }
         ResolvedView::new(header, objects, cells)
@@ -1198,7 +1236,7 @@ mod tests {
                 let counting = Counting::new(reader);
                 let view = run_query(&counting, cache, gm.exec, &spec).unwrap();
                 let batches = counting.take_batches();
-                assert_eq!(batches.len(), 1, "one get_objects per query");
+                assert_eq!(batches.len(), 1, "one with_objects per query");
                 assert!(batches[0].windows(2).all(|w| w[0] < w[1]), "ascending distinct ids");
 
                 let reference = per_cell_view(reader, cache, &spec);

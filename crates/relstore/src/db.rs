@@ -378,10 +378,10 @@ impl Database {
             return Err(StoreError::TableExists(name));
         }
         if let Some(durability) = &mut self.durability {
-            durability.wal.append(&LogRecord::CreateTable {
+            let record = LogRecord::CreateTable {
                 schema: schema.clone(),
-            })?;
-            durability.wal.sync()?;
+            };
+            durability.wal.log(std::slice::from_ref(&record), true)?;
         }
         let table = self.make_table(schema);
         self.tables.insert(name, table);
@@ -730,16 +730,18 @@ impl<'db> Transaction<'db> {
     /// Commit: append redo records and a commit marker to the WAL in one
     /// buffered write, then sync — unless the database is in group-commit
     /// mode ([`Database::set_sync_on_commit`]), where the sync is deferred.
+    /// A commit that fails is rolled back, and none of its records stays in
+    /// the log: what recovery replays is what was acknowledged.
     pub fn commit(mut self) -> StoreResult<()> {
         self.check_open()?;
-        self.closed = true;
         if let Some(durability) = &mut self.db.durability {
             self.redo.push(LogRecord::Commit { txid: self.txid });
-            durability.wal.append_batch(&self.redo)?;
-            if self.db.sync_on_commit {
-                durability.wal.sync()?;
+            if let Err(e) = durability.wal.log(&self.redo, self.db.sync_on_commit) {
+                self.rollback_inner()?;
+                return Err(e);
             }
         }
+        self.closed = true;
         Ok(())
     }
 
@@ -1444,6 +1446,42 @@ mod tests {
             delta < full / 10,
             "one dirty row must not rewrite the whole heap ({delta} of {full})"
         );
+    }
+
+    /// A commit the WAL could not take is rolled back, and none of its
+    /// records stays behind, so the next commit goes on where the write
+    /// failed. A failed fsync leaves what the log holds unknown: every
+    /// commit after it is refused until a checkpoint rebuilds the log.
+    #[test]
+    fn a_failed_commit_is_undone_and_a_failed_fsync_refuses_commits_until_a_checkpoint() {
+        use crate::vfs::{FaultPlan, FaultVfs};
+        let vfs = FaultVfs::new();
+        let open = || Database::open_with_vfs(Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+        let insert = |db: &mut Database, id| {
+            db.with_txn(|txn| txn.insert("t", vec![Value::Int(id), Value::text("x")]).map(drop))
+        };
+        let fail_in = |ops| {
+            let fail_at = Some(vfs.op_count() + ops);
+            vfs.set_plan(FaultPlan { crash_at: None, fail_at, torn_seed: 3 });
+        };
+        let mut db = open();
+        db.create_table(schema("t")).unwrap();
+        insert(&mut db, 1).unwrap();
+        fail_in(1); // the commit's write
+        assert!(matches!(insert(&mut db, 2), Err(StoreError::Io(_))));
+        assert!(db.table("t").unwrap().lookup_unique("pk", &[Value::Int(2)]).unwrap().is_none());
+        insert(&mut db, 2).unwrap();
+        fail_in(2); // the commit's fsync
+        assert!(matches!(insert(&mut db, 3), Err(StoreError::Io(_))));
+        assert!(matches!(insert(&mut db, 4), Err(StoreError::WalFailed)));
+        assert!(matches!(db.sync_wal(), Err(StoreError::WalFailed)));
+        db.checkpoint().unwrap();
+        insert(&mut db, 4).unwrap();
+        drop(db);
+        vfs.crash_now();
+        vfs.reboot();
+        let ids: Vec<Value> = open().table("t").unwrap().scan().map(|(_, row)| row.get(0).clone()).collect();
+        assert_eq!(ids, [1, 2, 4].map(Value::Int));
     }
 
     #[test]

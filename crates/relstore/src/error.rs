@@ -38,6 +38,10 @@ pub enum StoreError {
     Io(io::Error),
     /// A transaction was used after commit/rollback.
     TransactionClosed,
+    /// The write-ahead log failed earlier (an fsync, the cut-back of a
+    /// failed write, or a reset), so nothing more is committed until the
+    /// database is reopened or checkpointed.
+    WalFailed,
     /// The directory holds a store this open cannot serve — sealed pages
     /// opened without a buffer pool, or files of a superseded format. Never
     /// degraded around: nothing in the directory has been touched.
@@ -69,6 +73,9 @@ impl fmt::Display for StoreError {
             }
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::TransactionClosed => write!(f, "transaction already closed"),
+            StoreError::WalFailed => {
+                write!(f, "the write-ahead log failed earlier; reopen or checkpoint to commit again")
+            }
             StoreError::Unsupported(msg) => write!(f, "unsupported store: {msg}"),
         }
     }

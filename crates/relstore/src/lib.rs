@@ -86,5 +86,5 @@ pub use pager::{Pager, PoolConfig};
 pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
 pub use stats::PoolStats;
-pub use table::{ColumnarBlock, Table};
+pub use table::{ColumnarBlock, RowCursor, Table};
 pub use value::{Value, ValueType};

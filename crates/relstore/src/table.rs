@@ -266,8 +266,9 @@ impl PagedRows {
 /// ask the pool for it once instead of per row. A row comes out of its cell
 /// *owned* — decoded straight into the row that is returned — *borrowed* —
 /// decoded over the cursor's one scratch row, text buffers reused — or by
-/// *columns*, value by value with no row built.
-struct RowCursor<'a> {
+/// *columns*, value by value with no row built. [`Table::cursor`] hands one
+/// out for reads by row id, which lend their rows borrowed.
+pub struct RowCursor<'a> {
     store: &'a PagedRows,
     cached: Option<(usize, Arc<PageImage>)>,
     scratch: Row,
@@ -317,7 +318,7 @@ impl<'a> RowCursor<'a> {
 
     /// Apply `f` to the live row at `id`, borrowed; `Ok(None)` for
     /// tombstones and out-of-range ids.
-    fn with<T>(&mut self, id: RowId, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
+    pub fn with<T>(&mut self, id: RowId, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
         let Some((image, slot)) = Self::image(self.store, &mut self.cached, id)? else {
             return Ok(None);
         };
@@ -829,6 +830,13 @@ impl Table {
             high: self.store.high_water(),
             error: None,
         }
+    }
+
+    /// A cursor for reading rows by row id, each lent borrowed
+    /// ([`RowCursor::with`]): consecutive reads that fall on one sealed
+    /// page pin it once.
+    pub fn cursor(&self) -> RowCursor<'_> {
+        RowCursor::new(&self.store)
     }
 
     /// Visit every live row in row-id order without cloning, propagating
@@ -1873,6 +1881,31 @@ mod tests {
             assert_eq!(t.get(RowId(i)).unwrap().get(0), &Value::Int(i as i64));
         }
         assert!(t.page_ids().len() >= 2, "expected several sealed pages");
+    }
+
+    #[test]
+    fn a_cursor_lends_rows_by_id_and_pins_each_page_once() {
+        let pager = Arc::new(Pager::new(
+            Arc::new(FaultVfs::new()),
+            PathBuf::from("/db/heap.1.bin"),
+            PoolConfig { page_bytes: 128, pool_pages: 1 },
+        ));
+        let mut t = Table::create(object_schema(), Some(pager.clone()), 1);
+        for i in 0..80i64 {
+            t.insert(obj(i, i % 3, &format!("ACC{i}"))).unwrap();
+        }
+        t.delete(RowId(5)).unwrap();
+        let pages = t.page_ids().len() as u64;
+        assert!(pages >= 2, "expected several sealed pages");
+        let before = pager.stats().misses;
+        let mut rows = t.cursor();
+        let lent: Vec<Option<Row>> = (0..90).map(|i| rows.with(RowId(i), Row::clone).unwrap()).collect();
+        drop(rows);
+        assert!(pager.stats().misses - before <= pages, "ascending ids fault each page once");
+        for (i, row) in lent.iter().enumerate() {
+            assert_eq!(row.as_ref(), t.get(RowId(i as u64)).ok().as_ref(), "row {i}");
+        }
+        assert!(lent[5].is_none() && lent[80..].iter().all(Option::is_none));
     }
 
     #[test]

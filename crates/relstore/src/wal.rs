@@ -158,6 +158,14 @@ pub struct WalWriter {
     file: Box<dyn VfsFile>,
     /// Frames appended but not yet handed to the backend.
     buf: Vec<u8>,
+    /// Bytes of whole frames the file holds: where a failed write is cut
+    /// back to.
+    len: u64,
+    /// Set when an fsync failed, or a cut did: what the file holds is then
+    /// unknown (a kernel may drop the pages a failed fsync could not
+    /// write), so nothing more is acknowledged until a reopen, or a
+    /// [`reset`](Self::reset), rebuilds the log.
+    failed: bool,
     /// Bytes appended since opening (for stats).
     bytes_written: u64,
 }
@@ -178,11 +186,13 @@ impl WalWriter {
     /// and appending behind the trailing ops of a never-committed
     /// transaction would let the *next* commit marker wrongly adopt them.
     pub fn open(vfs: Arc<dyn Vfs>, path: &Path) -> StoreResult<Self> {
+        let mut len = 0;
         if let Some(data) = vfs.read(path)? {
             let recovery = scan_wal(&data);
             if recovery.committed_bytes < data.len() as u64 {
                 vfs.truncate(path, recovery.committed_bytes)?;
             }
+            len = recovery.committed_bytes;
         }
         let file = vfs.open_append(path)?;
         Ok(WalWriter {
@@ -190,8 +200,19 @@ impl WalWriter {
             vfs,
             file,
             buf: Vec::new(),
+            len,
+            failed: false,
             bytes_written: 0,
         })
+    }
+
+    /// Refuse to take anything once the log has failed (see `failed`).
+    fn usable(&self) -> StoreResult<()> {
+        if self.failed {
+            Err(StoreError::WalFailed)
+        } else {
+            Ok(())
+        }
     }
 
     /// Append one record (buffered; call [`sync`](Self::sync) to make it
@@ -206,6 +227,7 @@ impl WalWriter {
     /// apart. Durability still requires [`sync`](Self::sync); group commit
     /// appends every transaction of an import batch and syncs once.
     pub fn append_batch(&mut self, records: &[LogRecord]) -> StoreResult<()> {
+        self.usable()?;
         let before = self.buf.len();
         encode_frames(records, &mut self.buf);
         self.bytes_written += (self.buf.len() - before) as u64;
@@ -215,24 +237,83 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Hand the buffered frames to the file. A write that fails may have
+    /// left a torn frame behind, which would hide every later frame from
+    /// recovery: the file is cut back to its last whole frame, and the
+    /// frames stay buffered.
     fn flush(&mut self) -> StoreResult<()> {
-        if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.buf.clear();
+        if self.buf.is_empty() {
+            return Ok(());
         }
+        if let Err(e) = self.file.write_all(&self.buf) {
+            return self.cut(self.len).and(Err(e));
+        }
+        self.len += self.buf.len() as u64;
+        self.buf.clear();
         Ok(())
     }
 
-    /// Flush buffers and fsync the file.
+    /// Flush buffers and fsync the file. A failed fsync fails the log.
     pub fn sync(&mut self) -> StoreResult<()> {
+        self.usable()?;
         self.flush()?;
-        self.file.sync()
+        self.file.sync().inspect_err(|_| self.failed = true)
+    }
+
+    /// The end of the log, written and buffered: a mark for
+    /// [`rewind`](Self::rewind).
+    fn end(&self) -> u64 {
+        self.len + self.buf.len() as u64
+    }
+
+    /// Drop every frame appended past `mark`, buffered or written.
+    fn rewind(&mut self, mark: u64) -> StoreResult<()> {
+        self.bytes_written = self.bytes_written.saturating_sub(self.end().saturating_sub(mark));
+        match mark.checked_sub(self.len) {
+            Some(buffered) => {
+                self.buf.truncate(buffered as usize);
+                Ok(())
+            }
+            None => {
+                self.buf.clear();
+                self.cut(mark)
+            }
+        }
+    }
+
+    /// Append `records` as one unit — with `sync`, durably — or none of
+    /// them: an error rewinds the log to where it stood, so a caller that
+    /// undoes its change on the error leaves nothing recovery would replay.
+    pub fn log(&mut self, records: &[LogRecord], sync: bool) -> StoreResult<()> {
+        let mark = self.end();
+        let logged = self.append_batch(records).and_then(|()| if sync { self.sync() } else { Ok(()) });
+        logged.or_else(|e| self.rewind(mark).and(Err(e)))
+    }
+
+    /// Cut the file back to `len` bytes and append from there on; a cut
+    /// that fails fails the log.
+    fn cut(&mut self, len: u64) -> StoreResult<()> {
+        let reopened = self.vfs.truncate(&self.path, len).and_then(|()| self.vfs.open_append(&self.path));
+        match reopened {
+            Ok(file) => {
+                self.file = file;
+                self.len = len;
+                Ok(())
+            }
+            Err(e) => {
+                self.failed = true;
+                Err(e)
+            }
+        }
     }
 
     /// Truncate the log to zero length (after a checkpoint makes it obsolete)
     /// and stamp it with the epoch of that checkpoint. The new epoch record
-    /// is synced, and so is the parent directory, before returning.
+    /// is synced, and so is the parent directory, before returning. A reset
+    /// cut short fails the log: frames appended behind a missing stamp
+    /// would be discarded as stale.
     pub fn reset(&mut self, epoch: u64) -> StoreResult<()> {
+        self.failed = true;
         self.buf.clear();
         self.vfs.truncate(&self.path, 0)?;
         self.file = self.vfs.open_append(&self.path)?;
@@ -243,6 +324,8 @@ impl WalWriter {
         if let Some(parent) = self.path.parent() {
             self.vfs.sync_dir(parent)?;
         }
+        self.len = frame.len() as u64;
+        self.failed = false;
         // The epoch stamp is bookkeeping, not payload: report zero so
         // "bytes since reset" keeps meaning what callers expect.
         self.bytes_written = 0;

@@ -20,7 +20,7 @@
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
 use relstore::vfs::{FaultPlan, FaultVfs, Vfs};
-use relstore::{Database, PoolConfig};
+use relstore::{Database, PoolConfig, StoreError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -191,10 +191,34 @@ fn every_crash_point_recovers_and_converges() {
     }
 }
 
+/// After an injected error, keep committing on the same handle: the table
+/// must hold exactly the `held` batches acknowledged so far (a refused
+/// commit is undone), and each batch after them is tried once, in order.
+/// Returns the batches acknowledged and those refused; a refusal must be
+/// the typed [`StoreError::WalFailed`], as the one injected error has fired.
+fn keep_committing(db: &mut Database, held: i64, fail_at: u64) -> (Vec<i64>, Vec<i64>) {
+    assert_eq!(
+        sorted_ids(db),
+        (0..held * BATCH_ROWS).collect::<Vec<_>>(),
+        "op {fail_at}: the table is not the {held} acknowledged batches"
+    );
+    let (mut acked, mut refused) = (Vec::new(), Vec::new());
+    for batch in held..BATCHES {
+        match insert_batch(db, batch) {
+            Ok(()) => acked.push(batch),
+            Err(StoreError::WalFailed) => refused.push(batch),
+            Err(e) => panic!("op {fail_at}: batch {batch} refused with {e}"),
+        }
+    }
+    (acked, refused)
+}
+
 /// The same sweep with injected I/O *errors* instead of power cuts: the
 /// failed operation surfaces as an error to the caller, but nothing is
 /// silently lost — reopening on the same (non-rebooted) filesystem and
-/// resuming still converges.
+/// resuming still converges. And the handle that saw the error stays
+/// honest: committing on it goes on, and after a power cut every commit it
+/// acknowledged is there and none it refused is.
 #[test]
 fn every_failed_io_op_leaves_a_recoverable_store() {
     let reference = FaultVfs::new();
@@ -208,12 +232,44 @@ fn every_failed_io_op_leaves_a_recoverable_store() {
     // Every op: an error swallowed at any one of them would let the
     // workload finish, and the assert below catches exactly that.
     for fail_at in 1..=total_ops {
-        let vfs = FaultVfs::new();
-        vfs.set_plan(FaultPlan {
+        let plan = FaultPlan {
             crash_at: None,
             fail_at: Some(fail_at),
             torn_seed: fail_at,
+        };
+        let vfs = FaultVfs::new();
+        vfs.set_plan(plan.clone());
+        let mut kept = None;
+        let outcome = open(&vfs).and_then(|mut db| {
+            let mut held = 0;
+            let run = run_to_completion(&mut db, &mut held);
+            if run.is_err() {
+                kept = Some(keep_committing(&mut db, held, fail_at));
+            }
+            run
         });
+        assert!(outcome.is_err(), "op {fail_at}: injected error vanished");
+        if let Some((acked, refused)) = kept {
+            vfs.crash_now();
+            vfs.reboot();
+            let ids = sorted_ids(&open(&vfs).unwrap());
+            for batch in acked {
+                let rows = batch * BATCH_ROWS..(batch + 1) * BATCH_ROWS;
+                assert!(
+                    rows.clone().all(|id| ids.contains(&id)),
+                    "op {fail_at}: acknowledged batch {batch} lost in a power cut"
+                );
+            }
+            for batch in refused {
+                assert!(
+                    !ids.contains(&(batch * BATCH_ROWS)),
+                    "op {fail_at}: refused batch {batch} recovered"
+                );
+            }
+        }
+
+        let vfs = FaultVfs::new();
+        vfs.set_plan(plan);
         let outcome = open(&vfs).and_then(|mut db| run_to_completion(&mut db, &mut 0));
         assert!(outcome.is_err(), "op {fail_at}: injected error vanished");
         // clear the plan but keep the filesystem (no power cut happened)
