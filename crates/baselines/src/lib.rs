@@ -28,5 +28,5 @@ pub mod naive;
 pub mod srs;
 pub mod star;
 
-pub use srs::SrsStore;
+pub use srs::{Navigation, SrsStore};
 pub use star::{StarError, StarWarehouse};

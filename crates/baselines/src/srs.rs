@@ -13,6 +13,17 @@ pub struct SrsEntry {
     pub links: BTreeMap<String, BTreeSet<String>>,
 }
 
+/// The answer of [`SrsStore::navigate_join`] and the work it took.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Navigation {
+    /// Accessions of the source entries that reach the target accession.
+    pub hits: Vec<String>,
+    /// Entries fetched along the way, each source entry included.
+    pub entries_visited: usize,
+    /// Links (forward and back) followed from those entries.
+    pub links_followed: usize,
+}
+
 /// The store: per source, an accession-indexed entry set plus an inverted
 /// word index over entry names (SRS's queryable attributes).
 #[derive(Debug, Default)]
@@ -123,19 +134,18 @@ impl SrsStore {
     /// The client-side emulation of a join query: "which entries of
     /// `source` link (possibly through `hops` intermediate sources) to
     /// `target_accession` in `target`?" — answered by breadth-first link
-    /// navigation. This is what a user of SRS must script by hand, and its
-    /// cost is the fan-out the benchmark measures against GenMapper's
-    /// GenerateView.
+    /// navigation. This is what a user of SRS must script by hand; the
+    /// [`Navigation`] reports its fan-out beside the answer.
     pub fn navigate_join(
         &self,
         source: &str,
         path: &[&str],
         target_accession: &str,
-    ) -> Vec<String> {
+    ) -> Navigation {
+        let mut nav = Navigation::default();
         let Some(entries) = self.sources.get(source) else {
-            return Vec::new();
+            return nav;
         };
-        let mut hits = Vec::new();
         // for every entry, walk the path hop by hop (the fan-out)
         for (accession, _) in entries.iter() {
             let mut frontier: BTreeSet<(String, String)> =
@@ -143,9 +153,11 @@ impl SrsStore {
             for hop in path {
                 let mut next = BTreeSet::new();
                 for (src, acc) in &frontier {
+                    nav.entries_visited += 1;
                     if let Some(entry) = self.get(src, acc) {
                         if let Some(links) = entry.links.get(*hop) {
                             for l in links {
+                                nav.links_followed += 1;
                                 next.insert(((*hop).to_owned(), l.clone()));
                             }
                         }
@@ -153,6 +165,7 @@ impl SrsStore {
                     // links may also be stored on the hop side, pointing back
                     for (back_src, back_acc) in self.navigate_back(src, acc) {
                         if back_src == *hop {
+                            nav.links_followed += 1;
                             next.insert((back_src.to_owned(), back_acc.to_owned()));
                         }
                     }
@@ -166,10 +179,10 @@ impl SrsStore {
                 .iter()
                 .any(|(_, acc)| acc == target_accession)
             {
-                hits.push(accession.clone());
+                nav.hits.push(accession.clone());
             }
         }
-        hits
+        nav
     }
 
     /// Total indexed entries across sources.
@@ -224,10 +237,13 @@ mod tests {
     fn join_emulation_by_navigation() {
         let s = store();
         // Unigene clusters annotated (via LocusLink) with GO:0009116
-        let hits = s.navigate_join("Unigene", &["LocusLink", "GO"], "GO:0009116");
-        assert_eq!(hits, vec!["Hs.1"]);
+        let nav = s.navigate_join("Unigene", &["LocusLink", "GO"], "GO:0009116");
+        assert_eq!(nav.hits, vec!["Hs.1"]);
+        // Hs.1, then locus 353 reached by its one link, which links on to
+        // GO:0009116
+        assert_eq!((nav.entries_visited, nav.links_followed), (2, 2));
         // a term only reachable from locus 999, which no cluster links to
-        let hits = s.navigate_join("Unigene", &["LocusLink", "GO"], "GO:0000001");
-        assert!(hits.is_empty());
+        let nav = s.navigate_join("Unigene", &["LocusLink", "GO"], "GO:0000001");
+        assert!(nav.hits.is_empty());
     }
 }

@@ -12,7 +12,8 @@
 use eav::{EavBatch, EavRecord};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
-use relstore::{Database, StoreError};
+use relstore::{Database, Row, StoreError};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Errors of the star warehouse.
@@ -52,6 +53,8 @@ pub struct StarWarehouse {
     /// Bridge tables added by schema evolution: source name → table name.
     extra_bridges: BTreeMap<String, String>,
     next_gene_key: i64,
+    /// Index probes the queries made, reported by [`Self::index_probes`].
+    probes: Cell<usize>,
 }
 
 fn gene_schema() -> Schema {
@@ -92,6 +95,7 @@ impl StarWarehouse {
             db,
             extra_bridges: BTreeMap::new(),
             next_gene_key: 1,
+            probes: Cell::new(0),
         })
     }
 
@@ -198,12 +202,20 @@ impl StarWarehouse {
         Ok(())
     }
 
+    /// One index probe: the rows of `table` whose `index` key is `key`.
+    fn probe(&self, table: &str, index: &str, key: Value) -> Result<Vec<Row>, StarError> {
+        self.probes.set(self.probes.get() + 1);
+        Ok(self.db.table(table)?.lookup(index, &[key])?)
+    }
+
+    /// Index probes the queries have made since the warehouse was built.
+    pub fn index_probes(&self) -> usize {
+        self.probes.get()
+    }
+
     /// Anticipated query: loci at a cytogenetic location (indexed).
     pub fn loci_at_location(&self, location: &str) -> Result<Vec<String>, StarError> {
-        let rows = self
-            .db
-            .table("gene")?
-            .lookup("by_location", &[Value::text(location)])?;
+        let rows = self.probe("gene", "by_location", Value::text(location))?;
         Ok(rows
             .into_iter()
             .map(|r| r.get(1).as_text().unwrap_or_default().to_owned())
@@ -212,15 +224,10 @@ impl StarWarehouse {
 
     /// Anticipated query: loci annotated with a GO term (bridge + fact).
     pub fn loci_with_go(&self, term: &str) -> Result<Vec<String>, StarError> {
-        let bridge = self
-            .db
-            .table("gene_go")?
-            .lookup("by_value", &[Value::text(term)])?;
-        let gene = self.db.table("gene")?;
+        let bridge = self.probe("gene_go", "by_value", Value::text(term))?;
         let mut out = Vec::with_capacity(bridge.len());
         for row in bridge {
-            let key = row.get(0).clone();
-            if let Some(g) = gene.lookup_unique("pk", &[key])? {
+            for g in self.probe("gene", "pk", row.get(0).clone())? {
                 out.push(g.get(1).as_text().unwrap_or_default().to_owned());
             }
         }
@@ -230,11 +237,8 @@ impl StarWarehouse {
 
     /// Lookup one gene row by locus.
     pub fn gene(&self, locus: &str) -> Result<Option<Vec<Value>>, StarError> {
-        Ok(self
-            .db
-            .table("gene")?
-            .lookup_unique("by_locus", &[Value::text(locus)])?
-            .map(|r| r.values().to_vec()))
+        let rows = self.probe("gene", "by_locus", Value::text(locus))?;
+        Ok(rows.into_iter().next().map(|r| r.values().to_vec()))
     }
 
     /// Total rows across fact and bridge tables.
@@ -265,7 +269,10 @@ mod tests {
         let rows = w.integrate(&locuslink_batch()).unwrap();
         assert_eq!(rows, 3); // 1 fact + go + omim bridges
         assert_eq!(w.loci_at_location("16q24").unwrap(), vec!["353"]);
+        assert_eq!(w.index_probes(), 1);
+        // the bridge, then the gene it names
         assert_eq!(w.loci_with_go("GO:0009116").unwrap(), vec!["353"]);
+        assert_eq!(w.index_probes(), 3);
         let gene = w.gene("353").unwrap().unwrap();
         assert_eq!(gene[2], Value::text("APRT"));
     }

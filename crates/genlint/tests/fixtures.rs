@@ -181,7 +181,7 @@ fn workspace_self_scan_is_clean() {
     let cfg = config::parse(&toml).expect("shipped config parses");
     // the baseline is pinned at its real size: growing it is a reviewed
     // edit of this line, not a silent addition to genlint.toml
-    assert_eq!(cfg.allow.len(), 2, "[[allow]] entries in genlint.toml");
+    assert_eq!(cfg.allow.len(), 1, "[[allow]] entries in genlint.toml");
     let result = genlint::scan(&root, &cfg).expect("scan");
     assert!(
         result.findings.is_empty(),

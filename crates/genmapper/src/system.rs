@@ -722,6 +722,7 @@ mod tests {
     use crate::query::TargetQuery;
     use crate::ExportFormat;
     use sources::ecosystem::{Ecosystem, EcosystemParams};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     fn system() -> GenMapper {
         let eco = Ecosystem::generate(EcosystemParams::demo(7));
@@ -811,22 +812,6 @@ mod tests {
         assert!(!view.is_empty());
         // invalid saved path is rejected
         assert!(gm.save_path("bogus", &["NetAffx", "Enzyme"]).is_err());
-    }
-
-    #[test]
-    fn materialization_speeds_up_and_survives_reuse() {
-        let mut gm = system();
-        let composed = gm.compose(&["Unigene", "LocusLink", "GO"], None).unwrap();
-        assert!(!composed.is_empty());
-        let (rel, n) = gm
-            .materialize_composed(&["Unigene", "LocusLink", "GO"])
-            .unwrap();
-        assert_eq!(n, composed.len());
-        // Map now finds the derived mapping directly
-        let direct = gm.map("Unigene", "GO").unwrap();
-        assert_eq!(direct.len(), composed.len());
-        let stored = gm.store().get_source_rel(rel).unwrap();
-        assert_eq!(stored.derivation.as_deref(), Some("Unigene-LocusLink-GO"));
     }
 
     #[test]
@@ -1066,16 +1051,45 @@ mod tests {
     }
 
     /// A reader that forwards to `inner`, recording each `with_objects`
-    /// batch and counting `get_source` calls.
+    /// batch, counting `get_source` calls, and counting the mappings it
+    /// lends, indexed or flat, with the pairs they hold.
     struct Counting<'a> {
         inner: &'a dyn GamRead,
         batches: Mutex<Vec<Vec<ObjectId>>>,
-        source_reads: std::sync::atomic::AtomicUsize,
+        source_reads: AtomicUsize,
+        mappings_read: AtomicUsize,
+        pairs_read: AtomicUsize,
+    }
+
+    /// What a reader lent of its mappings: how many, and their pairs
+    /// summed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct MappingReads {
+        mappings: usize,
+        pairs: usize,
     }
 
     impl<'a> Counting<'a> {
         fn new(inner: &'a dyn GamRead) -> Self {
-            Counting { inner, batches: Mutex::new(Vec::new()), source_reads: Default::default() }
+            Counting {
+                inner,
+                batches: Mutex::new(Vec::new()),
+                source_reads: Default::default(),
+                mappings_read: Default::default(),
+                pairs_read: Default::default(),
+            }
+        }
+
+        fn lent(&self, pairs: usize) {
+            self.mappings_read.fetch_add(1, SeqCst);
+            self.pairs_read.fetch_add(pairs, SeqCst);
+        }
+
+        fn take_mapping_reads(&self) -> MappingReads {
+            MappingReads {
+                mappings: self.mappings_read.swap(0, SeqCst),
+                pairs: self.pairs_read.swap(0, SeqCst),
+            }
         }
 
         fn take_batches(&self) -> Vec<Vec<ObjectId>> {
@@ -1083,7 +1097,7 @@ mod tests {
         }
 
         fn take_source_reads(&self) -> usize {
-            self.source_reads.swap(0, std::sync::atomic::Ordering::SeqCst)
+            self.source_reads.swap(0, SeqCst)
         }
     }
 
@@ -1095,7 +1109,7 @@ mod tests {
             self.inner.find_source(name)
         }
         fn get_source(&self, id: SourceId) -> GamResult<gam::Source> {
-            self.source_reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.source_reads.fetch_add(1, SeqCst);
             self.inner.get_source(id)
         }
         fn objects_of(&self, source: SourceId) -> GamResult<Vec<gam::GamObject>> {
@@ -1138,13 +1152,19 @@ mod tests {
             self.inner.source_rels_between(a, b)
         }
         fn load_mapping(&self, id: SourceRelId) -> GamResult<gam::Mapping> {
-            self.inner.load_mapping(id)
+            let mapping = self.inner.load_mapping(id)?;
+            self.lent(mapping.len());
+            Ok(mapping)
         }
         fn load_mapping_index(&self, id: SourceRelId) -> GamResult<MappingIndex> {
-            self.inner.load_mapping_index(id)
+            let index = self.inner.load_mapping_index(id)?;
+            self.lent(index.len());
+            Ok(index)
         }
         fn load_mapping_index_shared(&self, id: SourceRelId) -> GamResult<Arc<MappingIndex>> {
-            self.inner.load_mapping_index_shared(id)
+            let index = self.inner.load_mapping_index_shared(id)?;
+            self.lent(index.len());
+            Ok(index)
         }
         fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
             self.inner.association_count(id)
@@ -1267,6 +1287,160 @@ mod tests {
                 assert_eq!(counting.take_source_reads(), partner_sources.len(), "one get_source per partner source");
             }
         });
+    }
+
+    /// Run `spec` on `gm`'s store from a fresh cache; the view's first
+    /// column as a set, and the mappings the run read.
+    fn counted_query(gm: &GenMapper, spec: &QuerySpec) -> (BTreeSet<String>, MappingReads) {
+        let counting = Counting::new(&gm.store);
+        let view = run_query(&counting, &VersionCache::default(), ExecConfig::sequential(), spec).unwrap();
+        let firsts = view.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
+        (firsts, counting.take_mapping_reads())
+    }
+
+    /// Ablation A1 (§1, against application-specific warehouses). The
+    /// star schema answers the queries it was designed for by index probes
+    /// sized by the answer: one for a location, one bridge probe plus one
+    /// gene-key probe per locus for a GO term. The GAM view reads the whole
+    /// LocusLink mapping of the target. A source the star schema did not
+    /// anticipate is refused; its one evolution path, a new bridge, costs a
+    /// migration and a reload of every LocusLink row, while GAM writes
+    /// only the new source's objects and associations and leaves every
+    /// existing mapping as it was.
+    #[test]
+    fn a1_star_probes_the_answer_gam_reads_the_mapping_and_only_gam_takes_a_new_source() {
+        use baselines::{StarError, StarWarehouse};
+        let eco = Ecosystem::generate(EcosystemParams::demo(7));
+        let (satellite, ll) = (eco.dumps[10].parse().unwrap(), eco.dumps[0].parse().unwrap());
+        let mut known = eco.dumps.clone();
+        known.remove(10);
+        let mut gm = GenMapper::in_memory().unwrap();
+        gm.import_dumps(&known).unwrap();
+        let mut star = StarWarehouse::new().unwrap();
+        let loaded = star.integrate(&ll).unwrap();
+
+        let location = eco.universe.locus_353().location.clone();
+        let mut counts = Vec::new();
+        for (target, acc) in [("Location", location.as_str()), ("GO", "GO:0009116")] {
+            let spec = QuerySpec::source("LocusLink")
+                .target_spec(TargetQuery::new(target).accessions([acc]))
+                .and();
+            let (loci, gam) = counted_query(&gm, &spec);
+            let probes = star.index_probes();
+            let star_loci = match target {
+                "GO" => star.loci_with_go(acc).unwrap(),
+                _ => star.loci_at_location(acc).unwrap(),
+            };
+            let probes = star.index_probes() - probes;
+            assert_eq!(loci, star_loci.into_iter().collect());
+            let whole = gm.map("LocusLink", target).unwrap().len();
+            assert_eq!(gam, MappingReads { mappings: 1, pairs: whole }, "{target}");
+            counts.push((target, loci.len(), probes, gam.pairs));
+        }
+        // (target, loci answered, star probes, GAM pairs read)
+        assert_eq!(counts, [("Location", 2, 1, 120), ("GO", 5, 6, 362)]);
+
+        let rels = |gm: &GenMapper| -> Vec<(SourceRelId, usize)> {
+            let rels = gm.store.source_rels().unwrap();
+            rels.iter().map(|r| (r.id, gm.store.association_count(r.id).unwrap())).collect()
+        };
+        let (before, cards) = (rels(&gm), gm.cardinalities().unwrap());
+        let report = gm.import_batch(&satellite).unwrap();
+        let after = gm.cardinalities().unwrap();
+        assert_eq!(after.objects - cards.objects, report.objects_created);
+        assert_eq!(after.associations - cards.associations, report.associations_created);
+        assert_eq!(rels(&gm)[..before.len()], before[..], "existing mappings unchanged");
+        assert!(matches!(
+            star.integrate(&satellite),
+            Err(StarError::SchemaEvolutionRequired { .. })
+        ));
+        let mut migrated = StarWarehouse::new().unwrap();
+        migrated.migrate_add_bridge("Enzyme").unwrap();
+        let reloaded = migrated.integrate(&ll).unwrap();
+        assert_eq!(reloaded, migrated.row_count().unwrap(), "the reload writes every row");
+        // (GAM objects and associations written, star rows before and after)
+        let written = (report.objects_created, report.associations_created);
+        assert_eq!((written, loaded, reloaded), ((40, 120), 523, 546));
+    }
+
+    /// Ablation A2 (§1, against SRS-style link navigation) at three source
+    /// sizes: "which UniGene clusters reach a GO term through LocusLink?"
+    /// SRS answers by navigating from every UniGene entry; GenerateView
+    /// reads the two mappings of the path and joins them. Both answer
+    /// alike. Counted, both sides grow linearly in the loci, so their ratio
+    /// stays flat: the gap the timings showed widening is not a gap in
+    /// work.
+    #[test]
+    fn a2_srs_navigates_every_entry_generate_view_reads_the_path_mappings() {
+        use baselines::SrsStore;
+        use sources::universe::UniverseParams;
+        let term = "GO:0009116";
+        let spec = QuerySpec::source("Unigene")
+            .target_spec(TargetQuery::new("GO").accessions([term]))
+            .and();
+        let mut counts = Vec::new();
+        for n_loci in [100, 200, 400] {
+            let eco = Ecosystem::generate(EcosystemParams {
+                universe: UniverseParams {
+                    seed: 51,
+                    n_loci,
+                    n_go_terms: (n_loci / 4).max(30),
+                    ..UniverseParams::tiny(51)
+                },
+                n_satellites: 0,
+                ..EcosystemParams::demo(51)
+            });
+            let (mut gm, mut srs) = (GenMapper::in_memory().unwrap(), SrsStore::new());
+            for dump in &eco.dumps {
+                let batch = dump.parse().unwrap();
+                gm.import_batch(&batch).unwrap();
+                srs.load(&batch);
+            }
+            let (clusters, gam) = counted_query(&gm, &spec);
+            let nav = srs.navigate_join("Unigene", &["LocusLink", "GO"], term);
+            assert_eq!(clusters, nav.hits.into_iter().collect());
+            let unigene = gm.store.object_count(gm.source_id("Unigene").unwrap()).unwrap();
+            assert!(nav.entries_visited > unigene, "SRS visits every UniGene entry");
+            let path = ["Unigene", "LocusLink", "GO"];
+            let pairs = path.windows(2).map(|w| gm.map(w[0], w[1]).unwrap().len()).sum();
+            assert_eq!(gam, MappingReads { mappings: 2, pairs });
+            counts.push((n_loci, nav.entries_visited, nav.links_followed, gam.pairs));
+        }
+        // (loci, SRS entries visited, SRS links followed, GAM pairs read)
+        assert_eq!(counts, [(100, 193, 515, 415), (200, 394, 1037, 837), (400, 783, 2067, 1667)]);
+    }
+
+    /// Ablation A3 (§3, derived mappings "to support frequent queries"):
+    /// before `Map(Unigene, GO)` is materialized, a view composes it, reading
+    /// both mappings of the path and joining them; after, the view and
+    /// `Map` read the one Composed mapping and join nothing. Counted in
+    /// pairs read, that is 482 against 361: materializing saves the join
+    /// and a quarter of the reads, not an order of magnitude.
+    #[test]
+    fn a3_a_materialized_map_reads_one_mapping_where_compose_reads_the_path() {
+        let mut gm = system();
+        let path = ["Unigene", "LocusLink", "GO"];
+        let spec = QuerySpec::source("Unigene").target("GO").and();
+        let (composed_view, composed_reads) = counted_query(&gm, &spec);
+        let composed = gm.compose(&path, None).unwrap();
+        let (rel, n) = gm.materialize_composed(&path).unwrap();
+        assert_eq!(n, composed.len());
+        let stored = gm.store().get_source_rel(rel).unwrap();
+        assert_eq!(stored.derivation.as_deref(), Some("Unigene-LocusLink-GO"));
+        let (view, reads) = counted_query(&gm, &spec);
+        assert_eq!(view, composed_view);
+        assert_eq!(reads, MappingReads { mappings: 1, pairs: n });
+
+        let ids: Vec<SourceId> = path.iter().map(|name| gm.source_id(name).unwrap()).collect();
+        let counting = Counting::new(&gm.store);
+        let map = operators::map_index(&counting, ids[0], ids[2]).unwrap();
+        assert_eq!(counting.take_mapping_reads(), reads);
+        let on_the_fly = operators::compose_path_idx(&counting, &ids, &ExecConfig::sequential()).unwrap();
+        assert_eq!(on_the_fly.to_mapping().pairs, map.to_mapping().pairs);
+        let path_pairs = path.windows(2).map(|w| gm.map(w[0], w[1]).unwrap().len()).sum();
+        assert_eq!(counting.take_mapping_reads(), MappingReads { mappings: 2, pairs: path_pairs });
+        assert_eq!(composed_reads, MappingReads { mappings: 2, pairs: path_pairs });
+        assert_eq!((path_pairs, n), (482, 361));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! simulates.
 //!
 //! Durability is cooperative with the database's checkpoint bracket:
-//! evicted-page appends are *not* synced; [`Pager::flush_and_sync`] makes
+//! evicted-page appends are *not* synced; `Pager::flush_and_sync` makes
 //! every dirty page durable, and the caller then writes the *page
 //! directory* (`encode_page_directory`) naming, per table, which heap
 //! offset holds each page. Recovery trusts only the directory: torn or
@@ -493,7 +493,7 @@ pub struct PagedTableMeta<'a> {
     /// Row id of the first open-tail slot.
     pub tail_base: u64,
     /// The open tail's rows, stored inline, as the table holds them: images
-    /// of [`MAX_PAGE_SLOTS`] slots each but the last — at most a page of
+    /// of `MAX_PAGE_SLOTS` slots each but the last — at most a page of
     /// rows under a buffer pool, every row of the table without one.
     pub tail: Cow<'a, [PageImage]>,
 }

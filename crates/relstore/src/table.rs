@@ -10,7 +10,7 @@
 //! maintained on insert/update/delete and kept resident — only row bodies
 //! page out, so an indexed point lookup faults exactly the pages it touches.
 //! Recovery places rows first and builds every index once afterwards
-//! ([`Table::build_indexes`]): a table under recovery has no index
+//! (`Table::build_indexes`): a table under recovery has no index
 //! structures at all until then.
 //!
 //! Reads name their index: [`Table::lookup`], [`Table::for_each_prefix`]

@@ -198,6 +198,11 @@ def main():
                 dst.write_bytes(src.read_bytes())
             else:
                 dst.unlink(missing_ok=True)
+                # a deleted crate must not leave a directory `crates/*` matches
+                parent = dst.parent
+                while parent != tree and parent.is_dir() and not any(parent.iterdir()):
+                    parent.rmdir()
+                    parent = parent.parent
         subprocess.run(["git", "add", "-A"], cwd=tree, check=True)
         subprocess.run(["git", "-c", "user.name=mutants", "-c", "user.email=mutants@localhost",
                         "commit", "-qm", "checkout as tested", "--allow-empty"], cwd=tree, check=True)

@@ -22,8 +22,9 @@ cargo build --release --offline --locked
 cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
-# a deleted item must not leave a doc link dangling
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --locked --workspace
+# a deleted item must not leave a doc link dangling, and a public doc must
+# not link a private item (rustdoc renders that link as plain text)
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" cargo doc --no-deps --offline --locked --workspace
 
 # architectural invariant gate (DESIGN.md §11, §16): any unbaselined
 # finding fails the build

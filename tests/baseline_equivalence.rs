@@ -98,6 +98,7 @@ fn join_query_gam_vs_srs_navigation() {
     let srs_clusters: BTreeSet<String> = s
         .srs
         .navigate_join("Unigene", &["LocusLink", "GO"], term)
+        .hits
         .into_iter()
         .collect();
     assert_eq!(gm_clusters, srs_clusters);

@@ -210,3 +210,64 @@ fn cardinalities_are_consistent_with_reports() {
     }
     assert_eq!(cards.mappings, rels.len());
 }
+
+/// The counts EXPERIMENTS F2 and F5 quote for the demo ecosystem of seed 7:
+/// what the import builds, and Figure 5's OR / AND / AND+NOT views over
+/// LocusLink with GO and OMIM, the two AND variants partitioning the loci.
+#[test]
+fn demo_7_pins_the_figure_2_and_figure_5_counts() {
+    let (gm, eco) = system(7);
+    let cards = gm.cardinalities().unwrap();
+    let f2 = (eco.dumps.len(), eco.dump_bytes(), cards.sources, cards.objects, cards.mappings, cards.associations);
+    assert_eq!(f2, (14, 77_838, 19, 1_223, 35, 2_245));
+
+    let loci = |spec: &QuerySpec| -> (usize, BTreeSet<String>) {
+        let view = gm.query(spec).unwrap();
+        (view.len(), view.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect())
+    };
+    let both = QuerySpec::source("LocusLink").target("GO").target("OMIM");
+    let (or_rows, or) = loci(&both.clone().or());
+    let (and_rows, and) = loci(&both.and());
+    let (not_rows, not) = loci(
+        &QuerySpec::source("LocusLink")
+            .target("GO")
+            .target_spec(TargetQuery::new("OMIM").negated())
+            .and(),
+    );
+    assert!(and.is_disjoint(&not));
+    assert_eq!(and.union(&not).cloned().collect::<BTreeSet<_>>(), or);
+    // (rows, distinct loci) of the OR, AND and AND+NOT views
+    let f5 = [(or_rows, or.len()), (and_rows, and.len()), (not_rows, not.len())];
+    assert_eq!(f5, [(375, 120), (108, 35), (267, 85)]);
+}
+
+/// EXPERIMENTS S5-scale's factor-0.25 row and S5-profiling (§5.2) on the
+/// same data: the medium ecosystem of seed 13 with its object counts
+/// scaled by a quarter, imported, then with the paper's flagship derived
+/// mappings materialized; and the count of every stage of the functional
+/// profiling pipeline over its chip, from probe sets through detection
+/// and differential calls to the GO terms profiled.
+#[test]
+fn quarter_scale_deployment_and_its_profiling_counts() {
+    use profiling::{ExpressionParams, ExpressionStudy, FunctionalProfile};
+    let mut params = EcosystemParams::medium(13);
+    params.universe = params.universe.scaled(0.25);
+    params.satellite_objects /= 4;
+    let eco = Ecosystem::generate(params);
+    let mut gm = GenMapper::in_memory().unwrap();
+    gm.import_dumps(&eco.dumps).unwrap();
+    gm.materialize_composed(&["Unigene", "LocusLink", "GO"]).unwrap();
+    gm.materialize_subsumed("GO").unwrap();
+    let cards = gm.cardinalities().unwrap();
+    let row = (cards.sources, cards.objects, cards.associations, cards.mappings, eco.dump_bytes());
+    assert_eq!(row, (27, 5_050, 12_889, 69, 336_586));
+
+    let study = ExpressionStudy::simulate(&eco.universe, ExpressionParams::default());
+    let r = FunctionalProfile::run(&mut gm, &study).unwrap();
+    assert_eq!(r.probe_counts, (693, 336, 30), "probe sets: on chip, detected, differential");
+    let mapped = (r.study_clusters, r.study_loci, r.population_loci);
+    assert_eq!(mapped, (29, 31, 294), "UniGene clusters, study and background loci");
+    assert_eq!((r.annotated_study, r.annotated_population, r.enrichment.len()), (31, 294, 99));
+    let per_root: Vec<usize> = r.namespace_breakdown.iter().map(|(_, _, n)| *n).collect();
+    assert_eq!(per_root, [38, 29, 32], "terms under biological_process, molecular_function, cellular_component");
+}
