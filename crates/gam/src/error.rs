@@ -29,6 +29,9 @@ pub enum GamError {
     /// Domain validation failure (empty accession, self-mapping where
     /// forbidden, ...).
     Invalid(String),
+    /// A table's next row would need an id (`id` names its type) past that
+    /// type's range: a row's id is its row id + 1, never wrapped.
+    IdSpaceExhausted { id: &'static str, row_id: u64 },
 }
 
 impl fmt::Display for GamError {
@@ -47,6 +50,9 @@ impl fmt::Display for GamError {
             }
             GamError::BadEvidence(v) => write!(f, "evidence {v} outside [0, 1]"),
             GamError::Invalid(msg) => write!(f, "invalid: {msg}"),
+            GamError::IdSpaceExhausted { id, row_id } => {
+                write!(f, "row id {row_id} is past the range of {id}")
+            }
         }
     }
 }

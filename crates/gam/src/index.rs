@@ -339,6 +339,50 @@ impl MappingIndex {
         }
     }
 
+    /// The inverse mapping (`T → S`), in canonical form, built from the
+    /// arrays this index already holds: the inverse side becomes the
+    /// forward side and the forward side the inverse, and the evidence
+    /// columns are permuted into the new forward order through
+    /// [`inv_fwd_pos`](Self::inv_fwd_pos). No sort runs and no
+    /// [`Mapping`] is built; the result equals
+    /// `MappingIndex::build(self.to_mapping().inverse())`.
+    pub fn inverted(&self) -> MappingIndex {
+        let n = self.len();
+        let mut evidence = Vec::with_capacity(n);
+        let mut fact_mask = vec![0u64; self.fact_mask.len()];
+        // the new inverse side points each old forward position at the new
+        // forward position its association moved to
+        let mut inv_pos = vec![0u32; n];
+        for (pos, &old) in self.inv_pos.iter().enumerate() {
+            let old = old as usize;
+            evidence.push(self.evidence[old]);
+            fact_mask[pos / 64] |= (self.fact_mask[old / 64] >> (old % 64) & 1) << (pos % 64);
+            inv_pos[old] = pos as u32;
+        }
+        let stats = IndexStats {
+            domain_keys: self.stats.range_keys,
+            range_keys: self.stats.domain_keys,
+            max_fwd_fanout: self.stats.max_inv_fanout,
+            max_inv_fanout: self.stats.max_fwd_fanout,
+            ..self.stats
+        };
+        MappingIndex {
+            from: self.to,
+            to: self.from,
+            rel_type: self.rel_type,
+            fwd_keys: self.inv_keys.clone(),
+            fwd_offsets: self.inv_offsets.clone(),
+            fwd_to: self.inv_from.clone(),
+            evidence,
+            fact_mask,
+            inv_keys: self.fwd_keys.clone(),
+            inv_offsets: self.fwd_offsets.clone(),
+            inv_from: self.fwd_to.clone(),
+            inv_pos,
+            stats,
+        }
+    }
+
     /// Keep only associations with effective evidence `>= floor`,
     /// preserving canonical order (equivalent to `retain` on the pairs).
     pub fn filter_evidence(&self, floor: f64) -> MappingIndex {
@@ -571,6 +615,32 @@ mod tests {
         ];
         for t in &subsets {
             assert_eq!(bits(&idx.restrict_range(t)), bits(&m.restrict_range(t)));
+        }
+    }
+
+    /// Flipping an index equals indexing the flipped mapping, array for
+    /// array and stat for stat — facts, explicit 1.0 scores and a fact
+    /// mask past one word included — and flipping twice is the identity.
+    #[test]
+    fn inverted_equals_the_index_of_the_inverse() {
+        let mut wide = sample();
+        wide.pairs = (0..150u64)
+            .map(|i| {
+                let (from, to) = (ObjectId(i / 3), ObjectId(1000 + i * 37 % 101));
+                match i % 3 {
+                    0 => Association::fact(from, to),
+                    1 => Association::scored(from, to, 1.0),
+                    _ => Association::scored(from, to, i as f64 / 200.0),
+                }
+            })
+            .collect();
+        let empty = Mapping { pairs: Vec::new(), ..sample() };
+        for m in [sample(), wide, empty] {
+            let idx = MappingIndex::build(m.clone());
+            let flipped = idx.inverted();
+            assert_eq!(flipped, MappingIndex::build(m.inverse()));
+            assert_eq!(bits(&flipped.to_mapping()), bits(&MappingIndex::build(m.inverse()).to_mapping()));
+            assert_eq!(flipped.inverted(), idx);
         }
     }
 

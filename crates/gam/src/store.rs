@@ -2,9 +2,11 @@
 //! four GAM tables.
 //!
 //! The store hands out application-level ids (`SourceId`, `ObjectId`, ...)
-//! allocated from in-memory counters that are re-seeded from the table
-//! contents on open, so ids remain stable across restarts; an association's
-//! id needs no counter, it is its row id + 1.
+//! that are their rows' addresses: each table's id column is a relstore
+//! dense key, so a new row's id is the table's next row id + 1
+//! ([`SourceId::of_row`] and its kin) and a read by id is one read at row
+//! id `id − 1`. No counter is kept or seeded; a row id burnt by a refused
+//! commit burns its id with it, and no later row moves.
 //!
 //! Write batching: single-row helpers (`create_object`, `add_association`)
 //! run one transaction each, which is fine in memory; bulk loaders
@@ -27,9 +29,6 @@ use std::path::Path;
 /// Typed store over the GAM tables.
 pub struct GamStore {
     db: Database,
-    next_source: u32,
-    next_object: u64,
-    next_source_rel: u32,
     import_seq: u64,
     /// Bumped by every mutating entry point; mapping caches key on it
     /// (enforced by genlint's cache-coherence rule).
@@ -39,8 +38,8 @@ pub struct GamStore {
 impl std::fmt::Debug for GamStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GamStore")
-            .field("next_source", &self.next_source)
-            .field("next_object", &self.next_object)
+            .field("import_seq", &self.import_seq)
+            .field("mutations", &self.mutations)
             .finish()
     }
 }
@@ -99,10 +98,9 @@ impl GamStore {
     /// Check referential integrity across the four GAM tables: every
     /// OBJECT belongs to an existing SOURCE, every SOURCE_REL connects two
     /// existing SOURCEs, and every OBJECT_REL references an existing
-    /// SOURCE_REL and two existing OBJECTs, and OBJECT_REL ids strictly
-    /// ascend in row order — the uniqueness no key index enforces, since an
-    /// id is derived from its row id. Returns the list of violations (empty
-    /// when the store is consistent).
+    /// SOURCE_REL and two existing OBJECTs. (That every id is unique is
+    /// relstore's dense-key invariant, not checked here.) Returns the list
+    /// of violations (empty when the store is consistent).
     ///
     /// Crash recovery must never break these invariants: transactions are
     /// atomic, and the importer orders its writes so every committed
@@ -146,15 +144,8 @@ impl GamStore {
             }
             Ok(())
         })?;
-        let mut last_id = 0;
         self.db.table(tables::OBJECT_REL)?.for_each_row(|_, row| {
             let id = int(row, 0);
-            if id <= last_id {
-                violations.push(format!(
-                    "OBJECT_REL {id} does not ascend past {last_id} in row order"
-                ));
-            }
-            last_id = last_id.max(id);
             let srel = int(row, 1);
             if !source_rel_ids.contains(&srel) {
                 violations.push(format!(
@@ -175,15 +166,6 @@ impl GamStore {
     }
 
     fn wrap(db: Database) -> GamResult<Self> {
-        // ids are handed out ascending, so the greatest primary key is the
-        // last one used — read off the index, no row (or page) is touched
-        let max_id = |table: &str| -> GamResult<i64> {
-            let key = db.table(table)?.last_key("pk")?;
-            Ok(key.and_then(|k| k[0].as_int()).unwrap_or(0))
-        };
-        let next_source = (max_id(tables::SOURCE)? + 1) as u32;
-        let next_object = (max_id(tables::OBJECT)? + 1) as u64;
-        let next_source_rel = (max_id(tables::SOURCE_REL)? + 1) as u32;
         let mut import_seq = 0;
         db.table(tables::SOURCE)?.for_each_row(|_, row| {
             import_seq = import_seq.max(row.get(5).as_int().unwrap_or(0) as u64);
@@ -191,9 +173,6 @@ impl GamStore {
         })?;
         Ok(GamStore {
             db,
-            next_source,
-            next_object,
-            next_source_rel,
             import_seq,
             mutations: 0,
         })
@@ -296,36 +275,32 @@ impl GamStore {
         }
     }
 
-    /// Apply `f` to the row of `table` whose id cell (column 0, the `pk`
-    /// column of `SOURCE` and `OBJECT`) holds `id`; `None` if no row does.
-    /// Ids are handed out densely from 1 and rows are appended in id
-    /// order, so the row at `id − 1` is read first, through `rows`, and
-    /// taken only if its id cell says `id`; a store whose ids do not tile
-    /// its rows (a row id burnt by a rolled-back insert, rows written by
-    /// another tool) is answered through `pk`.
+    /// Apply `f` to the live row whose id is `id`, read through `rows`:
+    /// an id is its row's address (the tables' dense key), so this is one
+    /// read at row id `id − 1`; `None` if no live row is there.
     fn with_row_by_id<T>(
-        table: &relstore::Table,
         rows: &mut relstore::RowCursor<'_>,
         id: i64,
-        mut f: impl FnMut(&Row) -> T,
+        f: impl FnOnce(&Row) -> T,
     ) -> GamResult<Option<T>> {
-        if let Some(slot) = id.checked_sub(1).and_then(|slot| u64::try_from(slot).ok()) {
-            let tiled = rows.with(RowId(slot), |row| (row.get(0).as_int() == Some(id)).then(|| f(row)))?;
-            if let Some(Some(hit)) = tiled {
-                return Ok(Some(hit));
-            }
+        match RowId::of_dense_key(id) {
+            Some(row_id) => Ok(rows.with(row_id, f)?),
+            None => Ok(None),
         }
-        Ok(table.lookup_unique("pk", &[Value::Int(id)])?.map(|row| f(&row)))
     }
 
-    fn source_rel_from_row(row: Row) -> GamResult<SourceRel> {
-        let mut cells = row.into_values();
+    /// The id the next row of `table` gets: its next row id + 1.
+    fn next_id<I>(&self, table: &str, of_row: fn(RowId) -> GamResult<I>) -> GamResult<I> {
+        of_row(self.db.table(table)?.next_row_id())
+    }
+
+    fn source_rel_from_ref(row: &Row) -> GamResult<SourceRel> {
         Ok(SourceRel {
-            id: SourceRelId::from_i64(cells[0].as_int().unwrap_or_default()),
-            source1: SourceId::from_i64(cells[1].as_int().unwrap_or_default()),
-            source2: SourceId::from_i64(cells[2].as_int().unwrap_or_default()),
-            rel_type: RelType::from_code(cells[3].as_int().unwrap_or(-1))?,
-            derivation: Self::take_text(&mut cells[4]),
+            id: SourceRelId::from_i64(row.get(0).as_int().unwrap_or_default()),
+            source1: SourceId::from_i64(row.get(1).as_int().unwrap_or_default()),
+            source2: SourceId::from_i64(row.get(2).as_int().unwrap_or_default()),
+            rel_type: RelType::from_code(row.get(3).as_int().unwrap_or(-1))?,
+            derivation: row.get(4).as_text().map(str::to_owned),
         })
     }
 
@@ -357,7 +332,7 @@ impl GamStore {
         if name.is_empty() {
             return Err(GamError::Invalid("source name is empty".into()));
         }
-        let id = SourceId(self.next_source);
+        let id = self.next_id(tables::SOURCE, SourceId::of_row)?;
         self.import_seq += 1;
         let seq = self.import_seq;
         let row = vec![
@@ -369,7 +344,6 @@ impl GamStore {
             Value::Int(seq as i64),
         ];
         self.db.with_txn(|txn| txn.insert(tables::SOURCE, row))?;
-        self.next_source += 1;
         Ok(Source {
             id,
             name: name.to_owned(),
@@ -409,21 +383,17 @@ impl GamStore {
 
     /// Fetch a source by id, read off its row by id.
     pub fn get_source(&self, id: SourceId) -> GamResult<Source> {
-        let table = self.db.table(tables::SOURCE)?;
-        Self::with_row_by_id(table, &mut table.cursor(), id.as_i64(), Self::source_from_ref)?
+        let mut rows = self.db.table(tables::SOURCE)?.cursor();
+        Self::with_row_by_id(&mut rows, id.as_i64(), Self::source_from_ref)?
             .transpose()?
             .ok_or(GamError::UnknownSource(id))
     }
 
-    /// A source's row id and values, read through `pk`.
+    /// A source's row id and values, read at its address.
     fn source_row(&self, id: SourceId) -> GamResult<(RowId, Vec<Value>)> {
-        let table = self.db.table(tables::SOURCE)?;
-        let key = [Value::Int(id.as_i64())];
-        let row_id = *table
-            .lookup_row_ids("pk", &key)?
-            .first()
-            .ok_or(GamError::UnknownSource(id))?;
-        Ok((row_id, table.get(row_id)?.into_values()))
+        let row_id = RowId::of_dense_key(id.as_i64()).ok_or(GamError::UnknownSource(id))?;
+        let values = self.db.table(tables::SOURCE)?.cursor().with(row_id, |row| row.values().to_vec())?;
+        Ok((row_id, values.ok_or(GamError::UnknownSource(id))?))
     }
 
     /// Update a source's content/structure classification. Used when a
@@ -477,7 +447,7 @@ impl GamStore {
         number: Option<f64>,
     ) -> GamResult<ObjectId> {
         self.bump_mutations();
-        let id = ObjectId(self.next_object);
+        let id = self.next_id(tables::OBJECT, ObjectId::of_row)?;
         let obj = GamObject {
             id,
             source,
@@ -488,7 +458,6 @@ impl GamStore {
         obj.validate()?;
         let row = object_row(&obj);
         self.db.with_txn(|txn| txn.insert(tables::OBJECT, row))?;
-        self.next_object += 1;
         Ok(id)
     }
 
@@ -552,7 +521,7 @@ impl GamStore {
         let mut ids = Vec::with_capacity(objects.len());
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut seen: std::collections::BTreeMap<&str, ObjectId> = std::collections::BTreeMap::new();
-        let mut next = self.next_object;
+        let first = self.db.table(tables::OBJECT)?.next_row_id().0;
         for (i, (accession, text, number)) in objects.iter().enumerate() {
             if let Some(id) = existing[i] {
                 ids.push(id);
@@ -562,8 +531,7 @@ impl GamStore {
                 ids.push(*id);
                 continue;
             }
-            let id = ObjectId(next);
-            next += 1;
+            let id = ObjectId::of_row(RowId(first + rows.len() as u64))?;
             rows.push(vec![
                 Value::Int(id.as_i64()),
                 Value::Int(src_i64),
@@ -581,7 +549,6 @@ impl GamStore {
                 Ok(())
             })?;
         }
-        self.next_object = next;
         Ok((ids, created))
     }
 
@@ -616,11 +583,9 @@ impl GamStore {
 
     /// Fetch an object by id, read off its row by id.
     pub fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
-        let table = self.db.table(tables::OBJECT)?;
-        Self::with_row_by_id(table, &mut table.cursor(), id.as_i64(), |row| {
-            GamObject::from(Self::object_ref(row))
-        })?
-        .ok_or(GamError::UnknownObject(id))
+        let mut rows = self.db.table(tables::OBJECT)?.cursor();
+        Self::with_row_by_id(&mut rows, id.as_i64(), |row| GamObject::from(Self::object_ref(row)))?
+            .ok_or(GamError::UnknownObject(id))
     }
 
     /// Lend the objects of `ids` in input order, each borrowed from its
@@ -632,12 +597,9 @@ impl GamStore {
         ids: &[ObjectId],
         f: &mut dyn FnMut(usize, ObjectRef<'_>),
     ) -> GamResult<()> {
-        let table = self.db.table(tables::OBJECT)?;
-        let mut rows = table.cursor();
+        let mut rows = self.db.table(tables::OBJECT)?.cursor();
         crate::snapshot::lend_each(ids, |n, id| {
-            let lent = Self::with_row_by_id(table, &mut rows, id.as_i64(), |row| {
-                f(n, Self::object_ref(row))
-            })?;
+            let lent = Self::with_row_by_id(&mut rows, id.as_i64(), |row| f(n, Self::object_ref(row)))?;
             Ok(lent.is_some())
         })
     }
@@ -735,7 +697,7 @@ impl GamStore {
         derivation: Option<&str>,
     ) -> GamResult<SourceRelId> {
         self.bump_mutations();
-        let id = SourceRelId(self.next_source_rel);
+        let id = self.next_id(tables::SOURCE_REL, SourceRelId::of_row)?;
         let rel = SourceRel {
             id,
             source1,
@@ -758,17 +720,13 @@ impl GamStore {
                 .unwrap_or(Value::Null),
         ];
         self.db.with_txn(|txn| txn.insert(tables::SOURCE_REL, row))?;
-        self.next_source_rel += 1;
         Ok(id)
     }
 
-    /// Fetch a mapping's `SOURCE_REL` row.
+    /// Fetch a mapping's `SOURCE_REL` row, read at its address.
     pub fn get_source_rel(&self, id: SourceRelId) -> GamResult<SourceRel> {
-        let hit = self
-            .db
-            .table(tables::SOURCE_REL)?
-            .lookup_unique("pk", &[Value::Int(id.as_i64())])?;
-        hit.map(Self::source_rel_from_row)
+        let mut rows = self.db.table(tables::SOURCE_REL)?.cursor();
+        Self::with_row_by_id(&mut rows, id.as_i64(), Self::source_rel_from_ref)?
             .transpose()?
             .ok_or(GamError::UnknownSourceRel(id))
     }
@@ -783,7 +741,7 @@ impl GamStore {
             "by_pair",
             &[Value::Int(source1.as_i64()), Value::Int(source2.as_i64())],
         )?;
-        rows.into_iter().map(Self::source_rel_from_row).collect()
+        rows.iter().map(Self::source_rel_from_ref).collect()
     }
 
     /// Find one mapping of the given type between two sources, trying both
@@ -811,7 +769,7 @@ impl GamStore {
     /// All `SOURCE_REL` rows, ordered by id.
     pub fn source_rels(&self) -> GamResult<Vec<SourceRel>> {
         let table = self.db.table(tables::SOURCE_REL)?;
-        let mut out = Self::decode_rows(table, Self::source_rel_from_row)?;
+        let mut out = Self::decode_rows(table, |row| Self::source_rel_from_ref(&row))?;
         out.sort_by_key(|r| r.id);
         Ok(out)
     }
@@ -820,29 +778,22 @@ impl GamStore {
     /// materialized mapping).
     pub fn delete_source_rel(&mut self, id: SourceRelId) -> GamResult<usize> {
         self.bump_mutations();
-        // ensure it exists first
+        // ensure it exists first: its row is then the one at its address
         self.get_source_rel(id)?;
-        // both sides come straight from indexes: the association row ids
-        // from OBJECT_REL(by_pair) under the mapping's prefix (in row order,
-        // so the cascade logs and touches pages ascending), the rel row
-        // from its primary key
+        let rel_row = RowId::of_dense_key(id.as_i64()).ok_or(GamError::UnknownSourceRel(id))?;
+        // the association row ids come from OBJECT_REL(by_pair) under the
+        // mapping's prefix, in row order, so the cascade logs and touches
+        // pages ascending
         let assoc_ids: Vec<relstore::RowId> = self
             .db
             .table(tables::OBJECT_REL)?
             .lookup_row_ids("by_pair", &[Value::Int(id.as_i64())])?;
-        let rel_row: Vec<relstore::RowId> = self
-            .db
-            .table(tables::SOURCE_REL)?
-            .lookup_row_ids("pk", &[Value::Int(id.as_i64())])?;
         let removed = assoc_ids.len();
         self.db.with_txn(|txn| {
             for rid in assoc_ids {
                 txn.delete(tables::OBJECT_REL, rid)?;
             }
-            for rid in rel_row {
-                txn.delete(tables::SOURCE_REL, rid)?;
-            }
-            Ok(())
+            txn.delete(tables::SOURCE_REL, rel_row)
         })?;
         Ok(removed)
     }
@@ -902,10 +853,11 @@ impl GamStore {
         }
         // An association's id is its row id + 1: row ids are never reused,
         // so neither are these, and no counter has to be seeded at open.
-        let mut next = self.db.table(tables::OBJECT_REL)?.next_row_id().0 + 1;
+        let first = self.db.table(tables::OBJECT_REL)?.next_row_id().0;
+        let first_id = ObjectRelId::of_row(RowId(first))?;
         for assoc in &assocs {
             let rec = crate::model::ObjectRel {
-                id: ObjectRelId(next),
+                id: first_id,
                 source_rel,
                 object1: assoc.from,
                 object2: assoc.to,
@@ -936,14 +888,14 @@ impl GamStore {
                 continue;
             }
             seen[slot] = true;
+            let id = ObjectRelId::of_row(RowId(first + rows.len() as u64))?;
             rows.push(vec![
-                Value::Int(next as i64),
+                Value::Int(id.as_i64()),
                 Value::Int(rel_i64),
                 Value::Int(pair.0),
                 Value::Int(pair.1),
                 assoc.evidence.map(Value::Float).unwrap_or(Value::Null),
             ]);
-            next += 1;
             *added += 1;
         }
         if !rows.is_empty() {
@@ -1458,8 +1410,11 @@ mod tests {
         table.scan().filter_map(|(_, row)| row.get(0).as_int()).collect()
     }
 
+    /// An association id is unique because it is its row's address: a
+    /// row that repeats id 1 at row id 1 is refused by relstore, naming the
+    /// table, and nothing is written.
     #[test]
-    fn verify_integrity_reports_an_id_that_does_not_ascend() {
+    fn an_association_id_that_is_not_its_row_address_is_refused() {
         let mut s = store();
         let a = gene_source(&mut s, "A");
         let b = gene_source(&mut s, "B");
@@ -1468,15 +1423,16 @@ mod tests {
         let rel = s.create_source_rel(a.id, b.id, RelType::Fact, None).unwrap();
         s.add_association(rel, ao, bo, None).unwrap();
         assert_eq!(object_rel_ids(&s), vec![1]);
-        assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
-        // forge a second row that repeats id 1: no key index refuses it
         let forged = [1, rel.as_i64(), bo.as_i64(), ao.as_i64()].map(Value::Int);
         let forged = forged.into_iter().chain([Value::Null]).collect();
-        s.db.with_txn(|txn| txn.insert(tables::OBJECT_REL, forged)).unwrap();
-        assert_eq!(
-            s.verify_integrity().unwrap(),
-            vec!["OBJECT_REL 1 does not ascend past 1 in row order".to_owned()]
-        );
+        match s.db.with_txn(|txn| txn.insert(tables::OBJECT_REL, forged)) {
+            Err(relstore::StoreError::DenseKeyViolation { table, row_id: 1, key }) => {
+                assert_eq!((table.as_str(), key.as_str()), (tables::OBJECT_REL, "1"))
+            }
+            other => panic!("a repeated association id was taken: {other:?}"),
+        }
+        assert_eq!(object_rel_ids(&s), vec![1]);
+        assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
     }
 
     #[test]
@@ -1664,9 +1620,9 @@ mod tests {
     }
 
     /// A `create_object` whose WAL write fails leaves no object behind,
-    /// in memory or in the log: the retry is stored under the same id, read
-    /// back by id past the row id the failure burnt, and it and the commit
-    /// after it survive a power cut.
+    /// in memory or in the log: the retry is stored under the next id (the
+    /// failure burnt one row id and the id with it), read back by id, and
+    /// it and the commit after it survive a power cut.
     #[test]
     fn a_create_object_the_wal_refused_is_not_stored_and_the_next_one_is() {
         use relstore::vfs::{FaultPlan, FaultVfs};
@@ -1689,6 +1645,61 @@ mod tests {
         assert_eq!(s.get_object(id).unwrap().text.as_deref(), Some("APRT"));
         assert_eq!(s.get_source(go.id).unwrap(), go);
         assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
+    }
+
+    /// A commit the WAL refused burns one row id, and the id with it; each
+    /// of the 1 000 objects created after it is still read at its address,
+    /// by `get_object` and `with_objects`, live and after a power cut, and
+    /// `OBJECT` keeps no stored `pk` index for those reads.
+    #[test]
+    fn objects_after_a_refused_commit_are_read_at_their_address_without_a_pk_index() {
+        use relstore::vfs::{FaultPlan, FaultVfs};
+        let vfs = FaultVfs::new();
+        let open = || GamStore::open_with_vfs(std::sync::Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+        let mut s = open();
+        let ll = gene_source(&mut s, "LocusLink");
+        let first = s.create_object(ll.id, "0", None, None).unwrap();
+        let fail_at = Some(vfs.op_count() + 1);
+        vfs.set_plan(FaultPlan { crash_at: None, fail_at, torn_seed: 7 });
+        assert!(s.create_object(ll.id, "refused", None, None).is_err());
+        let burnt = ObjectId(first.0 + 1);
+        let ids: Vec<ObjectId> = (1..=1000)
+            .map(|k| s.create_object(ll.id, &k.to_string(), Some(&format!("n{k}")), None).unwrap())
+            .collect();
+        assert_eq!(ids[0], ObjectId(burnt.0 + 1), "the refused commit burns its id");
+        let check = |s: &GamStore, when: &str| {
+            assert!(matches!(s.get_object(burnt), Err(GamError::UnknownObject(id)) if id == burnt), "{when}");
+            let want: Vec<(usize, ObjectId, String, Option<String>)> = (1..)
+                .zip(&ids)
+                .map(|(k, &id)| (k - 1, id, k.to_string(), Some(format!("n{k}"))))
+                .collect();
+            let got: Vec<_> = ids
+                .iter()
+                .enumerate()
+                .map(|(n, &id)| {
+                    let o = s.get_object(id).unwrap();
+                    (n, o.id, o.accession, o.text)
+                })
+                .collect();
+            assert_eq!(got, want, "get_object, {when}");
+            let mut lent = Vec::new();
+            s.with_objects(&ids, &mut |n, o| {
+                lent.push((n, o.id, o.accession.to_owned(), o.text.map(str::to_owned)))
+            })
+            .unwrap();
+            assert_eq!(lent, want, "with_objects, {when}");
+            let stats = s.database().stats().unwrap();
+            let object = stats.tables.iter().find(|t| t.name == tables::OBJECT).unwrap();
+            let names: Vec<&str> = object.indexes.iter().map(|(name, _)| name.as_str()).collect();
+            assert_eq!(names, ["by_accession"], "{when}");
+            let pk = s.database().table(tables::OBJECT).unwrap().index_stats("pk");
+            assert!(matches!(pk, Err(relstore::StoreError::NoSuchIndex { .. })), "{when}: {pk:?}");
+        };
+        check(&s, "live");
+        drop(s);
+        vfs.crash_now();
+        vfs.reboot();
+        check(&open(), "after a power cut");
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //! table (id 0, just past the last id, `u64::MAX`), errors included —
 //! `with_objects` lending, in input order, what `get_object` finds one id
 //! at a time and failing with the least unknown id. The next test does the
-//! same for an id no object holds inside the table, where the store's
-//! row-id read falls back to `pk`.
+//! same for an id no object holds inside the table, the one a refused
+//! commit burnt.
 //! The one after pins what capture costs on a paged store, in buffer-pool
 //! misses rather than time.
-//! The last is store ≡ store across a reopen that changes the indexes: a
-//! directory checkpointed under the previous release's schemas (literals
-//! here, a frozen image of that format) is reconciled in place, answers
-//! every [`GamRead`] call as before, and persists the declared schema.
+//! The last two are store ≡ store across a reopen that changes the
+//! schemas: a directory checkpointed under earlier releases' schemas
+//! (literals here, frozen images of those formats), each id a stored `pk`
+//! or no key at all, is reconciled in place to dense keys, answers every
+//! [`GamRead`] call as before, and persists the declared schemas; one whose
+//! ids do not tile its rows is refused, naming the table.
 
 use gam::model::{SourceContent, SourceStructure};
 use gam::schema::{self, tables};
@@ -285,12 +287,14 @@ fn object_lookups_agree(
     }
 }
 
-/// A store whose object ids have a gap, as one written by hand or by
-/// another tool may have: the snapshot's table holds an empty entry for
-/// the missing id, which both sides answer as unknown, and the object
-/// past the gap is found by id.
+/// A store whose object ids have a gap — the id of a `create_object` the
+/// WAL refused, burnt with its row id: the snapshot's table holds an empty
+/// entry for the missing id, which both sides answer as unknown, and the
+/// object past the gap is found by id. A row that would close the gap by
+/// hand, an id that is not its row's address, is refused.
 #[test]
 fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
+    use relstore::vfs::FaultPlan;
     let dir = Path::new("/db");
     let disk = FaultVfs::new();
     let vfs = || -> Arc<dyn Vfs> { Arc::new(disk.clone()) };
@@ -308,22 +312,29 @@ fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
             })
             .last()
             .unwrap();
+        let fail_at = Some(disk.op_count() + 1);
+        disk.set_plan(FaultPlan { crash_at: None, fail_at, torn_seed: 3 });
+        assert!(store.create_object(source, "refused", None, None).is_err());
+        let past = store.create_object(source, "past-the-gap", None, None).unwrap();
+        assert_eq!(past, ObjectId(last.0 + 2), "the refused commit burnt one id");
         store.checkpoint().unwrap();
         (source, ObjectId(last.0 + 1))
     };
     {
         let mut raw = Database::open_with_vfs(vfs(), dir).unwrap();
+        // the next row is row id `gap + 1`: the gap's id is not its address
         let row = vec![
-            relstore::Value::Int(gap.as_i64() + 1),
+            relstore::Value::Int(gap.as_i64()),
             relstore::Value::Int(source.as_i64()),
-            relstore::Value::text("past-the-gap"),
+            relstore::Value::text("in-the-gap"),
             relstore::Value::Null,
             relstore::Value::Null,
         ];
         let mut txn = raw.begin();
-        txn.insert(tables::OBJECT, row).unwrap();
-        txn.commit().unwrap();
-        raw.checkpoint().unwrap();
+        match txn.insert(tables::OBJECT, row) {
+            Err(relstore::StoreError::DenseKeyViolation { table, .. }) => assert_eq!(table, tables::OBJECT),
+            other => panic!("a row off its address was taken: {other:?}"),
+        }
     }
     let store = GamStore::open_with_vfs(vfs(), dir).unwrap();
     let snap = GamSnapshot::capture(&store).unwrap();
@@ -346,7 +357,7 @@ fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
     for batch in [vec![past, gap], vec![ObjectId(1), past]] {
         same(n.get_objects(&batch), s.get_objects(&batch), "get_objects");
     }
-    // the row past the gap is not at `id − 1`: `pk` finds it
+    // the row past the gap is at its address, the gap's row a tombstone
     let around: Vec<ObjectId> = (0..gap.0 + 3).rev().map(ObjectId).collect();
     assert_eq!(lent(s, &[past]).0, [(0, s.get_object(past).unwrap())]);
     lending_agrees(s, n, &around, "around the gap");
@@ -440,34 +451,58 @@ fn capture_walks_a_paged_store_about_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn old_source_rel_schema() -> Schema {
-    Schema::builder(tables::SOURCE_REL)
+/// The four GAM schemas as earlier releases declared them: every id a
+/// stored primary key `pk`, and (`pk_on_object_rel`, releases before
+/// `OBJECT_REL` lost its key index) `OBJECT_REL` with two more indexes, or
+/// (the release before dense keys) with no key at all.
+fn stored_key_schemas(pk_on_object_rel: bool) -> Vec<Schema> {
+    let source = Schema::builder(tables::SOURCE)
+        .column(Column::new("source_id", ValueType::Int))
+        .column(Column::new("name", ValueType::Text))
+        .column(Column::new("content", ValueType::Int))
+        .column(Column::new("structure", ValueType::Int))
+        .column(Column::nullable("release", ValueType::Text))
+        .column(Column::new("imported_seq", ValueType::Int))
+        .primary_key(&["source_id"])
+        .unique_index("by_name", &["name"]);
+    let object = Schema::builder(tables::OBJECT)
+        .column(Column::new("object_id", ValueType::Int))
+        .column(Column::new("source_id", ValueType::Int))
+        .column(Column::new("accession", ValueType::Text))
+        .column(Column::nullable("text", ValueType::Text))
+        .column(Column::nullable("number", ValueType::Float))
+        .primary_key(&["object_id"])
+        .unique_index("by_accession", &["source_id", "accession"]);
+    let source_rel = Schema::builder(tables::SOURCE_REL)
         .column(Column::new("source_rel_id", ValueType::Int))
         .column(Column::new("source1_id", ValueType::Int))
         .column(Column::new("source2_id", ValueType::Int))
         .column(Column::new("type", ValueType::Int))
         .column(Column::nullable("derivation", ValueType::Text))
         .primary_key(&["source_rel_id"])
-        .index("by_pair", &["source1_id", "source2_id"])
-        .index("by_source2", &["source2_id"])
-        .build()
-        .unwrap()
-}
-
-fn old_object_rel_schema() -> Schema {
-    Schema::builder(tables::OBJECT_REL)
+        .index("by_pair", &["source1_id", "source2_id"]);
+    let object_rel = Schema::builder(tables::OBJECT_REL)
         .column(Column::new("object_rel_id", ValueType::Int))
         .column(Column::new("source_rel_id", ValueType::Int))
         .column(Column::new("object1_id", ValueType::Int))
         .column(Column::new("object2_id", ValueType::Int))
-        .column(Column::nullable("evidence", ValueType::Float))
-        .primary_key(&["object_rel_id"])
-        .unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"])
-        .index("by_source_rel", &["source_rel_id"])
+        .column(Column::nullable("evidence", ValueType::Float));
+    let (source_rel, object_rel) = if pk_on_object_rel {
+        (
+            source_rel.index("by_source2", &["source2_id"]),
+            object_rel
+                .primary_key(&["object_rel_id"])
+                .unique_index("by_pair", &["source_rel_id", "object1_id", "object2_id"])
+                .index("by_source_rel", &["source_rel_id"]),
+        )
+    } else {
+        let by_pair = ["source_rel_id", "object1_id", "object2_id"];
+        (source_rel, object_rel.unique_index("by_pair", &by_pair))
+    };
+    let object_rel = object_rel
         .index("by_object1", &["object1_id"])
-        .index("by_object2", &["object2_id"])
-        .build()
-        .unwrap()
+        .index("by_object2", &["object2_id"]);
+    [source, object, source_rel, object_rel].into_iter().map(|b| b.build().unwrap()).collect()
 }
 
 /// Every [`GamRead`] answer over every source, object and mapping id the
@@ -521,6 +556,11 @@ fn answers(read: &dyn GamRead) -> Vec<String> {
     out
 }
 
+/// A directory whose ids are stored keys — or no key, for `OBJECT_REL` at
+/// the release before dense keys — opens with every id dense: no `pk` is
+/// left, every read answers as before the schemas changed, and the next
+/// checkpoint persists the dense schemas. Where a stored `pk` is on column
+/// 0 the upgrade checks the dense rule off its entries and faults no page.
 #[test]
 fn a_directory_checkpointed_under_the_old_schemas_is_upgraded_in_place() {
     let dir = Path::new("/db");
@@ -532,6 +572,7 @@ fn a_directory_checkpointed_under_the_old_schemas_is_upgraded_in_place() {
         }),
     ];
     for (round, pool) in (0..8u64).zip(pools.into_iter().cycle()) {
+        let pk_on_object_rel = round % 4 < 2;
         let disk = FaultVfs::new();
         let vfs = || -> Arc<dyn Vfs> { Arc::new(disk.clone()) };
         let open_store = || match pool {
@@ -553,14 +594,15 @@ fn a_directory_checkpointed_under_the_old_schemas_is_upgraded_in_place() {
         let before = answers(&store);
         store.checkpoint().unwrap();
         drop(store);
-        // the same rows under the previous release's index declarations
+        // the same rows under an earlier release's key and index declarations
         let mut raw = open_raw();
-        raw.ensure_table(old_source_rel_schema()).unwrap();
-        raw.ensure_table(old_object_rel_schema()).unwrap();
+        for old in stored_key_schemas(pk_on_object_rel) {
+            raw.ensure_table(old).unwrap();
+        }
         raw.checkpoint().unwrap();
         drop(raw);
         let raw = open_raw();
-        for old in [old_source_rel_schema(), old_object_rel_schema()] {
+        for old in stored_key_schemas(pk_on_object_rel) {
             assert_eq!(raw.table(old.name()).unwrap().schema(), &old);
         }
         drop(raw);
@@ -568,23 +610,57 @@ fn a_directory_checkpointed_under_the_old_schemas_is_upgraded_in_place() {
         let misses = |s: &GamStore| s.database().stats().unwrap().pool.map(|p| p.misses);
         let mut store = open_store();
         let upgrade_misses = misses(&store);
-        let what = format!("round {round}, pool {pool:?}");
+        let what = format!("round {round}, pool {pool:?}, pk on OBJECT_REL {pk_on_object_rel}");
         assert_eq!(
             index_names(&store, tables::OBJECT_REL),
             ["by_pair", "by_object1", "by_object2"]
         );
-        assert_eq!(index_names(&store, tables::SOURCE_REL), ["pk", "by_pair"]);
+        assert_eq!(index_names(&store, tables::SOURCE_REL), ["by_pair"]);
+        assert_eq!(index_names(&store, tables::OBJECT), ["by_accession"]);
+        assert_eq!(index_names(&store, tables::SOURCE), ["by_name"]);
         assert_eq!(answers(&store), before, "{what}");
         assert!(store.verify_integrity().unwrap().is_empty(), "{what}");
         store.checkpoint().unwrap();
         drop(store);
         let raw = open_raw();
-        for new in [schema::source_rel_schema(), schema::object_rel_schema()] {
-            let new = new.unwrap();
+        for new in schema::all_schemas().unwrap() {
             assert_eq!(raw.table(new.name()).unwrap().schema(), &new, "{what}");
         }
         drop(raw);
-        // dropping indexes and placing the id counters faulted no page
-        assert_eq!(upgrade_misses, misses(&open_store()), "{what}");
+        if pk_on_object_rel {
+            // dropping indexes and checking ids off the stored keys faulted
+            // no page
+            assert_eq!(upgrade_misses, misses(&open_store()), "{what}");
+        }
+    }
+}
+
+/// A directory whose object ids do not tile its rows — written by hand
+/// under the stored-key schemas, id 4 at row id 2 — is refused at open with
+/// the typed error that names the table; no second path reads it.
+#[test]
+fn a_directory_whose_ids_do_not_tile_is_refused_naming_the_table() {
+    let dir = Path::new("/db");
+    let disk = FaultVfs::new();
+    let mut raw = Database::open_with_vfs(Arc::new(disk.clone()), dir).unwrap();
+    for old in stored_key_schemas(false) {
+        raw.create_table(old).unwrap();
+    }
+    raw.with_txn(|txn| {
+        use relstore::Value::{self, Int, Null};
+        txn.insert(tables::SOURCE, vec![Int(1), Value::text("S"), Int(0), Int(0), Null, Int(1)])?;
+        for id in [1, 2, 4] {
+            txn.insert(tables::OBJECT, vec![Int(id), Int(1), Value::text(format!("o{id}")), Null, Null])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    raw.checkpoint().unwrap();
+    drop(raw);
+    match GamStore::open_with_vfs(Arc::new(disk.clone()), dir) {
+        Err(GamError::Store(relstore::StoreError::DenseKeyViolation { table, row_id, key })) => {
+            assert_eq!((table.as_str(), row_id, key.as_str()), (tables::OBJECT, 2, "4"))
+        }
+        other => panic!("a directory off its addresses opened: {other:?}"),
     }
 }

@@ -1058,14 +1058,16 @@ mod tests {
         batches: Mutex<Vec<Vec<ObjectId>>>,
         source_reads: AtomicUsize,
         mappings_read: AtomicUsize,
+        flat_read: AtomicUsize,
         pairs_read: AtomicUsize,
     }
 
-    /// What a reader lent of its mappings: how many, and their pairs
-    /// summed.
+    /// What a reader lent of its mappings: how many, how many of them
+    /// flat (`load_mapping`, not an index), and their pairs summed.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct MappingReads {
         mappings: usize,
+        flat: usize,
         pairs: usize,
     }
 
@@ -1076,6 +1078,7 @@ mod tests {
                 batches: Mutex::new(Vec::new()),
                 source_reads: Default::default(),
                 mappings_read: Default::default(),
+                flat_read: Default::default(),
                 pairs_read: Default::default(),
             }
         }
@@ -1088,6 +1091,7 @@ mod tests {
         fn take_mapping_reads(&self) -> MappingReads {
             MappingReads {
                 mappings: self.mappings_read.swap(0, SeqCst),
+                flat: self.flat_read.swap(0, SeqCst),
                 pairs: self.pairs_read.swap(0, SeqCst),
             }
         }
@@ -1153,6 +1157,7 @@ mod tests {
         }
         fn load_mapping(&self, id: SourceRelId) -> GamResult<gam::Mapping> {
             let mapping = self.inner.load_mapping(id)?;
+            self.flat_read.fetch_add(1, SeqCst);
             self.lent(mapping.len());
             Ok(mapping)
         }
@@ -1334,7 +1339,7 @@ mod tests {
             let probes = star.index_probes() - probes;
             assert_eq!(loci, star_loci.into_iter().collect());
             let whole = gm.map("LocusLink", target).unwrap().len();
-            assert_eq!(gam, MappingReads { mappings: 1, pairs: whole }, "{target}");
+            assert_eq!(gam, MappingReads { mappings: 1, flat: 0, pairs: whole }, "{target}");
             counts.push((target, loci.len(), probes, gam.pairs));
         }
         // (target, loci answered, star probes, GAM pairs read)
@@ -1366,7 +1371,9 @@ mod tests {
     /// Ablation A2 (§1, against SRS-style link navigation) at three source
     /// sizes: "which UniGene clusters reach a GO term through LocusLink?"
     /// SRS answers by navigating from every UniGene entry; GenerateView
-    /// reads the two mappings of the path and joins them. Both answer
+    /// reads the two mappings of the path, both as indexes (LocusLink →
+    /// UniGene is stored the other way round and flipped, never loaded
+    /// flat), and joins them. Both answer
     /// alike. Counted, both sides grow linearly in the loci, so their ratio
     /// stays flat: the gap the timings showed widening is not a gap in
     /// work.
@@ -1403,7 +1410,7 @@ mod tests {
             assert!(nav.entries_visited > unigene, "SRS visits every UniGene entry");
             let path = ["Unigene", "LocusLink", "GO"];
             let pairs = path.windows(2).map(|w| gm.map(w[0], w[1]).unwrap().len()).sum();
-            assert_eq!(gam, MappingReads { mappings: 2, pairs });
+            assert_eq!(gam, MappingReads { mappings: 2, flat: 0, pairs });
             counts.push((n_loci, nav.entries_visited, nav.links_followed, gam.pairs));
         }
         // (loci, SRS entries visited, SRS links followed, GAM pairs read)
@@ -1413,7 +1420,8 @@ mod tests {
     /// Ablation A3 (§3, derived mappings "to support frequent queries"):
     /// before `Map(Unigene, GO)` is materialized, a view composes it, reading
     /// both mappings of the path and joining them; after, the view and
-    /// `Map` read the one Composed mapping and join nothing. Counted in
+    /// `Map` read the one Composed mapping and join nothing; every mapping
+    /// is read as an index, none flat. Counted in
     /// pairs read, that is 482 against 361: materializing saves the join
     /// and a quarter of the reads, not an order of magnitude.
     #[test]
@@ -1429,7 +1437,7 @@ mod tests {
         assert_eq!(stored.derivation.as_deref(), Some("Unigene-LocusLink-GO"));
         let (view, reads) = counted_query(&gm, &spec);
         assert_eq!(view, composed_view);
-        assert_eq!(reads, MappingReads { mappings: 1, pairs: n });
+        assert_eq!(reads, MappingReads { mappings: 1, flat: 0, pairs: n });
 
         let ids: Vec<SourceId> = path.iter().map(|name| gm.source_id(name).unwrap()).collect();
         let counting = Counting::new(&gm.store);
@@ -1438,8 +1446,8 @@ mod tests {
         let on_the_fly = operators::compose_path_idx(&counting, &ids, &ExecConfig::sequential()).unwrap();
         assert_eq!(on_the_fly.to_mapping().pairs, map.to_mapping().pairs);
         let path_pairs = path.windows(2).map(|w| gm.map(w[0], w[1]).unwrap().len()).sum();
-        assert_eq!(counting.take_mapping_reads(), MappingReads { mappings: 2, pairs: path_pairs });
-        assert_eq!(composed_reads, MappingReads { mappings: 2, pairs: path_pairs });
+        assert_eq!(counting.take_mapping_reads(), MappingReads { mappings: 2, flat: 0, pairs: path_pairs });
+        assert_eq!(composed_reads, MappingReads { mappings: 2, flat: 0, pairs: path_pairs });
         assert_eq!((path_pairs, n), (482, 361));
     }
 

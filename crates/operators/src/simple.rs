@@ -53,24 +53,22 @@ pub fn map(store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<Mappi
 /// [`map`] in CSR form. When a single stored, non-structural mapping backs
 /// the pair — by far the common case — the index streams straight out of
 /// the store's batched `OBJECT_REL` scan ([`gam::GamStore::load_mapping_index`])
-/// with no per-row allocation, no sort and no dedup; otherwise it
-/// canonicalizes the merged [`map`] result. Either way the index holds
-/// exactly `map(store, from, to)` in canonical form.
+/// with no per-row allocation, no sort and no dedup; stored the other way
+/// round, that index is flipped ([`MappingIndex::inverted`]), again with
+/// no sort. Otherwise it canonicalizes the merged [`map`] result. Either
+/// way the index holds exactly `map(store, from, to)` in canonical form.
 pub fn map_index(store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<MappingIndex> {
-    let forward: Vec<_> = store
-        .source_rels_between(from, to)?
-        .into_iter()
-        .filter(|r| !r.rel_type.is_structural())
-        .collect();
-    let has_inverse = from != to
-        && store
-            .source_rels_between(to, from)?
-            .iter()
-            .any(|r| !r.rel_type.is_structural());
-    if forward.len() == 1 && !has_inverse {
-        return store.load_mapping_index(forward[0].id);
+    let stored = |a, b| -> GamResult<Vec<_>> {
+        let rels = store.source_rels_between(a, b)?;
+        Ok(rels.into_iter().filter(|r| !r.rel_type.is_structural()).collect())
+    };
+    let forward = stored(from, to)?;
+    let inverse = if from == to { Vec::new() } else { stored(to, from)? };
+    match (&forward[..], &inverse[..]) {
+        ([one], []) => store.load_mapping_index(one.id),
+        ([], [one]) => Ok(store.load_mapping_index(one.id)?.inverted()),
+        _ => Ok(MappingIndex::build(map(store, from, to)?)),
     }
-    Ok(MappingIndex::build(map(store, from, to)?))
 }
 
 #[cfg(test)]

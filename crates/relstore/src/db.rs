@@ -390,10 +390,11 @@ impl Database {
 
     /// Create a table if it does not already exist. An existing table must
     /// have identical columns; a difference confined to the index list —
-    /// the primary key is the index `"pk"` — is reconciled in place (missing
-    /// indexes are built from the live rows, extra ones dropped), so
-    /// changing a schema's indexes does not invalidate previously-persisted
-    /// databases.
+    /// the primary key is the index `"pk"` — or to the dense key is
+    /// reconciled in place (missing indexes are built from the live rows,
+    /// extra ones dropped, a new dense key checked against every row), so
+    /// changing a schema's keys and indexes does not invalidate
+    /// previously-persisted databases.
     pub fn ensure_table(&mut self, schema: Schema) -> StoreResult<()> {
         if let Some(existing) = self.tables.get_mut(schema.name()) {
             if existing.schema() == &schema {

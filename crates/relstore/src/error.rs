@@ -25,6 +25,14 @@ pub enum StoreError {
         index: String,
         key: String,
     },
+    /// A row's dense key ([`Schema::dense_key`](crate::Schema::dense_key))
+    /// is not its row id + 1: written by an insert, a replayed log record,
+    /// a restore or an update, or found in a directory being opened.
+    DenseKeyViolation {
+        table: String,
+        row_id: u64,
+        key: String,
+    },
     /// A row id did not resolve to a live row.
     NoSuchRow { table: String, row_id: u64 },
     /// A schema could not be constructed (duplicate column, empty key, ...).
@@ -62,6 +70,9 @@ impl fmt::Display for StoreError {
             StoreError::SchemaViolation(msg) => write!(f, "schema violation: {msg}"),
             StoreError::UniqueViolation { table, index, key } => {
                 write!(f, "unique violation on {table}.{index} for key {key}")
+            }
+            StoreError::DenseKeyViolation { table, row_id, key } => {
+                write!(f, "dense key violation on {table}: row {row_id} holds key {key}, not its row id + 1")
             }
             StoreError::NoSuchRow { table, row_id } => {
                 write!(f, "no live row {row_id} in table {table}")

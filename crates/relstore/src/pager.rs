@@ -469,7 +469,11 @@ impl Pager {
 // ---------------------------------------------------------------------------
 
 const DIR_MAGIC: &[u8; 4] = b"RSPD";
-const DIR_VERSION: u32 = 1;
+/// The newest page-directory version: 2 is the first whose schemas may
+/// carry a dense key (a column flag that version 1 readers would take for
+/// "nullable"). A directory is written at the oldest version that holds
+/// it, so one without a dense key is version 1, byte for byte as before.
+const DIR_VERSION: u32 = 2;
 
 /// Directory entry for one sealed page of a table (`page_no` is the
 /// position in the table's page list).
@@ -524,7 +528,9 @@ impl PagedCatalog<'_> {
 pub fn encode_page_directory(catalog: &PagedCatalog<'_>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(DIR_MAGIC);
-    out.extend_from_slice(&DIR_VERSION.to_le_bytes());
+    let dense = catalog.tables.iter().any(|t| t.schema.dense_key());
+    let version: u32 = if dense { DIR_VERSION } else { 1 };
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&[0; 4]); // the checksum, once the body is known
     put_varint(&mut out, catalog.epoch);
     put_varint(&mut out, catalog.heap_gen);
@@ -819,6 +825,37 @@ mod tests {
             let page = pager.pin(pid(no)).unwrap();
             assert!(page.row(0).unwrap().is_none());
             assert_eq!(page.row(1).unwrap().unwrap(), row((no * 4 + 1) as i64));
+        }
+    }
+
+    /// A directory is version 2 only where a schema declares a dense key;
+    /// the flag round-trips, and a plain catalog stays version 1.
+    #[test]
+    fn a_directory_is_written_at_the_version_its_schemas_need() {
+        let build = |dense: bool| {
+            let b = Schema::builder("t").column(Column::new("id", ValueType::Int));
+            let b = if dense { b.dense_key("id") } else { b.primary_key(&["id"]) };
+            b.build().unwrap()
+        };
+        for (dense, version) in [(false, 1u8), (true, 2)] {
+            let catalog = PagedCatalog {
+                epoch: 1,
+                heap_gen: 1,
+                next_table_id: 2,
+                tables: vec![PagedTableMeta {
+                    schema: Cow::Owned(build(dense)),
+                    table_id: 1,
+                    live: 0,
+                    pages: Vec::new(),
+                    tail_base: 0,
+                    tail: Vec::new().into(),
+                }],
+            };
+            let data = encode_page_directory(&catalog);
+            assert_eq!(data[4..8], [version, 0, 0, 0]);
+            let back = decode_page_directory(&data).unwrap();
+            assert_eq!(back.tables[0].schema.dense_key(), dense);
+            assert_eq!(*back.tables[0].schema, build(dense));
         }
     }
 

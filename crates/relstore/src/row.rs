@@ -11,6 +11,20 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
+impl RowId {
+    /// The row a dense key addresses ([`Schema::dense_key`](crate::Schema::dense_key)):
+    /// key `k ≥ 1` is the row at id `k − 1`; no other value addresses one.
+    pub fn of_dense_key(key: i64) -> Option<RowId> {
+        key.checked_sub(1).and_then(|id| u64::try_from(id).ok()).map(RowId)
+    }
+
+    /// The dense key of the row at this id: its row id + 1, `None` where
+    /// that passes `i64::MAX`.
+    pub fn dense_key(self) -> Option<i64> {
+        i64::try_from(self.0).ok()?.checked_add(1)
+    }
+}
+
 impl fmt::Display for RowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{}", self.0)

@@ -1,4 +1,4 @@
-//! Table schemas: columns, primary keys, and index declarations.
+//! Table schemas: columns, primary keys, dense keys, and index declarations.
 
 use crate::codec::{get_count, get_str, get_u8, get_varint, put_str, put_varint};
 use crate::error::{StoreError, StoreResult};
@@ -54,6 +54,8 @@ pub struct Schema {
     /// Ordinals of the primary-key columns, if a primary key was declared.
     /// The primary key is enforced as a unique index named `"pk"`.
     primary_key: Vec<usize>,
+    /// Whether column 0 is a dense key ([`SchemaBuilder::dense_key`]).
+    dense: bool,
     indexes: Vec<IndexDef>,
 }
 
@@ -64,6 +66,7 @@ impl Schema {
             name: name.into(),
             columns: Vec::new(),
             primary_key: Vec::new(),
+            dense: None,
             indexes: Vec::new(),
             error: None,
         }
@@ -100,7 +103,14 @@ impl Schema {
         &self.primary_key
     }
 
-    /// Declared secondary indexes (the primary key appears as index `"pk"`).
+    /// Whether column 0 is a dense key: every row holds its row id + 1
+    /// there ([`SchemaBuilder::dense_key`]).
+    pub fn dense_key(&self) -> bool {
+        self.dense
+    }
+
+    /// Declared secondary indexes (the primary key appears as index `"pk"`;
+    /// a dense key appears in none).
     pub fn indexes(&self) -> &[IndexDef] {
         &self.indexes
     }
@@ -145,6 +155,7 @@ pub struct SchemaBuilder {
     name: String,
     columns: Vec<Column>,
     primary_key: Vec<String>,
+    dense: Option<String>,
     indexes: Vec<(String, Vec<String>, bool)>,
     error: Option<String>,
 }
@@ -159,10 +170,25 @@ impl SchemaBuilder {
     /// Declare the primary key over the named columns. Enforced as a unique
     /// index named `"pk"`.
     pub fn primary_key(mut self, columns: &[&str]) -> Self {
-        if !self.primary_key.is_empty() {
+        if !self.primary_key.is_empty() || self.dense.is_some() {
             self.error = Some("primary key declared twice".into());
         }
         self.primary_key = columns.iter().map(|c| (*c).to_owned()).collect();
+        self
+    }
+
+    /// Declare the first column — a non-nullable `Int` — the table's dense
+    /// key, in place of a primary key: the value of a row there must be
+    /// its row id + 1, so the key is the row's address. Every write is
+    /// checked against that ([`StoreError::DenseKeyViolation`]) and no
+    /// index structure is kept for it: the `"pk"` reads of
+    /// [`Table`](crate::Table) — `lookup_unique`, `lookup_row_ids`,
+    /// `last_key` — are answered by address.
+    pub fn dense_key(mut self, column: &str) -> Self {
+        if self.dense.is_some() || !self.primary_key.is_empty() {
+            self.error = Some("a table has one key: dense or primary".into());
+        }
+        self.dense = Some(column.to_owned());
         self
     }
 
@@ -228,6 +254,15 @@ impl SchemaBuilder {
                 .collect()
         };
 
+        if let Some(name) = &self.dense {
+            let first = &self.columns[0];
+            if &first.name != name || first.ty != ValueType::Int || first.nullable {
+                return Err(StoreError::InvalidSchema(format!(
+                    "dense key {name} of table {} must be its first column, a non-nullable Int",
+                    self.name
+                )));
+            }
+        }
         let mut indexes = Vec::with_capacity(self.indexes.len() + 1);
         let mut primary_key = Vec::new();
         if !self.primary_key.is_empty() {
@@ -260,6 +295,7 @@ impl SchemaBuilder {
             name: self.name,
             columns: self.columns,
             primary_key,
+            dense: self.dense.is_some(),
             indexes,
         })
     }
@@ -284,15 +320,22 @@ fn type_from_tag(tag: u8) -> StoreResult<ValueType> {
     })
 }
 
+/// Column flag bits: a column's one flag byte in the schema encoding.
+const NULLABLE: u8 = 1;
+/// Set on column 0 only, of a schema with a dense key. A schema without
+/// one encodes as it did before dense keys existed.
+const DENSE: u8 = 2;
+
 /// Encode a schema — the one on-disk form, shared by the WAL's `CreateTable`
 /// record and the page directory.
 pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
     put_str(buf, schema.name());
     put_varint(buf, schema.columns().len() as u64);
-    for c in schema.columns() {
+    for (i, c) in schema.columns().iter().enumerate() {
         put_str(buf, &c.name);
         buf.push(type_tag(c.ty));
-        buf.push(u8::from(c.nullable));
+        let dense = if i == 0 && schema.dense_key() { DENSE } else { 0 };
+        buf.push(u8::from(c.nullable) | dense);
     }
     put_varint(buf, schema.primary_key().len() as u64);
     for &o in schema.primary_key() {
@@ -320,9 +363,16 @@ pub(crate) fn get_schema(buf: &mut &[u8]) -> StoreResult<Schema> {
     for _ in 0..ncols {
         let cname = get_str(buf)?;
         let ty = type_from_tag(get_u8(buf, "schema truncated")?)?;
-        let nullable = get_u8(buf, "schema truncated")? != 0;
+        let flags = get_u8(buf, "schema truncated")?;
+        if flags & !(NULLABLE | DENSE) != 0 {
+            return Err(StoreError::Corrupt(format!("unknown column flags {flags:#04x}")));
+        }
+        if flags & DENSE != 0 {
+            // the builder refuses a dense flag on any column but the first
+            builder = builder.dense_key(&cname);
+        }
         col_names.push(cname.clone());
-        builder = builder.column(if nullable {
+        builder = builder.column(if flags & NULLABLE != 0 {
             Column::nullable(cname, ty)
         } else {
             Column::new(cname, ty)
@@ -413,6 +463,43 @@ mod tests {
         let mut bad = ok;
         bad[2] = Value::Null;
         assert!(s.check_row(&bad).is_err());
+    }
+
+    #[test]
+    fn a_dense_key_is_a_first_int_column_and_one_flag_bit_on_disk() {
+        let build = |dense: bool| {
+            let b = Schema::builder("t")
+                .column(Column::new("id", ValueType::Int))
+                .column(Column::new("x", ValueType::Text))
+                .index("by_x", &["x"]);
+            if dense { b.dense_key("id") } else { b }.build().unwrap()
+        };
+        let (dense, plain) = (build(true), build(false));
+        assert!(dense.dense_key() && dense.primary_key().is_empty());
+        assert_eq!(dense.indexes().len(), 1, "a dense key is no index");
+        let encode = |schema: &Schema| {
+            let mut buf = Vec::new();
+            put_schema(&mut buf, schema);
+            buf
+        };
+        let (bytes, plain_bytes) = (encode(&dense), encode(&plain));
+        assert_eq!(get_schema(&mut &bytes[..]).unwrap(), dense);
+        let differ: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != plain_bytes[i]).collect();
+        assert_eq!(differ.len(), 1, "only column 0's flag byte differs");
+        let mut bad = bytes.clone();
+        bad[differ[0]] |= 4;
+        assert!(matches!(get_schema(&mut &bad[..]), Err(StoreError::Corrupt(_))));
+
+        let refused = [
+            Schema::builder("t").column(Column::new("a", ValueType::Int)).column(Column::new("b", ValueType::Int)).dense_key("b"),
+            Schema::builder("t").column(Column::nullable("a", ValueType::Int)).dense_key("a"),
+            Schema::builder("t").column(Column::new("a", ValueType::Text)).dense_key("a"),
+            Schema::builder("t").column(Column::new("a", ValueType::Int)).dense_key("a").primary_key(&["a"]),
+            Schema::builder("t").column(Column::new("a", ValueType::Int)).primary_key(&["a"]).dense_key("a"),
+        ];
+        for builder in refused {
+            assert!(matches!(builder.build(), Err(StoreError::InvalidSchema(_))));
+        }
     }
 
     #[test]

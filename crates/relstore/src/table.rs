@@ -13,6 +13,13 @@
 //! (`Table::build_indexes`): a table under recovery has no index
 //! structures at all until then.
 //!
+//! A table whose schema declares a dense key
+//! ([`Schema::dense_key`]) keeps no structure for it: every row holds its
+//! row id + 1 in column 0 — checked at every write and in the pass that
+//! builds the indexes — so a key is its row's address, and the `"pk"` reads
+//! ([`Table::lookup_unique`], [`Table::lookup_row_ids`], [`Table::last_key`])
+//! are one read by row id with a liveness check.
+//!
 //! Reads name their index: [`Table::lookup`], [`Table::for_each_prefix`]
 //! and their kin probe one declared index, and [`Table::for_each_row`] is
 //! the full scan. There is no planner choosing between them.
@@ -316,6 +323,12 @@ impl<'a> RowCursor<'a> {
         }
     }
 
+    /// Whether a live row sits at `id`, read off its slot: no row decoded.
+    fn live(&mut self, id: RowId) -> StoreResult<bool> {
+        Ok(Self::image(self.store, &mut self.cached, id)?
+            .is_some_and(|(image, slot)| image.raw_cell(slot).is_some()))
+    }
+
     /// Apply `f` to the live row at `id`, borrowed; `Ok(None)` for
     /// tombstones and out-of-range ids.
     pub fn with<T>(&mut self, id: RowId, f: impl FnOnce(&Row) -> T) -> StoreResult<Option<T>> {
@@ -407,8 +420,9 @@ pub struct Table {
 /// the one place rows become an index. One pass over the rows (one fault per
 /// page) projects every key into its index's [`IndexBuilder`], which
 /// receives them in row-id order and sorts them only if that is not already
-/// key order. Returns the structures and the number of live rows seen; the
-/// builders are sized once for the `expect` rows the caller counts on.
+/// key order; under a dense key it also checks each row's key. Returns the
+/// structures and the number of live rows seen; the builders are sized once
+/// for the `expect` rows the caller counts on.
 fn index_rows(
     schema: &Schema,
     defs: &[&IndexDef],
@@ -422,6 +436,7 @@ fn index_rows(
     let mut live = 0usize;
     store.for_each(&mut |id, row| {
         live += 1;
+        check_dense(schema, id, row.values())?;
         for builder in &mut builders {
             builder.push(builder.spec().row_key(row.values())?, id);
         }
@@ -433,6 +448,27 @@ fn index_rows(
         .map(|(def, builder)| builder.finish(schema.name(), def))
         .collect::<StoreResult<_>>()?;
     Ok((built, live))
+}
+
+/// Refuse the row `values` at `row_id` if `schema` declares a dense key
+/// and the row's key is not its row id + 1.
+fn check_dense(schema: &Schema, row_id: RowId, values: &[Value]) -> StoreResult<()> {
+    if !schema.dense_key() || row_id.dense_key().is_some_and(|key| values[0] == Value::Int(key)) {
+        return Ok(());
+    }
+    Err(StoreError::DenseKeyViolation {
+        table: schema.name().to_owned(),
+        row_id: row_id.0,
+        key: values[0].to_string(),
+    })
+}
+
+/// The row a dense-key probe `[Int(k)]` addresses, live or not.
+fn dense_row(key: &[Value]) -> Option<RowId> {
+    match key {
+        [Value::Int(k)] => RowId::of_dense_key(*k),
+        _ => None,
+    }
 }
 
 impl Table {
@@ -658,10 +694,11 @@ impl Table {
     /// Insert a row, returning its new row id.
     pub fn insert(&mut self, values: Vec<Value>) -> StoreResult<RowId> {
         self.schema.check_row(&values)?;
+        let row_id = RowId(self.store.high_water());
+        check_dense(&self.schema, row_id, &values)?;
         // Check unique constraints before mutating anything.
         let keys = self.keys_of(&values)?;
         self.check_unique(&keys, &values)?;
-        let row_id = RowId(self.store.high_water());
         self.enter(keys, row_id);
         self.store.open_image().push(Some(&values));
         self.live += 1;
@@ -674,9 +711,10 @@ impl Table {
 
     /// Insert many rows at once, returning their new ids in input order.
     ///
-    /// All-or-nothing: every row is schema-checked and every unique index is
-    /// probed — against existing keys *and* for duplicates within the batch
-    /// — before anything mutates, so an error leaves the table untouched.
+    /// All-or-nothing: every row is schema-checked (a dense key included)
+    /// and every unique index is probed — against existing keys *and* for
+    /// duplicates within the batch — before anything mutates, so an error
+    /// leaves the table untouched.
     /// Rows then land in contiguous slots and each index is extended from
     /// one key-sorted run of the batch (each key projected once, inserted
     /// in ascending order) rather than maintained per row.
@@ -686,6 +724,9 @@ impl Table {
         let row_ids: Vec<RowId> = (0..rows.len() as u64)
             .map(|i| RowId(first + i))
             .collect();
+        for (row, id) in rows.iter().zip(&row_ids) {
+            check_dense(&self.schema, *id, row)?;
+        }
         let mut runs = Vec::with_capacity(self.indexes.len());
         for (def, ix) in self.indexed() {
             let mut run: Vec<(IndexKey, RowId)> = rows
@@ -727,6 +768,7 @@ impl Table {
     /// tombstones so later replayed ids stay aligned.
     pub(crate) fn insert_at(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
+        check_dense(&self.schema, row_id, &values)?;
         if row_id.0 < self.store.high_water() {
             return Err(StoreError::Corrupt(format!(
                 "replayed insert at {row_id} below high-water mark {}",
@@ -744,6 +786,7 @@ impl Table {
     /// to undo deletes.
     pub(crate) fn restore(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
+        check_dense(&self.schema, row_id, &values)?;
         let keys = self.keys_of(&values)?;
         self.check_unique(&keys, &values)?;
         // Fallible page I/O first: if the slot write fails nothing has
@@ -792,6 +835,7 @@ impl Table {
     /// returning the row they replaced.
     pub fn update(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<Row> {
         self.schema.check_row(&values)?;
+        check_dense(&self.schema, row_id, &values)?;
         let old = self.get(row_id)?;
         let old_keys = self.keys_of(old.values())?;
         let new_keys = self.keys_of(&values)?;
@@ -938,9 +982,22 @@ impl Table {
         Ok(out)
     }
 
+    /// Whether `index` names this table's dense key: `"pk"` on a table
+    /// whose schema declares one, answered by address.
+    fn dense(&self, index: &str) -> bool {
+        index == "pk" && self.schema.dense_key()
+    }
+
     /// Unique-index point lookup returning at most one row: one index
-    /// probe, one row decoded straight into what is returned.
+    /// probe, one row decoded straight into what is returned. On a dense
+    /// key the probe is the key's address.
     pub fn lookup_unique(&self, index: &str, key: &[Value]) -> StoreResult<Option<Row>> {
+        if self.dense(index) {
+            return match dense_row(key) {
+                Some(id) => RowCursor::new(&self.store).owned(id),
+                None => Ok(None),
+            };
+        }
         let ix = self.index(index)?;
         let mut hit = None;
         if let Some(key) = ix.spec().probe(key) {
@@ -1020,7 +1077,15 @@ impl Table {
     /// Row ids under every key of a named index that starts with `prefix`
     /// (its leading key columns), in row order. An exact key is the full
     /// prefix: the key encoding is prefix-free, so nothing longer matches.
+    /// A dense key is probed by its full value: its row's id, if live.
     pub fn lookup_row_ids(&self, index: &str, prefix: &[Value]) -> StoreResult<Vec<RowId>> {
+        if self.dense(index) {
+            let Some(id) = dense_row(prefix) else {
+                return Ok(Vec::new());
+            };
+            let live = RowCursor::new(&self.store).live(id)?;
+            return Ok(if live { vec![id] } else { Vec::new() });
+        }
         let ix = self.index(index)?;
         let mut ids = Vec::new();
         if let Some(prefix) = ix.spec().probe(prefix) {
@@ -1048,8 +1113,19 @@ impl Table {
 
     /// The greatest key of a named index, as its column values — `None` if
     /// the table is empty. On an ascending id column this is the last id
-    /// handed out, without touching a row.
+    /// handed out, without touching a row. On a dense key it is the key of
+    /// the last live row, found walking back from the high-water mark.
     pub fn last_key(&self, index: &str) -> StoreResult<Option<Vec<Value>>> {
+        if self.dense(index) {
+            let mut cursor = RowCursor::new(&self.store);
+            let high = if self.live == 0 { 0 } else { self.store.high_water() };
+            for id in (0..high).rev().map(RowId) {
+                if cursor.live(id)? {
+                    return Ok(id.dense_key().map(|key| vec![Value::Int(key)]));
+                }
+            }
+            return Ok(None);
+        }
         let ix = self.index(index)?;
         ix.last_key().map(|key| ix.spec().decode(&key)).transpose()
     }
@@ -1120,13 +1196,16 @@ impl Table {
     }
 
     /// Adopt `schema`'s index list — the primary key included, as the
-    /// index `"pk"` — keeping the table's columns as they are. The caller
-    /// (`Database::ensure_table`) has already verified that name and
-    /// columns match; this method builds any indexes present only in the
-    /// new schema from the live rows, drops indexes no longer declared, and
-    /// reuses unchanged ones. All new structures are built before anything
-    /// is swapped, so a failure (e.g. a unique violation surfaced by
-    /// existing data) leaves the table intact.
+    /// index `"pk"` — and its dense key, keeping the table's columns as they
+    /// are. The caller (`Database::ensure_table`) has already verified that
+    /// name and columns match; this method builds any indexes present only
+    /// in the new schema from the live rows, drops indexes no longer
+    /// declared, and reuses unchanged ones. A dense key the table did not
+    /// have is checked against every live row first: off the stored `"pk"`
+    /// on column 0 where there is one, else in the pass over the rows. All
+    /// new structures are built before anything is swapped, so a failure
+    /// (a unique violation or a dense-key violation surfaced by existing
+    /// data) leaves the table intact.
     pub(crate) fn reconcile_indexes(&mut self, schema: Schema) -> StoreResult<()> {
         let kept = |def: &IndexDef| self.schema.indexes().iter().position(|old| old == def);
         let fresh: Vec<&IndexDef> = schema
@@ -1134,8 +1213,13 @@ impl Table {
             .iter()
             .filter(|def| kept(def).is_none())
             .collect();
+        let mut rows_checked = !schema.dense_key() || self.schema.dense_key();
+        if !rows_checked && self.schema.primary_key() == [0] {
+            self.check_dense_off_pk(&schema)?;
+            rows_checked = true;
+        }
         // dropping indexes reads no row (and faults no page)
-        let built = if fresh.is_empty() {
+        let built = if fresh.is_empty() && rows_checked {
             Vec::new()
         } else {
             index_rows(&schema, &fresh, &self.store, self.live)?.0
@@ -1155,6 +1239,19 @@ impl Table {
             .collect();
         self.schema = schema;
         Ok(())
+    }
+
+    /// Check that every live row holds its row id + 1 as the dense key
+    /// `schema` declares, reading the entries of the table's stored `"pk"`
+    /// on column 0: one per live row, so no row is read.
+    fn check_dense_off_pk(&self, schema: &Schema) -> StoreResult<()> {
+        let ix = self.index("pk")?;
+        let mut outcome = Ok(());
+        ix.visit_all(|key, id| {
+            outcome = ix.spec().decode(&key).and_then(|key| check_dense(schema, id, &key));
+            outcome.is_ok()
+        });
+        outcome
     }
 
     /// Entry count of a named index (for stats).
@@ -1387,6 +1484,120 @@ mod tests {
         t.insert(obj(3, 11, "A")).unwrap();
         let hits = t.lookup_prefix("by_acc", &[Value::Int(10)]).unwrap();
         assert_eq!(hits.len(), 2);
+    }
+
+    /// `object_schema()` with `object_id` a dense key in place of `pk`.
+    fn dense_schema() -> Schema {
+        Schema::builder("object")
+            .column(Column::new("object_id", ValueType::Int))
+            .column(Column::new("source_id", ValueType::Int))
+            .column(Column::new("accession", ValueType::Text))
+            .column(Column::nullable("text", ValueType::Text))
+            .dense_key("object_id")
+            .unique_index("by_acc", &["source_id", "accession"])
+            .index("by_source", &["source_id"])
+            .build()
+            .unwrap()
+    }
+
+    fn off_its_address<T: std::fmt::Debug>(r: StoreResult<T>) -> bool {
+        matches!(r, Err(StoreError::DenseKeyViolation { ref table, .. }) if table == "object")
+    }
+
+    /// A dense key is its row's address: every write that would put
+    /// another value there is refused, naming the table, before anything
+    /// changes; the `pk` reads answer by address, a tombstone as absent;
+    /// no index is kept for it.
+    #[test]
+    fn a_dense_key_is_checked_at_every_write_and_read_by_address() {
+        let pager = Arc::new(Pager::new(
+            Arc::new(FaultVfs::new()),
+            PathBuf::from("/db/heap.1.bin"),
+            PoolConfig { page_bytes: 128, pool_pages: 2 },
+        ));
+        for mut t in [Table::new(dense_schema()), Table::create(dense_schema(), Some(pager), 1)] {
+            assert!(off_its_address(t.insert(obj(2, 10, "A"))));
+            assert_eq!((t.next_row_id(), t.len()), (RowId(0), 0));
+            assert_eq!(t.insert(obj(1, 10, "A")).unwrap(), RowId(0));
+            // a batch is checked whole before any of it lands
+            assert!(off_its_address(t.insert_batch(&[obj(2, 10, "B"), obj(4, 10, "C")])));
+            assert_eq!((t.next_row_id(), t.len()), (RowId(1), 1));
+            let batch: Vec<_> = (2..40).map(|id| obj(id, 10, &format!("B{id}"))).collect();
+            assert_eq!(t.insert_batch(&batch).unwrap().last(), Some(&RowId(38)));
+            assert!(off_its_address(t.update(RowId(1), obj(5, 10, "B"))));
+            t.update(RowId(1), obj(2, 11, "B2")).unwrap();
+            let old = t.delete(RowId(38)).unwrap();
+            assert!(off_its_address(t.restore(RowId(38), obj(38, 10, "B39"))));
+            let pk = |t: &Table, id: i64| t.lookup_unique("pk", &[Value::Int(id)]).unwrap();
+            let row_ids = |t: &Table, id: i64| t.lookup_row_ids("pk", &[Value::Int(id)]).unwrap();
+            assert_eq!(pk(&t, 2).unwrap().get(2), &Value::text("B2"));
+            assert_eq!(row_ids(&t, 2), [RowId(1)]);
+            // the deleted row and ids that address no row are absent
+            for absent in [39, 40, 0, -1, i64::MIN, i64::MAX] {
+                assert_eq!(pk(&t, absent), None, "{absent}");
+                assert!(row_ids(&t, absent).is_empty(), "{absent}");
+            }
+            assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(38)]));
+            t.restore(RowId(38), old.into_values()).unwrap();
+            assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(39)]));
+            assert_eq!(row_ids(&t, 39), [RowId(38)]);
+            // no structure is kept: `pk` is no index
+            assert!(matches!(t.index_stats("pk"), Err(StoreError::NoSuchIndex { .. })));
+            assert_eq!(t.indexes.len(), 2);
+        }
+        // replay checks the key as it places the row
+        let mut t = Table::new(dense_schema()).unindexed();
+        assert!(off_its_address(t.insert_at(RowId(3), obj(3, 10, "A"))));
+        t.insert_at(RowId(3), obj(4, 10, "A")).unwrap();
+        t.build_indexes().unwrap();
+        assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(4)]));
+        t.delete(RowId(3)).unwrap();
+        assert_eq!(t.last_key("pk").unwrap(), None, "only tombstones are left");
+    }
+
+    /// Rows recovered under a dense schema are checked in the pass that
+    /// builds the indexes, and a table that gains a dense key is checked
+    /// before it drops anything: off its stored `pk` where it has one, off
+    /// the rows where not. Either way a row off its address is refused,
+    /// naming the table, and the table is left as it was.
+    #[test]
+    fn rows_that_do_not_tile_are_refused_at_recovery_and_at_reconcile() {
+        let keyless = Schema::builder("object")
+            .column(Column::new("object_id", ValueType::Int))
+            .column(Column::new("source_id", ValueType::Int))
+            .column(Column::new("accession", ValueType::Text))
+            .column(Column::nullable("text", ValueType::Text))
+            .unique_index("by_acc", &["source_id", "accession"])
+            .build()
+            .unwrap();
+        for (schema, tiles) in [(object_schema(), true), (object_schema(), false), (keyless, false)] {
+            let mut t = Table::new(schema.clone());
+            for id in [1, 2, if tiles { 3 } else { 4 }] {
+                t.insert(obj(id, 10, &format!("A{id}"))).unwrap();
+            }
+            // the same rows recovered under the dense schema
+            let mut meta = t.to_paged_meta().unwrap();
+            meta.schema = Cow::Owned(dense_schema());
+            let meta = decode_page_directory(&encode_page_directory(&PagedCatalog {
+                tables: vec![meta],
+                ..PagedCatalog::empty()
+            }))
+            .unwrap()
+            .tables
+            .remove(0);
+            let mut recovered = Table::recovered(meta, None).unwrap();
+            let reconciled = t.reconcile_indexes(dense_schema());
+            if tiles {
+                recovered.build_indexes().unwrap();
+                reconciled.unwrap();
+                assert_eq!(t.schema(), &dense_schema());
+                assert_eq!(t.lookup_unique("pk", &[Value::Int(3)]).unwrap(), recovered.get(RowId(2)).ok());
+            } else {
+                assert!(off_its_address(recovered.build_indexes()));
+                assert!(off_its_address(reconciled));
+                assert_eq!(t.schema(), &schema, "a refused reconcile changes nothing");
+            }
+        }
     }
 
     #[test]

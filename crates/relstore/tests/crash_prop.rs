@@ -1,7 +1,9 @@
 //! Seeded crash sweeps: random workload shapes (batch sizes, checkpoint
 //! cadence, group commit) crossed with random power-cut points must always
 //! recover to a consistent committed prefix that holds every row
-//! acknowledged durable before the cut, and converge on resume.
+//! acknowledged durable before the cut, and converge on resume. The table's
+//! one column is a dense key, so every recovery also proves each row sits
+//! at the address its key names.
 
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
@@ -14,7 +16,7 @@ use testkit::{cases, Prng};
 fn schema() -> Schema {
     Schema::builder("t")
         .column(Column::new("id", ValueType::Int))
-        .primary_key(&["id"])
+        .dense_key("id")
         .build()
         .unwrap()
 }
@@ -96,7 +98,8 @@ fn check_crash_and_converge(
 }
 
 /// Run the workload described by `batches` (sizes of consecutive committed
-/// transactions over ids 0..sum) from wherever the store currently is,
+/// transactions over rows 0..sum, row `k` holding the dense key `k + 1`)
+/// from wherever the store currently is,
 /// checkpointing after every `ckpt_every`-th batch. `acked` ends at the
 /// rows acknowledged durable: a commit's `Ok` with per-commit sync, a
 /// `sync_wal`'s `Ok` under group commit.
@@ -116,8 +119,8 @@ fn run(
             continue; // batch already recovered
         }
         db.with_txn(|txn| {
-            for id in next..end {
-                txn.insert("t", vec![Value::Int(id)])?;
+            for k in next..end {
+                txn.insert("t", vec![Value::Int(k + 1)])?;
             }
             Ok(())
         })?;
@@ -145,13 +148,14 @@ fn prefix_sums(batches: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Each live row's workload position, read off its dense key (`k + 1`).
 fn sorted_ids(db: &Database) -> Vec<i64> {
     let mut out: Vec<i64> = db
         .table("t")
         .unwrap()
         .scan()
         .map(|(_, row)| match row.get(0) {
-            Value::Int(i) => *i,
+            Value::Int(i) => *i - 1,
             other => panic!("unexpected value {other:?}"),
         })
         .collect();

@@ -16,6 +16,10 @@
 //!    truncated WAL tail, discarded stale WAL) instead of erroring.
 //! 3. **Convergence** — resuming the workload after recovery reaches a
 //!    state identical to the fault-free run.
+//!
+//! The table's id is a dense key, taken from the row id each insert lands
+//! at — so a refused commit burns its ids — and the workload's own
+//! sequence number is a unique index: every check reads sequence numbers.
 
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
@@ -31,8 +35,10 @@ const CHECKPOINT_EVERY: i64 = 4;
 fn schema() -> Schema {
     Schema::builder("t")
         .column(Column::new("id", ValueType::Int))
+        .column(Column::new("seq", ValueType::Int))
         .column(Column::new("payload", ValueType::Text))
-        .primary_key(&["id"])
+        .dense_key("id")
+        .unique_index("by_seq", &["seq"])
         .build()
         .unwrap()
 }
@@ -64,8 +70,10 @@ fn open_paged(vfs: &FaultVfs) -> relstore::error::StoreResult<Database> {
 fn insert_batch(db: &mut Database, batch: i64) -> relstore::error::StoreResult<()> {
     db.with_txn(|txn| {
         for i in 0..BATCH_ROWS {
-            let id = batch * BATCH_ROWS + i;
-            txn.insert("t", vec![Value::Int(id), Value::text(format!("row-{id}"))])?;
+            let seq = batch * BATCH_ROWS + i;
+            let id = txn.table("t")?.next_row_id().0 as i64 + 1;
+            let row = vec![Value::Int(id), Value::Int(seq), Value::text(format!("row-{seq}"))];
+            txn.insert("t", row)?;
         }
         Ok(())
     })
@@ -88,12 +96,13 @@ fn run_to_completion(db: &mut Database, acked: &mut i64) -> relstore::error::Sto
     Ok(())
 }
 
+/// The sequence numbers of the live rows, sorted.
 fn sorted_ids(db: &Database) -> Vec<i64> {
     let mut out: Vec<i64> = db
         .table("t")
         .unwrap()
         .scan()
-        .map(|(_, row)| match row.get(0) {
+        .map(|(_, row)| match row.get(1) {
             Value::Int(i) => *i,
             other => panic!("unexpected value {other:?}"),
         })

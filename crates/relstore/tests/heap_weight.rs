@@ -9,8 +9,10 @@
 //! boxed `Vec<Value>` — and so is each index line, at the narrow lanes its
 //! ids fit. A wide leg moves the `OBJECT_REL` object ids 2⁴⁰ up and 2²⁰
 //! apart, past what a `u32` offset spans: its runs keep whole key words
-//! beside `u32` row ids, and read back the narrow leg's entries. Every
-//! line is printed for whoever works on them next (`cargo test -p relstore
+//! beside `u32` row ids, and read back the narrow leg's entries. The
+//! rows carry their ids as dense keys, as the GAM declares them, which are
+//! no index: an `OBJECT` row weighs what a keyless one weighs. Every line
+//! is printed for whoever works on them next (`cargo test -p relstore
 //! --test heap_weight -- --nocapture`).
 
 use relstore::schema::{Column, Schema, SchemaBuilder};
@@ -70,6 +72,7 @@ fn object_rel_columns() -> SchemaBuilder {
         .column(Column::new("object1_id", ValueType::Int))
         .column(Column::new("object2_id", ValueType::Int))
         .column(Column::nullable("evidence", ValueType::Float))
+        .dense_key("object_rel_id")
 }
 
 fn object_rel_row(i: i64) -> Vec<Value> {
@@ -103,6 +106,11 @@ fn object_columns() -> SchemaBuilder {
         .column(Column::new("accession", ValueType::Text))
         .column(Column::nullable("text", ValueType::Text))
         .column(Column::nullable("number", ValueType::Float))
+}
+
+/// `OBJECT`'s columns with its id the dense key, as the GAM declares them.
+fn dense_object_columns() -> SchemaBuilder {
+    object_columns().dense_key("object_id")
 }
 
 fn object_row(i: i64) -> Vec<Value> {
@@ -249,14 +257,16 @@ fn a_row_in_memory_weighs_its_cell_and_its_slot() {
 #[test]
 fn an_object_row_weighs_its_cell_and_its_slot() {
     let (object, _) = attribution(
-        object_columns,
-        &[
-            ("pk", |b| b.primary_key(&["object_id"]), 9.0),
-            ("by_accession", |b| b.unique_index("by_accession", &["source_id", "accession"]), 38.0),
-        ],
+        dense_object_columns,
+        &[("by_accession", |b| b.unique_index("by_accession", &["source_id", "accession"]), 38.0)],
         OBJECTS,
         object_row,
     );
-    // as `Option<Row>` these rows were ~217 B apiece
-    assert!(object <= 80.0, "an OBJECT-shaped row holds {object:.1} B of heap");
+    // the dense key holds no entry: the rows weigh what keyless rows do
+    let keyless = weight(object_columns().build().unwrap(), OBJECTS, object_row, false).0;
+    println!("{:>12}  rows, no key         {keyless:7.1} B/row", "");
+    assert!((object - keyless).abs() <= 0.5, "a dense key costs {:.1} B/row", object - keyless);
+    // as `Option<Row>` these rows were ~217 B apiece; with the id a stored
+    // `pk` the row and its key were gated at 80 + 9 B/row
+    assert!(object <= 80.0, "an OBJECT-shaped row and its dense key hold {object:.1} B of heap");
 }
