@@ -2,25 +2,28 @@
 //! immutable [`GamSnapshot`].
 //!
 //! The operators and the pathfinder only ever *read* the four GAM tables.
-//! [`GamRead`] captures exactly that surface, with two implementors:
+//! [`GamRead`] captures exactly that surface, with two implementors, and
+//! each read is written once per implementor:
 //!
 //! * [`GamStore`] — the live store; reads go through the relational
-//!   database (and, for paged stores, the buffer pool).
+//!   database (and, for paged stores, the buffer pool). A read by id is
+//!   one read of the row at `id − 1`: every GAM id is its row's address.
 //! * [`GamSnapshot`] — an immutable copy of the GAM content, captured from
 //!   a store at a quiescent point. Reads never touch the database again,
 //!   so any number of threads can query a snapshot while a writer mutates
 //!   the live store. Each association is held once, in its mapping's CSR
-//!   [`MappingIndex`]; each object once, in one slab grouped by source,
-//!   found by id through a table indexed by `id − 1` (object ids are
-//!   handed out densely from 1). [`GamSnapshot::object`] lends an object
-//!   out of that slab without a copy, which is how a served view is
-//!   rendered straight from the snapshot.
+//!   [`MappingIndex`]; each mapping at `id − 1` of one table; each object
+//!   once, in one slab grouped by source, found by id through a table
+//!   indexed by `id − 1` (object ids are handed out densely from 1) and by
+//!   accession through a hash table of slab positions, which holds no
+//!   accession of its own.
+//!   [`GamSnapshot::object`] lends an object out of that slab without a
+//!   copy, which is how a served view is rendered straight from the
+//!   snapshot.
 //!
 //! Both lend objects through [`GamRead::with_objects`] rather than copy
 //! them: the snapshot from its slab, the store from the `OBJECT` row at
-//! `id − 1`, read through one row cursor and accepted only if its id
-//! cell holds `id` (the `pk` index finds the row of an id that does not
-//! tile the rows).
+//! `id − 1`, read through one row cursor.
 //!
 //! Every `GamSnapshot` accessor returns exactly what the corresponding
 //! `GamStore` accessor returned at capture time — including ordering and
@@ -37,6 +40,7 @@ use crate::mapping::{Association, Mapping};
 use crate::model::{GamObject, ObjectRef, RelType, Source, SourceRel};
 use crate::store::{GamCardinalities, GamStore};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 /// The read-only surface of a GAM store. `Sync` is a supertrait so one
@@ -163,10 +167,13 @@ pub trait GamRead: Sync {
         object: ObjectId,
     ) -> GamResult<Vec<(SourceRelId, Association)>>;
 
-    /// Object counts grouped by source.
+    /// Object counts per source, ordered by source id — the per-source
+    /// inventory the interactive source list shows.
     fn object_counts_per_source(&self) -> GamResult<Vec<(SourceId, usize)>>;
 
-    /// Mapping and association counts broken down by relationship type.
+    /// Mapping and association counts broken down by relationship type —
+    /// the six-way classification of paper §3 (Fact/Similarity imported,
+    /// Contains/IS_A structural, Composed/Subsumed derived).
     fn mapping_type_counts(&self) -> GamResult<Vec<(RelType, usize, usize)>>;
 
     /// The four headline table cardinalities.
@@ -188,112 +195,6 @@ pub(crate) fn lend_each(
     unknown.map_or(Ok(()), |id| Err(GamError::UnknownObject(id)))
 }
 
-impl GamRead for GamStore {
-    fn sources(&self) -> GamResult<Vec<Source>> {
-        GamStore::sources(self)
-    }
-
-    fn find_source(&self, name: &str) -> GamResult<Option<Source>> {
-        GamStore::find_source(self, name)
-    }
-
-    fn get_source(&self, id: SourceId) -> GamResult<Source> {
-        GamStore::get_source(self, id)
-    }
-
-    fn objects_of(&self, source: SourceId) -> GamResult<Vec<GamObject>> {
-        GamStore::objects_of(self, source)
-    }
-
-    fn object_ids_of(&self, source: SourceId) -> GamResult<Vec<ObjectId>> {
-        GamStore::object_ids_of(self, source)
-    }
-
-    fn object_count(&self, source: SourceId) -> GamResult<usize> {
-        GamStore::object_count(self, source)
-    }
-
-    fn find_object(&self, source: SourceId, accession: &str) -> GamResult<Option<GamObject>> {
-        GamStore::find_object(self, source, accession)
-    }
-
-    fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
-        GamStore::get_object(self, id)
-    }
-
-    fn with_objects(
-        &self,
-        ids: &[ObjectId],
-        f: &mut dyn FnMut(usize, ObjectRef<'_>),
-    ) -> GamResult<()> {
-        GamStore::with_objects(self, ids, f)
-    }
-
-    fn resolve_accessions(
-        &self,
-        source: SourceId,
-        accessions: &[&str],
-    ) -> GamResult<Vec<Option<ObjectId>>> {
-        GamStore::resolve_accessions(self, source, accessions)
-    }
-
-    fn source_rels(&self) -> GamResult<Vec<SourceRel>> {
-        GamStore::source_rels(self)
-    }
-
-    fn get_source_rel(&self, id: SourceRelId) -> GamResult<SourceRel> {
-        GamStore::get_source_rel(self, id)
-    }
-
-    fn source_rels_between(
-        &self,
-        source1: SourceId,
-        source2: SourceId,
-    ) -> GamResult<Vec<SourceRel>> {
-        GamStore::source_rels_between(self, source1, source2)
-    }
-
-    fn find_source_rel(
-        &self,
-        source1: SourceId,
-        source2: SourceId,
-        rel_type: Option<RelType>,
-    ) -> GamResult<Option<(SourceRel, bool)>> {
-        GamStore::find_source_rel(self, source1, source2, rel_type)
-    }
-
-    fn load_mapping(&self, id: SourceRelId) -> GamResult<Mapping> {
-        GamStore::load_mapping(self, id)
-    }
-
-    fn load_mapping_index(&self, id: SourceRelId) -> GamResult<MappingIndex> {
-        GamStore::load_mapping_index(self, id)
-    }
-
-    fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
-        GamStore::association_count(self, id)
-    }
-
-    fn associations_of_object(
-        &self,
-        object: ObjectId,
-    ) -> GamResult<Vec<(SourceRelId, Association)>> {
-        GamStore::associations_of_object(self, object)
-    }
-
-    fn object_counts_per_source(&self) -> GamResult<Vec<(SourceId, usize)>> {
-        GamStore::object_counts_per_source(self)
-    }
-
-    fn mapping_type_counts(&self) -> GamResult<Vec<(RelType, usize, usize)>> {
-        GamStore::mapping_type_counts(self)
-    }
-
-    fn cardinalities(&self) -> GamResult<GamCardinalities> {
-        GamStore::cardinalities(self)
-    }
-}
-
 /// Which end of a mapping a source sits at.
 #[derive(Debug, Clone, Copy)]
 enum Role {
@@ -305,17 +206,19 @@ enum Role {
 ///
 /// Capture walks the store's own public read API — per source and per
 /// mapping, never per object — so every accessor reproduces the store's
-/// answers, ordering included, as of the capture point. Every association
-/// is held exactly once, in the CSR index of its mapping; the per-object
+/// answers, ordering included, as of the capture point. Nothing is held
+/// twice: each object once, in one slab, found by id through `by_id` and
+/// by accession through `by_accession`, two tables of slab positions;
+/// each association once, in the CSR index of its mapping. The per-object
 /// view ([`GamRead::associations_of_object`]) is answered from the forward
 /// and inverse arrays of the mappings that touch the object's source,
 /// which relies on the GAM invariant that an association's objects belong
 /// to its mapping's two sources.
 #[derive(Debug, Clone)]
 pub struct GamSnapshot {
+    /// Ordered by id, as the store lists them.
     sources: Vec<Source>,
     source_by_name: HashMap<String, usize>,
-    source_pos: HashMap<SourceId, usize>,
     /// Every object, grouped by source (in the order of `sources`), each
     /// source's run in the store's accession order.
     objects: Vec<GamObject>,
@@ -325,13 +228,16 @@ pub struct GamSnapshot {
     /// Indexed by `id − 1`: one more than the object's position in
     /// `objects`, or 0 for an id no object holds.
     by_id: Vec<u32>,
-    /// Per source, accession → position in `objects`, for exact-accession
-    /// lookups.
-    accession_pos: Vec<HashMap<String, u32>>,
-    rels: Vec<SourceRel>,
-    rel_pos: HashMap<SourceRelId, usize>,
-    rels_by_pair: HashMap<(SourceId, SourceId), Vec<SourceRel>>,
-    indexes: HashMap<SourceRelId, Arc<MappingIndex>>,
+    /// Open addressing over `objects`: one more than an object's position,
+    /// at the first free slot from the hash of its (source, accession);
+    /// 0 for a free slot. It holds no accession — a probe compares with
+    /// the object in the slab — and at most half its slots are taken, so
+    /// every probe ends at a free one.
+    by_accession: Vec<u32>,
+    hasher: RandomState,
+    /// Indexed by `id − 1`: the mapping and its CSR index, `None` for an id
+    /// no mapping holds (deleted, or burnt by a refused commit).
+    mappings: Vec<Option<(SourceRel, Arc<MappingIndex>)>>,
     /// Per source, the mappings with that source at either end, in
     /// (mapping id, domain before range) order; a self-mapping is listed
     /// in both roles.
@@ -347,56 +253,49 @@ impl GamSnapshot {
     pub fn capture(store: &GamStore) -> GamResult<GamSnapshot> {
         let sources = store.sources()?;
         let mut source_by_name = HashMap::with_capacity(sources.len());
-        let mut source_pos = HashMap::with_capacity(sources.len());
         let cards = store.cardinalities()?;
         let mut objects: Vec<GamObject> = Vec::with_capacity(cards.objects);
         let mut run_starts = Vec::with_capacity(sources.len() + 1);
-        let mut accession_pos = Vec::with_capacity(sources.len());
         for (slab, s) in sources.iter().enumerate() {
             source_by_name.insert(s.name.clone(), slab);
-            source_pos.insert(s.id, slab);
             run_starts.push(position(objects.len())?);
-            let objs = store.objects_of(s.id)?;
-            let mut by_acc = HashMap::with_capacity(objs.len());
-            for (i, o) in objs.iter().enumerate() {
-                by_acc.insert(o.accession.clone(), position(objects.len() + i)?);
-            }
-            accession_pos.push(by_acc);
-            objects.extend(objs);
+            objects.extend(store.objects_of(s.id)?);
         }
         run_starts.push(position(objects.len())?);
         objects.shrink_to_fit();
         // ids are dense from 1, so the table is about as long as the slab
         let max_id = objects.iter().map(|o| o.id.0).max().unwrap_or(0);
         let mut by_id = vec![0; usize::try_from(max_id).map_err(|_| unindexable(max_id))?];
+        let hasher = RandomState::new();
+        let mut by_accession = vec![0; (2 * objects.len()).next_power_of_two()];
+        let mask = by_accession.len() - 1;
         for (pos, o) in objects.iter().enumerate() {
-            if let Some(slot) = o.id.0.checked_sub(1) {
-                by_id[slot as usize] = position(pos + 1)?;
+            if let Some(slot) = slot(o.id.0) {
+                by_id[slot] = position(pos + 1)?;
             }
+            let mut at = hasher.hash_one((o.source, o.accession.as_str())) as usize & mask;
+            while by_accession[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            by_accession[at] = position(pos + 1)?;
         }
 
-        let rels = store.source_rels()?;
-        let mut rel_pos = HashMap::with_capacity(rels.len());
-        // rebuild the by_pair buckets through the store's own lookup so
-        // within-pair ordering is exactly what the store returns
-        let mut rels_by_pair: HashMap<(SourceId, SourceId), Vec<SourceRel>> = HashMap::new();
-        let mut indexes = HashMap::with_capacity(rels.len());
+        let mut mappings = Vec::new();
         let mut mappings_of = vec![Vec::new(); sources.len()];
-        // `rels` is ordered by id and Domain is pushed first, which is the
-        // documented (mapping id, role) order of every per-source list
-        for (i, r) in rels.iter().enumerate() {
-            rel_pos.insert(r.id, i);
-            let key = (r.source1, r.source2);
-            if let std::collections::hash_map::Entry::Vacant(slot) = rels_by_pair.entry(key) {
-                slot.insert(store.source_rels_between(key.0, key.1)?);
-            }
+        // the rels come ordered by id and Domain is pushed first, which is
+        // the documented (mapping id, role) order of every per-source list
+        for r in store.source_rels()? {
             let index = Arc::new(store.load_mapping_index(r.id)?);
             for (source, role) in [(r.source1, Role::Domain), (r.source2, Role::Range)] {
-                if let Some(&slab) = source_pos.get(&source) {
+                if let Some(slab) = slab_of(&sources, source) {
                     mappings_of[slab].push((r.id, index.clone(), role));
                 }
             }
-            indexes.insert(r.id, index);
+            let at = slot(r.id.0.into()).ok_or(GamError::UnknownSourceRel(r.id))?;
+            if mappings.len() <= at {
+                mappings.resize(at + 1, None);
+            }
+            mappings[at] = Some((r, index));
         }
 
         Ok(GamSnapshot {
@@ -405,42 +304,63 @@ impl GamSnapshot {
             cards,
             sources,
             source_by_name,
-            source_pos,
             objects,
             run_starts,
             by_id,
-            accession_pos,
-            rels,
-            rel_pos,
-            rels_by_pair,
-            indexes,
+            by_accession,
+            hasher,
+            mappings,
             mappings_of,
         })
-    }
-
-    /// Total number of associations across all mappings (size indicator).
-    pub fn association_total(&self) -> usize {
-        self.cards.associations
     }
 
     /// The object with this id, borrowed from the snapshot; `None` for an
     /// id no object holds.
     pub fn object(&self, id: ObjectId) -> Option<&GamObject> {
-        let slot = usize::try_from(id.0.checked_sub(1)?).ok()?;
-        let pos = self.by_id.get(slot)?.checked_sub(1)?;
+        let pos = self.by_id.get(slot(id.0)?)?.checked_sub(1)?;
         self.objects.get(pos as usize)
     }
 
     /// A source's objects, in accession order.
     fn objects_in(&self, source: SourceId) -> &[GamObject] {
-        self.source_pos.get(&source).map_or(&[][..], |&slab| {
+        slab_of(&self.sources, source).map_or(&[][..], |slab| {
             &self.objects[self.run_starts[slab] as usize..self.run_starts[slab + 1] as usize]
         })
     }
 
-    fn index(&self, id: SourceRelId) -> GamResult<&Arc<MappingIndex>> {
-        self.indexes.get(&id).ok_or(GamError::UnknownSourceRel(id))
+    /// The object of `source` with this accession, probed for in
+    /// `by_accession` from the hash of the pair.
+    fn object_by_accession(&self, source: SourceId, accession: &str) -> Option<&GamObject> {
+        let mask = self.by_accession.len() - 1;
+        let mut at = self.hasher.hash_one((source, accession)) as usize & mask;
+        loop {
+            let object = &self.objects[self.by_accession[at].checked_sub(1)? as usize];
+            if object.source == source && object.accession == accession {
+                return Some(object);
+            }
+            at = (at + 1) & mask;
+        }
     }
+
+    fn mapping(&self, id: SourceRelId) -> Option<&(SourceRel, Arc<MappingIndex>)> {
+        self.mappings.get(slot(id.0.into())?)?.as_ref()
+    }
+
+    fn index(&self, id: SourceRelId) -> GamResult<&Arc<MappingIndex>> {
+        self.mapping(id).map(|(_, index)| index).ok_or(GamError::UnknownSourceRel(id))
+    }
+}
+
+/// Where id `id` sits in a table indexed by `id − 1`; `None` for id 0 or
+/// an id past the address space.
+fn slot(id: u64) -> Option<usize> {
+    usize::try_from(id.checked_sub(1)?).ok()
+}
+
+/// A source's position in `sources`, which is ordered by id. Not `id − 1`:
+/// a `create_source` a commit refused burns its id with its row id.
+fn slab_of(sources: &[Source], id: SourceId) -> Option<usize> {
+    sources.binary_search_by_key(&id, |s| s.id).ok()
 }
 
 /// A position in the object slab, as the snapshot's tables hold it.
@@ -462,9 +382,8 @@ impl GamRead for GamSnapshot {
     }
 
     fn get_source(&self, id: SourceId) -> GamResult<Source> {
-        self.source_pos
-            .get(&id)
-            .map(|&i| self.sources[i].clone())
+        slab_of(&self.sources, id)
+            .map(|i| self.sources[i].clone())
             .ok_or(GamError::UnknownSource(id))
     }
 
@@ -481,11 +400,7 @@ impl GamRead for GamSnapshot {
     }
 
     fn find_object(&self, source: SourceId, accession: &str) -> GamResult<Option<GamObject>> {
-        Ok(self.source_pos.get(&source).and_then(|&slab| {
-            self.accession_pos[slab]
-                .get(accession)
-                .map(|&pos| self.objects[pos as usize].clone())
-        }))
+        Ok(self.object_by_accession(source, accession).cloned())
     }
 
     fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
@@ -505,24 +420,19 @@ impl GamRead for GamSnapshot {
         source: SourceId,
         accessions: &[&str],
     ) -> GamResult<Vec<Option<ObjectId>>> {
-        let Some(&slab) = self.source_pos.get(&source) else {
-            return Ok(vec![None; accessions.len()]);
-        };
-        let by_acc = &self.accession_pos[slab];
         Ok(accessions
             .iter()
-            .map(|acc| by_acc.get(*acc).map(|&pos| self.objects[pos as usize].id))
+            .map(|acc| self.object_by_accession(source, acc).map(|o| o.id))
             .collect())
     }
 
     fn source_rels(&self) -> GamResult<Vec<SourceRel>> {
-        Ok(self.rels.clone())
+        Ok(self.mappings.iter().flatten().map(|(rel, _)| rel.clone()).collect())
     }
 
     fn get_source_rel(&self, id: SourceRelId) -> GamResult<SourceRel> {
-        self.rel_pos
-            .get(&id)
-            .map(|&i| self.rels[i].clone())
+        self.mapping(id)
+            .map(|(rel, _)| rel.clone())
             .ok_or(GamError::UnknownSourceRel(id))
     }
 
@@ -531,11 +441,15 @@ impl GamRead for GamSnapshot {
         source1: SourceId,
         source2: SourceId,
     ) -> GamResult<Vec<SourceRel>> {
+        // in id order, as the store's `by_pair` lists one pair
         Ok(self
-            .rels_by_pair
-            .get(&(source1, source2))
+            .mappings
+            .iter()
+            .flatten()
+            .map(|(rel, _)| rel)
+            .filter(|rel| (rel.source1, rel.source2) == (source1, source2))
             .cloned()
-            .unwrap_or_default())
+            .collect())
     }
 
     fn load_mapping(&self, id: SourceRelId) -> GamResult<Mapping> {
@@ -555,14 +469,14 @@ impl GamRead for GamSnapshot {
 
     fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
         // like the store's index count, an unknown mapping has none
-        Ok(self.indexes.get(&id).map_or(0, |idx| idx.len()))
+        Ok(self.mapping(id).map_or(0, |(_, index)| index.len()))
     }
 
     fn associations_of_object(
         &self,
         object: ObjectId,
     ) -> GamResult<Vec<(SourceRelId, Association)>> {
-        let Some(&slab) = self.object(object).and_then(|o| self.source_pos.get(&o.source)) else {
+        let Some(slab) = self.object(object).and_then(|o| slab_of(&self.sources, o.source)) else {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();

@@ -21,6 +21,7 @@ use crate::model::{
     GamObject, ObjectRef, RelType, Source, SourceContent, SourceRel, SourceStructure,
 };
 use crate::schema::{all_schemas, tables};
+use crate::snapshot::{lend_each, GamRead};
 use relstore::row::Row;
 use relstore::value::Value;
 use relstore::{Database, RowId};
@@ -176,6 +177,14 @@ impl GamStore {
             import_seq,
             mutations: 0,
         })
+    }
+
+    /// [`GamRead::cardinalities`], callable without importing [`GamRead`]:
+    /// gmbench's power-cut check (`scripts/e2e/src/bench.rs`) calls it so,
+    /// and that file is the benchmark's own, changed only with it. The one
+    /// read kept twice.
+    pub fn cardinalities(&self) -> GamResult<GamCardinalities> {
+        GamRead::cardinalities(self)
     }
 
     /// How many mutating calls this store has served. Any cache derived
@@ -354,15 +363,6 @@ impl GamStore {
         })
     }
 
-    /// Look up a source by name.
-    pub fn find_source(&self, name: &str) -> GamResult<Option<Source>> {
-        let hit = self
-            .db
-            .table(tables::SOURCE)?
-            .lookup_unique("by_name", &[Value::text(name)])?;
-        hit.as_ref().map(Self::source_from_ref).transpose()
-    }
-
     /// Look up many sources by name in one ordered pass over the `by_name`
     /// index instead of one point lookup per name. Results align with the
     /// input. The importer uses this to resolve every annotation target and
@@ -379,14 +379,6 @@ impl GamStore {
             },
         )?;
         decode_err.map_or(Ok(hits), Err)
-    }
-
-    /// Fetch a source by id, read off its row by id.
-    pub fn get_source(&self, id: SourceId) -> GamResult<Source> {
-        let mut rows = self.db.table(tables::SOURCE)?.cursor();
-        Self::with_row_by_id(&mut rows, id.as_i64(), Self::source_from_ref)?
-            .transpose()?
-            .ok_or(GamError::UnknownSource(id))
     }
 
     /// A source's row id and values, read at its address.
@@ -424,14 +416,6 @@ impl GamStore {
         self.db
             .with_txn(|txn| txn.update(tables::SOURCE, row_id, values))?;
         Ok(())
-    }
-
-    /// All sources, ordered by id.
-    pub fn sources(&self) -> GamResult<Vec<Source>> {
-        let table = self.db.table(tables::SOURCE)?;
-        let mut out = Self::decode_rows(table, |row| Self::source_from_ref(&row))?;
-        out.sort_by_key(|s| s.id);
-        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -501,7 +485,7 @@ impl GamStore {
     /// assignment order and store contents are identical to a per-row
     /// `ensure_object` loop: the whole batch is resolved against the
     /// `by_accession` index first
-    /// ([`resolve_accessions`](Self::resolve_accessions)), then the fresh
+    /// ([`resolve_accessions`](GamRead::resolve_accessions)), then the fresh
     /// rows — first occurrence wins within the batch — are inserted in
     /// input order via one batch insert with bulk index maintenance.
     pub fn add_objects_bulk_ref(
@@ -550,87 +534,6 @@ impl GamStore {
             })?;
         }
         Ok((ids, created))
-    }
-
-    /// Batched accession resolution (the importer's replacement for per-row
-    /// [`find_object`](Self::find_object) calls): one ordered pass over the
-    /// `by_accession` index that reads a row only where an accession
-    /// matches. Results align with the input; unknown accessions yield
-    /// `None`.
-    pub fn resolve_accessions(
-        &self,
-        source: SourceId,
-        accessions: &[&str],
-    ) -> GamResult<Vec<Option<ObjectId>>> {
-        let src = Value::Int(source.as_i64());
-        let mut hits: Vec<Option<ObjectId>> = vec![None; accessions.len()];
-        self.db.table(tables::OBJECT)?.for_each_match(
-            "by_accession",
-            accessions.iter().map(|acc| [src.clone(), Value::text(*acc)]),
-            |n, row| hits[n] = Some(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
-        )?;
-        Ok(hits)
-    }
-
-    /// Find an object by (source, accession).
-    pub fn find_object(&self, source: SourceId, accession: &str) -> GamResult<Option<GamObject>> {
-        let hit = self.db.table(tables::OBJECT)?.lookup_unique(
-            "by_accession",
-            &[Value::Int(source.as_i64()), Value::text(accession)],
-        )?;
-        Ok(hit.map(Self::object_from_row))
-    }
-
-    /// Fetch an object by id, read off its row by id.
-    pub fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
-        let mut rows = self.db.table(tables::OBJECT)?.cursor();
-        Self::with_row_by_id(&mut rows, id.as_i64(), |row| GamObject::from(Self::object_ref(row)))?
-            .ok_or(GamError::UnknownObject(id))
-    }
-
-    /// Lend the objects of `ids` in input order, each borrowed from its
-    /// row ([`GamRead::with_objects`](crate::GamRead::with_objects)): every
-    /// row is read by id through one cursor, so ascending ids pin each page
-    /// once, and no object is built.
-    pub fn with_objects(
-        &self,
-        ids: &[ObjectId],
-        f: &mut dyn FnMut(usize, ObjectRef<'_>),
-    ) -> GamResult<()> {
-        let mut rows = self.db.table(tables::OBJECT)?.cursor();
-        crate::snapshot::lend_each(ids, |n, id| {
-            let lent = Self::with_row_by_id(&mut rows, id.as_i64(), |row| f(n, Self::object_ref(row)))?;
-            Ok(lent.is_some())
-        })
-    }
-
-    /// All objects of a source (accession order).
-    pub fn objects_of(&self, source: SourceId) -> GamResult<Vec<GamObject>> {
-        let rows = self
-            .db
-            .table(tables::OBJECT)?
-            .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?;
-        Ok(rows.into_iter().map(Self::object_from_row).collect())
-    }
-
-    /// Ids of all objects of a source.
-    pub fn object_ids_of(&self, source: SourceId) -> GamResult<Vec<ObjectId>> {
-        let mut ids = Vec::new();
-        self.db.table(tables::OBJECT)?.for_each_prefix(
-            "by_accession",
-            &[Value::Int(source.as_i64())],
-            |row| ids.push(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
-        )?;
-        Ok(ids)
-    }
-
-    /// Number of objects of a source, counted off the `by_accession` index:
-    /// no row is read (and on a paged store no page faulted).
-    pub fn object_count(&self, source: SourceId) -> GamResult<usize> {
-        Ok(self
-            .db
-            .table(tables::OBJECT)?
-            .index_prefix_count("by_accession", &[Value::Int(source.as_i64())])?)
     }
 
     /// Case-insensitive substring search over object names within a
@@ -721,57 +624,6 @@ impl GamStore {
         ];
         self.db.with_txn(|txn| txn.insert(tables::SOURCE_REL, row))?;
         Ok(id)
-    }
-
-    /// Fetch a mapping's `SOURCE_REL` row, read at its address.
-    pub fn get_source_rel(&self, id: SourceRelId) -> GamResult<SourceRel> {
-        let mut rows = self.db.table(tables::SOURCE_REL)?.cursor();
-        Self::with_row_by_id(&mut rows, id.as_i64(), Self::source_rel_from_ref)?
-            .transpose()?
-            .ok_or(GamError::UnknownSourceRel(id))
-    }
-
-    /// All mappings declared from `source1` to `source2` (directed).
-    pub fn source_rels_between(
-        &self,
-        source1: SourceId,
-        source2: SourceId,
-    ) -> GamResult<Vec<SourceRel>> {
-        let rows = self.db.table(tables::SOURCE_REL)?.lookup(
-            "by_pair",
-            &[Value::Int(source1.as_i64()), Value::Int(source2.as_i64())],
-        )?;
-        rows.iter().map(Self::source_rel_from_ref).collect()
-    }
-
-    /// Find one mapping of the given type between two sources, trying both
-    /// orientations. Returns the rel plus `true` if it runs
-    /// `source1 -> source2` in storage order (i.e. no inversion needed).
-    pub fn find_source_rel(
-        &self,
-        source1: SourceId,
-        source2: SourceId,
-        rel_type: Option<RelType>,
-    ) -> GamResult<Option<(SourceRel, bool)>> {
-        for rel in self.source_rels_between(source1, source2)? {
-            if rel_type.is_none_or(|t| rel.rel_type == t) {
-                return Ok(Some((rel, true)));
-            }
-        }
-        for rel in self.source_rels_between(source2, source1)? {
-            if rel_type.is_none_or(|t| rel.rel_type == t) {
-                return Ok(Some((rel, false)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// All `SOURCE_REL` rows, ordered by id.
-    pub fn source_rels(&self) -> GamResult<Vec<SourceRel>> {
-        let table = self.db.table(tables::SOURCE_REL)?;
-        let mut out = Self::decode_rows(table, |row| Self::source_rel_from_ref(&row))?;
-        out.sort_by_key(|r| r.id);
-        Ok(out)
     }
 
     /// Delete a mapping and all its associations (used when re-deriving a
@@ -906,9 +758,136 @@ impl GamStore {
         }
         Ok(())
     }
+}
 
-    /// Load a mapping's associations, oriented `source1 -> source2`.
-    pub fn load_mapping(&self, id: SourceRelId) -> GamResult<Mapping> {
+/// The store's reads: each by the index or the address named in its doc.
+impl GamRead for GamStore {
+    fn sources(&self) -> GamResult<Vec<Source>> {
+        let table = self.db.table(tables::SOURCE)?;
+        let mut out = Self::decode_rows(table, |row| Self::source_from_ref(&row))?;
+        out.sort_by_key(|s| s.id);
+        Ok(out)
+    }
+
+    fn find_source(&self, name: &str) -> GamResult<Option<Source>> {
+        let hit = self
+            .db
+            .table(tables::SOURCE)?
+            .lookup_unique("by_name", &[Value::text(name)])?;
+        hit.as_ref().map(Self::source_from_ref).transpose()
+    }
+
+    /// One read, of the row at `id − 1`.
+    fn get_source(&self, id: SourceId) -> GamResult<Source> {
+        let mut rows = self.db.table(tables::SOURCE)?.cursor();
+        Self::with_row_by_id(&mut rows, id.as_i64(), Self::source_from_ref)?
+            .transpose()?
+            .ok_or(GamError::UnknownSource(id))
+    }
+
+    fn objects_of(&self, source: SourceId) -> GamResult<Vec<GamObject>> {
+        let rows = self
+            .db
+            .table(tables::OBJECT)?
+            .lookup_prefix("by_accession", &[Value::Int(source.as_i64())])?;
+        Ok(rows.into_iter().map(Self::object_from_row).collect())
+    }
+
+    fn object_ids_of(&self, source: SourceId) -> GamResult<Vec<ObjectId>> {
+        let mut ids = Vec::new();
+        self.db.table(tables::OBJECT)?.for_each_prefix(
+            "by_accession",
+            &[Value::Int(source.as_i64())],
+            |row| ids.push(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
+        )?;
+        Ok(ids)
+    }
+
+    /// Number of objects of a source, counted off the `by_accession` index:
+    /// no row is read (and on a paged store no page faulted).
+    fn object_count(&self, source: SourceId) -> GamResult<usize> {
+        Ok(self
+            .db
+            .table(tables::OBJECT)?
+            .index_prefix_count("by_accession", &[Value::Int(source.as_i64())])?)
+    }
+
+    fn find_object(&self, source: SourceId, accession: &str) -> GamResult<Option<GamObject>> {
+        let hit = self.db.table(tables::OBJECT)?.lookup_unique(
+            "by_accession",
+            &[Value::Int(source.as_i64()), Value::text(accession)],
+        )?;
+        Ok(hit.map(Self::object_from_row))
+    }
+
+    /// One read, of the row at `id − 1`.
+    fn get_object(&self, id: ObjectId) -> GamResult<GamObject> {
+        let mut rows = self.db.table(tables::OBJECT)?.cursor();
+        Self::with_row_by_id(&mut rows, id.as_i64(), |row| GamObject::from(Self::object_ref(row)))?
+            .ok_or(GamError::UnknownObject(id))
+    }
+
+    /// Each object borrowed from its row, every row read by id through one
+    /// cursor: ascending ids pin each page once, and no object is built.
+    fn with_objects(
+        &self,
+        ids: &[ObjectId],
+        f: &mut dyn FnMut(usize, ObjectRef<'_>),
+    ) -> GamResult<()> {
+        let mut rows = self.db.table(tables::OBJECT)?.cursor();
+        lend_each(ids, |n, id| {
+            let lent = Self::with_row_by_id(&mut rows, id.as_i64(), |row| f(n, Self::object_ref(row)))?;
+            Ok(lent.is_some())
+        })
+    }
+
+    /// The importer's replacement for per-row `find_object` calls: one
+    /// ordered pass over the `by_accession` index that reads a row only
+    /// where an accession matches.
+    fn resolve_accessions(
+        &self,
+        source: SourceId,
+        accessions: &[&str],
+    ) -> GamResult<Vec<Option<ObjectId>>> {
+        let src = Value::Int(source.as_i64());
+        let mut hits: Vec<Option<ObjectId>> = vec![None; accessions.len()];
+        self.db.table(tables::OBJECT)?.for_each_match(
+            "by_accession",
+            accessions.iter().map(|acc| [src.clone(), Value::text(*acc)]),
+            |n, row| hits[n] = Some(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
+        )?;
+        Ok(hits)
+    }
+
+    fn source_rels(&self) -> GamResult<Vec<SourceRel>> {
+        let table = self.db.table(tables::SOURCE_REL)?;
+        let mut out = Self::decode_rows(table, |row| Self::source_rel_from_ref(&row))?;
+        out.sort_by_key(|r| r.id);
+        Ok(out)
+    }
+
+    /// One read, of the row at `id − 1`.
+    fn get_source_rel(&self, id: SourceRelId) -> GamResult<SourceRel> {
+        let mut rows = self.db.table(tables::SOURCE_REL)?.cursor();
+        Self::with_row_by_id(&mut rows, id.as_i64(), Self::source_rel_from_ref)?
+            .transpose()?
+            .ok_or(GamError::UnknownSourceRel(id))
+    }
+
+    /// One probe of `by_pair`, which lists a pair's mappings in id order.
+    fn source_rels_between(
+        &self,
+        source1: SourceId,
+        source2: SourceId,
+    ) -> GamResult<Vec<SourceRel>> {
+        let rows = self.db.table(tables::SOURCE_REL)?.lookup(
+            "by_pair",
+            &[Value::Int(source1.as_i64()), Value::Int(source2.as_i64())],
+        )?;
+        rows.iter().map(Self::source_rel_from_ref).collect()
+    }
+
+    fn load_mapping(&self, id: SourceRelId) -> GamResult<Mapping> {
         let rel = self.get_source_rel(id)?;
         let rows = self
             .db
@@ -930,13 +909,12 @@ impl GamStore {
         })
     }
 
-    /// Load a mapping directly into CSR form, oriented
-    /// `source1 -> source2`. The `by_pair` index delivers rows in
+    /// The `by_pair` index delivers rows in
     /// `(object1, object2)` order with one row per pair, so the forward
     /// arrays build in a single pass with no sort or dedup, and the batched
     /// columnar scan decodes only the three needed columns block-by-block
     /// instead of materializing per-row references.
-    pub fn load_mapping_index(&self, id: SourceRelId) -> GamResult<MappingIndex> {
+    fn load_mapping_index(&self, id: SourceRelId) -> GamResult<MappingIndex> {
         let rel = self.get_source_rel(id)?;
         let mut b = MappingIndexBuilder::new(rel.source1, rel.source2, rel.rel_type);
         self.db.table(tables::OBJECT_REL)?.scan_prefix_columnar(
@@ -958,21 +936,18 @@ impl GamStore {
         Ok(b.finish())
     }
 
-    /// Number of associations in a mapping, answered from the mapping's
-    /// prefix of the `by_pair` index without materializing any rows.
-    pub fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
+    /// Answered from the mapping's prefix of the `by_pair` index without
+    /// materializing any rows.
+    fn association_count(&self, id: SourceRelId) -> GamResult<usize> {
         Ok(self
             .db
             .table(tables::OBJECT_REL)?
             .index_prefix_count("by_pair", &[Value::Int(id.as_i64())])?)
     }
 
-    /// All associations touching an object, in either role. Each entry is
-    /// (mapping id, association oriented so that `from` is the queried
-    /// object), ordered by (mapping id, object as domain before object as
-    /// range, partner id) — the order a [`crate::GamSnapshot`] derives from
-    /// its CSR indexes.
-    pub fn associations_of_object(
+    /// Both roles probed, `by_object1` and `by_object2`, then sorted into
+    /// the order a [`crate::GamSnapshot`] derives from its CSR indexes.
+    fn associations_of_object(
         &self,
         object: ObjectId,
     ) -> GamResult<Vec<(SourceRelId, Association)>> {
@@ -1001,13 +976,7 @@ impl GamStore {
             .collect())
     }
 
-    // ------------------------------------------------------------------
-    // Statistics (the paper's §5 deployment numbers)
-    // ------------------------------------------------------------------
-
-    /// Object counts per source, ordered by source id — the per-source
-    /// inventory the interactive source list shows.
-    pub fn object_counts_per_source(&self) -> GamResult<Vec<(SourceId, usize)>> {
+    fn object_counts_per_source(&self) -> GamResult<Vec<(SourceId, usize)>> {
         Ok(self
             .db
             .table(tables::OBJECT)?
@@ -1017,10 +986,7 @@ impl GamStore {
             .collect())
     }
 
-    /// Mapping and association counts broken down by relationship type —
-    /// the six-way classification of paper §3 (Fact/Similarity imported,
-    /// Contains/IS_A structural, Composed/Subsumed derived).
-    pub fn mapping_type_counts(&self) -> GamResult<Vec<(RelType, usize, usize)>> {
+    fn mapping_type_counts(&self) -> GamResult<Vec<(RelType, usize, usize)>> {
         let mut per_type: std::collections::BTreeMap<i64, (usize, usize)> =
             std::collections::BTreeMap::new();
         for rel in self.source_rels()? {
@@ -1036,8 +1002,7 @@ impl GamStore {
             .collect()
     }
 
-    /// (sources, objects, mappings, associations) cardinalities.
-    pub fn cardinalities(&self) -> GamResult<GamCardinalities> {
+    fn cardinalities(&self) -> GamResult<GamCardinalities> {
         Ok(GamCardinalities {
             sources: self.db.table(tables::SOURCE)?.len(),
             objects: self.db.table(tables::OBJECT)?.len(),

@@ -6,7 +6,7 @@
 
 use gam::model::{SourceContent, SourceStructure};
 use gam::schema::tables;
-use gam::{GamStore, SourceId};
+use gam::{GamRead, GamStore, SourceId};
 use relstore::vfs::FaultVfs;
 use relstore::{PoolConfig, Row, Value};
 use std::path::Path;

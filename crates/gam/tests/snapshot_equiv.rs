@@ -10,8 +10,8 @@
 //! table (id 0, just past the last id, `u64::MAX`), errors included —
 //! `with_objects` lending, in input order, what `get_object` finds one id
 //! at a time and failing with the least unknown id. The next test does the
-//! same for an id no object holds inside the table, the one a refused
-//! commit burnt.
+//! same for accessions that differ only slightly, and the one after for an
+//! id no object holds inside the table, the one a refused commit burnt.
 //! The one after pins what capture costs on a paged store, in buffer-pool
 //! misses rather than time.
 //! The last two are store ≡ store across a reopen that changes the
@@ -287,11 +287,84 @@ fn object_lookups_agree(
     }
 }
 
+/// `find_object` and `resolve_accessions` agree on store and snapshot over
+/// accessions that differ only slightly — shared prefixes (`GO:1`,
+/// `GO:10`, `GO:1\0`), case only, a non-ASCII `ÿ` — over absent
+/// accessions, another source's accession, an empty source and an unknown
+/// one, and over batches unsorted, sorted and with repeats. The snapshot
+/// finds an accession through an open-addressed table of slab positions:
+/// a probe must compare the whole accession and its source, and walk on
+/// past the slots other objects took.
+#[test]
+fn accession_lookups_agree_over_near_equal_accessions() {
+    const STEMS: [&str; 6] = ["GO:1", "GO:10", "GO:1\0", "go:1", "Go:1", "\u{ff}"];
+    let (mut hits, mut misses) = (0, 0);
+    testkit::cases(40, |st| {
+        let mut store = GamStore::in_memory().unwrap();
+        let sources: Vec<SourceId> = (0..3)
+            .map(|i| {
+                let (content, structure) = (SourceContent::Other, SourceStructure::Flat);
+                store.create_source(&format!("S{i}"), content, structure, None).unwrap().id
+            })
+            .collect();
+        // the third source stays empty; the two others share some accessions
+        let mut held: Vec<Vec<String>> = vec![Vec::new(); sources.len()];
+        for (k, &source) in sources[..2].iter().enumerate() {
+            let accessions: Vec<(String, Option<String>, Option<f64>)> = (0..st.below(40))
+                .map(|_| {
+                    let tail = testkit::text(st, b"Oo01:\0\xff", 0..=3);
+                    (format!("{}{tail}", st.pick(&STEMS)), None, None)
+                })
+                .collect();
+            store.add_objects_bulk(source, &accessions).unwrap();
+            held[k] = accessions.into_iter().map(|(acc, _, _)| acc).collect();
+        }
+        let snap = GamSnapshot::capture(&store).unwrap();
+        let (s, n): (&dyn GamRead, &dyn GamRead) = (&store, &snap);
+        let unknown = SourceId(sources.len() as u32 + 1);
+        for (k, &source) in sources.iter().chain([&unknown]).enumerate() {
+            let mut probes: Vec<String> = held.iter().flatten().cloned().collect();
+            let folded: Vec<String> = probes
+                .iter()
+                .flat_map(|acc| [acc.to_ascii_uppercase(), acc.to_ascii_lowercase()])
+                .collect();
+            probes.extend(folded);
+            probes.extend(STEMS.iter().map(|stem| stem.to_string()));
+            probes.extend((0..8).map(|_| testkit::text(st, b"GOgo01:\0\xff", 0..=6)));
+            for i in (1..probes.len()).rev() {
+                probes.swap(i, st.below(i + 1));
+            }
+            for acc in &probes {
+                let found = s.find_object(source, acc).unwrap();
+                assert_eq!(n.find_object(source, acc).unwrap(), found, "source {k} {acc:?}");
+                if found.is_some() {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+            let mut sorted = probes.clone();
+            sorted.sort_unstable();
+            for batch in [probes, sorted] {
+                let refs: Vec<&str> = batch.iter().map(String::as_str).collect();
+                let want = s.resolve_accessions(source, &refs).unwrap();
+                assert_eq!(n.resolve_accessions(source, &refs).unwrap(), want, "source {k}");
+            }
+        }
+    });
+    assert!(
+        hits > 500 && misses > 500,
+        "the sweep must not be vacuous: {hits} hits, {misses} misses"
+    );
+}
+
 /// A store whose object ids have a gap — the id of a `create_object` the
 /// WAL refused, burnt with its row id: the snapshot's table holds an empty
 /// entry for the missing id, which both sides answer as unknown, and the
-/// object past the gap is found by id. A row that would close the gap by
-/// hand, an id that is not its row's address, is refused.
+/// object past the gap is found by id. A refused `create_source` leaves
+/// the same gap in the source ids, and the source past it is found too.
+/// A row that would close the gap by hand, an id that is not its row's
+/// address, is refused.
 #[test]
 fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
     use relstore::vfs::FaultPlan;
@@ -317,6 +390,13 @@ fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
         assert!(store.create_object(source, "refused", None, None).is_err());
         let past = store.create_object(source, "past-the-gap", None, None).unwrap();
         assert_eq!(past, ObjectId(last.0 + 2), "the refused commit burnt one id");
+        // a refused `create_source` burns a source id the same way
+        let fail_at = Some(disk.op_count() + 1);
+        disk.set_plan(FaultPlan { crash_at: None, fail_at, torn_seed: 3 });
+        let (content, structure) = (SourceContent::Other, SourceStructure::Flat);
+        assert!(store.create_source("refused", content, structure, None).is_err());
+        let after = store.create_source("T", content, structure, None).unwrap().id;
+        assert_eq!(after, SourceId(source.0 + 2), "the refused commit burnt one source id");
         store.checkpoint().unwrap();
         (source, ObjectId(last.0 + 1))
     };
@@ -354,6 +434,11 @@ fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
             "object {id}"
         );
     }
+    for id in (0..source.0 + 4).map(SourceId) {
+        same(n.get_source(id), s.get_source(id), &format!("get_source {id}"));
+        same(n.objects_of(id), s.objects_of(id), &format!("objects_of {id}"));
+    }
+    same(n.find_source("T"), s.find_source("T"), "find_source past the gap");
     for batch in [vec![past, gap], vec![ObjectId(1), past]] {
         same(n.get_objects(&batch), s.get_objects(&batch), "get_objects");
     }
@@ -439,7 +524,7 @@ fn capture_walks_a_paged_store_about_once() {
     let snap = GamSnapshot::capture(&store).unwrap();
     let capture = misses(&store) - before;
     assert_eq!(
-        snap.association_total(),
+        snap.cardinalities().unwrap().associations,
         store.cardinalities().unwrap().associations
     );
     // measured: 86 misses over 46 heap pages; a capture that probes the

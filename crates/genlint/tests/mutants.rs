@@ -184,14 +184,6 @@ const MUTANTS: &[(Mutant, Fires)] = &[
         replacement: "range.filter(|_| true).all(",
         killer: RUN_SWEEP,
     }, &[]),
-    (Mutant {
-        what: "last_key takes the run's greatest entry, dead or not",
-        path: "crates/relstore/src/index.rs",
-        needle: "let run = (0..self.run.len()).rev().find(|&i| !self.run.is_dead(i));",
-        replacement: "let run = self.run.len().checked_sub(1);",
-        killer: "index_build_equiv::{last_key_skips_a_dead_greatest_run_entry, \
-                 run_and_delta_reads_equal_a_scan_through_every_merge}",
-    }, &[]),
     // --- the run's lanes: index_build_equiv's and index.rs's sweeps to judge ---
     (Mutant {
         what: "a run's lanes ignore their columns' bases: every lane is an offset from 0",

@@ -29,7 +29,7 @@
 use crate::query::{QuerySpec, TargetQuery};
 use crate::resolved::{ExportFormat, ResolvedView};
 use crate::system::GenMapper;
-use gam::GamResult;
+use gam::{GamRead, GamResult};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::fmt::Write as _;
 

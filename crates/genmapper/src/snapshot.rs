@@ -22,13 +22,12 @@
 
 use crate::query::QuerySpec;
 use crate::resolved::{export, ExportFormat, ObjectInfo, ResolvedView};
-use crate::system::{self, path_ids_of, resolve_accessions, run_query, source_id_of, VersionCache};
+use crate::system::{self, run_query, source_id_of, VersionCache};
 use gam::store::GamCardinalities;
 use gam::{GamError, GamRead, GamResult, GamSnapshot, ObjectId, SourceId};
 use operators::ExecConfig;
-use pathfinder::{SavedPaths, SourceGraph};
+use pathfinder::SavedPaths;
 use relstore::stats::DbStats;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One immutable GenMapper state, safe to share across any number of
@@ -78,24 +77,12 @@ impl Snapshot {
 
     /// Shortest mapping path between two sources, as names.
     pub fn find_path(&self, from: &str, to: &str) -> GamResult<Vec<String>> {
-        let from_id = self.source_id(from)?;
-        let to_id = self.source_id(to)?;
-        let path = self
-            .graph()?
-            .shortest_path(from_id, to_id)
-            .ok_or(GamError::NoMapping {
-                from: from_id,
-                to: to_id,
-            })?;
-        self.path_names(&path)
+        system::find_path_of(&*self.reader, &self.cache, from, to)
     }
 
     /// Up to `k` alternative mapping paths, as names.
     pub fn find_paths(&self, from: &str, to: &str, k: usize) -> GamResult<Vec<Vec<String>>> {
-        let from_id = self.source_id(from)?;
-        let to_id = self.source_id(to)?;
-        let paths = self.graph()?.k_shortest_paths(from_id, to_id, k);
-        paths.iter().map(|p| self.path_names(p)).collect()
+        system::find_paths_of(&*self.reader, &self.cache, from, to, k)
     }
 
     /// A path saved on the writer before this snapshot was captured.
@@ -143,27 +130,6 @@ impl Snapshot {
     /// Full information about one object (Figure 6c) at capture time.
     pub fn object_info(&self, source: &str, accession: &str) -> GamResult<ObjectInfo> {
         system::object_info_of(&*self.reader, source, accession)
-    }
-
-    /// Resolve a source-name path to ids (validation for `via` clauses).
-    pub fn path_ids(&self, path: &[&str]) -> GamResult<Vec<SourceId>> {
-        path_ids_of(&*self.reader, path)
-    }
-
-    /// Resolve accessions of a named source to object ids.
-    pub fn resolve(&self, source: &str, accessions: &[String]) -> GamResult<BTreeSet<ObjectId>> {
-        let id = self.source_id(source)?;
-        resolve_accessions(&*self.reader, id, source, accessions)
-    }
-
-    fn graph(&self) -> GamResult<Arc<SourceGraph>> {
-        self.cache.graph(&*self.reader)
-    }
-
-    fn path_names(&self, path: &[SourceId]) -> GamResult<Vec<String>> {
-        path.iter()
-            .map(|&id| Ok(self.reader.get_source(id)?.name))
-            .collect()
     }
 }
 

@@ -345,10 +345,7 @@ impl GenMapper {
 
     /// Resolve a source name to its id.
     pub fn source_id(&self, name: &str) -> GamResult<SourceId> {
-        self.store
-            .find_source(name)?
-            .map(|s| s.id)
-            .ok_or_else(|| GamError::UnknownSourceName(name.to_owned()))
+        source_id_of(&self.store, name)
     }
 
     /// All registered sources.
@@ -374,30 +371,17 @@ impl GenMapper {
     /// Automatically determined shortest mapping path between two sources,
     /// as source names.
     pub fn find_path(&self, from: &str, to: &str) -> GamResult<Vec<String>> {
-        let from_id = self.source_id(from)?;
-        let to_id = self.source_id(to)?;
-        let graph = self.graph()?;
-        let path = graph
-            .shortest_path(from_id, to_id)
-            .ok_or(GamError::NoMapping {
-                from: from_id,
-                to: to_id,
-            })?;
-        self.path_names(&path)
+        find_path_of(&self.store, &self.cache, from, to)
     }
 
     /// Up to `k` alternative mapping paths.
     pub fn find_paths(&self, from: &str, to: &str, k: usize) -> GamResult<Vec<Vec<String>>> {
-        let from_id = self.source_id(from)?;
-        let to_id = self.source_id(to)?;
-        let graph = self.graph()?;
-        let paths = graph.k_shortest_paths(from_id, to_id, k);
-        paths.iter().map(|p| self.path_names(p)).collect()
+        find_paths_of(&self.store, &self.cache, from, to, k)
     }
 
     /// Save a manually built path under a name (validated).
     pub fn save_path(&mut self, name: &str, path: &[&str]) -> GamResult<()> {
-        let ids = self.path_ids(path)?;
+        let ids = path_ids_of(&self.store, path)?;
         let graph = self.graph()?;
         self.saved.save(name, ids, &graph)
     }
@@ -405,16 +389,6 @@ impl GenMapper {
     /// A previously saved path, as names.
     pub fn saved_path(&self, name: &str) -> Option<Vec<SourceId>> {
         self.saved.get(name).map(<[SourceId]>::to_vec)
-    }
-
-    fn path_names(&self, path: &[SourceId]) -> GamResult<Vec<String>> {
-        path.iter()
-            .map(|&id| Ok(self.store.get_source(id)?.name))
-            .collect()
-    }
-
-    fn path_ids(&self, path: &[&str]) -> GamResult<Vec<SourceId>> {
-        path.iter().map(|n| self.source_id(n)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -443,7 +417,7 @@ impl GenMapper {
         path: &[&str],
         min_evidence: Option<f64>,
     ) -> GamResult<Arc<MappingIndex>> {
-        let ids = self.path_ids(path)?;
+        let ids = path_ids_of(&self.store, path)?;
         if ids.len() < 2 {
             return Err(GamError::Invalid(
                 "compose path needs at least two sources".into(),
@@ -464,7 +438,7 @@ impl GenMapper {
 
     /// Materialize the composition along a path of source names.
     pub fn materialize_composed(&mut self, path: &[&str]) -> GamResult<(SourceRelId, usize)> {
-        let ids = self.path_ids(path)?;
+        let ids = path_ids_of(&self.store, path)?;
         self.invalidate_caches();
         operators::materialize::materialize_composed(&mut self.store, &ids)
     }
@@ -572,6 +546,39 @@ pub(crate) fn source_id_of(reader: &dyn GamRead, name: &str) -> GamResult<Source
 /// Source-name path to ids against any reader.
 pub(crate) fn path_ids_of(reader: &dyn GamRead, path: &[&str]) -> GamResult<Vec<SourceId>> {
     path.iter().map(|n| source_id_of(reader, n)).collect()
+}
+
+/// The shortest mapping path between two named sources, as names, on
+/// any reader and its version's source graph.
+pub(crate) fn find_path_of(
+    reader: &dyn GamRead,
+    cache: &VersionCache,
+    from: &str,
+    to: &str,
+) -> GamResult<Vec<String>> {
+    let (from, to) = (source_id_of(reader, from)?, source_id_of(reader, to)?);
+    let path = cache
+        .graph(reader)?
+        .shortest_path(from, to)
+        .ok_or(GamError::NoMapping { from, to })?;
+    path_names_of(reader, &path)
+}
+
+/// Up to `k` alternative mapping paths between two named sources, as names.
+pub(crate) fn find_paths_of(
+    reader: &dyn GamRead,
+    cache: &VersionCache,
+    from: &str,
+    to: &str,
+    k: usize,
+) -> GamResult<Vec<Vec<String>>> {
+    let (from, to) = (source_id_of(reader, from)?, source_id_of(reader, to)?);
+    let paths = cache.graph(reader)?.k_shortest_paths(from, to, k);
+    paths.iter().map(|p| path_names_of(reader, p)).collect()
+}
+
+fn path_names_of(reader: &dyn GamRead, path: &[SourceId]) -> GamResult<Vec<String>> {
+    path.iter().map(|&id| Ok(reader.get_source(id)?.name)).collect()
 }
 
 /// The front half of every query: translate the spec, pick each target's

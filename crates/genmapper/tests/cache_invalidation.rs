@@ -5,6 +5,7 @@
 //! the low-level operator, `Compose` by the `baselines::naive` oracle). A
 //! single stale read fails the sweep.
 
+use gam::GamRead;
 use genmapper::GenMapper;
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::sync::Arc;

@@ -15,7 +15,7 @@ use crate::report::{ImportReport, ImportTimings};
 use eav::{EavBatch, EavRecord};
 use gam::mapping::Association;
 use gam::model::{RelType, SourceContent, SourceStructure};
-use gam::{GamError, GamResult, GamStore, ObjectId, SourceId};
+use gam::{GamError, GamRead, GamResult, GamStore, ObjectId, SourceId};
 use std::collections::BTreeMap;
 use std::time::Instant;
 

@@ -8,7 +8,7 @@
 
 use eav::{EavBatch, EavRecord, SourceMeta};
 use gam::model::{SourceContent, SourceStructure};
-use gam::GamStore;
+use gam::{GamRead, GamStore};
 use import::{run_pipeline, Importer, PipelineOptions};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use testkit::{cases, text, Prng};

@@ -9,7 +9,7 @@
 
 use crate::exec::ExecConfig;
 use gam::model::RelType;
-use gam::{GamError, GamResult, GamStore, Mapping, SourceRelId};
+use gam::{GamError, GamRead, GamResult, GamStore, Mapping, SourceRelId};
 
 /// Store a derived mapping. `derivation` documents how it was produced
 /// (e.g. the mapping path `"Unigene-LocusLink-GO"`). If a mapping of the

@@ -52,9 +52,9 @@ pub fn map(store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<Mappi
 
 /// [`map`] in CSR form. When a single stored, non-structural mapping backs
 /// the pair — by far the common case — the index streams straight out of
-/// the store's batched `OBJECT_REL` scan ([`gam::GamStore::load_mapping_index`])
-/// with no per-row allocation, no sort and no dedup; stored the other way
-/// round, that index is flipped ([`MappingIndex::inverted`]), again with
+/// [`GamRead::load_mapping_index`] (on the live store, one batched
+/// `OBJECT_REL` scan) with no per-row allocation, no sort and no dedup;
+/// stored the other way round, that index is flipped ([`MappingIndex::inverted`]), again with
 /// no sort. Otherwise it canonicalizes the merged [`map`] result. Either
 /// way the index holds exactly `map(store, from, to)` in canonical form.
 pub fn map_index(store: &dyn GamRead, from: SourceId, to: SourceId) -> GamResult<MappingIndex> {

@@ -10,7 +10,7 @@
 
 use crate::expression::ExpressionStudy;
 use crate::stats::{benjamini_hochberg, hypergeometric_sf};
-use gam::{GamResult, MappingIndex, ObjectId};
+use gam::{GamRead, GamResult, MappingIndex, ObjectId};
 use genmapper::GenMapper;
 use std::collections::{BTreeSet, HashMap};
 

@@ -1050,13 +1050,6 @@ impl IndexStore {
             Err((key, row)) => f(key.clone(), *row),
         })
     }
-
-    /// The greatest live key, if the index is not empty.
-    pub fn last_key(&self) -> Option<IndexKey> {
-        let run = (0..self.run.len()).rev().find(|&i| !self.run.is_dead(i));
-        let delta = self.delta.last().map(|(key, _)| key.clone());
-        run.map(|i| self.run.with_key(i, |key| key.into())).max(delta)
-    }
 }
 
 /// Human-readable form of an index key, used in error messages.
@@ -1244,7 +1237,7 @@ mod tests {
         assert_eq!(ids(&ix, &k(&[5])), [RowId(1), RowId(3)]);
         ix.remove(&k(&[5]), RowId(1));
         ix.remove(&k(&[5]), RowId(3));
-        assert_eq!(ix.last_key(), None, "an emptied key is gone");
+        assert_eq!(ix.entry_count(), 0, "an emptied key is gone");
     }
 
     /// What a case draws its values from. Ints and floats are a few
@@ -1368,8 +1361,6 @@ mod tests {
                 }
                 assert_eq!(live_entries(&ix), model.iter().cloned().collect::<Vec<_>>());
                 assert_eq!(ix.entry_count(), model.len());
-                let last = ix.last_key().map(|key| ix.spec().decode(&key).unwrap());
-                assert_eq!(last.as_ref(), model.last().map(|(k, _)| k));
                 // every key, point-probed and sought in order through one cursor
                 let mut cursor = ix.cursor();
                 for key in pools.keys(name) {

@@ -566,9 +566,12 @@ pub fn encode_page_directory(catalog: &PagedCatalog<'_>) -> Vec<u8> {
     out
 }
 
-/// Check a page directory's frame — magic, version, CRC — and return the
-/// body inside it. A file that fails here was torn or has rotted; a body
-/// that passes is what its writer wrote, whatever [`decode_catalog`] finds.
+/// Check a page directory's frame — magic, CRC, version — and return the
+/// body inside it. A file that fails as [`StoreError::Corrupt`] was torn or
+/// has rotted; a body that passes is what its writer wrote, whatever
+/// [`decode_catalog`] finds. A whole directory of a version past the
+/// newest this build reads is [`StoreError::Unsupported`]: a newer build
+/// wrote it, and this one refuses it rather than degrade around it.
 pub fn page_directory_body(data: &[u8]) -> StoreResult<&[u8]> {
     if data.len() < 12 {
         return Err(StoreError::Corrupt("page directory too short".into()));
@@ -576,18 +579,19 @@ pub fn page_directory_body(data: &[u8]) -> StoreResult<&[u8]> {
     if &data[0..4] != DIR_MAGIC {
         return Err(StoreError::Corrupt("bad page directory magic".into()));
     }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-    if version == 0 || version > DIR_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported page directory version {version}"
-        )));
-    }
     let crc = u32::from_le_bytes([data[8], data[9], data[10], data[11]]);
     let body = &data[12..];
     if crc32(body) != crc {
         return Err(StoreError::Corrupt("page directory checksum mismatch".into()));
     }
-    Ok(body)
+    match u32::from_le_bytes([data[4], data[5], data[6], data[7]]) {
+        0 => Err(StoreError::Corrupt("page directory version 0".into())),
+        version if version > DIR_VERSION => Err(StoreError::Unsupported(format!(
+            "page directory version {version} was written by a newer build; \
+             this one reads versions up to {DIR_VERSION}"
+        ))),
+        _ => Ok(body),
+    }
 }
 
 /// Decode and CRC-verify a page directory.
@@ -939,11 +943,12 @@ mod tests {
         let mut bad = data.clone();
         bad[0] = b'X';
         assert!(decode_page_directory(&bad).is_err());
-        for version in [0, 99] {
-            let mut bad = data.clone();
-            bad[4] = version;
-            assert!(decode_page_directory(&bad).is_err());
-        }
+        // version 0 is rot; a version past this build's is a newer build's
+        let mut bad = data.clone();
+        bad[4] = 0;
+        assert!(matches!(decode_page_directory(&bad), Err(StoreError::Corrupt(_))));
+        bad[4] = DIR_VERSION as u8 + 1;
+        assert!(matches!(decode_page_directory(&bad), Err(StoreError::Unsupported(_))));
         let mut bad = data.clone();
         let n = bad.len();
         bad[n - 1] ^= 0x01;

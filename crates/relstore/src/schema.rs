@@ -181,9 +181,8 @@ impl SchemaBuilder {
     /// key, in place of a primary key: the value of a row there must be
     /// its row id + 1, so the key is the row's address. Every write is
     /// checked against that ([`StoreError::DenseKeyViolation`]) and no
-    /// index structure is kept for it: the `"pk"` reads of
-    /// [`Table`](crate::Table) — `lookup_unique`, `lookup_row_ids`,
-    /// `last_key` — are answered by address.
+    /// index structure is kept for it: a `"pk"` read of
+    /// [`Table`](crate::Table), `lookup_unique`, is answered by address.
     pub fn dense_key(mut self, column: &str) -> Self {
         if self.dense.is_some() || !self.primary_key.is_empty() {
             self.error = Some("a table has one key: dense or primary".into());

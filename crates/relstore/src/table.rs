@@ -16,9 +16,8 @@
 //! A table whose schema declares a dense key
 //! ([`Schema::dense_key`]) keeps no structure for it: every row holds its
 //! row id + 1 in column 0 — checked at every write and in the pass that
-//! builds the indexes — so a key is its row's address, and the `"pk"` reads
-//! ([`Table::lookup_unique`], [`Table::lookup_row_ids`], [`Table::last_key`])
-//! are one read by row id with a liveness check.
+//! builds the indexes — so a key is its row's address, and a `"pk"` read
+//! ([`Table::lookup_unique`]) is one read by row id with a liveness check.
 //!
 //! Reads name their index: [`Table::lookup`], [`Table::for_each_prefix`]
 //! and their kin probe one declared index, and [`Table::for_each_row`] is
@@ -321,12 +320,6 @@ impl<'a> RowCursor<'a> {
             Some((image, slot)) => image.row(slot),
             None => Ok(None),
         }
-    }
-
-    /// Whether a live row sits at `id`, read off its slot: no row decoded.
-    fn live(&mut self, id: RowId) -> StoreResult<bool> {
-        Ok(Self::image(self.store, &mut self.cached, id)?
-            .is_some_and(|(image, slot)| image.raw_cell(slot).is_some()))
     }
 
     /// Apply `f` to the live row at `id`, borrowed; `Ok(None)` for
@@ -1077,15 +1070,7 @@ impl Table {
     /// Row ids under every key of a named index that starts with `prefix`
     /// (its leading key columns), in row order. An exact key is the full
     /// prefix: the key encoding is prefix-free, so nothing longer matches.
-    /// A dense key is probed by its full value: its row's id, if live.
     pub fn lookup_row_ids(&self, index: &str, prefix: &[Value]) -> StoreResult<Vec<RowId>> {
-        if self.dense(index) {
-            let Some(id) = dense_row(prefix) else {
-                return Ok(Vec::new());
-            };
-            let live = RowCursor::new(&self.store).live(id)?;
-            return Ok(if live { vec![id] } else { Vec::new() });
-        }
         let ix = self.index(index)?;
         let mut ids = Vec::new();
         if let Some(prefix) = ix.spec().probe(prefix) {
@@ -1109,25 +1094,6 @@ impl Table {
             });
         }
         Ok(n)
-    }
-
-    /// The greatest key of a named index, as its column values — `None` if
-    /// the table is empty. On an ascending id column this is the last id
-    /// handed out, without touching a row. On a dense key it is the key of
-    /// the last live row, found walking back from the high-water mark.
-    pub fn last_key(&self, index: &str) -> StoreResult<Option<Vec<Value>>> {
-        if self.dense(index) {
-            let mut cursor = RowCursor::new(&self.store);
-            let high = if self.live == 0 { 0 } else { self.store.high_water() };
-            for id in (0..high).rev().map(RowId) {
-                if cursor.live(id)? {
-                    return Ok(id.dense_key().map(|key| vec![Value::Int(key)]));
-                }
-            }
-            return Ok(None);
-        }
-        let ix = self.index(index)?;
-        ix.last_key().map(|key| ix.spec().decode(&key)).transpose()
     }
 
     /// Batched columnar scan over an index prefix: rows are visited in index
@@ -1426,8 +1392,6 @@ mod tests {
             t.for_each_match("nope", &probes, |_, _| {}),
             Err(StoreError::NoSuchIndex { .. })
         ));
-        assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(5)]));
-        assert_eq!(object_table().last_key("pk").unwrap(), None);
     }
 
     #[test]
@@ -1515,6 +1479,7 @@ mod tests {
             PathBuf::from("/db/heap.1.bin"),
             PoolConfig { page_bytes: 128, pool_pages: 2 },
         ));
+        let pk = |t: &Table, id: i64| t.lookup_unique("pk", &[Value::Int(id)]).unwrap();
         for mut t in [Table::new(dense_schema()), Table::create(dense_schema(), Some(pager), 1)] {
             assert!(off_its_address(t.insert(obj(2, 10, "A"))));
             assert_eq!((t.next_row_id(), t.len()), (RowId(0), 0));
@@ -1528,19 +1493,13 @@ mod tests {
             t.update(RowId(1), obj(2, 11, "B2")).unwrap();
             let old = t.delete(RowId(38)).unwrap();
             assert!(off_its_address(t.restore(RowId(38), obj(38, 10, "B39"))));
-            let pk = |t: &Table, id: i64| t.lookup_unique("pk", &[Value::Int(id)]).unwrap();
-            let row_ids = |t: &Table, id: i64| t.lookup_row_ids("pk", &[Value::Int(id)]).unwrap();
             assert_eq!(pk(&t, 2).unwrap().get(2), &Value::text("B2"));
-            assert_eq!(row_ids(&t, 2), [RowId(1)]);
             // the deleted row and ids that address no row are absent
             for absent in [39, 40, 0, -1, i64::MIN, i64::MAX] {
                 assert_eq!(pk(&t, absent), None, "{absent}");
-                assert!(row_ids(&t, absent).is_empty(), "{absent}");
             }
-            assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(38)]));
             t.restore(RowId(38), old.into_values()).unwrap();
-            assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(39)]));
-            assert_eq!(row_ids(&t, 39), [RowId(38)]);
+            assert_eq!(pk(&t, 39).unwrap().get(2), &Value::text("B39"));
             // no structure is kept: `pk` is no index
             assert!(matches!(t.index_stats("pk"), Err(StoreError::NoSuchIndex { .. })));
             assert_eq!(t.indexes.len(), 2);
@@ -1550,9 +1509,9 @@ mod tests {
         assert!(off_its_address(t.insert_at(RowId(3), obj(3, 10, "A"))));
         t.insert_at(RowId(3), obj(4, 10, "A")).unwrap();
         t.build_indexes().unwrap();
-        assert_eq!(t.last_key("pk").unwrap(), Some(vec![Value::Int(4)]));
+        assert_eq!(pk(&t, 4).unwrap().get(0), &Value::Int(4));
         t.delete(RowId(3)).unwrap();
-        assert_eq!(t.last_key("pk").unwrap(), None, "only tombstones are left");
+        assert_eq!(pk(&t, 4), None, "only a tombstone is left");
     }
 
     /// Rows recovered under a dense schema are checked in the pass that

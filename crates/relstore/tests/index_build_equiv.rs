@@ -700,7 +700,7 @@ fn run_len(ix: IndexStats) -> usize {
 }
 
 /// Every index read of `table` against what a scan derives: the entry
-/// list and the greatest key, and for a few keys it holds and one it does
+/// list, and for a few keys it holds and one it does
 /// not, `lookup`, `lookup_prefix` and `index_prefix_count` on the leading
 /// column, and one `for_each_match` over all of them with a repeat.
 fn assert_reads_match_scan(table: &Table, st: &mut Prng, context: &str) {
@@ -711,7 +711,6 @@ fn assert_reads_match_scan(table: &Table, st: &mut Prng, context: &str) {
         let mut expect: Entries = rows.iter().map(|(id, r)| (r.project(&def.columns), *id)).collect();
         expect.sort();
         assert_eq!(table.index_entry_list(name).unwrap(), expect, "{context}: entries");
-        assert_eq!(table.last_key(name).unwrap(), expect.last().map(|e| e.0.clone()), "{context}");
         let absent = [Value::Int(-1), Value::Int(-1), Value::text("none"), Value::Float(-1.0), Value::Float(2.5)];
         let mut probes: Vec<Vec<Value>> = vec![def.columns.iter().map(|&c| absent[c].clone()).collect()];
         for _ in 0..3.min(expect.len()) {
@@ -946,22 +945,6 @@ fn a_multi_index_reinsert_of_a_held_entry_is_a_no_op() {
     });
     let want: Vec<RowId> = (1..64).step_by(4).chain([99]).map(RowId).collect();
     assert_eq!(under, want);
-}
-
-#[test]
-fn last_key_skips_a_dead_greatest_run_entry() {
-    for pool in [None, Some(2)] {
-        let (_vfs, mut db) = frozen(pool);
-        let last = |db: &Database| db.table("t").unwrap().last_key("pk").unwrap();
-        db.with_txn(|txn| txn.delete("t", RowId(63))).unwrap();
-        assert_eq!(index_stats(&db, "pk").dead, 1);
-        assert_eq!(last(&db), Some(vec![Value::Int(62)]));
-        // a greater key in the delta, then gone again
-        let id = insert(&mut db, shape_row(1000, 1000, 0, None)).unwrap();
-        assert_eq!(last(&db), Some(vec![Value::Int(1000)]));
-        db.with_txn(|txn| txn.delete("t", id)).unwrap();
-        assert_eq!(last(&db), Some(vec![Value::Int(62)]));
-    }
 }
 
 #[test]

@@ -4,8 +4,10 @@
 //! and the [`RecoveryReport`](relstore::RecoveryReport) records every
 //! degradation it performed. The ladder is one code path; every case runs
 //! pool-less and pooled. What an open cannot serve — sealed pages without
-//! a pool, the files of a superseded format — it refuses without touching.
+//! a pool, the files of a superseded format, a directory of a newer
+//! version — it refuses without touching.
 
+use relstore::codec::crc32;
 use relstore::db::{heap_file_name, PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
@@ -94,7 +96,7 @@ fn corrupt_primary_snapshot_falls_back_to_previous() {
         ("truncated-body", |data| data.truncate(data.len() / 2)),
         ("flipped-crc", |data| data[8] ^= 0xff),
         ("bad-magic", |data| data[0] = b'X'),
-        ("bad-version", |data| data[4] = 99),
+        ("bad-version", |data| data[4] = 0),
     ];
     for (mode, open) in MODES {
         for (name, corrupt) in cases {
@@ -280,6 +282,55 @@ fn paged_directory_opened_without_a_pool_is_refused_untouched() {
     assert_eq!(db.recovery_report().unwrap().wal_txns, 1);
     assert_eq!(ids(&db), (0..110).collect::<Vec<_>>());
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A page directory from a newer build — whole, its checksum good, its
+/// version one past the newest this build writes — is refused by both
+/// opens, naming the version, and nothing is touched: no fallback to
+/// `pagedir.prev`, no WAL reset as stale, no directory written over it.
+#[test]
+fn a_directory_from_a_newer_version_is_refused_untouched() {
+    let dense = Schema::builder("d")
+        .column(Column::new("id", ValueType::Int))
+        .dense_key("id")
+        .build()
+        .unwrap();
+    for (mode, open) in MODES {
+        let dir = seeded_dir(&format!("newer-version-{mode}"), open);
+        // a dense key is written at this build's newest directory version
+        let mut db = open(&dir).unwrap();
+        db.create_table(dense.clone()).unwrap();
+        db.with_txn(|txn| txn.insert("d", vec![Value::Int(1)]).map(drop)).unwrap();
+        db.checkpoint().unwrap();
+        insert_range(&mut db, 30..40);
+        drop(db);
+        let path = dir.join(PAGEDIR_FILE);
+        let mut data = fs::read(&path).unwrap();
+        let newer = u32::from_le_bytes(data[4..8].try_into().unwrap()) + 1;
+        data[4..8].copy_from_slice(&newer.to_le_bytes());
+        let crc = crc32(&data[12..]);
+        data[8..12].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &data).unwrap();
+
+        let before = dir_image(&dir);
+        for name in [PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE] {
+            assert!(before.iter().any(|(file, _)| file.ends_with(name)), "{mode}: {name}");
+        }
+        for (reopen, open) in MODES {
+            match open(&dir) {
+                Err(StoreError::Unsupported(msg)) => {
+                    assert!(msg.contains(&format!("version {newer}")), "{msg}")
+                }
+                other => panic!("{reopen} of a version-{newer} directory: {other:?}"),
+            }
+            assert_eq!(
+                dir_image(&dir),
+                before,
+                "{mode} store, {reopen}: a refused open changes nothing"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// A directory written without a pool opens with one — the WAL tail

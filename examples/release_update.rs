@@ -12,7 +12,7 @@
 //! Run with: `cargo run --example release_update`
 
 use eav::EavRecord;
-use gam::{MappingIndex, ObjectId};
+use gam::{GamRead, MappingIndex, ObjectId};
 use genmapper::{GenMapper, QuerySpec};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::collections::BTreeSet;

@@ -1,6 +1,7 @@
 //! End-to-end integration: generate → parse → import → query, validated
 //! against the generator's ground truth (the `Universe`).
 
+use gam::GamRead;
 use genmapper::{GenMapper, QuerySpec, TargetQuery};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use sources::universe::Universe;

@@ -3,6 +3,7 @@
 //! them soundly (paper §4.2's future-work direction on reduced-evidence
 //! mappings).
 
+use gam::GamRead;
 use genmapper::{GenMapper, QuerySpec, TargetQuery};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::collections::BTreeSet;

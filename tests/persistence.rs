@@ -1,6 +1,7 @@
 //! Durability integration: checkpoint + WAL recovery at system level,
 //! including failure injection (torn WAL, corrupt snapshot).
 
+use gam::GamRead;
 use genmapper::{GenMapper, QuerySpec};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::fs;

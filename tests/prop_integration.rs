@@ -1,6 +1,7 @@
 //! Seeded integration sweeps over randomly-shaped ecosystems.
 
 use gam::model::RelType;
+use gam::GamRead;
 use genmapper::{GenMapper, QuerySpec, TargetQuery};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use sources::universe::UniverseParams;
