@@ -99,9 +99,24 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     (Mutant {
         what: "WalWriter::open appends behind a torn tail",
         path: "crates/relstore/src/wal.rs",
-        needle: "            if recovery.committed_bytes < data.len() as u64 {\n                vfs.truncate(path, recovery.committed_bytes)?;\n            }\n",
+        needle: "        if cut {\n            vfs.truncate(path, committed)?;\n        }\n",
         replacement: "",
-        killer: "wal::tests::reopen_truncates_torn_tail_so_new_records_are_recoverable",
+        killer: "wal::tests::reopen_truncates_torn_tail_so_new_records_are_recoverable, clippy: unused variable: `cut`",
+    }, &[]),
+    (Mutant {
+        what: "the scan takes a whole undecodable frame for a torn tail",
+        path: "crates/relstore/src/wal.rs",
+        needle: "        offset = body_start + payload.len();\n        match LoggedOp::decode(payload)? {",
+        replacement: "        let Ok(op) = LoggedOp::decode(payload) else {\n            recovery.torn_at = Some(offset as u64);\n            break;\n        };\n        offset = body_start + payload.len();\n        match op {",
+        killer: "wal::tests::a_whole_frame_that_does_not_decode_is_refused_not_taken_for_a_torn_tail, \
+                 recovery::a_whole_wal_frame_that_does_not_decode_is_refused_untouched",
+    }, &[]),
+    (Mutant {
+        what: "replay stores a logged cell without check_row",
+        path: "crates/relstore/src/table.rs",
+        needle: "        scratch.decode_cell(row_id, cell)?;\n        self.schema.check_row(scratch.values())?;\n",
+        replacement: "        scratch.decode_cell(row_id, cell)?;\n",
+        killer: "index_build_equiv::open_refuses_rows_that_contradict_an_index",
     }, &[]),
     // --- error-swallow ---
     (Mutant {
@@ -220,6 +235,15 @@ const MUTANTS: &[(Mutant, Fires)] = &[
                  reopened_store_equals_the_closed_one}, index.rs's two run tests, \
                  relstore prop and paged_prop, 17 genmapper tests; snapshot_stress hangs",
     }, &[]),
+    (Mutant {
+        what: "a radix pass drops a cell's top digit",
+        path: "crates/relstore/src/index.rs",
+        needle: "let bits = u64::BITS - greatest(cell).leading_zeros();",
+        replacement: "let bits = (u64::BITS - greatest(cell).leading_zeros()).saturating_sub(DIGIT_BITS);",
+        killer: "24 workspace tests: index_build_equiv::radix_sorted_runs_equal_a_comparison_sort_and_the_maintained_index \
+                 and 11 more index_build_equiv tests, index::tests::bulk_build_equals_per_row_maintenance, \
+                 heap_weight, persistence and crash_import among them",
+    }, &[]),
     // --- wal-bracket: the group-commit window ---
     (Mutant {
         what: "Importer::import opens a group-commit window and never closes it",
@@ -324,10 +348,10 @@ const MUTANTS: &[(Mutant, Fires)] = &[
         killer: "db::tests::paged_compact_reclaims_dead_heap_bytes",
     }, &["vfs-bypass"]),
     (Mutant {
-        what: "WalWriter::open reads the log through std::fs",
-        path: "crates/relstore/src/wal.rs",
-        needle: "if let Some(data) = vfs.read(path)? {",
-        replacement: "if let Ok(data) = std::fs::read(path) {",
+        what: "open reads the WAL through std::fs where the Vfs has none",
+        path: "crates/relstore/src/db.rs",
+        needle: "let data = vfs.read(&wal_path)?.unwrap_or_default();",
+        replacement: "let data = vfs.read(&wal_path)?.or_else(|| std::fs::read(&wal_path).ok()).unwrap_or_default();",
         killer: "",
     }, &["vfs-bypass"]),
     (Mutant {

@@ -210,13 +210,11 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Decode a length-prefixed string.
-pub fn get_str(buf: &mut &[u8]) -> StoreResult<String> {
+/// Decode a length-prefixed string, borrowed from `buf`.
+pub fn get_str<'a>(buf: &mut &'a [u8]) -> StoreResult<&'a str> {
     let len = get_varint(buf)? as usize;
     let raw = take(buf, len, "string payload truncated")?;
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
+    std::str::from_utf8(raw).map_err(|_| StoreError::Corrupt("string is not UTF-8".into()))
 }
 
 /// `CRC_TABLES[0][b]` is the CRC-32 remainder of the single byte `b` (eight

@@ -19,13 +19,13 @@ use crate::page::PageId;
 use crate::pager::{
     decode_catalog, encode_page_directory, page_directory_body, PagedCatalog, Pager, PoolConfig,
 };
-use crate::row::RowId;
+use crate::row::{Row, RowId};
 use crate::schema::Schema;
 use crate::stats::{DbStats, TableStats};
 use crate::table::Table;
 use crate::value::Value;
 use crate::vfs::{RealVfs, Vfs};
-use crate::wal::{read_wal, LogRecord, WalWriter};
+use crate::wal::{scan_wal, LogRecord, LoggedOp, WalWriter};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -256,13 +256,15 @@ impl Database {
         Ok(db)
     }
 
-    /// Second half of [`recover`](Self::recover): read the WAL, replay its
-    /// committed transactions over the recovered tables when its epoch matches
-    /// `epoch`, reset it when stale (completing an interrupted
-    /// checkpoint), and leave it open for appends. The tables arrive under
-    /// recovery — rows only — and replay only places rows; once the rows
-    /// are final every index is built, once, which is also where a unique
-    /// violation or a miscounted page directory surfaces.
+    /// Second half of [`recover`](Self::recover): read and scan the WAL
+    /// once, replay its committed transactions over the recovered tables
+    /// when its epoch matches `epoch`, reset it when stale (completing an
+    /// interrupted checkpoint), and leave it open for appends. The tables
+    /// arrive under recovery — rows only — and replay only places rows;
+    /// once the rows are final every index is built, once, which is also
+    /// where a unique violation or a miscounted page directory surfaces.
+    /// Nothing is written before that, so a log this build cannot read is
+    /// refused untouched.
     fn attach_wal(
         &mut self,
         vfs: Arc<dyn Vfs>,
@@ -271,7 +273,9 @@ impl Database {
         source: SnapshotSource,
     ) -> StoreResult<()> {
         let wal_path = dir.join(WAL_FILE);
-        let recovery = read_wal(vfs.as_ref(), &wal_path)?;
+        let data = vfs.read(&wal_path)?.unwrap_or_default();
+        let recovery = scan_wal(&data)?;
+        let (committed, cut) = (recovery.committed_bytes, recovery.committed_bytes < data.len() as u64);
         let wal_epoch = recovery.epoch.unwrap_or(0);
         let wal_has_content = recovery.committed_txns > 0
             || recovery.discarded_ops > 0
@@ -289,15 +293,17 @@ impl Database {
         if !stale {
             report.wal_txns = recovery.committed_txns;
             report.wal_discarded_ops = recovery.discarded_ops;
+            let mut scratch = Row::new(Vec::new());
             for op in recovery.committed_ops {
-                self.apply_replayed(op)?;
+                self.apply_replayed(op, &mut scratch)?;
             }
             self.next_txid = recovery.committed_txns + 1;
         }
+        drop(data);
         for table in self.tables.values_mut() {
             table.build_indexes()?;
         }
-        let mut wal = WalWriter::open(vfs.clone(), &wal_path)?;
+        let mut wal = WalWriter::open(vfs.clone(), &wal_path, committed, cut)?;
         if stale {
             // Complete the interrupted checkpoint: the directory already
             // holds this WAL's effects, so clear it and stamp the epoch.
@@ -340,23 +346,22 @@ impl Database {
         Table::create(schema, self.pager.clone(), id)
     }
 
-    fn apply_replayed(&mut self, op: LogRecord) -> StoreResult<()> {
+    /// Apply one committed operation of the log; a logged row is decoded
+    /// over `scratch`, one row reused across the whole replay.
+    fn apply_replayed(&mut self, op: LoggedOp<'_>, scratch: &mut Row) -> StoreResult<()> {
         match op {
-            LogRecord::Insert {
-                table,
-                row_id,
-                values,
-            } => self.table_mut_internal(&table)?.insert_at(row_id, values),
-            LogRecord::Delete { table, row_id } => {
-                self.table_mut_internal(&table)?.delete(row_id).map(|_| ())
+            LoggedOp::Insert { table, row_id, cell } => {
+                self.table_mut_internal(table)?.insert_cell(row_id, cell, scratch)
             }
-            LogRecord::Update {
-                table,
-                row_id,
-                values,
-            } => self.table_mut_internal(&table)?.update(row_id, values).map(|_| ()),
-            LogRecord::Commit { .. } | LogRecord::Epoch { .. } => Ok(()),
-            LogRecord::CreateTable { schema } => {
+            LoggedOp::Delete { table, row_id } => {
+                self.table_mut_internal(table)?.delete(row_id).map(drop)
+            }
+            LoggedOp::Update { table, row_id, cell } => {
+                scratch.decode_cell(row_id, cell)?;
+                self.table_mut_internal(table)?.update(row_id, scratch.values().to_vec()).map(drop)
+            }
+            LoggedOp::Commit | LoggedOp::Epoch { .. } => Ok(()),
+            LoggedOp::CreateTable { schema } => {
                 // The checkpoint may already contain the table if the WAL
                 // predates it (it cannot on the normal checkpoint path, but
                 // degraded recovery tolerates it); the checkpoint wins.

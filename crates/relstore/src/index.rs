@@ -720,9 +720,15 @@ impl Run {
     }
 }
 
+/// Bits of a radix sort digit: 2¹¹ counters fit the first-level cache.
+const DIGIT_BITS: u32 = 11;
+
 /// Sort fixed-width keys of `N - 1` columns beside their rows, all of which
 /// fit one cell (`span` says so), as one `[u32; N]` an entry: the cells
-/// the run holds them in.
+/// the run holds them in. The sort is an LSD radix sort: one stable
+/// counting pass per 11-bit digit that a cell's values span, the row cell
+/// first and key column `N - 2` to 0 after it. The row cell needs no pass
+/// when rows come in ascending order, as a bulk build streams them.
 fn narrow_run<const N: usize>(words: Vec<u64>, rows: Vec<RowId>, span: Span) -> Run {
     let tuple = |(key, row): (&[u64], &RowId)| {
         let mut cells = [row.0 as u32; N];
@@ -732,9 +738,41 @@ fn narrow_run<const N: usize>(words: Vec<u64>, rows: Vec<RowId>, span: Span) -> 
         cells
     };
     let mut tuples: Vec<[u32; N]> = words.chunks_exact(N - 1).zip(&rows).map(tuple).collect();
+    let rows_ascend = rows.is_sorted();
     drop((words, rows));
     if !tuples.is_sorted() {
-        tuples.sort_unstable();
+        // the digits each cell's values span, least significant first
+        let greatest = |cell: usize| match cell == N - 1 {
+            true => span.top - 1,
+            false => span.hi[cell] - span.lo[cell],
+        };
+        let digits: Vec<(usize, u32)> = (0..N)
+            .rev()
+            .skip(usize::from(rows_ascend))
+            .flat_map(|cell| {
+                let bits = u64::BITS - greatest(cell).leading_zeros();
+                (0..bits).step_by(DIGIT_BITS as usize).map(move |shift| (cell, shift))
+            })
+            .collect();
+        let digit = |t: &[u32; N], (cell, shift): (usize, u32)| (t[cell] >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+        // every pass's counts from one read of the tuples
+        let mut counts = vec![[0u32; 1 << DIGIT_BITS]; digits.len()];
+        for t in &tuples {
+            counts.iter_mut().zip(&digits).for_each(|(at, &d)| at[digit(t, d)] += 1);
+        }
+        let mut spare = vec![[0; N]; tuples.len()];
+        for (mut at, d) in counts.into_iter().zip(digits) {
+            if at[digit(&tuples[0], d)] as usize == tuples.len() {
+                continue; // one value of the digit: the pass would move nothing
+            }
+            at.iter_mut().fold(0, |start, slot| start + std::mem::replace(slot, start));
+            for t in &tuples {
+                let slot = &mut at[digit(t, d)];
+                spare[*slot as usize] = *t;
+                *slot += 1;
+            }
+            std::mem::swap(&mut tuples, &mut spare);
+        }
     }
     Run { cells: tuples.into_flattened(), ..Run::new(N - 1, span, 0, 0) }
 }

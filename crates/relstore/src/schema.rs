@@ -357,7 +357,7 @@ pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
 pub(crate) fn get_schema(buf: &mut &[u8]) -> StoreResult<Schema> {
     let name = get_str(buf)?;
     let ncols = get_count(buf, 3, "column")?;
-    let mut builder = Schema::builder(&name);
+    let mut builder = Schema::builder(name);
     let mut col_names = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let cname = get_str(buf)?;
@@ -368,9 +368,9 @@ pub(crate) fn get_schema(buf: &mut &[u8]) -> StoreResult<Schema> {
         }
         if flags & DENSE != 0 {
             // the builder refuses a dense flag on any column but the first
-            builder = builder.dense_key(&cname);
+            builder = builder.dense_key(cname);
         }
-        col_names.push(cname.clone());
+        col_names.push(cname.to_owned());
         builder = builder.column(if flags & NULLABLE != 0 {
             Column::nullable(cname, ty)
         } else {
@@ -401,9 +401,9 @@ pub(crate) fn get_schema(buf: &mut &[u8]) -> StoreResult<Schema> {
         let cols = resolve(buf, &col_names)?;
         let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
         builder = if unique {
-            builder.unique_index(&iname, &refs)
+            builder.unique_index(iname, &refs)
         } else {
-            builder.index(&iname, &refs)
+            builder.index(iname, &refs)
         };
     }
     builder.build()

@@ -755,13 +755,15 @@ impl Table {
         Ok(row_ids)
     }
 
-    /// Place a row at a specific id, used by WAL replay on a
-    /// table under recovery (no index is touched). The id must be at or
-    /// beyond the current high-water mark; the gap (if any) is filled with
-    /// tombstones so later replayed ids stay aligned.
-    pub(crate) fn insert_at(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
-        self.schema.check_row(&values)?;
-        check_dense(&self.schema, row_id, &values)?;
+    /// Place the row logged as `cell` at `row_id`, used by WAL replay on a
+    /// table under recovery (no index is touched): the cell is decoded over
+    /// `scratch` to be checked, and stored as it was logged. The id must be
+    /// at or beyond the current high-water mark; the gap (if any) is filled
+    /// with tombstones so later replayed ids stay aligned.
+    pub(crate) fn insert_cell(&mut self, row_id: RowId, cell: &[u8], scratch: &mut Row) -> StoreResult<()> {
+        scratch.decode_cell(row_id, cell)?;
+        self.schema.check_row(scratch.values())?;
+        check_dense(&self.schema, row_id, scratch.values())?;
         if row_id.0 < self.store.high_water() {
             return Err(StoreError::Corrupt(format!(
                 "replayed insert at {row_id} below high-water mark {}",
@@ -769,7 +771,7 @@ impl Table {
             )));
         }
         self.store.fill_gap_to(row_id.0)?;
-        self.store.open_image().push(Some(&values));
+        self.store.open_image().push_cell(cell);
         self.live += 1;
         self.store.settle()
     }
@@ -1265,6 +1267,16 @@ mod tests {
     use crate::value::ValueType;
     use crate::vfs::FaultVfs;
     use std::path::PathBuf;
+
+    impl Table {
+        /// Replay's insert of `values` at `row_id`, logged as WAL replay
+        /// finds it: one `put_row` cell.
+        fn insert_at(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
+            let mut cell = Vec::new();
+            crate::codec::put_row(&mut cell, &values);
+            self.insert_cell(row_id, &cell, &mut Row::new(Vec::new()))
+        }
+    }
 
     fn object_schema() -> Schema {
         Schema::builder("object")

@@ -5,7 +5,14 @@
 //! checksum or length mismatch marks the end of the valid prefix (a torn
 //! tail from a crash), and recovery ignores everything after it. Operations
 //! whose commit marker is missing (the transaction was mid-commit at crash
-//! time) are likewise discarded, giving atomic, durable transactions.
+//! time) are likewise discarded, giving atomic, durable transactions. A
+//! whole frame that does not decode is no torn tail: the open is refused,
+//! as cutting it off would cut off every acknowledged commit behind it.
+//!
+//! Recovery reads the log once and scans it once ([`scan_wal`]) into
+//! [`LoggedOp`]s borrowed from that buffer, a row still the cell it was
+//! logged as; the writer opens behind the scan's committed prefix
+//! ([`WalWriter::open`]) and never reads the log itself.
 //!
 //! After a checkpoint the log is reset and stamped with an *epoch* record
 //! matching the checkpoint it now extends. Recovery replays a log only onto
@@ -17,7 +24,7 @@
 //! All I/O goes through a [`Vfs`] backend so crash tests can substitute the
 //! fault-injecting simulator in [`crate::vfs`].
 
-use crate::codec::{crc32, get_row, get_str, get_u8, get_varint, put_row, put_str, put_varint};
+use crate::codec::{crc32, get_str, get_u8, get_varint, put_row, put_str, put_varint};
 use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::value::Value;
@@ -37,7 +44,8 @@ const OP_CREATE: u8 = 6;
 /// old `BufWriter` did) instead of accumulating unboundedly.
 const FLUSH_THRESHOLD: usize = 64 * 1024;
 
-/// A single log record.
+/// A log record as a transaction writes it; the scan reads it back as a
+/// [`LoggedOp`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     Insert {
@@ -108,35 +116,51 @@ impl LogRecord {
             }
         }
     }
+}
 
-    fn decode(buf: &mut &[u8]) -> StoreResult<LogRecord> {
-        let tag = get_u8(buf, "empty log record")?;
-        Ok(match tag {
-            OP_INSERT => LogRecord::Insert {
+/// A record as the scan finds it, borrowed from the log's one read buffer:
+/// a logged row stays the cell [`put_row`] wrote, for replay to check and
+/// store as it is.
+#[derive(Debug, PartialEq)]
+pub enum LoggedOp<'a> {
+    Insert { table: &'a str, row_id: RowId, cell: &'a [u8] },
+    Delete { table: &'a str, row_id: RowId },
+    Update { table: &'a str, row_id: RowId, cell: &'a [u8] },
+    Commit,
+    Epoch { epoch: u64 },
+    CreateTable { schema: crate::schema::Schema },
+}
+
+impl<'a> LoggedOp<'a> {
+    /// Decode a whole frame payload. A tag this build does not know is
+    /// `Unsupported` (a newer build wrote it); a known one whose body does
+    /// not decode to exactly the payload is `Corrupt`.
+    fn decode(mut buf: &'a [u8]) -> StoreResult<LoggedOp<'a>> {
+        let buf = &mut buf;
+        let op = match get_u8(buf, "empty log record")? {
+            OP_INSERT => LoggedOp::Insert {
                 table: get_str(buf)?,
                 row_id: RowId(get_varint(buf)?),
-                values: get_row(buf)?,
+                cell: std::mem::take(buf),
             },
-            OP_DELETE => LogRecord::Delete {
+            OP_DELETE => LoggedOp::Delete {
                 table: get_str(buf)?,
                 row_id: RowId(get_varint(buf)?),
             },
-            OP_UPDATE => LogRecord::Update {
+            OP_UPDATE => LoggedOp::Update {
                 table: get_str(buf)?,
                 row_id: RowId(get_varint(buf)?),
-                values: get_row(buf)?,
+                cell: std::mem::take(buf),
             },
-            OP_COMMIT => LogRecord::Commit {
-                txid: get_varint(buf)?,
-            },
-            OP_EPOCH => LogRecord::Epoch {
-                epoch: get_varint(buf)?,
-            },
-            OP_CREATE => LogRecord::CreateTable {
-                schema: crate::schema::get_schema(buf)?,
-            },
-            other => return Err(StoreError::Corrupt(format!("unknown log tag {other}"))),
-        })
+            OP_COMMIT => get_varint(buf).map(|_txid| LoggedOp::Commit)?,
+            OP_EPOCH => LoggedOp::Epoch { epoch: get_varint(buf)? },
+            OP_CREATE => LoggedOp::CreateTable { schema: crate::schema::get_schema(buf)? },
+            tag => return Err(StoreError::Unsupported(format!("WAL record tag {tag}: a newer build wrote the log"))),
+        };
+        match buf.len() {
+            0 => Ok(op),
+            n => Err(StoreError::Corrupt(format!("a WAL record leaves {n} bytes unread"))),
+        }
     }
 }
 
@@ -180,19 +204,16 @@ impl std::fmt::Debug for WalWriter {
 }
 
 impl WalWriter {
-    /// Open (creating if absent) a WAL for appending. The file is first
-    /// truncated back to its last commit (or epoch) marker: appending
-    /// behind a torn frame would hide every later record from recovery,
-    /// and appending behind the trailing ops of a never-committed
-    /// transaction would let the *next* commit marker wrongly adopt them.
-    pub fn open(vfs: Arc<dyn Vfs>, path: &Path) -> StoreResult<Self> {
-        let mut len = 0;
-        if let Some(data) = vfs.read(path)? {
-            let recovery = scan_wal(&data);
-            if recovery.committed_bytes < data.len() as u64 {
-                vfs.truncate(path, recovery.committed_bytes)?;
-            }
-            len = recovery.committed_bytes;
+    /// Open (creating if absent) a WAL for appending behind its first
+    /// `committed` bytes, where [`scan_wal`] found its last commit (or
+    /// epoch) marker to end. With `cut` the file holds more than that and
+    /// is first truncated back: appending behind a torn frame would hide
+    /// every later record from recovery, and appending behind the trailing
+    /// ops of a never-committed transaction would let the *next* commit
+    /// marker wrongly adopt them. The log is not read here.
+    pub fn open(vfs: Arc<dyn Vfs>, path: &Path, committed: u64, cut: bool) -> StoreResult<Self> {
+        if cut {
+            vfs.truncate(path, committed)?;
         }
         let file = vfs.open_append(path)?;
         Ok(WalWriter {
@@ -200,7 +221,7 @@ impl WalWriter {
             vfs,
             file,
             buf: Vec::new(),
-            len,
+            len: committed,
             failed: false,
             bytes_written: 0,
         })
@@ -338,12 +359,13 @@ impl WalWriter {
     }
 }
 
-/// Result of reading a WAL: the records of every *committed* transaction, in
-/// commit order, plus diagnostics about discarded data.
+/// Result of scanning a WAL: the records of every *committed* transaction,
+/// in commit order, borrowed from the scanned bytes, plus diagnostics about
+/// discarded data.
 #[derive(Debug, Default)]
-pub struct WalRecovery {
+pub struct WalRecovery<'a> {
     /// Operations belonging to committed transactions, in log order.
-    pub committed_ops: Vec<LogRecord>,
+    pub committed_ops: Vec<LoggedOp<'a>>,
     /// Number of committed transactions found.
     pub committed_txns: u64,
     /// Operations discarded because their commit marker was missing.
@@ -351,9 +373,6 @@ pub struct WalRecovery {
     /// If the file ended with a torn/corrupt record, the byte offset of the
     /// valid prefix.
     pub torn_at: Option<u64>,
-    /// Length of the valid frame prefix (the whole file when nothing is
-    /// torn).
-    pub valid_bytes: u64,
     /// Length of the prefix recovery actually keeps: up to and including
     /// the last commit (or epoch) marker. Trailing ops without a marker
     /// and any torn tail lie beyond this.
@@ -363,88 +382,63 @@ pub struct WalRecovery {
     pub epoch: Option<u64>,
 }
 
-/// Scan an in-memory WAL image and classify its records.
-pub fn scan_wal(data: &[u8]) -> WalRecovery {
+/// Scan a WAL image once and classify its records. A frame whose length or
+/// checksum does not hold — an empty one included, as no record is empty —
+/// is a torn tail and ends the valid prefix; a whole frame that does not
+/// decode is an error (`LoggedOp::decode`), never taken for one, as the
+/// committed frames behind it would go with it.
+pub fn scan_wal(data: &[u8]) -> StoreResult<WalRecovery<'_>> {
     let mut recovery = WalRecovery::default();
     let mut offset = 0usize;
-    let mut pending: Vec<LogRecord> = Vec::new();
+    let mut pending = Vec::new();
     while offset < data.len() {
-        if data.len() - offset < 8 {
-            recovery.torn_at = Some(offset as u64);
-            break;
-        }
-        let len = u32::from_le_bytes([
-            data[offset],
-            data[offset + 1],
-            data[offset + 2],
-            data[offset + 3],
-        ]) as usize;
-        let crc = u32::from_le_bytes([
-            data[offset + 4],
-            data[offset + 5],
-            data[offset + 6],
-            data[offset + 7],
-        ]);
+        let frame = data.get(offset..offset + 8).map(|head| {
+            let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+            (word(0) as usize, word(4))
+        });
         let body_start = offset + 8;
-        if data.len() - body_start < len {
-            recovery.torn_at = Some(offset as u64);
-            break;
-        }
-        let payload = &data[body_start..body_start + len];
-        if crc32(payload) != crc {
-            recovery.torn_at = Some(offset as u64);
-            break;
-        }
-        let record = match LogRecord::decode(&mut &*payload) {
-            Ok(r) => r,
-            Err(_) => {
-                recovery.torn_at = Some(offset as u64);
-                break;
+        let payload = match frame {
+            Some((len, crc)) if len > 0 && data.len() - body_start >= len => {
+                let payload = &data[body_start..body_start + len];
+                (crc32(payload) == crc).then_some(payload)
             }
+            _ => None,
         };
-        offset = body_start + len;
-        match record {
-            LogRecord::Commit { .. } => {
+        let Some(payload) = payload else {
+            recovery.torn_at = Some(offset as u64);
+            break;
+        };
+        offset = body_start + payload.len();
+        match LoggedOp::decode(payload)? {
+            LoggedOp::Commit => {
                 recovery.committed_txns += 1;
                 recovery.committed_ops.append(&mut pending);
                 recovery.committed_bytes = offset as u64;
             }
-            LogRecord::Epoch { epoch } => {
+            LoggedOp::Epoch { epoch } => {
                 recovery.epoch = Some(epoch);
                 recovery.committed_bytes = offset as u64;
             }
             // Table creation is logged outside any transaction (the
             // single-writer API cannot interleave it with one), so it is
             // committed the moment it is durable.
-            create @ LogRecord::CreateTable { .. } => {
+            create @ LoggedOp::CreateTable { .. } => {
                 recovery.committed_ops.push(create);
                 recovery.committed_bytes = offset as u64;
             }
             op => pending.push(op),
         }
     }
-    recovery.valid_bytes = recovery.torn_at.unwrap_or(data.len() as u64);
     recovery.discarded_ops = pending.len();
-    recovery
-}
-
-/// Read a WAL file and classify its records.
-pub fn read_wal(vfs: &dyn Vfs, path: &Path) -> StoreResult<WalRecovery> {
-    match vfs.read(path)? {
-        Some(data) => Ok(scan_wal(&data)),
-        None => Ok(WalRecovery::default()),
-    }
+    Ok(recovery)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
     use crate::vfs::RealVfs;
     use std::fs;
-
-    fn vfs() -> Arc<dyn Vfs> {
-        Arc::new(RealVfs)
-    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("relstore-wal-tests");
@@ -452,6 +446,11 @@ mod tests {
         let p = dir.join(name);
         let _ = fs::remove_file(&p);
         p
+    }
+
+    /// A writer over a log that does not exist yet.
+    fn fresh(path: &Path) -> WalWriter {
+        WalWriter::open(Arc::new(RealVfs), path, 0, false).unwrap()
     }
 
     fn ins(table: &str, id: u64, v: i64) -> LogRecord {
@@ -462,10 +461,21 @@ mod tests {
         }
     }
 
+    /// The cell `ins(.., v)` logs its row as.
+    fn cell(v: i64) -> Vec<u8> {
+        let mut cell = Vec::new();
+        put_row(&mut cell, &[Value::Int(v)]);
+        cell
+    }
+
+    fn logged<'a>(table: &'a str, id: u64, cell: &'a [u8]) -> LoggedOp<'a> {
+        LoggedOp::Insert { table, row_id: RowId(id), cell }
+    }
+
     #[test]
     fn roundtrip_committed_transactions() {
         let path = tmp("roundtrip.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&ins("t", 1, 2)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
@@ -477,13 +487,15 @@ mod tests {
         w.append(&LogRecord::Commit { txid: 2 }).unwrap();
         w.sync().unwrap();
 
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_txns, 2);
         assert_eq!(r.committed_ops.len(), 3);
         assert_eq!(r.discarded_ops, 0);
         assert!(r.torn_at.is_none());
-        assert_eq!(r.valid_bytes, fs::metadata(&path).unwrap().len());
-        assert_eq!(r.committed_ops[0], ins("t", 0, 1));
+        assert_eq!(r.committed_bytes, data.len() as u64);
+        assert_eq!(r.committed_ops[0], logged("t", 0, &cell(1)));
+        assert_eq!(r.committed_ops[2], LoggedOp::Delete { table: "t", row_id: RowId(0) });
     }
 
     #[test]
@@ -497,17 +509,18 @@ mod tests {
             ins("t", 2, 3),
             LogRecord::Commit { txid: 2 },
         ];
-        let mut w1 = WalWriter::open(vfs(), &one).unwrap();
+        let mut w1 = fresh(&one);
         for r in &records {
             w1.append(r).unwrap();
         }
         w1.sync().unwrap();
-        let mut w2 = WalWriter::open(vfs(), &many).unwrap();
+        let mut w2 = fresh(&many);
         w2.append_batch(&records).unwrap();
         w2.sync().unwrap();
         assert_eq!(w1.bytes_written(), w2.bytes_written());
-        assert_eq!(fs::read(&one).unwrap(), fs::read(&many).unwrap());
-        let r = read_wal(&RealVfs, &many).unwrap();
+        let data = fs::read(&many).unwrap();
+        assert_eq!(fs::read(&one).unwrap(), data);
+        let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_txns, 2);
         assert_eq!(r.committed_ops.len(), 3);
     }
@@ -515,21 +528,23 @@ mod tests {
     #[test]
     fn uncommitted_tail_is_discarded() {
         let path = tmp("uncommitted.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.append(&ins("t", 1, 2)).unwrap(); // never committed
         w.sync().unwrap();
 
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_ops.len(), 1);
         assert_eq!(r.discarded_ops, 1);
+        assert!(r.committed_bytes < data.len() as u64);
     }
 
     #[test]
     fn torn_record_ends_recovery() {
         let path = tmp("torn.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.append(&ins("t", 1, 2)).unwrap();
@@ -538,13 +553,11 @@ mod tests {
 
         // chop off the last 3 bytes to tear the final frame
         let data = fs::read(&path).unwrap();
-        fs::write(&path, &data[..data.len() - 3]).unwrap();
-
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let data = &data[..data.len() - 3];
+        let r = scan_wal(data).unwrap();
         assert_eq!(r.committed_txns, 1);
         assert_eq!(r.committed_ops.len(), 1);
         assert!(r.torn_at.is_some());
-        assert_eq!(r.valid_bytes, r.torn_at.unwrap());
         // the torn tail contained the second txn's op, now discarded
         assert_eq!(r.discarded_ops, 1);
     }
@@ -554,7 +567,7 @@ mod tests {
         // Regression: append-after-torn-tail used to bury every later
         // record behind the corrupt frame, where recovery never looks.
         let path = tmp("reopen-torn.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.append(&ins("t", 1, 2)).unwrap();
@@ -564,23 +577,29 @@ mod tests {
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..data.len() - 3]).unwrap();
 
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        // reopen as recovery does: one read, one scan, the writer told
+        // where the committed prefix ends
+        let data = fs::read(&path).unwrap();
+        let r = scan_wal(&data).unwrap();
+        let cut = r.committed_bytes < data.len() as u64;
+        let mut w = WalWriter::open(Arc::new(RealVfs), &path, r.committed_bytes, cut).unwrap();
         w.append(&ins("t", 2, 9)).unwrap();
         w.append(&LogRecord::Commit { txid: 3 }).unwrap();
         w.sync().unwrap();
 
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let r = scan_wal(&data).unwrap();
         assert!(r.torn_at.is_none(), "torn tail must be gone after reopen");
         assert_eq!(r.committed_txns, 2);
         assert_eq!(r.committed_ops.len(), 2);
-        assert_eq!(r.committed_ops[1], ins("t", 2, 9));
+        assert_eq!(r.committed_ops[1], logged("t", 2, &cell(9)));
         assert_eq!(r.discarded_ops, 0);
     }
 
     #[test]
     fn corrupted_crc_ends_recovery() {
         let path = tmp("badcrc.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
@@ -588,16 +607,54 @@ mod tests {
         // flip a payload byte of the first record
         let victim = 9;
         data[victim] ^= 0xff;
-        fs::write(&path, &data).unwrap();
 
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_txns, 0);
         assert_eq!(r.torn_at, Some(0));
     }
 
+    /// Frames `payloads` as the writer frames a record.
+    fn framed(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for payload in payloads {
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crc32(payload).to_le_bytes());
+            out.extend_from_slice(payload);
+        }
+        out
+    }
+
     #[test]
-    fn missing_file_is_empty_recovery() {
-        let r = read_wal(&RealVfs, Path::new("/nonexistent/dir/never.wal")).unwrap();
+    fn a_whole_frame_that_does_not_decode_is_refused_not_taken_for_a_torn_tail() {
+        let mut committed = Vec::new();
+        encode_frames(&[ins("t", 0, 1), LogRecord::Commit { txid: 1 }], &mut committed);
+        let commit_2 = {
+            let mut out = Vec::new();
+            encode_frames(&[ins("t", 1, 2), LogRecord::Commit { txid: 2 }], &mut out);
+            out
+        };
+        let reject = |bad: &[u8]| {
+            let log = [&committed[..], &framed(&[bad]), &commit_2].concat();
+            scan_wal(&log).map(|r| r.committed_txns).unwrap_err()
+        };
+        match reject(&[7, 1, 2]) {
+            StoreError::Unsupported(msg) => assert!(msg.contains("tag 7"), "{msg}"),
+            other => panic!("unknown tag: {other:?}"),
+        }
+        let mut insert = Vec::new();
+        ins("t", 1, 2).encode(&mut insert);
+        for bad in [&insert[..3], &[OP_COMMIT, 1, 0][..], &[OP_DELETE, 1, b't'][..]] {
+            assert!(matches!(reject(bad), StoreError::Corrupt(_)), "{bad:?}");
+        }
+        // a zeroed header is no frame any build writes: a torn tail
+        let log = [&committed[..], &[0; 12], &commit_2].concat();
+        let r = scan_wal(&log).unwrap();
+        assert_eq!((r.committed_txns, r.torn_at), (1, Some(committed.len() as u64)));
+    }
+
+    #[test]
+    fn an_empty_log_is_an_empty_recovery() {
+        let r = scan_wal(&[]).unwrap();
         assert_eq!(r.committed_ops.len(), 0);
         assert!(r.torn_at.is_none());
         assert!(r.epoch.is_none());
@@ -606,7 +663,7 @@ mod tests {
     #[test]
     fn reset_truncates_and_stamps_epoch() {
         let path = tmp("reset.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
@@ -616,20 +673,22 @@ mod tests {
         w.append(&ins("t", 0, 9)).unwrap();
         w.append(&LogRecord::Commit { txid: 2 }).unwrap();
         w.sync().unwrap();
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let r = scan_wal(&data).unwrap();
         assert_eq!(r.epoch, Some(7));
         assert_eq!(r.committed_ops.len(), 1);
-        assert_eq!(r.committed_ops[0], ins("t", 0, 9));
+        assert_eq!(r.committed_ops[0], logged("t", 0, &cell(9)));
     }
 
     #[test]
     fn pre_epoch_logs_report_no_epoch() {
         let path = tmp("no-epoch.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
-        let r = read_wal(&RealVfs, &path).unwrap();
+        let data = fs::read(&path).unwrap();
+        let r = scan_wal(&data).unwrap();
         assert!(r.epoch.is_none());
         assert_eq!(r.committed_txns, 1);
     }
@@ -639,14 +698,14 @@ mod tests {
         // More than FLUSH_THRESHOLD of frames must not accumulate in the
         // writer; spilled bytes appear in the file even before sync.
         let path = tmp("spill.wal");
-        let mut w = WalWriter::open(vfs(), &path).unwrap();
+        let mut w = fresh(&path);
         let big: Vec<LogRecord> = (0..4096).map(|i| ins("table_name", i, i as i64)).collect();
         w.append_batch(&big).unwrap();
         assert!(w.bytes_written() as usize > FLUSH_THRESHOLD);
         assert!(fs::metadata(&path).unwrap().len() > 0);
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
-        let r = read_wal(&RealVfs, &path).unwrap();
-        assert_eq!(r.committed_ops.len(), 4096);
+        let data = fs::read(&path).unwrap();
+        assert_eq!(scan_wal(&data).unwrap().committed_ops.len(), 4096);
     }
 }

@@ -362,7 +362,9 @@ fn seeded(pool: Option<usize>) -> FaultVfs {
 
 /// Commit `ops` as one more transaction at the end of the store's WAL.
 fn append_to_wal(vfs: &FaultVfs, ops: Vec<LogRecord>) {
-    let mut wal = WalWriter::open(Arc::new(vfs.clone()), &Path::new("/db").join(WAL_FILE)).unwrap();
+    let path = Path::new("/db").join(WAL_FILE);
+    let len = vfs.file_len(&path).unwrap().unwrap_or(0);
+    let mut wal = WalWriter::open(Arc::new(vfs.clone()), &path, len, false).unwrap();
     wal.append_batch(&ops).unwrap();
     wal.append(&LogRecord::Commit { txid: 99 }).unwrap();
     wal.sync().unwrap();
@@ -1031,4 +1033,106 @@ fn a_run_goes_wide_for_an_outlier_and_narrow_again_without_it() {
         violation_on(insert(&mut db, shape_row(70, 500, 0, None)), "pk");
         assert_eq!(index_stats(&db, "pk").delta, 0, "nothing was entered");
     }
+}
+
+/// Every (key, row) entry `ix` holds, in the order it reads them.
+fn all_entries(ix: &IndexStore) -> Vec<(IndexKey, RowId)> {
+    let mut out = Vec::new();
+    ix.visit_all(|key, row| {
+        out.push((key, row));
+        true
+    });
+    out
+}
+
+/// The bulk build's radix sort against a `sort_unstable` reference and the
+/// index maintained entry by entry: thousands of entries pushed in shuffled
+/// row order (so the row cell takes its passes too) or in ascending row
+/// order (so it takes none), over one to four integer key columns whose
+/// lanes span one, two or three 11-bit digits or the full 32 bits, with row
+/// ids spanning one to three digits, and repeated keys in multi indexes. A
+/// repeated key in a unique index is still refused, naming the key.
+#[test]
+fn radix_sorted_runs_equal_a_comparison_sort_and_the_maintained_index() {
+    let mut builder = Schema::builder("r");
+    for c in 0..4 {
+        builder = builder.column(Column::new(format!("c{c}"), ValueType::Int));
+    }
+    let names = ["c0", "c1", "c2", "c3"];
+    for k in 1..=4 {
+        builder = builder.index(&format!("m{k}"), &names[..k]).unique_index(&format!("u{k}"), &names[..k]);
+    }
+    let schema = builder.build().unwrap();
+    testkit::cases(24, |st| {
+        let k = 1 + st.below(4);
+        let unique = st.gen_bool(0.5);
+        let def = schema.index(&format!("{}{k}", if unique { "u" } else { "m" })).unwrap();
+        let spec = KeySpec::new(&schema, def);
+        // each column's lanes span exactly `spans[c]`: its base and its base
+        // plus the span both occur
+        let spans: Vec<u64> = (0..k).map(|_| *st.pick(&[(1 << 11) - 1, (1 << 22) - 1, 1 << 31, u32::MAX.into()])).collect();
+        let bases: Vec<i64> = (0..k).map(|_| st.gen_range(-(1i64 << 40)..(1i64 << 40))).collect();
+        let n = 5_000 + st.below(3_000);
+        // a small pool of offsets makes keys repeat; a wide draw mostly not
+        let pool: Vec<u64> = (0..1 + st.below(40)).map(|_| st.next_u64()).collect();
+        let mut keys: Vec<Vec<i64>> = (0..n)
+            .map(|i| {
+                (0..k)
+                    .map(|c| {
+                        let offset = match i {
+                            0 => 0,
+                            1 => spans[c],
+                            _ if st.gen_bool(0.3) => *st.pick(&pool) % (spans[c] + 1),
+                            _ => st.next_u64() % (spans[c] + 1),
+                        };
+                        bases[c] + offset as i64
+                    })
+                    .collect()
+            })
+            .collect();
+        if unique {
+            let mut seen = std::collections::HashSet::new();
+            keys.retain(|key| seen.insert(key.clone()));
+        }
+        let gap = *st.pick(&[1u64, 3, 700, 500_000]);
+        let mut entries: Vec<(IndexKey, RowId)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let values: Vec<Value> = key.iter().map(|&v| Value::Int(v)).collect();
+                (spec.probe(&values).unwrap(), RowId(i as u64 * gap))
+            })
+            .collect();
+        if st.gen_bool(0.75) {
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, st.below(i + 1));
+            }
+        }
+        let context = format!("{k} columns, spans {spans:?}, row gap {gap}, unique {unique}");
+        let built = build(def, spec.clone(), entries.clone());
+        let mut maintained = IndexStore::new(spec.clone(), unique);
+        entries.iter().for_each(|(key, row)| maintained.insert(key.clone(), *row));
+        let mut reference = entries.clone();
+        reference.sort_unstable();
+        assert_eq!(all_entries(&built), reference, "{context}: built run");
+        assert_eq!(all_entries(&maintained), reference, "{context}: maintained index");
+        // the run took `u32` cells: the path that radix-sorts
+        let cells = (k + 1) * std::mem::size_of::<u32>();
+        assert!(built.stats().bytes < (cells + 1) * reference.len(), "{context}: {:?}", built.stats());
+
+        if unique {
+            let (key, _) = entries[st.below(entries.len())].clone();
+            let values = spec.decode(&key).unwrap();
+            entries.push((key, RowId(entries.len() as u64 * gap + 1)));
+            let mut builder = IndexBuilder::new(spec.clone(), entries.len()).unwrap();
+            entries.into_iter().for_each(|(key, row)| builder.push(key, row));
+            match builder.finish("r", def) {
+                Err(StoreError::UniqueViolation { table, index, key }) => {
+                    assert_eq!((table.as_str(), index.as_str()), ("r", def.name.as_str()), "{context}");
+                    assert_eq!(key, relstore::index::format_key(&values), "{context}");
+                }
+                other => panic!("{context}: a repeated unique key built {:?}", other.map(|ix| ix.stats())),
+            }
+        }
+    });
 }

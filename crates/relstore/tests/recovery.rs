@@ -5,15 +5,19 @@
 //! degradation it performed. The ladder is one code path; every case runs
 //! pool-less and pooled. What an open cannot serve — sealed pages without
 //! a pool, the files of a superseded format, a directory of a newer
-//! version — it refuses without touching.
+//! version, a whole WAL frame it cannot decode — it refuses without
+//! touching, and it reads each file it needs once.
 
 use relstore::codec::crc32;
 use relstore::db::{heap_file_name, PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
+use relstore::vfs::{RealVfs, Vfs, VfsFile};
 use relstore::{Database, PoolConfig, SnapshotSource, StoreError, StoreResult};
+use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 fn schema() -> Schema {
     Schema::builder("t")
@@ -329,6 +333,123 @@ fn a_directory_from_a_newer_version_is_refused_untouched() {
                 "{mode} store, {reopen}: a refused open changes nothing"
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// A whole WAL frame — its length and checksum good — that this build
+/// cannot decode is refused, not cut off as a torn tail together with the
+/// acknowledged commit behind it: an unknown tag (a newer build's record)
+/// is `Unsupported` naming the tag, a known tag whose body does not decode
+/// is `Corrupt`, and every file is left as it was. The same frame with its
+/// checksum broken is a torn tail: the open keeps the commit in front of it.
+#[test]
+fn a_whole_wal_frame_that_does_not_decode_is_refused_untouched() {
+    let frame = |payload: &[u8], crc: u32| {
+        [&(payload.len() as u32).to_le_bytes()[..], &crc.to_le_bytes(), payload].concat()
+    };
+    for (mode, open) in MODES {
+        // checkpoint, commit 1; then commit 2, whose frames are cut out to
+        // go behind the frame under test
+        let dir = test_dir(&format!("undecodable-frame-{mode}"));
+        let mut db = open(&dir).unwrap();
+        db.create_table(schema()).unwrap();
+        db.checkpoint().unwrap();
+        insert_range(&mut db, 1..2);
+        drop(db);
+        let first = fs::read(dir.join(WAL_FILE)).unwrap();
+        let mut db = open(&dir).unwrap();
+        insert_range(&mut db, 2..3);
+        drop(db);
+        let both = fs::read(dir.join(WAL_FILE)).unwrap();
+        let (head, second) = both.split_at(first.len());
+        assert_eq!(head, &first[..], "{mode}: the reopen rewrote the log");
+
+        let cases: [(&str, &[u8]); 2] = [("unknown tag", &[7, 0]), ("insert body", &[1, 9, b't'])];
+        for (case, payload) in cases {
+            fs::write(dir.join(WAL_FILE), [&first[..], &frame(payload, crc32(payload)), second].concat()).unwrap();
+            let before = dir_image(&dir);
+            match (open(&dir), case) {
+                (Err(StoreError::Unsupported(msg)), "unknown tag") => assert!(msg.contains("tag 7"), "{msg}"),
+                (Err(StoreError::Corrupt(_)), "insert body") => {}
+                (other, _) => panic!("{mode}, {case}: {other:?}"),
+            }
+            assert_eq!(dir_image(&dir), before, "{mode}, {case}: a refused open changes nothing");
+        }
+
+        let payload = [7, 0];
+        fs::write(dir.join(WAL_FILE), [&first[..], &frame(&payload, !crc32(&payload)), second].concat()).unwrap();
+        let db = open(&dir).unwrap();
+        assert_eq!(db.recovery_report().unwrap().wal_torn_at, Some(first.len() as u64), "{mode}");
+        assert_eq!(ids(&db), [1], "{mode}: a torn frame keeps the commit in front of it");
+        drop(db);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Forwards every call to the real filesystem, counting whole-file reads
+/// by path.
+#[derive(Default)]
+struct CountingReads(Mutex<HashMap<PathBuf, usize>>);
+
+impl Vfs for CountingReads {
+    fn read(&self, path: &Path) -> StoreResult<Option<Vec<u8>>> {
+        *self.0.lock().unwrap().entry(path.to_owned()).or_default() += 1;
+        RealVfs.read(path)
+    }
+    fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
+        RealVfs.open_append(path)
+    }
+    fn create(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
+        RealVfs.create(path)
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
+        RealVfs.read_at(path, offset, len)
+    }
+    fn remove(&self, path: &Path) -> StoreResult<()> {
+        RealVfs.remove(path)
+    }
+    fn file_len(&self, path: &Path) -> StoreResult<Option<u64>> {
+        RealVfs.file_len(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> StoreResult<()> {
+        RealVfs.rename(from, to)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> StoreResult<()> {
+        RealVfs.truncate(path, len)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        RealVfs.exists(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> StoreResult<()> {
+        RealVfs.sync_dir(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> StoreResult<()> {
+        RealVfs.create_dir_all(dir)
+    }
+}
+
+/// An open reads each file once: the WAL is read and scanned once — the
+/// writer appends behind the scan's committed prefix without reading the
+/// log again — and so is the page directory. Heap pages are read by range.
+#[test]
+fn open_reads_the_wal_and_the_page_directory_once() {
+    for (mode, open) in MODES {
+        let dir = checkpointed_plus_wal_tail(&format!("read-once-{mode}"), open);
+        let vfs = Arc::new(CountingReads::default());
+        let db = match mode {
+            "open" => Database::open_with_vfs(vfs.clone(), &dir),
+            _ => Database::open_paged_with_vfs(vfs.clone(), &dir, PoolConfig { page_bytes: 64, pool_pages: 2 }),
+        }
+        .unwrap();
+        let reads = vfs.0.lock().unwrap().clone();
+        assert_eq!(db.recovery_report().unwrap().wal_txns, 1, "{mode}");
+        assert_eq!(ids(&db), (0..110).collect::<Vec<_>>(), "{mode}");
+        for file in [WAL_FILE, PAGEDIR_FILE] {
+            assert_eq!(reads.get(&dir.join(file)), Some(&1), "{mode}: {file} in {reads:?}");
+        }
+        assert_eq!(reads.len(), 2, "{mode}: {reads:?}");
+        drop(db);
         let _ = fs::remove_dir_all(&dir);
     }
 }
