@@ -24,6 +24,8 @@
 //!   written as nested loops over `gam`'s data types, with no dependency
 //!   on the `operators` crate whose executor is checked against it.
 
+#![forbid(unsafe_code)]
+
 pub mod naive;
 pub mod srs;
 pub mod star;

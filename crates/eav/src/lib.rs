@@ -15,6 +15,8 @@
 //!   classification, partitions) — the staging area, held in memory
 //!   between Parse and Import.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod record;
 

@@ -15,6 +15,8 @@
 //! the high-level operators, and [`GamStore`] — a typed
 //! facade over a [`relstore::Database`] holding the four tables.
 
+#![forbid(unsafe_code)]
+
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
 // Tier-1 runs clippy with `-D warnings`, so these lints are the gate.

@@ -1436,8 +1436,9 @@ mod tests {
         let heap = dir.join(format!("heap.{}.bin", catalog.heap_gen));
         let mut bytes = vfs.read(&heap).unwrap().unwrap();
         bytes[(pages[0].loc.offset + pages[0].loc.len as u64 - 1) as usize] ^= 0x01;
-        let mut file = vfs.create(&heap).unwrap();
-        file.write_all(&bytes).unwrap();
+        // in place: the pool holds the heap file open
+        vfs.truncate(&heap, 0).unwrap();
+        vfs.open_append(&heap).unwrap().write_all(&bytes).unwrap();
         // a store it could not finish reading is an error, not a clean bill
         match s.verify_integrity() {
             Err(GamError::Store(relstore::StoreError::Corrupt(msg))) => {

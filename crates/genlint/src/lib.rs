@@ -37,6 +37,8 @@
 //! with a mandatory human-written reason. Stale entries (matching
 //! nothing) are themselves errors, so the baseline can only shrink.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod graph;

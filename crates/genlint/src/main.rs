@@ -16,6 +16,8 @@
 //! Exit codes: 0 clean (or findings without `--deny`), 1 findings under
 //! `--deny`, 2 usage/config/I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -35,6 +35,8 @@
 //! assert!(view.rows().any(|r| r.cell_text(1) == Some("APRT")));
 //! ```
 
+#![forbid(unsafe_code)]
+
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
 // Tier-1 runs clippy with `-D warnings`, so these lints are the gate.

@@ -25,6 +25,8 @@
 //! (scoped threads) and imports them serially, as GenMapper's
 //! loader did against its central MySQL database.
 
+#![forbid(unsafe_code)]
+
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
 // Tier-1 runs clippy with `-D warnings`, so these lints are the gate.

@@ -28,6 +28,8 @@
 //! surfaces the chosen plan as a [`plan::ExplainNode`] tree for the
 //! CLI/serve `explain` verbs.
 
+#![forbid(unsafe_code)]
+
 // Non-test code on the import/query path must propagate errors, never
 // panic: one malformed dump line must not take down a whole import.
 // Tier-1 runs clippy with `-D warnings`, so these lints are the gate.

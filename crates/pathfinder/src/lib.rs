@@ -13,6 +13,8 @@
 //! BFS shortest paths, quality-weighted Dijkstra, Yen's k-shortest paths,
 //! and via-constrained search; [`saved`] keeps named user paths.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod saved;
 

@@ -20,6 +20,8 @@
 //!   Subsumed closure, and [`stats`] provides the hypergeometric
 //!   enrichment test.
 
+#![forbid(unsafe_code)]
+
 pub mod expression;
 pub mod pipeline;
 pub mod stats;

@@ -244,14 +244,23 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice, slicing-by-8: eight
-/// bytes a step through eight tables, a byte-wise tail. Frames WAL records
-/// and checksums page images and page directories.
+/// CRC-32 (IEEE 802.3, reflected): frames WAL records, checksums page
+/// images and page directories. 128 bytes or more are folded where the CPU
+/// can (a page fault checksums a whole page), the rest go through tables.
 pub fn crc32(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = Some(data).filter(|data| data.len() >= 128).and_then(crc32_folded) {
+        return crc;
+    }
+    !table_update(!0, data)
+}
+
+/// Advance the CRC register `crc` (not inverted) over `data`, slicing-by-8:
+/// eight bytes a step through eight tables, a byte-wise tail.
+fn table_update(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc: u32 = 0xffff_ffff;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
+    let (words, tail) = data.as_chunks::<8>();
+    for c in words {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
         let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
         crc = t[7][(lo & 0xff) as usize]
@@ -263,10 +272,81 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][((hi >> 16) & 0xff) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    for &byte in chunks.remainder() {
+    for &byte in tail {
         crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
-    !crc
+    crc
+}
+
+/// The CRC of `data` with its 16-byte lanes folded; `None` where the CPU cannot fold.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn crc32_folded(data: &[u8]) -> Option<u32> {
+    if !(std::arch::is_x86_feature_detected!("pclmulqdq") && std::arch::is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    let (lanes, tail) = data.as_chunks::<16>();
+    // SAFETY: `fold::lanes` needs pclmulqdq and sse4.1, both detected above.
+    let crc = unsafe { fold::lanes(!0, lanes) };
+    Some(!table_update(crc, tail))
+}
+
+/// The standard PCLMULQDQ fold of a reflected CRC-32 (Intel, "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ", 2009), with
+/// crc32fast's constants: four lanes folded 64 bytes ahead, then one lane
+/// 16 bytes ahead, down to 64 bits, and a Barrett reduction to 32.
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use std::arch::x86_64::*;
+
+    const K1: i64 = 0x1_5444_2bd4; // x^(4*128+32) mod P, reflected: 64 bytes ahead
+    const K2: i64 = 0x1_c6e4_1596; // x^(4*128-32) mod P
+    const K3: i64 = 0x1_7519_97d0; // x^(128+32) mod P: 16 bytes ahead
+    const K4: i64 = 0x0_ccaa_009e; // x^(128-32) mod P
+    const K5: i64 = 0x1_63cd_6124; // x^64 mod P: 96 bits to 64
+    const P_X: i64 = 0x1_db71_0641; // P itself
+    const U_PRIME: i64 = 0x1_f701_1641; // floor(x^64 / P), for Barrett
+
+    /// `acc` carried ahead by `keys`, plus the lane that lies there.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    fn fold_into(acc: __m128i, lane: __m128i, keys: __m128i) -> __m128i {
+        let (lo, hi) = (_mm_clmulepi64_si128(acc, keys, 0x00), _mm_clmulepi64_si128(acc, keys, 0x11));
+        _mm_xor_si128(_mm_xor_si128(lane, lo), hi)
+    }
+
+    /// Advance the register `crc` (not inverted) over `lanes`, under four by table.
+    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
+    pub(super) fn lanes(crc: u32, lanes: &[[u8; 16]]) -> u32 {
+        let load = |lane: &[u8; 16]| {
+            let word = u128::from_le_bytes(*lane);
+            _mm_set_epi64x((word >> 64) as i64, word as i64)
+        };
+        let Some(([a, b, c, d], rest)) = lanes.split_first_chunk::<4>() else {
+            return super::table_update(crc, lanes.as_flattened());
+        };
+        let mut x = [_mm_xor_si128(load(a), _mm_cvtsi32_si128(crc as i32)), load(b), load(c), load(d)];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let (quads, singles) = rest.as_chunks::<4>();
+        for quad in quads {
+            for (acc, lane) in x.iter_mut().zip(quad) {
+                *acc = fold_into(*acc, load(lane), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(fold_into(fold_into(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        for lane in singles {
+            x = fold_into(x, load(lane), k3k4);
+        }
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x5 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00);
+        let x = _mm_xor_si128(x5, _mm_srli_si128(x, 4));
+        // Barrett: T1 = (x mod x^32)·µ, T2 = (T1 mod x^32)·P, the register is x ^ T2's high half
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
+    }
 }
 
 #[cfg(test)]
@@ -436,21 +516,44 @@ pub(crate) mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Both paths against the definition: the tables, and the fold where
+    /// this CPU has it — `crc32` itself picks one by length.
+    fn check_crc32(data: &[u8], what: &str) {
+        let want = crc32_bitwise(data);
+        assert_eq!(!table_update(!0, data), want, "tables, {what}");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(folded) = crc32_folded(data) {
+            assert_eq!(folded, want, "fold, {what}");
+        }
+        assert_eq!(crc32(data), want, "crc32, {what}");
+    }
+
     #[test]
-    fn crc32_table_matches_the_bitwise_definition() {
-        testkit::cases(256, |rng| {
-            let data: Vec<u8> = (0..rng.below(300)).map(|_| rng.below(256) as u8).collect();
-            assert_eq!(crc32(&data), crc32_bitwise(&data), "{data:?}");
-        });
-        // every length around the eight-byte step, at every alignment of
-        // one shared buffer
-        let shared: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=64 {
-                let data = &shared[start..start + len];
-                assert_eq!(crc32(data), crc32_bitwise(data), "start {start} len {len}");
+    fn crc32_paths_match_the_bitwise_definition() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            crc32_folded(&[]).is_some(),
+            std::arch::is_x86_feature_detected!("pclmulqdq") && std::arch::is_x86_feature_detected!("sse4.1"),
+            "the fold runs wherever the CPU has it"
+        );
+        // every length up to 1 KiB, at 16 alignments of one shared buffer
+        let shared: Vec<u8> = (0..1024 + 16u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=1024 {
+                check_crc32(&shared[start..start + len], &format!("start {start} len {len}"));
             }
         }
+        // seeded noise up to 64 KiB, sized around the fold's threshold and
+        // each 64- and 16-byte step
+        testkit::cases(64, |rng| {
+            let len = match rng.below(3) {
+                0 => 127 + rng.below(3),
+                1 => (rng.below(1024) * *rng.pick(&[16, 64])).saturating_add(rng.below(3)).saturating_sub(1),
+                _ => rng.below(64 * 1024 + 1),
+            };
+            let data: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            check_crc32(&data, &format!("len {len}"));
+        });
     }
 
     #[test]

@@ -39,9 +39,6 @@ pub enum StoreError {
     InvalidSchema(String),
     /// The binary codec met malformed input.
     Corrupt(String),
-    /// The write-ahead log ended mid-record; the trailing suffix is ignored
-    /// during recovery but reported so callers can log it.
-    TruncatedWal { valid_bytes: u64 },
     /// Underlying I/O failure.
     Io(io::Error),
     /// A transaction was used after commit/rollback.
@@ -79,9 +76,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::InvalidSchema(msg) => write!(f, "invalid schema: {msg}"),
             StoreError::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
-            StoreError::TruncatedWal { valid_bytes } => {
-                write!(f, "write-ahead log truncated after {valid_bytes} bytes")
-            }
             StoreError::Io(e) => write!(f, "i/o error: {e}"),
             StoreError::TransactionClosed => write!(f, "transaction already closed"),
             StoreError::WalFailed => {

@@ -63,6 +63,8 @@
         clippy::unimplemented
     )
 )]
+// One `unsafe` block, allowed where it stands: the call into the CRC-32 fold.
+#![deny(unsafe_code)]
 
 pub mod codec;
 pub mod db;

@@ -9,7 +9,9 @@
 //! [`codec`](crate::codec), so pages share the WAL's and page directory's value
 //! encoding. The CRC covers the body: a torn or bit-flipped page image is
 //! detected at fault-in and surfaces as [`StoreError::Corrupt`], never as
-//! silently wrong rows.
+//! silently wrong rows. Every fault pays for that check, so [`crc32`] folds
+//! with PCLMULQDQ where the CPU has it, and the slot directory is read in
+//! one pass.
 //!
 //! [`PageImage`] is that byte string in memory — the header, the slot
 //! directory as a table of cell extents, and the cell area as it is on disk
@@ -46,6 +48,17 @@ pub struct PageId {
 struct Slot {
     off: u32,
     len: u32,
+}
+
+/// The live cell of slot `live` ends at `off`, where the next one starts or
+/// the cell area ends: past its own offset, or at 0 if there is none.
+fn end_cell(slots: &mut [Slot], live: Option<(usize, u64)>, off: u64) -> StoreResult<()> {
+    match live {
+        None if off == 0 => {}
+        Some((prev, prev_off)) if off > prev_off => slots[prev].len = (off - prev_off) as u32,
+        _ => return Err(StoreError::Corrupt(format!("page slot offset {off} does not ascend from 0 inside the cell area"))),
+    }
+    Ok(())
 }
 
 /// A page as it is on disk: identity, base row id, slot table, cell area.
@@ -135,33 +148,35 @@ impl PageImage {
         if nslots > MAX_PAGE_SLOTS {
             return Err(StoreError::Corrupt(format!("implausible slot count {nslots}")));
         }
+        // one pass, an entry a step: a varint of at most 5 bytes (`1 +
+        // offset` fits in 33 bits)
         let mut slots = Vec::with_capacity(nslots);
-        for _ in 0..nslots {
-            let entry = get_varint(&mut buf)?;
-            slots.push(Slot {
-                off: entry.saturating_sub(1).min(u32::MAX as u64) as u32,
-                len: (entry != 0) as u32,
-            });
-        }
-        // `buf` is the cell area: backwards, a live cell ends where the next starts
-        let origin = (data.len() - buf.len()) as u32;
-        let mut end = buf.len() as u32;
-        for slot in slots.iter_mut().rev().filter(|s| s.len != 0) {
-            if slot.off >= end {
-                return Err(StoreError::Corrupt(format!(
-                    "page slot offset {} does not precede {end} in the cell area",
-                    slot.off
-                )));
+        let (mut at, mut live) = (0, None);
+        for i in 0..nslots {
+            let (mut entry, mut shift) = (0u64, 0);
+            loop {
+                let Some(&byte) = buf.get(at).filter(|_| shift < 35) else {
+                    return Err(StoreError::Corrupt(format!("page slot {i}'s entry is cut off or longer than 5 bytes")));
+                };
+                at += 1;
+                entry |= u64::from(byte & 0x7f) << shift;
+                if byte < 0x80 {
+                    break;
+                }
+                shift += 7;
             }
-            slot.len = end - slot.off;
-            end = slot.off;
-            // the whole image is at most `u32::MAX` bytes
-            slot.off += origin;
+            if let Some(off) = entry.checked_sub(1) {
+                end_cell(&mut slots, live, off)?;
+                live = Some((i, off));
+            }
+            slots.push(Slot { off: entry.saturating_sub(1) as u32, len: 0 });
         }
-        if end != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{end} bytes of the cell area belong to no slot"
-            )));
+        // the rest is the cell area, and the last live cell runs to its end
+        end_cell(&mut slots, live, (buf.len() - at) as u64)?;
+        // the whole image is at most `u32::MAX` bytes
+        let origin = (data.len() - buf.len() + at) as u32;
+        for slot in &mut slots {
+            slot.off += origin;
         }
         Ok(PageImage {
             table_id,
@@ -391,6 +406,13 @@ mod tests {
         // cell bytes in front of the first cell, or under no live slot
         corrupt(PageImage::parse(forged(2, &[0, second], &two)));
         corrupt(PageImage::parse(forged(1, &[0], &good)));
+        // an entry is at most 5 varint bytes, padded ones included
+        let padded = |bytes: &[u8]| forged(1, &[], &[bytes, &good].concat());
+        assert_eq!(rows_of(&PageImage::parse(padded(&[0x81, 0x80, 0x80, 0x80, 0])).unwrap()), vec![Some(row(1))]);
+        let msg = corrupt(PageImage::parse(padded(&[0x81, 0x80, 0x80, 0x80, 0x80, 0])));
+        assert!(msg.contains("longer than 5 bytes"), "{msg}");
+        // the directory runs off the end of the image
+        corrupt(PageImage::parse(forged(1, &[], &[0x81])));
         // one slot too many: refused by the count, before the entries are read
         let entries = vec![0u64; MAX_PAGE_SLOTS + 1];
         let msg = corrupt(PageImage::parse(forged(entries.len() as u64, &entries, &[])));

@@ -19,6 +19,10 @@
 //! directory* (`encode_page_directory`) naming, per table, which heap
 //! offset holds each page. Recovery trusts only the directory: torn or
 //! superseded images beyond it are never referenced.
+//!
+//! A miss is one read through the [`VfsReader`] the pool holds on its heap
+//! file (opened at the first fault, dropped when a compaction moves the
+//! heap) and one [`PageImage::parse`].
 
 use crate::codec::{crc32, get_count, get_u32, get_u8, get_varint, put_varint, skip_row};
 use crate::error::{StoreError, StoreResult};
@@ -27,7 +31,7 @@ use crate::row::Row;
 use crate::schema::{get_schema, put_schema, Schema};
 use crate::stats::PoolStats;
 use crate::sync::Mutex;
-use crate::vfs::{Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile, VfsReader};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -99,6 +103,8 @@ struct PoolInner {
     directory: HashMap<PageId, DiskLoc>,
     heap_path: PathBuf,
     heap: Option<Box<dyn VfsFile>>,
+    /// Held on `heap_path` from the first fault until a compaction.
+    reader: Option<Box<dyn VfsReader>>,
     /// Physical append offset. Refreshed from the file when the handle is
     /// (re)opened, so short writes from injected faults cannot desync it.
     heap_len: u64,
@@ -142,6 +148,7 @@ impl Pager {
                 directory: HashMap::new(),
                 heap_path,
                 heap: None,
+                reader: None,
                 heap_len: 0,
                 heap_len_known: false,
             }),
@@ -221,14 +228,15 @@ impl Pager {
     }
 
     /// A page's bytes as the live directory places them in the heap file.
-    fn read_image(&self, inner: &PoolInner, pid: PageId) -> StoreResult<Vec<u8>> {
+    fn read_image(&self, inner: &mut PoolInner, pid: PageId) -> StoreResult<Vec<u8>> {
         let loc = *inner.directory.get(&pid).ok_or_else(|| {
             StoreError::Corrupt(format!("page {pid:?} missing from heap directory"))
         })?;
-        let image = self
-            .vfs
-            .read_at(&inner.heap_path, loc.offset, loc.len as usize)?
-            .ok_or_else(|| StoreError::Corrupt("heap file missing".into()))?;
+        let reader = match &mut inner.reader {
+            Some(reader) => reader,
+            none => none.insert(self.vfs.clone().open_reader(&inner.heap_path)?),
+        };
+        let image = reader.read_at(loc.offset, loc.len as usize)?;
         if image.len() != loc.len as usize {
             let (got, want) = (image.len(), loc.len);
             return Err(StoreError::Corrupt(format!("page {pid:?} truncated: {got} of {want} bytes")));
@@ -394,7 +402,7 @@ impl Pager {
             let image = match inner.frames.get(&pid) {
                 Some(f) => f.image.encode(),
                 None => {
-                    let image = self.read_image(&inner, pid)?;
+                    let image = self.read_image(&mut inner, pid)?;
                     // validate before re-writing, every cell included:
                     // compaction must not launder a corrupt image into a
                     // fresh heap
@@ -420,6 +428,7 @@ impl Pager {
         inner.directory = new_dir;
         inner.heap_path = new_path.to_owned();
         inner.heap = Some(file);
+        inner.reader = None;
         inner.heap_len = offset;
         inner.heap_len_known = true;
         for f in inner.frames.values_mut() {

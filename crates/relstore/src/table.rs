@@ -1222,11 +1222,6 @@ impl Table {
         outcome
     }
 
-    /// Entry count of a named index (for stats).
-    pub fn index_entries(&self, name: &str) -> StoreResult<usize> {
-        Ok(self.index(name)?.entry_count())
-    }
-
     /// Entries and resident bytes of a named index (for stats).
     pub fn index_stats(&self, name: &str) -> StoreResult<IndexStats> {
         Ok(self.index(name)?.stats())
@@ -2108,11 +2103,13 @@ mod tests {
         let mut scan = t.scan();
         assert_eq!(scan.by_ref().count(), 60);
         scan.finish().unwrap();
-        // flip a byte of page 1 where it lies in the heap: its checksum fails
+        // flip a byte of page 1 where it lies in the heap file the pool
+        // holds open: its checksum fails
         let loc = pager.directory_loc(t.page_ids()[1]).unwrap();
         let mut bytes = vfs.read(&heap).unwrap().unwrap();
         bytes[loc.offset as usize + 20] ^= 0x40;
-        vfs.create(&heap).unwrap().write_all(&bytes).unwrap();
+        vfs.truncate(&heap, 0).unwrap();
+        vfs.open_append(&heap).unwrap().write_all(&bytes).unwrap();
         let first_page = t.store.pages[0].slots as usize;
         let mut scan = t.scan();
         assert_eq!(scan.by_ref().count(), first_page, "page 0 still reads");

@@ -14,6 +14,10 @@
 //! * a crash freezes the durable image; every handle opened before the
 //!   crash returns errors until [`FaultVfs::reboot`] is called.
 //!
+//! The buffer pool holds a [`VfsReader`] on its heap file: [`RealVfs`]'s
+//! keeps the file open for `pread`, [`FaultVfs`]'s holds the inode like its
+//! other handles, and any other backend's reads by path.
+//!
 //! Faults are scheduled with a [`FaultPlan`] counting operations: fail the
 //! Nth op with an injected error (short write included), or power-cut at
 //! the Nth op. Because the op counter is deterministic for a deterministic
@@ -21,11 +25,12 @@
 //! then sweep a crash through every single point.
 
 use crate::error::{StoreError, StoreResult};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// An open file handle.
 pub trait VfsFile: Send + Sync {
@@ -36,8 +41,15 @@ pub trait VfsFile: Send + Sync {
     fn sync(&mut self) -> StoreResult<()>;
 }
 
+/// A handle that reads one file at positions, held open across reads.
+pub trait VfsReader: Send + Sync {
+    /// Read `len` bytes at `offset`; past the end of the file the read
+    /// comes back short or fails.
+    fn read_at(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>>;
+}
+
 /// A filesystem backend.
-pub trait Vfs: Send + Sync {
+pub trait Vfs: Send + Sync + 'static {
     /// Open a file for appending, creating it if absent.
     fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>>;
     /// Create (or truncate) a file for writing.
@@ -49,6 +61,12 @@ pub trait Vfs: Send + Sync {
     /// end of the file — callers validate lengths (pages are CRC-framed).
     /// Like [`read`](Self::read), reads are not fault-charged.
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>>;
+    /// A reader held on `path`: the buffer pool's one way into its heap
+    /// file. By default it reads by path through [`read_at`](Self::read_at);
+    /// a backend that can hold the file open overrides it. Not charged.
+    fn open_reader(self: Arc<Self>, path: &Path) -> StoreResult<Box<dyn VfsReader>> {
+        Ok(Box::new(PathReader(self, path.to_owned())))
+    }
     /// Remove a file. The entry's disappearance is durable only after
     /// [`sync_dir`](Self::sync_dir). Removing a missing file is an error.
     fn remove(&self, path: &Path) -> StoreResult<()>;
@@ -66,6 +84,15 @@ pub trait Vfs: Send + Sync {
     fn sync_dir(&self, dir: &Path) -> StoreResult<()>;
     /// Create a directory (and parents). Idempotent.
     fn create_dir_all(&self, dir: &Path) -> StoreResult<()>;
+}
+
+/// [`Vfs::open_reader`]'s default: every read goes by path.
+struct PathReader<V: ?Sized>(Arc<V>, PathBuf);
+
+impl<V: Vfs + ?Sized> VfsReader for PathReader<V> {
+    fn read_at(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+        self.0.read_at(&self.1, offset, len)?.ok_or_else(|| not_found("read target", &self.1))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -90,6 +117,19 @@ impl VfsFile for RealFile {
     }
 }
 
+/// A file held open: a read is one `pread`.
+#[cfg(unix)]
+struct RealReader(fs::File);
+
+#[cfg(unix)]
+impl VfsReader for RealReader {
+    fn read_at(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+        let mut buf = vec![0; len];
+        std::os::unix::fs::FileExt::read_exact_at(&self.0, &mut buf, offset)?;
+        Ok(buf)
+    }
+}
+
 impl Vfs for RealVfs {
     fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
         let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
@@ -108,6 +148,11 @@ impl Vfs for RealVfs {
         }
     }
 
+    #[cfg(unix)]
+    fn open_reader(self: Arc<Self>, path: &Path) -> StoreResult<Box<dyn VfsReader>> {
+        Ok(Box::new(RealReader(fs::File::open(path)?)))
+    }
+
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
         use std::io::{Read, Seek, SeekFrom};
         let mut file = match fs::File::open(path) {
@@ -116,16 +161,8 @@ impl Vfs for RealVfs {
             Err(e) => return Err(e.into()),
         };
         file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            let n = file.read(&mut buf[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        buf.truncate(filled);
+        let mut buf = Vec::with_capacity(len);
+        file.take(len as u64).read_to_end(&mut buf)?;
         Ok(Some(buf))
     }
 
@@ -246,6 +283,11 @@ fn injected_err(what: &str, op: u64) -> StoreError {
     StoreError::Io(std::io::Error::other(format!("injected fault: {what} (op {op})")))
 }
 
+fn not_found(what: &str, path: &Path) -> StoreError {
+    let msg = format!("{what} missing: {}", path.display());
+    StoreError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, msg))
+}
+
 fn power_cut_err() -> StoreError {
     StoreError::Io(std::io::Error::other("simulated power failure"))
 }
@@ -353,9 +395,24 @@ struct FaultFile {
     generation: u64,
 }
 
+impl FaultVfs {
+    /// The simulator's state, locked, unless the power is cut.
+    fn powered(&self) -> StoreResult<MutexGuard<'_, FaultState>> {
+        let s = self.state.lock();
+        if s.crashed {
+            return Err(power_cut_err());
+        }
+        Ok(s)
+    }
+
+    fn handle(&self, inode: usize, generation: u64) -> FaultFile {
+        FaultFile { vfs: self.clone(), inode, generation }
+    }
+}
+
 impl FaultFile {
     fn with_state<T>(
-        &mut self,
+        &self,
         f: impl FnOnce(&mut FaultState, usize) -> StoreResult<T>,
     ) -> StoreResult<T> {
         let mut s = self.vfs.state.lock();
@@ -402,12 +459,26 @@ impl VfsFile for FaultFile {
     }
 }
 
+/// A handle reads too, uncharged; not after a crash or a reboot.
+impl VfsReader for FaultFile {
+    fn read_at(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+        self.with_state(|s, inode| match s.crashed {
+            true => Err(power_cut_err()),
+            false => Ok(slice_at(&s.inodes[inode].current, offset, len)),
+        })
+    }
+}
+
+/// Up to `len` bytes of `data` from `offset`, cut at its end.
+fn slice_at(data: &[u8], offset: u64, len: usize) -> Vec<u8> {
+    let start = (offset as usize).min(data.len());
+    let end = start.saturating_add(len).min(data.len());
+    data[start..end].to_vec()
+}
+
 impl Vfs for FaultVfs {
     fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
-        let mut s = self.state.lock();
-        if s.crashed {
-            return Err(power_cut_err());
-        }
+        let mut s = self.powered()?;
         let inode = match s.live.get(path) {
             Some(&idx) => idx,
             None => {
@@ -419,61 +490,38 @@ impl Vfs for FaultVfs {
                 idx
             }
         };
-        let generation = s.generation;
-        drop(s);
-        Ok(Box::new(FaultFile {
-            vfs: self.clone(),
-            inode,
-            generation,
-        }))
+        Ok(Box::new(self.handle(inode, s.generation)))
     }
 
     fn create(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
-        let mut s = self.state.lock();
-        if s.crashed {
-            return Err(power_cut_err());
-        }
+        let mut s = self.powered()?;
         s.charge("create")?;
         // Truncating create always gets a fresh inode: if the old entry was
         // durable it survives a crash untouched until the next sync_dir.
         s.inodes.push(Inode::default());
         let idx = s.inodes.len() - 1;
         s.live.insert(path.to_owned(), idx);
-        let generation = s.generation;
-        drop(s);
-        Ok(Box::new(FaultFile {
-            vfs: self.clone(),
-            inode: idx,
-            generation,
-        }))
+        Ok(Box::new(self.handle(idx, s.generation)))
     }
 
     fn read(&self, path: &Path) -> StoreResult<Option<Vec<u8>>> {
-        let s = self.state.lock();
-        if s.crashed {
-            return Err(power_cut_err());
-        }
+        let s = self.powered()?;
         Ok(s.live.get(path).map(|&idx| s.inodes[idx].current.clone()))
     }
 
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
-        let s = self.state.lock();
-        if s.crashed {
-            return Err(power_cut_err());
-        }
-        Ok(s.live.get(path).map(|&idx| {
-            let data = &s.inodes[idx].current;
-            let start = (offset as usize).min(data.len());
-            let end = start.saturating_add(len).min(data.len());
-            data[start..end].to_vec()
-        }))
+        let s = self.powered()?;
+        Ok(s.live.get(path).map(|&idx| slice_at(&s.inodes[idx].current, offset, len)))
+    }
+
+    fn open_reader(self: Arc<Self>, path: &Path) -> StoreResult<Box<dyn VfsReader>> {
+        let s = self.powered()?;
+        let inode = *s.live.get(path).ok_or_else(|| not_found("read target", path))?;
+        Ok(Box::new(self.handle(inode, s.generation)))
     }
 
     fn file_len(&self, path: &Path) -> StoreResult<Option<u64>> {
-        let s = self.state.lock();
-        if s.crashed {
-            return Err(power_cut_err());
-        }
+        let s = self.powered()?;
         Ok(s.live.get(path).map(|&idx| s.inodes[idx].current.len() as u64))
     }
 
@@ -481,10 +529,7 @@ impl Vfs for FaultVfs {
         let mut s = self.state.lock();
         s.charge("remove")?;
         if s.live.remove(path).is_none() {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("remove target missing: {}", path.display()),
-            )));
+            return Err(not_found("remove target", path));
         }
         Ok(())
     }
@@ -493,10 +538,7 @@ impl Vfs for FaultVfs {
         let mut s = self.state.lock();
         s.charge("rename")?;
         let Some(idx) = s.live.remove(from) else {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("rename source missing: {}", from.display()),
-            )));
+            return Err(not_found("rename source", from));
         };
         s.live.insert(to.to_owned(), idx);
         Ok(())
@@ -506,10 +548,7 @@ impl Vfs for FaultVfs {
         let mut s = self.state.lock();
         s.charge("truncate")?;
         let Some(&idx) = s.live.get(path) else {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("truncate target missing: {}", path.display()),
-            )));
+            return Err(not_found("truncate target", path));
         };
         s.inodes[idx].current.truncate(len as usize);
         Ok(())
@@ -548,11 +587,7 @@ impl Vfs for FaultVfs {
     }
 
     fn create_dir_all(&self, _dir: &Path) -> StoreResult<()> {
-        let s = self.state.lock();
-        if s.crashed {
-            return Err(power_cut_err());
-        }
-        Ok(())
+        self.powered().map(drop)
     }
 }
 

@@ -12,11 +12,12 @@ use relstore::codec::crc32;
 use relstore::db::{heap_file_name, PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
-use relstore::vfs::{RealVfs, Vfs, VfsFile};
-use relstore::{Database, PoolConfig, SnapshotSource, StoreError, StoreResult};
+use relstore::vfs::{FaultVfs, RealVfs, Vfs, VfsFile, VfsReader};
+use relstore::{Database, PoolConfig, RowId, SnapshotSource, StoreError, StoreResult};
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 fn schema() -> Schema {
@@ -387,45 +388,66 @@ fn a_whole_wal_frame_that_does_not_decode_is_refused_untouched() {
     }
 }
 
-/// Forwards every call to the real filesystem, counting whole-file reads
-/// by path.
-#[derive(Default)]
-struct CountingReads(Mutex<HashMap<PathBuf, usize>>);
+/// Forwards every call to `inner`, counting whole-file reads by path, the
+/// readers opened and the reads made by path and position.
+struct Counting {
+    inner: Arc<dyn Vfs>,
+    reads: Mutex<HashMap<PathBuf, usize>>,
+    readers: AtomicUsize,
+    read_ats: AtomicUsize,
+}
 
-impl Vfs for CountingReads {
+impl Counting {
+    fn over(inner: Arc<dyn Vfs>) -> Arc<Self> {
+        let (reads, readers, read_ats) = Default::default();
+        Arc::new(Counting { inner, reads, readers, read_ats })
+    }
+
+    /// Readers opened and reads made by path so far.
+    fn heap_reads(&self) -> (usize, usize) {
+        (self.readers.load(Relaxed), self.read_ats.load(Relaxed))
+    }
+}
+
+impl Vfs for Counting {
     fn read(&self, path: &Path) -> StoreResult<Option<Vec<u8>>> {
-        *self.0.lock().unwrap().entry(path.to_owned()).or_default() += 1;
-        RealVfs.read(path)
+        *self.reads.lock().unwrap().entry(path.to_owned()).or_default() += 1;
+        self.inner.read(path)
     }
-    fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
-        RealVfs.open_append(path)
-    }
-    fn create(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
-        RealVfs.create(path)
+    fn open_reader(self: Arc<Self>, path: &Path) -> StoreResult<Box<dyn VfsReader>> {
+        self.readers.fetch_add(1, Relaxed);
+        self.inner.clone().open_reader(path)
     }
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
-        RealVfs.read_at(path, offset, len)
+        self.read_ats.fetch_add(1, Relaxed);
+        self.inner.read_at(path, offset, len)
+    }
+    fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
+        self.inner.open_append(path)
+    }
+    fn create(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
+        self.inner.create(path)
     }
     fn remove(&self, path: &Path) -> StoreResult<()> {
-        RealVfs.remove(path)
+        self.inner.remove(path)
     }
     fn file_len(&self, path: &Path) -> StoreResult<Option<u64>> {
-        RealVfs.file_len(path)
+        self.inner.file_len(path)
     }
     fn rename(&self, from: &Path, to: &Path) -> StoreResult<()> {
-        RealVfs.rename(from, to)
+        self.inner.rename(from, to)
     }
     fn truncate(&self, path: &Path, len: u64) -> StoreResult<()> {
-        RealVfs.truncate(path, len)
+        self.inner.truncate(path, len)
     }
     fn exists(&self, path: &Path) -> bool {
-        RealVfs.exists(path)
+        self.inner.exists(path)
     }
     fn sync_dir(&self, dir: &Path) -> StoreResult<()> {
-        RealVfs.sync_dir(dir)
+        self.inner.sync_dir(dir)
     }
     fn create_dir_all(&self, dir: &Path) -> StoreResult<()> {
-        RealVfs.create_dir_all(dir)
+        self.inner.create_dir_all(dir)
     }
 }
 
@@ -436,19 +458,70 @@ impl Vfs for CountingReads {
 fn open_reads_the_wal_and_the_page_directory_once() {
     for (mode, open) in MODES {
         let dir = checkpointed_plus_wal_tail(&format!("read-once-{mode}"), open);
-        let vfs = Arc::new(CountingReads::default());
+        let vfs = Counting::over(Arc::new(RealVfs));
         let db = match mode {
             "open" => Database::open_with_vfs(vfs.clone(), &dir),
             _ => Database::open_paged_with_vfs(vfs.clone(), &dir, PoolConfig { page_bytes: 64, pool_pages: 2 }),
         }
         .unwrap();
-        let reads = vfs.0.lock().unwrap().clone();
+        let reads = vfs.reads.lock().unwrap().clone();
         assert_eq!(db.recovery_report().unwrap().wal_txns, 1, "{mode}");
         assert_eq!(ids(&db), (0..110).collect::<Vec<_>>(), "{mode}");
         for file in [WAL_FILE, PAGEDIR_FILE] {
             assert_eq!(reads.get(&dir.join(file)), Some(&1), "{mode}: {file} in {reads:?}");
         }
         assert_eq!(reads.len(), 2, "{mode}: {reads:?}");
+        drop(db);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// A paged store reads its heap through one reader, opened at the first
+/// fault and held: reading every row three times through a two-page pool
+/// opens the heap once and reads no page by path. A compaction moves the
+/// heap to a new file and the reader with it, so once the old file is
+/// removed every row still reads — a reader kept across the swap would
+/// read the old file at the new file's offsets.
+#[test]
+fn the_pool_holds_one_reader_on_its_heap_and_compaction_re_points_it() {
+    let backends: [(&str, Arc<dyn Vfs>, PathBuf); 2] = [
+        ("real", Arc::new(RealVfs), test_dir("one-reader")),
+        ("fault", Arc::new(FaultVfs::new()), PathBuf::from("/db")),
+    ];
+    for (backend, inner, dir) in backends {
+        let vfs = Counting::over(inner);
+        let config = PoolConfig { page_bytes: 64, pool_pages: 2 };
+        let mut db = Database::open_paged_with_vfs(vfs.clone(), &dir, config).unwrap();
+        db.create_table(schema()).unwrap();
+        insert_range(&mut db, 0..100);
+        db.checkpoint().unwrap();
+        // rewritten pages leave superseded images in the heap, so the
+        // compacted heap holds each page at another offset
+        db.with_txn(|txn| (0..100).step_by(7).try_for_each(|id| txn.delete("t", RowId(id))))
+            .unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let expected: Vec<i64> = (0..100).filter(|id| id % 7 != 0).collect();
+
+        let before = vfs.heap_reads();
+        let mut db = Database::open_paged_with_vfs(vfs.clone(), &dir, config).unwrap();
+        for _ in 0..3 {
+            assert_eq!(ids(&db), expected, "{backend}");
+        }
+        assert!(db.stats().unwrap().pool.unwrap().misses > 3 * 2, "{backend}: the rows outgrow the pool");
+        let (readers, read_ats) = vfs.heap_reads();
+        assert_eq!((readers - before.0, read_ats - before.1), (1, 0), "{backend}: one reader, no read by path");
+
+        let old_heap = dir.join(heap_file_name(1));
+        assert!(vfs.exists(&old_heap), "{backend}");
+        db.compact().unwrap();
+        vfs.remove(&old_heap).unwrap();
+        assert_eq!(ids(&db), expected, "{backend}: rows after the old heap is gone");
+        let (readers, read_ats) = vfs.heap_reads();
+        assert_eq!((readers - before.0, read_ats - before.1), (2, 0), "{backend}: the reader followed the heap");
+        drop(db);
+        let db = Database::open_paged_with_vfs(vfs.clone(), &dir, config).unwrap();
+        assert_eq!(ids(&db), expected, "{backend}: reopened on the compacted heap");
         drop(db);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -28,6 +28,8 @@
 //! * `--threads N` service worker threads (default 4).
 //! * `--demo SEED` pre-import a demo ecosystem before serving.
 
+#![forbid(unsafe_code)]
+
 use genmapper::cli::{CliOutcome, CliSession};
 use genmapper::system::GenMapper;
 use genmapper::SharedGenMapper;

@@ -44,6 +44,7 @@
 //!   (delays, disconnects, torn frames, stalls) for the chaos sweeps in
 //!   `tests/chaos.rs`.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod conn;

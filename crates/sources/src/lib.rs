@@ -22,6 +22,8 @@
 //! of source-specific code"), while everything downstream of the EAV
 //! staging format is generic.
 
+#![forbid(unsafe_code)]
+
 pub mod dialects;
 pub mod ecosystem;
 pub mod prng;

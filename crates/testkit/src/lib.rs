@@ -7,6 +7,8 @@
 //! ordinary macros. There is no shrinking; a failure prints the seed, and
 //! `testkit::case(seed, ..)` with the same body replays exactly that case.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
