@@ -126,7 +126,7 @@ impl MappingIndex {
     /// Index a mapping. Non-canonical inputs are deduplicated first (via
     /// [`Mapping::dedup`], whose tie-break makes the result a pure function
     /// of the pair multiset); already-canonical inputs — anything loaded
-    /// from the store or produced by `from_parts` — skip the sort entirely.
+    /// from the store or already deduplicated — skip the sort entirely.
     pub fn build(mut mapping: Mapping) -> MappingIndex {
         let canonical = mapping
             .pairs

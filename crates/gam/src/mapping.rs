@@ -143,8 +143,8 @@ impl Mapping {
     /// order). The comparator is a total order under which tied elements
     /// are bit-identical, which makes the result a pure function of the
     /// pair *multiset* — any producer emitting the same pairs in any order
-    /// (hash join, merge join, partitioned workers) dedups to the same
-    /// mapping — and lets the sort run unstable and in place, without the
+    /// (a stepping or a galloping merge join) dedups to the same mapping —
+    /// and lets the sort run unstable and in place, without the
     /// temporary buffer a stable sort allocates.
     pub fn dedup(&mut self) {
         self.pairs.sort_unstable_by(|a, b| {
@@ -160,34 +160,6 @@ impl Mapping {
     pub fn sort(&mut self) {
         self.pairs
             .sort_by_key(|a| (a.from, a.to));
-    }
-
-    /// Assemble a mapping from per-partition association buffers, then
-    /// dedup. [`Mapping::dedup`] is a pure function of the association
-    /// multiset (its tie-break makes tied elements bit-identical), so the
-    /// final mapping is bit-identical to the sequential result regardless
-    /// of how many partitions ran or how their buffers interleave. The
-    /// buffers are still concatenated in the order given, without any
-    /// intermediate per-pair maps.
-    pub fn from_parts(
-        from: SourceId,
-        to: SourceId,
-        rel_type: RelType,
-        parts: Vec<Vec<Association>>,
-    ) -> Mapping {
-        let total: usize = parts.iter().map(Vec::len).sum();
-        let mut pairs = Vec::with_capacity(total);
-        for part in parts {
-            pairs.extend(part);
-        }
-        let mut m = Mapping {
-            from,
-            to,
-            rel_type,
-            pairs,
-        };
-        m.dedup();
-        m
     }
 }
 
@@ -297,30 +269,6 @@ mod tests {
             map.dedup();
             assert_eq!(map.len(), 1);
             assert_eq!(map.pairs[0].evidence, None);
-        }
-    }
-
-    #[test]
-    fn from_parts_equals_sequential_build() {
-        let all = vec![
-            Association::scored(ObjectId(1), ObjectId(10), 0.4),
-            Association::fact(ObjectId(2), ObjectId(20)),
-            Association::scored(ObjectId(1), ObjectId(10), 0.9),
-            Association::scored(ObjectId(2), ObjectId(20), 0.99),
-            Association::fact(ObjectId(3), ObjectId(30)),
-        ];
-        let mut seq = Mapping {
-            from: SourceId(1),
-            to: SourceId(2),
-            rel_type: RelType::Composed,
-            pairs: all.clone(),
-        };
-        seq.dedup();
-        // any contiguous in-order split reconstructs the same mapping
-        for split in 0..=all.len() {
-            let parts = vec![all[..split].to_vec(), all[split..].to_vec()];
-            let par = Mapping::from_parts(SourceId(1), SourceId(2), RelType::Composed, parts);
-            assert_eq!(par, seq, "split at {split}");
         }
     }
 

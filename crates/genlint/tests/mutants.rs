@@ -401,26 +401,18 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     (Mutant {
         what: "GenMapper::query runs the executor holding captured",
         path: "crates/genmapper/src/system.rs",
-        needle: "run_query(&self.store, &self.cache, self.exec, spec)",
-        replacement: "let _memo = self.captured.lock();\n        run_query(&self.store, &self.cache, self.exec, spec)",
+        needle: "run_query(&self.store, &self.cache, spec)",
+        replacement: "let _memo = self.captured.lock();\n        run_query(&self.store, &self.cache, spec)",
         killer: "",
     }, &["lock-discipline"]),
     (Mutant {
         what: "GenMapper::explain runs the executor holding captured",
         path: "crates/genmapper/src/system.rs",
-        needle: "run_explain(&self.store, &self.cache, self.exec, spec)",
-        replacement: "let _memo = self.captured.lock();\n        run_explain(&self.store, &self.cache, self.exec, spec)",
+        needle: "run_explain(&self.store, &self.cache, spec)",
+        replacement: "let _memo = self.captured.lock();\n        run_explain(&self.store, &self.cache, spec)",
         killer: "",
     }, &["lock-discipline"]),
-    // the deleted spawn and read-entry halves: rustc's already (and the
-    // graph sees the spawn case as a re-acquisition inside the closure)
-    (Mutant {
-        what: "parse_dumps_lenient holds the slots mutex across the workers' spawn",
-        path: "crates/import/src/pipeline.rs",
-        needle: "    std::thread::scope(|scope| {\n",
-        replacement: "    let _held = slots_ptr.lock().unwrap_or_else(|p| p.into_inner());\n    std::thread::scope(|scope| {\n",
-        killer: "rustc E0505: slots moves out while the guard borrows it",
-    }, &["lock-order-graph"]),
+    // the deleted read-entry half: rustc's already
     (Mutant {
         what: "GenMapper::query takes &mut self",
         path: "crates/genmapper/src/system.rs",

@@ -21,7 +21,6 @@
 //! explain query <...>             the cost-based plan for a query, with
 //!                                 estimated vs actual cardinalities
 //! export <tsv|csv|json|md>        export the last query's view
-//! jobs [<n>]                      show/set the parallel worker cap
 //! budget [<n>]                    show/set the per-dump import error budget
 //! help / quit
 //! ```
@@ -53,7 +52,6 @@ pub enum Command {
     Query(QuerySpec),
     Explain(QuerySpec),
     Export { format: ExportFormat },
-    Jobs { jobs: Option<usize> },
     Budget { budget: Option<usize> },
 }
 
@@ -165,13 +163,6 @@ pub fn parse_command(line: &str) -> Result<Option<Command>, CliParseError> {
         "explain" => match rest.as_slice() {
             ["query", q @ ..] if !q.is_empty() => Command::Explain(parse_query(q)?),
             _ => return Err(err("usage: explain query <source>[:accs] <and|or> <spec> ...")),
-        },
-        "jobs" => match rest.as_slice() {
-            [] => Command::Jobs { jobs: None },
-            [n] => Command::Jobs {
-                jobs: Some(n.parse().map_err(|_| err("jobs takes a numeric count"))?),
-            },
-            _ => return Err(err("usage: jobs [<n>]")),
         },
         "budget" => match rest.as_slice() {
             [] => Command::Budget { budget: None },
@@ -315,7 +306,7 @@ impl CliSession {
             Command::Help => {
                 let _ = writeln!(
                     out,
-                    "commands: demo sources stats search prefix info path paths map compose materialize query explain export jobs budget quit"
+                    "commands: demo sources stats search prefix info path paths map compose materialize query explain export budget quit"
                 );
             }
             Command::Quit => return Ok(CliOutcome::Quit),
@@ -441,12 +432,6 @@ impl CliSession {
             Command::Explain(spec) => {
                 let _ = write!(out, "{}", self.gm.explain(&spec)?);
             }
-            Command::Jobs { jobs } => {
-                if let Some(n) = jobs {
-                    self.gm.set_jobs(n);
-                }
-                let _ = writeln!(out, "jobs = {}", self.gm.exec_config().jobs);
-            }
             Command::Budget { budget } => {
                 if let Some(n) = budget {
                     self.gm.set_error_budget(n);
@@ -520,13 +505,11 @@ mod tests {
         assert!(parse_command("demo notanumber").is_err());
         assert!(parse_command("path onlyone").is_err());
         assert!(parse_command("export xml").is_err());
-        assert_eq!(parse_command("jobs").unwrap(), Some(Command::Jobs { jobs: None }));
+        // there is no worker count to set
         assert_eq!(
-            parse_command("jobs 4").unwrap(),
-            Some(Command::Jobs { jobs: Some(4) })
+            parse_command("jobs 4").unwrap_err().to_string(),
+            "parse error: unknown command \"jobs\"; try help"
         );
-        assert!(parse_command("jobs many").is_err());
-        assert!(parse_command("jobs 1 2").is_err());
         assert_eq!(
             parse_command("budget").unwrap(),
             Some(Command::Budget { budget: None })
@@ -570,16 +553,6 @@ mod tests {
             .and_then(|v| v.trim().parse().ok())
             .unwrap();
         assert_eq!(plan_rows, n, "plan rows vs query rows: {out}\n{rows}");
-    }
-
-    #[test]
-    fn jobs_command_sets_worker_cap() {
-        let mut session = CliSession::new().unwrap();
-        let (out, _) = session.execute_line("jobs 3");
-        assert!(out.starts_with("jobs = 3"), "output: {out}");
-        assert_eq!(session.system().exec_config().jobs, 3);
-        let (out, _) = session.execute_line("jobs");
-        assert!(out.starts_with("jobs = 3"), "unchanged: {out}");
     }
 
     #[test]

@@ -65,4 +65,4 @@ pub use snapshot::Snapshot;
 pub use system::GenMapper;
 
 pub use gam::{GamError, GamResult};
-pub use operators::{Combine, ExecConfig};
+pub use operators::Combine;

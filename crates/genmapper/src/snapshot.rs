@@ -25,7 +25,6 @@ use crate::resolved::{export, ExportFormat, ObjectInfo, ResolvedView};
 use crate::system::{self, run_query, source_id_of, VersionCache};
 use gam::store::GamCardinalities;
 use gam::{GamError, GamRead, GamResult, GamSnapshot, ObjectId, SourceId};
-use operators::ExecConfig;
 use pathfinder::SavedPaths;
 use relstore::stats::DbStats;
 use std::sync::Arc;
@@ -36,7 +35,6 @@ pub struct Snapshot {
     pub(crate) reader: Arc<GamSnapshot>,
     pub(crate) cache: Arc<VersionCache>,
     pub(crate) saved: SavedPaths,
-    pub(crate) exec: ExecConfig,
     pub(crate) version: (u64, u64),
     pub(crate) store_stats: DbStats,
 }
@@ -93,7 +91,7 @@ impl Snapshot {
     /// Execute a [`QuerySpec`] against the captured state. Runs the same
     /// executor as [`crate::GenMapper::query`].
     pub fn query(&self, spec: &QuerySpec) -> GamResult<ResolvedView> {
-        run_query(&*self.reader, &self.cache, self.exec, spec)
+        run_query(&*self.reader, &self.cache, spec)
     }
 
     /// Execute a [`QuerySpec`] against the captured state and export the
@@ -101,7 +99,7 @@ impl Snapshot {
     /// but each cell is written straight from the object the snapshot
     /// holds — no object copy, no [`ResolvedView`].
     pub fn render_query(&self, spec: &QuerySpec, format: ExportFormat) -> GamResult<String> {
-        let (header, view) = system::generate(&*self.reader, &self.cache, self.exec, spec)?;
+        let (header, view) = system::generate(&*self.reader, &self.cache, spec)?;
         // an id the snapshot does not hold fails the query as `query`'s
         // one `with_objects` over the ascending ids fails it: with the least
         let mut unknown: Option<ObjectId> = None;
@@ -124,7 +122,7 @@ impl Snapshot {
     /// planner and executor as [`Self::query`], instrumented one-shot —
     /// live and snapshot reads plan identically by construction.
     pub fn explain(&self, spec: &QuerySpec) -> GamResult<String> {
-        system::run_explain(&*self.reader, &self.cache, self.exec, spec)
+        system::run_explain(&*self.reader, &self.cache, spec)
     }
 
     /// Full information about one object (Figure 6c) at capture time.

@@ -26,8 +26,8 @@ use std::sync::Arc;
 /// `Arc<VersionCache>`, so what one side resolves the other finds. Entries
 /// never invalidate: a mutating entry point makes the writer start a fresh
 /// cache and leaves this one to the snapshots still reading at its
-/// version. Shared by the parallel per-target workers of
-/// `generate_view_idx`, hence the lock.
+/// version. Shared by every reader thread of those snapshots, hence the
+/// lock.
 #[derive(Default)]
 pub(crate) struct VersionCache {
     entries: RwLock<CacheEntries>,
@@ -105,31 +105,18 @@ impl VersionCache {
 /// Backed by the [`VersionCache`]: a resolved `(from, to)` mapping is
 /// indexed once and then served as a shared CSR [`MappingIndex`] behind an
 /// `Arc` — the view executor probes the cached index directly, cloning
-/// nothing. Safe to call from the parallel per-target workers of
-/// `generate_view_idx`; `query` and `explain` both resolve through it.
+/// nothing. `query` and `explain` both resolve through it.
 struct CachingPathResolver<'a> {
     cache: &'a VersionCache,
     graph: Arc<SourceGraph>,
-    /// Config for compose joins performed *inside* a resolution — kept
-    /// sequential when the caller already parallelizes across targets.
-    compose_exec: ExecConfig,
 }
 
 impl<'a> CachingPathResolver<'a> {
-    /// The resolver for one view query — the only way `run_query` and
-    /// `run_explain` get one. It composes under the config the view's
-    /// targets run under, so `explain` plans the joins `query` runs.
-    fn for_view(
-        reader: &dyn GamRead,
-        cache: &'a VersionCache,
-        exec: ExecConfig,
-        vq: &ViewQuery,
-    ) -> GamResult<Self> {
-        let (_, compose_exec) = operators::view::target_exec(vq, &exec);
+    /// The resolver of one view query, over its version's cache and graph.
+    fn new(reader: &dyn GamRead, cache: &'a VersionCache) -> GamResult<Self> {
         Ok(CachingPathResolver {
             cache,
             graph: cache.graph(reader)?,
-            compose_exec,
         })
     }
 
@@ -154,7 +141,7 @@ impl IndexResolver for CachingPathResolver<'_> {
                     let path = self
                         .compose_path(from, to)
                         .ok_or(GamError::NoMapping { from, to })?;
-                    operators::compose_path_idx(store, &path, &self.compose_exec)
+                    operators::compose_path_idx(store, &path, &ExecConfig::sequential())
                 }
                 Err(e) => Err(e),
             }
@@ -200,8 +187,6 @@ impl MappingKey {
 pub struct GenMapper {
     store: GamStore,
     saved: SavedPaths,
-    /// Worker-thread cap for Compose / GenerateView.
-    exec: ExecConfig,
     /// Per-dump quarantine budget for lenient parsing during imports
     /// (`0` = strict, the default).
     error_budget: usize,
@@ -221,7 +206,6 @@ impl GenMapper {
         GenMapper {
             store,
             saved: SavedPaths::new(),
-            exec: ExecConfig::default(),
             error_budget: 0,
             version: 0,
             cache: Arc::default(),
@@ -252,19 +236,13 @@ impl GenMapper {
         self.store.checkpoint()
     }
 
-    // ------------------------------------------------------------------
-    // Execution configuration
-    // ------------------------------------------------------------------
+    /// Does nothing: every operation runs on the calling thread. gmbench's
+    /// link to it is its only reason to exist; ROADMAP item 1 deletes it.
+    pub fn set_jobs(&mut self, _jobs: usize) {}
 
-    /// The current parallel execution configuration.
-    pub fn exec_config(&self) -> &ExecConfig {
-        &self.exec
-    }
-
-    /// Set the worker-thread cap (`0`/`1` = sequential).
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.exec.jobs = jobs;
-    }
+    // ------------------------------------------------------------------
+    // Import configuration
+    // ------------------------------------------------------------------
 
     /// The current per-dump quarantine budget for imports.
     pub fn error_budget(&self) -> usize {
@@ -324,11 +302,9 @@ impl GenMapper {
     /// Parse and import source dumps through the two-phase pipeline.
     pub fn import_dumps(&mut self, dumps: &[SourceDump]) -> GamResult<Vec<import::ImportReport>> {
         self.invalidate_caches();
-        // parse fan-out follows the system's execution config, like
-        // Compose/GenerateView do
         let options = PipelineOptions {
-            parse_threads: self.exec.jobs.max(1),
             error_budget: self.error_budget,
+            ..PipelineOptions::default()
         };
         import::run_pipeline(&mut self.store, dumps, &options)
     }
@@ -408,10 +384,8 @@ impl GenMapper {
 
     /// `Compose` along a path of source names, optionally with an evidence
     /// floor applied at every join step, as a shared CSR cache handle
-    /// (cached under the `(path, min_evidence)` key). Joins run under the
-    /// system's [`ExecConfig`] — sorted merge joins over the step indexes,
-    /// or the partitioned hash probe when large and `jobs > 1`,
-    /// bit-identical either way.
+    /// (cached under the `(path, min_evidence)` key). Joins are sorted
+    /// merge joins over the step indexes.
     pub fn compose(
         &self,
         path: &[&str],
@@ -425,13 +399,10 @@ impl GenMapper {
         }
         self.cache.mapping(MappingKey::composed(&ids, min_evidence)?, || {
             match min_evidence {
-                None => operators::compose_path_idx(&self.store, &ids, &self.exec),
-                Some(floor) => operators::compose_path_idx_with_threshold(
-                    &self.store,
-                    &ids,
-                    floor,
-                    &self.exec,
-                ),
+                None => operators::compose_path_idx(&self.store, &ids, &ExecConfig::sequential()),
+                Some(floor) => {
+                    operators::compose_path_idx_with_threshold(&self.store, &ids, floor)
+                }
             }
         })
     }
@@ -455,21 +426,20 @@ impl GenMapper {
     // ------------------------------------------------------------------
 
     /// Execute a [`QuerySpec`]: GenerateView with automatic path
-    /// discovery, then resolve ids back to accessions/names. Target
-    /// columns are resolved in parallel under the system's [`ExecConfig`],
-    /// and every resolved mapping (and the whole-source object set) is
+    /// discovery, then resolve ids back to accessions/names. Every
+    /// resolved mapping (and the whole-source object set) is
     /// served from the versioned cache on repeat queries. `&self`: the
     /// entire read path runs without exclusive access, so any number of
     /// readers can query while sharing one system.
     pub fn query(&self, spec: &QuerySpec) -> GamResult<ResolvedView> {
-        run_query(&self.store, &self.cache, self.exec, spec)
+        run_query(&self.store, &self.cache, spec)
     }
 
     /// Explain a [`QuerySpec`]: the cost-based plan the executor would
     /// choose, rendered with estimated vs actual cardinalities from a
     /// one-shot instrumented (uncached) run. `&self`, like [`Self::query`].
     pub fn explain(&self, spec: &QuerySpec) -> GamResult<String> {
-        run_explain(&self.store, &self.cache, self.exec, spec)
+        run_explain(&self.store, &self.cache, spec)
     }
 
     /// Full information about one object (Figure 6c).
@@ -502,7 +472,6 @@ impl GenMapper {
             reader,
             cache: self.cache.clone(),
             saved: self.saved.clone(),
-            exec: self.exec,
             version: self.version_stamp(),
             store_stats: self.store.database().stats()?,
         })
@@ -591,22 +560,20 @@ fn path_names_of(reader: &dyn GamRead, path: &[SourceId]) -> GamResult<Vec<Strin
 pub(crate) fn generate(
     reader: &dyn GamRead,
     cache: &VersionCache,
-    exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<(Vec<String>, AnnotationView)> {
     let (vq, header) = build_view_query(reader, cache, spec)?;
-    let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq)?;
-    Ok((header, generate_view_idx(reader, &vq, &resolver, &exec)?))
+    let resolver = CachingPathResolver::new(reader, cache)?;
+    Ok((header, generate_view_idx(reader, &vq, &resolver, &ExecConfig::sequential())?))
 }
 
 /// A query resolved into an owned [`ResolvedView`], on any reader.
 pub(crate) fn run_query(
     reader: &dyn GamRead,
     cache: &VersionCache,
-    exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<ResolvedView> {
-    let (header, view) = generate(reader, cache, exec, spec)?;
+    let (header, view) = generate(reader, cache, spec)?;
 
     // each distinct object lent once, in one batch in ascending id order,
     // and its accession and name copied into the view's one string; a cell
@@ -664,22 +631,21 @@ fn build_view_query(
 /// target's compose path explicit (the one the resolver would compose
 /// along, so the plan tree shows the chain), then run it through
 /// [`operators::explain_view`] — the per-target resolution
-/// `generate_view_idx` runs, under the same config — and return the
-/// rendered plan tree with estimated vs actual cardinalities.
+/// `generate_view_idx` runs — and return the rendered plan tree with
+/// estimated vs actual cardinalities.
 pub(crate) fn run_explain(
     reader: &dyn GamRead,
     cache: &VersionCache,
-    exec: ExecConfig,
     spec: &QuerySpec,
 ) -> GamResult<String> {
     let (mut vq, _header) = build_view_query(reader, cache, spec)?;
-    let resolver = CachingPathResolver::for_view(reader, cache, exec, &vq)?;
+    let resolver = CachingPathResolver::new(reader, cache)?;
     for ts in &mut vq.targets {
         if ts.path.is_none() {
             ts.path = resolver.compose_path(vq.source, ts.target);
         }
     }
-    let tree = operators::explain_view(reader, &vq, &resolver, &exec)?;
+    let tree = operators::explain_view(reader, &vq, &resolver)?;
     Ok(tree.render())
 }
 
@@ -910,39 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_matches_sequential() {
-        let mut seq_gm = system();
-        seq_gm.set_jobs(1);
-        let mut par_gm = system();
-        par_gm.set_jobs(4);
-        let specs = [
-            QuerySpec::source("LocusLink")
-                .target("Hugo")
-                .target("GO")
-                .target("Location")
-                .target("OMIM")
-                .or(),
-            QuerySpec::source("LocusLink")
-                .target("GO")
-                .target("OMIM")
-                .and(),
-            QuerySpec::source("NetAffx").target("GO").and(),
-            QuerySpec::source("LocusLink")
-                .target("GO")
-                .target_spec(crate::query::TargetQuery::new("OMIM").negated())
-                .and(),
-        ];
-        for (i, spec) in specs.iter().enumerate() {
-            let seq = seq_gm.query(spec).unwrap();
-            let par = par_gm.query(spec).unwrap();
-            assert_eq!(par, seq, "spec {i}");
-            // and a second (cache-hit) run is still identical
-            let hit = par_gm.query(spec).unwrap();
-            assert_eq!(hit, seq, "spec {i} cache hit");
-        }
-    }
-
-    #[test]
     fn compose_is_cached_per_floor() {
         let gm = system();
         let path = ["Unigene", "LocusLink", "GO"];
@@ -974,15 +907,13 @@ mod tests {
         }
     }
 
-    /// `explain` shows the joins `query` runs. With two workers and two
-    /// targets, `query` resolves the targets on their own threads and
-    /// composes inside each one sequentially, so a join above the parallel
-    /// threshold is a merge there, and `explain` must say merge, not hash.
+    /// `explain` shows the join `query` runs, and counts the rows it
+    /// returns.
     #[test]
     fn explain_shows_the_join_strategy_query_runs() {
         use gam::model::{SourceContent, SourceStructure};
         use gam::{Association, RelType};
-        let n = operators::plan::cost::PARALLEL_THRESHOLD;
+        let n = 64;
         let mut gm = GenMapper::in_memory().unwrap();
         let store = gm.store_mut();
         let mut objects = Vec::new();
@@ -1000,7 +931,6 @@ mod tests {
             let pairs = from.1.iter().zip(&to.1).map(|(&a, &b)| Association::fact(a, b));
             store.add_associations_bulk(rel, pairs, &mut 0).unwrap();
         }
-        gm.set_jobs(2);
         // C has no direct mapping from A: it composes along A-B-C
         let spec = QuerySpec::source("A").target("C").target("B");
         let plan = gm.explain(&spec).unwrap();
@@ -1202,7 +1132,7 @@ mod tests {
     /// it, and the same view resolved the way it was before objects were
     /// shared: one `get_object` and one table entry per cell.
     fn per_cell_view(reader: &dyn GamRead, cache: &VersionCache, spec: &QuerySpec) -> ResolvedView {
-        let (header, view) = generate(reader, cache, ExecConfig::sequential(), spec).unwrap();
+        let (header, view) = generate(reader, cache, spec).unwrap();
         let (mut objects, mut cells, mut pushed) = (ResolvedObjects::default(), Vec::new(), 0);
         for cell in view.rows.cells() {
             cells.push(cell.map_or(NULL, |id| {
@@ -1266,7 +1196,7 @@ mod tests {
             let snapshot: (&dyn GamRead, &VersionCache) = (&*snap.reader, &snap.cache);
             for (reader, cache) in [live, snapshot] {
                 let counting = Counting::new(reader);
-                let view = run_query(&counting, cache, gm.exec, &spec).unwrap();
+                let view = run_query(&counting, cache, &spec).unwrap();
                 let batches = counting.take_batches();
                 assert_eq!(batches.len(), 1, "one with_objects per query");
                 assert!(batches[0].windows(2).all(|w| w[0] < w[1]), "ascending distinct ids");
@@ -1305,7 +1235,7 @@ mod tests {
     /// column as a set, and the mappings the run read.
     fn counted_query(gm: &GenMapper, spec: &QuerySpec) -> (BTreeSet<String>, MappingReads) {
         let counting = Counting::new(&gm.store);
-        let view = run_query(&counting, &VersionCache::default(), ExecConfig::sequential(), spec).unwrap();
+        let view = run_query(&counting, &VersionCache::default(), spec).unwrap();
         let firsts = view.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
         (firsts, counting.take_mapping_reads())
     }

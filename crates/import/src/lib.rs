@@ -21,9 +21,9 @@
 //! * **annotation relationships** — records without evidence go into a
 //!   `Fact` mapping, scored records into a `Similarity` mapping.
 //!
-//! [`pipeline`] adds the driver that parses many dumps in parallel
-//! (scoped threads) and imports them serially, as GenMapper's
-//! loader did against its central MySQL database.
+//! [`pipeline`] adds the entry point that parses many dumps and imports them
+//! in order, as GenMapper's loader did against its central MySQL
+//! database.
 
 #![forbid(unsafe_code)]
 

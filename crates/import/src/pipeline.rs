@@ -1,23 +1,23 @@
-//! The load pipeline: parallel Parse, serial Import.
+//! The load pipeline: Parse every dump, then Import the batches.
 //!
-//! Parsing is pure, CPU-bound, per-source work — it fans out across
-//! scoped worker threads. Import mutates the central database
-//! and runs serially in dump order (GenMapper loads into one MySQL
-//! instance the same way). Batches are handed over through a bounded
-//! channel so memory stays proportional to the number of workers, not the
-//! number of dumps.
+//! Both phases run on the calling thread, in dump order: first every dump
+//! is parsed into an EAV batch, then the batches are imported one after
+//! another into the central database (GenMapper loads into one MySQL
+//! instance the same way). All parsed batches are held until the import
+//! phase starts, so a parse failure aborts the run before anything is
+//! written.
 
 use crate::importer::Importer;
 use crate::report::{ImportReport, ImportTimings};
 use gam::{GamError, GamResult, GamStore};
 use sources::ecosystem::SourceDump;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Parser worker threads. `1` parses inline without spawning.
+    /// Read by nothing: dumps are parsed on the calling thread. gmbench's
+    /// link to it is its only reason to exist; ROADMAP item 1 deletes it.
     pub parse_threads: usize,
     /// Per-dump error budget for lenient parsing: up to this many
     /// malformed lines are quarantined (reported, not imported) before a
@@ -28,17 +28,14 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            parse_threads: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
+            parse_threads: 1,
             error_budget: 0,
         }
     }
 }
 
-/// Parse all dumps (in parallel) and import them (serially, in dump
-/// order). Returns one report per dump. A parse failure aborts the run
-/// with an error naming the dump.
+/// Parse all dumps and import them, in dump order. Returns one report per
+/// dump. A parse failure aborts the run with an error naming the dump.
 pub fn run_pipeline(
     store: &mut GamStore,
     dumps: &[SourceDump],
@@ -56,7 +53,7 @@ pub fn run_pipeline_timed(
 ) -> GamResult<(Vec<ImportReport>, ImportTimings)> {
     let mut timings = ImportTimings::default();
     let parse_start = Instant::now();
-    let parsed = parse_dumps_lenient(dumps, options.parse_threads, options.error_budget)
+    let parsed = parse_dumps_lenient(dumps, options.error_budget)
         .map_err(|e| GamError::Invalid(format!("parse failed: {e}")))?;
     timings.parse += parse_start.elapsed();
     let mut reports = Vec::with_capacity(parsed.len());
@@ -70,63 +67,14 @@ pub fn run_pipeline_timed(
     Ok((reports, timings))
 }
 
-/// Parse dumps on up to `threads` workers, preserving dump order in the
-/// result.
-pub fn parse_dumps(
-    dumps: &[SourceDump],
-    threads: usize,
-) -> Result<Vec<eav::EavBatch>, sources::ParseError> {
-    Ok(parse_dumps_lenient(dumps, threads, 0)?
-        .into_iter()
-        .map(|lp| lp.batch)
-        .collect())
-}
-
-/// [`parse_dumps`] with a per-dump quarantine budget: malformed lines are
-/// removed and reported instead of failing the dump, up to `budget` lines
-/// each. `budget == 0` is exactly the strict behaviour.
+/// Parse every dump in order with a per-dump quarantine budget: malformed
+/// lines are removed and reported instead of failing the dump, up to
+/// `budget` lines each. `budget == 0` is the strict behaviour.
 pub fn parse_dumps_lenient(
     dumps: &[SourceDump],
-    threads: usize,
     budget: usize,
 ) -> Result<Vec<sources::LenientParse>, sources::ParseError> {
-    if threads <= 1 || dumps.len() <= 1 {
-        return dumps.iter().map(|d| d.parse_lenient(budget)).collect();
-    }
-    let n = dumps.len();
-    let mut slots: Vec<Option<Result<sources::LenientParse, sources::ParseError>>> =
-        (0..n).map(|_| None).collect();
-    let cursor = AtomicUsize::new(0);
-    let slots_ptr = std::sync::Mutex::new(&mut slots);
-
-    // a worker panic is a bug in this crate, not a parse failure: the scope
-    // joins every worker, then panics on this thread instead of masking it
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let result = dumps[i].parse_lenient(budget);
-                // a poisoned slot mutex only means another worker
-                // panicked while holding it; the slots themselves are
-                // plain writes, safe to keep filling
-                let mut guard = slots_ptr.lock().unwrap_or_else(|p| p.into_inner());
-                guard[i] = Some(result);
-            });
-        }
-    });
-
-    let mut out = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        out.push(slot.ok_or_else(|| sources::ParseError {
-            dialect: "pipeline",
-            line: None,
-            reason: format!("parser worker abandoned dump #{i}"),
-        })??);
-    }
-    Ok(out)
+    dumps.iter().map(|d| d.parse_lenient(budget)).collect()
 }
 
 #[cfg(test)]
@@ -162,17 +110,6 @@ mod tests {
         assert_eq!(reports.len(), eco.dumps.len());
         assert!(timings.parse > std::time::Duration::ZERO);
         assert!(timings.total() >= timings.parse + timings.insert);
-    }
-
-    #[test]
-    fn parallel_parse_matches_serial_parse() {
-        let eco = Ecosystem::generate(EcosystemParams::demo(32));
-        let serial = parse_dumps(&eco.dumps, 1).unwrap();
-        let parallel = parse_dumps(&eco.dumps, 4).unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -222,23 +159,20 @@ mod tests {
             run_pipeline(&mut strict, &eco.dumps, &PipelineOptions::default()).unwrap_err();
         assert!(err.to_string().contains("parse failed"));
 
-        // the budget holds on the parallel parse and on the serial one
-        for parse_threads in [PipelineOptions::default().parse_threads, 1] {
-            let options = PipelineOptions {
-                error_budget: 3,
-                parse_threads,
-            };
-            let mut store = GamStore::in_memory().unwrap();
-            let reports = run_pipeline(&mut store, &eco.dumps, &options).unwrap();
-            let q: Vec<_> = reports.iter().flat_map(|r| &r.quarantined).collect();
-            assert_eq!(q.len(), 1);
-            assert_eq!(q[0].line, bad + 1);
-            assert!(reports[0].to_string().contains("1 quarantined"));
-            // exactly one annotation record was lost relative to the clean run
-            let cards = store.cardinalities().unwrap();
-            assert_eq!(cards.sources, clean_cards.sources);
-            assert_eq!(cards.objects, clean_cards.objects);
-            assert_eq!(cards.associations, clean_cards.associations - 1);
-        }
+        let options = PipelineOptions {
+            error_budget: 3,
+            ..PipelineOptions::default()
+        };
+        let mut store = GamStore::in_memory().unwrap();
+        let reports = run_pipeline(&mut store, &eco.dumps, &options).unwrap();
+        let q: Vec<_> = reports.iter().flat_map(|r| &r.quarantined).collect();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].line, bad + 1);
+        assert!(reports[0].to_string().contains("1 quarantined"));
+        // exactly one annotation record was lost relative to the clean run
+        let cards = store.cardinalities().unwrap();
+        assert_eq!(cards.sources, clean_cards.sources);
+        assert_eq!(cards.objects, clean_cards.objects);
+        assert_eq!(cards.associations, clean_cards.associations - 1);
     }
 }

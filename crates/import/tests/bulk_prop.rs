@@ -2,15 +2,12 @@
 //! shapes the batched importer must be **bit-identical** to the
 //! per-row reference implementation — the same `ImportReport`, the same
 //! source rows, objects, mappings and association pairs, in the same id
-//! order. A second block checks the parallel-parse pipeline against a
-//! serial run for several worker counts, and that re-imports are
-//! idempotent.
+//! order. A second block checks that re-imports are idempotent.
 
 use eav::{EavBatch, EavRecord, SourceMeta};
 use gam::model::{SourceContent, SourceStructure};
 use gam::{GamRead, GamStore};
-use import::{run_pipeline, Importer, PipelineOptions};
-use sources::ecosystem::{Ecosystem, EcosystemParams};
+use import::Importer;
 use testkit::{cases, text, Prng};
 
 /// Accessions over a small pool so in-batch duplicates are common; a slice
@@ -186,25 +183,5 @@ fn reimport_is_idempotent() {
             let src = store.find_source(&first.meta.name).unwrap().unwrap();
             assert_eq!(src.release.as_deref(), Some("zz-new"));
         }
-    });
-}
-
-/// The parallel-parse pipeline is bit-identical to a serial run for
-/// any worker count: same reports, same store contents. (Ecosystem
-/// pipelines are heavier: fewer cases.)
-#[test]
-fn pipeline_matches_across_job_counts() {
-    cases(8, |rng| {
-        let seed = rng.gen_range(0..500u64);
-        let jobs = *rng.pick(&[2usize, 4, 8]);
-        let eco = Ecosystem::generate(EcosystemParams::demo(seed));
-        let serial_opts = PipelineOptions { parse_threads: 1, ..PipelineOptions::default() };
-        let mut serial = GamStore::in_memory().unwrap();
-        let serial_reports = run_pipeline(&mut serial, &eco.dumps, &serial_opts).unwrap();
-        let par_opts = PipelineOptions { parse_threads: jobs, ..PipelineOptions::default() };
-        let mut parallel = GamStore::in_memory().unwrap();
-        let par_reports = run_pipeline(&mut parallel, &eco.dumps, &par_opts).unwrap();
-        assert_eq!(serial_reports, par_reports);
-        assert_same_stores(&serial, &parallel);
     });
 }

@@ -26,10 +26,7 @@ fn open(vfs: &FaultVfs) -> gam::GamResult<GamStore> {
 /// then checkpoints once more.
 fn import_all(vfs: &FaultVfs, eco: &Ecosystem) -> gam::GamResult<()> {
     let mut store = open(vfs)?;
-    let options = PipelineOptions {
-        parse_threads: 1,
-        ..PipelineOptions::default()
-    };
+    let options = PipelineOptions::default();
     for pair in eco.dumps.chunks(2) {
         run_pipeline(&mut store, pair, &options)?;
         if pair.len() == 2 {

@@ -21,17 +21,16 @@
 //! assumption does not hold": low-confidence chains are exactly where
 //! transitivity breaks.
 //!
-//! The join runs over CSR [`MappingIndex`]es with one of three physical
-//! strategies picked per join by [`cost::choose_strategy`]; all three emit
-//! the same association multiset into the same canonical dedup, so the
-//! choice never shows in the output.
+//! The join is a sorted merge over CSR [`MappingIndex`]es, stepping or
+//! galloping as [`cost::choose_strategy`] picks per join; both emit the
+//! same association multiset into the same canonical dedup, so the choice
+//! never shows in the output.
 
-use crate::exec::{partitioned, ExecConfig};
 use crate::plan::cost::{self, JoinStrategy};
+use crate::ExecConfig;
 use gam::mapping::Association;
 use gam::model::RelType;
 use gam::{GamError, GamRead, GamResult, Mapping, MappingIndex, ObjectId, SourceId};
-use std::collections::HashMap;
 
 /// The one validity check for a caller-supplied evidence floor.
 pub(crate) fn check_floor(min_evidence: f64) -> GamResult<()> {
@@ -125,52 +124,19 @@ fn merge_join_idx(
     out
 }
 
-/// Partitioned hash probe over the left index's domain buckets: the build
-/// side maps each of the right index's domain keys to its bucket, and
-/// contiguous chunks of left buckets probe it concurrently. Used above the
-/// parallel threshold; output feeds the same canonical dedup as the merge
-/// join, so the two strategies produce bit-identical mappings.
-fn hash_join_idx(
-    left: &MappingIndex,
-    right: &MappingIndex,
-    min_evidence: Option<f64>,
-    jobs: usize,
-) -> Vec<Vec<Association>> {
-    let by_mid: HashMap<ObjectId, usize> = right
-        .domain_keys()
-        .iter()
-        .enumerate()
-        .map(|(j, &k)| (k, j))
-        .collect();
-    let buckets: Vec<usize> = (0..left.domain_keys().len()).collect();
-    partitioned(&buckets, jobs, |chunk| {
-        let mut out = Vec::new();
-        for &i in chunk {
-            let l_from = left.domain_keys()[i];
-            for p in left.fwd_range(i) {
-                if let Some(&j) = by_mid.get(&left.to_at(p)) {
-                    join_bucket(left, p, l_from, right, j, min_evidence, &mut out);
-                }
-            }
-        }
-        out
-    })
-}
-
 /// Compose two mappings sharing a middle source (`left.to == right.from`),
 /// optionally with an evidence floor: composed associations whose combined
 /// evidence falls below it are dropped. Output pairs are deduplicated
 /// keeping the strongest evidence.
 ///
 /// The physical join is picked from the operands' statistics by
-/// [`cost::choose_strategy`]. All strategies emit the same association
+/// [`cost::choose_strategy`]. Both strategies emit the same association
 /// multiset, and the dedup is a pure function of that multiset, so the
 /// resulting index is bit-identical whichever is chosen.
 pub fn compose_idx(
     left: &MappingIndex,
     right: &MappingIndex,
     min_evidence: Option<f64>,
-    cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
     if let Some(floor) = min_evidence {
         check_floor(floor)?;
@@ -181,28 +147,32 @@ pub fn compose_idx(
             left.to, right.from
         )));
     }
-    let parts = match cost::choose_strategy(left.stats(), right.stats(), cfg) {
-        JoinStrategy::Hash { jobs } => hash_join_idx(left, right, min_evidence, jobs),
-        JoinStrategy::Merge => vec![merge_join_idx(left, right, min_evidence, false, false)],
-        JoinStrategy::Gallop { left: gl, right: gr } => {
-            vec![merge_join_idx(left, right, min_evidence, gl, gr)]
-        }
+    let (gl, gr) = match cost::choose_strategy(left.stats(), right.stats()) {
+        JoinStrategy::Merge => (false, false),
+        JoinStrategy::Gallop { left, right } => (left, right),
     };
-    let merged = Mapping::from_parts(left.from, right.to, RelType::Composed, parts);
-    // from_parts leaves the mapping canonical, so build skips the sort
+    let mut merged = Mapping {
+        from: left.from,
+        to: right.to,
+        rel_type: RelType::Composed,
+        pairs: merge_join_idx(left, right, min_evidence, gl, gr),
+    };
+    // the dedup leaves the mapping canonical, so build skips the sort
+    merged.dedup();
     Ok(MappingIndex::build(merged))
 }
 
 /// Compose along a mapping path of sources, loading each step with
 /// [`map_index`](crate::simple::map_index). The path must name at least
 /// two sources; a two-source path degenerates to `Map` itself. The chain
-/// is planned and executed by the planner (`plan::plan_chain`).
+/// is planned and executed by the planner (`plan::plan_chain`). The
+/// [`ExecConfig`] argument carries nothing.
 pub fn compose_path_idx(
     store: &dyn GamRead,
     path: &[SourceId],
-    cfg: &ExecConfig,
+    _cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    crate::plan::plan_chain(store, path, None, cfg, false).map(|(idx, _)| idx)
+    crate::plan::plan_chain(store, path, None, false).map(|(idx, _)| idx)
 }
 
 /// [`compose_path_idx`] with an evidence floor applied at every step, so
@@ -211,9 +181,8 @@ pub fn compose_path_idx_with_threshold(
     store: &dyn GamRead,
     path: &[SourceId],
     min_evidence: f64,
-    cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
-    crate::plan::plan_chain(store, path, Some(min_evidence), cfg, false).map(|(idx, _)| idx)
+    crate::plan::plan_chain(store, path, Some(min_evidence), false).map(|(idx, _)| idx)
 }
 
 #[cfg(test)]
@@ -239,11 +208,11 @@ mod tests {
     }
 
     fn compose(left: &MappingIndex, right: &MappingIndex) -> GamResult<Mapping> {
-        compose_idx(left, right, None, &ExecConfig::sequential()).map(|i| i.to_mapping())
+        compose_idx(left, right, None).map(|i| i.to_mapping())
     }
 
     fn compose_floor(left: &MappingIndex, right: &MappingIndex, f: f64) -> GamResult<Mapping> {
-        compose_idx(left, right, Some(f), &ExecConfig::sequential()).map(|i| i.to_mapping())
+        compose_idx(left, right, Some(f)).map(|i| i.to_mapping())
     }
 
     #[test]
@@ -307,9 +276,8 @@ mod tests {
         let ab = m(1, 2, &[(1, 10, Some(0.5)), (2, 11, None)]);
         let bc = m(2, 3, &[(10, 20, Some(0.8)), (11, 21, None)]);
         let cd = m(3, 4, &[(20, 30, None), (21, 31, Some(0.5))]);
-        let cfg = ExecConfig::sequential();
-        let left = compose(&compose_idx(&ab, &bc, None, &cfg).unwrap(), &cd).unwrap();
-        let right = compose(&ab, &compose_idx(&bc, &cd, None, &cfg).unwrap()).unwrap();
+        let left = compose(&compose_idx(&ab, &bc, None).unwrap(), &cd).unwrap();
+        let right = compose(&ab, &compose_idx(&bc, &cd, None).unwrap()).unwrap();
         assert_eq!(left.pairs.len(), right.pairs.len());
         for (l, r) in left.pairs.iter().zip(&right.pairs) {
             assert_eq!((l.from, l.to), (r.from, r.to));
@@ -373,11 +341,11 @@ mod tests {
         (m(1, 2, &left), m(2, 3, &right))
     }
 
-    /// The three physical joins, called directly: stepping merge, every
-    /// galloping flag combination, and the hash probe at several partition
-    /// counts must dedup to the same bits, with and without a floor.
+    /// The two physical joins, called directly: stepping merge and every
+    /// galloping flag combination must dedup to the same bits, with and
+    /// without a floor.
     #[test]
-    fn merge_gallop_and_hash_emit_the_same_pairs() {
+    fn merge_and_gallop_emit_the_same_pairs() {
         // balanced, left-heavy and right-heavy key counts, and empty sides
         let shapes = [
             random_pair(0x9e3779b97f4a7c15, 400, 40, 30, 40),
@@ -387,17 +355,20 @@ mod tests {
         ];
         for (k, (l, r)) in shapes.iter().enumerate() {
             for floor in [None, Some(0.25)] {
-                let canon = |parts| {
-                    bits(&Mapping::from_parts(l.from, r.to, RelType::Composed, parts).pairs)
+                let canon = |pairs| {
+                    let mut m = Mapping {
+                        from: l.from,
+                        to: r.to,
+                        rel_type: RelType::Composed,
+                        pairs,
+                    };
+                    m.dedup();
+                    bits(&m.pairs)
                 };
-                let merge = canon(vec![merge_join_idx(l, r, floor, false, false)]);
+                let merge = canon(merge_join_idx(l, r, floor, false, false));
                 for (gl, gr) in [(true, false), (false, true), (true, true)] {
-                    let gallop = canon(vec![merge_join_idx(l, r, floor, gl, gr)]);
+                    let gallop = canon(merge_join_idx(l, r, floor, gl, gr));
                     assert_eq!(gallop, merge, "shape {k} floor {floor:?} gallop {gl}/{gr}");
-                }
-                for jobs in [1, 2, 3, 8] {
-                    let hash = canon(hash_join_idx(l, r, floor, jobs));
-                    assert_eq!(hash, merge, "shape {k} floor {floor:?} hash jobs={jobs}");
                 }
             }
         }
@@ -447,9 +418,9 @@ mod tests {
         assert_eq!(m2.rel_type, RelType::Fact);
         // degenerate path and invalid floor rejected
         assert!(compose_path_idx(&s, &ids[..1], &cfg).is_err());
-        assert!(compose_path_idx_with_threshold(&s, &ids[..1], 0.5, &cfg).is_err());
+        assert!(compose_path_idx_with_threshold(&s, &ids[..1], 0.5).is_err());
         assert!(matches!(
-            compose_path_idx_with_threshold(&s, &ids, 2.0, &cfg),
+            compose_path_idx_with_threshold(&s, &ids, 2.0),
             Err(GamError::BadEvidence(_))
         ));
         // missing step mapping surfaces as NoMapping

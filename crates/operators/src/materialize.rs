@@ -7,7 +7,7 @@
 //! any imported mapping, which is how repeated queries are accelerated
 //! (ablation A3 in DESIGN.md).
 
-use crate::exec::ExecConfig;
+use crate::ExecConfig;
 use gam::model::RelType;
 use gam::{GamError, GamRead, GamResult, GamStore, Mapping, SourceRelId};
 

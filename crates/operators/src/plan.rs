@@ -24,14 +24,12 @@
 //! cardinalities for the CLI/serve `explain` verbs.
 
 use crate::compose::{check_floor, compose_idx};
-use crate::exec::ExecConfig;
 use crate::simple::map_index;
 use gam::{GamError, GamRead, GamResult, MappingIndex, RelType, SourceId};
 
 /// The cost model: the constants table and the formulas that pick a join
 /// strategy per Compose from the two operands' [`gam::index::IndexStats`].
 pub mod cost {
-    use crate::exec::ExecConfig;
     use gam::IndexStats;
 
     /// Key-count ratio above which the sorted merge join advances the
@@ -39,10 +37,6 @@ pub mod cost {
     /// instead of stepping. One sided: each side is checked against the
     /// other independently.
     pub const GALLOP_RATIO: usize = 16;
-
-    /// Probe-side size (in associations) below which a join is not worth
-    /// parallelizing: thread spawn overhead dominates the join itself.
-    pub const PARALLEL_THRESHOLD: usize = 8_192;
 
     /// Per-side galloping decision for a merge join over `left_keys` vs
     /// `right_keys` distinct join keys.
@@ -62,7 +56,7 @@ pub mod cost {
         mids * left.avg_inv_fanout() * right.avg_fwd_fanout()
     }
 
-    /// Physical strategy for one Compose. All three produce the same
+    /// Physical strategy for one Compose. Both produce the same
     /// association multiset (and therefore, through the canonical dedup,
     /// bit-identical indexes) — the choice is purely about speed.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,8 +66,6 @@ pub mod cost {
         /// Merge with exponential search on the flagged side(s) — wins
         /// when one key array is ≥ [`GALLOP_RATIO`]× the other.
         Gallop { left: bool, right: bool },
-        /// Partitioned hash probe across `jobs` scoped threads.
-        Hash { jobs: usize },
     }
 
     impl JoinStrategy {
@@ -82,23 +74,13 @@ pub mod cost {
             match self {
                 JoinStrategy::Merge => "merge",
                 JoinStrategy::Gallop { .. } => "gallop",
-                JoinStrategy::Hash { .. } => "hash",
             }
         }
     }
 
-    /// Pick the strategy for `left ∘ right` from stats: hash when the
-    /// probe side or the estimated output clears the parallel threshold
-    /// and there are partitions to hand out; galloping merge on heavy key
-    /// skew; plain merge otherwise.
-    pub fn choose_strategy(left: &IndexStats, right: &IndexStats, cfg: &ExecConfig) -> JoinStrategy {
-        let work = (left.len as f64).max(estimate_join(left, right));
-        if cfg.jobs > 1 && work >= PARALLEL_THRESHOLD as f64 {
-            let jobs = cfg.jobs.min(left.domain_keys.max(1)).min(left.len.max(1));
-            if jobs > 1 {
-                return JoinStrategy::Hash { jobs };
-            }
-        }
+    /// Pick the strategy for `left ∘ right` from stats: galloping merge on
+    /// heavy key skew, plain merge otherwise.
+    pub fn choose_strategy(left: &IndexStats, right: &IndexStats) -> JoinStrategy {
         let (gl, gr) = gallop_flags(left.range_keys, right.domain_keys);
         if gl || gr {
             JoinStrategy::Gallop { left: gl, right: gr }
@@ -172,7 +154,6 @@ pub(crate) fn plan_chain(
     store: &dyn GamRead,
     path: &[SourceId],
     floor: Option<f64>,
-    cfg: &ExecConfig,
     traced: bool,
 ) -> GamResult<(MappingIndex, Option<ExplainNode>)> {
     // Validation order: floor first, then the length check.
@@ -204,7 +185,7 @@ pub(crate) fn plan_chain(
         match map_index(store, w[0], w[1]) {
             Ok(m) => steps.push(m),
             Err(_) => {
-                let idx = fold_chain(store, path, floor, cfg)?;
+                let idx = fold_chain(store, path, floor)?;
                 let node = traced
                     .then(|| ExplainNode::leaf("naive fold (step load failed)".into(), idx.len()));
                 return Ok((idx, node));
@@ -267,11 +248,11 @@ pub(crate) fn plan_chain(
             }
         }
         let right = items.remove(best + 1);
-        let joined = compose_idx(&items[best], &right, floor, cfg)?;
+        let joined = compose_idx(&items[best], &right, floor)?;
         if let Some(ns) = &mut nodes {
             let rn = ns.remove(best + 1);
             let ln = std::mem::replace(&mut ns[best], ExplainNode::leaf(String::new(), 0));
-            ns[best] = join_node(ln, rn, &items[best], &right, &joined, cfg);
+            ns[best] = join_node(ln, rn, &items[best], &right, &joined);
         }
         if joined.is_empty() {
             // Relation emptiness is order-independent: the caller-order
@@ -301,7 +282,6 @@ fn fold_chain(
     store: &dyn GamRead,
     path: &[SourceId],
     floor: Option<f64>,
-    cfg: &ExecConfig,
 ) -> GamResult<MappingIndex> {
     let mut acc = map_index(store, path[0], path[1])?;
     if let Some(f) = floor {
@@ -309,7 +289,7 @@ fn fold_chain(
     }
     for window in path[1..].windows(2) {
         let step = map_index(store, window[0], window[1])?;
-        acc = compose_idx(&acc, &step, floor, cfg)?;
+        acc = compose_idx(&acc, &step, floor)?;
         if acc.is_empty() {
             break;
         }
@@ -326,12 +306,11 @@ fn join_node(
     l: &MappingIndex,
     r: &MappingIndex,
     out: &MappingIndex,
-    cfg: &ExecConfig,
 ) -> ExplainNode {
     let est = cost::estimate_join(l.stats(), r.stats());
     ExplainNode {
         label: format!("compose S{}→S{}", l.from.raw(), r.to.raw()),
-        strategy: Some(cost::choose_strategy(l.stats(), r.stats(), cfg).label()),
+        strategy: Some(cost::choose_strategy(l.stats(), r.stats()).label()),
         estimated: Some(est.round() as u64),
         actual: Some(out.len() as u64),
         children: vec![left, right],
@@ -369,51 +348,99 @@ mod tests {
     }
 
     #[test]
-    fn choose_strategy_covers_all_three_arms() {
-        let seq = ExecConfig::sequential();
-        let par = ExecConfig::with_jobs(4);
-        // Balanced small inputs merge.
+    fn choose_strategy_covers_both_arms() {
+        // Balanced inputs merge, whatever their size.
         let a = stats(50, 50, 50);
-        assert_eq!(cost::choose_strategy(&a, &a, &seq), cost::JoinStrategy::Merge);
+        assert_eq!(cost::choose_strategy(&a, &a), cost::JoinStrategy::Merge);
+        let big = stats(10_000, 5_000, 5_000);
+        assert_eq!(cost::choose_strategy(&big, &big), cost::JoinStrategy::Merge);
         // 17× key skew gallops on the wide side.
         let wide = stats(1700, 1700, 1700);
         let narrow = stats(100, 100, 100);
         assert_eq!(
-            cost::choose_strategy(&wide, &narrow, &seq),
+            cost::choose_strategy(&wide, &narrow),
             cost::JoinStrategy::Gallop {
                 left: true,
                 right: false
             }
         );
         assert_eq!(
-            cost::choose_strategy(&narrow, &wide, &seq),
+            cost::choose_strategy(&narrow, &wide),
             cost::JoinStrategy::Gallop {
                 left: false,
                 right: true
             }
         );
-        // Below the parallel threshold extra workers change nothing.
-        assert_eq!(cost::choose_strategy(&a, &a, &par), cost::JoinStrategy::Merge);
-        let n = cost::PARALLEL_THRESHOLD - 1;
-        let under = stats(n, n, n);
-        assert_eq!(cost::choose_strategy(&under, &under, &par), cost::JoinStrategy::Merge);
-        // Big probe side with jobs available hashes.
-        let big = stats(10_000, 5_000, 5_000);
-        assert_eq!(
-            cost::choose_strategy(&big, &big, &par),
-            cost::JoinStrategy::Hash { jobs: 4 }
+    }
+
+    /// Sum the `actual` sizes of the join nodes below the root of `node`.
+    fn intermediate_pairs(node: &ExplainNode) -> u64 {
+        node.children
+            .iter()
+            .map(|c| intermediate_pairs(c) + c.strategy.and(c.actual).unwrap_or(0))
+            .sum()
+    }
+
+    /// Fact-chain reordering, decided in counted work: on all-fact chains
+    /// of 4–6 hops with skewed fanouts, the pairs produced by every join
+    /// but the last under the planner's order (its traced plan's `actual`
+    /// counts) against those of the caller's left fold. The rewrite keeps
+    /// its place only while it at least halves that work on some chain.
+    #[test]
+    fn reordering_at_least_halves_the_intermediate_pairs_of_some_skewed_chain() {
+        use gam::model::{SourceContent, SourceStructure};
+        use gam::{Association, GamStore};
+        let width = 64;
+        let mut counts = Vec::new();
+        testkit::cases(32, |rng| {
+            let len = 4 + rng.below(3);
+            let hops = testkit::skewed_fact_chain(rng, len, width);
+            let mut store = GamStore::in_memory().unwrap();
+            let mut ids = Vec::new();
+            let mut objects = Vec::new();
+            for i in 0..=hops.len() {
+                let name = format!("S{i}");
+                let source = store
+                    .create_source(&name, SourceContent::Other, SourceStructure::Flat, None)
+                    .unwrap()
+                    .id;
+                let rows: Vec<_> =
+                    (0..width).map(|j| (format!("{name}o{j}"), None, None)).collect();
+                ids.push(source);
+                objects.push(store.add_objects_bulk(source, &rows).unwrap().0);
+            }
+            for (h, pairs) in hops.iter().enumerate() {
+                let rel =
+                    store.create_source_rel(ids[h], ids[h + 1], RelType::Fact, None).unwrap();
+                let assocs = pairs
+                    .iter()
+                    .map(|&(a, b)| Association::fact(objects[h][a], objects[h + 1][b]));
+                store.add_associations_bulk(rel, assocs, &mut 0).unwrap();
+            }
+            let (planned, tree) = plan_chain(&store, &ids, None, true).unwrap();
+            let planned_pairs = intermediate_pairs(&tree.unwrap());
+            let mut steps = ids.windows(2).map(|w| map_index(&store, w[0], w[1]).unwrap());
+            let mut folded = steps.next().unwrap();
+            let mut folded_pairs = 0;
+            for step in steps {
+                if folded.rel_type == RelType::Composed {
+                    folded_pairs += folded.len() as u64;
+                }
+                folded = compose_idx(&folded, &step, None).unwrap();
+            }
+            assert_eq!(planned.to_mapping().pairs, folded.to_mapping().pairs);
+            counts.push((folded_pairs, planned_pairs));
+        });
+        let cut = |&(folded, planned): &(u64, u64)| folded as f64 / planned.max(1) as f64;
+        let halved = counts.iter().filter(|c| cut(c) >= 2.0).count();
+        let worse = counts.iter().filter(|c| cut(c) < 1.0).count();
+        let best = counts.iter().map(cut).fold(0.0, f64::max);
+        eprintln!(
+            "(fold, planner) intermediate pairs {counts:?}: halved on {halved} of {}, \
+             more on {worse}, best cut {best:.1}x",
+            counts.len()
         );
-        // ... but never with more partitions than domain keys.
-        let two_keys = stats(10_000, 2, 2);
-        assert_eq!(
-            cost::choose_strategy(&two_keys, &big, &par),
-            cost::JoinStrategy::Hash { jobs: 2 }
-        );
-        // Sequential config never hashes, whatever the size.
-        assert_ne!(
-            cost::choose_strategy(&big, &big, &seq),
-            cost::JoinStrategy::Hash { jobs: 1 }
-        );
+        assert!(best >= 2.0, "{counts:?}");
     }
 
     #[test]

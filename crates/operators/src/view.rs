@@ -25,9 +25,9 @@
 //! set-at-a-time transcription of the figure lives in `baselines::naive`
 //! as the test oracle.
 
-use crate::exec::ExecConfig;
 use crate::plan::{plan_chain, ExplainNode};
 use crate::simple::map_index;
+use crate::ExecConfig;
 use gam::{GamError, GamRead, GamResult, MappingIndex, ObjectId, SourceId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -222,10 +222,7 @@ impl ViewRows {
 /// for a mapping path, and can hand out shared, pre-built indexes behind
 /// an [`Arc`]: the GenMapper system's versioned cache does exactly that,
 /// so repeated views probe one immutable index.
-///
-/// `Sync` is required so one resolver can serve the concurrent per-target
-/// resolution of [`generate_view_idx`].
-pub trait IndexResolver: Sync {
+pub trait IndexResolver {
     /// Produce the canonical index of the mapping oriented `from → to`.
     fn resolve_index(
         &self,
@@ -264,7 +261,6 @@ fn resolve_target_idx(
     source: SourceId,
     spec: &TargetSpec,
     resolver: &dyn IndexResolver,
-    cfg: &ExecConfig,
     traced: bool,
 ) -> GamResult<(Arc<MappingIndex>, Option<ExplainNode>)> {
     let leaf = |mi: &MappingIndex, how: &str| {
@@ -284,7 +280,7 @@ fn resolve_target_idx(
             Ok((Arc::new(mi), node))
         }
         Err(GamError::NoMapping { .. }) => {
-            let (mi, node) = plan_chain(store, path, None, cfg, traced)?;
+            let (mi, node) = plan_chain(store, path, None, traced)?;
             Ok((Arc::new(mi), node))
         }
         Err(e) => Err(e),
@@ -372,78 +368,45 @@ fn view_sources(store: &dyn GamRead, query: &ViewQuery) -> GamResult<BTreeSet<Ob
     }
 }
 
-/// Whether [`generate_view_idx`] resolves a view's targets concurrently,
-/// and the config each target's own joins run under: sequential when the
-/// targets already fan out across threads, so the thread count stays
-/// bounded by `cfg.jobs`. An [`IndexResolver`] that composes uses that
-/// config too.
-pub fn target_exec(query: &ViewQuery, cfg: &ExecConfig) -> (bool, ExecConfig) {
-    let concurrent = cfg.jobs > 1 && query.targets.len() > 1;
-    let inner = if concurrent {
-        ExecConfig::sequential()
-    } else {
-        *cfg
-    };
-    (concurrent, inner)
-}
-
 /// Execute `GenerateView` against a store, resolving mappings with
 /// `resolver` (or along each target's explicit path when given).
 ///
-/// Each `TargetSpec`'s Map/Compose + restrict pipeline is independent of
-/// the others, so with `cfg.jobs > 1` all target columns are resolved
-/// concurrently on scoped threads; the AND/OR join then makes one pass over
-/// the source objects. Each per-target pipeline is itself the sequential
-/// code, so the view is bit-identical whatever `cfg.jobs` is, and errors
-/// surface in target order.
+/// Each target's Map/Compose + restrict pipeline runs in target order, so
+/// the first failing target is the view's error; the AND/OR join then
+/// makes one pass over the source objects. The [`ExecConfig`] argument
+/// carries nothing.
 pub fn generate_view_idx(
     store: &dyn GamRead,
     query: &ViewQuery,
     resolver: &dyn IndexResolver,
-    cfg: &ExecConfig,
+    _cfg: &ExecConfig,
 ) -> GamResult<AnnotationView> {
     let s = view_sources(store, query)?;
-    let (concurrent, inner) = target_exec(query, cfg);
-    let column = |spec: &TargetSpec| {
-        let (mi, _) = resolve_target_idx(store, query.source, spec, resolver, &inner, false)?;
-        project_target_column(&mi, spec, &s)
-    };
-    let resolved: Vec<GamResult<TargetColumn>> = if concurrent {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = query
-                .targets
-                .iter()
-                .map(|spec| scope.spawn(|| column(spec)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                .collect()
+    let columns = query
+        .targets
+        .iter()
+        .map(|spec| {
+            let (mi, _) = resolve_target_idx(store, query.source, spec, resolver, false)?;
+            project_target_column(&mi, spec, &s)
         })
-    } else {
-        query.targets.iter().map(column).collect()
-    };
-
-    fold_columns(&s, resolved, query)
+        .collect::<GamResult<Vec<_>>>()?;
+    Ok(fold_columns(&s, &columns, query))
 }
 
 /// Explain a view query: run it as [`generate_view_idx`] does — the same
-/// per-target resolution under the same config, the same projection and
-/// fold, one target after another and uncached where the resolution is a
-/// planned chain — and return the plan tree with estimated vs actual
-/// cardinalities.
+/// per-target resolution, the same projection and fold, one target after
+/// another and uncached where the resolution is a planned chain — and
+/// return the plan tree with estimated vs actual cardinalities.
 pub fn explain_view(
     store: &dyn GamRead,
     query: &ViewQuery,
     resolver: &dyn IndexResolver,
-    cfg: &ExecConfig,
 ) -> GamResult<ExplainNode> {
     let s = view_sources(store, query)?;
-    let (_, inner) = target_exec(query, cfg);
     let mut children = Vec::with_capacity(query.targets.len());
     let mut columns = Vec::with_capacity(query.targets.len());
     for spec in &query.targets {
-        let (mi, chain) = resolve_target_idx(store, query.source, spec, resolver, &inner, true)?;
+        let (mi, chain) = resolve_target_idx(store, query.source, spec, resolver, true)?;
         // Column estimate: covered source objects × average fanout.
         let st = mi.stats();
         let est = (s.len().min(st.domain_keys) as f64 * st.avg_fwd_fanout()).round() as u64;
@@ -467,9 +430,9 @@ pub fn explain_view(
             actual: Some(column.values.len() as u64),
             children: chain.into_iter().collect(),
         });
-        columns.push(Ok(column));
+        columns.push(column);
     }
-    let view = fold_columns(&s, columns, query)?;
+    let view = fold_columns(&s, &columns, query);
     let combine = match query.combine {
         Combine::And => "AND",
         Combine::Or => "OR",
@@ -494,14 +457,8 @@ pub fn explain_view(
 /// The cartesian product of the slices goes straight into the row-major
 /// grid, the last column turning fastest, and an empty slice is one NULL
 /// cell. Every slice is ascending and distinct and NULL only ever stands
-/// alone in its column, so the rows come out sorted. The first failing
-/// column, in target order, is the view's error.
-fn fold_columns(
-    s: &BTreeSet<ObjectId>,
-    resolved: Vec<GamResult<TargetColumn>>,
-    query: &ViewQuery,
-) -> GamResult<AnnotationView> {
-    let columns = resolved.into_iter().collect::<GamResult<Vec<_>>>()?;
+/// alone in its column, so the rows come out sorted.
+fn fold_columns(s: &BTreeSet<ObjectId>, columns: &[TargetColumn], query: &ViewQuery) -> AnnotationView {
     let arity = 1 + columns.len();
     let mut cells = Vec::with_capacity(s.len() * arity);
     let mut slices: Vec<&[ObjectId]> = Vec::with_capacity(columns.len());
@@ -510,7 +467,7 @@ fn fold_columns(
     let mut digits = vec![0usize; columns.len()];
     'objects: for &obj in s {
         slices.clear();
-        for column in &columns {
+        for column in columns {
             match column.get(obj) {
                 Some(values) => slices.push(values),
                 None if query.combine == Combine::And => continue 'objects,
@@ -532,11 +489,11 @@ fn fold_columns(
     }
     let rows = ViewRows { arity, cells };
     debug_assert!(rows.iter().zip(rows.iter().skip(1)).all(|(a, b)| a < b));
-    Ok(AnnotationView {
+    AnnotationView {
         source: query.source,
         targets: query.targets.iter().map(|t| t.target).collect(),
         rows,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -818,55 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn view_is_identical_at_every_worker_count() {
-        let mut f = fix();
-        // add a scored mapping so evidence floors have something to cut
-        let sim = f
-            .store
-            .create_source_rel(f.s, f.go, RelType::Similarity, None)
-            .unwrap();
-        f.store.add_association(sim, f.l[3], f.g[0], Some(0.2)).unwrap();
-        f.store.add_association(sim, f.l[3], f.g[1], Some(0.95)).unwrap();
-        let queries = [
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go))
-                .target(TargetSpec::all(f.omim))
-                .combine(Combine::Or),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go))
-                .target(TargetSpec::all(f.omim))
-                .combine(Combine::And),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go))
-                .target(TargetSpec::all(f.omim).negated())
-                .combine(Combine::And),
-            ViewQuery::new(f.s)
-                .objects([f.l[0], f.l[1], f.l[2]].into())
-                .target(TargetSpec::restricted(f.go, [f.g[1]].into()))
-                .target(TargetSpec::all(f.omim))
-                .combine(Combine::Or),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go).min_evidence(0.5))
-                .combine(Combine::And),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::all(f.go).min_evidence(0.99).negated())
-                .combine(Combine::And),
-            ViewQuery::new(f.s)
-                .target(TargetSpec::restricted(f.omim, [f.o[0]].into()).negated())
-                .combine(Combine::And),
-            ViewQuery::new(f.s).combine(Combine::And),
-        ];
-        for (i, q) in queries.iter().enumerate() {
-            let seq = generate_view(&f.store, q).unwrap();
-            for jobs in [2, 4, 8] {
-                let par =
-                    generate_view_idx(&f.store, q, &Direct, &ExecConfig::with_jobs(jobs)).unwrap();
-                assert_eq!(par, seq, "query {i} jobs={jobs}");
-            }
-        }
-    }
-
-    #[test]
     fn errors_surface_in_target_order() {
         let mut f = fix();
         let lonely = f
@@ -875,15 +783,12 @@ mod tests {
             .unwrap()
             .id;
         // two failing targets: the reported error must name the first one
-        // (an invalid threshold on GO), whatever the worker count
+        // (an invalid threshold on GO)
         let q = ViewQuery::new(f.s)
             .target(TargetSpec::all(f.go).min_evidence(7.0))
             .target(TargetSpec::all(lonely));
-        for jobs in [1, 4] {
-            let err = generate_view_idx(&f.store, &q, &Direct, &ExecConfig::with_jobs(jobs))
-                .unwrap_err();
-            assert!(matches!(err, gam::GamError::BadEvidence(_)), "jobs={jobs}: {err}");
-        }
+        let err = generate_view(&f.store, &q).unwrap_err();
+        assert!(matches!(err, gam::GamError::BadEvidence(_)), "{err}");
     }
 
     #[test]
@@ -1012,10 +917,9 @@ mod tests {
                 .combine(Combine::And),
             ViewQuery::new(f.s).combine(Combine::And),
         ];
-        let cfg = ExecConfig::sequential();
         for q in &queries {
-            let tree = explain_view(&f.store, q, &Direct, &cfg).unwrap();
-            let view = generate_view_idx(&f.store, q, &Direct, &cfg).unwrap();
+            let tree = explain_view(&f.store, q, &Direct).unwrap();
+            let view = generate_view(&f.store, q).unwrap();
             assert_eq!(tree.actual, Some(view.rows.len() as u64), "{}", tree.render());
         }
     }
@@ -1052,11 +956,10 @@ mod tests {
         let q = ViewQuery::new(ids[0])
             .target(TargetSpec::all(ids[3]).via(paths[0].clone()))
             .target(TargetSpec::all(ids[2]).via(paths[1].clone()));
-        let cfg = ExecConfig::sequential();
-        let tree = explain_view(&store, &q, &Direct, &cfg).unwrap();
+        let tree = explain_view(&store, &q, &Direct).unwrap();
         assert!(!tree.render().contains("(memo)"), "{}", tree.render());
         for (target, path) in tree.children.iter().zip(&paths) {
-            let (_, alone) = plan_chain(&store, path, None, &cfg, true).unwrap();
+            let (_, alone) = plan_chain(&store, path, None, true).unwrap();
             assert_eq!(target.children, vec![alone.unwrap()], "{}", tree.render());
         }
         assert_eq!(tree.actual, Some(generate_view(&store, &q).unwrap().len() as u64));

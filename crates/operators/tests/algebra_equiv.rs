@@ -7,10 +7,9 @@
 //! sweep: a failure pins to a round number.
 //!
 //! What the executor is licensed to do differently from the oracle — pick
-//! merge / gallop / hash per join, push floors down, reorder fact chains,
-//! resolve targets on threads, join all of a view's targets in one pass
-//! over its source objects, load steps eagerly — is exactly what each
-//! sweep arms.
+//! merge / gallop per join, push floors down, reorder fact chains, join
+//! all of a view's targets in one pass over its source objects, load steps
+//! eagerly — is exactly what each sweep arms.
 
 use baselines::naive::{self, ViewTarget};
 use gam::model::{SourceContent, SourceStructure};
@@ -18,7 +17,7 @@ use gam::{
     Association, GamCardinalities, GamError, GamObject, GamRead, GamResult, GamStore, Mapping,
     MappingIndex, ObjectId, RelType, Source, SourceId, SourceRel, SourceRelId,
 };
-use operators::plan::cost::{choose_strategy, JoinStrategy, PARALLEL_THRESHOLD};
+use operators::plan::cost::{choose_strategy, JoinStrategy};
 use operators::{
     compose_idx, compose_path_idx, compose_path_idx_with_threshold,
     generate_view_idx, map_index, Combine, ExecConfig, IndexResolver, TargetSpec, ViewQuery,
@@ -27,7 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use testkit::Prng;
 
-const JOBS: [usize; 4] = [1, 2, 4, 8];
 const FLOORS: [Option<f64>; 4] = [None, Some(0.0), Some(0.5), Some(1.0)];
 const BAD_FLOORS: [f64; 3] = [f64::NAN, -0.1, 1.1];
 
@@ -119,11 +117,8 @@ fn random_mapping(
 fn check_join(l: &MappingIndex, r: &MappingIndex, floor: Option<f64>, ctx: &str) {
     let (lm, rm) = (l.to_mapping(), r.to_mapping());
     let want = mapping_bits(naive::compose(&lm, &rm, floor));
-    for jobs in JOBS {
-        let cfg = ExecConfig::with_jobs(jobs);
-        let got = compose_idx(l, r, floor, &cfg);
-        assert_eq!(index_bits(got), want, "{ctx} floor={floor:?} jobs={jobs}");
-    }
+    let got = compose_idx(l, r, floor);
+    assert_eq!(index_bits(got), want, "{ctx} floor={floor:?}");
 }
 
 #[test]
@@ -146,23 +141,19 @@ fn joins_match_the_nested_loop() {
         let wild = round % 4 == 3;
         let l = MappingIndex::build(random_mapping(&mut st, 1, 2, nl, ld, mid, wild));
         let r = MappingIndex::build(random_mapping(&mut st, 2, 3, nr, mid, rr, wild));
-        strategies.push(choose_strategy(
-            l.stats(),
-            r.stats(),
-            &ExecConfig::sequential(),
-        ));
+        strategies.push(choose_strategy(l.stats(), r.stats()));
         let f = floor(&mut st);
         check_join(&l, &r, f, &format!("round {round}"));
         for bad in BAD_FLOORS {
             check_join(&l, &r, Some(bad), &format!("round {round}"));
-            let got = compose_idx(&l, &r, Some(bad), &ExecConfig::sequential());
+            let got = compose_idx(&l, &r, Some(bad));
             assert!(
                 matches!(got, Err(GamError::BadEvidence(_))),
                 "round {round} floor {bad}"
             );
         }
     }
-    // the shapes above reach every sequential strategy
+    // the shapes above reach every strategy
     for want in [
         JoinStrategy::Merge,
         JoinStrategy::Gallop {
@@ -183,20 +174,11 @@ fn joins_match_the_nested_loop() {
 }
 
 #[test]
-fn a_join_above_the_parallel_threshold_hashes_and_still_matches() {
+fn a_large_join_matches_the_nested_loop() {
     let mut st = Prng::seed_from_u64(0x5DEE_CE66_D1CE_CAFE);
-    let n = PARALLEL_THRESHOLD + 800;
+    let n = 8_992;
     let l = MappingIndex::build(random_mapping(&mut st, 1, 2, n * 2, 4000, 3000, false));
     let r = MappingIndex::build(random_mapping(&mut st, 2, 3, 2500, 3000, 500, false));
-    assert!(
-        l.len() >= PARALLEL_THRESHOLD,
-        "probe side {} too small",
-        l.len()
-    );
-    for jobs in [2, 4, 8] {
-        let picked = choose_strategy(l.stats(), r.stats(), &ExecConfig::with_jobs(jobs));
-        assert_eq!(picked, JoinStrategy::Hash { jobs }, "jobs={jobs}");
-    }
     for f in [None, Some(0.5)] {
         check_join(&l, &r, f, "big join");
     }
@@ -363,14 +345,11 @@ fn random_chain(st: &mut Prng, sources: usize, width: usize, facts_only: bool) -
 
 fn check_chain(store: &dyn GamRead, path: &[SourceId], floor: Option<f64>, ctx: &str) {
     let want = mapping_bits(naive::compose_path(store, path, floor));
-    for jobs in JOBS {
-        let cfg = ExecConfig::with_jobs(jobs);
-        let got = match floor {
-            None => compose_path_idx(store, path, &cfg),
-            Some(f) => compose_path_idx_with_threshold(store, path, f, &cfg),
-        };
-        assert_eq!(index_bits(got), want, "{ctx} floor={floor:?} jobs={jobs}");
-    }
+    let got = match floor {
+        None => compose_path_idx(store, path, &ExecConfig::sequential()),
+        Some(f) => compose_path_idx_with_threshold(store, path, f),
+    };
+    assert_eq!(index_bits(got), want, "{ctx} floor={floor:?}");
 }
 
 #[test]
@@ -398,12 +377,7 @@ fn chains_match_the_lazy_left_fold() {
             check_chain(&c.store, &c.ids, Some(bad), &ctx);
             // the floor is judged before the path
             check_chain(&c.store, &c.ids[..1], Some(bad), &ctx);
-            let got = compose_path_idx_with_threshold(
-                &c.store,
-                &c.ids[..1],
-                bad,
-                &ExecConfig::sequential(),
-            );
+            let got = compose_path_idx_with_threshold(&c.store, &c.ids[..1], bad);
             assert!(
                 matches!(got, Err(GamError::BadEvidence(_))),
                 "{ctx} floor {bad}"
@@ -412,12 +386,11 @@ fn chains_match_the_lazy_left_fold() {
     }
 }
 
-/// A three-source chain whose first hop is large enough to hash.
+/// A three-source chain with a first hop of some 16 000 associations.
 fn big_chain(st: &mut Prng) -> Chain {
     let width = 3000;
     let mut c = chain_sources(3, width);
-    let first = random_edges(st, PARALLEL_THRESHOLD * 2, width, false);
-    assert!(first.len() >= PARALLEL_THRESHOLD);
+    let first = random_edges(st, 16_384, width, false);
     add_hop(&mut c, 0, 1, &first, false, RelType::Similarity);
     let second = random_edges(st, 2000, width, false);
     add_hop(&mut c, 1, 2, &second, false, RelType::Similarity);
@@ -425,20 +398,13 @@ fn big_chain(st: &mut Prng) -> Chain {
 }
 
 #[test]
-fn a_chain_above_the_parallel_threshold_hashes_and_still_matches() {
+fn a_large_chain_and_its_view_match() {
     let mut st = Prng::seed_from_u64(0x0B16_C4A1_4B16_C4A1);
     let c = big_chain(&mut st);
-    let (a, b) = (
-        map_index(&c.store, c.ids[0], c.ids[1]).unwrap(),
-        map_index(&c.store, c.ids[1], c.ids[2]).unwrap(),
-    );
-    let picked = choose_strategy(a.stats(), b.stats(), &ExecConfig::with_jobs(4));
-    assert_eq!(picked, JoinStrategy::Hash { jobs: 4 });
-    // floor 0.5 is pushed down: the hash join then sees filtered steps
+    // floor 0.5 is pushed down: the join then sees filtered steps
     for f in [None, Some(0.5)] {
         check_chain(&c.store, &c.ids, f, "big chain");
     }
-    // a single-target view keeps its inner join parallel
     let q = ViewQuery::new(c.ids[0]).target(TargetSpec::all(c.ids[2]).via(c.ids.clone()));
     check_view(&c.store, &q, "big chain view");
 }
@@ -553,19 +519,17 @@ fn oracle_view(store: &dyn GamRead, q: &ViewQuery) -> GamResult<Vec<Vec<Option<O
 
 fn check_view(store: &dyn GamRead, q: &ViewQuery, ctx: &str) {
     let want = oracle_view(store, q).map_err(|e| e.to_string());
-    for jobs in JOBS {
-        let got = generate_view_idx(store, q, &Direct, &ExecConfig::with_jobs(jobs))
-            .map(|v| {
-                assert_eq!(v.source, q.source);
-                assert_eq!(
-                    v.targets,
-                    q.targets.iter().map(|t| t.target).collect::<Vec<_>>()
-                );
-                v.rows.iter().map(<[_]>::to_vec).collect::<Vec<_>>()
-            })
-            .map_err(|e| e.to_string());
-        assert_eq!(got, want, "{ctx} jobs={jobs}");
-    }
+    let got = generate_view_idx(store, q, &Direct, &ExecConfig::sequential())
+        .map(|v| {
+            assert_eq!(v.source, q.source);
+            assert_eq!(
+                v.targets,
+                q.targets.iter().map(|t| t.target).collect::<Vec<_>>()
+            );
+            v.rows.iter().map(<[_]>::to_vec).collect::<Vec<_>>()
+        })
+        .map_err(|e| e.to_string());
+    assert_eq!(got, want, "{ctx}");
 }
 
 fn random_subset(st: &mut Prng, objs: &[ObjectId]) -> BTreeSet<ObjectId> {
@@ -627,8 +591,8 @@ fn views_match_figure_5() {
         if k > 0 {
             // S0 has no mapping to itself: target 0 now fails first
             bad.targets[0] = TargetSpec::all(c.ids[0]);
-            let err =
-                generate_view_idx(&c.store, &bad, &Direct, &ExecConfig::with_jobs(4)).unwrap_err();
+            let err = generate_view_idx(&c.store, &bad, &Direct, &ExecConfig::sequential())
+                .unwrap_err();
             assert!(matches!(err, GamError::NoMapping { .. }), "{ctx}: {err}");
             check_view(&c.store, &bad, &format!("{ctx} two failing targets"));
         }
@@ -762,7 +726,7 @@ fn floors_follow_the_fold_when_evidence_exceeds_one() {
     ]);
     check_chain(&rises, &path, Some(0.5), "rises above the floor");
     let got =
-        compose_path_idx_with_threshold(&rises, &path, 0.5, &ExecConfig::sequential()).unwrap();
+        compose_path_idx_with_threshold(&rises, &path, 0.5).unwrap();
     assert_eq!(
         got.to_mapping().pairs,
         vec![Association::scored(ObjectId(1), ObjectId(20), 1.5 * 0.4)]
@@ -775,7 +739,7 @@ fn floors_follow_the_fold_when_evidence_exceeds_one() {
     ]);
     check_chain(&sinks, &path, Some(0.5), "below the floor at step one");
     let got =
-        compose_path_idx_with_threshold(&sinks, &path, 0.5, &ExecConfig::sequential()).unwrap();
+        compose_path_idx_with_threshold(&sinks, &path, 0.5).unwrap();
     assert!(got.is_empty());
 
     let mut st = Prng::seed_from_u64(0x0E11_DE2C_E0FF_1CE5);

@@ -16,8 +16,6 @@
 //! EOF or a `quit` line on stdin.
 //!
 //! Shared options:
-//! * `--jobs N` caps the worker threads of the parallel Compose /
-//!   GenerateView executor (REPL: also changeable at runtime via `jobs`).
 //! * `--db DIR` opens (or creates) a durable store rooted at `DIR`.
 //! * `--paged[=POOL_PAGES]` makes `--db` use paged table storage with a
 //!   bounded buffer pool (default 64 pages).
@@ -38,13 +36,12 @@ use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: genmapper-cli [--jobs N] [--db DIR [--paged[=POOL_PAGES]]]\n\
+const USAGE: &str = "usage: genmapper-cli [--db DIR [--paged[=POOL_PAGES]]]\n\
        genmapper-cli serve [--addr HOST:PORT] [--threads N] [--demo SEED] [store options]\n\
        genmapper-cli call [--addr HOST:PORT] <request words...>";
 
 #[derive(Default)]
 struct CliArgs {
-    jobs: Option<usize>,
     db: Option<PathBuf>,
     /// `Some(None)` = `--paged` with the default pool size.
     paged: Option<Option<usize>>,
@@ -57,25 +54,13 @@ struct CliArgs {
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<CliArgs, String> {
     let mut parsed = CliArgs::default();
-    let parse_jobs = |value: &str| {
-        value
-            .parse()
-            .map_err(|_| format!("invalid --jobs value {value:?}"))
-    };
     let parse_pool = |value: &str| match value.parse() {
         Ok(0) | Err(_) => Err(format!("invalid --paged pool size {value:?}")),
         Ok(n) => Ok(n),
     };
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            let value = args
-                .next()
-                .ok_or_else(|| "--jobs requires a count".to_owned())?;
-            parsed.jobs = Some(parse_jobs(&value)?);
-        } else if let Some(value) = arg.strip_prefix("--jobs=") {
-            parsed.jobs = Some(parse_jobs(value)?);
-        } else if arg == "--db" {
+        if arg == "--db" {
             let value = args
                 .next()
                 .ok_or_else(|| "--db requires a directory".to_owned())?;
@@ -152,11 +137,7 @@ fn open_system(args: &CliArgs) -> Result<GenMapper, String> {
             }
         },
     };
-    let mut gm = gm.map_err(|e| format!("failed to open store: {e}"))?;
-    if let Some(jobs) = args.jobs {
-        gm.set_jobs(jobs);
-    }
-    Ok(gm)
+    gm.map_err(|e| format!("failed to open store: {e}"))
 }
 
 fn run_repl(args: &CliArgs) -> Result<(), String> {

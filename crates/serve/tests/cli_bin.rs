@@ -52,6 +52,25 @@ fn binary_survives_errors_and_eof() {
 }
 
 #[test]
+fn a_worker_count_is_not_an_option() {
+    // everything runs on the calling thread: there is no `--jobs` to set,
+    // and the REPL has no `jobs` verb
+    let refused = Command::new(env!("CARGO_BIN_EXE_genmapper-cli"))
+        .args(["--jobs", "4"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("binary runs");
+    assert!(!refused.status.success());
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("unknown argument \"--jobs\""), "{stderr}");
+    assert!(stderr.contains("usage: genmapper-cli [--db DIR"), "{stderr}");
+    let out = run_script("jobs 4\nhelp\n");
+    assert!(out.contains("parse error: unknown command \"jobs\""), "{out}");
+    assert!(out.contains("commands: demo "), "{out}");
+    assert!(!out.contains(" jobs "), "the help line names no jobs verb: {out}");
+}
+
+#[test]
 fn serve_mode_answers_calls_and_stops_on_quit() {
     use std::io::{BufRead, BufReader};
 

@@ -1,6 +1,7 @@
 //! `testkit` — what the workspace's seeded test sweeps share: the PRNG, a
-//! case loop whose failures name their seed, a text generator and a scratch directory;
-//! and the row type of the two mutant tables.
+//! case loop whose failures name their seed, a text generator, a
+//! skewed-fanout chain generator and a scratch directory; and the row type
+//! of the two mutant tables.
 //!
 //! A sweep replaces a property-test runner with a plain loop: case `i`
 //! draws its inputs from `Prng::seed_from_u64(i)` and asserts with the
@@ -48,6 +49,32 @@ pub fn case(seed: u64, body: impl FnOnce(&mut Prng)) {
 pub fn text(rng: &mut Prng, alphabet: &[u8], len: std::ops::RangeInclusive<usize>) -> String {
     (0..rng.gen_range(len))
         .map(|_| *rng.pick(alphabet) as char)
+        .collect()
+}
+
+/// The hops of a chain of fact mappings over `width` objects a source,
+/// with skewed fanouts, so that the sizes of the intermediate joins depend
+/// on the order they are joined in. Each hop is its `(from, to)` object
+/// index pairs, and draws one of three shapes: a fan-out (every object
+/// links to 4, 8 or 16 objects of the next source), a funnel (every object
+/// links to one of `width / 16` objects) or one-to-one. Every object links
+/// to at least one object, so no chain composes to nothing.
+pub fn skewed_fact_chain(rng: &mut Prng, hops: usize, width: usize) -> Vec<Vec<(usize, usize)>> {
+    (0..hops)
+        .map(|_| {
+            let shape = rng.below(3);
+            let fanout = *rng.pick(&[4, 8, 16]);
+            let funnel = (width / 16).max(1);
+            let mut pairs = Vec::new();
+            for from in 0..width {
+                match shape {
+                    0 => pairs.extend((0..fanout).map(|_| (from, rng.below(width)))),
+                    1 => pairs.push((from, rng.below(funnel))),
+                    _ => pairs.push((from, from)),
+                }
+            }
+            pairs
+        })
         .collect()
 }
 

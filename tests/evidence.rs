@@ -79,10 +79,10 @@ fn thresholded_composition_prunes_weak_probe_annotations() {
     let locuslink = gm.source_id("LocusLink").unwrap();
     let go = gm.source_id("GO").unwrap();
     let path = [netaffx, unigene, locuslink, go];
-    let cfg = operators::ExecConfig::sequential();
     let compose = |floor| {
-        operators::compose_path_idx_with_threshold(gm.store(), &path, floor, &cfg).map(|i| i.to_mapping())
+        operators::compose_path_idx_with_threshold(gm.store(), &path, floor).map(|i| i.to_mapping())
     };
+    let cfg = operators::ExecConfig::sequential();
     let unfiltered = operators::compose_path_idx(gm.store(), &path, &cfg).unwrap().to_mapping();
     let strict = compose(0.9).unwrap();
     let lax = compose(0.0).unwrap();
