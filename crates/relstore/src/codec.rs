@@ -7,12 +7,20 @@
 //! short buffers) is shared.
 //!
 //! Writers append to a `Vec<u8>`. Readers advance a `&mut &[u8]` cursor over
-//! the CRC-verified payload in place: every read goes through [`get_u8`] or
-//! [`take`], which check what remains first, so a short buffer is a
-//! [`StoreError::Corrupt`], never a panic.
+//! the CRC-verified payload in place, checking what remains before every
+//! read, so a short buffer is a [`StoreError::Corrupt`], never a panic.
+//!
+//! A value is decoded one way, borrowed; an owned value ([`get_value`]) or
+//! a reused slot ([`get_value_into`]) is that value copied out. A stored row is read at open
+//! by the **cell walk**, [`walk_cell`]: every check a decode into a row
+//! makes, each value lent borrowed from the cell, nothing allocated. The
+//! value decoder reports a `Fault` of a byte or two, turned into a
+//! `StoreError` only where a caller sees it, so a walk keeps its values in
+//! registers.
 
 use crate::error::{StoreError, StoreResult};
-use crate::value::Value;
+use crate::row::RowId;
+use crate::value::{Value, ValueRef};
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -21,6 +29,7 @@ const TAG_TEXT: u8 = 3;
 const TAG_BYTES: u8 = 4;
 
 /// Read one byte; `short` is the corruption reported when none remains.
+#[inline]
 pub fn get_u8(buf: &mut &[u8], short: &str) -> StoreResult<u8> {
     let Some((&byte, rest)) = buf.split_first() else {
         return Err(StoreError::Corrupt(short.into()));
@@ -31,6 +40,7 @@ pub fn get_u8(buf: &mut &[u8], short: &str) -> StoreResult<u8> {
 
 /// Read the next `len` bytes; `short` is the corruption reported when fewer
 /// remain.
+#[inline]
 pub fn take<'a>(buf: &mut &'a [u8], len: usize, short: &str) -> StoreResult<&'a [u8]> {
     if buf.len() < len {
         return Err(StoreError::Corrupt(short.into()));
@@ -53,21 +63,56 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read a varint-encoded u64.
-pub fn get_varint(buf: &mut &[u8]) -> StoreResult<u64> {
+/// Why a value did not decode. A byte or two where a [`StoreError`] is 72,
+/// so the decoders that return it keep their results in registers; it
+/// becomes a [`StoreError::Corrupt`] where a caller sees it.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    VarintShort,
+    VarintLong,
+    TagShort,
+    Tag(u8),
+    /// The payload of a value with this tag, or of any value where the tag
+    /// is `None`, runs off the end.
+    Payload(Option<u8>),
+    Utf8,
+}
+
+impl From<Fault> for StoreError {
+    fn from(fault: Fault) -> StoreError {
+        StoreError::Corrupt(match fault {
+            Fault::VarintShort => "varint ran off end of buffer".into(),
+            Fault::VarintLong => "varint longer than 64 bits".into(),
+            Fault::TagShort => "value tag ran off end of buffer".into(),
+            Fault::Tag(tag) => format!("unknown value tag {tag}"),
+            Fault::Payload(Some(TAG_FLOAT)) => "float payload truncated".into(),
+            Fault::Payload(Some(TAG_TEXT)) => "text payload truncated".into(),
+            Fault::Payload(Some(_)) => "bytes payload truncated".into(),
+            Fault::Payload(None) => "value payload truncated".into(),
+            Fault::Utf8 => "text payload is not UTF-8".into(),
+        })
+    }
+}
+
+/// Read a varint-encoded u64: at most ten bytes, of which the tenth gives
+/// only its lowest bit.
+#[inline(always)]
+fn varint(buf: &mut &[u8]) -> Result<u64, Fault> {
     let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = get_u8(buf, "varint ran off end of buffer")?;
-        if shift >= 64 {
-            return Err(StoreError::Corrupt("varint longer than 64 bits".into()));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
+    for (i, &byte) in buf.iter().enumerate().take(10) {
+        v |= u64::from(byte & 0x7f) << (7 * i);
+        if byte < 0x80 {
+            *buf = &buf[i + 1..];
             return Ok(v);
         }
-        shift += 7;
     }
+    Err(if buf.len() <= 10 { Fault::VarintShort } else { Fault::VarintLong })
+}
+
+/// Read a varint-encoded u64.
+#[inline]
+pub fn get_varint(buf: &mut &[u8]) -> StoreResult<u64> {
+    Ok(varint(buf)?)
 }
 
 /// Read a varint that must fit in 32 bits: a larger value is corruption,
@@ -81,8 +126,9 @@ pub fn get_u32(buf: &mut &[u8], what: &str) -> StoreResult<u32> {
 /// for. A count read from a file is not trusted: `min_bytes` is the least
 /// one element can occupy, and a count the remaining bytes could not hold
 /// is corruption — reported before anything is allocated for it.
+#[inline]
 pub fn get_count(buf: &mut &[u8], min_bytes: usize, what: &str) -> StoreResult<usize> {
-    let count = get_varint(buf)?;
+    let count = varint(buf)?;
     if count > (buf.len() / min_bytes.max(1)) as u64 {
         return Err(StoreError::Corrupt(format!(
             "{what} count {count} exceeds the {} bytes that remain",
@@ -124,49 +170,53 @@ pub fn put_value(buf: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Decode one value over `slot` — the one value decoder. A text or byte
-/// payload lands in the buffer `slot` already holds, if it holds one, so a
-/// reader that keeps its slots decodes row after row without allocating.
-pub fn get_value_into(buf: &mut &[u8], slot: &mut Value) -> StoreResult<()> {
-    let tag = get_u8(buf, "value tag ran off end of buffer")?;
-    match tag {
-        TAG_NULL => *slot = Value::Null,
-        TAG_INT => *slot = Value::Int(unzigzag(get_varint(buf)?)),
-        TAG_FLOAT => {
-            let raw = take(buf, 8, "float payload truncated")?;
-            let mut bits = [0u8; 8];
-            bits.copy_from_slice(raw);
-            *slot = Value::Float(f64::from_bits(u64::from_le_bytes(bits)));
-        }
-        TAG_TEXT => {
-            let len = get_varint(buf)? as usize;
-            let raw = take(buf, len, "text payload truncated")?;
-            let s = std::str::from_utf8(raw)
-                .map_err(|_| StoreError::Corrupt("text payload is not UTF-8".into()))?;
-            match slot {
-                Value::Text(held) => s.clone_into(held),
-                _ => *slot = Value::Text(s.to_owned()),
-            }
-        }
-        TAG_BYTES => {
-            let len = get_varint(buf)? as usize;
-            let raw = take(buf, len, "bytes payload truncated")?;
-            match slot {
-                Value::Bytes(held) => raw.clone_into(held),
-                _ => *slot = Value::Bytes(raw.to_vec()),
-            }
-        }
-        other => {
-            return Err(StoreError::Corrupt(format!("unknown value tag {other}")));
-        }
+/// A value's tag and, for a text or byte value, the payload's bytes, with
+/// `buf` advanced past the payload; no payload is read for the others.
+#[inline(always)]
+fn tag_and_payload<'a>(buf: &mut &'a [u8]) -> Result<(u8, &'a [u8]), Fault> {
+    let (&tag, rest) = buf.split_first().ok_or(Fault::TagShort)?;
+    *buf = rest;
+    let len = match tag {
+        TAG_TEXT | TAG_BYTES => varint(buf)? as usize,
+        TAG_NULL | TAG_INT | TAG_FLOAT => return Ok((tag, &[])),
+        other => return Err(Fault::Tag(other)),
+    };
+    if buf.len() < len {
+        return Err(Fault::Payload(Some(tag)));
     }
+    let (payload, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok((tag, payload))
+}
+
+/// Decode one value, borrowed from `buf` — the one value decoder: a tag, its
+/// payload, and UTF-8 on a text payload.
+#[inline(always)]
+fn value<'a>(buf: &mut &'a [u8]) -> Result<ValueRef<'a>, Fault> {
+    Ok(match tag_and_payload(buf)? {
+        (TAG_NULL, _) => ValueRef::Null,
+        (TAG_INT, _) => ValueRef::Int(unzigzag(varint(buf)?)),
+        (TAG_FLOAT, _) => {
+            let (bits, rest) = buf.split_first_chunk::<8>().ok_or(Fault::Payload(Some(TAG_FLOAT)))?;
+            *buf = rest;
+            ValueRef::Float(f64::from_le_bytes(*bits))
+        }
+        (TAG_TEXT, raw) => ValueRef::Text(std::str::from_utf8(raw).map_err(|_| Fault::Utf8)?),
+        (_, raw) => ValueRef::Bytes(raw),
+    })
+}
+
+/// Decode one value over `slot`. A text or byte payload lands in the buffer
+/// `slot` already holds, if it holds one, so a reader that keeps its slots
+/// decodes row after row without allocating.
+pub fn get_value_into(buf: &mut &[u8], slot: &mut Value) -> StoreResult<()> {
+    value(buf)?.store_into(slot);
     Ok(())
 }
 
 /// Decode one value.
 pub fn get_value(buf: &mut &[u8]) -> StoreResult<Value> {
-    let mut value = Value::Null;
-    get_value_into(buf, &mut value).map(|()| value)
+    Ok(value(buf)?.to_value())
 }
 
 /// Encode a row (arity-prefixed value list).
@@ -188,20 +238,42 @@ pub fn get_row(buf: &mut &[u8]) -> StoreResult<Vec<Value>> {
 }
 
 /// Walk one encoded row — arity, tags, lengths — building no value and
-/// allocating nothing: what `buf` advances over is a cell [`get_row`] can
+/// allocating nothing: what `buf` advances over is a cell [`walk_cell`] can
 /// be asked for later (text is not checked for UTF-8 until then).
 pub fn skip_row(buf: &mut &[u8]) -> StoreResult<()> {
-    for _ in 0..get_count(buf, 1, "row value")? {
-        let payload = match get_u8(buf, "value tag ran off end of buffer")? {
-            TAG_NULL => 0,
-            TAG_INT => get_varint(buf).map(|_| 0)?,
-            TAG_FLOAT => 8,
-            TAG_TEXT | TAG_BYTES => get_varint(buf)? as usize,
-            other => return Err(StoreError::Corrupt(format!("unknown value tag {other}"))),
+    let skip = |buf: &mut &[u8]| -> Result<(), Fault> {
+        let fixed = match tag_and_payload(buf)? {
+            (TAG_INT, _) => return varint(buf).map(drop),
+            (TAG_FLOAT, _) => 8,
+            _ => 0,
         };
-        take(buf, payload, "value payload truncated")?;
+        *buf = buf.get(fixed..).ok_or(Fault::Payload(None))?;
+        Ok(())
+    };
+    for _ in 0..get_count(buf, 1, "row value")? {
+        skip(buf)?;
     }
     Ok(())
+}
+
+/// The cell walk: the way an open reads a stored row. Walk the `cell` of
+/// row `row`, as [`put_row`] wrote it, handing `f` each value's ordinal and
+/// the value borrowed from the cell; nothing is allocated. Checked on the
+/// way, as a decode into a row would: the arity against the bytes that
+/// remain, every tag and length, UTF-8 on every text value, and that the
+/// values use the cell up whole. Returns the arity. A damaged cell may
+/// have lent some values before its error: a caller judges what it was
+/// lent only once the walk has succeeded.
+#[inline]
+pub fn walk_cell<'a>(row: RowId, mut cell: &'a [u8], mut f: impl FnMut(usize, ValueRef<'a>)) -> StoreResult<usize> {
+    let arity = get_count(&mut cell, 1, "row value")?;
+    for ordinal in 0..arity {
+        f(ordinal, value(&mut cell)?);
+    }
+    match cell.len() {
+        0 => Ok(arity),
+        n => Err(StoreError::Corrupt(format!("row {row} leaves {n} bytes of its cell unread"))),
+    }
 }
 
 /// Encode a length-prefixed string.
@@ -452,6 +524,18 @@ pub(crate) mod tests {
             put_varint(&mut buf, v);
             assert_eq!(get_varint(&mut &buf[..]).unwrap(), v);
         }
+        // the cursor stops behind the varint
+        let mut rest = &[0x80, 0x01, 0x42][..];
+        assert_eq!(get_varint(&mut rest).unwrap(), 128);
+        assert_eq!(rest, [0x42]);
+        // a tenth byte gives its lowest bit; no byte may follow it
+        assert_eq!(get_varint(&mut &[[0xff; 9].as_slice(), &[0x7f]].concat()[..]).unwrap(), u64::MAX);
+        for (bytes, msg) in [(&[0x80; 2][..], "ran off end"), (&[0x80; 10], "ran off end"), (&[0x80; 11], "longer than 64 bits")] {
+            match get_varint(&mut &bytes[..]) {
+                Err(StoreError::Corrupt(m)) => assert!(m.contains(msg), "{m}"),
+                other => panic!("{bytes:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -494,6 +578,43 @@ pub(crate) mod tests {
             // must never panic; errors are fine
             let _ = get_row(&mut &data[..]);
         });
+    }
+
+    /// The cell walk and a decode into values agree on every cell: the same
+    /// values where the cell is a row used up whole, an error where not —
+    /// an encoded row with bytes overwritten, cut off or left behind it.
+    #[test]
+    fn the_cell_walk_lends_what_a_decode_builds() {
+        cases(512, |rng| {
+            let mut cell = Vec::new();
+            put_row(&mut cell, &row(rng));
+            for _ in 0..rng.below(3) {
+                if cell.is_empty() {
+                    break;
+                }
+                let at = rng.below(cell.len());
+                match rng.below(3) {
+                    0 => cell[at] = rng.below(256) as u8,
+                    1 => cell.truncate(at),
+                    _ => cell.push(rng.below(256) as u8),
+                }
+            }
+            let mut rest = &cell[..];
+            let decoded = get_row(&mut rest).ok().filter(|_| rest.is_empty());
+            let mut walked = Vec::new();
+            let arity = walk_cell(RowId(7), &cell, |ordinal, value| {
+                assert_eq!(ordinal, walked.len());
+                walked.push(value.to_value());
+            });
+            assert_eq!(arity.ok().map(|arity| (arity, walked)), decoded.map(|row| (row.len(), row)), "{cell:?}");
+        });
+        let mut cell = Vec::new();
+        put_row(&mut cell, &[Value::Int(1)]);
+        cell.push(0);
+        match walk_cell(RowId(7), &cell, |_, _| {}) {
+            Err(StoreError::Corrupt(msg)) => assert_eq!(msg, "row #7 leaves 1 bytes of its cell unread"),
+            other => panic!("{other:?}"),
+        }
     }
 
     /// The bit-at-a-time definition the table is derived from.

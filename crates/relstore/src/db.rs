@@ -14,12 +14,13 @@
 //! the WAL and undo records for rollback. Dropping a transaction without
 //! committing rolls it back.
 
+use crate::codec::walk_cell;
 use crate::error::{StoreError, StoreResult};
 use crate::page::PageId;
 use crate::pager::{
     decode_catalog, encode_page_directory, page_directory_body, PagedCatalog, Pager, PoolConfig,
 };
-use crate::row::{Row, RowId};
+use crate::row::RowId;
 use crate::schema::Schema;
 use crate::stats::{DbStats, TableStats};
 use crate::table::Table;
@@ -293,9 +294,8 @@ impl Database {
         if !stale {
             report.wal_txns = recovery.committed_txns;
             report.wal_discarded_ops = recovery.discarded_ops;
-            let mut scratch = Row::new(Vec::new());
             for op in recovery.committed_ops {
-                self.apply_replayed(op, &mut scratch)?;
+                self.apply_replayed(op)?;
             }
             self.next_txid = recovery.committed_txns + 1;
         }
@@ -346,19 +346,21 @@ impl Database {
         Table::create(schema, self.pager.clone(), id)
     }
 
-    /// Apply one committed operation of the log; a logged row is decoded
-    /// over `scratch`, one row reused across the whole replay.
-    fn apply_replayed(&mut self, op: LoggedOp<'_>, scratch: &mut Row) -> StoreResult<()> {
+    /// Apply one committed operation of the log. A logged row is read by
+    /// the cell walk: an insert stores its cell as it was logged, an update
+    /// takes the values it lends.
+    fn apply_replayed(&mut self, op: LoggedOp<'_>) -> StoreResult<()> {
         match op {
             LoggedOp::Insert { table, row_id, cell } => {
-                self.table_mut_internal(table)?.insert_cell(row_id, cell, scratch)
+                self.table_mut_internal(table)?.insert_cell(row_id, cell)
             }
             LoggedOp::Delete { table, row_id } => {
                 self.table_mut_internal(table)?.delete(row_id).map(drop)
             }
             LoggedOp::Update { table, row_id, cell } => {
-                scratch.decode_cell(row_id, cell)?;
-                self.table_mut_internal(table)?.update(row_id, scratch.values().to_vec()).map(drop)
+                let mut values = Vec::new();
+                walk_cell(row_id, cell, |_, value| values.push(value.to_value()))?;
+                self.table_mut_internal(table)?.update(row_id, values).map(drop)
             }
             LoggedOp::Commit | LoggedOp::Epoch { .. } => Ok(()),
             LoggedOp::CreateTable { schema } => {

@@ -31,7 +31,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
-use crate::value::{Value, ValueType};
+use crate::value::{Value, ValueRef, ValueType};
 use std::cmp::Ordering;
 use std::collections::{btree_set, BTreeSet, TryReserveError};
 use std::iter::Peekable;
@@ -304,10 +304,24 @@ impl KeySpec {
         }
     }
 
-    /// Encode `value` for `column`; `false` if it does not conform (wrong
-    /// type, or NULL where the column is not nullable).
-    fn encode_value(column: &KeyColumn, value: &Value, out: &mut KeyWriter) -> bool {
-        if value.is_null() {
+    /// The word of `value` in a fixed-width column of type `ty` (an `Int`
+    /// or a `Float`): the 8 key bytes, big-endian. `None` for a value of
+    /// another type.
+    fn fixed_word(ty: ValueType, value: ValueRef<'_>) -> Option<u64> {
+        match (ty, value) {
+            (ValueType::Int, ValueRef::Int(v)) => Some(v as u64 ^ SIGN),
+            (ValueType::Float, ValueRef::Float(v)) => {
+                let bits = v.to_bits();
+                Some(if bits & SIGN != 0 { !bits } else { bits ^ SIGN })
+            }
+            _ => None,
+        }
+    }
+
+    /// Encode `value` for `column` — the one key encoder; `false` if it does
+    /// not conform (wrong type, or NULL where the column is not nullable).
+    fn encode_value(column: &KeyColumn, value: ValueRef<'_>, out: &mut KeyWriter) -> bool {
+        if let ValueRef::Null = value {
             if column.nullable {
                 out.push_byte(TAG_NULL);
             }
@@ -317,34 +331,45 @@ impl KeySpec {
             out.push_byte(TAG_PRESENT);
         }
         match (column.ty, value) {
-            (ValueType::Int, Value::Int(v)) => out.push_word(*v as u64 ^ SIGN),
-            (ValueType::Float, Value::Float(v)) => {
-                let bits = v.to_bits();
-                out.push_word(if bits & SIGN != 0 { !bits } else { bits ^ SIGN });
+            (ValueType::Int | ValueType::Float, _) => {
+                Self::fixed_word(column.ty, value).map(|word| out.push_word(word)).is_some()
             }
-            (ValueType::Text, Value::Text(s)) => out.push_escaped(s.as_bytes()),
-            (ValueType::Bytes, Value::Bytes(b)) => out.push_escaped(b),
-            _ => return false,
+            (ValueType::Text, ValueRef::Text(s)) => {
+                out.push_escaped(s.as_bytes());
+                true
+            }
+            (ValueType::Bytes, ValueRef::Bytes(b)) => {
+                out.push_escaped(b);
+                true
+            }
+            _ => false,
         }
-        true
     }
 
-    /// The key of a stored row. Every write path schema-checks rows first,
-    /// so a cell that does not conform here came from damaged storage.
-    pub fn row_key(&self, row: &[Value]) -> StoreResult<IndexKey> {
+    /// The error for a stored row whose key column `column` holds no value
+    /// that conforms to it. Every write path schema-checks rows first, so
+    /// such a cell came from damaged storage.
+    fn nonconforming(column: &KeyColumn) -> StoreError {
+        StoreError::Corrupt(format!(
+            "row cell {} does not conform to its indexed column type {}",
+            column.ordinal, column.ty
+        ))
+    }
+
+    /// The key of a stored row whose value at ordinal `i` is `value(i)`.
+    fn key_from<'v>(&self, value: impl Fn(usize) -> Option<ValueRef<'v>>) -> StoreResult<IndexKey> {
         let mut out = KeyWriter::default();
         for column in self.columns.iter() {
-            let conforms = row
-                .get(column.ordinal)
-                .is_some_and(|v| Self::encode_value(column, v, &mut out));
-            if !conforms {
-                return Err(StoreError::Corrupt(format!(
-                    "row cell {} does not conform to its indexed column type {}",
-                    column.ordinal, column.ty
-                )));
+            if !value(column.ordinal).is_some_and(|v| Self::encode_value(column, v, &mut out)) {
+                return Err(Self::nonconforming(column));
             }
         }
         Ok(out.finish())
+    }
+
+    /// The key of a stored row.
+    pub fn row_key(&self, row: &[Value]) -> StoreResult<IndexKey> {
+        self.key_from(|i| row.get(i).map(Value::view))
     }
 
     /// Encode a probe over the first `probe.len()` key columns. `None` if
@@ -356,7 +381,7 @@ impl KeySpec {
         }
         let mut out = KeyWriter::default();
         for (column, value) in self.columns.iter().zip(probe) {
-            if !Self::encode_value(column, value, &mut out) {
+            if !Self::encode_value(column, value.view(), &mut out) {
                 return None;
             }
         }
@@ -804,9 +829,27 @@ impl IndexBuilder {
         Ok(builder)
     }
 
-    /// The key codec of the index being built.
-    pub fn spec(&self) -> &KeySpec {
-        &self.spec
+    /// Add the entry of the stored row `values`, walked from its cell, at
+    /// `row`. A fixed-width key's words go in straight from the values; any
+    /// other key is encoded first. A key column the row holds no conforming
+    /// value for is corruption.
+    pub fn push_row(&mut self, values: &[ValueRef<'_>], row: RowId) -> StoreResult<()> {
+        if self.span.columns == 0 {
+            let key = self.spec.key_from(|i| values.get(i).copied())?;
+            self.push(key, row);
+            return Ok(());
+        }
+        let mut words = [0; INLINE_WORDS];
+        for (word, column) in words.iter_mut().zip(self.spec.columns.iter()) {
+            let value = values.get(column.ordinal).and_then(|v| KeySpec::fixed_word(column.ty, *v));
+            *word = value.ok_or_else(|| KeySpec::nonconforming(column))?;
+        }
+        let words = &words[..self.span.columns];
+        self.span.add(words, row);
+        // word by word: a slice copy this short is a call
+        words.iter().for_each(|&word| self.words.push(word));
+        self.rows.push(row);
+        Ok(())
     }
 
     /// Add the entry (`key`, `row`).

@@ -664,6 +664,9 @@ pub fn decode_catalog(body: &[u8]) -> StoreResult<PagedCatalog<'static>> {
             tail: Cow::Owned(tail),
         });
     }
+    if !buf.is_empty() {
+        return Err(StoreError::Corrupt(format!("page directory leaves {} bytes unread", buf.len())));
+    }
     Ok(PagedCatalog {
         epoch,
         heap_gen,

@@ -1,7 +1,12 @@
 //! Rows and row identifiers.
+//!
+//! A [`Row`] is what a read hands out: decoded from its stored cell owned,
+//! or over a cursor's one scratch row. An open builds none — replay and
+//! the index build read stored cells by the cell walk
+//! ([`crate::codec::walk_cell`]), their values borrowed.
 
 use crate::codec::{get_count, get_value_into};
-use crate::error::{StoreError, StoreResult};
+use crate::error::StoreResult;
 use crate::value::Value;
 use std::fmt;
 
@@ -78,16 +83,6 @@ impl Row {
         self.values
             .iter_mut()
             .try_for_each(|slot| get_value_into(buf, slot))
-    }
-
-    /// Overwrite this row with row `id`'s `cell`, as `put_row` wrote it; a
-    /// cell the row does not take up whole is corrupt.
-    pub(crate) fn decode_cell(&mut self, id: RowId, mut cell: &[u8]) -> StoreResult<()> {
-        self.decode_from(&mut cell)?;
-        match cell.len() {
-            0 => Ok(()),
-            n => Err(StoreError::Corrupt(format!("row {id} leaves {n} bytes of its cell unread"))),
-        }
     }
 
     /// Consume the row, yielding its values.

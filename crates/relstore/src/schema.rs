@@ -2,7 +2,7 @@
 
 use crate::codec::{get_count, get_str, get_u8, get_varint, put_str, put_varint};
 use crate::error::{StoreError, StoreResult};
-use crate::value::{Value, ValueType};
+use crate::value::{Value, ValueRef, ValueType};
 
 /// A column declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +32,13 @@ impl Column {
             ty,
             nullable: true,
         }
+    }
+
+    /// Whether `value` fits this column: a value of its type, or NULL where
+    /// the column is nullable.
+    #[inline]
+    pub fn admits(&self, value: ValueRef<'_>) -> bool {
+        value.value_type().map_or(self.nullable, |ty| ty == self.ty)
     }
 }
 
@@ -122,30 +129,37 @@ impl Schema {
 
     /// Validate a row against this schema: arity, types, nullability.
     pub fn check_row(&self, row: &[Value]) -> StoreResult<()> {
-        if row.len() != self.columns.len() {
+        self.check_arity(row.len())?;
+        match self.columns.iter().zip(row).position(|(col, value)| !col.admits(value.view())) {
+            Some(ordinal) => self.check_value(ordinal, row[ordinal].view()),
+            None => Ok(()),
+        }
+    }
+
+    /// Validate a row's arity.
+    #[inline]
+    pub(crate) fn check_arity(&self, arity: usize) -> StoreResult<()> {
+        if arity != self.columns.len() {
             return Err(StoreError::SchemaViolation(format!(
-                "table {}: expected {} columns, got {}",
+                "table {}: expected {} columns, got {arity}",
                 self.name,
-                self.columns.len(),
-                row.len()
+                self.columns.len()
             )));
         }
-        for (col, val) in self.columns.iter().zip(row) {
-            if val.is_null() {
-                if !col.nullable {
-                    return Err(StoreError::SchemaViolation(format!(
-                        "table {}: column {} is not nullable",
-                        self.name, col.name
-                    )));
-                }
-            } else if !val.conforms_to(col.ty) {
-                return Err(StoreError::SchemaViolation(format!(
-                    "table {}: column {} expects {}, got {}",
-                    self.name, col.name, col.ty, val
-                )));
-            }
-        }
         Ok(())
+    }
+
+    /// Validate the value at `ordinal` of a row: its type and nullability.
+    /// A value beyond the columns passes; [`check_arity`](Self::check_arity)
+    /// refuses its row.
+    pub(crate) fn check_value(&self, ordinal: usize, value: ValueRef<'_>) -> StoreResult<()> {
+        match self.columns.get(ordinal) {
+            Some(col) if !col.admits(value) => Err(StoreError::SchemaViolation(match value {
+                ValueRef::Null => format!("table {}: column {} is not nullable", self.name, col.name),
+                _ => format!("table {}: column {} expects {}, got {value}", self.name, col.name, col.ty),
+            })),
+            _ => Ok(()),
+        }
     }
 }
 

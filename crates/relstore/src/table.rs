@@ -27,14 +27,14 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
+use crate::codec::walk_cell;
 use crate::index::{format_key, IndexBuilder, IndexKey, IndexStore, KeySpec};
-use crate::codec::{get_count, get_value_into};
 use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// One block of a batched columnar scan
 /// ([`Table::scan_prefix_columnar`]): the requested columns decoded into
@@ -246,24 +246,28 @@ impl PagedRows {
         }
     }
 
-    /// Visit every live row in row-id order, propagating sink errors and
-    /// page-fault I/O errors. Each sealed page is faulted exactly once and
-    /// every row passes through one scratch row.
+    /// Visit every image in row-id order — each sealed page faulted exactly
+    /// once, then the tail — propagating sink errors and page-fault I/O
+    /// errors.
+    fn for_each_image(&self, f: &mut dyn FnMut(&PageImage) -> StoreResult<()>) -> StoreResult<()> {
+        for idx in 0..self.pages.len() {
+            let (pager, pid) = self.sealed(idx)?;
+            f(pager.pin(pid)?.as_ref())?;
+        }
+        self.tail.iter().try_for_each(f)
+    }
+
+    /// Visit every live row in row-id order, each through one scratch row.
     fn for_each(&self, f: &mut dyn FnMut(RowId, &Row) -> StoreResult<()>) -> StoreResult<()> {
         let mut scratch = Row::new(Vec::new());
-        let mut rows_of = |image: &PageImage| -> StoreResult<()> {
+        self.for_each_image(&mut |image| {
             for slot in 0..image.slot_count() {
                 if image.row_into(slot, &mut scratch)? {
                     f(RowId(image.base + slot as u64), &scratch)?;
                 }
             }
             Ok(())
-        };
-        for idx in 0..self.pages.len() {
-            let (pager, pid) = self.sealed(idx)?;
-            rows_of(pager.pin(pid)?.as_ref())?;
-        }
-        self.tail.iter().try_for_each(rows_of)
+        })
     }
 }
 
@@ -332,17 +336,16 @@ impl<'a> RowCursor<'a> {
         Ok(live.then(|| f(&self.scratch)))
     }
 
-    /// Feed `f` the values of the live row at `id` by ordinal, one at a
-    /// time straight from its cell: no row is built.
-    fn columns(&mut self, id: RowId, mut f: impl FnMut(usize, &Value)) -> StoreResult<Option<()>> {
+    /// Feed `f` the values of the live row at `id` by ordinal, borrowed
+    /// straight from its cell by the cell walk: no row is built.
+    fn columns(&mut self, id: RowId, f: impl FnMut(usize, ValueRef<'_>)) -> StoreResult<Option<()>> {
         let Some((image, slot)) = Self::image(self.store, &mut self.cached, id)? else {
             return Ok(None);
         };
-        image.read_cell(slot, |cell| {
-            let mut value = Value::Null;
-            (0..get_count(cell, 1, "row value")?)
-                .try_for_each(|ord| get_value_into(cell, &mut value).map(|()| f(ord, &value)))
-        })
+        let Some(cell) = image.raw_cell(slot) else {
+            return Ok(None);
+        };
+        walk_cell(id, cell, f).map(|_| Some(()))
     }
 }
 
@@ -410,12 +413,15 @@ pub struct Table {
 }
 
 /// Build the indexes `defs` of `schema` over the live rows of `store` —
-/// the one place rows become an index. One pass over the rows (one fault per
-/// page) projects every key into its index's [`IndexBuilder`], which
-/// receives them in row-id order and sorts them only if that is not already
-/// key order; under a dense key it also checks each row's key. Returns the
-/// structures and the number of live rows seen; the builders are sized once
-/// for the `expect` rows the caller counts on.
+/// the one place rows become an index. One pass over the stored cells (one
+/// fault per page): each cell is read by the cell walk, which checks it as
+/// a decode into a row would and lends its values borrowed, and each index's
+/// key goes from those values into its [`IndexBuilder`] — a fixed-width key
+/// as bare words, any other through the key encoder. The builders receive
+/// rows in row-id order and sort them only if that is not already key
+/// order. Under a dense key each row's key is checked on the way. Returns
+/// the structures and the number of live rows seen; the builders are sized
+/// once for the `expect` rows the caller counts on.
 fn index_rows(
     schema: &Schema,
     defs: &[&IndexDef],
@@ -427,11 +433,20 @@ fn index_rows(
     let builders = defs.iter().map(|def| IndexBuilder::new(KeySpec::new(schema, def), expect).map_err(corrupt));
     let mut builders = builders.collect::<StoreResult<Vec<_>>>()?;
     let mut live = 0usize;
-    store.for_each(&mut |id, row| {
-        live += 1;
-        check_dense(schema, id, row.values())?;
-        for builder in &mut builders {
-            builder.push(builder.spec().row_key(row.values())?, id);
+    store.for_each_image(&mut |image| {
+        let mut values = Vec::with_capacity(schema.columns().len());
+        for slot in 0..image.slot_count() {
+            let Some(cell) = image.raw_cell(slot) else {
+                continue;
+            };
+            let id = RowId(image.base + slot as u64);
+            values.clear();
+            walk_cell(id, cell, |_, value| values.push(value))?;
+            live += 1;
+            check_dense(schema, id, values.first().copied())?;
+            for builder in &mut builders {
+                builder.push_row(&values, id)?;
+            }
         }
         Ok(())
     })?;
@@ -443,16 +458,18 @@ fn index_rows(
     Ok((built, live))
 }
 
-/// Refuse the row `values` at `row_id` if `schema` declares a dense key
-/// and the row's key is not its row id + 1.
-fn check_dense(schema: &Schema, row_id: RowId, values: &[Value]) -> StoreResult<()> {
-    if !schema.dense_key() || row_id.dense_key().is_some_and(|key| values[0] == Value::Int(key)) {
+/// Refuse the row at `row_id` if `schema` declares a dense key and the
+/// row's first value, `key`, is not its row id + 1.
+#[inline]
+fn check_dense(schema: &Schema, row_id: RowId, key: Option<ValueRef<'_>>) -> StoreResult<()> {
+    let at_address = matches!((key, row_id.dense_key()), (Some(ValueRef::Int(k)), Some(want)) if k == want);
+    if !schema.dense_key() || at_address {
         return Ok(());
     }
     Err(StoreError::DenseKeyViolation {
         table: schema.name().to_owned(),
         row_id: row_id.0,
-        key: values[0].to_string(),
+        key: key.map_or_else(|| "no value".to_owned(), |key| key.to_string()),
     })
 }
 
@@ -688,7 +705,7 @@ impl Table {
     pub fn insert(&mut self, values: Vec<Value>) -> StoreResult<RowId> {
         self.schema.check_row(&values)?;
         let row_id = RowId(self.store.high_water());
-        check_dense(&self.schema, row_id, &values)?;
+        check_dense(&self.schema, row_id, values.first().map(Value::view))?;
         // Check unique constraints before mutating anything.
         let keys = self.keys_of(&values)?;
         self.check_unique(&keys, &values)?;
@@ -718,7 +735,7 @@ impl Table {
             .map(|i| RowId(first + i))
             .collect();
         for (row, id) in rows.iter().zip(&row_ids) {
-            check_dense(&self.schema, *id, row)?;
+            check_dense(&self.schema, *id, row.first().map(Value::view))?;
         }
         let mut runs = Vec::with_capacity(self.indexes.len());
         for (def, ix) in self.indexed() {
@@ -747,23 +764,44 @@ impl Table {
         for (ix, run) in self.indexes.iter_mut().zip(runs) {
             ix.insert_sorted(run);
         }
+        self.live += row_ids.len();
+        // each row settles as it lands, so a page seals at its size; a seal
+        // error leaves the table consistent, so the batch is placed whole
+        // and the first error returned
+        let mut sealed = Ok(());
         for row in rows {
             self.store.open_image().push(Some(row));
+            let settled = self.store.settle();
+            sealed = sealed.and(settled);
         }
-        self.live += row_ids.len();
-        self.store.settle()?;
-        Ok(row_ids)
+        sealed.map(|()| row_ids)
     }
 
     /// Place the row logged as `cell` at `row_id`, used by WAL replay on a
-    /// table under recovery (no index is touched): the cell is decoded over
-    /// `scratch` to be checked, and stored as it was logged. The id must be
-    /// at or beyond the current high-water mark; the gap (if any) is filled
-    /// with tombstones so later replayed ids stay aligned.
-    pub(crate) fn insert_cell(&mut self, row_id: RowId, cell: &[u8], scratch: &mut Row) -> StoreResult<()> {
-        scratch.decode_cell(row_id, cell)?;
-        self.schema.check_row(scratch.values())?;
-        check_dense(&self.schema, row_id, scratch.values())?;
+    /// table under recovery (no index is touched): the cell walk checks the
+    /// cell, and the schema its values, borrowed, and the cell is stored as
+    /// it was logged. The id must be at or beyond the current high-water
+    /// mark; the gap (if any) is filled with tombstones so later replayed
+    /// ids stay aligned.
+    pub(crate) fn insert_cell(&mut self, row_id: RowId, cell: &[u8]) -> StoreResult<()> {
+        let schema = &self.schema;
+        // judged once the walk has found the cell whole: a damaged cell is
+        // corrupt, whatever it lent
+        let (mut key, mut fits) = (None, true);
+        let arity = walk_cell(row_id, cell, |ordinal, value| {
+            if ordinal == 0 {
+                key = Some(value);
+            }
+            fits &= schema.columns().get(ordinal).is_none_or(|c| c.admits(value));
+        })?;
+        schema.check_arity(arity)?;
+        if !fits {
+            // walked again to name the first value off its column
+            let mut values = Vec::new();
+            walk_cell(row_id, cell, |_, value| values.push(value))?;
+            values.into_iter().enumerate().try_for_each(|(ordinal, value)| schema.check_value(ordinal, value))?;
+        }
+        check_dense(schema, row_id, key)?;
         if row_id.0 < self.store.high_water() {
             return Err(StoreError::Corrupt(format!(
                 "replayed insert at {row_id} below high-water mark {}",
@@ -781,7 +819,7 @@ impl Table {
     /// to undo deletes.
     pub(crate) fn restore(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.schema.check_row(&values)?;
-        check_dense(&self.schema, row_id, &values)?;
+        check_dense(&self.schema, row_id, values.first().map(Value::view))?;
         let keys = self.keys_of(&values)?;
         self.check_unique(&keys, &values)?;
         // Fallible page I/O first: if the slot write fails nothing has
@@ -830,7 +868,7 @@ impl Table {
     /// returning the row they replaced.
     pub fn update(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<Row> {
         self.schema.check_row(&values)?;
-        check_dense(&self.schema, row_id, &values)?;
+        check_dense(&self.schema, row_id, values.first().map(Value::view))?;
         let old = self.get(row_id)?;
         let old_keys = self.keys_of(old.values())?;
         let new_keys = self.keys_of(&values)?;
@@ -1141,10 +1179,10 @@ impl Table {
             block.floats.iter_mut().for_each(|buf| buf.push(None));
             let found = cursor.columns(id, |ord, value| {
                 for (buf, _) in block.ints.iter_mut().zip(&int_ords).filter(|(_, &o)| o == ord) {
-                    buf[block.len] = value.as_int().unwrap_or(0);
+                    buf[block.len] = if let ValueRef::Int(v) = value { v } else { 0 };
                 }
                 for (buf, _) in block.floats.iter_mut().zip(&float_ords).filter(|(_, &o)| o == ord) {
-                    buf[block.len] = value.as_float();
+                    buf[block.len] = if let ValueRef::Float(v) = value { Some(v) } else { None };
                 }
             })?;
             block.len += 1;
@@ -1216,7 +1254,7 @@ impl Table {
         let ix = self.index("pk")?;
         let mut outcome = Ok(());
         ix.visit_all(|key, id| {
-            outcome = ix.spec().decode(&key).and_then(|key| check_dense(schema, id, &key));
+            outcome = ix.spec().decode(&key).and_then(|key| check_dense(schema, id, key.first().map(Value::view)));
             outcome.is_ok()
         });
         outcome
@@ -1269,7 +1307,7 @@ mod tests {
         fn insert_at(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
             let mut cell = Vec::new();
             crate::codec::put_row(&mut cell, &values);
-            self.insert_cell(row_id, &cell, &mut Row::new(Vec::new()))
+            self.insert_cell(row_id, &cell)
         }
     }
 
@@ -1594,6 +1632,30 @@ mod tests {
         // normal insert continues above, index-maintained
         assert_eq!(t.insert(obj(2, 10, "B")).unwrap(), RowId(4));
         assert!(t.insert(obj(2, 12, "C")).is_err(), "pk is enforced again");
+    }
+
+    /// Replay and the index build read a stored cell by the one cell walk:
+    /// text that is not UTF-8 in a column no index holds, and a byte left
+    /// behind a row, are refused by both, whichever index shape is built.
+    #[test]
+    fn the_cell_walk_refuses_a_damaged_cell_at_replay_and_at_the_index_build() {
+        let mut not_utf8 = Vec::new();
+        crate::codec::put_row(&mut not_utf8, &obj(1, 10, "A")[..3]);
+        not_utf8[0] = 4;
+        not_utf8.extend_from_slice(&[3, 2, 0xff, 0xfe]); // the `text` column
+        let mut trailing = Vec::new();
+        crate::codec::put_row(&mut trailing, &obj(1, 10, "A"));
+        trailing.push(0);
+        for (cell, what) in [(not_utf8, "not UTF-8"), (trailing, "leaves 1 bytes of its cell unread")] {
+            let refused = |r: StoreResult<()>| matches!(r, Err(StoreError::Corrupt(ref msg)) if msg.contains(what));
+            for schema in [object_schema(), dense_schema()] {
+                let mut t = Table::new(schema.clone()).unindexed();
+                assert!(refused(t.insert_cell(RowId(0), &cell)), "replay: {what}");
+                t.store.open_image().push_cell(&cell);
+                t.live += 1;
+                assert!(refused(t.build_indexes()), "index build: {what}");
+            }
+        }
     }
 
     #[test]
@@ -1939,6 +2001,36 @@ mod tests {
             assert_tables_equal(resident, &back);
             assert_eq!(directory, reopened(&back).1, "a reopened tail checkpoints to the same bytes");
         }
+    }
+
+    /// A batch seals by bytes as it lands: however batches fall, every
+    /// sealed page holds at least `page_bytes` of cells and at most that
+    /// plus its largest row, and reads back as it was written.
+    #[test]
+    fn batch_inserted_pages_seal_at_their_size() {
+        let page_bytes = 8 * 1024;
+        let pager = Arc::new(Pager::new(
+            Arc::new(FaultVfs::new()),
+            PathBuf::from("/db/heap.1.bin"),
+            PoolConfig { page_bytes, pool_pages: 4 },
+        ));
+        let mut t = Table::create(object_schema(), Some(pager.clone()), 1);
+        let mut next = 0;
+        for n in [5000, 1000, 300, 3000] {
+            let batch: Vec<_> = (next..next + n).map(|i| obj(i, i % 5, &format!("ACC{i}"))).collect();
+            t.insert_batch(&batch).unwrap();
+            next += n;
+        }
+        let (back, _) = reopened(&t);
+        assert!(back.page_ids().len() >= 16, "{} pages", back.page_ids().len());
+        for pid in back.page_ids() {
+            let image = pager.pin(pid).unwrap();
+            let cells = (0..image.slot_count()).filter_map(|slot| image.raw_cell(slot));
+            let largest = cells.map(<[u8]>::len).max().unwrap();
+            let bytes = image.live_bytes();
+            assert!((page_bytes..page_bytes + largest).contains(&bytes), "{pid:?}: {bytes} bytes, rows up to {largest}");
+        }
+        assert_tables_equal(&t, &back);
     }
 
     #[test]

@@ -62,27 +62,12 @@ impl Value {
 
     /// The runtime type of this value, or `None` for NULL.
     pub fn value_type(&self) -> Option<ValueType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ValueType::Int),
-            Value::Float(_) => Some(ValueType::Float),
-            Value::Text(_) => Some(ValueType::Text),
-            Value::Bytes(_) => Some(ValueType::Bytes),
-        }
+        self.view().value_type()
     }
 
     /// True if this value is NULL.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
-    }
-
-    /// True if the value conforms to `ty` (NULL conforms to every type;
-    /// nullability is checked separately by the schema).
-    pub fn conforms_to(&self, ty: ValueType) -> bool {
-        match self.value_type() {
-            None => true,
-            Some(t) => t == ty,
-        }
     }
 
     /// Extract an integer, if this is an `Int`.
@@ -117,6 +102,18 @@ impl Value {
         }
     }
 
+    /// The value, borrowed.
+    #[inline]
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Bytes(b) => ValueRef::Bytes(b),
+        }
+    }
+
     /// Rank used to order values of different types: NULL < Int/Float < Text
     /// < Bytes. Int and Float share a rank and compare numerically.
     fn type_rank(&self) -> u8 {
@@ -129,15 +126,71 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
+/// A value borrowed: from a [`Value`] ([`Value::view`]), or straight from
+/// an encoded cell ([`crate::codec::walk_cell`]), its text and bytes never
+/// copied. Schema conformance and the index key encoder read values in this
+/// form, so a value is checked and encoded one way wherever it comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Bytes(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// The runtime type of this value, or `None` for NULL.
+    #[inline]
+    pub fn value_type(self) -> Option<ValueType> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Int(_) => Some(ValueType::Int),
+            ValueRef::Float(_) => Some(ValueType::Float),
+            ValueRef::Text(_) => Some(ValueType::Text),
+            ValueRef::Bytes(_) => Some(ValueType::Bytes),
+        }
+    }
+
+    /// The value, owned.
+    #[inline]
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Text(s) => Value::Text(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(b.to_vec()),
+        }
+    }
+
+    /// Overwrite `slot` with this value, into the text or byte buffer
+    /// `slot` already holds, if it holds one.
+    #[inline]
+    pub(crate) fn store_into(self, slot: &mut Value) {
+        match (self, slot) {
+            (ValueRef::Text(s), Value::Text(held)) => s.clone_into(held),
+            (ValueRef::Bytes(b), Value::Bytes(held)) => b.clone_into(held),
+            (value, slot) => *slot = value.to_value(),
+        }
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => f.write_str("NULL"),
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Text(s) => f.write_str(s),
-            Value::Bytes(b) => write!(f, "x'{}'", hex(b)),
+            ValueRef::Null => f.write_str("NULL"),
+            ValueRef::Int(v) => write!(f, "{v}"),
+            ValueRef::Float(v) => write!(f, "{v}"),
+            ValueRef::Text(s) => f.write_str(s),
+            ValueRef::Bytes(b) => write!(f, "x'{}'", hex(b)),
         }
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
     }
 }
 
@@ -242,10 +295,11 @@ mod tests {
 
     #[test]
     fn type_checks() {
-        assert!(Value::Int(1).conforms_to(ValueType::Int));
-        assert!(!Value::Int(1).conforms_to(ValueType::Text));
-        assert!(Value::Null.conforms_to(ValueType::Int));
-        assert!(Value::Null.conforms_to(ValueType::Bytes));
+        let column = |ty| crate::schema::Column::nullable("c", ty);
+        assert!(column(ValueType::Int).admits(Value::Int(1).view()));
+        assert!(!column(ValueType::Text).admits(Value::Int(1).view()));
+        assert!(column(ValueType::Int).admits(ValueRef::Null));
+        assert!(!crate::schema::Column::new("c", ValueType::Bytes).admits(ValueRef::Null));
         assert_eq!(Value::text("x").value_type(), Some(ValueType::Text));
         assert_eq!(Value::Null.value_type(), None);
     }

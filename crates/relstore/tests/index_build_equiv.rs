@@ -582,11 +582,41 @@ fn counts_read_from_a_file_are_not_trusted() {
     }
 }
 
+/// Re-frame the store's WAL, each frame under a valid checksum, with the
+/// cell of its one logged insert — row 3's — replaced by `patch` of it: a
+/// writer's defect behind the frame's checksum, not a torn write.
+fn patch_logged_cell(vfs: &FaultVfs, patch: &dyn Fn(&mut Vec<u8>)) {
+    let path = Path::new("/db").join(WAL_FILE);
+    let wal = vfs.peek(&path).unwrap();
+    let (mut out, mut at, mut patched) = (Vec::new(), 0, 0);
+    while at < wal.len() {
+        let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
+        let mut payload = wal[at + 8..at + 8 + len].to_vec();
+        at += 8 + len;
+        if payload[0] == 1 {
+            // an insert: its tag, the table "t", row id 3, then the cell
+            assert_eq!(payload[..4], [1, 1, b't', 3], "located the logged insert");
+            let mut cell = payload.split_off(4);
+            patch(&mut cell);
+            payload.extend_from_slice(&cell);
+            patched += 1;
+        }
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    assert_eq!(patched, 1, "the log holds one insert");
+    let mut file = vfs.create(&path).unwrap();
+    file.write_all(&out).unwrap();
+    file.sync().unwrap();
+}
+
 /// A tail cell that is not a row, in a directory whose checksum is right: a
 /// writer's defect, not a torn write. No older generation explains it, so
 /// `open` refuses — with or without a pool, at the directory's own walk of
 /// the cell where that cannot find the cell's end, at the index build's
-/// decode where it can — and nothing is allocated on the forged numbers.
+/// cell walk where it can — and nothing is allocated on the forged numbers.
+/// A logged cell behind a valid frame checksum is refused by replay's walk.
 #[test]
 fn open_refuses_a_damaged_tail_cell_behind_a_valid_checksum() {
     for pool in [None, Some(2)] {
@@ -626,9 +656,166 @@ fn open_refuses_a_damaged_tail_cell_behind_a_valid_checksum() {
             image.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x20, b'q', b'q']);
         });
         assert!(msg.contains("payload truncated"), "{msg}");
-        // text that is not UTF-8: the walk passes it, the index build reads it
+        // text that is not UTF-8: the directory's walk passes it, the cell walk reads it
         let msg = forge(&|image| image[at + 6..].copy_from_slice(&[0xff, 0xfe]));
         assert!(msg.contains("not UTF-8"), "{msg}");
+        // a text value in the Int key column `id`: Text "x" for Int(2)
+        let msg = forge(&|image| image.splice(at + 2..at + 4, [3, 1, b'x']).for_each(drop));
+        assert!(msg.contains("row cell 0 does not conform to its indexed column type INT"), "{msg}");
+        // a NULL in the key column `acc`, which is not nullable
+        let msg = forge(&|image| image.splice(at + 4.., [0]).for_each(drop));
+        assert!(msg.contains("row cell 1 does not conform to its indexed column type TEXT"), "{msg}");
+        // bytes the directory's walk leaves behind the last cell
+        let msg = forge(&|image| image.push(0));
+        assert!(msg.contains("page directory leaves 1 bytes unread"), "{msg}");
+        // a logged cell with a byte behind its row: the frame's length says
+        // where the cell ends, and the walk does not use it up
+        let vfs = seeded(pool);
+        patch_logged_cell(&vfs, &|cell| cell.push(0));
+        match try_open(&vfs, pool) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("row #3 leaves 1 bytes of its cell unread"), "{msg}"),
+            other => panic!("pool {pool:?}: must be corrupt, got {other:?}"),
+        }
+    }
+}
+
+// ---- (iv b) byte mutations of stored cells ------------------------------
+
+/// `id` is a dense key and `acc` a unique one, so a mutated cell can take
+/// its row off its address, repeat a key, break a column's type, or stop
+/// being a row at all.
+fn dense_schema() -> Schema {
+    Schema::builder("t")
+        .column(Column::new("id", ValueType::Int))
+        .column(Column::new("acc", ValueType::Text))
+        .dense_key("id")
+        .unique_index("by_acc", &["acc"])
+        .build()
+        .unwrap()
+}
+
+const DENSE_ROWS: [(i64, &str); 4] = [(1, "aa"), (2, "bb"), (3, "qq"), (4, "dd")];
+
+/// Rows 0 to 2 of `DENSE_ROWS` checkpointed — in the directory's tail, with
+/// or without a pool — and row 3 committed in the WAL.
+fn dense_seeded(pool: Option<usize>) -> FaultVfs {
+    let vfs = FaultVfs::new();
+    let mut db = open(&vfs, pool);
+    db.create_table(dense_schema()).unwrap();
+    let row = |(id, acc): (i64, &str)| vec![Value::Int(id), Value::text(acc)];
+    db.with_txn(|txn| DENSE_ROWS[..3].iter().try_for_each(|r| txn.insert("t", row(*r)).map(drop)))
+        .unwrap();
+    db.checkpoint().unwrap();
+    db.with_txn(|txn| txn.insert("t", row(DENSE_ROWS[3]))).unwrap();
+    vfs
+}
+
+/// Flip a bit, overwrite a byte, truncate, or insert one to four bytes.
+fn mutate(st: &mut Prng, cell: &mut Vec<u8>) {
+    let at = st.below(cell.len());
+    match st.below(4) {
+        0 => cell[at] ^= 1 << st.below(8),
+        1 => cell[at] = st.below(256) as u8,
+        2 => cell.truncate(at),
+        _ => {
+            let bytes: Vec<u8> = (0..1 + st.below(4)).map(|_| st.below(256) as u8).collect();
+            let at = at + st.below(2);
+            cell.splice(at..at, bytes).for_each(drop);
+        }
+    }
+}
+
+/// What opening a store whose row `row` is stored as `cell` must give.
+#[derive(Debug)]
+enum Want {
+    /// The cell decodes whole to a row that fits the schema, its address
+    /// and its unique key: the store holds these rows.
+    Rows(Vec<Vec<Value>>),
+    /// The cell is a row, but not one the store may hold: a typed refusal.
+    Refused,
+    /// The cell is no row at all.
+    Corrupt,
+}
+
+fn expected(row: usize, cell: &[u8]) -> Want {
+    let mut rest = cell;
+    let Some(values) = relstore::codec::get_row(&mut rest).ok().filter(|_| rest.is_empty()) else {
+        return Want::Corrupt;
+    };
+    let mut rows: Vec<Vec<Value>> =
+        DENSE_ROWS.iter().map(|&(id, acc)| vec![Value::Int(id), Value::text(acc)]).collect();
+    rows[row] = values;
+    let fits = |r: &Vec<Value>| matches!(r[..], [Value::Int(_), Value::Text(_)]);
+    let at_address = rows[row].first() == Some(&Value::Int(row as i64 + 1));
+    let unique = rows.iter().filter(|r| r.get(1) == rows[row].get(1)).count() == 1;
+    match rows.iter().all(fits) && at_address && unique {
+        true => Want::Rows(rows),
+        false => Want::Refused,
+    }
+}
+
+/// Seeded byte mutations of the last tail cell of a resealed page directory
+/// and of the logged cell in a re-framed WAL, with and without a pool. Each
+/// open gives exactly the rows the mutated cell decodes to, with every
+/// index agreeing and a second open equal to the first, or fails as
+/// `Corrupt` (always, where the cell is no row), `SchemaViolation` (a
+/// logged row off its schema), `UniqueViolation` or `DenseKeyViolation`. A
+/// panic fails the test; an allocation sized by a forged count would abort
+/// it.
+#[test]
+fn mutated_cells_open_to_their_rows_or_are_refused() {
+    let dir_path = Path::new("/db").join(PAGEDIR_FILE);
+    for pool in [None, Some(2)] {
+        let image = dense_seeded(pool).peek(&dir_path).unwrap();
+        // row 2 ends the directory: marker, arity 2, Int(3), Text "qq"
+        let tail_cell = [2, 1, 6, 3, 2, b'q', b'q'];
+        let at = image.len() - tail_cell.len();
+        assert_eq!(image[at - 1..], [&[1][..], &tail_cell].concat(), "located the last tail cell");
+        let logged_cell = [2, 1, 8, 3, 2, b'd', b'd'];
+        let mut st = Prng::seed_from_u64(0x5EED_CE11 + pool.unwrap_or(0) as u64);
+        for case in 0..256 {
+            let (row, original) = if case % 2 == 0 { (2, &tail_cell) } else { (3, &logged_cell) };
+            let mut cell = original.to_vec();
+            for _ in 0..1 + st.below(2) {
+                if !cell.is_empty() {
+                    mutate(&mut st, &mut cell);
+                }
+            }
+            let vfs = dense_seeded(pool);
+            if row == 2 {
+                let mut file = vfs.create(&dir_path).unwrap();
+                file.write_all(&resealed([&image[..at], &cell].concat())).unwrap();
+                file.sync().unwrap();
+            } else {
+                patch_logged_cell(&vfs, &|logged| {
+                    assert_eq!(logged[..], logged_cell, "located the logged cell");
+                    *logged = cell.clone();
+                });
+            }
+            let context = format!("pool {pool:?} case {case}: row {row} stored as {cell:?}");
+            match (expected(row, &cell), try_open(&vfs, pool)) {
+                (Want::Rows(rows), Ok(db)) => {
+                    let table = db.table("t").unwrap();
+                    let got: Vec<Vec<Value>> = table.scan().map(|(_, r)| r.into_values()).collect();
+                    assert_eq!(got, rows, "{context}");
+                    assert_indexes_match_rows(table, &context);
+                    let first = observe_db(&db);
+                    drop(db);
+                    assert_eq!(observe_db(&try_open(&vfs, pool).unwrap()), first, "{context}: reopen");
+                }
+                (Want::Corrupt, Err(StoreError::Corrupt(_))) => {}
+                (
+                    Want::Refused,
+                    Err(
+                        StoreError::Corrupt(_)
+                        | StoreError::SchemaViolation(_)
+                        | StoreError::UniqueViolation { .. }
+                        | StoreError::DenseKeyViolation { .. },
+                    ),
+                ) => {}
+                (want, got) => panic!("{context}: expected {want:?}, opened {:?}", got.map(|db| observe_db(&db))),
+            }
+        }
     }
 }
 

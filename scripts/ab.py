@@ -2,6 +2,7 @@
 """Alternate gmbench runs of two checkouts and compare their end-to-end metrics.
 
     python3 scripts/ab.py <parent-tree> <change-tree> --workload W[,W...] [--seed S] [--pairs N]
+                          [--claim METRIC:WORKLOAD ...]
 
 Each tree runs its own `bash scripts/e2e/run.sh --workload W --seed S`, from
 its own root and into its own build directory (`CARGO_TARGET_DIR` is unset
@@ -20,6 +21,13 @@ against the metric's bound: `worse` when the change's median is worse than
 the parent's by more than the bound, `better` when it is better by more,
 else `within`. Any run with `correct: false` or `failed > 0` is flagged
 and makes the exit status 1.
+
+`--claim METRIC:WORKLOAD` (repeatable) names a gain the change claims and
+prints, after the tables, whether it passes the rule of the choosing-metrics
+guide (§8): the change wins at least nine tenths of the pairs (ties count
+for neither side), and the gap between the medians, in the metric's better
+direction, exceeds the parent's interquartile range. A claim that fails
+makes the exit status 1.
 
 The script reads `BENCHMARK.json` and runs `scripts/e2e/run.sh` of each
 tree; it writes nothing into either tree beyond what run.sh itself writes.
@@ -54,6 +62,19 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def compare(runs, metric):
+    """One metric over one workload's pairs: each side's quartiles, the
+    pairs the change won, and how far its median moved in the better
+    direction."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    p = [r["metrics"][name]["value"] for r in runs["parent"]]
+    c = [r["metrics"][name]["value"] for r in runs["change"]]
+    wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
+    parent, change = quartiles(p), quartiles(c)
+    moved = (parent[1] - change[1]) if lower else (change[1] - parent[1])
+    return parent, change, wins, len(p), moved
+
+
 def table(workload, seed, runs, spec):
     """Print the per-metric markdown table of one workload's runs."""
     pairs = len(runs["parent"])
@@ -62,14 +83,8 @@ def table(workload, seed, runs, spec):
     print("| metric | parent | change | wins | ratio | gap > parent IQR | bound | verdict |")
     print("|---|---|---|---|---|---|---|---|")
     for metric in spec["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
-        p = [r["metrics"][name]["value"] for r in runs["parent"]]
-        c = [r["metrics"][name]["value"] for r in runs["change"]]
-        pq1, pm, pq3 = quartiles(p)
-        cq1, cm, cq3 = quartiles(c)
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
+        (pq1, pm, pq3), (cq1, cm, cq3), wins, n, moved = compare(runs, metric)
         ratio = cm / pm if pm else float("nan")
-        moved = (pm - cm) if lower else (cm - pm)
         gap = "yes" if moved > pq3 - pq1 else "no"
         bound = metric["bound"]
         if moved < -bound * abs(pm):
@@ -78,8 +93,21 @@ def table(workload, seed, runs, spec):
             verdict = "better"
         else:
             verdict = "within"
-        print(f"| `{name}` | {pm:.4g} [{pq1:.4g}, {pq3:.4g}] | {cm:.4g} [{cq1:.4g}, {cq3:.4g}] "
-              f"| {wins}/{len(p)} | ×{ratio:.3f} | {gap} | {bound:g} | {verdict} |")
+        print(f"| `{metric['name']}` | {pm:.4g} [{pq1:.4g}, {pq3:.4g}] | {cm:.4g} [{cq1:.4g}, {cq3:.4g}] "
+              f"| {wins}/{n} | ×{ratio:.3f} | {gap} | {bound:g} | {verdict} |")
+
+
+def claim(name, workload, runs, metric):
+    """Print whether the claimed gain passes the 9-of-10 and IQR rule; True
+    if it does."""
+    (pq1, pm, pq3), (_, cm, _), wins, n, moved = compare(runs, metric)
+    won = 10 * wins >= 9 * n
+    past = moved > pq3 - pq1
+    verdict = "passes" if won and past else "fails"
+    print(f"claim `{name}` on {workload}: {verdict} — wins {wins}/{n} (needs ≥ 9/10: "
+          f"{'yes' if won else 'no'}); median {pm:.4g} → {cm:.4g}, gap {moved:.4g} in the better "
+          f"direction vs parent IQR {pq3 - pq1:.4g} ({'past' if past else 'not past'} it)")
+    return won and past
 
 
 def main():
@@ -89,6 +117,8 @@ def main():
     ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--claim", action="append", default=[], metavar="METRIC:WORKLOAD",
+                    help="a claimed gain to check against the 9-of-10 and IQR rule")
     args = ap.parse_args()
 
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
@@ -98,6 +128,15 @@ def main():
     for workload in workloads:
         if workload not in known:
             sys.exit(f"ab: {workload} is not a workload of BENCHMARK.json")
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    claims = []
+    for text in args.claim:
+        name, _, workload = text.partition(":")
+        if name not in metrics:
+            sys.exit(f"ab: claim {text}: {name} is not an end-to-end metric of BENCHMARK.json")
+        if workload not in workloads:
+            sys.exit(f"ab: claim {text}: {workload} is not among --workload {args.workload}")
+        claims.append((name, workload))
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
 
     runs = {w: {"parent": [], "change": []} for w in workloads}
@@ -115,10 +154,15 @@ def main():
 
     for workload in workloads:
         table(workload, args.seed, runs[workload], spec)
+    if claims:
+        print()
+    passed = [claim(name, w, runs[w], metrics[name]) for name, w in claims]
     if flagged:
         print("\nflagged runs:\n" + "\n".join(flagged))
         sys.exit(1)
     print("\nevery run: correct, 0 failed")
+    if not all(passed):
+        sys.exit(1)
 
 
 if __name__ == "__main__":
