@@ -23,7 +23,7 @@ use crate::model::{
 use crate::schema::{all_schemas, tables};
 use crate::snapshot::{lend_each, GamRead};
 use relstore::row::Row;
-use relstore::value::Value;
+use relstore::value::{Value, ValueRef};
 use relstore::{Database, RowId};
 use std::path::Path;
 
@@ -504,7 +504,7 @@ impl GamStore {
         let src_i64 = source.as_i64();
         let mut ids = Vec::with_capacity(objects.len());
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut seen: std::collections::BTreeMap<&str, ObjectId> = std::collections::BTreeMap::new();
+        let mut seen: std::collections::HashMap<&str, ObjectId> = std::collections::HashMap::new();
         let first = self.db.table(tables::OBJECT)?.next_row_id().0;
         for (i, (accession, text, number)) in objects.iter().enumerate() {
             if let Some(id) = existing[i] {
@@ -724,9 +724,9 @@ impl GamStore {
         pairs.sort_unstable();
         pairs.dedup();
         let mut exists = vec![false; pairs.len()];
-        self.db.table(tables::OBJECT_REL)?.for_each_match(
+        self.db.table(tables::OBJECT_REL)?.for_each_match_id(
             "by_pair",
-            pairs.iter().map(|&(from, to)| [rel_i64, from, to].map(Value::Int)),
+            pairs.iter().map(|&(from, to)| [rel_i64, from, to].map(ValueRef::Int)),
             |n, _| exists[n] = true,
         )?;
         let mut rows: Vec<Vec<Value>> = Vec::new();
@@ -842,21 +842,25 @@ impl GamRead for GamStore {
     }
 
     /// The importer's replacement for per-row `find_object` calls: one
-    /// ordered pass over the `by_accession` index that reads a row only
-    /// where an accession matches.
+    /// ordered pass over the `by_accession` index that reads no row. Each
+    /// probe borrows its accession, and a match is answered by its row id:
+    /// an object's id is its row's address.
     fn resolve_accessions(
         &self,
         source: SourceId,
         accessions: &[&str],
     ) -> GamResult<Vec<Option<ObjectId>>> {
-        let src = Value::Int(source.as_i64());
-        let mut hits: Vec<Option<ObjectId>> = vec![None; accessions.len()];
-        self.db.table(tables::OBJECT)?.for_each_match(
+        let src = ValueRef::Int(source.as_i64());
+        let (mut hits, mut bad) = (vec![None; accessions.len()], None);
+        self.db.table(tables::OBJECT)?.for_each_match_id(
             "by_accession",
-            accessions.iter().map(|acc| [src.clone(), Value::text(*acc)]),
-            |n, row| hits[n] = Some(ObjectId::from_i64(row.get(0).as_int().unwrap_or_default())),
+            accessions.iter().map(|acc| [src, ValueRef::Text(acc)]),
+            |n, row_id| match ObjectId::of_row(row_id) {
+                Ok(id) => hits[n] = Some(id),
+                Err(e) => bad = Some(e),
+            },
         )?;
-        Ok(hits)
+        bad.map_or(Ok(hits), Err)
     }
 
     fn source_rels(&self) -> GamResult<Vec<SourceRel>> {

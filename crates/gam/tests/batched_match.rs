@@ -1,14 +1,16 @@
-//! `Table::for_each_match` — the one batched key resolution behind
-//! `find_sources`, `resolve_accessions` and the `by_pair` duplicate check —
-//! answers what one `lookup_unique` per probe answers, pool-less and paged,
-//! and reads a row only where a key matches: a batch that matches nothing
-//! faults no page.
+//! `Table::for_each_match` — the batched key resolution behind
+//! `find_sources` — answers what one `lookup_unique` per probe answers,
+//! pool-less and paged, and reads a row only where a key matches: a batch
+//! that matches nothing faults no page. Its id-only seek loop,
+//! `Table::for_each_match_id` — behind `resolve_accessions` and the
+//! `by_pair` duplicate check — answers the ids of those rows, over owned
+//! or borrowed probes alike, and reads no row at all.
 
 use gam::model::{SourceContent, SourceStructure};
 use gam::schema::tables;
 use gam::{GamRead, GamStore, SourceId};
 use relstore::vfs::FaultVfs;
-use relstore::{PoolConfig, Row, Value};
+use relstore::{PoolConfig, Row, RowId, Value, ValueRef};
 use std::path::Path;
 use std::sync::Arc;
 use testkit::{cases, text, Prng};
@@ -86,6 +88,20 @@ fn matched(store: &GamStore, table: &str, index: &str, probes: &[Vec<Value>]) ->
     got
 }
 
+/// The row ids `for_each_match_id` hands each probe of `probes`, asked
+/// once with the owned probes and once with them borrowed; the two must
+/// agree.
+fn matched_ids(store: &GamStore, table: &str, index: &str, probes: &[Vec<Value>]) -> Vec<Vec<RowId>> {
+    let table = store.database().table(table).unwrap();
+    let mut got = vec![Vec::new(); probes.len()];
+    table.for_each_match_id(index, probes, |n, id| got[n].push(id)).unwrap();
+    let borrowed: Vec<Vec<ValueRef<'_>>> = probes.iter().map(|probe| probe.iter().map(Value::view).collect()).collect();
+    let mut again = vec![Vec::new(); probes.len()];
+    table.for_each_match_id(index, &borrowed, |n, id| again[n].push(id)).unwrap();
+    assert_eq!(got, again, "owned and borrowed probes");
+    got
+}
+
 /// What one `lookup_unique` per probe finds.
 fn looked_up(store: &GamStore, table: &str, index: &str, probes: &[Vec<Value>]) -> Vec<Vec<Row>> {
     let table = store.database().table(table).unwrap();
@@ -130,7 +146,18 @@ fn batched_match_equals_one_lookup_per_probe() {
                     assert!(got.iter().all(Vec::is_empty));
                     assert_eq!(pool_misses(&store), before, "a batch of misses reads no row");
                 }
-                assert_eq!(got, looked_up(&store, tables::OBJECT, "by_accession", &probes));
+                let want = looked_up(&store, tables::OBJECT, "by_accession", &probes);
+                assert_eq!(got, want);
+
+                // by id: an object's row sits at its id − 1, and no row is read
+                let before = pool_misses(&store);
+                let ids = matched_ids(&store, tables::OBJECT, "by_accession", &probes);
+                assert_eq!(pool_misses(&store), before, "an id-only batch reads no row");
+                let want_ids: Vec<Vec<RowId>> = want
+                    .iter()
+                    .map(|rows| rows.iter().map(|row| RowId(row.get(0).as_int().unwrap() as u64 - 1)).collect())
+                    .collect();
+                assert_eq!(ids, want_ids);
 
                 // the store's own batched reads, against their per-key twins
                 let refs: Vec<&str> = accessions.iter().map(String::as_str).collect();

@@ -114,7 +114,7 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     (Mutant {
         what: "replay stores a logged cell without checking its values against the schema",
         path: "crates/relstore/src/table.rs",
-        needle: "            fits &= schema.columns().get(ordinal).is_none_or(|c| c.admits(value));\n",
+        needle: "        fits &= schema.columns().get(ordinal).is_none_or(|c| c.admits(value));\n",
         replacement: "",
         killer: "index_build_equiv::open_refuses_rows_that_contradict_an_index, clippy: variable does not need to be mutable",
     }, &[]),
@@ -173,8 +173,8 @@ const MUTANTS: &[(Mutant, Fires)] = &[
     (Mutant {
         what: "Transaction::insert ignores a closed transaction",
         path: "crates/relstore/src/db.rs",
-        needle: "self.check_open()?;\n        let t = self.db.table_mut_internal(table)?;\n        let row_id = t.insert(values.clone())?;",
-        replacement: "self.check_open().unwrap_or(());\n        let t = self.db.table_mut_internal(table)?;\n        let row_id = t.insert(values.clone())?;",
+        needle: "self.check_open()?;\n        let mut cell = Vec::new();",
+        replacement: "self.check_open().unwrap_or(());\n        let mut cell = Vec::new();",
         killer: "none: commit and rollback consume the Transaction, so no caller inserts into a closed one",
     }, &[]),
     // --- the index run and its delta: index_build_equiv's to judge ---

@@ -5,7 +5,10 @@
 //! batch itself is the string arena), all partition/target source names are
 //! resolved in one index pass, object accessions resolve through the
 //! store's batched accession resolver, and every store write lands inside
-//! one WAL group-commit window so a batch pays a single fsync. The
+//! one WAL group-commit window so a batch pays a single fsync. Its
+//! per-accession tables are hashed; each table's distinct accessions are
+//! sorted before they are created, so ids follow accession order — a pure
+//! function of the batch sequence, never of hash order. The
 //! pre-batching implementation survives as
 //! [`Importer::import_per_row`] — the reference the equivalence property
 //! tests and benchmarks compare against; both paths make identical dedup
@@ -16,7 +19,7 @@ use eav::{EavBatch, EavRecord};
 use gam::mapping::Association;
 use gam::model::{RelType, SourceContent, SourceStructure};
 use gam::{GamError, GamRead, GamResult, GamStore, ObjectId, SourceId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Imports EAV batches into a [`GamStore`], applying source- and
@@ -204,7 +207,7 @@ impl<'a> Importer<'a> {
         // ---- objects of the parsed source ------------------------------
         // Merge Object records by accession (a dump may first declare the
         // accession and later add its name), preferring non-empty fields.
-        let mut own_objects: BTreeMap<&str, (Option<&str>, Option<f64>)> = BTreeMap::new();
+        let mut own_objects: HashMap<&str, (Option<&str>, Option<f64>)> = HashMap::new();
         for record in &batch.records {
             match record {
                 EavRecord::Object {
@@ -231,10 +234,7 @@ impl<'a> Importer<'a> {
                 }
             }
         }
-        let object_rows: Vec<(&str, Option<&str>, Option<f64>)> = own_objects
-            .iter()
-            .map(|(acc, (text, number))| (*acc, *text, *number))
-            .collect();
+        let object_rows = by_accession(own_objects.into_iter().map(|(acc, (text, number))| (acc, text, number)));
         let t = Instant::now();
         let inserted = self.store.add_objects_bulk_ref(source.id, &object_rows);
         self.timings.insert += t.elapsed();
@@ -244,7 +244,7 @@ impl<'a> Importer<'a> {
         // symbol table: accession -> id for every object of this source
         // touched by the batch; association building below never goes
         // back to the store for an id
-        let own_ids: BTreeMap<&str, ObjectId> = object_rows
+        let own_ids: HashMap<&str, ObjectId> = object_rows
             .iter()
             .map(|(acc, _, _)| *acc)
             .zip(ids)
@@ -272,22 +272,21 @@ impl<'a> Importer<'a> {
                 }
             };
             // objects on the target side (relate to existing data)
-            let mut merged: BTreeMap<&str, Option<&str>> = BTreeMap::new();
+            let mut merged: HashMap<&str, Option<&str>> = HashMap::new();
             for (_, acc, text, _) in rows {
                 let entry = merged.entry(acc).or_default();
                 if text.is_some() {
                     *entry = *text;
                 }
             }
-            let target_rows: Vec<(&str, Option<&str>, Option<f64>)> =
-                merged.iter().map(|(acc, text)| (*acc, *text, None)).collect();
+            let target_rows = by_accession(merged.into_iter().map(|(acc, text)| (acc, text, None)));
             let t = Instant::now();
             let inserted = self.store.add_objects_bulk_ref(target, &target_rows);
             self.timings.insert += t.elapsed();
             let (tids, created) = inserted?;
             report.objects_created += created;
             report.objects_deduped += target_rows.len() - created;
-            let target_ids: BTreeMap<&str, ObjectId> = target_rows
+            let target_ids: HashMap<&str, ObjectId> = target_rows
                 .iter()
                 .map(|(acc, _, _)| *acc)
                 .zip(tids)
@@ -631,6 +630,17 @@ impl<'a> Importer<'a> {
 
         Ok(report)
     }
+}
+
+/// A table's objects — each accession once — in accession order: the
+/// order `add_objects_bulk_ref` assigns ids in, as the per-row path's
+/// ordered map does.
+fn by_accession<'r>(
+    objects: impl Iterator<Item = (&'r str, Option<&'r str>, Option<f64>)>,
+) -> Vec<(&'r str, Option<&'r str>, Option<f64>)> {
+    let mut rows: Vec<_> = objects.collect();
+    rows.sort_unstable_by_key(|&(acc, _, _)| acc);
+    rows
 }
 
 /// Heuristic content class for stub targets: gene-ish hubs are Gene,

@@ -265,15 +265,24 @@ pub fn skip_row(buf: &mut &[u8]) -> StoreResult<()> {
 /// have lent some values before its error: a caller judges what it was
 /// lent only once the walk has succeeded.
 #[inline]
-pub fn walk_cell<'a>(row: RowId, mut cell: &'a [u8], mut f: impl FnMut(usize, ValueRef<'a>)) -> StoreResult<usize> {
-    let arity = get_count(&mut cell, 1, "row value")?;
-    for ordinal in 0..arity {
-        f(ordinal, value(&mut cell)?);
-    }
+pub fn walk_cell<'a>(row: RowId, mut cell: &'a [u8], f: impl FnMut(usize, ValueRef<'a>)) -> StoreResult<usize> {
+    let arity = walk_row(&mut cell, f)?;
     match cell.len() {
         0 => Ok(arity),
         n => Err(StoreError::Corrupt(format!("row {row} leaves {n} bytes of its cell unread"))),
     }
+}
+
+/// [`walk_cell`] of the row at the front of `buf`, with `buf` advanced past
+/// it: where cells lie back to back (a logged run), a row's own encoding
+/// says where its cell ends. Returns the arity.
+#[inline]
+pub fn walk_row<'a>(buf: &mut &'a [u8], mut f: impl FnMut(usize, ValueRef<'a>)) -> StoreResult<usize> {
+    let arity = get_count(buf, 1, "row value")?;
+    for ordinal in 0..arity {
+        f(ordinal, value(buf)?);
+    }
+    Ok(arity)
 }
 
 /// Encode a length-prefixed string.

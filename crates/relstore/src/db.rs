@@ -26,7 +26,7 @@ use crate::stats::{DbStats, TableStats};
 use crate::table::Table;
 use crate::value::Value;
 use crate::vfs::{RealVfs, Vfs};
-use crate::wal::{scan_wal, LogRecord, LoggedOp, WalWriter};
+use crate::wal::{push_runs, scan_wal, LogRecord, LoggedOp, WalWriter, MAX_RUN_BYTES};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -347,12 +347,12 @@ impl Database {
     }
 
     /// Apply one committed operation of the log. A logged row is read by
-    /// the cell walk: an insert stores its cell as it was logged, an update
+    /// the cell walk: a run stores each cell as it was logged, an update
     /// takes the values it lends.
     fn apply_replayed(&mut self, op: LoggedOp<'_>) -> StoreResult<()> {
         match op {
-            LoggedOp::Insert { table, row_id, cell } => {
-                self.table_mut_internal(table)?.insert_cell(row_id, cell)
+            LoggedOp::InsertRun { table, first, count, cells } => {
+                self.table_mut_internal(table)?.insert_cells(first, count, cells)
             }
             LoggedOp::Delete { table, row_id } => {
                 self.table_mut_internal(table)?.delete(row_id).map(drop)
@@ -618,7 +618,8 @@ impl Database {
 
 /// Undo information for rollback.
 enum Undo {
-    Insert { table: String, row_id: RowId },
+    /// The `count` rows inserted from `first` on, as one run.
+    Insert { table: String, first: RowId, count: u64 },
     Delete { table: String, row_id: RowId, values: Vec<Value> },
     Update { table: String, row_id: RowId, old: Vec<Value> },
 }
@@ -653,21 +654,24 @@ impl<'db> Transaction<'db> {
         self.db.table(name)
     }
 
-    /// Insert a row.
+    /// Insert a row: logged as a run of one.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> StoreResult<RowId> {
         self.check_open()?;
-        let t = self.db.table_mut_internal(table)?;
-        let row_id = t.insert(values.clone())?;
-        self.redo.push(LogRecord::Insert {
-            table: table.to_owned(),
-            row_id,
-            values,
-        });
+        let mut cell = Vec::new();
+        let row_id = self.db.table_mut_internal(table)?.insert_logged(&values, &mut cell)?;
+        self.logged_run(table, row_id, 1, cell)?;
+        Ok(row_id)
+    }
+
+    /// Record `count` rows inserted into `table` from `first` on, their
+    /// cells `cells`: one run to redo, one entry to undo.
+    fn logged_run(&mut self, table: &str, first: RowId, count: u64, cells: Vec<u8>) -> StoreResult<()> {
         self.undo.push(Undo::Insert {
             table: table.to_owned(),
-            row_id,
+            first,
+            count,
         });
-        Ok(row_id)
+        push_runs(&mut self.redo, table, first, count, cells, MAX_RUN_BYTES)
     }
 
     /// Insert many rows at once. Unique constraints are pre-checked for the
@@ -675,29 +679,22 @@ impl<'db> Transaction<'db> {
     /// in contiguous slots, and each secondary index is rebuilt bulk from
     /// the key-sorted batch instead of being maintained per row. On error
     /// nothing is inserted. Semantically identical to a loop of
-    /// [`insert`](Self::insert) calls that all succeed.
+    /// [`insert`](Self::insert) calls that all succeed; logged as one run,
+    /// each row encoded once for the table and the log alike.
     pub fn insert_batch(
         &mut self,
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> StoreResult<Vec<RowId>> {
         self.check_open()?;
-        let t = self.db.table_mut_internal(table)?;
-        let row_ids = t.insert_batch(&rows)?;
-        self.redo.reserve(row_ids.len());
-        self.undo.reserve(row_ids.len());
-        for (row_id, values) in row_ids.iter().zip(rows) {
-            self.redo.push(LogRecord::Insert {
-                table: table.to_owned(),
-                row_id: *row_id,
-                values,
-            });
-            self.undo.push(Undo::Insert {
-                table: table.to_owned(),
-                row_id: *row_id,
-            });
+        if rows.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(row_ids)
+        let mut cells = Vec::new();
+        let first = self.db.table_mut_internal(table)?.insert_run(&rows, &mut cells)?;
+        let count = rows.len() as u64;
+        self.logged_run(table, first, count, cells)?;
+        Ok((first.0..first.0 + count).map(RowId).collect())
     }
 
     /// Delete a row by id.
@@ -763,8 +760,11 @@ impl<'db> Transaction<'db> {
         self.closed = true;
         while let Some(undo) = self.undo.pop() {
             match undo {
-                Undo::Insert { table, row_id } => {
-                    self.db.table_mut_internal(&table)?.delete(row_id)?;
+                Undo::Insert { table, first, count } => {
+                    let t = self.db.table_mut_internal(&table)?;
+                    for row_id in (first.0..first.0 + count).rev() {
+                        t.delete(RowId(row_id))?;
+                    }
                 }
                 Undo::Delete {
                     table,
@@ -1104,18 +1104,21 @@ mod tests {
                     ],
                 )?;
                 assert_eq!(ids, vec![RowId(0), RowId(1)]);
+                // an empty batch inserts and logs nothing
+                assert_eq!(txn.insert_batch("t", Vec::new())?, []);
                 Ok(())
             })
             .unwrap();
-            // rollback undoes a batch insert row by row
+            // rollback undoes a batch insert, every row of it
             let mut txn = db.begin();
-            txn.insert_batch("t", vec![vec![Value::Int(3), Value::text("c")]])
-                .unwrap();
+            let rows = (3..6).map(|i| vec![Value::Int(i), Value::text("c")]).collect();
+            txn.insert_batch("t", rows).unwrap();
             txn.rollback().unwrap();
             assert_eq!(db.table("t").unwrap().len(), 2);
+            assert!(db.table("t").unwrap().lookup_unique("pk", &[Value::Int(5)]).unwrap().is_none());
         }
         {
-            // WAL replay restores the batch rows (redo records are per row)
+            // WAL replay restores the batch rows (redo is one run)
             let db = Database::open(&dir).unwrap();
             let t = db.table("t").unwrap();
             assert_eq!(t.len(), 2);

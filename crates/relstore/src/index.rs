@@ -31,7 +31,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
-use crate::value::{Value, ValueRef, ValueType};
+use crate::value::{Value, ValueRef, ValueType, ValueView};
 use std::cmp::Ordering;
 use std::collections::{btree_set, BTreeSet, TryReserveError};
 use std::iter::Peekable;
@@ -372,10 +372,11 @@ impl KeySpec {
         self.key_from(|i| row.get(i).map(Value::view))
     }
 
-    /// Encode a probe over the first `probe.len()` key columns. `None` if
-    /// no stored key can equal or extend it (too many values, or one that
-    /// does not conform to its column).
-    pub fn probe(&self, probe: &[Value]) -> Option<IndexKey> {
+    /// Encode a probe over the first `probe.len()` key columns, owned
+    /// [`Value`]s or borrowed [`ValueRef`]s. `None` if no stored key can
+    /// equal or extend it (too many values, or one that does not conform to
+    /// its column).
+    pub fn probe<V: ValueView>(&self, probe: &[V]) -> Option<IndexKey> {
         if probe.len() > self.columns.len() {
             return None;
         }

@@ -89,4 +89,4 @@ pub use row::{Row, RowId};
 pub use schema::{Column, Schema};
 pub use stats::PoolStats;
 pub use table::{ColumnarBlock, RowCursor, Table};
-pub use value::{Value, ValueRef, ValueType};
+pub use value::{Value, ValueRef, ValueType, ValueView};

@@ -27,14 +27,14 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::{StoreError, StoreResult};
-use crate::codec::walk_cell;
+use crate::codec::{put_row, walk_cell, walk_row};
 use crate::index::{format_key, IndexBuilder, IndexKey, IndexStore, KeySpec};
 use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::pager::{PageDirEntry, PagedTableMeta, Pager};
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
-use crate::value::{Value, ValueRef};
+use crate::value::{Value, ValueRef, ValueView};
 
 /// One block of a batched columnar scan
 /// ([`Table::scan_prefix_columnar`]): the requested columns decoded into
@@ -473,6 +473,60 @@ fn check_dense(schema: &Schema, row_id: RowId, key: Option<ValueRef<'_>>) -> Sto
     })
 }
 
+/// The keys of a batched match's `probes` under `ix`, each with its
+/// probe's position, in key order; a probe no key can equal is dropped.
+fn match_keys<V: ValueView, P: AsRef<[V]>>(ix: &IndexStore, probes: impl IntoIterator<Item = P>) -> Vec<(IndexKey, usize)> {
+    let mut keys: Vec<(IndexKey, usize)> = probes
+        .into_iter()
+        .enumerate()
+        .filter_map(|(n, probe)| Some((ix.spec().probe(probe.as_ref())?, n)))
+        .collect();
+    if !keys.is_sorted() {
+        keys.sort_unstable();
+    }
+    keys
+}
+
+/// The seek loop of the batched matches, over `keys` in key order:
+/// `sink(asked, row_id)` for every entry under a key, where `asked` is the
+/// run of probes equal to that key, until `sink` returns `false`.
+fn seek_matches<'k>(ix: &IndexStore, keys: &'k [(IndexKey, usize)], mut sink: impl FnMut(&'k [(IndexKey, usize)], RowId) -> bool) {
+    let mut cursor = ix.cursor();
+    for asked in keys.chunk_by(|a, b| a.0 == b.0) {
+        if !ix.seek(&asked[0].0, &mut cursor, |id| sink(asked, id)) {
+            return;
+        }
+    }
+}
+
+/// Walk the logged cell of row `row_id` at the front of `cells`, advancing
+/// past it, and judge it: the cell walk checks the cell — an error of the
+/// walk is the outer one — and then `schema` its values, borrowed, and the
+/// dense key its address.
+fn walk_logged(schema: &Schema, row_id: RowId, cells: &mut &[u8]) -> StoreResult<StoreResult<()>> {
+    let start = *cells;
+    // judged once the walk has found the cell whole: a damaged cell is
+    // corrupt, whatever it lent
+    let (mut key, mut fits) = (None, true);
+    let arity = walk_row(cells, |ordinal, value| {
+        if ordinal == 0 {
+            key = Some(value);
+        }
+        fits &= schema.columns().get(ordinal).is_none_or(|c| c.admits(value));
+    })?;
+    let cell = &start[..start.len() - cells.len()];
+    let judged = schema.check_arity(arity).and_then(|()| {
+        if !fits {
+            // walked again to name the first value off its column
+            let mut values = Vec::new();
+            walk_cell(row_id, cell, |_, value| values.push(value))?;
+            values.into_iter().enumerate().try_for_each(|(ordinal, value)| schema.check_value(ordinal, value))?;
+        }
+        check_dense(schema, row_id, key)
+    });
+    Ok(judged)
+}
+
 /// The row a dense-key probe `[Int(k)]` addresses, live or not.
 fn dense_row(key: &[Value]) -> Option<RowId> {
     match key {
@@ -703,14 +757,23 @@ impl Table {
 
     /// Insert a row, returning its new row id.
     pub fn insert(&mut self, values: Vec<Value>) -> StoreResult<RowId> {
-        self.schema.check_row(&values)?;
+        self.insert_logged(&values, &mut Vec::new())
+    }
+
+    /// [`insert`](Self::insert), the row's cell appended to `cells` as the
+    /// tail stores it: a transaction logs those bytes, so the row is
+    /// encoded once.
+    pub(crate) fn insert_logged(&mut self, values: &[Value], cells: &mut Vec<u8>) -> StoreResult<RowId> {
+        self.schema.check_row(values)?;
         let row_id = RowId(self.store.high_water());
         check_dense(&self.schema, row_id, values.first().map(Value::view))?;
         // Check unique constraints before mutating anything.
-        let keys = self.keys_of(&values)?;
-        self.check_unique(&keys, &values)?;
+        let keys = self.keys_of(values)?;
+        self.check_unique(&keys, values)?;
         self.enter(keys, row_id);
-        self.store.open_image().push(Some(&values));
+        let at = cells.len();
+        put_row(cells, values);
+        self.store.open_image().push_cell(&cells[at..]);
         self.live += 1;
         // The row is fully inserted and indexed at this point; a seal
         // (page-out) error leaves the table consistent and is retried on
@@ -729,6 +792,15 @@ impl Table {
     /// one key-sorted run of the batch (each key projected once, inserted
     /// in ascending order) rather than maintained per row.
     pub fn insert_batch(&mut self, rows: &[Vec<Value>]) -> StoreResult<Vec<RowId>> {
+        let first = self.insert_run(rows, &mut Vec::new())?;
+        Ok((first.0..first.0 + rows.len() as u64).map(RowId).collect())
+    }
+
+    /// [`insert_batch`](Self::insert_batch), returning the first row id and
+    /// appending the rows' cells to `cells` back to back, as the tail
+    /// stores them: a transaction logs those bytes as one run, so each row
+    /// is encoded once.
+    pub(crate) fn insert_run(&mut self, rows: &[Vec<Value>], cells: &mut Vec<u8>) -> StoreResult<RowId> {
         rows.iter().try_for_each(|values| self.schema.check_row(values))?;
         let first = self.store.high_water();
         let row_ids: Vec<RowId> = (0..rows.len() as u64)
@@ -770,48 +842,74 @@ impl Table {
         // and the first error returned
         let mut sealed = Ok(());
         for row in rows {
-            self.store.open_image().push(Some(row));
+            let at = cells.len();
+            put_row(cells, row);
+            self.store.open_image().push_cell(&cells[at..]);
             let settled = self.store.settle();
             sealed = sealed.and(settled);
         }
-        sealed.map(|()| row_ids)
+        sealed.map(|()| RowId(first))
     }
 
-    /// Place the row logged as `cell` at `row_id`, used by WAL replay on a
-    /// table under recovery (no index is touched): the cell walk checks the
-    /// cell, and the schema its values, borrowed, and the cell is stored as
-    /// it was logged. The id must be at or beyond the current high-water
-    /// mark; the gap (if any) is filled with tombstones so later replayed
-    /// ids stay aligned.
-    pub(crate) fn insert_cell(&mut self, row_id: RowId, cell: &[u8]) -> StoreResult<()> {
-        let schema = &self.schema;
-        // judged once the walk has found the cell whole: a damaged cell is
-        // corrupt, whatever it lent
-        let (mut key, mut fits) = (None, true);
-        let arity = walk_cell(row_id, cell, |ordinal, value| {
-            if ordinal == 0 {
-                key = Some(value);
-            }
-            fits &= schema.columns().get(ordinal).is_none_or(|c| c.admits(value));
-        })?;
-        schema.check_arity(arity)?;
-        if !fits {
-            // walked again to name the first value off its column
-            let mut values = Vec::new();
-            walk_cell(row_id, cell, |_, value| values.push(value))?;
-            values.into_iter().enumerate().try_for_each(|(ordinal, value)| schema.check_value(ordinal, value))?;
-        }
-        check_dense(schema, row_id, key)?;
-        if row_id.0 < self.store.high_water() {
-            return Err(StoreError::Corrupt(format!(
-                "replayed insert at {row_id} below high-water mark {}",
+    /// Place a logged run — `count` rows from row id `first`, their cells
+    /// back to back in `cells` — used by WAL replay on a table under
+    /// recovery (no index is touched). Each cell is walked once, where it
+    /// lies: the walk checks it, and the schema its values, borrowed, and
+    /// finds where it ends. A count the cells do not hold, a cell that runs
+    /// past them or is no row, and bytes behind the last cell are
+    /// `Corrupt`, naming the table and the row — ahead of a row the schema
+    /// or the dense key refuses, as a run whose bytes do not hold together
+    /// holds no rows to judge. Only a run found whole and admitted is
+    /// placed, each cell stored as it was logged.
+    /// `first` must be at or beyond the current high-water mark; the gap
+    /// (if any) is filled with tombstones so later replayed ids stay
+    /// aligned.
+    pub(crate) fn insert_cells(&mut self, first: RowId, count: u64, cells: &[u8]) -> StoreResult<()> {
+        let name = self.schema.name();
+        let corrupt = |what: String| StoreError::Corrupt(format!("table {name}: {what}"));
+        if first.0 < self.store.high_water() {
+            return Err(corrupt(format!(
+                "replayed insert at {first} below high-water mark {}",
                 self.store.high_water()
             )));
         }
-        self.store.fill_gap_to(row_id.0)?;
-        self.store.open_image().push_cell(cell);
-        self.live += 1;
-        self.store.settle()
+        // a cell is at least its arity byte
+        let last = first.0.checked_add(count).filter(|_| (1..=cells.len() as u64).contains(&count));
+        let Some(end) = last else {
+            return Err(corrupt(format!(
+                "a logged run of {count} rows from {first} in {} bytes of cells",
+                cells.len()
+            )));
+        };
+        // where each cell ends, as an offset into `cells`
+        let mut ends = Vec::with_capacity(count as usize);
+        let (mut rest, mut refused) = (cells, Ok(()));
+        for id in first.0..end {
+            let row_id = RowId(id);
+            if rest.is_empty() {
+                return Err(corrupt(format!("a logged run of {count} rows from {first} ends its cells before row {row_id}")));
+            }
+            let judged = walk_logged(&self.schema, row_id, &mut rest).map_err(|e| match e {
+                StoreError::Corrupt(what) => corrupt(format!("logged row {row_id}: {what}")),
+                other => other,
+            })?;
+            refused = refused.and(judged);
+            ends.push(cells.len() - rest.len());
+        }
+        if !rest.is_empty() {
+            let last = RowId(end - 1);
+            return Err(corrupt(format!("{} bytes trail logged row {last}, the last of its run", rest.len())));
+        }
+        refused?;
+        self.store.fill_gap_to(first.0)?;
+        let mut start = 0;
+        for end in ends {
+            self.store.open_image().push_cell(&cells[start..end]);
+            self.live += 1;
+            self.store.settle()?;
+            start = end;
+        }
+        Ok(())
     }
 
     /// Restore a previously-deleted row into its original (tombstoned)
@@ -1068,14 +1166,35 @@ impl Table {
         self.walk_prefix(self.index(index)?, prefix, |cursor, id| cursor.with(id, &mut f))
     }
 
+    /// Batched exact-key resolution by id: `f(n, row_id)` for every row
+    /// whose key in the named index equals the full key `probes[n]`, in key
+    /// order — what one [`lookup_row_ids`](Self::lookup_row_ids) per probe
+    /// finds. The probes are owned [`Value`]s or borrowed [`ValueRef`]s,
+    /// encoded straight into keys. They are sorted and each distinct one is
+    /// sought from where the one before it ended, through one
+    /// [`crate::index::Cursor`], so a batch costs O(probes · log gap), not
+    /// a pass over the span between the least and the greatest probe. No
+    /// row is read and no page faulted.
+    pub fn for_each_match_id<V: ValueView, P: AsRef<[V]>>(
+        &self,
+        index: &str,
+        probes: impl IntoIterator<Item = P>,
+        mut f: impl FnMut(usize, RowId),
+    ) -> StoreResult<()> {
+        let ix = self.index(index)?;
+        seek_matches(ix, &match_keys(ix, probes), |asked, id| {
+            asked.iter().for_each(|&(_, n)| f(n, id));
+            true
+        });
+        Ok(())
+    }
+
     /// Batched exact-key resolution: `f(n, row)` for every row whose key in
     /// the named index equals the full key `probes[n]`, in key order — what
-    /// one [`lookup`](Self::lookup) per probe finds. The probes are sorted
-    /// and each distinct one is sought from where the one before it ended,
-    /// through one [`crate::index::Cursor`], so a batch costs
-    /// O(probes · log gap), not a pass over the span between the least and
-    /// the greatest probe. A row is read only where a key matches: a probe
-    /// that matches nothing faults no page.
+    /// one [`lookup`](Self::lookup) per probe finds. The ids come from
+    /// [`for_each_match_id`](Self::for_each_match_id)'s seek loop, and a
+    /// row is read only where a key matches, once for however many probes
+    /// ask for it: a probe that matches nothing faults no page.
     pub fn for_each_match<P: AsRef<[Value]>>(
         &self,
         index: &str,
@@ -1083,25 +1202,15 @@ impl Table {
         mut f: impl FnMut(usize, &Row),
     ) -> StoreResult<()> {
         let ix = self.index(index)?;
-        let mut keys: Vec<(IndexKey, usize)> = probes
-            .into_iter()
-            .enumerate()
-            .filter_map(|(n, probe)| Some((ix.spec().probe(probe.as_ref())?, n)))
-            .collect();
-        if !keys.is_sorted() {
-            keys.sort_unstable();
-        }
+        let keys = match_keys(ix, probes);
         // `asked` is the run of probes equal to the key being read
         let asked = std::cell::Cell::new(&keys[..0]);
         self.walk(
             |sink| {
-                let mut cursor = ix.cursor();
-                for probes in keys.chunk_by(|a, b| a.0 == b.0) {
+                seek_matches(ix, &keys, |probes, id| {
                     asked.set(probes);
-                    if !ix.seek(&probes[0].0, &mut cursor, &mut *sink) {
-                        return;
-                    }
-                }
+                    sink(id)
+                })
             },
             |cursor, id| cursor.with(id, |row| asked.get().iter().for_each(|&(_, n)| f(n, row))),
         )
@@ -1303,11 +1412,11 @@ mod tests {
 
     impl Table {
         /// Replay's insert of `values` at `row_id`, logged as WAL replay
-        /// finds it: one `put_row` cell.
+        /// finds it: a run of one `put_row` cell.
         fn insert_at(&mut self, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
             let mut cell = Vec::new();
             crate::codec::put_row(&mut cell, &values);
-            self.insert_cell(row_id, &cell)
+            self.insert_cells(row_id, 1, &cell)
         }
     }
 
@@ -1636,7 +1745,8 @@ mod tests {
 
     /// Replay and the index build read a stored cell by the one cell walk:
     /// text that is not UTF-8 in a column no index holds, and a byte left
-    /// behind a row, are refused by both, whichever index shape is built.
+    /// behind a row, are refused by both, whichever index shape is built —
+    /// replay naming the table and the row.
     #[test]
     fn the_cell_walk_refuses_a_damaged_cell_at_replay_and_at_the_index_build() {
         let mut not_utf8 = Vec::new();
@@ -1646,14 +1756,19 @@ mod tests {
         let mut trailing = Vec::new();
         crate::codec::put_row(&mut trailing, &obj(1, 10, "A"));
         trailing.push(0);
-        for (cell, what) in [(not_utf8, "not UTF-8"), (trailing, "leaves 1 bytes of its cell unread")] {
-            let refused = |r: StoreResult<()>| matches!(r, Err(StoreError::Corrupt(ref msg)) if msg.contains(what));
+        let cases = [
+            (not_utf8, "logged row #0: text payload is not UTF-8", "not UTF-8"),
+            (trailing, "1 bytes trail logged row #0", "leaves 1 bytes of its cell unread"),
+        ];
+        for (cell, at_replay, at_build) in cases {
+            let refused = |r: StoreResult<()>, what: &str| matches!(r, Err(StoreError::Corrupt(ref msg)) if msg.contains(what));
             for schema in [object_schema(), dense_schema()] {
                 let mut t = Table::new(schema.clone()).unindexed();
-                assert!(refused(t.insert_cell(RowId(0), &cell)), "replay: {what}");
+                let replayed = t.insert_cells(RowId(0), 1, &cell);
+                assert!(refused(replayed, &format!("table {}: {at_replay}", schema.name())), "replay: {at_replay}");
                 t.store.open_image().push_cell(&cell);
                 t.live += 1;
-                assert!(refused(t.build_indexes()), "index build: {what}");
+                assert!(refused(t.build_indexes(), at_build), "index build: {at_build}");
             }
         }
     }

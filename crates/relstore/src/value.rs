@@ -139,6 +139,28 @@ pub enum ValueRef<'a> {
     Bytes(&'a [u8]),
 }
 
+/// A value a key probe can be built from without copying it: an owned
+/// [`Value`] lends its view, a [`ValueRef`] is one. A probe over borrowed
+/// text ([`crate::index::KeySpec::probe`]) allocates no `String`.
+pub trait ValueView {
+    /// The value, borrowed.
+    fn view(&self) -> ValueRef<'_>;
+}
+
+impl ValueView for Value {
+    #[inline]
+    fn view(&self) -> ValueRef<'_> {
+        Value::view(self)
+    }
+}
+
+impl ValueView for ValueRef<'_> {
+    #[inline]
+    fn view(&self) -> ValueRef<'_> {
+        *self
+    }
+}
+
 impl ValueRef<'_> {
     /// The runtime type of this value, or `None` for NULL.
     #[inline]

@@ -9,8 +9,20 @@
 //! whole frame that does not decode is no torn tail: the open is refused,
 //! as cutting it off would cut off every acknowledged commit behind it.
 //!
+//! Inserted rows are logged as **runs**: one record per insert batch (a
+//! single insert is a run of one) holding the table, the first row id, the
+//! row count and the rows' cells back to back — the very bytes the table's
+//! open tail stores, each row encoded once. A cell's own encoding says where
+//! it ends, so a run carries no per-row length, checksum, table name or row
+//! id. Replay walks each cell once ([`crate::table`]) and refuses a run
+//! whose count disagrees with its cells, whose cell runs past the payload or
+//! is no row, or behind whose last cell bytes trail — `Corrupt`, naming the
+//! table and the row. A per-row insert frame (tag 1) of a log written
+//! before runs existed is read as a run of one, so such a log replays in
+//! place; this build writes no such frame.
+//!
 //! Recovery reads the log once and scans it once ([`scan_wal`]) into
-//! [`LoggedOp`]s borrowed from that buffer, a row still the cell it was
+//! [`LoggedOp`]s borrowed from that buffer, a run still the cells it was
 //! logged as; the writer opens behind the scan's committed prefix
 //! ([`WalWriter::open`]) and never reads the log itself.
 //!
@@ -24,7 +36,7 @@
 //! All I/O goes through a [`Vfs`] backend so crash tests can substitute the
 //! fault-injecting simulator in [`crate::vfs`].
 
-use crate::codec::{crc32, get_str, get_u8, get_varint, put_row, put_str, put_varint};
+use crate::codec::{crc32, get_str, get_u8, get_varint, put_row, put_str, put_varint, skip_row};
 use crate::error::{StoreError, StoreResult};
 use crate::row::RowId;
 use crate::value::Value;
@@ -32,12 +44,15 @@ use crate::vfs::{Vfs, VfsFile};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// One inserted row, as builds before runs logged it; read as a run of one.
 const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 const OP_UPDATE: u8 = 3;
 const OP_COMMIT: u8 = 4;
 const OP_EPOCH: u8 = 5;
 const OP_CREATE: u8 = 6;
+// 7 is taken by no build: tests use it as the tag of a newer one.
+const OP_INSERT_RUN: u8 = 8;
 
 /// Flush the in-process buffer to the backend once it grows past this, so
 /// large group-commit batches reach the page cache incrementally (as the
@@ -48,10 +63,13 @@ const FLUSH_THRESHOLD: usize = 64 * 1024;
 /// [`LoggedOp`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
-    Insert {
+    /// `count` rows inserted at consecutive row ids from `first`, their
+    /// cells — each as [`put_row`] encodes it — back to back in `cells`.
+    InsertRun {
         table: String,
-        row_id: RowId,
-        values: Vec<Value>,
+        first: RowId,
+        count: u64,
+        cells: Vec<u8>,
     },
     Delete {
         table: String,
@@ -75,17 +93,32 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
+    /// The run of `rows` inserted into `table` from row id `first`, each row
+    /// encoded into the run's cells.
+    pub fn insert_run(table: &str, first: RowId, rows: &[Vec<Value>]) -> LogRecord {
+        let mut cells = Vec::new();
+        rows.iter().for_each(|row| put_row(&mut cells, row));
+        LogRecord::InsertRun {
+            table: table.to_owned(),
+            first,
+            count: rows.len() as u64,
+            cells,
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            LogRecord::Insert {
+            LogRecord::InsertRun {
                 table,
-                row_id,
-                values,
+                first,
+                count,
+                cells,
             } => {
-                buf.push(OP_INSERT);
+                buf.push(OP_INSERT_RUN);
                 put_str(buf, table);
-                put_varint(buf, row_id.0);
-                put_row(buf, values);
+                put_varint(buf, first.0);
+                put_varint(buf, *count);
+                buf.extend_from_slice(cells);
             }
             LogRecord::Delete { table, row_id } => {
                 buf.push(OP_DELETE);
@@ -119,11 +152,12 @@ impl LogRecord {
 }
 
 /// A record as the scan finds it, borrowed from the log's one read buffer:
-/// a logged row stays the cell [`put_row`] wrote, for replay to check and
-/// store as it is.
+/// a logged run stays the cells [`put_row`] wrote, for replay to check and
+/// store as they are. Its `count` is as read: replay checks it against the
+/// cells.
 #[derive(Debug, PartialEq)]
 pub enum LoggedOp<'a> {
-    Insert { table: &'a str, row_id: RowId, cell: &'a [u8] },
+    InsertRun { table: &'a str, first: RowId, count: u64, cells: &'a [u8] },
     Delete { table: &'a str, row_id: RowId },
     Update { table: &'a str, row_id: RowId, cell: &'a [u8] },
     Commit,
@@ -138,10 +172,17 @@ impl<'a> LoggedOp<'a> {
     fn decode(mut buf: &'a [u8]) -> StoreResult<LoggedOp<'a>> {
         let buf = &mut buf;
         let op = match get_u8(buf, "empty log record")? {
-            OP_INSERT => LoggedOp::Insert {
+            OP_INSERT_RUN => LoggedOp::InsertRun {
                 table: get_str(buf)?,
-                row_id: RowId(get_varint(buf)?),
-                cell: std::mem::take(buf),
+                first: RowId(get_varint(buf)?),
+                count: get_varint(buf)?,
+                cells: std::mem::take(buf),
+            },
+            OP_INSERT => LoggedOp::InsertRun {
+                table: get_str(buf)?,
+                first: RowId(get_varint(buf)?),
+                count: 1,
+                cells: std::mem::take(buf),
             },
             OP_DELETE => LoggedOp::Delete {
                 table: get_str(buf)?,
@@ -164,14 +205,56 @@ impl<'a> LoggedOp<'a> {
     }
 }
 
+/// Most cell bytes one run carries. A frame's length is a `u32`, so the
+/// cells of a batch past this are logged as several runs.
+pub(crate) const MAX_RUN_BYTES: usize = 1 << 30;
+
+/// Push onto `redo` the log of `count` rows inserted into `table` from row
+/// id `first`, whose cells are `cells`: one run, or where the cells pass
+/// `max_bytes`, consecutive runs split at cell boundaries, each at most
+/// `max_bytes` unless one cell alone is larger.
+pub(crate) fn push_runs(
+    redo: &mut Vec<LogRecord>,
+    table: &str,
+    first: RowId,
+    count: u64,
+    cells: Vec<u8>,
+    max_bytes: usize,
+) -> StoreResult<()> {
+    if cells.len() <= max_bytes {
+        redo.push(LogRecord::InsertRun { table: table.to_owned(), first, count, cells });
+        return Ok(());
+    }
+    let (mut rest, mut row) = (&cells[..], first.0);
+    while !rest.is_empty() {
+        let (start, mut taken) = (rest, 0);
+        while !rest.is_empty() {
+            let mut next = rest;
+            skip_row(&mut next)?;
+            if taken > 0 && start.len() - next.len() > max_bytes {
+                break;
+            }
+            (rest, taken) = (next, taken + 1);
+        }
+        let cells = start[..start.len() - rest.len()].to_vec();
+        redo.push(LogRecord::InsertRun { table: table.to_owned(), first: RowId(row), count: taken, cells });
+        row += taken;
+    }
+    Ok(())
+}
+
+/// Frame each record in place at the end of `frames`: its payload is
+/// encoded behind a header that is filled in once the payload's length and
+/// checksum are known.
 fn encode_frames(records: &[LogRecord], frames: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(64);
     for record in records {
-        payload.clear();
-        record.encode(&mut payload);
-        frames.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frames.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frames.extend_from_slice(&payload);
+        let head = frames.len();
+        frames.extend_from_slice(&[0; 8]);
+        record.encode(frames);
+        let payload = &frames[head + 8..];
+        let (len, crc) = (payload.len() as u32, crc32(payload));
+        frames[head..head + 4].copy_from_slice(&len.to_le_bytes());
+        frames[head + 4..head + 8].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -454,11 +537,7 @@ mod tests {
     }
 
     fn ins(table: &str, id: u64, v: i64) -> LogRecord {
-        LogRecord::Insert {
-            table: table.into(),
-            row_id: RowId(id),
-            values: vec![Value::Int(v)],
-        }
+        LogRecord::insert_run(table, RowId(id), &[vec![Value::Int(v)]])
     }
 
     /// The cell `ins(.., v)` logs its row as.
@@ -469,7 +548,7 @@ mod tests {
     }
 
     fn logged<'a>(table: &'a str, id: u64, cell: &'a [u8]) -> LoggedOp<'a> {
-        LoggedOp::Insert { table, row_id: RowId(id), cell }
+        LoggedOp::InsertRun { table, first: RowId(id), count: 1, cells: cell }
     }
 
     #[test]
@@ -650,6 +729,59 @@ mod tests {
         let log = [&committed[..], &[0; 12], &commit_2].concat();
         let r = scan_wal(&log).unwrap();
         assert_eq!((r.committed_txns, r.torn_at), (1, Some(committed.len() as u64)));
+    }
+
+    /// A per-row insert frame, as builds before runs wrote one (tag 1: the
+    /// table, the row id, the cell), is read as a run of one.
+    #[test]
+    fn a_per_row_insert_frame_is_read_as_a_run_of_one() {
+        let mut payload = vec![OP_INSERT];
+        put_str(&mut payload, "t");
+        put_varint(&mut payload, 5);
+        payload.extend_from_slice(&cell(9));
+        let mut commit = Vec::new();
+        encode_frames(&[LogRecord::Commit { txid: 1 }], &mut commit);
+        let log = [framed(&[&payload]), commit].concat();
+        let r = scan_wal(&log).unwrap();
+        assert_eq!(r.committed_ops, [logged("t", 5, &cell(9))]);
+    }
+
+    /// A batch is one frame whatever its size, holding each row's cell
+    /// once; a batch whose cells pass the most one run carries is split at
+    /// cell boundaries into runs that replay to the same rows.
+    #[test]
+    fn a_batch_is_one_run_and_splits_only_past_the_most_a_run_carries() {
+        let rows: Vec<Vec<Value>> = (0..100).map(|v| vec![Value::Int(v), Value::text("acc")]).collect();
+        let LogRecord::InsertRun { cells, .. } = LogRecord::insert_run("t", RowId(7), &rows) else {
+            panic!("a run");
+        };
+        let mut one = Vec::new();
+        push_runs(&mut one, "t", RowId(7), 100, cells.clone(), MAX_RUN_BYTES).unwrap();
+        assert_eq!(one, [LogRecord::insert_run("t", RowId(7), &rows)]);
+        let per_row: usize = (0..100).map(|i| {
+            let mut frame = Vec::new();
+            encode_frames(&[LogRecord::insert_run("t", RowId(7 + i as u64), &rows[i..=i])], &mut frame);
+            frame.len()
+        }).sum();
+        let mut frame = Vec::new();
+        encode_frames(&one, &mut frame);
+        assert!(frame.len() < cells.len() + 16 && cells.len() < per_row, "{} / {} / {per_row}", frame.len(), cells.len());
+
+        // a cell is 7 or 8 bytes here: runs of at most 50 bytes
+        let mut split = Vec::new();
+        push_runs(&mut split, "t", RowId(7), 100, cells.clone(), 50).unwrap();
+        let mut next = 7;
+        let mut joined = Vec::new();
+        for run in &split {
+            let LogRecord::InsertRun { first, count, cells: part, .. } = run else {
+                panic!("a run");
+            };
+            assert!(part.len() <= 50 && *count > 0, "{count} rows in {} bytes", part.len());
+            assert_eq!(first.0, next);
+            next += count;
+            joined.extend_from_slice(part);
+        }
+        assert_eq!((next, joined), (107, cells));
     }
 
     #[test]

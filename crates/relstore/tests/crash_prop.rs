@@ -190,6 +190,7 @@ fn fixed_grid_crash_points_recover_and_converge() {
         (&[7, 2], 1, true, 8),
         (&[4], 4, false, 1),
     ];
+    let mut crash_points = [0usize; 2];
     for &(batches, ckpt_every, group_commit, pool_pages) in configs {
         for pool in [None, Some(pool_pages)] {
             let total_ops = fault_free_ops(pool, batches, ckpt_every, group_commit);
@@ -197,6 +198,7 @@ fn fixed_grid_crash_points_recover_and_converge() {
                 None => 2,
                 Some(_) => (total_ops / 48).max(1) as usize,
             };
+            crash_points[pool.is_some() as usize] += (1..=total_ops).step_by(step).count();
             for crash_at in (1..=total_ops).step_by(step) {
                 check_crash_and_converge(
                     pool,
@@ -209,6 +211,7 @@ fn fixed_grid_crash_points_recover_and_converge() {
             }
         }
     }
+    eprintln!("crash_prop fixed grid: {} pool-less and {} paged crash points", crash_points[0], crash_points[1]);
 }
 
 /// A random workload shape: batch sizes, checkpoint cadence, group commit.

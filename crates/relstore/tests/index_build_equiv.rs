@@ -4,7 +4,7 @@
 //! directory and WAL. A seeded deterministic sweep: a failure pins to a round number.
 
 use relstore::codec::{crc32, put_varint};
-use relstore::db::{PAGEDIR_FILE, WAL_FILE};
+use relstore::db::{heap_file_name, PAGEDIR_FILE, WAL_FILE};
 use relstore::index::{IndexBuilder, IndexKey, IndexStore, KeySpec};
 use relstore::schema::{Column, IndexDef, Schema};
 use relstore::pager::{decode_page_directory, encode_page_directory};
@@ -387,11 +387,8 @@ fn try_open(vfs: &FaultVfs, pool: Option<usize>) -> Result<Database, StoreError>
 
 #[test]
 fn open_refuses_rows_that_contradict_an_index() {
-    let insert = |row_id: u64, id: i64, acc: &str| LogRecord::Insert {
-        table: "t".into(),
-        row_id: RowId(row_id),
-        values: vec![Value::Int(id), Value::text(acc)],
-    };
+    let insert =
+        |row_id: u64, id: i64, acc: &str| LogRecord::insert_run("t", RowId(row_id), &[vec![Value::Int(id), Value::text(acc)]]);
     for pool in [None, Some(1), Some(8)] {
         // the seeded store itself reopens, and a well-formed tail extends it
         let vfs = seeded(pool);
@@ -458,11 +455,7 @@ fn open_refuses_rows_that_contradict_an_index() {
         let vfs = seeded(pool);
         append_to_wal(
             &vfs,
-            vec![LogRecord::Insert {
-                table: "t".into(),
-                row_id: RowId(4),
-                values: vec![Value::text("not an id"), Value::text("zz")],
-            }],
+            vec![LogRecord::insert_run("t", RowId(4), &[vec![Value::text("not an id"), Value::text("zz")]])],
         );
         assert!(matches!(
             try_open(&vfs, pool),
@@ -583,9 +576,10 @@ fn counts_read_from_a_file_are_not_trusted() {
 }
 
 /// Re-frame the store's WAL, each frame under a valid checksum, with the
-/// cell of its one logged insert — row 3's — replaced by `patch` of it: a
-/// writer's defect behind the frame's checksum, not a torn write.
-fn patch_logged_cell(vfs: &FaultVfs, patch: &dyn Fn(&mut Vec<u8>)) {
+/// body of its one logged run — from row `first` on: the count, then the
+/// cells — replaced by `patch` of it: a writer's defect behind the frame's
+/// checksum, not a torn write.
+fn patch_logged_run(vfs: &FaultVfs, first: u8, patch: &dyn Fn(&mut Vec<u8>)) {
     let path = Path::new("/db").join(WAL_FILE);
     let wal = vfs.peek(&path).unwrap();
     let (mut out, mut at, mut patched) = (Vec::new(), 0, 0);
@@ -593,22 +587,33 @@ fn patch_logged_cell(vfs: &FaultVfs, patch: &dyn Fn(&mut Vec<u8>)) {
         let len = u32::from_le_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
         let mut payload = wal[at + 8..at + 8 + len].to_vec();
         at += 8 + len;
-        if payload[0] == 1 {
-            // an insert: its tag, the table "t", row id 3, then the cell
-            assert_eq!(payload[..4], [1, 1, b't', 3], "located the logged insert");
-            let mut cell = payload.split_off(4);
-            patch(&mut cell);
-            payload.extend_from_slice(&cell);
+        if payload[0] == 8 {
+            // a run: its tag, the table "t", the first row id, then the body
+            assert_eq!(payload[..4], [8, 1, b't', first], "located the logged run");
+            let mut body = payload.split_off(4);
+            patch(&mut body);
+            payload.extend_from_slice(&body);
             patched += 1;
         }
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
     }
-    assert_eq!(patched, 1, "the log holds one insert");
+    assert_eq!(patched, 1, "the log holds one run");
     let mut file = vfs.create(&path).unwrap();
     file.write_all(&out).unwrap();
     file.sync().unwrap();
+}
+
+/// [`patch_logged_run`] of a store whose one logged run is the single
+/// insert of row 3: `patch` gets that row's cell.
+fn patch_logged_cell(vfs: &FaultVfs, patch: &dyn Fn(&mut Vec<u8>)) {
+    patch_logged_run(vfs, 3, &|body| {
+        assert_eq!(body[0], 1, "a run of one");
+        let mut cell = body.split_off(1);
+        patch(&mut cell);
+        body.extend_from_slice(&cell);
+    });
 }
 
 /// A tail cell that is not a row, in a directory whose checksum is right: a
@@ -669,12 +674,60 @@ fn open_refuses_a_damaged_tail_cell_behind_a_valid_checksum() {
         let msg = forge(&|image| image.push(0));
         assert!(msg.contains("page directory leaves 1 bytes unread"), "{msg}");
         // a logged cell with a byte behind its row: the frame's length says
-        // where the cell ends, and the walk does not use it up
+        // where the run ends, and the walk of its last cell does not use it up
         let vfs = seeded(pool);
         patch_logged_cell(&vfs, &|cell| cell.push(0));
         match try_open(&vfs, pool) {
-            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("row #3 leaves 1 bytes of its cell unread"), "{msg}"),
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("table t: 1 bytes trail logged row #3"), "{msg}"),
             other => panic!("pool {pool:?}: must be corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// A logged run whose bytes disagree with themselves behind a valid frame
+/// checksum — its count against its cells, a cell that runs past the
+/// payload or is no row, bytes behind its last cell — is refused as
+/// `Corrupt`, naming the table and the row, and the open writes nothing.
+#[test]
+fn a_damaged_run_behind_a_valid_checksum_is_refused_and_nothing_is_written() {
+    for pool in [None, Some(2)] {
+        let seeded_run = || {
+            let vfs = FaultVfs::new();
+            let mut db = open(&vfs, pool);
+            db.create_table(unique_schema()).unwrap();
+            db.checkpoint().unwrap();
+            let rows = ["aa", "bb", "qq"].iter().enumerate().map(|(i, acc)| vec![Value::Int(i as i64), Value::text(*acc)]);
+            db.with_txn(|txn| txn.insert_batch("t", rows.collect()).map(drop)).unwrap();
+            vfs
+        };
+        // the body: count 3, then the cells of rows 0 to 2, 7 bytes each
+        let cell = |i: u8, acc: u8| [2, 1, 2 * i, 3, 2, acc, acc];
+        let body = [&[3][..], &cell(0, b'a'), &cell(1, b'b'), &cell(2, b'q')].concat();
+        type Patch = dyn Fn(&mut Vec<u8>);
+        let cases: [(&str, &Patch); 6] = [
+            ("a logged run of 99 rows from #0 in 21 bytes of cells", &|b| b[0] = 99),
+            ("a logged run of 0 rows from #0", &|b| b[0] = 0),
+            ("a logged run of 4 rows from #0 ends its cells before row #3", &|b| b[0] = 4),
+            ("logged row #2: text payload truncated", &|b| b.truncate(b.len() - 1)),
+            ("logged row #1: unknown value tag 9", &|b| b[1 + 7 + 3] = 9),
+            ("7 bytes trail logged row #1, the last of its run", &|b| b[0] = 2),
+        ];
+        for (what, patch) in cases {
+            let vfs = seeded_run();
+            patch_logged_run(&vfs, 0, &|logged| {
+                assert_eq!(logged[..], body, "located the run's body");
+                patch(logged);
+            });
+            let files = |vfs: &FaultVfs| {
+                let names = [WAL_FILE.into(), PAGEDIR_FILE.into(), heap_file_name(0), heap_file_name(1)];
+                names.map(|name: String| vfs.peek(&Path::new("/db").join(name)))
+            };
+            let before = files(&vfs);
+            match try_open(&vfs, pool) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains(&format!("table t: {what}")), "pool {pool:?}: {msg}"),
+                other => panic!("pool {pool:?}, {what}: must be corrupt, got {:?}", other.map(|db| observe_db(&db))),
+            }
+            assert_eq!(files(&vfs), before, "pool {pool:?}, {what}: the refused open wrote");
         }
     }
 }
@@ -696,18 +749,23 @@ fn dense_schema() -> Schema {
 
 const DENSE_ROWS: [(i64, &str); 4] = [(1, "aa"), (2, "bb"), (3, "qq"), (4, "dd")];
 
-/// Rows 0 to 2 of `DENSE_ROWS` checkpointed — in the directory's tail, with
-/// or without a pool — and row 3 committed in the WAL.
-fn dense_seeded(pool: Option<usize>) -> FaultVfs {
+/// The first `checkpointed` rows of `DENSE_ROWS` checkpointed — in the
+/// directory's tail, with or without a pool — and the rest committed in
+/// the WAL as one batch: one logged run.
+fn dense_seeded_at(pool: Option<usize>, checkpointed: usize) -> FaultVfs {
     let vfs = FaultVfs::new();
     let mut db = open(&vfs, pool);
     db.create_table(dense_schema()).unwrap();
-    let row = |(id, acc): (i64, &str)| vec![Value::Int(id), Value::text(acc)];
-    db.with_txn(|txn| DENSE_ROWS[..3].iter().try_for_each(|r| txn.insert("t", row(*r)).map(drop)))
-        .unwrap();
+    let rows = |rows: &[(i64, &str)]| rows.iter().map(|&(id, acc)| vec![Value::Int(id), Value::text(acc)]).collect();
+    db.with_txn(|txn| txn.insert_batch("t", rows(&DENSE_ROWS[..checkpointed])).map(drop)).unwrap();
     db.checkpoint().unwrap();
-    db.with_txn(|txn| txn.insert("t", row(DENSE_ROWS[3]))).unwrap();
+    db.with_txn(|txn| txn.insert_batch("t", rows(&DENSE_ROWS[checkpointed..])).map(drop)).unwrap();
     vfs
+}
+
+/// Rows 0 to 2 of `DENSE_ROWS` checkpointed and row 3 committed in the WAL.
+fn dense_seeded(pool: Option<usize>) -> FaultVfs {
+    dense_seeded_at(pool, 3)
 }
 
 /// Flip a bit, overwrite a byte, truncate, or insert one to four bytes.
@@ -742,26 +800,57 @@ fn expected(row: usize, cell: &[u8]) -> Want {
     let Some(values) = relstore::codec::get_row(&mut rest).ok().filter(|_| rest.is_empty()) else {
         return Want::Corrupt;
     };
-    let mut rows: Vec<Vec<Value>> =
-        DENSE_ROWS.iter().map(|&(id, acc)| vec![Value::Int(id), Value::text(acc)]).collect();
+    let mut rows = dense_rows(4);
     rows[row] = values;
+    judged(rows)
+}
+
+/// The first `n` rows of `DENSE_ROWS`.
+fn dense_rows(n: usize) -> Vec<Vec<Value>> {
+    DENSE_ROWS[..n].iter().map(|&(id, acc)| vec![Value::Int(id), Value::text(acc)]).collect()
+}
+
+/// What opening a store of `rows`, each a whole row, must give.
+fn judged(rows: Vec<Vec<Value>>) -> Want {
     let fits = |r: &Vec<Value>| matches!(r[..], [Value::Int(_), Value::Text(_)]);
-    let at_address = rows[row].first() == Some(&Value::Int(row as i64 + 1));
-    let unique = rows.iter().filter(|r| r.get(1) == rows[row].get(1)).count() == 1;
+    let at_address = rows.iter().enumerate().all(|(i, r)| r.first() == Some(&Value::Int(i as i64 + 1)));
+    let unique = rows.iter().all(|r| rows.iter().filter(|s| s.get(1) == r.get(1)).count() == 1);
     match rows.iter().all(fits) && at_address && unique {
         true => Want::Rows(rows),
         false => Want::Refused,
     }
 }
 
-/// Seeded byte mutations of the last tail cell of a resealed page directory
-/// and of the logged cell in a re-framed WAL, with and without a pool. Each
-/// open gives exactly the rows the mutated cell decodes to, with every
-/// index agreeing and a second open equal to the first, or fails as
-/// `Corrupt` (always, where the cell is no row), `SchemaViolation` (a
-/// logged row off its schema), `UniqueViolation` or `DenseKeyViolation`. A
-/// panic fails the test; an allocation sized by a forged count would abort
-/// it.
+/// What opening a store of rows 0 and 1 of `DENSE_ROWS`, behind which the
+/// log holds a run from row 2 whose body is `body`, must give: the count
+/// must be the number of rows the cells hold, back to back and whole.
+fn expected_run(body: &[u8]) -> Want {
+    let mut rest = body;
+    let Ok(count) = relstore::codec::get_varint(&mut rest) else {
+        return Want::Corrupt;
+    };
+    let mut rows = dense_rows(2);
+    for _ in 0..count {
+        match relstore::codec::get_row(&mut rest) {
+            Ok(row) => rows.push(row),
+            _ => return Want::Corrupt,
+        }
+    }
+    match count > 0 && rest.is_empty() {
+        true => judged(rows),
+        false => Want::Corrupt,
+    }
+}
+
+/// Seeded byte mutations of the last tail cell of a resealed page
+/// directory, of the logged cell of a run of one, and of the body — count
+/// and cells — of a logged run of two, each in a re-framed WAL, with and
+/// without a pool. Each open gives exactly the rows the mutated bytes
+/// decode to, with every index agreeing and a second open equal to the
+/// first, or fails as `Corrupt` (always, where the bytes hold no rows),
+/// `SchemaViolation` (a logged row off its schema), `UniqueViolation` or
+/// `DenseKeyViolation`. A panic fails the test; an allocation sized by a
+/// forged count would abort it.
 #[test]
 fn mutated_cells_open_to_their_rows_or_are_refused() {
     let dir_path = Path::new("/db").join(PAGEDIR_FILE);
@@ -772,28 +861,41 @@ fn mutated_cells_open_to_their_rows_or_are_refused() {
         let at = image.len() - tail_cell.len();
         assert_eq!(image[at - 1..], [&[1][..], &tail_cell].concat(), "located the last tail cell");
         let logged_cell = [2, 1, 8, 3, 2, b'd', b'd'];
+        // a run of rows 2 and 3: count 2, then their cells
+        let run_body = [&[2][..], &tail_cell, &logged_cell].concat();
         let mut st = Prng::seed_from_u64(0x5EED_CE11 + pool.unwrap_or(0) as u64);
-        for case in 0..256 {
-            let (row, original) = if case % 2 == 0 { (2, &tail_cell) } else { (3, &logged_cell) };
+        for case in 0..384 {
+            let (row, original) = match case % 3 {
+                0 => (2, &tail_cell[..]),
+                1 => (3, &logged_cell[..]),
+                _ => (4, &run_body[..]),
+            };
             let mut cell = original.to_vec();
             for _ in 0..1 + st.below(2) {
                 if !cell.is_empty() {
                     mutate(&mut st, &mut cell);
                 }
             }
-            let vfs = dense_seeded(pool);
-            if row == 2 {
-                let mut file = vfs.create(&dir_path).unwrap();
-                file.write_all(&resealed([&image[..at], &cell].concat())).unwrap();
-                file.sync().unwrap();
-            } else {
-                patch_logged_cell(&vfs, &|logged| {
+            let vfs = dense_seeded_at(pool, if row == 4 { 2 } else { 3 });
+            match row {
+                2 => {
+                    let mut file = vfs.create(&dir_path).unwrap();
+                    file.write_all(&resealed([&image[..at], &cell].concat())).unwrap();
+                    file.sync().unwrap();
+                }
+                3 => patch_logged_cell(&vfs, &|logged| {
                     assert_eq!(logged[..], logged_cell, "located the logged cell");
                     *logged = cell.clone();
-                });
+                }),
+                _ => patch_logged_run(&vfs, 2, &|logged| {
+                    assert_eq!(logged[..], run_body, "located the logged run");
+                    *logged = cell.clone();
+                }),
             }
-            let context = format!("pool {pool:?} case {case}: row {row} stored as {cell:?}");
-            match (expected(row, &cell), try_open(&vfs, pool)) {
+            let what = if row == 4 { "the run from row 2".to_owned() } else { format!("row {row}") };
+            let context = format!("pool {pool:?} case {case}: {what} stored as {cell:?}");
+            let want = if row == 4 { expected_run(&cell) } else { expected(row, &cell) };
+            match (want, try_open(&vfs, pool)) {
                 (Want::Rows(rows), Ok(db)) => {
                     let table = db.table("t").unwrap();
                     let got: Vec<Vec<Value>> = table.scan().map(|(_, r)| r.into_values()).collect();

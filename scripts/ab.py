@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Alternate gmbench runs of two checkouts and compare their end-to-end metrics.
 
-    python3 scripts/ab.py <parent-tree> <change-tree> --workload W[,W...] [--seed S] [--pairs N]
-                          [--claim METRIC:WORKLOAD ...]
+    python3 scripts/ab.py <parent-tree> <change-tree> --workload W[,W...] [--seed S[,S...]]
+                          [--pairs N] [--claim METRIC:WORKLOAD ...]
 
 Each tree runs its own `bash scripts/e2e/run.sh --workload W --seed S`, from
 its own root and into its own build directory (`CARGO_TARGET_DIR` is unset
 for the runs). The parent runs first in odd pairs and the change first in
 even ones, so neither side always gets the warmer host. With several
-workloads (comma-separated), each pair runs every workload in turn, so the
-workloads alternate too and share the host's drift. Every run's final JSON
-line is printed as it lands, tagged with its workload, pair and side.
+workloads or seeds (comma-separated), each pair runs every workload at
+every seed in turn, so they alternate too and share the host's drift: one
+session measures a claim at its seed and at a held-out one. Every run's
+final JSON line is printed as it lands, tagged with its workload, seed,
+pair and side.
 
-Then, per workload, a markdown table with, for every end-to-end metric of
+Then, per workload and seed, a markdown table with, for every end-to-end metric of
 `BENCHMARK.json`, one row:
 each side's median and quartiles, the pairs the change won (strictly
 better in the metric's direction), the median ratio change/parent, whether
@@ -23,11 +25,11 @@ else `within`. Any run with `correct: false` or `failed > 0` is flagged
 and makes the exit status 1.
 
 `--claim METRIC:WORKLOAD` (repeatable) names a gain the change claims and
-prints, after the tables, whether it passes the rule of the choosing-metrics
-guide (§8): the change wins at least nine tenths of the pairs (ties count
-for neither side), and the gap between the medians, in the metric's better
-direction, exceeds the parent's interquartile range. A claim that fails
-makes the exit status 1.
+prints, after the tables, whether it passes at each seed the rule of the
+choosing-metrics guide (§8): the change wins at least nine tenths of the
+pairs (ties count for neither side), and the gap between the medians, in
+the metric's better direction, exceeds the parent's interquartile range. A
+claim that fails at any seed makes the exit status 1.
 
 The script reads `BENCHMARK.json` and runs `scripts/e2e/run.sh` of each
 tree; it writes nothing into either tree beyond what run.sh itself writes.
@@ -97,14 +99,14 @@ def table(workload, seed, runs, spec):
               f"| {wins}/{n} | ×{ratio:.3f} | {gap} | {bound:g} | {verdict} |")
 
 
-def claim(name, workload, runs, metric):
+def claim(name, workload, seed, runs, metric):
     """Print whether the claimed gain passes the 9-of-10 and IQR rule; True
     if it does."""
     (pq1, pm, pq3), (_, cm, _), wins, n, moved = compare(runs, metric)
     won = 10 * wins >= 9 * n
     past = moved > pq3 - pq1
     verdict = "passes" if won and past else "fails"
-    print(f"claim `{name}` on {workload}: {verdict} — wins {wins}/{n} (needs ≥ 9/10: "
+    print(f"claim `{name}` on {workload}, seed {seed}: {verdict} — wins {wins}/{n} (needs ≥ 9/10: "
           f"{'yes' if won else 'no'}); median {pm:.4g} → {cm:.4g}, gap {moved:.4g} in the better "
           f"direction vs parent IQR {pq3 - pq1:.4g} ({'past' if past else 'not past'} it)")
     return won and past
@@ -115,7 +117,7 @@ def main():
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", required=True, help="one workload or a comma-separated list")
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", default="7", help="one seed or a comma-separated list")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--claim", action="append", default=[], metavar="METRIC:WORKLOAD",
                     help="a claimed gain to check against the 9-of-10 and IQR rule")
@@ -124,6 +126,12 @@ def main():
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     workloads = [w for w in args.workload.split(",") if w]
+    try:
+        seeds = [int(s) for s in args.seed.split(",") if s]
+    except ValueError:
+        sys.exit(f"ab: --seed {args.seed}: seeds are integers")
+    if not seeds:
+        sys.exit("ab: --seed names no seed")
     known = {w["name"] for w in spec["workloads"]}
     for workload in workloads:
         if workload not in known:
@@ -139,24 +147,25 @@ def main():
         claims.append((name, workload))
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
 
-    runs = {w: {"parent": [], "change": []} for w in workloads}
+    cells = [(w, s) for w in workloads for s in seeds]
+    runs = {cell: {"parent": [], "change": []} for cell in cells}
     flagged = []
     for pair in range(1, args.pairs + 1):
         order = ["parent", "change"] if pair % 2 == 1 else ["change", "parent"]
-        for workload in workloads:
+        for workload, seed in cells:
             for side in order:
-                line, result = run_once(trees[side], workload, args.seed, env)
-                print(f"{workload} pair {pair} {side}: {line}", flush=True)
-                runs[workload][side].append(result)
+                line, result = run_once(trees[side], workload, seed, env)
+                print(f"{workload} seed {seed} pair {pair} {side}: {line}", flush=True)
+                runs[workload, seed][side].append(result)
                 if not result.get("correct") or result.get("failed", 0) > 0:
-                    flagged.append(f"{workload} pair {pair} {side}: "
+                    flagged.append(f"{workload} seed {seed} pair {pair} {side}: "
                                    f"correct={result.get('correct')} failed={result.get('failed')}")
 
-    for workload in workloads:
-        table(workload, args.seed, runs[workload], spec)
+    for workload, seed in cells:
+        table(workload, seed, runs[workload, seed], spec)
     if claims:
         print()
-    passed = [claim(name, w, runs[w], metrics[name]) for name, w in claims]
+    passed = [claim(name, w, s, runs[w, s], metrics[name]) for name, w in claims for s in seeds]
     if flagged:
         print("\nflagged runs:\n" + "\n".join(flagged))
         sys.exit(1)
