@@ -27,20 +27,70 @@ use relstore::value::{Value, ValueRef};
 use relstore::{Database, RowId};
 use std::path::Path;
 
+mod stamped {
+    use crate::error::GamResult;
+    use relstore::Database;
+
+    /// The database behind the store's mutation stamp. A read derefs to
+    /// `&Database`; the one `&mut Database` is [`mutate`](Self::mutate),
+    /// which advances the stamp first. A mutator that skips the stamp does
+    /// not compile (E0596), so a cache keyed on
+    /// [`GamStore::mutation_count`](super::GamStore::mutation_count) cannot
+    /// miss a write.
+    pub(super) struct Stamped {
+        db: Database,
+        mutations: u64,
+    }
+
+    impl std::ops::Deref for Stamped {
+        type Target = Database;
+
+        fn deref(&self) -> &Database {
+            &self.db
+        }
+    }
+
+    impl Stamped {
+        pub(super) fn new(db: Database) -> Self {
+            Stamped { db, mutations: 0 }
+        }
+
+        pub(super) fn mutations(&self) -> u64 {
+            self.mutations
+        }
+
+        pub(super) fn mutate(&mut self) -> &mut Database {
+            self.mutations += 1;
+            &mut self.db
+        }
+
+        // Durability, not content: these leave the stamp where it is.
+
+        pub(super) fn checkpoint(&mut self) -> GamResult<()> {
+            Ok(self.db.checkpoint()?)
+        }
+
+        pub(super) fn set_sync_on_commit(&mut self, sync: bool) {
+            self.db.set_sync_on_commit(sync);
+        }
+
+        pub(super) fn sync_wal(&mut self) -> GamResult<()> {
+            Ok(self.db.sync_wal()?)
+        }
+    }
+}
+
 /// Typed store over the GAM tables.
 pub struct GamStore {
-    db: Database,
+    db: stamped::Stamped,
     import_seq: u64,
-    /// Bumped by every mutating entry point; mapping caches key on it
-    /// (enforced by genlint's cache-coherence rule).
-    mutations: u64,
 }
 
 impl std::fmt::Debug for GamStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GamStore")
             .field("import_seq", &self.import_seq)
-            .field("mutations", &self.mutations)
+            .field("mutations", &self.db.mutations())
             .finish()
     }
 }
@@ -173,9 +223,8 @@ impl GamStore {
             Ok(())
         })?;
         Ok(GamStore {
-            db,
+            db: stamped::Stamped::new(db),
             import_seq,
-            mutations: 0,
         })
     }
 
@@ -187,23 +236,16 @@ impl GamStore {
         GamRead::cardinalities(self)
     }
 
-    /// How many mutating calls this store has served. Any cache derived
-    /// from GAM content must key on this (together with its own inputs)
-    /// and treat a changed count as an invalidation.
+    /// How many writes this store has made to its tables. Any cache
+    /// derived from GAM content must key on this (together with its own
+    /// inputs) and treat a changed count as an invalidation.
     pub fn mutation_count(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Record one mutating call. Every `pub fn (&mut self, ..)` entry
-    /// point that can change GAM content calls this first; genlint's
-    /// cache-coherence rule fails the build if a new mutator forgets.
-    fn bump_mutations(&mut self) {
-        self.mutations += 1;
+        self.db.mutations()
     }
 
     /// Write a snapshot and truncate the WAL (no-op for in-memory stores).
     pub fn checkpoint(&mut self) -> GamResult<()> {
-        Ok(self.db.checkpoint()?)
+        self.db.checkpoint()
     }
 
     /// Access the underlying database (read paths and statistics).
@@ -218,22 +260,25 @@ impl GamStore {
         self.db.vfs()
     }
 
-    /// Start a WAL group-commit window: transactions committed until
-    /// [`end_group_commit`](Self::end_group_commit) append their redo
-    /// records to the log but defer the fsync. Atomicity is unaffected
-    /// (a crash can only lose a suffix of whole commits, never a partial
-    /// transaction); the importer uses this to pay one fsync per dump
-    /// batch instead of one per logical step.
-    pub fn begin_group_commit(&mut self) {
+    /// Run `body` in a WAL group-commit window: transactions it commits
+    /// append their redo records to the log but defer the fsync.
+    /// Atomicity is unaffected (a crash can only lose a suffix of whole
+    /// commits, never a partial transaction); the importer uses this to
+    /// pay one fsync per dump batch instead of one per logical step.
+    ///
+    /// On every way out — `body` done or failed — sync-on-commit is
+    /// restored and the WAL fsynced once, making everything committed
+    /// inside the window durable. The body's error comes first, then the
+    /// fsync's.
+    pub fn with_group_commit<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> GamResult<T>,
+    ) -> GamResult<T> {
         self.db.set_sync_on_commit(false);
-    }
-
-    /// Close a group-commit window: restore sync-on-commit and fsync the
-    /// WAL once, making everything committed inside the window durable.
-    pub fn end_group_commit(&mut self) -> GamResult<()> {
+        let out = body(self);
         self.db.set_sync_on_commit(true);
-        self.db.sync_wal()?;
-        Ok(())
+        let synced = self.db.sync_wal();
+        out.and_then(|out| synced.map(|()| out))
     }
 
     // ------------------------------------------------------------------
@@ -337,7 +382,6 @@ impl GamStore {
         structure: SourceStructure,
         release: Option<&str>,
     ) -> GamResult<Source> {
-        self.bump_mutations();
         if name.is_empty() {
             return Err(GamError::Invalid("source name is empty".into()));
         }
@@ -352,7 +396,7 @@ impl GamStore {
             release.map(Value::text).unwrap_or(Value::Null),
             Value::Int(seq as i64),
         ];
-        self.db.with_txn(|txn| txn.insert(tables::SOURCE, row))?;
+        self.db.mutate().with_txn(|txn| txn.insert(tables::SOURCE, row))?;
         Ok(Source {
             id,
             name: name.to_owned(),
@@ -397,23 +441,23 @@ impl GamStore {
         content: SourceContent,
         structure: SourceStructure,
     ) -> GamResult<()> {
-        self.bump_mutations();
         let (row_id, mut values) = self.source_row(id)?;
         values[2] = Value::Int(content.code());
         values[3] = Value::Int(structure.code());
         self.db
+            .mutate()
             .with_txn(|txn| txn.update(tables::SOURCE, row_id, values))?;
         Ok(())
     }
 
     /// Update a source's release tag (re-import bookkeeping).
     pub fn set_source_release(&mut self, id: SourceId, release: &str) -> GamResult<()> {
-        self.bump_mutations();
         let (row_id, mut values) = self.source_row(id)?;
         values[4] = Value::text(release);
         self.import_seq += 1;
         values[5] = Value::Int(self.import_seq as i64);
         self.db
+            .mutate()
             .with_txn(|txn| txn.update(tables::SOURCE, row_id, values))?;
         Ok(())
     }
@@ -430,7 +474,6 @@ impl GamStore {
         text: Option<&str>,
         number: Option<f64>,
     ) -> GamResult<ObjectId> {
-        self.bump_mutations();
         let id = self.next_id(tables::OBJECT, ObjectId::of_row)?;
         let obj = GamObject {
             id,
@@ -441,7 +484,7 @@ impl GamStore {
         };
         obj.validate()?;
         let row = object_row(&obj);
-        self.db.with_txn(|txn| txn.insert(tables::OBJECT, row))?;
+        self.db.mutate().with_txn(|txn| txn.insert(tables::OBJECT, row))?;
         Ok(id)
     }
 
@@ -456,7 +499,6 @@ impl GamStore {
         text: Option<&str>,
         number: Option<f64>,
     ) -> GamResult<(ObjectId, bool)> {
-        self.bump_mutations();
         if let Some(existing) = self.find_object(source, accession)? {
             return Ok((existing.id, false));
         }
@@ -471,7 +513,6 @@ impl GamStore {
         source: SourceId,
         objects: &[(String, Option<String>, Option<f64>)],
     ) -> GamResult<(Vec<ObjectId>, usize)> {
-        self.bump_mutations();
         let refs: Vec<(&str, Option<&str>, Option<f64>)> = objects
             .iter()
             .map(|(a, t, n)| (a.as_str(), t.as_deref(), *n))
@@ -493,7 +534,6 @@ impl GamStore {
         source: SourceId,
         objects: &[(&str, Option<&str>, Option<f64>)],
     ) -> GamResult<(Vec<ObjectId>, usize)> {
-        self.bump_mutations();
         for (accession, _, _) in objects {
             if accession.is_empty() {
                 return Err(GamError::Invalid("object accession is empty".into()));
@@ -528,10 +568,7 @@ impl GamStore {
         }
         let created = rows.len();
         if created > 0 {
-            self.db.with_txn(|txn| {
-                txn.insert_batch(tables::OBJECT, rows)?;
-                Ok(())
-            })?;
+            self.db.mutate().with_txn(|txn| txn.insert_batch(tables::OBJECT, rows))?;
         }
         Ok((ids, created))
     }
@@ -599,7 +636,6 @@ impl GamStore {
         rel_type: RelType,
         derivation: Option<&str>,
     ) -> GamResult<SourceRelId> {
-        self.bump_mutations();
         let id = self.next_id(tables::SOURCE_REL, SourceRelId::of_row)?;
         let rel = SourceRel {
             id,
@@ -622,14 +658,13 @@ impl GamStore {
                 .map(Value::text)
                 .unwrap_or(Value::Null),
         ];
-        self.db.with_txn(|txn| txn.insert(tables::SOURCE_REL, row))?;
+        self.db.mutate().with_txn(|txn| txn.insert(tables::SOURCE_REL, row))?;
         Ok(id)
     }
 
     /// Delete a mapping and all its associations (used when re-deriving a
     /// materialized mapping).
     pub fn delete_source_rel(&mut self, id: SourceRelId) -> GamResult<usize> {
-        self.bump_mutations();
         // ensure it exists first: its row is then the one at its address
         self.get_source_rel(id)?;
         let rel_row = RowId::of_dense_key(id.as_i64()).ok_or(GamError::UnknownSourceRel(id))?;
@@ -641,7 +676,7 @@ impl GamStore {
             .table(tables::OBJECT_REL)?
             .lookup_row_ids("by_pair", &[Value::Int(id.as_i64())])?;
         let removed = assoc_ids.len();
-        self.db.with_txn(|txn| {
+        self.db.mutate().with_txn(|txn| {
             for rid in assoc_ids {
                 txn.delete(tables::OBJECT_REL, rid)?;
             }
@@ -663,7 +698,6 @@ impl GamStore {
         object2: ObjectId,
         evidence: Option<f64>,
     ) -> GamResult<bool> {
-        self.bump_mutations();
         let mut added = 0;
         self.add_associations_bulk(
             source_rel,
@@ -696,7 +730,6 @@ impl GamStore {
         associations: impl IntoIterator<Item = Association>,
         added: &mut usize,
     ) -> GamResult<()> {
-        self.bump_mutations();
         self.get_source_rel(source_rel)?;
         let rel_i64 = source_rel.as_i64();
         let assocs: Vec<Association> = associations.into_iter().collect();
@@ -751,10 +784,7 @@ impl GamStore {
             *added += 1;
         }
         if !rows.is_empty() {
-            self.db.with_txn(|txn| {
-                txn.insert_batch(tables::OBJECT_REL, rows)?;
-                Ok(())
-            })?;
+            self.db.mutate().with_txn(|txn| txn.insert_batch(tables::OBJECT_REL, rows))?;
         }
         Ok(())
     }
@@ -1085,8 +1115,8 @@ mod tests {
     /// `mutation_count()`, the key every derived cache is built on (one
     /// level up, `genmapper`'s `cache_invalidated_by_every_mutating_entry_point`
     /// checks the same of `GenMapper`). The durability controls —
-    /// `checkpoint`, `begin_group_commit`, `end_group_commit` — change no
-    /// content and are left out.
+    /// `checkpoint`, `with_group_commit` — change no content and are left
+    /// out.
     #[test]
     fn every_mutating_entry_point_advances_mutation_count() {
         fn advances<T>(
@@ -1394,7 +1424,7 @@ mod tests {
         assert_eq!(object_rel_ids(&s), vec![1]);
         let forged = [1, rel.as_i64(), bo.as_i64(), ao.as_i64()].map(Value::Int);
         let forged = forged.into_iter().chain([Value::Null]).collect();
-        match s.db.with_txn(|txn| txn.insert(tables::OBJECT_REL, forged)) {
+        match s.db.mutate().with_txn(|txn| txn.insert(tables::OBJECT_REL, forged)) {
             Err(relstore::StoreError::DenseKeyViolation { table, row_id: 1, key }) => {
                 assert_eq!((table.as_str(), key.as_str()), (tables::OBJECT_REL, "1"))
             }
@@ -1708,54 +1738,70 @@ mod tests {
 
     #[test]
     fn group_commit_window_survives_reopen() {
-        let dir = std::env::temp_dir().join("gam-store-tests").join("group-commit");
-        let _ = std::fs::remove_dir_all(&dir);
-        let (src_id, rel_id);
-        {
+        let dir = testkit::TempDir::new("gam-group-commit");
+        let (src_id, rel_id) = {
             let mut s = GamStore::open(&dir).unwrap();
             // snapshot the empty schema so reopen can replay the WAL
             // (relstore recovery needs tables from a snapshot); the whole
             // batch below then lives only in group-committed WAL frames
             s.checkpoint().unwrap();
-            s.begin_group_commit();
-            let src = gene_source(&mut s, "A");
-            let go = s
-                .create_source("GO", SourceContent::Other, SourceStructure::Network, None)
-                .unwrap();
-            src_id = src.id;
-            let (ids, created) = s
-                .add_objects_bulk_ref(src.id, &[("a1", None, None), ("a2", None, None)])
-                .unwrap();
-            assert_eq!(created, 2);
-            let (g, _) = s.ensure_object(go.id, "GO:1", None, None).unwrap();
-            rel_id = s.create_source_rel(src.id, go.id, RelType::Fact, None).unwrap();
-            let mut added = 0;
-            s.add_associations_bulk(
-                rel_id,
-                vec![
-                    Association::fact(ids[0], g),
-                    Association::fact(ids[1], g),
-                    Association::fact(ids[0], g), // dup within batch
-                ],
-                &mut added,
-            )
-            .unwrap();
-            assert_eq!(added, 2);
-            s.end_group_commit().unwrap();
+            s.with_group_commit(|s| {
+                let src = gene_source(s, "A");
+                let go = s.create_source("GO", SourceContent::Other, SourceStructure::Network, None)?;
+                let (ids, created) = s.add_objects_bulk_ref(src.id, &[("a1", None, None), ("a2", None, None)])?;
+                assert_eq!(created, 2);
+                let (g, _) = s.ensure_object(go.id, "GO:1", None, None)?;
+                let rel = s.create_source_rel(src.id, go.id, RelType::Fact, None)?;
+                let mut added = 0;
+                let dup = Association::fact(ids[0], g); // dup within batch
+                let batch = vec![Association::fact(ids[0], g), Association::fact(ids[1], g), dup];
+                s.add_associations_bulk(rel, batch, &mut added)?;
+                assert_eq!(added, 2);
+                Ok((src.id, rel))
+            })
+            .unwrap()
+        };
+        let s = GamStore::open(&dir).unwrap();
+        assert_eq!(s.find_source("A").unwrap().unwrap().id, src_id);
+        assert_eq!(s.object_count(src_id).unwrap(), 2);
+        assert_eq!(s.association_count(rel_id).unwrap(), 2);
+    }
+
+    /// A group-commit window whose body fails after a write still closes:
+    /// the write is durable when the window returns the body's error, and
+    /// the next commit on the same store syncs on its own. Each survives a
+    /// power cut.
+    #[test]
+    fn a_failed_group_commit_window_is_synced_and_closed() {
+        use relstore::vfs::FaultVfs;
+        for commit_after in [false, true] {
+            let vfs = FaultVfs::new();
+            let open = || GamStore::open_with_vfs(std::sync::Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+            let mut s = open();
+            s.checkpoint().unwrap();
+            let failed = s.with_group_commit(|s| {
+                gene_source(s, "InWindow");
+                Err::<(), _>(GamError::Invalid("the body fails after its write".into()))
+            });
+            assert!(matches!(failed, Err(GamError::Invalid(_))));
+            if commit_after {
+                gene_source(&mut s, "AfterWindow");
+            }
+            drop(s);
+            vfs.crash_now();
+            vfs.reboot();
+            let s = open();
+            if commit_after {
+                assert!(s.find_source("AfterWindow").unwrap().is_some(), "the window left sync-on-commit off");
+            } else {
+                assert!(s.find_source("InWindow").unwrap().is_some(), "the window's write was not synced");
+            }
         }
-        {
-            let s = GamStore::open(&dir).unwrap();
-            assert_eq!(s.find_source("A").unwrap().unwrap().id, src_id);
-            assert_eq!(s.object_count(src_id).unwrap(), 2);
-            assert_eq!(s.association_count(rel_id).unwrap(), 2);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn durable_store_preserves_ids_across_reopen() {
-        let dir = std::env::temp_dir().join("gam-store-tests").join("reopen");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = testkit::TempDir::new("gam-reopen");
         let (src_id, obj_id, rel_id, g, deleted_id);
         {
             let mut s = GamStore::open(&dir).unwrap();
@@ -1793,6 +1839,5 @@ mod tests {
             assert!(!object_rel_ids(&s).contains(&deleted_id), "{deleted_id} reissued");
             assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

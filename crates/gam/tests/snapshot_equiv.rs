@@ -456,10 +456,7 @@ fn an_id_no_object_holds_is_unknown_to_store_and_snapshot() {
 
 #[test]
 fn capture_walks_a_paged_store_about_once() {
-    let dir = std::env::temp_dir()
-        .join("gam-snapshot-equiv")
-        .join("paged-capture");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = testkit::TempDir::new("gam-snapshot-equiv-paged-capture");
     let config = relstore::PoolConfig {
         page_bytes: 512,
         pool_pages: 2,
@@ -467,41 +464,36 @@ fn capture_walks_a_paged_store_about_once() {
     let objects = {
         let mut store = GamStore::open_paged(&dir, config).unwrap();
         let mut st = Prng::seed_from_u64(7);
-        store.begin_group_commit();
-        let a = store
-            .create_source("A", SourceContent::Gene, SourceStructure::Flat, None)
-            .unwrap()
-            .id;
-        let b = store
-            .create_source("B", SourceContent::Other, SourceStructure::Flat, None)
-            .unwrap()
-            .id;
-        // a page seals between transactions, so load in many small ones
-        let mut ids = [Vec::new(), Vec::new()];
-        for chunk in 0..40 {
-            for (side, (source, prefix)) in [(a, "a"), (b, "b")].into_iter().enumerate() {
-                let batch: Vec<(String, Option<String>, Option<f64>)> = (0..10)
-                    .map(|i| (format!("{prefix}{:04}", chunk * 10 + i), None, None))
-                    .collect();
-                ids[side].extend(store.add_objects_bulk(source, &batch).unwrap().0);
+        let count = store.with_group_commit(|s| {
+            let a = s.create_source("A", SourceContent::Gene, SourceStructure::Flat, None)?.id;
+            let b = s.create_source("B", SourceContent::Other, SourceStructure::Flat, None)?.id;
+            // a page seals between transactions, so load in many small ones
+            let mut ids = [Vec::new(), Vec::new()];
+            for chunk in 0..40 {
+                for (side, (source, prefix)) in [(a, "a"), (b, "b")].into_iter().enumerate() {
+                    let batch: Vec<(String, Option<String>, Option<f64>)> = (0..10)
+                        .map(|i| (format!("{prefix}{:04}", chunk * 10 + i), None, None))
+                        .collect();
+                    ids[side].extend(s.add_objects_bulk(source, &batch)?.0);
+                }
             }
-        }
-        let [a_ids, b_ids] = ids;
-        let rel = store.create_source_rel(a, b, RelType::Fact, None).unwrap();
-        // in key order, as from a sorted dump: the mapping's index scan is
-        // then sequential in the heap, while a per-object probe of the
-        // range side still lands on a random page every time
-        let mut pairs: Vec<(ObjectId, ObjectId)> = (0..1200)
-            .map(|_| (a_ids[st.below(400)], b_ids[st.below(400)]))
-            .collect();
-        pairs.sort_unstable();
-        for chunk in pairs.chunks(20) {
-            let facts = chunk.iter().map(|&(from, to)| Association::fact(from, to));
-            store.add_associations_bulk(rel, facts, &mut 0).unwrap();
-        }
-        store.end_group_commit().unwrap();
+            let [a_ids, b_ids] = ids;
+            let rel = s.create_source_rel(a, b, RelType::Fact, None)?;
+            // in key order, as from a sorted dump: the mapping's index scan is
+            // then sequential in the heap, while a per-object probe of the
+            // range side still lands on a random page every time
+            let mut pairs: Vec<(ObjectId, ObjectId)> = (0..1200)
+                .map(|_| (a_ids[st.below(400)], b_ids[st.below(400)]))
+                .collect();
+            pairs.sort_unstable();
+            for chunk in pairs.chunks(20) {
+                let facts = chunk.iter().map(|&(from, to)| Association::fact(from, to));
+                s.add_associations_bulk(rel, facts, &mut 0)?;
+            }
+            Ok(a_ids.len() + b_ids.len())
+        });
         store.checkpoint().unwrap();
-        a_ids.len() + b_ids.len()
+        count.unwrap()
     };
     let store = GamStore::open_paged(&dir, config).unwrap();
     let misses = |s: &GamStore| s.database().stats().unwrap().pool.unwrap().misses;
@@ -533,7 +525,6 @@ fn capture_walks_a_paged_store_about_once() {
         capture <= 3 * heap_pages && capture < objects as u64,
         "capture cost {capture} pool misses over {heap_pages} heap pages, {objects} objects"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The four GAM schemas as earlier releases declared them: every id a

@@ -680,8 +680,7 @@ mod tests {
 
     #[test]
     fn stats_reports_pool_metrics_for_paged_stores() {
-        let dir = std::env::temp_dir().join(format!("genmapper-cli-paged-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = testkit::TempDir::new("genmapper-cli-paged");
         let gm = GenMapper::open_paged(&dir, relstore::PoolConfig::default()).unwrap();
         let mut session = CliSession::with_system(gm);
         let (out, _) = session.execute_line("demo 7");
@@ -690,7 +689,7 @@ mod tests {
         assert!(out.contains("pool:"), "pool line shown: {out}");
         assert!(out.contains("pages resident"), "output: {out}");
         drop(session);
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(dir);
 
         // the in-memory session has no pool and must not print the line
         let mut session = CliSession::new().unwrap();

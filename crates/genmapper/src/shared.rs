@@ -3,16 +3,15 @@
 //! [`SharedGenMapper`] is the concurrency shell around [`GenMapper`]: the
 //! writer (imports, materializations, saved paths) runs under an exclusive
 //! `Mutex`, readers run against the currently *published*
-//! [`Arc<Snapshot>`](crate::Snapshot). Publication is one atomic `Arc`
-//! swap under a `RwLock` that is held only for the swap itself — never
-//! across query execution or snapshot capture — so readers never block on
-//! the writer and always observe a fully-published, internally consistent
-//! state (MVCC with exactly one writer version in flight).
+//! [`Arc<Snapshot>`](crate::Snapshot). Publication is one `Arc` swap in a
+//! [`Swap`], which hands out no guard: nothing can hold it across query
+//! execution or snapshot capture, so readers never block on the writer
+//! and always observe a fully-published, internally consistent state
+//! (MVCC with exactly one writer version in flight).
 
 use crate::{GenMapper, Snapshot};
 use gam::{GamError, GamResult};
-use relstore::sync::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use relstore::sync::{Mutex, SeqCount, SeqFlag, Swap};
 use std::sync::Arc;
 
 /// What the writer is currently doing, as reported to service clients.
@@ -30,15 +29,14 @@ pub struct ImportStatus {
 pub struct SharedGenMapper {
     /// The live system; every mutation goes through this lock.
     writer: Mutex<GenMapper>,
-    /// The snapshot readers see. Swapped atomically after each writer
-    /// operation; the lock is held only for the `Arc` clone or swap.
-    published: RwLock<Arc<Snapshot>>,
-    writing: AtomicBool,
-    completed: AtomicU64,
+    /// The snapshot readers see, swapped after each writer operation.
+    published: Swap<Arc<Snapshot>>,
+    writing: SeqFlag,
+    completed: SeqCount,
     /// Writes admitted (via [`try_admit_write`](Self::try_admit_write))
     /// and not yet finished — the semaphore count behind service-level
     /// admission control.
-    in_flight: AtomicUsize,
+    in_flight: SeqCount,
 }
 
 /// An admitted slot in the write budget, returned by
@@ -63,7 +61,7 @@ impl WritePermit<'_> {
 
 impl Drop for WritePermit<'_> {
     fn drop(&mut self) {
-        self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.shared.in_flight.sub(1);
     }
 }
 
@@ -73,17 +71,17 @@ impl SharedGenMapper {
         let initial = Arc::new(gm.capture_snapshot()?);
         Ok(SharedGenMapper {
             writer: Mutex::new(gm),
-            published: RwLock::new(initial),
-            writing: AtomicBool::new(false),
-            completed: AtomicU64::new(0),
-            in_flight: AtomicUsize::new(0),
+            published: Swap::new(initial),
+            writing: SeqFlag::default(),
+            completed: SeqCount::default(),
+            in_flight: SeqCount::default(),
         })
     }
 
     /// Writes currently admitted and not yet finished (waiting on the
     /// writer mutex or executing).
     pub fn in_flight_writes(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+        self.in_flight.get() as usize
     }
 
     /// Try to admit one write under a budget of `max_in_flight` slots.
@@ -92,17 +90,12 @@ impl SharedGenMapper {
     /// admission-controlled: they answer from the published snapshot and
     /// cannot queue behind the writer.
     pub fn try_admit_write(&self, max_in_flight: usize) -> Option<WritePermit<'_>> {
-        let mut current = self.in_flight.load(Ordering::SeqCst);
+        let mut current = self.in_flight.get();
         loop {
-            if current >= max_in_flight {
+            if current >= max_in_flight as u64 {
                 return None;
             }
-            match self.in_flight.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
+            match self.in_flight.compare_exchange(current, current + 1) {
                 Ok(_) => return Some(WritePermit { shared: self }),
                 Err(actual) => current = actual,
             }
@@ -110,9 +103,9 @@ impl SharedGenMapper {
     }
 
     /// The currently published snapshot. Never blocks on the writer: the
-    /// read guard lives only for the duration of the `Arc` clone.
+    /// lock under the [`Swap`] is held only for the `Arc` clone.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.published.read().clone()
+        self.published.load()
     }
 
     /// Run one writer operation, then capture and publish the resulting
@@ -129,14 +122,14 @@ impl SharedGenMapper {
         f: impl FnOnce(&mut GenMapper) -> GamResult<R>,
     ) -> GamResult<R> {
         let mut gm = self.writer.lock();
-        self.writing.store(true, Ordering::SeqCst);
+        self.writing.set(true);
         let result = f(&mut gm);
         let capture = gm.capture_snapshot();
-        self.writing.store(false, Ordering::SeqCst);
-        self.completed.fetch_add(1, Ordering::SeqCst);
+        self.writing.set(false);
+        self.completed.add(1);
         match capture {
             Ok(snap) => {
-                *self.published.write() = Arc::new(snap);
+                self.published.store(Arc::new(snap));
                 result
             }
             Err(e) => {
@@ -153,8 +146,8 @@ impl SharedGenMapper {
     /// Writer/publication status for service clients.
     pub fn import_status(&self) -> ImportStatus {
         ImportStatus {
-            writing: self.writing.load(Ordering::SeqCst),
-            completed: self.completed.load(Ordering::SeqCst),
+            writing: self.writing.get(),
+            completed: self.completed.get(),
             published_version: self.snapshot().version(),
         }
     }

@@ -12,7 +12,7 @@ use operators::{
     generate_view_idx, AnnotationView, ExecConfig, IndexResolver, TargetSpec, ViewQuery,
 };
 use pathfinder::{SavedPaths, SourceGraph};
-use relstore::sync::{Mutex, RwLock};
+use relstore::sync::{RwLock, Swap};
 use sources::ecosystem::SourceDump;
 use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
@@ -183,33 +183,79 @@ impl MappingKey {
     }
 }
 
+mod versioned {
+    use super::VersionCache;
+    use gam::{GamResult, GamStore};
+    use std::sync::Arc;
+
+    /// The store together with the version of the caches derived from it.
+    /// A read derefs to `&GamStore`; the one `&mut GamStore` is
+    /// [`store_mut`](Self::store_mut), which starts a new version with a
+    /// fresh [`VersionCache`] first. A mutator that skips the invalidation
+    /// does not compile (E0596).
+    pub(super) struct Versioned {
+        store: GamStore,
+        /// Bumped by every `store_mut`.
+        version: u64,
+        /// The cache of the current version; replaced, never cleared.
+        cache: Arc<VersionCache>,
+    }
+
+    impl std::ops::Deref for Versioned {
+        type Target = GamStore;
+
+        fn deref(&self) -> &GamStore {
+            &self.store
+        }
+    }
+
+    impl Versioned {
+        pub(super) fn new(store: GamStore) -> Self {
+            Versioned { store, version: 0, cache: Arc::default() }
+        }
+
+        pub(super) fn version(&self) -> u64 {
+            self.version
+        }
+
+        pub(super) fn cache(&self) -> &Arc<VersionCache> {
+            &self.cache
+        }
+
+        pub(super) fn store_mut(&mut self) -> &mut GamStore {
+            self.version += 1;
+            self.cache = Arc::default();
+            &mut self.store
+        }
+
+        /// A checkpoint changes durability, not content: the version and
+        /// its cache stay.
+        pub(super) fn checkpoint(&mut self) -> GamResult<()> {
+            self.store.checkpoint()
+        }
+    }
+}
+
 /// The assembled GenMapper system.
 pub struct GenMapper {
-    store: GamStore,
+    store: versioned::Versioned,
     saved: SavedPaths,
     /// Per-dump quarantine budget for lenient parsing during imports
     /// (`0` = strict, the default).
     error_budget: usize,
-    /// Invalidation counter; bumped by every mutating entry point.
-    version: u64,
-    /// The cache of the current version (see [`VersionCache`]); replaced,
-    /// never cleared, by every mutating entry point.
-    cache: Arc<VersionCache>,
     /// The read copy of the store last handed to a snapshot, with the
     /// `GamStore::mutation_count` it was captured at. A writer operation
     /// that changed no GAM content publishes this `Arc` again.
-    captured: Mutex<Option<(u64, Arc<GamSnapshot>)>>,
+    captured: Swap<Option<(u64, Arc<GamSnapshot>)>>,
 }
 
 impl GenMapper {
     fn wrap(store: GamStore) -> Self {
         GenMapper {
-            store,
+            store: versioned::Versioned::new(store),
             saved: SavedPaths::new(),
             error_budget: 0,
-            version: 0,
-            cache: Arc::default(),
-            captured: Mutex::new(None),
+            captured: Swap::new(None),
         }
     }
 
@@ -260,27 +306,18 @@ impl GenMapper {
     // Cache plumbing
     // ------------------------------------------------------------------
 
-    /// Invalidate every derived cache by starting a fresh [`VersionCache`]
-    /// under a new version. Called by every mutating entry point (enforced
-    /// by genlint's cache-coherence rule); the store is a private field,
-    /// so nothing can change GAM content without passing through one.
-    fn invalidate_caches(&mut self) {
-        self.version += 1;
-        self.cache = Arc::default();
-    }
-
     /// The version the current cache belongs to: the local invalidation
     /// counter plus the store's own mutation counter. Public so
     /// concurrency tests and the service layer can correlate published
     /// snapshots with the writer state they were captured from.
     pub fn version_stamp(&self) -> (u64, u64) {
-        (self.version, self.store.mutation_count())
+        (self.store.version(), self.store.mutation_count())
     }
 
     /// Number of entries in the current version's cache (diagnostics,
     /// tests).
     pub fn mapping_cache_len(&self) -> usize {
-        self.cache.len()
+        self.store.cache().len()
     }
 
     /// Direct access to the underlying store (operators, statistics).
@@ -288,11 +325,11 @@ impl GenMapper {
         &self.store
     }
 
-    /// Mutable access to the underlying store. Invalidates the graph and
-    /// mapping caches, since callers may add mappings.
+    /// Mutable access to the underlying store: the only one, for the
+    /// mutators below as for callers. Starts a new version with a fresh
+    /// cache, since callers may add mappings.
     pub fn store_mut(&mut self) -> &mut GamStore {
-        self.invalidate_caches();
-        &mut self.store
+        self.store.store_mut()
     }
 
     // ------------------------------------------------------------------
@@ -301,18 +338,16 @@ impl GenMapper {
 
     /// Parse and import source dumps through the two-phase pipeline.
     pub fn import_dumps(&mut self, dumps: &[SourceDump]) -> GamResult<Vec<import::ImportReport>> {
-        self.invalidate_caches();
         let options = PipelineOptions {
             error_budget: self.error_budget,
             ..PipelineOptions::default()
         };
-        import::run_pipeline(&mut self.store, dumps, &options)
+        import::run_pipeline(self.store_mut(), dumps, &options)
     }
 
     /// Import one pre-parsed EAV batch.
     pub fn import_batch(&mut self, batch: &eav::EavBatch) -> GamResult<import::ImportReport> {
-        self.invalidate_caches();
-        Importer::new(&mut self.store).import(batch)
+        Importer::new(self.store_mut()).import(batch)
     }
 
     // ------------------------------------------------------------------
@@ -321,7 +356,7 @@ impl GenMapper {
 
     /// Resolve a source name to its id.
     pub fn source_id(&self, name: &str) -> GamResult<SourceId> {
-        source_id_of(&self.store, name)
+        source_id_of(self.store(), name)
     }
 
     /// All registered sources.
@@ -341,23 +376,23 @@ impl GenMapper {
     /// The (cached, shared) source graph of the current version, built on
     /// first use after a mutation.
     pub fn graph(&self) -> GamResult<Arc<SourceGraph>> {
-        self.cache.graph(&self.store)
+        self.store.cache().graph(self.store())
     }
 
     /// Automatically determined shortest mapping path between two sources,
     /// as source names.
     pub fn find_path(&self, from: &str, to: &str) -> GamResult<Vec<String>> {
-        find_path_of(&self.store, &self.cache, from, to)
+        find_path_of(self.store(), self.store.cache(), from, to)
     }
 
     /// Up to `k` alternative mapping paths.
     pub fn find_paths(&self, from: &str, to: &str, k: usize) -> GamResult<Vec<Vec<String>>> {
-        find_paths_of(&self.store, &self.cache, from, to, k)
+        find_paths_of(self.store(), self.store.cache(), from, to, k)
     }
 
     /// Save a manually built path under a name (validated).
     pub fn save_path(&mut self, name: &str, path: &[&str]) -> GamResult<()> {
-        let ids = path_ids_of(&self.store, path)?;
+        let ids = path_ids_of(self.store(), path)?;
         let graph = self.graph()?;
         self.saved.save(name, ids, &graph)
     }
@@ -377,8 +412,8 @@ impl GenMapper {
     pub fn map(&self, from: &str, to: &str) -> GamResult<Arc<MappingIndex>> {
         let from = self.source_id(from)?;
         let to = self.source_id(to)?;
-        self.cache.mapping(MappingKey::direct(from, to), || {
-            operators::map_index(&self.store, from, to)
+        self.store.cache().mapping(MappingKey::direct(from, to), || {
+            operators::map_index(self.store(), from, to)
         })
     }
 
@@ -391,17 +426,17 @@ impl GenMapper {
         path: &[&str],
         min_evidence: Option<f64>,
     ) -> GamResult<Arc<MappingIndex>> {
-        let ids = path_ids_of(&self.store, path)?;
+        let ids = path_ids_of(self.store(), path)?;
         if ids.len() < 2 {
             return Err(GamError::Invalid(
                 "compose path needs at least two sources".into(),
             ));
         }
-        self.cache.mapping(MappingKey::composed(&ids, min_evidence)?, || {
+        self.store.cache().mapping(MappingKey::composed(&ids, min_evidence)?, || {
             match min_evidence {
-                None => operators::compose_path_idx(&self.store, &ids, &ExecConfig::sequential()),
+                None => operators::compose_path_idx(self.store(), &ids, &ExecConfig::sequential()),
                 Some(floor) => {
-                    operators::compose_path_idx_with_threshold(&self.store, &ids, floor)
+                    operators::compose_path_idx_with_threshold(self.store(), &ids, floor)
                 }
             }
         })
@@ -409,16 +444,14 @@ impl GenMapper {
 
     /// Materialize the composition along a path of source names.
     pub fn materialize_composed(&mut self, path: &[&str]) -> GamResult<(SourceRelId, usize)> {
-        let ids = path_ids_of(&self.store, path)?;
-        self.invalidate_caches();
-        operators::materialize::materialize_composed(&mut self.store, &ids)
+        let ids = path_ids_of(self.store(), path)?;
+        operators::materialize::materialize_composed(self.store_mut(), &ids)
     }
 
     /// Derive and materialize the Subsumed mapping of a taxonomy source.
     pub fn materialize_subsumed(&mut self, source: &str) -> GamResult<(SourceRelId, usize)> {
         let id = self.source_id(source)?;
-        self.invalidate_caches();
-        operators::materialize::materialize_subsumed(&mut self.store, id)
+        operators::materialize::materialize_subsumed(self.store_mut(), id)
     }
 
     // ------------------------------------------------------------------
@@ -432,19 +465,19 @@ impl GenMapper {
     /// entire read path runs without exclusive access, so any number of
     /// readers can query while sharing one system.
     pub fn query(&self, spec: &QuerySpec) -> GamResult<ResolvedView> {
-        run_query(&self.store, &self.cache, spec)
+        run_query(self.store(), self.store.cache(), spec)
     }
 
     /// Explain a [`QuerySpec`]: the cost-based plan the executor would
     /// choose, rendered with estimated vs actual cardinalities from a
     /// one-shot instrumented (uncached) run. `&self`, like [`Self::query`].
     pub fn explain(&self, spec: &QuerySpec) -> GamResult<String> {
-        run_explain(&self.store, &self.cache, spec)
+        run_explain(self.store(), self.store.cache(), spec)
     }
 
     /// Full information about one object (Figure 6c).
     pub fn object_info(&self, source: &str, accession: &str) -> GamResult<ObjectInfo> {
-        object_info_of(&self.store, source, accession)
+        object_info_of(self.store(), source, accession)
     }
 
     /// An immutable, self-contained snapshot of the whole read surface:
@@ -457,20 +490,19 @@ impl GenMapper {
     /// last capture; otherwise the snapshot shares the previous read copy.
     pub fn capture_snapshot(&self) -> GamResult<crate::Snapshot> {
         let at = self.store.mutation_count();
-        let memo = { self.captured.lock().clone() };
-        let reader = match memo {
+        let reader = match self.captured.load() {
             Some((count, reader)) if count == at => reader,
             _ => {
-                let reader = Arc::new(GamSnapshot::capture(&self.store)?);
-                *self.captured.lock() = Some((at, reader.clone()));
+                let reader = Arc::new(GamSnapshot::capture(self.store())?);
+                self.captured.store(Some((at, reader.clone())));
                 reader
             }
         };
         // a publish pays for the graph, not the first reader after it
-        self.cache.graph(&*reader)?;
+        self.store.cache().graph(&*reader)?;
         Ok(crate::Snapshot {
             reader,
-            cache: self.cache.clone(),
+            cache: self.store.cache().clone(),
             saved: self.saved.clone(),
             version: self.version_stamp(),
             store_stats: self.store.database().stats()?,
@@ -694,8 +726,8 @@ mod tests {
     use super::*;
     use crate::query::TargetQuery;
     use crate::ExportFormat;
+    use relstore::sync::Mutex;
     use sources::ecosystem::{Ecosystem, EcosystemParams};
-    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     fn system() -> GenMapper {
         let eco = Ecosystem::generate(EcosystemParams::demo(7));
@@ -993,10 +1025,10 @@ mod tests {
     struct Counting<'a> {
         inner: &'a dyn GamRead,
         batches: Mutex<Vec<Vec<ObjectId>>>,
-        source_reads: AtomicUsize,
-        mappings_read: AtomicUsize,
-        flat_read: AtomicUsize,
-        pairs_read: AtomicUsize,
+        source_reads: Mutex<usize>,
+        mappings_read: Mutex<usize>,
+        flat_read: Mutex<usize>,
+        pairs_read: Mutex<usize>,
     }
 
     /// What a reader lent of its mappings: how many, how many of them
@@ -1021,15 +1053,15 @@ mod tests {
         }
 
         fn lent(&self, pairs: usize) {
-            self.mappings_read.fetch_add(1, SeqCst);
-            self.pairs_read.fetch_add(pairs, SeqCst);
+            *self.mappings_read.lock() += 1;
+            *self.pairs_read.lock() += pairs;
         }
 
         fn take_mapping_reads(&self) -> MappingReads {
             MappingReads {
-                mappings: self.mappings_read.swap(0, SeqCst),
-                flat: self.flat_read.swap(0, SeqCst),
-                pairs: self.pairs_read.swap(0, SeqCst),
+                mappings: std::mem::take(&mut *self.mappings_read.lock()),
+                flat: std::mem::take(&mut *self.flat_read.lock()),
+                pairs: std::mem::take(&mut *self.pairs_read.lock()),
             }
         }
 
@@ -1038,7 +1070,7 @@ mod tests {
         }
 
         fn take_source_reads(&self) -> usize {
-            self.source_reads.swap(0, SeqCst)
+            std::mem::take(&mut *self.source_reads.lock())
         }
     }
 
@@ -1050,7 +1082,7 @@ mod tests {
             self.inner.find_source(name)
         }
         fn get_source(&self, id: SourceId) -> GamResult<gam::Source> {
-            self.source_reads.fetch_add(1, SeqCst);
+            *self.source_reads.lock() += 1;
             self.inner.get_source(id)
         }
         fn objects_of(&self, source: SourceId) -> GamResult<Vec<gam::GamObject>> {
@@ -1094,7 +1126,7 @@ mod tests {
         }
         fn load_mapping(&self, id: SourceRelId) -> GamResult<gam::Mapping> {
             let mapping = self.inner.load_mapping(id)?;
-            self.flat_read.fetch_add(1, SeqCst);
+            *self.flat_read.lock() += 1;
             self.lent(mapping.len());
             Ok(mapping)
         }
@@ -1192,7 +1224,7 @@ mod tests {
                 }
             }
             assert!(snap.render_query(&unknown, ExportFormat::Tsv).is_err());
-            let live: (&dyn GamRead, &VersionCache) = (&gm.store, &gm.cache);
+            let live: (&dyn GamRead, &VersionCache) = (gm.store(), gm.store.cache());
             let snapshot: (&dyn GamRead, &VersionCache) = (&*snap.reader, &snap.cache);
             for (reader, cache) in [live, snapshot] {
                 let counting = Counting::new(reader);
@@ -1234,7 +1266,7 @@ mod tests {
     /// Run `spec` on `gm`'s store from a fresh cache; the view's first
     /// column as a set, and the mappings the run read.
     fn counted_query(gm: &GenMapper, spec: &QuerySpec) -> (BTreeSet<String>, MappingReads) {
-        let counting = Counting::new(&gm.store);
+        let counting = Counting::new(gm.store());
         let view = run_query(&counting, &VersionCache::default(), spec).unwrap();
         let firsts = view.rows().filter_map(|r| r.cell_text(0).map(str::to_owned)).collect();
         (firsts, counting.take_mapping_reads())
@@ -1377,7 +1409,7 @@ mod tests {
         assert_eq!(reads, MappingReads { mappings: 1, flat: 0, pairs: n });
 
         let ids: Vec<SourceId> = path.iter().map(|name| gm.source_id(name).unwrap()).collect();
-        let counting = Counting::new(&gm.store);
+        let counting = Counting::new(gm.store());
         let map = operators::map_index(&counting, ids[0], ids[2]).unwrap();
         assert_eq!(counting.take_mapping_reads(), reads);
         let on_the_fly = operators::compose_path_idx(&counting, &ids, &ExecConfig::sequential()).unwrap();
@@ -1402,8 +1434,7 @@ mod tests {
 
     #[test]
     fn durable_roundtrip() {
-        let dir = std::env::temp_dir().join("genmapper-system-tests").join("roundtrip");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = testkit::TempDir::new("genmapper-system-roundtrip");
         let eco = Ecosystem::generate(EcosystemParams::demo(9));
         let cards = {
             let mut gm = GenMapper::open(&dir).unwrap();
@@ -1419,6 +1450,5 @@ mod tests {
                 .unwrap();
             assert!(view.rows().any(|r| r.cell_text(1) == Some("APRT")));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,7 +14,7 @@
 use genmapper::{GenMapper, QuerySpec, ResolvedView, SharedGenMapper};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use relstore::sync::{SeqCount, SeqFlag};
 use std::sync::{Arc, Mutex};
 
 fn demo_system() -> GenMapper {
@@ -60,8 +60,8 @@ fn concurrent_readers_see_only_published_versions_bit_identically() {
     })
     .unwrap();
 
-    let done = Arc::new(AtomicBool::new(false));
-    let checked = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(SeqFlag::default());
+    let checked = Arc::new(SeqCount::default());
 
     std::thread::scope(|scope| {
         // ---- single writer: mutate, record reference, publish ----
@@ -101,7 +101,7 @@ fn concurrent_readers_see_only_published_versions_bit_identically() {
                     })
                     .unwrap();
                 }
-                done.store(true, Ordering::SeqCst);
+                done.set(true);
             });
         }
 
@@ -114,7 +114,7 @@ fn concurrent_readers_see_only_published_versions_bit_identically() {
             scope.spawn(move || {
                 let specs = specs();
                 let mut last_version = (0, 0);
-                while !done.load(Ordering::SeqCst) {
+                while !done.get() {
                     let snap = sh.snapshot();
                     let version = snap.version();
                     assert!(
@@ -136,14 +136,14 @@ fn concurrent_readers_see_only_published_versions_bit_identically() {
                         &results, reference,
                         "reader {reader}: snapshot answers diverge at {version:?}"
                     );
-                    checked.fetch_add(1, Ordering::Relaxed);
+                    checked.add(1);
                 }
             });
         }
     });
 
     assert!(
-        checked.load(Ordering::Relaxed) > 0,
+        checked.get() > 0,
         "readers verified at least one snapshot"
     );
     // the final published snapshot matches a fresh single-threaded pass
@@ -162,8 +162,8 @@ fn concurrent_readers_see_only_published_versions_bit_identically() {
 #[test]
 fn readers_never_block_on_a_slow_writer() {
     let sh = Arc::new(SharedGenMapper::new(demo_system()).unwrap());
-    let reads_during_write = Arc::new(AtomicU64::new(0));
-    let done = Arc::new(AtomicBool::new(false));
+    let reads_during_write = Arc::new(SeqCount::default());
+    let done = Arc::new(SeqFlag::default());
 
     std::thread::scope(|scope| {
         {
@@ -172,12 +172,12 @@ fn readers_never_block_on_a_slow_writer() {
             let done = done.clone();
             scope.spawn(move || {
                 let spec = &specs()[0];
-                while !done.load(Ordering::SeqCst) {
+                while !done.get() {
                     let snap = sh.snapshot();
                     let view = snap.query(spec).unwrap();
                     assert!(!view.is_empty());
                     if sh.import_status().writing {
-                        reads.fetch_add(1, Ordering::SeqCst);
+                        reads.add(1);
                     }
                 }
             });
@@ -192,11 +192,11 @@ fn readers_never_block_on_a_slow_writer() {
             Ok(())
         })
         .unwrap();
-        done.store(true, Ordering::SeqCst);
+        done.set(true);
     });
 
     assert!(
-        reads_during_write.load(Ordering::SeqCst) > 0,
+        reads_during_write.get() > 0,
         "snapshot reads completed while the writer held its lock"
     );
 }

@@ -87,14 +87,18 @@ impl<'a> Importer<'a> {
         }
 
         // Everything the batch writes commits inside one group-commit
-        // window: the WAL is fsynced once, at the end.
-        self.store.begin_group_commit();
-        let body = self.import_body(existing, batch, &mut report);
-        let wal_start = Instant::now();
-        let synced = self.store.end_group_commit();
-        self.timings.wal += wal_start.elapsed();
-        body?;
-        synced?;
+        // window: the WAL is fsynced once, as the window closes.
+        let timings = &mut self.timings;
+        let mut body_done = Instant::now();
+        let closed = self.store.with_group_commit(|store| {
+            let mut inner = Importer { store, timings: *timings };
+            let body = inner.import_body(existing, batch, &mut report);
+            *timings = inner.timings;
+            body_done = Instant::now();
+            body
+        });
+        self.timings.wal += body_done.elapsed();
+        closed?;
         let attributed = (self.timings.insert - insert0) + (self.timings.wal - wal0);
         self.timings.resolve += start.elapsed().saturating_sub(attributed);
         Ok(report)

@@ -41,6 +41,10 @@
         clippy::unimplemented
     )
 )]
+// Nor may it drop them: a `Result` bound to `_` or discarded by a bare
+// `.ok()` turns a failed write or fsync into data that reads as if it had
+// landed.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 pub mod importer;
 pub mod pipeline;
 pub mod report;

@@ -681,20 +681,20 @@ impl<'db> Transaction<'db> {
     /// nothing is inserted. Semantically identical to a loop of
     /// [`insert`](Self::insert) calls that all succeed; logged as one run,
     /// each row encoded once for the table and the log alike.
-    pub fn insert_batch(
-        &mut self,
-        table: &str,
-        rows: Vec<Vec<Value>>,
-    ) -> StoreResult<Vec<RowId>> {
+    ///
+    /// Returns the first row's id: row `i` of the batch is at `first + i`.
+    /// An empty batch inserts and logs nothing and returns the id its first
+    /// row would have had.
+    pub fn insert_batch(&mut self, table: &str, rows: Vec<Vec<Value>>) -> StoreResult<RowId> {
         self.check_open()?;
+        let t = self.db.table_mut_internal(table)?;
         if rows.is_empty() {
-            return Ok(Vec::new());
+            return Ok(t.next_row_id());
         }
         let mut cells = Vec::new();
-        let first = self.db.table_mut_internal(table)?.insert_run(&rows, &mut cells)?;
-        let count = rows.len() as u64;
-        self.logged_run(table, first, count, cells)?;
-        Ok((first.0..first.0 + count).map(RowId).collect())
+        let first = t.insert_run(&rows, &mut cells)?;
+        self.logged_run(table, first, rows.len() as u64, cells)?;
+        Ok(first)
     }
 
     /// Delete a row by id.
@@ -813,12 +813,8 @@ mod tests {
             .unwrap()
     }
 
-    use std::fs;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("relstore-db-tests").join(name);
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(name: &str) -> testkit::TempDir {
+        testkit::TempDir::new(&format!("relstore-db-{name}"))
     }
 
     #[test]
@@ -1096,16 +1092,16 @@ mod tests {
             db.create_table(schema("t")).unwrap();
             db.checkpoint().unwrap();
             db.with_txn(|txn| {
-                let ids = txn.insert_batch(
+                let first = txn.insert_batch(
                     "t",
                     vec![
                         vec![Value::Int(1), Value::text("a")],
                         vec![Value::Int(2), Value::text("b")],
                     ],
                 )?;
-                assert_eq!(ids, vec![RowId(0), RowId(1)]);
+                assert_eq!(first, RowId(0));
                 // an empty batch inserts and logs nothing
-                assert_eq!(txn.insert_batch("t", Vec::new())?, []);
+                assert_eq!(txn.insert_batch("t", Vec::new())?, RowId(2));
                 Ok(())
             })
             .unwrap();
@@ -1511,11 +1507,11 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-            wal_backup = fs::read(dir.join(WAL_FILE)).unwrap();
+            wal_backup = dir.read(WAL_FILE);
             db.checkpoint().unwrap(); // epoch 2, WAL reset
         }
         // put the stale (epoch 1) WAL back, as if the reset never ran
-        fs::write(dir.join(WAL_FILE), &wal_backup).unwrap();
+        dir.write(WAL_FILE, &wal_backup);
         {
             let db = Database::open(&dir).unwrap();
             let report = db.recovery_report().unwrap();

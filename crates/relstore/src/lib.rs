@@ -63,6 +63,10 @@
         clippy::unimplemented
     )
 )]
+// Nor may it drop them: a `Result` bound to `_` or discarded by a bare
+// `.ok()` turns a failed write or fsync into data that reads as if it had
+// landed.
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 // One `unsafe` block, allowed where it stands: the call into the CRC-32 fold.
 #![deny(unsafe_code)]
 

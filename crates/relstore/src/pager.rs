@@ -30,12 +30,11 @@ use crate::page::{PageId, PageImage, MAX_PAGE_SLOTS};
 use crate::row::Row;
 use crate::schema::{get_schema, put_schema, Schema};
 use crate::stats::PoolStats;
-use crate::sync::Mutex;
+use crate::sync::{Counter, Mutex};
 use crate::vfs::{Vfs, VfsFile, VfsReader};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Buffer-pool sizing.
@@ -80,17 +79,17 @@ struct Frame {
 
 /// Monotonic pool metrics, readable without the pool lock so concurrent
 /// snapshot readers can poll `stats()` while a writer holds the pool.
-/// Relaxed ordering is enough: each counter is an independent tally, not
-/// a synchronization point.
+/// Each is an independent tally, not a synchronization point: a
+/// [`Counter`].
 #[derive(Default)]
 struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    writeback_pages: AtomicU64,
-    writeback_bytes: AtomicU64,
-    checkpoint_pages: AtomicU64,
-    checkpoint_bytes: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    writeback_pages: Counter,
+    writeback_bytes: Counter,
+    checkpoint_pages: Counter,
+    checkpoint_bytes: Counter,
 }
 
 struct PoolInner {
@@ -198,7 +197,7 @@ impl Pager {
         let mut inner = self.pool.lock();
         if let Some(frame) = inner.frames.get_mut(&pid) {
             frame.referenced = true;
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.add(1);
             return Ok(frame.image.clone());
         }
         self.fault(&mut inner, pid)
@@ -215,7 +214,7 @@ impl Pager {
     ) -> StoreResult<T> {
         let mut inner = self.pool.lock();
         if inner.frames.contains_key(&pid) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.add(1);
         } else {
             self.fault(&mut inner, pid)?;
         }
@@ -247,7 +246,7 @@ impl Pager {
     /// A miss: read and parse the page, make room, then insert it as a
     /// clean frame. A failed read or parse leaves the pool as it was.
     fn fault(&self, inner: &mut PoolInner, pid: PageId) -> StoreResult<Arc<PageImage>> {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.add(1);
         let image = PageImage::parse(self.read_image(inner, pid)?)?;
         if image.table_id != pid.table_id || image.page_no != pid.page_no {
             return Err(StoreError::Corrupt(format!(
@@ -296,12 +295,12 @@ impl Pager {
             }
             if frame.dirty {
                 let bytes = self.write_back(inner, pid)?;
-                self.counters.writeback_pages.fetch_add(1, Ordering::Relaxed);
-                self.counters.writeback_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.counters.writeback_pages.add(1);
+                self.counters.writeback_bytes.add(bytes);
             }
             inner.frames.remove(&pid);
             inner.clock.swap_remove(inner.hand);
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            self.counters.evictions.add(1);
             return Ok(());
         }
     }
@@ -383,8 +382,8 @@ impl Pager {
                 return Err(e);
             }
         }
-        self.counters.checkpoint_pages.fetch_add(pages, Ordering::Relaxed);
-        self.counters.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.checkpoint_pages.add(pages);
+        self.counters.checkpoint_bytes.add(bytes);
         Ok((pages, bytes))
     }
 
@@ -437,8 +436,8 @@ impl Pager {
         Ok(())
     }
 
-    /// Snapshot of the pool metrics. The monotonic counters are read from
-    /// atomics without the pool lock, so concurrent readers can poll this
+    /// Snapshot of the pool metrics. The monotonic counters are read
+    /// without the pool lock, so concurrent readers can poll this
     /// while a writer is mid-eviction; only the residency census briefly
     /// takes the lock.
     pub fn stats(&self) -> PoolStats {
@@ -461,13 +460,13 @@ impl Pager {
             resident,
             pinned,
             dirty,
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            writeback_pages: self.counters.writeback_pages.load(Ordering::Relaxed),
-            writeback_bytes: self.counters.writeback_bytes.load(Ordering::Relaxed),
-            checkpoint_pages: self.counters.checkpoint_pages.load(Ordering::Relaxed),
-            checkpoint_bytes: self.counters.checkpoint_bytes.load(Ordering::Relaxed),
+            evictions: self.counters.evictions.get(),
+            hits: self.counters.hits.get(),
+            misses: self.counters.misses.get(),
+            writeback_pages: self.counters.writeback_pages.get(),
+            writeback_bytes: self.counters.writeback_bytes.get(),
+            checkpoint_pages: self.counters.checkpoint_pages.get(),
+            checkpoint_bytes: self.counters.checkpoint_bytes.get(),
             heap_bytes,
         }
     }

@@ -521,14 +521,18 @@ mod tests {
     use super::*;
     use crate::value::Value;
     use crate::vfs::RealVfs;
-    use std::fs;
+    use testkit::TempDir;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("relstore-wal-tests");
-        fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
-        let _ = fs::remove_file(&p);
-        p
+    /// A log's path in a fresh scratch directory, which lives as long as
+    /// the directory handle.
+    fn tmp(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("relstore-wal");
+        let path = dir.join(name);
+        (dir, path)
+    }
+
+    fn read(path: &Path) -> Vec<u8> {
+        RealVfs.read(path).unwrap().unwrap()
     }
 
     /// A writer over a log that does not exist yet.
@@ -553,7 +557,7 @@ mod tests {
 
     #[test]
     fn roundtrip_committed_transactions() {
-        let path = tmp("roundtrip.wal");
+        let (_dir, path) = tmp("roundtrip.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&ins("t", 1, 2)).unwrap();
@@ -566,7 +570,7 @@ mod tests {
         w.append(&LogRecord::Commit { txid: 2 }).unwrap();
         w.sync().unwrap();
 
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_txns, 2);
         assert_eq!(r.committed_ops.len(), 3);
@@ -579,8 +583,8 @@ mod tests {
 
     #[test]
     fn append_batch_is_frame_identical_to_per_record_appends() {
-        let one = tmp("batch-one.wal");
-        let many = tmp("batch-many.wal");
+        let (_one, one) = tmp("batch-one.wal");
+        let (_many, many) = tmp("batch-many.wal");
         let records = vec![
             ins("t", 0, 1),
             ins("t", 1, 2),
@@ -597,8 +601,8 @@ mod tests {
         w2.append_batch(&records).unwrap();
         w2.sync().unwrap();
         assert_eq!(w1.bytes_written(), w2.bytes_written());
-        let data = fs::read(&many).unwrap();
-        assert_eq!(fs::read(&one).unwrap(), data);
+        let data = read(&many);
+        assert_eq!(read(&one), data);
         let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_txns, 2);
         assert_eq!(r.committed_ops.len(), 3);
@@ -606,14 +610,14 @@ mod tests {
 
     #[test]
     fn uncommitted_tail_is_discarded() {
-        let path = tmp("uncommitted.wal");
+        let (_dir, path) = tmp("uncommitted.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.append(&ins("t", 1, 2)).unwrap(); // never committed
         w.sync().unwrap();
 
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let r = scan_wal(&data).unwrap();
         assert_eq!(r.committed_ops.len(), 1);
         assert_eq!(r.discarded_ops, 1);
@@ -622,7 +626,7 @@ mod tests {
 
     #[test]
     fn torn_record_ends_recovery() {
-        let path = tmp("torn.wal");
+        let (_dir, path) = tmp("torn.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
@@ -631,7 +635,7 @@ mod tests {
         w.sync().unwrap();
 
         // chop off the last 3 bytes to tear the final frame
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let data = &data[..data.len() - 3];
         let r = scan_wal(data).unwrap();
         assert_eq!(r.committed_txns, 1);
@@ -645,7 +649,7 @@ mod tests {
     fn reopen_truncates_torn_tail_so_new_records_are_recoverable() {
         // Regression: append-after-torn-tail used to bury every later
         // record behind the corrupt frame, where recovery never looks.
-        let path = tmp("reopen-torn.wal");
+        let (dir, path) = tmp("reopen-torn.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
@@ -653,12 +657,12 @@ mod tests {
         w.append(&LogRecord::Commit { txid: 2 }).unwrap();
         w.sync().unwrap();
         drop(w);
-        let data = fs::read(&path).unwrap();
-        fs::write(&path, &data[..data.len() - 3]).unwrap();
+        let data = read(&path);
+        dir.write(&path, &data[..data.len() - 3]);
 
         // reopen as recovery does: one read, one scan, the writer told
         // where the committed prefix ends
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let r = scan_wal(&data).unwrap();
         let cut = r.committed_bytes < data.len() as u64;
         let mut w = WalWriter::open(Arc::new(RealVfs), &path, r.committed_bytes, cut).unwrap();
@@ -666,7 +670,7 @@ mod tests {
         w.append(&LogRecord::Commit { txid: 3 }).unwrap();
         w.sync().unwrap();
 
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let r = scan_wal(&data).unwrap();
         assert!(r.torn_at.is_none(), "torn tail must be gone after reopen");
         assert_eq!(r.committed_txns, 2);
@@ -677,12 +681,12 @@ mod tests {
 
     #[test]
     fn corrupted_crc_ends_recovery() {
-        let path = tmp("badcrc.wal");
+        let (_dir, path) = tmp("badcrc.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
-        let mut data = fs::read(&path).unwrap();
+        let mut data = read(&path);
         // flip a payload byte of the first record
         let victim = 9;
         data[victim] ^= 0xff;
@@ -794,7 +798,7 @@ mod tests {
 
     #[test]
     fn reset_truncates_and_stamps_epoch() {
-        let path = tmp("reset.wal");
+        let (_dir, path) = tmp("reset.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
@@ -805,7 +809,7 @@ mod tests {
         w.append(&ins("t", 0, 9)).unwrap();
         w.append(&LogRecord::Commit { txid: 2 }).unwrap();
         w.sync().unwrap();
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let r = scan_wal(&data).unwrap();
         assert_eq!(r.epoch, Some(7));
         assert_eq!(r.committed_ops.len(), 1);
@@ -814,12 +818,12 @@ mod tests {
 
     #[test]
     fn pre_epoch_logs_report_no_epoch() {
-        let path = tmp("no-epoch.wal");
+        let (_dir, path) = tmp("no-epoch.wal");
         let mut w = fresh(&path);
         w.append(&ins("t", 0, 1)).unwrap();
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         let r = scan_wal(&data).unwrap();
         assert!(r.epoch.is_none());
         assert_eq!(r.committed_txns, 1);
@@ -829,15 +833,15 @@ mod tests {
     fn large_batch_spills_before_sync() {
         // More than FLUSH_THRESHOLD of frames must not accumulate in the
         // writer; spilled bytes appear in the file even before sync.
-        let path = tmp("spill.wal");
+        let (_dir, path) = tmp("spill.wal");
         let mut w = fresh(&path);
         let big: Vec<LogRecord> = (0..4096).map(|i| ins("table_name", i, i as i64)).collect();
         w.append_batch(&big).unwrap();
         assert!(w.bytes_written() as usize > FLUSH_THRESHOLD);
-        assert!(fs::metadata(&path).unwrap().len() > 0);
+        assert!(RealVfs.file_len(&path).unwrap().unwrap() > 0);
         w.append(&LogRecord::Commit { txid: 1 }).unwrap();
         w.sync().unwrap();
-        let data = fs::read(&path).unwrap();
+        let data = read(&path);
         assert_eq!(scan_wal(&data).unwrap().committed_ops.len(), 4096);
     }
 }

@@ -13,12 +13,12 @@ use relstore::db::{heap_file_name, PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE};
 use relstore::schema::{Column, Schema};
 use relstore::value::{Value, ValueType};
 use relstore::vfs::{FaultVfs, RealVfs, Vfs, VfsFile, VfsReader};
+use relstore::sync::Counter;
 use relstore::{Database, PoolConfig, RowId, SnapshotSource, StoreError, StoreResult};
 use std::collections::HashMap;
-use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
+use testkit::TempDir;
 
 fn schema() -> Schema {
     Schema::builder("t")
@@ -41,12 +41,8 @@ fn open_paged(dir: &Path) -> StoreResult<Database> {
 type Open = fn(&Path) -> StoreResult<Database>;
 const MODES: [(&str, Open); 2] = [("open", Database::open), ("open_paged", open_paged)];
 
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("relstore-recovery-tests")
-        .join(format!("{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn test_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("relstore-recovery-{name}"))
 }
 
 fn insert_range(db: &mut Database, range: std::ops::Range<i64>) {
@@ -76,7 +72,7 @@ fn ids(db: &Database) -> Vec<i64> {
 /// Build a directory with two checkpoints and a live WAL tail:
 /// `pagedir.prev` holds 0..10 (epoch 1), `pagedir.bin` holds 0..20
 /// (epoch 2), and the WAL (epoch 2) commits 20..30.
-fn seeded_dir(name: &str, open: Open) -> PathBuf {
+fn seeded_dir(name: &str, open: Open) -> TempDir {
     let dir = test_dir(name);
     let mut db = open(&dir).unwrap();
     db.create_table(schema()).unwrap();
@@ -86,7 +82,7 @@ fn seeded_dir(name: &str, open: Open) -> PathBuf {
     db.checkpoint().unwrap();
     insert_range(&mut db, 20..30);
     drop(db);
-    assert!(dir.join(PAGEDIR_PREV_FILE).exists());
+    assert!(RealVfs.exists(&dir.join(PAGEDIR_PREV_FILE)));
     dir
 }
 
@@ -108,9 +104,9 @@ fn corrupt_primary_snapshot_falls_back_to_previous() {
             let case = format!("{mode} {name}");
             let dir = seeded_dir(&format!("ckpt-{mode}-{name}"), open);
             let path = dir.join(PAGEDIR_FILE);
-            let mut data = fs::read(&path).unwrap();
+            let mut data = dir.read(&path);
             corrupt(&mut data);
-            fs::write(&path, &data).unwrap();
+            dir.write(&path, &data);
 
             let db = open(&dir).unwrap();
             let report = db.recovery_report().unwrap().clone();
@@ -125,7 +121,6 @@ fn corrupt_primary_snapshot_falls_back_to_previous() {
             let report = db.recovery_report().unwrap();
             assert!(!report.wal_stale, "case {case} reopen");
             assert_eq!(ids(&db), (0..10).collect::<Vec<_>>(), "case {case} reopen");
-            let _ = fs::remove_dir_all(&dir);
         }
     }
 }
@@ -138,10 +133,10 @@ fn both_snapshots_corrupt_degrades_to_empty() {
         let dir = seeded_dir(&format!("both-bad-{mode}"), open);
         for file in [PAGEDIR_FILE, PAGEDIR_PREV_FILE] {
             let path = dir.join(file);
-            let mut data = fs::read(&path).unwrap();
+            let mut data = dir.read(&path);
             let n = data.len();
             data[n / 2] ^= 0xff;
-            fs::write(&path, &data).unwrap();
+            dir.write(&path, &data);
         }
         let db = open(&dir).unwrap();
         let report = db.recovery_report().unwrap();
@@ -149,7 +144,6 @@ fn both_snapshots_corrupt_degrades_to_empty() {
         assert_eq!(report.epoch, 0, "{mode}");
         assert!(report.wal_stale, "{mode}");
         assert!(db.table("t").is_err(), "{mode}: no table survives a total wipe");
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -168,7 +162,7 @@ fn missing_primary_replays_wal_onto_fallback() {
         insert_range(&mut db, 10..20); // WAL, epoch 1
         drop(db);
         // Simulate the interrupted second checkpoint.
-        fs::rename(dir.join(PAGEDIR_FILE), dir.join(PAGEDIR_PREV_FILE)).unwrap();
+        RealVfs.rename(&dir.join(PAGEDIR_FILE), &dir.join(PAGEDIR_PREV_FILE)).unwrap();
 
         let db = open(&dir).unwrap();
         let report = db.recovery_report().unwrap();
@@ -177,7 +171,6 @@ fn missing_primary_replays_wal_onto_fallback() {
         assert!(!report.wal_stale, "{mode}");
         assert!(report.wal_txns >= 1, "{mode}");
         assert_eq!(ids(&db), (0..20).collect::<Vec<_>>(), "{mode}");
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -194,11 +187,11 @@ fn fallback_snapshot_with_torn_wal_keeps_committed_prefix() {
         insert_range(&mut db, 10..20); // committed, epoch 1
         insert_range(&mut db, 20..30); // committed, epoch 1 — will be torn
         drop(db);
-        fs::rename(dir.join(PAGEDIR_FILE), dir.join(PAGEDIR_PREV_FILE)).unwrap();
+        RealVfs.rename(&dir.join(PAGEDIR_FILE), &dir.join(PAGEDIR_PREV_FILE)).unwrap();
         let wal_path = dir.join(WAL_FILE);
-        let mut wal = fs::read(&wal_path).unwrap();
+        let mut wal = dir.read(&wal_path);
         wal.truncate(wal.len() - 5); // tear the final commit frame
-        fs::write(&wal_path, &wal).unwrap();
+        dir.write(&wal_path, &wal);
 
         let db = open(&dir).unwrap();
         let report = db.recovery_report().unwrap();
@@ -207,7 +200,6 @@ fn fallback_snapshot_with_torn_wal_keeps_committed_prefix() {
         assert!(report.wal_torn_at.is_some(), "{mode}");
         // txn 20..30 lost its commit marker: committed prefix only.
         assert_eq!(ids(&db), (0..20).collect::<Vec<_>>(), "{mode}");
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -226,14 +218,14 @@ fn wal_bitflips_degrade_to_a_committed_prefix() {
         }
         drop(db);
         let wal_path = dir.join(WAL_FILE);
-        let mut wal = fs::read(&wal_path).unwrap();
+        let mut wal = dir.read(&wal_path);
         // deterministic pseudo-random flip position
         let pos = (seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(12345) as usize)
             % wal.len();
         wal[pos] ^= 0x40;
-        fs::write(&wal_path, &wal).unwrap();
+        dir.write(&wal_path, &wal);
 
         let db = Database::open(&dir).unwrap();
         let report = db.recovery_report().unwrap();
@@ -242,7 +234,6 @@ fn wal_bitflips_degrade_to_a_committed_prefix() {
         assert!(report.wal_txns <= 6, "seed {seed}");
         assert_eq!(got.len() % 5, 0, "seed {seed}: {got:?}");
         assert_eq!(got, (0..got.len() as i64).collect::<Vec<_>>(), "seed {seed}");
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -250,7 +241,7 @@ fn wal_bitflips_degrade_to_a_committed_prefix() {
 
 /// 100 rows checkpointed, then 10 more in one committed transaction that
 /// lives only in the WAL.
-fn checkpointed_plus_wal_tail(name: &str, open: Open) -> PathBuf {
+fn checkpointed_plus_wal_tail(name: &str, open: Open) -> TempDir {
     let dir = test_dir(name);
     let mut db = open(&dir).unwrap();
     db.create_table(schema()).unwrap();
@@ -261,14 +252,8 @@ fn checkpointed_plus_wal_tail(name: &str, open: Open) -> PathBuf {
     dir
 }
 
-fn dir_image(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut files: Vec<_> = fs::read_dir(dir)
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .map(|path| (path.clone(), fs::read(&path).unwrap()))
-        .collect();
-    files.sort();
-    files
+fn dir_image(dir: &TempDir) -> Vec<(PathBuf, Vec<u8>)> {
+    dir.files().into_iter().map(|path| (path.clone(), dir.read(&path))).collect()
 }
 
 /// A paged directory opened without a pool used to come up empty and reset
@@ -286,7 +271,6 @@ fn paged_directory_opened_without_a_pool_is_refused_untouched() {
     let db = open_paged(&dir).unwrap();
     assert_eq!(db.recovery_report().unwrap().wal_txns, 1);
     assert_eq!(ids(&db), (0..110).collect::<Vec<_>>());
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A page directory from a newer build — whole, its checksum good, its
@@ -310,12 +294,12 @@ fn a_directory_from_a_newer_version_is_refused_untouched() {
         insert_range(&mut db, 30..40);
         drop(db);
         let path = dir.join(PAGEDIR_FILE);
-        let mut data = fs::read(&path).unwrap();
+        let mut data = dir.read(&path);
         let newer = u32::from_le_bytes(data[4..8].try_into().unwrap()) + 1;
         data[4..8].copy_from_slice(&newer.to_le_bytes());
         let crc = crc32(&data[12..]);
         data[8..12].copy_from_slice(&crc.to_le_bytes());
-        fs::write(&path, &data).unwrap();
+        dir.write(&path, &data);
 
         let before = dir_image(&dir);
         for name in [PAGEDIR_FILE, PAGEDIR_PREV_FILE, WAL_FILE] {
@@ -334,7 +318,6 @@ fn a_directory_from_a_newer_version_is_refused_untouched() {
                 "{mode} store, {reopen}: a refused open changes nothing"
             );
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -358,17 +341,17 @@ fn a_whole_wal_frame_that_does_not_decode_is_refused_untouched() {
         db.checkpoint().unwrap();
         insert_range(&mut db, 1..2);
         drop(db);
-        let first = fs::read(dir.join(WAL_FILE)).unwrap();
+        let first = dir.read(WAL_FILE);
         let mut db = open(&dir).unwrap();
         insert_range(&mut db, 2..3);
         drop(db);
-        let both = fs::read(dir.join(WAL_FILE)).unwrap();
+        let both = dir.read(WAL_FILE);
         let (head, second) = both.split_at(first.len());
         assert_eq!(head, &first[..], "{mode}: the reopen rewrote the log");
 
         let cases: [(&str, &[u8]); 2] = [("unknown tag", &[7, 0]), ("insert body", &[1, 9, b't'])];
         for (case, payload) in cases {
-            fs::write(dir.join(WAL_FILE), [&first[..], &frame(payload, crc32(payload)), second].concat()).unwrap();
+            dir.write(dir.join(WAL_FILE), [&first[..], &frame(payload, crc32(payload)), second].concat());
             let before = dir_image(&dir);
             match (open(&dir), case) {
                 (Err(StoreError::Unsupported(msg)), "unknown tag") => assert!(msg.contains("tag 7"), "{msg}"),
@@ -379,12 +362,11 @@ fn a_whole_wal_frame_that_does_not_decode_is_refused_untouched() {
         }
 
         let payload = [7, 0];
-        fs::write(dir.join(WAL_FILE), [&first[..], &frame(&payload, !crc32(&payload)), second].concat()).unwrap();
+        dir.write(dir.join(WAL_FILE), [&first[..], &frame(&payload, !crc32(&payload)), second].concat());
         let db = open(&dir).unwrap();
         assert_eq!(db.recovery_report().unwrap().wal_torn_at, Some(first.len() as u64), "{mode}");
         assert_eq!(ids(&db), [1], "{mode}: a torn frame keeps the commit in front of it");
         drop(db);
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -393,8 +375,8 @@ fn a_whole_wal_frame_that_does_not_decode_is_refused_untouched() {
 struct Counting {
     inner: Arc<dyn Vfs>,
     reads: Mutex<HashMap<PathBuf, usize>>,
-    readers: AtomicUsize,
-    read_ats: AtomicUsize,
+    readers: Counter,
+    read_ats: Counter,
 }
 
 impl Counting {
@@ -405,7 +387,7 @@ impl Counting {
 
     /// Readers opened and reads made by path so far.
     fn heap_reads(&self) -> (usize, usize) {
-        (self.readers.load(Relaxed), self.read_ats.load(Relaxed))
+        (self.readers.get() as usize, self.read_ats.get() as usize)
     }
 }
 
@@ -415,11 +397,11 @@ impl Vfs for Counting {
         self.inner.read(path)
     }
     fn open_reader(self: Arc<Self>, path: &Path) -> StoreResult<Box<dyn VfsReader>> {
-        self.readers.fetch_add(1, Relaxed);
+        self.readers.add(1);
         self.inner.clone().open_reader(path)
     }
     fn read_at(&self, path: &Path, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
-        self.read_ats.fetch_add(1, Relaxed);
+        self.read_ats.add(1);
         self.inner.read_at(path, offset, len)
     }
     fn open_append(&self, path: &Path) -> StoreResult<Box<dyn VfsFile>> {
@@ -472,7 +454,6 @@ fn open_reads_the_wal_and_the_page_directory_once() {
         }
         assert_eq!(reads.len(), 2, "{mode}: {reads:?}");
         drop(db);
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -484,8 +465,9 @@ fn open_reads_the_wal_and_the_page_directory_once() {
 /// read the old file at the new file's offsets.
 #[test]
 fn the_pool_holds_one_reader_on_its_heap_and_compaction_re_points_it() {
+    let scratch = test_dir("one-reader");
     let backends: [(&str, Arc<dyn Vfs>, PathBuf); 2] = [
-        ("real", Arc::new(RealVfs), test_dir("one-reader")),
+        ("real", Arc::new(RealVfs), scratch.to_path_buf()),
         ("fault", Arc::new(FaultVfs::new()), PathBuf::from("/db")),
     ];
     for (backend, inner, dir) in backends {
@@ -523,7 +505,6 @@ fn the_pool_holds_one_reader_on_its_heap_and_compaction_re_points_it() {
         let db = Database::open_paged_with_vfs(vfs.clone(), &dir, config).unwrap();
         assert_eq!(ids(&db), expected, "{backend}: reopened on the compacted heap");
         drop(db);
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -554,7 +535,7 @@ fn pool_less_directory_opens_paged() {
         let db = Database::open_paged(&dir, config).unwrap();
         assert_eq!(rows(&db), expected, "page_bytes {page_bytes}: paged reopen");
         // the reopened pool knows the heap file's extent before it writes
-        let heap = fs::metadata(dir.join(heap_file_name(1))).map_or(0, |m| m.len());
+        let heap = RealVfs.file_len(&dir.join(heap_file_name(1))).unwrap().unwrap_or(0);
         let heap_bytes = db.stats().unwrap().pool.unwrap().heap_bytes;
         assert_eq!(heap_bytes, heap, "page_bytes {page_bytes}: heap_bytes after reopen");
         drop(db);
@@ -563,7 +544,6 @@ fn pool_less_directory_opens_paged() {
             Err(StoreError::Unsupported(_)) if sealed => {}
             other => panic!("page_bytes {page_bytes}: pool-less reopen: {other:?}"),
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 }
 
@@ -576,17 +556,16 @@ fn legacy_snapshot_directory_is_refused_untouched() {
     for legacy in ["snapshot.bin", "snapshot.prev"] {
         for (mode, open) in MODES {
             let dir = checkpointed_plus_wal_tail(&format!("legacy-{legacy}-{mode}"), Database::open);
-            fs::remove_file(dir.join(PAGEDIR_FILE)).unwrap();
-            fs::write(dir.join(legacy), b"RSSN").unwrap();
-            let wal = fs::read(dir.join(WAL_FILE)).unwrap();
+            RealVfs.remove(&dir.join(PAGEDIR_FILE)).unwrap();
+            dir.write(dir.join(legacy), b"RSSN");
+            let wal = dir.read(WAL_FILE);
             match open(&dir) {
                 Err(StoreError::Unsupported(msg)) => {
                     assert!(msg.contains("pre-PR-20") && msg.contains(legacy), "{msg}")
                 }
                 other => panic!("{mode} of a {legacy} directory: {other:?}"),
             }
-            assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), wal, "{mode} {legacy}");
-            let _ = fs::remove_dir_all(&dir);
+            assert_eq!(dir.read(WAL_FILE), wal, "{mode} {legacy}");
         }
     }
 }

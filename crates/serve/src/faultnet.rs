@@ -22,7 +22,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use relstore::sync::{SeqCount, SeqFlag};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -54,20 +54,20 @@ pub struct NetFaultPlan {
 /// What actually fired, for sweep assertions.
 #[derive(Debug, Default)]
 pub struct FaultCounters {
-    pub delays: AtomicU64,
-    pub disconnects: AtomicU64,
-    pub torn: AtomicU64,
-    pub stalls: AtomicU64,
+    pub delays: SeqCount,
+    pub disconnects: SeqCount,
+    pub torn: SeqCount,
+    pub stalls: SeqCount,
 }
 
 impl FaultCounters {
     /// `(delays, disconnects, torn, stalls)` injected so far.
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
         (
-            self.delays.load(Ordering::SeqCst),
-            self.disconnects.load(Ordering::SeqCst),
-            self.torn.load(Ordering::SeqCst),
-            self.stalls.load(Ordering::SeqCst),
+            self.delays.get(),
+            self.disconnects.get(),
+            self.torn.get(),
+            self.stalls.get(),
         )
     }
 
@@ -83,10 +83,10 @@ impl FaultCounters {
 /// plan's faults injected.
 pub struct FaultNet {
     local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<SeqFlag>,
     acceptor: Option<JoinHandle<()>>,
     pumps: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    ops: Arc<AtomicU64>,
+    ops: Arc<SeqCount>,
     counters: Arc<FaultCounters>,
 }
 
@@ -95,9 +95,9 @@ impl FaultNet {
     pub fn start(upstream: SocketAddr, plan: NetFaultPlan) -> io::Result<FaultNet> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(SeqFlag::default());
         let pumps: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let ops = Arc::new(AtomicU64::new(0));
+        let ops = Arc::new(SeqCount::default());
         let counters = Arc::new(FaultCounters::default());
         let acceptor = {
             let stop = stop.clone();
@@ -127,7 +127,7 @@ impl FaultNet {
 
     /// Chunks forwarded so far (both directions, all connections).
     pub fn ops(&self) -> u64 {
-        self.ops.load(Ordering::SeqCst)
+        self.ops.get()
     }
 
     /// What actually fired.
@@ -138,7 +138,7 @@ impl FaultNet {
     /// Stop the proxy: kill all proxied connections (stalled ones
     /// included) and join every thread.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.set(true);
         // unblock the acceptor
         let _ = TcpStream::connect(self.local_addr);
         if let Some(acceptor) = self.acceptor.take() {
@@ -159,22 +159,22 @@ fn acceptor_loop(
     listener: &TcpListener,
     upstream: SocketAddr,
     plan: &NetFaultPlan,
-    stop: &Arc<AtomicBool>,
+    stop: &Arc<SeqFlag>,
     pumps: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    ops: &Arc<AtomicU64>,
+    ops: &Arc<SeqCount>,
     counters: &Arc<FaultCounters>,
 ) {
     loop {
         let client = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
-                if stop.load(Ordering::SeqCst) {
+                if stop.get() {
                     return;
                 }
                 continue;
             }
         };
-        if stop.load(Ordering::SeqCst) {
+        if stop.get() {
             return;
         }
         let server = match TcpStream::connect(upstream) {
@@ -212,15 +212,15 @@ fn pump(
     mut src: TcpStream,
     mut dst: TcpStream,
     plan: &NetFaultPlan,
-    stop: &AtomicBool,
-    ops: &AtomicU64,
+    stop: &SeqFlag,
+    ops: &SeqCount,
     counters: &FaultCounters,
 ) {
     // short read timeout so the stop flag is polled even on idle streams
     let _ = src.set_read_timeout(Some(POLL));
     let mut buf = [0u8; 4096];
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.get() {
             return sever(&src, &dst);
         }
         let n = match src.read(&mut buf) {
@@ -231,29 +231,29 @@ fn pump(
             }
             Err(_) => return sever(&src, &dst),
         };
-        let op = ops.fetch_add(1, Ordering::SeqCst) + 1;
+        let op = ops.add(1) + 1;
         if plan.disconnect_at == Some(op) {
-            counters.disconnects.fetch_add(1, Ordering::SeqCst);
+            counters.disconnects.add(1);
             return sever(&src, &dst);
         }
         if plan.torn_at == Some(op) {
-            counters.torn.fetch_add(1, Ordering::SeqCst);
+            counters.torn.add(1);
             // a strict prefix: at least 0, at most n-1 bytes make it out
             let keep = (torn_mix(plan.seed, op) % n as u64) as usize;
             let _ = dst.write_all(&buf[..keep]);
             return sever(&src, &dst);
         }
         if plan.stall_at == Some(op) {
-            counters.stalls.fetch_add(1, Ordering::SeqCst);
+            counters.stalls.add(1);
             // hold the chunk and the connection: the peer sees silence
             // until its deadline (or proxy shutdown)
-            while !stop.load(Ordering::SeqCst) {
+            while !stop.get() {
                 std::thread::sleep(POLL);
             }
             return sever(&src, &dst);
         }
         if plan.delay_at == Some(op) {
-            counters.delays.fetch_add(1, Ordering::SeqCst);
+            counters.delays.add(1);
             std::thread::sleep(plan.delay);
         }
         if dst.write_all(&buf[..n]).is_err() {

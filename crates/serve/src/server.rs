@@ -12,9 +12,9 @@ use crate::conn::{ConnGuard, RequestRead};
 use crate::error::{ServeError, ServeErrorKind};
 use crate::handler::{handle_request, RequestClass, RequestContext};
 use genmapper::SharedGenMapper;
+use relstore::sync::{Counter, SeqFlag};
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,32 +62,32 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic service counters, updated by workers with relaxed atomics —
-/// readers of the stats never block request handling.
+/// Monotonic service counters, updated by workers as relaxed
+/// [`Counter`]s — readers of the stats never block request handling.
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    pub connections: AtomicU64,
-    pub requests: AtomicU64,
-    pub reads: AtomicU64,
-    pub writes: AtomicU64,
-    pub errors: AtomicU64,
+    pub connections: Counter,
+    pub requests: Counter,
+    pub reads: Counter,
+    pub writes: Counter,
+    pub errors: Counter,
     /// Writes shed by admission control (`err busy`).
-    pub shed_writes: AtomicU64,
+    pub shed_writes: Counter,
     /// Connections evicted at the read deadline.
-    pub timeouts: AtomicU64,
+    pub timeouts: Counter,
     /// Connections closed for an over-budget request line.
-    pub oversized: AtomicU64,
+    pub oversized: Counter,
 }
 
 impl ServerStats {
     /// A plain-data copy of the request counters.
     pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
         (
-            self.connections.load(Ordering::Relaxed),
-            self.requests.load(Ordering::Relaxed),
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
+            self.connections.get(),
+            self.requests.get(),
+            self.reads.get(),
+            self.writes.get(),
+            self.errors.get(),
         )
     }
 
@@ -95,9 +95,9 @@ impl ServerStats {
     /// `(shed_writes, timeouts, oversized)`.
     pub fn hardening_snapshot(&self) -> (u64, u64, u64) {
         (
-            self.shed_writes.load(Ordering::Relaxed),
-            self.timeouts.load(Ordering::Relaxed),
-            self.oversized.load(Ordering::Relaxed),
+            self.shed_writes.get(),
+            self.timeouts.get(),
+            self.oversized.get(),
         )
     }
 }
@@ -106,7 +106,7 @@ impl ServerStats {
 pub struct Server {
     shared: Arc<SharedGenMapper>,
     local_addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<SeqFlag>,
     stats: Arc<ServerStats>,
     drain_timeout: Duration,
     workers: Vec<JoinHandle<()>>,
@@ -117,7 +117,7 @@ impl Server {
     pub fn start(shared: Arc<SharedGenMapper>, config: &ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(SeqFlag::default());
         let stats = Arc::new(ServerStats::default());
         let threads = config.threads.max(1);
         let mut workers = Vec::with_capacity(threads);
@@ -164,7 +164,7 @@ impl Server {
     /// stragglers are detached (their connections die at the read
     /// deadline) and `TimedOut` is returned.
     pub fn shutdown(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.set(true);
         // each worker sits in accept(); one self-connection apiece wakes
         // them to observe the stop flag
         for _ in 0..self.workers.len() {
@@ -203,7 +203,7 @@ impl Server {
 fn worker_loop(
     listener: &TcpListener,
     shared: &SharedGenMapper,
-    stop: &AtomicBool,
+    stop: &SeqFlag,
     stats: &ServerStats,
     config: &ServerConfig,
 ) {
@@ -211,16 +211,16 @@ fn worker_loop(
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) => {
-                if stop.load(Ordering::SeqCst) {
+                if stop.get() {
                     return;
                 }
                 continue;
             }
         };
-        if stop.load(Ordering::SeqCst) {
+        if stop.get() {
             return;
         }
-        stats.connections.fetch_add(1, Ordering::Relaxed);
+        stats.connections.add(1);
         // a broken connection only ends that connection
         let _ = serve_connection(stream, shared, stop, stats, config);
     }
@@ -233,7 +233,7 @@ fn worker_loop(
 fn serve_connection(
     stream: TcpStream,
     shared: &SharedGenMapper,
-    stop: &AtomicBool,
+    stop: &SeqFlag,
     stats: &ServerStats,
     config: &ServerConfig,
 ) -> io::Result<()> {
@@ -242,7 +242,7 @@ fn serve_connection(
         match conn.read_request()? {
             RequestRead::Eof => break,
             RequestRead::TimedOut => {
-                stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                stats.timeouts.add(1);
                 let _ = conn.write_err(&ServeError::timeout(format!(
                     "no complete request within {:?}; closing connection",
                     config.read_timeout
@@ -250,7 +250,7 @@ fn serve_connection(
                 break;
             }
             RequestRead::TooLarge => {
-                stats.oversized.fetch_add(1, Ordering::Relaxed);
+                stats.oversized.add(1);
                 let _ = conn.write_err(&ServeError::too_large(format!(
                     "request line exceeds {} bytes; closing connection",
                     config.max_request_bytes
@@ -265,29 +265,29 @@ fn serve_connection(
                 if trimmed == "quit" {
                     break;
                 }
-                stats.requests.fetch_add(1, Ordering::Relaxed);
+                stats.requests.add(1);
                 let ctx = RequestContext {
                     max_in_flight_writes: config.max_in_flight_writes,
                     stats: Some(stats),
-                    draining: stop.load(Ordering::SeqCst),
+                    draining: stop.get(),
                 };
                 match handle_request(shared, trimmed, &ctx) {
                     Ok((body, class)) => {
                         match class {
-                            RequestClass::Read => stats.reads.fetch_add(1, Ordering::Relaxed),
-                            RequestClass::Write => stats.writes.fetch_add(1, Ordering::Relaxed),
+                            RequestClass::Read => stats.reads.add(1),
+                            RequestClass::Write => stats.writes.add(1),
                         };
                         conn.write_ok(&body)?;
                     }
                     Err(e) => {
-                        stats.errors.fetch_add(1, Ordering::Relaxed);
+                        stats.errors.add(1);
                         if e.kind == ServeErrorKind::Busy {
-                            stats.shed_writes.fetch_add(1, Ordering::Relaxed);
+                            stats.shed_writes.add(1);
                         }
                         conn.write_err(&e)?;
                     }
                 }
-                if stop.load(Ordering::SeqCst) {
+                if stop.get() {
                     break;
                 }
             }

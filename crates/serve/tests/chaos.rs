@@ -13,7 +13,7 @@
 use genmapper::{GenMapper, SharedGenMapper};
 use serve::{call, call_with, ClientConfig, FaultNet, NetFaultPlan, Server, ServerConfig};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
-use std::sync::atomic::{AtomicBool, Ordering};
+use relstore::sync::SeqFlag;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -171,14 +171,14 @@ fn shutdown_under_load_leaves_the_snapshot_consistent() {
     for point in 0..8u64 {
         let victim = Server::start(shared.clone(), &chaos_config()).unwrap();
         let victim_addr = victim.local_addr().to_string();
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(SeqFlag::default());
         let loaders: Vec<_> = (0..3u64)
             .map(|loader| {
                 let addr = victim_addr.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
                     let mut i = loader;
-                    while !stop.load(Ordering::SeqCst) {
+                    while !stop.get() {
                         // one loader mixes writes in; shutdown lands on
                         // reads and an in-flight import alike
                         let request = if loader == 0 && i % 5 == 2 {
@@ -194,7 +194,7 @@ fn shutdown_under_load_leaves_the_snapshot_consistent() {
             .collect();
         std::thread::sleep(Duration::from_millis(25));
         victim.shutdown().unwrap_or_else(|e| panic!("point {point}: drain failed: {e}"));
-        stop.store(true, Ordering::SeqCst);
+        stop.set(true);
         for loader in loaders {
             loader.join().unwrap();
         }

@@ -2,8 +2,34 @@
 //! session — the closest offline equivalent of a user at the paper's
 //! interactive interface.
 
+use relstore::vfs::{RealVfs, Vfs};
 use std::io::Write;
+use std::path::PathBuf;
 use std::process::{Command, Stdio};
+
+/// A fresh directory for a store the binary opens, removed on drop.
+struct ScratchDir(PathBuf);
+
+mod scratch {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "a test's scratch directory: the store's own I/O goes through relstore::vfs"
+    )]
+
+    impl super::ScratchDir {
+        pub fn new(label: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{label}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            super::ScratchDir(dir)
+        }
+    }
+
+    impl Drop for super::ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
 
 fn run_script(script: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_genmapper-cli"))
@@ -162,25 +188,26 @@ fn paged_store_without_the_paged_flag_is_refused_not_emptied() {
     use sources::ecosystem::{Ecosystem, EcosystemParams};
 
     // a checkpointed paged store whose pages are small enough to have sealed
-    let dir = std::env::temp_dir().join(format!("genmapper-cli-paged-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let scratch = ScratchDir::new("genmapper-cli-paged");
+    let dir = &scratch.0;
     let config = relstore::PoolConfig {
         page_bytes: 4096,
         pool_pages: 8,
     };
     let sources = {
-        let mut gm = GenMapper::open_paged(&dir, config).expect("paged store opens");
+        let mut gm = GenMapper::open_paged(dir, config).expect("paged store opens");
         let eco = Ecosystem::generate(EcosystemParams::demo(7));
         gm.import_dumps(&eco.dumps).expect("demo imports");
         gm.checkpoint().expect("checkpoint");
         gm.cardinalities().expect("cardinalities").sources
     };
-    let wal = std::fs::read(dir.join("wal.log")).expect("wal exists");
+    let read_wal = || RealVfs.read(&dir.join("wal.log")).expect("wal reads").expect("wal exists");
+    let wal = read_wal();
 
     let cli = |extra: &[&str]| {
         let mut child = Command::new(env!("CARGO_BIN_EXE_genmapper-cli"))
             .arg("--db")
-            .arg(&dir)
+            .arg(dir)
             .args(extra)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -195,11 +222,10 @@ fn paged_store_without_the_paged_flag_is_refused_not_emptied() {
     assert!(!refused.status.success(), "no shell over a store it cannot serve");
     let stderr = String::from_utf8_lossy(&refused.stderr);
     assert!(stderr.contains("failed to open store") && stderr.contains("open_paged"), "{stderr}");
-    assert_eq!(std::fs::read(dir.join("wal.log")).expect("wal exists"), wal, "WAL untouched");
+    assert_eq!(read_wal(), wal, "WAL untouched");
 
     let served = cli(&["--paged=8"]);
     assert!(served.status.success(), "{}", String::from_utf8_lossy(&served.stderr));
     let stdout = String::from_utf8_lossy(&served.stdout);
     assert!(stdout.contains(&format!("{sources} sources")), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,7 +7,6 @@ use serve::{call, call_retry, ClientConfig, Server, ServerConfig};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -189,7 +188,7 @@ fn graceful_drain_completes_in_flight_requests() {
     };
     // counted once the request line is off the socket: from there the
     // worker answers it whatever the stop flag says
-    while server.stats().requests.load(Ordering::SeqCst) == 0 {
+    while server.stats().requests.get() == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
     server.shutdown().unwrap();
@@ -219,7 +218,7 @@ fn drain_times_out_when_a_connection_wont_finish() {
     stuck.write_all(b"pin").unwrap();
     // counted after accept() and after the worker's last look at the stop
     // flag: from here the worker serves this connection whatever happens
-    while server.stats().connections.load(Ordering::SeqCst) == 0 {
+    while server.stats().connections.get() == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
 

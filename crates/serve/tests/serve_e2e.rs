@@ -6,7 +6,7 @@ use serve::{call, Server, ServerConfig};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use relstore::sync::{SeqCount, SeqFlag};
 use std::sync::Arc;
 
 fn start_server(imported: bool, threads: usize) -> Server {
@@ -99,18 +99,18 @@ fn readers_progress_during_bulk_import() {
     let server = start_server(false, 4);
     let addr = server.local_addr().to_string();
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let reads_done = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(SeqFlag::default());
+    let reads_done = Arc::new(SeqCount::default());
     let mut readers = Vec::new();
     for _ in 0..3 {
         let addr = addr.clone();
         let stop = stop.clone();
         let reads_done = reads_done.clone();
         readers.push(std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
+            while !stop.get() {
                 let (ok, _) = call(&addr, "import-status").unwrap();
                 assert!(ok);
-                reads_done.fetch_add(1, Ordering::SeqCst);
+                reads_done.add(1);
             }
         }));
     }
@@ -120,12 +120,12 @@ fn readers_progress_during_bulk_import() {
     assert!(ok, "import failed: {body}");
     assert!(body.contains("19 sources"), "import summary: {body}");
 
-    stop.store(true, Ordering::SeqCst);
+    stop.set(true);
     for r in readers {
         r.join().unwrap();
     }
     assert!(
-        reads_done.load(Ordering::SeqCst) > 0,
+        reads_done.get() > 0,
         "readers progressed during the import"
     );
 

@@ -1,7 +1,7 @@
 //! `testkit` — what the workspace's seeded test sweeps share: the PRNG, a
 //! case loop whose failures name their seed, a text generator, a
 //! skewed-fanout chain generator and a scratch directory; and the row type
-//! of the two mutant tables.
+//! of the mutant table.
 //!
 //! A sweep replaces a property-test runner with a plain loop: case `i`
 //! draws its inputs from `Prng::seed_from_u64(i)` and asserts with the
@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 // The one PRNG lives in `sources` (the generators are its first user), and
 // `sources` sits above relstore and gam, whose tests sweep too: including
@@ -78,38 +77,86 @@ pub fn skewed_fact_chain(rng: &mut Prng, hops: usize, width: usize) -> Vec<Vec<(
         .collect()
 }
 
-/// A fresh directory under the system temp dir, removed again on drop.
-#[derive(Debug)]
-pub struct TempDir(PathBuf);
+pub use scratch::TempDir;
 
-impl TempDir {
-    /// `label` only makes a leftover recognisable; uniqueness comes from
-    /// the process id and a counter, so parallel tests never share one.
-    pub fn new(label: &str) -> TempDir {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("{label}-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create a scratch directory");
-        TempDir(dir)
+/// The tests' way past `relstore::vfs` to the real filesystem (clippy's
+/// `disallowed-methods` refuses `std::fs` elsewhere).
+mod scratch {
+    #![expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "test scratch directories: no state of the product's lives here"
+    )]
+
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh directory under the system temp dir, removed again on
+    /// drop. It derefs to its path, and its methods join a name to it.
+    #[derive(Debug)]
+    pub struct TempDir(PathBuf);
+
+    impl TempDir {
+        /// `label` only makes a leftover recognisable; uniqueness comes
+        /// from the process id and a counter, so parallel tests never
+        /// share one.
+        pub fn new(label: &str) -> TempDir {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir().join(format!("{label}-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create a scratch directory");
+            TempDir(dir)
+        }
+
+        pub fn path(&self) -> &Path {
+            &self.0
+        }
+
+        pub fn read(&self, name: impl AsRef<Path>) -> Vec<u8> {
+            let path = self.0.join(name);
+            std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+        }
+
+        pub fn write(&self, name: impl AsRef<Path>, data: impl AsRef<[u8]>) {
+            let path = self.0.join(name);
+            std::fs::write(&path, data).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        }
+
+        /// The files directly in the directory, sorted.
+        pub fn files(&self) -> Vec<PathBuf> {
+            let entries = std::fs::read_dir(&self.0).expect("list a scratch directory");
+            let mut files: Vec<PathBuf> = entries.map(|e| e.expect("a directory entry").path()).collect();
+            files.sort();
+            files
+        }
     }
 
-    pub fn path(&self) -> &Path {
-        &self.0
-    }
-}
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
 
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A workspace source file, for [`Mutant::apply`](crate::Mutant::apply).
+    pub(crate) fn read_source(path: &Path) -> std::io::Result<String> {
+        std::fs::read_to_string(path)
     }
 }
 
 /// One textual mutant of the workspace sources: a regression someone could
-/// plausibly commit. The product's table (`tests/mutants.rs`) and genlint's
-/// (`crates/genlint/tests/mutants.rs`) are lists of these;
-/// `scripts/mutants.py` applies each row in a scratch clone and records
-/// what kills it. Tier-1 only checks that every needle still matches.
+/// plausibly commit. The mutant table (`tests/mutants.rs`) is a list of
+/// these; `scripts/mutants.py` applies each row in a scratch clone and
+/// records what kills it. Tier-1 only checks that every needle still
+/// matches.
 #[derive(Debug)]
 pub struct Mutant {
     /// The regression, in words.
@@ -120,8 +167,7 @@ pub struct Mutant {
     pub needle: &'static str,
     pub replacement: &'static str,
     /// What kills the mutant: the failing tests as `suite::test`, a rustc
-    /// error, a clippy lint, or `none: <why it survives>`. Empty in
-    /// genlint's table: only the rules its row names kill it.
+    /// error, a clippy lint, or `none: <why it survives>`.
     pub killer: &'static str,
 }
 
@@ -129,7 +175,7 @@ impl Mutant {
     /// The text of `path` under the workspace `root` with the needle
     /// replaced, or why the row no longer applies.
     pub fn apply(&self, root: &Path) -> Result<String, String> {
-        let raw = std::fs::read_to_string(root.join(self.path))
+        let raw = scratch::read_source(&root.join(self.path))
             .map_err(|e| format!("{}: {}: {e}", self.what, self.path))?;
         match raw.matches(self.needle).count() {
             1 => Ok(raw.replacen(self.needle, self.replacement, 1)),
@@ -175,7 +221,7 @@ mod tests {
     #[test]
     fn a_mutant_applies_only_where_its_needle_occurs_once() {
         let dir = TempDir::new("testkit-mutant");
-        std::fs::write(dir.path().join("f.rs"), "a + b; c - d; c - d;").unwrap();
+        dir.write("f.rs", "a + b; c - d; c - d;");
         let row = |needle| Mutant {
             what: "w",
             path: "f.rs",
@@ -195,6 +241,6 @@ mod tests {
         let kept = a.path().to_owned();
         assert!(kept.is_dir());
         drop(a);
-        assert!(!kept.exists());
+        assert!(!kept.is_dir());
     }
 }

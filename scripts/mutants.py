@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""Re-run the killer column of both mutant tables in a scratch clone.
+"""Re-run the killer column of the mutant table in a scratch clone.
 
     python3 scripts/mutants.py <scratch-dir> [row-id ...]
 
-The tables are `tests/mutants.rs` (the product) and
-`crates/genlint/tests/mutants.rs` (the linter); a row's id is `product#N`
-or `genlint#N`, its index in its table. The first run clones the checkout
+The table is `tests/mutants.rs`; a row's id is `product#N`, its index in
+the table. The first run clones the checkout
 into `<scratch-dir>/mutants-tree` and commits the checkout's uncommitted
 edits there, so the checkout itself is never touched. Then, for each row:
 
   1. apply the mutation (the needle must occur exactly once);
   2. `cargo test --no-fail-fast` over every package whose build the edited
-     crate is part of (genlint excluded, as its own table would only report
-     the edit), under a timeout: a hang counts as a kill;
+     crate is part of, under a timeout: a hang counts as a kill;
   3. if it compiled, `cargo clippy --lib --bins -- -D warnings` on the
      edited package;
   4. restore the file and append one line to
@@ -33,13 +31,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-TABLES = {
-    "product": "tests/mutants.rs",
-    "genlint": "crates/genlint/tests/mutants.rs",
-}
+TABLE = "tests/mutants.rs"
 TEST_TIMEOUT_S = 900
 ROOT_PACKAGE = "genmapper-suite"
-# the tables' own needle checks fail under every mutation by design
+# the table's own needle check fails under every mutation by design
 SKIP_TESTS = ["every_product_needle_matches_once"]
 
 
@@ -114,7 +109,7 @@ def dependents(pkg, packages):
             if p in info["deps"] and name not in found:
                 found.add(name)
                 frontier.append(name)
-    return sorted(found - {"genlint"})
+    return sorted(found)
 
 
 def killers(log, pkg):
@@ -221,9 +216,7 @@ def main():
     done = set()
     if results.exists():
         done = {line.split("\t", 1)[0] for line in results.read_text().splitlines()}
-    todo = [(f"{table}#{n}", row)
-            for table, path in TABLES.items()
-            for n, row in enumerate(rows_of(tree / path))]
+    todo = [(f"product#{n}", row) for n, row in enumerate(rows_of(tree / TABLE))]
     for rid, row in todo:
         if (only and rid not in only) or (not only and rid in done):
             continue

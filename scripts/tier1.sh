@@ -20,15 +20,14 @@ bash scripts/e2e/run.sh --self-test
 # Every seeded sweep prints the failing case's seed (DESIGN.md §9).
 cargo build --release --offline --locked
 cargo test -q --offline --locked --workspace
+# clippy.toml and the crates' lint attributes hold the architectural
+# invariants (DESIGN.md §11): Vfs-only I/O, typed atomics, no dropped
+# Result on the durable path
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 # a deleted item must not leave a doc link dangling, and a public doc must
 # not link a private item (rustdoc renders that link as plain text)
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" cargo doc --no-deps --offline --locked --workspace
-
-# architectural invariant gate (DESIGN.md §11, §16): any unbaselined
-# finding fails the build
-cargo run -q --offline --locked -p genlint -- --deny
 
 if [ "$(git status --porcelain)" != "$status_before" ]; then
     echo "tier1: the run changed the working tree:" >&2

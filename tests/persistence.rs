@@ -4,13 +4,14 @@
 use gam::GamRead;
 use genmapper::{GenMapper, QuerySpec};
 use sources::ecosystem::{Ecosystem, EcosystemParams};
-use std::fs;
-use std::path::PathBuf;
+use testkit::TempDir;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("genmapper-persistence").join(name);
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("genmapper-persistence-{name}"))
+}
+
+fn wal_len(dir: &TempDir) -> u64 {
+    dir.read("wal.log").len() as u64
 }
 
 #[test]
@@ -37,7 +38,6 @@ fn full_ecosystem_survives_reopen() {
         let reports = gm.import_dumps(&eco.dumps).unwrap();
         assert!(reports.iter().all(|r| r.skipped));
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -61,7 +61,6 @@ fn work_after_checkpoint_is_replayed_from_wal() {
         assert!(names.contains(&"Hugo"));
         assert!(names.contains(&"OMIM"));
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -82,7 +81,6 @@ fn materializations_survive_reopen() {
         let direct = gm.map("Unigene", "GO").unwrap();
         assert_eq!(direct.len(), n, "materialized mapping recovered intact");
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -100,9 +98,9 @@ fn torn_wal_tail_recovers_to_last_commit() {
     // tear off the last 5 bytes of the WAL: the final frame is torn, every
     // fully committed transaction before it must survive
     let wal = dir.join("wal.log");
-    let data = fs::read(&wal).unwrap();
+    let data = dir.read(&wal);
     assert!(data.len() > 16, "WAL holds the tail import");
-    fs::write(&wal, &data[..data.len() - 5]).unwrap();
+    dir.write(&wal, &data[..data.len() - 5]);
     {
         let gm = GenMapper::open(&dir).unwrap();
         let cards = gm.cardinalities().unwrap();
@@ -113,7 +111,6 @@ fn torn_wal_tail_recovers_to_last_commit() {
         let ll = gm.source_id("LocusLink").unwrap();
         assert!(gm.store().object_count(ll).unwrap() > 0);
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -126,10 +123,10 @@ fn corrupt_snapshot_degrades_and_is_reported() {
         gm.checkpoint().unwrap();
     }
     let checkpoint = dir.join("pagedir.bin");
-    let mut data = fs::read(&checkpoint).unwrap();
+    let mut data = dir.read(&checkpoint);
     let mid = data.len() / 2;
     data[mid] ^= 0xff;
-    fs::write(&checkpoint, &data).unwrap();
+    dir.write(&checkpoint, &data);
     // Corruption is detected (CRC) and the store degrades to the newest
     // valid state instead of refusing to open. Only one checkpoint
     // generation exists here, so that state is empty — and the WAL, which
@@ -142,7 +139,6 @@ fn corrupt_snapshot_degrades_and_is_reported() {
     assert_eq!(gm.cardinalities().unwrap().sources, 0);
     // A corrupt primary with an intact previous generation instead
     // degrades to that generation (covered in relstore/tests/recovery.rs).
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -154,11 +150,11 @@ fn checkpoint_truncates_wal_and_resumes() {
         gm.import_dumps(&eco.dumps[..2]).unwrap();
         gm.checkpoint().unwrap();
         // the reset WAL holds nothing but the new epoch stamp
-        let stamp = fs::metadata(dir.join("wal.log")).unwrap().len();
+        let stamp = wal_len(&dir);
         assert!(stamp > 0 && stamp <= 32, "epoch-only WAL, got {stamp} bytes");
         // continue appending after truncation
         gm.import_dumps(&eco.dumps[2..3]).unwrap();
-        assert!(fs::metadata(dir.join("wal.log")).unwrap().len() > stamp);
+        assert!(wal_len(&dir) > stamp);
     }
     {
         let mut gm = GenMapper::open(&dir).unwrap();
@@ -173,5 +169,4 @@ fn checkpoint_truncates_wal_and_resumes() {
         gm.cardinalities().unwrap()
     };
     assert_eq!(GenMapper::open(&dir).unwrap().cardinalities().unwrap(), cards);
-    let _ = fs::remove_dir_all(&dir);
 }
