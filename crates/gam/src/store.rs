@@ -543,8 +543,8 @@ impl GamStore {
         let existing = self.resolve_accessions(source, &keys)?;
         let src_i64 = source.as_i64();
         let mut ids = Vec::with_capacity(objects.len());
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut seen: std::collections::HashMap<&str, ObjectId> = std::collections::HashMap::new();
+        let mut rows: Vec<[Value; 5]> = Vec::new();
+        let mut seen: std::collections::HashMap<&str, ObjectId> = std::collections::HashMap::with_capacity(objects.len());
         let first = self.db.table(tables::OBJECT)?.next_row_id().0;
         for (i, (accession, text, number)) in objects.iter().enumerate() {
             if let Some(id) = existing[i] {
@@ -556,7 +556,7 @@ impl GamStore {
                 continue;
             }
             let id = ObjectId::of_row(RowId(first + rows.len() as u64))?;
-            rows.push(vec![
+            rows.push([
                 Value::Int(id.as_i64()),
                 Value::Int(src_i64),
                 Value::text(*accession),
@@ -750,35 +750,39 @@ impl GamStore {
             };
             rec.validate()?;
         }
-        let mut pairs: Vec<(i64, i64)> = assocs
+        // the distinct pairs, sorted, and each association's slot among them
+        let mut order: Vec<(i64, i64, usize)> = assocs
             .iter()
-            .map(|a| (a.from.as_i64(), a.to.as_i64()))
+            .enumerate()
+            .map(|(n, a)| (a.from.as_i64(), a.to.as_i64(), n))
             .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
+        order.sort_unstable();
+        let (mut pairs, mut slots) = (Vec::new(), vec![0; assocs.len()]);
+        for (from, to, n) in order {
+            if pairs.last() != Some(&(from, to)) {
+                pairs.push((from, to));
+            }
+            slots[n] = pairs.len() - 1;
+        }
         let mut exists = vec![false; pairs.len()];
         self.db.table(tables::OBJECT_REL)?.for_each_match_id(
             "by_pair",
             pairs.iter().map(|&(from, to)| [rel_i64, from, to].map(ValueRef::Int)),
             |n, _| exists[n] = true,
         )?;
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut rows: Vec<[Value; 5]> = Vec::new();
         let mut seen = vec![false; pairs.len()];
-        for assoc in &assocs {
-            let pair = (assoc.from.as_i64(), assoc.to.as_i64());
-            let slot = pairs
-                .binary_search(&pair)
-                .map_err(|_| GamError::Invalid(format!("probe pair {pair:?} lost from batch")))?;
+        for (assoc, slot) in assocs.iter().zip(slots) {
             if exists[slot] || seen[slot] {
                 continue;
             }
             seen[slot] = true;
             let id = ObjectRelId::of_row(RowId(first + rows.len() as u64))?;
-            rows.push(vec![
+            rows.push([
                 Value::Int(id.as_i64()),
                 Value::Int(rel_i64),
-                Value::Int(pair.0),
-                Value::Int(pair.1),
+                Value::Int(assoc.from.as_i64()),
+                Value::Int(assoc.to.as_i64()),
                 assoc.evidence.map(Value::Float).unwrap_or(Value::Null),
             ]);
             *added += 1;
@@ -1645,6 +1649,52 @@ mod tests {
         assert_eq!(s.get_object(id).unwrap().text.as_deref(), Some("APRT"));
         assert_eq!(s.get_source(go.id).unwrap(), go);
         assert_eq!(s.verify_integrity().unwrap(), Vec::<String>::new());
+    }
+
+    /// A `delete_source_rel` whose commit the WAL refuses is rolled back, and
+    /// its rollback costs O(k log n): each of the k restored associations
+    /// revives the dead mark its delete left in the run — none re-enters
+    /// the delta — so every index reads as before. The mapping
+    /// holds 4 000 of 12 000 associations, a third of each index's run:
+    /// more than a merge would take, had a removal merged.
+    #[test]
+    fn a_refused_mapping_delete_rolls_back_by_reviving_dead_marks() {
+        use relstore::vfs::{FaultPlan, FaultVfs};
+        let vfs = FaultVfs::new();
+        let open = || GamStore::open_with_vfs(std::sync::Arc::new(vfs.clone()), Path::new("/db")).unwrap();
+        let mut s = open();
+        let (a, b) = (gene_source(&mut s, "A"), gene_source(&mut s, "B"));
+        let objects = |s: &mut GamStore, source: SourceId, n: usize| {
+            let names: Vec<(String, Option<String>, Option<f64>)> = (0..n).map(|i| (format!("o{i}"), None, None)).collect();
+            s.add_objects_bulk(source, &names).unwrap().0
+        };
+        let (from, to) = (objects(&mut s, a.id, 200), objects(&mut s, b.id, 60));
+        let mut rels = Vec::new();
+        for (n, ty) in [(8_000, RelType::Similarity), (4_000, RelType::Composed)] {
+            let rel = s.create_source_rel(a.id, b.id, ty, None).unwrap();
+            let pairs = (0..n).map(|i| Association { from: from[i % 200], to: to[i / 200], evidence: None });
+            s.add_associations_bulk(rel, pairs, &mut 0).unwrap();
+            rels.push(rel);
+        }
+        s.checkpoint().unwrap();
+        drop(s);
+        let mut s = open();
+        let observed = |s: &GamStore| {
+            let t = s.db.table(tables::OBJECT_REL).unwrap();
+            let indexes = ["by_pair", "by_object1", "by_object2"];
+            indexes.map(|ix| (t.index_stats(ix).unwrap(), t.index_entry_list(ix).unwrap()))
+        };
+        let before = observed(&s);
+        assert!(before.iter().all(|(stats, _)| (stats.entries, stats.delta, stats.dead) == (12_000, 0, 0)));
+        vfs.set_plan(FaultPlan { crash_at: None, fail_at: Some(vfs.op_count() + 1), torn_seed: 7 });
+        assert!(s.delete_source_rel(rels[1]).is_err(), "the WAL refuses the commit");
+        for ((after, entries), (stats, want)) in observed(&s).into_iter().zip(before) {
+            assert_eq!(entries, want);
+            assert_eq!((after.entries, after.delta, after.dead), (12_000, 0, 0), "the restores revived dead marks");
+            // the run keeps the dead-mark bitset its first removal allocated
+            assert_eq!(after.bytes, stats.bytes + 8 * 12_000usize.div_ceil(64));
+        }
+        assert_eq!(s.load_mapping(rels[1]).unwrap().pairs.len(), 4_000);
     }
 
     /// A commit the WAL refused burns one row id, and the id with it; each

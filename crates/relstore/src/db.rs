@@ -664,14 +664,18 @@ impl<'db> Transaction<'db> {
     }
 
     /// Record `count` rows inserted into `table` from `first` on, their
-    /// cells `cells`: one run to redo, one entry to undo.
+    /// cells `cells`: one entry to undo, and — where there is a log — one
+    /// run to redo.
     fn logged_run(&mut self, table: &str, first: RowId, count: u64, cells: Vec<u8>) -> StoreResult<()> {
         self.undo.push(Undo::Insert {
             table: table.to_owned(),
             first,
             count,
         });
-        push_runs(&mut self.redo, table, first, count, cells, MAX_RUN_BYTES)
+        match self.db.durability {
+            Some(_) => push_runs(&mut self.redo, table, first, count, cells, MAX_RUN_BYTES),
+            None => Ok(()),
+        }
     }
 
     /// Insert many rows at once. Unique constraints are pre-checked for the
@@ -685,7 +689,9 @@ impl<'db> Transaction<'db> {
     /// Returns the first row's id: row `i` of the batch is at `first + i`.
     /// An empty batch inserts and logs nothing and returns the id its first
     /// row would have had.
-    pub fn insert_batch(&mut self, table: &str, rows: Vec<Vec<Value>>) -> StoreResult<RowId> {
+    /// A row is anything that holds its values as a slice: a `Vec<Value>`,
+    /// or a fixed-size array that costs no allocation a row.
+    pub fn insert_batch<R: AsRef<[Value]>>(&mut self, table: &str, rows: Vec<R>) -> StoreResult<RowId> {
         self.check_open()?;
         let t = self.db.table_mut_internal(table)?;
         if rows.is_empty() {
@@ -702,10 +708,13 @@ impl<'db> Transaction<'db> {
         self.check_open()?;
         let t = self.db.table_mut_internal(table)?;
         let old = t.delete(row_id)?;
-        self.redo.push(LogRecord::Delete {
-            table: table.to_owned(),
-            row_id,
-        });
+        // an in-memory database keeps no redo: there is no log to write
+        if self.db.durability.is_some() {
+            self.redo.push(LogRecord::Delete {
+                table: table.to_owned(),
+                row_id,
+            });
+        }
         self.undo.push(Undo::Delete {
             table: table.to_owned(),
             row_id,
@@ -717,13 +726,15 @@ impl<'db> Transaction<'db> {
     /// Update a row in place.
     pub fn update(&mut self, table: &str, row_id: RowId, values: Vec<Value>) -> StoreResult<()> {
         self.check_open()?;
-        let t = self.db.table_mut_internal(table)?;
-        let old = t.update(row_id, values.clone())?;
-        self.redo.push(LogRecord::Update {
-            table: table.to_owned(),
-            row_id,
-            values,
-        });
+        let logged = self.db.durability.is_some().then(|| values.clone());
+        let old = self.db.table_mut_internal(table)?.update(row_id, values)?;
+        if let Some(values) = logged {
+            self.redo.push(LogRecord::Update {
+                table: table.to_owned(),
+                row_id,
+                values,
+            });
+        }
         self.undo.push(Undo::Update {
             table: table.to_owned(),
             row_id,
@@ -1084,6 +1095,47 @@ mod tests {
         }
     }
 
+    /// An in-memory database keeps no redo, yet its transactions commit and
+    /// roll back exactly as a durable one's: the same rows, the same index
+    /// entries, after every step.
+    #[test]
+    fn an_in_memory_batch_commits_and_rolls_back_like_a_durable_one() {
+        let vfs = crate::vfs::FaultVfs::new();
+        let durable = Database::open_with_vfs(Arc::new(vfs), Path::new("/db")).unwrap();
+        let mut dbs = [Database::in_memory(), durable];
+        let rows = |ids: std::ops::Range<i64>| ids.map(|i| [Value::Int(i), Value::text(format!("r{i}"))]).collect::<Vec<_>>();
+        let observed = |db: &Database| {
+            let t = db.table("t").unwrap();
+            (t.scan().collect::<Vec<_>>(), t.index_entry_list("pk").unwrap(), t.index_stats("pk").unwrap())
+        };
+        for db in &mut dbs {
+            db.create_table(schema("t")).unwrap();
+        }
+        let steps: [&dyn Fn(&mut Database); 5] = [
+            &|db| db.with_txn(|txn| txn.insert_batch("t", rows(0..40)).map(drop)).unwrap(),
+            &|db| {
+                let mut txn = db.begin();
+                txn.insert_batch("t", rows(40..60)).unwrap();
+                assert_eq!(txn.redo.is_empty(), txn.db.durability.is_none(), "redo only where there is a log");
+                txn.rollback().unwrap();
+            },
+            &|db| {
+                let mut txn = db.begin();
+                (3..9).try_for_each(|id| txn.delete("t", RowId(id))).unwrap();
+                txn.update("t", RowId(10), vec![Value::Int(100), Value::text("moved")]).unwrap();
+                assert!(txn.insert_batch("t", rows(39..41)).is_err(), "pk 39 is taken");
+                txn.rollback().unwrap();
+            },
+            &|db| db.with_txn(|txn| txn.delete("t", RowId(5))).unwrap(),
+            &|db| db.with_txn(|txn| txn.insert_batch("t", rows(5..6)).map(drop)).unwrap(),
+        ];
+        for (n, step) in steps.iter().enumerate() {
+            dbs.iter_mut().for_each(step);
+            assert_eq!(observed(&dbs[0]), observed(&dbs[1]), "after step {n}");
+        }
+        assert_eq!(dbs[0].table("t").unwrap().len(), 40);
+    }
+
     #[test]
     fn insert_batch_commits_and_rolls_back_like_per_row_inserts() {
         let dir = tmpdir("insert-batch");
@@ -1101,7 +1153,7 @@ mod tests {
                 )?;
                 assert_eq!(first, RowId(0));
                 // an empty batch inserts and logs nothing
-                assert_eq!(txn.insert_batch("t", Vec::new())?, RowId(2));
+                assert_eq!(txn.insert_batch("t", Vec::<Vec<Value>>::new())?, RowId(2));
                 Ok(())
             })
             .unwrap();

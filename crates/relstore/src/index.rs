@@ -1,15 +1,20 @@
 //! In-memory ordered indexes mapping composite keys to row ids.
 //!
-//! An index is a frozen, key-sorted **run** plus a small B-tree **delta**.
-//! Entries under one key are ordered by row id, so a multi index is a run
-//! with repeated keys, and "unique" is a check at insert and at build.
-//! [`IndexBuilder`] collects an index's entries at open and packs its run;
-//! entries inserted since live in the delta, a `BTreeSet` of `(key, row
-//! id)`, and run entries removed since are dead marks, a bitset allocated on
-//! the first removal. Once the delta and the dead marks together exceed
-//! `1 / MERGE_SHARE` of the run, they are merged into a fresh, exactly sized
-//! run. Every read sees the live run entries merged with the delta, in
-//! key-then-row order.
+//! An index is two packed **runs** of entries in key-then-row order: the
+//! run, built at open and by merges, and the **delta**, which holds what
+//! was inserted since. Entries under one key are ordered by row id, so a
+//! multi index is a run with repeated keys, and "unique" is a check at
+//! insert and at build. [`IndexBuilder`] collects an index's entries at
+//! open and packs its run. A write's rows enter the same way, as a
+//! **batch** (a single row is a batch of one): their keys are collected
+//! and sorted in the cells a run holds them in, and one galloping pass
+//! merges the batch into the delta, copying blocks of cells. Once the
+//! delta and the run's dead marks together exceed `1 / MERGE_SHARE` of the
+//! run, the same pass merges the delta into a fresh, exactly sized run. A
+//! removed entry is a dead mark in whichever run holds it (a bitset
+//! allocated on the first removal) that re-entering the entry, as a
+//! rollback does, revives; dead entries go at the next merge. Every read
+//! walks a range of each run, merged in key-then-row order.
 //!
 //! A run packs its entries into `u32` **cells**, each value as narrow as
 //! the run's values allow. Where every key column is fixed-width (a
@@ -19,8 +24,10 @@
 //! the whole word otherwise. A row id is one cell while every one fits.
 //! Other keys keep whole words, located by byte ends. Width belongs to one
 //! run: each build and each merge picks it again from the entries it packs.
-//! A probe is narrowed to the run's lanes once; one whose column lies
-//! outside them matches no run entry, and only the delta answers it.
+//! Runs held in the same cells compare cell by cell, so a merge copies
+//! blocks of them; only a change of width re-packs entry by entry. A probe
+//! is narrowed to each run's lanes; one whose column lies outside them
+//! matches no entry of that run.
 //!
 //! Keys are not `Vec<Value>`: a [`KeySpec`] encodes the schema-typed key
 //! columns into an [`IndexKey`], a short run of `u64` words held inline,
@@ -33,8 +40,8 @@ use crate::schema::{IndexDef, Schema};
 use crate::stats::IndexStats;
 use crate::value::{Value, ValueRef, ValueType, ValueView};
 use std::cmp::Ordering;
-use std::collections::{btree_set, BTreeSet, TryReserveError};
-use std::iter::Peekable;
+use std::borrow::Cow;
+use std::collections::TryReserveError;
 use std::ops::Range;
 
 /// Words an [`IndexKey`] holds without allocating: every GAM key (one to
@@ -496,6 +503,16 @@ impl Span {
         self.top = self.top.max(row.0.saturating_add(1));
     }
 
+    /// The bounds of both `self`'s entries and `other`'s.
+    fn union(mut self, other: &Span) -> Span {
+        for c in 0..self.columns {
+            self.lo[c] = self.lo[c].min(other.lo[c]);
+            self.hi[c] = self.hi[c].max(other.hi[c]);
+        }
+        self.top = self.top.max(other.top);
+        self
+    }
+
     /// Cells a key column and a row id take: one `u32` where every key
     /// column's words span less than 2³² (an offset from the column's least
     /// word) and where every row id fits; two, a whole word, otherwise.
@@ -506,8 +523,8 @@ impl Span {
     }
 }
 
-/// The frozen part of an index: entries in key-then-row order, packed into
-/// `u32` cells.
+/// Entries in key-then-row order, packed into `u32` cells: an index's
+/// run, its delta, or a batch on its way into the delta.
 #[derive(Debug, Clone)]
 struct Run {
     /// Columns of a fixed-width key; 0 when key lengths vary.
@@ -523,15 +540,16 @@ struct Run {
     /// column's least word where lanes are one cell, 0 where they are two.
     base: [u64; INLINE_WORDS],
     /// Entry `i` from cell `i * self.entry()` on: its key lanes where keys
-    /// are fixed-width, then its row id, each high cell first.
+    /// are fixed-width, then its row id, each high cell first — so cells
+    /// compare as the entries do, between runs held in the same cells too.
     cells: Vec<u32>,
     /// Variable-width keys: their words, entry `i`'s key ending at byte
     /// `ends[i]`, having begun at the first word boundary at or after
     /// `ends[i - 1]`.
     words: Vec<u64>,
     ends: Vec<u32>,
-    /// Entries removed since the run was built, a bit each; empty until the
-    /// first removal.
+    /// Entries removed since the run was packed, a bit each; empty until
+    /// the first removal.
     dead: Vec<u64>,
     dead_count: usize,
 }
@@ -570,13 +588,28 @@ impl Run {
         }
     }
 
+    fn empty(stride: usize) -> Run {
+        Run::new(stride, Span::new(stride), 0, 0)
+    }
+
     /// Cells an entry takes.
     fn entry(&self) -> usize {
         self.stride * self.key_width + self.row_width
     }
 
+    /// Entries held, dead or alive.
     fn len(&self) -> usize {
         self.cells.len() / self.entry()
+    }
+
+    fn live(&self) -> usize {
+        self.len() - self.dead_count
+    }
+
+    /// Resident bytes, by capacity.
+    fn bytes(&self) -> usize {
+        size_of::<u64>() * (self.words.capacity() + self.dead.capacity())
+            + size_of::<u32>() * (self.ends.capacity() + self.cells.capacity())
     }
 
     /// The value the `width` cells from `at` hold.
@@ -621,24 +654,71 @@ impl Run {
         self.put(row.0, self.row_width)
     }
 
+    /// Whether `other` holds its entries in this run's cells: lanes and row
+    /// ids as wide, and lanes from the same bases.
+    fn same_cells(&self, other: &Run) -> bool {
+        (self.key_width, self.row_width) == (other.key_width, other.row_width)
+            && (self.key_width == 2 || self.base[..self.stride] == other.base[..self.stride])
+    }
+
     /// Append the live entries at `range` of `src`, which sort after every
-    /// one held: one block copy where none is dead and keys are fixed-width
-    /// in the same cells.
+    /// one held. Where `src`'s lanes and row ids are as wide as this run's,
+    /// each stretch of live entries is one block copy; only a change of
+    /// width re-packs entry by entry.
     fn copy_live(&mut self, src: &Run, range: Range<usize>) -> Option<()> {
-        let cells = |run: &Run| (run.key_width, run.row_width, run.base);
-        if src.dead_count > 0 || src.stride == 0 || cells(src) != cells(self) {
+        if (src.key_width, src.row_width) != (self.key_width, self.row_width) {
             let mut live = range.filter(|&i| !src.is_dead(i));
             return live.try_for_each(|i| src.with_key(i, |key| self.push(key, src.row(i))));
         }
-        let n = src.entry();
-        self.cells.extend_from_slice(&src.cells[range.start * n..range.end * n]);
+        if src.dead_count == 0 {
+            return self.copy_block(src, range);
+        }
+        let mut at = range.start;
+        while at < range.end {
+            let end = (at..range.end).find(|&i| src.is_dead(i)).unwrap_or(range.end);
+            self.copy_block(src, at..end)?;
+            at = (end..range.end).find(|&i| !src.is_dead(i)).unwrap_or(range.end);
+        }
         Some(())
+    }
+
+    /// Append the entries at `range` of `src`, whose lanes and row ids are
+    /// as wide as this run's, as one block of cells: key lanes moved from
+    /// `src`'s bases to this run's, variable-width keys' ends by as many
+    /// bytes as their words move.
+    fn copy_block(&mut self, src: &Run, range: Range<usize>) -> Option<()> {
+        if range.is_empty() {
+            return Some(());
+        }
+        let n = self.entry();
+        let at = self.cells.len();
+        self.cells.extend_from_slice(&src.cells[range.start * n..range.end * n]);
+        if self.stride == 0 {
+            let (from, end) = (src.word_start(range.start), src.ends[range.end - 1] as usize);
+            let last = 8 * self.words.len() + end - 8 * from;
+            u32::try_from(last).ok()?;
+            let shift = (8 * self.words.len()).wrapping_sub(8 * from) as u32;
+            self.ends.extend(src.ends[range].iter().map(|e| e.wrapping_add(shift)));
+            self.words.extend_from_slice(&src.words[from..end.div_ceil(8)]);
+        } else if !self.same_cells(src) {
+            // a lane's offset fits the wider bounds: it moves in `u32`s
+            let shift: [u32; INLINE_WORDS] = std::array::from_fn(|c| src.base[c].wrapping_sub(self.base[c]) as u32);
+            for entry in self.cells[at..].chunks_exact_mut(n) {
+                entry.iter_mut().zip(&shift[..self.stride]).for_each(|(lane, s)| *lane = lane.wrapping_add(*s));
+            }
+        }
+        Some(())
+    }
+
+    /// The word at which entry `i`'s key begins, in a run of
+    /// variable-width keys.
+    fn word_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| (self.ends[prev] as usize).div_ceil(8))
     }
 
     /// Entry `i`'s key, in a run of variable-width keys.
     fn key(&self, i: usize) -> KeyRef<'_> {
-        let start = i.checked_sub(1).map_or(0, |prev| (self.ends[prev] as usize).div_ceil(8));
-        let end = self.ends[i] as usize;
+        let (start, end) = (self.word_start(i), self.ends[i] as usize);
         KeyRef { words: &self.words[start..end.div_ceil(8)], len: end - 8 * start }
     }
 
@@ -669,7 +749,7 @@ impl Run {
         Some(Probe::Cells { cells, n: key.words.len() * self.key_width })
     }
 
-    /// Entry `i`'s key lanes, `n` cells of them from the first.
+    /// Entry `i`'s cells, `n` of them from the first.
     fn lanes(&self, i: usize, n: usize) -> &[u32] {
         &self.cells[i * self.entry()..][..n]
     }
@@ -696,9 +776,21 @@ impl Run {
         self.with_key(i, |held| held.cmp(&key)).then_with(|| self.row(i).cmp(&row))
     }
 
+    /// Entry `i` against `other`'s entry `j`, held in the same cells.
+    fn cmp_cells(&self, i: usize, other: &Run, j: usize) -> Ordering {
+        match self.stride {
+            0 => self.key(i).cmp(&other.key(j)).then_with(|| self.row(i).cmp(&other.row(j))),
+            _ => self.lanes(i, self.entry()).cmp(other.lanes(j, self.entry())),
+        }
+    }
+
     /// The first entry whose key the next one repeats.
     fn repeated(&self) -> Option<usize> {
-        let next_equal = |i: usize| self.with_key(i, |a| self.with_key(i + 1, |b| a == b));
+        let key_cells = self.stride * self.key_width;
+        let next_equal = |i: usize| match self.stride {
+            0 => self.key(i) == self.key(i + 1),
+            _ => self.lanes(i, key_cells) == self.lanes(i + 1, key_cells),
+        };
         (0..self.len().saturating_sub(1)).find(|&i| next_equal(i))
     }
 
@@ -721,6 +813,29 @@ impl Run {
         }
     }
 
+    /// The bounds of the live entries: the packed ones while none is dead.
+    fn live_span(&self) -> Span {
+        if self.dead_count == 0 {
+            return self.span;
+        }
+        let mut span = Span::new(self.stride);
+        for i in (0..self.len()).filter(|&i| !self.is_dead(i)) {
+            self.with_key(i, |key| span.add(key.words, self.row(i)));
+        }
+        span
+    }
+
+    /// `src` in this run's cells: `src` itself where it holds them, or a
+    /// copy of its live entries that does.
+    fn relaid<'r>(&self, src: &'r Run) -> Option<Cow<'r, Run>> {
+        if self.same_cells(src) {
+            return Some(Cow::Borrowed(src));
+        }
+        let mut run = Run::new(self.stride, self.span, src.live(), src.words.len());
+        run.copy_live(src, 0..src.len())?;
+        Some(Cow::Owned(run))
+    }
+
     /// The first position whose key is not below `probe`.
     fn lower(&self, probe: &Probe<'_>) -> usize {
         partition(0, self.len(), |i| self.cmp_at(i, probe).is_lt())
@@ -732,6 +847,28 @@ impl Run {
         let lo = gallop(from, self.len(), |i| self.cmp_at(i, probe).is_lt());
         let hi = (lo..self.len()).find(|&i| self.cmp_at(i, probe).is_ne()).unwrap_or(self.len());
         lo..hi
+    }
+
+    /// The positions under exactly `key`.
+    fn under(&self, key: KeyRef<'_>) -> Range<usize> {
+        self.probe(key).map_or(0..0, |probe| self.span(&probe, self.lower(&probe)))
+    }
+
+    /// The positions under exactly `key`, searched for by galloping from
+    /// `at`, which moves past them.
+    fn seek(&self, key: KeyRef<'_>, at: &mut usize) -> Range<usize> {
+        let span = self.probe(key).map_or(*at..*at, |probe| self.span(&probe, *at));
+        *at = span.end;
+        span
+    }
+
+    /// The positions of every key that starts with `prefix`: such keys sort
+    /// at or after it, contiguously.
+    fn prefixed(&self, prefix: KeyRef<'_>) -> Range<usize> {
+        self.probe(prefix).map_or(0..0, |probe| {
+            let lo = self.lower(&probe);
+            lo..gallop(lo, self.len(), |i| self.starts_at(i, &probe))
+        })
     }
 
     /// The position of the entry (`key`, `row`), dead or alive.
@@ -746,15 +883,43 @@ impl Run {
     }
 }
 
+/// The live entries of `a` and `b` — each sorted, and no entry held by
+/// both — in one fresh, exactly sized run, in the narrowest cells they
+/// fit. A side held in other cells is first copied into them: `b`, the
+/// smaller, often is; `a` only where `b` moves the bounds or the widths.
+/// Then one galloping pass copies blocks of cells from each side in turn.
+/// `None` where variable-width keys pass 4 GiB.
+fn union(a: &Run, b: &Run) -> Option<Run> {
+    let span = a.live_span().union(&b.live_span());
+    let mut out = Run::new(a.stride, span, a.live() + b.live(), a.words.len() + b.words.len());
+    let (a, b) = (out.relaid(a)?, out.relaid(b)?);
+    let (mut i, mut j) = (0, 0);
+    while j < b.len() {
+        let upto = gallop(i, a.len(), |x| a.cmp_cells(x, &b, j).is_lt());
+        out.copy_live(&a, i..upto)?;
+        i = upto;
+        let upto = match i < a.len() {
+            true => gallop(j, b.len(), |y| b.cmp_cells(y, &a, i).is_lt()),
+            false => b.len(),
+        };
+        out.copy_live(&b, j..upto)?;
+        j = upto;
+    }
+    out.copy_live(&a, i..a.len())?;
+    out.words.shrink_to_fit(); // the estimate counts dead entries' words too
+    Some(out)
+}
+
 /// Bits of a radix sort digit: 2¹¹ counters fit the first-level cache.
 const DIGIT_BITS: u32 = 11;
 
 /// Sort fixed-width keys of `N - 1` columns beside their rows, all of which
 /// fit one cell (`span` says so), as one `[u32; N]` an entry: the cells
-/// the run holds them in. The sort is an LSD radix sort: one stable
-/// counting pass per 11-bit digit that a cell's values span, the row cell
-/// first and key column `N - 2` to 0 after it. The row cell needs no pass
-/// when rows come in ascending order, as a bulk build streams them.
+/// the run holds them in. Fewer entries than a digit has counters are
+/// sorted by comparison; more by an LSD radix sort: one stable counting
+/// pass per 11-bit digit that a cell's values span, the row cell first and
+/// key column `N - 2` to 0 after it. The row cell needs no pass when rows
+/// come in ascending order, as a bulk build and a batch stream them.
 fn narrow_run<const N: usize>(words: Vec<u64>, rows: Vec<RowId>, span: Span) -> Run {
     let tuple = |(key, row): (&[u64], &RowId)| {
         let mut cells = [row.0 as u32; N];
@@ -766,7 +931,11 @@ fn narrow_run<const N: usize>(words: Vec<u64>, rows: Vec<RowId>, span: Span) -> 
     let mut tuples: Vec<[u32; N]> = words.chunks_exact(N - 1).zip(&rows).map(tuple).collect();
     let rows_ascend = rows.is_sorted();
     drop((words, rows));
-    if !tuples.is_sorted() {
+    if tuples.len() < 1 << DIGIT_BITS {
+        if !tuples.is_sorted() {
+            tuples.sort_unstable();
+        }
+    } else if !tuples.is_sorted() {
         // the digits each cell's values span, least significant first
         let greatest = |cell: usize| match cell == N - 1 {
             true => span.top - 1,
@@ -803,9 +972,10 @@ fn narrow_run<const N: usize>(words: Vec<u64>, rows: Vec<RowId>, span: Span) -> 
     Run { cells: tuples.into_flattened(), ..Run::new(N - 1, span, 0, 0) }
 }
 
-/// Collects an index's entries, one row at a time, for a bulk build:
-/// fixed-width keys as bare words beside their row ids, bounded as they
-/// come, so [`finish`](Self::finish) can narrow them before it sorts.
+/// Collects an index's entries, one row at a time, and sorts them into a
+/// run: for a bulk build at open, and for a write's batch. Fixed-width
+/// keys go in as bare words beside their row ids, bounded as they come, so
+/// the sort can narrow them first; other keys encoded.
 pub struct IndexBuilder {
     spec: KeySpec,
     span: Span,
@@ -830,19 +1000,18 @@ impl IndexBuilder {
         Ok(builder)
     }
 
-    /// Add the entry of the stored row `values`, walked from its cell, at
-    /// `row`. A fixed-width key's words go in straight from the values; any
-    /// other key is encoded first. A key column the row holds no conforming
-    /// value for is corruption.
-    pub fn push_row(&mut self, values: &[ValueRef<'_>], row: RowId) -> StoreResult<()> {
+    /// Add the entry of the row `values` at `row`. A fixed-width key's words
+    /// go in straight from the values; any other key is encoded first. A
+    /// key column the row holds no conforming value for is corruption.
+    pub fn push_row<V: ValueView>(&mut self, values: &[V], row: RowId) -> StoreResult<()> {
         if self.span.columns == 0 {
-            let key = self.spec.key_from(|i| values.get(i).copied())?;
+            let key = self.spec.key_from(|i| values.get(i).map(ValueView::view))?;
             self.push(key, row);
             return Ok(());
         }
         let mut words = [0; INLINE_WORDS];
         for (word, column) in words.iter_mut().zip(self.spec.columns.iter()) {
-            let value = values.get(column.ordinal).and_then(|v| KeySpec::fixed_word(column.ty, *v));
+            let value = values.get(column.ordinal).and_then(|v| KeySpec::fixed_word(column.ty, v.view()));
             *word = value.ok_or_else(|| KeySpec::nonconforming(column))?;
         }
         let words = &words[..self.span.columns];
@@ -864,10 +1033,9 @@ impl IndexBuilder {
         }
     }
 
-    /// Sort the entries, check uniqueness by comparing neighbours, and pack
-    /// the run in the narrowest cells its entries fit. A duplicate key in a
-    /// unique index is a `UniqueViolation` naming `table` and the index.
-    pub fn finish(self, table: &str, def: &IndexDef) -> StoreResult<IndexStore> {
+    /// Sort the entries into a run in the narrowest cells they fit; `None`
+    /// if variable-width keys pass 4 GiB.
+    fn sort(self) -> (KeySpec, Option<Run>) {
         let IndexBuilder { spec, span, words, rows, mut keys } = self;
         let run = match (span.widths(), span.columns) {
             ((1, 1), 1) => Some(narrow_run::<2>(words, rows, span)),
@@ -886,7 +1054,15 @@ impl IndexBuilder {
                 keys.iter().try_for_each(|(key, row)| run.push(key.into(), *row)).map(|()| run)
             }
         };
+        (spec, run)
+    }
+
+    /// Sort the entries, check uniqueness by comparing neighbours, and pack
+    /// the run in the narrowest cells its entries fit. A duplicate key in a
+    /// unique index is a `UniqueViolation` naming `table` and the index.
+    pub fn finish(self, table: &str, def: &IndexDef) -> StoreResult<IndexStore> {
         let index = &def.name;
+        let (spec, run) = self.sort();
         let run = run.ok_or_else(|| {
             StoreError::Unsupported(format!("index {index} of table {table} holds over 4 GiB of keys"))
         })?;
@@ -897,33 +1073,40 @@ impl IndexBuilder {
                 key: format_key(&spec.decode(&run.with_key(i, |key| key.into()))?),
             });
         }
-        Ok(IndexStore { spec, unique: def.unique, run, delta: BTreeSet::new() })
+        let delta = Run::empty(run.stride);
+        Ok(IndexStore { spec, unique: def.unique, run, delta })
     }
 }
 
+/// The entries of a batch of fresh rows, sorted into a run of their own
+/// ([`IndexStore::batch`]), on their way into an index's delta.
+pub struct Batch(Run);
+
 /// How far a batch of ascending probes has got ([`IndexStore::seek`]): a
-/// run position, and the delta from the last probe's key on.
-pub struct Cursor<'a> {
-    at: usize,
-    delta: Peekable<btree_set::Range<'a, (IndexKey, RowId)>>,
+/// position in the run and one in the delta.
+#[derive(Debug, Default)]
+pub struct Cursor {
+    run: usize,
+    delta: usize,
 }
 
-/// A single index, unique or non-unique, with its key codec: a frozen run,
-/// the delta written since, and the run's dead marks.
+/// A single index, unique or non-unique, with its key codec: a run, the
+/// delta of entries inserted since, and the dead marks of both.
 #[derive(Debug, Clone)]
 pub struct IndexStore {
     spec: KeySpec,
     unique: bool,
     run: Run,
-    /// Entries inserted since the run was built.
-    delta: BTreeSet<(IndexKey, RowId)>,
+    /// Entries inserted since the run was built: at most about
+    /// `1 / MERGE_SHARE` of it, with dead marks of its own.
+    delta: Run,
 }
 
 impl IndexStore {
     /// Fresh empty index.
     pub fn new(spec: KeySpec, unique: bool) -> Self {
-        let run = Run::new(spec.stride(), Span::new(spec.stride()), 0, 0);
-        IndexStore { spec, unique, run, delta: BTreeSet::new() }
+        let (run, delta) = (Run::empty(spec.stride()), Run::empty(spec.stride()));
+        IndexStore { spec, unique, run, delta }
     }
 
     /// The key codec of this index.
@@ -933,20 +1116,16 @@ impl IndexStore {
 
     /// Number of live (key, row) entries.
     pub fn entry_count(&self) -> usize {
-        self.run.len() - self.run.dead_count + self.delta.len()
+        self.run.live() + self.delta.live()
     }
 
-    /// Entries, where they sit, and the bytes held: the run by capacity, the
-    /// delta's entries by size (its B-tree nodes' overhead not counted).
+    /// Entries, where they sit, and the bytes both runs hold.
     pub fn stats(&self) -> IndexStats {
-        let run = &self.run;
         IndexStats {
             entries: self.entry_count(),
-            delta: self.delta.len(),
-            dead: run.dead_count,
-            bytes: size_of::<u64>() * (run.words.capacity() + run.dead.capacity())
-                + size_of::<u32>() * (run.ends.capacity() + run.cells.capacity())
-                + size_of::<(IndexKey, RowId)>() * self.delta.len(),
+            delta: self.delta.live(),
+            dead: self.run.dead_count,
+            bytes: self.run.bytes() + self.delta.bytes(),
         }
     }
 
@@ -955,182 +1134,159 @@ impl IndexStore {
         self.unique && !self.lookup(key, |_| false)
     }
 
+    /// The error for variable-width keys that would pass 4 GiB in the
+    /// delta.
+    fn too_large() -> StoreError {
+        StoreError::Unsupported("an index delta would hold over 4 GiB of keys".into())
+    }
+
     /// Enter (`key`, `row_id`), which must not break uniqueness: a table
     /// probes every unique index with [`would_conflict`](Self::would_conflict)
-    /// before it enters a row into any. A dead run entry comes back to life,
-    /// an entry already held stays as it is, and any other goes to the delta.
-    pub fn insert(&mut self, key: IndexKey, row_id: RowId) {
-        match self.run.find((&key).into(), row_id) {
-            Some(i) if self.run.is_dead(i) => self.run.mark(i, false),
-            Some(_) => {}
-            None => {
-                self.delta.insert((key, row_id));
+    /// before it enters a row into any. An entry held dead in the run or the
+    /// delta comes back to life, one held alive stays as it is, and any
+    /// other enters the delta as a batch of one.
+    pub fn insert(&mut self, key: IndexKey, row_id: RowId) -> StoreResult<()> {
+        for run in [&mut self.run, &mut self.delta] {
+            if let Some(i) = run.find((&key).into(), row_id) {
+                if run.is_dead(i) {
+                    run.mark(i, false);
+                }
+                return Ok(());
             }
         }
-        self.settle();
+        let mut one = self.builder(1)?;
+        one.push(key, row_id);
+        self.absorb(Batch(one.sort().1.ok_or_else(Self::too_large)?))
     }
 
-    /// Enter the entries of fresh rows, sorted, as [`insert`](Self::insert)
-    /// would: into the delta one by one, or — a batch larger than the delta
-    /// may grow — merged with the delta straight into a fresh run.
-    pub fn insert_sorted(&mut self, mut entries: Vec<(IndexKey, RowId)>) {
-        if entries.len() <= self.run.len() / MERGE_SHARE {
-            entries.into_iter().for_each(|(key, row)| self.insert(key, row));
-        } else {
-            entries.extend(std::mem::take(&mut self.delta));
-            entries.sort(); // two sorted runs: merged in one pass
-            self.merge(entries);
+    /// The entries of the fresh rows `rows`, the first at row id `first`,
+    /// sorted into a batch as an open builds a run: a fixed-width key's
+    /// words straight from the values, sorted in the cells the batch packs
+    /// them in. Refused where the delta could not take it.
+    pub fn batch<R: AsRef<[Value]>>(&self, rows: &[R], first: RowId) -> StoreResult<Batch> {
+        let mut builder = self.builder(rows.len())?;
+        for (values, row) in rows.iter().zip(first.0..) {
+            builder.push_row(values.as_ref(), RowId(row))?;
         }
+        let room = |run: &Run| 8 * (self.delta.words.len() + run.words.len()) <= u32::MAX as usize;
+        builder.sort().1.filter(room).map(Batch).ok_or_else(Self::too_large)
     }
 
-    /// Remove the entry for (`key`, `row_id`). Missing entries are ignored.
+    /// A builder for `entries` entries of this index.
+    fn builder(&self, entries: usize) -> StoreResult<IndexBuilder> {
+        IndexBuilder::new(self.spec.clone(), entries)
+            .map_err(|e| StoreError::Unsupported(format!("a batch of {entries} entries: {e}")))
+    }
+
+    /// The row of a `batch` entry whose key this unique index holds
+    /// already, or holds twice in the batch. The batch's sorted keys seek
+    /// the index through one cursor.
+    pub fn clash(&self, Batch(batch): &Batch) -> Option<RowId> {
+        if !self.unique {
+            return None;
+        }
+        let mut cursor = self.cursor();
+        let taken = |i: &usize| batch.with_key(*i, |key| !self.seek_key(key, &mut cursor, |_| false));
+        batch.repeated().or_else(|| (0..batch.len()).find(taken)).map(|i| batch.row(i))
+    }
+
+    /// Enter a batch of fresh rows' entries, none of them held: merged into
+    /// the delta, and the delta into the run once it is due.
+    pub fn absorb(&mut self, Batch(batch): Batch) -> StoreResult<()> {
+        self.delta = match self.delta.len() {
+            0 => batch,
+            _ => union(&self.delta, &batch).ok_or_else(Self::too_large)?,
+        };
+        self.settle();
+        Ok(())
+    }
+
+    /// Remove the entry for (`key`, `row_id`): a dead mark in whichever run
+    /// holds it, which a later [`insert`](Self::insert) of the same entry —
+    /// a rollback's — revives. Dead marks go at the next merge, which a
+    /// removal does not start. Missing entries are ignored.
     pub fn remove(&mut self, key: &IndexKey, row_id: RowId) {
-        if self.delta.is_empty() || !self.delta.remove(&(key.clone(), row_id)) {
-            if let Some(i) = self.run.find(key.into(), row_id).filter(|&i| !self.run.is_dead(i)) {
-                self.run.mark(i, true);
+        for run in [&mut self.run, &mut self.delta] {
+            if let Some(i) = run.find(key.into(), row_id).filter(|&i| !run.is_dead(i)) {
+                run.mark(i, true);
+                return;
             }
         }
-        self.settle();
     }
 
-    /// Merge the delta and the dead marks into a fresh run once they exceed
-    /// `1 / MERGE_SHARE` of the current one.
+    /// Merge the delta into a fresh run, dropping both runs' dead entries,
+    /// once the delta and the run's dead marks exceed `1 / MERGE_SHARE` of
+    /// the run. Where variable-width keys would pass 4 GiB, both stay.
     fn settle(&mut self) {
         if self.delta.len() + self.run.dead_count > self.run.len() / MERGE_SHARE {
-            let delta = std::mem::take(&mut self.delta).into_iter().collect();
-            self.merge(delta);
-        }
-    }
-
-    /// Merge `entries` (sorted, none held) and the live run entries into a
-    /// fresh, exactly sized run, in the cells they need. Keys past 4 GiB go
-    /// to the delta instead, merged on every read.
-    fn merge(&mut self, entries: Vec<(IndexKey, RowId)>) {
-        let old = &self.run;
-        let mut span = old.span;
-        if old.dead_count > 0 {
-            // the old bounds may hold only dead entries: a fresh run of the
-            // live ones is as narrow as they are
-            span = Span::new(old.stride);
-            for i in (0..old.len()).filter(|&i| !old.is_dead(i)) {
-                old.with_key(i, |key| span.add(key.words, old.row(i)));
-            }
-        }
-        entries.iter().for_each(|(key, row)| span.add(key.words(), *row));
-        let added: usize = entries.iter().map(|(key, _)| key.words().len()).sum();
-        let live = old.len() - old.dead_count + entries.len();
-        let mut run = Run::new(old.stride, span, live, old.words.len() + added);
-        let mut at = 0;
-        let filled = entries.iter().try_for_each(|(key, row)| {
-            let upto = gallop(at, old.len(), |i| old.cmp_entry(i, key.into(), *row).is_lt());
-            run.copy_live(old, at..upto)?;
-            at = upto;
-            run.push(key.into(), *row)
-        });
-        match filled.and_then(|()| run.copy_live(old, at..old.len())) {
-            Some(()) => {
-                run.words.shrink_to_fit(); // the estimate counts dead entries' words too
+            if let Some(run) = union(&self.run, &self.delta) {
                 self.run = run;
+                self.delta = Run::empty(self.run.stride);
             }
-            None => self.delta.extend(entries),
         }
     }
 
-    /// Feed `f` the live run entries at `run` (`Ok` of a position) and the
-    /// delta entries `delta` (`Err`; ascending, within the same key bounds)
-    /// one by one, in key-then-row order, until it returns `false`; returns
-    /// whether it ran to the end.
-    fn merged<'a>(
-        &'a self,
-        run: Range<usize>,
-        delta: impl Iterator<Item = &'a (IndexKey, RowId)>,
-        mut f: impl FnMut(Result<usize, &'a (IndexKey, RowId)>) -> bool,
-    ) -> bool {
-        let live = |range: Range<usize>, f: &mut dyn FnMut(Result<usize, _>) -> bool| {
-            range.filter(|&i| !self.run.is_dead(i)).all(|i| f(Ok(i)))
-        };
+    /// Feed `f` the live entries at `run` of the run and at `delta` of the
+    /// delta — each as the run holding it and its position — in
+    /// key-then-row order, until it returns `false`; returns whether it ran
+    /// to the end.
+    fn merged(&self, run: Range<usize>, delta: Range<usize>, mut f: impl FnMut(&Run, usize) -> bool) -> bool {
+        let (r, d) = (&self.run, &self.delta);
+        let mut live = |src: &Run, range: Range<usize>| range.filter(|&i| !src.is_dead(i)).all(|i| f(src, i));
         let mut at = run.start;
-        for entry in delta {
-            let (key, row) = (KeyRef::from(&entry.0), entry.1);
-            let upto = gallop(at, run.end, |i| self.run.cmp_entry(i, key, row).is_lt());
-            if !live(at..upto, &mut f) || !f(Err(entry)) {
+        for j in delta.filter(|&j| !d.is_dead(j)) {
+            let upto = d.with_key(j, |key| gallop(at, run.end, |i| r.cmp_entry(i, key, d.row(j)).is_lt()));
+            if !live(r, at..upto) || !live(d, j..j + 1) {
                 return false;
             }
             at = upto;
         }
-        live(at..run.end, &mut f)
+        live(r, at..run.end)
     }
 
     /// [`merged`](Self::merged), feeding `f` each entry's row id.
-    fn rows<'a>(
-        &'a self,
-        run: Range<usize>,
-        delta: impl Iterator<Item = &'a (IndexKey, RowId)>,
-        mut f: impl FnMut(RowId) -> bool,
-    ) -> bool {
-        self.merged(run, delta, |entry| f(entry.map_or_else(|&(_, row)| row, |i| self.run.row(i))))
+    fn rows(&self, run: Range<usize>, delta: Range<usize>, mut f: impl FnMut(RowId) -> bool) -> bool {
+        self.merged(run, delta, |src, i| f(src.row(i)))
     }
 
     /// Feed `f` the row ids of the live entries under exactly `key`, in row
     /// order, until it returns `false`; returns whether it ran to the end.
     pub fn lookup(&self, key: &IndexKey, f: impl FnMut(RowId) -> bool) -> bool {
-        let run = match self.run.probe(key.into()) {
-            Some(probe) => self.run.span(&probe, self.run.lower(&probe)),
-            None => 0..0,
-        };
-        let delta = self.delta.range((key.clone(), RowId(0))..);
-        self.rows(run, delta.take_while(|(d, _)| d == key), f)
+        let key = KeyRef::from(key);
+        self.rows(self.run.under(key), self.delta.under(key), f)
     }
 
     /// A cursor for [`seek`](Self::seek), before every entry.
-    pub fn cursor(&self) -> Cursor<'_> {
-        Cursor { at: 0, delta: self.delta.range(..).peekable() }
+    pub fn cursor(&self) -> Cursor {
+        Cursor::default()
     }
 
     /// [`lookup`](Self::lookup) of ascending keys through one cursor: the
-    /// run is searched by galloping forward from where the last key ended,
-    /// and the delta is sought again only where it holds entries between
-    /// two keys. A batch of probes costs O(probes · log gap), however far
-    /// apart its least and greatest key lie.
-    pub fn seek<'a>(
-        &'a self,
-        key: &IndexKey,
-        cursor: &mut Cursor<'a>,
-        f: impl FnMut(RowId) -> bool,
-    ) -> bool {
-        let at = cursor.at;
-        let span = self.run.probe(key.into()).map_or(at..at, |probe| self.run.span(&probe, at));
-        cursor.at = span.end;
-        if cursor.delta.peek().is_some_and(|(d, _)| d < key) {
-            cursor.delta = self.delta.range((key.clone(), RowId(0))..).peekable();
-        }
-        let delta = std::iter::from_fn(|| cursor.delta.next_if(|(d, _)| d == key));
-        self.rows(span, delta, f)
+    /// run and the delta are each searched by galloping forward from where
+    /// the last key ended. A batch of probes costs O(probes · log gap),
+    /// however far apart its least and greatest key lie.
+    pub fn seek(&self, key: &IndexKey, cursor: &mut Cursor, f: impl FnMut(RowId) -> bool) -> bool {
+        self.seek_key(key.into(), cursor, f)
+    }
+
+    fn seek_key(&self, key: KeyRef<'_>, cursor: &mut Cursor, f: impl FnMut(RowId) -> bool) -> bool {
+        let run = self.run.seek(key, &mut cursor.run);
+        let delta = self.delta.seek(key, &mut cursor.delta);
+        self.rows(run, delta, f)
     }
 
     /// Feed `f` the row ids of the live entries of every key that starts
     /// with `prefix` (a probe over the leading key columns), in key-then-row
-    /// order, until it returns `false`. Such keys sort at or after the
-    /// prefix, contiguously.
+    /// order, until it returns `false`.
     pub fn visit_prefix(&self, prefix: &IndexKey, f: impl FnMut(RowId) -> bool) -> bool {
-        let run = match self.run.probe(prefix.into()) {
-            Some(probe) => {
-                let lo = self.run.lower(&probe);
-                lo..gallop(lo, self.run.len(), |i| self.run.starts_at(i, &probe))
-            }
-            None => 0..0,
-        };
-        let delta = self.delta.range((prefix.clone(), RowId(0))..);
-        self.rows(run, delta.take_while(|(k, _)| k.starts_with(prefix)), f)
+        let prefix = KeyRef::from(prefix);
+        self.rows(self.run.prefixed(prefix), self.delta.prefixed(prefix), f)
     }
 
     /// Feed `f` every live entry, its key widened back to whole words, in
     /// key-then-row order, until it returns `false`.
     pub fn visit_all(&self, mut f: impl FnMut(IndexKey, RowId) -> bool) -> bool {
-        self.merged(0..self.run.len(), self.delta.iter(), |entry| match entry {
-            Ok(i) => f(self.run.with_key(i, |key| key.into()), self.run.row(i)),
-            Err((key, row)) => f(key.clone(), *row),
-        })
+        self.merged(0..self.run.len(), 0..self.delta.len(), |src, i| f(src.with_key(i, |key| key.into()), src.row(i)))
     }
 }
 
@@ -1293,8 +1449,8 @@ mod tests {
     #[test]
     fn unique_insert_lookup_remove() {
         let mut ix = IndexStore::new(spec("by_a"), true);
-        ix.insert(k(&[1]), RowId(10));
-        ix.insert(k(&[2]), RowId(20));
+        ix.insert(k(&[1]), RowId(10)).unwrap();
+        ix.insert(k(&[2]), RowId(20)).unwrap();
         assert_eq!(ids(&ix, &k(&[1])), [RowId(10)]);
         assert!(ix.would_conflict(&k(&[1])));
         assert!(!ix.would_conflict(&k(&[3])));
@@ -1310,7 +1466,7 @@ mod tests {
     fn multi_insert_is_sorted_and_idempotent() {
         let mut ix = IndexStore::new(spec("by_a"), false);
         for id in [3, 1, 2, 2] {
-            ix.insert(k(&[5]), RowId(id));
+            ix.insert(k(&[5]), RowId(id)).unwrap();
         }
         assert!(!ix.would_conflict(&k(&[5])), "a multi index takes any key");
         assert_eq!(ids(&ix, &k(&[5])), [RowId(1), RowId(2), RowId(3)]);
@@ -1402,11 +1558,17 @@ mod tests {
             let pools = Pools::new(rng);
             let spec = spec(name);
             let def = IndexDef { unique, ..schema().index(name).unwrap().clone() };
-            let mut model = std::collections::BTreeSet::new();
+            // the entries held, sorted and distinct
+            let mut model: Vec<(Vec<Value>, RowId)> = Vec::new();
+            let enter = |model: &mut Vec<_>, entry| {
+                if let Err(at) = model.binary_search(&entry) {
+                    model.insert(at, entry);
+                }
+            };
             for _ in 0..rng.below(40) {
                 let (key, row) = (pools.key(rng, name), pools.row(rng));
                 if !unique || !model.iter().any(|(k, _)| *k == key) {
-                    model.insert((key, row));
+                    enter(&mut model, (key, row));
                 }
             }
             let run = model.iter().map(|(k, r)| (spec.probe(k).unwrap(), *r)).collect();
@@ -1421,16 +1583,18 @@ mod tests {
                     let taken = model.iter().any(|(k, _)| *k == key);
                     assert_eq!(ix.would_conflict(&probe), unique && taken, "probe {key:?}");
                     if !unique || !taken {
-                        ix.insert(probe, row);
-                        model.insert((key, row));
+                        ix.insert(probe, row).unwrap();
+                        enter(&mut model, (key, row));
                     }
                 } else {
                     // half the removals take an entry that is held
-                    if let Some(held) = model.iter().nth(rng.below(2 * model.len().max(1))) {
+                    if let Some(held) = model.get(rng.below(2 * model.len().max(1))) {
                         (key, row) = held.clone();
                     }
                     ix.remove(&spec.probe(&key).unwrap(), row);
-                    model.remove(&(key, row));
+                    if let Ok(at) = model.binary_search(&(key, row)) {
+                        model.remove(at);
+                    }
                 }
                 let merged = pending > 0 && ix.stats().delta + ix.stats().dead == 0;
                 merges += usize::from(merged);
@@ -1441,7 +1605,7 @@ mod tests {
                 if before.1 != after.1 {
                     rows_went[usize::from(after.1)] += 1;
                 }
-                assert_eq!(live_entries(&ix), model.iter().cloned().collect::<Vec<_>>());
+                assert_eq!(live_entries(&ix), model);
                 assert_eq!(ix.entry_count(), model.len());
                 // every key, point-probed and sought in order through one cursor
                 let mut cursor = ix.cursor();
@@ -1475,9 +1639,9 @@ mod tests {
     #[test]
     fn prefix_visit_on_composite_key() {
         let mut ix = IndexStore::new(spec("by_ab"), false);
-        ix.insert(ab(1, "a"), RowId(1));
-        ix.insert(ab(1, "b"), RowId(2));
-        ix.insert(ab(2, "a"), RowId(3));
+        ix.insert(ab(1, "a"), RowId(1)).unwrap();
+        ix.insert(ab(1, "b"), RowId(2)).unwrap();
+        ix.insert(ab(2, "a"), RowId(3)).unwrap();
         let hits = |a: i64| {
             let mut out = Vec::new();
             let prefix = ix.spec().probe(&[Value::Int(a)]).unwrap();
@@ -1504,7 +1668,7 @@ mod tests {
         let built = build(by_a, spec("by_a"), entries.clone()).unwrap();
         let mut grown = IndexStore::new(spec("by_a"), false);
         for (key, id) in entries.clone() {
-            grown.insert(key, id);
+            grown.insert(key, id).unwrap();
         }
         assert_eq!(live_entries(&built), live_entries(&grown));
         assert_eq!(ids(&built, &k(&[5])), [RowId(0), RowId(2)]);

@@ -20,13 +20,12 @@ pub struct TableStats {
 pub struct IndexStats {
     /// Live (key, row) entries.
     pub entries: usize,
-    /// Entries inserted since the run was built.
+    /// Live entries in the delta: inserted since the run was built.
     pub delta: usize,
     /// Run entries removed since the run was built.
     pub dead: usize,
-    /// Resident bytes: the run's key lanes or words, row ids and dead marks
-    /// by capacity, at the widths the run picked; the delta's entries by
-    /// size.
+    /// Resident bytes: both runs' key lanes or words, row ids and dead
+    /// marks by capacity, at the widths each run picked.
     pub bytes: usize,
 }
 

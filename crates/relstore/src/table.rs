@@ -739,10 +739,8 @@ impl Table {
 
     /// Enter the row at `row_id` under its `keys` (pre-checked with
     /// [`check_unique`](Self::check_unique)) into every index.
-    fn enter(&mut self, keys: Vec<IndexKey>, row_id: RowId) {
-        for (ix, key) in self.indexes.iter_mut().zip(keys) {
-            ix.insert(key, row_id);
-        }
+    fn enter(&mut self, keys: Vec<IndexKey>, row_id: RowId) -> StoreResult<()> {
+        self.indexes.iter_mut().zip(keys).try_for_each(|(ix, key)| ix.insert(key, row_id))
     }
 
     /// The error for the row `values` colliding in unique index `def`.
@@ -762,24 +760,9 @@ impl Table {
 
     /// [`insert`](Self::insert), the row's cell appended to `cells` as the
     /// tail stores it: a transaction logs those bytes, so the row is
-    /// encoded once.
+    /// encoded once. A batch of one.
     pub(crate) fn insert_logged(&mut self, values: &[Value], cells: &mut Vec<u8>) -> StoreResult<RowId> {
-        self.schema.check_row(values)?;
-        let row_id = RowId(self.store.high_water());
-        check_dense(&self.schema, row_id, values.first().map(Value::view))?;
-        // Check unique constraints before mutating anything.
-        let keys = self.keys_of(values)?;
-        self.check_unique(&keys, values)?;
-        self.enter(keys, row_id);
-        let at = cells.len();
-        put_row(cells, values);
-        self.store.open_image().push_cell(&cells[at..]);
-        self.live += 1;
-        // The row is fully inserted and indexed at this point; a seal
-        // (page-out) error leaves the table consistent and is retried on
-        // the next insert.
-        self.store.settle()?;
-        Ok(row_id)
+        self.insert_run(std::slice::from_ref(&values), cells)
     }
 
     /// Insert many rows at once, returning their new ids in input order.
@@ -788,10 +771,10 @@ impl Table {
     /// and every unique index is probed — against existing keys *and* for
     /// duplicates within the batch — before anything mutates, so an error
     /// leaves the table untouched.
-    /// Rows then land in contiguous slots and each index is extended from
-    /// one key-sorted run of the batch (each key projected once, inserted
-    /// in ascending order) rather than maintained per row.
-    pub fn insert_batch(&mut self, rows: &[Vec<Value>]) -> StoreResult<Vec<RowId>> {
+    /// Rows then land in contiguous slots and each index takes the batch's
+    /// entries sorted into cells of their own, merged into its delta in one
+    /// pass, rather than row by row.
+    pub fn insert_batch<R: AsRef<[Value]>>(&mut self, rows: &[R]) -> StoreResult<Vec<RowId>> {
         let first = self.insert_run(rows, &mut Vec::new())?;
         Ok((first.0..first.0 + rows.len() as u64).map(RowId).collect())
     }
@@ -800,55 +783,36 @@ impl Table {
     /// appending the rows' cells to `cells` back to back, as the tail
     /// stores them: a transaction logs those bytes as one run, so each row
     /// is encoded once.
-    pub(crate) fn insert_run(&mut self, rows: &[Vec<Value>], cells: &mut Vec<u8>) -> StoreResult<RowId> {
-        rows.iter().try_for_each(|values| self.schema.check_row(values))?;
-        let first = self.store.high_water();
-        let row_ids: Vec<RowId> = (0..rows.len() as u64)
-            .map(|i| RowId(first + i))
-            .collect();
-        for (row, id) in rows.iter().zip(&row_ids) {
-            check_dense(&self.schema, *id, row.first().map(Value::view))?;
+    pub(crate) fn insert_run<R: AsRef<[Value]>>(&mut self, rows: &[R], cells: &mut Vec<u8>) -> StoreResult<RowId> {
+        rows.iter().try_for_each(|values| self.schema.check_row(values.as_ref()))?;
+        let first = RowId(self.store.high_water());
+        for (row, id) in rows.iter().zip(first.0..) {
+            check_dense(&self.schema, RowId(id), row.as_ref().first().map(Value::view))?;
         }
-        let mut runs = Vec::with_capacity(self.indexes.len());
+        let mut batches = Vec::with_capacity(self.indexes.len());
         for (def, ix) in self.indexed() {
-            let mut run: Vec<(IndexKey, RowId)> = rows
-                .iter()
-                .zip(&row_ids)
-                .map(|(row, id)| Ok((ix.spec().row_key(row)?, *id)))
-                .collect::<StoreResult<_>>()?;
-            run.sort_unstable();
-            if def.unique {
-                // the sorted keys seek the index through one cursor
-                let mut cursor = ix.cursor();
-                let clash = run
-                    .windows(2)
-                    .find(|pair| pair[0].0 == pair[1].0)
-                    .map(|pair| &pair[0])
-                    .or_else(|| {
-                        run.iter().find(|(key, _)| !ix.seek(key, &mut cursor, |_| false))
-                    });
-                if let Some((_, id)) = clash {
-                    return Err(self.violation(def, &rows[(id.0 - first) as usize]));
-                }
+            let batch = ix.batch(rows, first)?;
+            if let Some(id) = ix.clash(&batch) {
+                return Err(self.violation(def, rows[(id.0 - first.0) as usize].as_ref()));
             }
-            runs.push(run);
+            batches.push(batch);
         }
-        for (ix, run) in self.indexes.iter_mut().zip(runs) {
-            ix.insert_sorted(run);
+        for (ix, batch) in self.indexes.iter_mut().zip(batches) {
+            ix.absorb(batch)?;
         }
-        self.live += row_ids.len();
+        self.live += rows.len();
         // each row settles as it lands, so a page seals at its size; a seal
         // error leaves the table consistent, so the batch is placed whole
         // and the first error returned
         let mut sealed = Ok(());
         for row in rows {
             let at = cells.len();
-            put_row(cells, row);
+            put_row(cells, row.as_ref());
             self.store.open_image().push_cell(&cells[at..]);
             let settled = self.store.settle();
             sealed = sealed.and(settled);
         }
-        sealed.map(|()| RowId(first))
+        sealed.map(|()| first)
     }
 
     /// Place a logged run — `count` rows from row id `first`, their cells
@@ -928,7 +892,7 @@ impl Table {
                 "restore target {row_id} is not a tombstone"
             ))),
         })?;
-        self.enter(keys, row_id);
+        self.enter(keys, row_id)?;
         self.live += 1;
         Ok(())
     }
@@ -988,7 +952,7 @@ impl Table {
         {
             if old_key != new_key {
                 ix.remove(&old_key, row_id);
-                ix.insert(new_key, row_id);
+                ix.insert(new_key, row_id)?;
             }
         }
         Ok(old)

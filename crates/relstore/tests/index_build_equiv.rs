@@ -1191,7 +1191,7 @@ fn a_unique_key_taken_in_the_delta_is_rejected() {
     }
     let (spec, mut ix) = frozen_by_acc();
     let key = spec.probe(&[Value::text("fresh")]).unwrap();
-    ix.insert(key.clone(), RowId(70));
+    ix.insert(key.clone(), RowId(70)).unwrap();
     assert!(ix.would_conflict(&key), "the delta holds the key");
 }
 
@@ -1212,7 +1212,7 @@ fn a_dead_run_entrys_key_is_taken_again() {
     let key = spec.probe(&[Value::text("A5")]).unwrap();
     ix.remove(&key, RowId(5));
     assert!(!ix.would_conflict(&key));
-    ix.insert(key, RowId(99));
+    ix.insert(key, RowId(99)).unwrap();
     assert_eq!(ix.entry_count(), 64);
 }
 
@@ -1224,10 +1224,10 @@ fn a_multi_index_reinsert_of_a_held_entry_is_a_no_op() {
     let grp = |g: i64| spec.probe(&[Value::Int(g)]).unwrap();
     let run = (0..64).map(|i| (grp(i % 4), RowId(i as u64))).collect();
     let mut ix = build(def, spec.clone(), run);
-    ix.insert(grp(1), RowId(5));
+    ix.insert(grp(1), RowId(5)).unwrap();
     assert_eq!((ix.entry_count(), ix.stats().delta), (64, 0), "held in the run");
-    ix.insert(grp(1), RowId(99));
-    ix.insert(grp(1), RowId(99));
+    ix.insert(grp(1), RowId(99)).unwrap();
+    ix.insert(grp(1), RowId(99)).unwrap();
     assert_eq!((ix.entry_count(), ix.stats().delta), (65, 1), "held in the delta");
     let mut under = Vec::new();
     ix.lookup(&grp(1), |id| {
@@ -1400,7 +1400,7 @@ fn radix_sorted_runs_equal_a_comparison_sort_and_the_maintained_index() {
         let context = format!("{k} columns, spans {spans:?}, row gap {gap}, unique {unique}");
         let built = build(def, spec.clone(), entries.clone());
         let mut maintained = IndexStore::new(spec.clone(), unique);
-        entries.iter().for_each(|(key, row)| maintained.insert(key.clone(), *row));
+        entries.iter().for_each(|(key, row)| maintained.insert(key.clone(), *row).unwrap());
         let mut reference = entries.clone();
         reference.sort_unstable();
         assert_eq!(all_entries(&built), reference, "{context}: built run");
@@ -1424,4 +1424,249 @@ fn radix_sorted_runs_equal_a_comparison_sort_and_the_maintained_index() {
             }
         }
     });
+}
+
+// ---- (vi) batches, single writes and rollbacks against a model ---------
+
+/// The sweep's three key shapes: one lane (`one`), two lanes (`two`, whose
+/// second column has an outlier 2⁴⁰ off, so its lanes take two cells when
+/// it is held), and a variable-width unique key shaped like `by_accession`
+/// (`acc`).
+fn sweep_schema() -> Schema {
+    Schema::builder("s")
+        .column(Column::new("a", ValueType::Int))
+        .column(Column::new("b", ValueType::Int))
+        .column(Column::new("acc", ValueType::Text))
+        .index("one", &["a"])
+        .index("two", &["a", "b"])
+        .unique_index("acc", &["a", "acc"])
+        .build()
+        .unwrap()
+}
+
+type Model = std::collections::BTreeSet<(Vec<Value>, RowId)>;
+
+/// A read's sink that keeps every row id it is fed.
+fn into(out: &mut Vec<RowId>) -> impl FnMut(RowId) -> bool + '_ {
+    |id| {
+        out.push(id);
+        true
+    }
+}
+
+/// The sweep's state: each index beside its model, and the live rows.
+struct Sweep {
+    indexes: Vec<(IndexDef, IndexStore, Model)>,
+    rows: std::collections::BTreeMap<RowId, [Value; 3]>,
+    next: u64,
+    /// Keys past every one held so far, for appended batches.
+    past: i64,
+}
+
+impl Sweep {
+    fn new(first: u64) -> Sweep {
+        let schema = sweep_schema();
+        let indexes = schema
+            .indexes()
+            .iter()
+            .map(|def| (def.clone(), IndexStore::new(KeySpec::new(&schema, def), def.unique), Model::new()))
+            .collect();
+        Sweep { indexes, rows: Default::default(), next: first, past: 1_000 }
+    }
+
+    /// A row: keys drawn from a small pool, so they repeat, or appended
+    /// past every key held; one in twenty `b`s is the outlier.
+    fn row(&mut self, st: &mut Prng, append: bool) -> [Value; 3] {
+        let a = match append {
+            true => {
+                self.past += 1 + st.below(3) as i64;
+                self.past
+            }
+            false => st.below(40) as i64,
+        };
+        let b = if st.below(20) == 0 { 1 << 40 } else { st.below(500) as i64 };
+        [Value::Int(a), Value::Int(b), Value::text(format!("A{}", st.below(4_000)))]
+    }
+
+    fn key(def: &IndexDef, row: &[Value]) -> Vec<Value> {
+        def.columns.iter().map(|&c| row[c].clone()).collect()
+    }
+
+    /// Whether the unique `acc` would refuse `rows`: a key repeated among
+    /// them, or held already.
+    fn refused(&self, rows: &[[Value; 3]]) -> bool {
+        let (def, _, model) = &self.indexes[2];
+        let mut keys: Vec<Vec<Value>> = rows.iter().map(|r| Self::key(def, r)).collect();
+        keys.sort();
+        keys.windows(2).any(|w| w[0] == w[1]) || keys.iter().any(|k| model.range((k.clone(), RowId(0))..).next().is_some_and(|(h, _)| h == k))
+    }
+
+    /// Enter `rows` as one batch per index, as a table does: every batch is
+    /// built and checked before any is absorbed. Returns whether it went in.
+    fn batch(&mut self, rows: Vec<[Value; 3]>) -> bool {
+        let first = RowId(self.next);
+        let batches: Vec<_> = self.indexes.iter().map(|(_, ix, _)| ix.batch(&rows, first).unwrap()).collect();
+        let clash = self.indexes.iter().zip(&batches).find_map(|((_, ix, _), b)| ix.clash(b));
+        assert_eq!(clash.is_some(), self.refused(&rows), "clash {clash:?}");
+        if clash.is_some() {
+            return false;
+        }
+        for ((def, ix, model), batch) in self.indexes.iter_mut().zip(batches) {
+            ix.absorb(batch).unwrap();
+            for (n, row) in rows.iter().enumerate() {
+                model.insert((Self::key(def, row), RowId(first.0 + n as u64)));
+            }
+        }
+        for row in rows {
+            self.rows.insert(RowId(self.next), row);
+            self.next += 1;
+        }
+        true
+    }
+
+    /// Take `id`'s entries out of every index: dead marks.
+    fn remove(&mut self, id: RowId) -> [Value; 3] {
+        let row = self.rows.remove(&id).unwrap();
+        for (def, ix, model) in &mut self.indexes {
+            let key = Self::key(def, &row);
+            ix.remove(&ix.spec().probe(&key).unwrap(), id);
+            assert!(model.remove(&(key, id)));
+        }
+        row
+    }
+
+    /// Enter `row` at `id` one entry per index, as a restore or an update
+    /// does: a batch of one, or a revived dead mark.
+    fn put(&mut self, id: RowId, row: [Value; 3]) {
+        for (def, ix, model) in &mut self.indexes {
+            let key = Self::key(def, &row);
+            ix.insert(ix.spec().probe(&key).unwrap(), id).unwrap();
+            model.insert((key, id));
+        }
+        self.rows.insert(id, row);
+    }
+
+    fn live(&self, st: &mut Prng) -> Option<RowId> {
+        let n = self.rows.len();
+        (n > 0).then(|| *self.rows.keys().nth(st.below(n)).unwrap())
+    }
+
+    /// Every read of every index against its model and against the index
+    /// `IndexBuilder` builds from the live rows.
+    fn check(&self, st: &mut Prng, context: &str) {
+        for (def, ix, model) in &self.indexes {
+            let context = format!("{context}: {}", def.name);
+            let spec = ix.spec();
+            let mut builder = IndexBuilder::new(spec.clone(), self.rows.len()).unwrap();
+            self.rows.iter().for_each(|(id, row)| builder.push_row(row, *id).unwrap());
+            let rebuilt = builder.finish("s", def).unwrap();
+            let want: Vec<(Vec<Value>, RowId)> = model.iter().cloned().collect();
+            for index in [ix, &rebuilt] {
+                let mut all = Vec::new();
+                index.visit_all(|key, id| {
+                    all.push((spec.decode(&key).unwrap(), id));
+                    true
+                });
+                assert_eq!(all, want, "{context}: visit_all");
+            }
+            assert_eq!(ix.entry_count(), model.len(), "{context}");
+            // some keys held, one past every key and one never drawn
+            let mut keys: Vec<Vec<Value>> = (0..6.min(want.len())).map(|_| want[st.below(want.len())].0.clone()).collect();
+            keys.push(Self::key(def, &[Value::Int(i64::MAX), Value::Int(0), Value::text("none")]));
+            keys.push(Self::key(def, &[Value::Int(-1), Value::Int(-1), Value::text("")]));
+            keys.sort();
+            keys.dedup();
+            let (mut cursor, mut rebuilt_cursor) = (ix.cursor(), rebuilt.cursor());
+            for key in &keys {
+                let under: Vec<RowId> = want.iter().filter(|(k, _)| k == key).map(|e| e.1).collect();
+                let probe = spec.probe(key).unwrap();
+                for (index, cursor) in [(ix, &mut cursor), (&rebuilt, &mut rebuilt_cursor)] {
+                    let (mut looked, mut sought, mut prefixed) = (Vec::new(), Vec::new(), Vec::new());
+                    index.lookup(&probe, into(&mut looked));
+                    index.seek(&probe, cursor, into(&mut sought));
+                    index.visit_prefix(&spec.probe(&key[..1]).unwrap(), into(&mut prefixed));
+                    assert_eq!(looked, under, "{context}: lookup {key:?}");
+                    assert_eq!(sought, under, "{context}: seek {key:?}");
+                    let lead: Vec<RowId> = want.iter().filter(|(k, _)| k[0] == key[0]).map(|e| e.1).collect();
+                    assert_eq!(prefixed, lead, "{context}: prefix {key:?}");
+                }
+            }
+        }
+    }
+}
+
+/// The write path against a model, after every step: batches of 1 to 2 000
+/// rows, appended past every key or interleaved with the held ones, single
+/// inserts, deletes and updates, rolled-back batches and rolled-back
+/// deletes, from row ids at 0 or straddling 2³², over one-lane,
+/// two-lane and variable-width keys. Every index reads as its model and as
+/// the index `IndexBuilder` builds from the same rows.
+#[test]
+fn batched_single_and_rolled_back_writes_read_as_a_model_and_a_rebuilt_index() {
+    let mut seen = [0usize; 7];
+    testkit::cases(10, |st| {
+        let mut sweep = Sweep::new(*st.pick(&[0, u64::from(u32::MAX) - 700]));
+        for step in 0..40 {
+            let context = format!("step {step}");
+            let op = st.below(8);
+            match op {
+                0..=2 => {
+                    let n = match st.below(4) {
+                        0 => 1,
+                        1 => 2 + st.below(30),
+                        2 => 100 + st.below(300),
+                        _ => 1_000 + st.below(1_001),
+                    };
+                    let append = st.gen_bool(0.5);
+                    let rows = (0..n).map(|_| sweep.row(st, append)).collect();
+                    sweep.batch(rows);
+                }
+                3 => {
+                    let row = sweep.row(st, false);
+                    if !sweep.refused(std::slice::from_ref(&row)) {
+                        let id = RowId(sweep.next);
+                        sweep.next += 1;
+                        sweep.put(id, row);
+                    }
+                }
+                4 => {
+                    for _ in 0..1 + st.below(20) {
+                        if let Some(id) = sweep.live(st) {
+                            sweep.remove(id);
+                        }
+                    }
+                }
+                5 => {
+                    if let Some(id) = sweep.live(st) {
+                        let old = sweep.remove(id);
+                        let new = sweep.row(st, false);
+                        let row = if sweep.refused(std::slice::from_ref(&new)) { old } else { new };
+                        sweep.put(id, row);
+                    }
+                }
+                6 => {
+                    // a batch that commits nowhere: its rows deleted again,
+                    // last first
+                    let append = st.gen_bool(0.5);
+                    let rows: Vec<_> = (0..1 + st.below(500)).map(|_| sweep.row(st, append)).collect();
+                    let first = sweep.next;
+                    if sweep.batch(rows) {
+                        (first..sweep.next).rev().for_each(|id| drop(sweep.remove(RowId(id))));
+                    }
+                }
+                _ => {
+                    // deletes rolled back: each entry revived, last first
+                    let ids: std::collections::BTreeSet<RowId> = (0..1 + st.below(200)).filter_map(|_| sweep.live(st)).collect();
+                    let gone: Vec<_> = ids.into_iter().map(|id| (id, sweep.remove(id))).collect();
+                    let dead: usize = sweep.indexes.iter().map(|(_, ix, _)| ix.stats().dead).sum();
+                    gone.into_iter().rev().for_each(|(id, row)| sweep.put(id, row));
+                    let after: usize = sweep.indexes.iter().map(|(_, ix, _)| ix.stats().dead).sum();
+                    assert!(after <= dead, "{context}: a restore revives, it adds no dead mark");
+                }
+            }
+            seen[op.min(6)] += 1;
+            sweep.check(st, &context);
+        }
+    });
+    assert!(seen.iter().all(|&n| n > 10), "every kind of step ran: {seen:?}");
 }

@@ -22,8 +22,13 @@ cargo build --release --offline --locked
 cargo test -q --offline --locked --workspace
 # clippy.toml and the crates' lint attributes hold the architectural
 # invariants (DESIGN.md §11): Vfs-only I/O, typed atomics, no dropped
-# Result on the durable path
-cargo clippy --offline --locked --workspace --all-targets -- -D warnings
+# Result on the durable path. Clippy's dep-info lists clippy.toml only
+# where it existed at the last lint, so a warm target directory can pass a
+# new clippy.toml unlinted: its hash, as a cfg no code reads, is part of
+# every crate's build flags, and any change to it re-lints every crate.
+clippy_toml="clippy_toml_$( (cat clippy.toml 2>/dev/null || true) | sha256sum | cut -c1-16)"
+RUSTFLAGS="${RUSTFLAGS:-} --cfg $clippy_toml" \
+    cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 # a deleted item must not leave a doc link dangling, and a public doc must
 # not link a private item (rustdoc renders that link as plain text)
