@@ -11,7 +11,9 @@
 //! Write batching: single-row helpers (`create_object`, `add_association`)
 //! run one transaction each, which is fine in memory; bulk loaders
 //! (`add_objects_bulk`, `add_associations_bulk`) commit one transaction per
-//! batch so durable imports do one WAL sync per source rather than per row.
+//! batch, and a durable import commits them inside one group-commit window
+//! ([`GamStore::with_group_commit`]), so it pays one WAL sync per call
+//! rather than one per row.
 
 use crate::error::{GamError, GamResult};
 use crate::ids::{ObjectId, ObjectRelId, SourceId, SourceRelId};
@@ -263,21 +265,28 @@ impl GamStore {
     /// Run `body` in a WAL group-commit window: transactions it commits
     /// append their redo records to the log but defer the fsync.
     /// Atomicity is unaffected (a crash can only lose a suffix of whole
-    /// commits, never a partial transaction); the importer uses this to
-    /// pay one fsync per dump batch instead of one per logical step.
+    /// commits, never a partial transaction); the import pipeline uses this
+    /// to pay one fsync per call instead of one per logical step.
     ///
-    /// On every way out — `body` done or failed — sync-on-commit is
+    /// A window opened while one is open joins it: its body runs in the
+    /// outer window, and only the outermost window closes. On every way
+    /// out of that one — `body` done or failed — sync-on-commit is
     /// restored and the WAL fsynced once, making everything committed
-    /// inside the window durable. The body's error comes first, then the
-    /// fsync's.
+    /// inside the window durable; a window that wrote nothing (a pipeline
+    /// call whose dumps were all skipped) has nothing to sync. The body's
+    /// error comes first, then the fsync's.
     pub fn with_group_commit<T>(
         &mut self,
         body: impl FnOnce(&mut Self) -> GamResult<T>,
     ) -> GamResult<T> {
+        if !self.db.sync_on_commit() {
+            return body(self);
+        }
         self.db.set_sync_on_commit(false);
+        let before = self.db.mutations();
         let out = body(self);
         self.db.set_sync_on_commit(true);
-        let synced = self.db.sync_wal();
+        let synced = if self.db.mutations() == before { Ok(()) } else { self.db.sync_wal() };
         out.and_then(|out| synced.map(|()| out))
     }
 
@@ -699,40 +708,46 @@ impl GamStore {
         evidence: Option<f64>,
     ) -> GamResult<bool> {
         let mut added = 0;
-        self.add_associations_bulk(
-            source_rel,
-            std::iter::once(Association {
-                from: object1,
-                to: object2,
-                evidence,
-            }),
-            &mut added,
-        )?;
+        let assoc = Association {
+            from: object1,
+            to: object2,
+            evidence,
+        };
+        self.add_associations_bulk([(source_rel, assoc)], &mut added)?;
         Ok(added == 1)
     }
 
-    /// Add many associations to a mapping in one transaction, skipping
-    /// duplicates. `added` is incremented per fresh insert.
+    /// Add many associations in one transaction, skipping duplicates.
+    /// Each item names its mapping, so one call may fill several mappings:
+    /// the importer inserts a whole dump's associations this way, as one
+    /// batch and one WAL run record. `added` is incremented per fresh
+    /// insert.
     ///
-    /// Duplicate elimination is sort-based: the distinct `(object1, object2)`
-    /// pairs of the batch are resolved against the `by_pair` index in one
-    /// ordered merge pass, then fresh pairs (first occurrence wins within the
-    /// batch) are inserted in input order with contiguous ids — the same
-    /// decisions and id sequence a per-row probe loop produces.
+    /// Duplicate elimination is sort-based: the distinct
+    /// `(mapping, object1, object2)` triples of the batch are resolved
+    /// against the `by_pair` index in one ordered merge pass, then fresh
+    /// triples (first occurrence wins within the batch) are inserted in
+    /// input order with contiguous ids — the same decisions and id sequence
+    /// a per-row probe loop, or one call per mapping in the same order,
+    /// produces.
     ///
-    /// A `source_rel` that was never issued or has been deleted is
-    /// [`GamError::UnknownSourceRel`], checked once per call before anything
-    /// is written. (That each object belongs to the mapping's sources is the
-    /// caller's invariant: checking it would cost a lookup per row.)
+    /// A mapping that was never issued or has been deleted is
+    /// [`GamError::UnknownSourceRel`], each distinct mapping checked once
+    /// before anything is written. (That each object belongs to its
+    /// mapping's sources is the caller's invariant: checking it would cost
+    /// a lookup per row.)
     pub fn add_associations_bulk(
         &mut self,
-        source_rel: SourceRelId,
-        associations: impl IntoIterator<Item = Association>,
+        associations: impl IntoIterator<Item = (SourceRelId, Association)>,
         added: &mut usize,
     ) -> GamResult<()> {
-        self.get_source_rel(source_rel)?;
-        let rel_i64 = source_rel.as_i64();
-        let assocs: Vec<Association> = associations.into_iter().collect();
+        let assocs: Vec<(SourceRelId, Association)> = associations.into_iter().collect();
+        let mut rels: Vec<SourceRelId> = assocs.iter().map(|&(rel, _)| rel).collect();
+        rels.sort_unstable();
+        rels.dedup();
+        for &rel in &rels {
+            self.get_source_rel(rel)?;
+        }
         if assocs.is_empty() {
             return Ok(());
         }
@@ -740,7 +755,7 @@ impl GamStore {
         // so neither are these, and no counter has to be seeded at open.
         let first = self.db.table(tables::OBJECT_REL)?.next_row_id().0;
         let first_id = ObjectRelId::of_row(RowId(first))?;
-        for assoc in &assocs {
+        for &(source_rel, assoc) in &assocs {
             let rec = crate::model::ObjectRel {
                 id: first_id,
                 source_rel,
@@ -750,29 +765,29 @@ impl GamStore {
             };
             rec.validate()?;
         }
-        // the distinct pairs, sorted, and each association's slot among them
-        let mut order: Vec<(i64, i64, usize)> = assocs
+        // the distinct triples, sorted, and each association's slot among them
+        let mut order: Vec<([i64; 3], usize)> = assocs
             .iter()
             .enumerate()
-            .map(|(n, a)| (a.from.as_i64(), a.to.as_i64(), n))
+            .map(|(n, (rel, a))| ([rel.as_i64(), a.from.as_i64(), a.to.as_i64()], n))
             .collect();
         order.sort_unstable();
-        let (mut pairs, mut slots) = (Vec::new(), vec![0; assocs.len()]);
-        for (from, to, n) in order {
-            if pairs.last() != Some(&(from, to)) {
-                pairs.push((from, to));
+        let (mut triples, mut slots) = (Vec::new(), vec![0; assocs.len()]);
+        for (triple, n) in order {
+            if triples.last() != Some(&triple) {
+                triples.push(triple);
             }
-            slots[n] = pairs.len() - 1;
+            slots[n] = triples.len() - 1;
         }
-        let mut exists = vec![false; pairs.len()];
+        let mut exists = vec![false; triples.len()];
         self.db.table(tables::OBJECT_REL)?.for_each_match_id(
             "by_pair",
-            pairs.iter().map(|&(from, to)| [rel_i64, from, to].map(ValueRef::Int)),
+            triples.iter().map(|triple| triple.map(ValueRef::Int)),
             |n, _| exists[n] = true,
         )?;
         let mut rows: Vec<[Value; 5]> = Vec::new();
-        let mut seen = vec![false; pairs.len()];
-        for (assoc, slot) in assocs.iter().zip(slots) {
+        let mut seen = vec![false; triples.len()];
+        for ((rel, assoc), slot) in assocs.iter().zip(slots) {
             if exists[slot] || seen[slot] {
                 continue;
             }
@@ -780,7 +795,7 @@ impl GamStore {
             let id = ObjectRelId::of_row(RowId(first + rows.len() as u64))?;
             rows.push([
                 Value::Int(id.as_i64()),
-                Value::Int(rel_i64),
+                Value::Int(rel.as_i64()),
                 Value::Int(assoc.from.as_i64()),
                 Value::Int(assoc.to.as_i64()),
                 assoc.evidence.map(Value::Float).unwrap_or(Value::Null),
@@ -1153,7 +1168,7 @@ mod tests {
         advances(&mut s, "add_association", |s| s.add_association(rel, a, b, None));
         advances(&mut s, "add_associations_bulk", |s| {
             let assoc = Association { from: c[0], to: d[0], evidence: None };
-            s.add_associations_bulk(rel, [assoc], &mut 0)
+            s.add_associations_bulk([(rel, assoc)], &mut 0)
         });
         advances(&mut s, "delete_source_rel", |s| s.delete_source_rel(rel));
     }
@@ -1376,7 +1391,7 @@ mod tests {
             let ev = if i % 3 == 0 { None } else { Some(i as f64 / 40.0) };
             assocs.push(Association { from: objs_a[i % 7], to: objs_b[i], evidence: ev });
         }
-        s.add_associations_bulk(rel, assocs, &mut added).unwrap();
+        s.add_associations_bulk(assocs.iter().map(|&a| (rel, a)), &mut added).unwrap();
         let via_rows = s.load_mapping(rel).unwrap();
         let idx = s.load_mapping_index(rel).unwrap();
         assert_eq!(idx.from, via_rows.from);
@@ -1458,7 +1473,7 @@ mod tests {
         let pairs: Vec<_> = from.iter().zip(&to).map(|(f, t)| Association::fact(*f, *t)).collect();
         for batch in pairs.chunks(25) {
             // a batch seals as one page: several make several
-            s.add_associations_bulk(rel, batch.iter().copied(), &mut 0).unwrap();
+            s.add_associations_bulk(batch.iter().map(|&a| (rel, a)), &mut 0).unwrap();
         }
         s.checkpoint().unwrap();
         drop(s);
@@ -1500,7 +1515,7 @@ mod tests {
         s.delete_source_rel(deleted).unwrap();
         for id in [SourceRelId(99), deleted] {
             let mut added = 0;
-            let bulk = s.add_associations_bulk(id, [Association::fact(ao, bo)], &mut added);
+            let bulk = s.add_associations_bulk([(id, Association::fact(ao, bo))], &mut added);
             assert!(matches!(bulk, Err(GamError::UnknownSourceRel(got)) if got == id));
             assert_eq!(added, 0);
             let single = s.add_association(id, ao, bo, Some(0.5));
@@ -1673,7 +1688,7 @@ mod tests {
         for (n, ty) in [(8_000, RelType::Similarity), (4_000, RelType::Composed)] {
             let rel = s.create_source_rel(a.id, b.id, ty, None).unwrap();
             let pairs = (0..n).map(|i| Association { from: from[i % 200], to: to[i / 200], evidence: None });
-            s.add_associations_bulk(rel, pairs, &mut 0).unwrap();
+            s.add_associations_bulk(pairs.map(|a| (rel, a)), &mut 0).unwrap();
             rels.push(rel);
         }
         s.checkpoint().unwrap();
@@ -1805,7 +1820,7 @@ mod tests {
                 let mut added = 0;
                 let dup = Association::fact(ids[0], g); // dup within batch
                 let batch = vec![Association::fact(ids[0], g), Association::fact(ids[1], g), dup];
-                s.add_associations_bulk(rel, batch, &mut added)?;
+                s.add_associations_bulk(batch.into_iter().map(|a| (rel, a)), &mut added)?;
                 assert_eq!(added, 2);
                 Ok((src.id, rel))
             })

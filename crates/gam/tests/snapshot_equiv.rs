@@ -487,8 +487,8 @@ fn capture_walks_a_paged_store_about_once() {
                 .collect();
             pairs.sort_unstable();
             for chunk in pairs.chunks(20) {
-                let facts = chunk.iter().map(|&(from, to)| Association::fact(from, to));
-                s.add_associations_bulk(rel, facts, &mut 0)?;
+                let facts = chunk.iter().map(|&(from, to)| (rel, Association::fact(from, to)));
+                s.add_associations_bulk(facts, &mut 0)?;
             }
             Ok(a_ids.len() + b_ids.len())
         });

@@ -960,8 +960,8 @@ mod tests {
         for hop in objects.windows(2) {
             let (from, to) = (&hop[0], &hop[1]);
             let rel = store.create_source_rel(from.0, to.0, RelType::Fact, None).unwrap();
-            let pairs = from.1.iter().zip(&to.1).map(|(&a, &b)| Association::fact(a, b));
-            store.add_associations_bulk(rel, pairs, &mut 0).unwrap();
+            let pairs = from.1.iter().zip(&to.1).map(|(&a, &b)| (rel, Association::fact(a, b)));
+            store.add_associations_bulk(pairs, &mut 0).unwrap();
         }
         // C has no direct mapping from A: it composes along A-B-C
         let spec = QuerySpec::source("A").target("C").target("B");
@@ -1012,7 +1012,7 @@ mod tests {
         let [(a, a1), (b, b1), (c, c1)] = objects[..] else { unreachable!() };
         for (to, partner, evidence) in [(c, c1, None), (b, b1, Some(0.5))] {
             let rel = store.create_source_rel(a, to, RelType::Similarity, None).unwrap();
-            store.add_associations_bulk(rel, [Association { from: a1, to: partner, evidence }], &mut 0).unwrap();
+            store.add_associations_bulk([(rel, Association { from: a1, to: partner, evidence })], &mut 0).unwrap();
         }
         let want = vec![("B".to_owned(), "B1".to_owned(), Some(0.5)), ("C".to_owned(), "C1".to_owned(), None)];
         assert_eq!(gm.object_info("A", "A1").unwrap().associations, want);

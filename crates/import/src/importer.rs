@@ -4,8 +4,11 @@
 //! batch-oriented: annotation records are grouped with borrowed keys (the
 //! batch itself is the string arena), all partition/target source names are
 //! resolved in one index pass, object accessions resolve through the
-//! store's batched accession resolver, and every store write lands inside
-//! one WAL group-commit window so a batch pays a single fsync. Its
+//! store's batched accession resolver, a batch's associations — every
+//! mapping's — enter as one bulk insert (one WAL run record), and every
+//! store write lands inside one WAL group-commit window: a bare importer
+//! pays one fsync a batch, and inside the pipeline, whose window the
+//! importer joins, a call pays one fsync for all its batches. Its
 //! per-accession tables are hashed; each table's distinct accessions are
 //! sorted before they are created, so ids follow accession order — a pure
 //! function of the batch sequence, never of hash order. The
@@ -18,7 +21,7 @@ use crate::report::{ImportReport, ImportTimings};
 use eav::{EavBatch, EavRecord};
 use gam::mapping::Association;
 use gam::model::{RelType, SourceContent, SourceStructure};
-use gam::{GamError, GamRead, GamResult, GamStore, ObjectId, SourceId};
+use gam::{GamError, GamRead, GamResult, GamStore, ObjectId, SourceId, SourceRelId};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -87,7 +90,8 @@ impl<'a> Importer<'a> {
         }
 
         // Everything the batch writes commits inside one group-commit
-        // window: the WAL is fsynced once, as the window closes.
+        // window: the WAL is fsynced once, as the window closes — here, or,
+        // when a caller's window is open (the pipeline's), as that one does.
         let timings = &mut self.timings;
         let mut body_done = Instant::now();
         let closed = self.store.with_group_commit(|store| {
@@ -255,6 +259,10 @@ impl<'a> Importer<'a> {
             .collect();
 
         // ---- annotation relationships ----------------------------------
+        // Each group's target objects are inserted as it is met; its
+        // associations are collected, in group order, and inserted with the
+        // IS_A edges' as one batch below.
+        let mut assocs: Vec<(SourceRelId, Association)> = Vec::new();
         for ((target_name, scored), rows) in &groups {
             let target = match known.get(target_name) {
                 Some(id) => *id,
@@ -319,7 +327,6 @@ impl<'a> Importer<'a> {
                     )
                 }
             };
-            let mut assocs = Vec::with_capacity(rows.len());
             for (entity, acc, _, evidence) in rows {
                 let from = *own_ids.get(entity).ok_or_else(|| {
                     GamError::Invalid(format!(
@@ -333,20 +340,8 @@ impl<'a> Importer<'a> {
                     ))
                 })?;
                 let (o1, o2) = if forward { (from, to) } else { (to, from) };
-                assocs.push(Association {
-                    from: o1,
-                    to: o2,
-                    evidence: *evidence,
-                });
+                assocs.push((rel, Association { from: o1, to: o2, evidence: *evidence }));
             }
-            let mut added = 0;
-            let total = assocs.len();
-            let t = Instant::now();
-            let inserted = self.store.add_associations_bulk(rel, assocs, &mut added);
-            self.timings.insert += t.elapsed();
-            inserted?;
-            report.associations_created += added;
-            report.associations_deduped += total - added;
         }
 
         // ---- structural IS_A relationships ----------------------------
@@ -370,7 +365,6 @@ impl<'a> Importer<'a> {
                         .create_source_rel(source.id, source.id, RelType::IsA, None)?
                 }
             };
-            let mut assocs = Vec::with_capacity(isa_edges.len());
             for (child, parent) in isa_edges {
                 let from = *own_ids.get(child).ok_or_else(|| {
                     GamError::Invalid(format!("IS_A child {child} missing from its source"))
@@ -378,17 +372,18 @@ impl<'a> Importer<'a> {
                 let to = *own_ids.get(parent).ok_or_else(|| {
                     GamError::Invalid(format!("IS_A parent {parent} missing from its source"))
                 })?;
-                assocs.push(Association::fact(from, to));
+                assocs.push((rel, Association::fact(from, to)));
             }
-            let mut added = 0;
-            let total = assocs.len();
-            let t = Instant::now();
-            let inserted = self.store.add_associations_bulk(rel, assocs, &mut added);
-            self.timings.insert += t.elapsed();
-            inserted?;
-            report.associations_created += added;
-            report.associations_deduped += total - added;
         }
+
+        // ---- the batch's associations, every mapping's, in one insert ---
+        let (total, mut added) = (assocs.len(), 0);
+        let t = Instant::now();
+        let inserted = self.store.add_associations_bulk(assocs, &mut added);
+        self.timings.insert += t.elapsed();
+        inserted?;
+        report.associations_created += added;
+        report.associations_deduped += total - added;
 
         // The release tag is written *last*: the source-level dedup check
         // skips a dump whose recorded release already matches, so stamping

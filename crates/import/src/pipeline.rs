@@ -6,6 +6,11 @@
 //! instance the same way). All parsed batches are held until the import
 //! phase starts, so a parse failure aborts the run before anything is
 //! written.
+//!
+//! The import phase is one WAL group-commit window
+//! ([`GamStore::with_group_commit`]): each batch's importer joins it, and
+//! the WAL is fsynced once, as the call returns — `Ok` or `Err`, so a batch
+//! imported before a failing one is durable all the same.
 
 use crate::importer::Importer;
 use crate::report::{ImportReport, ImportTimings};
@@ -45,7 +50,8 @@ pub fn run_pipeline(
 }
 
 /// [`run_pipeline`] plus per-phase wall-clock timings (parse / resolve /
-/// insert / wal), accumulated across all batches.
+/// insert / wal), accumulated across all batches; `wal` is the call's one
+/// fsync.
 pub fn run_pipeline_timed(
     store: &mut GamStore,
     dumps: &[SourceDump],
@@ -57,14 +63,22 @@ pub fn run_pipeline_timed(
         .map_err(|e| GamError::Invalid(format!("parse failed: {e}")))?;
     timings.parse += parse_start.elapsed();
     let mut reports = Vec::with_capacity(parsed.len());
-    for lp in parsed {
-        let mut importer = Importer::new(store);
-        let mut report = importer.import_owned(lp.batch)?;
-        report.quarantined = lp.quarantined;
-        timings.absorb(&importer.timings());
-        reports.push(report);
-    }
-    Ok((reports, timings))
+    let mut body_done = Instant::now();
+    let closed = store.with_group_commit(|store| {
+        let imported = parsed.into_iter().try_for_each(|lp| {
+            let mut importer = Importer::new(store);
+            let imported = importer.import_owned(lp.batch);
+            timings.absorb(&importer.timings());
+            let mut report = imported?;
+            report.quarantined = lp.quarantined;
+            reports.push(report);
+            Ok(())
+        });
+        body_done = Instant::now();
+        imported
+    });
+    timings.wal += body_done.elapsed();
+    closed.map(|()| (reports, timings))
 }
 
 /// Parse every dump in order with a per-dump quarantine budget: malformed

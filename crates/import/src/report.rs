@@ -14,7 +14,9 @@ pub struct ImportTimings {
     pub resolve: Duration,
     /// Store mutations: bulk object and association inserts.
     pub insert: Duration,
-    /// WAL group-commit fsync at the end of each batch.
+    /// The wait on the group-commit window's WAL fsync: once a batch for a
+    /// bare [`Importer`](crate::Importer), once a call for the pipeline
+    /// (whose window the importers join, so theirs read about zero).
     pub wal: Duration,
 }
 

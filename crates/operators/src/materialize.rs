@@ -40,7 +40,7 @@ pub fn materialize(
     }
     let rel = store.create_source_rel(mapping.from, mapping.to, mapping.rel_type, Some(derivation))?;
     let mut added = 0;
-    store.add_associations_bulk(rel, mapping.pairs.iter().copied(), &mut added)?;
+    store.add_associations_bulk(mapping.pairs.iter().map(|&a| (rel, a)), &mut added)?;
     Ok((rel, added))
 }
 

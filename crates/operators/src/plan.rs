@@ -414,8 +414,8 @@ mod tests {
                     store.create_source_rel(ids[h], ids[h + 1], RelType::Fact, None).unwrap();
                 let assocs = pairs
                     .iter()
-                    .map(|&(a, b)| Association::fact(objects[h][a], objects[h + 1][b]));
-                store.add_associations_bulk(rel, assocs, &mut 0).unwrap();
+                    .map(|&(a, b)| (rel, Association::fact(objects[h][a], objects[h + 1][b])));
+                store.add_associations_bulk(assocs, &mut 0).unwrap();
             }
             let (planned, tree) = plan_chain(&store, &ids, None, true).unwrap();
             let planned_pairs = intermediate_pairs(&tree.unwrap());

@@ -294,7 +294,7 @@ fn add_hop(
         .collect();
     let mut added = 0;
     c.store
-        .add_associations_bulk(rel, assocs, &mut added)
+        .add_associations_bulk(assocs.into_iter().map(|a| (rel, a)), &mut added)
         .unwrap();
 }
 

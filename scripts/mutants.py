@@ -27,6 +27,7 @@ row on two cores; run it in the background.
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -81,13 +82,18 @@ def rows_of(path):
 
 
 def run(cmd, cwd, env, timeout=None):
-    try:
-        p = subprocess.run(cmd, cwd=cwd, env=env, timeout=timeout,
-                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        return p.returncode, p.stdout
-    except subprocess.TimeoutExpired as e:
-        out = e.stdout.decode() if isinstance(e.stdout, bytes) else (e.stdout or "")
-        return None, out
+    """(exit code, output) of cmd; (None, output so far) on a timeout. The
+    command runs in its own process group, and a timeout kills the whole
+    group, so a hung test binary does not outlive its row."""
+    with subprocess.Popen(cmd, cwd=cwd, env=env, start_new_session=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True) as p:
+        try:
+            out, _ = p.communicate(timeout=timeout)
+            return p.returncode, out
+        except subprocess.TimeoutExpired:
+            os.killpg(p.pid, signal.SIGKILL)
+            out, _ = p.communicate()
+            return None, out
 
 
 def package_of(rel_path, packages):
